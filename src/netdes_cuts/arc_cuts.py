@@ -40,9 +40,6 @@ class ArcInequality:
         lhs = sum((v * frac(xbar.get(i, 0)) for i, v in self.coefs.items()), ZERO)
         return lhs - self.const - self.y_coef * frac(ybar)
 
-    def holds_at(self, x: Mapping[int, Fraction], y) -> bool:
-        return self.violation(x, y) <= 0
-
     def normalized(self):
         """Integer-cleared canonical tuple for equality checks."""
         vals = list(self.coefs.values()) + [self.const, self.y_coef]

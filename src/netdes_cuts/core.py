@@ -285,9 +285,6 @@ class Instance:
     def facility_capacities(self) -> tuple[Fraction, ...]:
         return tuple(f.capacity for f in self.facilities)
 
-    def commodity_supply(self, ki: int) -> Fraction:
-        return self.commodities[ki].total_supply
-
     def arc_capacity(self, ai: int, y: Mapping[tuple[int, int], Fraction]) -> Fraction:
         """Total capacity of arc ``ai`` under installation vector ``y``."""
         cap = self.arcs[ai].existing_capacity
@@ -361,15 +358,6 @@ class FractionalPoint:
 
     x: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     y: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-
-    def x_value(self, ai: int, ki: int) -> Fraction:
-        return self.x.get((ai, ki), ZERO)
-
-    def y_value(self, ai: int, mi: int) -> Fraction:
-        return self.y.get((ai, mi), ZERO)
-
-    def y_total(self, ai: int, capacities: Sequence[Fraction]) -> Fraction:
-        return sum((capacities[mi] * v for (a, mi), v in self.y.items() if a == ai), ZERO)
 
 
 @dataclass

@@ -28,11 +28,25 @@ from .core import (
     LinearCut,
     frac,
 )
-from .lp import LPSolution, build_relaxation, check_feasible_routing, solve
+from .lp import (
+    LPSolution,
+    build_relaxation,
+    check_feasible_routing,
+    routing_rows,
+    routing_var,
+    solve,
+)
 from .mir import hull_inequalities
-from .simplex import LE, solve_lp
+from .simplex import solve_lp
 
 FAMILIES = ("rc", "cstrong", "cutset", "flowcutset", "mf", "metric", "partition")
+
+K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
+MAX_DENOMINATOR = 10**6      # rationalization of the float LP point
+PARTITION_LIMIT = 8          # exhaustive two-partitions up to this many nodes
+THREE_PARTITION_LIMIT = 6    # exhaustive three-partitions up to this many nodes
+N_RANDOM_PARTITIONS = 20     # sampled partitions above those limits
+Q_SUBSET_LIMIT = 6           # exhaustive commodity subsets up to this size
 
 
 class BudgetExceededError(RuntimeError):
@@ -41,16 +55,17 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class Config:
+    """Settings of one cutting-plane run.
+
+    ``families`` names the enabled separators, ``max_rounds`` caps the
+    solve-separate rounds, a cut is admitted only when its exact violation
+    exceeds ``eps``, and ``exact_final`` re-solves the last relaxation in
+    exact arithmetic (``LoopResult.exact_bound``).
+    """
+
     families: tuple[str, ...] = FAMILIES
     max_rounds: int = 50
     eps: Fraction = Fraction(1, 10**6)
-    k_split: tuple[int, ...] = (2, 3)
-    seed: int = 0
-    max_denominator: int = 10**6
-    partition_limit: int = 8       # exhaustive two-partitions up to this size
-    three_partition_limit: int = 6
-    n_random_partitions: int = 20
-    q_subset_limit: int = 6        # exhaustive commodity subsets up to this size
     exact_final: bool = False
 
     def __post_init__(self):
@@ -71,6 +86,7 @@ class RoundReport:
     cuts_added: dict[str, int] = field(default_factory=dict)
     max_violation: float = 0.0
     wall_time: float = 0.0
+    exact_fallback: bool = False
 
 
 class CutPool:
@@ -115,7 +131,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         sol = solve(build_relaxation(instance, pool.cuts()))
         if sol.status != "optimal":
             raise RuntimeError(f"relaxation solve ended with status {sol.status}")
-        point = sol.point(config.max_denominator)
+        point = sol.point(MAX_DENOMINATOR)
         found = separate_all(instance, point, config)
         added: dict[str, int] = {}
         max_violation = ZERO
@@ -130,6 +146,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
                 cuts_added=added,
                 max_violation=float(max_violation),
                 wall_time=time.perf_counter() - t0,
+                exact_fallback=sol.exact_fallback,
             )
         )
         if not added:
@@ -171,10 +188,10 @@ def separate_all(instance: Instance, point: FractionalPoint, config: Config):
             admit(_separate_rc_arc(instance, ai, point))
     if "cstrong" in config.families and single_facility and instance.unsplittable:
         for ai in range(len(instance.arcs)):
-            for cut in _separate_unsplittable_arc(instance, ai, point, config):
+            for cut in _separate_unsplittable_arc(instance, ai, point):
                 admit(cut)
 
-    partitions = list(_two_partitions(instance, config))
+    partitions = list(_two_partitions(instance))
     relaxations = [cutset_cuts.build_cutset(instance, U, V) for U, V in partitions]
 
     if "cutset" in config.families and single_facility:
@@ -182,12 +199,12 @@ def separate_all(instance: Instance, point: FractionalPoint, config: Config):
             admit(cutset_cuts.cutset_cut(rel))
     if "flowcutset" in config.families and single_facility:
         for rel in relaxations:
-            for Q in _commodity_subsets(rel, point, config):
+            for Q in _commodity_subsets(rel, point):
                 admit(cutset_cuts.separate_flow_cutset(rel, Q, point))
     if "mf" in config.families and len(instance.facilities) >= 1:
         for rel in relaxations:
             for s in range(len(instance.facilities)):
-                for Q in _commodity_subsets(rel, point, config):
+                for Q in _commodity_subsets(rel, point):
                     admit(cutset_cuts.separate_multifacility(rel, s, point, Q=Q))
     if "metric" in config.families:
         # the LP point itself witnesses routability, so inside the loop this
@@ -203,7 +220,7 @@ def separate_all(instance: Instance, point: FractionalPoint, config: Config):
                 continue
             for ineq in hull_inequalities(cover):
                 admit(partition_cuts.expand_knapsack_cut(ineq, shrunk))
-        for part in _three_partitions(instance, config):
+        for part in _three_partitions(instance):
             candidates = [
                 cut
                 for cut in (
@@ -241,7 +258,7 @@ def _separate_rc_arc(instance: Instance, ai: int, point: FractionalPoint):
     return arc_cuts.to_instance_cut(rel, ineq, "rc")
 
 
-def _separate_unsplittable_arc(instance: Instance, ai: int, point: FractionalPoint, config: Config):
+def _separate_unsplittable_arc(instance: Instance, ai: int, point: FractionalPoint):
     rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.UNSPLITTABLE)
     reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
     xhat = _fractional_loads(rel, ai, point)
@@ -254,7 +271,7 @@ def _separate_unsplittable_arc(instance: Instance, ai: int, point: FractionalPoi
         mapped = arc_cuts.back_map_cut(best, offsets, off0)
         cuts.append(arc_cuts.to_instance_cut(rel, mapped, "cstrong"))
         S = best.params["S"]
-        for k in config.k_split:
+        for k in K_SPLIT:
             cuts.append(arc_cuts.to_instance_cut(rel, arc_cuts.k_split_c_strong_cut(rel, S, k), "ksplit"))
     ones = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 1)
     zeros = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 0)
@@ -278,18 +295,18 @@ def _fractional_loads(rel, ai: int, point: FractionalPoint) -> dict[int, Fractio
     return xhat
 
 
-def _two_partitions(instance: Instance, config: Config):
+def _two_partitions(instance: Instance):
     nodes = list(instance.nodes)
-    if len(nodes) <= config.partition_limit:
+    if len(nodes) <= PARTITION_LIMIT:
         yield from cutset_cuts.two_partitions(nodes)
         return
-    rng = random.Random(config.seed)
+    rng = random.Random(0)
     seen = set()
     for node in nodes:
         seen.add(frozenset([node]))
         yield (node,), tuple(n for n in nodes if n != node)
         yield tuple(n for n in nodes if n != node), (node,)
-    for _ in range(config.n_random_partitions):
+    for _ in range(N_RANDOM_PARTITIONS):
         size = rng.randint(2, len(nodes) - 2) if len(nodes) > 3 else 1
         U = frozenset(rng.sample(nodes, size))
         if U in seen:
@@ -298,15 +315,15 @@ def _two_partitions(instance: Instance, config: Config):
         yield tuple(sorted(U)), tuple(sorted(set(nodes) - U))
 
 
-def _three_partitions(instance: Instance, config: Config):
+def _three_partitions(instance: Instance):
     nodes = list(instance.nodes)
     if len(nodes) < 3:
         return
-    if len(nodes) <= config.three_partition_limit:
+    if len(nodes) <= THREE_PARTITION_LIMIT:
         yield from partition_cuts.all_three_partitions(nodes)
         return
-    rng = random.Random(config.seed + 1)
-    for _ in range(config.n_random_partitions):
+    rng = random.Random(1)
+    for _ in range(N_RANDOM_PARTITIONS):
         labels = [rng.randrange(3) for _ in nodes]
         blocks = [[], [], []]
         for node, lab in zip(nodes, labels):
@@ -315,9 +332,9 @@ def _three_partitions(instance: Instance, config: Config):
             yield partition_cuts.NodePartition.of(*blocks)
 
 
-def _commodity_subsets(rel, point: FractionalPoint, config: Config):
+def _commodity_subsets(rel, point: FractionalPoint):
     n = len(rel.b)
-    if n <= config.q_subset_limit:
+    if n <= Q_SUBSET_LIMIT:
         for size in range(1, n + 1):
             yield from combinations(range(n), size)
         return
@@ -366,34 +383,19 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int], budget: i
 
 def _min_flow_lp(instance: Instance, capacities, objective: Mapping[tuple[int, int], Fraction], exact: bool):
     """Minimize a flow objective over routings under fixed capacities."""
-    n_arcs, n_comm = len(instance.arcs), len(instance.commodities)
-
-    def xv(ai, ki):
-        return ki * n_arcs + ai
-
-    rows = []
-    for ki, com in enumerate(instance.commodities):
-        for node in instance.nodes:
-            coefs = {}
-            for ai in instance.in_arcs[node]:
-                coefs[xv(ai, ki)] = coefs.get(xv(ai, ki), ZERO) + 1
-            for ai in instance.out_arcs[node]:
-                coefs[xv(ai, ki)] = coefs.get(xv(ai, ki), ZERO) - 1
-            rows.append((coefs, "=", com.w(node)))
-    for ai in range(n_arcs):
-        rows.append(({xv(ai, ki): Fraction(1) for ki in range(n_comm)}, LE, capacities[ai]))
+    n_vars, rows = routing_rows(instance, capacities)
     upper = {}
     for ki, com in enumerate(instance.commodities):
-        for ai in range(n_arcs):
-            upper[xv(ai, ki)] = com.total_supply
-    obj = {xv(ai, ki): v for (ai, ki), v in objective.items()}
-    res = solve_lp(n_arcs * n_comm, rows, obj, upper=upper, exact=exact)
+        for ai in range(len(instance.arcs)):
+            upper[routing_var(instance, ai, ki)] = com.total_supply
+    obj = {routing_var(instance, ai, ki): v for (ai, ki), v in objective.items()}
+    res = solve_lp(n_vars, rows, obj, upper=upper, exact=exact)
     if res.status != "optimal":
         return None
     x = {}
-    for ki in range(n_comm):
-        for ai in range(n_arcs):
-            val = res.x[xv(ai, ki)]
+    for ki in range(len(instance.commodities)):
+        for ai in range(len(instance.arcs)):
+            val = res.x[routing_var(instance, ai, ki)]
             if not isinstance(val, Fraction):
                 val = Fraction(float(val)).limit_denominator(10**9)
             if val != 0:
@@ -697,8 +699,8 @@ def generate_instance(
     flow_cost_prob: float = 0.5,
 ) -> Instance:
     """Deterministic random instance: strongly connected, small rationals."""
-    if nodes < 2 or density <= 0 or demand_scale < 1:
-        raise ValueError("parameters must be positive (and nodes >= 2)")
+    if nodes < 2 or not 0 < density < float("inf") or demand_scale < 1:
+        raise ValueError("need nodes >= 2, a finite density > 0 and demand_scale >= 1")
     rng = random.Random(seed)
     ids = list(range(1, nodes + 1))
     pairs = [(i, j) for i in ids for j in ids if i != j]

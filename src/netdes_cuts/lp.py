@@ -88,6 +88,7 @@ class LPSolution:
     duals: list = field(default_factory=list)
     farkas: list | None = None
     iterations: int = 0
+    exact_fallback: bool = False  # float solve stalled; this result is exact
 
     def point(self, max_denominator: int = 10**6) -> FractionalPoint:
         """Exact rational snapshot of the (x, y) part of the solution."""
@@ -158,7 +159,9 @@ def solve(model: LPModel, exact: bool = False, tol: float = 1e-9) -> LPSolution:
     )
     if res.status == "stalled" and not exact:
         # numerically hard model: exact arithmetic is slower but immune
-        return solve(model, exact=True, tol=tol)
+        sol = solve(model, exact=True, tol=tol)
+        sol.exact_fallback = True
+        return sol
     sol = LPSolution(status=res.status, iterations=res.iterations)
     if res.status == "optimal":
         sol.objective = res.objective
@@ -202,25 +205,31 @@ class RoutingCertificate:
         return sum((capacities[ai] * va for ai, va in self.v.items()), ZERO)
 
 
-def _routing_rows(instance: Instance, capacities):
+def routing_var(instance: Instance, ai: int, ki: int) -> int:
+    """Column of commodity ``ki``'s flow on arc ``ai`` in the routing LP."""
+    return ki * len(instance.arcs) + ai
+
+
+def routing_rows(instance: Instance, capacities):
+    """Balance and capacity rows of the routing LP under per-arc ``capacities``.
+
+    Returns ``(n_vars, rows)``; columns are numbered by ``routing_var``.
+    """
     rows = []
-    nvars = len(instance.arcs) * len(instance.commodities)
-
-    def xv(ai, ki):
-        return ki * len(instance.arcs) + ai
-
     for ki, com in enumerate(instance.commodities):
         for node in instance.nodes:
             coefs = {}
             for ai in instance.in_arcs[node]:
-                coefs[xv(ai, ki)] = coefs.get(xv(ai, ki), ZERO) + 1
+                j = routing_var(instance, ai, ki)
+                coefs[j] = coefs.get(j, ZERO) + 1
             for ai in instance.out_arcs[node]:
-                coefs[xv(ai, ki)] = coefs.get(xv(ai, ki), ZERO) - 1
+                j = routing_var(instance, ai, ki)
+                coefs[j] = coefs.get(j, ZERO) - 1
             rows.append((coefs, EQ, com.w(node)))
     for ai in range(len(instance.arcs)):
-        coefs = {xv(ai, ki): Fraction(1) for ki in range(len(instance.commodities))}
+        coefs = {routing_var(instance, ai, ki): Fraction(1) for ki in range(len(instance.commodities))}
         rows.append((coefs, LE, capacities[ai]))
-    return nvars, rows
+    return len(instance.arcs) * len(instance.commodities), rows
 
 
 def check_feasible_routing(
@@ -245,7 +254,7 @@ def check_feasible_routing(
     if witness is not None and _witness_fits(instance, witness, capacities):
         return True, None
 
-    nvars, rows = _routing_rows(instance, capacities)
+    nvars, rows = routing_rows(instance, capacities)
     res = solve_lp(nvars, rows, objective={}, exact=exact)
     if res.status == "optimal":
         return True, None

@@ -116,9 +116,6 @@ class KnapsackCoverSet:
     def base_inequality(self) -> BaseInequality:
         return BaseInequality({}, {m: Fraction(c) for m, c in enumerate(self.capacities)}, self.rhs)
 
-    def is_divisible(self) -> bool:
-        return all(b % a == 0 for a, b in zip(self.capacities, self.capacities[1:]))
-
 
 def iterative_mir(cover: KnapsackCoverSet, subsequence: Sequence[int]) -> BaseInequality:
     """Round repeatedly, dividing by each chosen capacity in turn.
@@ -173,12 +170,6 @@ class PhiParams:
     c_s: Fraction
     r: Fraction
     eta: int
-
-    @classmethod
-    def from_rhs(cls, b, capacities: Sequence, s: int) -> "PhiParams":
-        b = frac(b)
-        c_s = frac(capacities[s])
-        return cls(s=s, c_s=c_s, r=b - floor_frac(b / c_s) * c_s, eta=ceil_frac(b / c_s))
 
     def __post_init__(self):
         if not 0 <= self.r < self.c_s:

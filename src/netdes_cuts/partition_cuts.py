@@ -69,12 +69,6 @@ class ShrunkInstance:
     block_of: dict[int, int]
     arc_groups: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def shrunk_commodity_of_block(self, block: int) -> int | None:
-        for ki, com in enumerate(self.instance.commodities):
-            if com.source == block:
-                return ki
-        return None
-
 
 def shrink(instance: Instance, partition: NodePartition) -> ShrunkInstance:
     """Aggregate nodes blockwise: capacities and demands sum over crossings."""

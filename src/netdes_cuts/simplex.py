@@ -1,9 +1,11 @@
 """Two-phase bounded-variable simplex, dense tableau, Bland's rule.
 
 Sized for desk-scale models (up to a couple thousand rows).  Two numeric
-modes share the same algorithm: float64 (numpy tableau, pivot loop in the
-selected kernel) and exact rational (Fraction tableau, pure Python loop).
-Bland's smallest-index rule everywhere, which prevents cycling.
+modes share the same algorithm: float64 (numpy tableau) for the loop's
+relaxations and exact rational (``Fraction`` tableau) where a result must
+be certified.  Bland's smallest-index rule everywhere, which prevents
+cycling.  Variables at their upper bound are kept complemented (column
+negated, rhs shifted) so every nonbasic variable sits at zero.
 
 Row duals are read off the final objective row under each row's marker
 column (its slack, or its artificial for ``>=``/``=`` rows).  When phase 1
@@ -21,14 +23,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._pivot_py import ITER_LIMIT, OPTIMAL, UNBOUNDED
+# the one float backend, named in benchmark environment stamps
+KERNEL = "python"
 
+OPTIMAL = 0
+UNBOUNDED = 1
+ITER_LIMIT = 2
 
-def _kernel():
-    # resolved per call so benchmarks can swap kernels at runtime
-    from . import pivot_loop
-
-    return pivot_loop
+_INF = float("inf")
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -153,7 +155,7 @@ def _solve_float(layout: _Layout, obj, upper_map, tol, max_iter) -> LPResult:
         if layout.art_col[i] >= 0:
             T[m, layout.art_col[i]] += 1.0
 
-    status, it1 = _kernel()(T, basis, is_basic, flipped, upper, allow, tol, max_iter)
+    status, it1 = _pivot_loop(T, basis, is_basic, flipped, upper, allow, tol, max_iter)
     if status == ITER_LIMIT:
         return LPResult("stalled", [], None, iterations=it1)
     infeas = -T[m, N]
@@ -185,7 +187,7 @@ def _solve_float(layout: _Layout, obj, upper_map, tol, max_iter) -> LPResult:
             T[m] -= cb * T[i]
     T[m, N] -= const
 
-    status, it2 = _kernel()(T, basis, is_basic, flipped, upper, allow, tol, max_iter)
+    status, it2 = _pivot_loop(T, basis, is_basic, flipped, upper, allow, tol, max_iter)
     iters = it1 + it2
     if status == ITER_LIMIT:
         return LPResult("stalled", [], None, iterations=iters)
@@ -215,7 +217,7 @@ def _drive_out_artificials(T, basis, is_basic, layout, tol):
         for j in range(layout.first_art):
             if not is_basic[j] and abs(T[i, j]) > max(tol, 1e-7):
                 lv = basis[i]
-                _pivot_dense(T, i, j)
+                _pivot(T, i, j)
                 basis[i] = j
                 is_basic[j] = 1
                 is_basic[lv] = 0
@@ -223,13 +225,84 @@ def _drive_out_artificials(T, basis, is_basic, layout, tol):
         # no eligible column: the row is redundant, artificial stays at zero
 
 
-def _pivot_dense(T, row, col):
+def _pivot_loop(T, basis, is_basic, flipped, upper, allow, tol, max_iter):
+    """Run Bland-rule pivots in place until optimal/unbounded/cap.
+
+    T        : (m+1, n+1) float64 tableau; last row = reduced costs with
+               T[m, n] = -objective, last column = basic values.
+    basis    : int64[m], variable index basic in each row.
+    is_basic : uint8[n] membership flags.
+    flipped  : uint8[n], 1 when the column is complemented (var at upper).
+    upper    : float64[n] upper bounds (inf allowed).
+    allow    : uint8[n], 0 bars a column from entering.
+    """
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    obj = T[m]
+    iters = 0
+    while True:
+        if iters >= max_iter:
+            return ITER_LIMIT, iters
+        # entering column: smallest index with negative reduced cost
+        enter = -1
+        for j in range(n):
+            if allow[j] and not is_basic[j] and obj[j] < -tol:
+                enter = j
+                break
+        if enter < 0:
+            return OPTIMAL, iters
+        # ratio test against basic bounds plus the entering bound flip
+        best_t = upper[enter]
+        leave_row = -1
+        leave_at_upper = False
+        for i in range(m):
+            d = T[i, enter]
+            # basic values may dip a hair below their bounds numerically;
+            # clamping keeps step lengths nonnegative
+            if d > tol:
+                t = max(T[i, n], 0.0) / d
+                hits_upper = False
+            elif d < -tol and upper[basis[i]] != _INF:
+                t = max(upper[basis[i]] - T[i, n], 0.0) / (-d)
+                hits_upper = True
+            else:
+                continue
+            if t < best_t - tol or (
+                t < best_t + tol and (leave_row < 0 or basis[i] < basis[leave_row])
+            ):
+                best_t = t
+                leave_row = i
+                leave_at_upper = hits_upper
+        if best_t == _INF:
+            return UNBOUNDED, iters
+        iters += 1
+        if leave_row < 0:
+            _flip(T, flipped, upper, enter)
+            continue
+        lv = basis[leave_row]
+        _pivot(T, leave_row, enter)
+        basis[leave_row] = enter
+        is_basic[enter] = 1
+        is_basic[lv] = 0
+        if leave_at_upper:
+            # the leaving variable exits at its upper bound; complement it
+            # so the rhs column is a correct basic solution again
+            _flip(T, flipped, upper, lv)
+
+
+def _pivot(T, row, col):
     T[row] /= T[row, col]
     column = T[:, col].copy()
     column[row] = 0.0
     T -= np.outer(column, T[row])
     T[:, col] = 0.0
     T[row, col] = 1.0
+
+
+def _flip(T, flipped, upper, j):
+    T[:, -1] -= T[:, j] * upper[j]
+    T[:, j] *= -1.0
+    flipped[j] ^= 1
 
 
 # -- exact mode ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from netdes_cuts.cli import main
 from netdes_cuts.core import load_instance
 
@@ -26,7 +28,7 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
     assert {"instance", "rounds", "final_bound", "oracle_optimum", "gap_closed"} <= set(report)
     assert report["rounds"], "at least one round recorded"
     for entry in report["rounds"]:
-        assert {"round", "bound", "cuts", "max_violation"} <= set(entry)
+        assert {"round", "bound", "cuts", "max_violation", "exact_fallback"} <= set(entry)
     if report["oracle_optimum"] is not None:
         assert report["final_bound"] <= report["oracle_optimum"] + 1e-6
         assert report["gap_closed"] is None or 0 <= report["gap_closed"] <= 1 + 1e-9
@@ -53,8 +55,9 @@ def test_run_rejects_invalid_instance(tmp_path, capsys):
         "demands": [{"from": 1, "to": 2, "amount": "1"}],
         "flow_costs": "0",
     }))
-    assert main(["run", "--instance", str(bad)]) == 2
-    assert "invalid instance" in capsys.readouterr().err
+    for command in ("run", "oracle"):
+        assert main([command, "--instance", str(bad)]) == 2
+        assert "invalid instance" in capsys.readouterr().err
 
 
 def test_unsplittable_gen_flag(tmp_path):
@@ -63,3 +66,29 @@ def test_unsplittable_gen_flag(tmp_path):
           "--unsplittable", "--out", str(path)])
     inst = load_instance(path)
     assert inst.unsplittable and inst.mode == "disaggregated"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--instance", "{inst}", "--eps", "abc"],
+    ["run", "--instance", "{inst}", "--eps", "0"],
+    ["run", "--instance", "{inst}", "--cuts", "nonsense"],
+    ["run", "--instance", "{inst}", "--rounds", "0"],
+    ["run", "--instance", "{inst}", "--oracle-ybound", "-1"],
+    ["run", "--instance", "{missing}"],
+    ["oracle", "--instance", "{missing}"],
+    ["oracle", "--instance", "{inst}", "--ybound", "-1"],
+    ["gen", "--seed", "1", "--nodes", "3", "--facilities", "1,x", "--out", "{out}"],
+    ["gen", "--seed", "1", "--nodes", "3", "--density", "inf", "--out", "{out}"],
+], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
+        "ybound", "facilities", "density-inf"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--seed", "3", "--nodes", "3", "--out", str(inst)])
+    capsys.readouterr()
+    paths = {"inst": inst, "missing": tmp_path / "missing.json", "out": tmp_path / "out.json"}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**paths) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err
+    assert not (tmp_path / "out.json").exists()

@@ -159,3 +159,24 @@ def test_stalled_status_on_tiny_iteration_cap():
 
     res = solve_lp(3, [({0: 1, 1: 2, 2: 1}, GE, 3)], [1, 1, 1], max_iter=0)
     assert res.status == "stalled"
+
+
+def test_stalled_float_solve_falls_back_to_exact_and_says_so(monkeypatch, star_instance):
+    from netdes_cuts import lp
+    from netdes_cuts.simplex import LPResult
+
+    real_solve_lp = lp.solve_lp
+    modes = []
+
+    def float_stalls(*args, exact=False, **kwargs):
+        modes.append(exact)
+        if not exact:
+            return LPResult("stalled", [], None)
+        return real_solve_lp(*args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", float_stalls)
+    sol = solve(build_relaxation(star_instance))
+    assert modes == [False, True]
+    assert sol.status == "optimal" and sol.exact_fallback
+    assert isinstance(sol.objective, F) and sol.objective == 0
+    assert not solve(build_relaxation(star_instance), exact=True).exact_fallback

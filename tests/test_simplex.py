@@ -108,36 +108,3 @@ def test_exact_and_float_agree():
         if f.status == "optimal":
             assert f.objective == pytest.approx(float(e.objective), abs=1e-7)
 
-
-def test_kernel_parity_python_vs_compiled():
-    import netdes_cuts.simplex as simplex
-    from netdes_cuts.simplex import _pivot_py
-
-    try:
-        from netdes_cuts.simplex import _pivot_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(3)
-    saved = simplex.pivot_loop
-    try:
-        for trial in range(10):
-            n = rng.randint(2, 6)
-            rows = [
-                (
-                    {j: F(rng.randint(-2, 5)) for j in range(n)},
-                    rng.choice([LE, GE, EQ]),
-                    F(rng.randint(0, 5)),
-                )
-                for _ in range(rng.randint(1, 4))
-            ]
-            obj = {j: F(rng.randint(0, 3)) for j in range(n)}
-            upper = {j: F(rng.randint(2, 4)) for j in range(n) if rng.random() < 0.4}
-            simplex.pivot_loop = _pivot_py.pivot_loop
-            a = solve_lp(n, rows, obj, upper=upper)
-            simplex.pivot_loop = _pivot_cy.pivot_loop
-            b = solve_lp(n, rows, obj, upper=upper)
-            assert a.status == b.status
-            if a.status == "optimal":
-                assert a.objective == pytest.approx(b.objective, abs=1e-8)
-    finally:
-        simplex.pivot_loop = saved
