@@ -40,6 +40,15 @@ def _checked(convert, ok, expected):
     return parse
 
 
+def _output_path(text):
+    """argparse type: a file path that can be written, checked before any work."""
+    try:
+        open(text, "a").close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write {text}: {exc.strerror}") from None
+    return text
+
+
 def _int_list(text):
     return tuple(int(c) for c in text.split(","))
 
@@ -66,9 +75,11 @@ def main(argv=None) -> int:
     )
     run.add_argument("--rounds", type=_ROUNDS, default=50)
     run.add_argument("--eps", type=_EPS, default="1/1000000", help="violation threshold (rational)")
-    run.add_argument("--report", help="write a JSON report here")
+    run.add_argument("--report", type=_output_path, help="write a JSON report here")
     run.add_argument("--oracle-ybound", type=_YBOUND, help="also solve the grid oracle with this bound")
-    run.add_argument("--dump-lp", help="write the final relaxation in LP text format")
+    run.add_argument(
+        "--dump-lp", type=_output_path, help="write the final relaxation in LP text format"
+    )
 
     oracle = sub.add_parser("oracle", help="brute-force optimum over an installation grid")
     oracle.add_argument("--instance", required=True)

@@ -32,12 +32,14 @@ from .lp import (
     LPSolution,
     build_relaxation,
     check_feasible_routing,
+    proves_unroutable,
     routing_rows,
     routing_var,
+    safe_lower_bound,
     solve,
 )
 from .mir import hull_inequalities
-from .simplex import solve_lp
+from .simplex import solve_lp, solve_lp_many
 
 FAMILIES = ("rc", "cstrong", "cutset", "flowcutset", "mf", "metric", "partition")
 
@@ -381,15 +383,31 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int], budget: i
         yield dict(zip(keys, (Fraction(v) for v in values)))
 
 
+def _routing_upper(instance: Instance) -> dict:
+    """Flow upper bounds of the routing LP: each commodity's total supply."""
+    return {
+        routing_var(instance, ai, ki): com.total_supply
+        for ki, com in enumerate(instance.commodities)
+        for ai in range(len(instance.arcs))
+    }
+
+
+def _routing_objective(instance: Instance, flow: Mapping[tuple[int, int], Fraction]) -> dict:
+    return {routing_var(instance, ai, ki): v for (ai, ki), v in flow.items()}
+
+
 def _min_flow_lp(instance: Instance, capacities, objective: Mapping[tuple[int, int], Fraction], exact: bool):
-    """Minimize a flow objective over routings under fixed capacities."""
+    """Minimize a flow objective over routings under fixed capacities.
+
+    A stalled float solve is redone in exact arithmetic, so ``None`` always
+    means the capacities admit no routing.
+    """
     n_vars, rows = routing_rows(instance, capacities)
-    upper = {}
-    for ki, com in enumerate(instance.commodities):
-        for ai in range(len(instance.arcs)):
-            upper[routing_var(instance, ai, ki)] = com.total_supply
-    obj = {routing_var(instance, ai, ki): v for (ai, ki), v in objective.items()}
+    upper = _routing_upper(instance)
+    obj = _routing_objective(instance, objective)
     res = solve_lp(n_vars, rows, obj, upper=upper, exact=exact)
+    if res.status == "stalled" and not exact:
+        res = solve_lp(n_vars, rows, obj, upper=upper, exact=True)
     if res.status != "optimal":
         return None
     x = {}
@@ -457,8 +475,8 @@ def validate_cut(
     """Search the bounded grid for a feasible point violating the cut.
 
     Returns ``(True, None)`` when no counterexample exists within bounds,
-    else ``(False, point)``.  Float scans are re-checked exactly before a
-    verdict either way.
+    else ``(False, point)``.  Every verdict is exact; see ``validate_cuts``
+    for how each grid point is decided.
     """
     return validate_cuts([cut], instance, y_bounds, ybound, budget)[0]
 
@@ -470,12 +488,25 @@ def validate_cuts(
     ybound: int | None = None,
     budget: int = 10**6,
 ):
-    """Validate many cuts in one sweep (feasibility work shared).
+    """Validate many cuts in one sweep, deciding each grid point once.
 
     Pure-capacity cuts with nonnegative coefficients get a complete check
     independent of the grid bounds: only installations with left-hand side
     below the rhs can violate, and there are finitely many.  Cuts with
-    flow terms fall back to the bounded grid scan.
+    flow terms are checked on the bounded grid.  At each grid point one
+    float routing LP is solved for the objectives of all open cuts (phase 1
+    shared) and the float answers are only used as certificates:
+
+    - the point is skipped as unroutable when the Farkas vector yields a
+      metric inequality that fails exactly (``lp.proves_unroutable``);
+    - a cut holds at the point when its ``y`` part plus a safe dual bound
+      on the minimum of its flow part reaches the rhs exactly
+      (``lp.safe_lower_bound``);
+    - anything left uncertified, a stalled solve included, is decided by
+      the exact simplex, which also supplies every counterexample.
+
+    With unsplittable routing the enumeration is exact throughout; points
+    with no joint routing are skipped for every cut.
     """
     verdicts: list = [(True, None) for _ in cuts]
     routings = _unsplittable_routings(instance) if instance.unsplittable else None
@@ -490,36 +521,44 @@ def validate_cuts(
 
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
+    upper = _routing_upper(instance)
+    objectives = {idx: _routing_objective(instance, cuts[idx].flow) for idx in grid_idx}
     open_idx = set(grid_idx)
     for y in _grid(instance, y_bounds, budget):
         if not open_idx:
             break
         caps = [instance.arc_capacity(ai, y) for ai in range(len(instance.arcs))]
-        for idx in sorted(open_idx):
-            cut = cuts[idx]
-            ypart = sum((coef * y.get(key, ZERO) for key, coef in cut.cap.items()), ZERO)
-            if routings is None:
-                priced = _min_flow_lp(instance, caps, cut.flow, exact=False)
-                if priced is None:
-                    continue
-                lhs_min, _ = priced
-                if float(ypart) + lhs_min < float(cut.rhs) + 1e-7:
-                    exact_priced = _min_flow_lp(instance, caps, cut.flow, exact=True)
-                    if exact_priced is not None and ypart + exact_priced[0] < cut.rhs:
-                        verdicts[idx] = (
-                            False,
-                            FractionalPoint(x=exact_priced[1], y=dict(y)),
-                        )
-                        open_idx.discard(idx)
-            else:
-                combo = _best_unsplittable(instance, routings, caps, cut.flow)
-                if combo is None:
-                    continue
-                lhs_min, x = combo
-                if ypart + lhs_min < cut.rhs:
+        order = sorted(open_idx)
+        if routings is not None:
+            if _best_unsplittable(instance, routings, caps, {}) is None:
+                continue
+            for idx in order:
+                cut = cuts[idx]
+                lhs_min, x = _best_unsplittable(instance, routings, caps, cut.flow)
+                if _ypart(cut, y) + lhs_min < cut.rhs:
                     verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(y)))
                     open_idx.discard(idx)
+            continue
+        n_vars, rows = routing_rows(instance, caps)
+        results = solve_lp_many(n_vars, rows, [objectives[idx] for idx in order], upper)
+        if results[0].status == "infeasible" and proves_unroutable(instance, caps, results[0].farkas):
+            continue
+        for idx, res in zip(order, results):
+            cut = cuts[idx]
+            ypart = _ypart(cut, y)
+            if res.status == "optimal":
+                bound = safe_lower_bound(rows, objectives[idx], upper, res.duals)
+                if bound is not None and ypart + bound >= cut.rhs:
+                    continue
+            exact_priced = _min_flow_lp(instance, caps, cut.flow, exact=True)
+            if exact_priced is not None and ypart + exact_priced[0] < cut.rhs:
+                verdicts[idx] = (False, FractionalPoint(x=exact_priced[1], y=dict(y)))
+                open_idx.discard(idx)
     return verdicts
+
+
+def _ypart(cut: LinearCut, y) -> Fraction:
+    return sum((coef * y.get(key, ZERO) for key, coef in cut.cap.items()), ZERO)
 
 
 def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
@@ -528,12 +567,9 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
     Any violating installation keeps the keyed variables below the cut's
     rhs; unkeyed variables can only help feasibility, so they are granted
     ample capacity.  Enumerate the finitely many keyed patterns and test
-    routability of each.
+    routability of each exactly (``_routable``).
     """
     keys = sorted(cut.cap)
-    keyed_by_arc: dict[int, set] = {}
-    for ai, mi in keys:
-        keyed_by_arc.setdefault(ai, set()).add(mi)
     ample = instance.demand.total()
 
     def capacities(y):
@@ -557,7 +593,7 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
         if idx == len(keys):
             caps = capacities(current)
             if routings is None:
-                feasible, _ = check_feasible_routing(instance, capacities=caps, exact=True)
+                feasible = _routable(instance, caps)
             else:
                 feasible = _best_unsplittable(instance, routings, caps, {}) is not None
             if feasible:
@@ -576,6 +612,15 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
     if counter is None:
         return True, None
     return False, counter
+
+
+def _routable(instance: Instance, capacities) -> bool:
+    """Exact routability; a float Farkas vector certifies most refusals cheaply."""
+    n_vars, rows = routing_rows(instance, capacities)
+    res = solve_lp(n_vars, rows, {})
+    if res.status == "infeasible" and proves_unroutable(instance, capacities, res.farkas):
+        return False
+    return check_feasible_routing(instance, capacities=capacities, exact=True)[0]
 
 
 # -- unsplittable routing enumeration --------------------------------------------

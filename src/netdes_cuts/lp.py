@@ -287,6 +287,62 @@ def check_feasible_routing(
     return False, cert
 
 
+def proves_unroutable(instance: Instance, capacities: Sequence[Fraction], farkas: Sequence) -> bool:
+    """Exact metric-inequality check seeded by a routing LP's Farkas vector.
+
+    ``farkas`` comes from an infeasible ``routing_rows`` LP (float or exact).
+    Its capacity-row multipliers, rounded to rationals and clamped to
+    ``v >= 0``, are arc weights; with shortest-path potentials ``u`` the pair
+    lies in the metric cone, so ``demand_side > capacity_side`` proves that
+    no routing fits ``capacities``.  False means only "not proved".
+    """
+    n_arcs = len(instance.arcs)
+    v = {}
+    for ai, lam in enumerate(farkas[len(farkas) - n_arcs :]):
+        # capacity rows are <=, so their multipliers are nonpositive; negate
+        weight = -rationalize(lam)
+        if weight > 0:
+            v[ai] = weight
+    try:
+        cert = RoutingCertificate(v=v, u=shortest_path_potentials(instance, v))
+    except ValueError:  # a demand node no path reaches: left to the exact solve
+        return False
+    return cert.demand_side(instance) > cert.capacity_side(instance, capacities)
+
+
+def safe_lower_bound(
+    rows: Sequence[tuple],
+    objective: Mapping[int, Fraction],
+    upper: Mapping[int, Fraction],
+    duals: Sequence,
+) -> Fraction | None:
+    """Exact lower bound on ``min objective`` from approximate row duals.
+
+    The Neumaier-Shcherbina bound ``pi·b + sum(min(0, rc_j) * u_j)`` with
+    ``rc = objective - pi·A`` holds for any ``pi`` of the right signs, so the
+    float duals are rounded to rationals and clamped (``<=`` rows to
+    ``pi <= 0``, ``>=`` rows to ``pi >= 0``) and the bound is then exact.
+    ``rows`` and ``upper`` are as for ``solve_lp`` with variables ``>= 0``.
+    Returns ``None`` when a column with negative reduced cost has no upper
+    bound.
+    """
+    bound = ZERO
+    rc = {j: frac(c) for j, c in objective.items()}
+    for (coefs, sense, rhs), dual in zip(rows, duals):
+        pi = rationalize(dual)
+        if (sense == LE and pi > 0) or (sense == GE and pi < 0) or pi == 0:
+            continue
+        bound += pi * rhs
+        for j, a in coefs.items():
+            rc[j] = rc.get(j, ZERO) - pi * a
+    for j, r in rc.items():
+        if r < 0:
+            if j not in upper:
+                return None
+            bound += r * upper[j]
+    return bound
+
+
 def _witness_fits(instance: Instance, point: FractionalPoint, capacities) -> bool:
     """Does the witness satisfy balance and the given capacities exactly?"""
     for ai in range(len(instance.arcs)):

@@ -13,6 +13,10 @@ ends with a positive objective the same trick yields a Farkas certificate:
 multipliers ``lam`` with ``lam·A <= 0`` on all columns (for columns with a
 finite upper bound, ``sum(max(lam·A_j,0)*u_j) < lam·b`` instead) proving
 the system empty.
+
+``solve_lp_many`` solves one float LP for several objectives: phase 1 does
+not read the objective, so it runs once and each phase 2 starts from a copy
+of its tableau.
 """
 
 from __future__ import annotations
@@ -99,22 +103,78 @@ def solve_lp(
     ``rows`` is a sequence of ``(coefs, sense, rhs)`` with sparse ``coefs``
     mappings; ``upper`` maps variable indices to finite upper bounds.
     """
-    if isinstance(objective, Mapping):
-        obj = dict(objective)
-    else:
-        obj = {j: v for j, v in enumerate(objective) if v}
+    if not exact:
+        return solve_lp_many(n_vars, rows, [objective], upper, tol, max_iter)[0]
     layout = _Layout(n_vars, rows)
     if max_iter is None:
-        max_iter = 10000 + 60 * (len(layout.rows) + layout.ncols)
-    if exact:
-        return _solve_exact(layout, obj, upper or {}, max_iter)
-    return _solve_float(layout, obj, upper or {}, tol, max_iter)
+        max_iter = _default_max_iter(layout)
+    return _solve_exact(layout, _sparse(objective), upper or {}, max_iter)
+
+
+def solve_lp_many(
+    n_vars: int,
+    rows: Sequence[tuple],
+    objectives: Sequence[Mapping[int, object] | Sequence],
+    upper: Mapping[int, object] | None = None,
+    tol: float = 1e-9,
+    max_iter: int | None = None,
+) -> list[LPResult]:
+    """Float ``solve_lp`` for several objectives over the same feasible set.
+
+    Phase 1 never reads the objective, so it runs once; phase 2 runs for
+    each objective on a copy of the phase-1 tableau.  When phase 1 ends
+    infeasible or stalled, every entry is that result.
+    """
+    layout = _Layout(n_vars, rows)
+    if max_iter is None:
+        max_iter = _default_max_iter(layout)
+    start = _phase1_float(layout, upper or {}, tol, max_iter)
+    if isinstance(start, LPResult):
+        return [start] * len(objectives)
+    results = []
+    for k, objective in enumerate(objectives):
+        # the last objective may consume the phase-1 tableau itself
+        state = start if k == len(objectives) - 1 else start.copy()
+        results.append(_phase2_float(layout, state, _sparse(objective), tol, max_iter))
+    return results
+
+
+def _sparse(objective) -> dict:
+    if isinstance(objective, Mapping):
+        return dict(objective)
+    return {j: v for j, v in enumerate(objective) if v}
+
+
+def _default_max_iter(layout: _Layout) -> int:
+    return 10000 + 60 * (len(layout.rows) + layout.ncols)
 
 
 # -- float mode ---------------------------------------------------------------
 
 
-def _solve_float(layout: _Layout, obj, upper_map, tol, max_iter) -> LPResult:
+@dataclass
+class _FloatState:
+    """Float tableau and basis at the end of phase 1."""
+
+    T: np.ndarray
+    basis: np.ndarray
+    is_basic: np.ndarray
+    flipped: np.ndarray
+    upper: np.ndarray
+    allow: np.ndarray
+    row_scale: np.ndarray
+    iterations: int
+
+    def copy(self) -> "_FloatState":
+        """Copy of what phase 2 modifies; ``upper``, ``allow`` and ``row_scale`` are shared."""
+        return _FloatState(
+            self.T.copy(), self.basis.copy(), self.is_basic.copy(), self.flipped.copy(),
+            self.upper, self.allow, self.row_scale, self.iterations,
+        )
+
+
+def _phase1_float(layout: _Layout, upper_map, tol, max_iter) -> _FloatState | LPResult:
+    """Build the tableau and reach a feasible basis, or end infeasible/stalled."""
     m, N = len(layout.rows), layout.ncols
     T = np.zeros((m + 1, N + 1))
     upper = np.full(N, np.inf)
@@ -169,7 +229,13 @@ def _solve_float(layout: _Layout, obj, upper_map, tol, max_iter) -> LPResult:
 
     _drive_out_artificials(T, basis, is_basic, layout, tol)
     allow[layout.first_art :] = 0
+    return _FloatState(T, basis, is_basic, flipped, upper, allow, row_scale, it1)
 
+
+def _phase2_float(layout: _Layout, state: _FloatState, obj, tol, max_iter) -> LPResult:
+    """Minimize ``obj`` from the phase-1 basis in ``state`` (modified in place)."""
+    T, basis, flipped, upper = state.T, state.basis, state.flipped, state.upper
+    m, N = len(layout.rows), layout.ncols
     # phase 2 objective row, accounting for already-complemented columns
     T[m, :] = 0.0
     const = 0.0
@@ -187,8 +253,8 @@ def _solve_float(layout: _Layout, obj, upper_map, tol, max_iter) -> LPResult:
             T[m] -= cb * T[i]
     T[m, N] -= const
 
-    status, it2 = _pivot_loop(T, basis, is_basic, flipped, upper, allow, tol, max_iter)
-    iters = it1 + it2
+    status, it2 = _pivot_loop(T, basis, state.is_basic, flipped, upper, state.allow, tol, max_iter)
+    iters = state.iterations + it2
     if status == ITER_LIMIT:
         return LPResult("stalled", [], None, iterations=iters)
     if status == UNBOUNDED:
@@ -203,7 +269,7 @@ def _solve_float(layout: _Layout, obj, upper_map, tol, max_iter) -> LPResult:
     duals = []
     for i in range(m):
         col, _ = layout.marker(i)
-        pi = -T[m, col] * row_scale[i]
+        pi = -T[m, col] * state.row_scale[i]
         duals.append(-pi if layout.rows[i][3] else pi)
     return LPResult("optimal", list(values[: layout.n_vars]), -T[m, N], duals=duals, iterations=iters)
 

@@ -79,13 +79,16 @@ def test_unsplittable_gen_flag(tmp_path):
     ["oracle", "--instance", "{inst}", "--ybound", "-1"],
     ["gen", "--seed", "1", "--nodes", "3", "--facilities", "1,x", "--out", "{out}"],
     ["gen", "--seed", "1", "--nodes", "3", "--density", "inf", "--out", "{out}"],
+    ["run", "--instance", "{inst}", "--report", "{unwritable}"],
+    ["run", "--instance", "{inst}", "--dump-lp", "{unwritable}"],
 ], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
-        "ybound", "facilities", "density-inf"])
+        "ybound", "facilities", "density-inf", "report-unwritable", "dump-lp-unwritable"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--nodes", "3", "--out", str(inst)])
     capsys.readouterr()
-    paths = {"inst": inst, "missing": tmp_path / "missing.json", "out": tmp_path / "out.json"}
+    paths = {"inst": inst, "missing": tmp_path / "missing.json", "out": tmp_path / "out.json",
+             "unwritable": tmp_path / "no-such-dir" / "out.txt"}
     with pytest.raises(SystemExit) as exc:
         main([a.format(**paths) for a in argv])
     assert exc.value.code == 2

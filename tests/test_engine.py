@@ -135,6 +135,65 @@ def test_validate_cut_flow_counterexample(star_instance):
     assert not ok and counter is not None
 
 
+def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_instance):
+    from netdes_cuts import engine
+
+    families = ("rc", "cutset", "flowcutset", "metric", "partition")
+    sweep = []
+    for seed in (1001, 1002, 1004):
+        inst = generate_instance(seed=seed, nodes=3, density=0.9, facilities=(1,), flow_cost_prob=0.4)
+        cuts = cutting_plane_loop(inst, Config(families=families, max_rounds=4)).pool.cuts()
+        sweep.append((inst, cuts, validate_cuts(cuts, inst, ybound=1)))
+    bad = LinearCut(
+        {(1, 0): F(1), (2, 0): F(-1)}, {(0, 0): F(1, 2), (2, 0): F(1, 2)}, F(3, 2), "flowcutset"
+    )
+    certified = validate_cut(bad, star_instance, ybound=2)
+
+    real_solve_lp = engine.solve_lp
+    exact_solves = []
+
+    def counting_solve_lp(*args, exact=False, **kwargs):
+        exact_solves.append(exact)
+        return real_solve_lp(*args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
+    monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
+    monkeypatch.setattr(engine, "solve_lp", counting_solve_lp)
+    for inst, cuts, verdicts in sweep:
+        assert validate_cuts(cuts, inst, ybound=1) == verdicts
+    assert any(exact_solves)
+    ok, counter = validate_cut(bad, star_instance, ybound=2)
+    assert not ok and (ok, counter) == certified
+    assert bad.violation(counter) > 0
+    assert all(isinstance(v, F) for v in counter.x.values())
+
+
+def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
+    from netdes_cuts import engine
+    from netdes_cuts.simplex import LPResult
+
+    inst = Instance(
+        nodes=[1, 2],
+        arcs=[Arc(1, 2)],
+        facilities=[Facility(1, (F(2),))],
+        demand=DemandMatrix({(1, 2): F(1)}),
+        flow_costs="1",
+    )
+    real_solve_lp = engine.solve_lp
+    modes = []
+
+    def float_stalls(*args, exact=False, **kwargs):
+        modes.append(exact)
+        if not exact:
+            return LPResult("stalled", [], None)
+        return real_solve_lp(*args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_lp", float_stalls)
+    best = brute_force_ip(inst, ybound=2)
+    assert best is not None and best[0] == F(3)
+    assert modes == [False, True] * 3
+
+
 # -- unsplittable oracles ------------------------------------------------------------
 
 

@@ -8,9 +8,12 @@ from netdes_cuts.engine import generate_instance
 from netdes_cuts.lp import (
     build_relaxation,
     check_feasible_routing,
+    proves_unroutable,
+    routing_rows,
     shortest_path_potentials,
     solve,
 )
+from netdes_cuts.simplex import solve_lp
 
 
 def single_arc_instance(capacity=F(0), demand=F(1)):
@@ -133,6 +136,29 @@ def test_farkas_certificates_rationalize_into_the_cone():
             continue
         assert cert.cone_violations(inst) == []
         assert cert.demand_side(inst) > cert.capacity_side(inst, caps)
+
+
+def test_proves_unroutable_only_when_exactly_unroutable():
+    # any Farkas vector, from the float LP or made up, may only prove the truth
+    rng = random.Random(17)
+    proved = unproved_infeasible = 0
+    for trial in range(60):
+        inst = generate_instance(seed=trial + 200, nodes=rng.randint(3, 5), density=0.6)
+        caps = [F(rng.choice((0, 0, 1, 2, 3)), rng.choice((1, 2))) for _ in inst.arcs]
+        feasible, _ = check_feasible_routing(inst, capacities=caps)
+        n_vars, rows = routing_rows(inst, caps)
+        res = solve_lp(n_vars, rows, {})
+        candidates = [[rng.uniform(-2, 1) for _ in rows]]
+        if res.status == "infeasible":
+            candidates.append(res.farkas)
+        for farkas in candidates:
+            if proves_unroutable(inst, caps, farkas):
+                assert not feasible
+                proved += 1
+        if not feasible and res.status == "infeasible" and not proves_unroutable(inst, caps, res.farkas):
+            unproved_infeasible += 1
+    assert proved >= 10
+    assert unproved_infeasible == 0
 
 
 def test_shortest_path_potentials_satisfy_cone():

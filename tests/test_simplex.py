@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from netdes_cuts.simplex import EQ, GE, LE, solve_lp
+from netdes_cuts.lp import safe_lower_bound
+from netdes_cuts.simplex import EQ, GE, LE, solve_lp, solve_lp_many
 
 
 def test_min_with_lower_bound_row():
@@ -59,6 +60,7 @@ def test_bounded_infeasibility_certificate():
 @pytest.mark.parametrize("exact", [False, True])
 def test_random_lps_strong_duality(exact):
     rng = random.Random(7)
+    noise = random.Random(8)
     for trial in range(25):
         n = rng.randint(2, 5)
         m = rng.randint(1, 4)
@@ -90,6 +92,12 @@ def test_random_lps_strong_duality(exact):
             )
             dual_val += min(0.0, rc) * float(u)
         assert dual_val == pytest.approx(float(res.objective), abs=1e-6)
+        # the safe bound is exact and never above the optimum, from these
+        # duals or from any others
+        optimum = res.objective if exact else solve_lp(n, rows, obj, upper=upper, exact=True).objective
+        for duals in (pi, [float(p) + noise.uniform(-2, 2) for p in pi]):
+            safe = safe_lower_bound(rows, obj, upper, duals)
+            assert safe is None or safe <= optimum
 
 
 def test_exact_and_float_agree():
@@ -108,3 +116,28 @@ def test_exact_and_float_agree():
         if f.status == "optimal":
             assert f.objective == pytest.approx(float(e.objective), abs=1e-7)
 
+
+
+def test_solve_lp_many_matches_separate_solves():
+    rng = random.Random(5)
+    statuses = set()
+    for trial in range(30):
+        n = rng.randint(2, 5)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            coefs = {j: F(rng.randint(-3, 5)) for j in rng.sample(range(n), rng.randint(1, n))}
+            rows.append((coefs, rng.choice([LE, GE, EQ]), F(rng.randint(0, 6))))
+        upper = {j: F(rng.randint(1, 5)) for j in range(n) if rng.random() < 0.7}
+        objectives = [{j: F(rng.randint(-2, 4)) for j in range(n)} for _ in range(3)] + [{}]
+        batch = solve_lp_many(n, rows, objectives, upper=upper)
+        assert len(batch) == len(objectives)
+        for objective, many in zip(objectives, batch):
+            one = solve_lp(n, rows, objective, upper=upper)
+            statuses.add(one.status)
+            assert many.status == one.status
+            assert many.iterations == one.iterations
+            assert list(many.x) == list(one.x)
+            assert many.objective == one.objective
+            assert many.duals == one.duals
+            assert many.farkas == one.farkas
+    assert {"optimal", "infeasible", "unbounded"} <= statuses
