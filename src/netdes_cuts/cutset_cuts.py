@@ -8,10 +8,17 @@ the cuts.  Existing capacities enter through the shifted right-hand side
 rounding depend on the chosen arc subsets; separation re-evaluates it in
 a short fixed-point loop (a single pass is exact when crossing arcs have
 no existing capacity).
+
+Separation (``separate_flow_cutset``, ``separate_multifacility``) scans and
+scores candidate selections on integers over a common denominator of the
+data and the point, and builds the exact ``LinearCut`` only for the most
+violated selection; the cut and its violation are unchanged by the scaling.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -148,15 +155,90 @@ def flow_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection, capacity=None)
     )
 
 
-def _point_flow(rel, point: FractionalPoint, a: int, Q) -> Fraction:
-    return sum((point.x.get((a, k), ZERO) for k in Q), ZERO)
-
-
-def _prefer_capacity(cap_term: Fraction, flow_term: Fraction) -> bool:
+def _prefer_capacity(cap_term, flow_term) -> bool:
     """Tie policy for the multi-facility scan: dead arcs (both terms zero)
     join the capacity side, so a zero point yields the pure capacity cut.
     The left-hand side is unaffected either way."""
     return cap_term < flow_term or (cap_term == 0 and flow_term == 0)
+
+
+def _greedy_selection(rel, Q, point, s, facilities, prefer_plus, max_rounds):
+    """Most violated ``(S+, S-)`` of the greedy cut-set scan, or None.
+
+    For a given remainder the least left-hand side takes an arc into S+
+    (resp. S-) exactly when its capacity term is smaller than its flow
+    term (``prefer_plus`` decides S+ and its ties); with existing capacity
+    on crossing arcs the remainder moves with the selection, so the pass
+    repeats until it stabilizes.  Base facility ``s`` fixes the rounding and
+    ``facilities`` lists those whose capacity terms count.
+
+    Everything runs on ints: the crossing arcs' data and the point's
+    coordinates on them are scaled by the lcm D of their denominators, so
+    flows, remainders and phi values are D-scaled and capacity terms and
+    violations D^2-scaled, with every comparison unchanged.
+    """
+    if not rel.A_plus:
+        return None
+    caps = rel.instance.facility_capacities()
+    arcs = rel.instance.arcs
+    crossing = rel.A_plus + rel.A_minus
+    xs, ys = point.x, point.y
+    dens = {caps[m].denominator for m in facilities}
+    dens.update(rel.b[k].denominator for k in Q)
+    dens.update(arcs[a].existing_capacity.denominator for a in crossing)
+    dens.update(xs.get((a, k), 0).denominator for a in crossing for k in Q)
+    dens.update(ys.get((a, m), 0).denominator for a in crossing for m in facilities)
+    D = math.lcm(*dens)
+
+    def scaled(v) -> int:
+        return v.numerator * (D // v.denominator)
+
+    c_s = scaled(caps[s])
+    sizes = [scaled(caps[m]) for m in facilities]
+    b_Q = sum(scaled(rel.b[k]) for k in Q)
+    cbar = {a: scaled(arcs[a].existing_capacity) for a in crossing}
+    flow = {a: D * sum(scaled(xs.get((a, k), 0)) for k in Q) for a in crossing}
+    units = {a: [scaled(ys.get((a, m), 0)) for m in facilities] for a in crossing}
+
+    def rounding(selection):
+        s_plus, s_minus = selection
+        b_prime = b_Q - sum(cbar[a] for a in s_plus) + sum(cbar[a] for a in s_minus)
+        return b_prime % c_s, -(-b_prime // c_s)
+
+    def cap_terms(r, eta):
+        p = PhiParams(s=s, c_s=c_s, r=r, eta=eta)
+        plus = [phi_plus(p, c) for c in sizes]
+        minus = [phi_minus(p, c) for c in sizes]
+        term = {a: sum(f * u for f, u in zip(plus, units[a])) for a in rel.A_plus}
+        term.update((a, sum(f * u for f, u in zip(minus, units[a]))) for a in rel.A_minus)
+        return term
+
+    sel = (rel.A_plus, ())
+    r, eta = rounding(sel)
+    if r == 0:
+        return None
+    term = cap_terms(r, eta)
+    best, best_viol = None, 0
+    seen = set()
+    for _ in range(max_rounds):
+        new = (
+            tuple(a for a in rel.A_plus if prefer_plus(term[a], flow[a])),
+            tuple(a for a in rel.A_minus if term[a] < flow[a]),
+        )
+        r, eta = rounding(new)
+        if r != 0:
+            term = cap_terms(r, eta)
+            s_plus = set(new[0])
+            lhs = sum(term[a] if a in s_plus else flow[a] for a in rel.A_plus)
+            lhs += sum(term[a] - flow[a] for a in new[1])
+            v = D * (r * eta - sum(cbar[a] for a in new[1])) - lhs
+            if v > best_viol:
+                best, best_viol = new, v
+        if r == 0 or new in seen or new == sel:
+            break
+        seen.add(new)
+        sel = new
+    return best
 
 
 def separate_flow_cutset(
@@ -168,41 +250,14 @@ def separate_flow_cutset(
 ) -> LinearCut | None:
     """Greedy arc selection for fixed commodities, iterated on the remainder.
 
-    For a given remainder the least left-hand side takes an arc into S+
-    (resp. S-) exactly when its capacity term is smaller than its flow
-    term; with existing capacity on crossing arcs the remainder moves with
-    the selection, so the pass repeats until it stabilizes.
+    Capacity terms ``r*y`` on S+ and ``(c-r)*y`` on S- of the one facility
+    compete strictly with the flow terms; see ``_greedy_selection``.
     """
-    if not rel.A_plus:
-        return None
-    c = rel.instance.facilities[facility].capacity
     Q = tuple(Q)
-    s_plus: tuple[int, ...] = tuple(rel.A_plus)
-    s_minus: tuple[int, ...] = ()
-    best = None
-    best_viol = ZERO
-    seen = set()
-    for _ in range(max_rounds):
-        _, r, eta = _rounding_data(rel, Q, s_plus, s_minus, c)
-        if r == 0:
-            break
-        new_plus = tuple(
-            a for a in rel.A_plus if r * point.y.get((a, facility), ZERO) < _point_flow(rel, point, a, Q)
-        )
-        new_minus = tuple(
-            a for a in rel.A_minus if (c - r) * point.y.get((a, facility), ZERO) < _point_flow(rel, point, a, Q)
-        )
-        _, r2, _ = _rounding_data(rel, Q, new_plus, new_minus, c)
-        if r2 != 0:
-            cut = flow_cutset_cut(rel, FlowCutSelection(Q, new_plus, new_minus, facility))
-            v = cut.violation(point)
-            if v > best_viol:
-                best, best_viol = cut, v
-        if (new_plus, new_minus) in seen or (new_plus, new_minus) == (s_plus, s_minus):
-            break
-        seen.add((new_plus, new_minus))
-        s_plus, s_minus = new_plus, new_minus
-    return best
+    sel = _greedy_selection(rel, Q, point, facility, (facility,), operator.lt, max_rounds)
+    if sel is None:
+        return None
+    return flow_cutset_cut(rel, FlowCutSelection(Q, sel[0], sel[1], facility))
 
 
 def separate_commodity_subset(
@@ -308,13 +363,15 @@ def multifacility_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection) -> Li
                 flow[(a, k)] = flow.get((a, k), ZERO) + 1
         for a in sel.S_minus:
             flow[(a, k)] = flow.get((a, k), ZERO) - 1
+    plus = [phi_plus(p, cm) for cm in caps]
+    minus = [phi_minus(p, cm) for cm in caps]
     cap = {}
     for a in sel.S_plus:
-        for m, cm in enumerate(caps):
-            cap[(a, m)] = cap.get((a, m), ZERO) + phi_plus(p, cm)
+        for m, coef in enumerate(plus):
+            cap[(a, m)] = cap.get((a, m), ZERO) + coef
     for a in sel.S_minus:
-        for m, cm in enumerate(caps):
-            cap[(a, m)] = cap.get((a, m), ZERO) + phi_minus(p, cm)
+        for m, coef in enumerate(minus):
+            cap[(a, m)] = cap.get((a, m), ZERO) + coef
     facet_report = {
         "s_plus_proper": bool(sel.S_plus) and set(sel.S_plus) != set(rel.A_plus),
         "s_minus_proper": bool(sel.S_minus) and set(sel.S_minus) != set(rel.A_minus),
@@ -349,45 +406,16 @@ def separate_multifacility(
     """Greedy arc selection with per-facility coefficient evaluation.
 
     An arc joins S+ (resp. S-) when its phi-weighted capacity falls below
-    its flow, which minimizes the left-hand side arc by arc; constant-time
-    coefficient evaluation makes the scan linear in arcs times facilities.
+    its flow, which minimizes the left-hand side arc by arc; phi is
+    evaluated once per facility and round, so the scan is linear in arcs
+    times facilities.  See ``_greedy_selection``.
     """
-    if not rel.A_plus:
-        return None
-    caps = rel.instance.facility_capacities()
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
-    s_plus: tuple[int, ...] = tuple(rel.A_plus)
-    s_minus: tuple[int, ...] = ()
-    best, best_viol = None, ZERO
-    seen = set()
-    for _ in range(max_rounds):
-        _, r, eta = _rounding_data(rel, Q, s_plus, s_minus, caps[s])
-        if r == 0:
-            break
-        p = PhiParams(s=s, c_s=caps[s], r=r, eta=eta)
-
-        def cap_term(a, phi):
-            return sum((phi(p, cm) * point.y.get((a, m), ZERO) for m, cm in enumerate(caps)), ZERO)
-
-        new_plus = tuple(
-            a
-            for a in rel.A_plus
-            if _prefer_capacity(cap_term(a, phi_plus), _point_flow(rel, point, a, Q))
-        )
-        new_minus = tuple(
-            a for a in rel.A_minus if cap_term(a, phi_minus) < _point_flow(rel, point, a, Q)
-        )
-        _, r2, _ = _rounding_data(rel, Q, new_plus, new_minus, caps[s])
-        if r2 != 0:
-            cut = multifacility_cutset_cut(rel, FlowCutSelection(Q, new_plus, new_minus, s))
-            v = cut.violation(point)
-            if v > best_viol:
-                best, best_viol = cut, v
-        if (new_plus, new_minus) in seen or (new_plus, new_minus) == (s_plus, s_minus):
-            break
-        seen.add((new_plus, new_minus))
-        s_plus, s_minus = new_plus, new_minus
-    return best
+    facilities = range(len(rel.instance.facilities))
+    sel = _greedy_selection(rel, Q, point, s, facilities, _prefer_capacity, max_rounds)
+    if sel is None:
+        return None
+    return multifacility_cutset_cut(rel, FlowCutSelection(Q, sel[0], sel[1], s))
 
 
 def two_partitions(nodes: Sequence[int], limit: int = 8):

@@ -199,14 +199,17 @@ def separate_all(instance: Instance, point: FractionalPoint, config: Config):
     if "cutset" in config.families and single_facility:
         for rel in relaxations:
             admit(cutset_cuts.cutset_cut(rel))
-    if "flowcutset" in config.families and single_facility:
-        for rel in relaxations:
-            for Q in _commodity_subsets(rel, point):
+    flowcutset = "flowcutset" in config.families and single_facility
+    if flowcutset or "mf" in config.families:
+        subsets = [list(_commodity_subsets(rel, point)) for rel in relaxations]
+    if flowcutset:
+        for rel, rel_subsets in zip(relaxations, subsets):
+            for Q in rel_subsets:
                 admit(cutset_cuts.separate_flow_cutset(rel, Q, point))
-    if "mf" in config.families and len(instance.facilities) >= 1:
-        for rel in relaxations:
+    if "mf" in config.families:
+        for rel, rel_subsets in zip(relaxations, subsets):
             for s in range(len(instance.facilities)):
-                for Q in _commodity_subsets(rel, point):
+                for Q in rel_subsets:
                     admit(cutset_cuts.separate_multifacility(rel, s, point, Q=Q))
     if "metric" in config.families:
         # the LP point itself witnesses routability, so inside the loop this
@@ -567,9 +570,12 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
     Any violating installation keeps the keyed variables below the cut's
     rhs; unkeyed variables can only help feasibility, so they are granted
     ample capacity.  Enumerate the finitely many keyed patterns and test
-    routability of each exactly (``_routable``).
+    routability exactly (``_routable``) at the maximal ones, where raising
+    any key would reach the rhs: routability only grows with capacity, so
+    a routable pattern below the rhs exists iff a maximal one does.
     """
     keys = sorted(cut.cap)
+    least = min(cut.cap.values())
     ample = instance.demand.total()
 
     def capacities(y):
@@ -591,6 +597,8 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
         if counter is not None:
             return
         if idx == len(keys):
+            if lhs + least < cut.rhs:
+                return
             caps = capacities(current)
             if routings is None:
                 feasible = _routable(instance, caps)

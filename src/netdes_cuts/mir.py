@@ -164,11 +164,15 @@ def hull_inequalities(cover: KnapsackCoverSet) -> list[BaseInequality]:
 
 @dataclass(frozen=True)
 class PhiParams:
-    """Rounding data of a base facility: divisor c_s, remainder and eta."""
+    """Rounding data of a base facility: divisor c_s, remainder and eta.
+
+    ``c_s`` and ``r`` may be Fractions or, scaled by a common denominator,
+    ints: the phi functions are homogeneous in ``(c, c_s, r)``.
+    """
 
     s: int
-    c_s: Fraction
-    r: Fraction
+    c_s: Fraction | int
+    r: Fraction | int
     eta: int
 
     def __post_init__(self):
@@ -176,28 +180,29 @@ class PhiParams:
             raise ValueError(f"remainder {self.r} outside [0, {self.c_s})")
 
 
-def _check_phi_args(p: PhiParams, c: Fraction):
+def _check_phi_args(p: PhiParams, c):
     if c < 0:
         raise ValueError("phi is defined for nonnegative arguments")
     if p.r == 0:
         raise ValueError("degenerate remainder: the cut vanishes, skip it")
 
 
-def phi_plus(p: PhiParams, c) -> Fraction:
-    """Outbound coefficient function; piecewise linear, subadditive."""
-    c = frac(c)
+def phi_plus(p: PhiParams, c):
+    """Outbound coefficient function; piecewise linear, subadditive.
+
+    Exact for Fraction and int arguments alike; the result has their type.
+    """
     _check_phi_args(p, c)
-    k = floor_frac(c / p.c_s)
+    k = c // p.c_s
     if c < k * p.c_s + p.r:
         return c - k * (p.c_s - p.r)
     return (k + 1) * p.r
 
 
-def phi_minus(p: PhiParams, c) -> Fraction:
+def phi_minus(p: PhiParams, c):
     """Inbound coefficient function; mirror of ``phi_plus``."""
-    c = frac(c)
     _check_phi_args(p, c)
-    k = floor_frac(c / p.c_s)
+    k = c // p.c_s
     # intervals [k*c_s - r, k*c_s) take the flat branch
     if c >= (k + 1) * p.c_s - p.r:
         return (k + 1) * (p.c_s - p.r)

@@ -190,11 +190,12 @@ def _phase1_float(layout: _Layout, upper_map, tol, max_iter) -> _FloatState | LP
     # (scaled cut rows) otherwise invite tiny-pivot blowups
     row_scale = np.ones(m)
     for i, (coefs, sense, rhs, _) in enumerate(layout.rows):
-        biggest = max((abs(float(v)) for v in coefs.values()), default=0.0)
+        fcoefs = [(j, float(v)) for j, v in coefs.items()]
+        biggest = max((abs(v) for _, v in fcoefs), default=0.0)
         scale = 1.0 / biggest if biggest > 0 else 1.0
         row_scale[i] = scale
-        for j, v in coefs.items():
-            T[i, j] = float(v) * scale
+        for j, v in fcoefs:
+            T[i, j] = v * scale
         T[i, N] = float(rhs) * scale
         if sense == LE:
             T[i, layout.slack_col[i]] = 1.0

@@ -171,6 +171,107 @@ def multifacility_best_violation(rel, point, s, Q):
     return best, best_sel
 
 
+def _rounding(rel, Q, S_plus, S_minus, c):
+    b_prime = rel.b_sum(Q) - rel.cbar(S_plus) + rel.cbar(S_minus)
+    return b_prime - (b_prime // c) * c, -(-b_prime // c)
+
+
+def _point_flow(point, a, Q):
+    return sum((point.x.get((a, k), ZERO) for k in Q), ZERO)
+
+
+def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_rounds):
+    """The greedy cut-set scan on Fractions, building and scoring every
+    selection as a cut (the library's former implementation)."""
+    from netdes_cuts.cutset_cuts import FlowCutSelection
+    from netdes_cuts.mir import PhiParams, phi_minus, phi_plus
+
+    if not rel.A_plus:
+        return None
+    caps = rel.instance.facility_capacities()
+    s_plus, s_minus = tuple(rel.A_plus), ()
+    best, best_viol = None, ZERO
+    seen = set()
+    for _ in range(max_rounds):
+        r, eta = _rounding(rel, Q, s_plus, s_minus, caps[s])
+        if r == 0:
+            break
+        p = PhiParams(s=s, c_s=caps[s], r=r, eta=eta)
+
+        def cap_term(a, phi):
+            return sum((phi(p, caps[m]) * point.y.get((a, m), ZERO) for m in facilities), ZERO)
+
+        new_plus = tuple(
+            a for a in rel.A_plus if prefer_plus(cap_term(a, phi_plus), _point_flow(point, a, Q))
+        )
+        new_minus = tuple(
+            a for a in rel.A_minus if cap_term(a, phi_minus) < _point_flow(point, a, Q)
+        )
+        r2, _ = _rounding(rel, Q, new_plus, new_minus, caps[s])
+        if r2 != 0:
+            cut = build(rel, FlowCutSelection(Q, new_plus, new_minus, s))
+            v = cut.violation(point)
+            if v > best_viol:
+                best, best_viol = cut, v
+        if (new_plus, new_minus) in seen or (new_plus, new_minus) == (s_plus, s_minus):
+            break
+        seen.add((new_plus, new_minus))
+        s_plus, s_minus = new_plus, new_minus
+    return best
+
+
+def reference_flow_cutset(rel, Q, point, facility=0, max_rounds=5):
+    """Fraction reference for ``cutset_cuts.separate_flow_cutset``."""
+    from netdes_cuts.cutset_cuts import flow_cutset_cut
+
+    return _greedy_fraction(
+        rel, tuple(Q), point, facility, (facility,), lambda cap, flow: cap < flow,
+        flow_cutset_cut, max_rounds,
+    )
+
+
+def reference_multifacility(rel, s, point, Q=None, max_rounds=5):
+    """Fraction reference for ``cutset_cuts.separate_multifacility``."""
+    from netdes_cuts.cutset_cuts import multifacility_cutset_cut
+
+    Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
+    return _greedy_fraction(
+        rel, Q, point, s, range(len(rel.instance.facilities)),
+        lambda cap, flow: cap < flow or (cap == 0 and flow == 0),
+        multifacility_cutset_cut, max_rounds,
+    )
+
+
+# -- pure-capacity cuts ---------------------------------------------------------------
+
+
+def pure_capacity_counterexamples(cut, instance):
+    """Every keyed installation below the cut's rhs under which all demand
+    routes, with ample capacity on unkeyed variables (full enumeration,
+    each pattern decided by the exact routing LP)."""
+    from netdes_cuts.lp import check_feasible_routing
+
+    keys = sorted(cut.cap)
+    ample = instance.demand.total()
+    bounds = [ceil(cut.rhs / cut.cap[k]) for k in keys]
+    found = []
+    for units in product(*(range(b) for b in bounds)):
+        y = dict(zip(keys, (F(u) for u in units)))
+        if sum((cut.cap[k] * v for k, v in y.items()), ZERO) >= cut.rhs:
+            continue
+        caps = [
+            arc.existing_capacity + sum(
+                (fac.capacity * y.get((ai, mi), ZERO) if (ai, mi) in cut.cap else ample
+                 for mi, fac in enumerate(instance.facilities)),
+                ZERO,
+            )
+            for ai, arc in enumerate(instance.arcs)
+        ]
+        if check_feasible_routing(instance, capacities=caps, exact=True)[0]:
+            found.append(y)
+    return found
+
+
 def random_rational(rng, lo=0, hi=2, denoms=(1, 2, 3, 4, 6)):
     d = rng.choice(denoms)
     return F(rng.randint(int(lo * d), int(hi * d)), d)

@@ -23,8 +23,13 @@ from netdes_cuts.cutset_cuts import (
     separate_multifacility,
     two_partitions,
 )
-from netdes_cuts.engine import generate_instance, validate_cut
-from helpers import flow_cutset_best_violation, multifacility_best_violation
+from netdes_cuts.engine import MAX_DENOMINATOR, generate_instance, validate_cut
+from helpers import (
+    flow_cutset_best_violation,
+    multifacility_best_violation,
+    reference_flow_cutset,
+    reference_multifacility,
+)
 
 
 def two_node_instance(demand=F(1), caps=(1,), cbar=F(0)):
@@ -362,3 +367,52 @@ def test_multifacility_most_violated_across_base_choice():
     for s in (0, 1):
         v, _ = multifacility_best_violation(rel, pt, s, (0,))
         assert best.violation(pt) >= v
+
+
+# -- integer kernel against the Fraction reference ------------------------------------------
+
+
+def _random_coordinate(rng):
+    """Zero, small-denominator or LP-like rational, sometimes negative."""
+    kind = rng.random()
+    if kind < 0.3:
+        return F(0)
+    d = rng.choice((1, 2, 3, 4, 6)) if kind < 0.7 else rng.randint(1, MAX_DENOMINATOR)
+    return F(rng.randint(-d // 2, 3 * d), d)
+
+
+def test_separators_match_fraction_reference():
+    """Both separators return the reference greedy's cut on 240 random
+    (instance, point) pairs: 1-3 facilities (a size 3/2 among them),
+    existing capacity on crossing arcs, zero and negative coordinates and
+    point denominators up to MAX_DENOMINATOR."""
+    rng = random.Random(2011)
+    shapes = [(1,), (2,), (1, 3), (1, F(3, 2)), (F(3, 2), 4), (1, F(3, 2), 3)]
+    compared = 0
+    for seed in range(240):
+        inst = generate_instance(
+            seed=seed, nodes=rng.randint(3, 4), density=0.7,
+            facilities=shapes[seed % len(shapes)], existing_capacity_prob=0.6,
+        )
+        arcs = range(len(inst.arcs))
+        pt = FractionalPoint(
+            x={(a, k): _random_coordinate(rng) for a in arcs for k in range(len(inst.commodities))},
+            y={(a, m): _random_coordinate(rng) for a in arcs for m in range(len(inst.facilities))},
+        )
+        U, V = rng.choice(list(two_partitions(inst.nodes)))
+        rel = build_cutset(inst, U, V)
+        subsets = [Q for n in range(1, len(rel.b) + 1) for Q in combinations(range(len(rel.b)), n)]
+        for Q in rng.sample(subsets, min(3, len(subsets))):
+            for m in range(len(inst.facilities)):
+                pairs = [
+                    (separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
+                    (separate_flow_cutset(rel, Q, pt, facility=m), reference_flow_cutset(rel, Q, pt, facility=m)),
+                ]
+                for got, want in pairs:
+                    compared += want is not None
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got.normalized_key() == want.normalized_key()
+                        assert got.params == want.params
+                        assert got.family == want.family
+    assert compared > 500

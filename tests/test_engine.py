@@ -22,6 +22,7 @@ from netdes_cuts.engine import (
     validate_cut,
     validate_cuts,
 )
+from helpers import pure_capacity_counterexamples
 
 
 def test_config_validation():
@@ -77,6 +78,30 @@ def test_loop_bounds_monotonic_and_sandwich():
             assert res.final_bound <= float(best[0]) + 1e-6
 
 
+# pool size and final bound of the loop (default families, 10 rounds) on
+# generate_instance(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s is
+# odd else (1,)); a speed-up of the loop must reproduce them
+GOLDEN_4_NODE = {
+    1: (42, F(173, 18)),
+    2: (12, F(3)),
+    3: (19, F(17, 4)),
+    4: (28, F(5)),
+    5: (12, F(14)),
+    6: (43, F(11)),
+    7: (31, F(127, 12)),
+    8: (18, F(55, 9)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_4_NODE))
+def test_loop_golden_results(seed):
+    inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+    res = cutting_plane_loop(inst, Config(max_rounds=10))
+    pool, bound = GOLDEN_4_NODE[seed]
+    assert len(res.pool) == pool
+    assert res.final_bound == pytest.approx(float(bound), abs=1e-9)
+
+
 def test_loop_cuts_all_validate():
     inst = generate_instance(seed=9, nodes=3, density=0.9, facilities=(1,))
     res = cutting_plane_loop(inst, Config(max_rounds=6))
@@ -118,6 +143,32 @@ def test_validate_cut_accepts_valid_and_finds_corruption(star_instance):
     ok, counter = validate_cut(corrupted, star_instance, ybound=2)
     assert not ok
     assert sum(counter.y.values()) <= 1
+
+
+def test_pure_capacity_verdicts_match_full_enumeration():
+    """Routability tested only at maximal keyed patterns gives the verdicts
+    of testing every pattern below the rhs, on loop cuts and on copies with
+    a raised rhs; each counterexample is one of the enumerated patterns."""
+    verdicts = []
+    for seed in range(1, 9):
+        inst = generate_instance(seed=seed, nodes=3, density=0.8, facilities=(1, 3) if seed % 2 else (1,))
+        for cut in cutting_plane_loop(inst, Config(max_rounds=3)).pool.cuts():
+            if cut.flow or any(v < 0 for v in cut.cap.values()):
+                continue
+            for raise_by in (0, 1, 2):
+                probe = LinearCut({}, dict(cut.cap), cut.rhs + raise_by, cut.family)
+                patterns = 1
+                for coef in probe.cap.values():
+                    patterns *= -(-probe.rhs // coef)
+                if patterns > 64:
+                    continue
+                ok, counter = validate_cut(probe, inst)
+                found = pure_capacity_counterexamples(probe, inst)
+                assert ok == (not found)
+                if not ok:
+                    assert counter.y in found
+                verdicts.append(ok)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_validate_cut_flow_counterexample(star_instance):

@@ -199,3 +199,34 @@ def test_phi_at_base_capacity_equals_remainder():
     for c_s, r in [(F(1), F(1, 2)), (F(3), F(2)), (F(5, 2), F(1, 3))]:
         p = PhiParams(s=0, c_s=c_s, r=r, eta=1)
         assert phi_plus(p, c_s) == r
+
+
+@given(
+    c=small_fraction,
+    c_s=st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6),
+    share=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: 0 < t < 1),
+    lam=st.fractions(min_value=F(1, 12), max_value=40, max_denominator=12),
+)
+def test_phi_homogeneous_fractions(c, c_s, share, lam):
+    p = PhiParams(s=0, c_s=c_s, r=share * c_s, eta=1)
+    scaled = PhiParams(s=0, c_s=lam * c_s, r=lam * share * c_s, eta=1)
+    for phi in (phi_plus, phi_minus):
+        assert phi(scaled, lam * c) == lam * phi(p, c)
+
+
+@given(
+    c=st.integers(min_value=0, max_value=200),
+    c_s=st.integers(min_value=2, max_value=30),
+    r=st.integers(min_value=1, max_value=29),
+    lam=st.integers(min_value=1, max_value=50),
+)
+def test_phi_homogeneous_ints(c, c_s, r, lam):
+    r = min(r, c_s - 1)
+    p = PhiParams(s=0, c_s=c_s, r=r, eta=1)
+    scaled = PhiParams(s=0, c_s=lam * c_s, r=lam * r, eta=1)
+    exact = PhiParams(s=0, c_s=F(c_s), r=F(r), eta=1)
+    for phi in (phi_plus, phi_minus):
+        value = phi(p, c)
+        assert type(value) is int
+        assert phi(scaled, lam * c) == lam * value
+        assert phi(exact, F(c)) == value
