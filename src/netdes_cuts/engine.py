@@ -33,6 +33,8 @@ from .lp import (
     build_relaxation,
     check_feasible_routing,
     proves_unroutable,
+    routing_balance_rows,
+    routing_capacity_rows,
     routing_rows,
     routing_var,
     safe_lower_bound,
@@ -525,6 +527,8 @@ def validate_cuts(
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
     upper = _routing_upper(instance)
+    n_vars = len(instance.arcs) * len(instance.commodities)
+    balance = routing_balance_rows(instance)
     objectives = {idx: _routing_objective(instance, cuts[idx].flow) for idx in grid_idx}
     open_idx = set(grid_idx)
     for y in _grid(instance, y_bounds, budget):
@@ -542,7 +546,8 @@ def validate_cuts(
                     verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(y)))
                     open_idx.discard(idx)
             continue
-        n_vars, rows = routing_rows(instance, caps)
+        # only the capacity rows depend on the grid point
+        rows = balance + routing_capacity_rows(instance, caps)
         results = solve_lp_many(n_vars, rows, [objectives[idx] for idx in order], upper)
         if results[0].status == "infeasible" and proves_unroutable(instance, caps, results[0].farkas):
             continue

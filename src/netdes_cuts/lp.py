@@ -148,18 +148,17 @@ def build_relaxation(instance: Instance, cuts: Sequence[LinearCut] = ()) -> LPMo
     return model
 
 
-def solve(model: LPModel, exact: bool = False, tol: float = 1e-9) -> LPSolution:
+def solve(model: LPModel, exact: bool = False) -> LPSolution:
     res = solve_lp(
         n_vars=len(model.var_keys),
         rows=[(coefs, sense, rhs) for coefs, sense, rhs, _ in model.rows],
         objective=model.objective,
         upper=model.upper,
         exact=exact,
-        tol=tol,
     )
     if res.status == "stalled" and not exact:
         # numerically hard model: exact arithmetic is slower but immune
-        sol = solve(model, exact=True, tol=tol)
+        sol = solve(model, exact=True)
         sol.exact_fallback = True
         return sol
     sol = LPSolution(status=res.status, iterations=res.iterations)
@@ -215,6 +214,12 @@ def routing_rows(instance: Instance, capacities):
 
     Returns ``(n_vars, rows)``; columns are numbered by ``routing_var``.
     """
+    rows = routing_balance_rows(instance) + routing_capacity_rows(instance, capacities)
+    return len(instance.arcs) * len(instance.commodities), rows
+
+
+def routing_balance_rows(instance: Instance) -> list:
+    """The routing LP's balance rows, one per (commodity, node); no capacity enters them."""
     rows = []
     for ki, com in enumerate(instance.commodities):
         for node in instance.nodes:
@@ -226,10 +231,16 @@ def routing_rows(instance: Instance, capacities):
                 j = routing_var(instance, ai, ki)
                 coefs[j] = coefs.get(j, ZERO) - 1
             rows.append((coefs, EQ, com.w(node)))
+    return rows
+
+
+def routing_capacity_rows(instance: Instance, capacities) -> list:
+    """The routing LP's capacity rows, one per arc, after the balance rows."""
+    rows = []
     for ai in range(len(instance.arcs)):
         coefs = {routing_var(instance, ai, ki): Fraction(1) for ki in range(len(instance.commodities))}
         rows.append((coefs, LE, capacities[ai]))
-    return len(instance.arcs) * len(instance.commodities), rows
+    return rows
 
 
 def check_feasible_routing(
@@ -244,7 +255,8 @@ def check_feasible_routing(
     Returns ``(True, None)`` or ``(False, RoutingCertificate)``.  ``y`` maps
     (arc, facility) to installation amounts; alternatively pass per-arc
     ``capacities`` directly.  A ``witness`` flow that fits the capacities
-    short-circuits the solve.
+    short-circuits the solve.  A stalled float solve is redone in exact
+    arithmetic.
     """
     if capacities is None:
         y = y or {}
@@ -256,6 +268,8 @@ def check_feasible_routing(
 
     nvars, rows = routing_rows(instance, capacities)
     res = solve_lp(nvars, rows, objective={}, exact=exact)
+    if res.status == "stalled" and not exact:
+        res = solve_lp(nvars, rows, objective={}, exact=True)
     if res.status == "optimal":
         return True, None
     if res.status != "infeasible":

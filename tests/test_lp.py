@@ -206,3 +206,25 @@ def test_stalled_float_solve_falls_back_to_exact_and_says_so(monkeypatch, star_i
     assert sol.status == "optimal" and sol.exact_fallback
     assert isinstance(sol.objective, F) and sol.objective == 0
     assert not solve(build_relaxation(star_instance), exact=True).exact_fallback
+
+
+def test_stalled_float_routing_solve_falls_back_to_exact(monkeypatch):
+    from netdes_cuts import lp
+    from netdes_cuts.simplex import LPResult
+
+    real_solve_lp = lp.solve_lp
+    modes = []
+
+    def float_stalls(*args, exact=False, **kwargs):
+        modes.append(exact)
+        if not exact:
+            return LPResult("stalled", [], None)
+        return real_solve_lp(*args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", float_stalls)
+    inst = generate_instance(seed=3, nodes=4, density=0.6)
+    ample = [inst.demand.total()] * len(inst.arcs)
+    assert check_feasible_routing(inst, capacities=ample, exact=False) == (True, None)
+    ok, cert = check_feasible_routing(inst, capacities=[F(0)] * len(inst.arcs), exact=False)
+    assert not ok and cert.demand_side(inst) > cert.capacity_side(inst, [F(0)] * len(inst.arcs))
+    assert modes == [False, True] * 2

@@ -48,6 +48,26 @@ def test_exact_mode_returns_fractions():
     assert res.x == [F(5, 2), F(0)]
 
 
+def test_exact_mode_returns_only_fractions():
+    rng = random.Random(13)
+    statuses = set()
+    for trial in range(60):
+        n = rng.randint(2, 5)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            coefs = {j: rng.randint(-3, 5) for j in rng.sample(range(n), rng.randint(1, n))}
+            rows.append((coefs, rng.choice([LE, GE, EQ]), rng.randint(-2, 6)))
+        obj = {j: rng.randint(-2, 4) for j in range(n)}
+        upper = {j: rng.randint(0, 5) for j in range(n) if rng.random() < 0.5}
+        res = solve_lp(n, rows, obj, upper=upper, exact=True)
+        statuses.add(res.status)
+        numbers = list(res.x) + list(res.duals or []) + list(res.farkas or [])
+        if res.objective is not None:
+            numbers.append(res.objective)
+        assert all(type(v) is F for v in numbers)
+    assert {"optimal", "infeasible", "unbounded"} <= statuses
+
+
 def test_bounded_infeasibility_certificate():
     res = solve_lp(2, [({0: 1, 1: 1}, GE, 5)], [0, 0], upper={0: 1, 1: 2})
     assert res.status == "infeasible"
@@ -118,7 +138,8 @@ def test_exact_and_float_agree():
 
 
 
-def test_solve_lp_many_matches_separate_solves():
+@pytest.mark.parametrize("exact", [False, True])
+def test_solve_lp_many_matches_separate_solves(exact):
     rng = random.Random(5)
     statuses = set()
     for trial in range(30):
@@ -129,10 +150,10 @@ def test_solve_lp_many_matches_separate_solves():
             rows.append((coefs, rng.choice([LE, GE, EQ]), F(rng.randint(0, 6))))
         upper = {j: F(rng.randint(1, 5)) for j in range(n) if rng.random() < 0.7}
         objectives = [{j: F(rng.randint(-2, 4)) for j in range(n)} for _ in range(3)] + [{}]
-        batch = solve_lp_many(n, rows, objectives, upper=upper)
+        batch = solve_lp_many(n, rows, objectives, upper=upper, exact=exact)
         assert len(batch) == len(objectives)
         for objective, many in zip(objectives, batch):
-            one = solve_lp(n, rows, objective, upper=upper)
+            one = solve_lp(n, rows, objective, upper=upper, exact=exact)
             statuses.add(one.status)
             assert many.status == one.status
             assert many.iterations == one.iterations
