@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .core import ZERO, Instance, LinearCut, frac
+from .core import ZERO, Instance, LinearCut, frac, integral_scale
 from .mir import ceil_frac, floor_frac, frac_part
 
 SPLITTABLE = "splittable"
@@ -42,15 +42,7 @@ class ArcInequality:
 
     def normalized(self):
         """Integer-cleared canonical tuple for equality checks."""
-        vals = list(self.coefs.values()) + [self.const, self.y_coef]
-        lcm = 1
-        for v in vals:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        nums = [abs(int(v * lcm)) for v in vals if v != 0]
-        g = 0
-        for n in nums:
-            g = math.gcd(g, n)
-        s = Fraction(lcm, g or 1)
+        s = integral_scale([*self.coefs.values(), self.const, self.y_coef])
         return (
             tuple(sorted((i, v * s) for i, v in self.coefs.items())),
             self.const * s,
@@ -489,10 +481,7 @@ def _knapsack_max(rel: ArcSetRelaxation, items, cap: Fraction) -> Fraction:
             if w <= cap and p > best:
                 best = p
         return best
-    denom = 1
-    for i, _ in live:
-        denom = denom * rel.a[i].denominator // math.gcd(denom, rel.a[i].denominator)
-    denom = denom * cap.denominator // math.gcd(denom, cap.denominator)
+    denom = math.lcm(*(rel.a[i].denominator for i, _ in live), cap.denominator)
     W = int(cap * denom)
     dp = [ZERO] * (W + 1)
     for i, p in live:

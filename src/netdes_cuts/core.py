@@ -35,6 +35,17 @@ def frac(value) -> Fraction:
     return Fraction(value)
 
 
+def integral_scale(values: Iterable[Fraction]) -> Fraction:
+    """Positive factor that clears ``values`` to coprime integers.
+
+    The lcm of the denominators over the gcd of the numerators it scales
+    to; 1 when every value is zero.
+    """
+    values = list(values)
+    lcm = math.lcm(*(v.denominator for v in values))
+    return Fraction(lcm, math.gcd(*(v.numerator * (lcm // v.denominator) for v in values)) or 1)
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:
@@ -406,15 +417,7 @@ class LinearCut:
 
     def scaled_integral(self) -> "LinearCut":
         """Equivalent cut scaled so all coefficients are coprime integers."""
-        vals = list(self.flow.values()) + list(self.cap.values()) + [self.rhs]
-        denom_lcm = 1
-        for v in vals:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-        nums = [abs(int(v * denom_lcm)) for v in vals if v != 0]
-        g = 0
-        for n in nums:
-            g = math.gcd(g, n)
-        scale = Fraction(denom_lcm, g or 1)
+        scale = integral_scale([*self.flow.values(), *self.cap.values(), self.rhs])
         return LinearCut(
             {k: v * scale for k, v in self.flow.items()},
             {k: v * scale for k, v in self.cap.items()},

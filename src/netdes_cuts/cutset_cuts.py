@@ -112,11 +112,40 @@ def cutset_cut(
 
 
 def _rounding_data(rel, Q, S_plus, S_minus, c):
-    b_Q = rel.b_sum(Q)
-    b_prime = b_Q - rel.cbar(S_plus) + rel.cbar(S_minus)
-    r = b_prime - floor_frac(b_prime / c) * c
-    eta = ceil_frac(b_prime / c)
-    return b_prime, r, eta
+    """Remainder r and eta of rounding ``b'_Q / c``."""
+    b_prime = rel.b_sum(Q) - rel.cbar(S_plus) + rel.cbar(S_minus)
+    return b_prime - floor_frac(b_prime / c) * c, ceil_frac(b_prime / c)
+
+
+def _phi_cut(rel: CutSetRelaxation, sel: FlowCutSelection, sizes: dict[int, Fraction], family: str) -> LinearCut:
+    """Cut-set cut with capacity coefficients ``phi+(c_m)`` on S+ and
+    ``phi-(c_m)`` on S- for each facility m of ``sizes`` (index -> size),
+    rounded on the base facility ``sel.facility``."""
+    c_s = sizes[sel.facility]
+    r, eta = _rounding_data(rel, sel.Q, sel.S_plus, sel.S_minus, c_s)
+    if r == 0:
+        raise ValueError("degenerate remainder; cut is vacuous")
+    p = PhiParams(s=sel.facility, c_s=c_s, r=r, eta=eta)
+    flow = {}
+    for k in sel.Q:
+        for a in rel.A_plus:
+            if a not in sel.S_plus:
+                flow[(a, k)] = flow.get((a, k), ZERO) + 1
+        for a in sel.S_minus:
+            flow[(a, k)] = flow.get((a, k), ZERO) - 1
+    cap = {}
+    for arcs, phi in ((sel.S_plus, phi_plus), (sel.S_minus, phi_minus)):
+        coefs = {m: phi(p, c) for m, c in sizes.items()}
+        for a in arcs:
+            for m, coef in coefs.items():
+                cap[(a, m)] = coef
+    return LinearCut(
+        flow=flow,
+        cap=cap,
+        rhs=r * eta - rel.cbar(sel.S_minus),
+        family=family,
+        params={"U": rel.U, "Q": tuple(sel.Q), "S+": tuple(sel.S_plus), "S-": tuple(sel.S_minus), "r": r, "eta": eta},
+    )
 
 
 def flow_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection, capacity=None) -> LinearCut:
@@ -128,31 +157,11 @@ def flow_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection, capacity=None)
     lands on the right-hand side; dropping it (as a naive reading of the
     aggregated form suggests) is refuted by brute-force counterexamples
     whenever S- carries existing capacity.  Degenerate remainders (r = 0)
-    are rejected: the cut would be implied.
+    are rejected: the cut would be implied.  This is the multi-facility cut
+    restricted to the one facility, as ``phi+(c) = r`` and ``phi-(c) = c - r``.
     """
     c = frac(capacity) if capacity is not None else rel.instance.facilities[sel.facility].capacity
-    _, r, eta = _rounding_data(rel, sel.Q, sel.S_plus, sel.S_minus, c)
-    if r == 0:
-        raise ValueError("degenerate remainder; flow-cut-set cut is vacuous")
-    flow = {}
-    for k in sel.Q:
-        for a in rel.A_plus:
-            if a not in sel.S_plus:
-                flow[(a, k)] = flow.get((a, k), ZERO) + 1
-        for a in sel.S_minus:
-            flow[(a, k)] = flow.get((a, k), ZERO) - 1
-    cap = {}
-    for a in sel.S_plus:
-        cap[(a, sel.facility)] = r
-    for a in sel.S_minus:
-        cap[(a, sel.facility)] = cap.get((a, sel.facility), ZERO) + (c - r)
-    return LinearCut(
-        flow=flow,
-        cap=cap,
-        rhs=r * eta - rel.cbar(sel.S_minus),
-        family="flowcutset",
-        params={"U": rel.U, "Q": tuple(sel.Q), "S+": tuple(sel.S_plus), "S-": tuple(sel.S_minus), "r": r, "eta": eta},
-    )
+    return _phi_cut(rel, sel, {sel.facility: c}, "flowcutset")
 
 
 def _prefer_capacity(cap_term, flow_term) -> bool:
@@ -280,7 +289,7 @@ def separate_commodity_subset(
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
 
     def eq_violation(Q):
-        _, r, eta = _rounding_data(rel, Q, S_plus, S_minus, c)
+        r, eta = _rounding_data(rel, Q, S_plus, S_minus, c)
         if r == 0:
             return ZERO
         cut = flow_cutset_cut(rel, FlowCutSelection(tuple(Q), S_plus, S_minus, facility))
@@ -350,50 +359,15 @@ def multifacility_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection) -> Li
     in the single-facility case, existing capacity on S- shifts the
     right-hand side down.
     """
-    caps = rel.instance.facility_capacities()
-    s = sel.facility
-    b_prime, r, eta = _rounding_data(rel, sel.Q, sel.S_plus, sel.S_minus, caps[s])
-    if r == 0:
-        raise ValueError("degenerate remainder; cut is vacuous")
-    p = PhiParams(s=s, c_s=caps[s], r=r, eta=eta)
-    flow = {}
-    for k in sel.Q:
-        for a in rel.A_plus:
-            if a not in sel.S_plus:
-                flow[(a, k)] = flow.get((a, k), ZERO) + 1
-        for a in sel.S_minus:
-            flow[(a, k)] = flow.get((a, k), ZERO) - 1
-    plus = [phi_plus(p, cm) for cm in caps]
-    minus = [phi_minus(p, cm) for cm in caps]
-    cap = {}
-    for a in sel.S_plus:
-        for m, coef in enumerate(plus):
-            cap[(a, m)] = cap.get((a, m), ZERO) + coef
-    for a in sel.S_minus:
-        for m, coef in enumerate(minus):
-            cap[(a, m)] = cap.get((a, m), ZERO) + coef
-    facet_report = {
+    cut = _phi_cut(rel, sel, dict(enumerate(rel.instance.facility_capacities())), "mf")
+    cut.params["s"] = sel.facility
+    cut.params["facet_report"] = {
         "s_plus_proper": bool(sel.S_plus) and set(sel.S_plus) != set(rel.A_plus),
         "s_minus_proper": bool(sel.S_minus) and set(sel.S_minus) != set(rel.A_minus),
-        "remainder_positive": r > 0,
+        "remainder_positive": cut.params["r"] > 0,
         "all_demands_positive": all(rel.b[k] > 0 for k in sel.Q),
     }
-    return LinearCut(
-        flow=flow,
-        cap=cap,
-        rhs=r * eta - rel.cbar(sel.S_minus),
-        family="mf",
-        params={
-            "U": rel.U,
-            "Q": tuple(sel.Q),
-            "S+": tuple(sel.S_plus),
-            "S-": tuple(sel.S_minus),
-            "s": s,
-            "r": r,
-            "eta": eta,
-            "facet_report": facet_report,
-        },
-    )
+    return cut
 
 
 def separate_multifacility(

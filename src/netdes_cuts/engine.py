@@ -14,8 +14,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import arc_cuts, cutset_cuts, partition_cuts
 from .core import (
@@ -43,8 +44,6 @@ from .lp import (
 from .mir import hull_inequalities
 from .simplex import solve_lp, solve_lp_many
 
-FAMILIES = ("rc", "cstrong", "cutset", "flowcutset", "mf", "metric", "partition")
-
 K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
 MAX_DENOMINATOR = 10**6      # rationalization of the float LP point
 PARTITION_LIMIT = 8          # exhaustive two-partitions up to this many nodes
@@ -55,6 +54,118 @@ Q_SUBSET_LIMIT = 6           # exhaustive commodity subsets up to this size
 
 class BudgetExceededError(RuntimeError):
     """The enumeration grid is larger than the oracle budget."""
+
+
+# -- the separator table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """A separation family: ``applies(instance)``, and either ``build(sep)``,
+    its candidates made once per loop from the instance alone, or
+    ``separate(sep, point)``, its candidates at each round's LP point."""
+
+    name: str
+    applies: Callable[[Instance], bool]
+    build: Callable[[Separation], Iterable[LinearCut | None]] | None = None
+    separate: Callable[[Separation, FractionalPoint], Iterable[LinearCut | None]] | None = None
+
+
+def _single_facility(instance: Instance) -> bool:
+    return len(instance.facilities) == 1
+
+
+def _rc(sep: Separation, point: FractionalPoint):
+    for ai in range(len(sep.instance.arcs)):
+        rel = arc_cuts.from_capacity_row(sep.instance, ai, mode=arc_cuts.SPLITTABLE)
+        ybar = max(point.y.get((ai, 0), ZERO), ZERO)
+        ineq = arc_cuts.separate_residual_capacity(rel, _fractional_loads(rel, ai, point), ybar)
+        if ineq is not None:
+            yield arc_cuts.to_instance_cut(rel, ineq, "rc")
+
+
+def _cstrong(sep: Separation, point: FractionalPoint):
+    for ai in range(len(sep.instance.arcs)):
+        rel = arc_cuts.from_capacity_row(sep.instance, ai, mode=arc_cuts.UNSPLITTABLE)
+        reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
+        xhat = _fractional_loads(rel, ai, point)
+        ybar = max(point.y.get((ai, 0), ZERO), ZERO)
+        # capacity variable of the reduced set absorbs the dropped integer parts
+        yred = ybar + off0 - sum((offsets[i] * xhat.get(i, ZERO) for i in range(rel.n)), ZERO)
+        best = arc_cuts.separate_c_strong(reduced, xhat, yred)
+        if best is not None:
+            yield arc_cuts.to_instance_cut(rel, arc_cuts.back_map_cut(best, offsets, off0), "cstrong")
+            for k in K_SPLIT:
+                yield arc_cuts.to_instance_cut(rel, arc_cuts.k_split_c_strong_cut(rel, best.params["S"], k), "ksplit")
+        ones = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 1)
+        zeros = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 0)
+        if len(ones) + len(zeros) < rel.n:
+            try:
+                spec = arc_cuts.CoverSpec.build(reduced, max(0, int(round(float(yred)))), zeros, ones)
+                lifted = arc_cuts.back_map_cut(arc_cuts.lifted_cover_cut(reduced, spec), offsets, off0)
+                yield arc_cuts.to_instance_cut(rel, lifted, "liftedcover")
+            except ValueError:
+                pass
+
+
+def _flowcutset(sep: Separation, point: FractionalPoint):
+    for rel, subsets in zip(sep.relaxations, sep.subsets(point)):
+        for Q in subsets:
+            yield cutset_cuts.separate_flow_cutset(rel, Q, point)
+
+
+def _mf(sep: Separation, point: FractionalPoint):
+    for rel, subsets in zip(sep.relaxations, sep.subsets(point)):
+        for s in range(len(sep.instance.facilities)):
+            for Q in subsets:
+                yield cutset_cuts.separate_multifacility(rel, s, point, Q=Q)
+
+
+def _metric(sep: Separation, point: FractionalPoint):
+    # the LP point itself witnesses routability, so inside the loop this
+    # is a fast no-op; it fires only on externally supplied points
+    res = partition_cuts.separate_metric(sep.instance, y=point.y, witness=point, exact=False)
+    return () if res is None else (res[1],)
+
+
+def _partition(sep: Separation):
+    """Two-partition hull cuts, then per three-partition the stronger
+    total-capacity cut followed by the hull cuts it feeds."""
+    instance = sep.instance
+    for U, V in sep.partitions:
+        shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))
+        cover = partition_cuts.knapsack_cover_from_two_partition(shrunk)
+        if cover is not None:
+            for ineq in hull_inequalities(cover):
+                yield partition_cuts.expand_knapsack_cut(ineq, shrunk)
+    for part in _three_partitions(instance):
+        made = (partition_cuts.three_partition_cut(instance, part),
+                partition_cuts.three_partition_metric_cut(instance, part))
+        candidates = [cut for cut in made if cut is not None]
+        if not candidates:
+            continue
+        winner = partition_cuts.select_total_capacity_cut(candidates)
+        yield winner
+        fed = partition_cuts.knapsack_from_total_capacity(winner, instance)
+        if fed is not None:
+            cover, support = fed
+            for ineq in hull_inequalities(cover):
+                cap = {(ai, mi): coef for mi, coef in ineq.integ.items() for ai in support.get(mi, ())}
+                if cap:
+                    yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
+
+
+# table order is admission order
+SEPARATORS = (
+    Family("rc", _single_facility, separate=_rc),
+    Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, separate=_cstrong),
+    Family("cutset", _single_facility, build=lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
+    Family("flowcutset", _single_facility, separate=_flowcutset),
+    Family("mf", lambda inst: True, separate=_mf),
+    Family("metric", lambda inst: True, separate=_metric),
+    Family("partition", Instance.integral_capacities, build=_partition),
+)
+FAMILIES = tuple(f.name for f in SEPARATORS)
 
 
 @dataclass
@@ -128,6 +239,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
     """Solve, separate, repeat until no family finds a violated cut."""
     config = config or Config()
     pool = CutPool()
+    sep = Separation(instance, config)
     reports: list[RoundReport] = []
     sol = None
     for rnd in range(config.max_rounds):
@@ -136,7 +248,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         if sol.status != "optimal":
             raise RuntimeError(f"relaxation solve ended with status {sol.status}")
         point = sol.point(MAX_DENOMINATOR)
-        found = separate_all(instance, point, config)
+        found = separate_all(sep, point)
         added: dict[str, int] = {}
         max_violation = ZERO
         for cut, violation in found:
@@ -175,122 +287,46 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
 # -- separation orchestration ---------------------------------------------------
 
 
-def separate_all(instance: Instance, point: FractionalPoint, config: Config):
-    """Run every enabled family; returns (cut, exact violation) pairs."""
+class Separation:
+    """Separation state of one loop: the enabled families that apply to the
+    instance, in table order, and the candidates of each built-once family.
+    Partitions and relaxations are made on first use, so nothing is built
+    for a family that does not run."""
+
+    def __init__(self, instance: Instance, config: Config):
+        self.instance = instance
+        self.eps = config.eps
+        self.families = [f for f in SEPARATORS if f.name in config.families and f.applies(instance)]
+        self.fixed = {f.name: [c for c in f.build(self) if c is not None] for f in self.families if f.build}
+        self._subsets = (None, [])
+
+    @cached_property
+    def partitions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        return list(_two_partitions(self.instance))
+
+    @cached_property
+    def relaxations(self) -> list[cutset_cuts.CutSetRelaxation]:
+        return [cutset_cuts.build_cutset(self.instance, U, V) for U, V in self.partitions]
+
+    def subsets(self, point: FractionalPoint) -> list[list[tuple[int, ...]]]:
+        """Each relaxation's commodity subsets at ``point``, computed once
+        per round and shared by ``flowcutset`` and ``mf``."""
+        if self._subsets[0] is not point:
+            self._subsets = (point, [list(_commodity_subsets(rel, point)) for rel in self.relaxations])
+        return self._subsets[1]
+
+
+def separate_all(sep: Separation, point: FractionalPoint):
+    """One round: every family of ``sep`` in table order; returns (cut,
+    exact violation) pairs for the candidates violated by more than eps."""
     found: list[tuple[LinearCut, Fraction]] = []
-    single_facility = len(instance.facilities) == 1
-
-    def admit(cut: LinearCut | None):
-        if cut is None:
-            return
-        violation = cut.violation(point)
-        if violation > config.eps:
-            found.append((cut, violation))
-
-    if "rc" in config.families and single_facility:
-        for ai in range(len(instance.arcs)):
-            admit(_separate_rc_arc(instance, ai, point))
-    if "cstrong" in config.families and single_facility and instance.unsplittable:
-        for ai in range(len(instance.arcs)):
-            for cut in _separate_unsplittable_arc(instance, ai, point):
-                admit(cut)
-
-    partitions = list(_two_partitions(instance))
-    relaxations = [cutset_cuts.build_cutset(instance, U, V) for U, V in partitions]
-
-    if "cutset" in config.families and single_facility:
-        for rel in relaxations:
-            admit(cutset_cuts.cutset_cut(rel))
-    flowcutset = "flowcutset" in config.families and single_facility
-    if flowcutset or "mf" in config.families:
-        subsets = [list(_commodity_subsets(rel, point)) for rel in relaxations]
-    if flowcutset:
-        for rel, rel_subsets in zip(relaxations, subsets):
-            for Q in rel_subsets:
-                admit(cutset_cuts.separate_flow_cutset(rel, Q, point))
-    if "mf" in config.families:
-        for rel, rel_subsets in zip(relaxations, subsets):
-            for s in range(len(instance.facilities)):
-                for Q in rel_subsets:
-                    admit(cutset_cuts.separate_multifacility(rel, s, point, Q=Q))
-    if "metric" in config.families:
-        # the LP point itself witnesses routability, so inside the loop this
-        # is a fast no-op; it fires only on externally supplied points
-        res = partition_cuts.separate_metric(instance, y=point.y, witness=point, exact=False)
-        if res is not None:
-            admit(res[1])
-    if "partition" in config.families and instance.integral_capacities():
-        for U, V in partitions:
-            shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))
-            cover = partition_cuts.knapsack_cover_from_two_partition(shrunk)
-            if cover is None:
-                continue
-            for ineq in hull_inequalities(cover):
-                admit(partition_cuts.expand_knapsack_cut(ineq, shrunk))
-        for part in _three_partitions(instance):
-            candidates = [
-                cut
-                for cut in (
-                    partition_cuts.three_partition_cut(instance, part),
-                    partition_cuts.three_partition_metric_cut(instance, part),
-                )
-                if cut is not None
-            ]
-            if not candidates:
-                continue
-            winner = partition_cuts.select_total_capacity_cut(candidates)
-            admit(winner)
-            fed = partition_cuts.knapsack_from_total_capacity(winner, instance)
-            if fed is not None:
-                cover, support = fed
-                for ineq in hull_inequalities(cover):
-                    cap = {}
-                    for mi, coef in ineq.integ.items():
-                        for ai in support.get(mi, ()):
-                            cap[(ai, mi)] = coef
-                    if cap:
-                        admit(
-                            LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
-                        )
+    for fam in sep.families:
+        for cut in sep.fixed[fam.name] if fam.build else fam.separate(sep, point):
+            if cut is not None:
+                violation = cut.violation(point)
+                if violation > sep.eps:
+                    found.append((cut, violation))
     return found
-
-
-def _separate_rc_arc(instance: Instance, ai: int, point: FractionalPoint):
-    rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.SPLITTABLE)
-    xhat = _fractional_loads(rel, ai, point)
-    ybar = max(point.y.get((ai, 0), ZERO), ZERO)
-    ineq = arc_cuts.separate_residual_capacity(rel, xhat, ybar)
-    if ineq is None:
-        return None
-    return arc_cuts.to_instance_cut(rel, ineq, "rc")
-
-
-def _separate_unsplittable_arc(instance: Instance, ai: int, point: FractionalPoint):
-    rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.UNSPLITTABLE)
-    reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
-    xhat = _fractional_loads(rel, ai, point)
-    ybar = max(point.y.get((ai, 0), ZERO), ZERO)
-    # capacity variable of the reduced set absorbs the dropped integer parts
-    yred = ybar + off0 - sum((offsets[i] * xhat.get(i, ZERO) for i in range(rel.n)), ZERO)
-    cuts = []
-    best = arc_cuts.separate_c_strong(reduced, xhat, yred)
-    if best is not None:
-        mapped = arc_cuts.back_map_cut(best, offsets, off0)
-        cuts.append(arc_cuts.to_instance_cut(rel, mapped, "cstrong"))
-        S = best.params["S"]
-        for k in K_SPLIT:
-            cuts.append(arc_cuts.to_instance_cut(rel, arc_cuts.k_split_c_strong_cut(rel, S, k), "ksplit"))
-    ones = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 1)
-    zeros = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 0)
-    if len(ones) + len(zeros) < rel.n:
-        try:
-            spec = arc_cuts.CoverSpec.build(reduced, max(0, int(round(float(yred)))), zeros, ones)
-            lifted = arc_cuts.lifted_cover_cut(reduced, spec)
-            mapped = arc_cuts.back_map_cut(lifted, offsets, off0)
-            cuts.append(arc_cuts.to_instance_cut(rel, mapped, "liftedcover"))
-        except ValueError:
-            pass
-    return cuts
 
 
 def _fractional_loads(rel, ai: int, point: FractionalPoint) -> dict[int, Fraction]:
@@ -759,6 +795,8 @@ def generate_instance(
     """Deterministic random instance: strongly connected, small rationals."""
     if nodes < 2 or not 0 < density < float("inf") or demand_scale < 1:
         raise ValueError("need nodes >= 2, a finite density > 0 and demand_scale >= 1")
+    if any(a >= b for a, b in zip(facilities, facilities[1:])):
+        raise ValueError(f"facility capacities must be strictly increasing, got {tuple(facilities)}")
     rng = random.Random(seed)
     ids = list(range(1, nodes + 1))
     pairs = [(i, j) for i in ids for j in ids if i != j]

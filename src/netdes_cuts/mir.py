@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import ZERO, frac
+from .core import ZERO, frac, integral_scale
 
 
 def floor_frac(x: Fraction) -> int:
@@ -55,15 +55,7 @@ class BaseInequality:
 
     def integer_normal_form(self) -> tuple[tuple, tuple, Fraction]:
         """Coefficients cleared to coprime integers, for comparisons."""
-        vals = list(self.cont.values()) + list(self.integ.values()) + [self.rhs]
-        lcm = 1
-        for v in vals:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        nums = [abs(int(v * lcm)) for v in vals if v != 0]
-        g = 0
-        for n in nums:
-            g = math.gcd(g, n)
-        scale = Fraction(lcm, g or 1)
+        scale = integral_scale([*self.cont.values(), *self.integ.values(), self.rhs])
         return (
             tuple(sorted((j, v * scale) for j, v in self.cont.items())),
             tuple(sorted((j, v * scale) for j, v in self.integ.items() if v != 0)),

@@ -242,6 +242,130 @@ def reference_multifacility(rel, s, point, Q=None, max_rounds=5):
     )
 
 
+# -- the loop's separation -----------------------------------------------------------
+
+
+def reference_separate_all(instance, point, config):
+    """Reference for ``engine.separate_all``: the former if-chain, which
+    rebuilds every candidate each round (same families, same order)."""
+    from netdes_cuts import cutset_cuts, engine, partition_cuts
+    from netdes_cuts.core import LinearCut
+
+    found = []
+    single_facility = len(instance.facilities) == 1
+
+    def admit(cut):
+        if cut is None:
+            return
+        violation = cut.violation(point)
+        if violation > config.eps:
+            found.append((cut, violation))
+
+    if "rc" in config.families and single_facility:
+        for ai in range(len(instance.arcs)):
+            admit(_reference_rc_arc(instance, ai, point))
+    if "cstrong" in config.families and single_facility and instance.unsplittable:
+        for ai in range(len(instance.arcs)):
+            for cut in _reference_unsplittable_arc(instance, ai, point):
+                admit(cut)
+
+    partitions = list(engine._two_partitions(instance))
+    relaxations = [cutset_cuts.build_cutset(instance, U, V) for U, V in partitions]
+
+    if "cutset" in config.families and single_facility:
+        for rel in relaxations:
+            admit(cutset_cuts.cutset_cut(rel))
+    flowcutset = "flowcutset" in config.families and single_facility
+    if flowcutset or "mf" in config.families:
+        subsets = [list(engine._commodity_subsets(rel, point)) for rel in relaxations]
+    if flowcutset:
+        for rel, rel_subsets in zip(relaxations, subsets):
+            for Q in rel_subsets:
+                admit(cutset_cuts.separate_flow_cutset(rel, Q, point))
+    if "mf" in config.families:
+        for rel, rel_subsets in zip(relaxations, subsets):
+            for s in range(len(instance.facilities)):
+                for Q in rel_subsets:
+                    admit(cutset_cuts.separate_multifacility(rel, s, point, Q=Q))
+    if "metric" in config.families:
+        res = partition_cuts.separate_metric(instance, y=point.y, witness=point, exact=False)
+        if res is not None:
+            admit(res[1])
+    if "partition" in config.families and instance.integral_capacities():
+        for U, V in partitions:
+            shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))
+            cover = partition_cuts.knapsack_cover_from_two_partition(shrunk)
+            if cover is None:
+                continue
+            for ineq in engine.hull_inequalities(cover):
+                admit(partition_cuts.expand_knapsack_cut(ineq, shrunk))
+        for part in engine._three_partitions(instance):
+            candidates = [
+                cut
+                for cut in (
+                    partition_cuts.three_partition_cut(instance, part),
+                    partition_cuts.three_partition_metric_cut(instance, part),
+                )
+                if cut is not None
+            ]
+            if not candidates:
+                continue
+            winner = partition_cuts.select_total_capacity_cut(candidates)
+            admit(winner)
+            fed = partition_cuts.knapsack_from_total_capacity(winner, instance)
+            if fed is not None:
+                cover, support = fed
+                for ineq in engine.hull_inequalities(cover):
+                    cap = {}
+                    for mi, coef in ineq.integ.items():
+                        for ai in support.get(mi, ()):
+                            cap[(ai, mi)] = coef
+                    if cap:
+                        admit(LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"}))
+    return found
+
+
+def _reference_rc_arc(instance, ai, point):
+    from netdes_cuts import arc_cuts, engine
+
+    rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.SPLITTABLE)
+    xhat = engine._fractional_loads(rel, ai, point)
+    ybar = max(point.y.get((ai, 0), ZERO), ZERO)
+    ineq = arc_cuts.separate_residual_capacity(rel, xhat, ybar)
+    if ineq is None:
+        return None
+    return arc_cuts.to_instance_cut(rel, ineq, "rc")
+
+
+def _reference_unsplittable_arc(instance, ai, point):
+    from netdes_cuts import arc_cuts, engine
+
+    rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.UNSPLITTABLE)
+    reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
+    xhat = engine._fractional_loads(rel, ai, point)
+    ybar = max(point.y.get((ai, 0), ZERO), ZERO)
+    yred = ybar + off0 - sum((offsets[i] * xhat.get(i, ZERO) for i in range(rel.n)), ZERO)
+    cuts = []
+    best = arc_cuts.separate_c_strong(reduced, xhat, yred)
+    if best is not None:
+        mapped = arc_cuts.back_map_cut(best, offsets, off0)
+        cuts.append(arc_cuts.to_instance_cut(rel, mapped, "cstrong"))
+        S = best.params["S"]
+        for k in engine.K_SPLIT:
+            cuts.append(arc_cuts.to_instance_cut(rel, arc_cuts.k_split_c_strong_cut(rel, S, k), "ksplit"))
+    ones = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 1)
+    zeros = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 0)
+    if len(ones) + len(zeros) < rel.n:
+        try:
+            spec = arc_cuts.CoverSpec.build(reduced, max(0, int(round(float(yred)))), zeros, ones)
+            lifted = arc_cuts.lifted_cover_cut(reduced, spec)
+            mapped = arc_cuts.back_map_cut(lifted, offsets, off0)
+            cuts.append(arc_cuts.to_instance_cut(rel, mapped, "liftedcover"))
+        except ValueError:
+            pass
+    return cuts
+
+
 # -- pure-capacity cuts ---------------------------------------------------------------
 
 

@@ -317,8 +317,17 @@ def test_multifacility_fractional_size_counterexample():
 
 def test_phi_cut_reduces_to_flow_cutset_single_facility(star_instance):
     rel = build_cutset(star_instance, U=[1])
-    sel = FlowCutSelection((0,), (0,), (2,))
-    assert multifacility_cutset_cut(rel, sel).cap == flow_cutset_cut(rel, sel).cap
+    selections = [
+        FlowCutSelection((0,), S_plus, S_minus)
+        for n_plus in range(len(rel.A_plus) + 1)
+        for S_plus in combinations(rel.A_plus, n_plus)
+        for n_minus in range(len(rel.A_minus) + 1)
+        for S_minus in combinations(rel.A_minus, n_minus)
+    ]
+    assert len(selections) == 8
+    for sel in selections:
+        phi, single = multifacility_cutset_cut(rel, sel), flow_cutset_cut(rel, sel)
+        assert (phi.flow, phi.cap, phi.rhs) == (single.flow, single.cap, single.rhs)
 
 
 def test_separate_multifacility_zero_point():

@@ -22,7 +22,7 @@ from netdes_cuts.engine import (
     validate_cut,
     validate_cuts,
 )
-from helpers import pure_capacity_counterexamples
+from helpers import pure_capacity_counterexamples, reference_separate_all
 
 
 def test_config_validation():
@@ -100,6 +100,94 @@ def test_loop_golden_results(seed):
     pool, bound = GOLDEN_4_NODE[seed]
     assert len(res.pool) == pool
     assert res.final_bound == pytest.approx(float(bound), abs=1e-9)
+
+
+def _separation_rounds(monkeypatch, inst, config):
+    """Run the loop; return each round's (context, point, found)."""
+    from netdes_cuts import engine
+
+    rounds = []
+    separate_all = engine.separate_all
+
+    def recording(sep, point):
+        found = separate_all(sep, point)
+        rounds.append((sep, point, found))
+        return found
+
+    monkeypatch.setattr(engine, "separate_all", recording)
+    cutting_plane_loop(inst, config)
+    return rounds
+
+
+def _listing(found):
+    return [(cut.normalized_key(), cut.family, violation) for cut, violation in found]
+
+
+SEPARATION_CASES = [
+    pytest.param(
+        dict(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,)),
+        Config(max_rounds=10),
+        set(),
+        id=f"golden-{seed}",
+    )
+    for seed in sorted(GOLDEN_4_NODE)
+] + [
+    pytest.param(
+        dict(seed=5, nodes=3, density=0.9, facilities=(1, 2)),
+        Config(max_rounds=10),
+        {"mf", "partition", "threepartition"},
+        id="facilities-1-2",
+    ),
+    pytest.param(
+        dict(seed=20, nodes=3, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True),
+        Config(families=("rc", "cstrong", "cutset", "flowcutset"), max_rounds=10),
+        {"rc", "cstrong", "ksplit", "liftedcover", "flowcutset"},
+        id="unsplittable-cstrong",
+    ),
+]
+
+
+@pytest.mark.parametrize("gen, config, fired", SEPARATION_CASES)
+def test_separation_table_matches_reference(monkeypatch, gen, config, fired):
+    """At every round's point, one context per loop gives the candidates of
+    the reference if-chain: same cuts, families and violations, same order."""
+    inst = generate_instance(**gen)
+    rounds = _separation_rounds(monkeypatch, inst, config)
+    assert len(rounds) >= 2 and len({id(sep) for sep, _, _ in rounds}) == 1
+    for sep, point, found in rounds:
+        assert _listing(found) == _listing(reference_separate_all(inst, point, config))
+    assert fired <= {cut.family for _, _, found in rounds for cut, _ in found}
+
+
+def test_point_independent_candidates_built_once_per_loop(monkeypatch):
+    """A loop of many rounds shrinks, rounds and builds relaxations exactly
+    as often as a loop of one; families that need none of it build none."""
+    from netdes_cuts import cutset_cuts, engine, partition_cuts
+
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(partition_cuts, "shrink")
+    counting(engine, "hull_inequalities")
+    counting(cutset_cuts, "build_cutset")
+    inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
+    counts = []
+    for config in (Config(max_rounds=1), Config(max_rounds=10), Config(families=("rc", "metric"))):
+        calls.clear()
+        res = cutting_plane_loop(inst, config)
+        counts.append((len(res.reports), dict(calls)))
+    (one, first), (many, loop), (_, unused) = counts
+    assert one == 1 and many >= 2
+    assert first == loop and first["shrink"] > 0 and first["hull_inequalities"] > 0
+    assert unused == {}
 
 
 def test_loop_cuts_all_validate():
