@@ -124,7 +124,9 @@ def _mf(sep: Separation, point: FractionalPoint):
 def _metric(sep: Separation, point: FractionalPoint):
     # the LP point itself witnesses routability, so inside the loop this
     # is a fast no-op; it fires only on externally supplied points
-    res = partition_cuts.separate_metric(sep.instance, y=point.y, witness=point, exact=False)
+    instance = sep.instance
+    caps = [instance.arc_capacity(ai, point.y) for ai in range(len(instance.arcs))]
+    res = partition_cuts.separate_metric(instance, caps, witness=point)
     return () if res is None else (res[1],)
 
 
@@ -539,7 +541,8 @@ def validate_cuts(
     shared) and the float answers are only used as certificates:
 
     - the point is skipped as unroutable when the Farkas vector yields a
-      metric inequality that fails exactly (``lp.proves_unroutable``);
+      metric inequality that fails exactly (``lp.proves_unroutable``, the
+      certificate ``check_feasible_routing`` also gives);
     - a cut holds at the point when its ``y`` part plus a safe dual bound
       on the minimum of its flow part reaches the rhs exactly
       (``lp.safe_lower_bound``);
@@ -610,10 +613,11 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
 
     Any violating installation keeps the keyed variables below the cut's
     rhs; unkeyed variables can only help feasibility, so they are granted
-    ample capacity.  Enumerate the finitely many keyed patterns and test
-    routability exactly (``_routable``) at the maximal ones, where raising
-    any key would reach the rhs: routability only grows with capacity, so
-    a routable pattern below the rhs exists iff a maximal one does.
+    ample capacity.  Enumerate the finitely many keyed patterns and decide
+    routability exactly (``check_feasible_routing``) at the maximal ones,
+    where raising any key would reach the rhs: routability only grows with
+    capacity, so a routable pattern below the rhs exists iff a maximal one
+    does.
     """
     keys = sorted(cut.cap)
     least = min(cut.cap.values())
@@ -642,7 +646,7 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
                 return
             caps = capacities(current)
             if routings is None:
-                feasible = _routable(instance, caps)
+                feasible = check_feasible_routing(instance, caps)[0]
             else:
                 feasible = _best_unsplittable(instance, routings, caps, {}) is not None
             if feasible:
@@ -661,15 +665,6 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
     if counter is None:
         return True, None
     return False, counter
-
-
-def _routable(instance: Instance, capacities) -> bool:
-    """Exact routability; a float Farkas vector certifies most refusals cheaply."""
-    n_vars, rows = routing_rows(instance, capacities)
-    res = solve_lp(n_vars, rows, {})
-    if res.status == "infeasible" and proves_unroutable(instance, capacities, res.farkas):
-        return False
-    return check_feasible_routing(instance, capacities=capacities, exact=True)[0]
 
 
 # -- unsplittable routing enumeration --------------------------------------------

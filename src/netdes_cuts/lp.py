@@ -5,11 +5,15 @@ per arc, and one row per pooled cut; flow variables carry their commodity
 supply as an upper bound (vital: single-arc relaxation cuts are only valid
 when flows cannot exceed their commodity's total supply on any arc).
 
-``check_feasible_routing`` answers whether a capacity vector admits a
-multicommodity routing.  On failure it returns dual multipliers shaped as
-a pair ``(v, u)`` of arc weights and node potentials that certify
-infeasibility: ``v_ij >= u_kj - u_ki`` with ``u_kk = 0`` and the total
-demand weighted by ``u`` exceeding the ``v``-weighted capacity.
+``check_feasible_routing`` decides exactly whether a capacity vector admits
+a multicommodity routing, from one float routing LP whose answer counts
+only with an exact certificate: the rationalized flow, or a metric
+inequality.  The refusal certificate is a pair ``(v, u)``: arc weights
+from the Farkas capacity multipliers and the shortest-path node potentials
+under them, so ``v_ij >= u_kj - u_ki`` with ``u_kk = 0`` holds by
+construction and the ``u``-weighted demand exceeds the ``v``-weighted
+capacity.  The exact simplex runs only when a certificate fails or the
+float solve stalls.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .core import (
     FractionalPoint,
     Instance,
     LinearCut,
-    Rational,
     format_rational,
     frac,
     rationalize,
@@ -245,70 +248,54 @@ def routing_capacity_rows(instance: Instance, capacities) -> list:
 
 def check_feasible_routing(
     instance: Instance,
-    y: Mapping[tuple[int, int], Rational] | None = None,
-    capacities: Sequence | None = None,
+    capacities: Sequence,
     witness: FractionalPoint | None = None,
-    exact: bool = True,
 ):
-    """Feasibility of routing all commodities under ``existing + installed``.
+    """Exact routability of all commodities under per-arc ``capacities``.
 
-    Returns ``(True, None)`` or ``(False, RoutingCertificate)``.  ``y`` maps
-    (arc, facility) to installation amounts; alternatively pass per-arc
-    ``capacities`` directly.  A ``witness`` flow that fits the capacities
-    short-circuits the solve.  A stalled float solve is redone in exact
-    arithmetic.
+    Returns ``(True, None)`` or ``(False, RoutingCertificate)``.  A
+    ``witness`` flow that fits the capacities exactly answers at once.
+    Otherwise one float routing LP is solved and its answer is used only
+    with an exact certificate: its rationalized flow must fit
+    (``_witness_fits``), or its Farkas vector must give a metric inequality
+    that fails (``proves_unroutable``).  When the certificate fails or the
+    float solve stalls, the exact simplex decides, through the same checks.
     """
-    if capacities is None:
-        y = y or {}
-        capacities = [instance.arc_capacity(ai, y) for ai in range(len(instance.arcs))]
     capacities = [frac(c) for c in capacities]
-
     if witness is not None and _witness_fits(instance, witness, capacities):
         return True, None
 
     nvars, rows = routing_rows(instance, capacities)
-    res = solve_lp(nvars, rows, objective={}, exact=exact)
-    if res.status == "stalled" and not exact:
-        res = solve_lp(nvars, rows, objective={}, exact=True)
-    if res.status == "optimal":
-        return True, None
-    if res.status != "infeasible":
-        raise RuntimeError(f"routing feasibility solve ended with {res.status}")
-
-    def _to_frac(val):
-        return val if isinstance(val, Fraction) else rationalize(float(val))
-
-    lam = res.farkas
-    n_bal = len(instance.commodities) * len(instance.nodes)
-    u = {}
-    pos = 0
-    for ki, com in enumerate(instance.commodities):
-        for node in instance.nodes:
-            u[(ki, node)] = _to_frac(lam[pos])
-            pos += 1
-    # capacity rows are <=, so their multipliers are nonpositive; negate
-    v = {}
-    for ai in range(len(instance.arcs)):
-        val = -_to_frac(lam[n_bal + ai])
-        if val != 0:
-            v[ai] = val
-    # potentials are shift-invariant per commodity; pin them to the source
-    for ki, com in enumerate(instance.commodities):
-        base = u[(ki, com.source)]
-        for node in instance.nodes:
-            u[(ki, node)] -= base
-    cert = RoutingCertificate(v=v, u=u)
-    return False, cert
+    for exact in (False, True):
+        res = solve_lp(nvars, rows, {}, exact=exact)
+        if res.status == "optimal":
+            flow = {
+                (ai, ki): rationalize(res.x[routing_var(instance, ai, ki)])
+                for ki in range(len(instance.commodities))
+                for ai in range(len(instance.arcs))
+            }
+            if _witness_fits(instance, FractionalPoint(x=flow), capacities):
+                return True, None
+        elif res.status == "infeasible":
+            cert = proves_unroutable(instance, capacities, res.farkas)
+            if cert is not None:
+                return False, cert
+    raise RuntimeError(f"routing feasibility solve ended with {res.status}")
 
 
-def proves_unroutable(instance: Instance, capacities: Sequence[Fraction], farkas: Sequence) -> bool:
-    """Exact metric-inequality check seeded by a routing LP's Farkas vector.
+def proves_unroutable(
+    instance: Instance, capacities: Sequence[Fraction], farkas: Sequence
+) -> RoutingCertificate | None:
+    """Exact metric-inequality certificate seeded by a routing LP's Farkas vector.
 
     ``farkas`` comes from an infeasible ``routing_rows`` LP (float or exact).
     Its capacity-row multipliers, rounded to rationals and clamped to
     ``v >= 0``, are arc weights; with shortest-path potentials ``u`` the pair
     lies in the metric cone, so ``demand_side > capacity_side`` proves that
-    no routing fits ``capacities``.  False means only "not proved".
+    no routing fits ``capacities``.  A positive-demand node that no path
+    reaches gets the certificate ``v = 0`` with potential 1 on the nodes
+    its source cannot reach.  Returns the certificate, or ``None`` when it
+    proves nothing; an exact Farkas vector always yields one.
     """
     n_arcs = len(instance.arcs)
     v = {}
@@ -319,9 +306,11 @@ def proves_unroutable(instance: Instance, capacities: Sequence[Fraction], farkas
             v[ai] = weight
     try:
         cert = RoutingCertificate(v=v, u=shortest_path_potentials(instance, v))
-    except ValueError:  # a demand node no path reaches: left to the exact solve
-        return False
-    return cert.demand_side(instance) > cert.capacity_side(instance, capacities)
+    except ValueError:  # no capacity routes this demand
+        cert = RoutingCertificate(v={}, u=_cut_off_potentials(instance))
+    if cert.demand_side(instance) > cert.capacity_side(instance, capacities):
+        return cert
+    return None
 
 
 def safe_lower_bound(
@@ -358,7 +347,9 @@ def safe_lower_bound(
 
 
 def _witness_fits(instance: Instance, point: FractionalPoint, capacities) -> bool:
-    """Does the witness satisfy balance and the given capacities exactly?"""
+    """Is the witness a nonnegative flow meeting balance and ``capacities`` exactly?"""
+    if any(val < 0 for val in point.x.values()):
+        return False
     for ai in range(len(instance.arcs)):
         load = sum(
             (point.x.get((ai, ki), ZERO) for ki in range(len(instance.commodities))), ZERO
@@ -386,19 +377,7 @@ def shortest_path_potentials(instance: Instance, v: Mapping[int, Fraction]) -> d
     """
     u = {}
     for ki, com in enumerate(instance.commodities):
-        dist = {com.source: ZERO}
-        heap = [(ZERO, com.source)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if dist.get(node, None) != d:
-                continue
-            for ai in instance.out_arcs[node]:
-                w = v.get(ai, ZERO)
-                head = instance.arcs[ai].head
-                nd = d + w
-                if head not in dist or nd < dist[head]:
-                    dist[head] = nd
-                    heapq.heappush(heap, (nd, head))
+        dist = _distances(instance, com.source, v)
         for node in instance.nodes:
             if node in dist:
                 u[(ki, node)] = dist[node]
@@ -409,3 +388,34 @@ def shortest_path_potentials(instance: Instance, v: Mapping[int, Fraction]) -> d
             else:
                 u[(ki, node)] = ZERO
     return u
+
+
+def _cut_off_potentials(instance: Instance) -> dict:
+    """Potential 1 on each node its commodity's source cannot reach, else 0.
+
+    With zero arc weights these lie in the metric cone (no arc enters the
+    unreachable set from outside it).
+    """
+    u = {}
+    for ki, com in enumerate(instance.commodities):
+        reached = _distances(instance, com.source, {})
+        for node in instance.nodes:
+            u[(ki, node)] = ZERO if node in reached else Fraction(1)
+    return u
+
+
+def _distances(instance: Instance, source: int, v: Mapping[int, Fraction]) -> dict:
+    """Dijkstra from ``source`` under arc weights ``v``; unreached nodes are absent."""
+    dist = {source: ZERO}
+    heap = [(ZERO, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if dist.get(node, None) != d:
+            continue
+        for ai in instance.out_arcs[node]:
+            nd = d + v.get(ai, ZERO)
+            head = instance.arcs[ai].head
+            if head not in dist or nd < dist[head]:
+                dist[head] = nd
+                heapq.heappush(heap, (nd, head))
+    return dist

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ZERO,
@@ -23,9 +23,8 @@ from .core import (
     FractionalPoint,
     Instance,
     LinearCut,
-    frac,
 )
-from .lp import RoutingCertificate, check_feasible_routing, shortest_path_potentials
+from .lp import RoutingCertificate, check_feasible_routing
 from .mir import KnapsackCoverSet, ceil_frac
 
 # arc weights + node potentials certifying routing infeasibility; also the
@@ -205,41 +204,27 @@ def metric_cut_from_vector(vector: MetricVector, instance: Instance, integral: b
 
 def separate_metric(
     instance: Instance,
-    y: Mapping[tuple[int, int], Fraction] | None = None,
-    capacities: Sequence | None = None,
+    capacities: Sequence,
     witness: FractionalPoint | None = None,
-    exact: bool = True,
 ):
     """Violated metric inequality for a capacity vector, or ``None``.
 
-    Feasibility of the routing LP decides existence.  The Farkas
-    certificate is scaled to unit total arc weight, and the potentials are
-    re-derived as exact shortest-path distances under the arc weights,
-    which maximizes the right-hand side and lands exactly inside the dual
-    cone by construction.
+    ``check_feasible_routing`` decides existence, and its refusal
+    certificate (arc weights with shortest-path potentials, exactly in the
+    cone and exactly violated) is the inequality; it is only scaled to unit
+    total arc weight.
     """
-    feasible, cert = check_feasible_routing(
-        instance, y=y, capacities=capacities, witness=witness, exact=exact
-    )
+    feasible, cert = check_feasible_routing(instance, capacities, witness)
     if feasible:
         return None
     total = sum(cert.v.values(), ZERO)
     if total <= 0:
         raise ValueError("instance cannot route its demands under any capacity")
-    v = {ai: va / total for ai, va in cert.v.items() if va > 0}
-    u = shortest_path_potentials(instance, v)
-    vector = MetricVector(v=v, u=u)
-    cut = metric_cut_from_vector(vector, instance)
-    if capacities is None:
-        caps = [instance.arc_capacity(ai, y or {}) for ai in range(len(instance.arcs))]
-    else:
-        caps = [frac(c) for c in capacities]
-    violation = vector.demand_side(instance) - vector.capacity_side(instance, caps)
-    if violation <= 0:
-        if exact:
-            raise AssertionError("certificate lost its violation after tightening")
-        return separate_metric(instance, y=y, capacities=capacities, exact=True)
-    return vector, cut
+    vector = MetricVector(
+        v={ai: va / total for ai, va in cert.v.items()},
+        u={key: uv / total for key, uv in cert.u.items()},
+    )
+    return vector, metric_cut_from_vector(vector, instance)
 
 
 def integral_metric_cut(vector: MetricVector, instance: Instance) -> LinearCut:

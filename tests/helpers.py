@@ -288,7 +288,8 @@ def reference_separate_all(instance, point, config):
                 for Q in rel_subsets:
                     admit(cutset_cuts.separate_multifacility(rel, s, point, Q=Q))
     if "metric" in config.families:
-        res = partition_cuts.separate_metric(instance, y=point.y, witness=point, exact=False)
+        caps = [instance.arc_capacity(ai, point.y) for ai in range(len(instance.arcs))]
+        res = partition_cuts.separate_metric(instance, caps, witness=point)
         if res is not None:
             admit(res[1])
     if "partition" in config.families and instance.integral_capacities():
@@ -366,15 +367,38 @@ def _reference_unsplittable_arc(instance, ai, point):
     return cuts
 
 
-# -- pure-capacity cuts ---------------------------------------------------------------
+# -- routing and pure-capacity cuts ----------------------------------------------------
+
+
+def routable(instance, capacities):
+    """Do ``capacities`` admit a routing?  The routing LP, solved in Fractions."""
+    from netdes_cuts.lp import routing_rows
+
+    n_vars, rows = routing_rows(instance, capacities)
+    return solve_lp(n_vars, rows, {}, exact=True).status == "optimal"
+
+
+def criterion_10_sample():
+    """Criterion 10's 50 ``(instance, capacities)`` pairs, starved and ample."""
+    import random
+
+    from netdes_cuts.engine import generate_instance
+
+    rng = random.Random(17)
+    for seed in range(50):
+        inst = generate_instance(seed=300 + seed, nodes=rng.randint(3, 6), density=0.7)
+        scale = rng.choice((0, 1, 1, 2, 4))  # mix starved and ample networks
+        caps = [
+            F(0) if rng.random() < 0.4 else F(scale * rng.randint(1, 3), rng.choice((1, 2)))
+            for _ in inst.arcs
+        ]
+        yield inst, caps
 
 
 def pure_capacity_counterexamples(cut, instance):
     """Every keyed installation below the cut's rhs under which all demand
     routes, with ample capacity on unkeyed variables (full enumeration,
     each pattern decided by the exact routing LP)."""
-    from netdes_cuts.lp import check_feasible_routing
-
     keys = sorted(cut.cap)
     ample = instance.demand.total()
     bounds = [ceil(cut.rhs / cut.cap[k]) for k in keys]
@@ -391,7 +415,7 @@ def pure_capacity_counterexamples(cut, instance):
             )
             for ai, arc in enumerate(instance.arcs)
         ]
-        if check_feasible_routing(instance, capacities=caps, exact=True)[0]:
+        if routable(instance, caps):
             found.append(y)
     return found
 

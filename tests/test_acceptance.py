@@ -34,7 +34,6 @@ from netdes_cuts.engine import (
     validate_cut,
     validate_cuts,
 )
-from netdes_cuts.lp import check_feasible_routing
 from netdes_cuts.mir import KnapsackCoverSet, hull_inequalities
 from netdes_cuts.partition_cuts import (
     NodePartition,
@@ -46,7 +45,15 @@ from netdes_cuts.partition_cuts import (
 from netdes_cuts.simplex import GE, LE, solve_lp
 
 from conftest import make_triangle
-from helpers import fu_points, holds, knapsack_min, min_over_fs, rc_best_violation
+from helpers import (
+    criterion_10_sample,
+    fu_points,
+    holds,
+    knapsack_min,
+    min_over_fs,
+    rc_best_violation,
+    routable,
+)
 
 
 def report(n, ok, message):
@@ -296,19 +303,11 @@ def test_criterion_09_three_partition_numbers():
 
 
 def test_criterion_10_metric_soundness_completeness():
-    rng = random.Random(17)
     ok = True
     violated_seen = 0
-    for seed in range(50):
-        inst = generate_instance(seed=300 + seed, nodes=rng.randint(3, 6), density=0.7)
-        scale = rng.choice((0, 1, 1, 2, 4))  # mix starved and ample networks
-        caps = [
-            F(0) if rng.random() < 0.4 else F(scale * rng.randint(1, 3), rng.choice((1, 2)))
-            for _ in inst.arcs
-        ]
-        feasible, _ = check_feasible_routing(inst, capacities=caps)
+    for inst, caps in criterion_10_sample():
         res = separate_metric(inst, capacities=caps)
-        if (res is None) != feasible:
+        if (res is None) != routable(inst, caps):
             ok = False
         if res is not None:
             violated_seen += 1

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut
+from netdes_cuts import lp
+from netdes_cuts.core import Arc, DemandMatrix, Facility, FractionalPoint, Instance, LinearCut
 from netdes_cuts.engine import generate_instance
 from netdes_cuts.lp import (
     build_relaxation,
@@ -13,7 +14,10 @@ from netdes_cuts.lp import (
     shortest_path_potentials,
     solve,
 )
-from netdes_cuts.simplex import solve_lp
+from netdes_cuts.partition_cuts import separate_metric
+from netdes_cuts.simplex import LPResult, solve_lp
+
+from helpers import criterion_10_sample, routable
 
 
 def single_arc_instance(capacity=F(0), demand=F(1)):
@@ -145,7 +149,7 @@ def test_proves_unroutable_only_when_exactly_unroutable():
     for trial in range(60):
         inst = generate_instance(seed=trial + 200, nodes=rng.randint(3, 5), density=0.6)
         caps = [F(rng.choice((0, 0, 1, 2, 3)), rng.choice((1, 2))) for _ in inst.arcs]
-        feasible, _ = check_feasible_routing(inst, capacities=caps)
+        feasible = routable(inst, caps)
         n_vars, rows = routing_rows(inst, caps)
         res = solve_lp(n_vars, rows, {})
         candidates = [[rng.uniform(-2, 1) for _ in rows]]
@@ -187,20 +191,42 @@ def test_stalled_status_on_tiny_iteration_cap():
     assert res.status == "stalled"
 
 
-def test_stalled_float_solve_falls_back_to_exact_and_says_so(monkeypatch, star_instance):
-    from netdes_cuts import lp
-    from netdes_cuts.simplex import LPResult
-
+def stall_float_answers(monkeypatch):
+    """Make every float solve in ``lp`` stall.  Returns the modes seen."""
     real_solve_lp = lp.solve_lp
     modes = []
 
-    def float_stalls(*args, exact=False, **kwargs):
+    def stalled(*args, exact=False, **kwargs):
         modes.append(exact)
         if not exact:
             return LPResult("stalled", [], None)
         return real_solve_lp(*args, exact=exact, **kwargs)
 
-    monkeypatch.setattr(lp, "solve_lp", float_stalls)
+    monkeypatch.setattr(lp, "solve_lp", stalled)
+    return modes
+
+
+def corrupt_float_answers(monkeypatch):
+    """Make every float routing answer in ``lp`` useless as a certificate:
+    a feasible solve returns the zero flow, an infeasible one a zero Farkas
+    vector, so only the exact simplex can decide.  Returns the modes seen."""
+    real_solve_lp = lp.solve_lp
+    modes = []
+
+    def corrupted(*args, exact=False, **kwargs):
+        modes.append(exact)
+        res = real_solve_lp(*args, exact=exact, **kwargs)
+        if not exact:
+            res.x = [0.0] * len(res.x)
+            res.farkas = None if res.farkas is None else [0.0] * len(res.farkas)
+        return res
+
+    monkeypatch.setattr(lp, "solve_lp", corrupted)
+    return modes
+
+
+def test_stalled_float_solve_falls_back_to_exact_and_says_so(monkeypatch, star_instance):
+    modes = stall_float_answers(monkeypatch)
     sol = solve(build_relaxation(star_instance))
     assert modes == [False, True]
     assert sol.status == "optimal" and sol.exact_fallback
@@ -209,22 +235,58 @@ def test_stalled_float_solve_falls_back_to_exact_and_says_so(monkeypatch, star_i
 
 
 def test_stalled_float_routing_solve_falls_back_to_exact(monkeypatch):
-    from netdes_cuts import lp
-    from netdes_cuts.simplex import LPResult
-
-    real_solve_lp = lp.solve_lp
-    modes = []
-
-    def float_stalls(*args, exact=False, **kwargs):
-        modes.append(exact)
-        if not exact:
-            return LPResult("stalled", [], None)
-        return real_solve_lp(*args, exact=exact, **kwargs)
-
-    monkeypatch.setattr(lp, "solve_lp", float_stalls)
+    modes = stall_float_answers(monkeypatch)
     inst = generate_instance(seed=3, nodes=4, density=0.6)
     ample = [inst.demand.total()] * len(inst.arcs)
-    assert check_feasible_routing(inst, capacities=ample, exact=False) == (True, None)
-    ok, cert = check_feasible_routing(inst, capacities=[F(0)] * len(inst.arcs), exact=False)
+    assert check_feasible_routing(inst, capacities=ample) == (True, None)
+    ok, cert = check_feasible_routing(inst, capacities=[F(0)] * len(inst.arcs))
     assert not ok and cert.demand_side(inst) > cert.capacity_side(inst, [F(0)] * len(inst.arcs))
     assert modes == [False, True] * 2
+
+
+def test_negative_witness_flow_is_rejected():
+    # commodity 1 "ships" 2 -> 1 as a negative flow on arc 1 -> 2: balanced, zero load
+    inst = Instance(
+        nodes=[1, 2],
+        arcs=[Arc(1, 2), Arc(2, 1)],
+        facilities=[Facility(1, (F(1), F(1)))],
+        demand=DemandMatrix({(1, 2): F(1), (2, 1): F(1)}),
+    )
+    witness = FractionalPoint(x={(0, 0): F(1), (0, 1): F(-1)})
+    caps = [F(0), F(0)]
+    ok, cert = check_feasible_routing(inst, capacities=caps, witness=witness)
+    assert not ok
+    assert cert.cone_violations(inst) == []
+    assert cert.demand_side(inst) > cert.capacity_side(inst, caps)
+    assert separate_metric(inst, caps, witness=witness) is not None
+
+
+@pytest.mark.parametrize("spoil", [corrupt_float_answers, stall_float_answers])
+def test_failed_float_certificates_fall_back_to_exact(monkeypatch, spoil):
+    # verdicts certified from float solves, then the exact simplex's own
+    sample = [(inst, caps, check_feasible_routing(inst, caps)[0]) for inst, caps in criterion_10_sample()]
+    modes = spoil(monkeypatch)
+    infeasible = 0
+    for inst, caps, feasible in sample:
+        del modes[:]
+        ok, cert = check_feasible_routing(inst, capacities=caps)
+        assert ok == feasible
+        assert modes == [False, True]
+        if not ok:
+            infeasible += 1
+            assert cert.cone_violations(inst) == []
+            assert cert.demand_side(inst) > cert.capacity_side(inst, caps)
+    assert 10 <= infeasible <= 45
+
+    # a demand node its source cannot reach: refused at any capacity
+    inst = Instance(
+        nodes=[1, 2, 3],
+        arcs=[Arc(1, 3), Arc(2, 1)],
+        facilities=[Facility(1, (F(1), F(1)))],
+        demand=DemandMatrix({(1, 2): F(1)}),
+    )
+    caps = [F(5), F(5)]
+    ok, cert = check_feasible_routing(inst, capacities=caps)
+    assert not ok
+    assert cert.cone_violations(inst) == []
+    assert cert.demand_side(inst) > cert.capacity_side(inst, caps)

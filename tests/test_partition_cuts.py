@@ -26,6 +26,7 @@ from netdes_cuts.partition_cuts import (
 )
 
 from conftest import make_triangle
+from helpers import routable
 
 
 # -- shrinking -----------------------------------------------------------------------
@@ -218,9 +219,8 @@ def test_metric_separation_soundness_and_completeness():
             F(0) if rng.random() < 0.6 else F(rng.randint(1, 4), rng.choice((1, 2)))
             for _ in inst.arcs
         ]
-        feasible, _ = check_feasible_routing(inst, capacities=caps)
         res = separate_metric(inst, capacities=caps)
-        assert (res is None) == feasible
+        assert (res is None) == routable(inst, caps)
         if res is not None:
             hits += 1
             vec, cut = res
