@@ -84,7 +84,6 @@ def main(argv=None) -> int:
     oracle = sub.add_parser("oracle", help="brute-force optimum over an installation grid")
     oracle.add_argument("--instance", required=True)
     oracle.add_argument("--ybound", type=_YBOUND, help="uniform per-variable grid bound")
-    oracle.add_argument("--exact", action="store_true", help="price flows in exact arithmetic")
 
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("--seed", type=int, required=True)
@@ -151,11 +150,9 @@ def _cmd_run(args, instance) -> int:
             opt = float(best[0])
             report["oracle_optimum"] = opt
             lp0 = rounds[0]["bound"] if rounds else result.final_bound
-            if opt > lp0 + 1e-12:
-                report["gap_closed"] = (result.final_bound - lp0) / (opt - lp0)
-            else:
-                report["gap_closed"] = 1.0
-            print(f"oracle optimum {opt:.6g}, gap closed {report['gap_closed']}")
+            gap = opt - lp0
+            report["gap_closed"] = (result.final_bound - lp0) / gap if gap > 1e-12 else 1.0
+            print(f"oracle optimum {format_rational(best[0])}, gap closed {report['gap_closed']}")
     print(f"final bound {result.final_bound:.6g} with {len(result.pool)} pooled cuts")
     if args.report:
         with open(args.report, "w") as fh:
@@ -172,7 +169,7 @@ def _cmd_run(args, instance) -> int:
 
 def _cmd_oracle(args, instance) -> int:
     try:
-        best = brute_force_ip(instance, ybound=args.ybound, exact=args.exact)
+        best = brute_force_ip(instance, ybound=args.ybound)
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -180,8 +177,7 @@ def _cmd_oracle(args, instance) -> int:
         print("no feasible installation within the grid", file=sys.stderr)
         return 1
     value, point = best
-    shown = format_rational(value) if isinstance(value, Fraction) else f"{value:.6g}"
-    print(f"optimum {shown}")
+    print(f"optimum {format_rational(value)}")
     for (ai, mi), cnt in sorted(point.y.items()):
         arc = instance.arcs[ai]
         print(f"  y[{arc.tail}->{arc.head}, facility {mi}] = {cnt}")

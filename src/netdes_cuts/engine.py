@@ -6,6 +6,8 @@ exact instance data, so a cut enters the pool only when its violation is
 positive in exact arithmetic.  Oracles enumerate integer installation
 grids and validate cuts or compute optima against them; they are bounded
 searches with an explicit budget, independent of the separation code.
+Exact values (oracle optima, ``LoopResult.exact_bound``) are certified
+from float solves by ``lp.solve_certified``.
 """
 
 from __future__ import annotations
@@ -28,21 +30,27 @@ from .core import (
     Instance,
     LinearCut,
     frac,
+    rationalize,
 )
 from .lp import (
+    LPModel,
     LPSolution,
     build_relaxation,
+    cheapest_routing,
     check_feasible_routing,
+    exact_objective,
     proves_unroutable,
     routing_balance_rows,
     routing_capacity_rows,
-    routing_rows,
-    routing_var,
+    routing_objective,
+    routing_upper,
     safe_lower_bound,
     solve,
 )
 from .mir import hull_inequalities
-from .simplex import solve_lp, solve_lp_many
+
+# solve_lp is not called here; the benchmark's tracer (perfbench/spans.py) wraps engine.solve_lp
+from .simplex import solve_lp, solve_lp_many  # noqa: F401
 
 K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
 MAX_DENOMINATOR = 10**6      # rationalization of the float LP point
@@ -175,18 +183,16 @@ class Config:
     """Settings of one cutting-plane run.
 
     ``families`` names the enabled separators, ``max_rounds`` caps the
-    solve-separate rounds, a cut is admitted only when its exact violation
-    exceeds ``eps``, and ``exact_final`` re-solves the last relaxation in
-    exact arithmetic (``LoopResult.exact_bound``).
+    solve-separate rounds, and a cut is admitted only when its exact
+    violation exceeds ``eps``.
     """
 
     families: tuple[str, ...] = FAMILIES
     max_rounds: int = 50
     eps: Fraction = Fraction(1, 10**6)
-    exact_final: bool = False
 
     def __post_init__(self):
-        self.eps = frac(self.eps) if not isinstance(self.eps, float) else Fraction(self.eps).limit_denominator(10**9)
+        self.eps = rationalize(self.eps, 10**9) if isinstance(self.eps, float) else frac(self.eps)
         if self.eps <= 0:
             raise ValueError("violation threshold must be positive")
         if self.max_rounds < 1:
@@ -234,7 +240,12 @@ class LoopResult:
     pool: CutPool
     final_bound: float
     final_solution: LPSolution
-    exact_bound: Fraction | None = None
+    final_model: LPModel
+
+    @cached_property
+    def exact_bound(self) -> Fraction:
+        """Exact optimum of the final relaxation (``lp.exact_objective``)."""
+        return exact_objective(self.final_model, self.final_solution)
 
 
 def cutting_plane_loop(instance: Instance, config: Config | None = None) -> LoopResult:
@@ -246,7 +257,8 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
     sol = None
     for rnd in range(config.max_rounds):
         t0 = time.perf_counter()
-        sol = solve(build_relaxation(instance, pool.cuts()))
+        model = build_relaxation(instance, pool.cuts())
+        sol = solve(model)
         if sol.status != "optimal":
             raise RuntimeError(f"relaxation solve ended with status {sol.status}")
         point = sol.point(MAX_DENOMINATOR)
@@ -271,19 +283,16 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
             break
     else:
         # round cap hit with cuts still arriving: record the resulting bound
-        sol = solve(build_relaxation(instance, pool.cuts()))
+        model = build_relaxation(instance, pool.cuts())
+        sol = solve(model)
 
-    result = LoopResult(
+    return LoopResult(
         reports=reports,
         pool=pool,
         final_bound=float(sol.objective),
         final_solution=sol,
+        final_model=model,
     )
-    if config.exact_final:
-        exact_sol = solve(build_relaxation(instance, pool.cuts()), exact=True)
-        result.exact_bound = exact_sol.objective
-        result.final_solution = exact_sol
-    return result
 
 
 # -- separation orchestration ---------------------------------------------------
@@ -299,7 +308,7 @@ class Separation:
         self.instance = instance
         self.eps = config.eps
         self.families = [f for f in SEPARATORS if f.name in config.families and f.applies(instance)]
-        self.fixed = {f.name: [c for c in f.build(self) if c is not None] for f in self.families if f.build}
+        self.fixed = {f.name: _distinct(f.build(self)) for f in self.families if f.build}
         self._subsets = (None, [])
 
     @cached_property
@@ -316,6 +325,15 @@ class Separation:
         if self._subsets[0] is not point:
             self._subsets = (point, [list(_commodity_subsets(rel, point)) for rel in self.relaxations])
         return self._subsets[1]
+
+
+def _distinct(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
+    """The cuts, each ``normalized_key()`` once at its first occurrence."""
+    first: dict = {}
+    for cut in cuts:
+        if cut is not None:
+            first.setdefault(cut.normalized_key(), cut)
+    return list(first.values())
 
 
 def separate_all(sep: Separation, point: FractionalPoint):
@@ -426,83 +444,33 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int], budget: i
         yield dict(zip(keys, (Fraction(v) for v in values)))
 
 
-def _routing_upper(instance: Instance) -> dict:
-    """Flow upper bounds of the routing LP: each commodity's total supply."""
-    return {
-        routing_var(instance, ai, ki): com.total_supply
-        for ki, com in enumerate(instance.commodities)
-        for ai in range(len(instance.arcs))
-    }
-
-
-def _routing_objective(instance: Instance, flow: Mapping[tuple[int, int], Fraction]) -> dict:
-    return {routing_var(instance, ai, ki): v for (ai, ki), v in flow.items()}
-
-
-def _min_flow_lp(instance: Instance, capacities, objective: Mapping[tuple[int, int], Fraction], exact: bool):
-    """Minimize a flow objective over routings under fixed capacities.
-
-    A stalled float solve is redone in exact arithmetic, so ``None`` always
-    means the capacities admit no routing.
-    """
-    n_vars, rows = routing_rows(instance, capacities)
-    upper = _routing_upper(instance)
-    obj = _routing_objective(instance, objective)
-    res = solve_lp(n_vars, rows, obj, upper=upper, exact=exact)
-    if res.status == "stalled" and not exact:
-        res = solve_lp(n_vars, rows, obj, upper=upper, exact=True)
-    if res.status != "optimal":
-        return None
-    x = {}
-    for ki in range(len(instance.commodities)):
-        for ai in range(len(instance.arcs)):
-            val = res.x[routing_var(instance, ai, ki)]
-            if not isinstance(val, Fraction):
-                val = Fraction(float(val)).limit_denominator(10**9)
-            if val != 0:
-                x[(ai, ki)] = val
-    return res.objective, x
-
-
 def brute_force_ip(
     instance: Instance,
     y_bounds: Mapping[tuple[int, int], int] | None = None,
     ybound: int | None = None,
-    exact: bool = False,
     budget: int = 10**6,
 ):
     """Exhaustive optimum over integer installations within the grid.
 
-    For each grid point the routing LP (or the unsplittable routing
-    enumeration) prices the flows; returns ``(value, point)`` with the
-    best total cost, or ``None`` when nothing in the grid is feasible.
+    For each grid point ``lp.cheapest_routing`` (or the unsplittable routing
+    enumeration) prices the flows exactly; returns ``(value, point)`` with
+    the best total cost, or ``None`` when nothing in the grid is feasible.
     """
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
-    flow_cost = {
-        (ai, ki): instance.flow_costs[ai][ki]
-        for ai in range(len(instance.arcs))
-        for ki in range(len(instance.commodities))
-    }
+    flow_cost = {(ai, ki): c for ai, row in enumerate(instance.flow_costs) for ki, c in enumerate(row)}
     routings = _unsplittable_routings(instance) if instance.unsplittable else None
     best = None
     for y in _grid(instance, y_bounds, budget):
         caps = [instance.arc_capacity(ai, y) for ai in range(len(instance.arcs))]
-        install = sum(
-            (instance.facilities[mi].costs[ai] * cnt for (ai, mi), cnt in y.items()), ZERO
-        )
+        install = sum((instance.facilities[mi].costs[ai] * cnt for (ai, mi), cnt in y.items()), ZERO)
         if routings is None:
-            priced = _min_flow_lp(instance, caps, flow_cost, exact)
-            if priced is None:
-                continue
-            flow_val, x = priced
-            total = install + flow_val
+            flow_val, x = cheapest_routing(instance, caps, flow_cost)
         else:
-            priced = _best_unsplittable(instance, routings, caps, flow_cost)
-            if priced is None:
-                continue
-            flow_val, x = priced
-            total = install + flow_val
+            flow_val, x = _best_unsplittable(instance, routings, caps, flow_cost) or (None, None)
+        if flow_val is None:
+            continue
+        total = install + flow_val
         if best is None or total < best[0]:
             best = (total, FractionalPoint(x=dict(x), y={k: v for k, v in y.items() if v}))
     return best
@@ -546,8 +514,8 @@ def validate_cuts(
     - a cut holds at the point when its ``y`` part plus a safe dual bound
       on the minimum of its flow part reaches the rhs exactly
       (``lp.safe_lower_bound``);
-    - anything left uncertified, a stalled solve included, is decided by
-      the exact simplex, which also supplies every counterexample.
+    - anything left is priced exactly from the same float solve by
+      ``lp.cheapest_routing``, which also supplies every counterexample.
 
     With unsplittable routing the enumeration is exact throughout; points
     with no joint routing are skipped for every cut.
@@ -565,10 +533,10 @@ def validate_cuts(
 
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
-    upper = _routing_upper(instance)
+    upper = routing_upper(instance)
     n_vars = len(instance.arcs) * len(instance.commodities)
     balance = routing_balance_rows(instance)
-    objectives = {idx: _routing_objective(instance, cuts[idx].flow) for idx in grid_idx}
+    objectives = {idx: routing_objective(instance, cuts[idx].flow) for idx in grid_idx}
     open_idx = set(grid_idx)
     for y in _grid(instance, y_bounds, budget):
         if not open_idx:
@@ -597,9 +565,9 @@ def validate_cuts(
                 bound = safe_lower_bound(rows, objectives[idx], upper, res.duals)
                 if bound is not None and ypart + bound >= cut.rhs:
                     continue
-            exact_priced = _min_flow_lp(instance, caps, cut.flow, exact=True)
-            if exact_priced is not None and ypart + exact_priced[0] < cut.rhs:
-                verdicts[idx] = (False, FractionalPoint(x=exact_priced[1], y=dict(y)))
+            value, x = cheapest_routing(instance, caps, cut.flow, first=res)
+            if value is not None and ypart + value < cut.rhs:
+                verdicts[idx] = (False, FractionalPoint(x=x, y=dict(y)))
                 open_idx.discard(idx)
     return verdicts
 

@@ -1,19 +1,16 @@
-"""LP relaxation of the design model plus the routing-feasibility oracle.
+"""LP relaxation of the design model, and exact answers from float solves.
 
 The relaxation has one balance row per (commodity, node), one capacity row
 per arc, and one row per pooled cut; flow variables carry their commodity
 supply as an upper bound (vital: single-arc relaxation cuts are only valid
 when flows cannot exceed their commodity's total supply on any arc).
 
-``check_feasible_routing`` decides exactly whether a capacity vector admits
-a multicommodity routing, from one float routing LP whose answer counts
-only with an exact certificate: the rationalized flow, or a metric
-inequality.  The refusal certificate is a pair ``(v, u)``: arc weights
-from the Farkas capacity multipliers and the shortest-path node potentials
-under them, so ``v_ij >= u_kj - u_ki`` with ``u_kk = 0`` holds by
-construction and the ``u``-weighted demand exceeds the ``v``-weighted
-capacity.  The exact simplex runs only when a certificate fails or the
-float solve stalls.
+Every exact LP answer (``check_feasible_routing``, ``cheapest_routing``,
+``exact_objective``) comes from ``solve_certified``: one float solve that
+counts only with a certificate checked in ``Fraction``s, and the exact
+simplex when the certificate fails or the solve stalls.  An optimum is
+certified by ``certify``, routing infeasibility by a metric inequality
+(``proves_unroutable``).
 """
 
 from __future__ import annotations
@@ -21,6 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
 
 from .core import (
@@ -32,7 +30,7 @@ from .core import (
     frac,
     rationalize,
 )
-from .simplex import EQ, GE, LE, solve_lp
+from .simplex import EQ, GE, LE, LPResult, solve_lp
 
 
 @dataclass
@@ -89,7 +87,6 @@ class LPSolution:
     objective: object = None
     primal: dict = field(default_factory=dict)
     duals: list = field(default_factory=list)
-    farkas: list | None = None
     iterations: int = 0
     exact_fallback: bool = False  # float solve stalled; this result is exact
 
@@ -152,13 +149,8 @@ def build_relaxation(instance: Instance, cuts: Sequence[LinearCut] = ()) -> LPMo
 
 
 def solve(model: LPModel, exact: bool = False) -> LPSolution:
-    res = solve_lp(
-        n_vars=len(model.var_keys),
-        rows=[(coefs, sense, rhs) for coefs, sense, rhs, _ in model.rows],
-        objective=model.objective,
-        upper=model.upper,
-        exact=exact,
-    )
+    rows = [(coefs, sense, rhs) for coefs, sense, rhs, _ in model.rows]
+    res = solve_lp(len(model.var_keys), rows, model.objective, model.upper, exact=exact)
     if res.status == "stalled" and not exact:
         # numerically hard model: exact arithmetic is slower but immune
         sol = solve(model, exact=True)
@@ -169,9 +161,48 @@ def solve(model: LPModel, exact: bool = False) -> LPSolution:
         sol.objective = res.objective
         sol.primal = {key: res.x[j] for key, j in model.var_index.items()}
         sol.duals = res.duals
-    elif res.status == "infeasible":
-        sol.farkas = res.farkas
     return sol
+
+
+def exact_objective(model: LPModel, sol: LPSolution) -> Fraction:
+    """Exact optimum of ``model`` from its float optimum ``sol``: no solve
+    when ``certify`` proves it, else the exact simplex's."""
+    rows = [(coefs, sense, rhs) for coefs, sense, rhs, _ in model.rows]
+    first = LPResult(sol.status, [sol.primal[key] for key in model.var_keys], sol.objective, sol.duals)
+    return solve_certified(len(model.var_keys), rows, model.objective, model.upper, first=first)[0]
+
+
+def solve_certified(n_vars: int, rows, objective, upper=None, refute=None, first: LPResult | None = None):
+    """Exact ``min objective`` over ``rows`` and ``0 <= x <= upper``.
+
+    Returns ``(value, x)`` in ``Fraction``s, or ``(None, proof)`` when
+    ``refute(farkas)`` proves the rows infeasible.  The float solve
+    (``first``, if already at hand) answers only through ``certify`` or
+    ``refute``; when both fail or it stalls, the exact simplex decides.
+    """
+    upper = upper or {}
+    for exact in (False, True):
+        res = solve_lp(n_vars, rows, objective, upper, exact=exact) if exact or first is None else first
+        if res.status == "optimal":
+            answer = (res.objective, res.x) if exact else certify(rows, objective, upper, res)
+            if answer is not None:
+                return answer
+        elif res.status == "infeasible" and refute is not None:
+            proof = refute(res.farkas)
+            if proof is not None:
+                return None, proof
+    raise RuntimeError(f"exact LP solve ended with {res.status}")
+
+
+def certify(rows, objective: Mapping[int, Fraction], upper: Mapping[int, Fraction], res: LPResult):
+    """Exact ``(value, x)`` from the float optimum ``res``, or ``None``: the
+    rationalized primal meets every row and bound, and its objective equals
+    ``safe_lower_bound`` of the float duals, so weak duality proves it."""
+    x = [rationalize(v) for v in res.x]
+    if not _fits(rows, upper, x):
+        return None
+    value = sum((frac(c) * x[j] for j, c in objective.items()), ZERO)
+    return (value, x) if safe_lower_bound(rows, objective, upper, res.duals) == value else None
 
 
 # -- routing feasibility and metric certificates ------------------------------
@@ -237,6 +268,20 @@ def routing_balance_rows(instance: Instance) -> list:
     return rows
 
 
+def routing_upper(instance: Instance) -> dict:
+    """Flow upper bounds of the priced routing LP: each commodity's total supply."""
+    return {
+        routing_var(instance, ai, ki): com.total_supply
+        for ki, com in enumerate(instance.commodities)
+        for ai in range(len(instance.arcs))
+    }
+
+
+def routing_objective(instance: Instance, flow: Mapping[tuple[int, int], Fraction]) -> dict:
+    """A flow objective keyed ``(arc, commodity)`` as routing LP columns."""
+    return {routing_var(instance, ai, ki): v for (ai, ki), v in flow.items()}
+
+
 def routing_capacity_rows(instance: Instance, capacities) -> list:
     """The routing LP's capacity rows, one per arc, after the balance rows."""
     rows = []
@@ -246,41 +291,41 @@ def routing_capacity_rows(instance: Instance, capacities) -> list:
     return rows
 
 
-def check_feasible_routing(
-    instance: Instance,
-    capacities: Sequence,
-    witness: FractionalPoint | None = None,
-):
+def check_feasible_routing(instance: Instance, capacities: Sequence, witness: FractionalPoint | None = None):
     """Exact routability of all commodities under per-arc ``capacities``.
 
     Returns ``(True, None)`` or ``(False, RoutingCertificate)``.  A
-    ``witness`` flow that fits the capacities exactly answers at once.
-    Otherwise one float routing LP is solved and its answer is used only
-    with an exact certificate: its rationalized flow must fit
-    (``_witness_fits``), or its Farkas vector must give a metric inequality
-    that fails (``proves_unroutable``).  When the certificate fails or the
-    float solve stalls, the exact simplex decides, through the same checks.
+    ``witness`` flow that fits the capacities exactly answers at once;
+    otherwise ``cheapest_routing`` decides with a zero objective.
     """
     capacities = [frac(c) for c in capacities]
-    if witness is not None and _witness_fits(instance, witness, capacities):
-        return True, None
+    if witness is not None:
+        n_vars, rows = routing_rows(instance, capacities)
+        n_arcs = len(instance.arcs)
+        if _fits(rows, {}, [witness.x.get((j % n_arcs, j // n_arcs), ZERO) for j in range(n_vars)]):
+            return True, None
+    value, proof = cheapest_routing(instance, capacities, {})
+    return (True, None) if value is not None else (False, proof)
 
-    nvars, rows = routing_rows(instance, capacities)
-    for exact in (False, True):
-        res = solve_lp(nvars, rows, {}, exact=exact)
-        if res.status == "optimal":
-            flow = {
-                (ai, ki): rationalize(res.x[routing_var(instance, ai, ki)])
-                for ki in range(len(instance.commodities))
-                for ai in range(len(instance.arcs))
-            }
-            if _witness_fits(instance, FractionalPoint(x=flow), capacities):
-                return True, None
-        elif res.status == "infeasible":
-            cert = proves_unroutable(instance, capacities, res.farkas)
-            if cert is not None:
-                return False, cert
-    raise RuntimeError(f"routing feasibility solve ended with {res.status}")
+
+def cheapest_routing(instance: Instance, capacities: Sequence, objective, first: LPResult | None = None):
+    """Exact minimum of a flow ``objective`` over routings under ``capacities``.
+
+    ``objective`` maps ``(arc, commodity)`` to a cost; each commodity's
+    flow on an arc is bounded by its total supply.  Returns ``(value,
+    flow)`` with the nonzero flows keyed ``(arc, commodity)``, or ``(None,
+    RoutingCertificate)`` when no routing fits.  ``first`` is a float solve
+    of this LP already at hand.
+    """
+    capacities = [frac(c) for c in capacities]
+    n_vars, rows = routing_rows(instance, capacities)
+    refute = partial(proves_unroutable, instance, capacities)
+    objective = routing_objective(instance, objective)
+    value, answer = solve_certified(n_vars, rows, objective, routing_upper(instance), refute, first)
+    if value is None:
+        return None, answer  # the refusal certificate
+    n_arcs = len(instance.arcs)
+    return value, {(j % n_arcs, j // n_arcs): v for j, v in enumerate(answer) if v}
 
 
 def proves_unroutable(
@@ -346,25 +391,14 @@ def safe_lower_bound(
     return bound
 
 
-def _witness_fits(instance: Instance, point: FractionalPoint, capacities) -> bool:
-    """Is the witness a nonnegative flow meeting balance and ``capacities`` exactly?"""
-    if any(val < 0 for val in point.x.values()):
+def _fits(rows, upper: Mapping[int, Fraction], x: Sequence[Fraction]) -> bool:
+    """Does ``x`` meet every row and ``0 <= x <= upper`` exactly?"""
+    if any(v < 0 for v in x) or any(x[j] > u for j, u in upper.items()):
         return False
-    for ai in range(len(instance.arcs)):
-        load = sum(
-            (point.x.get((ai, ki), ZERO) for ki in range(len(instance.commodities))), ZERO
-        )
-        if load > capacities[ai]:
+    for coefs, sense, rhs in rows:
+        lhs = sum((a * x[j] for j, a in coefs.items()), ZERO)
+        if lhs > rhs if sense == LE else lhs < rhs if sense == GE else lhs != rhs:
             return False
-    for ki, com in enumerate(instance.commodities):
-        for node in instance.nodes:
-            net = ZERO
-            for ai in instance.in_arcs[node]:
-                net += point.x.get((ai, ki), ZERO)
-            for ai in instance.out_arcs[node]:
-                net -= point.x.get((ai, ki), ZERO)
-            if net != com.w(node):
-                return False
     return True
 
 

@@ -225,13 +225,13 @@ def test_criterion_05_lifted_cover_table(fu_rel):
 
 
 def test_criterion_06_star_end_to_end(star_instance):
-    cfg = Config(families=("cutset", "flowcutset"), exact_final=True)
+    cfg = Config(families=("cutset", "flowcutset"))
     res = cutting_plane_loop(star_instance, cfg)
     first = res.pool.cuts()[0]
     ok = first.family == "cutset"
     ok = ok and first.cap == {(0, 0): F(1), (1, 0): F(1)} and first.rhs == 1
     ok = ok and len(res.reports) <= 5
-    oracle = brute_force_ip(star_instance, ybound=2, exact=True)
+    oracle = brute_force_ip(star_instance, ybound=2)
     ok = ok and oracle is not None and res.exact_bound == oracle[0]
     report(6, ok, f"loop bound {res.exact_bound} meets the oracle in {len(res.reports)} rounds")
 

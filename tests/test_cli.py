@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -34,9 +36,14 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
         assert report["gap_closed"] is None or 0 <= report["gap_closed"] <= 1 + 1e-9
     assert lp_path.read_text().startswith("Minimize")
 
+    capsys.readouterr()
     assert main(["oracle", "--instance", str(inst_path), "--ybound", "2"]) == 0
     out = capsys.readouterr().out
     assert "optimum" in out
+    # the optimum is exact: an integer or a reduced fraction, never a float
+    value = out.splitlines()[0].removeprefix("optimum ")
+    assert re.fullmatch(r"-?\d+(/\d+)?", value), out
+    assert float(Fraction(value)) == pytest.approx(report["oracle_optimum"], abs=1e-12)
 
 
 def test_gen_deterministic(tmp_path):

@@ -52,13 +52,13 @@ def test_loop_no_families_single_round(star_instance):
 
 
 def test_loop_star_reaches_oracle(star_instance):
-    cfg = Config(families=("cutset", "flowcutset"), exact_final=True)
+    cfg = Config(families=("cutset", "flowcutset"))
     res = cutting_plane_loop(star_instance, cfg)
     assert len(res.reports) <= 5
     first = res.pool.cuts()[0]
     assert first.family == "cutset"
     assert first.cap == {(0, 0): F(1), (1, 0): F(1)} and first.rhs == 1
-    best = brute_force_ip(star_instance, ybound=2, exact=True)
+    best = brute_force_ip(star_instance, ybound=2)
     assert res.exact_bound == best[0] == F(1, 2)
 
 
@@ -93,13 +93,33 @@ GOLDEN_4_NODE = {
 }
 
 
+def count_solves(monkeypatch):
+    """Record the mode (exact or not) of every ``lp.solve_lp`` call."""
+    from netdes_cuts import lp
+
+    real_solve_lp = lp.solve_lp
+    modes = []
+
+    def counting(*args, exact=False, **kwargs):
+        modes.append(exact)
+        return real_solve_lp(*args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    return modes
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_4_NODE))
-def test_loop_golden_results(seed):
+def test_loop_golden_results(monkeypatch, seed):
     inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+    modes = count_solves(monkeypatch)
     res = cutting_plane_loop(inst, Config(max_rounds=10))
     pool, bound = GOLDEN_4_NODE[seed]
     assert len(res.pool) == pool
     assert res.final_bound == pytest.approx(float(bound), abs=1e-9)
+    # the exact bound is certified from the last float solve, without a re-solve
+    del modes[:]
+    assert res.exact_bound == bound
+    assert modes == []
 
 
 def _separation_rounds(monkeypatch, inst, config):
@@ -121,6 +141,25 @@ def _separation_rounds(monkeypatch, inst, config):
 
 def _listing(found):
     return [(cut.normalized_key(), cut.family, violation) for cut, violation in found]
+
+
+# labels of the cuts each built-once family makes
+BUILT_ONCE = {"cutset": "cutset", "partition": "partition", "threepartition": "partition",
+              "threepartition-metric": "partition"}
+
+
+def _first_of_each_key(found):
+    """``found`` without repeats of a key within one built-once family (first kept)."""
+    seen = set()
+    kept = []
+    for cut, violation in found:
+        family = BUILT_ONCE.get(cut.family)
+        if family is not None:
+            if (family, cut.normalized_key()) in seen:
+                continue
+            seen.add((family, cut.normalized_key()))
+        kept.append((cut, violation))
+    return kept
 
 
 SEPARATION_CASES = [
@@ -150,12 +189,14 @@ SEPARATION_CASES = [
 @pytest.mark.parametrize("gen, config, fired", SEPARATION_CASES)
 def test_separation_table_matches_reference(monkeypatch, gen, config, fired):
     """At every round's point, one context per loop gives the candidates of
-    the reference if-chain: same cuts, families and violations, same order."""
+    the reference if-chain: same cuts, families and violations, same order,
+    except that a built-once family offers each cut once."""
     inst = generate_instance(**gen)
     rounds = _separation_rounds(monkeypatch, inst, config)
     assert len(rounds) >= 2 and len({id(sep) for sep, _, _ in rounds}) == 1
     for sep, point, found in rounds:
-        assert _listing(found) == _listing(reference_separate_all(inst, point, config))
+        reference = _first_of_each_key(reference_separate_all(inst, point, config))
+        assert _listing(found) == _listing(reference)
     assert fired <= {cut.family for _, _, found in rounds for cut, _ in found}
 
 
@@ -207,9 +248,47 @@ def test_brute_force_single_arc():
         demand=DemandMatrix({(1, 2): F(1)}),
         flow_costs="1",
     )
-    best = brute_force_ip(inst, ybound=2, exact=True)
+    best = brute_force_ip(inst, ybound=2)
     assert best[0] == F(3)  # one unit of capacity (2) plus flow (1)
     assert best[1].y == {(0, 0): F(1)}
+
+
+# optima of the exact simplex at every grid point (ybound=1) on
+# generate_instance(seed=s, nodes=3, flow_cost_prob=0.4) with facilities (1,)
+# and density 0.9 (s < 1100) or facilities (1, 2) and density 0.7; None: no
+# installation in the grid routes the demand
+EXACT_ORACLE_3_NODE = {
+    1001: None, 1002: F(3), 1003: F(3), 1004: None, 1005: F(59, 6), 1006: F(1),
+    1141: F(2), 1142: F(1, 2), 1143: F(1, 3),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_ORACLE_3_NODE))
+def test_brute_force_answers_are_exact_without_exact_solves(monkeypatch, seed):
+    facilities, density = ((1,), 0.9) if seed < 1100 else ((1, 2), 0.7)
+    inst = generate_instance(seed=seed, nodes=3, density=density, facilities=facilities, flow_cost_prob=0.4)
+    modes = count_solves(monkeypatch)
+    best = brute_force_ip(inst, ybound=1)
+    assert modes and not any(modes)
+    expected = EXACT_ORACLE_3_NODE[seed]
+    if expected is None:
+        assert best is None
+        return
+    value, point = best
+    assert type(value) is F and value == expected
+    # the flow fits its installation exactly and prices to the optimum
+    caps = [inst.arc_capacity(ai, point.y) for ai in range(len(inst.arcs))]
+    assert all(type(v) is F and v >= 0 for v in point.x.values())
+    for ai in range(len(inst.arcs)):
+        assert sum((v for (aj, _), v in point.x.items() if aj == ai), F(0)) <= caps[ai]
+    for ki, com in enumerate(inst.commodities):
+        for node in inst.nodes:
+            inflow = sum((point.x.get((ai, ki), F(0)) for ai in inst.in_arcs[node]), F(0))
+            outflow = sum((point.x.get((ai, ki), F(0)) for ai in inst.out_arcs[node]), F(0))
+            assert inflow - outflow == com.w(node)
+    install = sum((inst.facilities[mi].costs[ai] * n for (ai, mi), n in point.y.items()), F(0))
+    flow = sum((inst.flow_costs[ai][ki] * v for (ai, ki), v in point.x.items()), F(0))
+    assert install + flow == value
 
 
 def test_brute_force_budget():
@@ -275,7 +354,7 @@ def test_validate_cut_flow_counterexample(star_instance):
 
 
 def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_instance):
-    from netdes_cuts import engine
+    from netdes_cuts import engine, lp
 
     families = ("rc", "cutset", "flowcutset", "metric", "partition")
     sweep = []
@@ -288,16 +367,12 @@ def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_i
     )
     certified = validate_cut(bad, star_instance, ybound=2)
 
-    real_solve_lp = engine.solve_lp
-    exact_solves = []
-
-    def counting_solve_lp(*args, exact=False, **kwargs):
-        exact_solves.append(exact)
-        return real_solve_lp(*args, exact=exact, **kwargs)
-
+    # the batch's own certificates, then the optimum certificate that
+    # lp.cheapest_routing checks (lp.certify looks its dual bound up in lp)
     monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
     monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
-    monkeypatch.setattr(engine, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(lp, "safe_lower_bound", lambda *args: None)
+    exact_solves = count_solves(monkeypatch)
     for inst, cuts, verdicts in sweep:
         assert validate_cuts(cuts, inst, ybound=1) == verdicts
     assert any(exact_solves)
@@ -308,7 +383,7 @@ def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_i
 
 
 def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
-    from netdes_cuts import engine
+    from netdes_cuts import lp
     from netdes_cuts.simplex import LPResult
 
     inst = Instance(
@@ -318,7 +393,7 @@ def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
         demand=DemandMatrix({(1, 2): F(1)}),
         flow_costs="1",
     )
-    real_solve_lp = engine.solve_lp
+    real_solve_lp = lp.solve_lp
     modes = []
 
     def float_stalls(*args, exact=False, **kwargs):
@@ -327,7 +402,7 @@ def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
             return LPResult("stalled", [], None)
         return real_solve_lp(*args, exact=exact, **kwargs)
 
-    monkeypatch.setattr(engine, "solve_lp", float_stalls)
+    monkeypatch.setattr(lp, "solve_lp", float_stalls)
     best = brute_force_ip(inst, ybound=2)
     assert best is not None and best[0] == F(3)
     assert modes == [False, True] * 3
@@ -350,7 +425,7 @@ def unsplittable_instance():
 
 def test_unsplittable_oracle_picks_single_path():
     inst = unsplittable_instance()
-    best = brute_force_ip(inst, ybound=2, exact=True)
+    best = brute_force_ip(inst, ybound=2)
     # the cheap route is via node 3 (two cost-1 installs beat one cost-2?)
     # direct: y=(1,0,0) cost 2; via 3: y=(0,1,1) cost 2: either optimum is 2
     assert best[0] == F(2)
@@ -387,7 +462,7 @@ def test_unsplittable_loop_families():
     if cuts:
         verdicts = validate_cuts(cuts, inst, ybound=2)
         assert all(ok for ok, _ in verdicts)
-    best = brute_force_ip(inst, ybound=2, exact=True)
+    best = brute_force_ip(inst, ybound=2)
     assert res.final_bound <= float(best[0]) + 1e-6
 
 

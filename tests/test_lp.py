@@ -5,7 +5,7 @@ import pytest
 
 from netdes_cuts import lp
 from netdes_cuts.core import Arc, DemandMatrix, Facility, FractionalPoint, Instance, LinearCut
-from netdes_cuts.engine import generate_instance
+from netdes_cuts.engine import Config, brute_force_ip, cutting_plane_loop, generate_instance
 from netdes_cuts.lp import (
     build_relaxation,
     check_feasible_routing,
@@ -290,3 +290,30 @@ def test_failed_float_certificates_fall_back_to_exact(monkeypatch, spoil):
     assert not ok
     assert cert.cone_violations(inst) == []
     assert cert.demand_side(inst) > cert.capacity_side(inst, caps)
+
+
+@pytest.mark.parametrize("spoil", [corrupt_float_answers, stall_float_answers])
+def test_failed_pricing_and_bound_certificates_fall_back_to_exact(monkeypatch, spoil, star_instance):
+    # oracle prices and exact bounds certified from float solves, then the
+    # exact simplex's own once no float answer can be certified
+    oracle = [star_instance] + [
+        generate_instance(seed=s, nodes=3, density=0.9, facilities=(1,), flow_cost_prob=0.4)
+        for s in (1002, 1005)
+    ]
+    relaxed = [star_instance, generate_instance(seed=2, nodes=4, density=0.6, facilities=(1,))]
+
+    def priced():
+        answers = [brute_force_ip(inst, ybound=1) for inst in oracle]
+        return [(value, point.y) for value, point in answers]
+
+    def bounds():
+        return [cutting_plane_loop(inst, Config(families=())).exact_bound for inst in relaxed]
+
+    certified_prices, certified_bounds = priced(), bounds()
+    modes = spoil(monkeypatch)
+    assert priced() == certified_prices
+    assert True in modes
+    del modes[:]
+    assert bounds() == certified_bounds
+    assert True in modes
+    assert all(type(value) is F for value, _ in certified_prices)
