@@ -129,6 +129,9 @@ def _cmd_run(args, instance) -> int:
                 "max_violation": rep.max_violation,
                 "wall_time": rep.wall_time,
                 "exact_fallback": rep.exact_fallback,
+                "lp_rows": rep.lp_rows,
+                "lp_iterations": rep.lp_iterations,
+                "lp_seconds": rep.lp_seconds,
             }
         )
         label = ", ".join(f"{fam}:{n}" for fam, n in rep.cuts_added.items()) or "no cuts"

@@ -210,6 +210,9 @@ class RoundReport:
     max_violation: float = 0.0
     wall_time: float = 0.0
     exact_fallback: bool = False
+    lp_rows: int = 0
+    lp_iterations: int = 0
+    lp_seconds: float = 0.0
 
 
 class CutPool:
@@ -258,7 +261,9 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
     for rnd in range(config.max_rounds):
         t0 = time.perf_counter()
         model = build_relaxation(instance, pool.cuts())
+        t_lp = time.perf_counter()
         sol = solve(model)
+        lp_seconds = time.perf_counter() - t_lp
         if sol.status != "optimal":
             raise RuntimeError(f"relaxation solve ended with status {sol.status}")
         point = sol.point(MAX_DENOMINATOR)
@@ -277,6 +282,9 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
                 max_violation=float(max_violation),
                 wall_time=time.perf_counter() - t0,
                 exact_fallback=sol.exact_fallback,
+                lp_rows=len(model.rows),
+                lp_iterations=sol.iterations,
+                lp_seconds=lp_seconds,
             )
         )
         if not added:

@@ -14,6 +14,20 @@ from netdes_cuts.simplex import LE, solve_lp
 
 ZERO = F(0)
 
+# pool size and final bound of the loop (default families, 10 rounds) on
+# generate_instance(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s is
+# odd else (1,)); a speed-up of the loop must reproduce them
+GOLDEN_4_NODE = {
+    1: (42, F(173, 18)),
+    2: (12, F(3)),
+    3: (19, F(17, 4)),
+    4: (28, F(5)),
+    5: (12, F(14)),
+    6: (43, F(11)),
+    7: (31, F(127, 12)),
+    8: (18, F(55, 9)),
+}
+
 
 # -- arc sets -------------------------------------------------------------------
 
@@ -423,3 +437,226 @@ def pure_capacity_counterexamples(cut, instance):
 def random_rational(rng, lo=0, hi=2, denoms=(1, 2, 3, 4, 6)):
     d = rng.choice(denoms)
     return F(rng.randint(int(lo * d), int(hi * d)), d)
+
+
+# -- the simplex kernel --------------------------------------------------------------
+
+
+def reference_solve_lp_many(n_vars, rows, objectives, upper=None, exact=False, max_iter=None):
+    """Reference for ``simplex.solve_lp_many``: the former kernel, which
+    updates the whole tableau at every float pivot and prices and runs the
+    ratio test one numpy element at a time.  Layout, state and result types
+    are the library's."""
+    from netdes_cuts.simplex import _EXACT, _FLOAT, LPResult, _default_max_iter, _Layout, _sparse
+
+    arith = _EXACT if exact else _FLOAT
+    layout = _Layout(n_vars, rows)
+    if max_iter is None:
+        max_iter = _default_max_iter(layout)
+    start = _reference_phase1(layout, upper or {}, arith, max_iter)
+    if isinstance(start, LPResult):
+        return [start] * len(objectives)
+    results = []
+    for k, objective in enumerate(objectives):
+        state = start if k == len(objectives) - 1 else start.copy()
+        results.append(_reference_phase2(layout, state, _sparse(objective), arith, max_iter))
+    return results
+
+
+def _reference_phase1(layout, upper_map, arith, max_iter):
+    import numpy as np
+
+    from netdes_cuts.simplex import _INF, GE, ITER_LIMIT, LE, LPResult, _State
+
+    m, N = len(layout.rows), layout.ncols
+    zero, one = arith.zero, arith.one
+    T = np.full((m + 1, N + 1), zero, dtype=arith.dtype)
+    upper = np.full(N, _INF, dtype=arith.dtype)
+    for j, u in upper_map.items():
+        upper[j] = arith.num(u)
+    basis = np.full(m, -1, dtype=np.int64)
+    is_basic = np.zeros(N, dtype=np.uint8)
+    flipped = np.zeros(N, dtype=np.uint8)
+    allow = np.ones(N, dtype=np.uint8)
+    allow[upper <= arith.tol] = 0
+
+    row_scale = np.full(m, one, dtype=arith.dtype)
+    for i, (coefs, sense, rhs, _) in enumerate(layout.rows):
+        if arith.exact:
+            for j, v in coefs.items():
+                T[i, j] = F(v)
+            T[i, N] = F(rhs)
+        else:
+            fcoefs = [(j, float(v)) for j, v in coefs.items()]
+            biggest = max((abs(v) for _, v in fcoefs), default=0.0)
+            scale = 1.0 / biggest if biggest > 0 else 1.0
+            row_scale[i] = scale
+            for j, v in fcoefs:
+                T[i, j] = v * scale
+            T[i, N] = float(rhs) * scale
+        if sense == LE:
+            T[i, layout.slack_col[i]] = one
+        elif sense == GE:
+            T[i, layout.slack_col[i]] = -one
+        if layout.art_col[i] >= 0:
+            T[i, layout.art_col[i]] = one
+            basis[i] = layout.art_col[i]
+        else:
+            basis[i] = layout.slack_col[i]
+        is_basic[basis[i]] = 1
+
+    for i in range(m):
+        if layout.art_col[i] >= 0:
+            T[m] -= T[i]
+    for i in range(m):
+        if layout.art_col[i] >= 0:
+            T[m, layout.art_col[i]] += one
+
+    status, it1 = _reference_pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter)
+    if status == ITER_LIMIT:
+        return LPResult("stalled", [], None, iterations=it1)
+    if -T[m, N] > arith.feas_tol:
+        lam = []
+        for i in range(m):
+            col, is_art = layout.marker(i)
+            pi = ((one if is_art else zero) - T[m, col]) * row_scale[i]
+            lam.append(-pi if layout.rows[i][3] else pi)
+        return LPResult("infeasible", [], None, farkas=lam, iterations=it1)
+
+    _reference_drive_out_artificials(T, basis, is_basic, layout, arith)
+    allow[layout.first_art :] = 0
+    return _State(T, basis, is_basic, flipped, upper, allow, row_scale, it1)
+
+
+def _reference_phase2(layout, state, obj, arith, max_iter):
+    import numpy as np
+
+    from netdes_cuts.simplex import ITER_LIMIT, UNBOUNDED, LPResult
+
+    T, basis, flipped, upper = state.T, state.basis, state.flipped, state.upper
+    m, N = len(layout.rows), layout.ncols
+    T[m, :] = arith.zero
+    const = arith.zero
+    eff = np.full(N, arith.zero, dtype=arith.dtype)
+    for j, v in obj.items():
+        v = arith.num(v)
+        if flipped[j]:
+            eff[j] = -v
+            const += v * upper[j]
+        else:
+            eff[j] = v
+    T[m, :N] = eff
+    for i in range(m):
+        cb = eff[basis[i]]
+        if cb != 0:
+            T[m] -= cb * T[i]
+    T[m, N] -= const
+
+    status, it2 = _reference_pivot_loop(T, basis, state.is_basic, flipped, upper, state.allow, arith, max_iter)
+    iters = state.iterations + it2
+    if status == ITER_LIMIT:
+        return LPResult("stalled", [], None, iterations=iters)
+    if status == UNBOUNDED:
+        return LPResult("unbounded", [], None, iterations=iters)
+
+    values = np.full(N, arith.zero, dtype=arith.dtype)
+    for i in range(m):
+        values[basis[i]] = T[i, N]
+    for j in range(N):
+        if flipped[j]:
+            values[j] = upper[j] - values[j]
+    duals = []
+    for i in range(m):
+        col, _ = layout.marker(i)
+        pi = -T[m, col] * state.row_scale[i]
+        duals.append(-pi if layout.rows[i][3] else pi)
+    return LPResult("optimal", list(values[: layout.n_vars]), -T[m, N], duals=duals, iterations=iters)
+
+
+def _reference_drive_out_artificials(T, basis, is_basic, layout, arith):
+    m = T.shape[0] - 1
+    for i in range(m):
+        if basis[i] < layout.first_art:
+            continue
+        for j in range(layout.first_art):
+            if not is_basic[j] and abs(T[i, j]) > arith.feas_tol:
+                lv = basis[i]
+                _reference_pivot(T, i, j, arith)
+                basis[i] = j
+                is_basic[j] = 1
+                is_basic[lv] = 0
+                break
+
+
+def _reference_pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
+    from netdes_cuts.simplex import _INF, ITER_LIMIT, OPTIMAL, UNBOUNDED
+
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    obj = T[m]
+    tol, zero = arith.tol, arith.zero
+    iters = 0
+    while True:
+        if iters >= max_iter:
+            return ITER_LIMIT, iters
+        enter = -1
+        for j in range(n):
+            if allow[j] and not is_basic[j] and obj[j] < -tol:
+                enter = j
+                break
+        if enter < 0:
+            return OPTIMAL, iters
+        best_t = upper[enter]
+        leave_row = -1
+        leave_at_upper = False
+        for i in range(m):
+            d = T[i, enter]
+            if d > tol:
+                t = max(T[i, n], zero) / d
+                hits_upper = False
+            elif d < -tol and upper[basis[i]] != _INF:
+                t = max(upper[basis[i]] - T[i, n], zero) / (-d)
+                hits_upper = True
+            else:
+                continue
+            if t < best_t - tol or (
+                t <= best_t + tol and (leave_row < 0 or basis[i] < basis[leave_row])
+            ):
+                best_t = t
+                leave_row = i
+                leave_at_upper = hits_upper
+        if best_t == _INF:
+            return UNBOUNDED, iters
+        iters += 1
+        if leave_row < 0:
+            _reference_flip(T, flipped, upper, enter)
+            continue
+        lv = basis[leave_row]
+        _reference_pivot(T, leave_row, enter, arith)
+        basis[leave_row] = enter
+        is_basic[enter] = 1
+        is_basic[lv] = 0
+        if leave_at_upper:
+            _reference_flip(T, flipped, upper, lv)
+
+
+def _reference_pivot(T, row, col, arith):
+    import numpy as np
+
+    T[row] /= T[row, col]
+    if arith.exact:
+        for i in np.flatnonzero(T[:, col]):
+            if i != row:
+                T[i] -= T[i, col] * T[row]
+    else:
+        column = T[:, col].copy()
+        column[row] = 0.0
+        T -= np.outer(column, T[row])
+    T[:, col] = arith.zero
+    T[row, col] = arith.one
+
+
+def _reference_flip(T, flipped, upper, j):
+    T[:, -1] -= T[:, j] * upper[j]
+    T[:, j] *= -1
+    flipped[j] ^= 1

@@ -30,7 +30,9 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
     assert {"instance", "rounds", "final_bound", "oracle_optimum", "gap_closed"} <= set(report)
     assert report["rounds"], "at least one round recorded"
     for entry in report["rounds"]:
-        assert {"round", "bound", "cuts", "max_violation", "exact_fallback"} <= set(entry)
+        assert {"round", "bound", "cuts", "max_violation", "exact_fallback",
+                "lp_rows", "lp_iterations", "lp_seconds"} <= set(entry)
+        assert entry["lp_rows"] > 0 and entry["lp_iterations"] > 0 and entry["lp_seconds"] > 0
     if report["oracle_optimum"] is not None:
         assert report["final_bound"] <= report["oracle_optimum"] + 1e-6
         assert report["gap_closed"] is None or 0 <= report["gap_closed"] <= 1 + 1e-9

@@ -22,7 +22,7 @@ from netdes_cuts.engine import (
     validate_cut,
     validate_cuts,
 )
-from helpers import pure_capacity_counterexamples, reference_separate_all
+from helpers import GOLDEN_4_NODE, pure_capacity_counterexamples, reference_separate_all
 
 
 def test_config_validation():
@@ -76,21 +76,6 @@ def test_loop_bounds_monotonic_and_sandwich():
             continue
         if best is not None:
             assert res.final_bound <= float(best[0]) + 1e-6
-
-
-# pool size and final bound of the loop (default families, 10 rounds) on
-# generate_instance(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s is
-# odd else (1,)); a speed-up of the loop must reproduce them
-GOLDEN_4_NODE = {
-    1: (42, F(173, 18)),
-    2: (12, F(3)),
-    3: (19, F(17, 4)),
-    4: (28, F(5)),
-    5: (12, F(14)),
-    6: (43, F(11)),
-    7: (31, F(127, 12)),
-    8: (18, F(55, 9)),
-}
 
 
 def count_solves(monkeypatch):

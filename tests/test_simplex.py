@@ -3,8 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from netdes_cuts.lp import safe_lower_bound
+from netdes_cuts import lp, simplex
+from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance
+from netdes_cuts.lp import routing_objective, routing_rows, routing_upper, safe_lower_bound
 from netdes_cuts.simplex import EQ, GE, LE, solve_lp, solve_lp_many
+
+from helpers import GOLDEN_4_NODE, reference_solve_lp_many
 
 
 def test_min_with_lower_bound_row():
@@ -162,3 +166,102 @@ def test_solve_lp_many_matches_separate_solves(exact):
             assert many.duals == one.duals
             assert many.farkas == one.farkas
     assert {"optimal", "infeasible", "unbounded"} <= statuses
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("upper", [-1, F(-1, 2), float("nan")])
+def test_negative_or_nan_upper_bound_refused(exact, upper):
+    # 0 <= x <= -1 is empty; answering "optimal" at x = 0 would break x <= u
+    with pytest.raises(ValueError):
+        solve_lp(1, [({0: 1}, LE, 5)], {0: 1}, {0: upper}, exact=exact)
+    with pytest.raises(ValueError):
+        solve_lp_many(1, [({0: 1}, LE, 5)], [{0: 1}, {}], {0: upper}, exact=exact)
+
+
+def _assert_same_result(new, ref):
+    assert new.status == ref.status
+    assert new.iterations == ref.iterations
+    for field in ("x", "duals", "farkas"):
+        a, b = getattr(new, field), getattr(ref, field)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert list(a) == list(b)
+            assert [type(v) for v in a] == [type(v) for v in b]
+    assert new.objective == ref.objective
+    assert type(new.objective) is type(ref.objective)
+
+
+def _random_lp(rng):
+    """Small LP with integer data: many ties, so Bland's tie rule decides."""
+    n = rng.randint(2, 8)
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        coefs = {j: F(rng.randint(-3, 5)) for j in rng.sample(range(n), rng.randint(1, n))}
+        rows.append((coefs, rng.choice([LE, GE, EQ]), F(rng.randint(-4, 6))))
+    upper = {j: F(rng.randint(0, 5)) for j in range(n) if rng.random() < 0.5}
+    objectives = [{j: F(rng.randint(-2, 4)) for j in range(n)} for _ in range(rng.randint(1, 3))]
+    return n, rows, objectives, upper
+
+
+def _loop_lps(monkeypatch):
+    """Every round's LP of the golden 4-node loops and of seed 14's, whose
+    tableaux outgrow the whole-tableau float update, as ``solve_lp`` received it."""
+    real_solve_lp = lp.solve_lp
+    lps = []
+
+    def recording(n_vars, rows, objective, upper=None, **kwargs):
+        lps.append((n_vars, list(rows), [objective], upper))
+        return real_solve_lp(n_vars, rows, objective, upper, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lp, "solve_lp", recording)
+        for seed in sorted(GOLDEN_4_NODE) + [14]:
+            inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+            cutting_plane_loop(inst, Config(max_rounds=10))
+    return lps
+
+
+def _routing_lps(count):
+    """Routing LPs under random capacities, each with several flow objectives."""
+    rng = random.Random(23)
+    lps = []
+    for seed in range(count):
+        inst = generate_instance(seed=500 + seed, nodes=rng.randint(3, 4), density=0.7, facilities=(1, 2))
+        caps = [F(0) if rng.random() < 0.3 else F(rng.randint(1, 4), rng.choice((1, 2))) for _ in inst.arcs]
+        n_vars, rows = routing_rows(inst, caps)
+        flows = [
+            {(ai, ki): F(rng.randint(-2, 3)) for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))}
+            for _ in range(3)
+        ]
+        objectives = [routing_objective(inst, flow) for flow in flows] + [{}]
+        lps.append((n_vars, rows, objectives, routing_upper(inst)))
+    return lps
+
+
+@pytest.mark.parametrize(
+    "exact, sparse_everywhere",
+    [(False, False), (False, True), (True, False)],
+    ids=["float", "float-sparse-update", "exact"],
+)
+def test_kernel_matches_reference(monkeypatch, exact, sparse_everywhere):
+    """The kernel takes the same pivots as the former one, which updated the
+    whole tableau and priced one numpy element at a time: every field of
+    every result, number types included, is equal."""
+    rng = random.Random(31)
+    lps = [_random_lp(rng) for _ in range(400)] + _routing_lps(60)
+    if not exact:
+        # the loop's relaxations are solved in floats only
+        lps += _loop_lps(monkeypatch)
+    if sparse_everywhere:
+        # float tableaux of every size take the pivot-row-sparse update
+        monkeypatch.setattr(simplex, "_DENSE_CELLS", 0)
+    statuses = set()
+    for n_vars, rows, objectives, upper in lps:
+        for max_iter in (None, 1):
+            new = solve_lp_many(n_vars, rows, objectives, upper, exact=exact, max_iter=max_iter)
+            ref = reference_solve_lp_many(n_vars, rows, objectives, upper, exact=exact, max_iter=max_iter)
+            assert len(new) == len(ref) == len(objectives)
+            for a, b in zip(new, ref):
+                _assert_same_result(a, b)
+                statuses.add(a.status)
+    assert {"optimal", "infeasible", "unbounded", "stalled"} <= statuses
