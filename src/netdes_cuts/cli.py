@@ -162,10 +162,8 @@ def _cmd_run(args, instance) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     if args.dump_lp:
-        from .lp import build_relaxation
-
         with open(args.dump_lp, "w") as fh:
-            fh.write(build_relaxation(instance, result.pool.cuts()).to_lp_format())
+            fh.write(result.final_model.to_lp_format())
             fh.write("\n")
     return 0
 

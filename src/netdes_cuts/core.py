@@ -233,6 +233,8 @@ class Instance:
         self.out_arcs = {v: [] for v in self.nodes}
         self.in_arcs = {v: [] for v in self.nodes}
         for ai, a in enumerate(self.arcs):
+            if a.tail not in self.node_index or a.head not in self.node_index:
+                raise InstanceError(f"arc ({a.tail},{a.head}) references unknown node")
             self.out_arcs[a.tail].append(ai)
             self.in_arcs[a.head].append(ai)
 
@@ -312,8 +314,6 @@ def validate_instance(instance: Instance) -> list[str]:
     errors = []
     seen = set()
     for a in instance.arcs:
-        if a.tail not in instance.node_index or a.head not in instance.node_index:
-            errors.append(f"arc ({a.tail},{a.head}) references unknown node")
         if a.existing_capacity < 0:
             errors.append(f"arc ({a.tail},{a.head}) has negative existing capacity")
         if a.pair in seen:
@@ -464,25 +464,31 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
-    arcs = [
-        Arc(a["tail"], a["head"], frac(a.get("existing_capacity", 0))) for a in data["arcs"]
-    ]
-    facilities = [
-        Facility(frac(f["capacity"]), tuple(frac(c) for c in f["cost"])) for f in data["facilities"]
-    ]
-    demand = DemandMatrix()
-    for d in data.get("demands", []):
-        demand.set(d["from"], d["to"], frac(d["amount"]))
-    return Instance(
-        nodes=data["nodes"],
-        arcs=arcs,
-        facilities=facilities,
-        demand=demand,
-        flow_costs=data.get("flow_costs", ZERO),
-        mode=data.get("commodity_mode", AGGREGATED),
-        unsplittable=data.get("unsplittable", False),
-        name=data.get("name", ""),
-    )
+    """The instance a JSON document describes; malformed data raises ``InstanceError``."""
+    try:
+        arcs = [
+            Arc(a["tail"], a["head"], frac(a.get("existing_capacity", 0))) for a in data["arcs"]
+        ]
+        facilities = [
+            Facility(frac(f["capacity"]), tuple(frac(c) for c in f["cost"])) for f in data["facilities"]
+        ]
+        demand = DemandMatrix()
+        for d in data.get("demands", []):
+            demand.set(d["from"], d["to"], frac(d["amount"]))
+        return Instance(
+            nodes=data["nodes"],
+            arcs=arcs,
+            facilities=facilities,
+            demand=demand,
+            flow_costs=data.get("flow_costs", ZERO),
+            mode=data.get("commodity_mode", AGGREGATED),
+            unsplittable=data.get("unsplittable", False),
+            name=data.get("name", ""),
+        )
+    except KeyError as exc:
+        raise InstanceError(f"missing field {exc}") from None
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InstanceError(f"malformed field: {exc}") from None
 
 
 def load_instance(path) -> Instance:

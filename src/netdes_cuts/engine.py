@@ -42,7 +42,7 @@ from .lp import (
     proves_unroutable,
     routing_balance_rows,
     routing_capacity_rows,
-    routing_objective,
+    flow_columns,
     routing_upper,
     safe_lower_bound,
     solve,
@@ -61,7 +61,8 @@ Q_SUBSET_LIMIT = 6           # exhaustive commodity subsets up to this size
 
 
 class BudgetExceededError(RuntimeError):
-    """The enumeration grid is larger than the oracle budget."""
+    """An oracle enumeration (the grid, or the unsplittable paths, cycles or
+    routings) is larger than its budget."""
 
 
 # -- the separator table ----------------------------------------------------------
@@ -463,6 +464,8 @@ def brute_force_ip(
     For each grid point ``lp.cheapest_routing`` (or the unsplittable routing
     enumeration) prices the flows exactly; returns ``(value, point)`` with
     the best total cost, or ``None`` when nothing in the grid is feasible.
+    Raises ``BudgetExceededError`` when the grid or an unsplittable
+    enumeration is larger than its budget.
     """
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
@@ -544,7 +547,7 @@ def validate_cuts(
     upper = routing_upper(instance)
     n_vars = len(instance.arcs) * len(instance.commodities)
     balance = routing_balance_rows(instance)
-    objectives = {idx: routing_objective(instance, cuts[idx].flow) for idx in grid_idx}
+    objectives = {idx: flow_columns(instance, cuts[idx].flow) for idx in grid_idx}
     open_idx = set(grid_idx)
     for y in _grid(instance, y_bounds, budget):
         if not open_idx:
@@ -646,14 +649,22 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
 # -- unsplittable routing enumeration --------------------------------------------
 
 
+def _capped_append(items: list, item, cap: int, what: str) -> None:
+    """Append ``item``, or raise ``BudgetExceededError`` when ``items``
+    already holds ``cap`` of ``what``: a truncated enumeration would make
+    the oracle's answer wrong."""
+    if len(items) >= cap:
+        raise BudgetExceededError(f"more than {cap} {what}")
+    items.append(item)
+
+
 def _simple_paths(instance: Instance, src: int, dst: int, cap: int = 400) -> list[frozenset[int]]:
     paths = []
+    what = f"simple paths from {src} to {dst} (_simple_paths cap)"
 
     def walk(node, used_nodes, used_arcs):
         if node == dst:
-            paths.append(frozenset(used_arcs))
-            return
-        if len(paths) >= cap:
+            _capped_append(paths, frozenset(used_arcs), cap, what)
             return
         for ai in instance.out_arcs[node]:
             head = instance.arcs[ai].head
@@ -667,15 +678,15 @@ def _simple_paths(instance: Instance, src: int, dst: int, cap: int = 400) -> lis
 def _simple_cycles(instance: Instance, cap: int = 100) -> list[frozenset[int]]:
     cycles = []
     order = {n: i for i, n in enumerate(instance.nodes)}
+    what = "simple cycles (_simple_cycles cap)"
 
     def walk(start, node, used_nodes, used_arcs):
         for ai in instance.out_arcs[node]:
             head = instance.arcs[ai].head
             if head == start:
-                cycles.append(frozenset(used_arcs + [ai]))
+                _capped_append(cycles, frozenset(used_arcs + [ai]), cap, what)
             elif order[head] > order[start] and head not in used_nodes:
-                if len(cycles) < cap:
-                    walk(start, head, used_nodes | {head}, used_arcs + [ai])
+                walk(start, head, used_nodes | {head}, used_arcs + [ai])
 
     for start in instance.nodes:
         walk(start, start, {start}, [])
@@ -683,23 +694,28 @@ def _simple_cycles(instance: Instance, cap: int = 100) -> list[frozenset[int]]:
 
 
 def _unsplittable_routings(instance: Instance, combo_cap: int = 400) -> list[list[frozenset[int]]]:
-    """Per commodity: every all-or-nothing flow (a path plus disjoint cycles)."""
+    """Per commodity: every all-or-nothing flow (a path plus disjoint cycles).
+
+    Raises ``BudgetExceededError`` when the paths, the cycles or one
+    commodity's flows outgrow their caps.
+    """
     cycles = _simple_cycles(instance)
     per_commodity = []
     for com in instance.commodities:
         if com.sink is None:
             raise ValueError("unsplittable routing needs pair commodities")
+        what = f"unsplittable flows of commodity {com.source}->{com.sink} (_unsplittable_routings cap)"
         flows = []
         for path in _simple_paths(instance, com.source, com.sink):
-            flows.append(path)
+            _capped_append(flows, path, combo_cap, what)
             stack = [(path, 0)]
-            while stack and len(flows) < combo_cap:
+            while stack:
                 base, start = stack.pop()
                 for idx in range(start, len(cycles)):
                     cyc = cycles[idx]
                     if not (cyc & base):
                         merged = base | cyc
-                        flows.append(merged)
+                        _capped_append(flows, merged, combo_cap, what)
                         stack.append((merged, idx + 1))
         per_commodity.append(flows)
     return per_commodity

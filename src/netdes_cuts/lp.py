@@ -1,9 +1,14 @@
 """LP relaxation of the design model, and exact answers from float solves.
 
-The relaxation has one balance row per (commodity, node), one capacity row
-per arc, and one row per pooled cut; flow variables carry their commodity
-supply as an upper bound (vital: single-arc relaxation cuts are only valid
-when flows cannot exceed their commodity's total supply on any arc).
+Every LP here shares one column layout: commodity ``ki``'s flow on arc
+``ai`` at ``routing_var``, then facility ``mi``'s installation on arc ``ai``
+at ``design_var`` (``column_keys`` lists it).  The routing LP has the flow
+columns, one balance row per (commodity, node) and one capacity row per
+arc.  The relaxation is the routing LP at existing capacity with the
+installed capacity ``c_m·y`` on each capacity row, plus one ``>=`` row per
+pooled cut; flow variables carry their commodity supply as an upper bound
+(vital: single-arc relaxation cuts are only valid when flows cannot exceed
+their commodity's total supply on any arc).
 
 Every exact LP answer (``check_feasible_routing``, ``cheapest_routing``,
 ``exact_objective``) comes from ``solve_certified``: one float solve that
@@ -16,7 +21,7 @@ certified by ``certify``, routing infeasibility by a metric inequality
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Mapping, Sequence
@@ -35,66 +40,60 @@ from .simplex import EQ, GE, LE, LPResult, solve_lp
 
 @dataclass
 class LPModel:
-    """Sparse rows over named (kind, arc, index) variables."""
+    """The relaxation as ``solve_lp`` takes it: ``rows`` are ``(coefs, sense,
+    rhs)`` over the columns of ``column_keys``; balance rows, capacity rows,
+    then one row per cut of ``cuts``."""
 
     instance: Instance
-    var_keys: list = field(default_factory=list)
-    var_index: dict = field(default_factory=dict)
-    rows: list = field(default_factory=list)  # (coefs, sense, rhs, label)
-    objective: dict = field(default_factory=dict)
-    upper: dict = field(default_factory=dict)
-    n_balance: int = 0
-    n_capacity: int = 0
-    n_cut: int = 0
+    cuts: list
+    rows: list
+    objective: dict
+    upper: dict
 
-    def var(self, key) -> int:
-        if key not in self.var_index:
-            self.var_index[key] = len(self.var_keys)
-            self.var_keys.append(key)
-        return self.var_index[key]
-
-    def add_row(self, coefs: Mapping[int, Fraction], sense: str, rhs, label: str = "") -> None:
-        self.rows.append(({j: frac(v) for j, v in coefs.items() if v != 0}, sense, frac(rhs), label))
+    @property
+    def n_vars(self) -> int:
+        inst = self.instance
+        return len(inst.arcs) * (len(inst.commodities) + len(inst.facilities))
 
     def to_lp_format(self) -> str:
         """Human-readable dump in the common LP text format."""
-
-        def vname(key):
-            kind, ai, other = key
-            return f"{kind}_a{ai}_{'k' if kind == 'x' else 'm'}{other}"
+        inst = self.instance
+        names = [
+            f"{kind}_a{ai}_{'k' if kind == 'x' else 'm'}{other}" for kind, ai, other in column_keys(inst)
+        ]
+        labels = [f"bal_k{ki}_n{node}" for ki in range(len(inst.commodities)) for node in inst.nodes]
+        labels += [f"cap_a{ai}" for ai in range(len(inst.arcs))]
+        labels += [f"cut{ci}_{cut.family}" for ci, cut in enumerate(self.cuts)]
 
         def expr(coefs):
             parts = []
             for j, v in sorted(coefs.items()):
                 sign = "+" if v >= 0 else "-"
-                parts.append(f"{sign} {format_rational(abs(Fraction(v)))} {vname(self.var_keys[j])}")
+                parts.append(f"{sign} {format_rational(abs(Fraction(v)))} {names[j]}")
             return " ".join(parts) if parts else "0"
 
         lines = ["Minimize", f" obj: {expr(self.objective)}", "Subject To"]
-        for i, (coefs, sense, rhs, label) in enumerate(self.rows):
-            name = label or f"c{i}"
-            lines.append(f" {name}: {expr(coefs)} {sense} {format_rational(rhs)}")
+        for label, (coefs, sense, rhs) in zip(labels, self.rows):
+            lines.append(f" {label}: {expr(coefs)} {sense} {format_rational(rhs)}")
         lines.append("Bounds")
         for j, u in sorted(self.upper.items()):
-            lines.append(f" 0 <= {vname(self.var_keys[j])} <= {format_rational(Fraction(u))}")
+            lines.append(f" 0 <= {names[j]} <= {format_rational(Fraction(u))}")
         lines.append("End")
         return "\n".join(lines)
 
 
 @dataclass
-class LPSolution:
-    status: str  # optimal | infeasible | unbounded | stalled
-    objective: object = None
-    primal: dict = field(default_factory=dict)
-    duals: list = field(default_factory=list)
-    iterations: int = 0
+class LPSolution(LPResult):
+    """``solve_lp``'s answer for a relaxation of ``instance``."""
+
     exact_fallback: bool = False  # float solve stalled; this result is exact
+    instance: Instance | None = None
 
     def point(self, max_denominator: int = 10**6) -> FractionalPoint:
         """Exact rational snapshot of the (x, y) part of the solution."""
         x, y = {}, {}
-        for (kind, ai, other), val in self.primal.items():
-            v = val if isinstance(val, Fraction) else rationalize(float(val), max_denominator)
+        for (kind, ai, other), val in zip(column_keys(self.instance), self.x):
+            v = rationalize(val, max_denominator)
             if v == 0:
                 continue
             if kind == "x":
@@ -105,71 +104,39 @@ class LPSolution:
 
 
 def build_relaxation(instance: Instance, cuts: Sequence[LinearCut] = ()) -> LPModel:
-    """LP relaxation: balance and capacity rows plus any pooled cuts."""
-    model = LPModel(instance=instance)
-    for ki, com in enumerate(instance.commodities):
-        for ai in range(len(instance.arcs)):
-            j = model.var(("x", ai, ki))
-            model.upper[j] = com.total_supply
-            model.objective[j] = model.objective.get(j, ZERO) + instance.flow_costs[ai][ki]
-    for mi, fac in enumerate(instance.facilities):
-        for ai in range(len(instance.arcs)):
-            j = model.var(("y", ai, mi))
-            model.objective[j] = model.objective.get(j, ZERO) + fac.costs[ai]
-
-    # balance: inflow - outflow equals the node's net demand
-    for ki, com in enumerate(instance.commodities):
-        for node in instance.nodes:
-            coefs = {}
-            for ai in instance.in_arcs[node]:
-                coefs[model.var(("x", ai, ki))] = Fraction(1)
-            for ai in instance.out_arcs[node]:
-                coefs[model.var(("x", ai, ki))] = coefs.get(model.var(("x", ai, ki)), ZERO) - 1
-            model.add_row(coefs, EQ, com.w(node), f"bal_k{ki}_n{node}")
-            model.n_balance += 1
-
-    for ai, arc in enumerate(instance.arcs):
-        coefs = {}
-        for ki in range(len(instance.commodities)):
-            coefs[model.var(("x", ai, ki))] = Fraction(1)
+    """LP relaxation: the routing LP at existing capacity, each capacity row
+    less the installed capacity ``c_m·y``, plus one ``>=`` row per pooled cut."""
+    capacity = routing_capacity_rows(instance, [arc.existing_capacity for arc in instance.arcs])
+    for ai, (coefs, _, _) in enumerate(capacity):
         for mi, fac in enumerate(instance.facilities):
-            coefs[model.var(("y", ai, mi))] = -fac.capacity
-        model.add_row(coefs, LE, arc.existing_capacity, f"cap_a{ai}")
-        model.n_capacity += 1
-
-    for ci, cut in enumerate(cuts):
-        coefs = {}
-        for (ai, ki), v in cut.flow.items():
-            coefs[model.var(("x", ai, ki))] = v
-        for (ai, mi), v in cut.cap.items():
-            coefs[model.var(("y", ai, mi))] = v
-        model.add_row(coefs, GE, cut.rhs, f"cut{ci}_{cut.family}")
-        model.n_cut += 1
-    return model
+            coefs[design_var(instance, ai, mi)] = -fac.capacity
+    rows = routing_balance_rows(instance) + capacity
+    for cut in cuts:
+        coefs = flow_columns(instance, cut.flow)
+        coefs.update((design_var(instance, ai, mi), v) for (ai, mi), v in cut.cap.items())
+        rows.append((coefs, GE, cut.rhs))
+    objective = {
+        j: instance.flow_costs[ai][other] if kind == "x" else instance.facilities[other].costs[ai]
+        for j, (kind, ai, other) in enumerate(column_keys(instance))
+    }
+    return LPModel(instance, list(cuts), rows, objective, routing_upper(instance))
 
 
-def solve(model: LPModel, exact: bool = False) -> LPSolution:
-    rows = [(coefs, sense, rhs) for coefs, sense, rhs, _ in model.rows]
-    res = solve_lp(len(model.var_keys), rows, model.objective, model.upper, exact=exact)
-    if res.status == "stalled" and not exact:
+def solve(model: LPModel) -> LPSolution:
+    """Float optimum of ``model``; a stalled solve is redone exactly and flagged."""
+    problem = (model.n_vars, model.rows, model.objective, model.upper)
+    res = solve_lp(*problem, exact=False)
+    stalled = res.status == "stalled"
+    if stalled:
         # numerically hard model: exact arithmetic is slower but immune
-        sol = solve(model, exact=True)
-        sol.exact_fallback = True
-        return sol
-    sol = LPSolution(status=res.status, iterations=res.iterations)
-    if res.status == "optimal":
-        sol.objective = res.objective
-        sol.primal = {key: res.x[j] for key, j in model.var_index.items()}
-        sol.duals = res.duals
-    return sol
+        res = solve_lp(*problem, exact=True)
+    return LPSolution(**vars(res), exact_fallback=stalled, instance=model.instance)
 
 
 def exact_objective(model: LPModel, sol: LPSolution) -> Fraction:
     """Exact optimum of ``model`` from its float optimum ``sol``: no solve
     when ``certify`` proves it, else the exact simplex's."""
-    rows = [(coefs, sense, rhs) for coefs, sense, rhs, _ in model.rows]
-    first = LPResult(sol.status, [sol.primal[key] for key in model.var_keys], sol.objective, sol.duals)
-    return solve_certified(len(model.var_keys), rows, model.objective, model.upper, first=first)[0]
+    return solve_certified(model.n_vars, model.rows, model.objective, model.upper, first=sol)[0]
 
 
 def solve_certified(n_vars: int, rows, objective, upper=None, refute=None, first: LPResult | None = None):
@@ -239,8 +206,21 @@ class RoutingCertificate:
 
 
 def routing_var(instance: Instance, ai: int, ki: int) -> int:
-    """Column of commodity ``ki``'s flow on arc ``ai`` in the routing LP."""
+    """Column of commodity ``ki``'s flow on arc ``ai``."""
     return ki * len(instance.arcs) + ai
+
+
+def design_var(instance: Instance, ai: int, mi: int) -> int:
+    """Column of facility ``mi``'s installation on arc ``ai``, after every flow column."""
+    return (len(instance.commodities) + mi) * len(instance.arcs) + ai
+
+
+def column_keys(instance: Instance) -> list:
+    """``(kind, arc, index)`` of each column in order: ``("x", arc, commodity)``
+    at ``routing_var``, then ``("y", arc, facility)`` at ``design_var``."""
+    arcs = range(len(instance.arcs))
+    flows = [("x", ai, ki) for ki in range(len(instance.commodities)) for ai in arcs]
+    return flows + [("y", ai, mi) for mi in range(len(instance.facilities)) for ai in arcs]
 
 
 def routing_rows(instance: Instance, capacities):
@@ -277,8 +257,8 @@ def routing_upper(instance: Instance) -> dict:
     }
 
 
-def routing_objective(instance: Instance, flow: Mapping[tuple[int, int], Fraction]) -> dict:
-    """A flow objective keyed ``(arc, commodity)`` as routing LP columns."""
+def flow_columns(instance: Instance, flow: Mapping[tuple[int, int], Fraction]) -> dict:
+    """Flow coefficients keyed ``(arc, commodity)``, keyed by column instead."""
     return {routing_var(instance, ai, ki): v for (ai, ki), v in flow.items()}
 
 
@@ -301,8 +281,7 @@ def check_feasible_routing(instance: Instance, capacities: Sequence, witness: Fr
     capacities = [frac(c) for c in capacities]
     if witness is not None:
         n_vars, rows = routing_rows(instance, capacities)
-        n_arcs = len(instance.arcs)
-        if _fits(rows, {}, [witness.x.get((j % n_arcs, j // n_arcs), ZERO) for j in range(n_vars)]):
+        if _fits(rows, {}, [witness.x.get((ai, ki), ZERO) for _, ai, ki in column_keys(instance)[:n_vars]]):
             return True, None
     value, proof = cheapest_routing(instance, capacities, {})
     return (True, None) if value is not None else (False, proof)
@@ -320,12 +299,11 @@ def cheapest_routing(instance: Instance, capacities: Sequence, objective, first:
     capacities = [frac(c) for c in capacities]
     n_vars, rows = routing_rows(instance, capacities)
     refute = partial(proves_unroutable, instance, capacities)
-    objective = routing_objective(instance, objective)
+    objective = flow_columns(instance, objective)
     value, answer = solve_certified(n_vars, rows, objective, routing_upper(instance), refute, first)
     if value is None:
         return None, answer  # the refusal certificate
-    n_arcs = len(instance.arcs)
-    return value, {(j % n_arcs, j // n_arcs): v for j, v in enumerate(answer) if v}
+    return value, {(ai, ki): v for (_, ai, ki), v in zip(column_keys(instance), answer) if v}
 
 
 def proves_unroutable(

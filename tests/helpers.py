@@ -660,3 +660,99 @@ def _reference_flip(T, flipped, upper, j):
     T[:, -1] -= T[:, j] * upper[j]
     T[:, j] *= -1
     flipped[j] ^= 1
+
+
+# -- the LP relaxation ------------------------------------------------------------------
+
+
+class ReferenceLPModel:
+    """Reference for ``lp.LPModel``: the former model, with its own named
+    variable index and row labels (``build_relaxation`` and ``to_lp_format``
+    as they were)."""
+
+    def __init__(self, instance):
+        self.instance = instance
+        self.var_keys = []
+        self.var_index = {}
+        self.rows = []  # (coefs, sense, rhs, label)
+        self.objective = {}
+        self.upper = {}
+
+    def var(self, key) -> int:
+        if key not in self.var_index:
+            self.var_index[key] = len(self.var_keys)
+            self.var_keys.append(key)
+        return self.var_index[key]
+
+    def add_row(self, coefs, sense, rhs, label=""):
+        from netdes_cuts.core import frac
+
+        self.rows.append(({j: frac(v) for j, v in coefs.items() if v != 0}, sense, frac(rhs), label))
+
+    def to_lp_format(self) -> str:
+        from netdes_cuts.core import format_rational
+
+        def vname(key):
+            kind, ai, other = key
+            return f"{kind}_a{ai}_{'k' if kind == 'x' else 'm'}{other}"
+
+        def expr(coefs):
+            parts = []
+            for j, v in sorted(coefs.items()):
+                sign = "+" if v >= 0 else "-"
+                parts.append(f"{sign} {format_rational(abs(F(v)))} {vname(self.var_keys[j])}")
+            return " ".join(parts) if parts else "0"
+
+        lines = ["Minimize", f" obj: {expr(self.objective)}", "Subject To"]
+        for i, (coefs, sense, rhs, label) in enumerate(self.rows):
+            name = label or f"c{i}"
+            lines.append(f" {name}: {expr(coefs)} {sense} {format_rational(rhs)}")
+        lines.append("Bounds")
+        for j, u in sorted(self.upper.items()):
+            lines.append(f" 0 <= {vname(self.var_keys[j])} <= {format_rational(F(u))}")
+        lines.append("End")
+        return "\n".join(lines)
+
+
+def reference_build_relaxation(instance, cuts=()):
+    """Reference for ``lp.build_relaxation``: balance and capacity rows built
+    over the model's own variable index, plus any pooled cuts."""
+    from netdes_cuts.simplex import EQ, GE
+
+    model = ReferenceLPModel(instance)
+    for ki, com in enumerate(instance.commodities):
+        for ai in range(len(instance.arcs)):
+            j = model.var(("x", ai, ki))
+            model.upper[j] = com.total_supply
+            model.objective[j] = model.objective.get(j, ZERO) + instance.flow_costs[ai][ki]
+    for mi, fac in enumerate(instance.facilities):
+        for ai in range(len(instance.arcs)):
+            j = model.var(("y", ai, mi))
+            model.objective[j] = model.objective.get(j, ZERO) + fac.costs[ai]
+
+    # balance: inflow - outflow equals the node's net demand
+    for ki, com in enumerate(instance.commodities):
+        for node in instance.nodes:
+            coefs = {}
+            for ai in instance.in_arcs[node]:
+                coefs[model.var(("x", ai, ki))] = F(1)
+            for ai in instance.out_arcs[node]:
+                coefs[model.var(("x", ai, ki))] = coefs.get(model.var(("x", ai, ki)), ZERO) - 1
+            model.add_row(coefs, EQ, com.w(node), f"bal_k{ki}_n{node}")
+
+    for ai, arc in enumerate(instance.arcs):
+        coefs = {}
+        for ki in range(len(instance.commodities)):
+            coefs[model.var(("x", ai, ki))] = F(1)
+        for mi, fac in enumerate(instance.facilities):
+            coefs[model.var(("y", ai, mi))] = -fac.capacity
+        model.add_row(coefs, LE, arc.existing_capacity, f"cap_a{ai}")
+
+    for ci, cut in enumerate(cuts):
+        coefs = {}
+        for (ai, ki), v in cut.flow.items():
+            coefs[model.var(("x", ai, ki))] = v
+        for (ai, mi), v in cut.cap.items():
+            coefs[model.var(("y", ai, mi))] = v
+        model.add_row(coefs, GE, cut.rhs, f"cut{ci}_{cut.family}")
+    return model

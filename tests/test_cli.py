@@ -92,15 +92,26 @@ def test_unsplittable_gen_flag(tmp_path):
     ["gen", "--seed", "1", "--nodes", "3", "--facilities", "1,1", "--out", "{out}"],
     ["run", "--instance", "{inst}", "--report", "{unwritable}"],
     ["run", "--instance", "{inst}", "--dump-lp", "{unwritable}"],
+    ["run", "--instance", "{empty}"],
+    ["oracle", "--instance", "{unknown_node}"],
+    ["run", "--instance", "{float_cost}"],
 ], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
         "ybound", "facilities", "density-inf", "facilities-decreasing", "facilities-equal",
-        "report-unwritable", "dump-lp-unwritable"])
+        "report-unwritable", "dump-lp-unwritable", "instance-empty", "instance-unknown-node",
+        "instance-float-cost"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--nodes", "3", "--out", str(inst)])
     capsys.readouterr()
     paths = {"inst": inst, "missing": tmp_path / "missing.json", "out": tmp_path / "out.json",
              "unwritable": tmp_path / "no-such-dir" / "out.txt"}
+    good = {"nodes": [1, 2], "arcs": [{"tail": 1, "head": 2}], "facilities": [{"capacity": "1", "cost": ["1"]}],
+            "demands": [{"from": 1, "to": 2, "amount": "1"}]}
+    malformed = {"empty": {}, "unknown_node": {**good, "arcs": [{"tail": 1, "head": 3}]},
+                 "float_cost": {**good, "flow_costs": [1.5]}}
+    for name, data in malformed.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
     with pytest.raises(SystemExit) as exc:
         main([a.format(**paths) for a in argv])
     assert exc.value.code == 2

@@ -134,7 +134,8 @@ def test_flow_cutset_rejects_degenerate(star_instance):
 
 
 def test_flow_cutset_sequence_reaches_integrality(star_instance):
-    from netdes_cuts.lp import build_relaxation, solve
+    from netdes_cuts.lp import build_relaxation, design_var
+    from netdes_cuts.simplex import solve_lp
 
     rel = build_cutset(star_instance, U=[1])
     cuts = [
@@ -143,10 +144,11 @@ def test_flow_cutset_sequence_reaches_integrality(star_instance):
         flow_cutset_cut(rel, FlowCutSelection((0,), (1,), (2,))),
         flow_cutset_cut(rel, FlowCutSelection((0,), (0, 1), (2,))),
     ]
-    sol = solve(build_relaxation(star_instance, cuts), exact=True)
+    model = build_relaxation(star_instance, cuts)
+    sol = solve_lp(model.n_vars, model.rows, model.objective, model.upper, exact=True)
     assert sol.status == "optimal"
     assert sol.objective == F(1, 2)
-    ys = [sol.primal[("y", ai, 0)] for ai in range(3)]
+    ys = [sol.x[design_var(star_instance, ai, 0)] for ai in range(3)]
     assert all(v.denominator == 1 for v in ys)
 
 

@@ -451,6 +451,33 @@ def test_unsplittable_loop_families():
     assert res.final_bound <= float(best[0]) + 1e-6
 
 
+def test_unsplittable_enumeration_caps_raise():
+    """A truncated path, cycle or flow enumeration would make the oracle's
+    answer wrong, so outgrowing a cap raises instead."""
+    from netdes_cuts.engine import _simple_paths
+
+    # complete digraph on 8 nodes: only 1 -> 7 -> 8 has capacity, and it
+    # routes the demand at zero cost, but it is not among the first 400 paths
+    nodes = list(range(1, 9))
+    arcs = [Arc(i, j, 1 if (i, j) in {(1, 7), (7, 8)} else 0) for i in nodes for j in nodes if i != j]
+    inst = Instance(
+        nodes=nodes,
+        arcs=arcs,
+        facilities=[Facility(1, (F(1),) * len(arcs))],
+        demand=DemandMatrix({(1, 8): F(1)}),
+        mode="disaggregated",
+        unsplittable=True,
+    )
+    with pytest.raises(BudgetExceededError, match="more than 100 simple cycles"):
+        brute_force_ip(inst, y_bounds={(ai, 0): 0 for ai in range(len(arcs))})
+    with pytest.raises(BudgetExceededError, match="more than 400 simple paths from 1 to 8"):
+        _simple_paths(inst, 1, 8)
+    # 84 cycles and 16 paths per pair, but more than 400 flows for a commodity
+    dense = generate_instance(seed=0, nodes=5, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True)
+    with pytest.raises(BudgetExceededError, match="more than 400 unsplittable flows of commodity 1->5"):
+        brute_force_ip(dense, ybound=0)
+
+
 # -- generation ------------------------------------------------------------------------
 
 

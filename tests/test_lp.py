@@ -9,15 +9,18 @@ from netdes_cuts.engine import Config, brute_force_ip, cutting_plane_loop, gener
 from netdes_cuts.lp import (
     build_relaxation,
     check_feasible_routing,
+    column_keys,
+    design_var,
     proves_unroutable,
     routing_rows,
+    routing_var,
     shortest_path_potentials,
     solve,
 )
 from netdes_cuts.partition_cuts import separate_metric
 from netdes_cuts.simplex import LPResult, solve_lp
 
-from helpers import criterion_10_sample, routable
+from helpers import GOLDEN_4_NODE, criterion_10_sample, reference_build_relaxation, routable
 
 
 def single_arc_instance(capacity=F(0), demand=F(1)):
@@ -31,9 +34,8 @@ def single_arc_instance(capacity=F(0), demand=F(1)):
 
 def test_row_counts():
     model = build_relaxation(single_arc_instance())
-    assert model.n_balance == 2
-    assert model.n_capacity == 1
-    assert model.n_cut == 0
+    assert [sense for _, sense, _ in model.rows] == ["=", "=", "<="]
+    assert model.n_vars == 2 and model.cuts == []
 
 
 def test_star_lp_optimum_is_fractional(star_instance):
@@ -102,12 +104,12 @@ def test_strong_duality_on_relaxations():
         sol = solve(model)
         if sol.status != "optimal":
             continue
-        dual = sum(float(p) * float(rhs) for p, (_, _, rhs, _) in zip(sol.duals, model.rows))
-        for key, j in model.var_index.items():
+        dual = sum(float(p) * float(rhs) for p, (_, _, rhs) in zip(sol.duals, model.rows))
+        for j in range(model.n_vars):
             if j in model.upper:
                 rc = float(model.objective.get(j, 0)) - sum(
                     float(sol.duals[i]) * float(coefs.get(j, 0))
-                    for i, (coefs, _, _, _) in enumerate(model.rows)
+                    for i, (coefs, _, _) in enumerate(model.rows)
                 )
                 dual += min(0.0, rc) * float(model.upper[j])
         assert dual == pytest.approx(float(sol.objective), abs=1e-6)
@@ -184,6 +186,41 @@ def test_lp_format_dump():
     assert "cap_a0" in text
 
 
+def _relaxations_with_pools():
+    """The golden 4-node loops' final relaxations, a disaggregated one and
+    one with facility sizes (1, 2), each with its loop's pool."""
+    gens = [dict(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s % 2 else (1,)) for s in sorted(GOLDEN_4_NODE)]
+    gens += [
+        dict(seed=3, nodes=4, density=0.6, facilities=(1,), mode="disaggregated"),
+        dict(seed=5, nodes=4, density=0.6, facilities=(1, 2)),
+    ]
+    for gen in gens:
+        inst = generate_instance(**gen)
+        res = cutting_plane_loop(inst, Config(max_rounds=10))
+        yield inst, res.pool.cuts(), res.final_model
+
+
+def test_relaxation_matches_reference():
+    """The relaxation is the former one: same columns, rows (coefficients in
+    the same insertion order), objective, bounds and LP text."""
+    families = set()
+    for inst, cuts, final_model in _relaxations_with_pools():
+        model = build_relaxation(inst, cuts)
+        ref = reference_build_relaxation(inst, cuts)
+        keys = column_keys(inst)
+        assert keys == ref.var_keys and len(keys) == model.n_vars
+        for j, (kind, ai, index) in enumerate(keys):
+            assert j == (routing_var if kind == "x" else design_var)(inst, ai, index)
+        assert [(list(c.items()), sense, rhs) for c, sense, rhs in model.rows] == [
+            (list(c.items()), sense, rhs) for c, sense, rhs, _ in ref.rows
+        ]
+        assert list(model.objective.items()) == list(ref.objective.items())
+        assert list(model.upper.items()) == list(ref.upper.items())
+        assert model.to_lp_format() == ref.to_lp_format() == final_model.to_lp_format()
+        families.update(cut.family for cut in cuts)
+    assert len(families) >= 4
+
+
 def test_stalled_status_on_tiny_iteration_cap():
     from netdes_cuts.simplex import solve_lp, GE
 
@@ -231,7 +268,6 @@ def test_stalled_float_solve_falls_back_to_exact_and_says_so(monkeypatch, star_i
     assert modes == [False, True]
     assert sol.status == "optimal" and sol.exact_fallback
     assert isinstance(sol.objective, F) and sol.objective == 0
-    assert not solve(build_relaxation(star_instance), exact=True).exact_fallback
 
 
 def test_stalled_float_routing_solve_falls_back_to_exact(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from netdes_cuts import lp, simplex
 from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance
-from netdes_cuts.lp import routing_objective, routing_rows, routing_upper, safe_lower_bound
+from netdes_cuts.lp import flow_columns, routing_rows, routing_upper, safe_lower_bound
 from netdes_cuts.simplex import EQ, GE, LE, solve_lp, solve_lp_many
 
 from helpers import GOLDEN_4_NODE, reference_solve_lp_many
@@ -233,7 +233,7 @@ def _routing_lps(count):
             {(ai, ki): F(rng.randint(-2, 3)) for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))}
             for _ in range(3)
         ]
-        objectives = [routing_objective(inst, flow) for flow in flows] + [{}]
+        objectives = [flow_columns(inst, flow) for flow in flows] + [{}]
         lps.append((n_vars, rows, objectives, routing_upper(inst)))
     return lps
 
