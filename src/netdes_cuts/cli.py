@@ -132,6 +132,7 @@ def _cmd_run(args, instance) -> int:
                 "lp_rows": rep.lp_rows,
                 "lp_iterations": rep.lp_iterations,
                 "lp_seconds": rep.lp_seconds,
+                "families": rep.families,
             }
         )
         label = ", ".join(f"{fam}:{n}" for fam, n in rep.cuts_added.items()) or "no cuts"
@@ -139,6 +140,7 @@ def _cmd_run(args, instance) -> int:
     report = {
         "instance": instance.name or args.instance,
         "rounds": rounds,
+        "stop": result.stop,
         "final_bound": result.final_bound,
         "oracle_optimum": None,
         "gap_closed": None,

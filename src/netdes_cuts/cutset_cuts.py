@@ -9,17 +9,23 @@ rounding depend on the chosen arc subsets; separation re-evaluates it in
 a short fixed-point loop (a single pass is exact when crossing arcs have
 no existing capacity).
 
-Separation (``separate_flow_cutset``, ``separate_multifacility``) scans and
-scores candidate selections on integers over a common denominator of the
-data and the point, and builds the exact ``LinearCut`` only for the most
-violated selection; the cut and its violation are unchanged by the scaling.
+Separation scores on integers.  ``CutSetRelaxation.view(point)`` scales the
+relaxation's data and the point's crossing coordinates by one common
+denominator, once per point: the view is kept on the relaxation until a
+different point object asks, and it memoizes the per-subset flow sums and
+``b_Q`` and the capacity terms of each rounding.  One scoring function on it
+serves the greedy arc selection of ``separate_flow_cutset`` and
+``separate_multifacility`` and the subset search of
+``separate_commodity_subset``; the exact ``LinearCut`` is built only for the
+winner.  The phi functions are homogeneous, so the scaling changes no
+comparison and no result.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -40,6 +46,14 @@ class CutSetRelaxation:
     A_minus: tuple[int, ...]  # arc indices V -> U
     b: tuple[Fraction, ...]   # per-commodity net demand that must cross
     infeasible: bool = False
+    _view: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def view(self, point: FractionalPoint) -> IntegerView:
+        """The integer view of ``point``, kept until another point object
+        asks; a point must not be changed in place between separations."""
+        if self._view[0] is not point:
+            self._view = (point, IntegerView(self, point))
+        return self._view[1]
 
     def b_sum(self, Q: Iterable[int]) -> Fraction:
         return sum((self.b[k] for k in Q), ZERO)
@@ -49,6 +63,96 @@ class CutSetRelaxation:
 
     def positive_commodities(self) -> tuple[int, ...]:
         return tuple(k for k, v in enumerate(self.b) if v > 0)
+
+
+class IntegerView:
+    """A relaxation's data and one point's crossing coordinates on integers.
+
+    Every value is multiplied by D, the lcm of the denominators of all
+    facility sizes, all ``b_k``, the crossing arcs' existing capacities and
+    the point's ``x`` and ``y`` on crossing arcs: ``caps``, ``b``, ``cbar``,
+    ``x[a][k]`` and ``y[a][m]`` hold the scaled values.  Remainders and phi
+    values are then D-scaled and flow terms, capacity terms and violations
+    D^2-scaled; the phi functions are homogeneous, so every comparison is
+    the one the exact rationals make.  Per commodity subset Q the view
+    memoizes ``b_Q`` and the per-arc flow sums, and per ``(s, facilities,
+    r, eta)`` the per-arc capacity terms.
+    """
+
+    def __init__(self, rel: CutSetRelaxation, point: FractionalPoint):
+        self.A_plus, self.A_minus = rel.A_plus, rel.A_minus
+        crossing = rel.A_plus + rel.A_minus
+        arcs = rel.instance.arcs
+        commodities = range(len(rel.b))
+        facilities = range(len(rel.instance.facilities))
+        caps = rel.instance.facility_capacities()
+        cbar = {a: arcs[a].existing_capacity for a in crossing}
+        xs = {a: [point.x.get((a, k), 0) for k in commodities] for a in crossing}
+        ys = {a: [point.y.get((a, m), 0) for m in facilities] for a in crossing}
+        dens = {v.denominator for v in caps}
+        dens.update(v.denominator for v in rel.b)
+        dens.update(v.denominator for v in cbar.values())
+        for a in crossing:
+            dens.update(v.denominator for v in xs[a])
+            dens.update(v.denominator for v in ys[a])
+        D = self.D = math.lcm(*dens)
+
+        def scaled(v) -> int:
+            return v.numerator * (D // v.denominator)
+
+        self.caps = [scaled(v) for v in caps]
+        self.b = [scaled(v) for v in rel.b]
+        self.cbar = {a: scaled(v) for a, v in cbar.items()}
+        self.x = {a: [scaled(v) for v in xs[a]] for a in crossing}
+        self.y = {a: [scaled(v) for v in ys[a]] for a in crossing}
+        self._by_Q: dict = {}
+        self._terms: dict = {}
+
+    def cbar_sum(self, arcs: Iterable[int]) -> int:
+        return sum(self.cbar[a] for a in arcs)
+
+    def commodities(self, Q: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+        """``b_Q`` and, per crossing arc, the D^2-scaled flow ``x_Q(a)``."""
+        got = self._by_Q.get(Q)
+        if got is None:
+            D = self.D
+            got = self._by_Q[Q] = (
+                sum(self.b[k] for k in Q),
+                {a: D * sum(xa[k] for k in Q) for a, xa in self.x.items()},
+            )
+        return got
+
+    def rounding(self, b_prime: int, s: int) -> tuple[int, int]:
+        """Remainder r and eta of rounding ``b'_Q / c_s``."""
+        c_s = self.caps[s]
+        return b_prime % c_s, -(-b_prime // c_s)
+
+    def terms(self, s: int, facilities: tuple[int, ...], r: int, eta: int) -> dict[int, int]:
+        """Per crossing arc, its capacity term: phi+ on A+ and phi- on A-
+        of each facility of ``facilities``, times that facility's ``y``."""
+        key = (s, facilities, r, eta)
+        term = self._terms.get(key)
+        if term is None:
+            p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=eta)
+            plus = [(m, phi_plus(p, self.caps[m])) for m in facilities]
+            minus = [(m, phi_minus(p, self.caps[m])) for m in facilities]
+            y = self.y
+            term = {a: sum(f * y[a][m] for m, f in plus) for a in self.A_plus}
+            term.update((a, sum(f * y[a][m] for m, f in minus)) for a in self.A_minus)
+            self._terms[key] = term
+        return term
+
+    def violation(self, s: int, facilities: tuple[int, ...], b_prime: int, flow_lhs: int, S_plus, S_minus) -> int:
+        """D^2 times the violation of the cut-set cut on ``(S+, S-)`` rounded
+        on ``s`` with the phi coefficients of ``facilities``, given the
+        shifted ``b'_Q`` and the D^2-scaled flow part ``x_Q(A+ \\ S+) -
+        x_Q(S-)``; 0 when the remainder vanishes and there is no cut."""
+        r, eta = self.rounding(b_prime, s)
+        if r == 0:
+            return 0
+        term = self.terms(s, facilities, r, eta)
+        cap_lhs = sum(term[a] for a in S_plus) + sum(term[a] for a in S_minus)
+        return self.D * (r * eta - self.cbar_sum(S_minus)) - cap_lhs - flow_lhs
 
 
 @dataclass(frozen=True)
@@ -171,7 +275,7 @@ def _prefer_capacity(cap_term, flow_term) -> bool:
     return cap_term < flow_term or (cap_term == 0 and flow_term == 0)
 
 
-def _greedy_selection(rel, Q, point, s, facilities, prefer_plus, max_rounds):
+def _greedy_selection(view, Q, s, facilities, prefer_plus, max_rounds):
     """Most violated ``(S+, S-)`` of the greedy cut-set scan, or None.
 
     For a given remainder the least left-hand side takes an arc into S+
@@ -179,72 +283,41 @@ def _greedy_selection(rel, Q, point, s, facilities, prefer_plus, max_rounds):
     term (``prefer_plus`` decides S+ and its ties); with existing capacity
     on crossing arcs the remainder moves with the selection, so the pass
     repeats until it stabilizes.  Base facility ``s`` fixes the rounding and
-    ``facilities`` lists those whose capacity terms count.
-
-    Everything runs on ints: the crossing arcs' data and the point's
-    coordinates on them are scaled by the lcm D of their denominators, so
-    flows, remainders and phi values are D-scaled and capacity terms and
-    violations D^2-scaled, with every comparison unchanged.
+    ``facilities`` lists those whose capacity terms count.  Everything runs
+    on the integers of ``view``.
     """
-    if not rel.A_plus:
+    A_plus, A_minus = view.A_plus, view.A_minus
+    if not A_plus:
         return None
-    caps = rel.instance.facility_capacities()
-    arcs = rel.instance.arcs
-    crossing = rel.A_plus + rel.A_minus
-    xs, ys = point.x, point.y
-    dens = {caps[m].denominator for m in facilities}
-    dens.update(rel.b[k].denominator for k in Q)
-    dens.update(arcs[a].existing_capacity.denominator for a in crossing)
-    dens.update(xs.get((a, k), 0).denominator for a in crossing for k in Q)
-    dens.update(ys.get((a, m), 0).denominator for a in crossing for m in facilities)
-    D = math.lcm(*dens)
-
-    def scaled(v) -> int:
-        return v.numerator * (D // v.denominator)
-
-    c_s = scaled(caps[s])
-    sizes = [scaled(caps[m]) for m in facilities]
-    b_Q = sum(scaled(rel.b[k]) for k in Q)
-    cbar = {a: scaled(arcs[a].existing_capacity) for a in crossing}
-    flow = {a: D * sum(scaled(xs.get((a, k), 0)) for k in Q) for a in crossing}
-    units = {a: [scaled(ys.get((a, m), 0)) for m in facilities] for a in crossing}
-
-    def rounding(selection):
-        s_plus, s_minus = selection
-        b_prime = b_Q - sum(cbar[a] for a in s_plus) + sum(cbar[a] for a in s_minus)
-        return b_prime % c_s, -(-b_prime // c_s)
-
-    def cap_terms(r, eta):
-        p = PhiParams(s=s, c_s=c_s, r=r, eta=eta)
-        plus = [phi_plus(p, c) for c in sizes]
-        minus = [phi_minus(p, c) for c in sizes]
-        term = {a: sum(f * u for f, u in zip(plus, units[a])) for a in rel.A_plus}
-        term.update((a, sum(f * u for f, u in zip(minus, units[a]))) for a in rel.A_minus)
-        return term
-
-    sel = (rel.A_plus, ())
-    r, eta = rounding(sel)
+    b_Q, flow = view.commodities(Q)
+    cbar = view.cbar
+    sel = (A_plus, ())
+    r, eta = view.rounding(b_Q - view.cbar_sum(A_plus), s)
     if r == 0:
         return None
-    term = cap_terms(r, eta)
+    term = view.terms(s, facilities, r, eta)
     best, best_viol = None, 0
     seen = set()
     for _ in range(max_rounds):
-        new = (
-            tuple(a for a in rel.A_plus if prefer_plus(term[a], flow[a])),
-            tuple(a for a in rel.A_minus if term[a] < flow[a]),
-        )
-        r, eta = rounding(new)
-        if r != 0:
-            term = cap_terms(r, eta)
-            s_plus = set(new[0])
-            lhs = sum(term[a] if a in s_plus else flow[a] for a in rel.A_plus)
-            lhs += sum(term[a] - flow[a] for a in new[1])
-            v = D * (r * eta - sum(cbar[a] for a in new[1])) - lhs
-            if v > best_viol:
-                best, best_viol = new, v
+        s_plus = tuple(a for a in A_plus if prefer_plus(term[a], flow[a]))
+        s_minus = tuple(a for a in A_minus if term[a] < flow[a])
+        new = (s_plus, s_minus)
+        b_prime, flow_lhs = b_Q, 0
+        for a in A_plus:
+            if a in s_plus:
+                b_prime -= cbar[a]
+            else:
+                flow_lhs += flow[a]
+        for a in s_minus:
+            b_prime += cbar[a]
+            flow_lhs -= flow[a]
+        v = view.violation(s, facilities, b_prime, flow_lhs, s_plus, s_minus)
+        if v > best_viol:
+            best, best_viol = new, v
+        r, eta = view.rounding(b_prime, s)
         if r == 0 or new in seen or new == sel:
             break
+        term = view.terms(s, facilities, r, eta)
         seen.add(new)
         sel = new
     return best
@@ -263,7 +336,7 @@ def separate_flow_cutset(
     compete strictly with the flow terms; see ``_greedy_selection``.
     """
     Q = tuple(Q)
-    sel = _greedy_selection(rel, Q, point, facility, (facility,), operator.lt, max_rounds)
+    sel = _greedy_selection(rel.view(point), Q, facility, (facility,), operator.lt, max_rounds)
     if sel is None:
         return None
     return flow_cutset_cut(rel, FlowCutSelection(Q, sel[0], sel[1], facility))
@@ -283,49 +356,53 @@ def separate_commodity_subset(
     single-arc view: each commodity's crossing shortfall plays the flow
     variable and ``y(S+) - y(S-)`` the capacity variable.  When the view
     leaves the box the reduction needs (reverse flows, negative demands)
-    an exhaustive subset search takes over.
+    an exhaustive subset search takes over.  Subsets are scored on the
+    integers of ``rel.view(point)``: only ``b_Q`` and the flow part depend
+    on Q, and the flow part is a sum of per-commodity terms.
     """
-    c = rel.instance.facilities[facility].capacity
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
+    if not (set(S_plus) <= set(rel.A_plus) and set(S_minus) <= set(rel.A_minus)):
+        raise ValueError("S+ and S- must be subsets of the crossing arcs A+ and A-")
+    view = rel.view(point)
+    D = view.D
+    bypass_arcs = [a for a in rel.A_plus if a not in S_plus]
+    # D^2 * (x_k(A+ \ S+) - x_k(S-)), the flow part of commodity k
+    net = [
+        D * (sum(view.x[a][k] for a in bypass_arcs) - sum(view.x[a][k] for a in S_minus))
+        for k in range(len(rel.b))
+    ]
+    b_shift = view.cbar_sum(S_minus) - view.cbar_sum(S_plus)  # b'_Q - b_Q
 
     def eq_violation(Q):
-        r, eta = _rounding_data(rel, Q, S_plus, S_minus, c)
-        if r == 0:
-            return ZERO
-        cut = flow_cutset_cut(rel, FlowCutSelection(tuple(Q), S_plus, S_minus, facility))
-        return cut.violation(point)
+        b_prime = sum(view.b[k] for k in Q) + b_shift
+        return view.violation(facility, (facility,), b_prime, sum(net[k] for k in Q), S_plus, S_minus)
 
     positives = rel.positive_commodities()
     # the reduction is exact only when its assumptions verifiably hold:
     # potentials in the unit box, nonnegative net capacity variable, zero
     # shift between the two violation scales, and a feasible view point
-    view_ok = bool(positives) and rel.cbar(S_plus) >= rel.cbar(S_minus)
-    view_ok = view_ok and all(
-        point.y.get((a, facility), ZERO) == 0 for a in S_minus
-    )
+    view_ok = bool(positives) and b_shift <= 0
+    view_ok = view_ok and all(view.y[a][facility] == 0 for a in S_minus)
     xhat = {}
-    ybar = ZERO
     if view_ok:
-        ybar = sum((point.y.get((a, facility), ZERO) for a in S_plus), ZERO)
         for idx, k in enumerate(positives):
-            crossing = rel.b[k]
-            bypass = sum(
-                (point.x.get((a, k), ZERO) for a in rel.A_plus if a not in S_plus), ZERO
-            ) - sum((point.x.get((a, k), ZERO) for a in S_minus), ZERO)
-            val = (crossing - bypass) / crossing
+            # (b_k - bypass_k) / b_k, both D^2-scaled
+            val = Fraction(D * view.b[k] - net[k], D * view.b[k])
             if not 0 <= val <= 1:
                 view_ok = False
                 break
             xhat[idx] = val
     if view_ok:
-        view = arc_cuts.ArcSetRelaxation(
+        c = rel.instance.facilities[facility].capacity
+        ybar = Fraction(sum(view.y[a][facility] for a in S_plus), D)
+        aggregate = arc_cuts.ArcSetRelaxation(
             a=tuple(rel.b[k] / c for k in positives),
             a0=(rel.cbar(S_plus) - rel.cbar(S_minus)) / c,
             mode=arc_cuts.SPLITTABLE,
         )
-        load = sum((view.a[i] * xhat[i] for i in range(view.n)), ZERO)
-        if load <= view.a0 + ybar:
-            found = arc_cuts.separate_residual_capacity(view, xhat, ybar)
+        load = sum((aggregate.a[i] * xhat[i] for i in range(aggregate.n)), ZERO)
+        if load <= aggregate.a0 + ybar:
+            found = arc_cuts.separate_residual_capacity(aggregate, xhat, ybar)
             if found is None:
                 return None
             Q = tuple(positives[i] for i in found.params["S"])
@@ -337,7 +414,7 @@ def separate_commodity_subset(
         candidates = [positives, tuple(ks)] + [(k,) for k in ks]
     else:
         candidates = [sub for size in range(1, len(rel.b) + 1) for sub in combinations(ks, size)]
-    best, best_v = None, ZERO
+    best, best_v = None, 0
     for Q in candidates:
         if not Q:
             continue
@@ -385,8 +462,8 @@ def separate_multifacility(
     times facilities.  See ``_greedy_selection``.
     """
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
-    facilities = range(len(rel.instance.facilities))
-    sel = _greedy_selection(rel, Q, point, s, facilities, _prefer_capacity, max_rounds)
+    facilities = tuple(range(len(rel.instance.facilities)))
+    sel = _greedy_selection(rel.view(point), Q, s, facilities, _prefer_capacity, max_rounds)
     if sel is None:
         return None
     return multifacility_cutset_cut(rel, FlowCutSelection(Q, sel[0], sel[1], s))

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import arc_cuts, cutset_cuts, partition_cuts
@@ -205,6 +205,11 @@ class Config:
 
 @dataclass
 class RoundReport:
+    """One solve-separate round.  ``cuts_added`` counts the pooled cuts by
+    cut family; ``families`` holds, for each separator that ran, its
+    ``seconds``, its ``candidates`` violated by more than eps and how many
+    of them the pool ``admitted``."""
+
     index: int
     bound: float
     cuts_added: dict[str, int] = field(default_factory=dict)
@@ -214,6 +219,7 @@ class RoundReport:
     lp_rows: int = 0
     lp_iterations: int = 0
     lp_seconds: float = 0.0
+    families: dict[str, dict] = field(default_factory=dict)
 
 
 class CutPool:
@@ -240,11 +246,15 @@ class CutPool:
 
 @dataclass
 class LoopResult:
+    """``stop`` is ``"no-cuts"`` when a round pooled no new cut and
+    ``"round-cap"`` when ``max_rounds`` rounds all did."""
+
     reports: list[RoundReport]
     pool: CutPool
     final_bound: float
     final_solution: LPSolution
     final_model: LPModel
+    stop: str
 
     @cached_property
     def exact_bound(self) -> Fraction:
@@ -268,13 +278,16 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         if sol.status != "optimal":
             raise RuntimeError(f"relaxation solve ended with status {sol.status}")
         point = sol.point(MAX_DENOMINATOR)
-        found = separate_all(sep, point)
+        found = iter(separate_all(sep, point))
+        families = {name: dict(counts, admitted=0) for name, counts in sep.last_round.items()}
         added: dict[str, int] = {}
         max_violation = ZERO
-        for cut, violation in found:
-            if pool.add(cut):
-                added[cut.family] = added.get(cut.family, 0) + 1
-                max_violation = max(max_violation, violation)
+        for counts in families.values():
+            for cut, violation in islice(found, counts["candidates"]):
+                if pool.add(cut):
+                    counts["admitted"] += 1
+                    added[cut.family] = added.get(cut.family, 0) + 1
+                    max_violation = max(max_violation, violation)
         reports.append(
             RoundReport(
                 index=rnd,
@@ -286,12 +299,15 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
                 lp_rows=len(model.rows),
                 lp_iterations=sol.iterations,
                 lp_seconds=lp_seconds,
+                families=families,
             )
         )
         if not added:
+            stop = "no-cuts"
             break
     else:
         # round cap hit with cuts still arriving: record the resulting bound
+        stop = "round-cap"
         model = build_relaxation(instance, pool.cuts())
         sol = solve(model)
 
@@ -301,6 +317,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         final_bound=float(sol.objective),
         final_solution=sol,
         final_model=model,
+        stop=stop,
     )
 
 
@@ -311,7 +328,9 @@ class Separation:
     """Separation state of one loop: the enabled families that apply to the
     instance, in table order, and the candidates of each built-once family.
     Partitions and relaxations are made on first use, so nothing is built
-    for a family that does not run."""
+    for a family that does not run.  ``last_round`` holds, per family of
+    the last ``separate_all`` call, its ``seconds`` and its violated
+    ``candidates``, in the order their cuts were returned."""
 
     def __init__(self, instance: Instance, config: Config):
         self.instance = instance
@@ -319,6 +338,7 @@ class Separation:
         self.families = [f for f in SEPARATORS if f.name in config.families and f.applies(instance)]
         self.fixed = {f.name: _distinct(f.build(self)) for f in self.families if f.build}
         self._subsets = (None, [])
+        self.last_round: dict[str, dict] = {}
 
     @cached_property
     def partitions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -347,14 +367,18 @@ def _distinct(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
 
 def separate_all(sep: Separation, point: FractionalPoint):
     """One round: every family of ``sep`` in table order; returns (cut,
-    exact violation) pairs for the candidates violated by more than eps."""
+    exact violation) pairs for the candidates violated by more than eps
+    and records each family's time and count in ``sep.last_round``."""
     found: list[tuple[LinearCut, Fraction]] = []
+    sep.last_round = {}
     for fam in sep.families:
+        t0, before = time.perf_counter(), len(found)
         for cut in sep.fixed[fam.name] if fam.build else fam.separate(sep, point):
             if cut is not None:
                 violation = cut.violation(point)
                 if violation > sep.eps:
                     found.append((cut, violation))
+        sep.last_round[fam.name] = {"seconds": time.perf_counter() - t0, "candidates": len(found) - before}
     return found
 
 

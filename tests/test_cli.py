@@ -6,6 +6,7 @@ import pytest
 
 from netdes_cuts.cli import main
 from netdes_cuts.core import load_instance
+from netdes_cuts.engine import FAMILIES
 
 
 def test_gen_run_oracle_roundtrip(tmp_path, capsys):
@@ -27,11 +28,11 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
         "--dump-lp", str(lp_path),
     ]) == 0
     report = json.loads(report_path.read_text())
-    assert {"instance", "rounds", "final_bound", "oracle_optimum", "gap_closed"} <= set(report)
+    assert {"instance", "rounds", "stop", "final_bound", "oracle_optimum", "gap_closed"} <= set(report)
     assert report["rounds"], "at least one round recorded"
     for entry in report["rounds"]:
         assert {"round", "bound", "cuts", "max_violation", "exact_fallback",
-                "lp_rows", "lp_iterations", "lp_seconds"} <= set(entry)
+                "lp_rows", "lp_iterations", "lp_seconds", "families"} <= set(entry)
         assert entry["lp_rows"] > 0 and entry["lp_iterations"] > 0 and entry["lp_seconds"] > 0
     if report["oracle_optimum"] is not None:
         assert report["final_bound"] <= report["oracle_optimum"] + 1e-6
@@ -46,6 +47,24 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
     value = out.splitlines()[0].removeprefix("optimum ")
     assert re.fullmatch(r"-?\d+(/\d+)?", value), out
     assert float(Fraction(value)) == pytest.approx(report["oracle_optimum"], abs=1e-12)
+
+
+def test_run_report_gives_stop_reason_and_family_counters(tmp_path):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "1", "--nodes", "4", "--density", "0.6", "--out", str(inst)]) == 0
+    stops = {}
+    for rounds in ("1", "50"):
+        report_path = tmp_path / f"report-{rounds}.json"
+        assert main(["run", "--instance", str(inst), "--rounds", rounds, "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        stops[rounds] = report["stop"]
+        for entry in report["rounds"]:
+            families = entry["families"]
+            assert families and set(families) <= set(FAMILIES)
+            for counts in families.values():
+                assert set(counts) == {"seconds", "candidates", "admitted"}
+            assert sum(c["admitted"] for c in families.values()) == sum(entry["cuts"].values())
+    assert stops == {"1": "round-cap", "50": "no-cuts"}
 
 
 def test_gen_deterministic(tmp_path):

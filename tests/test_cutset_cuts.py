@@ -27,6 +27,7 @@ from netdes_cuts.engine import MAX_DENOMINATOR, generate_instance, validate_cut
 from helpers import (
     flow_cutset_best_violation,
     multifacility_best_violation,
+    reference_commodity_subset,
     reference_flow_cutset,
     reference_multifacility,
 )
@@ -202,6 +203,8 @@ def test_commodity_subset_single_commodity(star_instance):
     assert Q == (0,)
     pt_ok = FractionalPoint(x={(0, 0): F(1, 2)}, y={(0, 0): F(1)})
     assert separate_commodity_subset(rel, (0, 1), (), pt_ok) is None
+    with pytest.raises(ValueError):
+        separate_commodity_subset(rel, (2,), (), pt)  # arc 2 crosses V -> U
 
 
 def two_commodity_instance():
@@ -427,3 +430,119 @@ def test_separators_match_fraction_reference():
                         assert got.params == want.params
                         assert got.family == want.family
     assert compared > 500
+
+
+def _assert_same_cut(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.normalized_key() == want.normalized_key()
+        assert got.params == want.params
+        assert got.family == want.family
+
+
+def test_integer_view_follows_the_point():
+    """One relaxation separates at point A, then at point B, then at A
+    again: for every Q and base facility both separators return the
+    Fraction reference's cut, so the integer view the relaxation keeps is
+    always the current point's."""
+    rng = random.Random(1111)
+    shapes = [(1,), (1, 3), (1, F(3, 2)), (F(3, 2), 4)]
+    compared = 0
+    for seed in range(16):
+        inst = generate_instance(
+            seed=seed, nodes=4, density=0.7, facilities=shapes[seed % len(shapes)],
+            existing_capacity_prob=0.6,
+        )
+        arcs, facilities = range(len(inst.arcs)), range(len(inst.facilities))
+
+        def random_point():
+            return FractionalPoint(
+                x={(a, k): _random_coordinate(rng) for a in arcs for k in range(len(inst.commodities))},
+                y={(a, m): _random_coordinate(rng) for a in arcs for m in facilities},
+            )
+
+        A, B = random_point(), random_point()
+        U, V = rng.choice(list(two_partitions(inst.nodes)))
+        rel = build_cutset(inst, U, V)
+        subsets = [Q for n in range(1, len(rel.b) + 1) for Q in combinations(range(len(rel.b)), n)]
+        for pt in (A, B, A):
+            for Q in subsets:
+                for m in facilities:
+                    want = reference_multifacility(rel, m, pt, Q=Q)
+                    _assert_same_cut(separate_multifacility(rel, m, pt, Q=Q), want)
+                    compared += want is not None
+                    want = reference_flow_cutset(rel, Q, pt, facility=m)
+                    _assert_same_cut(separate_flow_cutset(rel, Q, pt, facility=m), want)
+                    compared += want is not None
+    assert compared > 300
+
+
+def _pair_commodity_instance(rng, n_commodities, existing_capacity_prob):
+    """Five nodes, ``n_commodities`` pair commodities of small rational demand."""
+    nodes = [1, 2, 3, 4, 5]
+    pairs = [(i, j) for i in nodes for j in nodes if i != j]
+    cycle = [(i, i % 5 + 1) for i in nodes]
+    arcs = [
+        Arc(i, j, F(rng.randint(1, 2), rng.choice((1, 2))) if rng.random() < existing_capacity_prob else 0)
+        for i, j in pairs if (i, j) in cycle or rng.random() < 0.6
+    ]
+    size = rng.choice((F(1), F(2), F(3, 2)))
+    demand = {p: F(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6))) for p in rng.sample(pairs, n_commodities)}
+    return Instance(
+        nodes=nodes, arcs=arcs, facilities=[Facility(size, tuple(F(1) for _ in arcs))],
+        demand=DemandMatrix(demand), mode="disaggregated",
+    )
+
+
+def test_commodity_subset_matches_fraction_reference(monkeypatch):
+    """The integer subset search returns the Q of the Fraction reference on
+    random relaxations with 2-14 commodities, through all three paths: the
+    residual-capacity reduction, the exhaustive fallback and, above
+    ``enumeration_cap`` commodities, the short candidate list.  Points are
+    either inside the reduction's box or wild (negative coordinates,
+    denominators up to MAX_DENOMINATOR)."""
+    from netdes_cuts import arc_cuts
+
+    reductions = []
+    reduce = arc_cuts.separate_residual_capacity
+
+    def counted(*args):
+        reductions.append(args)
+        return reduce(*args)
+
+    rng = random.Random(4095)
+    paths = {"reduction": 0, "exhaustive": 0, "candidates": 0}
+    found = 0
+    for n in range(2, 15):
+        for trial in range(2 if 9 <= n <= 12 else 6):
+            inst = _pair_commodity_instance(rng, n, existing_capacity_prob=0.4 if trial % 2 else 0)
+            U, V = rng.choice([(U, V) for U, V in two_partitions(inst.nodes) if build_cutset(inst, U, V).A_plus])
+            rel = build_cutset(inst, U, V)
+            S_plus = tuple(a for a in rel.A_plus if rng.random() < 0.6)
+            S_minus = tuple(a for a in rel.A_minus if rng.random() < 0.4)
+            if trial % 3 == 2:
+                coordinate = _random_coordinate
+                pt = FractionalPoint(
+                    x={(a, k): coordinate(rng) for a in range(len(inst.arcs)) for k in range(n)},
+                    y={(a, 0): coordinate(rng) for a in range(len(inst.arcs))},
+                )
+            else:
+                # flows within the box of the reduction, capacity only on S+
+                share = len(rel.A_plus)
+                pt = FractionalPoint(
+                    x={(a, k): rel.b[k] * F(rng.randint(0, 4), 4 * share)
+                       for a in rel.A_plus for k in range(n) if rel.b[k] > 0},
+                    y={(a, 0): F(rng.randint(0, 8), rng.choice((1, 2, 3))) for a in S_plus},
+                )
+            monkeypatch.setattr(arc_cuts, "separate_residual_capacity", counted)
+            del reductions[:]
+            got = separate_commodity_subset(rel, S_plus, S_minus, pt)
+            monkeypatch.setattr(arc_cuts, "separate_residual_capacity", reduce)
+            assert got == reference_commodity_subset(rel, S_plus, S_minus, pt)
+            found += got is not None
+            if reductions:
+                paths["reduction"] += 1
+            else:
+                paths["exhaustive" if n <= 12 else "candidates"] += 1
+    assert all(count >= 3 for count in paths.values()), paths
+    assert found >= 10

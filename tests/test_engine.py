@@ -47,8 +47,43 @@ def test_cut_pool_dedup():
 def test_loop_no_families_single_round(star_instance):
     res = cutting_plane_loop(star_instance, Config(families=()))
     assert len(res.reports) == 1
-    assert res.reports[0].cuts_added == {}
+    assert res.reports[0].cuts_added == {} and res.reports[0].families == {}
+    assert res.stop == "no-cuts"
     assert res.final_bound == pytest.approx(0.0)
+
+
+def test_loop_reports_stop_reason_and_family_counters(monkeypatch):
+    """A loop stops with "round-cap" when its last allowed round still pooled
+    cuts and with "no-cuts" otherwise.  Each round reports, per separator
+    that ran, its time, its violated candidates (in the order separate_all
+    returns them) and how many the pool admitted."""
+    from netdes_cuts import engine
+
+    returned = []
+    separate_all = engine.separate_all
+
+    def recording(sep, point):
+        found = separate_all(sep, point)
+        returned.append(len(found))
+        return found
+
+    monkeypatch.setattr(engine, "separate_all", recording)
+    inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
+    capped = cutting_plane_loop(inst, Config(max_rounds=1))
+    assert capped.stop == "round-cap" and capped.reports[0].cuts_added
+    del returned[:]
+    done = cutting_plane_loop(inst, Config(max_rounds=50))
+    assert done.stop == "no-cuts" and not done.reports[-1].cuts_added
+    assert len(done.reports) >= 2
+    for rep, n_found in zip(done.reports, returned):
+        # rc, cstrong, cutset and flowcutset need a single facility
+        assert list(rep.families) == ["mf", "metric", "partition"]
+        for counts in rep.families.values():
+            assert list(counts) == ["seconds", "candidates", "admitted"]
+            assert counts["seconds"] >= 0 and 0 <= counts["admitted"] <= counts["candidates"]
+        assert sum(c["candidates"] for c in rep.families.values()) == n_found
+        assert sum(c["admitted"] for c in rep.families.values()) == sum(rep.cuts_added.values())
+    assert done.reports[0].families["mf"]["admitted"] > 0
 
 
 def test_loop_star_reaches_oracle(star_instance):
