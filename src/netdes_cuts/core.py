@@ -364,11 +364,14 @@ class FractionalPoint:
     """Exact snapshot of an LP-relaxation solution ``(x, y)``.
 
     ``x`` is keyed by (arc index, commodity index) and ``y`` by (arc index,
-    facility index); missing keys are zero.
+    facility index); missing keys are zero.  ``rationalization_error`` is
+    the largest ``|x_float - x_rational|`` over the float solution the point
+    was rationalized from (0 for a point given exactly).
     """
 
     x: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     y: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    rationalization_error: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -377,7 +380,10 @@ class LinearCut:
 
     ``flow`` is keyed by (arc index, commodity index) and ``cap`` by
     (arc index, facility index).  Coefficients are exact rationals; the
-    sense is fixed to ``>=``.
+    sense is fixed to ``>=``, and they are not changed after construction.
+    A builder that already knows the cut's ``normalized_key()`` may store it
+    in ``_key``, and one that knows its exact violation at a point may store
+    ``(point, violation)`` in ``_violation``.
     """
 
     flow: dict[tuple[int, int], Fraction]
@@ -385,6 +391,8 @@ class LinearCut:
     rhs: Fraction
     family: str
     params: dict = field(default_factory=dict)
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _violation: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.flow = {k: frac(v) for k, v in self.flow.items() if frac(v) != 0}
@@ -402,18 +410,29 @@ class LinearCut:
         return lhs
 
     def violation(self, point: FractionalPoint) -> Fraction:
-        """Positive iff the point violates the cut."""
+        """Positive iff the point violates the cut; a point must not be
+        changed in place once a violation at it has been recorded."""
+        if self._violation[0] is point:
+            return self._violation[1]
         return self.rhs - self.lhs_value(point)
 
     def normalized_key(self):
-        """Canonical hashable form: scaled so the first coefficient is ±1."""
-        items = [("x", k, v) for k, v in sorted(self.flow.items())]
-        items += [("y", k, v) for k, v in sorted(self.cap.items())]
-        scale = ONE / abs(items[0][2])
-        return (
-            tuple((kind, key, coef * scale) for kind, key, coef in items),
-            self.rhs * scale,
-        )
+        """Canonical hashable form, shared exactly by positive multiples:
+        the sorted ``flow`` and ``cap`` items and the rhs, cleared to
+        coprime integers."""
+        if self._key is None:
+            values = [*self.flow.values(), *self.cap.values(), self.rhs]
+            lcm = math.lcm(*(v.denominator for v in values))
+            ints = [v.numerator * (lcm // v.denominator) for v in values]
+            g = math.gcd(*ints)
+            ints = [n // g for n in ints]
+            n_flow = len(self.flow)
+            self._key = (
+                tuple(sorted(zip(self.flow, ints[:n_flow]))),
+                tuple(sorted(zip(self.cap, ints[n_flow:-1]))),
+                ints[-1],
+            )
+        return self._key
 
     def scaled_integral(self) -> "LinearCut":
         """Equivalent cut scaled so all coefficients are coprime integers."""

@@ -16,9 +16,13 @@ different point object asks, and it memoizes the per-subset flow sums and
 ``b_Q`` and the capacity terms of each rounding.  One scoring function on it
 serves the greedy arc selection of ``separate_flow_cutset`` and
 ``separate_multifacility`` and the subset search of
-``separate_commodity_subset``; the exact ``LinearCut`` is built only for the
-winner.  The phi functions are homogeneous, so the scaling changes no
-comparison and no result.
+``separate_commodity_subset``.  The winner is built from the same integers:
+its phi coefficients and right-hand side are the view's values over D, its
+``normalized_key()`` is their coprime form, and its exact violation is the
+greedy's score over D^2, recorded on the cut.  A separator given the keys
+already found in a round (``skip``) builds no cut with one of them.  The phi
+functions are homogeneous, so the scaling changes no comparison and no
+result.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
-from .core import ZERO, FractionalPoint, Instance, LinearCut, frac
-from .mir import PhiParams, ceil_frac, floor_frac, phi_minus, phi_plus
+from .core import ONE, ZERO, FractionalPoint, Instance, LinearCut, frac
+from .mir import PhiParams, ceil_frac, phi_minus, phi_plus
 from . import arc_cuts
 
 
@@ -76,16 +80,18 @@ class IntegerView:
     D^2-scaled; the phi functions are homogeneous, so every comparison is
     the one the exact rationals make.  Per commodity subset Q the view
     memoizes ``b_Q`` and the per-arc flow sums, and per ``(s, facilities,
-    r, eta)`` the per-arc capacity terms.
+    r, eta)`` the phi values and the per-arc capacity terms.  ``caps``
+    replaces the facility sizes when given.
     """
 
-    def __init__(self, rel: CutSetRelaxation, point: FractionalPoint):
+    def __init__(self, rel: CutSetRelaxation, point: FractionalPoint, caps: Sequence[Fraction] | None = None):
         self.A_plus, self.A_minus = rel.A_plus, rel.A_minus
         crossing = rel.A_plus + rel.A_minus
         arcs = rel.instance.arcs
         commodities = range(len(rel.b))
         facilities = range(len(rel.instance.facilities))
-        caps = rel.instance.facility_capacities()
+        if caps is None:
+            caps = rel.instance.facility_capacities()
         cbar = {a: arcs[a].existing_capacity for a in crossing}
         xs = {a: [point.x.get((a, k), 0) for k in commodities] for a in crossing}
         ys = {a: [point.y.get((a, m), 0) for m in facilities] for a in crossing}
@@ -106,6 +112,7 @@ class IntegerView:
         self.x = {a: [scaled(v) for v in xs[a]] for a in crossing}
         self.y = {a: [scaled(v) for v in ys[a]] for a in crossing}
         self._by_Q: dict = {}
+        self._phis: dict = {}
         self._terms: dict = {}
 
     def cbar_sum(self, arcs: Iterable[int]) -> int:
@@ -127,15 +134,26 @@ class IntegerView:
         c_s = self.caps[s]
         return b_prime % c_s, -(-b_prime // c_s)
 
+    def phis(self, s: int, facilities: tuple[int, ...], r: int, eta: int) -> tuple[list, list]:
+        """``(m, phi+(c_m))`` and ``(m, phi-(c_m))`` for each facility m of
+        ``facilities``, D-scaled, rounded on ``s`` with remainder r."""
+        key = (s, facilities, r, eta)
+        got = self._phis.get(key)
+        if got is None:
+            p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=eta)
+            got = self._phis[key] = (
+                [(m, phi_plus(p, self.caps[m])) for m in facilities],
+                [(m, phi_minus(p, self.caps[m])) for m in facilities],
+            )
+        return got
+
     def terms(self, s: int, facilities: tuple[int, ...], r: int, eta: int) -> dict[int, int]:
         """Per crossing arc, its capacity term: phi+ on A+ and phi- on A-
         of each facility of ``facilities``, times that facility's ``y``."""
         key = (s, facilities, r, eta)
         term = self._terms.get(key)
         if term is None:
-            p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=eta)
-            plus = [(m, phi_plus(p, self.caps[m])) for m in facilities]
-            minus = [(m, phi_minus(p, self.caps[m])) for m in facilities]
+            plus, minus = self.phis(s, facilities, r, eta)
             y = self.y
             term = {a: sum(f * y[a][m] for m, f in plus) for a in self.A_plus}
             term.update((a, sum(f * y[a][m] for m, f in minus)) for a in self.A_minus)
@@ -215,41 +233,69 @@ def cutset_cut(
     )
 
 
-def _rounding_data(rel, Q, S_plus, S_minus, c):
-    """Remainder r and eta of rounding ``b'_Q / c``."""
-    b_prime = rel.b_sum(Q) - rel.cbar(S_plus) + rel.cbar(S_minus)
-    return b_prime - floor_frac(b_prime / c) * c, ceil_frac(b_prime / c)
+_MINUS_ONE = -ONE
 
 
-def _phi_cut(rel: CutSetRelaxation, sel: FlowCutSelection, sizes: dict[int, Fraction], family: str) -> LinearCut:
-    """Cut-set cut with capacity coefficients ``phi+(c_m)`` on S+ and
-    ``phi-(c_m)`` on S- for each facility m of ``sizes`` (index -> size),
-    rounded on the base facility ``sel.facility``."""
-    c_s = sizes[sel.facility]
-    r, eta = _rounding_data(rel, sel.Q, sel.S_plus, sel.S_minus, c_s)
+def _cut(
+    rel: CutSetRelaxation, view: IntegerView, sel: FlowCutSelection, facilities: tuple[int, ...],
+    family: str, skip: Container = (),
+) -> LinearCut | None:
+    """Cut-set cut with flow on ``A+ \\ S+`` and ``S-``, capacity
+    coefficients ``phi+(c_m)`` on S+ and ``phi-(c_m)`` on S- for each
+    facility m of ``facilities``, rounded on the base facility
+    ``sel.facility``, built from the integers of ``view``; None when its
+    ``normalized_key()`` is in ``skip``.  Degenerate remainders (r = 0) are
+    rejected: the cut would be implied."""
+    Q, S_plus, S_minus = tuple(sel.Q), tuple(sel.S_plus), tuple(sel.S_minus)
+    D = view.D
+    b_prime = sum(view.b[k] for k in Q) - view.cbar_sum(S_plus) + view.cbar_sum(S_minus)
+    r, eta = view.rounding(b_prime, sel.facility)
     if r == 0:
         raise ValueError("degenerate remainder; cut is vacuous")
-    p = PhiParams(s=sel.facility, c_s=c_s, r=r, eta=eta)
+    plus, minus = view.phis(sel.facility, facilities, r, eta)
+    rhs = r * eta - view.cbar_sum(S_minus)
+    bypass = [a for a in view.A_plus if a not in S_plus]
+    sides = ((S_plus, plus), (S_minus, minus))
+    # D times the cut is integral: flow coefficients +-D, phi values, rhs
+    flow_D = D if Q and (bypass or S_minus) else 0
+    g = math.gcd(flow_D, rhs, *(f for arcs, phis in sides if arcs for _, f in phis)) or 1
+    key = (
+        tuple(sorted([((a, k), flow_D // g) for a in bypass for k in Q]
+                     + [((a, k), -flow_D // g) for a in S_minus for k in Q])),
+        tuple(sorted(((a, m), f // g) for arcs, phis in sides for a in arcs for m, f in phis if f)),
+        rhs // g,
+    )
+    if key in skip:
+        return None
     flow = {}
-    for k in sel.Q:
-        for a in rel.A_plus:
-            if a not in sel.S_plus:
-                flow[(a, k)] = flow.get((a, k), ZERO) + 1
-        for a in sel.S_minus:
-            flow[(a, k)] = flow.get((a, k), ZERO) - 1
+    for k in Q:
+        for a in bypass:
+            flow[(a, k)] = ONE
+        for a in S_minus:
+            flow[(a, k)] = _MINUS_ONE
     cap = {}
-    for arcs, phi in ((sel.S_plus, phi_plus), (sel.S_minus, phi_minus)):
-        coefs = {m: phi(p, c) for m, c in sizes.items()}
+    for arcs, phis in sides:
+        coefs = [(m, Fraction(f, D)) for m, f in phis]
         for a in arcs:
-            for m, coef in coefs.items():
+            for m, coef in coefs:
                 cap[(a, m)] = coef
-    return LinearCut(
+    cut = LinearCut(
         flow=flow,
         cap=cap,
-        rhs=r * eta - rel.cbar(sel.S_minus),
+        rhs=Fraction(rhs, D),
         family=family,
-        params={"U": rel.U, "Q": tuple(sel.Q), "S+": tuple(sel.S_plus), "S-": tuple(sel.S_minus), "r": r, "eta": eta},
+        params={"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta},
     )
+    cut._key = key
+    return cut
+
+
+def _scored(cut: LinearCut | None, view: IntegerView, point: FractionalPoint, score: int) -> LinearCut | None:
+    """``cut`` with its exact violation at ``point``, the D^2-scaled
+    ``score`` of ``view``, recorded."""
+    if cut is not None:
+        cut._violation = (point, Fraction(score, view.D * view.D))
+    return cut
 
 
 def flow_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection, capacity=None) -> LinearCut:
@@ -264,8 +310,10 @@ def flow_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection, capacity=None)
     are rejected: the cut would be implied.  This is the multi-facility cut
     restricted to the one facility, as ``phi+(c) = r`` and ``phi-(c) = c - r``.
     """
-    c = frac(capacity) if capacity is not None else rel.instance.facilities[sel.facility].capacity
-    return _phi_cut(rel, sel, {sel.facility: c}, "flowcutset")
+    caps = list(rel.instance.facility_capacities())
+    if capacity is not None:
+        caps[sel.facility] = frac(capacity)
+    return _cut(rel, IntegerView(rel, FractionalPoint(), caps), sel, (sel.facility,), "flowcutset")
 
 
 def _prefer_capacity(cap_term, flow_term) -> bool:
@@ -276,7 +324,8 @@ def _prefer_capacity(cap_term, flow_term) -> bool:
 
 
 def _greedy_selection(view, Q, s, facilities, prefer_plus, max_rounds):
-    """Most violated ``(S+, S-)`` of the greedy cut-set scan, or None.
+    """Most violated ``(S+, S-, score)`` of the greedy cut-set scan, with
+    its D^2-scaled violation ``score``, or None.
 
     For a given remainder the least left-hand side takes an arc into S+
     (resp. S-) exactly when its capacity term is smaller than its flow
@@ -313,7 +362,7 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus, max_rounds):
             flow_lhs -= flow[a]
         v = view.violation(s, facilities, b_prime, flow_lhs, s_plus, s_minus)
         if v > best_viol:
-            best, best_viol = new, v
+            best, best_viol = (s_plus, s_minus, v), v
         r, eta = view.rounding(b_prime, s)
         if r == 0 or new in seen or new == sel:
             break
@@ -329,17 +378,22 @@ def separate_flow_cutset(
     point: FractionalPoint,
     facility: int = 0,
     max_rounds: int = 5,
+    skip: Container = (),
 ) -> LinearCut | None:
     """Greedy arc selection for fixed commodities, iterated on the remainder.
 
     Capacity terms ``r*y`` on S+ and ``(c-r)*y`` on S- of the one facility
-    compete strictly with the flow terms; see ``_greedy_selection``.
+    compete strictly with the flow terms; see ``_greedy_selection``.  A
+    winner whose ``normalized_key()`` is in ``skip`` is not built: None.
     """
     Q = tuple(Q)
-    sel = _greedy_selection(rel.view(point), Q, facility, (facility,), operator.lt, max_rounds)
-    if sel is None:
+    view = rel.view(point)
+    found = _greedy_selection(view, Q, facility, (facility,), operator.lt, max_rounds)
+    if found is None:
         return None
-    return flow_cutset_cut(rel, FlowCutSelection(Q, sel[0], sel[1], facility))
+    S_plus, S_minus, score = found
+    cut = _cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, facility), (facility,), "flowcutset", skip)
+    return _scored(cut, view, point, score)
 
 
 def separate_commodity_subset(
@@ -427,6 +481,21 @@ def separate_commodity_subset(
 # -- multiple facilities --------------------------------------------------------
 
 
+def _multifacility_cut(
+    rel: CutSetRelaxation, view: IntegerView, sel: FlowCutSelection, skip: Container = ()
+) -> LinearCut | None:
+    cut = _cut(rel, view, sel, tuple(range(len(rel.instance.facilities))), "mf", skip)
+    if cut is not None:
+        cut.params["s"] = sel.facility
+        cut.params["facet_report"] = {
+            "s_plus_proper": bool(sel.S_plus) and set(sel.S_plus) != set(rel.A_plus),
+            "s_minus_proper": bool(sel.S_minus) and set(sel.S_minus) != set(rel.A_minus),
+            "remainder_positive": cut.params["r"] > 0,
+            "all_demands_positive": all(rel.b[k] > 0 for k in sel.Q),
+        }
+    return cut
+
+
 def multifacility_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection) -> LinearCut:
     """Flow-cut-set cut with subadditive coefficients for every facility.
 
@@ -436,15 +505,7 @@ def multifacility_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection) -> Li
     in the single-facility case, existing capacity on S- shifts the
     right-hand side down.
     """
-    cut = _phi_cut(rel, sel, dict(enumerate(rel.instance.facility_capacities())), "mf")
-    cut.params["s"] = sel.facility
-    cut.params["facet_report"] = {
-        "s_plus_proper": bool(sel.S_plus) and set(sel.S_plus) != set(rel.A_plus),
-        "s_minus_proper": bool(sel.S_minus) and set(sel.S_minus) != set(rel.A_minus),
-        "remainder_positive": cut.params["r"] > 0,
-        "all_demands_positive": all(rel.b[k] > 0 for k in sel.Q),
-    }
-    return cut
+    return _multifacility_cut(rel, IntegerView(rel, FractionalPoint()), sel)
 
 
 def separate_multifacility(
@@ -453,20 +514,24 @@ def separate_multifacility(
     point: FractionalPoint,
     Q: Sequence[int] | None = None,
     max_rounds: int = 5,
+    skip: Container = (),
 ) -> LinearCut | None:
     """Greedy arc selection with per-facility coefficient evaluation.
 
     An arc joins S+ (resp. S-) when its phi-weighted capacity falls below
     its flow, which minimizes the left-hand side arc by arc; phi is
     evaluated once per facility and round, so the scan is linear in arcs
-    times facilities.  See ``_greedy_selection``.
+    times facilities.  See ``_greedy_selection``.  A winner whose
+    ``normalized_key()`` is in ``skip`` is not built: None.
     """
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
     facilities = tuple(range(len(rel.instance.facilities)))
-    sel = _greedy_selection(rel.view(point), Q, s, facilities, _prefer_capacity, max_rounds)
-    if sel is None:
+    view = rel.view(point)
+    found = _greedy_selection(view, Q, s, facilities, _prefer_capacity, max_rounds)
+    if found is None:
         return None
-    return multifacility_cutset_cut(rel, FlowCutSelection(Q, sel[0], sel[1], s))
+    S_plus, S_minus, score = found
+    return _scored(_multifacility_cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, s), skip), view, point, score)
 
 
 def two_partitions(nodes: Sequence[int], limit: int = 8):

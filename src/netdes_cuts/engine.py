@@ -118,16 +118,29 @@ def _cstrong(sep: Separation, point: FractionalPoint):
 
 
 def _flowcutset(sep: Separation, point: FractionalPoint):
+    found = sep.cutset_keys
     for rel, subsets in zip(sep.relaxations, sep.subsets(point)):
         for Q in subsets:
-            yield cutset_cuts.separate_flow_cutset(rel, Q, point)
+            yield _first_of_key(sep, point, cutset_cuts.separate_flow_cutset(rel, Q, point, skip=found))
 
 
 def _mf(sep: Separation, point: FractionalPoint):
+    found = sep.cutset_keys
     for rel, subsets in zip(sep.relaxations, sep.subsets(point)):
         for s in range(len(sep.instance.facilities)):
             for Q in subsets:
-                yield cutset_cuts.separate_multifacility(rel, s, point, Q=Q)
+                yield _first_of_key(sep, point, cutset_cuts.separate_multifacility(rel, s, point, Q=Q, skip=found))
+
+
+def _first_of_key(sep: Separation, point: FractionalPoint, cut: LinearCut | None) -> LinearCut | None:
+    """``cut`` if it is violated by more than eps, its key then added to
+    ``sep.cutset_keys``, which the cut-set separators skip for the rest of
+    the round; None otherwise.  A key enters only with a violated cut, as a
+    positive multiple of a cut can be violated where the cut is not."""
+    if cut is None or not cut.violation(point) > sep.eps:
+        return None
+    sep.cutset_keys.add(cut.normalized_key())
+    return cut
 
 
 def _metric(sep: Separation, point: FractionalPoint):
@@ -150,9 +163,7 @@ def _partition(sep: Separation):
             for ineq in hull_inequalities(cover):
                 yield partition_cuts.expand_knapsack_cut(ineq, shrunk)
     for part in _three_partitions(instance):
-        made = (partition_cuts.three_partition_cut(instance, part),
-                partition_cuts.three_partition_metric_cut(instance, part))
-        candidates = [cut for cut in made if cut is not None]
+        candidates = [cut for cut in partition_cuts.total_capacity_cuts(instance, part) if cut is not None]
         if not candidates:
             continue
         winner = partition_cuts.select_total_capacity_cut(candidates)
@@ -207,8 +218,10 @@ class Config:
 class RoundReport:
     """One solve-separate round.  ``cuts_added`` counts the pooled cuts by
     cut family; ``families`` holds, for each separator that ran, its
-    ``seconds``, its ``candidates`` violated by more than eps and how many
-    of them the pool ``admitted``."""
+    ``seconds``, its ``candidates`` violated by more than eps (distinct
+    cuts for the cut-set families) and how many of them the pool
+    ``admitted``.  ``rationalization_error`` is the largest ``|x_float -
+    x_rational|`` of the round's LP point."""
 
     index: int
     bound: float
@@ -216,6 +229,7 @@ class RoundReport:
     max_violation: float = 0.0
     wall_time: float = 0.0
     exact_fallback: bool = False
+    rationalization_error: float = 0.0
     lp_rows: int = 0
     lp_iterations: int = 0
     lp_seconds: float = 0.0
@@ -296,6 +310,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
                 max_violation=float(max_violation),
                 wall_time=time.perf_counter() - t0,
                 exact_fallback=sol.exact_fallback,
+                rationalization_error=point.rationalization_error,
                 lp_rows=len(model.rows),
                 lp_iterations=sol.iterations,
                 lp_seconds=lp_seconds,
@@ -330,7 +345,9 @@ class Separation:
     Partitions and relaxations are made on first use, so nothing is built
     for a family that does not run.  ``last_round`` holds, per family of
     the last ``separate_all`` call, its ``seconds`` and its violated
-    ``candidates``, in the order their cuts were returned."""
+    ``candidates``, in the order their cuts were returned, and
+    ``cutset_keys`` the keys of the ``flowcutset`` and ``mf`` candidates of
+    that call."""
 
     def __init__(self, instance: Instance, config: Config):
         self.instance = instance
@@ -339,6 +356,7 @@ class Separation:
         self.fixed = {f.name: _distinct(f.build(self)) for f in self.families if f.build}
         self._subsets = (None, [])
         self.last_round: dict[str, dict] = {}
+        self.cutset_keys: set = set()
 
     @cached_property
     def partitions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -368,9 +386,13 @@ def _distinct(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
 def separate_all(sep: Separation, point: FractionalPoint):
     """One round: every family of ``sep`` in table order; returns (cut,
     exact violation) pairs for the candidates violated by more than eps
-    and records each family's time and count in ``sep.last_round``."""
+    and records each family's time and count in ``sep.last_round``.  The
+    cut-set families ``flowcutset`` and ``mf`` offer each key once per
+    round between them, and their cuts carry the exact violation their
+    separator scored."""
     found: list[tuple[LinearCut, Fraction]] = []
     sep.last_round = {}
+    sep.cutset_keys = set()
     for fam in sep.families:
         t0, before = time.perf_counter(), len(found)
         for cut in sep.fixed[fam.name] if fam.build else fam.separate(sep, point):

@@ -90,17 +90,20 @@ class LPSolution(LPResult):
     instance: Instance | None = None
 
     def point(self, max_denominator: int = 10**6) -> FractionalPoint:
-        """Exact rational snapshot of the (x, y) part of the solution."""
+        """Exact rational snapshot of the (x, y) part of the solution, with
+        the largest ``|x_float - x_rational|`` as its ``rationalization_error``."""
         x, y = {}, {}
+        error = 0.0
         for (kind, ai, other), val in zip(column_keys(self.instance), self.x):
             v = rationalize(val, max_denominator)
+            error = max(error, abs(float(val) - float(v)))
             if v == 0:
                 continue
             if kind == "x":
                 x[(ai, other)] = v
             else:
                 y[(ai, other)] = v
-        return FractionalPoint(x=x, y=y)
+        return FractionalPoint(x=x, y=y, rationalization_error=error)
 
 
 def build_relaxation(instance: Instance, cuts: Sequence[LinearCut] = ()) -> LPModel:

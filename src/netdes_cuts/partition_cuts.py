@@ -345,10 +345,37 @@ def three_partition_cut(instance: Instance, partition: NodePartition) -> LinearC
     ``2 sum c_m y``; an odd right-hand side strengthens under division by
     two.  Emitted in the divided normal form either way.
     """
+    shrunk, data = _shrunk_three_partition(instance, partition)
+    return _three_partition_cut(partition, shrunk, data)
+
+
+def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> LinearCut | None:
+    """Total-capacity cut from paired rounded metric inequalities.
+
+    The six 0/1 generator vectors pair into three complementary couples;
+    adding the two couples with the largest rounded right-hand sides and
+    halving gives a cut with the same left-hand side as the cut-set sum,
+    possibly stronger, possibly weaker.
+    """
+    shrunk, data = _shrunk_three_partition(instance, partition)
+    return _three_partition_metric_cut(partition, shrunk, data)
+
+
+def total_capacity_cuts(instance: Instance, partition: NodePartition) -> tuple[LinearCut | None, LinearCut | None]:
+    """``three_partition_cut`` and ``three_partition_metric_cut`` of one
+    three-partition, from one shrink and one ``three_partition_data``."""
+    shrunk, data = _shrunk_three_partition(instance, partition)
+    return _three_partition_cut(partition, shrunk, data), _three_partition_metric_cut(partition, shrunk, data)
+
+
+def _shrunk_three_partition(instance: Instance, partition: NodePartition) -> tuple[ShrunkInstance, ThreePartitionData]:
     if not instance.integral_capacities():
         raise ValueError("total-capacity cuts need integer facility sizes")
     shrunk = shrink(instance, partition)
-    data = three_partition_data(shrunk)
+    return shrunk, three_partition_data(shrunk)
+
+
+def _three_partition_cut(partition, shrunk, data) -> LinearCut | None:
     total = sum(ceil_frac(v) for v in data.s) + sum(ceil_frac(v) for v in data.t)
     cap = _total_capacity_lhs(shrunk)
     if not cap:
@@ -370,18 +397,7 @@ def three_partition_cut(instance: Instance, partition: NodePartition) -> LinearC
     )
 
 
-def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> LinearCut | None:
-    """Total-capacity cut from paired rounded metric inequalities.
-
-    The six 0/1 generator vectors pair into three complementary couples;
-    adding the two couples with the largest rounded right-hand sides and
-    halving gives a cut with the same left-hand side as the cut-set sum,
-    possibly stronger, possibly weaker.
-    """
-    if not instance.integral_capacities():
-        raise ValueError("total-capacity cuts need integer facility sizes")
-    shrunk = shrink(instance, partition)
-    data = three_partition_data(shrunk)
+def _three_partition_metric_cut(partition, shrunk, data) -> LinearCut | None:
     pair_sums = []
     for (i, j), (k, l) in (((0, 1), (2, 1)), ((1, 0), (2, 0)), ((0, 2), (1, 2))):
         pair_sums.append(ceil_frac(data.d[(i, j)]) + ceil_frac(data.d[(k, l)]))

@@ -89,7 +89,17 @@ class _Arithmetic:
     feas_tol: object  # phase-1 infeasibility and drive-out pivots
 
 
-_FLOAT = _Arithmetic(False, np.float64, float, 0.0, 1.0, 1e-9, 1e-7)
+def _to_float(v) -> float:
+    """``float(v)``; a Fraction's numerator and denominator are divided
+    directly, the same correctly rounded quotient without the generic
+    conversion's overhead, which dominated setting up the oracle's tiny
+    routing LPs."""
+    if type(v) is Fraction:
+        return v.numerator / v.denominator
+    return float(v)
+
+
+_FLOAT = _Arithmetic(False, np.float64, _to_float, 0.0, 1.0, 1e-9, 1e-7)
 _EXACT = _Arithmetic(True, object, Fraction, Fraction(0), Fraction(1), 0, 0)
 
 
@@ -236,13 +246,13 @@ def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State 
         else:
             # rows are equilibrated to unit max coefficient: wide magnitude
             # ranges (scaled cut rows) otherwise invite tiny-pivot blowups
-            fcoefs = [(j, float(v)) for j, v in coefs.items()]
+            fcoefs = [(j, _to_float(v)) for j, v in coefs.items()]
             biggest = max((abs(v) for _, v in fcoefs), default=0.0)
             scale = 1.0 / biggest if biggest > 0 else 1.0
             row_scale[i] = scale
             for j, v in fcoefs:
                 T[i, j] = v * scale
-            T[i, N] = float(rhs) * scale
+            T[i, N] = _to_float(rhs) * scale
         if sense == LE:
             T[i, layout.slack_col[i]] = one
         elif sense == GE:

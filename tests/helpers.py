@@ -185,9 +185,64 @@ def multifacility_best_violation(rel, point, s, Q):
     return best, best_sel
 
 
-def _rounding(rel, Q, S_plus, S_minus, c):
+def _rounding_data(rel, Q, S_plus, S_minus, c):
+    """Remainder r and eta of rounding ``b'_Q / c``."""
     b_prime = rel.b_sum(Q) - rel.cbar(S_plus) + rel.cbar(S_minus)
     return b_prime - (b_prime // c) * c, -(-b_prime // c)
+
+
+def _phi_cut(rel, sel, sizes, family):
+    """Cut-set cut with capacity coefficients ``phi+(c_m)`` on S+ and
+    ``phi-(c_m)`` on S- for each facility m of ``sizes`` (index -> size),
+    rounded on the base facility ``sel.facility``, built in Fractions (the
+    library's former builder)."""
+    from netdes_cuts.core import LinearCut
+    from netdes_cuts.mir import PhiParams, phi_minus, phi_plus
+
+    c_s = sizes[sel.facility]
+    r, eta = _rounding_data(rel, sel.Q, sel.S_plus, sel.S_minus, c_s)
+    if r == 0:
+        raise ValueError("degenerate remainder; cut is vacuous")
+    p = PhiParams(s=sel.facility, c_s=c_s, r=r, eta=eta)
+    flow = {}
+    for k in sel.Q:
+        for a in rel.A_plus:
+            if a not in sel.S_plus:
+                flow[(a, k)] = flow.get((a, k), ZERO) + 1
+        for a in sel.S_minus:
+            flow[(a, k)] = flow.get((a, k), ZERO) - 1
+    cap = {}
+    for arcs, phi in ((sel.S_plus, phi_plus), (sel.S_minus, phi_minus)):
+        coefs = {m: phi(p, c) for m, c in sizes.items()}
+        for a in arcs:
+            for m, coef in coefs.items():
+                cap[(a, m)] = coef
+    return LinearCut(
+        flow=flow,
+        cap=cap,
+        rhs=r * eta - rel.cbar(sel.S_minus),
+        family=family,
+        params={"U": rel.U, "Q": tuple(sel.Q), "S+": tuple(sel.S_plus), "S-": tuple(sel.S_minus), "r": r, "eta": eta},
+    )
+
+
+def reference_flow_cutset_cut(rel, sel, capacity=None):
+    """Fraction reference for ``cutset_cuts.flow_cutset_cut``."""
+    c = F(capacity) if capacity is not None else rel.instance.facilities[sel.facility].capacity
+    return _phi_cut(rel, sel, {sel.facility: c}, "flowcutset")
+
+
+def reference_multifacility_cutset_cut(rel, sel):
+    """Fraction reference for ``cutset_cuts.multifacility_cutset_cut``."""
+    cut = _phi_cut(rel, sel, dict(enumerate(rel.instance.facility_capacities())), "mf")
+    cut.params["s"] = sel.facility
+    cut.params["facet_report"] = {
+        "s_plus_proper": bool(sel.S_plus) and set(sel.S_plus) != set(rel.A_plus),
+        "s_minus_proper": bool(sel.S_minus) and set(sel.S_minus) != set(rel.A_minus),
+        "remainder_positive": cut.params["r"] > 0,
+        "all_demands_positive": all(rel.b[k] > 0 for k in sel.Q),
+    }
+    return cut
 
 
 def _point_flow(point, a, Q):
@@ -196,7 +251,7 @@ def _point_flow(point, a, Q):
 
 def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_rounds):
     """The greedy cut-set scan on Fractions, building and scoring every
-    selection as a cut (the library's former implementation)."""
+    selection as a Fraction cut (the library's former implementation)."""
     from netdes_cuts.cutset_cuts import FlowCutSelection
     from netdes_cuts.mir import PhiParams, phi_minus, phi_plus
 
@@ -207,7 +262,7 @@ def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_round
     best, best_viol = None, ZERO
     seen = set()
     for _ in range(max_rounds):
-        r, eta = _rounding(rel, Q, s_plus, s_minus, caps[s])
+        r, eta = _rounding_data(rel, Q, s_plus, s_minus, caps[s])
         if r == 0:
             break
         p = PhiParams(s=s, c_s=caps[s], r=r, eta=eta)
@@ -221,7 +276,7 @@ def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_round
         new_minus = tuple(
             a for a in rel.A_minus if cap_term(a, phi_minus) < _point_flow(point, a, Q)
         )
-        r2, _ = _rounding(rel, Q, new_plus, new_minus, caps[s])
+        r2, _ = _rounding_data(rel, Q, new_plus, new_minus, caps[s])
         if r2 != 0:
             cut = build(rel, FlowCutSelection(Q, new_plus, new_minus, s))
             v = cut.violation(point)
@@ -236,23 +291,19 @@ def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_round
 
 def reference_flow_cutset(rel, Q, point, facility=0, max_rounds=5):
     """Fraction reference for ``cutset_cuts.separate_flow_cutset``."""
-    from netdes_cuts.cutset_cuts import flow_cutset_cut
-
     return _greedy_fraction(
         rel, tuple(Q), point, facility, (facility,), lambda cap, flow: cap < flow,
-        flow_cutset_cut, max_rounds,
+        reference_flow_cutset_cut, max_rounds,
     )
 
 
 def reference_multifacility(rel, s, point, Q=None, max_rounds=5):
     """Fraction reference for ``cutset_cuts.separate_multifacility``."""
-    from netdes_cuts.cutset_cuts import multifacility_cutset_cut
-
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
     return _greedy_fraction(
         rel, Q, point, s, range(len(rel.instance.facilities)),
         lambda cap, flow: cap < flow or (cap == 0 and flow == 0),
-        multifacility_cutset_cut, max_rounds,
+        reference_multifacility_cutset_cut, max_rounds,
     )
 
 
@@ -260,16 +311,16 @@ def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0, enumerat
     """Fraction reference for ``cutset_cuts.separate_commodity_subset``:
     the library's former scan, which builds and scores a cut per subset."""
     from netdes_cuts import arc_cuts
-    from netdes_cuts.cutset_cuts import FlowCutSelection, flow_cutset_cut
+    from netdes_cuts.cutset_cuts import FlowCutSelection
 
     c = rel.instance.facilities[facility].capacity
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
 
     def eq_violation(Q):
-        r, eta = _rounding(rel, Q, S_plus, S_minus, c)
+        r, eta = _rounding_data(rel, Q, S_plus, S_minus, c)
         if r == 0:
             return ZERO
-        cut = flow_cutset_cut(rel, FlowCutSelection(tuple(Q), S_plus, S_minus, facility))
+        cut = reference_flow_cutset_cut(rel, FlowCutSelection(tuple(Q), S_plus, S_minus, facility))
         return cut.violation(point)
 
     positives = rel.positive_commodities()
@@ -329,7 +380,8 @@ def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0, enumerat
 
 def reference_separate_all(instance, point, config):
     """Reference for ``engine.separate_all``: the former if-chain, which
-    rebuilds every candidate each round (same families, same order)."""
+    rebuilds every candidate each round (same families, same order) and
+    evaluates each violation from the cut's coefficients."""
     from netdes_cuts import cutset_cuts, engine, partition_cuts
     from netdes_cuts.core import LinearCut
 
@@ -339,7 +391,7 @@ def reference_separate_all(instance, point, config):
     def admit(cut):
         if cut is None:
             return
-        violation = cut.violation(point)
+        violation = cut.rhs - cut.lhs_value(point)
         if violation > config.eps:
             found.append((cut, violation))
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -32,8 +33,10 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
     assert report["rounds"], "at least one round recorded"
     for entry in report["rounds"]:
         assert {"round", "bound", "cuts", "max_violation", "exact_fallback",
-                "lp_rows", "lp_iterations", "lp_seconds", "families"} <= set(entry)
+                "lp_rows", "lp_iterations", "lp_seconds", "families",
+                "rationalization_error"} <= set(entry)
         assert entry["lp_rows"] > 0 and entry["lp_iterations"] > 0 and entry["lp_seconds"] > 0
+        assert math.isfinite(entry["rationalization_error"]) and entry["rationalization_error"] >= 0
     if report["oracle_optimum"] is not None:
         assert report["final_bound"] <= report["oracle_optimum"] + 1e-6
         assert report["gap_closed"] is None or 0 <= report["gap_closed"] <= 1 + 1e-9

@@ -217,6 +217,37 @@ def test_linear_cut_normalization_and_violation():
     assert cut.violation(point) == F(6) - F(2) - F(2)
 
 
+_coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_entries = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), _coefficient, max_size=4)
+
+
+def _positive_multiple(a: LinearCut, b: LinearCut) -> bool:
+    """Is ``a`` a positive multiple of ``b``?"""
+    if a.flow.keys() != b.flow.keys() or a.cap.keys() != b.cap.keys():
+        return False
+    coefs_a = [a.flow[k] for k in sorted(a.flow)] + [a.cap[k] for k in sorted(a.cap)]
+    coefs_b = [b.flow[k] for k in sorted(b.flow)] + [b.cap[k] for k in sorted(b.cap)]
+    t = coefs_a[0] / coefs_b[0]
+    return t > 0 and [v * t for v in coefs_b] == coefs_a and b.rhs * t == a.rhs
+
+
+@given(_entries, _entries, _coefficient, st.fractions(min_value=-3, max_value=3, max_denominator=5),
+       _entries, _entries, _coefficient)
+def test_normalized_key_shared_exactly_by_positive_multiples(flow, cap, rhs, scale, flow2, cap2, rhs2):
+    """Two cuts share a ``normalized_key()`` iff one is a positive multiple
+    of the other."""
+    if not any(flow.values()) and not any(cap.values()):
+        return
+    cut = LinearCut(flow, cap, rhs, "a")
+    if scale != 0:
+        multiple = LinearCut({k: v * scale for k, v in flow.items()}, {k: v * scale for k, v in cap.items()},
+                             rhs * scale, "b")
+        assert (multiple.normalized_key() == cut.normalized_key()) == (scale > 0)
+    if any(flow2.values()) or any(cap2.values()):
+        other = LinearCut(flow2, cap2, rhs2, "c")
+        assert (other.normalized_key() == cut.normalized_key()) == _positive_multiple(other, cut)
+
+
 def test_linear_cut_requires_nonzero():
     with pytest.raises(ValueError):
         LinearCut({}, {}, F(1), "empty")

@@ -10,6 +10,7 @@ from netdes_cuts.core import (
     Facility,
     FractionalPoint,
     Instance,
+    LinearCut,
 )
 from netdes_cuts.cutset_cuts import (
     CutSetRelaxation,
@@ -29,7 +30,9 @@ from helpers import (
     multifacility_best_violation,
     reference_commodity_subset,
     reference_flow_cutset,
+    reference_flow_cutset_cut,
     reference_multifacility,
+    reference_multifacility_cutset_cut,
 )
 
 
@@ -395,14 +398,12 @@ def _random_coordinate(rng):
     return F(rng.randint(-d // 2, 3 * d), d)
 
 
-def test_separators_match_fraction_reference():
-    """Both separators return the reference greedy's cut on 240 random
-    (instance, point) pairs: 1-3 facilities (a size 3/2 among them),
-    existing capacity on crossing arcs, zero and negative coordinates and
-    point denominators up to MAX_DENOMINATOR."""
+def _random_separations():
+    """240 random (relaxation, point, rng) triples: 1-3 facilities (a size
+    3/2 among them), existing capacity on crossing arcs, zero and negative
+    coordinates and point denominators up to MAX_DENOMINATOR."""
     rng = random.Random(2011)
     shapes = [(1,), (2,), (1, 3), (1, F(3, 2)), (F(3, 2), 4), (1, F(3, 2), 3)]
-    compared = 0
     for seed in range(240):
         inst = generate_instance(
             seed=seed, nodes=rng.randint(3, 4), density=0.7,
@@ -414,10 +415,21 @@ def test_separators_match_fraction_reference():
             y={(a, m): _random_coordinate(rng) for a in arcs for m in range(len(inst.facilities))},
         )
         U, V = rng.choice(list(two_partitions(inst.nodes)))
-        rel = build_cutset(inst, U, V)
-        subsets = [Q for n in range(1, len(rel.b) + 1) for Q in combinations(range(len(rel.b)), n)]
-        for Q in rng.sample(subsets, min(3, len(subsets))):
-            for m in range(len(inst.facilities)):
+        yield build_cutset(inst, U, V), pt, rng
+
+
+def _sampled_subsets(rel, rng):
+    subsets = [Q for n in range(1, len(rel.b) + 1) for Q in combinations(range(len(rel.b)), n)]
+    return rng.sample(subsets, min(3, len(subsets)))
+
+
+def test_separators_match_fraction_reference():
+    """Both separators return the reference greedy's cut on 240 random
+    (instance, point) pairs."""
+    compared = 0
+    for rel, pt, rng in _random_separations():
+        for Q in _sampled_subsets(rel, rng):
+            for m in range(len(rel.instance.facilities)):
                 pairs = [
                     (separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
                     (separate_flow_cutset(rel, Q, pt, facility=m), reference_flow_cutset(rel, Q, pt, facility=m)),
@@ -430,6 +442,80 @@ def test_separators_match_fraction_reference():
                         assert got.params == want.params
                         assert got.family == want.family
     assert compared > 500
+
+
+def _assert_identical_cut(got, want):
+    assert (got.flow, got.cap, got.rhs, got.family, got.params) == (want.flow, want.cap, want.rhs, want.family, want.params)
+    assert [type(v) for v in (*got.flow.values(), *got.cap.values(), got.rhs, got.params["r"])] == [
+        type(v) for v in (*want.flow.values(), *want.cap.values(), want.rhs, want.params["r"])
+    ]
+    assert type(got.params["eta"]) is int
+    # the key the builder recorded is the one the coefficients give
+    assert got.normalized_key() == LinearCut(got.flow, got.cap, got.rhs, got.family).normalized_key()
+
+
+def test_integer_cut_matches_fraction_reference():
+    """On the 240 pairs, the cut each separator builds on integers equals
+    the Fraction reference builder's in flow, cap, rhs, family and params,
+    and the violation it records is the exact one; the public builders
+    agree with the reference on random selections, with and without
+    ``capacity=``."""
+    compared = built = 0
+    pick = random.Random(12)  # the selections; the pairs' own generator stays untouched
+    for rel, pt, rng in _random_separations():
+        for Q in _sampled_subsets(rel, rng):
+            for m in range(len(rel.instance.facilities)):
+                pairs = [
+                    (separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
+                    (separate_flow_cutset(rel, Q, pt, facility=m), reference_flow_cutset(rel, Q, pt, facility=m)),
+                ]
+                for got, want in pairs:
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        compared += 1
+                        _assert_identical_cut(got, want)
+                        assert got.violation(pt) == got.rhs - got.lhs_value(pt) == want.violation(pt)
+                sel = FlowCutSelection(
+                    Q, tuple(a for a in rel.A_plus if pick.random() < 0.5),
+                    tuple(a for a in rel.A_minus if pick.random() < 0.5), facility=m,
+                )
+                builders = [
+                    (lambda: multifacility_cutset_cut(rel, sel), lambda: reference_multifacility_cutset_cut(rel, sel)),
+                    (lambda: flow_cutset_cut(rel, sel), lambda: reference_flow_cutset_cut(rel, sel)),
+                    (lambda: flow_cutset_cut(rel, sel, capacity=F(5, 2)),
+                     lambda: reference_flow_cutset_cut(rel, sel, capacity=F(5, 2))),
+                ]
+                for build, reference in builders:
+                    try:
+                        want = reference()
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            build()
+                        continue
+                    built += 1
+                    _assert_identical_cut(build(), want)
+    assert compared > 500 and built > 500
+
+
+def test_separators_skip_found_keys():
+    """A separator given the key of the cut it would return builds nothing
+    and returns None; given other keys it returns the same cut."""
+    skipped = 0
+    for rel, pt, rng in _random_separations():
+        for Q in _sampled_subsets(rel, rng):
+            for m in range(len(rel.instance.facilities)):
+                for separate in (
+                    lambda skip: separate_multifacility(rel, m, pt, Q=Q, skip=skip),
+                    lambda skip: separate_flow_cutset(rel, Q, pt, facility=m, skip=skip),
+                ):
+                    cut = separate(())
+                    if cut is None:
+                        continue
+                    other = separate({((), (), 1)})
+                    assert (other.flow, other.cap, other.rhs, other.params) == (cut.flow, cut.cap, cut.rhs, cut.params)
+                    assert separate({cut.normalized_key()}) is None
+                    skipped += 1
+    assert skipped > 500
 
 
 def _assert_same_cut(got, want):

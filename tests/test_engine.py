@@ -163,17 +163,18 @@ def _listing(found):
     return [(cut.normalized_key(), cut.family, violation) for cut, violation in found]
 
 
-# labels of the cuts each built-once family makes
-BUILT_ONCE = {"cutset": "cutset", "partition": "partition", "threepartition": "partition",
-              "threepartition-metric": "partition"}
+# families that offer each key once per round, by the cuts' labels: each
+# built-once family, and the cut-set families flowcutset and mf between them
+KEYED_ONCE = {"cutset": "cutset", "partition": "partition", "threepartition": "partition",
+              "threepartition-metric": "partition", "flowcutset": "cut-set", "mf": "cut-set"}
 
 
 def _first_of_each_key(found):
-    """``found`` without repeats of a key within one built-once family (first kept)."""
+    """``found`` without repeats of a key within one group of ``KEYED_ONCE`` (first kept)."""
     seen = set()
     kept = []
     for cut, violation in found:
-        family = BUILT_ONCE.get(cut.family)
+        family = KEYED_ONCE.get(cut.family)
         if family is not None:
             if (family, cut.normalized_key()) in seen:
                 continue
@@ -210,7 +211,7 @@ SEPARATION_CASES = [
 def test_separation_table_matches_reference(monkeypatch, gen, config, fired):
     """At every round's point, one context per loop gives the candidates of
     the reference if-chain: same cuts, families and violations, same order,
-    except that a built-once family offers each cut once."""
+    except that a built-once or cut-set family offers each cut once."""
     inst = generate_instance(**gen)
     rounds = _separation_rounds(monkeypatch, inst, config)
     assert len(rounds) >= 2 and len({id(sep) for sep, _, _ in rounds}) == 1
@@ -218,6 +219,54 @@ def test_separation_table_matches_reference(monkeypatch, gen, config, fired):
         reference = _first_of_each_key(reference_separate_all(inst, point, config))
         assert _listing(found) == _listing(reference)
     assert fired <= {cut.family for _, _, found in rounds for cut, _ in found}
+
+
+def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
+    """No round's ``separate_all`` output repeats a key among its
+    ``flowcutset`` and ``mf`` cuts, and every violation it hands over is
+    the cut's exact violation at the round's point."""
+    repeats_offered = 0
+    for seed in (1, 2, 3):
+        inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+        rounds = _separation_rounds(monkeypatch, inst, Config(max_rounds=10))
+        for sep, point, found in rounds:
+            keys = [cut.normalized_key() for cut, _ in found if cut.family in ("flowcutset", "mf")]
+            assert len(keys) == len(set(keys))
+            assert all(violation == cut.rhs - cut.lhs_value(point) for cut, violation in found)
+            # the former separators offered repeats at these points
+            reference = reference_separate_all(inst, point, Config(max_rounds=10))
+            keys = [cut.normalized_key() for cut, _ in reference if cut.family in ("flowcutset", "mf")]
+            repeats_offered += len(keys) - len(set(keys))
+    assert repeats_offered > 0
+
+
+def test_three_partition_shrunk_once(monkeypatch):
+    """The loop shrinks each three-partition once and derives its data
+    once for both total-capacity cuts, which equal the public builders'."""
+    from netdes_cuts import engine, partition_cuts
+
+    calls = {"shrink": 0, "three_partition_data": 0}
+
+    def counting(name):
+        original = getattr(partition_cuts, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(partition_cuts, name, counted)
+
+    inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
+    parts = list(engine._three_partitions(inst))
+    for part in parts:
+        got = partition_cuts.total_capacity_cuts(inst, part)
+        want = (partition_cuts.three_partition_cut(inst, part), partition_cuts.three_partition_metric_cut(inst, part))
+        assert got == want
+    counting("shrink")
+    counting("three_partition_data")
+    engine.Separation(inst, Config(families=("partition",)))
+    n_two = len(list(engine._two_partitions(inst)))
+    assert calls == {"shrink": n_two + len(parts), "three_partition_data": len(parts)}
 
 
 def test_point_independent_candidates_built_once_per_loop(monkeypatch):
