@@ -129,6 +129,7 @@ def _cmd_run(args, instance) -> int:
                 "max_violation": rep.max_violation,
                 "wall_time": rep.wall_time,
                 "exact_fallback": rep.exact_fallback,
+                "lp_start": rep.lp_start,
                 "rationalization_error": rep.rationalization_error,
                 "lp_rows": rep.lp_rows,
                 "lp_iterations": rep.lp_iterations,

@@ -221,7 +221,9 @@ class RoundReport:
     ``seconds``, its ``candidates`` violated by more than eps (distinct
     cuts for the cut-set families) and how many of them the pool
     ``admitted``.  ``rationalization_error`` is the largest ``|x_float -
-    x_rational|`` of the round's LP point."""
+    x_rational|`` of the round's LP point.  ``lp_start`` says which solve
+    answered the round's LP (``LPSolution.start``: ``"cold"``, ``"warm"``
+    from the previous round's tableau, or ``"cold-after-warm"``)."""
 
     index: int
     bound: float
@@ -229,6 +231,7 @@ class RoundReport:
     max_violation: float = 0.0
     wall_time: float = 0.0
     exact_fallback: bool = False
+    lp_start: str = "cold"
     rationalization_error: float = 0.0
     lp_rows: int = 0
     lp_iterations: int = 0
@@ -287,7 +290,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         t0 = time.perf_counter()
         model = build_relaxation(instance, pool.cuts())
         t_lp = time.perf_counter()
-        sol = solve(model)
+        sol = solve(model, start=sol)
         lp_seconds = time.perf_counter() - t_lp
         if sol.status != "optimal":
             raise RuntimeError(f"relaxation solve ended with status {sol.status}")
@@ -310,6 +313,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
                 max_violation=float(max_violation),
                 wall_time=time.perf_counter() - t0,
                 exact_fallback=sol.exact_fallback,
+                lp_start=sol.start,
                 rationalization_error=point.rationalization_error,
                 lp_rows=len(model.rows),
                 lp_iterations=sol.iterations,
@@ -324,7 +328,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         # round cap hit with cuts still arriving: record the resulting bound
         stop = "round-cap"
         model = build_relaxation(instance, pool.cuts())
-        sol = solve(model)
+        sol = solve(model, start=sol)
 
     return LoopResult(
         reports=reports,
@@ -510,13 +514,16 @@ def brute_force_ip(
     For each grid point ``lp.cheapest_routing`` (or the unsplittable routing
     enumeration) prices the flows exactly; returns ``(value, point)`` with
     the best total cost, or ``None`` when nothing in the grid is feasible.
+    Unsplittable routings are paths only: a cycle only adds load, and
+    ``validate_instance`` requires nonnegative flow costs of unsplittable
+    instances, so a cycle never makes a routing fit or cost less.
     Raises ``BudgetExceededError`` when the grid or an unsplittable
     enumeration is larger than its budget.
     """
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
     flow_cost = {(ai, ki): c for ai, row in enumerate(instance.flow_costs) for ki, c in enumerate(row)}
-    routings = _unsplittable_routings(instance) if instance.unsplittable else None
+    routings = _unsplittable_routings(instance, cycles=False) if instance.unsplittable else None
     best = None
     for y in _grid(instance, y_bounds, budget):
         caps = [instance.arc_capacity(ai, y) for ai in range(len(instance.arcs))]
@@ -575,10 +582,16 @@ def validate_cuts(
       ``lp.cheapest_routing``, which also supplies every counterexample.
 
     With unsplittable routing the enumeration is exact throughout; points
-    with no joint routing are skipped for every cut.
+    with no joint routing are skipped for every cut.  Routability is
+    decided on paths alone (a cycle only adds load); the flow part of a cut
+    is priced over paths plus disjoint cycles, since its coefficients can
+    be negative.
     """
     verdicts: list = [(True, None) for _ in cuts]
-    routings = _unsplittable_routings(instance) if instance.unsplittable else None
+    priced = routings = None
+    if instance.unsplittable:
+        routings = _unsplittable_routings(instance, cycles=False)
+        priced = _unsplittable_routings(instance) if any(cut.flow for cut in cuts) else routings
     grid_idx = []
     for idx, cut in enumerate(cuts):
         if not cut.flow and all(v >= 0 for v in cut.cap.values()):
@@ -605,7 +618,7 @@ def validate_cuts(
                 continue
             for idx in order:
                 cut = cuts[idx]
-                lhs_min, x = _best_unsplittable(instance, routings, caps, cut.flow)
+                lhs_min, x = _best_unsplittable(instance, priced, caps, cut.flow)
                 if _ypart(cut, y) + lhs_min < cut.rhs:
                     verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(y)))
                     open_idx.discard(idx)
@@ -739,13 +752,16 @@ def _simple_cycles(instance: Instance, cap: int = 100) -> list[frozenset[int]]:
     return cycles
 
 
-def _unsplittable_routings(instance: Instance, combo_cap: int = 400) -> list[list[frozenset[int]]]:
-    """Per commodity: every all-or-nothing flow (a path plus disjoint cycles).
+def _unsplittable_routings(
+    instance: Instance, cycles: bool = True, combo_cap: int = 400
+) -> list[list[frozenset[int]]]:
+    """Per commodity: every all-or-nothing flow (a path plus disjoint
+    cycles), or with ``cycles=False`` every path.
 
     Raises ``BudgetExceededError`` when the paths, the cycles or one
     commodity's flows outgrow their caps.
     """
-    cycles = _simple_cycles(instance)
+    cycles = _simple_cycles(instance) if cycles else []
     per_commodity = []
     for com in instance.commodities:
         if com.sink is None:

@@ -84,9 +84,13 @@ class LPModel:
 
 @dataclass
 class LPSolution(LPResult):
-    """``solve_lp``'s answer for a relaxation of ``instance``."""
+    """``solve_lp``'s answer for a relaxation of ``instance``.  ``start``
+    says which solve answered: ``"warm"`` (from the previous optimum's
+    tableau), ``"cold"`` or ``"cold-after-warm"`` (the warm re-solve
+    stalled); ``iterations`` are the pivots of that solve."""
 
     exact_fallback: bool = False  # float solve stalled; this result is exact
+    start: str = "cold"
     instance: Instance | None = None
 
     def point(self, max_denominator: int = 10**6) -> FractionalPoint:
@@ -125,15 +129,26 @@ def build_relaxation(instance: Instance, cuts: Sequence[LinearCut] = ()) -> LPMo
     return LPModel(instance, list(cuts), rows, objective, routing_upper(instance))
 
 
-def solve(model: LPModel) -> LPSolution:
-    """Float optimum of ``model``; a stalled solve is redone exactly and flagged."""
+def solve(model: LPModel, *, start: LPSolution | None = None) -> LPSolution:
+    """Float optimum of ``model``.
+
+    ``start`` is the optimum of a model whose rows ``model.rows`` extend
+    (same instance, more cuts): when it holds a float tableau the re-solve
+    begins there, and a stalled warm re-solve is redone cold.  A stalled
+    cold solve is redone exactly and flagged.
+    """
     problem = (model.n_vars, model.rows, model.objective, model.upper)
-    res = solve_lp(*problem, exact=False)
+    how = "cold"
+    if start is not None and start.tableau is not None:
+        res = solve_lp(*problem, exact=False, start=start)
+        how = "warm" if res.status != "stalled" else "cold-after-warm"
+    if how != "warm":
+        res = solve_lp(*problem, exact=False)
     stalled = res.status == "stalled"
     if stalled:
         # numerically hard model: exact arithmetic is slower but immune
         res = solve_lp(*problem, exact=True)
-    return LPSolution(**vars(res), exact_fallback=stalled, instance=model.instance)
+    return LPSolution(**vars(res), exact_fallback=stalled, start=how, instance=model.instance)
 
 
 def exact_objective(model: LPModel, sol: LPSolution) -> Fraction:

@@ -36,11 +36,18 @@ the system empty.
 ``solve_lp_many`` solves one LP for several objectives: phase 1 does not
 read the objective, so it runs once and each phase 2 starts from a copy of
 its tableau.
+
+``solve_lp(..., start=)`` re-solves in floats from the kept tableau of an
+earlier optimum whose rows the new LP extends: each new row is appended
+with its slack basic (its marker), which keeps the basis dual feasible, and
+a bounded dual simplex (``_dual_loop``) restores primal feasibility before
+the primal pivot loop and the same result reader finish, with no phase 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -74,6 +81,8 @@ class LPResult:
     duals: list | None = None
     farkas: list | None = None
     iterations: int = 0
+    # (_State, _Layout) of a float optimum from solve_lp: a warm start's tableau
+    tableau: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,20 @@ class _Layout:
                 ncols += 1
         self.ncols = ncols
 
+    def appended(self, rows: Sequence[tuple]) -> "_Layout":
+        """This layout with ``rows`` after its own, each with a new slack
+        column after every existing column and no artificial: a ``>=`` row
+        is negated to ``<=``, and an ``=`` row's slack is fixed at zero."""
+        new = copy.copy(self)
+        new.rows = self.rows + [
+            ({j: -v for j, v in coefs.items()}, LE, -rhs, True) if sense == GE else (coefs, sense, rhs, False)
+            for coefs, sense, rhs in rows
+        ]
+        new.slack_col = self.slack_col + list(range(self.ncols, self.ncols + len(rows)))
+        new.art_col = self.art_col + [-1] * len(rows)
+        new.ncols = self.ncols + len(rows)
+        return new
+
     def marker(self, i: int) -> tuple[int, bool]:
         """Column whose reduced cost encodes row i's dual (col, is_artificial)."""
         if self.art_col[i] >= 0:
@@ -148,15 +171,33 @@ def solve_lp(
     upper: Mapping[int, object] | None = None,
     exact: bool = False,
     max_iter: int | None = None,
+    *,
+    start: LPResult | None = None,
 ) -> LPResult:
     """Minimize ``objective`` over ``rows`` with ``0 <= x <= upper``.
 
     ``rows`` is a sequence of ``(coefs, sense, rhs)`` with sparse ``coefs``
     mappings; ``upper`` maps variable indices to finite upper bounds, and a
     negative or NaN one raises ``ValueError``.  With ``exact`` every number
-    in the result is a ``Fraction``.
+    in the result is a ``Fraction``.  A float optimum keeps its tableau.
+
+    ``start`` is a float optimum of this function for the same ``n_vars``,
+    ``objective`` and ``upper`` whose rows are ``rows[:m]``: the re-solve
+    begins from its tableau (see ``_resolve``) and ends ``"stalled"`` when
+    it cannot finish.  Another ``n_vars``, more than ``len(rows)`` rows, a
+    ``start`` without a tableau or ``exact`` raise ``ValueError``.
     """
-    return solve_lp_many(n_vars, rows, [objective], upper, exact, max_iter)[0]
+    if start is None:
+        return _solve(n_vars, rows, [objective], upper, exact, max_iter, keep=not exact)[0]
+    if start.tableau is None or exact:
+        raise ValueError("a warm start needs a float optimum of solve_lp and a float re-solve")
+    layout = start.tableau[1]
+    if layout.n_vars != n_vars or len(layout.rows) > len(rows):
+        raise ValueError(
+            f"start has {layout.n_vars} variables and {len(layout.rows)} rows, "
+            f"the LP {n_vars} variables and {len(rows)} rows"
+        )
+    return _resolve(start, rows, max_iter)
 
 
 def solve_lp_many(
@@ -171,8 +212,15 @@ def solve_lp_many(
 
     Phase 1 never reads the objective, so it runs once; phase 2 runs for
     each objective on a copy of the phase-1 tableau.  When phase 1 ends
-    infeasible or stalled, every entry is that result.
+    infeasible or stalled, every entry is that result.  No result keeps its
+    tableau.
     """
+    return _solve(n_vars, rows, objectives, upper, exact, max_iter, keep=False)
+
+
+def _solve(n_vars, rows, objectives, upper, exact, max_iter, keep) -> list[LPResult]:
+    """``solve_lp_many`` from the artificial basis; with ``keep`` the last
+    result, when optimal, keeps the tableau it was read from."""
     upper = upper or {}
     for j, u in upper.items():
         if not u >= 0:  # also refuses NaN
@@ -189,6 +237,8 @@ def solve_lp_many(
         # the last objective may consume the phase-1 tableau itself
         state = start if k == len(objectives) - 1 else start.copy()
         results.append(_phase2(layout, state, _sparse(objective), arith, max_iter))
+    if keep and results[-1].status == "optimal":
+        results[-1].tableau = (state, layout)
     return results
 
 
@@ -223,6 +273,22 @@ class _State:
         )
 
 
+def _tableau_row(coefs, rhs, arith: _Arithmetic):
+    """Row ``coefs``/``rhs`` in tableau numbers: ``(vals, rhs, scale)``,
+    ``vals`` in the order of ``coefs``.
+
+    Float rows are equilibrated to unit max coefficient: wide magnitude
+    ranges (scaled cut rows) otherwise invite tiny-pivot blowups.  Exact
+    rows are not scaled.
+    """
+    if arith.exact:
+        return [Fraction(v) for v in coefs.values()], Fraction(rhs), arith.one
+    vals = [_to_float(v) for v in coefs.values()]
+    biggest = max(map(abs, vals), default=0.0)
+    scale = 1.0 / biggest if biggest > 0 else 1.0
+    return [v * scale for v in vals], _to_float(rhs) * scale, scale
+
+
 def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State | LPResult:
     """Build the tableau and reach a feasible basis, or end infeasible/stalled."""
     m, N = len(layout.rows), layout.ncols
@@ -239,20 +305,10 @@ def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State 
 
     row_scale = np.full(m, one, dtype=arith.dtype)
     for i, (coefs, sense, rhs, _) in enumerate(layout.rows):
-        if arith.exact:
-            for j, v in coefs.items():
-                T[i, j] = Fraction(v)
-            T[i, N] = Fraction(rhs)
-        else:
-            # rows are equilibrated to unit max coefficient: wide magnitude
-            # ranges (scaled cut rows) otherwise invite tiny-pivot blowups
-            fcoefs = [(j, _to_float(v)) for j, v in coefs.items()]
-            biggest = max((abs(v) for _, v in fcoefs), default=0.0)
-            scale = 1.0 / biggest if biggest > 0 else 1.0
-            row_scale[i] = scale
-            for j, v in fcoefs:
-                T[i, j] = v * scale
-            T[i, N] = _to_float(rhs) * scale
+        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, arith)
+        # element writes: a fancy-index write costs more on these short rows
+        for j, v in zip(coefs, vals):
+            T[i, j] = v
         if sense == LE:
             T[i, layout.slack_col[i]] = one
         elif sense == GE:
@@ -309,7 +365,14 @@ def _phase2(layout: _Layout, state: _State, obj, arith: _Arithmetic, max_iter) -
         if cb != 0:
             T[m] -= cb * T[i]
     T[m, N] -= const
+    return _optimize(layout, state, arith, max_iter)
 
+
+def _optimize(layout: _Layout, state: _State, arith: _Arithmetic, max_iter) -> LPResult:
+    """Primal pivots from the feasible basis in ``state`` (modified in
+    place) to the optimum, read off with each row's dual at its marker."""
+    T, basis, flipped, upper = state.T, state.basis, state.flipped, state.upper
+    m, N = len(layout.rows), layout.ncols
     status, it2 = _pivot_loop(T, basis, state.is_basic, flipped, upper, state.allow, arith, max_iter)
     iters = state.iterations + it2
     if status == ITER_LIMIT:
@@ -327,8 +390,107 @@ def _phase2(layout: _Layout, state: _State, obj, arith: _Arithmetic, max_iter) -
     for i in range(m):
         col, _ = layout.marker(i)
         pi = -T[m, col] * state.row_scale[i]
-        duals.append(-pi if layout.rows[i][3] else pi)
+        # a complemented marker (an appended "=" row's slack) shows -d_j
+        duals.append(-pi if layout.rows[i][3] != bool(flipped[col]) else pi)
     return LPResult("optimal", list(values[: layout.n_vars]), -T[m, N], duals=duals, iterations=iters)
+
+
+def _resolve(start: LPResult, rows: Sequence[tuple], max_iter) -> LPResult:
+    """Float optimum over ``rows`` from the tableau of ``start``, the
+    optimum over ``rows[:m]``.
+
+    Each row of ``rows[m:]`` is appended as ``_Layout.appended`` sets it,
+    scaled as ``_phase1`` scales rows, with its complemented columns
+    substituted and its basic columns eliminated; its slack is basic.  The
+    basis stays dual feasible, so ``_dual_loop`` restores primal
+    feasibility and ``_optimize`` finishes.  ``start`` is not modified.
+    """
+    old_state, old = start.tableau
+    layout = old.appended(rows[len(old.rows) :])
+    m0, m, N0, N = len(old.rows), len(layout.rows), old.ncols, layout.ncols
+    if max_iter is None:
+        max_iter = _default_max_iter(layout)
+    T = np.zeros((m + 1, N + 1))
+    T[np.ix_([*range(m0), m], [*range(N0), N])] = old_state.T
+    slack_upper = np.array([0.0 if sense == EQ else _INF for _, sense, _, _ in layout.rows[m0:]])
+    upper = np.concatenate([old_state.upper, slack_upper])
+    flipped = np.concatenate([old_state.flipped, np.zeros(m - m0, dtype=np.uint8)])
+    row_scale = np.concatenate([old_state.row_scale, np.ones(m - m0)])
+    for i in range(m0, m):
+        coefs, _, rhs, _ = layout.rows[i]
+        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, _FLOAT)
+        # complemented columns hold u_j - x_j
+        cols, vals = np.fromiter(coefs, np.int64, len(coefs)), np.array(vals)
+        comp = flipped[cols] != 0
+        T[i, N] -= vals[comp] @ upper[cols[comp]]
+        vals[comp] = -vals[comp]
+        T[i, cols] = vals
+    new = T[m0:m]
+    new -= new[:, old_state.basis] @ T[:m0]
+    new[:, old_state.basis] = 0.0
+    new[np.arange(m - m0), np.arange(N0, N)] = 1.0
+    state = _State(
+        T,
+        np.concatenate([old_state.basis, np.arange(N0, N)]),
+        np.concatenate([old_state.is_basic, np.ones(m - m0, dtype=np.uint8)]),
+        flipped,
+        upper,
+        np.concatenate([old_state.allow, (slack_upper > _FLOAT.tol).astype(np.uint8)]),
+        row_scale,
+        0,
+    )
+    status, state.iterations = _dual_loop(
+        T, state.basis, state.is_basic, flipped, upper, state.allow, _FLOAT, max_iter
+    )
+    if status != OPTIMAL:
+        return LPResult("stalled", [], None, iterations=state.iterations)
+    res = _optimize(layout, state, _FLOAT, max_iter)
+    if res.status == "optimal":
+        res.tableau = (state, layout)
+    return res
+
+
+def _dual_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
+    """Bounded dual simplex in place, from a basis whose allowed nonbasic
+    columns have nonnegative reduced costs, until every basic value lies
+    within its bounds; arguments as for ``_pivot_loop``.
+
+    The leaving row is the infeasible one with the smallest basic index;
+    the entering column is the allowed nonbasic column whose pivot entry
+    moves that value toward its bound with the least ``max(d_j, 0) /
+    |T[r, j]|``, ties to the smallest column.  A variable leaving at its
+    upper bound is complemented.  Returns ``(OPTIMAL, iters)`` once primal
+    feasible, ``(UNBOUNDED, iters)`` when no column can enter (the rows are
+    then infeasible) or ``(ITER_LIMIT, iters)``.
+    """
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    tol = arith.tol
+    iters = 0
+    while True:
+        values = T[:m, n]
+        above = values > upper[basis] + tol
+        rows = np.flatnonzero((values < -tol) | above)
+        if not rows.size:
+            return OPTIMAL, iters
+        if iters >= max_iter:
+            return ITER_LIMIT, iters
+        r = int(rows[basis[rows].argmin()])
+        entries = T[r, :n]
+        right_sign = entries > tol if above[r] else entries < -tol
+        cols = np.flatnonzero(right_sign & (allow != 0) & (is_basic == 0))
+        if not cols.size:
+            return UNBOUNDED, iters
+        ratios = np.maximum(T[m, cols], 0) / np.abs(entries[cols])
+        enter = int(cols[ratios.argmin()])
+        lv = int(basis[r])
+        _pivot(T, r, enter, arith)
+        basis[r] = enter
+        is_basic[enter] = 1
+        is_basic[lv] = 0
+        iters += 1
+        if above[r]:
+            _flip(T, flipped, upper, lv)
 
 
 def _drive_out_artificials(T, basis, is_basic, layout, arith):

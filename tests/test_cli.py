@@ -34,7 +34,8 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
     for entry in report["rounds"]:
         assert {"round", "bound", "cuts", "max_violation", "exact_fallback",
                 "lp_rows", "lp_iterations", "lp_seconds", "families",
-                "rationalization_error"} <= set(entry)
+                "rationalization_error", "lp_start"} <= set(entry)
+        assert entry["lp_start"] == ("cold" if entry["round"] == 0 else "warm")
         assert entry["lp_rows"] > 0 and entry["lp_iterations"] > 0 and entry["lp_seconds"] > 0
         assert math.isfinite(entry["rationalization_error"]) and entry["rationalization_error"] >= 0
     if report["oracle_optimum"] is not None:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from netdes_cuts import engine, lp
 from netdes_cuts.core import (
     Arc,
     DemandMatrix,
@@ -537,8 +538,9 @@ def test_unsplittable_loop_families():
 
 def test_unsplittable_enumeration_caps_raise():
     """A truncated path, cycle or flow enumeration would make the oracle's
-    answer wrong, so outgrowing a cap raises instead."""
-    from netdes_cuts.engine import _simple_paths
+    answer wrong, so outgrowing a cap raises instead.  Only the pricing of
+    a cut's flow part in ``validate_cuts`` enumerates cycles."""
+    from netdes_cuts.engine import _simple_paths, _unsplittable_routings
 
     # complete digraph on 8 nodes: only 1 -> 7 -> 8 has capacity, and it
     # routes the demand at zero cost, but it is not among the first 400 paths
@@ -553,13 +555,81 @@ def test_unsplittable_enumeration_caps_raise():
         unsplittable=True,
     )
     with pytest.raises(BudgetExceededError, match="more than 100 simple cycles"):
+        _unsplittable_routings(inst)
+    with pytest.raises(BudgetExceededError, match="more than 400 simple paths from 1 to 8"):
         brute_force_ip(inst, y_bounds={(ai, 0): 0 for ai in range(len(arcs))})
     with pytest.raises(BudgetExceededError, match="more than 400 simple paths from 1 to 8"):
         _simple_paths(inst, 1, 8)
     # 84 cycles and 16 paths per pair, but more than 400 flows for a commodity
     dense = generate_instance(seed=0, nodes=5, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True)
+    flow_cut = LinearCut({(0, 0): F(1)}, {(0, 0): F(1)}, F(1), "other")
     with pytest.raises(BudgetExceededError, match="more than 400 unsplittable flows of commodity 1->5"):
-        brute_force_ip(dense, ybound=0)
+        validate_cut(flow_cut, dense, ybound=0)
+
+
+def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
+    """``brute_force_ip`` and routability enumerate paths only; on 4-node
+    instances their optima and every verdict equal those of the full
+    enumeration of paths plus disjoint cycles."""
+    instances = [
+        generate_instance(seed=s, nodes=4, density=0.5, facilities=(1,), mode="disaggregated",
+                          unsplittable=True, flow_cost_prob=0.4)
+        for s in range(2000, 2006)
+    ]
+
+    def answers():
+        out = []
+        for inst in instances:
+            best = brute_force_ip(inst, ybound=2)
+            cuts = cutting_plane_loop(inst, Config(families=("rc", "cstrong", "cutset", "flowcutset"),
+                                                   max_rounds=2)).pool.cuts()[:8]
+            # the same cuts with a larger rhs: some of these fail
+            cuts += [LinearCut(cut.flow, cut.cap, cut.rhs + 1, cut.family) for cut in cuts]
+            out.append((best and best[0], [ok for ok, _ in validate_cuts(cuts, inst, ybound=1)]))
+        return out
+
+    on_paths = answers()
+    assert sum(value is not None for value, _ in on_paths) >= 2
+    assert not all(all(verdicts) for _, verdicts in on_paths)
+    full = engine._unsplittable_routings
+    monkeypatch.setattr(engine, "_unsplittable_routings", lambda inst, cycles=True: full(inst))
+    assert answers() == on_paths
+
+
+def test_brute_force_answers_five_node_unsplittable():
+    # the full enumeration of this instance outgrows its 400-flow cap
+    inst = generate_instance(seed=0, nodes=5, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True)
+    y_bounds = {(ai, 0): 2 if ai in (1, 3, 4, 14, 15) else 0 for ai in range(len(inst.arcs))}
+    value, point = brute_force_ip(inst, y_bounds=y_bounds)
+    assert value == F(105, 4)
+    loads = {}
+    for (ai, ki), v in point.x.items():
+        assert v == inst.commodities[ki].total_supply  # all or nothing
+        loads[ai] = loads.get(ai, 0) + v
+    assert all(load <= inst.arc_capacity(ai, point.y) for ai, load in loads.items())
+    # splitting flows can only be cheaper
+    split = Instance(nodes=inst.nodes, arcs=inst.arcs, facilities=inst.facilities, demand=inst.demand,
+                     flow_costs=inst.flow_costs, mode="disaggregated")
+    assert brute_force_ip(split, y_bounds=y_bounds)[0] <= value
+
+
+def test_loop_finishes_n5_s7(monkeypatch):
+    """The 5-node instance whose cold re-solves took minutes: warm-started
+    rounds finish, and the final bound is certified with no exact solve."""
+    inst = generate_instance(seed=7, nodes=5, density=0.5, facilities=(1, 3))
+    res = cutting_plane_loop(inst, Config(max_rounds=10))
+    assert not any(rep.exact_fallback for rep in res.reports)
+    assert {rep.lp_start for rep in res.reports[1:]} == {"warm"}
+    modes = []
+    real_solve_lp = lp.solve_lp
+
+    def recording(*args, exact=False, **kwargs):
+        modes.append(exact)
+        return real_solve_lp(*args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", recording)
+    assert float(res.exact_bound) == pytest.approx(res.final_bound, abs=1e-9)
+    assert modes == []
 
 
 # -- generation ------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from netdes_cuts import lp
+from netdes_cuts import engine, lp, simplex
 from netdes_cuts.core import Arc, DemandMatrix, Facility, FractionalPoint, Instance, LinearCut
 from netdes_cuts.engine import Config, brute_force_ip, cutting_plane_loop, generate_instance
 from netdes_cuts.lp import (
@@ -353,3 +353,82 @@ def test_failed_pricing_and_bound_certificates_fall_back_to_exact(monkeypatch, s
     assert bounds() == certified_bounds
     assert True in modes
     assert all(type(value) is F for value, _ in certified_prices)
+
+
+# -- warm-started rounds -----------------------------------------------------------
+
+
+def _round_solves(monkeypatch, instances):
+    """``(model, solution)`` of every relaxation solve of the default
+    10-round loop on each of ``instances``, in order."""
+    real_solve = engine.solve
+    solved = []
+
+    def recording(model, **kwargs):
+        sol = real_solve(model, **kwargs)
+        solved.append((model, sol))
+        return sol
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "solve", recording)
+        for inst in instances:
+            cutting_plane_loop(inst, Config(max_rounds=10))
+    return solved
+
+
+def test_warm_round_lps_certify_with_no_exact_solve(monkeypatch):
+    instances = [
+        generate_instance(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s % 2 else (1,))
+        for s in sorted(GOLDEN_4_NODE)
+    ] + [generate_instance(seed=7, nodes=5, density=0.5, facilities=(1, 3))]
+    solved = _round_solves(monkeypatch, instances)
+    assert {sol.start for _, sol in solved} == {"cold", "warm"}
+    modes = []
+    real_solve_lp = lp.solve_lp
+
+    def recording(*args, exact=False, **kwargs):
+        modes.append(exact)
+        return real_solve_lp(*args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", recording)
+    for model, sol in solved:
+        assert float(lp.exact_objective(model, sol)) == pytest.approx(sol.objective, abs=1e-9)
+    assert modes == []
+
+
+def test_stalled_warm_solve_is_redone_cold(monkeypatch):
+    inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
+    solved = _round_solves(monkeypatch, [inst])
+    real_dual_loop = simplex._dual_loop
+    # the dual simplex gives up before its first pivot
+    monkeypatch.setattr(simplex, "_dual_loop", lambda *args: real_dual_loop(*args[:-1], 0))
+    for (_, previous), (model, _) in zip(solved, solved[1:]):
+        again, cold = solve(model, start=previous), solve(model)
+        assert (again.start, cold.start) == ("cold-after-warm", "cold")
+        assert again.status == cold.status == "optimal" and not again.exact_fallback
+        assert (again.objective, again.x, again.duals) == (cold.objective, cold.x, cold.duals)
+        assert again.iterations == cold.iterations
+    # every round after the first is then solved cold, as a loop without warm starts does
+    res = cutting_plane_loop(inst, Config(max_rounds=10))
+    assert [rep.lp_start for rep in res.reports] == ["cold"] + ["cold-after-warm"] * (len(res.reports) - 1)
+    assert (len(res.pool), res.exact_bound) == GOLDEN_4_NODE[1]
+
+
+def test_infeasible_cut_after_warm_start_is_refuted_cold():
+    inst = single_arc_instance(capacity=F(0), demand=F(1))
+    first = solve(build_relaxation(inst))
+    # the flow is bounded by its commodity's supply, 1
+    model = build_relaxation(inst, [LinearCut({(0, 0): F(1)}, {}, F(2), "other")])
+    sol = solve(model, start=first)
+    assert sol.status == "infeasible" and sol.start == "cold-after-warm" and not sol.exact_fallback
+    # lam·A <= 0 on the unbounded columns, and lam·b exceeds what the bounded ones can give
+    lam = sol.farkas
+    activity = [sum(lam[i] * float(coefs.get(j, 0)) for i, (coefs, _, _) in enumerate(model.rows))
+                for j in range(model.n_vars)]
+    reach = 0.0
+    for j, a in enumerate(activity):
+        if j in model.upper:
+            reach += max(a, 0.0) * float(model.upper[j])
+        else:
+            assert a <= 1e-9
+    assert sum(p * float(rhs) for p, (_, _, rhs) in zip(lam, model.rows)) > reach + 1e-9

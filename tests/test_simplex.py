@@ -265,3 +265,85 @@ def test_kernel_matches_reference(monkeypatch, exact, sparse_everywhere):
                 _assert_same_result(a, b)
                 statuses.add(a.status)
     assert {"optimal", "infeasible", "unbounded", "stalled"} <= statuses
+
+
+# -- warm starts ---------------------------------------------------------------
+
+
+def _split_lps(count):
+    """Random LPs, each with a prefix of rows whose float optimum exists and
+    the rows appended to it (every sense, negative right-hand sides)."""
+    rng = random.Random(41)
+    lps = []
+    while len(lps) < count:
+        n, rows, objectives, upper = _random_lp(rng)
+        rows += [
+            ({j: F(rng.randint(-3, 5)) for j in rng.sample(range(n), rng.randint(1, n))},
+             rng.choice([LE, GE, EQ]), F(rng.randint(-4, 6)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        m = rng.randint(1, len(rows) - 1)
+        objective = {j: abs(v) for j, v in objectives[0].items()}  # bounded below
+        first = solve_lp(n, rows[:m], objective, upper)
+        if first.status == "optimal":
+            lps.append((n, rows, objective, upper, first))
+    return lps
+
+
+def _warm_matches_cold(n, rows, objective, upper, first):
+    cold = solve_lp(n, rows, objective, upper)
+    warm = solve_lp(n, rows, objective, upper, start=first)
+    if cold.status != "optimal":
+        # an infeasible extension leaves the dual simplex no entering column
+        assert cold.status == "infeasible" and warm.status == "stalled"
+        return cold.status
+    assert warm.status == "optimal" and warm.tableau is not None
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    proved = lp.certify(rows, objective, upper, cold)
+    if proved is not None:
+        # the optimum may sit at another vertex, but it is the same exact value
+        again = lp.certify(rows, objective, upper, warm)
+        assert again is not None and again[0] == proved[0]
+    return cold.status
+
+
+def test_warm_start_matches_cold_solve():
+    statuses = [_warm_matches_cold(*case) for case in _split_lps(500)]
+    assert statuses.count("optimal") >= 150 and statuses.count("infeasible") >= 50
+
+
+def test_warm_start_leaves_at_upper_bound():
+    # min x0 + 10 x1 with x0 <= 1: appending x0 + x1 >= 3 first lifts x0 to
+    # 3, above its bound, so x0 leaves at its bound and x1 takes the rest
+    upper = {0: F(1), 1: F(10)}
+    rows = [({0: F(1), 1: F(1)}, LE, F(20))]
+    first = solve_lp(2, rows, {0: 1, 1: 10}, upper)
+    rows.append(({0: F(1), 1: F(1)}, GE, F(3)))
+    warm = solve_lp(2, rows, {0: 1, 1: 10}, upper, start=first)
+    assert warm.status == "optimal" and warm.iterations == 2
+    assert warm.x == pytest.approx([1, 2]) and warm.objective == pytest.approx(21)
+    assert lp.certify(rows, {0: 1, 1: 10}, upper, warm) == (F(21), [F(1), F(2)])
+    # with x0 at its bound, x0 + x1 = 1 forces x1 = 0 against x0 + x1 >= 3
+    infeasible = rows[:1] + [({0: F(1), 1: F(1)}, EQ, F(1)), rows[1]]
+    assert solve_lp(2, infeasible, {0: 1, 1: 10}, upper, start=first).status == "stalled"
+
+
+def test_only_single_float_optima_keep_a_tableau():
+    rows = [({0: F(1), 1: F(1)}, GE, F(1))]
+    assert solve_lp(2, rows, {0: 1, 1: 2}).tableau is not None
+    assert solve_lp(2, rows, {0: 1, 1: 2}, exact=True).tableau is None
+    assert all(res.tableau is None for res in solve_lp_many(2, rows, [{0: 1}, {1: 1}]))
+    assert solve_lp(2, rows + [({0: F(1)}, LE, F(-1))], {0: 1}).tableau is None
+
+
+def test_warm_start_refuses_a_start_it_cannot_extend():
+    rows = [({0: F(1), 1: F(1)}, GE, F(1)), ({0: F(1)}, LE, F(3))]
+    first = solve_lp(2, rows, {0: 1, 1: 2})
+    with pytest.raises(ValueError):
+        solve_lp(3, rows, {0: 1, 1: 2}, start=first)
+    with pytest.raises(ValueError):
+        solve_lp(2, rows[:1], {0: 1, 1: 2}, start=first)
+    with pytest.raises(ValueError):
+        solve_lp(2, rows, {0: 1, 1: 2}, exact=True, start=first)
+    with pytest.raises(ValueError):
+        solve_lp(2, rows, {0: 1, 1: 2}, start=solve_lp(2, rows, {0: 1, 1: 2}, exact=True))
