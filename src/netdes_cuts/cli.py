@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -119,26 +120,10 @@ def _cmd_run(args, instance) -> int:
     config = Config(families=args.cuts, max_rounds=args.rounds, eps=args.eps)
     result = cutting_plane_loop(instance, config)
 
-    rounds = []
+    rounds = [dataclasses.asdict(rep) for rep in result.reports]
     for rep in result.reports:
-        rounds.append(
-            {
-                "round": rep.index,
-                "bound": rep.bound,
-                "cuts": rep.cuts_added,
-                "max_violation": rep.max_violation,
-                "wall_time": rep.wall_time,
-                "exact_fallback": rep.exact_fallback,
-                "lp_start": rep.lp_start,
-                "rationalization_error": rep.rationalization_error,
-                "lp_rows": rep.lp_rows,
-                "lp_iterations": rep.lp_iterations,
-                "lp_seconds": rep.lp_seconds,
-                "families": rep.families,
-            }
-        )
-        label = ", ".join(f"{fam}:{n}" for fam, n in rep.cuts_added.items()) or "no cuts"
-        print(f"round {rep.index}: bound {rep.bound:.6g} ({label})")
+        label = ", ".join(f"{fam}:{n}" for fam, n in rep.cuts.items()) or "no cuts"
+        print(f"round {rep.round}: bound {rep.bound:.6g} ({label})")
     report = {
         "instance": instance.name or args.instance,
         "rounds": rounds,

@@ -228,7 +228,10 @@ class Instance:
         self.unsplittable = unsplittable
         self.name = name
 
-        self.node_index = {v: i for i, v in enumerate(self.nodes)}
+        self.node_index = {}
+        for i, v in enumerate(self.nodes):
+            if self.node_index.setdefault(v, i) != i:
+                raise InstanceError(f"node {v} is listed more than once")
         self.arc_index = {a.pair: i for i, a in enumerate(self.arcs)}
         self.out_arcs = {v: [] for v in self.nodes}
         self.in_arcs = {v: [] for v in self.nodes}

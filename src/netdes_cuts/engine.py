@@ -72,7 +72,8 @@ class BudgetExceededError(RuntimeError):
 class Family:
     """A separation family: ``applies(instance)``, and either ``build(sep)``,
     its candidates made once per loop from the instance alone, or
-    ``separate(sep, point)``, its candidates at each round's LP point."""
+    ``separate(sep, point)``, its candidates at each round's LP point (a
+    family that never applies has neither)."""
 
     name: str
     applies: Callable[[Instance], bool]
@@ -143,15 +144,6 @@ def _first_of_key(sep: Separation, point: FractionalPoint, cut: LinearCut | None
     return cut
 
 
-def _metric(sep: Separation, point: FractionalPoint):
-    # the LP point itself witnesses routability, so inside the loop this
-    # is a fast no-op; it fires only on externally supplied points
-    instance = sep.instance
-    caps = [instance.arc_capacity(ai, point.y) for ai in range(len(instance.arcs))]
-    res = partition_cuts.separate_metric(instance, caps, witness=point)
-    return () if res is None else (res[1],)
-
-
 def _partition(sep: Separation):
     """Two-partition hull cuts, then per three-partition the stronger
     total-capacity cut followed by the hull cuts it feeds."""
@@ -177,14 +169,17 @@ def _partition(sep: Separation):
                     yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
 
 
-# table order is admission order
+# table order is admission order.  ``metric`` never applies: every LP point
+# carries its own flow, routable under the point's capacities, so no metric
+# inequality is violated there; ``partition_cuts.separate_metric`` separates
+# capacity vectors from outside the loop.
 SEPARATORS = (
     Family("rc", _single_facility, separate=_rc),
     Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, separate=_cstrong),
     Family("cutset", _single_facility, build=lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
     Family("flowcutset", _single_facility, separate=_flowcutset),
     Family("mf", lambda inst: True, separate=_mf),
-    Family("metric", lambda inst: True, separate=_metric),
+    Family("metric", lambda inst: False),
     Family("partition", Instance.integral_capacities, build=_partition),
 )
 FAMILIES = tuple(f.name for f in SEPARATORS)
@@ -216,7 +211,8 @@ class Config:
 
 @dataclass
 class RoundReport:
-    """One solve-separate round.  ``cuts_added`` counts the pooled cuts by
+    """One solve-separate round; the fields are the keys, in order, of the
+    round's entry in the CLI report.  ``cuts`` counts the pooled cuts by
     cut family; ``families`` holds, for each separator that ran, its
     ``seconds``, its ``candidates`` violated by more than eps (distinct
     cuts for the cut-set families) and how many of them the pool
@@ -225,9 +221,9 @@ class RoundReport:
     answered the round's LP (``LPSolution.start``: ``"cold"``, ``"warm"``
     from the previous round's tableau, or ``"cold-after-warm"``)."""
 
-    index: int
+    round: int
     bound: float
-    cuts_added: dict[str, int] = field(default_factory=dict)
+    cuts: dict[str, int] = field(default_factory=dict)
     max_violation: float = 0.0
     wall_time: float = 0.0
     exact_fallback: bool = False
@@ -240,18 +236,16 @@ class RoundReport:
 
 
 class CutPool:
-    """Deduplicated cuts with per-family activity counters."""
+    """Deduplicated cuts, told apart by ``LinearCut.normalized_key()``."""
 
     def __init__(self):
         self._cuts: dict = {}
-        self.counters: dict[str, int] = {}
 
     def add(self, cut: LinearCut) -> bool:
         key = cut.normalized_key()
         if key in self._cuts:
             return False
         self._cuts[key] = cut
-        self.counters[cut.family] = self.counters.get(cut.family, 0) + 1
         return True
 
     def cuts(self) -> list[LinearCut]:
@@ -307,9 +301,9 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
                     max_violation = max(max_violation, violation)
         reports.append(
             RoundReport(
-                index=rnd,
+                round=rnd,
                 bound=float(sol.objective),
-                cuts_added=added,
+                cuts=added,
                 max_violation=float(max_violation),
                 wall_time=time.perf_counter() - t0,
                 exact_fallback=sol.exact_fallback,

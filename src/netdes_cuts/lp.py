@@ -289,18 +289,12 @@ def routing_capacity_rows(instance: Instance, capacities) -> list:
     return rows
 
 
-def check_feasible_routing(instance: Instance, capacities: Sequence, witness: FractionalPoint | None = None):
+def check_feasible_routing(instance: Instance, capacities: Sequence):
     """Exact routability of all commodities under per-arc ``capacities``.
 
-    Returns ``(True, None)`` or ``(False, RoutingCertificate)``.  A
-    ``witness`` flow that fits the capacities exactly answers at once;
-    otherwise ``cheapest_routing`` decides with a zero objective.
+    Returns ``(True, None)`` or ``(False, RoutingCertificate)``;
+    ``cheapest_routing`` decides with a zero objective.
     """
-    capacities = [frac(c) for c in capacities]
-    if witness is not None:
-        n_vars, rows = routing_rows(instance, capacities)
-        if _fits(rows, {}, [witness.x.get((ai, ki), ZERO) for _, ai, ki in column_keys(instance)[:n_vars]]):
-            return True, None
     value, proof = cheapest_routing(instance, capacities, {})
     return (True, None) if value is not None else (False, proof)
 

@@ -20,7 +20,6 @@ from .core import (
     Arc,
     DemandMatrix,
     Facility,
-    FractionalPoint,
     Instance,
     LinearCut,
 )
@@ -202,19 +201,16 @@ def metric_cut_from_vector(vector: MetricVector, instance: Instance, integral: b
     )
 
 
-def separate_metric(
-    instance: Instance,
-    capacities: Sequence,
-    witness: FractionalPoint | None = None,
-):
-    """Violated metric inequality for a capacity vector, or ``None``.
+def separate_metric(instance: Instance, capacities: Sequence):
+    """Violated metric inequality for a capacity vector from outside the
+    loop (the loop's LP points carry their own routable flows), or ``None``.
 
     ``check_feasible_routing`` decides existence, and its refusal
     certificate (arc weights with shortest-path potentials, exactly in the
     cone and exactly violated) is the inequality; it is only scaled to unit
     total arc weight.
     """
-    feasible, cert = check_feasible_routing(instance, capacities, witness)
+    feasible, cert = check_feasible_routing(instance, capacities)
     if feasible:
         return None
     total = sum(cert.v.values(), ZERO)

@@ -381,7 +381,8 @@ def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0, enumerat
 def reference_separate_all(instance, point, config):
     """Reference for ``engine.separate_all``: the former if-chain, which
     rebuilds every candidate each round (same families, same order) and
-    evaluates each violation from the cut's coefficients."""
+    evaluates each violation from the cut's coefficients.  ``metric`` never
+    runs in the loop, so it has no branch here."""
     from netdes_cuts import cutset_cuts, engine, partition_cuts
     from netdes_cuts.core import LinearCut
 
@@ -421,11 +422,6 @@ def reference_separate_all(instance, point, config):
             for s in range(len(instance.facilities)):
                 for Q in rel_subsets:
                     admit(cutset_cuts.separate_multifacility(rel, s, point, Q=Q))
-    if "metric" in config.families:
-        caps = [instance.arc_capacity(ai, point.y) for ai in range(len(instance.arcs))]
-        res = partition_cuts.separate_metric(instance, caps, witness=point)
-        if res is not None:
-            admit(res[1])
     if "partition" in config.families and instance.integral_capacities():
         for U, V in partitions:
             shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))

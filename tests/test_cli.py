@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import pytest
 
 from netdes_cuts.cli import main
 from netdes_cuts.core import load_instance
-from netdes_cuts.engine import FAMILIES
+from netdes_cuts.engine import FAMILIES, RoundReport
 
 
 def test_gen_run_oracle_roundtrip(tmp_path, capsys):
@@ -32,9 +33,7 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
     assert {"instance", "rounds", "stop", "final_bound", "oracle_optimum", "gap_closed"} <= set(report)
     assert report["rounds"], "at least one round recorded"
     for entry in report["rounds"]:
-        assert {"round", "bound", "cuts", "max_violation", "exact_fallback",
-                "lp_rows", "lp_iterations", "lp_seconds", "families",
-                "rationalization_error", "lp_start"} <= set(entry)
+        assert list(entry) == [f.name for f in dataclasses.fields(RoundReport)]
         assert entry["lp_start"] == ("cold" if entry["round"] == 0 else "warm")
         assert entry["lp_rows"] > 0 and entry["lp_iterations"] > 0 and entry["lp_seconds"] > 0
         assert math.isfinite(entry["rationalization_error"]) and entry["rationalization_error"] >= 0
@@ -118,10 +117,12 @@ def test_unsplittable_gen_flag(tmp_path):
     ["run", "--instance", "{empty}"],
     ["oracle", "--instance", "{unknown_node}"],
     ["run", "--instance", "{float_cost}"],
+    ["run", "--instance", "{duplicate_node}"],
+    ["oracle", "--instance", "{duplicate_node}", "--ybound", "1"],
 ], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
         "ybound", "facilities", "density-inf", "facilities-decreasing", "facilities-equal",
         "report-unwritable", "dump-lp-unwritable", "instance-empty", "instance-unknown-node",
-        "instance-float-cost"])
+        "instance-float-cost", "run-duplicate-node", "oracle-duplicate-node"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--nodes", "3", "--out", str(inst)])
@@ -131,7 +132,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     good = {"nodes": [1, 2], "arcs": [{"tail": 1, "head": 2}], "facilities": [{"capacity": "1", "cost": ["1"]}],
             "demands": [{"from": 1, "to": 2, "amount": "1"}]}
     malformed = {"empty": {}, "unknown_node": {**good, "arcs": [{"tail": 1, "head": 3}]},
-                 "float_cost": {**good, "flow_costs": [1.5]}}
+                 "float_cost": {**good, "flow_costs": [1.5]},
+                 "duplicate_node": {**good, "nodes": [1, 2, 2],
+                                    "arcs": [{"tail": 1, "head": 2}, {"tail": 2, "head": 1}]}}
     for name, data in malformed.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))

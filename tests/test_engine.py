@@ -41,14 +41,13 @@ def test_cut_pool_dedup():
     b = LinearCut({}, {(0, 0): F(2), (1, 0): F(2)}, F(2), "cutset")  # same halfspace
     assert pool.add(a)
     assert not pool.add(b)
-    assert len(pool) == 1
-    assert pool.counters == {"cutset": 1}
+    assert len(pool) == 1 and pool.cuts() == [a]
 
 
 def test_loop_no_families_single_round(star_instance):
     res = cutting_plane_loop(star_instance, Config(families=()))
     assert len(res.reports) == 1
-    assert res.reports[0].cuts_added == {} and res.reports[0].families == {}
+    assert res.reports[0].cuts == {} and res.reports[0].families == {}
     assert res.stop == "no-cuts"
     assert res.final_bound == pytest.approx(0.0)
 
@@ -71,19 +70,19 @@ def test_loop_reports_stop_reason_and_family_counters(monkeypatch):
     monkeypatch.setattr(engine, "separate_all", recording)
     inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
     capped = cutting_plane_loop(inst, Config(max_rounds=1))
-    assert capped.stop == "round-cap" and capped.reports[0].cuts_added
+    assert capped.stop == "round-cap" and capped.reports[0].cuts
     del returned[:]
     done = cutting_plane_loop(inst, Config(max_rounds=50))
-    assert done.stop == "no-cuts" and not done.reports[-1].cuts_added
+    assert done.stop == "no-cuts" and not done.reports[-1].cuts
     assert len(done.reports) >= 2
     for rep, n_found in zip(done.reports, returned):
-        # rc, cstrong, cutset and flowcutset need a single facility
-        assert list(rep.families) == ["mf", "metric", "partition"]
+        # rc, cstrong, cutset and flowcutset need a single facility; metric never applies
+        assert list(rep.families) == ["mf", "partition"]
         for counts in rep.families.values():
             assert list(counts) == ["seconds", "candidates", "admitted"]
             assert counts["seconds"] >= 0 and 0 <= counts["admitted"] <= counts["candidates"]
         assert sum(c["candidates"] for c in rep.families.values()) == n_found
-        assert sum(c["admitted"] for c in rep.families.values()) == sum(rep.cuts_added.values())
+        assert sum(c["admitted"] for c in rep.families.values()) == sum(rep.cuts.values())
     assert done.reports[0].families["mf"]["admitted"] > 0
 
 
@@ -158,6 +157,21 @@ def _separation_rounds(monkeypatch, inst, config):
     monkeypatch.setattr(engine, "separate_all", recording)
     cutting_plane_loop(inst, config)
     return rounds
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_4_NODE))
+def test_round_points_violate_no_metric_inequality(monkeypatch, seed):
+    """Why ``metric`` never runs in the loop: each round's point carries its
+    own flow, so its ``y`` routes the demand and no metric inequality is
+    violated there."""
+    from netdes_cuts import partition_cuts
+
+    inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+    rounds = _separation_rounds(monkeypatch, inst, Config(max_rounds=10))
+    assert rounds
+    for _, point, _ in rounds:
+        caps = [inst.arc_capacity(ai, point.y) for ai in range(len(inst.arcs))]
+        assert partition_cuts.separate_metric(inst, caps) is None
 
 
 def _listing(found):

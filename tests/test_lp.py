@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from netdes_cuts import engine, lp, simplex
-from netdes_cuts.core import Arc, DemandMatrix, Facility, FractionalPoint, Instance, LinearCut
+from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut
 from netdes_cuts.engine import Config, brute_force_ip, cutting_plane_loop, generate_instance
 from netdes_cuts.lp import (
     build_relaxation,
@@ -280,21 +280,42 @@ def test_stalled_float_routing_solve_falls_back_to_exact(monkeypatch):
     assert modes == [False, True] * 2
 
 
-def test_negative_witness_flow_is_rejected():
-    # commodity 1 "ships" 2 -> 1 as a negative flow on arc 1 -> 2: balanced, zero load
-    inst = Instance(
+def two_way_instance():
+    """Nodes 1 and 2 each ship one unit to the other."""
+    return Instance(
         nodes=[1, 2],
         arcs=[Arc(1, 2), Arc(2, 1)],
         facilities=[Facility(1, (F(1), F(1)))],
         demand=DemandMatrix({(1, 2): F(1), (2, 1): F(1)}),
     )
-    witness = FractionalPoint(x={(0, 0): F(1), (0, 1): F(-1)})
+
+
+def test_two_way_demand_at_zero_capacity_is_refused():
+    inst = two_way_instance()
     caps = [F(0), F(0)]
-    ok, cert = check_feasible_routing(inst, capacities=caps, witness=witness)
+    ok, cert = check_feasible_routing(inst, capacities=caps)
     assert not ok
     assert cert.cone_violations(inst) == []
     assert cert.demand_side(inst) > cert.capacity_side(inst, caps)
-    assert separate_metric(inst, caps, witness=witness) is not None
+    assert separate_metric(inst, caps) is not None
+
+
+def test_certify_refuses_a_negative_flow():
+    # commodity 1 "ships" 2 -> 1 as a negative flow on arc 1 -> 2: balanced,
+    # zero load, objective equal to the dual bound, yet not a routing
+    inst = two_way_instance()
+    n_vars, rows = routing_rows(inst, [F(1), F(1)])
+    negative = [0.0] * n_vars
+    negative[routing_var(inst, 0, 0)], negative[routing_var(inst, 0, 1)] = 1.0, -1.0
+    for coefs, sense, rhs in rows:
+        lhs = sum(a * F(negative[j]) for j, a in coefs.items())
+        assert lhs <= rhs if sense == simplex.LE else lhs == rhs
+    duals = [0.0] * len(rows)
+    assert lp.certify(rows, {}, {}, LPResult("optimal", negative, 0.0, duals)) is None
+    # the routing each commodity's own arc gives is certified
+    routed = [0.0] * n_vars
+    routed[routing_var(inst, 0, 0)] = routed[routing_var(inst, 1, 1)] = 1.0
+    assert lp.certify(rows, {}, {}, LPResult("optimal", routed, 0.0, duals)) == (0, [F(v) for v in routed])
 
 
 @pytest.mark.parametrize("spoil", [corrupt_float_answers, stall_float_answers])
