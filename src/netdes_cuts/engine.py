@@ -7,11 +7,14 @@ positive in exact arithmetic.  Oracles enumerate integer installation
 grids and validate cuts or compute optima against them; they are bounded
 searches with an explicit budget, independent of the separation code.
 Exact values (oracle optima, ``LoopResult.exact_bound``) are certified
-from float solves by ``lp.solve_certified``.
+from float solves by ``lp.solve_certified``.  The oracles keep the
+certificates they prove (``MetricCertificates``, ``DualCertificates``) and
+try them at later grid points before solving any LP.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,7 +23,7 @@ from functools import cached_property
 from itertools import combinations, islice, product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import arc_cuts, cutset_cuts, partition_cuts
+from . import arc_cuts, cutset_cuts, lp, partition_cuts
 from .core import (
     ZERO,
     Arc,
@@ -35,6 +38,7 @@ from .core import (
 from .lp import (
     LPModel,
     LPSolution,
+    RoutingCertificate,
     build_relaxation,
     cheapest_routing,
     check_feasible_routing,
@@ -49,7 +53,8 @@ from .lp import (
 )
 from .mir import hull_inequalities
 
-# solve_lp is not called here; the benchmark's tracer (perfbench/spans.py) wraps engine.solve_lp
+# solve_lp is not called by this name; the benchmark's tracer (perfbench/spans.py) wraps
+# engine.solve_lp.  brute_force_ip calls lp.solve_lp, where the tracer and the tests patch it
 from .simplex import solve_lp, solve_lp_many  # noqa: F401
 
 K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
@@ -486,15 +491,116 @@ def default_y_bounds(instance: Instance, ybound: int | None = None) -> dict[tupl
     return bounds
 
 
-def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int], budget: int = 10**6):
+def _grid(y_bounds: Mapping[tuple[int, int], int], budget: int = 10**6):
+    """The grid's points, each a tuple of installation counts over ``sorted(y_bounds)``."""
     keys = sorted(y_bounds)
     size = 1
     for k in keys:
         size *= y_bounds[k] + 1
         if size > budget:
             raise BudgetExceededError(f"y-grid has more than {budget} points")
-    for values in product(*(range(y_bounds[k] + 1) for k in keys)):
-        yield dict(zip(keys, (Fraction(v) for v in values)))
+    yield from product(*(range(y_bounds[k] + 1) for k in keys))
+
+
+def _capacity_scale(instance: Instance) -> int:
+    """Least ``S`` with ``S * cap`` integral for every capacity the oracles
+    build: existing capacity plus whole facilities, or the total demand
+    (the ample capacity of ``_validate_pure_capacity``)."""
+    values = [arc.existing_capacity for arc in instance.arcs] + [fac.capacity for fac in instance.facilities]
+    return math.lcm(instance.demand.total().denominator, *(v.denominator for v in values))
+
+
+def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
+    """``scale * v`` of each value, in ints; ``scale`` is a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _grid_capacities(instance: Instance, keys, scale: int) -> Callable[[tuple], list[int]]:
+    """``t -> _scaled(caps)``: each arc's capacity at the grid point ``t``
+    (counts over ``keys``), built in ints."""
+    base = _scaled([arc.existing_capacity for arc in instance.arcs], scale)
+    units = _scaled([instance.facilities[mi].capacity for _, mi in keys], scale)
+    terms: list[list[tuple[int, int]]] = [[] for _ in instance.arcs]
+    for i, ((ai, _), unit) in enumerate(zip(keys, units)):
+        terms[ai].append((i, unit))
+    return lambda t: [b + sum(c * t[i] for i, c in arc) for b, arc in zip(base, terms)]
+
+
+class MetricCertificates:
+    """Routing refutations proved on ``instance``.
+
+    A metric certificate ``(v, u)`` lies in the metric cone of the
+    topology, which does not read the capacities, so ``sum(v_a * cap_a) <
+    demand_side`` proves that no routing fits ``cap`` for every capacity
+    vector it separates, not only the one it was found at.  Capacities are
+    given as ints ``scale * cap``; each certificate is kept as integer arc
+    weights ``w`` and a threshold, a positive multiple of its inequality:
+    ``sum(w_a * scale * cap_a) < threshold``.
+    """
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.scale = _capacity_scale(instance)
+        self.certificates: list[tuple[dict[int, int], int]] = []
+
+    def refutes(self, scaled_caps: Sequence[int]) -> bool:
+        """Does a kept certificate prove ``scaled_caps`` unroutable?  The one
+        that does moves to the front."""
+        certs = self.certificates
+        for i, (w, threshold) in enumerate(certs):
+            if sum(c * scaled_caps[ai] for ai, c in w.items()) < threshold:
+                certs.insert(0, certs.pop(i))
+                return True
+        return False
+
+    def add(self, cert: RoutingCertificate) -> None:
+        mult = math.lcm(*(v.denominator for v in cert.v.values()))
+        # the weighted sum is an int, so ``< q`` is ``< ceil(q)``
+        threshold = math.ceil(cert.demand_side(self.instance) * mult * self.scale)
+        self.certificates.insert(0, (dict(zip(cert.v, _scaled(cert.v.values(), mult))), threshold))
+
+
+class DualCertificates:
+    """Safe lower bounds on the minimum of one flow objective over the
+    routing LP, at capacities given as ints ``scale * cap``.
+
+    The Neumaier-Shcherbina bound (``lp.safe_lower_bound``) holds for any
+    row duals of the right signs, and its reduced costs ``c - pi·A`` do not
+    read the right-hand side.  Only the capacity rows' rhs changes between
+    capacity vectors, so with ``pi_a <= 0`` the clamped dual of arc ``a``'s
+    capacity row, ``const + sum(pi_a * cap_a)`` is the bound the same duals
+    give at any ``cap``, and it is exact.  Each is kept as ints ``(mult, c0,
+    w)`` with ``mult * bound = c0 + sum(w_a * scale * cap_a)``.
+    """
+
+    def __init__(self, scale: int):
+        self.scale = scale
+        self.certificates: list[tuple[int, int, dict[int, int]]] = []
+
+    def reaches(self, scaled_caps: Sequence[int], num: int, den: int) -> bool:
+        """Does a kept bound reach ``num / den`` (``den > 0``) at
+        ``scaled_caps``?  The one that does moves to the front."""
+        certs = self.certificates
+        for i, (mult, c0, w) in enumerate(certs):
+            if (c0 + sum(c * scaled_caps[ai] for ai, c in w.items())) * den >= num * mult:
+                certs.insert(0, certs.pop(i))
+                return True
+        return False
+
+    def add(self, scaled_caps: Sequence[int], bound: Fraction, duals: Sequence) -> None:
+        """Keep ``bound``, ``lp.safe_lower_bound`` of ``duals`` at
+        ``scaled_caps`` on a routing LP whose last rows are the capacity rows."""
+        per_unit = {}
+        for ai, dual in enumerate(duals[len(duals) - len(scaled_caps) :]):
+            pi = rationalize(dual)
+            if pi < 0:  # safe_lower_bound drops a <= row's positive dual
+                per_unit[ai] = pi / self.scale
+        const = bound - sum((r * scaled_caps[ai] for ai, r in per_unit.items()), ZERO)
+        mult = math.lcm(const.denominator, *(r.denominator for r in per_unit.values()))
+        c0, *w = _scaled([const, *per_unit.values()], mult)
+        cert = (mult, c0, dict(zip(per_unit, w)))
+        if cert not in self.certificates:  # points with one optimal basis give one bound
+            self.certificates.insert(0, cert)
 
 
 def brute_force_ip(
@@ -508,6 +614,10 @@ def brute_force_ip(
     For each grid point ``lp.cheapest_routing`` (or the unsplittable routing
     enumeration) prices the flows exactly; returns ``(value, point)`` with
     the best total cost, or ``None`` when nothing in the grid is feasible.
+    A point is skipped without an LP when a metric certificate proved at an
+    earlier point refutes it, or when a flow-cost dual bound proved at an
+    earlier point already brings its total to the incumbent (which only a
+    strictly lower total replaces).
     Unsplittable routings are paths only: a cycle only adds load, and
     ``validate_instance`` requires nonnegative flow costs of unsplittable
     instances, so a cycle never makes a routing fit or cost less.
@@ -516,21 +626,46 @@ def brute_force_ip(
     """
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
+    keys = sorted(y_bounds)
+    unit_cost = [instance.facilities[mi].costs[ai] for ai, mi in keys]
     flow_cost = {(ai, ki): c for ai, row in enumerate(instance.flow_costs) for ki, c in enumerate(row)}
     routings = _unsplittable_routings(instance, cycles=False) if instance.unsplittable else None
+    refuted = MetricCertificates(instance)
+    scale = refuted.scale
+    bounds = DualCertificates(scale)
+    capacities = _grid_capacities(instance, keys, scale)
+    n_vars = len(instance.arcs) * len(instance.commodities)
+    balance, upper = routing_balance_rows(instance), routing_upper(instance)
+    objective = flow_columns(instance, flow_cost)
     best = None
-    for y in _grid(instance, y_bounds, budget):
-        caps = [instance.arc_capacity(ai, y) for ai in range(len(instance.arcs))]
-        install = sum((instance.facilities[mi].costs[ai] * cnt for (ai, mi), cnt in y.items()), ZERO)
+    for t in _grid(y_bounds, budget):
+        scaled_caps = capacities(t)
+        install = sum((c * v for c, v in zip(unit_cost, t) if v), ZERO)
         if routings is None:
-            flow_val, x = cheapest_routing(instance, caps, flow_cost)
-        else:
+            if refuted.refutes(scaled_caps):
+                continue
+            if best is not None:
+                target = best[0] - install
+                if bounds.reaches(scaled_caps, target.numerator, target.denominator):
+                    continue
+        caps = [Fraction(c, scale) for c in scaled_caps]
+        if routings is not None:
             flow_val, x = _best_unsplittable(instance, routings, caps, flow_cost) or (None, None)
+        else:
+            rows = balance + routing_capacity_rows(instance, caps)
+            res = lp.solve_lp(n_vars, rows, objective, upper)
+            flow_val, x = cheapest_routing(instance, caps, flow_cost, first=res)
+            if flow_val is None:
+                refuted.add(x)
+            elif res.status == "optimal":
+                bound = safe_lower_bound(rows, objective, upper, res.duals)
+                if bound is not None:
+                    bounds.add(scaled_caps, bound, res.duals)
         if flow_val is None:
             continue
         total = install + flow_val
         if best is None or total < best[0]:
-            best = (total, FractionalPoint(x=dict(x), y={k: v for k, v in y.items() if v}))
+            best = (total, FractionalPoint(x=dict(x), y={k: Fraction(v) for k, v in zip(keys, t) if v}))
     return best
 
 
@@ -562,34 +697,41 @@ def validate_cuts(
     Pure-capacity cuts with nonnegative coefficients get a complete check
     independent of the grid bounds: only installations with left-hand side
     below the rhs can violate, and there are finitely many.  Cuts with
-    flow terms are checked on the bounded grid.  At each grid point one
-    float routing LP is solved for the objectives of all open cuts (phase 1
-    shared) and the float answers are only used as certificates:
+    flow terms are checked on the bounded grid.  Every certificate proved
+    on the way is kept, as it carries to other capacity vectors
+    (``MetricCertificates``, ``DualCertificates``), so at each grid point:
 
-    - the point is skipped as unroutable when the Farkas vector yields a
+    - the point is skipped as unroutable when a kept metric certificate
+      refutes its capacities;
+    - a cut holds at the point when its ``y`` part plus a kept dual bound
+      on the minimum of its flow part reaches the rhs;
+    - for the cuts left, one float routing LP is solved for all their
+      objectives (phase 1 shared), and its answers are only used as
+      certificates: the point is skipped when the Farkas vector yields a
       metric inequality that fails exactly (``lp.proves_unroutable``, the
-      certificate ``check_feasible_routing`` also gives);
-    - a cut holds at the point when its ``y`` part plus a safe dual bound
-      on the minimum of its flow part reaches the rhs exactly
-      (``lp.safe_lower_bound``);
+      certificate ``check_feasible_routing`` also gives), and a cut holds
+      when its ``y`` part plus a safe dual bound (``lp.safe_lower_bound``)
+      reaches the rhs exactly;
     - anything left is priced exactly from the same float solve by
       ``lp.cheapest_routing``, which also supplies every counterexample.
 
-    With unsplittable routing the enumeration is exact throughout; points
-    with no joint routing are skipped for every cut.  Routability is
-    decided on paths alone (a cycle only adds load); the flow part of a cut
-    is priced over paths plus disjoint cycles, since its coefficients can
-    be negative.
+    Every skip rests on an exact inequality, so the verdicts and
+    counterexamples are those of solving at every point.  With unsplittable
+    routing the enumeration is exact throughout; points with no joint
+    routing are skipped for every cut.  Routability is decided on paths
+    alone (a cycle only adds load); the flow part of a cut is priced over
+    paths plus disjoint cycles, since its coefficients can be negative.
     """
     verdicts: list = [(True, None) for _ in cuts]
     priced = routings = None
     if instance.unsplittable:
         routings = _unsplittable_routings(instance, cycles=False)
         priced = _unsplittable_routings(instance) if any(cut.flow for cut in cuts) else routings
+    refuted = MetricCertificates(instance)
     grid_idx = []
     for idx, cut in enumerate(cuts):
         if not cut.flow and all(v >= 0 for v in cut.cap.values()):
-            verdicts[idx] = _validate_pure_capacity(cut, instance, routings)
+            verdicts[idx] = _validate_pure_capacity(cut, instance, routings, refuted)
         else:
             grid_idx.append(idx)
     if not grid_idx:
@@ -597,16 +739,31 @@ def validate_cuts(
 
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
+    keys = sorted(y_bounds)
+    scale = refuted.scale
+    capacities = _grid_capacities(instance, keys, scale)
     upper = routing_upper(instance)
     n_vars = len(instance.arcs) * len(instance.commodities)
     balance = routing_balance_rows(instance)
     objectives = {idx: flow_columns(instance, cuts[idx].flow) for idx in grid_idx}
+    # a dual bound bounds the flow part alone: cuts with one flow part share its certificates
+    shared: dict = {}
+    bounds = {idx: shared.setdefault(frozenset(cuts[idx].flow.items()), DualCertificates(scale)) for idx in grid_idx}
+    shortfalls = {idx: _shortfall(cuts[idx], keys) for idx in grid_idx}
     open_idx = set(grid_idx)
-    for y in _grid(instance, y_bounds, budget):
+    for t in _grid(y_bounds, budget):
         if not open_idx:
             break
-        caps = [instance.arc_capacity(ai, y) for ai in range(len(instance.arcs))]
+        scaled_caps = capacities(t)
         order = sorted(open_idx)
+        if routings is None:
+            if refuted.refutes(scaled_caps):
+                continue
+            order = [idx for idx in order if not bounds[idx].reaches(scaled_caps, *shortfalls[idx](t))]
+            if not order:
+                continue
+        y = dict(zip(keys, map(Fraction, t)))
+        caps = [Fraction(c, scale) for c in scaled_caps]
         if routings is not None:
             if _best_unsplittable(instance, routings, caps, {}) is None:
                 continue
@@ -620,14 +777,18 @@ def validate_cuts(
         # only the capacity rows depend on the grid point
         rows = balance + routing_capacity_rows(instance, caps)
         results = solve_lp_many(n_vars, rows, [objectives[idx] for idx in order], upper)
-        if results[0].status == "infeasible" and proves_unroutable(instance, caps, results[0].farkas):
-            continue
+        if results[0].status == "infeasible":
+            cert = proves_unroutable(instance, caps, results[0].farkas)
+            if cert:
+                refuted.add(cert)
+                continue
         for idx, res in zip(order, results):
             cut = cuts[idx]
             ypart = _ypart(cut, y)
             if res.status == "optimal":
                 bound = safe_lower_bound(rows, objectives[idx], upper, res.duals)
                 if bound is not None and ypart + bound >= cut.rhs:
+                    bounds[idx].add(scaled_caps, bound, res.duals)
                     continue
             value, x = cheapest_routing(instance, caps, cut.flow, first=res)
             if value is not None and ypart + value < cut.rhs:
@@ -640,7 +801,18 @@ def _ypart(cut: LinearCut, y) -> Fraction:
     return sum((coef * y.get(key, ZERO) for key, coef in cut.cap.items()), ZERO)
 
 
-def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
+def _shortfall(cut: LinearCut, keys) -> Callable[[tuple], tuple[int, int]]:
+    """``t -> (num, den)`` with ``num / den = rhs - y part`` of ``cut`` at the
+    grid point ``t`` (counts over ``keys``), in ints."""
+    position = {key: i for i, key in enumerate(keys)}
+    terms = {position[key]: coef for key, coef in cut.cap.items() if key in position}
+    den = math.lcm(cut.rhs.denominator, *(coef.denominator for coef in terms.values()))
+    rhs, *coefs = _scaled([cut.rhs, *terms.values()], den)
+    terms = list(zip(terms, coefs))
+    return lambda t: (rhs - sum(c * t[i] for i, c in terms), den)
+
+
+def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings, refuted: MetricCertificates):
     """Complete validity check for a nonnegative pure-capacity cut.
 
     Any violating installation keeps the keyed variables below the cut's
@@ -649,7 +821,8 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
     routability exactly (``check_feasible_routing``) at the maximal ones,
     where raising any key would reach the rhs: routability only grows with
     capacity, so a routable pattern below the rhs exists iff a maximal one
-    does.
+    does.  A pattern that a metric certificate in ``refuted`` refutes needs
+    no LP; each new refutation joins ``refuted``.
     """
     keys = sorted(cut.cap)
     least = min(cut.cap.values())
@@ -677,10 +850,14 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings):
             if lhs + least < cut.rhs:
                 return
             caps = capacities(current)
-            if routings is None:
-                feasible = check_feasible_routing(instance, caps)[0]
-            else:
+            if routings is not None:
                 feasible = _best_unsplittable(instance, routings, caps, {}) is not None
+            elif refuted.refutes(_scaled(caps, refuted.scale)):
+                feasible = False
+            else:
+                feasible, cert = check_feasible_routing(instance, caps)
+                if not feasible:
+                    refuted.add(cert)
             if feasible:
                 counter = FractionalPoint(x={}, y=dict(current))
             return
@@ -788,16 +965,16 @@ def _best_unsplittable(instance, routings, capacities, objective):
                 sum((objective.get((ai, ki), ZERO) * demands[ki] for ai in flow), ZERO)
             )
         arc_cost.append(costs)
+    # prune at commodity ki only when no remaining cost can be negative
+    prunable = [True] * (len(routings) + 1)
+    for ki in reversed(range(len(routings))):
+        prunable[ki] = prunable[ki + 1] and all(c >= 0 for c in arc_cost[ki])
     best = None
 
     def assign(ki, loads, cost, chosen):
         nonlocal best
-        if best is not None and cost >= best[0]:
-            # pruning only sound when remaining costs cannot be negative
-            if all(
-                all(c >= 0 for c in arc_cost[kj]) for kj in range(ki, len(routings))
-            ):
-                return
+        if best is not None and cost >= best[0] and prunable[ki]:
+            return
         if ki == len(routings):
             if best is None or cost < best[0]:
                 x = {}

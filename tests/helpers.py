@@ -550,6 +550,108 @@ def pure_capacity_counterexamples(cut, instance):
     return found
 
 
+def reference_validate_cuts(cuts, instance, ybound):
+    """``engine.validate_cuts`` as it was before certificates were kept: one
+    float routing LP for the open cuts at every grid point, each answer
+    certified afresh (the Farkas vector's metric inequality, then each
+    cut's safe dual bound, then exact pricing), and routability decided
+    anew at every maximal pure-capacity pattern."""
+    from netdes_cuts.engine import _best_unsplittable, _unsplittable_routings, default_y_bounds
+    from netdes_cuts.core import FractionalPoint
+    from netdes_cuts.lp import (
+        cheapest_routing, check_feasible_routing, flow_columns, proves_unroutable,
+        routing_balance_rows, routing_capacity_rows, routing_upper, safe_lower_bound,
+    )
+    from netdes_cuts.simplex import solve_lp_many
+
+    def ypart(cut, y):
+        return sum((coef * y.get(key, ZERO) for key, coef in cut.cap.items()), ZERO)
+
+    def pure_capacity(cut, routings):
+        keys = sorted(cut.cap)
+        least = min(cut.cap.values())
+        ample = instance.demand.total()
+
+        def rec(idx, lhs, current):
+            if idx == len(keys):
+                if lhs + least < cut.rhs:
+                    return None
+                caps = [
+                    arc.existing_capacity + sum(
+                        (fac.capacity * current.get((ai, mi), ZERO) if (ai, mi) in cut.cap else ample
+                         for mi, fac in enumerate(instance.facilities)),
+                        ZERO,
+                    )
+                    for ai, arc in enumerate(instance.arcs)
+                ]
+                if routings is None:
+                    feasible = check_feasible_routing(instance, caps)[0]
+                else:
+                    feasible = _best_unsplittable(instance, routings, caps, {}) is not None
+                return FractionalPoint(x={}, y=dict(current)) if feasible else None
+            key, units = keys[idx], 0
+            while lhs + cut.cap[key] * units < cut.rhs:
+                current[key] = F(units)
+                counter = rec(idx + 1, lhs + cut.cap[key] * units, current)
+                if counter is not None:
+                    return counter
+                units += 1
+            current.pop(key, None)
+            return None
+
+        counter = rec(0, ZERO, {})
+        return (True, None) if counter is None else (False, counter)
+
+    verdicts = [(True, None) for _ in cuts]
+    priced = routings = None
+    if instance.unsplittable:
+        routings = _unsplittable_routings(instance, cycles=False)
+        priced = _unsplittable_routings(instance) if any(cut.flow for cut in cuts) else routings
+    grid_idx = []
+    for idx, cut in enumerate(cuts):
+        if not cut.flow and all(v >= 0 for v in cut.cap.values()):
+            verdicts[idx] = pure_capacity(cut, routings)
+        else:
+            grid_idx.append(idx)
+    y_bounds = default_y_bounds(instance, ybound)
+    keys = sorted(y_bounds)
+    upper = routing_upper(instance)
+    n_vars = len(instance.arcs) * len(instance.commodities)
+    balance = routing_balance_rows(instance)
+    objectives = {idx: flow_columns(instance, cuts[idx].flow) for idx in grid_idx}
+    open_idx = set(grid_idx)
+    for values in product(*(range(y_bounds[k] + 1) for k in keys)):
+        if not open_idx:
+            break
+        y = dict(zip(keys, (F(v) for v in values)))
+        caps = [instance.arc_capacity(ai, y) for ai in range(len(instance.arcs))]
+        order = sorted(open_idx)
+        if routings is not None:
+            if _best_unsplittable(instance, routings, caps, {}) is None:
+                continue
+            for idx in order:
+                lhs_min, x = _best_unsplittable(instance, priced, caps, cuts[idx].flow)
+                if ypart(cuts[idx], y) + lhs_min < cuts[idx].rhs:
+                    verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(y)))
+                    open_idx.discard(idx)
+            continue
+        rows = balance + routing_capacity_rows(instance, caps)
+        results = solve_lp_many(n_vars, rows, [objectives[idx] for idx in order], upper)
+        if results[0].status == "infeasible" and proves_unroutable(instance, caps, results[0].farkas):
+            continue
+        for idx, res in zip(order, results):
+            cut = cuts[idx]
+            if res.status == "optimal":
+                bound = safe_lower_bound(rows, objectives[idx], upper, res.duals)
+                if bound is not None and ypart(cut, y) + bound >= cut.rhs:
+                    continue
+            value, x = cheapest_routing(instance, caps, cut.flow, first=res)
+            if value is not None and ypart(cut, y) + value < cut.rhs:
+                verdicts[idx] = (False, FractionalPoint(x=x, y=dict(y)))
+                open_idx.discard(idx)
+    return verdicts
+
+
 def random_rational(rng, lo=0, hi=2, denoms=(1, 2, 3, 4, 6)):
     d = rng.choice(denoms)
     return F(rng.randint(int(lo * d), int(hi * d)), d)

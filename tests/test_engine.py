@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,12 @@ from netdes_cuts.engine import (
     validate_cut,
     validate_cuts,
 )
-from helpers import GOLDEN_4_NODE, pure_capacity_counterexamples, reference_separate_all
+from helpers import (
+    GOLDEN_4_NODE,
+    pure_capacity_counterexamples,
+    reference_separate_all,
+    reference_validate_cuts,
+)
 
 
 def test_config_validation():
@@ -466,6 +472,122 @@ def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_i
     assert all(isinstance(v, F) for v in counter.x.values())
 
 
+# criterion 11's batch shapes: first seed, nodes, density, facilities, families, unsplittable
+CRITERION_11_SHAPES = [
+    (1001, 3, 0.9, (1,), ("rc", "cutset", "flowcutset", "metric", "partition"), False),
+    (1101, 4, 0.5, (1,), ("rc", "cutset", "flowcutset", "partition"), False),
+    (1141, 3, 0.7, (1, 2), ("mf", "metric", "partition"), False),
+    (1176, 3, 0.9, (1,), ("rc", "cstrong", "cutset", "flowcutset"), True),
+]
+
+
+@pytest.mark.parametrize("first, nodes, density, facilities, families, unsplittable", CRITERION_11_SHAPES)
+def test_kept_certificates_leave_verdicts_and_counterexamples_unchanged(
+    first, nodes, density, facilities, families, unsplittable
+):
+    """On criterion 11's batch shapes the sweep that keeps its certificates
+    gives the verdicts and counterexample points of the sweep that certifies
+    every point afresh, on the loop's cuts and on copies with a raised rhs,
+    which fail at grid points reached after certificates were kept."""
+    grid_failures = 0
+    for seed in range(first, first + 5):
+        inst = generate_instance(
+            seed=seed, nodes=nodes, density=density, facilities=facilities,
+            mode="disaggregated" if unsplittable else "aggregated",
+            unsplittable=unsplittable, flow_cost_prob=0.4,
+        )
+        cuts = cutting_plane_loop(inst, Config(families=families, max_rounds=4)).pool.cuts()
+        cuts += [LinearCut(dict(c.flow), dict(c.cap), c.rhs + r, c.family) for c in cuts for r in (F(1, 2), F(1))]
+        verdicts = validate_cuts(cuts, inst, ybound=1)
+        assert verdicts == reference_validate_cuts(cuts, inst, ybound=1)
+        grid_failures += sum(1 for cut, (ok, _) in zip(cuts, verdicts) if cut.flow and not ok)
+    assert grid_failures > 0
+
+
+@pytest.mark.parametrize("nodes, seeds", [(3, range(1, 7)), (4, range(1, 4))])
+def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
+    """A metric certificate taken at one capacity vector refutes only
+    vectors that ``check_feasible_routing`` finds unroutable, and a dual
+    bound taken at one vector (from the float duals, or from perturbed
+    ones) is the safe bound of the same duals at another, never above
+    ``cheapest_routing``'s exact minimum there."""
+    rng = random.Random(nodes)
+    carried_refutations = tight_carried_bounds = 0
+    for seed in seeds:
+        inst = generate_instance(seed=seed, nodes=nodes, density=0.7, facilities=(1, 2))
+        scale = engine.MetricCertificates(inst).scale
+        flow = {
+            (ai, ki): F(rng.randint(-1, 3), rng.choice((1, 2)))
+            for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))
+        }
+        columns, upper = lp.flow_columns(inst, flow), lp.routing_upper(inst)
+        vectors = [
+            [F(0) if rng.random() < 0.3 else F(rng.randint(1, 3 * scale), scale) for _ in inst.arcs]
+            for _ in range(10)
+        ]
+        refutations, bounds, answers = [], [], []
+        for i, caps in enumerate(vectors):
+            scaled = [c.numerator * (scale // c.denominator) for c in caps]
+            n_vars, rows = lp.routing_rows(inst, caps)
+            ok, cert = lp.check_feasible_routing(inst, caps)
+            answers.append((scaled, rows, ok and lp.cheapest_routing(inst, caps, flow)[0]))
+            if not ok:
+                refutations.append((i, engine.MetricCertificates(inst)))
+                refutations[-1][1].add(cert)
+                continue
+            duals = lp.solve_lp(n_vars, rows, columns, upper).duals
+            if i % 2:  # any duals give a safe bound; wrong-signed ones are dropped
+                duals = [d + rng.uniform(-0.5, 0.5) for d in duals]
+            kept = engine.DualCertificates(scale)
+            kept.add(scaled, lp.safe_lower_bound(rows, columns, upper, duals), duals)
+            bounds.append((i, duals, kept))
+        for j, (scaled, rows, value) in enumerate(answers):
+            for i, refuted in refutations:
+                if refuted.refutes(scaled):
+                    assert value is False
+                    carried_refutations += i != j
+            for i, duals, kept in bounds:
+                (mult, c0, w), = kept.certificates
+                bound = F(c0 + sum(c * scaled[ai] for ai, c in w.items()), mult)
+                assert bound == lp.safe_lower_bound(rows, columns, upper, duals)
+                if value is not False:
+                    assert bound <= value
+                    assert kept.reaches(scaled, bound.numerator, bound.denominator)
+                    tight_carried_bounds += i != j and bound == value
+    assert carried_refutations > 0 and tight_carried_bounds > 0
+
+
+def test_stubbed_certificates_leave_the_caches_empty(monkeypatch):
+    """Certificates that prove nothing (a falsy refutation, no dual bound)
+    are never kept; with ``lp.certify``'s dual bound stubbed too, the grid
+    points are then priced by exact solves."""
+    sweep = []
+    for seed in (1001, 1002, 1004):
+        inst = generate_instance(seed=seed, nodes=3, density=0.9, facilities=(1,), flow_cost_prob=0.4)
+        # cuts with flow terms only: the grid's certificates, not the pure-capacity check's
+        cuts = [cut for cut in cutting_plane_loop(inst, Config(max_rounds=4)).pool.cuts() if cut.flow]
+        sweep.append((inst, cuts, validate_cuts(cuts, inst, ybound=1)))
+    assert all(cuts for _, cuts, _ in sweep)
+    made = []
+
+    def recorded(cls):
+        def make(*args):
+            made.append(cls(*args))
+            return made[-1]
+        return make
+
+    monkeypatch.setattr(engine, "MetricCertificates", recorded(engine.MetricCertificates))
+    monkeypatch.setattr(engine, "DualCertificates", recorded(engine.DualCertificates))
+    monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
+    monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
+    monkeypatch.setattr(lp, "safe_lower_bound", lambda *args: None)
+    exact_solves = count_solves(monkeypatch)
+    for inst, cuts, verdicts in sweep:
+        assert validate_cuts(cuts, inst, ybound=1) == verdicts
+    assert made and all(not kept.certificates for kept in made)
+    assert any(exact_solves)
+
+
 def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
     from netdes_cuts import lp
     from netdes_cuts.simplex import LPResult
@@ -608,6 +730,38 @@ def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
     full = engine._unsplittable_routings
     monkeypatch.setattr(engine, "_unsplittable_routings", lambda inst, cycles=True: full(inst))
     assert answers() == on_paths
+
+
+def test_best_unsplittable_matches_exhaustive_search_with_negative_costs():
+    """The joint-routing search prunes a branch only when no later
+    commodity has a negative cost: with negative costs on some commodities
+    it finds the minimum of the exhaustive search."""
+    from itertools import product
+
+    rng = random.Random(5)
+    checked = 0
+    for seed in range(2000, 2008):
+        inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1,), mode="disaggregated",
+                                 unsplittable=True)
+        routings = engine._unsplittable_routings(inst)
+        demands = [com.total_supply for com in inst.commodities]
+        caps = [F(rng.randint(1, 4)) for _ in inst.arcs]
+        for _ in range(3):
+            objective = {
+                (ai, ki): F(rng.randint(-2, 2)) if ki else F(rng.randint(0, 2))
+                for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))
+            }
+            costs = []
+            for choice in product(*routings):
+                loads = [sum((demands[ki] for ki, flow in enumerate(choice) if ai in flow), F(0))
+                         for ai in range(len(inst.arcs))]
+                if all(load <= cap for load, cap in zip(loads, caps)):
+                    costs.append(sum((objective[(ai, ki)] * demands[ki]
+                                      for ki, flow in enumerate(choice) for ai in flow), F(0)))
+            best = engine._best_unsplittable(inst, routings, caps, objective)
+            assert (best and best[0]) == (min(costs) if costs else None)
+            checked += bool(costs)
+    assert checked >= 10
 
 
 def test_brute_force_answers_five_node_unsplittable():
