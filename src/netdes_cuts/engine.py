@@ -51,7 +51,7 @@ from .lp import (
     safe_lower_bound,
     solve,
 )
-from .mir import hull_inequalities
+from .mir import KnapsackCoverSet, hull_inequalities
 
 # solve_lp is not called by this name; the benchmark's tracer (perfbench/spans.py) wraps
 # engine.solve_lp.  brute_force_ip calls lp.solve_lp, where the tracer and the tests patch it
@@ -151,13 +151,21 @@ def _first_of_key(sep: Separation, point: FractionalPoint, cut: LinearCut | None
 
 def _partition(sep: Separation):
     """Two-partition hull cuts, then per three-partition the stronger
-    total-capacity cut followed by the hull cuts it feeds."""
+    total-capacity cut followed by the hull cuts it feeds.  Many partitions
+    share a cover set, and each distinct cover's hull is computed once."""
     instance = sep.instance
+    hulls: dict[KnapsackCoverSet, list] = {}
+
+    def hull(cover: KnapsackCoverSet) -> list:
+        if cover not in hulls:
+            hulls[cover] = hull_inequalities(cover)
+        return hulls[cover]
+
     for U, V in sep.partitions:
         shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))
         cover = partition_cuts.knapsack_cover_from_two_partition(shrunk)
         if cover is not None:
-            for ineq in hull_inequalities(cover):
+            for ineq in hull(cover):
                 yield partition_cuts.expand_knapsack_cut(ineq, shrunk)
     for part in _three_partitions(instance):
         candidates = [cut for cut in partition_cuts.total_capacity_cuts(instance, part) if cut is not None]
@@ -168,7 +176,7 @@ def _partition(sep: Separation):
         fed = partition_cuts.knapsack_from_total_capacity(winner, instance)
         if fed is not None:
             cover, support = fed
-            for ineq in hull_inequalities(cover):
+            for ineq in hull(cover):
                 cap = {(ai, mi): coef for mi, coef in ineq.integ.items() for ai in support.get(mi, ())}
                 if cap:
                     yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
@@ -344,19 +352,21 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
 
 class Separation:
     """Separation state of one loop: the enabled families that apply to the
-    instance, in table order, and the candidates of each built-once family.
-    Partitions and relaxations are made on first use, so nothing is built
-    for a family that does not run.  ``last_round`` holds, per family of
-    the last ``separate_all`` call, its ``seconds`` and its violated
-    ``candidates``, in the order their cuts were returned, and
-    ``cutset_keys`` the keys of the ``flowcutset`` and ``mf`` candidates of
-    that call."""
+    instance, in table order, and the candidates of each built-once family
+    (``fixed``), pure capacity cuts that ``forms`` keeps with their integer
+    forms (``_integer_form``) for admission.  Partitions and relaxations
+    are made on first use, so nothing is built for a family that does not
+    run.  ``last_round`` holds, per family of the last ``separate_all``
+    call, its ``seconds`` and its violated ``candidates``, in the order
+    their cuts were returned, and ``cutset_keys`` the keys of the
+    ``flowcutset`` and ``mf`` candidates of that call."""
 
     def __init__(self, instance: Instance, config: Config):
         self.instance = instance
         self.eps = config.eps
         self.families = [f for f in SEPARATORS if f.name in config.families and f.applies(instance)]
         self.fixed = {f.name: _distinct(f.build(self)) for f in self.families if f.build}
+        self.forms = {name: [(cut, *_integer_form(cut)) for cut in cuts] for name, cuts in self.fixed.items()}
         self._subsets = (None, [])
         self.last_round: dict[str, dict] = {}
         self.cutset_keys: set = set()
@@ -386,23 +396,58 @@ def _distinct(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
     return list(first.values())
 
 
+def _integer_form(cut: LinearCut) -> tuple[int, int, tuple[tuple[tuple[int, int], int], ...]]:
+    """``(den, R, ((key, C), ...))``: ``den`` times the pure capacity cut,
+    ``sum C * y >= R``, in ints."""
+    if cut.flow:
+        raise ValueError(f"{cut.family} cut has flow terms")
+    den = math.lcm(cut.rhs.denominator, *(coef.denominator for coef in cut.cap.values()))
+    rhs, *coefs = _scaled([cut.rhs, *cut.cap.values()], den)
+    return den, rhs, tuple(zip(cut.cap, coefs))
+
+
+def _scaled_y(point: FractionalPoint) -> tuple[int, dict[tuple[int, int], int]]:
+    """``(D, Y)``: D the lcm of the denominators of ``point.y``, Y = D * y in ints."""
+    D = math.lcm(*(v.denominator for v in point.y.values()))
+    return D, {key: v.numerator * (D // v.denominator) for key, v in point.y.items()}
+
+
+def _admitted(forms, scaled_y: tuple[int, dict], eps: Fraction):
+    """(cut, exact violation) for each form ``(cut, den, R, terms)`` violated
+    by more than eps at the point ``scaled_y`` (``_scaled_y``).  The
+    violation is ``(R*D - sum C*Y) / (den*D)``, so the test runs on ints and
+    a ``Fraction`` is built only for an admitted cut."""
+    D, Y = scaled_y
+    eps_num, eps_den = eps.numerator, eps.denominator
+    for cut, den, rhs, terms in forms:
+        slack = rhs * D - sum(coef * Y.get(key, 0) for key, coef in terms)
+        if slack * eps_den > eps_num * den * D:
+            yield cut, Fraction(slack, den * D)
+
+
 def separate_all(sep: Separation, point: FractionalPoint):
     """One round: every family of ``sep`` in table order; returns (cut,
     exact violation) pairs for the candidates violated by more than eps
     and records each family's time and count in ``sep.last_round``.  The
+    built-once candidates are admitted on their integer forms; the
     cut-set families ``flowcutset`` and ``mf`` offer each key once per
     round between them, and their cuts carry the exact violation their
     separator scored."""
     found: list[tuple[LinearCut, Fraction]] = []
     sep.last_round = {}
     sep.cutset_keys = set()
+    scaled_y = None
     for fam in sep.families:
         t0, before = time.perf_counter(), len(found)
-        for cut in sep.fixed[fam.name] if fam.build else fam.separate(sep, point):
-            if cut is not None:
-                violation = cut.violation(point)
-                if violation > sep.eps:
-                    found.append((cut, violation))
+        if fam.build:
+            scaled_y = scaled_y or _scaled_y(point)
+            found.extend(_admitted(sep.forms[fam.name], scaled_y, sep.eps))
+        else:
+            for cut in fam.separate(sep, point):
+                if cut is not None:
+                    violation = cut.violation(point)
+                    if violation > sep.eps:
+                        found.append((cut, violation))
         sep.last_round[fam.name] = {"seconds": time.perf_counter() - t0, "candidates": len(found) - before}
     return found
 
@@ -822,23 +867,21 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings, refute
     where raising any key would reach the rhs: routability only grows with
     capacity, so a routable pattern below the rhs exists iff a maximal one
     does.  A pattern that a metric certificate in ``refuted`` refutes needs
-    no LP; each new refutation joins ``refuted``.
+    no LP; each new refutation joins ``refuted``.  The walk runs on ints:
+    the cut cleared of denominators, and each arc's capacity times
+    ``refuted.scale``.
     """
-    keys = sorted(cut.cap)
-    least = min(cut.cap.values())
-    ample = instance.demand.total()
-
-    def capacities(y):
-        caps = []
-        for ai, arc in enumerate(instance.arcs):
-            cap = arc.existing_capacity
-            for mi, fac in enumerate(instance.facilities):
-                if (ai, mi) in cut.cap:
-                    cap += fac.capacity * y.get((ai, mi), ZERO)
-                else:
-                    cap += ample
-            caps.append(cap)
-        return caps
+    _, rhs, terms = _integer_form(cut)
+    coef_of = dict(terms)
+    keys = sorted(coef_of)
+    least = min(coef_of.values())
+    scale = refuted.scale
+    ample, *units_of = _scaled([instance.demand.total(), *instance.facility_capacities()], scale)
+    # scaled capacity of each arc with every keyed variable at zero; the walk adds its units
+    caps = _scaled([arc.existing_capacity for arc in instance.arcs], scale)
+    for ai, mi in product(range(len(instance.arcs)), range(len(instance.facilities))):
+        if (ai, mi) not in cut.cap:
+            caps[ai] += ample
 
     counter = None
 
@@ -847,30 +890,33 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings, refute
         if counter is not None:
             return
         if idx == len(keys):
-            if lhs + least < cut.rhs:
+            if lhs + least < rhs:
                 return
-            caps = capacities(current)
             if routings is not None:
-                feasible = _best_unsplittable(instance, routings, caps, {}) is not None
-            elif refuted.refutes(_scaled(caps, refuted.scale)):
+                fractions = [Fraction(c, scale) for c in caps]
+                feasible = _best_unsplittable(instance, routings, fractions, {}) is not None
+            elif refuted.refutes(caps):
                 feasible = False
             else:
-                feasible, cert = check_feasible_routing(instance, caps)
+                feasible, cert = check_feasible_routing(instance, [Fraction(c, scale) for c in caps])
                 if not feasible:
                     refuted.add(cert)
             if feasible:
-                counter = FractionalPoint(x={}, y=dict(current))
+                counter = FractionalPoint(x={}, y={key: Fraction(units) for key, units in current.items()})
             return
         key = keys[idx]
-        coef = cut.cap[key]
+        ai, unit = key[0], units_of[key[1]]
+        coef, base = coef_of[key], caps[ai]
         units = 0
-        while lhs + coef * units < cut.rhs:
-            current[key] = Fraction(units)
+        while lhs + coef * units < rhs:
+            current[key] = units
+            caps[ai] = base + unit * units
             rec(idx + 1, lhs + coef * units, current)
             units += 1
+        caps[ai] = base
         current.pop(key, None)
 
-    rec(0, ZERO, {})
+    rec(0, 0, {})
     if counter is None:
         return True, None
     return False, counter
@@ -955,16 +1001,17 @@ def _unsplittable_routings(
 
 
 def _best_unsplittable(instance, routings, capacities, objective):
-    """Cheapest joint unsplittable routing under the given capacities."""
+    """Cheapest joint unsplittable routing under the given capacities; with
+    an empty ``objective`` every cost is zero, and this is the first joint
+    routing that fits."""
     demands = [com.total_supply for com in instance.commodities]
-    arc_cost = []
-    for ki, flows in enumerate(routings):
-        costs = []
-        for flow in flows:
-            costs.append(
-                sum((objective.get((ai, ki), ZERO) * demands[ki] for ai in flow), ZERO)
-            )
-        arc_cost.append(costs)
+    if not objective:
+        arc_cost = [[ZERO] * len(flows) for flows in routings]
+    else:
+        arc_cost = [
+            [sum((objective.get((ai, ki), ZERO) * demands[ki] for ai in flow), ZERO) for flow in flows]
+            for ki, flows in enumerate(routings)
+        ]
     # prune at commodity ki only when no remaining cost can be negative
     prunable = [True] * (len(routings) + 1)
     for ki in reversed(range(len(routings))):

@@ -1,18 +1,22 @@
 """Node shrinking, metric-inequality separation, and partition-based cuts.
 
-Shrinking a node partition gives a small instance whose valid inequalities
-lift back by copying coefficients onto crossing arcs.  Two-partition
-shrunk instances yield integer knapsack cover sets (iterated MIR turns
-them into partition inequalities); three-partition ones yield the
-total-capacity family, either by summing the six directed cut-set
-inequalities or by pairing rounded metric inequalities.
+Shrinking a node partition sums, per ordered pair of blocks, the crossing
+arcs, their existing capacity and the demand between the blocks.  Those
+sums are all the cut builders read: two-block sums yield integer knapsack
+cover sets (iterated MIR turns them into partition inequalities), and
+three-block sums the total-capacity family, either by summing the six
+directed cut-set inequalities or by pairing rounded metric inequalities.
+The shrunk network as an ``Instance`` is built only on request
+(``ShrunkInstance.instance``); its valid inequalities lift back by copying
+coefficients onto crossing arcs (``lift_cut``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import (
@@ -59,13 +63,46 @@ class NodePartition:
 
 @dataclass
 class ShrunkInstance:
-    """A p-node image of an instance with the bookkeeping to lift cuts."""
+    """A p-node image of an instance with the bookkeeping to lift cuts.
+
+    ``groups``, ``capacity`` and ``demand`` are keyed by block pair
+    ``(bi, bj)``: the original arcs crossing from block bi to block bj (in
+    order of their first crossing arc), their summed existing capacity,
+    and the summed demand between the two blocks.  The cut builders read
+    these sums; ``instance``, the shrunk network as an ``Instance`` with
+    one arc per crossing pair in sorted order, is built on first use.
+    """
 
     base: Instance
     partition: NodePartition
-    instance: Instance
     block_of: dict[int, int]
-    arc_groups: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    groups: dict[tuple[int, int], tuple[int, ...]]
+    capacity: dict[tuple[int, int], Fraction]
+    demand: dict[tuple[int, int], Fraction]
+
+    @cached_property
+    def arc_groups(self) -> dict[int, tuple[int, ...]]:
+        """Crossing groups keyed by the arc index of ``instance``."""
+        index = {pair: i for i, pair in enumerate(sorted(self.groups))}
+        return {index[pair]: group for pair, group in self.groups.items()}
+
+    @cached_property
+    def instance(self) -> Instance:
+        base = self.base
+        pairs = sorted(self.groups)
+        facilities = [
+            Facility(f.capacity, tuple(sum((f.costs[ai] for ai in self.groups[pair]), ZERO) for pair in pairs))
+            for f in base.facilities
+        ]
+        return Instance(
+            nodes=list(range(self.partition.p)),
+            arcs=[Arc(i, j, self.capacity[(i, j)]) for i, j in pairs],
+            facilities=facilities,
+            demand=DemandMatrix(self.demand),
+            flow_costs=ZERO,
+            mode="aggregated",
+            name=f"{base.name}/shrunk{self.partition.p}",
+        )
 
 
 def shrink(instance: Instance, partition: NodePartition) -> ShrunkInstance:
@@ -76,49 +113,27 @@ def shrink(instance: Instance, partition: NodePartition) -> ShrunkInstance:
         for node in block:
             block_of[node] = bi
 
-    cap: dict[tuple[int, int], Fraction] = {}
+    capacity: dict[tuple[int, int], Fraction] = {}
     groups: dict[tuple[int, int], list[int]] = {}
-    cost_sum: dict[tuple[int, int], list[Fraction]] = {}
-    n_fac = len(instance.facilities)
     for ai, arc in enumerate(instance.arcs):
-        bi, bj = block_of[arc.tail], block_of[arc.head]
-        if bi == bj:
+        pair = (block_of[arc.tail], block_of[arc.head])
+        if pair[0] == pair[1]:
             continue
-        cap[(bi, bj)] = cap.get((bi, bj), ZERO) + arc.existing_capacity
-        groups.setdefault((bi, bj), []).append(ai)
-        costs = cost_sum.setdefault((bi, bj), [ZERO] * n_fac)
-        for mi, f in enumerate(instance.facilities):
-            costs[mi] += f.costs[ai]
+        capacity[pair] = capacity.get(pair, ZERO) + arc.existing_capacity
+        groups.setdefault(pair, []).append(ai)
 
-    demand = DemandMatrix()
+    demand: dict[tuple[int, int], Fraction] = {}
     for i, j, amount in instance.demand.pairs():
-        bi, bj = block_of[i], block_of[j]
-        if bi != bj:
-            demand.set(bi, bj, demand.t(bi, bj) + amount)
-
-    arcs = [Arc(i, j, cap[(i, j)]) for (i, j) in sorted(groups)]
-    facilities = [
-        Facility(f.capacity, tuple(cost_sum[a.pair][mi] for a in arcs))
-        for mi, f in enumerate(instance.facilities)
-    ]
-    small = Instance(
-        nodes=list(range(partition.p)),
-        arcs=arcs,
-        facilities=facilities,
-        demand=demand,
-        flow_costs=ZERO,
-        mode="aggregated",
-        name=f"{instance.name}/shrunk{partition.p}",
-    )
-    arc_groups = {
-        small.arc_index[pair]: tuple(idxs) for pair, idxs in groups.items()
-    }
+        pair = (block_of[i], block_of[j])
+        if pair[0] != pair[1]:
+            demand[pair] = demand.get(pair, ZERO) + amount
     return ShrunkInstance(
         base=instance,
         partition=partition,
-        instance=small,
         block_of=block_of,
-        arc_groups=arc_groups,
+        groups={pair: tuple(idxs) for pair, idxs in groups.items()},
+        capacity=capacity,
+        demand=demand,
     )
 
 
@@ -131,6 +146,7 @@ def lift_cut(cut: LinearCut, shrunk: ShrunkInstance) -> LinearCut:
     The attached report states the conditions under which facets survive
     the lift: pure capacity form, positive rhs, connected blocks.
     """
+    arc_groups = shrunk.arc_groups
     flow = {}
     for (s_arc, s_k), coef in cut.flow.items():
         src_block = shrunk.instance.commodities[s_k].source
@@ -139,12 +155,12 @@ def lift_cut(cut: LinearCut, shrunk: ShrunkInstance) -> LinearCut:
             for ki, com in enumerate(shrunk.base.commodities)
             if shrunk.block_of[com.source] == src_block
         ]
-        for ai in shrunk.arc_groups[s_arc]:
+        for ai in arc_groups[s_arc]:
             for ki in originals:
                 flow[(ai, ki)] = flow.get((ai, ki), ZERO) + coef
     cap = {}
     for (s_arc, mi), coef in cut.cap.items():
-        for ai in shrunk.arc_groups[s_arc]:
+        for ai in arc_groups[s_arc]:
             cap[(ai, mi)] = cap.get((ai, mi), ZERO) + coef
     report = {
         "alpha_zero": not cut.flow,
@@ -248,16 +264,11 @@ def knapsack_cover_from_two_partition(shrunk: ShrunkInstance) -> KnapsackCoverSe
         raise ValueError("expected a two-block partition")
     if not shrunk.base.integral_capacities():
         raise ValueError("knapsack covers need integer facility sizes")
-    small = shrunk.instance
-    b = small.demand.t(0, 1) - (
-        small.arcs[small.arc_index[(0, 1)]].existing_capacity
-        if (0, 1) in small.arc_index
-        else ZERO
-    )
+    b = shrunk.demand.get((0, 1), ZERO) - shrunk.capacity.get((0, 1), ZERO)
     if b <= 0:
         return None
     return KnapsackCoverSet(
-        capacities=tuple(int(f.capacity) for f in small.facilities),
+        capacities=tuple(int(f.capacity) for f in shrunk.base.facilities),
         rhs=b,
     )
 
@@ -266,9 +277,9 @@ def expand_knapsack_cut(
     ineq, shrunk: ShrunkInstance, family: str = "partition"
 ) -> LinearCut | None:
     """Map a cover-set inequality ``sum alpha_m z_m >= beta`` onto arcs."""
-    if (0, 1) not in shrunk.instance.arc_index:
+    group = shrunk.groups.get((0, 1))
+    if group is None:
         return None
-    group = shrunk.arc_groups[shrunk.instance.arc_index[(0, 1)]]
     cap = {}
     for mi, coef in ineq.integ.items():
         if coef == 0:
@@ -299,17 +310,14 @@ class ThreePartitionData:
 
 
 def three_partition_data(shrunk: ShrunkInstance) -> ThreePartitionData:
-    small = shrunk.instance
     if shrunk.partition.p != 3:
         raise ValueError("expected a three-block partition")
 
     def tt(i, j):
-        return small.demand.t(i, j)
+        return shrunk.demand.get((i, j), ZERO)
 
     def cc(i, j):
-        if (i, j) in small.arc_index:
-            return small.arcs[small.arc_index[(i, j)]].existing_capacity
-        return ZERO
+        return shrunk.capacity.get((i, j), ZERO)
 
     s = tuple(
         sum((tt(i, j) - cc(i, j) for j in range(3) if j != i), ZERO) for i in range(3)
@@ -326,7 +334,7 @@ def three_partition_data(shrunk: ShrunkInstance) -> ThreePartitionData:
 
 def _total_capacity_lhs(shrunk: ShrunkInstance) -> dict:
     cap = {}
-    for s_arc, group in shrunk.arc_groups.items():
+    for group in shrunk.groups.values():
         for mi, f in enumerate(shrunk.base.facilities):
             for ai in group:
                 cap[(ai, mi)] = f.capacity

@@ -456,6 +456,140 @@ def reference_separate_all(instance, point, config):
     return found
 
 
+def reference_shrink(instance, partition):
+    """The former eager ``partition_cuts.shrink``: the p-node ``Instance``
+    built at once, crossing groups keyed by its arc index, and ``groups``
+    keyed by block pair in the same order, read back from that instance."""
+    from types import SimpleNamespace
+
+    from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance
+
+    partition.validate(instance.nodes)
+    block_of = {}
+    for bi, block in enumerate(partition.blocks):
+        for node in block:
+            block_of[node] = bi
+    cap, groups, cost_sum = {}, {}, {}
+    n_fac = len(instance.facilities)
+    for ai, arc in enumerate(instance.arcs):
+        bi, bj = block_of[arc.tail], block_of[arc.head]
+        if bi == bj:
+            continue
+        cap[(bi, bj)] = cap.get((bi, bj), ZERO) + arc.existing_capacity
+        groups.setdefault((bi, bj), []).append(ai)
+        costs = cost_sum.setdefault((bi, bj), [ZERO] * n_fac)
+        for mi, f in enumerate(instance.facilities):
+            costs[mi] += f.costs[ai]
+    demand = DemandMatrix()
+    for i, j, amount in instance.demand.pairs():
+        bi, bj = block_of[i], block_of[j]
+        if bi != bj:
+            demand.set(bi, bj, demand.t(bi, bj) + amount)
+    arcs = [Arc(i, j, cap[(i, j)]) for (i, j) in sorted(groups)]
+    facilities = [
+        Facility(f.capacity, tuple(cost_sum[a.pair][mi] for a in arcs))
+        for mi, f in enumerate(instance.facilities)
+    ]
+    small = Instance(
+        nodes=list(range(partition.p)),
+        arcs=arcs,
+        facilities=facilities,
+        demand=demand,
+        flow_costs=ZERO,
+        mode="aggregated",
+        name=f"{instance.name}/shrunk{partition.p}",
+    )
+    arc_groups = {small.arc_index[pair]: tuple(idxs) for pair, idxs in groups.items()}
+    return SimpleNamespace(
+        base=instance,
+        partition=partition,
+        instance=small,
+        block_of=block_of,
+        arc_groups=arc_groups,
+        groups={small.arcs[s_arc].pair: group for s_arc, group in arc_groups.items()},
+    )
+
+
+def reference_knapsack_cover_from_two_partition(shrunk):
+    """The former cover builder, reading the shrunk ``Instance``."""
+    from netdes_cuts.mir import KnapsackCoverSet
+
+    small = shrunk.instance
+    b = small.demand.t(0, 1) - (
+        small.arcs[small.arc_index[(0, 1)]].existing_capacity
+        if (0, 1) in small.arc_index
+        else ZERO
+    )
+    if b <= 0:
+        return None
+    return KnapsackCoverSet(
+        capacities=tuple(int(f.capacity) for f in small.facilities),
+        rhs=b,
+    )
+
+
+def reference_three_partition_data(shrunk):
+    """The former ``three_partition_data``, reading the shrunk ``Instance``."""
+    from netdes_cuts.partition_cuts import ThreePartitionData
+
+    small = shrunk.instance
+
+    def tt(i, j):
+        return small.demand.t(i, j)
+
+    def cc(i, j):
+        if (i, j) in small.arc_index:
+            return small.arcs[small.arc_index[(i, j)]].existing_capacity
+        return ZERO
+
+    s = tuple(sum((tt(i, j) - cc(i, j) for j in range(3) if j != i), ZERO) for i in range(3))
+    t = tuple(sum((tt(j, i) - cc(j, i) for j in range(3) if j != i), ZERO) for i in range(3))
+    d = {}
+    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        h = 3 - i - j
+        d[(i, j)] = (tt(i, j) + tt(i, h) + tt(j, h)) - (cc(i, j) + cc(i, h) + cc(j, h))
+    return ThreePartitionData(s=s, t=t, d=d)
+
+
+def reference_partition_candidates(instance):
+    """The built-once ``partition`` candidates as the loop made them before
+    the shrink was lazy and the hulls shared: an eager shrink per
+    partition, the covers and three-partition data read from its
+    ``Instance``, and one ``hull_inequalities`` call per cover."""
+    from netdes_cuts import engine, partition_cuts
+    from netdes_cuts.core import LinearCut
+    from netdes_cuts.mir import hull_inequalities
+
+    for U, V in engine._two_partitions(instance):
+        shrunk = reference_shrink(instance, partition_cuts.NodePartition.of(U, V))
+        cover = reference_knapsack_cover_from_two_partition(shrunk)
+        if cover is not None:
+            for ineq in hull_inequalities(cover):
+                yield partition_cuts.expand_knapsack_cut(ineq, shrunk)
+    for part in engine._three_partitions(instance):
+        shrunk = reference_shrink(instance, part)
+        data = reference_three_partition_data(shrunk)
+        candidates = [
+            cut
+            for cut in (
+                partition_cuts._three_partition_cut(part, shrunk, data),
+                partition_cuts._three_partition_metric_cut(part, shrunk, data),
+            )
+            if cut is not None
+        ]
+        if not candidates:
+            continue
+        winner = partition_cuts.select_total_capacity_cut(candidates)
+        yield winner
+        fed = partition_cuts.knapsack_from_total_capacity(winner, instance)
+        if fed is not None:
+            cover, support = fed
+            for ineq in hull_inequalities(cover):
+                cap = {(ai, mi): coef for mi, coef in ineq.integ.items() for ai in support.get(mi, ())}
+                if cap:
+                    yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
+
+
 def _reference_rc_arc(instance, ai, point):
     from netdes_cuts import arc_cuts, engine
 

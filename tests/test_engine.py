@@ -242,6 +242,55 @@ def test_separation_table_matches_reference(monkeypatch, gen, config, fired):
     assert fired <= {cut.family for _, _, found in rounds for cut, _ in found}
 
 
+def _fraction_admitted(sep, name, point):
+    return [(cut, cut.violation(point)) for cut in sep.fixed[name] if cut.violation(point) > sep.eps]
+
+
+def _assert_same_admission(sep, point):
+    """The integer check admits what ``cut.violation(point) > eps`` admits,
+    in order, each with that violation."""
+    scaled_y = engine._scaled_y(point)
+    for name in sep.fixed:
+        got = list(engine._admitted(sep.forms[name], scaled_y, sep.eps))
+        want = _fraction_admitted(sep, name, point)
+        assert [id(cut) for cut, _ in got] == [id(cut) for cut, _ in want]
+        assert [(v, type(v)) for _, v in got] == [(v, type(v)) for _, v in want]
+
+
+def test_integer_admission_matches_fraction_violation(monkeypatch):
+    """Built-once candidates admitted on their integer forms are exactly
+    those whose ``Fraction`` violation exceeds eps: at every golden round
+    point, at random points with denominators up to MAX_DENOMINATOR, and
+    at the threshold itself, where a violation of exactly eps is refused
+    and one of eps + 1/10**12 admitted."""
+    rng = random.Random(16)
+    for seed in sorted(GOLDEN_4_NODE):
+        inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+        rounds = _separation_rounds(monkeypatch, inst, Config(max_rounds=10))
+        sep = rounds[0][0]
+        assert {"partition"} <= set(sep.fixed) and all(sep.fixed.values())
+        for _, point, _ in rounds:
+            _assert_same_admission(sep, point)
+        keys = [(ai, mi) for ai in range(len(inst.arcs)) for mi in range(len(inst.facilities))]
+        for _ in range(20):
+            y = {}
+            for key in keys:
+                if rng.random() < 0.7:
+                    den = rng.randint(1, engine.MAX_DENOMINATOR)
+                    y[key] = F(rng.randint(0, 3 * den), den)
+            _assert_same_admission(sep, FractionalPoint(y=y))
+        # one cut at the threshold: its first key carries lhs = rhs - violation
+        for name, cuts in sep.fixed.items():
+            cut = cuts[-1]
+            key, coef = next(iter(cut.cap.items()))
+            for violation, admitted in ((sep.eps, False), (sep.eps + F(1, 10**12), True)):
+                point = FractionalPoint(y={key: (cut.rhs - violation) / coef})
+                assert cut.violation(point) == violation
+                _assert_same_admission(sep, point)
+                got = engine._admitted(sep.forms[name], engine._scaled_y(point), sep.eps)
+                assert any(c is cut for c, _ in got) == admitted
+
+
 def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
     """No round's ``separate_all`` output repeats a key among its
     ``flowcutset`` and ``mf`` cuts, and every violation it hands over is

@@ -26,7 +26,7 @@ from netdes_cuts.partition_cuts import (
 )
 
 from conftest import make_triangle
-from helpers import routable
+from helpers import reference_partition_candidates, reference_shrink, routable
 
 
 # -- shrinking -----------------------------------------------------------------------
@@ -69,6 +69,61 @@ def test_shrink_preserves_feasibility():
     ]
     ok2, _ = check_feasible_routing(sh.instance, capacities=agg)
     assert ok2
+
+
+# instances of every facility set the loop's partition family sees, 3-6 nodes
+LAZY_SHRINK_CASES = [
+    dict(seed=seed, nodes=nodes, density=0.6, facilities=facilities, existing_capacity_prob=0.5)
+    for nodes in (3, 4, 5, 6)
+    for facilities in ((1,), (1, 3), (2, 5), (1, 2, 4))
+    for seed in (nodes, nodes + 10)
+]
+
+
+def _cut_fields(cut):
+    return list(cut.flow.items()), list(cut.cap.items()), cut.rhs, cut.family, cut.params
+
+
+def test_lazy_shrink_gives_the_former_partition_candidates():
+    """The built-once ``partition`` candidates, read from the lazy shrink's
+    block-pair sums with one hull per distinct cover, are those of the
+    former eager shrink: same cuts in the same order, each with the same
+    coefficients in the same order, rhs, family and params."""
+    from netdes_cuts.engine import Config, Separation, _distinct
+
+    assert len(LAZY_SHRINK_CASES) >= 30
+    built = 0
+    for gen in LAZY_SHRINK_CASES:
+        inst = generate_instance(**gen)
+        got = Separation(inst, Config(families=("partition",))).fixed["partition"]
+        want = _distinct(reference_partition_candidates(inst))
+        assert [_cut_fields(cut) for cut in got] == [_cut_fields(cut) for cut in want]
+        built += len(got)
+    assert built > 0
+
+
+def _assert_same_instance(got, want):
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        assert getattr(got, name) == value, name
+    assert got.demand.pairs() == want.demand.pairs()
+
+
+def test_lazy_shrunk_instance_equals_the_eager_build():
+    """``ShrunkInstance.instance``, built on first use, equals the former
+    eager build field by field, and so do the crossing groups."""
+    from netdes_cuts.engine import _three_partitions, _two_partitions
+
+    for gen in LAZY_SHRINK_CASES:
+        inst = generate_instance(**gen)
+        parts = [NodePartition.of(U, V) for U, V in _two_partitions(inst)] + list(_three_partitions(inst))
+        for part in parts:
+            lazy, eager = shrink(inst, part), reference_shrink(inst, part)
+            assert "instance" not in vars(lazy)  # nothing built until asked
+            _assert_same_instance(lazy.instance, eager.instance)
+            assert list(lazy.arc_groups.items()) == list(eager.arc_groups.items())
+            assert list(lazy.groups.items()) == list(eager.groups.items())
+            assert lazy.block_of == eager.block_of
 
 
 # -- lifting --------------------------------------------------------------------------
