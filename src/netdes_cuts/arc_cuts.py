@@ -83,17 +83,14 @@ class ArcSetRelaxation:
         return all(v < 1 for v in self.a) and self.a0 < 1
 
 
-def from_capacity_row(
-    instance: Instance, arc: int, mode: str | None = None, facility: int = 0
-) -> ArcSetRelaxation:
-    """Divide an arc's capacity row by one facility size.
+def from_capacity_row(instance: Instance, arc: int, mode: str | None = None) -> ArcSetRelaxation:
+    """Divide an arc's capacity row by the size of facility 0.
 
     Commodity demands become the coefficients ``a_i = d_k / c`` and the
-    existing capacity the offset ``a_0``.  Requires a single-facility view
-    (pass ``facility`` explicitly when several exist and you accept the
-    relaxation dropping the rest -- only sound if the others are absent).
+    existing capacity the offset ``a_0``.  Sound only for single-facility
+    instances, the ones the arc-set families apply to.
     """
-    c = instance.facilities[facility].capacity
+    c = instance.facilities[0].capacity
     if c == 0:
         raise ValueError("facility capacity must be nonzero")
     if mode is None:
@@ -104,7 +101,7 @@ def from_capacity_row(
         a0=instance.arcs[arc].existing_capacity / c,
         mode=mode,
         arc=arc,
-        facility=facility,
+        facility=0,
         commodities=tuple(range(len(instance.commodities))),
         demands=demands,
         capacity=c,

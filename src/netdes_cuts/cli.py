@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,11 +43,16 @@ def _checked(convert, ok, expected):
 
 
 def _output_path(text):
-    """argparse type: a file path that can be written, checked before any work."""
+    """argparse type: a file path that can be written, checked before any
+    work; a file the check creates is removed again, so a run that fails
+    leaves none behind."""
+    created = not os.path.lexists(text)
     try:
         open(text, "a").close()
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot write {text}: {exc.strerror}") from None
+    if created:
+        os.remove(text)
     return text
 
 

@@ -38,6 +38,9 @@ from .core import ONE, ZERO, FractionalPoint, Instance, LinearCut, frac
 from .mir import PhiParams, ceil_frac, phi_minus, phi_plus
 from . import arc_cuts
 
+GREEDY_ROUNDS = 5             # passes of the greedy arc selection on a moving remainder
+SUBSET_ENUMERATION_CAP = 12   # exhaustive commodity subsets up to this many commodities
+
 
 @dataclass
 class CutSetRelaxation:
@@ -215,18 +218,17 @@ def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None =
     return rel
 
 
-def cutset_cut(
-    rel: CutSetRelaxation, facility: int = 0, capacity=None
-) -> LinearCut | None:
-    """Rounded capacity requirement ``y(A+) >= ceil((b_K - cbar(A+)) / c)``."""
-    c = frac(capacity) if capacity is not None else rel.instance.facilities[facility].capacity
+def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
+    """Rounded capacity requirement ``y(A+) >= ceil((b_K - cbar(A+)) / c)``
+    on facility 0, the one facility of the instances the family applies to."""
+    c = rel.instance.facilities[0].capacity
     b_K = rel.b_sum(range(len(rel.b)))
     rhs = ceil_frac((b_K - rel.cbar(rel.A_plus)) / c)
     if rhs <= 0 or not rel.A_plus:
         return None
     return LinearCut(
         flow={},
-        cap={(a, facility): Fraction(1) for a in rel.A_plus},
+        cap={(a, 0): Fraction(1) for a in rel.A_plus},
         rhs=Fraction(rhs),
         family="cutset",
         params={"U": rel.U, "rhs": rhs},
@@ -323,7 +325,7 @@ def _prefer_capacity(cap_term, flow_term) -> bool:
     return cap_term < flow_term or (cap_term == 0 and flow_term == 0)
 
 
-def _greedy_selection(view, Q, s, facilities, prefer_plus, max_rounds):
+def _greedy_selection(view, Q, s, facilities, prefer_plus):
     """Most violated ``(S+, S-, score)`` of the greedy cut-set scan, with
     its D^2-scaled violation ``score``, or None.
 
@@ -331,9 +333,9 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus, max_rounds):
     (resp. S-) exactly when its capacity term is smaller than its flow
     term (``prefer_plus`` decides S+ and its ties); with existing capacity
     on crossing arcs the remainder moves with the selection, so the pass
-    repeats until it stabilizes.  Base facility ``s`` fixes the rounding and
-    ``facilities`` lists those whose capacity terms count.  Everything runs
-    on the integers of ``view``.
+    repeats until it stabilizes, at most ``GREEDY_ROUNDS`` times.  Base
+    facility ``s`` fixes the rounding and ``facilities`` lists those whose
+    capacity terms count.  Everything runs on the integers of ``view``.
     """
     A_plus, A_minus = view.A_plus, view.A_minus
     if not A_plus:
@@ -347,7 +349,7 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus, max_rounds):
     term = view.terms(s, facilities, r, eta)
     best, best_viol = None, 0
     seen = set()
-    for _ in range(max_rounds):
+    for _ in range(GREEDY_ROUNDS):
         s_plus = tuple(a for a in A_plus if prefer_plus(term[a], flow[a]))
         s_minus = tuple(a for a in A_minus if term[a] < flow[a])
         new = (s_plus, s_minus)
@@ -377,7 +379,6 @@ def separate_flow_cutset(
     Q: Sequence[int],
     point: FractionalPoint,
     facility: int = 0,
-    max_rounds: int = 5,
     skip: Container = (),
 ) -> LinearCut | None:
     """Greedy arc selection for fixed commodities, iterated on the remainder.
@@ -388,7 +389,7 @@ def separate_flow_cutset(
     """
     Q = tuple(Q)
     view = rel.view(point)
-    found = _greedy_selection(view, Q, facility, (facility,), operator.lt, max_rounds)
+    found = _greedy_selection(view, Q, facility, (facility,), operator.lt)
     if found is None:
         return None
     S_plus, S_minus, score = found
@@ -402,7 +403,6 @@ def separate_commodity_subset(
     S_minus: Sequence[int],
     point: FractionalPoint,
     facility: int = 0,
-    enumeration_cap: int = 12,
 ) -> tuple[int, ...] | None:
     """Best commodity subset for fixed arc sets (single facility).
 
@@ -464,7 +464,7 @@ def separate_commodity_subset(
 
     # fallback: exhaustive over commodity subsets
     ks = range(len(rel.b))
-    if len(rel.b) > enumeration_cap:
+    if len(rel.b) > SUBSET_ENUMERATION_CAP:
         candidates = [positives, tuple(ks)] + [(k,) for k in ks]
     else:
         candidates = [sub for size in range(1, len(rel.b) + 1) for sub in combinations(ks, size)]
@@ -513,7 +513,6 @@ def separate_multifacility(
     s: int,
     point: FractionalPoint,
     Q: Sequence[int] | None = None,
-    max_rounds: int = 5,
     skip: Container = (),
 ) -> LinearCut | None:
     """Greedy arc selection with per-facility coefficient evaluation.
@@ -527,7 +526,7 @@ def separate_multifacility(
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
     facilities = tuple(range(len(rel.instance.facilities)))
     view = rel.view(point)
-    found = _greedy_selection(view, Q, s, facilities, _prefer_capacity, max_rounds)
+    found = _greedy_selection(view, Q, s, facilities, _prefer_capacity)
     if found is None:
         return None
     S_plus, S_minus, score = found

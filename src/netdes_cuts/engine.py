@@ -63,6 +63,10 @@ PARTITION_LIMIT = 8          # exhaustive two-partitions up to this many nodes
 THREE_PARTITION_LIMIT = 6    # exhaustive three-partitions up to this many nodes
 N_RANDOM_PARTITIONS = 20     # sampled partitions above those limits
 Q_SUBSET_LIMIT = 6           # exhaustive commodity subsets up to this size
+GRID_BUDGET = 10**6          # installation grid points an oracle enumerates
+PATH_CAP = 400               # simple paths per node pair in the unsplittable oracles
+CYCLE_CAP = 100              # simple cycles in the unsplittable oracles
+FLOW_CAP = 400               # unsplittable flows per commodity
 
 
 class BudgetExceededError(RuntimeError):
@@ -204,7 +208,9 @@ class Config:
 
     ``families`` names the enabled separators, ``max_rounds`` caps the
     solve-separate rounds, and a cut is admitted only when its exact
-    violation exceeds ``eps``.
+    violation exceeds ``eps``, coerced by ``core.frac`` (a float is
+    refused).  A bad value raises ``TypeError`` or ``ValueError`` naming
+    its field.
     """
 
     families: tuple[str, ...] = FAMILIES
@@ -212,14 +218,21 @@ class Config:
     eps: Fraction = Fraction(1, 10**6)
 
     def __post_init__(self):
-        self.eps = rationalize(self.eps, 10**9) if isinstance(self.eps, float) else frac(self.eps)
+        try:
+            self.eps = frac(self.eps)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise type(exc)(f"eps: {exc}") from None
         if self.eps <= 0:
-            raise ValueError("violation threshold must be positive")
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if isinstance(self.max_rounds, bool) or not isinstance(self.max_rounds, int):
+            raise TypeError(f"max_rounds must be an int, got {self.max_rounds!r}")
         if self.max_rounds < 1:
-            raise ValueError("need at least one round")
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
+        if isinstance(self.families, str) or not isinstance(self.families, Sequence):
+            raise TypeError(f"families must be a sequence of family names, got {self.families!r}")
         unknown = set(self.families) - set(FAMILIES)
         if unknown:
-            raise ValueError(f"unknown cut families: {sorted(unknown)}")
+            raise ValueError(f"families has unknown names {sorted(unknown, key=str)}; known: {FAMILIES}")
 
 
 @dataclass
@@ -536,14 +549,14 @@ def default_y_bounds(instance: Instance, ybound: int | None = None) -> dict[tupl
     return bounds
 
 
-def _grid(y_bounds: Mapping[tuple[int, int], int], budget: int = 10**6):
+def _grid(y_bounds: Mapping[tuple[int, int], int]):
     """The grid's points, each a tuple of installation counts over ``sorted(y_bounds)``."""
     keys = sorted(y_bounds)
     size = 1
     for k in keys:
         size *= y_bounds[k] + 1
-        if size > budget:
-            raise BudgetExceededError(f"y-grid has more than {budget} points")
+        if size > GRID_BUDGET:
+            raise BudgetExceededError(f"y-grid has more than {GRID_BUDGET} points")
     yield from product(*(range(y_bounds[k] + 1) for k in keys))
 
 
@@ -652,7 +665,6 @@ def brute_force_ip(
     instance: Instance,
     y_bounds: Mapping[tuple[int, int], int] | None = None,
     ybound: int | None = None,
-    budget: int = 10**6,
 ):
     """Exhaustive optimum over integer installations within the grid.
 
@@ -683,7 +695,7 @@ def brute_force_ip(
     balance, upper = routing_balance_rows(instance), routing_upper(instance)
     objective = flow_columns(instance, flow_cost)
     best = None
-    for t in _grid(y_bounds, budget):
+    for t in _grid(y_bounds):
         scaled_caps = capacities(t)
         install = sum((c * v for c, v in zip(unit_cost, t) if v), ZERO)
         if routings is None:
@@ -719,7 +731,6 @@ def validate_cut(
     instance: Instance,
     y_bounds: Mapping[tuple[int, int], int] | None = None,
     ybound: int | None = None,
-    budget: int = 10**6,
 ):
     """Search the bounded grid for a feasible point violating the cut.
 
@@ -727,7 +738,7 @@ def validate_cut(
     else ``(False, point)``.  Every verdict is exact; see ``validate_cuts``
     for how each grid point is decided.
     """
-    return validate_cuts([cut], instance, y_bounds, ybound, budget)[0]
+    return validate_cuts([cut], instance, y_bounds, ybound)[0]
 
 
 def validate_cuts(
@@ -735,7 +746,6 @@ def validate_cuts(
     instance: Instance,
     y_bounds: Mapping[tuple[int, int], int] | None = None,
     ybound: int | None = None,
-    budget: int = 10**6,
 ):
     """Validate many cuts in one sweep, deciding each grid point once.
 
@@ -796,7 +806,7 @@ def validate_cuts(
     bounds = {idx: shared.setdefault(frozenset(cuts[idx].flow.items()), DualCertificates(scale)) for idx in grid_idx}
     shortfalls = {idx: _shortfall(cuts[idx], keys) for idx in grid_idx}
     open_idx = set(grid_idx)
-    for t in _grid(y_bounds, budget):
+    for t in _grid(y_bounds):
         if not open_idx:
             break
         scaled_caps = capacities(t)
@@ -934,13 +944,13 @@ def _capped_append(items: list, item, cap: int, what: str) -> None:
     items.append(item)
 
 
-def _simple_paths(instance: Instance, src: int, dst: int, cap: int = 400) -> list[frozenset[int]]:
+def _simple_paths(instance: Instance, src: int, dst: int) -> list[frozenset[int]]:
     paths = []
     what = f"simple paths from {src} to {dst} (_simple_paths cap)"
 
     def walk(node, used_nodes, used_arcs):
         if node == dst:
-            _capped_append(paths, frozenset(used_arcs), cap, what)
+            _capped_append(paths, frozenset(used_arcs), PATH_CAP, what)
             return
         for ai in instance.out_arcs[node]:
             head = instance.arcs[ai].head
@@ -951,7 +961,7 @@ def _simple_paths(instance: Instance, src: int, dst: int, cap: int = 400) -> lis
     return paths
 
 
-def _simple_cycles(instance: Instance, cap: int = 100) -> list[frozenset[int]]:
+def _simple_cycles(instance: Instance) -> list[frozenset[int]]:
     cycles = []
     order = {n: i for i, n in enumerate(instance.nodes)}
     what = "simple cycles (_simple_cycles cap)"
@@ -960,7 +970,7 @@ def _simple_cycles(instance: Instance, cap: int = 100) -> list[frozenset[int]]:
         for ai in instance.out_arcs[node]:
             head = instance.arcs[ai].head
             if head == start:
-                _capped_append(cycles, frozenset(used_arcs + [ai]), cap, what)
+                _capped_append(cycles, frozenset(used_arcs + [ai]), CYCLE_CAP, what)
             elif order[head] > order[start] and head not in used_nodes:
                 walk(start, head, used_nodes | {head}, used_arcs + [ai])
 
@@ -969,9 +979,7 @@ def _simple_cycles(instance: Instance, cap: int = 100) -> list[frozenset[int]]:
     return cycles
 
 
-def _unsplittable_routings(
-    instance: Instance, cycles: bool = True, combo_cap: int = 400
-) -> list[list[frozenset[int]]]:
+def _unsplittable_routings(instance: Instance, cycles: bool = True) -> list[list[frozenset[int]]]:
     """Per commodity: every all-or-nothing flow (a path plus disjoint
     cycles), or with ``cycles=False`` every path.
 
@@ -986,7 +994,7 @@ def _unsplittable_routings(
         what = f"unsplittable flows of commodity {com.source}->{com.sink} (_unsplittable_routings cap)"
         flows = []
         for path in _simple_paths(instance, com.source, com.sink):
-            _capped_append(flows, path, combo_cap, what)
+            _capped_append(flows, path, FLOW_CAP, what)
             stack = [(path, 0)]
             while stack:
                 base, start = stack.pop()
@@ -994,7 +1002,7 @@ def _unsplittable_routings(
                     cyc = cycles[idx]
                     if not (cyc & base):
                         merged = base | cyc
-                        _capped_append(flows, merged, combo_cap, what)
+                        _capped_append(flows, merged, FLOW_CAP, what)
                         stack.append((merged, idx + 1))
         per_commodity.append(flows)
     return per_commodity

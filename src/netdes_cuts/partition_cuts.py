@@ -273,9 +273,7 @@ def knapsack_cover_from_two_partition(shrunk: ShrunkInstance) -> KnapsackCoverSe
     )
 
 
-def expand_knapsack_cut(
-    ineq, shrunk: ShrunkInstance, family: str = "partition"
-) -> LinearCut | None:
+def expand_knapsack_cut(ineq, shrunk: ShrunkInstance) -> LinearCut | None:
     """Map a cover-set inequality ``sum alpha_m z_m >= beta`` onto arcs."""
     group = shrunk.groups.get((0, 1))
     if group is None:
@@ -292,7 +290,7 @@ def expand_knapsack_cut(
         flow={},
         cap=cap,
         rhs=ineq.rhs,
-        family=family,
+        family="partition",
         params={"blocks": shrunk.partition.blocks},
     )
 
@@ -313,22 +311,12 @@ def three_partition_data(shrunk: ShrunkInstance) -> ThreePartitionData:
     if shrunk.partition.p != 3:
         raise ValueError("expected a three-block partition")
 
-    def tt(i, j):
-        return shrunk.demand.get((i, j), ZERO)
-
-    def cc(i, j):
-        return shrunk.capacity.get((i, j), ZERO)
-
-    s = tuple(
-        sum((tt(i, j) - cc(i, j) for j in range(3) if j != i), ZERO) for i in range(3)
-    )
-    t = tuple(
-        sum((tt(j, i) - cc(j, i) for j in range(3) if j != i), ZERO) for i in range(3)
-    )
-    d = {}
-    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-        h = 3 - i - j
-        d[(i, j)] = (tt(i, j) + tt(i, h) + tt(j, h)) - (cc(i, j) + cc(i, h) + cc(j, h))
+    # traffic minus capacity of each block pair, computed once
+    pairs = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+    net = {pair: shrunk.demand.get(pair, ZERO) - shrunk.capacity.get(pair, ZERO) for pair in pairs}
+    s = tuple(sum((net[(i, j)] for j in range(3) if j != i), ZERO) for i in range(3))
+    t = tuple(sum((net[(j, i)] for j in range(3) if j != i), ZERO) for i in range(3))
+    d = {(i, j): net[(i, j)] + net[(i, 3 - i - j)] + net[(j, 3 - i - j)] for i, j in pairs}
     return ThreePartitionData(s=s, t=t, d=d)
 
 

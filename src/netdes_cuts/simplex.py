@@ -16,10 +16,9 @@ differs only in
   tests against zero;
 - row scaling: float rows are equilibrated to unit max coefficient; exact
   rows are not scaled;
-- the pivot update: float subtracts one outer product over the columns
-  where the pivot row is nonzero (the others would only subtract zero), or
-  over the whole tableau below ``_DENSE_CELLS`` cells; exact updates only
-  the entries whose pivot row and pivot column are both nonzero.
+- the pivot update: both skip the columns where the pivot row is zero
+  (they would only subtract zero); float subtracts one outer product over
+  the others, exact also skips the rows whose pivot-column entry is zero.
 
 Pricing keeps a mask of the columns that may enter and takes the first
 with a negative reduced cost in one masked ``argmax``; the ratio test reads
@@ -61,12 +60,6 @@ UNBOUNDED = 1
 ITER_LIMIT = 2
 
 _INF = float("inf")
-
-# float tableaux with fewer cells take the whole-tableau pivot update: there
-# gathering and scattering the nonzero columns costs more than the zeros it
-# skips (2-vCPU Xeon, numpy 2.4, per pivot: 27 against 33 µs at 8,000-12,000
-# cells, 35 either way at 12,000-20,000, 47 against 39 at 20,000-40,000)
-_DENSE_CELLS = 15000
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -483,11 +476,7 @@ def _dual_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
             return UNBOUNDED, iters
         ratios = np.maximum(T[m, cols], 0) / np.abs(entries[cols])
         enter = int(cols[ratios.argmin()])
-        lv = int(basis[r])
-        _pivot(T, r, enter, arith)
-        basis[r] = enter
-        is_basic[enter] = 1
-        is_basic[lv] = 0
+        lv = _pivot(T, basis, is_basic, r, enter, arith)
         iters += 1
         if above[r]:
             _flip(T, flipped, upper, lv)
@@ -501,11 +490,7 @@ def _drive_out_artificials(T, basis, is_basic, layout, arith):
             continue
         for j in range(layout.first_art):
             if not is_basic[j] and abs(T[i, j]) > arith.feas_tol:
-                lv = basis[i]
-                _pivot(T, i, j, arith)
-                basis[i] = j
-                is_basic[j] = 1
-                is_basic[lv] = 0
+                _pivot(T, basis, is_basic, i, j, arith)
                 break
         # no eligible column: the row is redundant, artificial stays at zero
 
@@ -570,11 +555,7 @@ def _pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
         if leave_row < 0:
             _flip(T, flipped, upper, enter)
             continue
-        lv = basic[leave_row]
-        _pivot(T, leave_row, enter, arith)
-        basis[leave_row] = enter
-        is_basic[enter] = 1
-        is_basic[lv] = 0
+        lv = _pivot(T, basis, is_basic, leave_row, enter, arith)
         enterable[enter] = False
         enterable[lv] = allow[lv] != 0
         if leave_at_upper:
@@ -583,28 +564,32 @@ def _pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
             _flip(T, flipped, upper, lv)
 
 
-def _pivot(T, row, col, arith):
+def _pivot(T, basis, is_basic, row, col, arith) -> int:
+    """Pivot on ``T[row, col]``: column ``col`` enters the basis in
+    ``row``; returns the column that leaves it."""
     T[row] /= T[row, col]
     pivot_row = T[row]
     column = T[:, col].copy()
     column[row] = arith.zero
+    # columns where the pivot row is zero would only subtract zero
+    cols = np.flatnonzero(pivot_row)
     if arith.exact:
-        # Fraction arithmetic dominates: touch only the rows and columns
-        # where the pivot column and row are nonzero
-        cols = np.flatnonzero(pivot_row)
+        # Fraction arithmetic dominates: touch only the rows where the
+        # pivot column is nonzero too
         entries = pivot_row[cols]
         for i in np.flatnonzero(column):
             T[i, cols] -= column[i] * entries
-    elif T.size < _DENSE_CELLS:
-        T -= np.outer(column, pivot_row)
     else:
-        # columns where the pivot row is zero would only subtract zero
-        cols = np.flatnonzero(pivot_row)
         block = T.take(cols, axis=1)
         block -= np.outer(column, pivot_row[cols])
         T[:, cols] = block
     T[:, col] = arith.zero
     T[row, col] = arith.one
+    leaving = int(basis[row])
+    basis[row] = col
+    is_basic[col] = 1
+    is_basic[leaving] = 0
+    return leaving
 
 
 def _flip(T, flipped, upper, j):

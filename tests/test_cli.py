@@ -144,3 +144,23 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error:" in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_failed_run_leaves_no_output_file_behind(tmp_path):
+    """The writability check of --report and --dump-lp removes a file it
+    created, so a run that then fails leaves none, and it leaves an
+    existing file as it was."""
+    report, dump = tmp_path / "r.json", tmp_path / "m.lp"
+    argv = ["run", "--instance", str(tmp_path / "missing.json"), "--report", str(report), "--dump-lp", str(dump)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not report.exists() and not dump.exists()
+
+    report.write_text("kept\n")
+    before = report.stat().st_mtime_ns
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert report.read_text() == "kept\n" and report.stat().st_mtime_ns == before
+    assert not dump.exists()

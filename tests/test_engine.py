@@ -41,6 +41,32 @@ def test_config_validation():
         Config(families=("nonsense",))
 
 
+@pytest.mark.parametrize(
+    "kwargs, error, field",
+    [
+        (dict(max_rounds=2.5), TypeError, "max_rounds"),
+        (dict(max_rounds=True), TypeError, "max_rounds"),
+        (dict(max_rounds=0), ValueError, "max_rounds"),
+        (dict(families="mf"), TypeError, "families"),
+        (dict(families=("nonsense",)), ValueError, "families"),
+        (dict(eps=1e-10), TypeError, "eps"),
+        (dict(eps="abc"), ValueError, "eps"),
+        (dict(eps=F(0)), ValueError, "eps"),
+    ],
+    ids=["rounds-float", "rounds-bool", "rounds-0", "families-string", "families-unknown",
+         "eps-float", "eps-text", "eps-0"],
+)
+def test_config_refuses_a_bad_field_by_name(kwargs, error, field):
+    """``Config(...)`` itself raises, and the message starts with the field."""
+    with pytest.raises(error, match=rf"^{field}\b"):
+        Config(**kwargs)
+
+
+def test_config_accepts_exact_eps_and_family_lists():
+    assert Config(eps="1/10000000000").eps == F(1, 10**10)
+    assert Config(families=["rc", "mf"], max_rounds=1).families == ["rc", "mf"]
+
+
 def test_cut_pool_dedup():
     pool = CutPool()
     a = LinearCut({}, {(0, 0): F(1), (1, 0): F(1)}, F(1), "cutset")

@@ -22,11 +22,12 @@ from netdes_cuts.partition_cuts import (
     separate_metric,
     shrink,
     three_partition_cut,
+    three_partition_data,
     three_partition_metric_cut,
 )
 
 from conftest import make_triangle
-from helpers import reference_partition_candidates, reference_shrink, routable
+from helpers import reference_partition_candidates, reference_shrink, reference_three_partition_data, routable
 
 
 # -- shrinking -----------------------------------------------------------------------
@@ -380,6 +381,24 @@ def test_three_partition_cuts_valid(triangle_half, triangle_third):
         ]
         verdicts = validate_cuts(cuts, inst, ybound=2)
         assert all(ok for ok, _ in verdicts), verdicts
+
+
+def test_three_partition_data_matches_the_former_computation():
+    """Each block pair's traffic minus capacity is computed once and summed:
+    ``s``, ``t`` and ``d`` are the Fractions, in the same order, of the
+    former computation from the shrunk ``Instance``, on every
+    three-partition of 30 generated instances with 4-6 nodes."""
+    checked = 0
+    for seed in range(30):
+        inst = generate_instance(seed=seed, nodes=4 + seed % 3, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+        for part in all_three_partitions(inst.nodes):
+            shrunk = shrink(inst, part)
+            got, want = three_partition_data(shrunk), reference_three_partition_data(shrunk)
+            assert got.s == want.s and got.t == want.t
+            assert list(got.d.items()) == list(want.d.items())
+            assert all(type(v) is F for v in (*got.s, *got.t, *got.d.values()))
+            checked += 1
+    assert checked == 10 * (6 + 25 + 90)
 
 
 def test_select_rejects_mismatched_lhs(triangle_half):

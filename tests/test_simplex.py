@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from netdes_cuts import lp, simplex
+from netdes_cuts import lp
 from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance
 from netdes_cuts.lp import flow_columns, routing_rows, routing_upper, safe_lower_bound
 from netdes_cuts.simplex import EQ, GE, LE, solve_lp, solve_lp_many
@@ -238,12 +238,8 @@ def _routing_lps(count):
     return lps
 
 
-@pytest.mark.parametrize(
-    "exact, sparse_everywhere",
-    [(False, False), (False, True), (True, False)],
-    ids=["float", "float-sparse-update", "exact"],
-)
-def test_kernel_matches_reference(monkeypatch, exact, sparse_everywhere):
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_kernel_matches_reference(monkeypatch, exact):
     """The kernel takes the same pivots as the former one, which updated the
     whole tableau and priced one numpy element at a time: every field of
     every result, number types included, is equal."""
@@ -252,9 +248,6 @@ def test_kernel_matches_reference(monkeypatch, exact, sparse_everywhere):
     if not exact:
         # the loop's relaxations are solved in floats only
         lps += _loop_lps(monkeypatch)
-    if sparse_everywhere:
-        # float tableaux of every size take the pivot-row-sparse update
-        monkeypatch.setattr(simplex, "_DENSE_CELLS", 0)
     statuses = set()
     for n_vars, rows, objectives, upper in lps:
         for max_iter in (None, 1):
