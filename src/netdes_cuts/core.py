@@ -227,6 +227,8 @@ class Instance:
         self.mode = mode
         self.unsplittable = unsplittable
         self.name = name
+        # the last point scaled by cutset_cuts.scaled_point, and its scaling
+        self._scaled = (None, None)
 
         self.node_index = {}
         for i, v in enumerate(self.nodes):
@@ -377,6 +379,11 @@ class FractionalPoint:
     rationalization_error: float = field(default=0.0, compare=False)
 
 
+def _nonzero(coefs: Mapping) -> dict:
+    """``coefs`` coerced by ``frac``, without its zero entries."""
+    return {k: v for k, v in zip(coefs, map(frac, coefs.values())) if v}
+
+
 @dataclass
 class LinearCut:
     """A sparse valid inequality ``flow·x + cap·y >= rhs`` over raw variables.
@@ -398,8 +405,8 @@ class LinearCut:
     _violation: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flow = {k: frac(v) for k, v in self.flow.items() if frac(v) != 0}
-        self.cap = {k: frac(v) for k, v in self.cap.items() if frac(v) != 0}
+        self.flow = _nonzero(self.flow)
+        self.cap = _nonzero(self.cap)
         self.rhs = frac(self.rhs)
         if not self.flow and not self.cap:
             raise ValueError("cut must have at least one nonzero coefficient")

@@ -9,20 +9,34 @@ rounding depend on the chosen arc subsets; separation re-evaluates it in
 a short fixed-point loop (a single pass is exact when crossing arcs have
 no existing capacity).
 
-Separation scores on integers.  ``CutSetRelaxation.view(point)`` scales the
-relaxation's data and the point's crossing coordinates by one common
-denominator, once per point: the view is kept on the relaxation until a
+Separation scores on integers.  ``scaled_point(instance, point)``
+multiplies the facility sizes, the demands, the existing capacities and
+the point's coordinates by one common denominator D, once per point, and
+each relaxation's ``CutSetRelaxation.view(point)`` takes its crossing
+slice from that one scaling.  The view is kept on the relaxation until a
 different point object asks, and it memoizes the per-subset flow sums and
-``b_Q`` and the capacity terms of each rounding.  One scoring function on it
-serves the greedy arc selection of ``separate_flow_cutset`` and
+``b_Q`` and the capacity terms of each rounding.  One scoring function on
+it serves the greedy arc selection of ``separate_flow_cutset`` and
 ``separate_multifacility`` and the subset search of
 ``separate_commodity_subset``.  The winner is built from the same integers:
 its phi coefficients and right-hand side are the view's values over D, its
 ``normalized_key()`` is their coprime form, and its exact violation is the
 greedy's score over D^2, recorded on the cut.  A separator given the keys
 already found in a round (``skip``) builds no cut with one of them.  The phi
-functions are homogeneous, so the scaling changes no comparison and no
-result.
+functions are homogeneous, and every score, key and coefficient is
+homogeneous in D, so the scaling changes no comparison and no result.
+
+The flow-cut-set and multi-facility cut-set inequalities are MIR cuts of
+the relaxation's mixed-integer set: non-negative integer ``y`` and
+non-negative ``x`` on the crossing arcs, each crossing arc's flow within
+its capacity, and each commodity's net crossing flow at least ``b_k``
+(Raack, Koster, Orlowski & Wessäly, Networks 2011; Achterberg & Raack,
+Math. Prog. Comp. 2010).  Being valid for that set, none cuts off a point
+in it.  Each view tests exactly, on its integers, whether its crossing
+point lies in the set (``IntegerView.mixed_integer``); where it does, the
+greedy finds nothing for any Q or base facility and returns at once.  A
+cut whose capacity terms leave a facility out (a flow-cut-set cut on one
+facility of several) is not valid for the set and is never skipped.
 """
 
 from __future__ import annotations
@@ -59,7 +73,7 @@ class CutSetRelaxation:
         """The integer view of ``point``, kept until another point object
         asks; a point must not be changed in place between separations."""
         if self._view[0] is not point:
-            self._view = (point, IntegerView(self, point))
+            self._view = (point, IntegerView(self, scaled_point(self.instance, point)))
         return self._view[1]
 
     def b_sum(self, Q: Iterable[int]) -> Fraction:
@@ -72,51 +86,94 @@ class CutSetRelaxation:
         return tuple(k for k, v in enumerate(self.b) if v > 0)
 
 
+class ScaledPoint:
+    """An instance's data and one point's coordinates times D, on integers.
+
+    D is the lcm of the denominators of the facility sizes (``caps`` when
+    given), of every commodity's net demands, of every existing capacity
+    and of the point's ``x`` and ``y``.  ``caps[m]``, ``cbar[a]``,
+    ``x[a][k]`` and ``y[a][m]`` hold the scaled values, indexed by
+    facility, arc and commodity; ``scaled(v)`` scales one more value whose
+    denominator divides D, such as a relaxation's ``b_k``.
+    """
+
+    def __init__(self, instance: Instance, point: FractionalPoint, caps: Sequence[Fraction] | None = None):
+        arcs = range(len(instance.arcs))
+        commodities = range(len(instance.commodities))
+        facilities = range(len(instance.facilities))
+        if caps is None:
+            caps = instance.facility_capacities()
+        cbar = [arc.existing_capacity for arc in instance.arcs]
+        dens = {v.denominator for v in caps}
+        dens.update(v.denominator for com in instance.commodities for v in com.net_demand.values())
+        dens.update(v.denominator for v in cbar)
+        dens.update(v.denominator for v in point.x.values())
+        dens.update(v.denominator for v in point.y.values())
+        self.D = math.lcm(*dens)
+        scaled = self.scaled
+        self.caps = [scaled(v) for v in caps]
+        self.cbar = [scaled(v) for v in cbar]
+        self.x = [[scaled(point.x.get((a, k), ZERO)) for k in commodities] for a in arcs]
+        self.y = [[scaled(point.y.get((a, m), ZERO)) for m in facilities] for a in arcs]
+
+    def scaled(self, v: Fraction) -> int:
+        return v.numerator * (self.D // v.denominator)
+
+
+def scaled_point(instance: Instance, point: FractionalPoint) -> ScaledPoint:
+    """The one ``ScaledPoint`` of ``point`` on ``instance``, shared by every
+    relaxation of the instance and by the engine's admission of built-once
+    cuts; the instance keeps it until another point object asks."""
+    if instance._scaled[0] is not point:
+        instance._scaled = (point, ScaledPoint(instance, point))
+    return instance._scaled[1]
+
+
 class IntegerView:
     """A relaxation's data and one point's crossing coordinates on integers.
 
-    Every value is multiplied by D, the lcm of the denominators of all
-    facility sizes, all ``b_k``, the crossing arcs' existing capacities and
-    the point's ``x`` and ``y`` on crossing arcs: ``caps``, ``b``, ``cbar``,
-    ``x[a][k]`` and ``y[a][m]`` hold the scaled values.  Remainders and phi
-    values are then D-scaled and flow terms, capacity terms and violations
-    D^2-scaled; the phi functions are homogeneous, so every comparison is
-    the one the exact rationals make.  Per commodity subset Q the view
-    memoizes ``b_Q`` and the per-arc flow sums, and per ``(s, facilities,
-    r, eta)`` the phi values and the per-arc capacity terms.  ``caps``
-    replaces the facility sizes when given.
+    The values are a ``ScaledPoint``'s, all times its D: ``caps``,
+    ``cbar[a]`` and ``y[a][m]`` are the scaling's own lists, ``x[a]`` its
+    rows of the crossing arcs, and ``b`` the relaxation's demands scaled.
+    Remainders and phi values are then D-scaled and flow terms, capacity
+    terms and violations D^2-scaled; the phi functions are homogeneous, so
+    every comparison is the one the exact rationals make.  Per commodity
+    subset Q the view memoizes ``b_Q`` and the per-arc flow sums, and per
+    ``(s, facilities, r, eta)`` the phi values and the per-arc capacity
+    terms.
+
+    ``mixed_integer`` says whether the crossing point lies in the
+    relaxation's mixed-integer set: every crossing ``y`` a non-negative
+    integer, every crossing ``x`` non-negative, each crossing arc's flow
+    ``sum_k x_k(a)`` within ``cbar_a + sum_m c_m y_am``, and each
+    commodity's net crossing flow ``x_k(A+) - x_k(A-)`` at least ``b_k``.
+    Every cut of the relaxation whose capacity terms count every facility
+    is valid for that set, so none is violated there.
     """
 
-    def __init__(self, rel: CutSetRelaxation, point: FractionalPoint, caps: Sequence[Fraction] | None = None):
+    def __init__(self, rel: CutSetRelaxation, scaled: ScaledPoint):
         self.A_plus, self.A_minus = rel.A_plus, rel.A_minus
-        crossing = rel.A_plus + rel.A_minus
-        arcs = rel.instance.arcs
-        commodities = range(len(rel.b))
-        facilities = range(len(rel.instance.facilities))
-        if caps is None:
-            caps = rel.instance.facility_capacities()
-        cbar = {a: arcs[a].existing_capacity for a in crossing}
-        xs = {a: [point.x.get((a, k), 0) for k in commodities] for a in crossing}
-        ys = {a: [point.y.get((a, m), 0) for m in facilities] for a in crossing}
-        dens = {v.denominator for v in caps}
-        dens.update(v.denominator for v in rel.b)
-        dens.update(v.denominator for v in cbar.values())
-        for a in crossing:
-            dens.update(v.denominator for v in xs[a])
-            dens.update(v.denominator for v in ys[a])
-        D = self.D = math.lcm(*dens)
-
-        def scaled(v) -> int:
-            return v.numerator * (D // v.denominator)
-
-        self.caps = [scaled(v) for v in caps]
-        self.b = [scaled(v) for v in rel.b]
-        self.cbar = {a: scaled(v) for a, v in cbar.items()}
-        self.x = {a: [scaled(v) for v in xs[a]] for a in crossing}
-        self.y = {a: [scaled(v) for v in ys[a]] for a in crossing}
+        self.D = scaled.D
+        self.caps, self.cbar, self.y = scaled.caps, scaled.cbar, scaled.y
+        self.b = [scaled.scaled(v) for v in rel.b]
+        self.x = {a: scaled.x[a] for a in rel.A_plus + rel.A_minus}
+        self.mixed_integer = self._in_mixed_integer_set()
         self._by_Q: dict = {}
         self._phis: dict = {}
         self._terms: dict = {}
+
+    def _in_mixed_integer_set(self) -> bool:
+        D, caps, cbar, x, y = self.D, self.caps, self.cbar, self.x, self.y
+        for a, xa in x.items():
+            ya = y[a]
+            if any(v < 0 or v % D for v in ya) or any(v < 0 for v in xa):
+                return False
+            if sum(xa) > cbar[a] + sum(c * (v // D) for c, v in zip(caps, ya)):
+                return False
+        return all(
+            sum(x[a][k] for a in self.A_plus) - sum(x[a][k] for a in self.A_minus) >= b_k
+            for k, b_k in enumerate(self.b)
+        )
 
     def cbar_sum(self, arcs: Iterable[int]) -> int:
         return sum(self.cbar[a] for a in arcs)
@@ -315,7 +372,8 @@ def flow_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection, capacity=None)
     caps = list(rel.instance.facility_capacities())
     if capacity is not None:
         caps[sel.facility] = frac(capacity)
-    return _cut(rel, IntegerView(rel, FractionalPoint(), caps), sel, (sel.facility,), "flowcutset")
+    view = IntegerView(rel, ScaledPoint(rel.instance, FractionalPoint(), caps))
+    return _cut(rel, view, sel, (sel.facility,), "flowcutset")
 
 
 def _prefer_capacity(cap_term, flow_term) -> bool:
@@ -336,9 +394,11 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus):
     repeats until it stabilizes, at most ``GREEDY_ROUNDS`` times.  Base
     facility ``s`` fixes the rounding and ``facilities`` lists those whose
     capacity terms count.  Everything runs on the integers of ``view``.
+    A point in the relaxation's mixed-integer set violates no cut whose
+    capacity terms count every facility, so there the scan is skipped.
     """
     A_plus, A_minus = view.A_plus, view.A_minus
-    if not A_plus:
+    if not A_plus or (view.mixed_integer and len(facilities) == len(view.caps)):
         return None
     b_Q, flow = view.commodities(Q)
     cbar = view.cbar
@@ -505,7 +565,7 @@ def multifacility_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection) -> Li
     in the single-facility case, existing capacity on S- shifts the
     right-hand side down.
     """
-    return _multifacility_cut(rel, IntegerView(rel, FractionalPoint()), sel)
+    return _multifacility_cut(rel, IntegerView(rel, ScaledPoint(rel.instance, FractionalPoint())), sel)
 
 
 def separate_multifacility(

@@ -82,12 +82,14 @@ class Family:
     """A separation family: ``applies(instance)``, and either ``build(sep)``,
     its candidates made once per loop from the instance alone, or
     ``separate(sep, point)``, its candidates at each round's LP point (a
-    family that never applies has neither)."""
+    family that never applies has neither).  ``skipped(sep, point)``
+    counts the relaxations a separating family passed over at the point."""
 
     name: str
     applies: Callable[[Instance], bool]
     build: Callable[[Separation], Iterable[LinearCut | None]] | None = None
     separate: Callable[[Separation, FractionalPoint], Iterable[LinearCut | None]] | None = None
+    skipped: Callable[[Separation, FractionalPoint], int] | None = None
 
 
 def _single_facility(instance: Instance) -> bool:
@@ -142,6 +144,12 @@ def _mf(sep: Separation, point: FractionalPoint):
                 yield _first_of_key(sep, point, cutset_cuts.separate_multifacility(rel, s, point, Q=Q, skip=found))
 
 
+def _mixed_integer_relaxations(sep: Separation, point: FractionalPoint) -> int:
+    """How many cut-set relaxations the cut-set separators skipped at
+    ``point``, whose crossing point lies in their mixed-integer set."""
+    return sum(rel.view(point).mixed_integer for rel in sep.relaxations)
+
+
 def _first_of_key(sep: Separation, point: FractionalPoint, cut: LinearCut | None) -> LinearCut | None:
     """``cut`` if it is violated by more than eps, its key then added to
     ``sep.cutset_keys``, which the cut-set separators skip for the rest of
@@ -194,8 +202,8 @@ SEPARATORS = (
     Family("rc", _single_facility, separate=_rc),
     Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, separate=_cstrong),
     Family("cutset", _single_facility, build=lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
-    Family("flowcutset", _single_facility, separate=_flowcutset),
-    Family("mf", lambda inst: True, separate=_mf),
+    Family("flowcutset", _single_facility, separate=_flowcutset, skipped=_mixed_integer_relaxations),
+    Family("mf", lambda inst: True, separate=_mf, skipped=_mixed_integer_relaxations),
     Family("metric", lambda inst: False),
     Family("partition", Instance.integral_capacities, build=_partition),
 )
@@ -241,7 +249,9 @@ class RoundReport:
     round's entry in the CLI report.  ``cuts`` counts the pooled cuts by
     cut family; ``families`` holds, for each separator that ran, its
     ``seconds``, its ``candidates`` violated by more than eps (distinct
-    cuts for the cut-set families) and how many of them the pool
+    cuts for the cut-set families), the cut-set relaxations it
+    ``skipped`` because the round's point lies in their mixed-integer set
+    (0 for a family without relaxations) and how many candidates the pool
     ``admitted``.  ``rationalization_error`` is the largest ``|x_float -
     x_rational|`` of the round's LP point.  ``lp_start`` says which solve
     answered the round's LP (``LPSolution.start``: ``"cold"``, ``"warm"``
@@ -370,9 +380,10 @@ class Separation:
     forms (``_integer_form``) for admission.  Partitions and relaxations
     are made on first use, so nothing is built for a family that does not
     run.  ``last_round`` holds, per family of the last ``separate_all``
-    call, its ``seconds`` and its violated ``candidates``, in the order
-    their cuts were returned, and ``cutset_keys`` the keys of the
-    ``flowcutset`` and ``mf`` candidates of that call."""
+    call, its ``seconds``, its violated ``candidates``, in the order their
+    cuts were returned, and its ``skipped`` relaxations; ``cutset_keys``
+    holds the keys of the ``flowcutset`` and ``mf`` candidates of that
+    call."""
 
     def __init__(self, instance: Instance, config: Config):
         self.instance = instance
@@ -419,21 +430,15 @@ def _integer_form(cut: LinearCut) -> tuple[int, int, tuple[tuple[tuple[int, int]
     return den, rhs, tuple(zip(cut.cap, coefs))
 
 
-def _scaled_y(point: FractionalPoint) -> tuple[int, dict[tuple[int, int], int]]:
-    """``(D, Y)``: D the lcm of the denominators of ``point.y``, Y = D * y in ints."""
-    D = math.lcm(*(v.denominator for v in point.y.values()))
-    return D, {key: v.numerator * (D // v.denominator) for key, v in point.y.items()}
-
-
-def _admitted(forms, scaled_y: tuple[int, dict], eps: Fraction):
+def _admitted(forms, scaled: cutset_cuts.ScaledPoint, eps: Fraction):
     """(cut, exact violation) for each form ``(cut, den, R, terms)`` violated
-    by more than eps at the point ``scaled_y`` (``_scaled_y``).  The
-    violation is ``(R*D - sum C*Y) / (den*D)``, so the test runs on ints and
-    a ``Fraction`` is built only for an admitted cut."""
-    D, Y = scaled_y
+    by more than eps at the point ``scaled``, whose ``y`` is D times the
+    point's.  The violation is ``(R*D - sum C*Y) / (den*D)``, so the test
+    runs on ints and a ``Fraction`` is built only for an admitted cut."""
+    D, Y = scaled.D, scaled.y
     eps_num, eps_den = eps.numerator, eps.denominator
     for cut, den, rhs, terms in forms:
-        slack = rhs * D - sum(coef * Y.get(key, 0) for key, coef in terms)
+        slack = rhs * D - sum(coef * Y[a][m] for (a, m), coef in terms)
         if slack * eps_den > eps_num * den * D:
             yield cut, Fraction(slack, den * D)
 
@@ -441,27 +446,30 @@ def _admitted(forms, scaled_y: tuple[int, dict], eps: Fraction):
 def separate_all(sep: Separation, point: FractionalPoint):
     """One round: every family of ``sep`` in table order; returns (cut,
     exact violation) pairs for the candidates violated by more than eps
-    and records each family's time and count in ``sep.last_round``.  The
-    built-once candidates are admitted on their integer forms; the
-    cut-set families ``flowcutset`` and ``mf`` offer each key once per
-    round between them, and their cuts carry the exact violation their
-    separator scored."""
+    and records each family's time and counts in ``sep.last_round``.  The
+    built-once candidates are admitted on their integer forms, at the
+    point's one scaling, which the cut-set relaxations share; the cut-set
+    families ``flowcutset`` and ``mf`` offer each key once per round
+    between them, and their cuts carry the exact violation their separator
+    scored."""
     found: list[tuple[LinearCut, Fraction]] = []
     sep.last_round = {}
     sep.cutset_keys = set()
-    scaled_y = None
     for fam in sep.families:
         t0, before = time.perf_counter(), len(found)
         if fam.build:
-            scaled_y = scaled_y or _scaled_y(point)
-            found.extend(_admitted(sep.forms[fam.name], scaled_y, sep.eps))
+            found.extend(_admitted(sep.forms[fam.name], cutset_cuts.scaled_point(sep.instance, point), sep.eps))
         else:
             for cut in fam.separate(sep, point):
                 if cut is not None:
                     violation = cut.violation(point)
                     if violation > sep.eps:
                         found.append((cut, violation))
-        sep.last_round[fam.name] = {"seconds": time.perf_counter() - t0, "candidates": len(found) - before}
+        sep.last_round[fam.name] = {
+            "seconds": time.perf_counter() - t0,
+            "candidates": len(found) - before,
+            "skipped": fam.skipped(sep, point) if fam.skipped else 0,
+        }
     return found
 
 

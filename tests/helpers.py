@@ -307,6 +307,27 @@ def reference_multifacility(rel, s, point, Q=None, max_rounds=5):
     )
 
 
+def in_cutset_mixed_integer_set(rel, point):
+    """Does ``point`` lie in the mixed-integer set of the cut-set relaxation
+    ``rel``: every crossing ``y`` a non-negative integer, every crossing
+    ``x`` non-negative, each crossing arc's flow within its capacity and
+    each commodity's net crossing flow at least ``b_k``, in Fractions."""
+    caps = rel.instance.facility_capacities()
+    commodities = range(len(rel.b))
+    for a in rel.A_plus + rel.A_minus:
+        ys = [point.y.get((a, m), ZERO) for m in range(len(caps))]
+        xs = [point.x.get((a, k), ZERO) for k in commodities]
+        if any(v < 0 or v.denominator != 1 for v in ys) or any(v < 0 for v in xs):
+            return False
+        if sum(xs, ZERO) > rel.instance.arcs[a].existing_capacity + sum(c * v for c, v in zip(caps, ys)):
+            return False
+    return all(
+        sum((_point_flow(point, a, (k,)) for a in rel.A_plus), ZERO)
+        - sum((_point_flow(point, a, (k,)) for a in rel.A_minus), ZERO) >= rel.b[k]
+        for k in commodities
+    )
+
+
 def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0, enumeration_cap=12):
     """Fraction reference for ``cutset_cuts.separate_commodity_subset``:
     the library's former scan, which builds and scores a cut per subset."""

@@ -65,7 +65,7 @@ def test_run_report_gives_stop_reason_and_family_counters(tmp_path):
             families = entry["families"]
             assert families and set(families) <= set(FAMILIES)
             for counts in families.values():
-                assert set(counts) == {"seconds", "candidates", "admitted"}
+                assert set(counts) == {"seconds", "candidates", "skipped", "admitted"}
             assert sum(c["admitted"] for c in families.values()) == sum(entry["cuts"].values())
     assert stops == {"1": "round-cap", "50": "no-cuts"}
 

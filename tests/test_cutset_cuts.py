@@ -27,6 +27,7 @@ from netdes_cuts.cutset_cuts import (
 from netdes_cuts.engine import MAX_DENOMINATOR, generate_instance, validate_cut
 from helpers import (
     flow_cutset_best_violation,
+    in_cutset_mixed_integer_set,
     multifacility_best_violation,
     reference_commodity_subset,
     reference_flow_cutset,
@@ -418,9 +419,9 @@ def _random_separations():
         yield build_cutset(inst, U, V), pt, rng
 
 
-def _sampled_subsets(rel, rng):
+def _sampled_subsets(rel, rng, count=3):
     subsets = [Q for n in range(1, len(rel.b) + 1) for Q in combinations(range(len(rel.b)), n)]
-    return rng.sample(subsets, min(3, len(subsets)))
+    return rng.sample(subsets, min(count, len(subsets)))
 
 
 def test_separators_match_fraction_reference():
@@ -527,10 +528,11 @@ def _assert_same_cut(got, want):
 
 
 def test_integer_view_follows_the_point():
-    """One relaxation separates at point A, then at point B, then at A
-    again: for every Q and base facility both separators return the
-    Fraction reference's cut, so the integer view the relaxation keeps is
-    always the current point's."""
+    """Two relaxations of one instance separate at point A, then at point
+    B, then at A again: for every Q and base facility both separators
+    return the Fraction reference's cut, so the integer view each
+    relaxation keeps is always the current point's, and the one scaling of
+    the point that the two views share, whichever made it, serves both."""
     rng = random.Random(1111)
     shapes = [(1,), (1, 3), (1, F(3, 2)), (F(3, 2), 4)]
     compared = 0
@@ -548,19 +550,151 @@ def test_integer_view_follows_the_point():
             )
 
         A, B = random_point(), random_point()
-        U, V = rng.choice(list(two_partitions(inst.nodes)))
-        rel = build_cutset(inst, U, V)
-        subsets = [Q for n in range(1, len(rel.b) + 1) for Q in combinations(range(len(rel.b)), n)]
-        for pt in (A, B, A):
-            for Q in subsets:
-                for m in facilities:
-                    want = reference_multifacility(rel, m, pt, Q=Q)
-                    _assert_same_cut(separate_multifacility(rel, m, pt, Q=Q), want)
-                    compared += want is not None
-                    want = reference_flow_cutset(rel, Q, pt, facility=m)
-                    _assert_same_cut(separate_flow_cutset(rel, Q, pt, facility=m), want)
-                    compared += want is not None
-    assert compared > 300
+        rels = [build_cutset(inst, U, V) for U, V in rng.sample(list(two_partitions(inst.nodes)), 2)]
+        commodities = range(len(inst.commodities))
+        subsets = [Q for n in range(1, len(commodities) + 1) for Q in combinations(commodities, n)]
+        for turn, pt in enumerate((A, B, A)):
+            for rel in rels[::-1] if turn % 2 else rels:
+                for Q in subsets:
+                    for m in facilities:
+                        want = reference_multifacility(rel, m, pt, Q=Q)
+                        _assert_same_cut(separate_multifacility(rel, m, pt, Q=Q), want)
+                        compared += want is not None
+                        want = reference_flow_cutset(rel, Q, pt, facility=m)
+                        _assert_same_cut(separate_flow_cutset(rel, Q, pt, facility=m), want)
+                        compared += want is not None
+            first, second = (rel.view(pt) for rel in rels)
+            assert first.D == second.D and first.y is second.y
+    assert compared > 600
+
+
+def _random_path(inst, rng, src, dst):
+    """Arc indices of a path from ``src`` to ``dst``, found by a search
+    that visits the out-arcs in random order."""
+    parent, frontier = {src: None}, [src]
+    while dst not in parent:
+        node = frontier.pop(rng.randrange(len(frontier)))
+        for ai in rng.sample(inst.out_arcs[node], len(inst.out_arcs[node])):
+            head = inst.arcs[ai].head
+            if head not in parent:
+                parent[head] = ai
+                frontier.append(head)
+    path, node = [], dst
+    while parent[node] is not None:
+        path.append(parent[node])
+        node = inst.arcs[parent[node]].tail
+    return path
+
+
+def _mixed_integer_points():
+    """(instance, point) pairs whose point lies in the mixed-integer set of
+    every cut-set relaxation: random 3-5-node instances with facility sets
+    (1,), (1, 3) and (3/2, 4) and existing capacity on some arcs; each
+    demand is routed in one or two parts along random paths, and each arc
+    gets random non-negative integer installations that, with its existing
+    capacity, carry its load."""
+    rng = random.Random(1818)
+    shapes = [(1,), (1, 3), (F(3, 2), 4)]
+    for seed in range(36):
+        inst = generate_instance(
+            seed=seed, nodes=rng.randint(3, 5), density=0.6,
+            facilities=shapes[seed % len(shapes)], existing_capacity_prob=0.4,
+        )
+        x = {}
+        for k, com in enumerate(inst.commodities):
+            for node, w in com.net_demand.items():
+                if w <= 0:
+                    continue
+                share = rng.choice((F(1), F(1, 2), F(1, 3)))
+                for part in (share, 1 - share) if share < 1 else (share,):
+                    for ai in _random_path(inst, rng, com.source, node):
+                        x[(ai, k)] = x.get((ai, k), F(0)) + part * w
+        y = {}
+        for ai, arc in enumerate(inst.arcs):
+            load = sum((v for (a, _), v in x.items() if a == ai), F(0))
+            units = [rng.randint(0, 1) for _ in inst.facilities]
+            while arc.existing_capacity + sum(c * u for c, u in zip(inst.facility_capacities(), units)) < load:
+                units[rng.randrange(len(units))] += 1
+            y.update(((ai, m), F(u)) for m, u in enumerate(units) if u)
+        yield inst, FractionalPoint(x=x, y=y), rng
+
+
+def _sampled_relaxations(inst, rng):
+    return [build_cutset(inst, U, V) for U, V in rng.sample(list(two_partitions(inst.nodes)), 4)]
+
+
+def _separations_against_references(rel, pt, rng):
+    """(separator's cut, reference's cut, skip possible) for each base
+    facility and up to four commodity subsets Q of ``rel``; the
+    flow-cut-set cut on one facility of several leaves the others'
+    capacity out, so it is not valid for the mixed-integer set and cannot
+    be skipped."""
+    n_facilities = len(rel.instance.facilities)
+    for Q in _sampled_subsets(rel, rng, 4):
+        for m in range(n_facilities):
+            yield separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q), True
+            yield (separate_flow_cutset(rel, Q, pt, facility=m), reference_flow_cutset(rel, Q, pt, facility=m),
+                   n_facilities == 1)
+
+
+def test_mixed_integer_points_are_skipped_and_violate_nothing():
+    """At points in a relaxation's mixed-integer set the view says so, and
+    neither the Fraction references nor the separators find a violated
+    cut, for each sampled Q and base facility, except a flow-cut-set cut
+    on one facility of several, which the separators must then still
+    find."""
+    relaxations = separations = unskippable = 0
+    for inst, pt, rng in _mixed_integer_points():
+        for rel in _sampled_relaxations(inst, rng):
+            assert in_cutset_mixed_integer_set(rel, pt) and rel.view(pt).mixed_integer
+            relaxations += 1
+            for got, want, skippable in _separations_against_references(rel, pt, rng):
+                if skippable:
+                    assert want is None and got is None
+                    separations += 1
+                else:
+                    _assert_same_cut(got, want)
+                    unskippable += want is not None
+    assert relaxations > 100 and separations > 500 and unskippable > 0
+
+
+def test_points_one_step_off_the_mixed_integer_set_are_not_skipped():
+    """The points above moved off the set by one step each: one ``y`` up or
+    down by 1/2 or down by 1, one unused installation to -1, one unused
+    flow to -1/10**6, or one commodity's flow on one arc short by
+    1/10**6.  Each view's ``mixed_integer`` is the Fraction check's, every
+    step takes some relaxations off the set, and both separators return
+    the Fraction reference's cut for each sampled Q and base facility."""
+    steps = dict.fromkeys(("y+1/2", "y-1/2", "y-1", "y<0", "x<0", "balance"), 0)
+    violated = 0
+    for inst, pt, rng in _mixed_integer_points():
+        arcs = range(len(inst.arcs))
+        unused_x = [(a, k) for a in arcs for k in range(len(inst.commodities)) if (a, k) not in pt.x]
+        unused_y = [(a, m) for a in arcs for m in range(len(inst.facilities)) if (a, m) not in pt.y]
+        moves = [
+            ("y+1/2", "y", sorted(pt.y), F(1, 2)),
+            ("y-1/2", "y", sorted(pt.y), -F(1, 2)),
+            ("y-1", "y", sorted(pt.y), -F(1)),
+            ("y<0", "y", unused_y, -F(1)),
+            ("x<0", "x", unused_x, -F(1, 10**6)),
+            ("balance", "x", sorted(pt.x), -F(1, 10**6)),
+        ]
+        for step, coords, keys, delta in moves:
+            if not keys:
+                continue
+            key = rng.choice(keys)
+            moved = FractionalPoint(x=dict(pt.x), y=dict(pt.y))
+            coordinates = getattr(moved, coords)
+            coordinates[key] = coordinates.get(key, F(0)) + delta
+            for rel in _sampled_relaxations(inst, rng):
+                view = rel.view(moved)
+                assert view.mixed_integer == in_cutset_mixed_integer_set(rel, moved)
+                steps[step] += not view.mixed_integer
+                for got, want, skippable in _separations_against_references(rel, moved, rng):
+                    _assert_same_cut(got, want)
+                    # cuts an over-eager skip would lose
+                    violated += want is not None and skippable and not view.mixed_integer
+    assert min(steps.values()) > 20 and violated > 50, (steps, violated)
 
 
 def _pair_commodity_instance(rng, n_commodities, existing_capacity_prob):

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from netdes_cuts import engine, lp
+from netdes_cuts import cutset_cuts, engine, lp
 from netdes_cuts.core import (
     Arc,
     DemandMatrix,
@@ -26,6 +28,7 @@ from netdes_cuts.engine import (
 )
 from helpers import (
     GOLDEN_4_NODE,
+    in_cutset_mixed_integer_set,
     pure_capacity_counterexamples,
     reference_separate_all,
     reference_validate_cuts,
@@ -96,7 +99,8 @@ def test_loop_reports_stop_reason_and_family_counters(monkeypatch):
 
     def recording(sep, point):
         found = separate_all(sep, point)
-        returned.append(len(found))
+        mixed_integer = sum(in_cutset_mixed_integer_set(rel, point) for rel in sep.relaxations)
+        returned.append((len(found), mixed_integer))
         return found
 
     monkeypatch.setattr(engine, "separate_all", recording)
@@ -107,15 +111,19 @@ def test_loop_reports_stop_reason_and_family_counters(monkeypatch):
     done = cutting_plane_loop(inst, Config(max_rounds=50))
     assert done.stop == "no-cuts" and not done.reports[-1].cuts
     assert len(done.reports) >= 2
-    for rep, n_found in zip(done.reports, returned):
+    for rep, (n_found, mixed_integer) in zip(done.reports, returned):
         # rc, cstrong, cutset and flowcutset need a single facility; metric never applies
         assert list(rep.families) == ["mf", "partition"]
         for counts in rep.families.values():
-            assert list(counts) == ["seconds", "candidates", "admitted"]
+            assert list(counts) == ["seconds", "candidates", "skipped", "admitted"]
             assert counts["seconds"] >= 0 and 0 <= counts["admitted"] <= counts["candidates"]
         assert sum(c["candidates"] for c in rep.families.values()) == n_found
         assert sum(c["admitted"] for c in rep.families.values()) == sum(rep.cuts.values())
+        # mf skips the relaxations whose crossing point is mixed-integer feasible
+        assert rep.families["mf"]["skipped"] == mixed_integer
+        assert rep.families["partition"]["skipped"] == 0
     assert done.reports[0].families["mf"]["admitted"] > 0
+    assert any(rep.families["mf"]["skipped"] for rep in done.reports)
 
 
 def test_loop_star_reaches_oracle(star_instance):
@@ -272,20 +280,32 @@ def _fraction_admitted(sep, name, point):
     return [(cut, cut.violation(point)) for cut in sep.fixed[name] if cut.violation(point) > sep.eps]
 
 
+def _scalings(inst, point):
+    """The point's shared scaling, whose D also clears the instance's data
+    and the point's flows, and one by the lcm of the denominators of its
+    ``y`` alone."""
+    D = math.lcm(*(v.denominator for v in point.y.values()))
+    own = SimpleNamespace(D=D, y=[
+        [int(point.y.get((a, m), 0) * D) for m in range(len(inst.facilities))] for a in range(len(inst.arcs))
+    ])
+    return cutset_cuts.scaled_point(inst, point), own
+
+
 def _assert_same_admission(sep, point):
     """The integer check admits what ``cut.violation(point) > eps`` admits,
-    in order, each with that violation."""
-    scaled_y = engine._scaled_y(point)
-    for name in sep.fixed:
-        got = list(engine._admitted(sep.forms[name], scaled_y, sep.eps))
-        want = _fraction_admitted(sep, name, point)
-        assert [id(cut) for cut, _ in got] == [id(cut) for cut, _ in want]
-        assert [(v, type(v)) for _, v in got] == [(v, type(v)) for _, v in want]
+    in order, each with that violation, at either scaling of the point."""
+    for scaled in _scalings(sep.instance, point):
+        for name in sep.fixed:
+            got = list(engine._admitted(sep.forms[name], scaled, sep.eps))
+            want = _fraction_admitted(sep, name, point)
+            assert [id(cut) for cut, _ in got] == [id(cut) for cut, _ in want]
+            assert [(v, type(v)) for _, v in got] == [(v, type(v)) for _, v in want]
 
 
 def test_integer_admission_matches_fraction_violation(monkeypatch):
-    """Built-once candidates admitted on their integer forms are exactly
-    those whose ``Fraction`` violation exceeds eps: at every golden round
+    """Built-once candidates admitted on their integer forms, at the point's
+    shared scaling and at one by its ``y`` alone, are exactly those whose
+    ``Fraction`` violation exceeds eps: at every golden round
     point, at random points with denominators up to MAX_DENOMINATOR, and
     at the threshold itself, where a violation of exactly eps is refused
     and one of eps + 1/10**12 admitted."""
@@ -313,8 +333,9 @@ def test_integer_admission_matches_fraction_violation(monkeypatch):
                 point = FractionalPoint(y={key: (cut.rhs - violation) / coef})
                 assert cut.violation(point) == violation
                 _assert_same_admission(sep, point)
-                got = engine._admitted(sep.forms[name], engine._scaled_y(point), sep.eps)
-                assert any(c is cut for c, _ in got) == admitted
+                for scaled in _scalings(inst, point):
+                    got = engine._admitted(sep.forms[name], scaled, sep.eps)
+                    assert any(c is cut for c, _ in got) == admitted
 
 
 def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
