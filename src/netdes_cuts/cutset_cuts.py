@@ -7,7 +7,8 @@ the cuts.  Existing capacities enter through the shifted right-hand side
 ``b'_Q = b_Q - cbar(S+) + cbar(S-)``, which makes the remainder used for
 rounding depend on the chosen arc subsets; separation re-evaluates it in
 a short fixed-point loop (a single pass is exact when crossing arcs have
-no existing capacity).
+no existing capacity), one pass over the crossing arcs per distinct
+selection.
 
 Separation scores on integers.  ``scaled_point(instance, point)``
 multiplies the facility sizes, the demands, the existing capacities and
@@ -18,7 +19,8 @@ different point object asks, and it memoizes the per-subset flow sums and
 ``b_Q`` and the capacity terms of each rounding.  One scoring function on
 it serves the greedy arc selection of ``separate_flow_cutset`` and
 ``separate_multifacility`` and the subset search of
-``separate_commodity_subset``.  The winner is built from the same integers:
+``separate_commodity_subset``, which scores from ``y(S+)`` and ``y(S-)``,
+summed once.  The winner is built from the same integers:
 its phi coefficients and right-hand side are the view's values over D, its
 ``normalized_key()`` is their coprime form, and its exact violation is the
 greedy's score over D^2, recorded on the cut.  A separator given the keys
@@ -220,17 +222,11 @@ class IntegerView:
             self._terms[key] = term
         return term
 
-    def violation(self, s: int, facilities: tuple[int, ...], b_prime: int, flow_lhs: int, S_plus, S_minus) -> int:
-        """D^2 times the violation of the cut-set cut on ``(S+, S-)`` rounded
-        on ``s`` with the phi coefficients of ``facilities``, given the
-        shifted ``b'_Q`` and the D^2-scaled flow part ``x_Q(A+ \\ S+) -
-        x_Q(S-)``; 0 when the remainder vanishes and there is no cut."""
-        r, eta = self.rounding(b_prime, s)
-        if r == 0:
-            return 0
-        term = self.terms(s, facilities, r, eta)
-        cap_lhs = sum(term[a] for a in S_plus) + sum(term[a] for a in S_minus)
-        return self.D * (r * eta - self.cbar_sum(S_minus)) - cap_lhs - flow_lhs
+    def score(self, r: int, eta: int, cbar_minus: int, cap_lhs: int, flow_lhs: int) -> int:
+        """D^2 times the violation of the cut-set cut with remainder r,
+        given the D-scaled ``cbar(S-)`` and the D^2-scaled capacity part
+        and flow part ``x_Q(A+ \\ S+) - x_Q(S-)``."""
+        return self.D * (r * eta - cbar_minus) - cap_lhs - flow_lhs
 
 
 @dataclass(frozen=True)
@@ -393,44 +389,63 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus):
     on crossing arcs the remainder moves with the selection, so the pass
     repeats until it stabilizes, at most ``GREEDY_ROUNDS`` times.  Base
     facility ``s`` fixes the rounding and ``facilities`` lists those whose
-    capacity terms count.  Everything runs on the integers of ``view``.
-    A point in the relaxation's mixed-integer set violates no cut whose
-    capacity terms count every facility, so there the scan is skipped.
+    capacity terms count.  Everything runs on the integers of ``view``, one
+    pass over the arcs per distinct selection: a score depends on the
+    selection alone, so the scan stops before a repeat and right after a
+    selection whose remainder its terms came from.  A point in the
+    relaxation's mixed-integer set violates no cut whose capacity terms
+    count every facility, so there the scan is skipped.
     """
     A_plus, A_minus = view.A_plus, view.A_minus
     if not A_plus or (view.mixed_integer and len(facilities) == len(view.caps)):
         return None
     b_Q, flow = view.commodities(Q)
-    cbar = view.cbar
-    sel = (A_plus, ())
-    r, eta = view.rounding(b_Q - view.cbar_sum(A_plus), s)
-    if r == 0:
+    cbar, y = view.cbar, view.y
+    rounded = view.rounding(b_Q - view.cbar_sum(A_plus), s)
+    if rounded[0] == 0:
         return None
-    term = view.terms(s, facilities, r, eta)
+    term = view.terms(s, facilities, *rounded)
     best, best_viol = None, 0
-    seen = set()
-    for _ in range(GREEDY_ROUNDS):
-        s_plus = tuple(a for a in A_plus if prefer_plus(term[a], flow[a]))
-        s_minus = tuple(a for a in A_minus if term[a] < flow[a])
-        new = (s_plus, s_minus)
-        b_prime, flow_lhs = b_Q, 0
+    scored = set()
+    for left in range(GREEDY_ROUNDS - 1, -1, -1):  # passes left after this one
+        s_plus, s_minus = [], []
+        cbar_plus = cbar_minus = cap_lhs = flow_lhs = 0
         for a in A_plus:
-            if a in s_plus:
-                b_prime -= cbar[a]
+            t, f = term[a], flow[a]
+            if prefer_plus(t, f):
+                s_plus.append(a)
+                cbar_plus += cbar[a]
+                cap_lhs += t
             else:
-                flow_lhs += flow[a]
-        for a in s_minus:
-            b_prime += cbar[a]
-            flow_lhs -= flow[a]
-        v = view.violation(s, facilities, b_prime, flow_lhs, s_plus, s_minus)
-        if v > best_viol:
-            best, best_viol = (s_plus, s_minus, v), v
-        r, eta = view.rounding(b_prime, s)
-        if r == 0 or new in seen or new == sel:
+                flow_lhs += f
+        for a in A_minus:
+            t, f = term[a], flow[a]
+            if t < f:
+                s_minus.append(a)
+                cbar_minus += cbar[a]
+                cap_lhs += t
+                flow_lhs -= f
+        sel = (tuple(s_plus), tuple(s_minus))
+        if sel in scored:
             break
-        term = view.terms(s, facilities, r, eta)
-        seen.add(new)
-        sel = new
+        r, eta = view.rounding(b_Q - cbar_plus + cbar_minus, s)
+        if r == 0:
+            break
+        moved = (r, eta) != rounded
+        if moved and left:
+            term = view.terms(s, facilities, r, eta)
+            cap_lhs = sum(term[a] for a in s_plus) + sum(term[a] for a in s_minus)
+        elif moved:  # the last pass: the selection's own capacity terms
+            plus, minus = view.phis(s, facilities, r, eta)
+            cap_lhs = (sum(f * y[a][m] for m, f in plus for a in s_plus)
+                       + sum(f * y[a][m] for m, f in minus for a in s_minus))
+        v = view.score(r, eta, cbar_minus, cap_lhs, flow_lhs)
+        if v > best_viol:
+            best, best_viol = (*sel, v), v
+        if not moved:
+            break
+        scored.add(sel)
+        rounded = (r, eta)
     return best
 
 
@@ -472,7 +487,9 @@ def separate_commodity_subset(
     leaves the box the reduction needs (reverse flows, negative demands)
     an exhaustive subset search takes over.  Subsets are scored on the
     integers of ``rel.view(point)``: only ``b_Q`` and the flow part depend
-    on Q, and the flow part is a sum of per-commodity terms.
+    on Q, the flow part is a sum of per-commodity terms, and the capacity
+    part is ``phi+ y(S+) + phi- y(S-)`` at the subset's remainder, with
+    ``y(S+)`` and ``y(S-)`` summed once.
     """
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
     if not (set(S_plus) <= set(rel.A_plus) and set(S_minus) <= set(rel.A_minus)):
@@ -485,11 +502,17 @@ def separate_commodity_subset(
         D * (sum(view.x[a][k] for a in bypass_arcs) - sum(view.x[a][k] for a in S_minus))
         for k in range(len(rel.b))
     ]
-    b_shift = view.cbar_sum(S_minus) - view.cbar_sum(S_plus)  # b'_Q - b_Q
+    cbar_minus = view.cbar_sum(S_minus)
+    b_shift = cbar_minus - view.cbar_sum(S_plus)  # b'_Q - b_Q
+    Y_plus = sum(view.y[a][facility] for a in S_plus)
+    Y_minus = sum(view.y[a][facility] for a in S_minus)
 
     def eq_violation(Q):
-        b_prime = sum(view.b[k] for k in Q) + b_shift
-        return view.violation(facility, (facility,), b_prime, sum(net[k] for k in Q), S_plus, S_minus)
+        r, eta = view.rounding(sum(view.b[k] for k in Q) + b_shift, facility)
+        if r == 0:
+            return 0
+        ((_, phi_p),), ((_, phi_m),) = view.phis(facility, (facility,), r, eta)
+        return view.score(r, eta, cbar_minus, phi_p * Y_plus + phi_m * Y_minus, sum(net[k] for k in Q))
 
     positives = rel.positive_commodities()
     # the reduction is exact only when its assumptions verifiably hold:
@@ -508,7 +531,7 @@ def separate_commodity_subset(
             xhat[idx] = val
     if view_ok:
         c = rel.instance.facilities[facility].capacity
-        ybar = Fraction(sum(view.y[a][facility] for a in S_plus), D)
+        ybar = Fraction(Y_plus, D)
         aggregate = arc_cuts.ArcSetRelaxation(
             a=tuple(rel.b[k] / c for k in positives),
             a0=(rel.cbar(S_plus) - rel.cbar(S_minus)) / c,

@@ -97,8 +97,7 @@ def _single_facility(instance: Instance) -> bool:
 
 
 def _rc(sep: Separation, point: FractionalPoint):
-    for ai in range(len(sep.instance.arcs)):
-        rel = arc_cuts.from_capacity_row(sep.instance, ai, mode=arc_cuts.SPLITTABLE)
+    for ai, rel in enumerate(sep.splittable_rows):
         ybar = max(point.y.get((ai, 0), ZERO), ZERO)
         ineq = arc_cuts.separate_residual_capacity(rel, _fractional_loads(rel, ai, point), ybar)
         if ineq is not None:
@@ -106,9 +105,7 @@ def _rc(sep: Separation, point: FractionalPoint):
 
 
 def _cstrong(sep: Separation, point: FractionalPoint):
-    for ai in range(len(sep.instance.arcs)):
-        rel = arc_cuts.from_capacity_row(sep.instance, ai, mode=arc_cuts.UNSPLITTABLE)
-        reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
+    for ai, (rel, reduced, offsets, off0) in enumerate(sep.unsplittable_rows):
         xhat = _fractional_loads(rel, ai, point)
         ybar = max(point.y.get((ai, 0), ZERO), ZERO)
         # capacity variable of the reduced set absorbs the dropped integer parts
@@ -131,17 +128,21 @@ def _cstrong(sep: Separation, point: FractionalPoint):
 
 def _flowcutset(sep: Separation, point: FractionalPoint):
     found = sep.cutset_keys
-    for rel, subsets in zip(sep.relaxations, sep.subsets(point)):
+    for rel, subsets in sep.subsets(point):
         for Q in subsets:
-            yield _first_of_key(sep, point, cutset_cuts.separate_flow_cutset(rel, Q, point, skip=found))
+            cut = cutset_cuts.separate_flow_cutset(rel, Q, point, skip=found)
+            if cut is not None:
+                yield _first_of_key(sep, point, cut)
 
 
 def _mf(sep: Separation, point: FractionalPoint):
     found = sep.cutset_keys
-    for rel, subsets in zip(sep.relaxations, sep.subsets(point)):
+    for rel, subsets in sep.subsets(point):
         for s in range(len(sep.instance.facilities)):
             for Q in subsets:
-                yield _first_of_key(sep, point, cutset_cuts.separate_multifacility(rel, s, point, Q=Q, skip=found))
+                cut = cutset_cuts.separate_multifacility(rel, s, point, Q=Q, skip=found)
+                if cut is not None:
+                    yield _first_of_key(sep, point, cut)
 
 
 def _mixed_integer_relaxations(sep: Separation, point: FractionalPoint) -> int:
@@ -150,12 +151,12 @@ def _mixed_integer_relaxations(sep: Separation, point: FractionalPoint) -> int:
     return sum(rel.view(point).mixed_integer for rel in sep.relaxations)
 
 
-def _first_of_key(sep: Separation, point: FractionalPoint, cut: LinearCut | None) -> LinearCut | None:
+def _first_of_key(sep: Separation, point: FractionalPoint, cut: LinearCut) -> LinearCut | None:
     """``cut`` if it is violated by more than eps, its key then added to
     ``sep.cutset_keys``, which the cut-set separators skip for the rest of
     the round; None otherwise.  A key enters only with a violated cut, as a
     positive multiple of a cut can be violated where the cut is not."""
-    if cut is None or not cut.violation(point) > sep.eps:
+    if not cut.violation(point) > sep.eps:
         return None
     sep.cutset_keys.add(cut.normalized_key())
     return cut
@@ -377,9 +378,9 @@ class Separation:
     """Separation state of one loop: the enabled families that apply to the
     instance, in table order, and the candidates of each built-once family
     (``fixed``), pure capacity cuts that ``forms`` keeps with their integer
-    forms (``_integer_form``) for admission.  Partitions and relaxations
-    are made on first use, so nothing is built for a family that does not
-    run.  ``last_round`` holds, per family of the last ``separate_all``
+    forms (``_integer_form``) for admission.  Partitions, relaxations and
+    arc rows are made on first use, so nothing is built for a family that
+    does not run.  ``last_round`` holds, per family of the last ``separate_all``
     call, its ``seconds``, its violated ``candidates``, in the order their
     cuts were returned, and its ``skipped`` relaxations; ``cutset_keys``
     holds the keys of the ``flowcutset`` and ``mf`` candidates of that
@@ -403,11 +404,29 @@ class Separation:
     def relaxations(self) -> list[cutset_cuts.CutSetRelaxation]:
         return [cutset_cuts.build_cutset(self.instance, U, V) for U, V in self.partitions]
 
-    def subsets(self, point: FractionalPoint) -> list[list[tuple[int, ...]]]:
-        """Each relaxation's commodity subsets at ``point``, computed once
-        per round and shared by ``flowcutset`` and ``mf``."""
+    @cached_property
+    def splittable_rows(self) -> list[arc_cuts.ArcSetRelaxation]:
+        """Each arc's capacity row as a splittable arc-set relaxation (``rc``)."""
+        arcs = range(len(self.instance.arcs))
+        return [arc_cuts.from_capacity_row(self.instance, ai, arc_cuts.SPLITTABLE) for ai in arcs]
+
+    @cached_property
+    def unsplittable_rows(self) -> list[tuple]:
+        """Per arc (``cstrong``), its capacity row as an unsplittable arc-set
+        relaxation with ``arc_cuts.normalize_unsplittable``'s reduction:
+        ``(rel, reduced, offsets, off0)``."""
+        arcs = range(len(self.instance.arcs))
+        rels = (arc_cuts.from_capacity_row(self.instance, ai, arc_cuts.UNSPLITTABLE) for ai in arcs)
+        return [(rel, *arc_cuts.normalize_unsplittable(rel)) for rel in rels]
+
+    def subsets(self, point: FractionalPoint) -> list[tuple[cutset_cuts.CutSetRelaxation, list[tuple]]]:
+        """The relaxations ``flowcutset`` and ``mf`` search at ``point``, with
+        their commodity subsets, made once per round: those with an arc U -> V
+        whose crossing point is off their mixed-integer set, on which no cut
+        of either family is violated (``flowcutset`` runs on one facility)."""
         if self._subsets[0] is not point:
-            self._subsets = (point, [list(_commodity_subsets(rel, point)) for rel in self.relaxations])
+            kept = [rel for rel in self.relaxations if rel.A_plus and not rel.view(point).mixed_integer]
+            self._subsets = (point, [(rel, list(_commodity_subsets(rel, point))) for rel in kept])
         return self._subsets[1]
 
 

@@ -110,14 +110,13 @@ class _Layout:
 
     def __init__(self, n_vars: int, rows: Sequence[tuple]):
         self.n_vars = n_vars
-        self.rows = []  # (coefs, sense, rhs, flipped_sign)
-        for coefs, sense, rhs in rows:
-            if rhs < 0:
-                coefs = {j: -v for j, v in coefs.items()}
-                rhs, sense = -rhs, _FLIP[sense]
-                self.rows.append((coefs, sense, rhs, True))
-            else:
-                self.rows.append((dict(coefs), sense, rhs, False))
+        # (coefs, sense, rhs, negated): the model's coefs and rhs and the
+        # tableau row's sense; a negated row enters the tableau as -coefs
+        # and -rhs (``_tableau_row``), and its dual changes sign
+        self.rows = [
+            (coefs, _FLIP[sense], rhs, True) if rhs < 0 else (coefs, sense, rhs, False)
+            for coefs, sense, rhs in rows
+        ]
         m = len(self.rows)
         ncols = n_vars
         self.slack_col = [-1] * m
@@ -142,7 +141,7 @@ class _Layout:
         is negated to ``<=``, and an ``=`` row's slack is fixed at zero."""
         new = copy.copy(self)
         new.rows = self.rows + [
-            ({j: -v for j, v in coefs.items()}, LE, -rhs, True) if sense == GE else (coefs, sense, rhs, False)
+            (coefs, LE, rhs, True) if sense == GE else (coefs, sense, rhs, False)
             for coefs, sense, rhs in rows
         ]
         new.slack_col = self.slack_col + list(range(self.ncols, self.ncols + len(rows)))
@@ -266,20 +265,23 @@ class _State:
         )
 
 
-def _tableau_row(coefs, rhs, arith: _Arithmetic):
-    """Row ``coefs``/``rhs`` in tableau numbers: ``(vals, rhs, scale)``,
-    ``vals`` in the order of ``coefs``.
+def _tableau_row(coefs, rhs, negated: bool, arith: _Arithmetic):
+    """Row ``coefs``/``rhs``, negated when ``negated``, in tableau numbers:
+    ``(vals, rhs, scale)``, ``vals`` in the order of ``coefs``.
 
     Float rows are equilibrated to unit max coefficient: wide magnitude
     ranges (scaled cut rows) otherwise invite tiny-pivot blowups.  Exact
-    rows are not scaled.
+    rows are not scaled.  A row is negated after conversion, which is
+    sign-symmetric, as ``zero - v`` so that a zero stays +0.0.
     """
+    vals, rhs = [arith.num(v) for v in coefs.values()], arith.num(rhs)
+    if negated:
+        vals, rhs = [arith.zero - v for v in vals], arith.zero - rhs
     if arith.exact:
-        return [Fraction(v) for v in coefs.values()], Fraction(rhs), arith.one
-    vals = [_to_float(v) for v in coefs.values()]
+        return vals, rhs, arith.one
     biggest = max(map(abs, vals), default=0.0)
     scale = 1.0 / biggest if biggest > 0 else 1.0
-    return [v * scale for v in vals], _to_float(rhs) * scale, scale
+    return [v * scale for v in vals], rhs * scale, scale
 
 
 def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State | LPResult:
@@ -297,8 +299,8 @@ def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State 
     allow[upper <= arith.tol] = 0  # fixed variables never enter
 
     row_scale = np.full(m, one, dtype=arith.dtype)
-    for i, (coefs, sense, rhs, _) in enumerate(layout.rows):
-        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, arith)
+    for i, (coefs, sense, rhs, negated) in enumerate(layout.rows):
+        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, negated, arith)
         # element writes: a fancy-index write costs more on these short rows
         for j, v in zip(coefs, vals):
             T[i, j] = v
@@ -410,8 +412,8 @@ def _resolve(start: LPResult, rows: Sequence[tuple], max_iter) -> LPResult:
     flipped = np.concatenate([old_state.flipped, np.zeros(m - m0, dtype=np.uint8)])
     row_scale = np.concatenate([old_state.row_scale, np.ones(m - m0)])
     for i in range(m0, m):
-        coefs, _, rhs, _ = layout.rows[i]
-        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, _FLOAT)
+        coefs, _, rhs, negated = layout.rows[i]
+        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, negated, _FLOAT)
         # complemented columns hold u_j - x_j
         cols, vals = np.fromiter(coefs, np.int64, len(coefs)), np.array(vals)
         comp = flipped[cols] != 0

@@ -249,9 +249,10 @@ def _point_flow(point, a, Q):
     return sum((point.x.get((a, k), ZERO) for k in Q), ZERO)
 
 
-def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_rounds):
+def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_rounds, passes=None):
     """The greedy cut-set scan on Fractions, building and scoring every
-    selection as a Fraction cut (the library's former implementation)."""
+    selection as a Fraction cut (the library's former implementation).
+    Each pass's ``(S+, S-)`` is appended to the list ``passes`` when given."""
     from netdes_cuts.cutset_cuts import FlowCutSelection
     from netdes_cuts.mir import PhiParams, phi_minus, phi_plus
 
@@ -276,6 +277,8 @@ def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_round
         new_minus = tuple(
             a for a in rel.A_minus if cap_term(a, phi_minus) < _point_flow(point, a, Q)
         )
+        if passes is not None:
+            passes.append((new_plus, new_minus))
         r2, _ = _rounding_data(rel, Q, new_plus, new_minus, caps[s])
         if r2 != 0:
             cut = build(rel, FlowCutSelection(Q, new_plus, new_minus, s))
@@ -289,21 +292,21 @@ def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_round
     return best
 
 
-def reference_flow_cutset(rel, Q, point, facility=0, max_rounds=5):
+def reference_flow_cutset(rel, Q, point, facility=0, max_rounds=5, passes=None):
     """Fraction reference for ``cutset_cuts.separate_flow_cutset``."""
     return _greedy_fraction(
         rel, tuple(Q), point, facility, (facility,), lambda cap, flow: cap < flow,
-        reference_flow_cutset_cut, max_rounds,
+        reference_flow_cutset_cut, max_rounds, passes,
     )
 
 
-def reference_multifacility(rel, s, point, Q=None, max_rounds=5):
+def reference_multifacility(rel, s, point, Q=None, max_rounds=5, passes=None):
     """Fraction reference for ``cutset_cuts.separate_multifacility``."""
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
     return _greedy_fraction(
         rel, Q, point, s, range(len(rel.instance.facilities)),
         lambda cap, flow: cap < flow or (cap == 0 and flow == 0),
-        reference_multifacility_cutset_cut, max_rounds,
+        reference_multifacility_cutset_cut, max_rounds, passes,
     )
 
 
@@ -854,7 +857,9 @@ def _reference_phase1(layout, upper_map, arith, max_iter):
     allow[upper <= arith.tol] = 0
 
     row_scale = np.full(m, one, dtype=arith.dtype)
-    for i, (coefs, sense, rhs, _) in enumerate(layout.rows):
+    for i, (coefs, sense, rhs, negated) in enumerate(layout.rows):
+        if negated:
+            coefs, rhs = {j: -v for j, v in coefs.items()}, -rhs
         if arith.exact:
             for j, v in coefs.items():
                 T[i, j] = F(v)

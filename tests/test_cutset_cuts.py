@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -13,6 +13,7 @@ from netdes_cuts.core import (
     LinearCut,
 )
 from netdes_cuts.cutset_cuts import (
+    GREEDY_ROUNDS,
     CutSetRelaxation,
     FlowCutSelection,
     build_cutset,
@@ -424,16 +425,56 @@ def _sampled_subsets(rel, rng, count=3):
     return rng.sample(subsets, min(count, len(subsets)))
 
 
+def _shifting_separations():
+    """60 (relaxation, point, rng) triples on which the greedy scan's
+    remainder moves at every pass.  A star from node 1, cut at U = {1}:
+    four arcs out of it and one back, every one with existing capacity.
+    On the facility of size c and in units of c/10, the arcs out carry
+    existing capacity 2, 2, 2 and 3 plus whole multiples of c, and take
+    part in S+ while the remainder stays below 1.5, 3, 5 and 7; the arc
+    back always joins S-, and its existing capacity is a multiple of c.
+    The remainder starts at 2, so the scan selects three, two, one, none
+    and all four arcs out at remainders 2, 4, 6, 8 and 1: five distinct
+    selections, the last one scored at the cap on a moved remainder with
+    ``y`` on S-.  Facility sets (c,) and (c, 3), c in 1, 2 and 3/2."""
+    rng = random.Random(1919)
+    for trial in range(60):
+        c = (F(1), F(2), F(3, 2))[trial % 3]
+        unit = c / 10
+        facilities = (c,) if trial % 2 else (c, F(3))
+        roles = rng.sample(range(4), 4)  # out-arc i plays role roles[i]
+        cbar = [unit * (2, 2, 2, 3)[role] + c * rng.randint(0, 1) for role in roles]
+        arcs = [Arc(1, head, cbar[i]) for i, head in enumerate((2, 3, 4, 5))] + [Arc(2, 1, c * rng.randint(1, 2))]
+        demand = sum(cbar, F(0)) + 2 * unit + c * rng.randint(0, 2)
+        inst = Instance(
+            nodes=[1, 2, 3, 4, 5],
+            arcs=arcs,
+            facilities=[Facility(size, tuple(F(1) for _ in arcs)) for size in facilities],
+            demand=DemandMatrix({(1, 2): demand}),
+        )
+        x, y = {}, {}
+        for i, role in enumerate(roles):
+            y[(i, 0)] = F(rng.randint(1, 2))
+            x[(i, 0)] = y[(i, 0)] * unit * ((F(3, 2), 3, 5, 7)[role] + F(rng.randint(-2, 2), 10))
+        y[(4, 0)], x[(4, 0)] = F(1), c
+        yield build_cutset(inst, [1]), FractionalPoint(x=x, y=y), rng
+
+
 def test_separators_match_fraction_reference():
-    """Both separators return the reference greedy's cut on 240 random
-    (instance, point) pairs."""
-    compared = 0
-    for rel, pt, rng in _random_separations():
+    """Both separators return the reference greedy's cut, with its exact
+    violation recorded, on 240 random (instance, point) pairs and on the
+    60 whose remainder shifts at every pass, where the scan scores at
+    least three distinct selections and often runs to ``GREEDY_ROUNDS``."""
+    compared = distinct3 = capped = 0
+    for rel, pt, rng in chain(_random_separations(), _shifting_separations()):
         for Q in _sampled_subsets(rel, rng):
             for m in range(len(rel.instance.facilities)):
+                passes_mf, passes_fcs = [], []
                 pairs = [
-                    (separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
-                    (separate_flow_cutset(rel, Q, pt, facility=m), reference_flow_cutset(rel, Q, pt, facility=m)),
+                    (separate_multifacility(rel, m, pt, Q=Q),
+                     reference_multifacility(rel, m, pt, Q=Q, passes=passes_mf)),
+                    (separate_flow_cutset(rel, Q, pt, facility=m),
+                     reference_flow_cutset(rel, Q, pt, facility=m, passes=passes_fcs)),
                 ]
                 for got, want in pairs:
                     compared += want is not None
@@ -442,7 +483,11 @@ def test_separators_match_fraction_reference():
                         assert got.normalized_key() == want.normalized_key()
                         assert got.params == want.params
                         assert got.family == want.family
-    assert compared > 500
+                        assert got.violation(pt) == want.violation(pt)
+                for passes in (passes_mf, passes_fcs):
+                    distinct3 += len(set(passes)) >= 3
+                    capped += len(set(passes)) == GREEDY_ROUNDS
+    assert compared > 600 and distinct3 > 100 and capped > 100, (compared, distinct3, capped)
 
 
 def _assert_identical_cut(got, want):
@@ -720,7 +765,9 @@ def test_commodity_subset_matches_fraction_reference(monkeypatch):
     residual-capacity reduction, the exhaustive fallback and, above
     ``enumeration_cap`` commodities, the short candidate list.  Points are
     either inside the reduction's box or wild (negative coordinates,
-    denominators up to MAX_DENOMINATOR)."""
+    denominators up to MAX_DENOMINATOR).  Further relaxations with 2-8
+    commodities have S- carrying both installations and existing
+    capacity."""
     from netdes_cuts import arc_cuts
 
     reductions = []
@@ -766,3 +813,21 @@ def test_commodity_subset_matches_fraction_reference(monkeypatch):
                 paths["exhaustive" if n <= 12 else "candidates"] += 1
     assert all(count >= 3 for count in paths.values()), paths
     assert found >= 10
+    # S- carries both installations and existing capacity, so the score
+    # of every subset has a y(S-) term and a cbar(S-) shift
+    rng = random.Random(4096)
+    carried = 0
+    for n in range(2, 9):
+        for _ in range(4):
+            inst = _pair_commodity_instance(rng, n, existing_capacity_prob=1)
+            rel = rng.choice([rel for rel in (build_cutset(inst, U, V) for U, V in two_partitions(inst.nodes))
+                              if rel.A_plus and rel.A_minus])
+            S_plus = tuple(a for a in rel.A_plus if rng.random() < 0.6)
+            pt = FractionalPoint(
+                x={(a, k): _random_coordinate(rng) for a in range(len(inst.arcs)) for k in range(n)},
+                y={(a, 0): F(rng.randint(1, 6), rng.choice((1, 2, 3))) for a in range(len(inst.arcs))},
+            )
+            got = separate_commodity_subset(rel, S_plus, rel.A_minus, pt)
+            assert got == reference_commodity_subset(rel, S_plus, rel.A_minus, pt)
+            carried += got is not None
+    assert carried >= 10, carried

@@ -357,6 +357,41 @@ def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
     assert repeats_offered > 0
 
 
+def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
+    """At the golden round points, ``flowcutset`` and ``mf`` call their
+    separators on no relaxation without an arc U -> V and on none whose
+    crossing point lies in its mixed-integer set, and ``separate_all``
+    still gives the reference's candidates."""
+    calls = []
+
+    def counting(name):
+        real = getattr(cutset_cuts, name)
+
+        def counted(rel, *args, **kwargs):
+            calls.append((rel, args[1]))  # args[1] is the point for both separators
+            return real(rel, *args, **kwargs)
+
+        monkeypatch.setattr(cutset_cuts, name, counted)
+
+    counting("separate_flow_cutset")
+    counting("separate_multifacility")
+    mixed_integer = separated = 0
+    for seed in sorted(GOLDEN_4_NODE):
+        inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+        rounds = _separation_rounds(monkeypatch, inst, Config(max_rounds=10))
+        per_round = [{id(rel) for rel, at in calls if at is point} for _, point, _ in rounds]
+        for (sep, point, found), searched in zip(rounds, per_round):
+            for rel in sep.relaxations:
+                skip = not rel.A_plus or in_cutset_mixed_integer_set(rel, point)
+                assert not (skip and id(rel) in searched)
+                mixed_integer += bool(rel.A_plus) and skip
+                separated += not skip
+            reference = _first_of_each_key(reference_separate_all(inst, point, Config(max_rounds=10)))
+            assert _listing(found) == _listing(reference)
+        del calls[:]
+    assert mixed_integer > 100 and separated > 50, (mixed_integer, separated)
+
+
 def test_three_partition_shrunk_once(monkeypatch):
     """The loop shrinks each three-partition once and derives its data
     once for both total-capacity cuts, which equal the public builders'."""
@@ -387,9 +422,10 @@ def test_three_partition_shrunk_once(monkeypatch):
 
 
 def test_point_independent_candidates_built_once_per_loop(monkeypatch):
-    """A loop of many rounds shrinks, rounds and builds relaxations exactly
-    as often as a loop of one; families that need none of it build none."""
-    from netdes_cuts import cutset_cuts, engine, partition_cuts
+    """A loop of many rounds shrinks, rounds and builds relaxations and arc
+    rows exactly as often as a loop of one; families that need none of it
+    build none."""
+    from netdes_cuts import arc_cuts, cutset_cuts, engine, partition_cuts
 
     calls = {}
 
@@ -415,6 +451,18 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     assert one == 1 and many >= 2
     assert first == loop and first["shrink"] > 0 and first["hull_inequalities"] > 0
     assert unused == {}
+    # rc and cstrong read each arc's capacity row, made once per loop as well
+    counting(arc_cuts, "from_capacity_row")
+    counting(arc_cuts, "normalize_unsplittable")
+    inst = generate_instance(seed=20, nodes=3, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True)
+    counts = []
+    for max_rounds in (1, 10):
+        calls.clear()
+        res = cutting_plane_loop(inst, Config(families=("rc", "cstrong"), max_rounds=max_rounds))
+        counts.append((len(res.reports), dict(calls)))
+    (one, first), (many, loop) = counts
+    assert one == 1 and many >= 2
+    assert first == loop == {"from_capacity_row": 2 * len(inst.arcs), "normalize_unsplittable": len(inst.arcs)}
 
 
 def test_loop_cuts_all_validate():
