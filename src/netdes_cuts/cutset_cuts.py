@@ -400,14 +400,14 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus):
     if not A_plus or (view.mixed_integer and len(facilities) == len(view.caps)):
         return None
     b_Q, flow = view.commodities(Q)
-    cbar, y = view.cbar, view.y
+    cbar = view.cbar
     rounded = view.rounding(b_Q - view.cbar_sum(A_plus), s)
     if rounded[0] == 0:
         return None
     term = view.terms(s, facilities, *rounded)
     best, best_viol = None, 0
     scored = set()
-    for left in range(GREEDY_ROUNDS - 1, -1, -1):  # passes left after this one
+    for _ in range(GREEDY_ROUNDS):
         s_plus, s_minus = [], []
         cbar_plus = cbar_minus = cap_lhs = flow_lhs = 0
         for a in A_plus:
@@ -432,13 +432,9 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus):
         if r == 0:
             break
         moved = (r, eta) != rounded
-        if moved and left:
+        if moved:
             term = view.terms(s, facilities, r, eta)
             cap_lhs = sum(term[a] for a in s_plus) + sum(term[a] for a in s_minus)
-        elif moved:  # the last pass: the selection's own capacity terms
-            plus, minus = view.phis(s, facilities, r, eta)
-            cap_lhs = (sum(f * y[a][m] for m, f in plus for a in s_plus)
-                       + sum(f * y[a][m] for m, f in minus for a in s_minus))
         v = view.score(r, eta, cbar_minus, cap_lhs, flow_lhs)
         if v > best_viol:
             best, best_viol = (*sel, v), v

@@ -97,7 +97,7 @@ def _single_facility(instance: Instance) -> bool:
 
 
 def _rc(sep: Separation, point: FractionalPoint):
-    for ai, rel in enumerate(sep.splittable_rows):
+    for ai, rel in enumerate(sep.capacity_rows(arc_cuts.SPLITTABLE)):
         ybar = max(point.y.get((ai, 0), ZERO), ZERO)
         ineq = arc_cuts.separate_residual_capacity(rel, _fractional_loads(rel, ai, point), ybar)
         if ineq is not None:
@@ -105,7 +105,8 @@ def _rc(sep: Separation, point: FractionalPoint):
 
 
 def _cstrong(sep: Separation, point: FractionalPoint):
-    for ai, (rel, reduced, offsets, off0) in enumerate(sep.unsplittable_rows):
+    for ai, rel in enumerate(sep.capacity_rows(arc_cuts.UNSPLITTABLE)):
+        reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
         xhat = _fractional_loads(rel, ai, point)
         ybar = max(point.y.get((ai, 0), ZERO), ZERO)
         # capacity variable of the reduced set absorbs the dropped integer parts
@@ -392,7 +393,7 @@ class Separation:
         self.families = [f for f in SEPARATORS if f.name in config.families and f.applies(instance)]
         self.fixed = {f.name: _distinct(f.build(self)) for f in self.families if f.build}
         self.forms = {name: [(cut, *_integer_form(cut)) for cut in cuts] for name, cuts in self.fixed.items()}
-        self._subsets = (None, [])
+        self._subsets, self._rows = (None, []), {}
         self.last_round: dict[str, dict] = {}
         self.cutset_keys: set = set()
 
@@ -404,20 +405,12 @@ class Separation:
     def relaxations(self) -> list[cutset_cuts.CutSetRelaxation]:
         return [cutset_cuts.build_cutset(self.instance, U, V) for U, V in self.partitions]
 
-    @cached_property
-    def splittable_rows(self) -> list[arc_cuts.ArcSetRelaxation]:
-        """Each arc's capacity row as a splittable arc-set relaxation (``rc``)."""
-        arcs = range(len(self.instance.arcs))
-        return [arc_cuts.from_capacity_row(self.instance, ai, arc_cuts.SPLITTABLE) for ai in arcs]
-
-    @cached_property
-    def unsplittable_rows(self) -> list[tuple]:
-        """Per arc (``cstrong``), its capacity row as an unsplittable arc-set
-        relaxation with ``arc_cuts.normalize_unsplittable``'s reduction:
-        ``(rel, reduced, offsets, off0)``."""
-        arcs = range(len(self.instance.arcs))
-        rels = (arc_cuts.from_capacity_row(self.instance, ai, arc_cuts.UNSPLITTABLE) for ai in arcs)
-        return [(rel, *arc_cuts.normalize_unsplittable(rel)) for rel in rels]
+    def capacity_rows(self, mode: str) -> list[arc_cuts.ArcSetRelaxation]:
+        """Each arc's capacity row as an arc-set relaxation in ``mode``, made once."""
+        if mode not in self._rows:
+            arcs = range(len(self.instance.arcs))
+            self._rows[mode] = [arc_cuts.from_capacity_row(self.instance, ai, mode) for ai in arcs]
+        return self._rows[mode]
 
     def subsets(self, point: FractionalPoint) -> list[tuple[cutset_cuts.CutSetRelaxation, list[tuple]]]:
         """The relaxations ``flowcutset`` and ``mf`` search at ``point``, with

@@ -453,7 +453,6 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     assert unused == {}
     # rc and cstrong read each arc's capacity row, made once per loop as well
     counting(arc_cuts, "from_capacity_row")
-    counting(arc_cuts, "normalize_unsplittable")
     inst = generate_instance(seed=20, nodes=3, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True)
     counts = []
     for max_rounds in (1, 10):
@@ -462,7 +461,7 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
         counts.append((len(res.reports), dict(calls)))
     (one, first), (many, loop) = counts
     assert one == 1 and many >= 2
-    assert first == loop == {"from_capacity_row": 2 * len(inst.arcs), "normalize_unsplittable": len(inst.arcs)}
+    assert first == loop == {"from_capacity_row": 2 * len(inst.arcs)}
 
 
 def test_loop_cuts_all_validate():
