@@ -54,8 +54,8 @@ from .lp import (
 from .mir import KnapsackCoverSet, hull_inequalities
 
 # solve_lp is not called by this name; the benchmark's tracer (perfbench/spans.py) wraps
-# engine.solve_lp.  brute_force_ip calls lp.solve_lp, where the tracer and the tests patch it
-from .simplex import solve_lp, solve_lp_many  # noqa: F401
+# engine.solve_lp.  The oracles solve through lp's globals, where the tracer and the tests patch them
+from .simplex import solve_lp  # noqa: F401
 
 K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
 MAX_DENOMINATOR = 10**6      # rationalization of the float LP point
@@ -569,15 +569,34 @@ def default_y_bounds(instance: Instance, ybound: int | None = None) -> dict[tupl
     return bounds
 
 
-def _grid(y_bounds: Mapping[tuple[int, int], int]):
-    """The grid's points, each a tuple of installation counts over ``sorted(y_bounds)``."""
+def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, ybound: int | None, scale: int):
+    """The installation grid an oracle walks, as ``(keys, points)``.
+
+    ``keys`` is ``sorted(y_bounds)``, or the keys of ``default_y_bounds(instance,
+    ybound)`` when ``y_bounds`` is None.  Each point is ``(t, scaled_caps)``:
+    the installation counts over ``keys``, and each arc's capacity at ``t``
+    times ``scale``, in ints.  A key that names no (arc, facility) pair, or
+    a negative bound, raises ``ValueError``; a grid of more than
+    ``GRID_BUDGET`` points raises ``BudgetExceededError``.
+    """
+    if y_bounds is None:
+        y_bounds = default_y_bounds(instance, ybound)
     keys = sorted(y_bounds)
     size = 1
-    for k in keys:
-        size *= y_bounds[k] + 1
+    for key in keys:
+        (ai, mi), bound = key, y_bounds[key]
+        if not (0 <= ai < len(instance.arcs) and 0 <= mi < len(instance.facilities) and bound >= 0):
+            raise ValueError(f"y bound {bound} of {key}: want a bound >= 0 on an (arc, facility) pair")
+        size *= bound + 1
         if size > GRID_BUDGET:
             raise BudgetExceededError(f"y-grid has more than {GRID_BUDGET} points")
-    yield from product(*(range(y_bounds[k] + 1) for k in keys))
+    base = _scaled([arc.existing_capacity for arc in instance.arcs], scale)
+    units = _scaled([instance.facilities[mi].capacity for _, mi in keys], scale)
+    terms: list[list[tuple[int, int]]] = [[] for _ in instance.arcs]
+    for i, ((ai, _), unit) in enumerate(zip(keys, units)):
+        terms[ai].append((i, unit))
+    points = product(*(range(y_bounds[k] + 1) for k in keys))
+    return keys, ((t, [b + sum(c * t[i] for i, c in arc) for b, arc in zip(base, terms)]) for t in points)
 
 
 def _capacity_scale(instance: Instance) -> int:
@@ -591,17 +610,6 @@ def _capacity_scale(instance: Instance) -> int:
 def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
     """``scale * v`` of each value, in ints; ``scale`` is a multiple of every denominator."""
     return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _grid_capacities(instance: Instance, keys, scale: int) -> Callable[[tuple], list[int]]:
-    """``t -> _scaled(caps)``: each arc's capacity at the grid point ``t``
-    (counts over ``keys``), built in ints."""
-    base = _scaled([arc.existing_capacity for arc in instance.arcs], scale)
-    units = _scaled([instance.facilities[mi].capacity for _, mi in keys], scale)
-    terms: list[list[tuple[int, int]]] = [[] for _ in instance.arcs]
-    for i, ((ai, _), unit) in enumerate(zip(keys, units)):
-        terms[ai].append((i, unit))
-    return lambda t: [b + sum(c * t[i] for i, c in arc) for b, arc in zip(base, terms)]
 
 
 class MetricCertificates:
@@ -681,6 +689,105 @@ class DualCertificates:
             self.certificates.insert(0, cert)
 
 
+class _Routing:
+    """Every routing decision of one oracle call, at capacity vectors given
+    as ints ``scale * cap``.
+
+    Holds the instance's ``refuted`` metric certificates, one
+    ``DualCertificates`` per distinct flow part of ``flows`` (the flow
+    objectives, keyed ``(arc, commodity)``), and what each decision needs:
+    the routing LP's balance rows, flow bounds and each objective's columns
+    or, with unsplittable routing, the enumerated flows.  The certificates
+    it keeps are tried at later capacity vectors before any LP.
+    Unsplittable routability is decided on paths; an objective is priced
+    over paths plus disjoint cycles only when some objective has a negative
+    coefficient, since a cycle only adds load and a nonnegative cost.
+    """
+
+    def __init__(self, instance: Instance, flows: Sequence[Mapping[tuple[int, int], Fraction]]):
+        self.instance = instance
+        self.flows = flows
+        self.refuted = MetricCertificates(instance)
+        self.scale = self.refuted.scale
+        shared: dict = {}  # a dual bound bounds the flow part alone
+        self.bounds = [shared.setdefault(frozenset(flow.items()), DualCertificates(self.scale)) for flow in flows]
+        self.paths = self.priced = None
+        if instance.unsplittable:
+            self.paths = self.priced = _unsplittable_routings(instance, cycles=False)
+            if any(v < 0 for flow in flows for v in flow.values()):
+                self.priced = _unsplittable_routings(instance)
+        self.n_vars = len(instance.arcs) * len(instance.commodities)
+        self.balance, self.upper = routing_balance_rows(instance), routing_upper(instance)
+        self.objectives = [flow_columns(instance, flow) for flow in flows]
+
+    def routable(self, scaled_caps: Sequence[int]) -> bool:
+        """Does a routing fit?  Decided exactly (``check_feasible_routing``)
+        unless a kept metric certificate refutes the capacities; each new
+        refutation is kept."""
+        if self.refuted.refutes(scaled_caps):
+            return False
+        caps = [Fraction(c, self.scale) for c in scaled_caps]
+        if self.paths is not None:
+            return _best_unsplittable(self.instance, self.paths, caps, {}) is not None
+        feasible, cert = check_feasible_routing(self.instance, caps)
+        if not feasible:
+            self.refuted.add(cert)
+        return feasible
+
+    def minima(self, scaled_caps: Sequence[int], which: Sequence[int], shortfall: Callable):
+        """``{i: answer}`` for the objectives ``which`` (indices into
+        ``flows``), or ``None`` when no routing fits.
+
+        ``shortfall(i)`` is ``(num, den)``, ``den > 0``, the value objective
+        ``i`` must stay below to count, or ``None`` when any value counts.
+        The answer is ``None`` when a safe bound on the minimum reaches
+        ``num / den``, else the exact ``(value, x)``, the flow ``x`` keyed
+        ``(arc, commodity)``.  Kept certificates answer without an LP;
+        otherwise one float routing LP is solved for the open objectives,
+        and it counts only through certificates: its Farkas vector's metric
+        inequality (``lp.proves_unroutable``), each objective's safe dual
+        bound (``lp.safe_lower_bound``, every one kept), and the price
+        ``lp.cheapest_routing`` certifies.
+        """
+        if self.refuted.refutes(scaled_caps):
+            return None
+        answers, open_ = dict.fromkeys(which), []
+        for i in which:
+            target = shortfall(i) if self.bounds[i].certificates else None
+            if target is None or not self.bounds[i].reaches(scaled_caps, *target):
+                open_.append(i)
+        if not open_:
+            return answers
+        caps = [Fraction(c, self.scale) for c in scaled_caps]
+        if self.paths is not None:
+            if _best_unsplittable(self.instance, self.paths, caps, {}) is None:
+                return None
+            for i in open_:
+                answers[i] = _best_unsplittable(self.instance, self.priced, caps, self.flows[i])
+            return answers
+        # the balance rows are built once: only the capacity rows read the capacities
+        rows = self.balance + routing_capacity_rows(self.instance, caps)
+        results = lp.solve_lp_many(self.n_vars, rows, [self.objectives[i] for i in open_], self.upper)
+        if results[0].status == "infeasible":
+            cert = proves_unroutable(self.instance, caps, results[0].farkas)
+            if cert:
+                self.refuted.add(cert)
+                return None
+        for i, res in zip(open_, results):
+            if res.status == "optimal":
+                bound = safe_lower_bound(rows, self.objectives[i], self.upper, res.duals)
+                if bound is not None:
+                    self.bounds[i].add(scaled_caps, bound, res.duals)
+                    target = shortfall(i)
+                    if target is not None and bound * target[1] >= target[0]:
+                        continue
+            value, x = cheapest_routing(self.instance, caps, self.flows[i], first=res)
+            if value is None:
+                return None
+            answers[i] = (value, x)
+        return answers
+
+
 def brute_force_ip(
     instance: Instance,
     y_bounds: Mapping[tuple[int, int], int] | None = None,
@@ -688,61 +795,36 @@ def brute_force_ip(
 ):
     """Exhaustive optimum over integer installations within the grid.
 
-    For each grid point ``lp.cheapest_routing`` (or the unsplittable routing
-    enumeration) prices the flows exactly; returns ``(value, point)`` with
-    the best total cost, or ``None`` when nothing in the grid is feasible.
-    A point is skipped without an LP when a metric certificate proved at an
-    earlier point refutes it, or when a flow-cost dual bound proved at an
-    earlier point already brings its total to the incumbent (which only a
-    strictly lower total replaces).
-    Unsplittable routings are paths only: a cycle only adds load, and
-    ``validate_instance`` requires nonnegative flow costs of unsplittable
-    instances, so a cycle never makes a routing fit or cost less.
-    Raises ``BudgetExceededError`` when the grid or an unsplittable
-    enumeration is larger than its budget.
+    At each grid point ``_Routing.minima`` prices the flows exactly;
+    returns ``(value, point)`` with the best total cost, or ``None`` when
+    nothing in the grid is feasible.  A point whose flow cost is proved to
+    bring its total to the incumbent is not priced: only a strictly lower
+    total replaces the incumbent.  ``validate_instance`` requires
+    nonnegative flow costs of unsplittable instances, so their routings are
+    paths.  Raises ``ValueError`` on bad grid bounds (see ``_grid``) and
+    ``BudgetExceededError`` when the grid or an unsplittable enumeration is
+    larger than its budget.
     """
-    if y_bounds is None:
-        y_bounds = default_y_bounds(instance, ybound)
-    keys = sorted(y_bounds)
-    unit_cost = [instance.facilities[mi].costs[ai] for ai, mi in keys]
     flow_cost = {(ai, ki): c for ai, row in enumerate(instance.flow_costs) for ki, c in enumerate(row)}
-    routings = _unsplittable_routings(instance, cycles=False) if instance.unsplittable else None
-    refuted = MetricCertificates(instance)
-    scale = refuted.scale
-    bounds = DualCertificates(scale)
-    capacities = _grid_capacities(instance, keys, scale)
-    n_vars = len(instance.arcs) * len(instance.commodities)
-    balance, upper = routing_balance_rows(instance), routing_upper(instance)
-    objective = flow_columns(instance, flow_cost)
-    best = None
-    for t in _grid(y_bounds):
-        scaled_caps = capacities(t)
+    routing = _Routing(instance, [flow_cost])
+    keys, points = _grid(instance, y_bounds, ybound, routing.scale)
+    unit_cost = [instance.facilities[mi].costs[ai] for ai, mi in keys]
+    best = install = None
+
+    def shortfall(_):  # a point's flow counts only below the incumbent's total
+        if best is None:
+            return None
+        gap = best[0] - install
+        return gap.numerator, gap.denominator
+
+    for t, scaled_caps in points:
         install = sum((c * v for c, v in zip(unit_cost, t) if v), ZERO)
-        if routings is None:
-            if refuted.refutes(scaled_caps):
-                continue
-            if best is not None:
-                target = best[0] - install
-                if bounds.reaches(scaled_caps, target.numerator, target.denominator):
-                    continue
-        caps = [Fraction(c, scale) for c in scaled_caps]
-        if routings is not None:
-            flow_val, x = _best_unsplittable(instance, routings, caps, flow_cost) or (None, None)
-        else:
-            rows = balance + routing_capacity_rows(instance, caps)
-            res = lp.solve_lp(n_vars, rows, objective, upper)
-            flow_val, x = cheapest_routing(instance, caps, flow_cost, first=res)
-            if flow_val is None:
-                refuted.add(x)
-            elif res.status == "optimal":
-                bound = safe_lower_bound(rows, objective, upper, res.duals)
-                if bound is not None:
-                    bounds.add(scaled_caps, bound, res.duals)
-        if flow_val is None:
+        minima = routing.minima(scaled_caps, [0], shortfall)
+        if minima is None or minima[0] is None:
             continue
-        total = install + flow_val
-        if best is None or total < best[0]:
-            best = (total, FractionalPoint(x=dict(x), y={k: Fraction(v) for k, v in zip(keys, t) if v}))
+        value, x = minima[0]
+        if best is None or install + value < best[0]:
+            best = (install + value, FractionalPoint(x=dict(x), y={k: Fraction(v) for k, v in zip(keys, t) if v}))
     return best
 
 
@@ -772,108 +854,39 @@ def validate_cuts(
     Pure-capacity cuts with nonnegative coefficients get a complete check
     independent of the grid bounds: only installations with left-hand side
     below the rhs can violate, and there are finitely many.  Cuts with
-    flow terms are checked on the bounded grid.  Every certificate proved
-    on the way is kept, as it carries to other capacity vectors
-    (``MetricCertificates``, ``DualCertificates``), so at each grid point:
-
-    - the point is skipped as unroutable when a kept metric certificate
-      refutes its capacities;
-    - a cut holds at the point when its ``y`` part plus a kept dual bound
-      on the minimum of its flow part reaches the rhs;
-    - for the cuts left, one float routing LP is solved for all their
-      objectives (phase 1 shared), and its answers are only used as
-      certificates: the point is skipped when the Farkas vector yields a
-      metric inequality that fails exactly (``lp.proves_unroutable``, the
-      certificate ``check_feasible_routing`` also gives), and a cut holds
-      when its ``y`` part plus a safe dual bound (``lp.safe_lower_bound``)
-      reaches the rhs exactly;
-    - anything left is priced exactly from the same float solve by
-      ``lp.cheapest_routing``, which also supplies every counterexample.
-
-    Every skip rests on an exact inequality, so the verdicts and
-    counterexamples are those of solving at every point.  With unsplittable
-    routing the enumeration is exact throughout; points with no joint
-    routing are skipped for every cut.  Routability is decided on paths
-    alone (a cycle only adds load); the flow part of a cut is priced over
-    paths plus disjoint cycles, since its coefficients can be negative.
+    flow terms are checked on the bounded grid (see ``_grid``): at each
+    point ``_Routing.minima`` gives the minimum of each open cut's flow
+    part, or proves that it reaches the cut's shortfall there, and a cut
+    fails at the first point whose minimum falls short.  Every decision
+    shares one ``_Routing``, so a certificate proved for one cut or point
+    serves every later one; every verdict and counterexample is exact.
     """
     verdicts: list = [(True, None) for _ in cuts]
-    priced = routings = None
-    if instance.unsplittable:
-        routings = _unsplittable_routings(instance, cycles=False)
-        priced = _unsplittable_routings(instance) if any(cut.flow for cut in cuts) else routings
-    refuted = MetricCertificates(instance)
+    routing = _Routing(instance, [cut.flow for cut in cuts])
     grid_idx = []
     for idx, cut in enumerate(cuts):
         if not cut.flow and all(v >= 0 for v in cut.cap.values()):
-            verdicts[idx] = _validate_pure_capacity(cut, instance, routings, refuted)
+            verdicts[idx] = _validate_pure_capacity(cut, instance, routing)
         else:
             grid_idx.append(idx)
     if not grid_idx:
         return verdicts
 
-    if y_bounds is None:
-        y_bounds = default_y_bounds(instance, ybound)
-    keys = sorted(y_bounds)
-    scale = refuted.scale
-    capacities = _grid_capacities(instance, keys, scale)
-    upper = routing_upper(instance)
-    n_vars = len(instance.arcs) * len(instance.commodities)
-    balance = routing_balance_rows(instance)
-    objectives = {idx: flow_columns(instance, cuts[idx].flow) for idx in grid_idx}
-    # a dual bound bounds the flow part alone: cuts with one flow part share its certificates
-    shared: dict = {}
-    bounds = {idx: shared.setdefault(frozenset(cuts[idx].flow.items()), DualCertificates(scale)) for idx in grid_idx}
+    keys, points = _grid(instance, y_bounds, ybound, routing.scale)
     shortfalls = {idx: _shortfall(cuts[idx], keys) for idx in grid_idx}
     open_idx = set(grid_idx)
-    for t in _grid(y_bounds):
+    for t, scaled_caps in points:
         if not open_idx:
             break
-        scaled_caps = capacities(t)
         order = sorted(open_idx)
-        if routings is None:
-            if refuted.refutes(scaled_caps):
+        for idx, answer in (routing.minima(scaled_caps, order, lambda i: shortfalls[i](t)) or {}).items():
+            if answer is None:
                 continue
-            order = [idx for idx in order if not bounds[idx].reaches(scaled_caps, *shortfalls[idx](t))]
-            if not order:
-                continue
-        y = dict(zip(keys, map(Fraction, t)))
-        caps = [Fraction(c, scale) for c in scaled_caps]
-        if routings is not None:
-            if _best_unsplittable(instance, routings, caps, {}) is None:
-                continue
-            for idx in order:
-                cut = cuts[idx]
-                lhs_min, x = _best_unsplittable(instance, priced, caps, cut.flow)
-                if _ypart(cut, y) + lhs_min < cut.rhs:
-                    verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(y)))
-                    open_idx.discard(idx)
-            continue
-        # only the capacity rows depend on the grid point
-        rows = balance + routing_capacity_rows(instance, caps)
-        results = solve_lp_many(n_vars, rows, [objectives[idx] for idx in order], upper)
-        if results[0].status == "infeasible":
-            cert = proves_unroutable(instance, caps, results[0].farkas)
-            if cert:
-                refuted.add(cert)
-                continue
-        for idx, res in zip(order, results):
-            cut = cuts[idx]
-            ypart = _ypart(cut, y)
-            if res.status == "optimal":
-                bound = safe_lower_bound(rows, objectives[idx], upper, res.duals)
-                if bound is not None and ypart + bound >= cut.rhs:
-                    bounds[idx].add(scaled_caps, bound, res.duals)
-                    continue
-            value, x = cheapest_routing(instance, caps, cut.flow, first=res)
-            if value is not None and ypart + value < cut.rhs:
-                verdicts[idx] = (False, FractionalPoint(x=x, y=dict(y)))
+            (value, x), (num, den) = answer, shortfalls[idx](t)
+            if value * den < num:
+                verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(zip(keys, map(Fraction, t)))))
                 open_idx.discard(idx)
     return verdicts
-
-
-def _ypart(cut: LinearCut, y) -> Fraction:
-    return sum((coef * y.get(key, ZERO) for key, coef in cut.cap.items()), ZERO)
 
 
 def _shortfall(cut: LinearCut, keys) -> Callable[[tuple], tuple[int, int]]:
@@ -887,28 +900,25 @@ def _shortfall(cut: LinearCut, keys) -> Callable[[tuple], tuple[int, int]]:
     return lambda t: (rhs - sum(c * t[i] for i, c in terms), den)
 
 
-def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings, refuted: MetricCertificates):
+def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routing):
     """Complete validity check for a nonnegative pure-capacity cut.
 
     Any violating installation keeps the keyed variables below the cut's
     rhs; unkeyed variables can only help feasibility, so they are granted
     ample capacity.  Enumerate the finitely many keyed patterns and decide
-    routability exactly (``check_feasible_routing``) at the maximal ones,
-    where raising any key would reach the rhs: routability only grows with
+    routability exactly (``routing.routable``) at the maximal ones, where
+    raising any key would reach the rhs: routability only grows with
     capacity, so a routable pattern below the rhs exists iff a maximal one
-    does.  A pattern that a metric certificate in ``refuted`` refutes needs
-    no LP; each new refutation joins ``refuted``.  The walk runs on ints:
-    the cut cleared of denominators, and each arc's capacity times
-    ``refuted.scale``.
+    does.  The walk runs on ints: the cut cleared of denominators, and each
+    arc's capacity times ``routing.scale``.
     """
     _, rhs, terms = _integer_form(cut)
     coef_of = dict(terms)
     keys = sorted(coef_of)
     least = min(coef_of.values())
-    scale = refuted.scale
-    ample, *units_of = _scaled([instance.demand.total(), *instance.facility_capacities()], scale)
+    ample, *units_of = _scaled([instance.demand.total(), *instance.facility_capacities()], routing.scale)
     # scaled capacity of each arc with every keyed variable at zero; the walk adds its units
-    caps = _scaled([arc.existing_capacity for arc in instance.arcs], scale)
+    caps = _scaled([arc.existing_capacity for arc in instance.arcs], routing.scale)
     for ai, mi in product(range(len(instance.arcs)), range(len(instance.facilities))):
         if (ai, mi) not in cut.cap:
             caps[ai] += ample
@@ -920,18 +930,7 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routings, refute
         if counter is not None:
             return
         if idx == len(keys):
-            if lhs + least < rhs:
-                return
-            if routings is not None:
-                fractions = [Fraction(c, scale) for c in caps]
-                feasible = _best_unsplittable(instance, routings, fractions, {}) is not None
-            elif refuted.refutes(caps):
-                feasible = False
-            else:
-                feasible, cert = check_feasible_routing(instance, [Fraction(c, scale) for c in caps])
-                if not feasible:
-                    refuted.add(cert)
-            if feasible:
+            if lhs + least >= rhs and routing.routable(caps):
                 counter = FractionalPoint(x={}, y={key: Fraction(units) for key, units in current.items()})
             return
         key = keys[idx]

@@ -35,7 +35,7 @@ from .core import (
     frac,
     rationalize,
 )
-from .simplex import EQ, GE, LE, LPResult, solve_lp
+from .simplex import EQ, GE, LE, LPResult, solve_lp, solve_lp_many  # noqa: F401 (the oracles solve by lp.solve_lp_many)
 
 
 @dataclass

@@ -154,17 +154,21 @@ def test_loop_bounds_monotonic_and_sandwich():
 
 
 def count_solves(monkeypatch):
-    """Record the mode (exact or not) of every ``lp.solve_lp`` call."""
+    """Record the mode (exact or not) of every ``lp.solve_lp`` and
+    ``lp.solve_lp_many`` call."""
     from netdes_cuts import lp
 
-    real_solve_lp = lp.solve_lp
     modes = []
 
-    def counting(*args, exact=False, **kwargs):
-        modes.append(exact)
-        return real_solve_lp(*args, exact=exact, **kwargs)
+    def counting(real):
+        def solve(*args, exact=False, **kwargs):
+            modes.append(exact)
+            return real(*args, exact=exact, **kwargs)
 
-    monkeypatch.setattr(lp, "solve_lp", counting)
+        return solve
+
+    monkeypatch.setattr(lp, "solve_lp", counting(lp.solve_lp))
+    monkeypatch.setattr(lp, "solve_lp_many", counting(lp.solve_lp_many))
     return modes
 
 
@@ -486,29 +490,60 @@ def test_brute_force_single_arc():
     assert best[1].y == {(0, 0): F(1)}
 
 
-# optima of the exact simplex at every grid point (ybound=1) on
-# generate_instance(seed=s, nodes=3, flow_cost_prob=0.4) with facilities (1,)
-# and density 0.9 (s < 1100) or facilities (1, 2) and density 0.7; None: no
-# installation in the grid routes the demand
-EXACT_ORACLE_3_NODE = {
-    1001: None, 1002: F(3), 1003: F(3), 1004: None, 1005: F(59, 6), 1006: F(1),
-    1141: F(2), 1142: F(1, 2), 1143: F(1, 3),
+# optima of the exact simplex at every grid point (ybound=1) on criterion
+# 11's batch instances (see CRITERION_11_SHAPES): (value, y, x) of the
+# optimum, or None when no installation in the grid routes the demand
+EXACT_ORACLE = {
+    1001: None,
+    1002: (F(3), {(0, 0): 1}, {(0, 0): F(1, 6)}),
+    1003: (F(3), {(2, 0): 1, (3, 0): 1}, {(2, 0): F(1, 2), (3, 0): F(1, 2), (3, 1): F(1, 2)}),
+    1004: None,
+    1005: (F(59, 6), {(1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1},
+           {(1, 0): F(3, 4), (2, 1): F(1, 3), (3, 1): F(1, 3), (4, 2): F(1, 3)}),
+    1006: (F(1), {(2, 0): 1}, {(2, 0): F(1, 2), (3, 0): F(1, 2)}),
+    1101: None,
+    1102: (F(25, 3), {(5, 0): 1},
+           {(0, 1): F(1, 2), (1, 1): 1, (3, 0): F(1, 6), (3, 1): F(1, 2), (4, 0): F(1, 6), (5, 1): F(3, 2)}),
+    1103: (F(32, 3), {(2, 0): 1, (3, 0): 1, (4, 0): 1, (5, 0): 1},
+           {(0, 0): 1, (2, 1): F(2, 3), (3, 2): 1, (4, 1): F(2, 3), (4, 2): F(1, 3), (5, 1): F(2, 3)}),
+    1104: None,
+    1105: None,
+    1106: None,
+    1141: (F(2), {(0, 1): 1}, {(0, 0): 2, (1, 0): 1}),
+    1142: (F(1, 2), {(1, 0): 1}, {(1, 0): F(1, 3)}),
+    1143: (F(1, 3), {}, {(3, 0): F(1, 3)}),
+    1176: (F(1, 4), {}, {(3, 0): F(1, 4)}),
+    1177: None,
+    1178: (F(1, 6), {}, {(4, 0): F(1, 6)}),
+    1179: None,
+    1180: (F(11, 6), {(0, 0): 1}, {(0, 0): F(1, 6)}),
+    1181: (F(4), {(2, 0): 1, (4, 0): 1}, {(2, 0): F(1, 2), (4, 1): 1}),
 }
 
 
-@pytest.mark.parametrize("seed", sorted(EXACT_ORACLE_3_NODE))
+def criterion_11_instance(seed):
+    """The instance of ``seed`` in criterion 11's batch that contains it."""
+    first, nodes, density, facilities, _, unsplittable = [s for s in CRITERION_11_SHAPES if s[0] <= seed][-1]
+    return generate_instance(
+        seed=seed, nodes=nodes, density=density, facilities=facilities,
+        mode="disaggregated" if unsplittable else "aggregated", unsplittable=unsplittable, flow_cost_prob=0.4,
+    )
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_ORACLE))
 def test_brute_force_answers_are_exact_without_exact_solves(monkeypatch, seed):
-    facilities, density = ((1,), 0.9) if seed < 1100 else ((1, 2), 0.7)
-    inst = generate_instance(seed=seed, nodes=3, density=density, facilities=facilities, flow_cost_prob=0.4)
+    inst = criterion_11_instance(seed)
     modes = count_solves(monkeypatch)
     best = brute_force_ip(inst, ybound=1)
-    assert modes and not any(modes)
-    expected = EXACT_ORACLE_3_NODE[seed]
+    # float solves only, and none where the unsplittable enumeration decides
+    assert bool(modes) != inst.unsplittable and not any(modes)
+    expected = EXACT_ORACLE[seed]
     if expected is None:
         assert best is None
         return
     value, point = best
-    assert type(value) is F and value == expected
+    assert type(value) is F and value == expected[0]
+    assert (point.y, point.x) == expected[1:]
     # the flow fits its installation exactly and prices to the optimum
     caps = [inst.arc_capacity(ai, point.y) for ai in range(len(inst.arcs))]
     assert all(type(v) is F and v >= 0 for v in point.x.values())
@@ -522,6 +557,25 @@ def test_brute_force_answers_are_exact_without_exact_solves(monkeypatch, seed):
     install = sum((inst.facilities[mi].costs[ai] * n for (ai, mi), n in point.y.items()), F(0))
     flow = sum((inst.flow_costs[ai][ki] * v for (ai, ki), v in point.x.items()), F(0))
     assert install + flow == value
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (dict(ybound=-1), r"y bound -1 of \(0, 0\): want a bound >= 0"),
+    (dict(y_bounds={(0, 0): 1, (1, 0): -1}), r"y bound -1 of \(1, 0\): want a bound >= 0"),
+    (dict(y_bounds={(0, 5): 1}), r"y bound 1 of \(0, 5\): want a bound >= 0 on an \(arc, facility\) pair"),
+    (dict(y_bounds={(-1, 0): 1}), r"y bound 1 of \(-1, 0\): want a bound >= 0 on an \(arc, facility\) pair"),
+])
+def test_oracles_refuse_bad_grid_bounds(bounds, message):
+    """A negative bound would leave the grid empty, where every grid cut
+    holds and nothing is feasible, and a key naming no (arc, facility) pair
+    installs nothing; both oracles refuse either, naming key and value."""
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    cut = LinearCut({(0, 0): F(1)}, {(0, 0): F(1)}, F(100), "other")
+    assert validate_cut(cut, inst, ybound=1)[0] is False
+    with pytest.raises(ValueError, match=message):
+        validate_cut(cut, inst, **bounds)
+    with pytest.raises(ValueError, match=message):
+        brute_force_ip(inst, **bounds)
 
 
 def test_brute_force_budget():
@@ -742,16 +796,20 @@ def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
         demand=DemandMatrix({(1, 2): F(1)}),
         flow_costs="1",
     )
-    real_solve_lp = lp.solve_lp
     modes = []
 
-    def float_stalls(*args, exact=False, **kwargs):
-        modes.append(exact)
-        if not exact:
-            return LPResult("stalled", [], None)
-        return real_solve_lp(*args, exact=exact, **kwargs)
+    def float_stalls(real, many):
+        def solve(*args, exact=False, **kwargs):
+            modes.append(exact)
+            if not exact:
+                stalled = LPResult("stalled", [], None)
+                return [stalled] * len(args[2]) if many else stalled
+            return real(*args, exact=exact, **kwargs)
 
-    monkeypatch.setattr(lp, "solve_lp", float_stalls)
+        return solve
+
+    monkeypatch.setattr(lp, "solve_lp", float_stalls(lp.solve_lp, False))
+    monkeypatch.setattr(lp, "solve_lp_many", float_stalls(lp.solve_lp_many, True))
     best = brute_force_ip(inst, ybound=2)
     assert best is not None and best[0] == F(3)
     assert modes == [False, True] * 3
@@ -803,6 +861,22 @@ def test_unsplittable_validate_cstrong_style_cut():
     assert not ok and counter is not None
 
 
+def test_unsplittable_pricing_adds_cycles_for_a_negative_coefficient():
+    """A cycle lowers a flow part with a negative coefficient on its arcs:
+    ``-x[2->3] >= 0`` fails only at the routing 1 -> 2 plus the cycle
+    2 -> 3 -> 2, so the unsplittable pricing must enumerate cycles."""
+    inst = Instance(
+        nodes=[1, 2, 3],
+        arcs=[Arc(1, 2), Arc(2, 3), Arc(3, 2)],
+        facilities=[Facility(1, (F(1),) * 3)],
+        demand=DemandMatrix({(1, 2): F(1)}),
+        mode="disaggregated",
+        unsplittable=True,
+    )
+    ok, counter = validate_cut(LinearCut({(1, 0): F(-1)}, {}, F(0), "other"), inst, ybound=1)
+    assert not ok and counter.x == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+
+
 def test_unsplittable_loop_families():
     inst = unsplittable_instance()
     cfg = Config(families=("rc", "cstrong", "cutset", "flowcutset"), max_rounds=6)
@@ -841,15 +915,17 @@ def test_unsplittable_enumeration_caps_raise():
         _simple_paths(inst, 1, 8)
     # 84 cycles and 16 paths per pair, but more than 400 flows for a commodity
     dense = generate_instance(seed=0, nodes=5, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True)
-    flow_cut = LinearCut({(0, 0): F(1)}, {(0, 0): F(1)}, F(1), "other")
+    flow_cut = LinearCut({(0, 0): F(-1)}, {(0, 0): F(1)}, F(1), "other")
     with pytest.raises(BudgetExceededError, match="more than 400 unsplittable flows of commodity 1->5"):
         validate_cut(flow_cut, dense, ybound=0)
 
 
 def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
-    """``brute_force_ip`` and routability enumerate paths only; on 4-node
-    instances their optima and every verdict equal those of the full
-    enumeration of paths plus disjoint cycles."""
+    """``brute_force_ip`` and routability enumerate paths only, and so does
+    the pricing of a batch of cuts whose flow coefficients are all
+    nonnegative; on 4-node instances their optima, every verdict and every
+    counterexample point equal those of the full enumeration of paths plus
+    disjoint cycles."""
     instances = [
         generate_instance(seed=s, nodes=4, density=0.5, facilities=(1,), mode="disaggregated",
                           unsplittable=True, flow_cost_prob=0.4)
@@ -864,12 +940,19 @@ def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
                                                    max_rounds=2)).pool.cuts()[:8]
             # the same cuts with a larger rhs: some of these fail
             cuts += [LinearCut(cut.flow, cut.cap, cut.rhs + 1, cut.family) for cut in cuts]
-            out.append((best and best[0], [ok for ok, _ in validate_cuts(cuts, inst, ybound=1)]))
+            # and with every flow coefficient made nonnegative, on a grid
+            # with routable points (none routes at ybound=1)
+            nonnegative = [LinearCut({k: abs(v) for k, v in cut.flow.items()}, cut.cap, cut.rhs, cut.family)
+                           for cut in cuts if cut.flow]
+            out.append((best and (best[0], best[1].x, best[1].y), validate_cuts(cuts, inst, ybound=1),
+                        validate_cuts(nonnegative, inst, ybound=2)))
         return out
 
     on_paths = answers()
-    assert sum(value is not None for value, _ in on_paths) >= 2
-    assert not all(all(verdicts) for _, verdicts in on_paths)
+    assert sum(best is not None for best, _, _ in on_paths) >= 2
+    assert not all(all(ok for ok, _ in verdicts) for _, verdicts, _ in on_paths)
+    assert not all(all(ok for ok, _ in verdicts) for _, _, verdicts in on_paths)
+    assert any(verdicts for _, _, verdicts in on_paths)
     full = engine._unsplittable_routings
     monkeypatch.setattr(engine, "_unsplittable_routings", lambda inst, cycles=True: full(inst))
     assert answers() == on_paths

@@ -229,36 +229,46 @@ def test_stalled_status_on_tiny_iteration_cap():
 
 
 def stall_float_answers(monkeypatch):
-    """Make every float solve in ``lp`` stall.  Returns the modes seen."""
-    real_solve_lp = lp.solve_lp
+    """Make every float solve in ``lp`` (``solve_lp`` and ``solve_lp_many``)
+    stall.  Returns the modes seen."""
     modes = []
 
-    def stalled(*args, exact=False, **kwargs):
-        modes.append(exact)
-        if not exact:
-            return LPResult("stalled", [], None)
-        return real_solve_lp(*args, exact=exact, **kwargs)
+    def stalling(real, many):
+        def stalled(*args, exact=False, **kwargs):
+            modes.append(exact)
+            if not exact:
+                res = LPResult("stalled", [], None)
+                return [res] * len(args[2]) if many else res
+            return real(*args, exact=exact, **kwargs)
 
-    monkeypatch.setattr(lp, "solve_lp", stalled)
+        return stalled
+
+    monkeypatch.setattr(lp, "solve_lp", stalling(lp.solve_lp, False))
+    monkeypatch.setattr(lp, "solve_lp_many", stalling(lp.solve_lp_many, True))
     return modes
 
 
 def corrupt_float_answers(monkeypatch):
-    """Make every float routing answer in ``lp`` useless as a certificate:
-    a feasible solve returns the zero flow, an infeasible one a zero Farkas
-    vector, so only the exact simplex can decide.  Returns the modes seen."""
-    real_solve_lp = lp.solve_lp
+    """Make every float routing answer in ``lp`` (``solve_lp`` and
+    ``solve_lp_many``) useless as a certificate: a feasible solve returns
+    the zero flow, an infeasible one a zero Farkas vector, so only the
+    exact simplex can decide.  Returns the modes seen."""
     modes = []
 
-    def corrupted(*args, exact=False, **kwargs):
-        modes.append(exact)
-        res = real_solve_lp(*args, exact=exact, **kwargs)
-        if not exact:
-            res.x = [0.0] * len(res.x)
-            res.farkas = None if res.farkas is None else [0.0] * len(res.farkas)
-        return res
+    def corrupting(real, many):
+        def corrupted(*args, exact=False, **kwargs):
+            modes.append(exact)
+            answer = real(*args, exact=exact, **kwargs)
+            if not exact:
+                for res in answer if many else [answer]:
+                    res.x = [0.0] * len(res.x)
+                    res.farkas = None if res.farkas is None else [0.0] * len(res.farkas)
+            return answer
 
-    monkeypatch.setattr(lp, "solve_lp", corrupted)
+        return corrupted
+
+    monkeypatch.setattr(lp, "solve_lp", corrupting(lp.solve_lp, False))
+    monkeypatch.setattr(lp, "solve_lp_many", corrupting(lp.solve_lp_many, True))
     return modes
 
 
