@@ -165,35 +165,39 @@ def _first_of_key(sep: Separation, point: FractionalPoint, cut: LinearCut) -> Li
 
 def _partition(sep: Separation):
     """Two-partition hull cuts, then per three-partition the stronger
-    total-capacity cut followed by the hull cuts it feeds.  Many partitions
-    share a cover set, and each distinct cover's hull is computed once."""
+    total-capacity cut followed by the hull cuts it feeds.  Every
+    partition's block-pair sums come from one ``NodePairTable`` of the
+    instance, as ints times its ``scale``.  Many partitions share a cover
+    set, keyed by its right-hand side times that scale, and each distinct
+    cover's hull is computed once."""
     instance = sep.instance
-    hulls: dict[KnapsackCoverSet, list] = {}
+    table = partition_cuts.NodePairTable(instance)
+    capacities = tuple(int(f.capacity) for f in instance.facilities)
+    hulls: dict[int, list] = {}
 
-    def hull(cover: KnapsackCoverSet) -> list:
-        if cover not in hulls:
-            hulls[cover] = hull_inequalities(cover)
-        return hulls[cover]
+    def hull(b: int) -> list:
+        if b not in hulls:
+            hulls[b] = hull_inequalities(KnapsackCoverSet(capacities, Fraction(b, table.scale)))
+        return hulls[b]
 
     for U, V in sep.partitions:
-        shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))
-        cover = partition_cuts.knapsack_cover_from_two_partition(shrunk)
-        if cover is not None:
-            for ineq in hull(cover):
+        shrunk = table.shrink(partition_cuts.NodePartition.of(U, V))
+        b = shrunk.net((0, 1))
+        if b > 0:
+            for ineq in hull(b):
                 yield partition_cuts.expand_knapsack_cut(ineq, shrunk)
     for part in _three_partitions(instance):
-        candidates = [cut for cut in partition_cuts.total_capacity_cuts(instance, part) if cut is not None]
-        if not candidates:
+        shrunk = table.shrink(part)
+        winner = partition_cuts.total_capacity_cut(shrunk)
+        if winner is None:
             continue
-        winner = partition_cuts.select_total_capacity_cut(candidates)
         yield winner
-        fed = partition_cuts.knapsack_from_total_capacity(winner, instance)
-        if fed is not None:
-            cover, support = fed
-            for ineq in hull(cover):
-                cap = {(ai, mi): coef for mi, coef in ineq.integ.items() for ai in support.get(mi, ())}
-                if cap:
-                    yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
+        if winner.rhs > 0:
+            # the cover over per-facility totals that the winner implies
+            crossing = [ai for group in shrunk.groups.values() for ai in group]
+            for ineq in hull(winner.rhs.numerator * table.scale):
+                cap = {(ai, mi): coef for mi, coef in ineq.integ.items() for ai in crossing}
+                yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
 
 
 # table order is admission order.  ``metric`` never applies: every LP point

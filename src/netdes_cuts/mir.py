@@ -1,8 +1,14 @@
 """Mixed-integer rounding: single cuts, iterated cuts, and the closed-form
 subadditive coefficient functions for multi-facility cut-sets.
 
-Everything here is pure exact-rational arithmetic over anonymous variable
-indices; callers map results onto instance variables.
+Everything here is exact arithmetic over anonymous variable indices;
+callers map results onto instance variables.  A single cut (``mir_cut``)
+is computed on ``Fraction``s.  Iterated rounding of a knapsack cover set
+runs on ints: its capacities are ints and its right-hand side a ratio
+``p/q``, and after each rounding step the inequality is cleared to coprime
+integers, so a step divides by a capacity ``c`` exactly with ``//`` and
+``%`` over the common denominator ``q*c``.  A ``BaseInequality`` is built
+only for each distinct result.
 """
 
 from __future__ import annotations
@@ -42,16 +48,6 @@ class BaseInequality:
         self.rhs = frac(self.rhs)
         if not self.integ:
             raise ValueError("base inequality needs at least one integer variable")
-
-    def scaled(self, factor) -> "BaseInequality":
-        factor = frac(factor)
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
-        return BaseInequality(
-            {j: v * factor for j, v in self.cont.items()},
-            {j: v * factor for j, v in self.integ.items()},
-            self.rhs * factor,
-        )
 
     def integer_normal_form(self) -> tuple[tuple, tuple, Fraction]:
         """Coefficients cleared to coprime integers, for comparisons."""
@@ -105,8 +101,32 @@ class KnapsackCoverSet:
         if any(a >= b for a, b in zip(caps, caps[1:])):
             raise ValueError("capacities must be strictly increasing")
 
-    def base_inequality(self) -> BaseInequality:
-        return BaseInequality({}, {m: Fraction(c) for m, c in enumerate(self.capacities)}, self.rhs)
+
+def _rounded(coefs: tuple[int, ...], p: int, q: int, c: int) -> tuple[tuple[int, ...], int]:
+    """One rounding step of ``sum a_m z_m >= p/q`` (integer ``a_m``, ``q > 0``)
+    divided by ``c``, cleared to coprime integers ``(coefs, rhs)``.
+
+    Over the common denominator ``D = q*c`` the divided inequality has
+    numerators ``A_m = a_m*q`` and ``p``.  ``mir_cut``'s remainder is
+    ``rho/D`` with ``rho = p % D``, and its coefficients and right-hand
+    side are ``rho*(A_m//D) + min(A_m%D, rho)`` and ``rho*ceil(p/D)``
+    over ``D``, a positive factor that the clearing drops.  With
+    ``rho = 0`` the divided inequality is cleared as it is.
+    """
+    D = q * c
+    rho = p % D
+    if rho:
+        out = [rho * (a * q // D) + min(a * q % D, rho) for a in coefs]
+        rhs = rho * -(-p // D)
+    else:
+        out = [a * q for a in coefs]
+        rhs = p
+    g = math.gcd(*out, rhs)
+    return tuple(v // g for v in out), rhs // g
+
+
+def _base(coefs: tuple[int, ...], rhs: int) -> BaseInequality:
+    return BaseInequality({}, dict(enumerate(coefs)), rhs)
 
 
 def iterative_mir(cover: KnapsackCoverSet, subsequence: Sequence[int]) -> BaseInequality:
@@ -121,19 +141,19 @@ def iterative_mir(cover: KnapsackCoverSet, subsequence: Sequence[int]) -> BaseIn
     ordering, and only that ordering, recovers every hull facet of the
     divisible case -- largest-first misses e.g. ``z1 + 2*z2 >= 6`` for
     capacities (1, 3) with requirement 23/3.  The result is valid for the
-    cover set regardless of divisibility.
+    cover set regardless of divisibility.  Each round is one ``_rounded``
+    step on ints; the result has coprime integer coefficients.
     """
     idx = list(subsequence)
     if any(a >= b for a, b in zip(idx, idx[1:])) or not idx:
         raise ValueError("subsequence must be nonempty strictly increasing indices")
     if any(i < 0 or i >= len(cover.capacities) for i in idx):
         raise ValueError("subsequence index out of range")
-    ineq = cover.base_inequality()
+    coefs, p, q = cover.capacities, cover.rhs.numerator, cover.rhs.denominator
     for i in idx:
-        ineq = mir_cut(ineq.scaled(Fraction(1, cover.capacities[i])))
-        _, integ, rhs = ineq.integer_normal_form()
-        ineq = BaseInequality({}, dict(integ), rhs)
-    return ineq
+        coefs, p = _rounded(coefs, p, q, cover.capacities[i])
+        q = 1
+    return _base(coefs, p)
 
 
 def all_subsequences(n_facilities: int):
@@ -143,12 +163,18 @@ def all_subsequences(n_facilities: int):
 
 
 def hull_inequalities(cover: KnapsackCoverSet) -> list[BaseInequality]:
-    """Iterated-MIR cuts for every subsequence, deduplicated."""
-    seen = {}
-    for sub in all_subsequences(len(cover.capacities)):
-        ineq = iterative_mir(cover, sub)
-        seen.setdefault(ineq.integer_normal_form(), ineq)
-    return list(seen.values())
+    """Iterated-MIR cuts for every subsequence, deduplicated, in order of
+    first occurrence.  Subsequences come shortest first, so each one is a
+    single ``_rounded`` step from the result of its prefix."""
+    caps = cover.capacities
+    reached = {(): (caps, cover.rhs.numerator, cover.rhs.denominator)}
+    distinct = {}
+    for sub in all_subsequences(len(caps)):
+        coefs, p, q = reached[sub[:-1]]
+        coefs, p = _rounded(coefs, p, q, caps[sub[-1]])
+        reached[sub] = (coefs, p, 1)
+        distinct[coefs, p] = None
+    return [_base(coefs, p) for coefs, p in distinct]
 
 
 # -- closed-form subadditive coefficient functions ----------------------------

@@ -6,9 +6,11 @@ sums are all the cut builders read: two-block sums yield integer knapsack
 cover sets (iterated MIR turns them into partition inequalities), and
 three-block sums the total-capacity family, either by summing the six
 directed cut-set inequalities or by pairing rounded metric inequalities.
-The shrunk network as an ``Instance`` is built only on request
-(``ShrunkInstance.instance``); its valid inequalities lift back by copying
-coefficients onto crossing arcs (``lift_cut``).
+The sums are ints over one ``NodePairTable`` of the instance, and a
+``Fraction`` is made only for a cut that is built.  The shrunk network as
+an ``Instance`` is built only on request (``ShrunkInstance.instance``);
+its valid inequalities lift back by copying coefficients onto crossing
+arcs (``lift_cut``).
 """
 
 from __future__ import annotations
@@ -61,6 +63,61 @@ class NodePartition:
         return len(self.blocks)
 
 
+class NodePairTable:
+    """An instance's demands and existing capacities per ordered node pair,
+    as ints, made once and read by every shrink of the instance.
+
+    ``scale`` is the lcm of the denominators of the demand amounts and the
+    existing capacities.  ``rows`` holds ``(i, j, demand, capacity, arc)``
+    per ordered node pair with an arc or a demand: the pair's demand and
+    existing capacity times ``scale`` and its arc index (parallel arcs are
+    merged, so a pair has at most one arc), or None.  Rows with an arc
+    come first, in arc index order, so a scan of the rows meets the
+    crossing arcs of a partition in index order.
+    """
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        amounts = {(i, j): t for i, j, t in instance.demand.pairs()}
+        self.scale = scale = math.lcm(
+            *(t.denominator for t in amounts.values()), *(a.existing_capacity.denominator for a in instance.arcs)
+        )
+
+        def scaled(v: Fraction) -> int:
+            return v.numerator * (scale // v.denominator)
+
+        self.rows = [
+            (arc.tail, arc.head, scaled(amounts.pop(arc.pair, ZERO)), scaled(arc.existing_capacity), ai)
+            for ai, arc in enumerate(instance.arcs)
+        ]
+        self.rows += [(i, j, scaled(t), 0, None) for (i, j), t in amounts.items()]
+
+    def shrink(self, partition: NodePartition) -> "ShrunkInstance":
+        """The block-pair sums of ``partition``, which is not validated."""
+        block_of = {node: bi for bi, block in enumerate(partition.blocks) for node in block}
+        demand: dict[tuple[int, int], int] = {}
+        capacity: dict[tuple[int, int], int] = {}
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, j, t, cbar, ai in self.rows:
+            pair = (block_of[i], block_of[j])
+            if pair[0] == pair[1]:
+                continue
+            if t:
+                demand[pair] = demand.get(pair, 0) + t
+            if ai is not None:
+                capacity[pair] = capacity.get(pair, 0) + cbar
+                groups.setdefault(pair, []).append(ai)
+        return ShrunkInstance(
+            base=self.instance,
+            partition=partition,
+            block_of=block_of,
+            groups={pair: tuple(idxs) for pair, idxs in groups.items()},
+            scale=self.scale,
+            capacity=capacity,
+            demand=demand,
+        )
+
+
 @dataclass
 class ShrunkInstance:
     """A p-node image of an instance with the bookkeeping to lift cuts.
@@ -68,17 +125,23 @@ class ShrunkInstance:
     ``groups``, ``capacity`` and ``demand`` are keyed by block pair
     ``(bi, bj)``: the original arcs crossing from block bi to block bj (in
     order of their first crossing arc), their summed existing capacity,
-    and the summed demand between the two blocks.  The cut builders read
-    these sums; ``instance``, the shrunk network as an ``Instance`` with
-    one arc per crossing pair in sorted order, is built on first use.
+    and the summed demand between the two blocks, both sums as ints times
+    ``scale`` (``NodePairTable.scale``).  The cut builders read these
+    sums; ``instance``, the shrunk network as an ``Instance`` with one arc
+    per crossing pair in sorted order, is built on first use.
     """
 
     base: Instance
     partition: NodePartition
     block_of: dict[int, int]
     groups: dict[tuple[int, int], tuple[int, ...]]
-    capacity: dict[tuple[int, int], Fraction]
-    demand: dict[tuple[int, int], Fraction]
+    scale: int
+    capacity: dict[tuple[int, int], int]
+    demand: dict[tuple[int, int], int]
+
+    def net(self, pair: tuple[int, int]) -> int:
+        """Demand minus existing capacity from block to block, times ``scale``."""
+        return self.demand.get(pair, 0) - self.capacity.get(pair, 0)
 
     @cached_property
     def arc_groups(self) -> dict[int, tuple[int, ...]]:
@@ -96,9 +159,9 @@ class ShrunkInstance:
         ]
         return Instance(
             nodes=list(range(self.partition.p)),
-            arcs=[Arc(i, j, self.capacity[(i, j)]) for i, j in pairs],
+            arcs=[Arc(i, j, Fraction(self.capacity[(i, j)], self.scale)) for i, j in pairs],
             facilities=facilities,
-            demand=DemandMatrix(self.demand),
+            demand=DemandMatrix({pair: Fraction(t, self.scale) for pair, t in self.demand.items()}),
             flow_costs=ZERO,
             mode="aggregated",
             name=f"{base.name}/shrunk{self.partition.p}",
@@ -108,33 +171,7 @@ class ShrunkInstance:
 def shrink(instance: Instance, partition: NodePartition) -> ShrunkInstance:
     """Aggregate nodes blockwise: capacities and demands sum over crossings."""
     partition.validate(instance.nodes)
-    block_of = {}
-    for bi, block in enumerate(partition.blocks):
-        for node in block:
-            block_of[node] = bi
-
-    capacity: dict[tuple[int, int], Fraction] = {}
-    groups: dict[tuple[int, int], list[int]] = {}
-    for ai, arc in enumerate(instance.arcs):
-        pair = (block_of[arc.tail], block_of[arc.head])
-        if pair[0] == pair[1]:
-            continue
-        capacity[pair] = capacity.get(pair, ZERO) + arc.existing_capacity
-        groups.setdefault(pair, []).append(ai)
-
-    demand: dict[tuple[int, int], Fraction] = {}
-    for i, j, amount in instance.demand.pairs():
-        pair = (block_of[i], block_of[j])
-        if pair[0] != pair[1]:
-            demand[pair] = demand.get(pair, ZERO) + amount
-    return ShrunkInstance(
-        base=instance,
-        partition=partition,
-        block_of=block_of,
-        groups={pair: tuple(idxs) for pair, idxs in groups.items()},
-        capacity=capacity,
-        demand=demand,
-    )
+    return NodePairTable(instance).shrink(partition)
 
 
 def lift_cut(cut: LinearCut, shrunk: ShrunkInstance) -> LinearCut:
@@ -264,12 +301,12 @@ def knapsack_cover_from_two_partition(shrunk: ShrunkInstance) -> KnapsackCoverSe
         raise ValueError("expected a two-block partition")
     if not shrunk.base.integral_capacities():
         raise ValueError("knapsack covers need integer facility sizes")
-    b = shrunk.demand.get((0, 1), ZERO) - shrunk.capacity.get((0, 1), ZERO)
+    b = shrunk.net((0, 1))
     if b <= 0:
         return None
     return KnapsackCoverSet(
         capacities=tuple(int(f.capacity) for f in shrunk.base.facilities),
-        rhs=b,
+        rhs=Fraction(b, shrunk.scale),
     )
 
 
@@ -307,17 +344,33 @@ class ThreePartitionData:
     d: dict[tuple[int, int], Fraction]
 
 
-def three_partition_data(shrunk: ShrunkInstance) -> ThreePartitionData:
+_ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def _three_partition_sums(shrunk: ShrunkInstance) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
+    """``s``, ``t`` and ``d`` of ``three_partition_data`` times
+    ``shrunk.scale``, as ints, from each block pair's net computed once."""
     if shrunk.partition.p != 3:
         raise ValueError("expected a three-block partition")
+    net = {pair: shrunk.net(pair) for pair in _ORDERED_PAIRS}
+    s = tuple(sum(net[(i, j)] for j in range(3) if j != i) for i in range(3))
+    t = tuple(sum(net[(j, i)] for j in range(3) if j != i) for i in range(3))
+    d = {(i, j): net[(i, j)] + net[(i, 3 - i - j)] + net[(j, 3 - i - j)] for i, j in _ORDERED_PAIRS}
+    return s, t, d
 
-    # traffic minus capacity of each block pair, computed once
-    pairs = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-    net = {pair: shrunk.demand.get(pair, ZERO) - shrunk.capacity.get(pair, ZERO) for pair in pairs}
-    s = tuple(sum((net[(i, j)] for j in range(3) if j != i), ZERO) for i in range(3))
-    t = tuple(sum((net[(j, i)] for j in range(3) if j != i), ZERO) for i in range(3))
-    d = {(i, j): net[(i, j)] + net[(i, 3 - i - j)] + net[(j, 3 - i - j)] for i, j in pairs}
-    return ThreePartitionData(s=s, t=t, d=d)
+
+def three_partition_data(shrunk: ShrunkInstance) -> ThreePartitionData:
+    s, t, d = _three_partition_sums(shrunk)
+    L = shrunk.scale
+    return ThreePartitionData(
+        s=tuple(Fraction(v, L) for v in s),
+        t=tuple(Fraction(v, L) for v in t),
+        d={pair: Fraction(v, L) for pair, v in d.items()},
+    )
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
 def _total_capacity_lhs(shrunk: ShrunkInstance) -> dict:
@@ -337,8 +390,7 @@ def three_partition_cut(instance: Instance, partition: NodePartition) -> LinearC
     ``2 sum c_m y``; an odd right-hand side strengthens under division by
     two.  Emitted in the divided normal form either way.
     """
-    shrunk, data = _shrunk_three_partition(instance, partition)
-    return _three_partition_cut(partition, shrunk, data)
+    return total_capacity_cuts(instance, partition)[0]
 
 
 def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> LinearCut | None:
@@ -349,62 +401,58 @@ def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> 
     halving gives a cut with the same left-hand side as the cut-set sum,
     possibly stronger, possibly weaker.
     """
-    shrunk, data = _shrunk_three_partition(instance, partition)
-    return _three_partition_metric_cut(partition, shrunk, data)
+    return total_capacity_cuts(instance, partition)[1]
 
 
 def total_capacity_cuts(instance: Instance, partition: NodePartition) -> tuple[LinearCut | None, LinearCut | None]:
     """``three_partition_cut`` and ``three_partition_metric_cut`` of one
-    three-partition, from one shrink and one ``three_partition_data``."""
-    shrunk, data = _shrunk_three_partition(instance, partition)
-    return _three_partition_cut(partition, shrunk, data), _three_partition_metric_cut(partition, shrunk, data)
-
-
-def _shrunk_three_partition(instance: Instance, partition: NodePartition) -> tuple[ShrunkInstance, ThreePartitionData]:
+    three-partition, from one shrink and one integer ``s``, ``t``, ``d``."""
     if not instance.integral_capacities():
         raise ValueError("total-capacity cuts need integer facility sizes")
-    shrunk = shrink(instance, partition)
-    return shrunk, three_partition_data(shrunk)
+    candidates = _TotalCapacity(shrink(instance, partition))
+    return candidates.cut(metric=False), candidates.cut(metric=True)
 
 
-def _three_partition_cut(partition, shrunk, data) -> LinearCut | None:
-    total = sum(ceil_frac(v) for v in data.s) + sum(ceil_frac(v) for v in data.t)
-    cap = _total_capacity_lhs(shrunk)
-    if not cap:
-        return None
-    rounded = total % 2 == 1
-    rhs = Fraction(math.ceil(Fraction(total, 2)))
-    return LinearCut(
-        flow={},
-        cap=cap,
-        rhs=rhs,
-        family="threepartition",
-        params={
-            "blocks": partition.blocks,
-            "s": data.s,
-            "t": data.t,
-            "sum": total,
-            "rounded": rounded,
-        },
-    )
+def total_capacity_cut(shrunk: ShrunkInstance) -> LinearCut | None:
+    """The stronger of the two total-capacity cuts of a shrunk
+    three-partition, the cut-set sum on a tie (``select_total_capacity_cut``'s
+    pick), with only that one built; None without crossing arcs."""
+    candidates = _TotalCapacity(shrunk)
+    return candidates.cut(metric=candidates.metric_rhs > candidates.sum_rhs)
 
 
-def _three_partition_metric_cut(partition, shrunk, data) -> LinearCut | None:
-    pair_sums = []
-    for (i, j), (k, l) in (((0, 1), (2, 1)), ((1, 0), (2, 0)), ((0, 2), (1, 2))):
-        pair_sums.append(ceil_frac(data.d[(i, j)]) + ceil_frac(data.d[(k, l)]))
-    pair_sums.sort(reverse=True)
-    rhs = Fraction(math.ceil(Fraction(pair_sums[0] + pair_sums[1], 2)))
-    cap = _total_capacity_lhs(shrunk)
-    if not cap:
-        return None
-    return LinearCut(
-        flow={},
-        cap=cap,
-        rhs=max(rhs, ZERO),
-        family="threepartition-metric",
-        params={"blocks": partition.blocks, "pair_sums": tuple(pair_sums), "d": dict(data.d)},
-    )
+class _TotalCapacity:
+    """The right-hand sides of both total-capacity cuts of a shrunk
+    three-partition, computed on ints; ``cut`` builds one of them."""
+
+    def __init__(self, shrunk: ShrunkInstance):
+        self.shrunk = shrunk
+        self.sums = s, t, d = _three_partition_sums(shrunk)
+        L = shrunk.scale
+        self.total = sum(_ceil_div(v, L) for v in (*s, *t))
+        self.sum_rhs = _ceil_div(self.total, 2)
+        pair_sums = [
+            _ceil_div(d[first], L) + _ceil_div(d[second], L)
+            for first, second in (((0, 1), (2, 1)), ((1, 0), (2, 0)), ((0, 2), (1, 2)))
+        ]
+        self.pair_sums = tuple(sorted(pair_sums, reverse=True))
+        self.metric_rhs = max(_ceil_div(self.pair_sums[0] + self.pair_sums[1], 2), 0)
+
+    def cut(self, metric: bool) -> LinearCut | None:
+        shrunk = self.shrunk
+        cap = _total_capacity_lhs(shrunk)
+        if not cap:
+            return None
+        L = shrunk.scale
+        s, t, d = self.sums
+        blocks = shrunk.partition.blocks
+        if metric:
+            d = {pair: Fraction(v, L) for pair, v in d.items()}
+            params = {"blocks": blocks, "pair_sums": self.pair_sums, "d": d}
+            return LinearCut({}, cap, Fraction(self.metric_rhs), "threepartition-metric", params)
+        s, t = tuple(Fraction(v, L) for v in s), tuple(Fraction(v, L) for v in t)
+        params = {"blocks": blocks, "s": s, "t": t, "sum": self.total, "rounded": self.total % 2 == 1}
+        return LinearCut({}, cap, Fraction(self.sum_rhs), "threepartition", params)
 
 
 def select_total_capacity_cut(candidates: Sequence[LinearCut]) -> LinearCut:
@@ -444,22 +492,31 @@ def knapsack_from_total_capacity(cut: LinearCut, instance: Instance) -> tuple[Kn
 
 
 def all_three_partitions(nodes: Sequence[int], cap: int = 7):
-    """Every unordered partition into three nonempty blocks (small n only)."""
+    """Every unordered partition into three nonempty blocks (small n only).
+
+    A partition is labeled as the least base-3 number, node i's block
+    label as digit i, that gives it: the last node has label 0, and labels
+    read from the last node backwards first appear in the order 0, 1, 2.
+    Those labelings come in increasing order, and each block keeps the
+    node order.
+    """
     nodes = list(nodes)
     n = len(nodes)
     if n > cap:
         raise ValueError("exhaustive three-partition enumeration is capped")
-    seen = set()
-    for assign in range(3**n):
+    if n < 3:
+        return
+
+    def grow(labels, top):  # labels of the last len(labels) nodes, last node first
+        if len(labels) == n:
+            if top == 2:
+                yield labels
+            return
+        for label in range(min(top + 1, 2) + 1):
+            yield from grow(labels + (label,), max(top, label))
+
+    for labels in grow((0,), 0):
         blocks = ([], [], [])
-        a = assign
-        for node in nodes:
-            blocks[a % 3].append(node)
-            a //= 3
-        if any(not b for b in blocks):
-            continue
-        key = frozenset(frozenset(b) for b in blocks)
-        if key in seen:
-            continue
-        seen.add(key)
+        for node, label in zip(nodes, reversed(labels)):
+            blocks[label].append(node)
         yield NodePartition.of(*blocks)

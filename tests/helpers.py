@@ -575,14 +575,85 @@ def reference_three_partition_data(shrunk):
     return ThreePartitionData(s=s, t=t, d=d)
 
 
+def _reference_total_capacity_lhs(shrunk):
+    cap = {}
+    for group in shrunk.groups.values():
+        for mi, f in enumerate(shrunk.base.facilities):
+            for ai in group:
+                cap[(ai, mi)] = f.capacity
+    return cap
+
+
+def _reference_three_partition_cut(partition, shrunk, data):
+    """The former cut-set-sum total-capacity cut, from ``Fraction`` data."""
+    from math import ceil
+
+    from netdes_cuts.core import LinearCut
+
+    total = sum(ceil(v) for v in data.s) + sum(ceil(v) for v in data.t)
+    cap = _reference_total_capacity_lhs(shrunk)
+    if not cap:
+        return None
+    params = {"blocks": partition.blocks, "s": data.s, "t": data.t, "sum": total, "rounded": total % 2 == 1}
+    return LinearCut({}, cap, F(ceil(F(total, 2))), "threepartition", params)
+
+
+def _reference_three_partition_metric_cut(partition, shrunk, data):
+    """The former paired-metric total-capacity cut, from ``Fraction`` data."""
+    from math import ceil
+
+    from netdes_cuts.core import LinearCut
+
+    pair_sums = []
+    for (i, j), (k, l) in (((0, 1), (2, 1)), ((1, 0), (2, 0)), ((0, 2), (1, 2))):
+        pair_sums.append(ceil(data.d[(i, j)]) + ceil(data.d[(k, l)]))
+    pair_sums.sort(reverse=True)
+    rhs = F(ceil(F(pair_sums[0] + pair_sums[1], 2)))
+    cap = _reference_total_capacity_lhs(shrunk)
+    if not cap:
+        return None
+    params = {"blocks": partition.blocks, "pair_sums": tuple(pair_sums), "d": dict(data.d)}
+    return LinearCut({}, cap, max(rhs, ZERO), "threepartition-metric", params)
+
+
+def reference_iterative_mir(cover, subsequence):
+    """The former ``Fraction`` iterated MIR: each round scales the
+    inequality by the reciprocal of the next capacity, applies
+    ``mir_cut`` and clears the result to coprime integers with
+    ``integer_normal_form``."""
+    from netdes_cuts.mir import BaseInequality, mir_cut
+
+    ineq = BaseInequality({}, {m: F(c) for m, c in enumerate(cover.capacities)}, cover.rhs)
+    for i in subsequence:
+        factor = F(1, cover.capacities[i])
+        scaled = BaseInequality({}, {j: v * factor for j, v in ineq.integ.items()}, ineq.rhs * factor)
+        _, integ, rhs = mir_cut(scaled).integer_normal_form()
+        ineq = BaseInequality({}, dict(integ), rhs)
+    return ineq
+
+
+def reference_hull_inequalities(cover):
+    """The former ``Fraction`` ``hull_inequalities``: ``reference_iterative_mir``
+    for every subsequence, the first of each ``integer_normal_form``."""
+    from netdes_cuts.mir import all_subsequences
+
+    seen = {}
+    for sub in all_subsequences(len(cover.capacities)):
+        ineq = reference_iterative_mir(cover, sub)
+        seen.setdefault(ineq.integer_normal_form(), ineq)
+    return list(seen.values())
+
+
 def reference_partition_candidates(instance):
     """The built-once ``partition`` candidates as the loop made them before
-    the shrink was lazy and the hulls shared: an eager shrink per
-    partition, the covers and three-partition data read from its
-    ``Instance``, and one ``hull_inequalities`` call per cover."""
+    the shrink was lazy, the hulls shared and the sums integer: an eager
+    shrink per partition, the covers and three-partition data read from
+    its ``Instance``, both total-capacity cuts built, and one
+    ``Fraction`` hull (``reference_hull_inequalities``) per cover."""
     from netdes_cuts import engine, partition_cuts
     from netdes_cuts.core import LinearCut
-    from netdes_cuts.mir import hull_inequalities
+
+    hull_inequalities = reference_hull_inequalities
 
     for U, V in engine._two_partitions(instance):
         shrunk = reference_shrink(instance, partition_cuts.NodePartition.of(U, V))
@@ -596,8 +667,8 @@ def reference_partition_candidates(instance):
         candidates = [
             cut
             for cut in (
-                partition_cuts._three_partition_cut(part, shrunk, data),
-                partition_cuts._three_partition_metric_cut(part, shrunk, data),
+                _reference_three_partition_cut(part, shrunk, data),
+                _reference_three_partition_metric_cut(part, shrunk, data),
             )
             if cut is not None
         ]

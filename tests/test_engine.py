@@ -397,38 +397,47 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
 
 
 def test_three_partition_shrunk_once(monkeypatch):
-    """The loop shrinks each three-partition once and derives its data
-    once for both total-capacity cuts, which equal the public builders'."""
+    """A ``Separation`` makes one node-pair table of the instance, sums each
+    partition's block pairs once from it, and derives each three-partition's
+    ``s``, ``t`` and ``d`` once for both total-capacity cuts; the cut it
+    keeps is the one ``select_total_capacity_cut`` picks from the public
+    builders' pair."""
     from netdes_cuts import engine, partition_cuts
 
-    calls = {"shrink": 0, "three_partition_data": 0}
+    calls = {"NodePairTable": 0, "shrink": 0, "_three_partition_sums": 0}
 
-    def counting(name):
-        original = getattr(partition_cuts, name)
-
-        def counted(*args):
+    def counted(name, original):
+        def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(partition_cuts, name, counted)
+        return wrapper
 
     inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
     parts = list(engine._three_partitions(inst))
+    table = partition_cuts.NodePairTable(inst)
     for part in parts:
-        got = partition_cuts.total_capacity_cuts(inst, part)
-        want = (partition_cuts.three_partition_cut(inst, part), partition_cuts.three_partition_metric_cut(inst, part))
-        assert got == want
-    counting("shrink")
-    counting("three_partition_data")
+        got = partition_cuts.total_capacity_cut(table.shrink(part))
+        pair = partition_cuts.total_capacity_cuts(inst, part)
+        assert pair == (partition_cuts.three_partition_cut(inst, part),
+                        partition_cuts.three_partition_metric_cut(inst, part))
+        want = partition_cuts.select_total_capacity_cut([cut for cut in pair if cut is not None])
+        assert (got, got.params) == (want, want.params)
+    monkeypatch.setattr(partition_cuts.NodePairTable, "__init__",
+                        counted("NodePairTable", partition_cuts.NodePairTable.__init__))
+    monkeypatch.setattr(partition_cuts.NodePairTable, "shrink", counted("shrink", partition_cuts.NodePairTable.shrink))
+    monkeypatch.setattr(partition_cuts, "_three_partition_sums",
+                        counted("_three_partition_sums", partition_cuts._three_partition_sums))
     engine.Separation(inst, Config(families=("partition",)))
     n_two = len(list(engine._two_partitions(inst)))
-    assert calls == {"shrink": n_two + len(parts), "three_partition_data": len(parts)}
+    assert calls == {"NodePairTable": 1, "shrink": n_two + len(parts), "_three_partition_sums": len(parts)}
 
 
 def test_point_independent_candidates_built_once_per_loop(monkeypatch):
-    """A loop of many rounds shrinks, rounds and builds relaxations and arc
-    rows exactly as often as a loop of one; families that need none of it
-    build none."""
+    """A loop of many rounds makes its node-pair table, sums partitions,
+    rounds each distinct cover once and builds relaxations and arc rows
+    exactly as often as a loop of one; families that need none of it build
+    none."""
     from netdes_cuts import arc_cuts, cutset_cuts, engine, partition_cuts
 
     calls = {}
@@ -442,7 +451,8 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    counting(partition_cuts, "shrink")
+    counting(partition_cuts.NodePairTable, "shrink")
+    counting(partition_cuts, "NodePairTable")
     counting(engine, "hull_inequalities")
     counting(cutset_cuts, "build_cutset")
     inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
@@ -453,7 +463,18 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
         counts.append((len(res.reports), dict(calls)))
     (one, first), (many, loop), (_, unused) = counts
     assert one == 1 and many >= 2
-    assert first == loop and first["shrink"] > 0 and first["hull_inequalities"] > 0
+    assert first == loop and first["NodePairTable"] == 1 and first["shrink"] > 0
+    # one hull per distinct cover: the covers of the two-partitions with a
+    # positive requirement and of the winners with a positive rhs
+    table = partition_cuts.NodePairTable(inst)
+    covers = {table.shrink(partition_cuts.NodePartition.of(U, V)).net((0, 1))
+              for U, V in engine._two_partitions(inst)}
+    for part in engine._three_partitions(inst):
+        winner = partition_cuts.total_capacity_cut(table.shrink(part))
+        if winner is not None:
+            covers.add(winner.rhs * table.scale)
+    covers = {b for b in covers if b > 0}
+    assert first["hull_inequalities"] == len(covers) > 1
     assert unused == {}
     # rc and cstrong read each arc's capacity row, made once per loop as well
     counting(arc_cuts, "from_capacity_row")
@@ -925,26 +946,34 @@ def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
     the pricing of a batch of cuts whose flow coefficients are all
     nonnegative; on 4-node instances their optima, every verdict and every
     counterexample point equal those of the full enumeration of paths plus
-    disjoint cycles."""
-    instances = [
-        generate_instance(seed=s, nodes=4, density=0.5, facilities=(1,), mode="disaggregated",
-                          unsplittable=True, flow_cost_prob=0.4)
-        for s in range(2000, 2006)
-    ]
+    disjoint cycles.  A batch with a negative coefficient is priced over
+    cycles too: without them, a cut whose every counterexample routes a
+    commodity over an arc on none of its simple paths would pass."""
+    batches = []
+    for seed in range(2000, 2006):
+        inst = generate_instance(seed=seed, nodes=4, density=0.5, facilities=(1,), mode="disaggregated",
+                                 unsplittable=True, flow_cost_prob=0.4)
+        cuts = cutting_plane_loop(inst, Config(families=("rc", "cstrong", "cutset", "flowcutset"),
+                                               max_rounds=2)).pool.cuts()[:8]
+        # the same cuts with a larger rhs: some of these fail
+        cuts += [LinearCut(cut.flow, cut.cap, cut.rhs + 1, cut.family) for cut in cuts]
+        # and with every flow coefficient made nonnegative
+        nonnegative = [LinearCut({k: abs(v) for k, v in cut.flow.items()}, cut.cap, cut.rhs, cut.family)
+                       for cut in cuts if cut.flow]
+        # "commodity k never uses arc a", for an arc on none of k's simple
+        # paths: only a path plus a cycle through a refutes it
+        for ki, com in enumerate(inst.commodities):
+            on_paths = frozenset().union(*engine._simple_paths(inst, com.source, com.sink))
+            cuts += [LinearCut({(ai, ki): F(-1)}, {}, F(0), "off-path")
+                     for ai in range(len(inst.arcs)) if ai not in on_paths]
+        batches.append((inst, cuts, nonnegative))
 
     def answers():
         out = []
-        for inst in instances:
+        for inst, cuts, nonnegative in batches:
             best = brute_force_ip(inst, ybound=2)
-            cuts = cutting_plane_loop(inst, Config(families=("rc", "cstrong", "cutset", "flowcutset"),
-                                                   max_rounds=2)).pool.cuts()[:8]
-            # the same cuts with a larger rhs: some of these fail
-            cuts += [LinearCut(cut.flow, cut.cap, cut.rhs + 1, cut.family) for cut in cuts]
-            # and with every flow coefficient made nonnegative, on a grid
-            # with routable points (none routes at ybound=1)
-            nonnegative = [LinearCut({k: abs(v) for k, v in cut.flow.items()}, cut.cap, cut.rhs, cut.family)
-                           for cut in cuts if cut.flow]
-            out.append((best and (best[0], best[1].x, best[1].y), validate_cuts(cuts, inst, ybound=1),
+            # ybound=2: none of the six instances has a routable point at ybound=1
+            out.append((best and (best[0], best[1].x, best[1].y), validate_cuts(cuts, inst, ybound=2),
                         validate_cuts(nonnegative, inst, ybound=2)))
         return out
 
@@ -953,9 +982,16 @@ def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
     assert not all(all(ok for ok, _ in verdicts) for _, verdicts, _ in on_paths)
     assert not all(all(ok for ok, _ in verdicts) for _, _, verdicts in on_paths)
     assert any(verdicts for _, _, verdicts in on_paths)
+    # mixed-sign cuts fail at routable points, and off-path cuts at cycles
+    failed = [(cut, point) for (_, cuts, _), (_, verdicts, _) in zip(batches, on_paths)
+              for cut, (ok, point) in zip(cuts, verdicts) if not ok]
+    assert any(cut.family != "off-path" and cut.flow and point.x for cut, point in failed)
+    assert any(cut.family == "off-path" for cut, _ in failed)
     full = engine._unsplittable_routings
     monkeypatch.setattr(engine, "_unsplittable_routings", lambda inst, cycles=True: full(inst))
     assert answers() == on_paths
+    monkeypatch.setattr(engine, "_unsplittable_routings", lambda inst, cycles=True: full(inst, cycles=False))
+    assert answers() != on_paths
 
 
 def test_best_unsplittable_matches_exhaustive_search_with_negative_costs():

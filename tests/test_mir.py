@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdes_cuts.mir import (
@@ -19,7 +19,7 @@ from netdes_cuts.mir import (
     phi_plus,
 )
 
-from helpers import knapsack_min
+from helpers import knapsack_min, reference_hull_inequalities, reference_iterative_mir
 
 small_fraction = st.fractions(min_value=0, max_value=8, max_denominator=6)
 
@@ -154,6 +154,56 @@ def test_hull_inequalities_describe_divisible_hulls():
             res = solve_lp(len(caps), rows, {i: v for i, v in enumerate(obj)}, exact=True)
             assert res.status == "optimal"
             assert res.objective == knapsack_min(caps, b, obj)
+
+
+DIVISIBLE_CASES = [
+    (caps, b) for caps in ((1, 2), (1, 3), (1, 2, 4), (1, 2, 6)) for b in (F(1, 2), F(5, 3), F(5), F(7), F(23, 3))
+]
+
+
+def _assert_integer_mir_matches_the_reference(X):
+    got, want = hull_inequalities(X), reference_hull_inequalities(X)
+    # same cuts in the same order, with Fraction values in the same dict order
+    assert repr(got) == repr(want)
+    assert [c.integer_normal_form() for c in got] == [c.integer_normal_form() for c in want]
+    for sub in all_subsequences(len(X.capacities)):
+        cut, ref = iterative_mir(X, sub), reference_iterative_mir(X, sub)
+        assert repr(cut) == repr(ref) and cut.integer_normal_form() == ref.integer_normal_form()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3, unique=True),
+    st.integers(min_value=-6, max_value=60),
+    st.integers(min_value=1, max_value=12),
+)
+@example([1, 3], 5, 1)  # divisor 1 on an integral rhs: remainder 0
+@example([2, 4], 8, 1)  # remainder 0 at both divisors
+@example([3, 5, 7], 35, 3)
+def test_integer_iterated_mir_matches_the_fraction_reference(caps, p, q):
+    """The integer ``iterative_mir`` and ``hull_inequalities`` give the cuts
+    of the former ``Fraction`` computation: the same list in the same order,
+    equal ``integer_normal_form``s, for 1-3 strictly increasing capacities
+    and integer, fractional and nonpositive right-hand sides."""
+    _assert_integer_mir_matches_the_reference(KnapsackCoverSet(tuple(sorted(caps)), F(p, q)))
+
+
+def test_integer_iterated_mir_matches_the_reference_on_divisible_hulls(monkeypatch):
+    """Criterion 8's divisible cover sets give the reference's hull cuts,
+    and some of their rounding steps have remainder 0."""
+    from netdes_cuts import mir
+
+    remainders = []
+    original = mir._rounded
+
+    def recording(coefs, p, q, c):
+        remainders.append(p % (q * c))
+        return original(coefs, p, q, c)
+
+    monkeypatch.setattr(mir, "_rounded", recording)
+    for caps, b in DIVISIBLE_CASES:
+        _assert_integer_mir_matches_the_reference(KnapsackCoverSet(caps, b))
+    assert 0 in remainders and any(remainders)
 
 
 # -- phi functions ------------------------------------------------------------------

@@ -103,6 +103,32 @@ def test_lazy_shrink_gives_the_former_partition_candidates():
     assert built > 0
 
 
+# the CI probes and the two 12-node probes; above 8 nodes the two-partitions
+# and above 6 the three-partitions are sampled
+PROBES = [
+    dict(seed=3, nodes=6, density=0.7, facilities=(1, 3)),
+    dict(seed=3, nodes=8, density=0.5, facilities=(1, 3)),
+    dict(seed=3, nodes=10, density=0.4, facilities=(1,)),
+    dict(seed=3, nodes=12, density=0.3, facilities=(1,)),
+    dict(seed=3, nodes=12, density=0.3, facilities=(1, 3)),
+    dict(seed=3, nodes=16, density=0.25, facilities=(1, 3)),
+]
+
+
+@pytest.mark.parametrize("gen", PROBES, ids=lambda gen: f"{gen['nodes']}n-{len(gen['facilities'])}f")
+def test_partition_candidates_match_the_former_build_on_the_probes(gen):
+    """On the probes, the candidates built from the integer node-pair table
+    with integer iterated MIR are the former ``Fraction`` build's: the same
+    cuts in the same order, coefficient order, rhs, family and params."""
+    from netdes_cuts.engine import Config, Separation, _distinct
+
+    inst = generate_instance(**gen)
+    got = Separation(inst, Config()).fixed["partition"]
+    want = _distinct(reference_partition_candidates(inst))
+    assert [_cut_fields(cut) for cut in got] == [_cut_fields(cut) for cut in want]
+    assert len(got) > 50
+
+
 def _assert_same_instance(got, want):
     assert vars(got).keys() == vars(want).keys()
     for name, value in vars(want).items():
@@ -436,3 +462,29 @@ def test_all_three_partitions_counts():
     parts = list(all_three_partitions([1, 2, 3, 4]))
     # Stirling number S(4,3) = 6 unordered partitions
     assert len(parts) == 6
+
+
+def test_all_three_partitions_in_the_former_order():
+    """The labelings grown block by block give the former enumeration: of
+    every base-3 labeling in increasing order, the first of each unordered
+    partition, blocks in label order."""
+
+    def former(nodes):
+        seen = set()
+        for assign in range(3 ** len(nodes)):
+            blocks, a = ([], [], []), assign
+            for node in nodes:
+                blocks[a % 3].append(node)
+                a //= 3
+            key = frozenset(frozenset(b) for b in blocks)
+            if all(blocks) and key not in seen:
+                seen.add(key)
+                yield NodePartition.of(*blocks)
+
+    for n in range(8):
+        nodes = [10 * k + 3 for k in range(n)]
+        assert list(all_three_partitions(nodes)) == list(former(nodes))
+    # Stirling numbers S(n, 3)
+    assert [len(list(all_three_partitions(range(n)))) for n in range(3, 8)] == [1, 6, 25, 90, 301]
+    with pytest.raises(ValueError):
+        next(all_three_partitions(range(8)))
