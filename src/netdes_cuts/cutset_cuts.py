@@ -20,7 +20,11 @@ different point object asks, and it memoizes the per-subset flow sums and
 it serves the greedy arc selection of ``separate_flow_cutset`` and
 ``separate_multifacility`` and the subset search of
 ``separate_commodity_subset``, which scores from ``y(S+)`` and ``y(S-)``,
-summed once.  The winner is built from the same integers:
+summed once.  The subset search is exact: a dynamic program over the
+commodities keeps, per distinct ``b_Q``, the subset of least flow part,
+since for a fixed ``b_Q`` a subset's score falls as its flow part grows;
+it is capped at ``SUBSET_ENUMERATION_CAP`` commodities.  The winner is
+built from the same integers:
 its phi coefficients and right-hand side are the view's values over D, its
 ``normalized_key()`` is their coprime form, and its exact violation is the
 greedy's score over D^2, recorded on the cut.  A separator given the keys
@@ -47,15 +51,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Container, Iterable, Sequence
 
 from .core import ONE, ZERO, FractionalPoint, Instance, LinearCut, frac
 from .mir import PhiParams, ceil_frac, phi_minus, phi_plus
-from . import arc_cuts
 
 GREEDY_ROUNDS = 5             # passes of the greedy arc selection on a moving remainder
-SUBSET_ENUMERATION_CAP = 12   # exhaustive commodity subsets up to this many commodities
+SUBSET_ENUMERATION_CAP = 12   # commodities of the subset search: at most 2^12 - 1 keys b_Q
 
 
 @dataclass
@@ -475,86 +477,60 @@ def separate_commodity_subset(
     point: FractionalPoint,
     facility: int = 0,
 ) -> tuple[int, ...] | None:
-    """Best commodity subset for fixed arc sets (single facility).
+    """Most violated nonempty commodity subset for fixed arc sets (single
+    facility), the smallest and then the lexicographically first of ties,
+    as a scan in ``combinations`` order finds it; None when none violates.
 
-    Reduces to exact residual-capacity separation on an aggregated
-    single-arc view: each commodity's crossing shortfall plays the flow
-    variable and ``y(S+) - y(S-)`` the capacity variable.  When the view
-    leaves the box the reduction needs (reverse flows, negative demands)
-    an exhaustive subset search takes over.  Subsets are scored on the
-    integers of ``rel.view(point)``: only ``b_Q`` and the flow part depend
-    on Q, the flow part is a sum of per-commodity terms, and the capacity
-    part is ``phi+ y(S+) + phi- y(S-)`` at the subset's remainder, with
-    ``y(S+)`` and ``y(S-)`` summed once.
+    Subsets are scored on the integers of ``rel.view(point)``.  A score
+    reads Q only through ``b_Q`` and the flow part ``net_Q``, the sum of
+    ``x_k(A+ \\ S+) - x_k(S-)`` over Q: the remainder and the capacity part
+    ``phi+ y(S+) + phi- y(S-)`` (``y(S+)`` and ``y(S-)`` summed once)
+    depend on ``b_Q`` alone, and ``net_Q`` is subtracted.  So the search is
+    exact over the least ``(net_Q, |Q|, Q)`` per distinct ``b_Q``, which a
+    dynamic program over the commodities keeps: adding a commodity to two
+    subsets keeps their order.  Q is a bitmask with commodity k on bit
+    ``n-1-k``, so of two subsets of one size the larger mask is
+    lexicographically first.  Each key is scored once.  More than
+    ``SUBSET_ENUMERATION_CAP`` commodities raise ``ValueError``.
     """
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
     if not (set(S_plus) <= set(rel.A_plus) and set(S_minus) <= set(rel.A_minus)):
         raise ValueError("S+ and S- must be subsets of the crossing arcs A+ and A-")
+    n = len(rel.b)
+    if n > SUBSET_ENUMERATION_CAP:
+        raise ValueError("exact commodity-subset search is capped")
     view = rel.view(point)
     D = view.D
     bypass_arcs = [a for a in rel.A_plus if a not in S_plus]
-    # D^2 * (x_k(A+ \ S+) - x_k(S-)), the flow part of commodity k
-    net = [
-        D * (sum(view.x[a][k] for a in bypass_arcs) - sum(view.x[a][k] for a in S_minus))
-        for k in range(len(rel.b))
-    ]
     cbar_minus = view.cbar_sum(S_minus)
     b_shift = cbar_minus - view.cbar_sum(S_plus)  # b'_Q - b_Q
     Y_plus = sum(view.y[a][facility] for a in S_plus)
     Y_minus = sum(view.y[a][facility] for a in S_minus)
 
-    def eq_violation(Q):
-        r, eta = view.rounding(sum(view.b[k] for k in Q) + b_shift, facility)
+    # per b_Q, the least (net_Q, |Q|, -mask) over the nonempty subsets seen
+    least: dict[int, tuple[int, int, int]] = {}
+    for k in range(n):
+        # D^2 * (x_k(A+ \ S+) - x_k(S-)), the flow part of commodity k
+        net_k = D * (sum(view.x[a][k] for a in bypass_arcs) - sum(view.x[a][k] for a in S_minus))
+        b_k, bit = view.b[k], 1 << (n - 1 - k)
+        for b_Q, (net_Q, size, neg_mask) in [(0, (0, 0, 0)), *least.items()]:
+            grown = (net_Q + net_k, size + 1, neg_mask - bit)
+            got = least.get(b_Q + b_k)
+            if got is None or grown < got:
+                least[b_Q + b_k] = grown
+
+    best = None  # (score, -|Q|, mask) of the winner
+    for b_Q, (net_Q, size, neg_mask) in least.items():
+        r, eta = view.rounding(b_Q + b_shift, facility)
         if r == 0:
-            return 0
-        ((_, phi_p),), ((_, phi_m),) = view.phis(facility, (facility,), r, eta)
-        return view.score(r, eta, cbar_minus, phi_p * Y_plus + phi_m * Y_minus, sum(net[k] for k in Q))
-
-    positives = rel.positive_commodities()
-    # the reduction is exact only when its assumptions verifiably hold:
-    # potentials in the unit box, nonnegative net capacity variable, zero
-    # shift between the two violation scales, and a feasible view point
-    view_ok = bool(positives) and b_shift <= 0
-    view_ok = view_ok and all(view.y[a][facility] == 0 for a in S_minus)
-    xhat = {}
-    if view_ok:
-        for idx, k in enumerate(positives):
-            # (b_k - bypass_k) / b_k, both D^2-scaled
-            val = Fraction(D * view.b[k] - net[k], D * view.b[k])
-            if not 0 <= val <= 1:
-                view_ok = False
-                break
-            xhat[idx] = val
-    if view_ok:
-        c = rel.instance.facilities[facility].capacity
-        ybar = Fraction(Y_plus, D)
-        aggregate = arc_cuts.ArcSetRelaxation(
-            a=tuple(rel.b[k] / c for k in positives),
-            a0=(rel.cbar(S_plus) - rel.cbar(S_minus)) / c,
-            mode=arc_cuts.SPLITTABLE,
-        )
-        load = sum((aggregate.a[i] * xhat[i] for i in range(aggregate.n)), ZERO)
-        if load <= aggregate.a0 + ybar:
-            found = arc_cuts.separate_residual_capacity(aggregate, xhat, ybar)
-            if found is None:
-                return None
-            Q = tuple(positives[i] for i in found.params["S"])
-            return Q if eq_violation(Q) > 0 else None
-
-    # fallback: exhaustive over commodity subsets
-    ks = range(len(rel.b))
-    if len(rel.b) > SUBSET_ENUMERATION_CAP:
-        candidates = [positives, tuple(ks)] + [(k,) for k in ks]
-    else:
-        candidates = [sub for size in range(1, len(rel.b) + 1) for sub in combinations(ks, size)]
-    best, best_v = None, 0
-    for Q in candidates:
-        if not Q:
             continue
-        v = eq_violation(Q)
-        if v > best_v:
-            best, best_v = tuple(Q), v
-    return best
+        ((_, phi_p),), ((_, phi_m),) = view.phis(facility, (facility,), r, eta)
+        score = view.score(r, eta, cbar_minus, phi_p * Y_plus + phi_m * Y_minus, net_Q)
+        if score > 0 and (best is None or (score, -size, -neg_mask) > best):
+            best = (score, -size, -neg_mask)
+    if best is None:
+        return None
+    return tuple(k for k in range(n) if best[2] >> (n - 1 - k) & 1)
 
 
 # -- multiple facilities --------------------------------------------------------

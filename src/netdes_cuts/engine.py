@@ -395,8 +395,8 @@ class Separation:
         self.instance = instance
         self.eps = config.eps
         self.families = [f for f in SEPARATORS if f.name in config.families and f.applies(instance)]
-        self.fixed = {f.name: _distinct(f.build(self)) for f in self.families if f.build}
-        self.forms = {name: [(cut, *_integer_form(cut)) for cut in cuts] for name, cuts in self.fixed.items()}
+        self.forms = {f.name: _distinct_forms(f.build(self)) for f in self.families if f.build}
+        self.fixed = {name: [cut for cut, *_ in forms] for name, forms in self.forms.items()}
         self._subsets, self._rows = (None, []), {}
         self.last_round: dict[str, dict] = {}
         self.cutset_keys: set = set()
@@ -427,22 +427,27 @@ class Separation:
         return self._subsets[1]
 
 
-def _distinct(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
-    """The cuts, each ``normalized_key()`` once at its first occurrence."""
+def _distinct_forms(cuts: Iterable[LinearCut | None]) -> list[tuple]:
+    """``(cut, *_integer_form(cut))`` for the pure capacity cuts, each
+    ``normalized_key()`` once at its first occurrence."""
     first: dict = {}
     for cut in cuts:
         if cut is not None:
-            first.setdefault(cut.normalized_key(), cut)
+            form = _integer_form(cut)
+            first.setdefault(cut.normalized_key(), (cut, *form))
     return list(first.values())
 
 
 def _integer_form(cut: LinearCut) -> tuple[int, int, tuple[tuple[tuple[int, int], int], ...]]:
     """``(den, R, ((key, C), ...))``: ``den`` times the pure capacity cut,
-    ``sum C * y >= R``, in ints."""
+    ``sum C * y >= R``, in ints; their coprime form is stored as the cut's
+    ``normalized_key()``, so the cut is cleared to integers once."""
     if cut.flow:
         raise ValueError(f"{cut.family} cut has flow terms")
     den = math.lcm(cut.rhs.denominator, *(coef.denominator for coef in cut.cap.values()))
     rhs, *coefs = _scaled([cut.rhs, *cut.cap.values()], den)
+    g = math.gcd(rhs, *coefs)
+    cut._key = ((), tuple(sorted(zip(cut.cap, (coef // g for coef in coefs)))), rhs // g)
     return den, rhs, tuple(zip(cut.cap, coefs))
 
 
@@ -536,6 +541,12 @@ def _three_partitions(instance: Instance):
 
 
 def _commodity_subsets(rel, point: FractionalPoint):
+    """Every nonempty commodity subset up to ``Q_SUBSET_LIMIT``
+    commodities; above it the full set, the positive-demand set, the
+    singletons and one alternation: the best subset for the full set's
+    greedy arc sets.  The exact subset search keeps up to 2^n - 1 keys, so
+    it is capped at ``cutset_cuts.SUBSET_ENUMERATION_CAP`` commodities and
+    the alternation stops there."""
     n = len(rel.b)
     if n <= Q_SUBSET_LIMIT:
         for size in range(1, n + 1):
@@ -546,6 +557,8 @@ def _commodity_subsets(rel, point: FractionalPoint):
         if Q and Q not in yielded:
             yielded.add(Q)
             yield Q
+    if n > cutset_cuts.SUBSET_ENUMERATION_CAP:
+        return
     # alternate: best arc subsets for the full set, then re-chosen commodities
     best = cutset_cuts.separate_flow_cutset(rel, tuple(range(n)), point)
     if best is not None:

@@ -331,72 +331,35 @@ def in_cutset_mixed_integer_set(rel, point):
     )
 
 
-def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0, enumeration_cap=12):
-    """Fraction reference for ``cutset_cuts.separate_commodity_subset``:
-    the library's former scan, which builds and scores a cut per subset."""
-    from netdes_cuts import arc_cuts
+def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0):
+    """Fraction reference for ``cutset_cuts.separate_commodity_subset``: an
+    exhaustive scan that builds and scores a cut per nonempty subset, by
+    size and then in lexicographic order, and keeps the first of the most
+    violated."""
     from netdes_cuts.cutset_cuts import FlowCutSelection
 
     c = rel.instance.facilities[facility].capacity
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
-
-    def eq_violation(Q):
-        r, eta = _rounding_data(rel, Q, S_plus, S_minus, c)
-        if r == 0:
-            return ZERO
-        cut = reference_flow_cutset_cut(rel, FlowCutSelection(tuple(Q), S_plus, S_minus, facility))
-        return cut.violation(point)
-
-    positives = rel.positive_commodities()
-    # the reduction is exact only when its assumptions verifiably hold:
-    # potentials in the unit box, nonnegative net capacity variable, zero
-    # shift between the two violation scales, and a feasible view point
-    view_ok = bool(positives) and rel.cbar(S_plus) >= rel.cbar(S_minus)
-    view_ok = view_ok and all(
-        point.y.get((a, facility), ZERO) == 0 for a in S_minus
-    )
-    xhat = {}
-    ybar = ZERO
-    if view_ok:
-        ybar = sum((point.y.get((a, facility), ZERO) for a in S_plus), ZERO)
-        for idx, k in enumerate(positives):
-            crossing = rel.b[k]
-            bypass = sum(
-                (point.x.get((a, k), ZERO) for a in rel.A_plus if a not in S_plus), ZERO
-            ) - sum((point.x.get((a, k), ZERO) for a in S_minus), ZERO)
-            val = (crossing - bypass) / crossing
-            if not 0 <= val <= 1:
-                view_ok = False
-                break
-            xhat[idx] = val
-    if view_ok:
-        view = arc_cuts.ArcSetRelaxation(
-            a=tuple(rel.b[k] / c for k in positives),
-            a0=(rel.cbar(S_plus) - rel.cbar(S_minus)) / c,
-            mode=arc_cuts.SPLITTABLE,
-        )
-        load = sum((view.a[i] * xhat[i] for i in range(view.n)), ZERO)
-        if load <= view.a0 + ybar:
-            found = arc_cuts.separate_residual_capacity(view, xhat, ybar)
-            if found is None:
-                return None
-            Q = tuple(positives[i] for i in found.params["S"])
-            return Q if eq_violation(Q) > 0 else None
-
-    # fallback: exhaustive over commodity subsets
     ks = range(len(rel.b))
-    if len(rel.b) > enumeration_cap:
-        candidates = [positives, tuple(ks)] + [(k,) for k in ks]
-    else:
-        candidates = [sub for size in range(1, len(rel.b) + 1) for sub in combinations(ks, size)]
     best, best_v = None, ZERO
-    for Q in candidates:
-        if not Q:
-            continue
-        v = eq_violation(Q)
-        if v > best_v:
-            best, best_v = tuple(Q), v
+    for size in range(1, len(rel.b) + 1):
+        for Q in combinations(ks, size):
+            r, _ = _rounding_data(rel, Q, S_plus, S_minus, c)
+            if r == 0:
+                continue
+            v = reference_flow_cutset_cut(rel, FlowCutSelection(Q, S_plus, S_minus, facility)).violation(point)
+            if v > best_v:
+                best, best_v = Q, v
     return best
+
+
+def distinct_cuts(cuts):
+    """The cuts, each ``normalized_key()`` once at its first occurrence."""
+    first = {}
+    for cut in cuts:
+        if cut is not None:
+            first.setdefault(cut.normalized_key(), cut)
+    return list(first.values())
 
 
 # -- the loop's separation -----------------------------------------------------------

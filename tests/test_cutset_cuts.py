@@ -250,6 +250,53 @@ def test_commodity_subset_matches_exhaustive():
                 assert cut.violation(pt) == best
 
 
+def test_commodity_subset_breaks_ties_as_the_scan():
+    """Two commodities with equal demand and equal flows tie on every
+    score: the search returns what the exhaustive scan returns, so never
+    the second singleton, and the singleton tie comes up."""
+    inst = Instance(
+        nodes=[1, 2, 3],
+        arcs=[Arc(1, 3), Arc(2, 3), Arc(3, 1)],
+        facilities=[Facility(1, (F(1), F(1), F(1)))],
+        demand=DemandMatrix({(1, 3): F(1, 2), (2, 3): F(1, 2)}),
+    )
+    rel = build_cutset(inst, U=[1, 2])
+    assert rel.b == (F(1, 2), F(1, 2))
+    rng = random.Random(21)
+    firsts = 0
+    for _ in range(60):
+        flow = [F(rng.randint(0, 3), 6) for _ in range(3)]
+        pt = FractionalPoint(
+            x={(ai, ki): flow[ai] for ai in range(3) for ki in range(2)},
+            y={(ai, 0): F(rng.randint(0, 5), 4) for ai in range(3)},
+        )
+        for S_plus in [(0,), (1,), (0, 1)]:
+            got = separate_commodity_subset(rel, S_plus, (2,), pt)
+            assert got == reference_commodity_subset(rel, S_plus, (2,), pt)
+            assert got != (1,)
+            firsts += got == (0,)
+    assert firsts >= 5, firsts
+
+
+def test_commodity_subset_takes_a_commodity_of_negative_demand():
+    """At the 8-node probe's round-0 point, on U = {3} with S+ = (10, 11)
+    and S- = (19, 24), the demands crossing the cut are (-1, 0, 9/4, 0, 0,
+    0, 0).  The most violated subset is (0, 2, 4), with violation 5/8: it
+    holds the commodity of negative demand, so a search over subsets of
+    the positive-demand commodities alone finds no violated cut here."""
+    from netdes_cuts.lp import build_relaxation, solve
+
+    inst = generate_instance(seed=3, nodes=8, density=0.5, facilities=(1, 3))
+    pt = solve(build_relaxation(inst)).point(MAX_DENOMINATOR)
+    rel = build_cutset(inst, U=(3,))
+    assert rel.b == (F(-1), 0, F(9, 4), 0, 0, 0, 0)
+    S_plus, S_minus = (10, 11), (19, 24)
+    Q = separate_commodity_subset(rel, S_plus, S_minus, pt)
+    assert Q == (0, 2, 4) == reference_commodity_subset(rel, S_plus, S_minus, pt)
+    assert flow_cutset_cut(rel, FlowCutSelection(Q, S_plus, S_minus)).violation(pt) == F(5, 8)
+    assert flow_cutset_cut(rel, FlowCutSelection((2,), S_plus, S_minus)).violation(pt) <= 0
+
+
 def test_commodity_subset_beats_singletons():
     inst = two_commodity_instance()
     rel = build_cutset(inst, U=[1, 2])
@@ -759,28 +806,20 @@ def _pair_commodity_instance(rng, n_commodities, existing_capacity_prob):
     )
 
 
-def test_commodity_subset_matches_fraction_reference(monkeypatch):
-    """The integer subset search returns the Q of the Fraction reference on
-    random relaxations with 2-14 commodities, through all three paths: the
-    residual-capacity reduction, the exhaustive fallback and, above
-    ``enumeration_cap`` commodities, the short candidate list.  Points are
-    either inside the reduction's box or wild (negative coordinates,
-    denominators up to MAX_DENOMINATOR).  Further relaxations with 2-8
-    commodities have S- carrying both installations and existing
-    capacity."""
-    from netdes_cuts import arc_cuts
-
-    reductions = []
-    reduce = arc_cuts.separate_residual_capacity
-
-    def counted(*args):
-        reductions.append(args)
-        return reduce(*args)
-
+def test_commodity_subset_matches_fraction_reference():
+    """The integer subset search returns the first best Q of the
+    exhaustive Fraction scan on random relaxations with 1-12 commodities,
+    whose demands crossing the cut may be negative.  Points are either
+    inside the box where every crossing flow is a share of a positive
+    demand, with capacity only on S+, or wild (negative coordinates,
+    denominators up to MAX_DENOMINATOR).  In the box, a commodity with no
+    positive demand carries no flow, so adding it to a subset of zero
+    ``b_k`` changes no score and the best score ties across sizes.
+    Thirteen commodities raise.  Further relaxations with 2-8 commodities
+    have S- carrying both installations and existing capacity."""
     rng = random.Random(4095)
-    paths = {"reduction": 0, "exhaustive": 0, "candidates": 0}
     found = 0
-    for n in range(2, 15):
+    for n in range(1, 14):
         for trial in range(2 if 9 <= n <= 12 else 6):
             inst = _pair_commodity_instance(rng, n, existing_capacity_prob=0.4 if trial % 2 else 0)
             U, V = rng.choice([(U, V) for U, V in two_partitions(inst.nodes) if build_cutset(inst, U, V).A_plus])
@@ -794,24 +833,19 @@ def test_commodity_subset_matches_fraction_reference(monkeypatch):
                     y={(a, 0): coordinate(rng) for a in range(len(inst.arcs))},
                 )
             else:
-                # flows within the box of the reduction, capacity only on S+
                 share = len(rel.A_plus)
                 pt = FractionalPoint(
                     x={(a, k): rel.b[k] * F(rng.randint(0, 4), 4 * share)
                        for a in rel.A_plus for k in range(n) if rel.b[k] > 0},
                     y={(a, 0): F(rng.randint(0, 8), rng.choice((1, 2, 3))) for a in S_plus},
                 )
-            monkeypatch.setattr(arc_cuts, "separate_residual_capacity", counted)
-            del reductions[:]
+            if n > 12:
+                with pytest.raises(ValueError):
+                    separate_commodity_subset(rel, S_plus, S_minus, pt)
+                continue
             got = separate_commodity_subset(rel, S_plus, S_minus, pt)
-            monkeypatch.setattr(arc_cuts, "separate_residual_capacity", reduce)
             assert got == reference_commodity_subset(rel, S_plus, S_minus, pt)
             found += got is not None
-            if reductions:
-                paths["reduction"] += 1
-            else:
-                paths["exhaustive" if n <= 12 else "candidates"] += 1
-    assert all(count >= 3 for count in paths.values()), paths
     assert found >= 10
     # S- carries both installations and existing capacity, so the score
     # of every subset has a y(S-) term and a cbar(S-) shift

@@ -342,6 +342,19 @@ def test_integer_admission_matches_fraction_violation(monkeypatch):
                     assert any(c is cut for c, _ in got) == admitted
 
 
+def test_built_once_keys_are_those_of_the_cut_coefficients():
+    """Each built-once candidate's key, stored when its integer form is
+    cleared, is the ``normalized_key()`` a fresh copy of the cut computes
+    from its coefficients, and the candidates' keys are distinct."""
+    for gen in (dict(seed=3, nodes=6, density=0.7, facilities=(1, 3)),
+                dict(seed=3, nodes=10, density=0.4, facilities=(1,))):
+        sep = engine.Separation(generate_instance(**gen), Config())
+        for name, cuts in sep.fixed.items():
+            keys = [cut.normalized_key() for cut in cuts]
+            assert keys == [LinearCut(c.flow, c.cap, c.rhs, c.family).normalized_key() for c in cuts]
+            assert len(set(keys)) == len(keys) > 0, name
+
+
 def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
     """No round's ``separate_all`` output repeats a key among its
     ``flowcutset`` and ``mf`` cuts, and every violation it hands over is

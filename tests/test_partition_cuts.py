@@ -27,7 +27,13 @@ from netdes_cuts.partition_cuts import (
 )
 
 from conftest import make_triangle
-from helpers import reference_partition_candidates, reference_shrink, reference_three_partition_data, routable
+from helpers import (
+    distinct_cuts,
+    reference_partition_candidates,
+    reference_shrink,
+    reference_three_partition_data,
+    routable,
+)
 
 
 # -- shrinking -----------------------------------------------------------------------
@@ -90,14 +96,14 @@ def test_lazy_shrink_gives_the_former_partition_candidates():
     block-pair sums with one hull per distinct cover, are those of the
     former eager shrink: same cuts in the same order, each with the same
     coefficients in the same order, rhs, family and params."""
-    from netdes_cuts.engine import Config, Separation, _distinct
+    from netdes_cuts.engine import Config, Separation
 
     assert len(LAZY_SHRINK_CASES) >= 30
     built = 0
     for gen in LAZY_SHRINK_CASES:
         inst = generate_instance(**gen)
         got = Separation(inst, Config(families=("partition",))).fixed["partition"]
-        want = _distinct(reference_partition_candidates(inst))
+        want = distinct_cuts(reference_partition_candidates(inst))
         assert [_cut_fields(cut) for cut in got] == [_cut_fields(cut) for cut in want]
         built += len(got)
     assert built > 0
@@ -120,11 +126,11 @@ def test_partition_candidates_match_the_former_build_on_the_probes(gen):
     """On the probes, the candidates built from the integer node-pair table
     with integer iterated MIR are the former ``Fraction`` build's: the same
     cuts in the same order, coefficient order, rhs, family and params."""
-    from netdes_cuts.engine import Config, Separation, _distinct
+    from netdes_cuts.engine import Config, Separation
 
     inst = generate_instance(**gen)
     got = Separation(inst, Config()).fixed["partition"]
-    want = _distinct(reference_partition_candidates(inst))
+    want = distinct_cuts(reference_partition_candidates(inst))
     assert [_cut_fields(cut) for cut in got] == [_cut_fields(cut) for cut in want]
     assert len(got) > 50
 
