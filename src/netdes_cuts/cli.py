@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -126,7 +125,12 @@ def _cmd_run(args, instance) -> int:
     config = Config(families=args.cuts, max_rounds=args.rounds, eps=args.eps)
     result = cutting_plane_loop(instance, config)
 
-    rounds = [dataclasses.asdict(rep) for rep in result.reports]
+    # each round's fields, its count dicts copied: what dataclasses.asdict
+    # gives, without its deep copy of every value
+    rounds = [
+        dict(vars(rep), cuts=dict(rep.cuts), families={name: dict(c) for name, c in rep.families.items()})
+        for rep in result.reports
+    ]
     for rep in result.reports:
         label = ", ".join(f"{fam}:{n}" for fam, n in rep.cuts.items()) or "no cuts"
         print(f"round {rep.round}: bound {rep.bound:.6g} ({label})")

@@ -321,10 +321,10 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
     pool = CutPool()
     sep = Separation(instance, config)
     reports: list[RoundReport] = []
-    sol = None
+    model = sol = None
     for rnd in range(config.max_rounds):
         t0 = time.perf_counter()
-        model = build_relaxation(instance, pool.cuts())
+        model = build_relaxation(instance, pool.cuts(), base=model)
         t_lp = time.perf_counter()
         sol = solve(model, start=sol)
         lp_seconds = time.perf_counter() - t_lp
@@ -363,7 +363,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
     else:
         # round cap hit with cuts still arriving: record the resulting bound
         stop = "round-cap"
-        model = build_relaxation(instance, pool.cuts())
+        model = build_relaxation(instance, pool.cuts(), base=model)
         sol = solve(model, start=sol)
 
     return LoopResult(

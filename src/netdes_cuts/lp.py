@@ -95,10 +95,14 @@ class LPSolution(LPResult):
 
     def point(self, max_denominator: int = 10**6) -> FractionalPoint:
         """Exact rational snapshot of the (x, y) part of the solution, with
-        the largest ``|x_float - x_rational|`` as its ``rationalization_error``."""
+        the largest ``|x_float - x_rational|`` as its ``rationalization_error``.
+        An exact zero (``-0.0`` too) is left out unrationalized: it is its
+        own rational, with error 0."""
         x, y = {}, {}
         error = 0.0
         for (kind, ai, other), val in zip(column_keys(self.instance), self.x):
+            if val == 0:
+                continue
             v = rationalize(val, max_denominator)
             error = max(error, abs(float(val) - float(v)))
             if v == 0:
@@ -110,23 +114,41 @@ class LPSolution(LPResult):
         return FractionalPoint(x=x, y=y, rationalization_error=error)
 
 
-def build_relaxation(instance: Instance, cuts: Sequence[LinearCut] = ()) -> LPModel:
+def build_relaxation(
+    instance: Instance, cuts: Sequence[LinearCut] = (), *, base: LPModel | None = None
+) -> LPModel:
     """LP relaxation: the routing LP at existing capacity, each capacity row
-    less the installed capacity ``c_m·y``, plus one ``>=`` row per pooled cut."""
-    capacity = routing_capacity_rows(instance, [arc.existing_capacity for arc in instance.arcs])
-    for ai, (coefs, _, _) in enumerate(capacity):
-        for mi, fac in enumerate(instance.facilities):
-            coefs[design_var(instance, ai, mi)] = -fac.capacity
-    rows = routing_balance_rows(instance) + capacity
-    for cut in cuts:
+    less the installed capacity ``c_m·y``, plus one ``>=`` row per pooled cut.
+
+    ``base`` is a relaxation of ``instance`` whose cuts are a prefix of
+    ``cuts`` (the previous round's): the new model shares its rows,
+    objective and bounds and builds only the rows of the later cuts.
+    ``base`` is not modified.  A base of another instance, or whose cuts
+    are not a prefix of ``cuts``, raises ``ValueError``.
+    """
+    cuts = list(cuts)
+    if base is None:
+        capacity = routing_capacity_rows(instance, [arc.existing_capacity for arc in instance.arcs])
+        for ai, (coefs, _, _) in enumerate(capacity):
+            for mi, fac in enumerate(instance.facilities):
+                coefs[design_var(instance, ai, mi)] = -fac.capacity
+        rows = routing_balance_rows(instance) + capacity
+        objective = {
+            j: instance.flow_costs[ai][other] if kind == "x" else instance.facilities[other].costs[ai]
+            for j, (kind, ai, other) in enumerate(column_keys(instance))
+        }
+        upper, built = routing_upper(instance), 0
+    elif base.instance is not instance:
+        raise ValueError("the base relaxation is of another instance")
+    elif len(base.cuts) > len(cuts) or any(a is not b and a != b for a, b in zip(base.cuts, cuts)):
+        raise ValueError("the base relaxation's cuts are not a prefix of the cuts")
+    else:
+        rows, objective, upper, built = list(base.rows), base.objective, base.upper, len(base.cuts)
+    for cut in cuts[built:]:
         coefs = flow_columns(instance, cut.flow)
         coefs.update((design_var(instance, ai, mi), v) for (ai, mi), v in cut.cap.items())
         rows.append((coefs, GE, cut.rhs))
-    objective = {
-        j: instance.flow_costs[ai][other] if kind == "x" else instance.facilities[other].costs[ai]
-        for j, (kind, ai, other) in enumerate(column_keys(instance))
-    }
-    return LPModel(instance, list(cuts), rows, objective, routing_upper(instance))
+    return LPModel(instance, cuts, rows, objective, upper)
 
 
 def solve(model: LPModel, *, start: LPSolution | None = None) -> LPSolution:

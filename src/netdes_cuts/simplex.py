@@ -37,10 +37,14 @@ read the objective, so it runs once and each phase 2 starts from a copy of
 its tableau.
 
 ``solve_lp(..., start=)`` re-solves in floats from the kept tableau of an
-earlier optimum whose rows the new LP extends: each new row is appended
-with its slack basic (its marker), which keeps the basis dual feasible, and
-a bounded dual simplex (``_dual_loop``) restores primal feasibility before
-the primal pivot loop and the same result reader finish, with no phase 1.
+earlier optimum whose rows the new LP extends, and pays only for the new
+rows: each is converted alone (``_tableau_row``), all are placed in one
+scatter, each with its slack basic (its marker), which keeps the basis dual
+feasible, and one product eliminates the old basis from them.  A bounded
+dual simplex (``_dual_loop``) restores primal feasibility before the primal
+pivot loop and the same result reader finish, with no phase 1.  Phase 1
+places its rows in one scatter too; the reader takes values and duals with
+vector operations.
 """
 
 from __future__ import annotations
@@ -284,6 +288,24 @@ def _tableau_row(coefs, rhs, negated: bool, arith: _Arithmetic):
     return [v * scale for v in vals], rhs * scale, scale
 
 
+def _tableau_rows(rows, arith: _Arithmetic):
+    """``_tableau_row`` of each of ``rows`` (``_Layout.rows`` entries),
+    flattened for one scatter: ``(at, cols, vals, rhs, scale)``, where
+    coefficient ``k`` sits in row ``at[k]`` (an index into ``rows``, in
+    ascending order) and column ``cols[k]``, and ``rhs`` and ``scale`` are
+    lists with one entry per row."""
+    cols, vals, rhs, scale, sizes = [], [], [], [], []
+    for coefs, _, b, negated in rows:
+        row_vals, row_rhs, row_scale = _tableau_row(coefs, b, negated, arith)
+        cols += coefs
+        vals += row_vals
+        rhs.append(row_rhs)
+        scale.append(row_scale)
+        sizes.append(len(row_vals))
+    at = np.repeat(np.arange(len(rows)), sizes)
+    return at, np.array(cols, dtype=np.int64), np.array(vals, dtype=arith.dtype), rhs, scale
+
+
 def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State | LPResult:
     """Build the tableau and reach a feasible basis, or end infeasible/stalled."""
     m, N = len(layout.rows), layout.ncols
@@ -298,12 +320,12 @@ def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State 
     allow = np.ones(N, dtype=np.uint8)
     allow[upper <= arith.tol] = 0  # fixed variables never enter
 
-    row_scale = np.full(m, one, dtype=arith.dtype)
-    for i, (coefs, sense, rhs, negated) in enumerate(layout.rows):
-        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, negated, arith)
-        # element writes: a fancy-index write costs more on these short rows
-        for j, v in zip(coefs, vals):
-            T[i, j] = v
+    at, cols, vals, rhs, scale = _tableau_rows(layout.rows, arith)
+    # one scatter: a write per row or per entry costs a numpy call each
+    T[at, cols] = vals
+    T[:m, N] = rhs
+    row_scale = np.array(scale, dtype=arith.dtype)
+    for i, (_, sense, _, _) in enumerate(layout.rows):
         if sense == LE:
             T[i, layout.slack_col[i]] = one
         elif sense == GE:
@@ -376,17 +398,15 @@ def _optimize(layout: _Layout, state: _State, arith: _Arithmetic, max_iter) -> L
         return LPResult("unbounded", [], None, iterations=iters)
 
     values = np.full(N, arith.zero, dtype=arith.dtype)
-    for i in range(m):
-        values[basis[i]] = T[i, N]
-    for j in range(N):
-        if flipped[j]:
-            values[j] = upper[j] - values[j]
-    duals = []
-    for i in range(m):
-        col, _ = layout.marker(i)
-        pi = -T[m, col] * state.row_scale[i]
-        # a complemented marker (an appended "=" row's slack) shows -d_j
-        duals.append(-pi if layout.rows[i][3] != bool(flipped[col]) else pi)
+    values[basis] = T[:m, N]
+    at_upper = flipped != 0
+    values[at_upper] = upper[at_upper] - values[at_upper]
+    art = np.array(layout.art_col, dtype=np.int64)
+    markers = np.where(art >= 0, art, np.array(layout.slack_col, dtype=np.int64))
+    pi = -T[m, markers] * state.row_scale
+    # a complemented marker (an appended "=" row's slack) shows -d_j
+    negate = np.array([row[3] for row in layout.rows], dtype=bool) != at_upper[markers]
+    duals = list(np.where(negate, -pi, pi))
     return LPResult("optimal", list(values[: layout.n_vars]), -T[m, N], duals=duals, iterations=iters)
 
 
@@ -394,11 +414,12 @@ def _resolve(start: LPResult, rows: Sequence[tuple], max_iter) -> LPResult:
     """Float optimum over ``rows`` from the tableau of ``start``, the
     optimum over ``rows[:m]``.
 
-    Each row of ``rows[m:]`` is appended as ``_Layout.appended`` sets it,
-    scaled as ``_phase1`` scales rows, with its complemented columns
-    substituted and its basic columns eliminated; its slack is basic.  The
-    basis stays dual feasible, so ``_dual_loop`` restores primal
-    feasibility and ``_optimize`` finishes.  ``start`` is not modified.
+    The rows of ``rows[m:]`` are set as ``_Layout.appended`` sets them and
+    scaled as ``_phase1`` scales rows, then placed in one scatter with
+    their complemented columns substituted and their basic columns
+    eliminated; each one's slack is basic.  The basis stays dual feasible,
+    so ``_dual_loop`` restores primal feasibility and ``_optimize``
+    finishes.  ``start`` is not modified.
     """
     old_state, old = start.tableau
     layout = old.appended(rows[len(old.rows) :])
@@ -410,16 +431,19 @@ def _resolve(start: LPResult, rows: Sequence[tuple], max_iter) -> LPResult:
     slack_upper = np.array([0.0 if sense == EQ else _INF for _, sense, _, _ in layout.rows[m0:]])
     upper = np.concatenate([old_state.upper, slack_upper])
     flipped = np.concatenate([old_state.flipped, np.zeros(m - m0, dtype=np.uint8)])
-    row_scale = np.concatenate([old_state.row_scale, np.ones(m - m0)])
-    for i in range(m0, m):
-        coefs, _, rhs, negated = layout.rows[i]
-        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, negated, _FLOAT)
-        # complemented columns hold u_j - x_j
-        cols, vals = np.fromiter(coefs, np.int64, len(coefs)), np.array(vals)
-        comp = flipped[cols] != 0
-        T[i, N] -= vals[comp] @ upper[cols[comp]]
-        vals[comp] = -vals[comp]
-        T[i, cols] = vals
+    at, cols, vals, rhs, scale = _tableau_rows(layout.rows[m0:], _FLOAT)
+    row_scale = np.concatenate([old_state.row_scale, np.array(scale, dtype=np.float64)])
+    # complemented columns hold u_j - x_j: a row holding one drops its part
+    # from its rhs by one dot over that row's terms in order, the sum a row
+    # appended alone gets (the order of a float sum changes its bits)
+    comp = flipped[cols] != 0
+    shifted, terms, bounds = at[comp].tolist(), vals[comp], upper[cols[comp]]
+    starts = [k for k, i in enumerate(shifted) if k == 0 or i != shifted[k - 1]]
+    for lo, hi in zip(starts, starts[1:] + [len(shifted)]):
+        rhs[shifted[lo]] -= terms[lo:hi] @ bounds[lo:hi]
+    vals[comp] = -vals[comp]
+    T[m0 + at, cols] = vals
+    T[m0:m, N] = rhs
     new = T[m0:m]
     new -= new[:, old_state.basis] @ T[:m0]
     new[:, old_state.basis] = 0.0

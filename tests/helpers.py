@@ -1074,6 +1074,77 @@ def _reference_flip(T, flipped, upper, j):
     flipped[j] ^= 1
 
 
+def reference_resolve(start, rows, max_iter=None):
+    """Reference for ``simplex._resolve``: the former warm start, which
+    appends the new rows one at a time and reads values and duals one
+    numpy element at a time.  Pivots are the library's (``_dual_loop`` and
+    ``_pivot_loop``); the result keeps its tableau as the library's does."""
+    import numpy as np
+
+    from netdes_cuts.simplex import (
+        _FLOAT, _INF, EQ, ITER_LIMIT, OPTIMAL, UNBOUNDED, LPResult, _default_max_iter, _dual_loop,
+        _pivot_loop, _State, _tableau_row,
+    )
+
+    old_state, old = start.tableau
+    layout = old.appended(rows[len(old.rows) :])
+    m0, m, N0, N = len(old.rows), len(layout.rows), old.ncols, layout.ncols
+    if max_iter is None:
+        max_iter = _default_max_iter(layout)
+    T = np.zeros((m + 1, N + 1))
+    T[np.ix_([*range(m0), m], [*range(N0), N])] = old_state.T
+    slack_upper = np.array([0.0 if sense == EQ else _INF for _, sense, _, _ in layout.rows[m0:]])
+    upper = np.concatenate([old_state.upper, slack_upper])
+    flipped = np.concatenate([old_state.flipped, np.zeros(m - m0, dtype=np.uint8)])
+    row_scale = np.concatenate([old_state.row_scale, np.ones(m - m0)])
+    for i in range(m0, m):
+        coefs, _, rhs, negated = layout.rows[i]
+        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, negated, _FLOAT)
+        cols, vals = np.fromiter(coefs, np.int64, len(coefs)), np.array(vals)
+        comp = flipped[cols] != 0
+        T[i, N] -= vals[comp] @ upper[cols[comp]]
+        vals[comp] = -vals[comp]
+        T[i, cols] = vals
+    new = T[m0:m]
+    new -= new[:, old_state.basis] @ T[:m0]
+    new[:, old_state.basis] = 0.0
+    new[np.arange(m - m0), np.arange(N0, N)] = 1.0
+    state = _State(
+        T,
+        np.concatenate([old_state.basis, np.arange(N0, N)]),
+        np.concatenate([old_state.is_basic, np.ones(m - m0, dtype=np.uint8)]),
+        flipped,
+        upper,
+        np.concatenate([old_state.allow, (slack_upper > _FLOAT.tol).astype(np.uint8)]),
+        row_scale,
+        0,
+    )
+    basis = state.basis
+    status, state.iterations = _dual_loop(T, basis, state.is_basic, flipped, upper, state.allow, _FLOAT, max_iter)
+    if status != OPTIMAL:
+        return LPResult("stalled", [], None, iterations=state.iterations)
+    status, it2 = _pivot_loop(T, basis, state.is_basic, flipped, upper, state.allow, _FLOAT, max_iter)
+    iters = state.iterations + it2
+    if status == ITER_LIMIT:
+        return LPResult("stalled", [], None, iterations=iters)
+    if status == UNBOUNDED:
+        return LPResult("unbounded", [], None, iterations=iters)
+    values = np.zeros(N)
+    for i in range(m):
+        values[basis[i]] = T[i, N]
+    for j in range(N):
+        if flipped[j]:
+            values[j] = upper[j] - values[j]
+    duals = []
+    for i in range(m):
+        col, _ = layout.marker(i)
+        pi = -T[m, col] * row_scale[i]
+        duals.append(-pi if layout.rows[i][3] != bool(flipped[col]) else pi)
+    res = LPResult("optimal", list(values[: layout.n_vars]), -T[m, N], duals=duals, iterations=iters)
+    res.tableau = (state, layout)
+    return res
+
+
 # -- the LP relaxation ------------------------------------------------------------------
 
 
@@ -1124,6 +1195,26 @@ class ReferenceLPModel:
             lines.append(f" 0 <= {vname(self.var_keys[j])} <= {format_rational(F(u))}")
         lines.append("End")
         return "\n".join(lines)
+
+
+def reference_point(sol, max_denominator=10**6):
+    """Reference for ``lp.LPSolution.point``: the former snapshot, which
+    rationalizes every column, zeros included."""
+    from netdes_cuts.core import FractionalPoint, rationalize
+    from netdes_cuts.lp import column_keys
+
+    x, y = {}, {}
+    error = 0.0
+    for (kind, ai, other), val in zip(column_keys(sol.instance), sol.x):
+        v = rationalize(val, max_denominator)
+        error = max(error, abs(float(val) - float(v)))
+        if v == 0:
+            continue
+        if kind == "x":
+            x[(ai, other)] = v
+        else:
+            y[(ai, other)] = v
+    return FractionalPoint(x=x, y=y, rationalization_error=error)
 
 
 def reference_build_relaxation(instance, cuts=()):

@@ -70,6 +70,30 @@ def test_run_report_gives_stop_reason_and_family_counters(tmp_path):
     assert stops == {"1": "round-cap", "50": "no-cuts"}
 
 
+def test_run_report_rounds_read_as_asdict_gives_them(tmp_path, monkeypatch):
+    """The report's rounds are copied field by field; the JSON is byte for
+    byte the one built with ``dataclasses.asdict``."""
+    from netdes_cuts import cli
+
+    results = []
+    real_loop = cli.cutting_plane_loop
+
+    def recording(*args):
+        results.append(real_loop(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "cutting_plane_loop", recording)
+    inst, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", "--seed", "7", "--nodes", "4", "--density", "0.6", "--out", str(inst)]) == 0
+    argv = ["run", "--instance", str(inst), "--report", str(report_path), "--oracle-ybound", "1"]
+    assert main(argv) == 0
+    text = report_path.read_text()
+    report = json.loads(text)
+    assert len(report["rounds"]) == 3 and report["gap_closed"] is not None
+    expected = dict(report, rounds=[dataclasses.asdict(rep) for rep in results[0].reports])
+    assert text == json.dumps(expected, indent=2) + "\n"
+
+
 def test_gen_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for p in (a, b):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,7 +22,7 @@ from netdes_cuts.lp import (
 from netdes_cuts.partition_cuts import separate_metric
 from netdes_cuts.simplex import LPResult, solve_lp
 
-from helpers import GOLDEN_4_NODE, criterion_10_sample, reference_build_relaxation, routable
+from helpers import GOLDEN_4_NODE, criterion_10_sample, reference_build_relaxation, reference_point, routable
 
 
 def single_arc_instance(capacity=F(0), demand=F(1)):
@@ -290,6 +292,28 @@ def test_stalled_float_routing_solve_falls_back_to_exact(monkeypatch):
     assert modes == [False, True] * 2
 
 
+def test_point_skips_zeros_as_rationalizing_every_column_would(monkeypatch):
+    """``point`` leaves exact zeros out unrationalized: its x, y and error are
+    those of rationalizing every column, on the loops' round optima, on
+    their copies with every other zero negated to ``-0.0``, and on an exact
+    fallback's ``Fraction``s."""
+    insts = [generate_instance(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s % 2 else (1,)) for s in (1, 6)]
+    sols = [sol for _, sol in _round_solves(monkeypatch, insts)]
+    signed = [
+        dataclasses.replace(sol, x=[(-0.0 if k % 2 else v) if v == 0 else v for k, v in enumerate(sol.x)])
+        for sol in sols
+    ]
+    assert any(v == 0 and math.copysign(1.0, v) < 0 for sol in signed for v in sol.x)
+    stall_float_answers(monkeypatch)
+    exact = solve(build_relaxation(insts[0]))
+    assert exact.exact_fallback and all(type(v) is F for v in exact.x) and F(0) in exact.x
+    for sol in sols + signed + [exact]:
+        for max_denominator in (10**6, 7):
+            point, ref = sol.point(max_denominator), reference_point(sol, max_denominator)
+            assert (point.x, point.y) == (ref.x, ref.y)
+            assert point.rationalization_error == ref.rationalization_error
+
+
 def two_way_instance():
     """Nodes 1 and 2 each ship one unit to the other."""
     return Instance(
@@ -384,6 +408,48 @@ def test_failed_pricing_and_bound_certificates_fall_back_to_exact(monkeypatch, s
     assert bounds() == certified_bounds
     assert True in modes
     assert all(type(value) is F for value, _ in certified_prices)
+
+
+def test_each_round_builds_on_the_last_and_leaves_it_unchanged(monkeypatch):
+    """Each round's relaxation, built on the previous round's, is the one
+    built from scratch on that round's pool; a model held from an earlier
+    round reads as it did when it was built, after every later round."""
+    real_build = engine.build_relaxation
+    built = []
+
+    def recording(instance, cuts, **kwargs):
+        model = real_build(instance, cuts, **kwargs)
+        built.append((model, len(model.rows), model.to_lp_format()))
+        return model
+
+    loops = [  # the last stops at its round cap and builds its final relaxation after it
+        (dict(seed=6, nodes=4, density=0.6, facilities=(1,)), 10, "no-cuts"),
+        (dict(seed=7, nodes=5, density=0.5, facilities=(1, 3)), 10, "no-cuts"),
+        (dict(seed=7, nodes=4, density=0.6, facilities=(1, 3)), 2, "round-cap"),
+    ]
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "build_relaxation", recording)
+        for gen, rounds, stop in loops:
+            res = cutting_plane_loop(generate_instance(**gen), Config(max_rounds=rounds))
+            assert res.stop == stop and built[-1][0] is res.final_model
+    assert len(built) == 2 + 3 + 3
+    for model, rows, text in built:
+        fresh = build_relaxation(model.instance, model.cuts)
+        assert len(model.rows) == rows and model.to_lp_format() == text
+        assert (model.rows, model.cuts, text) == (fresh.rows, fresh.cuts, fresh.to_lp_format())
+
+
+def test_a_base_that_the_cuts_do_not_extend_is_refused():
+    inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
+    other = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
+    first, second = LinearCut({(0, 0): F(1)}, {}, F(0), "other"), LinearCut({}, {(0, 0): F(1)}, F(0), "other")
+    base = build_relaxation(inst, [first])
+    for instance, cuts in [(other, [first, second]), (inst, [second, first]), (inst, [])]:
+        with pytest.raises(ValueError):
+            build_relaxation(instance, cuts, base=base)
+    # an equal cut may stand in for the base's own
+    same = LinearCut({(0, 0): F(1)}, {}, F(0), "other")
+    assert build_relaxation(inst, [same, second], base=base).rows == build_relaxation(inst, [first, second]).rows
 
 
 # -- warm-started rounds -----------------------------------------------------------

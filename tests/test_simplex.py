@@ -6,9 +6,9 @@ import pytest
 from netdes_cuts import lp
 from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance
 from netdes_cuts.lp import flow_columns, routing_rows, routing_upper, safe_lower_bound
-from netdes_cuts.simplex import EQ, GE, LE, solve_lp, solve_lp_many
+from netdes_cuts.simplex import _FLOAT, EQ, GE, LE, _tableau_row, solve_lp, solve_lp_many
 
-from helpers import GOLDEN_4_NODE, reference_solve_lp_many
+from helpers import GOLDEN_4_NODE, reference_resolve, reference_solve_lp_many
 
 
 def test_min_with_lower_bound_row():
@@ -303,6 +303,80 @@ def _warm_matches_cold(n, rows, objective, upper, first):
 def test_warm_start_matches_cold_solve():
     statuses = [_warm_matches_cold(*case) for case in _split_lps(500)]
     assert statuses.count("optimal") >= 150 and statuses.count("infeasible") >= 50
+
+
+def _loop_warm_solves(monkeypatch):
+    """Every warm solve of the golden 4-node loops and of seed 14's, as
+    ``(n_vars, rows, objective, upper, start)``."""
+    real_solve_lp = lp.solve_lp
+    solves = []
+
+    def recording(n_vars, rows, objective, upper=None, **kwargs):
+        if kwargs.get("start") is not None:
+            solves.append((n_vars, list(rows), objective, upper, kwargs["start"]))
+        return real_solve_lp(n_vars, rows, objective, upper, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lp, "solve_lp", recording)
+        for seed in sorted(GOLDEN_4_NODE) + [14]:
+            inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
+            cutting_plane_loop(inst, Config(max_rounds=10))
+    return solves
+
+
+def _assert_same_tableau(new, ref):
+    (state, layout), (ref_state, ref_layout) = new.tableau, ref.tableau
+    for name in ("T", "basis", "is_basic", "flipped", "upper", "allow", "row_scale"):
+        a, b = getattr(state, name), getattr(ref_state, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert state.iterations == ref_state.iterations
+    assert (layout.rows, layout.slack_col, layout.art_col, layout.ncols) == (
+        ref_layout.rows, ref_layout.slack_col, ref_layout.art_col, ref_layout.ncols
+    )
+
+
+def _complemented_row_lp():
+    """A warm start whose one new row holds 40 complemented columns with
+    coefficients from 1/3 to 1e15/3: the float sum of its rhs shift depends
+    on the order of its terms, so only the former per-row dot reproduces it."""
+    rng = random.Random(47)
+    n = 40
+    upper = {j: F(rng.randint(1, 9), 7) for j in range(n)}
+    objective = {j: -1 for j in range(n)}
+    rows = [({j: F(1) for j in range(n)}, LE, F(1000))]
+    first = solve_lp(n, rows, objective, upper)
+    assert all(first.tableau[0].flipped[:n])  # every column sits at its upper bound
+    coefs = {j: F(rng.choice((-1, 1)) * 10 ** rng.randint(0, 15), 3) for j in range(n)}
+    # with rhs 0 the row's tableau rhs is its shift, to the last bit
+    rows.append((coefs, GE, F(0)))
+    vals, _, _ = _tableau_row(coefs, F(0), True, _FLOAT)
+    terms = [v * float(upper[j]) for j, v in zip(coefs, vals)]
+    assert sum(terms) != sum(reversed(terms))
+    return n, rows, objective, upper, first
+
+
+def test_warm_start_matches_reference(monkeypatch):
+    """The warm start places its new rows in one scatter and reads values and
+    duals with vector operations, where the former one appended each row
+    alone and read one element at a time: every result field, number types
+    included, and the kept tableau are the same to the bit, on random
+    splits, with no new row, and on every warm solve of the loops."""
+    cases = _split_lps(500)
+    cases += [(n, rows[: len(first.tableau[1].rows)], objective, upper, first)
+              for n, rows, objective, upper, first in cases[:100]]
+    cases += _loop_warm_solves(monkeypatch)
+    cases.append(_complemented_row_lp())
+    statuses = set()
+    for n, rows, objective, upper, first in cases:
+        for max_iter in (None, 1):
+            new = solve_lp(n, rows, objective, upper, max_iter=max_iter, start=first)
+            ref = reference_resolve(first, rows, max_iter)
+            _assert_same_result(new, ref)
+            assert (new.tableau is None) == (ref.tableau is None)
+            if new.tableau is not None:
+                _assert_same_tableau(new, ref)
+            statuses.add(new.status)
+    assert statuses == {"optimal", "stalled"}
 
 
 def test_warm_start_leaves_at_upper_bound():
