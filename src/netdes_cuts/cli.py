@@ -131,6 +131,8 @@ def _cmd_run(args, instance) -> int:
         dict(vars(rep), cuts=dict(rep.cuts), families={name: dict(c) for name, c in rep.families.items()})
         for rep in result.reports
     ]
+    if result.inapplicable:
+        print(f"not applicable to this instance: {', '.join(result.inapplicable)}")
     for rep in result.reports:
         label = ", ".join(f"{fam}:{n}" for fam, n in rep.cuts.items()) or "no cuts"
         print(f"round {rep.round}: bound {rep.bound:.6g} ({label})")
@@ -138,6 +140,7 @@ def _cmd_run(args, instance) -> int:
         "instance": instance.name or args.instance,
         "rounds": rounds,
         "stop": result.stop,
+        "inapplicable": result.inapplicable,
         "final_bound": result.final_bound,
         "oracle_optimum": None,
         "gap_closed": None,

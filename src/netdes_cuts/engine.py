@@ -127,40 +127,35 @@ def _cstrong(sep: Separation, point: FractionalPoint):
                 pass
 
 
-def _flowcutset(sep: Separation, point: FractionalPoint):
-    found = sep.cutset_keys
-    for rel, subsets in sep.subsets(point):
-        for Q in subsets:
-            cut = cutset_cuts.separate_flow_cutset(rel, Q, point, skip=found)
-            if cut is not None:
-                yield _first_of_key(sep, point, cut)
+def _cutset_greedy(greedy: Callable[..., LinearCut | None]):
+    """The ``separate`` of a cut-set family whose separator is ``greedy(rel,
+    s, Q, point, skip)``: per relaxation with an arc U -> V whose crossing
+    point is off its mixed-integer set (where no cut-set cut is violated),
+    its commodity subsets made once, then each base facility ``s`` and each
+    ``Q``.  A key is offered once per call: it enters ``skip`` only with a
+    cut violated by more than eps, as a positive multiple of a cut can be
+    violated where the cut is not."""
 
+    def separate(sep: Separation, point: FractionalPoint):
+        found: set = set()
+        for rel in sep.relaxations:
+            if not rel.A_plus or rel.view(point).mixed_integer:
+                continue
+            subsets = list(_commodity_subsets(rel, point))
+            for s in range(len(sep.instance.facilities)):
+                for Q in subsets:
+                    cut = greedy(rel, s, Q, point, found)
+                    if cut is not None and cut.violation(point) > sep.eps:
+                        found.add(cut.normalized_key())
+                        yield cut
 
-def _mf(sep: Separation, point: FractionalPoint):
-    found = sep.cutset_keys
-    for rel, subsets in sep.subsets(point):
-        for s in range(len(sep.instance.facilities)):
-            for Q in subsets:
-                cut = cutset_cuts.separate_multifacility(rel, s, point, Q=Q, skip=found)
-                if cut is not None:
-                    yield _first_of_key(sep, point, cut)
+    return separate
 
 
 def _mixed_integer_relaxations(sep: Separation, point: FractionalPoint) -> int:
     """How many cut-set relaxations the cut-set separators skipped at
     ``point``, whose crossing point lies in their mixed-integer set."""
     return sum(rel.view(point).mixed_integer for rel in sep.relaxations)
-
-
-def _first_of_key(sep: Separation, point: FractionalPoint, cut: LinearCut) -> LinearCut | None:
-    """``cut`` if it is violated by more than eps, its key then added to
-    ``sep.cutset_keys``, which the cut-set separators skip for the rest of
-    the round; None otherwise.  A key enters only with a violated cut, as a
-    positive multiple of a cut can be violated where the cut is not."""
-    if not cut.violation(point) > sep.eps:
-        return None
-    sep.cutset_keys.add(cut.normalized_key())
-    return cut
 
 
 def _partition(sep: Separation):
@@ -200,16 +195,22 @@ def _partition(sep: Separation):
                 yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
 
 
-# table order is admission order.  ``metric`` never applies: every LP point
-# carries its own flow, routable under the point's capacities, so no metric
-# inequality is violated there; ``partition_cuts.separate_metric`` separates
-# capacity vectors from outside the loop.
+# table order is admission order.  One cut-set greedy runs per instance:
+# ``flowcutset`` on one facility, where the multi-facility cut-set inequality
+# is the flow-cut-set inequality, and ``mf`` on several.  Each looks its
+# separator up in ``cutset_cuts`` at every call, where a wrapper (the
+# benchmark's tracer) may replace it.  ``metric`` never applies: every LP
+# point carries its own flow, routable under the point's capacities, so no
+# metric inequality is violated there; ``partition_cuts.separate_metric``
+# separates capacity vectors from outside the loop.
 SEPARATORS = (
     Family("rc", _single_facility, separate=_rc),
     Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, separate=_cstrong),
     Family("cutset", _single_facility, build=lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
-    Family("flowcutset", _single_facility, separate=_flowcutset, skipped=_mixed_integer_relaxations),
-    Family("mf", lambda inst: True, separate=_mf, skipped=_mixed_integer_relaxations),
+    Family("flowcutset", _single_facility, skipped=_mixed_integer_relaxations, separate=_cutset_greedy(
+        lambda rel, s, Q, point, skip: cutset_cuts.separate_flow_cutset(rel, Q, point, s, skip))),
+    Family("mf", lambda inst: not _single_facility(inst), skipped=_mixed_integer_relaxations, separate=_cutset_greedy(
+        lambda rel, s, Q, point, skip: cutset_cuts.separate_multifacility(rel, s, point, Q, skip))),
     Family("metric", lambda inst: False),
     Family("partition", Instance.integral_capacities, build=_partition),
 )
@@ -300,7 +301,9 @@ class CutPool:
 @dataclass
 class LoopResult:
     """``stop`` is ``"no-cuts"`` when a round pooled no new cut and
-    ``"round-cap"`` when ``max_rounds`` rounds all did."""
+    ``"round-cap"`` when ``max_rounds`` rounds all did.  ``inapplicable``
+    names, in table order, the enabled families that do not apply to the
+    instance and so never ran."""
 
     reports: list[RoundReport]
     pool: CutPool
@@ -308,6 +311,7 @@ class LoopResult:
     final_solution: LPSolution
     final_model: LPModel
     stop: str
+    inapplicable: list[str]
 
     @cached_property
     def exact_bound(self) -> Fraction:
@@ -373,6 +377,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         final_solution=sol,
         final_model=model,
         stop=stop,
+        inapplicable=sep.inapplicable,
     )
 
 
@@ -381,25 +386,26 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
 
 class Separation:
     """Separation state of one loop: the enabled families that apply to the
-    instance, in table order, and the candidates of each built-once family
-    (``fixed``), pure capacity cuts that ``forms`` keeps with their integer
-    forms (``_integer_form``) for admission.  Partitions, relaxations and
-    arc rows are made on first use, so nothing is built for a family that
-    does not run.  ``last_round`` holds, per family of the last ``separate_all``
-    call, its ``seconds``, its violated ``candidates``, in the order their
-    cuts were returned, and its ``skipped`` relaxations; ``cutset_keys``
-    holds the keys of the ``flowcutset`` and ``mf`` candidates of that
-    call."""
+    instance, in table order, the enabled ones that do not
+    (``inapplicable``, their names), and the candidates of each built-once
+    family (``fixed``), pure capacity cuts that ``forms`` keeps with their
+    integer forms (``_integer_form``) for admission.  Partitions,
+    relaxations and arc rows are made on first use, so nothing is built for
+    a family that does not run.  ``last_round`` holds, per family of the
+    last ``separate_all`` call, its ``seconds``, its violated
+    ``candidates``, in the order their cuts were returned, and its
+    ``skipped`` relaxations."""
 
     def __init__(self, instance: Instance, config: Config):
         self.instance = instance
         self.eps = config.eps
-        self.families = [f for f in SEPARATORS if f.name in config.families and f.applies(instance)]
+        enabled = [f for f in SEPARATORS if f.name in config.families]
+        self.families = [f for f in enabled if f.applies(instance)]
+        self.inapplicable = [f.name for f in enabled if not f.applies(instance)]
         self.forms = {f.name: _distinct_forms(f.build(self)) for f in self.families if f.build}
         self.fixed = {name: [cut for cut, *_ in forms] for name, forms in self.forms.items()}
-        self._subsets, self._rows = (None, []), {}
+        self._rows: dict = {}
         self.last_round: dict[str, dict] = {}
-        self.cutset_keys: set = set()
 
     @cached_property
     def partitions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -415,16 +421,6 @@ class Separation:
             arcs = range(len(self.instance.arcs))
             self._rows[mode] = [arc_cuts.from_capacity_row(self.instance, ai, mode) for ai in arcs]
         return self._rows[mode]
-
-    def subsets(self, point: FractionalPoint) -> list[tuple[cutset_cuts.CutSetRelaxation, list[tuple]]]:
-        """The relaxations ``flowcutset`` and ``mf`` search at ``point``, with
-        their commodity subsets, made once per round: those with an arc U -> V
-        whose crossing point is off their mixed-integer set, on which no cut
-        of either family is violated (``flowcutset`` runs on one facility)."""
-        if self._subsets[0] is not point:
-            kept = [rel for rel in self.relaxations if rel.A_plus and not rel.view(point).mixed_integer]
-            self._subsets = (point, [(rel, list(_commodity_subsets(rel, point))) for rel in kept])
-        return self._subsets[1]
 
 
 def _distinct_forms(cuts: Iterable[LinearCut | None]) -> list[tuple]:
@@ -470,12 +466,10 @@ def separate_all(sep: Separation, point: FractionalPoint):
     and records each family's time and counts in ``sep.last_round``.  The
     built-once candidates are admitted on their integer forms, at the
     point's one scaling, which the cut-set relaxations share; the cut-set
-    families ``flowcutset`` and ``mf`` offer each key once per round
-    between them, and their cuts carry the exact violation their separator
-    scored."""
+    family that runs (``flowcutset`` or ``mf``) offers each key once, and
+    its cuts carry the exact violation their separator scored."""
     found: list[tuple[LinearCut, Fraction]] = []
     sep.last_round = {}
-    sep.cutset_keys = set()
     for fam in sep.families:
         t0, before = time.perf_counter(), len(found)
         if fam.build:

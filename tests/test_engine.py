@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -223,9 +224,9 @@ def _listing(found):
 
 
 # families that offer each key once per round, by the cuts' labels: each
-# built-once family, and the cut-set families flowcutset and mf between them
+# built-once family, and the one cut-set greedy family that runs
 KEYED_ONCE = {"cutset": "cutset", "partition": "partition", "threepartition": "partition",
-              "threepartition-metric": "partition", "flowcutset": "cut-set", "mf": "cut-set"}
+              "threepartition-metric": "partition", "flowcutset": "flowcutset", "mf": "mf"}
 
 
 def _first_of_each_key(found):
@@ -372,6 +373,44 @@ def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
             keys = [cut.normalized_key() for cut, _ in reference if cut.family in ("flowcutset", "mf")]
             repeats_offered += len(keys) - len(set(keys))
     assert repeats_offered > 0
+
+
+def test_one_cutset_greedy_family_per_instance():
+    """``flowcutset`` runs on one facility and ``mf`` on several; the other
+    is named inapplicable, as ``metric`` always is."""
+    one = generate_instance(seed=2, nodes=4, density=0.6, facilities=(1,))
+    two = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
+    sep = engine.Separation(one, Config())
+    assert [f.name for f in sep.families] == ["rc", "cutset", "flowcutset", "partition"]
+    assert sep.inapplicable == ["cstrong", "mf", "metric"]
+    sep = engine.Separation(two, Config())
+    assert [f.name for f in sep.families] == ["mf", "partition"]
+    assert sep.inapplicable == ["rc", "cstrong", "cutset", "flowcutset", "metric"]
+    assert engine.Separation(one, Config(families=("mf",))).families == []
+    assert cutting_plane_loop(one, Config(families=("mf", "partition"))).inapplicable == ["mf"]
+
+
+def test_mf_on_one_facility_adds_no_bound(monkeypatch):
+    """Run with ``mf`` applying to every instance, a one-facility loop ends
+    at the exact bound of the one-greedy table, with a pool at least as
+    large."""
+    instances = [generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1,))
+                 for seed in sorted(GOLDEN_4_NODE) if seed % 2 == 0]
+    instances.append(generate_instance(seed=3, nodes=10, density=0.4, facilities=(1,)))
+    config = Config(max_rounds=10)
+    table = engine.SEPARATORS
+    everywhere = tuple(dataclasses.replace(f, applies=lambda inst: True) if f.name == "mf" else f for f in table)
+    smaller = 0
+    for inst in instances:
+        new = cutting_plane_loop(inst, config)
+        monkeypatch.setattr(engine, "SEPARATORS", everywhere)
+        old = cutting_plane_loop(inst, config)
+        monkeypatch.setattr(engine, "SEPARATORS", table)
+        assert "mf" in old.reports[0].families and "mf" not in new.reports[0].families
+        assert new.exact_bound == old.exact_bound
+        assert len(new.pool) <= len(old.pool)
+        smaller += len(new.pool) < len(old.pool)
+    assert smaller > 0
 
 
 def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):

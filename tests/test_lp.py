@@ -432,7 +432,7 @@ def test_each_round_builds_on_the_last_and_leaves_it_unchanged(monkeypatch):
         for gen, rounds, stop in loops:
             res = cutting_plane_loop(generate_instance(**gen), Config(max_rounds=rounds))
             assert res.stop == stop and built[-1][0] is res.final_model
-    assert len(built) == 2 + 3 + 3
+    assert len(built) == 4 + 3 + 3
     for model, rows, text in built:
         fresh = build_relaxation(model.instance, model.cuts)
         assert len(model.rows) == rows and model.to_lp_format() == text
