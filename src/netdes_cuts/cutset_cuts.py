@@ -15,9 +15,13 @@ multiplies the facility sizes, the demands, the existing capacities and
 the point's coordinates by one common denominator D, once per point, and
 each relaxation's ``CutSetRelaxation.view(point)`` takes its crossing
 slice from that one scaling.  The view is kept on the relaxation until a
-different point object asks, and it memoizes the per-subset flow sums and
-``b_Q`` and the capacity terms of each rounding.  One scoring function on
-it serves the greedy arc selection of ``separate_flow_cutset`` and
+different point object asks, and it does each piece of work once: per
+commodity subset Q the flow sums and ``b_Q``, from those of ``Q[:-1]``
+plus one commodity when that prefix is memoized; per remainder the phi
+values and capacity terms, which read no eta; and per distinct subset one
+greedy scan, a subset counted without its null commodities (zero ``b_k``
+and no crossing flow).  One scoring function on it serves the greedy arc
+selection of ``separate_flow_cutset`` and
 ``separate_multifacility`` and the subset search of
 ``separate_commodity_subset``, which scores from ``y(S+)`` and ``y(S-)``,
 summed once.  The subset search is exact: a dynamic program over the
@@ -142,9 +146,13 @@ class IntegerView:
     Remainders and phi values are then D-scaled and flow terms, capacity
     terms and violations D^2-scaled; the phi functions are homogeneous, so
     every comparison is the one the exact rationals make.  Per commodity
-    subset Q the view memoizes ``b_Q`` and the per-arc flow sums, and per
-    ``(s, facilities, r, eta)`` the phi values and the per-arc capacity
-    terms.
+    subset Q the view memoizes ``b_Q`` and the per-arc flow sums, each
+    from the memoized ``Q[:-1]`` plus commodity ``Q[-1]`` when that prefix
+    is there; per ``(s, facilities, r)`` the phi values and the per-arc
+    capacity terms, which do not depend on eta; and per distinct input
+    the greedy's ``(S+, S-, score)`` (see ``_greedy_selection``).
+    ``cbar_plus`` is ``cbar(A+)`` and ``null`` holds the null commodities:
+    zero ``b_k`` and zero flow on every crossing arc.
 
     ``mixed_integer`` says whether the crossing point lies in the
     relaxation's mixed-integer set: every crossing ``y`` a non-negative
@@ -162,9 +170,14 @@ class IntegerView:
         self.b = [scaled.scaled(v) for v in rel.b]
         self.x = {a: scaled.x[a] for a in rel.A_plus + rel.A_minus}
         self.mixed_integer = self._in_mixed_integer_set()
+        self.cbar_plus = self.cbar_sum(rel.A_plus)
+        self.null = frozenset(
+            k for k, b_k in enumerate(self.b) if b_k == 0 and all(xa[k] == 0 for xa in self.x.values())
+        )
         self._by_Q: dict = {}
         self._phis: dict = {}
         self._terms: dict = {}
+        self._greedy: dict = {}
 
     def _in_mixed_integer_set(self) -> bool:
         D, caps, cbar, x, y = self.D, self.caps, self.cbar, self.x, self.y
@@ -183,14 +196,20 @@ class IntegerView:
         return sum(self.cbar[a] for a in arcs)
 
     def commodities(self, Q: tuple[int, ...]) -> tuple[int, dict[int, int]]:
-        """``b_Q`` and, per crossing arc, the D^2-scaled flow ``x_Q(a)``."""
+        """``b_Q`` and, per crossing arc, the D^2-scaled flow ``x_Q(a)``;
+        from the memoized ``Q[:-1]`` plus commodity ``Q[-1]`` when that
+        prefix is there, as ``combinations`` order makes it."""
         got = self._by_Q.get(Q)
         if got is None:
-            D = self.D
-            got = self._by_Q[Q] = (
-                sum(self.b[k] for k in Q),
-                {a: D * sum(xa[k] for k in Q) for a, xa in self.x.items()},
-            )
+            D, x = self.D, self.x
+            prefix = self._by_Q.get(Q[:-1]) if Q else None
+            if prefix is not None:
+                k = Q[-1]
+                b_prefix, flow = prefix
+                got = (b_prefix + self.b[k], {a: f + D * x[a][k] for a, f in flow.items()})
+            else:
+                got = (sum(self.b[k] for k in Q), {a: D * sum(xa[k] for k in Q) for a, xa in x.items()})
+            self._by_Q[Q] = got
         return got
 
     def rounding(self, b_prime: int, s: int) -> tuple[int, int]:
@@ -198,29 +217,35 @@ class IntegerView:
         c_s = self.caps[s]
         return b_prime % c_s, -(-b_prime // c_s)
 
-    def phis(self, s: int, facilities: tuple[int, ...], r: int, eta: int) -> tuple[list, list]:
+    def phis(self, s: int, facilities: tuple[int, ...], r: int) -> tuple[list, list]:
         """``(m, phi+(c_m))`` and ``(m, phi-(c_m))`` for each facility m of
-        ``facilities``, D-scaled, rounded on ``s`` with remainder r."""
-        key = (s, facilities, r, eta)
+        ``facilities``, D-scaled, rounded on ``s`` with remainder r (phi
+        reads no eta)."""
+        key = (s, facilities, r)
         got = self._phis.get(key)
         if got is None:
-            p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=eta)
+            p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=0)
             got = self._phis[key] = (
                 [(m, phi_plus(p, self.caps[m])) for m in facilities],
                 [(m, phi_minus(p, self.caps[m])) for m in facilities],
             )
         return got
 
-    def terms(self, s: int, facilities: tuple[int, ...], r: int, eta: int) -> dict[int, int]:
+    def terms(self, s: int, facilities: tuple[int, ...], r: int) -> dict[int, int]:
         """Per crossing arc, its capacity term: phi+ on A+ and phi- on A-
         of each facility of ``facilities``, times that facility's ``y``."""
-        key = (s, facilities, r, eta)
+        key = (s, facilities, r)
         term = self._terms.get(key)
         if term is None:
-            plus, minus = self.phis(s, facilities, r, eta)
+            plus, minus = self.phis(s, facilities, r)
             y = self.y
-            term = {a: sum(f * y[a][m] for m, f in plus) for a in self.A_plus}
-            term.update((a, sum(f * y[a][m] for m, f in minus)) for a in self.A_minus)
+            if len(facilities) == 1:
+                ((m, f_plus),), ((_, f_minus),) = plus, minus
+                term = {a: f_plus * y[a][m] for a in self.A_plus}
+                term.update((a, f_minus * y[a][m]) for a in self.A_minus)
+            else:
+                term = {a: sum(f * y[a][m] for m, f in plus) for a in self.A_plus}
+                term.update((a, sum(f * y[a][m] for m, f in minus)) for a in self.A_minus)
             self._terms[key] = term
         return term
 
@@ -302,14 +327,17 @@ def _cut(
     facility m of ``facilities``, rounded on the base facility
     ``sel.facility``, built from the integers of ``view``; None when its
     ``normalized_key()`` is in ``skip``.  Degenerate remainders (r = 0) are
-    rejected: the cut would be implied."""
+    rejected: the cut would be implied.  An ``mf`` cut's params also name
+    the base facility ``s`` and a ``facet_report`` on the proper arc
+    subsets, the remainder and the demands of Q, read from the view's
+    integers."""
     Q, S_plus, S_minus = tuple(sel.Q), tuple(sel.S_plus), tuple(sel.S_minus)
     D = view.D
     b_prime = sum(view.b[k] for k in Q) - view.cbar_sum(S_plus) + view.cbar_sum(S_minus)
     r, eta = view.rounding(b_prime, sel.facility)
     if r == 0:
         raise ValueError("degenerate remainder; cut is vacuous")
-    plus, minus = view.phis(sel.facility, facilities, r, eta)
+    plus, minus = view.phis(sel.facility, facilities, r)
     rhs = r * eta - view.cbar_sum(S_minus)
     bypass = [a for a in view.A_plus if a not in S_plus]
     sides = ((S_plus, plus), (S_minus, minus))
@@ -336,13 +364,16 @@ def _cut(
         for a in arcs:
             for m, coef in coefs:
                 cap[(a, m)] = coef
-    cut = LinearCut(
-        flow=flow,
-        cap=cap,
-        rhs=Fraction(rhs, D),
-        family=family,
-        params={"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta},
-    )
+    params = {"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta}
+    if family == "mf":
+        params["s"] = sel.facility
+        params["facet_report"] = {
+            "s_plus_proper": bool(S_plus) and set(S_plus) != set(rel.A_plus),
+            "s_minus_proper": bool(S_minus) and set(S_minus) != set(rel.A_minus),
+            "remainder_positive": r > 0,
+            "all_demands_positive": all(view.b[k] > 0 for k in Q),
+        }
+    cut = LinearCut(flow=flow, cap=cap, rhs=Fraction(rhs, D), family=family, params=params)
     cut._key = key
     return cut
 
@@ -397,18 +428,36 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus):
     selection whose remainder its terms came from.  A point in the
     relaxation's mixed-integer set violates no cut whose capacity terms
     count every facility, so there the scan is skipped.
+
+    A null commodity of the view (``b_k = 0`` and no flow on any crossing
+    arc) changes neither ``b_Q`` nor any flow, so the view keeps one scan
+    per ``Q`` without its null commodities, base facility, facilities and
+    tie policy; a subset of null commodities alone is scanned too, as
+    capacity terms alone can be violated.
     """
-    A_plus, A_minus = view.A_plus, view.A_minus
-    if not A_plus or (view.mixed_integer and len(facilities) == len(view.caps)):
+    if not view.A_plus or (view.mixed_integer and len(facilities) == len(view.caps)):
         return None
+    null = view.null
+    if null:
+        Q = tuple(k for k in Q if k not in null)
+    key = (Q, s, facilities, prefer_plus)
+    memo = view._greedy
+    if key not in memo:
+        memo[key] = _greedy_scan(view, Q, s, facilities, prefer_plus)
+    return memo[key]
+
+
+def _greedy_scan(view, Q, s, facilities, prefer_plus):
+    """The scan of ``_greedy_selection`` for one subset Q."""
+    A_plus, A_minus, cbar, D = view.A_plus, view.A_minus, view.cbar, view.D
     b_Q, flow = view.commodities(Q)
-    cbar = view.cbar
-    rounded = view.rounding(b_Q - view.cbar_sum(A_plus), s)
-    if rounded[0] == 0:
+    c_s = view.caps[s]
+    r = (b_Q - view.cbar_plus) % c_s
+    if r == 0:
         return None
-    term = view.terms(s, facilities, *rounded)
+    term = view.terms(s, facilities, r)
     best, best_viol = None, 0
-    scored = set()
+    scored = ()  # the selections scored on a moved remainder
     for _ in range(GREEDY_ROUNDS):
         s_plus, s_minus = [], []
         cbar_plus = cbar_minus = cap_lhs = flow_lhs = 0
@@ -430,20 +479,22 @@ def _greedy_selection(view, Q, s, facilities, prefer_plus):
         sel = (tuple(s_plus), tuple(s_minus))
         if sel in scored:
             break
-        r, eta = view.rounding(b_Q - cbar_plus + cbar_minus, s)
-        if r == 0:
+        b_prime = b_Q - cbar_plus + cbar_minus
+        r_sel = b_prime % c_s
+        if r_sel == 0:
             break
-        moved = (r, eta) != rounded
+        moved = r_sel != r
         if moved:
-            term = view.terms(s, facilities, r, eta)
+            term = view.terms(s, facilities, r_sel)
             cap_lhs = sum(term[a] for a in s_plus) + sum(term[a] for a in s_minus)
-        v = view.score(r, eta, cbar_minus, cap_lhs, flow_lhs)
+        # D^2 times the violation: D * (r * eta - cbar(S-)) less both parts
+        v = D * (r_sel * -(-b_prime // c_s) - cbar_minus) - cap_lhs - flow_lhs
         if v > best_viol:
             best, best_viol = (*sel, v), v
         if not moved:
             break
-        scored.add(sel)
-        rounded = (r, eta)
+        scored += (sel,)
+        r = r_sel
     return best
 
 
@@ -524,7 +575,7 @@ def separate_commodity_subset(
         r, eta = view.rounding(b_Q + b_shift, facility)
         if r == 0:
             continue
-        ((_, phi_p),), ((_, phi_m),) = view.phis(facility, (facility,), r, eta)
+        ((_, phi_p),), ((_, phi_m),) = view.phis(facility, (facility,), r)
         score = view.score(r, eta, cbar_minus, phi_p * Y_plus + phi_m * Y_minus, net_Q)
         if score > 0 and (best is None or (score, -size, -neg_mask) > best):
             best = (score, -size, -neg_mask)
@@ -536,21 +587,6 @@ def separate_commodity_subset(
 # -- multiple facilities --------------------------------------------------------
 
 
-def _multifacility_cut(
-    rel: CutSetRelaxation, view: IntegerView, sel: FlowCutSelection, skip: Container = ()
-) -> LinearCut | None:
-    cut = _cut(rel, view, sel, tuple(range(len(rel.instance.facilities))), "mf", skip)
-    if cut is not None:
-        cut.params["s"] = sel.facility
-        cut.params["facet_report"] = {
-            "s_plus_proper": bool(sel.S_plus) and set(sel.S_plus) != set(rel.A_plus),
-            "s_minus_proper": bool(sel.S_minus) and set(sel.S_minus) != set(rel.A_minus),
-            "remainder_positive": cut.params["r"] > 0,
-            "all_demands_positive": all(rel.b[k] > 0 for k in sel.Q),
-        }
-    return cut
-
-
 def multifacility_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection) -> LinearCut:
     """Flow-cut-set cut with subadditive coefficients for every facility.
 
@@ -560,7 +596,8 @@ def multifacility_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection) -> Li
     in the single-facility case, existing capacity on S- shifts the
     right-hand side down.
     """
-    return _multifacility_cut(rel, IntegerView(rel, ScaledPoint(rel.instance, FractionalPoint())), sel)
+    view = IntegerView(rel, ScaledPoint(rel.instance, FractionalPoint()))
+    return _cut(rel, view, sel, tuple(range(len(rel.instance.facilities))), "mf")
 
 
 def separate_multifacility(
@@ -585,7 +622,8 @@ def separate_multifacility(
     if found is None:
         return None
     S_plus, S_minus, score = found
-    return _scored(_multifacility_cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, s), skip), view, point, score)
+    cut = _cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, s), facilities, "mf", skip)
+    return _scored(cut, view, point, score)
 
 
 def two_partitions(nodes: Sequence[int], limit: int = 8):

@@ -185,7 +185,9 @@ class PhiParams:
     """Rounding data of a base facility: divisor c_s, remainder and eta.
 
     ``c_s`` and ``r`` may be Fractions or, scaled by a common denominator,
-    ints: the phi functions are homogeneous in ``(c, c_s, r)``.
+    ints: the phi functions are homogeneous in ``(c, c_s, r)``.  The phi
+    functions read only ``c_s`` and ``r``; ``eta`` is carried for the
+    cut's ``params``, so phi values may be memoized per remainder.
     """
 
     s: int

@@ -4,6 +4,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from netdes_cuts import cutset_cuts
 from netdes_cuts.core import (
     Arc,
     DemandMatrix,
@@ -25,7 +26,7 @@ from netdes_cuts.cutset_cuts import (
     separate_multifacility,
     two_partitions,
 )
-from netdes_cuts.engine import MAX_DENOMINATOR, generate_instance, validate_cut
+from netdes_cuts.engine import MAX_DENOMINATOR, Q_SUBSET_LIMIT, _commodity_subsets, generate_instance, validate_cut
 from helpers import (
     flow_cutset_best_violation,
     in_cutset_mixed_integer_set,
@@ -865,3 +866,178 @@ def test_commodity_subset_matches_fraction_reference():
             assert got == reference_commodity_subset(rel, S_plus, rel.A_minus, pt)
             carried += got is not None
     assert carried >= 10, carried
+
+
+# -- what an integer view memoizes -------------------------------------------------
+
+
+def _null_commodity_separations():
+    """(relaxation, point, rng, null commodities) on random disaggregated
+    instances with 1-2 facilities and existing capacity: each relaxation
+    has commodities of zero ``b_k``, and the point's flow of each is zero on
+    every crossing arc while its other coordinates, ``y`` too, may be
+    negative."""
+    rng = random.Random(2525)
+    shapes = [(1,), (1, 3), (F(3, 2), 4)]
+    for seed in range(60):
+        inst = generate_instance(
+            seed=seed, nodes=4, density=0.7, facilities=shapes[seed % len(shapes)],
+            mode="disaggregated", existing_capacity_prob=0.6,
+        )
+        arcs, facilities = range(len(inst.arcs)), range(len(inst.facilities))
+        for U, V in rng.sample(list(two_partitions(inst.nodes)), 3):
+            rel = build_cutset(inst, U, V)
+            null = [k for k, b_k in enumerate(rel.b) if b_k == 0]
+            if not rel.A_plus or not null:
+                continue
+            crossing = set(rel.A_plus + rel.A_minus)
+            pt = FractionalPoint(
+                x={(a, k): _random_coordinate(rng) for a in arcs for k in range(len(inst.commodities))
+                   if not (k in null and a in crossing)},
+                y={(a, m): _random_coordinate(rng) - F(1, 2) for a in arcs for m in facilities},
+            )
+            yield rel, pt, rng, null
+
+
+def _separators(rel, pt, m):
+    """Both greedy separators on base facility m, with their references."""
+    return [
+        (lambda Q: separate_multifacility(rel, m, pt, Q=Q), lambda Q: reference_multifacility(rel, m, pt, Q=Q)),
+        (lambda Q: separate_flow_cutset(rel, Q, pt, facility=m),
+         lambda Q: reference_flow_cutset(rel, Q, pt, facility=m)),
+    ]
+
+
+def test_a_null_commodity_changes_no_selection_and_needs_no_scan(monkeypatch):
+    """A commodity of zero ``b_k`` and no flow on any crossing arc changes
+    neither ``b_Q`` nor a flow: both separators on Q and on Q with such a
+    commodity k give the same S+, S- and score, the second from the first
+    one's scan, and the second cut, the Fraction reference's, names k in
+    its flow terms whenever it has some."""
+    scans = []
+    scan = cutset_cuts._greedy_scan
+    monkeypatch.setattr(cutset_cuts, "_greedy_scan", lambda *args: scans.append(args[1]) or scan(*args))
+    compared = named = 0
+    for rel, pt, rng, null in _null_commodity_separations():
+        others = [k for k in range(len(rel.b)) if k not in null]
+        for Q in [Q for n in range(1, len(others) + 1) for Q in combinations(others, n)][:4]:
+            k = rng.choice(null)
+            with_k = tuple(sorted(Q + (k,)))
+            for m in range(len(rel.instance.facilities)):
+                for separate, reference in _separators(rel, pt, m):
+                    first = separate(Q)
+                    done = len(scans)
+                    second = separate(with_k)
+                    assert len(scans) == done
+                    _assert_same_cut(second, reference(with_k))
+                    assert (first is None) == (second is None)
+                    if first is None:
+                        continue
+                    compared += 1
+                    assert (first.params["S+"], first.params["S-"]) == (second.params["S+"], second.params["S-"])
+                    assert first.violation(pt) == second.violation(pt)
+                    assert second.params["Q"] == with_k
+                    if first.flow:
+                        named += 1
+                        assert {j for _, j in second.flow} == {j for _, j in first.flow} | {k}
+    assert compared > 100 and named > 50, (compared, named)
+
+
+def test_a_subset_of_null_commodities_alone_is_still_separated():
+    """Q of null commodities alone has ``b_Q = 0`` and no flow, but at a
+    point with negative ``y`` its pure capacity cut can be violated: both
+    separators return the Fraction reference's cut there."""
+    violated = 0
+    for rel, pt, rng, null in _null_commodity_separations():
+        for Q in (tuple(null[:1]), tuple(null)):
+            for m in range(len(rel.instance.facilities)):
+                for separate, reference in _separators(rel, pt, m):
+                    want = reference(Q)
+                    _assert_same_cut(separate(Q), want)
+                    violated += want is not None
+    assert violated > 50, violated
+
+
+def _full_sums(rel, pt, view, Q):
+    """``b_Q`` and the per-arc flows of Q, summed in Fractions and scaled."""
+    D = view.D
+    flows = {a: D * D * sum((pt.x.get((a, k), F(0)) for k in Q), F(0)) for a in rel.A_plus + rel.A_minus}
+    return D * rel.b_sum(Q), flows
+
+
+def test_subset_flows_from_their_prefix_are_the_full_sums():
+    """``IntegerView.commodities`` gives each subset's ``b_Q`` and flows as
+    the full sums do, both in ``_commodity_subsets`` order, where every
+    subset of two or more commodities up to ``Q_SUBSET_LIMIT`` finds its
+    prefix, and shuffled, where some prefixes are missing; on
+    random relaxations of 1-4 commodities and of 7-12, where the subsets
+    above ``Q_SUBSET_LIMIT`` end with the alternation's."""
+    rng = random.Random(3131)
+    cases = [(rel, pt) for rel, pt, _ in _random_separations()][:60]
+    for n in range(Q_SUBSET_LIMIT + 1, 13):
+        for _ in range(4):
+            inst = _pair_commodity_instance(rng, n, existing_capacity_prob=0.4)
+            rel = rng.choice([rel for rel in (build_cutset(inst, U, V) for U, V in two_partitions(inst.nodes))
+                              if rel.A_plus])
+            pt = FractionalPoint(
+                x={(a, k): _random_coordinate(rng) for a in range(len(inst.arcs)) for k in range(n)},
+                y={(a, 0): _random_coordinate(rng) for a in range(len(inst.arcs))},
+            )
+            cases.append((rel, pt))
+    checked = alternations = derived = summed = 0
+    for rel, pt in cases:
+        subsets = list(_commodity_subsets(rel, pt))
+        n = len(rel.b)
+        alternations += n > Q_SUBSET_LIMIT and len(subsets) > len({tuple(range(n)), rel.positive_commodities()}) + n
+        shuffled = rng.sample(subsets, len(subsets))
+        for order in (subsets, shuffled):
+            point = FractionalPoint(x=dict(pt.x), y=dict(pt.y))  # a fresh view with an empty memo
+            view = rel.view(point)
+            for Q in order:
+                prefixed = Q[:-1] in view._by_Q
+                if order is subsets and n <= Q_SUBSET_LIMIT:
+                    assert prefixed == (len(Q) > 1)
+                b_Q, flow = view.commodities(Q)
+                assert (b_Q, flow) == _full_sums(rel, point, view, Q)
+                derived += prefixed
+                summed += not prefixed
+                checked += 1
+    assert checked > 1000 and alternations > 5 and derived > 200 and summed > 500, (
+        checked, alternations, derived, summed)
+
+
+def test_facet_report_matches_the_fraction_reference():
+    """Every ``mf`` cut's params, its ``facet_report`` read from the view's
+    integers among them, are the Fraction reference builder's, byte for
+    byte in their repr, for built and for separated cuts; commodities of
+    negative, zero and positive ``b_k`` make ``all_demands_positive`` go
+    both ways, and ``remainder_positive`` holds on every built cut."""
+    rng = random.Random(4343)
+    reports = []
+    for seed in range(40):
+        inst = generate_instance(seed=seed, nodes=4, density=0.7, facilities=((1, 3), (F(3, 2), 4))[seed % 2],
+                                 mode="disaggregated", existing_capacity_prob=0.5)
+        arcs, facilities = range(len(inst.arcs)), range(len(inst.facilities))
+        pt = FractionalPoint(
+            x={(a, k): _random_coordinate(rng) for a in arcs for k in range(len(inst.commodities))},
+            y={(a, m): _random_coordinate(rng) for a in arcs for m in facilities},
+        )
+        for U, V in rng.sample(list(two_partitions(inst.nodes)), 3):
+            rel = build_cutset(inst, U, V)
+            for Q in _sampled_subsets(rel, rng, 4):
+                for m in facilities:
+                    sel = FlowCutSelection(Q, tuple(a for a in rel.A_plus if rng.random() < 0.5),
+                                           tuple(a for a in rel.A_minus if rng.random() < 0.5), facility=m)
+                    pairs = [(separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q))]
+                    try:
+                        pairs.append((multifacility_cutset_cut(rel, sel), reference_multifacility_cutset_cut(rel, sel)))
+                    except ValueError:
+                        pass
+                    for got, want in pairs:
+                        assert (got is None) == (want is None)
+                        if got is not None:
+                            assert repr(got.params) == repr(want.params)
+                            reports.append(got.params["facet_report"])
+    assert all(report["remainder_positive"] for report in reports)
+    assert {report["all_demands_positive"] for report in reports} == {True, False}
+    assert len(reports) > 500, len(reports)

@@ -280,3 +280,19 @@ def test_phi_homogeneous_ints(c, c_s, r, lam):
         assert type(value) is int
         assert phi(scaled, lam * c) == lam * value
         assert phi(exact, F(c)) == value
+
+
+@given(
+    c=small_fraction,
+    c_s=st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6),
+    share=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: 0 < t < 1),
+    eta=st.integers(min_value=-50, max_value=50),
+    other=st.integers(min_value=-50, max_value=50),
+)
+def test_phi_reads_no_eta(c, c_s, share, eta, other):
+    """phi depends on c_s and r alone, so a memo keyed on the remainder
+    serves every eta of that remainder."""
+    p = PhiParams(s=0, c_s=c_s, r=share * c_s, eta=eta)
+    q = PhiParams(s=0, c_s=c_s, r=share * c_s, eta=other)
+    for phi in (phi_plus, phi_minus):
+        assert phi(p, c) == phi(q, c)
