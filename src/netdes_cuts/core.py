@@ -384,76 +384,115 @@ def _nonzero(coefs: Mapping) -> dict:
     return {k: v for k, v in zip(coefs, map(frac, coefs.values())) if v}
 
 
-@dataclass
+def _cleared(coefs: Mapping[tuple[int, int], Fraction], den: int) -> dict[tuple[int, int], int]:
+    """``den`` times each of ``coefs``, in ints; ``den`` is a multiple of every denominator."""
+    return {k: v.numerator * (den // v.denominator) for k, v in coefs.items()}
+
+
+def _over(nums: Mapping[tuple[int, int], int], den: int) -> dict[tuple[int, int], Fraction]:
+    """``nums`` over ``den``, one ``Fraction`` per distinct numerator."""
+    fractions = {n: Fraction(n, den) for n in set(nums.values())}
+    return {k: fractions[n] for k, n in nums.items()}
+
+
+@dataclass(init=False)
 class LinearCut:
     """A sparse valid inequality ``flow·x + cap·y >= rhs`` over raw variables.
 
     ``flow`` is keyed by (arc index, commodity index) and ``cap`` by
-    (arc index, facility index).  Coefficients are exact rationals; the
-    sense is fixed to ``>=``, and they are not changed after construction.
-    A builder that already knows the cut's ``normalized_key()`` may store it
-    in ``_key``, and one that knows its exact violation at a point may store
+    (arc index, facility index); the sense is fixed to ``>=``.  The cut
+    holds one form: integer numerators ``flow_num``, ``cap_num`` and
+    ``rhs_num`` over one denominator ``den``, the least positive one that
+    clears every coefficient, without zero coefficients.  So cuts with
+    equal rational values hold equal ints, and ``==`` compares those, the
+    ``family`` and the ``params``.
+
+    ``LinearCut(flow, cap, rhs, family, params)`` takes rationals (ints,
+    strings like ``"3/4"`` and Fractions; a float is refused) and clears
+    them once.  A builder that holds the cut's ints over a common positive
+    denominator passes them with ``den=``, and they are reduced.  ``flow``,
+    ``cap`` and ``rhs`` are read-only ``Fraction`` views, made on first
+    read; the ints are not changed after construction.  A builder that
+    knows the cut's exact violation at a point may store
     ``(point, violation)`` in ``_violation``.
     """
 
-    flow: dict[tuple[int, int], Fraction]
-    cap: dict[tuple[int, int], Fraction]
-    rhs: Fraction
+    flow_num: dict[tuple[int, int], int]
+    cap_num: dict[tuple[int, int], int]
+    rhs_num: int
+    den: int
     family: str
-    params: dict = field(default_factory=dict)
-    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _violation: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    params: dict
 
-    def __post_init__(self):
-        self.flow = _nonzero(self.flow)
-        self.cap = _nonzero(self.cap)
-        self.rhs = frac(self.rhs)
-        if not self.flow and not self.cap:
+    def __init__(self, flow: Mapping, cap: Mapping, rhs, family: str, params: dict | None = None,
+                 *, den: int | None = None):
+        if den is None:
+            flow, cap, rhs = _nonzero(flow), _nonzero(cap), frac(rhs)
+            den = math.lcm(rhs.denominator, *(v.denominator for v in (*flow.values(), *cap.values())))
+            flow, cap, rhs = _cleared(flow, den), _cleared(cap, den), rhs.numerator * (den // rhs.denominator)
+        elif den <= 0:
+            raise ValueError(f"cut denominator {den} not positive")
+        g = math.gcd(den, rhs, *flow.values(), *cap.values())  # a float raises TypeError here
+        self.flow_num = {k: n // g for k, n in flow.items() if n}
+        self.cap_num = {k: n // g for k, n in cap.items() if n}
+        if not self.flow_num and not self.cap_num:
             raise ValueError("cut must have at least one nonzero coefficient")
+        self.rhs_num, self.den = rhs // g, den // g
+        self.family = family
+        self.params = {} if params is None else params
+        self._flow = self._cap = self._rhs = self._key = None
+        self._violation = (None, None)
+
+    @property
+    def flow(self) -> dict[tuple[int, int], Fraction]:
+        if self._flow is None:
+            self._flow = _over(self.flow_num, self.den)
+        return self._flow
+
+    @property
+    def cap(self) -> dict[tuple[int, int], Fraction]:
+        if self._cap is None:
+            self._cap = _over(self.cap_num, self.den)
+        return self._cap
+
+    @property
+    def rhs(self) -> Fraction:
+        if self._rhs is None:
+            self._rhs = Fraction(self.rhs_num, self.den)
+        return self._rhs
+
+    def _lhs_num(self, point: FractionalPoint) -> Fraction:
+        """``den`` times the left-hand side at ``point``."""
+        lhs = ZERO
+        for key, n in self.flow_num.items():
+            lhs += n * point.x.get(key, ZERO)
+        for key, n in self.cap_num.items():
+            lhs += n * point.y.get(key, ZERO)
+        return lhs
 
     def lhs_value(self, point: FractionalPoint) -> Fraction:
-        lhs = ZERO
-        for key, coef in self.flow.items():
-            lhs += coef * point.x.get(key, ZERO)
-        for key, coef in self.cap.items():
-            lhs += coef * point.y.get(key, ZERO)
-        return lhs
+        return self._lhs_num(point) / self.den
 
     def violation(self, point: FractionalPoint) -> Fraction:
         """Positive iff the point violates the cut; a point must not be
         changed in place once a violation at it has been recorded."""
         if self._violation[0] is point:
             return self._violation[1]
-        return self.rhs - self.lhs_value(point)
+        return (self.rhs_num - self._lhs_num(point)) / self.den
 
     def normalized_key(self):
         """Canonical hashable form, shared exactly by positive multiples:
-        the sorted ``flow`` and ``cap`` items and the rhs, cleared to
-        coprime integers."""
+        the sorted ``flow`` and ``cap`` items and the rhs as coprime
+        integers, the stored ints over their gcd."""
         if self._key is None:
-            values = [*self.flow.values(), *self.cap.values(), self.rhs]
-            lcm = math.lcm(*(v.denominator for v in values))
-            ints = [v.numerator * (lcm // v.denominator) for v in values]
-            g = math.gcd(*ints)
-            ints = [n // g for n in ints]
-            n_flow = len(self.flow)
+            flow, cap = self.flow_num, self.cap_num
+            g = math.gcd(self.rhs_num, *flow.values(), *cap.values())
             self._key = (
-                tuple(sorted(zip(self.flow, ints[:n_flow]))),
-                tuple(sorted(zip(self.cap, ints[n_flow:-1]))),
-                ints[-1],
+                tuple((k, flow[k] // g) for k in sorted(flow)),
+                tuple((k, cap[k] // g) for k in sorted(cap)),
+                self.rhs_num // g,
             )
         return self._key
-
-    def scaled_integral(self) -> "LinearCut":
-        """Equivalent cut scaled so all coefficients are coprime integers."""
-        scale = integral_scale([*self.flow.values(), *self.cap.values(), self.rhs])
-        return LinearCut(
-            {k: v * scale for k, v in self.flow.items()},
-            {k: v * scale for k, v in self.cap.items()},
-            self.rhs * scale,
-            self.family,
-            dict(self.params),
-        )
 
     def __str__(self):
         terms = [f"{format_rational(c)}*x[{a},{k}]" for (a, k), c in sorted(self.flow.items())]

@@ -28,11 +28,11 @@ summed once.  The subset search is exact: a dynamic program over the
 commodities keeps, per distinct ``b_Q``, the subset of least flow part,
 since for a fixed ``b_Q`` a subset's score falls as its flow part grows;
 it is capped at ``SUBSET_ENUMERATION_CAP`` commodities.  The winner is
-built from the same integers:
-its phi coefficients and right-hand side are the view's values over D, its
+built from the same integers: its phi coefficients and right-hand side
+are the view's values, passed to ``LinearCut`` over D, its
 ``normalized_key()`` is their coprime form, and its exact violation is the
 greedy's score over D^2, recorded on the cut.  A separator given the keys
-already found in a round (``skip``) builds no cut with one of them.  The phi
+already found in a round (``skip``) returns no cut with one of them.  The phi
 functions are homogeneous, and every score, key and coefficient is
 homogeneous in D, so the scaling changes no comparison and no result.
 
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Container, Iterable, Sequence
 
-from .core import ONE, ZERO, FractionalPoint, Instance, LinearCut, frac
+from .core import ZERO, FractionalPoint, Instance, LinearCut, frac
 from .mir import PhiParams, ceil_frac, phi_minus, phi_plus
 
 GREEDY_ROUNDS = 5             # passes of the greedy arc selection on a moving remainder
@@ -306,16 +306,7 @@ def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
     rhs = ceil_frac((b_K - rel.cbar(rel.A_plus)) / c)
     if rhs <= 0 or not rel.A_plus:
         return None
-    return LinearCut(
-        flow={},
-        cap={(a, 0): Fraction(1) for a in rel.A_plus},
-        rhs=Fraction(rhs),
-        family="cutset",
-        params={"U": rel.U, "rhs": rhs},
-    )
-
-
-_MINUS_ONE = -ONE
+    return LinearCut({}, {(a, 0): 1 for a in rel.A_plus}, rhs, "cutset", {"U": rel.U, "rhs": rhs}, den=1)
 
 
 def _cut(
@@ -325,12 +316,12 @@ def _cut(
     """Cut-set cut with flow on ``A+ \\ S+`` and ``S-``, capacity
     coefficients ``phi+(c_m)`` on S+ and ``phi-(c_m)`` on S- for each
     facility m of ``facilities``, rounded on the base facility
-    ``sel.facility``, built from the integers of ``view``; None when its
-    ``normalized_key()`` is in ``skip``.  Degenerate remainders (r = 0) are
-    rejected: the cut would be implied.  An ``mf`` cut's params also name
-    the base facility ``s`` and a ``facet_report`` on the proper arc
-    subsets, the remainder and the demands of Q, read from the view's
-    integers."""
+    ``sel.facility``, built from the integers of ``view`` over its D; None
+    when its ``normalized_key()`` is in ``skip``.  Degenerate remainders
+    (r = 0) are rejected: the cut would be implied.  An ``mf`` cut's
+    params also name the base facility ``s`` and a ``facet_report`` on the
+    proper arc subsets, the remainder and the demands of Q, read from the
+    view's integers."""
     Q, S_plus, S_minus = tuple(sel.Q), tuple(sel.S_plus), tuple(sel.S_minus)
     D = view.D
     b_prime = sum(view.b[k] for k in Q) - view.cbar_sum(S_plus) + view.cbar_sum(S_minus)
@@ -338,33 +329,19 @@ def _cut(
     if r == 0:
         raise ValueError("degenerate remainder; cut is vacuous")
     plus, minus = view.phis(sel.facility, facilities, r)
-    rhs = r * eta - view.cbar_sum(S_minus)
     bypass = [a for a in view.A_plus if a not in S_plus]
-    sides = ((S_plus, plus), (S_minus, minus))
-    # D times the cut is integral: flow coefficients +-D, phi values, rhs
-    flow_D = D if Q and (bypass or S_minus) else 0
-    g = math.gcd(flow_D, rhs, *(f for arcs, phis in sides if arcs for _, f in phis)) or 1
-    key = (
-        tuple(sorted([((a, k), flow_D // g) for a in bypass for k in Q]
-                     + [((a, k), -flow_D // g) for a in S_minus for k in Q])),
-        tuple(sorted(((a, m), f // g) for arcs, phis in sides for a in arcs for m, f in phis if f)),
-        rhs // g,
-    )
-    if key in skip:
-        return None
+    # D times the cut: flow coefficients +-D, the phi values and the rhs
     flow = {}
     for k in Q:
         for a in bypass:
-            flow[(a, k)] = ONE
+            flow[(a, k)] = D
         for a in S_minus:
-            flow[(a, k)] = _MINUS_ONE
-    cap = {}
-    for arcs, phis in sides:
-        coefs = [(m, Fraction(f, D)) for m, f in phis]
-        for a in arcs:
-            for m, coef in coefs:
-                cap[(a, m)] = coef
-    params = {"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta}
+            flow[(a, k)] = -D
+    cap = {(a, m): f for arcs, phis in ((S_plus, plus), (S_minus, minus)) for a in arcs for m, f in phis}
+    cut = LinearCut(flow, cap, r * eta - view.cbar_sum(S_minus), family, den=D)
+    if cut.normalized_key() in skip:
+        return None
+    cut.params = params = {"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta}
     if family == "mf":
         params["s"] = sel.facility
         params["facet_report"] = {
@@ -373,8 +350,6 @@ def _cut(
             "remainder_positive": r > 0,
             "all_demands_positive": all(view.b[k] > 0 for k in Q),
         }
-    cut = LinearCut(flow=flow, cap=cap, rhs=Fraction(rhs, D), family=family, params=params)
-    cut._key = key
     return cut
 
 
@@ -509,7 +484,7 @@ def separate_flow_cutset(
 
     Capacity terms ``r*y`` on S+ and ``(c-r)*y`` on S- of the one facility
     compete strictly with the flow terms; see ``_greedy_selection``.  A
-    winner whose ``normalized_key()`` is in ``skip`` is not built: None.
+    winner whose ``normalized_key()`` is in ``skip`` is not returned: None.
     """
     Q = tuple(Q)
     view = rel.view(point)
@@ -613,7 +588,7 @@ def separate_multifacility(
     its flow, which minimizes the left-hand side arc by arc; phi is
     evaluated once per facility and round, so the scan is linear in arcs
     times facilities.  See ``_greedy_selection``.  A winner whose
-    ``normalized_key()`` is in ``skip`` is not built: None.
+    ``normalized_key()`` is in ``skip`` is not returned: None.
     """
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
     facilities = tuple(range(len(rel.instance.facilities)))

@@ -187,12 +187,12 @@ def _partition(sep: Separation):
         if winner is None:
             continue
         yield winner
-        if winner.rhs > 0:
+        if winner.rhs_num > 0:
             # the cover over per-facility totals that the winner implies
             crossing = [ai for group in shrunk.groups.values() for ai in group]
-            for ineq in hull(winner.rhs.numerator * table.scale):
-                cap = {(ai, mi): coef for mi, coef in ineq.integ.items() for ai in crossing}
-                yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
+            for ineq in hull(winner.rhs_num * table.scale):
+                cap = {(ai, mi): coef.numerator for mi, coef in ineq.integ.items() for ai in crossing}
+                yield LinearCut({}, cap, ineq.rhs.numerator, "partition", {"from": "total-capacity"}, den=1)
 
 
 # table order is admission order.  One cut-set greedy runs per instance:
@@ -233,6 +233,8 @@ class Config:
     eps: Fraction = Fraction(1, 10**6)
 
     def __post_init__(self):
+        if isinstance(self.eps, bool):
+            raise TypeError(f"eps must be a rational, got {self.eps!r}")
         try:
             self.eps = frac(self.eps)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -243,11 +245,12 @@ class Config:
             raise TypeError(f"max_rounds must be an int, got {self.max_rounds!r}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
-        if isinstance(self.families, str) or not isinstance(self.families, Sequence):
+        if (isinstance(self.families, str) or not isinstance(self.families, Sequence)
+                or not all(isinstance(name, str) for name in self.families)):
             raise TypeError(f"families must be a sequence of family names, got {self.families!r}")
         unknown = set(self.families) - set(FAMILIES)
         if unknown:
-            raise ValueError(f"families has unknown names {sorted(unknown, key=str)}; known: {FAMILIES}")
+            raise ValueError(f"families has unknown names {sorted(unknown)}; known: {FAMILIES}")
 
 
 @dataclass
@@ -388,13 +391,12 @@ class Separation:
     """Separation state of one loop: the enabled families that apply to the
     instance, in table order, the enabled ones that do not
     (``inapplicable``, their names), and the candidates of each built-once
-    family (``fixed``), pure capacity cuts that ``forms`` keeps with their
-    integer forms (``_integer_form``) for admission.  Partitions,
-    relaxations and arc rows are made on first use, so nothing is built for
-    a family that does not run.  ``last_round`` holds, per family of the
-    last ``separate_all`` call, its ``seconds``, its violated
-    ``candidates``, in the order their cuts were returned, and its
-    ``skipped`` relaxations."""
+    family (``fixed``), pure capacity cuts admitted on their ints
+    (``_admitted``).  Partitions, relaxations and arc rows are made on
+    first use, so nothing is built for a family that does not run.
+    ``last_round`` holds, per family of the last ``separate_all`` call,
+    its ``seconds``, its violated ``candidates``, in the order their cuts
+    were returned, and its ``skipped`` relaxations."""
 
     def __init__(self, instance: Instance, config: Config):
         self.instance = instance
@@ -402,8 +404,7 @@ class Separation:
         enabled = [f for f in SEPARATORS if f.name in config.families]
         self.families = [f for f in enabled if f.applies(instance)]
         self.inapplicable = [f.name for f in enabled if not f.applies(instance)]
-        self.forms = {f.name: _distinct_forms(f.build(self)) for f in self.families if f.build}
-        self.fixed = {name: [cut for cut, *_ in forms] for name, forms in self.forms.items()}
+        self.fixed = {f.name: _distinct_capacity_cuts(f.build(self)) for f in self.families if f.build}
         self._rows: dict = {}
         self.last_round: dict[str, dict] = {}
 
@@ -423,39 +424,29 @@ class Separation:
         return self._rows[mode]
 
 
-def _distinct_forms(cuts: Iterable[LinearCut | None]) -> list[tuple]:
-    """``(cut, *_integer_form(cut))`` for the pure capacity cuts, each
-    ``normalized_key()`` once at its first occurrence."""
+def _distinct_capacity_cuts(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
+    """The cuts, pure capacity cuts, each ``normalized_key()`` once at its
+    first occurrence."""
     first: dict = {}
     for cut in cuts:
         if cut is not None:
-            form = _integer_form(cut)
-            first.setdefault(cut.normalized_key(), (cut, *form))
+            if cut.flow_num:
+                raise ValueError(f"{cut.family} cut has flow terms")
+            first.setdefault(cut.normalized_key(), cut)
     return list(first.values())
 
 
-def _integer_form(cut: LinearCut) -> tuple[int, int, tuple[tuple[tuple[int, int], int], ...]]:
-    """``(den, R, ((key, C), ...))``: ``den`` times the pure capacity cut,
-    ``sum C * y >= R``, in ints; their coprime form is stored as the cut's
-    ``normalized_key()``, so the cut is cleared to integers once."""
-    if cut.flow:
-        raise ValueError(f"{cut.family} cut has flow terms")
-    den = math.lcm(cut.rhs.denominator, *(coef.denominator for coef in cut.cap.values()))
-    rhs, *coefs = _scaled([cut.rhs, *cut.cap.values()], den)
-    g = math.gcd(rhs, *coefs)
-    cut._key = ((), tuple(sorted(zip(cut.cap, (coef // g for coef in coefs)))), rhs // g)
-    return den, rhs, tuple(zip(cut.cap, coefs))
-
-
-def _admitted(forms, scaled: cutset_cuts.ScaledPoint, eps: Fraction):
-    """(cut, exact violation) for each form ``(cut, den, R, terms)`` violated
-    by more than eps at the point ``scaled``, whose ``y`` is D times the
-    point's.  The violation is ``(R*D - sum C*Y) / (den*D)``, so the test
-    runs on ints and a ``Fraction`` is built only for an admitted cut."""
+def _admitted(cuts: Iterable[LinearCut], scaled: cutset_cuts.ScaledPoint, eps: Fraction):
+    """(cut, exact violation) for each pure capacity cut violated by more
+    than eps at the point ``scaled``, whose ``y`` is D times the point's.
+    The cut holds ``den`` times itself, ``sum C*y >= R``, in ints, so its
+    violation is ``(R*D - sum C*Y) / (den*D)``: the test runs on ints and
+    a ``Fraction`` is built only for an admitted cut."""
     D, Y = scaled.D, scaled.y
     eps_num, eps_den = eps.numerator, eps.denominator
-    for cut, den, rhs, terms in forms:
-        slack = rhs * D - sum(coef * Y[a][m] for (a, m), coef in terms)
+    for cut in cuts:
+        den = cut.den
+        slack = cut.rhs_num * D - sum(coef * Y[a][m] for (a, m), coef in cut.cap_num.items())
         if slack * eps_den > eps_num * den * D:
             yield cut, Fraction(slack, den * D)
 
@@ -464,8 +455,8 @@ def separate_all(sep: Separation, point: FractionalPoint):
     """One round: every family of ``sep`` in table order; returns (cut,
     exact violation) pairs for the candidates violated by more than eps
     and records each family's time and counts in ``sep.last_round``.  The
-    built-once candidates are admitted on their integer forms, at the
-    point's one scaling, which the cut-set relaxations share; the cut-set
+    built-once candidates are admitted on their ints, at the point's one
+    scaling, which the cut-set relaxations share; the cut-set
     family that runs (``flowcutset`` or ``mf``) offers each key once, and
     its cuts carry the exact violation their separator scored."""
     found: list[tuple[LinearCut, Fraction]] = []
@@ -473,7 +464,7 @@ def separate_all(sep: Separation, point: FractionalPoint):
     for fam in sep.families:
         t0, before = time.perf_counter(), len(found)
         if fam.build:
-            found.extend(_admitted(sep.forms[fam.name], cutset_cuts.scaled_point(sep.instance, point), sep.eps))
+            found.extend(_admitted(sep.fixed[fam.name], cutset_cuts.scaled_point(sep.instance, point), sep.eps))
         else:
             for cut in fam.separate(sep, point):
                 if cut is not None:
@@ -876,7 +867,7 @@ def validate_cuts(
     routing = _Routing(instance, [cut.flow for cut in cuts])
     grid_idx = []
     for idx, cut in enumerate(cuts):
-        if not cut.flow and all(v >= 0 for v in cut.cap.values()):
+        if not cut.flow_num and all(v >= 0 for v in cut.cap_num.values()):
             verdicts[idx] = _validate_pure_capacity(cut, instance, routing)
         else:
             grid_idx.append(idx)
@@ -904,10 +895,8 @@ def _shortfall(cut: LinearCut, keys) -> Callable[[tuple], tuple[int, int]]:
     """``t -> (num, den)`` with ``num / den = rhs - y part`` of ``cut`` at the
     grid point ``t`` (counts over ``keys``), in ints."""
     position = {key: i for i, key in enumerate(keys)}
-    terms = {position[key]: coef for key, coef in cut.cap.items() if key in position}
-    den = math.lcm(cut.rhs.denominator, *(coef.denominator for coef in terms.values()))
-    rhs, *coefs = _scaled([cut.rhs, *terms.values()], den)
-    terms = list(zip(terms, coefs))
+    terms = [(position[key], coef) for key, coef in cut.cap_num.items() if key in position]
+    rhs, den = cut.rhs_num, cut.den
     return lambda t: (rhs - sum(c * t[i] for i, c in terms), den)
 
 
@@ -920,18 +909,17 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routin
     routability exactly (``routing.routable``) at the maximal ones, where
     raising any key would reach the rhs: routability only grows with
     capacity, so a routable pattern below the rhs exists iff a maximal one
-    does.  The walk runs on ints: the cut cleared of denominators, and each
-    arc's capacity times ``routing.scale``.
+    does.  The walk runs on ints: the cut's own, and each arc's capacity
+    times ``routing.scale``.
     """
-    _, rhs, terms = _integer_form(cut)
-    coef_of = dict(terms)
+    rhs, coef_of = cut.rhs_num, cut.cap_num
     keys = sorted(coef_of)
     least = min(coef_of.values())
     ample, *units_of = _scaled([instance.demand.total(), *instance.facility_capacities()], routing.scale)
     # scaled capacity of each arc with every keyed variable at zero; the walk adds its units
     caps = _scaled([arc.existing_capacity for arc in instance.arcs], routing.scale)
     for ai, mi in product(range(len(instance.arcs)), range(len(instance.facilities))):
-        if (ai, mi) not in cut.cap:
+        if (ai, mi) not in coef_of:
             caps[ai] += ample
 
     counter = None

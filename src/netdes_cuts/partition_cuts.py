@@ -311,25 +311,17 @@ def knapsack_cover_from_two_partition(shrunk: ShrunkInstance) -> KnapsackCoverSe
 
 
 def expand_knapsack_cut(ineq, shrunk: ShrunkInstance) -> LinearCut | None:
-    """Map a cover-set inequality ``sum alpha_m z_m >= beta`` onto arcs."""
+    """Map a cover-set inequality ``sum alpha_m z_m >= beta`` with integer
+    coefficients, as ``hull_inequalities`` gives them, onto arcs."""
     group = shrunk.groups.get((0, 1))
     if group is None:
         return None
-    cap = {}
-    for mi, coef in ineq.integ.items():
-        if coef == 0:
-            continue
-        for ai in group:
-            cap[(ai, mi)] = coef
+    if any(v.denominator != 1 for v in (ineq.rhs, *ineq.integ.values())):
+        raise ValueError("expected a cover-set inequality with integer coefficients")
+    cap = {(ai, mi): coef.numerator for mi, coef in ineq.integ.items() if coef for ai in group}
     if not cap:
         return None
-    return LinearCut(
-        flow={},
-        cap=cap,
-        rhs=ineq.rhs,
-        family="partition",
-        params={"blocks": shrunk.partition.blocks},
-    )
+    return LinearCut({}, cap, ineq.rhs.numerator, "partition", {"blocks": shrunk.partition.blocks}, den=1)
 
 
 # -- three-partition total-capacity cuts -----------------------------------------
@@ -373,12 +365,13 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _total_capacity_lhs(shrunk: ShrunkInstance) -> dict:
+def _total_capacity_lhs(shrunk: ShrunkInstance) -> dict[tuple[int, int], int]:
+    """``c_m`` on every crossing ``y``, for integer facility sizes."""
     cap = {}
     for group in shrunk.groups.values():
         for mi, f in enumerate(shrunk.base.facilities):
             for ai in group:
-                cap[(ai, mi)] = f.capacity
+                cap[(ai, mi)] = int(f.capacity)
     return cap
 
 
@@ -415,8 +408,9 @@ def total_capacity_cuts(instance: Instance, partition: NodePartition) -> tuple[L
 
 def total_capacity_cut(shrunk: ShrunkInstance) -> LinearCut | None:
     """The stronger of the two total-capacity cuts of a shrunk
-    three-partition, the cut-set sum on a tie (``select_total_capacity_cut``'s
-    pick), with only that one built; None without crossing arcs."""
+    three-partition of an instance with integer facility sizes, the cut-set
+    sum on a tie (``select_total_capacity_cut``'s pick), with only that one
+    built; None without crossing arcs."""
     candidates = _TotalCapacity(shrunk)
     return candidates.cut(metric=candidates.metric_rhs > candidates.sum_rhs)
 
@@ -449,10 +443,10 @@ class _TotalCapacity:
         if metric:
             d = {pair: Fraction(v, L) for pair, v in d.items()}
             params = {"blocks": blocks, "pair_sums": self.pair_sums, "d": d}
-            return LinearCut({}, cap, Fraction(self.metric_rhs), "threepartition-metric", params)
+            return LinearCut({}, cap, self.metric_rhs, "threepartition-metric", params, den=1)
         s, t = tuple(Fraction(v, L) for v in s), tuple(Fraction(v, L) for v in t)
         params = {"blocks": blocks, "s": s, "t": t, "sum": self.total, "rounded": self.total % 2 == 1}
-        return LinearCut({}, cap, Fraction(self.sum_rhs), "threepartition", params)
+        return LinearCut({}, cap, self.sum_rhs, "threepartition", params, den=1)
 
 
 def select_total_capacity_cut(candidates: Sequence[LinearCut]) -> LinearCut:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from netdes_cuts import simplex
 from netdes_cuts.core import (
     Arc,
     DemandMatrix,
@@ -20,6 +22,7 @@ from netdes_cuts.core import (
     instance_to_dict,
     validate_instance,
 )
+from netdes_cuts.lp import build_relaxation
 
 
 rationals = st.fractions(
@@ -210,8 +213,7 @@ def test_instance_roundtrip_json():
 def test_linear_cut_normalization_and_violation():
     cut = LinearCut({(0, 0): F(2)}, {(0, 0): F(4)}, F(6), "test")
     key = cut.normalized_key()
-    scaled = cut.scaled_integral()
-    assert scaled.flow[(0, 0)] == 1 and scaled.cap[(0, 0)] == 2 and scaled.rhs == 3
+    assert key == ((((0, 0), 1),), (((0, 0), 2),), 3)
     assert LinearCut({(0, 0): F(1)}, {(0, 0): F(2)}, F(3), "other").normalized_key() == key
     point = FractionalPoint(x={(0, 0): F(1)}, y={(0, 0): F(1, 2)})
     assert cut.violation(point) == F(6) - F(2) - F(2)
@@ -246,6 +248,57 @@ def test_normalized_key_shared_exactly_by_positive_multiples(flow, cap, rhs, sca
     if any(flow2.values()) or any(cap2.values()):
         other = LinearCut(flow2, cap2, rhs2, "c")
         assert (other.normalized_key() == cut.normalized_key()) == _positive_multiple(other, cut)
+
+
+_THREE_ARCS = Instance(
+    nodes=[1, 2, 3],
+    arcs=[Arc(1, 2), Arc(2, 3), Arc(1, 3)],
+    facilities=[Facility(1, (F(1), F(1), F(1))), Facility(3, (F(2), F(2), F(2)))],
+    demand=DemandMatrix({(1, 3): F(1), (2, 3): F(2)}),
+)
+
+
+def _float_row(row, negated):
+    vals, rhs, scale = simplex._tableau_row(row[0], row[2], negated, simplex._FLOAT)
+    return [v.hex() for v in vals], rhs.hex(), scale.hex()
+
+
+@given(_entries, _entries, _coefficient, st.integers(1, 6), _entries, _entries)
+def test_cut_built_from_ints_is_the_cut_built_from_fractions(flow, cap, rhs, multiple, x, y):
+    """A cut built from ints over a denominator, not necessarily the least,
+    is the cut built from the equal ``Fraction``s: equal, with one key, the
+    same ``Fraction`` views in the same order, the same violation, the
+    same relaxation row and bit-identical float tableau rows."""
+    if not any(flow.values()) and not any(cap.values()):
+        return
+    den = multiple * math.lcm(rhs.denominator, *(v.denominator for v in (*flow.values(), *cap.values())))
+    ints = LinearCut({k: int(v * den) for k, v in flow.items()}, {k: int(v * den) for k, v in cap.items()},
+                     int(rhs * den), "a", {"p": 1}, den=den)
+    fractions = LinearCut(flow, cap, rhs, "a", {"p": 1})
+    assert fractions.flow == {k: v for k, v in flow.items() if v} and fractions.rhs == rhs
+    assert ints == fractions and ints.normalized_key() == fractions.normalized_key()
+    for got, want in ((ints.flow, fractions.flow), (ints.cap, fractions.cap)):
+        assert [(k, v, type(v)) for k, v in got.items()] == [(k, v, type(v)) for k, v in want.items()]
+    assert (ints.rhs, type(ints.rhs)) == (fractions.rhs, type(fractions.rhs))
+    point = FractionalPoint(x=x, y=y)
+    assert (ints.violation(point), type(ints.violation(point))) == (fractions.violation(point), F)
+    row, = build_relaxation(_THREE_ARCS, [ints]).rows[-1:]
+    want, = build_relaxation(_THREE_ARCS, [fractions]).rows[-1:]
+    assert list(row[0].items()) == list(want[0].items()) and row[1:] == want[1:]
+    for negated in (False, True):
+        assert _float_row(row, negated) == _float_row(want, negated)
+
+
+def test_cut_from_ints_refuses_a_float_a_denominator_and_zeros():
+    with pytest.raises(TypeError):
+        LinearCut({(0, 0): 1.5}, {}, 1, "a", den=2)
+    with pytest.raises(TypeError):
+        LinearCut({}, {(0, 0): 1}, 0.5, "a", den=2)
+    for den in (0, -1):
+        with pytest.raises(ValueError):
+            LinearCut({}, {(0, 0): 1}, 1, "a", den=den)
+    with pytest.raises(ValueError):
+        LinearCut({(0, 0): 0}, {(1, 0): 0}, 1, "a", den=3)
 
 
 def test_linear_cut_requires_nonzero():

@@ -53,12 +53,14 @@ def test_config_validation():
         (dict(max_rounds=0), ValueError, "max_rounds"),
         (dict(families="mf"), TypeError, "families"),
         (dict(families=("nonsense",)), ValueError, "families"),
+        (dict(families=[["mf"]]), TypeError, "families"),
         (dict(eps=1e-10), TypeError, "eps"),
+        (dict(eps=True), TypeError, "eps"),
         (dict(eps="abc"), ValueError, "eps"),
         (dict(eps=F(0)), ValueError, "eps"),
     ],
-    ids=["rounds-float", "rounds-bool", "rounds-0", "families-string", "families-unknown",
-         "eps-float", "eps-text", "eps-0"],
+    ids=["rounds-float", "rounds-bool", "rounds-0", "families-string", "families-unknown", "families-nested",
+         "eps-float", "eps-bool", "eps-text", "eps-0"],
 )
 def test_config_refuses_a_bad_field_by_name(kwargs, error, field):
     """``Config(...)`` itself raises, and the message starts with the field."""
@@ -301,14 +303,14 @@ def _assert_same_admission(sep, point):
     in order, each with that violation, at either scaling of the point."""
     for scaled in _scalings(sep.instance, point):
         for name in sep.fixed:
-            got = list(engine._admitted(sep.forms[name], scaled, sep.eps))
+            got = list(engine._admitted(sep.fixed[name], scaled, sep.eps))
             want = _fraction_admitted(sep, name, point)
             assert [id(cut) for cut, _ in got] == [id(cut) for cut, _ in want]
             assert [(v, type(v)) for _, v in got] == [(v, type(v)) for _, v in want]
 
 
 def test_integer_admission_matches_fraction_violation(monkeypatch):
-    """Built-once candidates admitted on their integer forms, at the point's
+    """Built-once candidates admitted on their ints, at the point's
     shared scaling and at one by its ``y`` alone, are exactly those whose
     ``Fraction`` violation exceeds eps: at every golden round
     point, at random points with denominators up to MAX_DENOMINATOR, and
@@ -339,14 +341,15 @@ def test_integer_admission_matches_fraction_violation(monkeypatch):
                 assert cut.violation(point) == violation
                 _assert_same_admission(sep, point)
                 for scaled in _scalings(inst, point):
-                    got = engine._admitted(sep.forms[name], scaled, sep.eps)
+                    got = engine._admitted(sep.fixed[name], scaled, sep.eps)
                     assert any(c is cut for c, _ in got) == admitted
 
 
 def test_built_once_keys_are_those_of_the_cut_coefficients():
-    """Each built-once candidate's key, stored when its integer form is
-    cleared, is the ``normalized_key()`` a fresh copy of the cut computes
-    from its coefficients, and the candidates' keys are distinct."""
+    """Each built-once candidate's key, read from the ints it was built
+    from, is the ``normalized_key()`` a fresh copy of the cut computes
+    from its ``Fraction`` coefficients, and the candidates' keys are
+    distinct."""
     for gen in (dict(seed=3, nodes=6, density=0.7, facilities=(1, 3)),
                 dict(seed=3, nodes=10, density=0.4, facilities=(1,))):
         sep = engine.Separation(generate_instance(**gen), Config())
