@@ -13,7 +13,6 @@ from .core import (
     build_aggregated_commodities,
     build_disaggregated_commodities,
     frac,
-    installation_cost,
     load_instance,
     save_instance,
     validate_instance,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .core import ZERO, Instance, LinearCut, frac, integral_scale
+from .core import ZERO, Instance, LinearCut, frac
 from .mir import ceil_frac, floor_frac, frac_part
 
 SPLITTABLE = "splittable"
@@ -35,19 +35,6 @@ class ArcInequality:
         self.coefs = {i: frac(v) for i, v in self.coefs.items() if frac(v) != 0}
         self.const = frac(self.const)
         self.y_coef = frac(self.y_coef)
-
-    def violation(self, xbar: Mapping[int, Fraction], ybar) -> Fraction:
-        lhs = sum((v * frac(xbar.get(i, 0)) for i, v in self.coefs.items()), ZERO)
-        return lhs - self.const - self.y_coef * frac(ybar)
-
-    def normalized(self):
-        """Integer-cleared canonical tuple for equality checks."""
-        s = integral_scale([*self.coefs.values(), self.const, self.y_coef])
-        return (
-            tuple(sorted((i, v * s) for i, v in self.coefs.items())),
-            self.const * s,
-            self.y_coef * s,
-        )
 
 
 @dataclass(frozen=True)
@@ -220,20 +207,6 @@ def c_strong_cut(rel: ArcSetRelaxation, S: Iterable[int]) -> ArcInequality:
     )
 
 
-def is_maximal_c_strong(rel: ArcSetRelaxation, S: Iterable[int]) -> bool:
-    """Facet test: dropping keeps c_S, adding raises it by exactly one."""
-    _require_normalized(rel)
-    S = set(S)
-    c0 = c_strong_value(rel, S)
-    for i in S:
-        if c_strong_value(rel, S - {i}) != c0:
-            return False
-    for i in range(rel.n):
-        if i not in S and c_strong_value(rel, S | {i}) != c0 + 1:
-            return False
-    return True
-
-
 def separate_c_strong(
     rel: ArcSetRelaxation,
     xbar: Mapping[int, Fraction] | Sequence,
@@ -292,33 +265,6 @@ def k_split_c_strong_cut(rel: ArcSetRelaxation, S: Iterable[int], k: int) -> Arc
         Fraction(k),
         params={"S": tuple(S), "k": k, "c_Sk": c_sk},
     )
-
-
-def k_split_facet_check(rel: ArcSetRelaxation, S: Iterable[int], k: int) -> bool:
-    """Sufficient facet conditions for the k-split cut (not necessary)."""
-    _require_normalized(rel)
-    S = set(S)
-    rho = [frac_part(k * v) for v in rel.a]
-    rho0 = frac_part(k * rel.a0)
-
-    def g(T):
-        return len(T) - ceil_frac(sum((rho[i] for i in T), ZERO) - rho0)
-
-    g0 = g(S)
-    for i in S:
-        if g(S - {i}) != g0:
-            return False
-    for i in range(rel.n):
-        if i not in S and g(S | {i}) != g0 + 1:
-            return False
-    f_S = frac_part(rel.a_sum(S) - rel.a0)
-    if not (f_S > Fraction(k - 1, k) and rel.a0 >= 0):
-        return False
-    if any(rel.a[i] <= f_S for i in S):
-        return False
-    if any(rel.a[i] >= 1 - f_S for i in range(rel.n) if i not in S):
-        return False
-    return True
 
 
 def _require_normalized(rel: ArcSetRelaxation):

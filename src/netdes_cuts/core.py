@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Sequence
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+MAX_DENOMINATOR = 10**6  # rationalization of a float, such as a float LP point
 
 AGGREGATED = "aggregated"
 DISAGGREGATED = "disaggregated"
@@ -35,17 +36,6 @@ def frac(value) -> Fraction:
     return Fraction(value)
 
 
-def integral_scale(values: Iterable[Fraction]) -> Fraction:
-    """Positive factor that clears ``values`` to coprime integers.
-
-    The lcm of the denominators over the gcd of the numerators it scales
-    to; 1 when every value is zero.
-    """
-    values = list(values)
-    lcm = math.lcm(*(v.denominator for v in values))
-    return Fraction(lcm, math.gcd(*(v.numerator * (lcm // v.denominator) for v in values)) or 1)
-
-
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:
@@ -53,7 +43,7 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def rationalize(x: float, max_denominator: int = 10**6) -> Fraction:
+def rationalize(x: float, max_denominator: int = MAX_DENOMINATOR) -> Fraction:
     """Nearest rational with bounded denominator (continued fractions)."""
     if isinstance(x, Fraction):
         return x
@@ -175,32 +165,6 @@ def build_disaggregated_commodities(demand: DemandMatrix, nodes: Sequence[int]) 
     return out
 
 
-def installation_cost(z, c1, c2, d1, d2) -> Fraction:
-    """Least cost of covering ``z`` units with two facility sizes.
-
-    Exact integer-programming minimum of ``d1*y1 + d2*y2`` subject to
-    ``c1*y1 + c2*y2 >= z`` over nonnegative integers.  Requires ``c1 < c2``
-    and economies of scale ``d1/c1 > d2/c2``.
-    """
-    z, c1, c2, d1, d2 = frac(z), frac(c1), frac(c2), frac(d1), frac(d2)
-    if z < 0:
-        raise ValueError(f"negative capacity requirement {z}")
-    if not (0 < c1 < c2):
-        raise ValueError("facility sizes must satisfy 0 < c1 < c2")
-    if d1 / c1 <= d2 / c2:
-        raise ValueError("expected economies of scale d1/c1 > d2/c2")
-    if z == 0:
-        return ZERO
-    best = None
-    for y2 in range(math.ceil(z / c2) + 1):
-        rest = z - c2 * y2
-        y1 = max(0, math.ceil(rest / c1))
-        cost = d1 * y1 + d2 * y2
-        if best is None or cost < best:
-            best = cost
-    return best
-
-
 class Instance:
     """A directed network design instance.
 
@@ -302,13 +266,6 @@ class Instance:
 
     def facility_capacities(self) -> tuple[Fraction, ...]:
         return tuple(f.capacity for f in self.facilities)
-
-    def arc_capacity(self, ai: int, y: Mapping[tuple[int, int], Fraction]) -> Fraction:
-        """Total capacity of arc ``ai`` under installation vector ``y``."""
-        cap = self.arcs[ai].existing_capacity
-        for mi, f in enumerate(self.facilities):
-            cap += f.capacity * y.get((ai, mi), ZERO)
-        return cap
 
     def integral_capacities(self) -> bool:
         return all(f.capacity.denominator == 1 for f in self.facilities)
@@ -469,9 +426,6 @@ class LinearCut:
         for key, n in self.cap_num.items():
             lhs += n * point.y.get(key, ZERO)
         return lhs
-
-    def lhs_value(self, point: FractionalPoint) -> Fraction:
-        return self._lhs_num(point) / self.den
 
     def violation(self, point: FractionalPoint) -> Fraction:
         """Positive iff the point violates the cut; a point must not be

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Container, Iterable, Sequence
 
-from .core import ZERO, FractionalPoint, Instance, LinearCut, frac
+from .core import ZERO, FractionalPoint, Instance, LinearCut
 from .mir import PhiParams, ceil_frac, phi_minus, phi_plus
 
 GREEDY_ROUNDS = 5             # passes of the greedy arc selection on a moving remainder
@@ -74,7 +74,6 @@ class CutSetRelaxation:
     A_plus: tuple[int, ...]   # arc indices U -> V
     A_minus: tuple[int, ...]  # arc indices V -> U
     b: tuple[Fraction, ...]   # per-commodity net demand that must cross
-    infeasible: bool = False
     _view: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def view(self, point: FractionalPoint) -> IntegerView:
@@ -97,20 +96,19 @@ class CutSetRelaxation:
 class ScaledPoint:
     """An instance's data and one point's coordinates times D, on integers.
 
-    D is the lcm of the denominators of the facility sizes (``caps`` when
-    given), of every commodity's net demands, of every existing capacity
-    and of the point's ``x`` and ``y``.  ``caps[m]``, ``cbar[a]``,
-    ``x[a][k]`` and ``y[a][m]`` hold the scaled values, indexed by
-    facility, arc and commodity; ``scaled(v)`` scales one more value whose
-    denominator divides D, such as a relaxation's ``b_k``.
+    D is the lcm of the denominators of the facility sizes, of every
+    commodity's net demands, of every existing capacity and of the point's
+    ``x`` and ``y``.  ``caps[m]``, ``cbar[a]``, ``x[a][k]`` and ``y[a][m]``
+    hold the scaled values, indexed by facility, arc and commodity;
+    ``scaled(v)`` scales one more value whose denominator divides D, such
+    as a relaxation's ``b_k``.
     """
 
-    def __init__(self, instance: Instance, point: FractionalPoint, caps: Sequence[Fraction] | None = None):
+    def __init__(self, instance: Instance, point: FractionalPoint):
         arcs = range(len(instance.arcs))
         commodities = range(len(instance.commodities))
         facilities = range(len(instance.facilities))
-        if caps is None:
-            caps = instance.facility_capacities()
+        caps = instance.facility_capacities()
         cbar = [arc.existing_capacity for arc in instance.arcs]
         dens = {v.denominator for v in caps}
         dens.update(v.denominator for com in instance.commodities for v in com.net_demand.values())
@@ -285,7 +283,7 @@ def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None =
     b = tuple(
         sum((com.w(n) for n in V), ZERO) for com in instance.commodities
     )
-    rel = CutSetRelaxation(
+    return CutSetRelaxation(
         instance=instance,
         U=U,
         V=V,
@@ -293,9 +291,6 @@ def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None =
         A_minus=tuple(a_minus),
         b=b,
     )
-    if not a_plus and sum(b, ZERO) > rel.cbar(()):
-        rel.infeasible = True
-    return rel
 
 
 def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
@@ -317,8 +312,14 @@ def _cut(
     coefficients ``phi+(c_m)`` on S+ and ``phi-(c_m)`` on S- for each
     facility m of ``facilities``, rounded on the base facility
     ``sel.facility``, built from the integers of ``view`` over its D; None
-    when its ``normalized_key()`` is in ``skip``.  Degenerate remainders
-    (r = 0) are rejected: the cut would be implied.  An ``mf`` cut's
+    when its ``normalized_key()`` is in ``skip``.  On one facility it reads
+    ``r*y(S+) + x_Q(A+ \\ S+) + (c-r)*y(S-) - x_Q(S-) >= r*eta - cbar(S-)``,
+    as ``phi+(c) = r`` and ``phi-(c) = c - r``.  The existing-capacity
+    constant of the inflow bracket ``cbar(S-) + c*y(S-) - x_Q(S-) >= 0``
+    lands on the right-hand side; dropping it (as a naive reading of the
+    aggregated form suggests) is refuted by brute-force counterexamples
+    whenever S- carries existing capacity.  Degenerate remainders (r = 0)
+    are rejected: the cut would be implied.  An ``mf`` cut's
     params also name the base facility ``s`` and a ``facet_report`` on the
     proper arc subsets, the remainder and the demands of Q, read from the
     view's integers."""
@@ -359,25 +360,6 @@ def _scored(cut: LinearCut | None, view: IntegerView, point: FractionalPoint, sc
     if cut is not None:
         cut._violation = (point, Fraction(score, view.D * view.D))
     return cut
-
-
-def flow_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection, capacity=None) -> LinearCut:
-    """Mixed rounding cut over capacity on (S+, S-) and flow elsewhere.
-
-    ``r*y(S+) + x_Q(A+ \\ S+) + (c-r)*y(S-) - x_Q(S-) >= r*eta - cbar(S-)``
-    where r and eta come from rounding ``b'_Q / c``.  The existing-capacity
-    constant of the inflow bracket ``cbar(S-) + c*y(S-) - x_Q(S-) >= 0``
-    lands on the right-hand side; dropping it (as a naive reading of the
-    aggregated form suggests) is refuted by brute-force counterexamples
-    whenever S- carries existing capacity.  Degenerate remainders (r = 0)
-    are rejected: the cut would be implied.  This is the multi-facility cut
-    restricted to the one facility, as ``phi+(c) = r`` and ``phi-(c) = c - r``.
-    """
-    caps = list(rel.instance.facility_capacities())
-    if capacity is not None:
-        caps[sel.facility] = frac(capacity)
-    view = IntegerView(rel, ScaledPoint(rel.instance, FractionalPoint(), caps))
-    return _cut(rel, view, sel, (sel.facility,), "flowcutset")
 
 
 def _prefer_capacity(cap_term, flow_term) -> bool:
@@ -560,19 +542,6 @@ def separate_commodity_subset(
 
 
 # -- multiple facilities --------------------------------------------------------
-
-
-def multifacility_cutset_cut(rel: CutSetRelaxation, sel: FlowCutSelection) -> LinearCut:
-    """Flow-cut-set cut with subadditive coefficients for every facility.
-
-    The base facility ``sel.facility`` fixes the rounding parameters; the
-    other facilities' capacity variables enter through the closed-form
-    functions so the cut stays valid for arbitrary (rational) sizes.  As
-    in the single-facility case, existing capacity on S- shifts the
-    right-hand side down.
-    """
-    view = IntegerView(rel, ScaledPoint(rel.instance, FractionalPoint()))
-    return _cut(rel, view, sel, tuple(range(len(rel.instance.facilities))), "mf")
 
 
 def separate_multifacility(

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import arc_cuts, cutset_cuts, lp, partition_cuts
 from .core import (
+    MAX_DENOMINATOR,
     ZERO,
     Arc,
     DemandMatrix,
@@ -58,7 +59,6 @@ from .mir import KnapsackCoverSet, hull_inequalities
 from .simplex import solve_lp  # noqa: F401
 
 K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
-MAX_DENOMINATOR = 10**6      # rationalization of the float LP point
 PARTITION_LIMIT = 8          # exhaustive two-partitions up to this many nodes
 THREE_PARTITION_LIMIT = 6    # exhaustive three-partitions up to this many nodes
 N_RANDOM_PARTITIONS = 20     # sampled partitions above those limits

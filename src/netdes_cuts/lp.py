@@ -27,6 +27,7 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from .core import (
+    MAX_DENOMINATOR,
     ZERO,
     FractionalPoint,
     Instance,
@@ -93,7 +94,7 @@ class LPSolution(LPResult):
     start: str = "cold"
     instance: Instance | None = None
 
-    def point(self, max_denominator: int = 10**6) -> FractionalPoint:
+    def point(self, max_denominator: int = MAX_DENOMINATOR) -> FractionalPoint:
         """Exact rational snapshot of the (x, y) part of the solution, with
         the largest ``|x_float - x_rational|`` as its ``rationalization_error``.
         An exact zero (``-0.0`` too) is left out unrationalized: it is its
@@ -221,17 +222,6 @@ class RoutingCertificate:
 
     v: dict  # arc index -> Fraction >= 0
     u: dict  # (commodity index, node) -> Fraction, zero at the source
-
-    def cone_violations(self, instance: Instance) -> list:
-        """Constraints ``v_ij >= u_kj - u_ki`` that fail (empty = member)."""
-        bad = []
-        for ai, arc in enumerate(instance.arcs):
-            va = self.v.get(ai, ZERO)
-            for ki in range(len(instance.commodities)):
-                lhs = va - self.u.get((ki, arc.head), ZERO) + self.u.get((ki, arc.tail), ZERO)
-                if lhs < 0:
-                    bad.append((ai, ki, lhs))
-        return bad
 
     def demand_side(self, instance: Instance) -> Fraction:
         total = ZERO

@@ -30,7 +30,6 @@ from .core import (
     LinearCut,
 )
 from .lp import RoutingCertificate, check_feasible_routing
-from .mir import KnapsackCoverSet, ceil_frac
 
 # arc weights + node potentials certifying routing infeasibility; also the
 # generator data of a metric inequality
@@ -234,8 +233,8 @@ def _weakly_connected(instance: Instance, nodes: Sequence[int]) -> bool:
 # -- metric inequalities --------------------------------------------------------
 
 
-def metric_cut_from_vector(vector: MetricVector, instance: Instance, integral: bool = False) -> LinearCut:
-    """Capacity inequality generated by (v, u); optionally integer-rounded."""
+def metric_cut_from_vector(vector: MetricVector, instance: Instance) -> LinearCut:
+    """Capacity inequality generated by (v, u)."""
     rhs = vector.demand_side(instance) - sum(
         (instance.arcs[ai].existing_capacity * va for ai, va in vector.v.items()), ZERO
     )
@@ -243,13 +242,11 @@ def metric_cut_from_vector(vector: MetricVector, instance: Instance, integral: b
     for ai, va in vector.v.items():
         for mi, f in enumerate(instance.facilities):
             cap[(ai, mi)] = va * f.capacity
-    if integral:
-        rhs = Fraction(ceil_frac(rhs))
     return LinearCut(
         flow={},
         cap=cap,
         rhs=rhs,
-        family="metric-integral" if integral else "metric",
+        family="metric",
         params={"v": dict(vector.v), "u": dict(vector.u)},
     )
 
@@ -276,38 +273,7 @@ def separate_metric(instance: Instance, capacities: Sequence):
     return vector, metric_cut_from_vector(vector, instance)
 
 
-def integral_metric_cut(vector: MetricVector, instance: Instance) -> LinearCut:
-    """Rounded metric inequality; requires integral generator data."""
-    if any(va.denominator != 1 for va in vector.v.values()) or any(
-        uv.denominator != 1 for uv in vector.u.values()
-    ):
-        raise ValueError("integral rounding needs integral (v, u)")
-    if not instance.integral_capacities():
-        raise ValueError("integral rounding needs integer facility sizes")
-    return metric_cut_from_vector(vector, instance, integral=True)
-
-
-# -- knapsack covers and partition inequalities ----------------------------------
-
-
-def knapsack_cover_from_two_partition(shrunk: ShrunkInstance) -> KnapsackCoverSet | None:
-    """Crossing-capacity requirement of a 2-block shrunk instance.
-
-    The demand from block 0 into block 1 minus existing crossing capacity
-    must be covered by installed units: ``sum c_m z_m >= b`` with ``z_m``
-    standing for the total count of facility m on crossing arcs.
-    """
-    if shrunk.partition.p != 2:
-        raise ValueError("expected a two-block partition")
-    if not shrunk.base.integral_capacities():
-        raise ValueError("knapsack covers need integer facility sizes")
-    b = shrunk.net((0, 1))
-    if b <= 0:
-        return None
-    return KnapsackCoverSet(
-        capacities=tuple(int(f.capacity) for f in shrunk.base.facilities),
-        rhs=Fraction(b, shrunk.scale),
-    )
+# -- partition inequalities --------------------------------------------------------
 
 
 def expand_knapsack_cut(ineq, shrunk: ShrunkInstance) -> LinearCut | None:
@@ -327,21 +293,14 @@ def expand_knapsack_cut(ineq, shrunk: ShrunkInstance) -> LinearCut | None:
 # -- three-partition total-capacity cuts -----------------------------------------
 
 
-@dataclass
-class ThreePartitionData:
-    """Per-block surpluses and the six directed metric right-hand sides."""
-
-    s: tuple[Fraction, Fraction, Fraction]  # outgoing traffic minus capacity
-    t: tuple[Fraction, Fraction, Fraction]  # incoming traffic minus capacity
-    d: dict[tuple[int, int], Fraction]
-
-
 _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def _three_partition_sums(shrunk: ShrunkInstance) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
-    """``s``, ``t`` and ``d`` of ``three_partition_data`` times
-    ``shrunk.scale``, as ints, from each block pair's net computed once."""
+    """Per block its outgoing (``s``) and incoming (``t``) traffic minus
+    capacity, and the six directed metric right-hand sides ``d``, all
+    times ``shrunk.scale``, as ints, from each block pair's net computed
+    once."""
     if shrunk.partition.p != 3:
         raise ValueError("expected a three-block partition")
     net = {pair: shrunk.net(pair) for pair in _ORDERED_PAIRS}
@@ -349,16 +308,6 @@ def _three_partition_sums(shrunk: ShrunkInstance) -> tuple[tuple[int, ...], tupl
     t = tuple(sum(net[(j, i)] for j in range(3) if j != i) for i in range(3))
     d = {(i, j): net[(i, j)] + net[(i, 3 - i - j)] + net[(j, 3 - i - j)] for i, j in _ORDERED_PAIRS}
     return s, t, d
-
-
-def three_partition_data(shrunk: ShrunkInstance) -> ThreePartitionData:
-    s, t, d = _three_partition_sums(shrunk)
-    L = shrunk.scale
-    return ThreePartitionData(
-        s=tuple(Fraction(v, L) for v in s),
-        t=tuple(Fraction(v, L) for v in t),
-        d={pair: Fraction(v, L) for pair, v in d.items()},
-    )
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -383,7 +332,9 @@ def three_partition_cut(instance: Instance, partition: NodePartition) -> LinearC
     ``2 sum c_m y``; an odd right-hand side strengthens under division by
     two.  Emitted in the divided normal form either way.
     """
-    return total_capacity_cuts(instance, partition)[0]
+    if not instance.integral_capacities():
+        raise ValueError("total-capacity cuts need integer facility sizes")
+    return _TotalCapacity(shrink(instance, partition)).cut(metric=False)
 
 
 def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> LinearCut | None:
@@ -394,23 +345,16 @@ def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> 
     halving gives a cut with the same left-hand side as the cut-set sum,
     possibly stronger, possibly weaker.
     """
-    return total_capacity_cuts(instance, partition)[1]
-
-
-def total_capacity_cuts(instance: Instance, partition: NodePartition) -> tuple[LinearCut | None, LinearCut | None]:
-    """``three_partition_cut`` and ``three_partition_metric_cut`` of one
-    three-partition, from one shrink and one integer ``s``, ``t``, ``d``."""
     if not instance.integral_capacities():
         raise ValueError("total-capacity cuts need integer facility sizes")
-    candidates = _TotalCapacity(shrink(instance, partition))
-    return candidates.cut(metric=False), candidates.cut(metric=True)
+    return _TotalCapacity(shrink(instance, partition)).cut(metric=True)
 
 
 def total_capacity_cut(shrunk: ShrunkInstance) -> LinearCut | None:
     """The stronger of the two total-capacity cuts of a shrunk
     three-partition of an instance with integer facility sizes, the cut-set
-    sum on a tie (``select_total_capacity_cut``'s pick), with only that one
-    built; None without crossing arcs."""
+    sum on a tie, with only that one built; None without crossing
+    arcs."""
     candidates = _TotalCapacity(shrunk)
     return candidates.cut(metric=candidates.metric_rhs > candidates.sum_rhs)
 
@@ -447,39 +391,6 @@ class _TotalCapacity:
         s, t = tuple(Fraction(v, L) for v in s), tuple(Fraction(v, L) for v in t)
         params = {"blocks": blocks, "s": s, "t": t, "sum": self.total, "rounded": self.total % 2 == 1}
         return LinearCut({}, cap, self.sum_rhs, "threepartition", params, den=1)
-
-
-def select_total_capacity_cut(candidates: Sequence[LinearCut]) -> LinearCut:
-    """Keep the strongest of same-left-hand-side total-capacity cuts."""
-    if not candidates:
-        raise ValueError("no candidates")
-    first = candidates[0]
-    for cut in candidates[1:]:
-        if cut.cap != first.cap or cut.flow != first.flow:
-            raise ValueError("total-capacity candidates must share their left-hand side")
-    return max(candidates, key=lambda cut: cut.rhs)
-
-
-def knapsack_from_total_capacity(cut: LinearCut, instance: Instance) -> tuple[KnapsackCoverSet, dict] | None:
-    """Cover set over per-facility totals implied by a total-capacity cut.
-
-    Feeds iterated MIR; returns the cover set plus the arc support of each
-    facility variable so resulting inequalities can be expanded back.
-    """
-    support: dict[int, list[int]] = {}
-    for (ai, mi), coef in cut.cap.items():
-        if coef != instance.facilities[mi].capacity:
-            return None
-        support.setdefault(mi, []).append(ai)
-    if len(support) != len(instance.facilities) or cut.rhs <= 0:
-        return None
-    return (
-        KnapsackCoverSet(
-            capacities=tuple(int(f.capacity) for f in instance.facilities),
-            rhs=cut.rhs,
-        ),
-        {mi: tuple(ais) for mi, ais in support.items()},
-    )
 
 
 # -- partition generators ---------------------------------------------------------

@@ -407,7 +407,9 @@ def _optimize(layout: _Layout, state: _State, arith: _Arithmetic, max_iter) -> L
     # a complemented marker (an appended "=" row's slack) shows -d_j
     negate = np.array([row[3] for row in layout.rows], dtype=bool) != at_upper[markers]
     duals = list(np.where(negate, -pi, pi))
-    return LPResult("optimal", list(values[: layout.n_vars]), -T[m, N], duals=duals, iterations=iters)
+    # the objective is -T[m, N], taken as ``zero - v`` so that a zero optimum is +0.0
+    objective = arith.zero - T[m, N]
+    return LPResult("optimal", list(values[: layout.n_vars]), objective, duals=duals, iterations=iters)
 
 
 def _resolve(start: LPResult, rows: Sequence[tuple], max_iter) -> LPResult:
@@ -534,6 +536,8 @@ def _pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
+    if not n:  # an LP without columns: none can enter, so the basis is optimal
+        return OPTIMAL, 0
     obj = T[m, :n]
     tol, zero = arith.tol, arith.zero
     enterable = (allow != 0) & (is_basic == 0)

@@ -1,11 +1,18 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles, the paper's checkers and reference
+implementations used by the tests.
 
-These deliberately avoid the library's cut machinery: validity is decided
-by enumerating feasible points, optima by scanning integer capacities with
-a plain LP (or by full enumeration), and separation claims by exhaustive
-subset search.
+The oracles deliberately avoid the library's cut machinery: validity is
+decided by enumerating feasible points, optima by scanning integer
+capacities with a plain LP (or by full enumeration), and separation claims
+by exhaustive subset search.  The checkers are the constructions of the
+paper that no run of the library calls: facet and maximality tests, the
+single rounding step, cone membership of a metric vector, and the
+one-facility and multi-facility cut-set cuts for a given arc selection.
+The ``reference_*`` functions are former implementations (mostly in
+``Fraction``s) that the library's integer paths are compared with.
 """
 
+import math
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import ceil
@@ -27,6 +34,213 @@ GOLDEN_4_NODE = {
     7: (31, F(127, 12)),
     8: (13, F(55, 9)),
 }
+
+
+# -- the paper's checkers and builders that only the tests call ---------------------
+
+
+def integral_scale(values):
+    """Positive factor that clears ``values`` to coprime integers.
+
+    The lcm of the denominators over the gcd of the numerators it scales
+    to; 1 when every value is zero.
+    """
+    values = list(values)
+    lcm = math.lcm(*(v.denominator for v in values))
+    return F(lcm, math.gcd(*(v.numerator * (lcm // v.denominator) for v in values)) or 1)
+
+
+def installation_cost(z, c1, c2, d1, d2):
+    """Least cost of covering ``z`` units with two facility sizes.
+
+    Exact integer-programming minimum of ``d1*y1 + d2*y2`` subject to
+    ``c1*y1 + c2*y2 >= z`` over nonnegative integers.  Requires ``c1 < c2``
+    and economies of scale ``d1/c1 > d2/c2``.
+    """
+    from netdes_cuts.core import frac
+
+    z, c1, c2, d1, d2 = frac(z), frac(c1), frac(c2), frac(d1), frac(d2)
+    if z < 0:
+        raise ValueError(f"negative capacity requirement {z}")
+    if not (0 < c1 < c2):
+        raise ValueError("facility sizes must satisfy 0 < c1 < c2")
+    if d1 / c1 <= d2 / c2:
+        raise ValueError("expected economies of scale d1/c1 > d2/c2")
+    if z == 0:
+        return ZERO
+    best = None
+    for y2 in range(math.ceil(z / c2) + 1):
+        rest = z - c2 * y2
+        y1 = max(0, math.ceil(rest / c1))
+        cost = d1 * y1 + d2 * y2
+        if best is None or cost < best:
+            best = cost
+    return best
+
+
+def arc_capacity(instance, ai, y):
+    """Total capacity of arc ``ai`` under installation vector ``y``."""
+    cap = instance.arcs[ai].existing_capacity
+    for mi, f in enumerate(instance.facilities):
+        cap += f.capacity * y.get((ai, mi), ZERO)
+    return cap
+
+
+def lhs_value(cut, point):
+    """A ``LinearCut``'s left-hand side at ``point``."""
+    return cut._lhs_num(point) / cut.den
+
+
+def arc_violation(ineq, xbar, ybar):
+    """An ``ArcInequality``'s violation at ``(xbar, ybar)``, positive iff violated."""
+    from netdes_cuts.core import frac
+
+    lhs = sum((v * frac(xbar.get(i, 0)) for i, v in ineq.coefs.items()), ZERO)
+    return lhs - ineq.const - ineq.y_coef * frac(ybar)
+
+
+def normalized(ineq):
+    """An ``ArcInequality`` as an integer-cleared canonical tuple, for equality checks."""
+    s = integral_scale([*ineq.coefs.values(), ineq.const, ineq.y_coef])
+    return (
+        tuple(sorted((i, v * s) for i, v in ineq.coefs.items())),
+        ineq.const * s,
+        ineq.y_coef * s,
+    )
+
+
+def is_maximal_c_strong(rel, S):
+    """Facet test: dropping keeps c_S, adding raises it by exactly one."""
+    from netdes_cuts.arc_cuts import _require_normalized, c_strong_value
+
+    _require_normalized(rel)
+    S = set(S)
+    c0 = c_strong_value(rel, S)
+    for i in S:
+        if c_strong_value(rel, S - {i}) != c0:
+            return False
+    for i in range(rel.n):
+        if i not in S and c_strong_value(rel, S | {i}) != c0 + 1:
+            return False
+    return True
+
+
+def k_split_facet_check(rel, S, k):
+    """Sufficient facet conditions for the k-split cut (not necessary)."""
+    from netdes_cuts.arc_cuts import _require_normalized
+    from netdes_cuts.mir import ceil_frac, frac_part
+
+    _require_normalized(rel)
+    S = set(S)
+    rho = [frac_part(k * v) for v in rel.a]
+    rho0 = frac_part(k * rel.a0)
+
+    def g(T):
+        return len(T) - ceil_frac(sum((rho[i] for i in T), ZERO) - rho0)
+
+    g0 = g(S)
+    for i in S:
+        if g(S - {i}) != g0:
+            return False
+    for i in range(rel.n):
+        if i not in S and g(S | {i}) != g0 + 1:
+            return False
+    f_S = frac_part(rel.a_sum(S) - rel.a0)
+    if not (f_S > F(k - 1, k) and rel.a0 >= 0):
+        return False
+    if any(rel.a[i] <= f_S for i in S):
+        return False
+    if any(rel.a[i] >= 1 - f_S for i in range(rel.n) if i not in S):
+        return False
+    return True
+
+
+def integer_normal_form(base):
+    """A ``BaseInequality``'s coefficients cleared to coprime integers, for comparisons."""
+    scale = integral_scale([*base.cont.values(), *base.integ.values(), base.rhs])
+    return (
+        tuple(sorted((j, v * scale) for j, v in base.cont.items())),
+        tuple(sorted((j, v * scale) for j, v in base.integ.items() if v != 0)),
+        base.rhs * scale,
+    )
+
+
+def basic_mir(b):
+    """Parameters (r, ceil(b)) of ``x + r*y >= r*ceil(b)`` for x + y >= b."""
+    from netdes_cuts.core import frac
+    from netdes_cuts.mir import ceil_frac, frac_part
+
+    b = frac(b)
+    return frac_part(b), ceil_frac(b)
+
+
+def mir_cut(base):
+    """One rounding step applied to a ``BaseInequality``.
+
+    Negative continuous terms are dropped, each integer coefficient c_j
+    becomes ``r*floor(c_j) + min(frac(c_j), r)`` and the right-hand side
+    ``r*ceil(b)``, with ``r = frac(b)``.  When b is integral the cut
+    degenerates; the base is returned unchanged so iterated application
+    can simply skip such steps.
+    """
+    from netdes_cuts.mir import BaseInequality, ceil_frac, floor_frac, frac_part
+
+    r = frac_part(base.rhs)
+    if r == 0:
+        return BaseInequality(dict(base.cont), dict(base.integ), base.rhs)
+    cont = {j: v for j, v in base.cont.items() if v > 0}
+    integ = {}
+    for j, c in base.integ.items():
+        rj = frac_part(c)
+        integ[j] = r * floor_frac(c) + min(rj, r)
+    return BaseInequality(cont, integ, r * ceil_frac(base.rhs))
+
+
+def cone_violations(vector, instance):
+    """Constraints ``v_ij >= u_kj - u_ki`` of a metric vector ``(v, u)``
+    that fail (empty = member of the metric cone)."""
+    bad = []
+    for ai, arc in enumerate(instance.arcs):
+        va = vector.v.get(ai, ZERO)
+        for ki in range(len(instance.commodities)):
+            lhs = va - vector.u.get((ki, arc.head), ZERO) + vector.u.get((ki, arc.tail), ZERO)
+            if lhs < 0:
+                bad.append((ai, ki, lhs))
+    return bad
+
+
+def integral_metric_cut(vector, instance):
+    """Rounded metric inequality; requires integral generator data."""
+    from netdes_cuts.core import LinearCut
+    from netdes_cuts.partition_cuts import metric_cut_from_vector
+
+    if any(va.denominator != 1 for va in vector.v.values()) or any(
+        uv.denominator != 1 for uv in vector.u.values()
+    ):
+        raise ValueError("integral rounding needs integral (v, u)")
+    if not instance.integral_capacities():
+        raise ValueError("integral rounding needs integer facility sizes")
+    cut = metric_cut_from_vector(vector, instance)
+    return LinearCut({}, cut.cap, ceil(cut.rhs), "metric-integral", cut.params)
+
+
+def _zero_point_cut(rel, sel, facilities, family):
+    from netdes_cuts.core import FractionalPoint
+    from netdes_cuts.cutset_cuts import IntegerView, ScaledPoint, _cut
+
+    return _cut(rel, IntegerView(rel, ScaledPoint(rel.instance, FractionalPoint())), sel, facilities, family)
+
+
+def flow_cutset_cut(rel, sel):
+    """Mixed rounding cut over capacity on (S+, S-) and flow elsewhere, on
+    the base facility ``sel.facility`` alone (see ``cutset_cuts._cut``)."""
+    return _zero_point_cut(rel, sel, (sel.facility,), "flowcutset")
+
+
+def multifacility_cutset_cut(rel, sel):
+    """Flow-cut-set cut with subadditive coefficients for every facility,
+    rounded on the base facility ``sel.facility`` (see ``cutset_cuts._cut``)."""
+    return _zero_point_cut(rel, sel, tuple(range(len(rel.instance.facilities))), "mf")
 
 
 # -- arc sets -------------------------------------------------------------------
@@ -105,7 +319,7 @@ def rc_best_violation(rel, xbar, ybar):
             cut = residual_capacity_cut(rel, S)
             if cut is None:
                 continue
-            v = cut.violation(xbar, ybar)
+            v = arc_violation(cut, xbar, ybar)
             if v > best:
                 best, best_S = v, S
     return best, best_S
@@ -146,9 +360,9 @@ def knapsack_min(capacities, rhs, obj):
 # -- cut-set relaxations ------------------------------------------------------------
 
 
-def flow_cutset_best_violation(rel, point, capacity, Q):
+def flow_cutset_best_violation(rel, point, Q):
     """Exhaustive most-violated flow-cut-set inequality over arc subsets."""
-    from netdes_cuts.cutset_cuts import FlowCutSelection, flow_cutset_cut
+    from netdes_cuts.cutset_cuts import FlowCutSelection
 
     best, best_sel = ZERO, None
     for sp_size in range(len(rel.A_plus) + 1):
@@ -157,7 +371,7 @@ def flow_cutset_best_violation(rel, point, capacity, Q):
                 for S_minus in combinations(rel.A_minus, sm_size):
                     sel = FlowCutSelection(tuple(Q), S_plus, S_minus)
                     try:
-                        cut = flow_cutset_cut(rel, sel, capacity)
+                        cut = flow_cutset_cut(rel, sel)
                     except ValueError:
                         continue
                     v = cut.violation(point)
@@ -167,7 +381,7 @@ def flow_cutset_best_violation(rel, point, capacity, Q):
 
 
 def multifacility_best_violation(rel, point, s, Q):
-    from netdes_cuts.cutset_cuts import FlowCutSelection, multifacility_cutset_cut
+    from netdes_cuts.cutset_cuts import FlowCutSelection
 
     best, best_sel = ZERO, None
     for sp_size in range(len(rel.A_plus) + 1):
@@ -227,13 +441,13 @@ def _phi_cut(rel, sel, sizes, family):
 
 
 def reference_flow_cutset_cut(rel, sel, capacity=None):
-    """Fraction reference for ``cutset_cuts.flow_cutset_cut``."""
+    """Fraction reference for ``flow_cutset_cut``."""
     c = F(capacity) if capacity is not None else rel.instance.facilities[sel.facility].capacity
     return _phi_cut(rel, sel, {sel.facility: c}, "flowcutset")
 
 
 def reference_multifacility_cutset_cut(rel, sel):
-    """Fraction reference for ``cutset_cuts.multifacility_cutset_cut``."""
+    """Fraction reference for ``multifacility_cutset_cut``."""
     cut = _phi_cut(rel, sel, dict(enumerate(rel.instance.facility_capacities())), "mf")
     cut.params["s"] = sel.facility
     cut.params["facet_report"] = {
@@ -379,7 +593,7 @@ def reference_separate_all(instance, point, config):
     def admit(cut):
         if cut is None:
             return
-        violation = cut.rhs - cut.lhs_value(point)
+        violation = cut.rhs - lhs_value(cut, point)
         if violation > config.eps:
             found.append((cut, violation))
 
@@ -413,7 +627,7 @@ def reference_separate_all(instance, point, config):
     if "partition" in config.families and instance.integral_capacities():
         for U, V in partitions:
             shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))
-            cover = partition_cuts.knapsack_cover_from_two_partition(shrunk)
+            cover = reference_knapsack_cover_from_two_partition(shrunk)
             if cover is None:
                 continue
             for ineq in engine.hull_inequalities(cover):
@@ -429,9 +643,9 @@ def reference_separate_all(instance, point, config):
             ]
             if not candidates:
                 continue
-            winner = partition_cuts.select_total_capacity_cut(candidates)
+            winner = select_total_capacity_cut(candidates)
             admit(winner)
-            fed = partition_cuts.knapsack_from_total_capacity(winner, instance)
+            fed = knapsack_from_total_capacity(winner, instance)
             if fed is not None:
                 cover, support = fed
                 for ineq in engine.hull_inequalities(cover):
@@ -442,6 +656,41 @@ def reference_separate_all(instance, point, config):
                     if cap:
                         admit(LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"}))
     return found
+
+
+def select_total_capacity_cut(candidates):
+    """Keep the strongest of same-left-hand-side total-capacity cuts."""
+    if not candidates:
+        raise ValueError("no candidates")
+    first = candidates[0]
+    for cut in candidates[1:]:
+        if cut.cap != first.cap or cut.flow != first.flow:
+            raise ValueError("total-capacity candidates must share their left-hand side")
+    return max(candidates, key=lambda cut: cut.rhs)
+
+
+def knapsack_from_total_capacity(cut, instance):
+    """Cover set over per-facility totals implied by a total-capacity cut.
+
+    Feeds iterated MIR; returns the cover set plus the arc support of each
+    facility variable so resulting inequalities can be expanded back.
+    """
+    from netdes_cuts.mir import KnapsackCoverSet
+
+    support = {}
+    for (ai, mi), coef in cut.cap.items():
+        if coef != instance.facilities[mi].capacity:
+            return None
+        support.setdefault(mi, []).append(ai)
+    if len(support) != len(instance.facilities) or cut.rhs <= 0:
+        return None
+    return (
+        KnapsackCoverSet(
+            capacities=tuple(int(f.capacity) for f in instance.facilities),
+            rhs=cut.rhs,
+        ),
+        {mi: tuple(ais) for mi, ais in support.items()},
+    )
 
 
 def reference_shrink(instance, partition):
@@ -517,8 +766,10 @@ def reference_knapsack_cover_from_two_partition(shrunk):
 
 
 def reference_three_partition_data(shrunk):
-    """The former ``three_partition_data``, reading the shrunk ``Instance``."""
-    from netdes_cuts.partition_cuts import ThreePartitionData
+    """The former ``three_partition_data``, reading the shrunk ``Instance``:
+    per block its outgoing (``s``) and incoming (``t``) traffic minus
+    capacity, and the six directed metric right-hand sides ``d``."""
+    from types import SimpleNamespace
 
     small = shrunk.instance
 
@@ -536,7 +787,7 @@ def reference_three_partition_data(shrunk):
     for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
         h = 3 - i - j
         d[(i, j)] = (tt(i, j) + tt(i, h) + tt(j, h)) - (cc(i, j) + cc(i, h) + cc(j, h))
-    return ThreePartitionData(s=s, t=t, d=d)
+    return SimpleNamespace(s=s, t=t, d=d)
 
 
 def _reference_total_capacity_lhs(shrunk):
@@ -585,13 +836,13 @@ def reference_iterative_mir(cover, subsequence):
     inequality by the reciprocal of the next capacity, applies
     ``mir_cut`` and clears the result to coprime integers with
     ``integer_normal_form``."""
-    from netdes_cuts.mir import BaseInequality, mir_cut
+    from netdes_cuts.mir import BaseInequality
 
     ineq = BaseInequality({}, {m: F(c) for m, c in enumerate(cover.capacities)}, cover.rhs)
     for i in subsequence:
         factor = F(1, cover.capacities[i])
         scaled = BaseInequality({}, {j: v * factor for j, v in ineq.integ.items()}, ineq.rhs * factor)
-        _, integ, rhs = mir_cut(scaled).integer_normal_form()
+        _, integ, rhs = integer_normal_form(mir_cut(scaled))
         ineq = BaseInequality({}, dict(integ), rhs)
     return ineq
 
@@ -604,7 +855,7 @@ def reference_hull_inequalities(cover):
     seen = {}
     for sub in all_subsequences(len(cover.capacities)):
         ineq = reference_iterative_mir(cover, sub)
-        seen.setdefault(ineq.integer_normal_form(), ineq)
+        seen.setdefault(integer_normal_form(ineq), ineq)
     return list(seen.values())
 
 
@@ -638,9 +889,9 @@ def reference_partition_candidates(instance):
         ]
         if not candidates:
             continue
-        winner = partition_cuts.select_total_capacity_cut(candidates)
+        winner = select_total_capacity_cut(candidates)
         yield winner
-        fed = partition_cuts.knapsack_from_total_capacity(winner, instance)
+        fed = knapsack_from_total_capacity(winner, instance)
         if fed is not None:
             cover, support = fed
             for ineq in hull_inequalities(cover):
@@ -817,7 +1068,7 @@ def reference_validate_cuts(cuts, instance, ybound):
         if not open_idx:
             break
         y = dict(zip(keys, (F(v) for v in values)))
-        caps = [instance.arc_capacity(ai, y) for ai in range(len(instance.arcs))]
+        caps = [arc_capacity(instance, ai, y) for ai in range(len(instance.arcs))]
         order = sorted(open_idx)
         if routings is not None:
             if _best_unsplittable(instance, routings, caps, {}) is None:

@@ -14,9 +14,7 @@ from netdes_cuts.arc_cuts import (
     c_strong_cut,
     c_strong_value,
     from_capacity_row,
-    is_maximal_c_strong,
     k_split_c_strong_cut,
-    k_split_facet_check,
     lifted_cover_cut,
     normalize_unsplittable,
     residual_capacity_cut,
@@ -28,17 +26,21 @@ from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance
 from netdes_cuts.simplex import LE, solve_lp
 
 from helpers import (
+    arc_violation,
     cstrong_best_violation,
     fs_points,
     fu_points,
     holds,
+    is_maximal_c_strong,
+    k_split_facet_check,
     min_over_fs,
+    normalized,
     rc_best_violation,
 )
 
 
 def norm(coefs, const, y_coef):
-    return ArcInequality({i: F(v) for i, v in coefs.items()}, F(const), F(y_coef)).normalized()
+    return normalized(ArcInequality({i: F(v) for i, v in coefs.items()}, F(const), F(y_coef)))
 
 
 # -- construction -------------------------------------------------------------------
@@ -114,7 +116,7 @@ def test_residual_capacity_table(fs_example):
         for S in combinations(range(3), size):
             cut = residual_capacity_cut(fs_example, S)
             if cut is not None:
-                produced[S] = (cut.params["r"], cut.normalized())
+                produced[S] = (cut.params["r"], normalized(cut))
     assert produced == expect
 
 
@@ -168,7 +170,7 @@ def test_separation_worked_point(fs_example):
     cut = separate_residual_capacity(fs_example, [0, 1, 1], F(4, 3))
     assert cut is not None
     assert cut.params["S"] == (1, 2)
-    assert cut.violation({0: F(0), 1: F(1), 2: F(1)}, F(4, 3)) == F(2, 9)
+    assert arc_violation(cut, {0: F(0), 1: F(1), 2: F(1)}, F(4, 3)) == F(2, 9)
 
 
 def test_separation_none_at_integral_points(fs_example):
@@ -188,7 +190,7 @@ def test_separation_agrees_with_exhaustive(fs_example):
             assert best == 0
         else:
             assert best > 0
-            assert got.violation({i: v for i, v in enumerate(x)}, ybar) > 0
+            assert arc_violation(got, {i: v for i, v in enumerate(x)}, ybar) > 0
 
 
 def test_separation_exact_on_random_arc_sets():
@@ -212,12 +214,12 @@ def test_separation_exact_on_random_arc_sets():
 
 
 def test_c_strong_worked_cuts(fu_example):
-    assert c_strong_cut(fu_example, (0, 1, 3)).normalized() == norm({0: 1, 1: 1, 3: 1}, 1, 1)
+    assert normalized(c_strong_cut(fu_example, (0, 1, 3))) == norm({0: 1, 1: 1, 3: 1}, 1, 1)
     assert is_maximal_c_strong(fu_example, (0, 1, 3))
-    assert c_strong_cut(fu_example, (0,)).normalized() == norm({0: 1}, 0, 1)
+    assert normalized(c_strong_cut(fu_example, (0,))) == norm({0: 1}, 0, 1)
     assert is_maximal_c_strong(fu_example, (0,))
     full = c_strong_cut(fu_example, tuple(range(5)))
-    assert full.normalized() == norm({i: 1 for i in range(5)}, 2, 1)
+    assert normalized(full) == norm({i: 1 for i in range(5)}, 2, 1)
     assert c_strong_value(fu_example, range(5)) == 2
     assert is_maximal_c_strong(fu_example, tuple(range(5)))
 
@@ -285,11 +287,11 @@ def test_separate_c_strong_heuristic_flag(fu_example):
 
 def test_k_split_worked_cuts(fu_example):
     two = k_split_c_strong_cut(fu_example, (1, 2), 2)
-    assert two.normalized() == norm({1: 1, 2: 1, 3: 1, 4: 1}, 0, 2)
+    assert normalized(two) == norm({1: 1, 2: 1, 3: 1, 4: 1}, 0, 2)
     two_b = k_split_c_strong_cut(fu_example, (1, 2, 3), 2)
-    assert two_b.normalized() == two.normalized()
+    assert normalized(two_b) == normalized(two)
     three = k_split_c_strong_cut(fu_example, (3,), 3)
-    assert three.normalized() == norm({0: 1, 1: 1, 2: 1, 3: 2, 4: 2}, 0, 3)
+    assert normalized(three) == norm({0: 1, 1: 1, 2: 1, 3: 2, 4: 2}, 0, 3)
 
 
 def test_k_split_cuts_valid(fu_example):
@@ -305,8 +307,8 @@ def test_k_split_reduces_to_c_strong_at_one(fu_example):
     for size in range(1, 6):
         for S in combinations(range(5), size):
             assert (
-                k_split_c_strong_cut(fu_example, S, 1).normalized()
-                == c_strong_cut(fu_example, S).normalized()
+                normalized(k_split_c_strong_cut(fu_example, S, 1))
+                == normalized(c_strong_cut(fu_example, S))
             )
 
 
@@ -336,11 +338,11 @@ def lifted_rows(fu):
 
 def test_lifted_cover_table(fu_example):
     r1, r2a, r2b, r3, r4 = lifted_rows(fu_example)
-    assert r1.normalized() == norm({1: 1, 2: 1, 3: 1, 4: 1}, 0, 2)
-    assert r2a.normalized() == norm({0: 1, 1: 1, 3: 1, 4: 1}, 0, 2)
-    assert r2b.normalized() == norm({0: 1, 2: 1, 3: 1, 4: 1}, 0, 2)
-    assert r3.normalized() == norm({0: 1, 1: 1, 2: 1, 3: 1, 4: 2}, 1, 2)
-    assert r4.normalized() == norm({0: 1, 1: 1, 2: 1, 3: 2, 4: 1}, 1, 2)
+    assert normalized(r1) == norm({1: 1, 2: 1, 3: 1, 4: 1}, 0, 2)
+    assert normalized(r2a) == norm({0: 1, 1: 1, 3: 1, 4: 1}, 0, 2)
+    assert normalized(r2b) == norm({0: 1, 2: 1, 3: 1, 4: 1}, 0, 2)
+    assert normalized(r3) == norm({0: 1, 1: 1, 2: 1, 3: 1, 4: 2}, 1, 2)
+    assert normalized(r4) == norm({0: 1, 1: 1, 2: 1, 3: 2, 4: 1}, 1, 2)
 
 
 def test_lifted_cover_validity(fu_example):

@@ -85,6 +85,17 @@ def test_run_names_the_families_that_do_not_apply(tmp_path, capsys):
     assert all(list(entry["families"]) == ["partition"] for entry in report["rounds"])
 
 
+def test_one_node_instance_runs_and_has_optimum_zero(tmp_path, capsys):
+    """An instance with no arc and no demand is valid: its relaxation is
+    an LP without columns, whose optimum is 0, and so is its oracle's."""
+    inst = tmp_path / "one.json"
+    inst.write_text('{"nodes": [1], "arcs": [], "facilities": [{"capacity": "1", "cost": []}], "demands": []}')
+    assert main(["run", "--instance", str(inst), "--rounds", "2"]) == 0
+    assert "final bound 0 with 0 pooled cuts" in capsys.readouterr().out.splitlines()
+    assert main(["oracle", "--instance", str(inst), "--ybound", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "optimum 0"
+
+
 def test_run_report_rounds_read_as_asdict_gives_them(tmp_path, monkeypatch):
     """The report's rounds are copied field by field; the JSON is byte for
     byte the one built with ``dataclasses.asdict``."""

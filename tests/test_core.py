@@ -17,12 +17,13 @@ from netdes_cuts.core import (
     LinearCut,
     build_aggregated_commodities,
     build_disaggregated_commodities,
-    installation_cost,
     instance_from_dict,
     instance_to_dict,
     validate_instance,
 )
 from netdes_cuts.lp import build_relaxation
+
+from helpers import installation_cost
 
 
 rationals = st.fractions(

@@ -15,12 +15,9 @@ from netdes_cuts.core import (
 )
 from netdes_cuts.cutset_cuts import (
     GREEDY_ROUNDS,
-    CutSetRelaxation,
     FlowCutSelection,
     build_cutset,
     cutset_cut,
-    flow_cutset_cut,
-    multifacility_cutset_cut,
     separate_commodity_subset,
     separate_flow_cutset,
     separate_multifacility,
@@ -29,8 +26,11 @@ from netdes_cuts.cutset_cuts import (
 from netdes_cuts.engine import MAX_DENOMINATOR, Q_SUBSET_LIMIT, _commodity_subsets, generate_instance, validate_cut
 from helpers import (
     flow_cutset_best_violation,
+    flow_cutset_cut,
     in_cutset_mixed_integer_set,
+    lhs_value,
     multifacility_best_violation,
+    multifacility_cutset_cut,
     reference_commodity_subset,
     reference_flow_cutset,
     reference_flow_cutset_cut,
@@ -71,17 +71,6 @@ def test_build_cutset_matches_demand_sum():
         rel = build_cutset(inst, U)
         for ki, com in enumerate(inst.commodities):
             assert rel.b[ki] == sum((com.w(n) for n in V), F(0))
-
-
-def test_build_cutset_flags_blocked_demand():
-    inst = Instance(
-        nodes=[1, 2],
-        arcs=[Arc(2, 1)],
-        facilities=[Facility(1, (F(1),))],
-        demand=DemandMatrix({(1, 2): F(1)}),
-    )
-    rel = build_cutset(inst, U=[1])
-    assert rel.infeasible
 
 
 # -- cut-set inequality ----------------------------------------------------------------
@@ -195,7 +184,7 @@ def test_separation_agrees_with_enumeration_zero_cbar():
             y={(ai, 0): F(rng.randint(0, 6), 4) for ai in range(len(inst.arcs))},
         )
         got = separate_flow_cutset(rel, Q, pt)
-        best, _ = flow_cutset_best_violation(rel, pt, F(1), Q)
+        best, _ = flow_cutset_best_violation(rel, pt, Q)
         if got is None:
             assert best <= 0
         else:
@@ -548,12 +537,22 @@ def _assert_identical_cut(got, want):
     assert got.normalized_key() == LinearCut(got.flow, got.cap, got.rhs, got.family).normalized_key()
 
 
+def _resized(rel, m, size):
+    """``rel`` built on a copy of its instance whose facility ``m`` has
+    ``size``; its A+, A- and b do not read the size."""
+    inst = rel.instance
+    facilities = [Facility(size, f.costs) if mi == m else f for mi, f in enumerate(inst.facilities)]
+    copy = Instance(inst.nodes, inst.arcs, facilities, inst.demand, inst.flow_costs, inst.mode, inst.unsplittable, inst.name)
+    return build_cutset(copy, rel.U, rel.V)
+
+
 def test_integer_cut_matches_fraction_reference():
     """On the 240 pairs, the cut each separator builds on integers equals
     the Fraction reference builder's in flow, cap, rhs, family and params,
-    and the violation it records is the exact one; the public builders
-    agree with the reference on random selections, with and without
-    ``capacity=``."""
+    and the violation it records is the exact one; the cut-set builders
+    agree with the reference on random selections, also on a copy of the
+    instance with another size of the base facility, which the reference
+    takes as ``capacity=``."""
     compared = built = 0
     pick = random.Random(12)  # the selections; the pairs' own generator stays untouched
     for rel, pt, rng in _random_separations():
@@ -568,7 +567,7 @@ def test_integer_cut_matches_fraction_reference():
                     if got is not None:
                         compared += 1
                         _assert_identical_cut(got, want)
-                        assert got.violation(pt) == got.rhs - got.lhs_value(pt) == want.violation(pt)
+                        assert got.violation(pt) == got.rhs - lhs_value(got, pt) == want.violation(pt)
                 sel = FlowCutSelection(
                     Q, tuple(a for a in rel.A_plus if pick.random() < 0.5),
                     tuple(a for a in rel.A_minus if pick.random() < 0.5), facility=m,
@@ -576,7 +575,7 @@ def test_integer_cut_matches_fraction_reference():
                 builders = [
                     (lambda: multifacility_cutset_cut(rel, sel), lambda: reference_multifacility_cutset_cut(rel, sel)),
                     (lambda: flow_cutset_cut(rel, sel), lambda: reference_flow_cutset_cut(rel, sel)),
-                    (lambda: flow_cutset_cut(rel, sel, capacity=F(5, 2)),
+                    (lambda: flow_cutset_cut(_resized(rel, m, F(5, 2)), sel),
                      lambda: reference_flow_cutset_cut(rel, sel, capacity=F(5, 2))),
                 ]
                 for build, reference in builders:

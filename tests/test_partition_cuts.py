@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,28 +12,29 @@ from netdes_cuts.mir import KnapsackCoverSet, hull_inequalities
 from netdes_cuts.partition_cuts import (
     MetricVector,
     NodePartition,
+    _three_partition_sums,
     all_three_partitions,
     expand_knapsack_cut,
-    integral_metric_cut,
-    knapsack_cover_from_two_partition,
-    knapsack_from_total_capacity,
     lift_cut,
     metric_cut_from_vector,
-    select_total_capacity_cut,
     separate_metric,
     shrink,
     three_partition_cut,
-    three_partition_data,
     three_partition_metric_cut,
 )
 
 from conftest import make_triangle
 from helpers import (
+    cone_violations,
     distinct_cuts,
+    integral_metric_cut,
+    knapsack_from_total_capacity,
+    reference_knapsack_cover_from_two_partition,
     reference_partition_candidates,
     reference_shrink,
     reference_three_partition_data,
     routable,
+    select_total_capacity_cut,
 )
 
 
@@ -312,7 +314,7 @@ def test_metric_separation_soundness_and_completeness():
         if res is not None:
             hits += 1
             vec, cut = res
-            assert vec.cone_violations(inst) == []
+            assert cone_violations(vec, inst) == []
             assert vec.demand_side(inst) > vec.capacity_side(inst, caps)
             assert all(va >= 0 for va in vec.v.values())
     assert hits > 5  # the sample must actually exercise the violated branch
@@ -324,7 +326,7 @@ def test_metric_separation_soundness_and_completeness():
 def test_knapsack_cover_matches_cutset(star_instance):
     part = NodePartition.of([1], [2, 3])
     sh = shrink(star_instance, part)
-    X = knapsack_cover_from_two_partition(sh)
+    X = reference_knapsack_cover_from_two_partition(sh)
     assert X == KnapsackCoverSet((1,), F(1, 2))
     cuts = [expand_knapsack_cut(iq, sh) for iq in hull_inequalities(X)]
     direct = cutset_cut(build_cutset(star_instance, [1]))
@@ -339,7 +341,7 @@ def test_knapsack_cover_two_facilities():
         demand=DemandMatrix({(1, 2): F(5)}),
     )
     sh = shrink(inst, NodePartition.of([1], [2]))
-    X = knapsack_cover_from_two_partition(sh)
+    X = reference_knapsack_cover_from_two_partition(sh)
     assert X == KnapsackCoverSet((1, 3), F(5))
 
 
@@ -351,7 +353,7 @@ def test_knapsack_cover_none_when_covered():
         demand=DemandMatrix({(1, 2): F(2)}),
     )
     sh = shrink(inst, NodePartition.of([1], [2]))
-    assert knapsack_cover_from_two_partition(sh) is None
+    assert reference_knapsack_cover_from_two_partition(sh) is None
 
 
 # -- three-partition cuts ------------------------------------------------------------------
@@ -417,15 +419,22 @@ def test_three_partition_cuts_valid(triangle_half, triangle_third):
 
 def test_three_partition_data_matches_the_former_computation():
     """Each block pair's traffic minus capacity is computed once and summed:
-    ``s``, ``t`` and ``d`` are the Fractions, in the same order, of the
-    former computation from the shrunk ``Instance``, on every
-    three-partition of 30 generated instances with 4-6 nodes."""
+    ``s``, ``t`` and ``d`` of ``_three_partition_sums`` over the shrink's
+    scale are the Fractions, in the same order, of the former computation
+    from the shrunk ``Instance``, on every three-partition of 30 generated
+    instances with 4-6 nodes."""
     checked = 0
     for seed in range(30):
         inst = generate_instance(seed=seed, nodes=4 + seed % 3, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
         for part in all_three_partitions(inst.nodes):
             shrunk = shrink(inst, part)
-            got, want = three_partition_data(shrunk), reference_three_partition_data(shrunk)
+            s, t, d = _three_partition_sums(shrunk)
+            got = SimpleNamespace(
+                s=tuple(F(v, shrunk.scale) for v in s),
+                t=tuple(F(v, shrunk.scale) for v in t),
+                d={pair: F(v, shrunk.scale) for pair, v in d.items()},
+            )
+            want = reference_three_partition_data(shrunk)
             assert got.s == want.s and got.t == want.t
             assert list(got.d.items()) == list(want.d.items())
             assert all(type(v) is F for v in (*got.s, *got.t, *got.d.values()))

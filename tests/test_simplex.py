@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -176,6 +177,17 @@ def test_negative_or_nan_upper_bound_refused(exact, upper):
         solve_lp(1, [({0: 1}, LE, 5)], {0: 1}, {0: upper}, exact=exact)
     with pytest.raises(ValueError):
         solve_lp_many(1, [({0: 1}, LE, 5)], [{0: 1}, {}], {0: upper}, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_an_lp_without_columns_is_optimal_at_zero(exact):
+    """No variable and no row: nothing can enter, and the optimum is 0."""
+    for res in (solve_lp(0, [], {}, exact=exact), *solve_lp_many(0, [], [{}, {}], exact=exact)):
+        assert (res.status, res.x, res.objective, res.duals, res.iterations) == ("optimal", [], 0, [], 0)
+        if exact:
+            assert type(res.objective) is F
+        else:
+            assert math.copysign(1.0, res.objective) == 1.0  # +0.0, which prints as 0
 
 
 def _assert_same_result(new, ref):
