@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .core import ZERO, Instance, LinearCut, frac
-from .mir import ceil_frac, floor_frac, frac_part
 
 SPLITTABLE = "splittable"
 UNSPLITTABLE = "unsplittable"
@@ -104,11 +103,11 @@ def normalize_unsplittable(rel: ArcSetRelaxation):
     """
     if rel.mode != UNSPLITTABLE:
         raise ValueError("normalization applies to unsplittable relaxations")
-    offsets = tuple(floor_frac(v) for v in rel.a)
-    off0 = floor_frac(rel.a0)
+    offsets = tuple(math.floor(v) for v in rel.a)
+    off0 = math.floor(rel.a0)
     reduced = ArcSetRelaxation(
-        a=tuple(frac_part(v) for v in rel.a),
-        a0=frac_part(rel.a0),
+        a=tuple(v - off for v, off in zip(rel.a, offsets)),
+        a0=rel.a0 - off0,
         mode=UNSPLITTABLE,
         arc=rel.arc,
         facility=rel.facility,
@@ -143,10 +142,10 @@ def residual_capacity_cut(rel: ArcSetRelaxation, S: Iterable[int]) -> ArcInequal
     if not S:
         raise ValueError("subset must be nonempty")
     gap = rel.a_sum(S) - rel.a0
-    r = frac_part(gap)
+    r = gap - math.floor(gap)
     if r == 0:
         return None
-    eta = ceil_frac(gap)
+    eta = math.ceil(gap)
     # sum_{i in S} a_i (1 - x_i) >= r (eta - y), displayed in <= form
     coefs = {i: rel.a[i] for i in S}
     const = rel.a_sum(S) - r * eta
@@ -165,16 +164,16 @@ def separate_residual_capacity(
     """
     xbar = _as_xmap(rel, xbar)
     ybar = frac(ybar)
-    fy = frac_part(ybar)
+    fy = ybar - math.floor(ybar)
     T = [i for i in range(rel.n) if xbar.get(i, ZERO) > fy]
     if not T:
         return None
     aT = rel.a_sum(T)
-    lo = rel.a0 + floor_frac(ybar)
-    hi = rel.a0 + ceil_frac(ybar)
+    lo = rel.a0 + math.floor(ybar)
+    hi = rel.a0 + math.ceil(ybar)
     if not (lo < aT < hi):
         return None
-    gap = ceil_frac(ybar) - ybar
+    gap = math.ceil(ybar) - ybar
     slack = sum((rel.a[i] * (1 - xbar.get(i, ZERO) - gap) for i in T), ZERO) + gap * lo
     if slack >= 0:
         return None
@@ -192,7 +191,7 @@ def _as_xmap(rel: ArcSetRelaxation, xbar) -> dict[int, Fraction]:
 
 def c_strong_value(rel: ArcSetRelaxation, S: Iterable[int]) -> int:
     S = list(S)
-    return len(S) - ceil_frac(rel.a_sum(S) - rel.a0)
+    return len(S) - math.ceil(rel.a_sum(S) - rel.a0)
 
 
 def c_strong_cut(rel: ArcSetRelaxation, S: Iterable[int]) -> ArcInequality:
@@ -253,12 +252,12 @@ def k_split_c_strong_cut(rel: ArcSetRelaxation, S: Iterable[int], k: int) -> Arc
     if k < 1:
         raise ValueError("k must be a positive integer")
     S = sorted(set(S))
-    ceil_in = {i: ceil_frac(k * rel.a[i]) for i in S}
+    ceil_in = {i: math.ceil(k * rel.a[i]) for i in S}
     coefs = dict(ceil_in)
     for i in range(rel.n):
         if i not in coefs:
-            coefs[i] = Fraction(floor_frac(k * rel.a[i]))
-    c_sk = sum(ceil_in.values()) - ceil_frac(k * (rel.a_sum(S) - rel.a0))
+            coefs[i] = Fraction(math.floor(k * rel.a[i]))
+    c_sk = sum(ceil_in.values()) - math.ceil(k * (rel.a_sum(S) - rel.a0))
     return ArcInequality(
         {i: Fraction(v) for i, v in coefs.items()},
         Fraction(c_sk),
@@ -328,15 +327,13 @@ def lifted_cover_cut(
     fixed_one = set(spec.K1)
     const = ZERO  # accumulated constants from lifted fixed-one terms
 
-    def max_lhs(extra_load: Fraction, alpha: Fraction, include_items, skip_y=None):
+    def max_lhs(extra_load: Fraction, alpha: Fraction, include_items):
         """max of current LHS over the set with given extra fixed load."""
         best = None
         load = rel.a_sum(fixed_one) + extra_load
-        y_lo = ceil_frac(load - rel.a0)
-        y_hi = ceil_frac(load + sum((rel.a[i] for i, p in include_items if p > 0), ZERO) - rel.a0)
+        y_lo = math.ceil(load - rel.a0)
+        y_hi = math.ceil(load + sum((rel.a[i] for i, p in include_items if p > 0), ZERO) - rel.a0)
         for y in range(y_lo, y_hi + 1):
-            if skip_y is not None and y == skip_y:
-                continue
             cap = rel.a0 + y - load
             if cap < 0:
                 continue
@@ -349,8 +346,8 @@ def lifted_cover_cut(
     phis = {}
     restriction = [(i, Fraction(1)) for i in C]
     load = rel.a_sum(fixed_one)
-    y_full = ceil_frac(load + rel.a_sum(C) - rel.a0)
-    y_lo = max(ceil_frac(load - rel.a0), ceil_frac(-rel.a0))
+    y_full = math.ceil(load + rel.a_sum(C) - rel.a0)
+    y_lo = max(math.ceil(load - rel.a0), math.ceil(-rel.a0))
     for y in range(y_lo, max(y_full, spec.ybar) + 2):
         cap = rel.a0 + y - load
         if cap < 0:

@@ -13,6 +13,7 @@ from .engine import (
     FAMILIES,
     BudgetExceededError,
     Config,
+    RelaxationError,
     brute_force_ip,
     cutting_plane_loop,
     generate_instance,
@@ -123,7 +124,11 @@ def main(argv=None) -> int:
 
 def _cmd_run(args, instance) -> int:
     config = Config(families=args.cuts, max_rounds=args.rounds, eps=args.eps)
-    result = cutting_plane_loop(instance, config)
+    try:
+        result = cutting_plane_loop(instance, config)
+    except RelaxationError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
 
     # each round's fields, its count dicts copied: what dataclasses.asdict
     # gives, without its deep copy of every value

@@ -341,9 +341,9 @@ def _nonzero(coefs: Mapping) -> dict:
     return {k: v for k, v in zip(coefs, map(frac, coefs.values())) if v}
 
 
-def _cleared(coefs: Mapping[tuple[int, int], Fraction], den: int) -> dict[tuple[int, int], int]:
-    """``den`` times each of ``coefs``, in ints; ``den`` is a multiple of every denominator."""
-    return {k: v.numerator * (den // v.denominator) for k, v in coefs.items()}
+def scaled_ints(values: Iterable[Fraction], scale: int) -> list[int]:
+    """``scale * v`` of each value, in ints; ``scale`` is a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _over(nums: Mapping[tuple[int, int], int], den: int) -> dict[tuple[int, int], Fraction]:
@@ -386,7 +386,8 @@ class LinearCut:
         if den is None:
             flow, cap, rhs = _nonzero(flow), _nonzero(cap), frac(rhs)
             den = math.lcm(rhs.denominator, *(v.denominator for v in (*flow.values(), *cap.values())))
-            flow, cap, rhs = _cleared(flow, den), _cleared(cap, den), rhs.numerator * (den // rhs.denominator)
+            rhs, *nums = scaled_ints([rhs, *flow.values(), *cap.values()], den)
+            flow, cap = dict(zip(flow, nums)), dict(zip(cap, nums[len(flow):]))
         elif den <= 0:
             raise ValueError(f"cut denominator {den} not positive")
         g = math.gcd(den, rhs, *flow.values(), *cap.values())  # a float raises TypeError here

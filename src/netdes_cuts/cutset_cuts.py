@@ -57,11 +57,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Container, Iterable, Sequence
 
-from .core import ZERO, FractionalPoint, Instance, LinearCut
-from .mir import PhiParams, ceil_frac, phi_minus, phi_plus
+from .core import ZERO, FractionalPoint, Instance, LinearCut, scaled_ints
+from .mir import PhiParams, phi_minus, phi_plus
 
 GREEDY_ROUNDS = 5             # passes of the greedy arc selection on a moving remainder
 SUBSET_ENUMERATION_CAP = 12   # commodities of the subset search: at most 2^12 - 1 keys b_Q
+PARTITION_LIMIT = 8           # nodes of an exhaustive two-partition enumeration
 
 
 @dataclass
@@ -99,9 +100,9 @@ class ScaledPoint:
     D is the lcm of the denominators of the facility sizes, of every
     commodity's net demands, of every existing capacity and of the point's
     ``x`` and ``y``.  ``caps[m]``, ``cbar[a]``, ``x[a][k]`` and ``y[a][m]``
-    hold the scaled values, indexed by facility, arc and commodity;
-    ``scaled(v)`` scales one more value whose denominator divides D, such
-    as a relaxation's ``b_k``.
+    hold the scaled values, indexed by facility, arc and commodity.  D
+    also clears every value derived from the demands, such as a
+    relaxation's ``b_k``.
     """
 
     def __init__(self, instance: Instance, point: FractionalPoint):
@@ -115,15 +116,11 @@ class ScaledPoint:
         dens.update(v.denominator for v in cbar)
         dens.update(v.denominator for v in point.x.values())
         dens.update(v.denominator for v in point.y.values())
-        self.D = math.lcm(*dens)
-        scaled = self.scaled
-        self.caps = [scaled(v) for v in caps]
-        self.cbar = [scaled(v) for v in cbar]
-        self.x = [[scaled(point.x.get((a, k), ZERO)) for k in commodities] for a in arcs]
-        self.y = [[scaled(point.y.get((a, m), ZERO)) for m in facilities] for a in arcs]
-
-    def scaled(self, v: Fraction) -> int:
-        return v.numerator * (self.D // v.denominator)
+        self.D = D = math.lcm(*dens)
+        self.caps = scaled_ints(caps, D)
+        self.cbar = scaled_ints(cbar, D)
+        self.x = [scaled_ints([point.x.get((a, k), ZERO) for k in commodities], D) for a in arcs]
+        self.y = [scaled_ints([point.y.get((a, m), ZERO) for m in facilities], D) for a in arcs]
 
 
 def scaled_point(instance: Instance, point: FractionalPoint) -> ScaledPoint:
@@ -165,7 +162,7 @@ class IntegerView:
         self.A_plus, self.A_minus = rel.A_plus, rel.A_minus
         self.D = scaled.D
         self.caps, self.cbar, self.y = scaled.caps, scaled.cbar, scaled.y
-        self.b = [scaled.scaled(v) for v in rel.b]
+        self.b = scaled_ints(rel.b, scaled.D)
         self.x = {a: scaled.x[a] for a in rel.A_plus + rel.A_minus}
         self.mixed_integer = self._in_mixed_integer_set()
         self.cbar_plus = self.cbar_sum(rel.A_plus)
@@ -298,7 +295,7 @@ def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
     on facility 0, the one facility of the instances the family applies to."""
     c = rel.instance.facilities[0].capacity
     b_K = rel.b_sum(range(len(rel.b)))
-    rhs = ceil_frac((b_K - rel.cbar(rel.A_plus)) / c)
+    rhs = math.ceil((b_K - rel.cbar(rel.A_plus)) / c)
     if rhs <= 0 or not rel.A_plus:
         return None
     return LinearCut({}, {(a, 0): 1 for a in rel.A_plus}, rhs, "cutset", {"U": rel.U, "rhs": rhs}, den=1)
@@ -570,11 +567,12 @@ def separate_multifacility(
     return _scored(cut, view, point, score)
 
 
-def two_partitions(nodes: Sequence[int], limit: int = 8):
-    """All ordered two-partitions for small node sets (U listed first)."""
+def two_partitions(nodes: Sequence[int]):
+    """All ordered two-partitions (U listed first) of at most
+    ``PARTITION_LIMIT`` nodes."""
     nodes = list(nodes)
     n = len(nodes)
-    if n > limit:
+    if n > PARTITION_LIMIT:
         raise ValueError("exhaustive partition enumeration is capped")
     for mask in range(1, (1 << n) - 1):
         U = tuple(nodes[i] for i in range(n) if mask >> i & 1)

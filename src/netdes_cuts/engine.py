@@ -8,8 +8,9 @@ grids and validate cuts or compute optima against them; they are bounded
 searches with an explicit budget, independent of the separation code.
 Exact values (oracle optima, ``LoopResult.exact_bound``) are certified
 from float solves by ``lp.solve_certified``.  The oracles keep the
-certificates they prove (``MetricCertificates``, ``DualCertificates``) and
-try them at later grid points before solving any LP.
+certificates they prove, metric refutations and safe dual bounds, as
+integer capacity bounds (``lp.CapacityBounds``) and try them at later grid
+points before solving any LP.
 """
 
 from __future__ import annotations
@@ -34,16 +35,18 @@ from .core import (
     Instance,
     LinearCut,
     frac,
-    rationalize,
+    scaled_ints,
 )
 from .lp import (
+    CapacityBounds,
     LPModel,
     LPSolution,
-    RoutingCertificate,
     build_relaxation,
     cheapest_routing,
     check_feasible_routing,
+    dual_bound,
     exact_objective,
+    metric_bound,
     proves_unroutable,
     routing_balance_rows,
     routing_capacity_rows,
@@ -59,7 +62,7 @@ from .mir import KnapsackCoverSet, hull_inequalities
 from .simplex import solve_lp  # noqa: F401
 
 K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
-PARTITION_LIMIT = 8          # exhaustive two-partitions up to this many nodes
+PARTITION_LIMIT = cutset_cuts.PARTITION_LIMIT  # exhaustive two-partitions up to this many nodes
 THREE_PARTITION_LIMIT = 6    # exhaustive three-partitions up to this many nodes
 N_RANDOM_PARTITIONS = 20     # sampled partitions above those limits
 Q_SUBSET_LIMIT = 6           # exhaustive commodity subsets up to this size
@@ -72,6 +75,11 @@ FLOW_CAP = 400               # unsplittable flows per commodity
 class BudgetExceededError(RuntimeError):
     """An oracle enumeration (the grid, or the unsplittable paths, cycles or
     routings) is larger than its budget."""
+
+
+class RelaxationError(RuntimeError):
+    """A relaxation of the cutting-plane loop has no optimum, as for an
+    instance without a facility whose existing capacity cannot route it."""
 
 
 # -- the separator table ----------------------------------------------------------
@@ -179,8 +187,9 @@ def _partition(sep: Separation):
         shrunk = table.shrink(partition_cuts.NodePartition.of(U, V))
         b = shrunk.net((0, 1))
         if b > 0:
+            crossing = shrunk.groups.get((0, 1), ())
             for ineq in hull(b):
-                yield partition_cuts.expand_knapsack_cut(ineq, shrunk)
+                yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"blocks": shrunk.partition.blocks})
     for part in _three_partitions(instance):
         shrunk = table.shrink(part)
         winner = partition_cuts.total_capacity_cut(shrunk)
@@ -191,8 +200,7 @@ def _partition(sep: Separation):
             # the cover over per-facility totals that the winner implies
             crossing = [ai for group in shrunk.groups.values() for ai in group]
             for ineq in hull(winner.rhs_num * table.scale):
-                cap = {(ai, mi): coef.numerator for mi, coef in ineq.integ.items() for ai in crossing}
-                yield LinearCut({}, cap, ineq.rhs.numerator, "partition", {"from": "total-capacity"}, den=1)
+                yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"from": "total-capacity"})
 
 
 # table order is admission order.  One cut-set greedy runs per instance:
@@ -323,7 +331,8 @@ class LoopResult:
 
 
 def cutting_plane_loop(instance: Instance, config: Config | None = None) -> LoopResult:
-    """Solve, separate, repeat until no family finds a violated cut."""
+    """Solve, separate, repeat until no family finds a violated cut.
+    Raises ``RelaxationError`` when a relaxation has no optimum."""
     config = config or Config()
     pool = CutPool()
     sep = Separation(instance, config)
@@ -336,7 +345,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         sol = solve(model, start=sol)
         lp_seconds = time.perf_counter() - t_lp
         if sol.status != "optimal":
-            raise RuntimeError(f"relaxation solve ended with status {sol.status}")
+            raise RelaxationError(f"relaxation solve ended with status {sol.status}")
         point = sol.point(MAX_DENOMINATOR)
         found = iter(separate_all(sep, point))
         families = {name: dict(counts, admitted=0) for name, counts in sep.last_round.items()}
@@ -592,8 +601,8 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, yb
         size *= bound + 1
         if size > GRID_BUDGET:
             raise BudgetExceededError(f"y-grid has more than {GRID_BUDGET} points")
-    base = _scaled([arc.existing_capacity for arc in instance.arcs], scale)
-    units = _scaled([instance.facilities[mi].capacity for _, mi in keys], scale)
+    base = scaled_ints([arc.existing_capacity for arc in instance.arcs], scale)
+    units = scaled_ints([instance.facilities[mi].capacity for _, mi in keys], scale)
     terms: list[list[tuple[int, int]]] = [[] for _ in instance.arcs]
     for i, ((ai, _), unit) in enumerate(zip(keys, units)):
         terms[ai].append((i, unit))
@@ -609,98 +618,17 @@ def _capacity_scale(instance: Instance) -> int:
     return math.lcm(instance.demand.total().denominator, *(v.denominator for v in values))
 
 
-def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
-    """``scale * v`` of each value, in ints; ``scale`` is a multiple of every denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-class MetricCertificates:
-    """Routing refutations proved on ``instance``.
-
-    A metric certificate ``(v, u)`` lies in the metric cone of the
-    topology, which does not read the capacities, so ``sum(v_a * cap_a) <
-    demand_side`` proves that no routing fits ``cap`` for every capacity
-    vector it separates, not only the one it was found at.  Capacities are
-    given as ints ``scale * cap``; each certificate is kept as integer arc
-    weights ``w`` and a threshold, a positive multiple of its inequality:
-    ``sum(w_a * scale * cap_a) < threshold``.
-    """
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self.scale = _capacity_scale(instance)
-        self.certificates: list[tuple[dict[int, int], int]] = []
-
-    def refutes(self, scaled_caps: Sequence[int]) -> bool:
-        """Does a kept certificate prove ``scaled_caps`` unroutable?  The one
-        that does moves to the front."""
-        certs = self.certificates
-        for i, (w, threshold) in enumerate(certs):
-            if sum(c * scaled_caps[ai] for ai, c in w.items()) < threshold:
-                certs.insert(0, certs.pop(i))
-                return True
-        return False
-
-    def add(self, cert: RoutingCertificate) -> None:
-        mult = math.lcm(*(v.denominator for v in cert.v.values()))
-        # the weighted sum is an int, so ``< q`` is ``< ceil(q)``
-        threshold = math.ceil(cert.demand_side(self.instance) * mult * self.scale)
-        self.certificates.insert(0, (dict(zip(cert.v, _scaled(cert.v.values(), mult))), threshold))
-
-
-class DualCertificates:
-    """Safe lower bounds on the minimum of one flow objective over the
-    routing LP, at capacities given as ints ``scale * cap``.
-
-    The Neumaier-Shcherbina bound (``lp.safe_lower_bound``) holds for any
-    row duals of the right signs, and its reduced costs ``c - pi·A`` do not
-    read the right-hand side.  Only the capacity rows' rhs changes between
-    capacity vectors, so with ``pi_a <= 0`` the clamped dual of arc ``a``'s
-    capacity row, ``const + sum(pi_a * cap_a)`` is the bound the same duals
-    give at any ``cap``, and it is exact.  Each is kept as ints ``(mult, c0,
-    w)`` with ``mult * bound = c0 + sum(w_a * scale * cap_a)``.
-    """
-
-    def __init__(self, scale: int):
-        self.scale = scale
-        self.certificates: list[tuple[int, int, dict[int, int]]] = []
-
-    def reaches(self, scaled_caps: Sequence[int], num: int, den: int) -> bool:
-        """Does a kept bound reach ``num / den`` (``den > 0``) at
-        ``scaled_caps``?  The one that does moves to the front."""
-        certs = self.certificates
-        for i, (mult, c0, w) in enumerate(certs):
-            if (c0 + sum(c * scaled_caps[ai] for ai, c in w.items())) * den >= num * mult:
-                certs.insert(0, certs.pop(i))
-                return True
-        return False
-
-    def add(self, scaled_caps: Sequence[int], bound: Fraction, duals: Sequence) -> None:
-        """Keep ``bound``, ``lp.safe_lower_bound`` of ``duals`` at
-        ``scaled_caps`` on a routing LP whose last rows are the capacity rows."""
-        per_unit = {}
-        for ai, dual in enumerate(duals[len(duals) - len(scaled_caps) :]):
-            pi = rationalize(dual)
-            if pi < 0:  # safe_lower_bound drops a <= row's positive dual
-                per_unit[ai] = pi / self.scale
-        const = bound - sum((r * scaled_caps[ai] for ai, r in per_unit.items()), ZERO)
-        mult = math.lcm(const.denominator, *(r.denominator for r in per_unit.values()))
-        c0, *w = _scaled([const, *per_unit.values()], mult)
-        cert = (mult, c0, dict(zip(per_unit, w)))
-        if cert not in self.certificates:  # points with one optimal basis give one bound
-            self.certificates.insert(0, cert)
-
-
 class _Routing:
     """Every routing decision of one oracle call, at capacity vectors given
     as ints ``scale * cap``.
 
-    Holds the instance's ``refuted`` metric certificates, one
-    ``DualCertificates`` per distinct flow part of ``flows`` (the flow
-    objectives, keyed ``(arc, commodity)``), and what each decision needs:
-    the routing LP's balance rows, flow bounds and each objective's columns
-    or, with unsplittable routing, the enumerated flows.  The certificates
-    it keeps are tried at later capacity vectors before any LP.
+    Holds two kinds of ``CapacityBounds``: ``refuted``, the metric
+    certificates proved on the instance, and ``bounds``, safe dual bounds,
+    one store per distinct flow part of ``flows`` (the flow objectives,
+    keyed ``(arc, commodity)``); and what each decision needs: the routing
+    LP's balance rows, flow bounds and each objective's columns or, with
+    unsplittable routing, the enumerated flows.  The certificates it keeps
+    are tried at later capacity vectors before any LP.
     Unsplittable routability is decided on paths; an objective is priced
     over paths plus disjoint cycles only when some objective has a negative
     coefficient, since a cycle only adds load and a nonnegative cost.
@@ -709,10 +637,10 @@ class _Routing:
     def __init__(self, instance: Instance, flows: Sequence[Mapping[tuple[int, int], Fraction]]):
         self.instance = instance
         self.flows = flows
-        self.refuted = MetricCertificates(instance)
-        self.scale = self.refuted.scale
+        self.scale = _capacity_scale(instance)
+        self.refuted = CapacityBounds()
         shared: dict = {}  # a dual bound bounds the flow part alone
-        self.bounds = [shared.setdefault(frozenset(flow.items()), DualCertificates(self.scale)) for flow in flows]
+        self.bounds = [shared.setdefault(frozenset(flow.items()), CapacityBounds()) for flow in flows]
         self.paths = self.priced = None
         if instance.unsplittable:
             self.paths = self.priced = _unsplittable_routings(instance, cycles=False)
@@ -726,14 +654,14 @@ class _Routing:
         """Does a routing fit?  Decided exactly (``check_feasible_routing``)
         unless a kept metric certificate refutes the capacities; each new
         refutation is kept."""
-        if self.refuted.refutes(scaled_caps):
+        if self.refuted.reaches(scaled_caps, 0, 1):
             return False
         caps = [Fraction(c, self.scale) for c in scaled_caps]
         if self.paths is not None:
             return _best_unsplittable(self.instance, self.paths, caps, {}) is not None
         feasible, cert = check_feasible_routing(self.instance, caps)
         if not feasible:
-            self.refuted.add(cert)
+            self.refuted.add(metric_bound(self.instance, self.scale, cert))
         return feasible
 
     def minima(self, scaled_caps: Sequence[int], which: Sequence[int], shortfall: Callable):
@@ -751,7 +679,7 @@ class _Routing:
         bound (``lp.safe_lower_bound``, every one kept), and the price
         ``lp.cheapest_routing`` certifies.
         """
-        if self.refuted.refutes(scaled_caps):
+        if self.refuted.reaches(scaled_caps, 0, 1):
             return None
         answers, open_ = dict.fromkeys(which), []
         for i in which:
@@ -773,13 +701,13 @@ class _Routing:
         if results[0].status == "infeasible":
             cert = proves_unroutable(self.instance, caps, results[0].farkas)
             if cert:
-                self.refuted.add(cert)
+                self.refuted.add(metric_bound(self.instance, self.scale, cert))
                 return None
         for i, res in zip(open_, results):
             if res.status == "optimal":
                 bound = safe_lower_bound(rows, self.objectives[i], self.upper, res.duals)
                 if bound is not None:
-                    self.bounds[i].add(scaled_caps, bound, res.duals)
+                    self.bounds[i].add(dual_bound(self.scale, scaled_caps, bound, res.duals))
                     target = shortfall(i)
                     if target is not None and bound * target[1] >= target[0]:
                         continue
@@ -915,9 +843,9 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routin
     rhs, coef_of = cut.rhs_num, cut.cap_num
     keys = sorted(coef_of)
     least = min(coef_of.values())
-    ample, *units_of = _scaled([instance.demand.total(), *instance.facility_capacities()], routing.scale)
+    ample, *units_of = scaled_ints([instance.demand.total(), *instance.facility_capacities()], routing.scale)
     # scaled capacity of each arc with every keyed variable at zero; the walk adds its units
-    caps = _scaled([arc.existing_capacity for arc in instance.arcs], routing.scale)
+    caps = scaled_ints([arc.existing_capacity for arc in instance.arcs], routing.scale)
     for ai, mi in product(range(len(instance.arcs)), range(len(instance.facilities))):
         if (ai, mi) not in coef_of:
             caps[ai] += ample

@@ -21,6 +21,7 @@ certified by ``certify``, routing infeasibility by a metric inequality
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -35,6 +36,7 @@ from .core import (
     format_rational,
     frac,
     rationalize,
+    scaled_ints,
 )
 from .simplex import EQ, GE, LE, LPResult, solve_lp, solve_lp_many  # noqa: F401 (the oracles solve by lp.solve_lp_many)
 
@@ -360,6 +362,24 @@ def proves_unroutable(
     return None
 
 
+def metric_bound(instance: Instance, scale: int, cert: RoutingCertificate) -> tuple[int, int, dict[int, int]]:
+    """``cert`` as a ``CapacityBounds`` form over capacities given as ints
+    ``scale * cap``.  Its ``(v, u)`` lies in the metric cone, which reads no
+    capacity, so it refutes every ``cap`` with ``sum(v_a * cap_a)`` below its
+    demand side: with ``w = mult * v`` in ints and ``q = demand_side * mult *
+    scale``, where the int ``sum(w_a * scaled_cap_a)`` is below ``q``, so
+    below ``ceil(q)``, which is where ``(1, ceil(q) - 1, -w)`` reaches 0."""
+    mult = math.lcm(*(v.denominator for v in cert.v.values()))
+    q = cert.demand_side(instance) * mult * scale
+    return 1, math.ceil(q) - 1, {ai: -w for ai, w in zip(cert.v, scaled_ints(cert.v.values(), mult))}
+
+
+def _signed_dual(sense: str, dual) -> Fraction:
+    """``dual`` as a rational, 0 if of the wrong sign: ``<=`` rows take ``pi <= 0``, ``>=`` rows ``pi >= 0``."""
+    pi = rationalize(dual)
+    return ZERO if (sense == LE and pi > 0) or (sense == GE and pi < 0) else pi
+
+
 def safe_lower_bound(
     rows: Sequence[tuple],
     objective: Mapping[int, Fraction],
@@ -370,17 +390,16 @@ def safe_lower_bound(
 
     The Neumaier-Shcherbina bound ``pi·b + sum(min(0, rc_j) * u_j)`` with
     ``rc = objective - pi·A`` holds for any ``pi`` of the right signs, so the
-    float duals are rounded to rationals and clamped (``<=`` rows to
-    ``pi <= 0``, ``>=`` rows to ``pi >= 0``) and the bound is then exact.
-    ``rows`` and ``upper`` are as for ``solve_lp`` with variables ``>= 0``.
-    Returns ``None`` when a column with negative reduced cost has no upper
-    bound.
+    float duals are rounded to rationals and clamped (``_signed_dual``) and
+    the bound is then exact.  ``rows`` and ``upper`` are as for
+    ``solve_lp`` with variables ``>= 0``.  Returns ``None`` when a column
+    with negative reduced cost has no upper bound.
     """
     bound = ZERO
     rc = {j: frac(c) for j, c in objective.items()}
     for (coefs, sense, rhs), dual in zip(rows, duals):
-        pi = rationalize(dual)
-        if (sense == LE and pi > 0) or (sense == GE and pi < 0) or pi == 0:
+        pi = _signed_dual(sense, dual)
+        if pi == 0:
             continue
         bound += pi * rhs
         for j, a in coefs.items():
@@ -391,6 +410,49 @@ def safe_lower_bound(
                 return None
             bound += r * upper[j]
     return bound
+
+
+def dual_bound(
+    scale: int, scaled_caps: Sequence[int], bound: Fraction, duals: Sequence
+) -> tuple[int, int, dict[int, int]]:
+    """``bound``, the ``safe_lower_bound`` of ``duals`` at ``scaled_caps``
+    (ints ``scale * cap``) on a routing LP whose last rows are the capacity
+    rows, as a ``CapacityBounds`` form exact at every capacity vector: the
+    reduced costs do not read the rhs, so the bound is ``const + sum(pi_a *
+    cap_a)`` with ``pi_a <= 0`` the signed capacity-row duals."""
+    per_unit = {}
+    for ai, dual in enumerate(duals[len(duals) - len(scaled_caps) :]):
+        pi = _signed_dual(LE, dual)
+        if pi:
+            per_unit[ai] = pi / scale
+    const = bound - sum((r * scaled_caps[ai] for ai, r in per_unit.items()), ZERO)
+    mult = math.lcm(const.denominator, *(r.denominator for r in per_unit.values()))
+    c0, *w = scaled_ints([const, *per_unit.values()], mult)
+    return mult, c0, dict(zip(per_unit, w))
+
+
+class CapacityBounds:
+    """Kept bounds over capacity vectors given as ints ``scale * cap``: each
+    form ``(mult, c0, w)`` in ``certificates``, ``mult > 0``, reads ``(c0 +
+    sum(w_a * scaled_cap_a)) / mult`` (``metric_bound``, ``dual_bound``)."""
+
+    def __init__(self):
+        self.certificates: list[tuple[int, int, dict[int, int]]] = []
+
+    def reaches(self, scaled_caps: Sequence[int], num: int, den: int) -> bool:
+        """Does a kept form reach ``num / den`` (``den > 0``) at
+        ``scaled_caps``?  The one that does moves to the front."""
+        certs = self.certificates
+        for i, (mult, c0, w) in enumerate(certs):
+            if (c0 + sum(c * scaled_caps[ai] for ai, c in w.items())) * den >= num * mult:
+                certs.insert(0, certs.pop(i))
+                return True
+        return False
+
+    def add(self, form: tuple[int, int, dict[int, int]]) -> None:
+        """Keep ``form`` first unless it is kept (points of one optimal basis give one bound)."""
+        if form not in self.certificates:
+            self.certificates.insert(0, form)
 
 
 def _fits(rows, upper: Mapping[int, Fraction], x: Sequence[Fraction]) -> bool:

@@ -19,28 +19,14 @@ from itertools import combinations
 from .core import ZERO, frac
 
 
-def floor_frac(x: Fraction) -> int:
-    return math.floor(x)
-
-
-def ceil_frac(x: Fraction) -> int:
-    return math.ceil(x)
-
-
-def frac_part(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
 @dataclass
 class BaseInequality:
-    """``sum a_j x_j + sum c_j y_j >= b`` with continuous x >= 0, integer y >= 0."""
+    """``sum c_j y_j >= b`` with integer y >= 0."""
 
-    cont: dict[int, Fraction] = field(default_factory=dict)
     integ: dict[int, Fraction] = field(default_factory=dict)
     rhs: Fraction = ZERO
 
     def __post_init__(self):
-        self.cont = {j: frac(v) for j, v in self.cont.items() if frac(v) != 0}
         self.integ = {j: frac(v) for j, v in self.integ.items()}
         self.rhs = frac(self.rhs)
         if not self.integ:
@@ -119,7 +105,7 @@ def hull_inequalities(cover: KnapsackCoverSet) -> list[BaseInequality]:
         coefs, p = _rounded(coefs, p, q, caps[sub[-1]])
         reached[sub] = (coefs, p, 1)
         distinct[coefs, p] = None
-    return [BaseInequality({}, dict(enumerate(coefs)), p) for coefs, p in distinct]
+    return [BaseInequality(dict(enumerate(coefs)), p) for coefs, p in distinct]
 
 
 # -- closed-form subadditive coefficient functions ----------------------------

@@ -28,6 +28,7 @@ from .core import (
     Facility,
     Instance,
     LinearCut,
+    scaled_ints,
 )
 from .lp import RoutingCertificate, check_feasible_routing
 
@@ -78,18 +79,14 @@ class NodePairTable:
     def __init__(self, instance: Instance):
         self.instance = instance
         amounts = {(i, j): t for i, j, t in instance.demand.pairs()}
-        self.scale = scale = math.lcm(
-            *(t.denominator for t in amounts.values()), *(a.existing_capacity.denominator for a in instance.arcs)
-        )
-
-        def scaled(v: Fraction) -> int:
-            return v.numerator * (scale // v.denominator)
-
+        cbar = [arc.existing_capacity for arc in instance.arcs]
+        self.scale = scale = math.lcm(*(t.denominator for t in amounts.values()), *(c.denominator for c in cbar))
+        on_arcs = scaled_ints([amounts.pop(arc.pair, ZERO) for arc in instance.arcs], scale)
         self.rows = [
-            (arc.tail, arc.head, scaled(amounts.pop(arc.pair, ZERO)), scaled(arc.existing_capacity), ai)
-            for ai, arc in enumerate(instance.arcs)
+            (arc.tail, arc.head, t, c, ai)
+            for ai, (arc, t, c) in enumerate(zip(instance.arcs, on_arcs, scaled_ints(cbar, scale)))
         ]
-        self.rows += [(i, j, scaled(t), 0, None) for (i, j), t in amounts.items()]
+        self.rows += [(i, j, t, 0, None) for (i, j), t in zip(amounts, scaled_ints(amounts.values(), scale))]
 
     def shrink(self, partition: NodePartition) -> "ShrunkInstance":
         """The block-pair sums of ``partition``, which is not validated."""
@@ -276,18 +273,18 @@ def separate_metric(instance: Instance, capacities: Sequence):
 # -- partition inequalities --------------------------------------------------------
 
 
-def expand_knapsack_cut(ineq, shrunk: ShrunkInstance) -> LinearCut | None:
+def expand_knapsack_cut(ineq, arcs: Sequence[int], params: dict) -> LinearCut | None:
     """Map a cover-set inequality ``sum alpha_m z_m >= beta`` with integer
-    coefficients, as ``hull_inequalities`` gives them, onto arcs."""
-    group = shrunk.groups.get((0, 1))
-    if group is None:
-        return None
+    coefficients, as ``hull_inequalities`` gives them, onto ``arcs``, with
+    ``z_m`` the installations of facility m summed over them: a
+    ``partition`` cut with ``params``, its ``cap`` keyed facility by
+    facility, arc by arc.  None when no coefficient lands on an arc."""
     if any(v.denominator != 1 for v in (ineq.rhs, *ineq.integ.values())):
         raise ValueError("expected a cover-set inequality with integer coefficients")
-    cap = {(ai, mi): coef.numerator for mi, coef in ineq.integ.items() if coef for ai in group}
+    cap = {(ai, mi): coef.numerator for mi, coef in ineq.integ.items() if coef for ai in arcs}
     if not cap:
         return None
-    return LinearCut({}, cap, ineq.rhs.numerator, "partition", {"blocks": shrunk.partition.blocks}, den=1)
+    return LinearCut({}, cap, ineq.rhs.numerator, "partition", params, den=1)
 
 
 # -- three-partition total-capacity cuts -----------------------------------------

@@ -13,6 +13,7 @@ The ``reference_*`` functions are former implementations (mostly in
 """
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import ceil
@@ -128,15 +129,14 @@ def is_maximal_c_strong(rel, S):
 def k_split_facet_check(rel, S, k):
     """Sufficient facet conditions for the k-split cut (not necessary)."""
     from netdes_cuts.arc_cuts import _require_normalized
-    from netdes_cuts.mir import ceil_frac, frac_part
 
     _require_normalized(rel)
     S = set(S)
-    rho = [frac_part(k * v) for v in rel.a]
-    rho0 = frac_part(k * rel.a0)
+    rho = [k * v - math.floor(k * v) for v in rel.a]
+    rho0 = k * rel.a0 - math.floor(k * rel.a0)
 
     def g(T):
-        return len(T) - ceil_frac(sum((rho[i] for i in T), ZERO) - rho0)
+        return len(T) - math.ceil(sum((rho[i] for i in T), ZERO) - rho0)
 
     g0 = g(S)
     for i in S:
@@ -145,7 +145,8 @@ def k_split_facet_check(rel, S, k):
     for i in range(rel.n):
         if i not in S and g(S | {i}) != g0 + 1:
             return False
-    f_S = frac_part(rel.a_sum(S) - rel.a0)
+    gap = rel.a_sum(S) - rel.a0
+    f_S = gap - math.floor(gap)
     if not (f_S > F(k - 1, k) and rel.a0 >= 0):
         return False
     if any(rel.a[i] <= f_S for i in S):
@@ -155,11 +156,32 @@ def k_split_facet_check(rel, S, k):
     return True
 
 
+@dataclass
+class MixedBase:
+    """``sum a_j x_j + sum c_j y_j >= b`` with continuous x >= 0 and integer
+    y >= 0: the base inequality of one rounding step (``mir_cut``), with
+    the continuous part that the package's ``mir.BaseInequality``, integer
+    only, does not carry."""
+
+    cont: dict = field(default_factory=dict)
+    integ: dict = field(default_factory=dict)
+    rhs: F = ZERO
+
+    def __post_init__(self):
+        self.cont = {j: F(v) for j, v in self.cont.items() if v != 0}
+        self.integ = {j: F(v) for j, v in self.integ.items()}
+        self.rhs = F(self.rhs)
+        if not self.integ:
+            raise ValueError("base inequality needs at least one integer variable")
+
+
 def integer_normal_form(base):
-    """A ``BaseInequality``'s coefficients cleared to coprime integers, for comparisons."""
-    scale = integral_scale([*base.cont.values(), *base.integ.values(), base.rhs])
+    """A ``MixedBase``'s or a ``mir.BaseInequality``'s coefficients cleared
+    to coprime integers, for comparisons."""
+    cont = getattr(base, "cont", {})
+    scale = integral_scale([*cont.values(), *base.integ.values(), base.rhs])
     return (
-        tuple(sorted((j, v * scale) for j, v in base.cont.items())),
+        tuple(sorted((j, v * scale) for j, v in cont.items())),
         tuple(sorted((j, v * scale) for j, v in base.integ.items() if v != 0)),
         base.rhs * scale,
     )
@@ -168,14 +190,13 @@ def integer_normal_form(base):
 def basic_mir(b):
     """Parameters (r, ceil(b)) of ``x + r*y >= r*ceil(b)`` for x + y >= b."""
     from netdes_cuts.core import frac
-    from netdes_cuts.mir import ceil_frac, frac_part
 
     b = frac(b)
-    return frac_part(b), ceil_frac(b)
+    return b - math.floor(b), math.ceil(b)
 
 
 def mir_cut(base):
-    """One rounding step applied to a ``BaseInequality``.
+    """One rounding step applied to a ``MixedBase``.
 
     Negative continuous terms are dropped, each integer coefficient c_j
     becomes ``r*floor(c_j) + min(frac(c_j), r)`` and the right-hand side
@@ -183,17 +204,15 @@ def mir_cut(base):
     degenerates; the base is returned unchanged so iterated application
     can simply skip such steps.
     """
-    from netdes_cuts.mir import BaseInequality, ceil_frac, floor_frac, frac_part
-
-    r = frac_part(base.rhs)
+    r = base.rhs - math.floor(base.rhs)
     if r == 0:
-        return BaseInequality(dict(base.cont), dict(base.integ), base.rhs)
+        return MixedBase(dict(base.cont), dict(base.integ), base.rhs)
     cont = {j: v for j, v in base.cont.items() if v > 0}
     integ = {}
     for j, c in base.integ.items():
-        rj = frac_part(c)
-        integ[j] = r * floor_frac(c) + min(rj, r)
-    return BaseInequality(cont, integ, r * ceil_frac(base.rhs))
+        rj = c - math.floor(c)
+        integ[j] = r * math.floor(c) + min(rj, r)
+    return MixedBase(cont, integ, r * math.ceil(base.rhs))
 
 
 def cone_violations(vector, instance):
@@ -630,8 +649,9 @@ def reference_separate_all(instance, point, config):
             cover = reference_knapsack_cover_from_two_partition(shrunk)
             if cover is None:
                 continue
+            crossing = shrunk.groups.get((0, 1), ())
             for ineq in engine.hull_inequalities(cover):
-                admit(partition_cuts.expand_knapsack_cut(ineq, shrunk))
+                admit(partition_cuts.expand_knapsack_cut(ineq, crossing, {"blocks": shrunk.partition.blocks}))
         for part in engine._three_partitions(instance):
             candidates = [
                 cut
@@ -838,12 +858,12 @@ def reference_iterative_mir(cover, subsequence):
     ``integer_normal_form``."""
     from netdes_cuts.mir import BaseInequality
 
-    ineq = BaseInequality({}, {m: F(c) for m, c in enumerate(cover.capacities)}, cover.rhs)
+    ineq = BaseInequality({m: F(c) for m, c in enumerate(cover.capacities)}, cover.rhs)
     for i in subsequence:
         factor = F(1, cover.capacities[i])
-        scaled = BaseInequality({}, {j: v * factor for j, v in ineq.integ.items()}, ineq.rhs * factor)
+        scaled = MixedBase({}, {j: v * factor for j, v in ineq.integ.items()}, ineq.rhs * factor)
         _, integ, rhs = integer_normal_form(mir_cut(scaled))
-        ineq = BaseInequality({}, dict(integ), rhs)
+        ineq = BaseInequality(dict(integ), rhs)
     return ineq
 
 
@@ -874,8 +894,9 @@ def reference_partition_candidates(instance):
         shrunk = reference_shrink(instance, partition_cuts.NodePartition.of(U, V))
         cover = reference_knapsack_cover_from_two_partition(shrunk)
         if cover is not None:
+            crossing = shrunk.groups.get((0, 1), ())
             for ineq in hull_inequalities(cover):
-                yield partition_cuts.expand_knapsack_cut(ineq, shrunk)
+                yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"blocks": shrunk.partition.blocks})
     for part in engine._three_partitions(instance):
         shrunk = reference_shrink(instance, part)
         data = reference_three_partition_data(shrunk)

@@ -214,3 +214,17 @@ def test_failed_run_leaves_no_output_file_behind(tmp_path):
     assert exc.value.code == 2
     assert report.read_text() == "kept\n" and report.stat().st_mtime_ns == before
     assert not dump.exists()
+
+
+def test_an_instance_without_a_facility_that_cannot_route_exits_1_with_one_line(tmp_path, capsys):
+    """A valid instance with no facility and no capacity has an infeasible
+    relaxation and no feasible installation: ``run`` and ``oracle`` each
+    say so in one line on stderr and exit 1, without a traceback."""
+    inst = tmp_path / "stuck.json"
+    inst.write_text('{"nodes": [1, 2], "arcs": [{"tail": 1, "head": 2}], "facilities": [], '
+                    '"demands": [{"from": 1, "to": 2, "amount": "1"}]}')
+    assert main(["run", "--instance", str(inst), "--rounds", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "relaxation solve ended with status infeasible\n"
+    assert main(["oracle", "--instance", str(inst), "--ybound", "1"]) == 1
+    assert capsys.readouterr().err == "no feasible installation within the grid\n"

@@ -789,7 +789,7 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
     carried_refutations = tight_carried_bounds = 0
     for seed in seeds:
         inst = generate_instance(seed=seed, nodes=nodes, density=0.7, facilities=(1, 2))
-        scale = engine.MetricCertificates(inst).scale
+        scale = engine._capacity_scale(inst)
         flow = {
             (ai, ki): F(rng.randint(-1, 3), rng.choice((1, 2)))
             for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))
@@ -806,18 +806,18 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
             ok, cert = lp.check_feasible_routing(inst, caps)
             answers.append((scaled, rows, ok and lp.cheapest_routing(inst, caps, flow)[0]))
             if not ok:
-                refutations.append((i, engine.MetricCertificates(inst)))
-                refutations[-1][1].add(cert)
+                refutations.append((i, lp.CapacityBounds()))
+                refutations[-1][1].add(lp.metric_bound(inst, scale, cert))
                 continue
             duals = lp.solve_lp(n_vars, rows, columns, upper).duals
             if i % 2:  # any duals give a safe bound; wrong-signed ones are dropped
                 duals = [d + rng.uniform(-0.5, 0.5) for d in duals]
-            kept = engine.DualCertificates(scale)
-            kept.add(scaled, lp.safe_lower_bound(rows, columns, upper, duals), duals)
+            kept = lp.CapacityBounds()
+            kept.add(lp.dual_bound(scale, scaled, lp.safe_lower_bound(rows, columns, upper, duals), duals))
             bounds.append((i, duals, kept))
         for j, (scaled, rows, value) in enumerate(answers):
             for i, refuted in refutations:
-                if refuted.refutes(scaled):
+                if refuted.reaches(scaled, 0, 1):
                     assert value is False
                     carried_refutations += i != j
             for i, duals, kept in bounds:
@@ -850,8 +850,7 @@ def test_stubbed_certificates_leave_the_caches_empty(monkeypatch):
             return made[-1]
         return make
 
-    monkeypatch.setattr(engine, "MetricCertificates", recorded(engine.MetricCertificates))
-    monkeypatch.setattr(engine, "DualCertificates", recorded(engine.DualCertificates))
+    monkeypatch.setattr(engine, "CapacityBounds", recorded(engine.CapacityBounds))
     monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
     monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
     monkeypatch.setattr(lp, "safe_lower_bound", lambda *args: None)

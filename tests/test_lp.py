@@ -176,6 +176,39 @@ def test_proves_unroutable_only_when_exactly_unroutable():
     assert unproved_infeasible == 0
 
 
+@pytest.mark.parametrize("demand, v, scale, q", [
+    (F(1), {0: F(1, 2), 1: F(1, 2), 2: F(1)}, 3, F(6)),
+    (F(5, 3), {0: F(1, 3), 1: F(1, 2), 2: F(1)}, 2, F(50, 3)),
+])
+def test_metric_bound_reaches_zero_exactly_where_the_certificate_refutes(demand, v, scale, q):
+    """On random capacity vectors, given as ints ``scale * cap``, the form
+    of ``metric_bound`` reaches 0 exactly where the certificate's capacity
+    side is below its demand side, for an integer and a non-integer
+    ``q = demand_side * mult * scale``, boundary vectors included."""
+    inst = Instance(
+        nodes=[1, 2, 3],
+        arcs=[Arc(1, 2), Arc(2, 3), Arc(1, 3)],
+        facilities=[Facility(1, (F(1),) * 3)],
+        demand=DemandMatrix({(1, 3): demand}),
+    )
+    cert = lp.RoutingCertificate(v=v, u=shortest_path_potentials(inst, v))
+    mult = math.lcm(*(w.denominator for w in v.values()))
+    assert cert.demand_side(inst) * mult * scale == q
+    kept = lp.CapacityBounds()
+    kept.add(lp.metric_bound(inst, scale, cert))
+    rng = random.Random(q.denominator)
+    outcomes = set()
+    boundary = 0
+    for _ in range(400):
+        scaled = [rng.randint(0, 4 * scale) for _ in inst.arcs]
+        caps = [F(c, scale) for c in scaled]
+        refuted = cert.capacity_side(inst, caps) < cert.demand_side(inst)
+        assert kept.reaches(scaled, 0, 1) == refuted
+        outcomes.add(refuted)
+        boundary += cert.capacity_side(inst, caps) * mult * scale in (q, math.ceil(q) - 1)
+    assert outcomes == {False, True} and boundary > 0
+
+
 def test_shortest_path_potentials_satisfy_cone():
     inst = generate_instance(seed=3, nodes=5, density=0.7)
     v = {ai: F(ai % 3, 2) for ai in range(len(inst.arcs))}

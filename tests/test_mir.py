@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdes_cuts.mir import (
-    BaseInequality,
     KnapsackCoverSet,
     PhiParams,
     hull_inequalities,
@@ -16,6 +15,7 @@ from netdes_cuts.mir import (
 )
 
 from helpers import (
+    MixedBase,
     basic_mir,
     integer_normal_form,
     knapsack_min,
@@ -50,7 +50,7 @@ def test_basic_mir_tight_points(b):
 
 
 def test_mir_cut_pure_integer_example():
-    base = BaseInequality({}, {0: F(1, 3), 1: 1}, F(5, 3))
+    base = MixedBase({}, {0: F(1, 3), 1: 1}, F(5, 3))
     cut = mir_cut(base)
     assert integer_normal_form(cut) == ((), ((0, F(1)), (1, F(2))), F(4))
     # valid with two tight integer points on the 0..6 grid
@@ -64,7 +64,7 @@ def test_mir_cut_pure_integer_example():
 
 
 def test_mir_cut_integer_rhs_passthrough():
-    base = BaseInequality({0: F(1)}, {0: F(3, 2)}, F(2))
+    base = MixedBase({0: F(1)}, {0: F(3, 2)}, F(2))
     cut = mir_cut(base)
     assert cut.rhs == base.rhs and cut.integ == base.integ
 
@@ -72,7 +72,7 @@ def test_mir_cut_integer_rhs_passthrough():
 def test_mir_cut_arc_base_complemented():
     # complemented capacity row for the subset {2,3} of the splittable
     # three-commodity example: x-part dropped, remainder 1/3
-    base = BaseInequality(
+    base = MixedBase(
         {},
         {"y": 1},
         F(4, 3),
@@ -90,7 +90,7 @@ def test_mir_cut_arc_base_complemented():
     st.fractions(min_value=0, max_value=10, max_denominator=6),
 )
 def test_mir_cut_validity_by_enumeration(cont, integ, rhs):
-    base = BaseInequality(
+    base = MixedBase(
         {i: v for i, v in enumerate(cont)},
         {i: v for i, v in enumerate(integ)},
         rhs,

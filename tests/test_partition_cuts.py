@@ -328,7 +328,7 @@ def test_knapsack_cover_matches_cutset(star_instance):
     sh = shrink(star_instance, part)
     X = reference_knapsack_cover_from_two_partition(sh)
     assert X == KnapsackCoverSet((1,), F(1, 2))
-    cuts = [expand_knapsack_cut(iq, sh) for iq in hull_inequalities(X)]
+    cuts = [expand_knapsack_cut(iq, sh.groups[(0, 1)], {"blocks": part.blocks}) for iq in hull_inequalities(X)]
     direct = cutset_cut(build_cutset(star_instance, [1]))
     assert any(c.normalized_key() == direct.normalized_key() for c in cuts if c)
 
