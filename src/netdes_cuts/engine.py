@@ -53,6 +53,7 @@ from .lp import (
     flow_columns,
     routing_upper,
     safe_lower_bound,
+    signed_duals,
     solve,
 )
 from .mir import KnapsackCoverSet, hull_inequalities
@@ -627,8 +628,10 @@ class _Routing:
     one store per distinct flow part of ``flows`` (the flow objectives,
     keyed ``(arc, commodity)``); and what each decision needs: the routing
     LP's balance rows, flow bounds and each objective's columns or, with
-    unsplittable routing, the enumerated flows.  The certificates it keeps
-    are tried at later capacity vectors before any LP.
+    unsplittable routing, the enumerated flows, each commodity's demand as
+    the int ``load_scale * demand`` and a cost table per distinct flow part,
+    for a search on ints (``_cheapest``).  The certificates it keeps are
+    tried at later capacity vectors before any LP.
     Unsplittable routability is decided on paths; an objective is priced
     over paths plus disjoint cycles only when some objective has a negative
     coefficient, since a cycle only adds load and a nonnegative cost.
@@ -639,16 +642,24 @@ class _Routing:
         self.flows = flows
         self.scale = _capacity_scale(instance)
         self.refuted = CapacityBounds()
+        self.parts = [frozenset(flow.items()) for flow in flows]
         shared: dict = {}  # a dual bound bounds the flow part alone
-        self.bounds = [shared.setdefault(frozenset(flow.items()), CapacityBounds()) for flow in flows]
+        self.bounds = [shared.setdefault(part, CapacityBounds()) for part in self.parts]
         self.paths = self.priced = None
         if instance.unsplittable:
             self.paths = self.priced = _unsplittable_routings(instance, cycles=False)
             if any(v < 0 for flow in flows for v in flow.values()):
                 self.priced = _unsplittable_routings(instance)
-        self.n_vars = len(instance.arcs) * len(instance.commodities)
-        self.balance, self.upper = routing_balance_rows(instance), routing_upper(instance)
-        self.objectives = [flow_columns(instance, flow) for flow in flows]
+            self.supplies = [com.total_supply for com in instance.commodities]
+            # demands need not be integral at scale: loads and room are ints load_scale * value
+            self.load_scale = math.lcm(self.scale, *(s.denominator for s in self.supplies))
+            self.loads = scaled_ints(self.supplies, self.load_scale)
+            self.tables: dict = {}  # the cost table (_costs) of each distinct flow part
+            self.zero = [[0] * len(flows) for flows in self.paths], 1, [True] * (len(self.paths) + 1)
+        else:
+            self.n_vars = len(instance.arcs) * len(instance.commodities)
+            self.balance, self.upper = routing_balance_rows(instance), routing_upper(instance)
+            self.objectives = [flow_columns(instance, flow) for flow in flows]
 
     def routable(self, scaled_caps: Sequence[int]) -> bool:
         """Does a routing fit?  Decided exactly (``check_feasible_routing``)
@@ -656,9 +667,9 @@ class _Routing:
         refutation is kept."""
         if self.refuted.reaches(scaled_caps, 0, 1):
             return False
-        caps = [Fraction(c, self.scale) for c in scaled_caps]
         if self.paths is not None:
-            return _best_unsplittable(self.instance, self.paths, caps, {}) is not None
+            return self._cheapest(self.paths, self.zero, scaled_caps) is not None
+        caps = [Fraction(c, self.scale) for c in scaled_caps]
         feasible, cert = check_feasible_routing(self.instance, caps)
         if not feasible:
             self.refuted.add(metric_bound(self.instance, self.scale, cert))
@@ -688,13 +699,16 @@ class _Routing:
                 open_.append(i)
         if not open_:
             return answers
-        caps = [Fraction(c, self.scale) for c in scaled_caps]
         if self.paths is not None:
-            if _best_unsplittable(self.instance, self.paths, caps, {}) is None:
+            if self._cheapest(self.paths, self.zero, scaled_caps) is None:
                 return None
             for i in open_:
-                answers[i] = _best_unsplittable(self.instance, self.priced, caps, self.flows[i])
+                table = self._costs(i)
+                cost, chosen = self._cheapest(self.priced, table, scaled_caps)
+                x = {(ai, ki): self.supplies[ki] for ki, arcs in enumerate(chosen) for ai in arcs}
+                answers[i] = (Fraction(cost, table[1]), x)
             return answers
+        caps = [Fraction(c, self.scale) for c in scaled_caps]
         # the balance rows are built once: only the capacity rows read the capacities
         rows = self.balance + routing_capacity_rows(self.instance, caps)
         results = lp.solve_lp_many(self.n_vars, rows, [self.objectives[i] for i in open_], self.upper)
@@ -705,9 +719,10 @@ class _Routing:
                 return None
         for i, res in zip(open_, results):
             if res.status == "optimal":
-                bound = safe_lower_bound(rows, self.objectives[i], self.upper, res.duals)
+                duals = signed_duals(rows, res.duals)  # rationalized once, for the bound and its form
+                bound = safe_lower_bound(rows, self.objectives[i], self.upper, duals)
                 if bound is not None:
-                    self.bounds[i].add(dual_bound(self.scale, scaled_caps, bound, res.duals))
+                    self.bounds[i].add(dual_bound(self.scale, scaled_caps, bound, duals))
                     target = shortfall(i)
                     if target is not None and bound * target[1] >= target[0]:
                         continue
@@ -716,6 +731,64 @@ class _Routing:
                 return None
             answers[i] = (value, x)
         return answers
+
+    def _costs(self, i: int):
+        """The cost table of objective ``i`` over ``priced``: ``(costs, den,
+        prunable)``, each flow's cost as the int ``den * cost`` per commodity,
+        and ``prunable[k]``, no flow of commodity ``k`` or later costs less
+        than 0.  Made once per distinct flow part."""
+        table = self.tables.get(self.parts[i])
+        if table is None:
+            flow = self.flows[i]
+            den = math.lcm(*(v.denominator for v in flow.values()))
+            weight = dict(zip(flow, scaled_ints(flow.values(), den)))
+            costs = [
+                [load * sum(weight.get((ai, ki), 0) for ai in arcs) for arcs in flows]
+                for ki, (load, flows) in enumerate(zip(self.loads, self.priced))
+            ]
+            prunable = [True] * (len(costs) + 1)
+            for ki in reversed(range(len(costs))):
+                prunable[ki] = prunable[ki + 1] and min(costs[ki], default=0) >= 0
+            table = self.tables[self.parts[i]] = (costs, den * self.load_scale, prunable)
+        return table
+
+    def _cheapest(self, routings, table, scaled_caps: Sequence[int]):
+        """The cheapest joint unsplittable routing at ``scaled_caps``, ``(cost,
+        chosen)`` with ``chosen`` each commodity's flow from ``routings`` and
+        ``cost`` in the units of ``table`` (``_costs``), or ``None`` when none
+        fits.  Depth first over the commodities, in flow order: only a
+        strictly cheaper routing replaces the best, and a branch that cannot
+        beat it is cut where no later cost is negative, so at zero cost the
+        first fit is the answer."""
+        costs, _, prunable = table
+        factor = self.load_scale // self.scale
+        room = [c * factor for c in scaled_caps]
+        loads, last = self.loads, len(routings)
+        chosen: list = [None] * last
+        best = None
+
+        def assign(ki, cost):
+            nonlocal best
+            if ki == last:
+                best = cost, list(chosen)
+                return
+            load, prune = loads[ki], prunable[ki + 1]
+            for arcs, c in zip(routings[ki], costs[ki]):
+                if best is not None:
+                    if prunable[ki] and cost >= best[0]:
+                        return
+                    if prune and cost + c >= best[0]:
+                        continue
+                if all(room[ai] >= load for ai in arcs):
+                    for ai in arcs:
+                        room[ai] -= load
+                    chosen[ki] = arcs
+                    assign(ki + 1, cost + c)
+                    for ai in arcs:
+                        room[ai] += load
+
+        assign(0, 0)
+        return best
 
 
 def brute_force_ip(
@@ -925,9 +998,9 @@ def _simple_cycles(instance: Instance) -> list[frozenset[int]]:
     return cycles
 
 
-def _unsplittable_routings(instance: Instance, cycles: bool = True) -> list[list[frozenset[int]]]:
+def _unsplittable_routings(instance: Instance, cycles: bool = True) -> list[list[tuple[int, ...]]]:
     """Per commodity: every all-or-nothing flow (a path plus disjoint
-    cycles), or with ``cycles=False`` every path.
+    cycles), or with ``cycles=False`` every path, as the tuple of its arcs.
 
     Raises ``BudgetExceededError`` when the paths, the cycles or one
     commodity's flows outgrow their caps.
@@ -950,53 +1023,8 @@ def _unsplittable_routings(instance: Instance, cycles: bool = True) -> list[list
                         merged = base | cyc
                         _capped_append(flows, merged, FLOW_CAP, what)
                         stack.append((merged, idx + 1))
-        per_commodity.append(flows)
+        per_commodity.append([tuple(flow) for flow in flows])
     return per_commodity
-
-
-def _best_unsplittable(instance, routings, capacities, objective):
-    """Cheapest joint unsplittable routing under the given capacities; with
-    an empty ``objective`` every cost is zero, and this is the first joint
-    routing that fits."""
-    demands = [com.total_supply for com in instance.commodities]
-    if not objective:
-        arc_cost = [[ZERO] * len(flows) for flows in routings]
-    else:
-        arc_cost = [
-            [sum((objective.get((ai, ki), ZERO) * demands[ki] for ai in flow), ZERO) for flow in flows]
-            for ki, flows in enumerate(routings)
-        ]
-    # prune at commodity ki only when no remaining cost can be negative
-    prunable = [True] * (len(routings) + 1)
-    for ki in reversed(range(len(routings))):
-        prunable[ki] = prunable[ki + 1] and all(c >= 0 for c in arc_cost[ki])
-    best = None
-
-    def assign(ki, loads, cost, chosen):
-        nonlocal best
-        if best is not None and cost >= best[0] and prunable[ki]:
-            return
-        if ki == len(routings):
-            if best is None or cost < best[0]:
-                x = {}
-                for kj, flow in enumerate(chosen):
-                    for ai in flow:
-                        x[(ai, kj)] = demands[kj]
-                best = (cost, x)
-            return
-        for fi, flow in enumerate(routings[ki]):
-            new_loads = dict(loads)
-            ok = True
-            for ai in flow:
-                new_loads[ai] = new_loads.get(ai, ZERO) + demands[ki]
-                if new_loads[ai] > capacities[ai]:
-                    ok = False
-                    break
-            if ok:
-                assign(ki + 1, new_loads, cost + arc_cost[ki][fi], chosen + [flow])
-
-    assign(0, {}, ZERO, [])
-    return best
 
 
 # -- instance generation ----------------------------------------------------------

@@ -375,9 +375,16 @@ def metric_bound(instance: Instance, scale: int, cert: RoutingCertificate) -> tu
 
 
 def _signed_dual(sense: str, dual) -> Fraction:
-    """``dual`` as a rational, 0 if of the wrong sign: ``<=`` rows take ``pi <= 0``, ``>=`` rows ``pi >= 0``."""
+    """``dual`` as a rational, 0 if of the wrong sign: ``<=`` rows take ``pi <= 0``, ``>=`` rows ``pi >= 0``.
+    A signed rational is returned as it is."""
     pi = rationalize(dual)
     return ZERO if (sense == LE and pi > 0) or (sense == GE and pi < 0) else pi
+
+
+def signed_duals(rows: Sequence[tuple], duals: Sequence) -> list[Fraction]:
+    """Each row's dual rationalized and signed once (``_signed_dual``), for
+    ``safe_lower_bound`` and ``dual_bound`` to share."""
+    return [_signed_dual(sense, dual) for (_, sense, _), dual in zip(rows, duals)]
 
 
 def safe_lower_bound(
@@ -392,8 +399,9 @@ def safe_lower_bound(
     ``rc = objective - pi·A`` holds for any ``pi`` of the right signs, so the
     float duals are rounded to rationals and clamped (``_signed_dual``) and
     the bound is then exact.  ``rows`` and ``upper`` are as for
-    ``solve_lp`` with variables ``>= 0``.  Returns ``None`` when a column
-    with negative reduced cost has no upper bound.
+    ``solve_lp`` with variables ``>= 0``; ``duals`` are floats or the
+    rationals of ``signed_duals``.  Returns ``None`` when a column with
+    negative reduced cost has no upper bound.
     """
     bound = ZERO
     rc = {j: frac(c) for j, c in objective.items()}
@@ -419,7 +427,8 @@ def dual_bound(
     (ints ``scale * cap``) on a routing LP whose last rows are the capacity
     rows, as a ``CapacityBounds`` form exact at every capacity vector: the
     reduced costs do not read the rhs, so the bound is ``const + sum(pi_a *
-    cap_a)`` with ``pi_a <= 0`` the signed capacity-row duals."""
+    cap_a)`` with ``pi_a <= 0`` the signed capacity-row duals.  ``duals``
+    are floats or the rationals of ``signed_duals``."""
     per_unit = {}
     for ai, dual in enumerate(duals[len(duals) - len(scaled_caps) :]):
         pi = _signed_dual(LE, dual)

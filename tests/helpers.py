@@ -1015,13 +1015,60 @@ def pure_capacity_counterexamples(cut, instance):
     return found
 
 
+def reference_best_unsplittable(instance, routings, capacities, objective):
+    """Cheapest joint unsplittable routing under the given ``Fraction``
+    capacities, over ``routings`` (each commodity's flows as arc sets), as
+    ``(value, x)`` or ``None``; with an empty ``objective`` every cost is
+    zero, and this is the first joint routing that fits.  The reference
+    for ``engine._Routing``'s search on scaled ints."""
+    demands = [com.total_supply for com in instance.commodities]
+    if not objective:
+        arc_cost = [[ZERO] * len(flows) for flows in routings]
+    else:
+        arc_cost = [
+            [sum((objective.get((ai, ki), ZERO) * demands[ki] for ai in flow), ZERO) for flow in flows]
+            for ki, flows in enumerate(routings)
+        ]
+    # prune at commodity ki only when no remaining cost can be negative
+    prunable = [True] * (len(routings) + 1)
+    for ki in reversed(range(len(routings))):
+        prunable[ki] = prunable[ki + 1] and all(c >= 0 for c in arc_cost[ki])
+    best = None
+
+    def assign(ki, loads, cost, chosen):
+        nonlocal best
+        if best is not None and cost >= best[0] and prunable[ki]:
+            return
+        if ki == len(routings):
+            if best is None or cost < best[0]:
+                x = {}
+                for kj, flow in enumerate(chosen):
+                    for ai in flow:
+                        x[(ai, kj)] = demands[kj]
+                best = (cost, x)
+            return
+        for fi, flow in enumerate(routings[ki]):
+            new_loads = dict(loads)
+            ok = True
+            for ai in flow:
+                new_loads[ai] = new_loads.get(ai, ZERO) + demands[ki]
+                if new_loads[ai] > capacities[ai]:
+                    ok = False
+                    break
+            if ok:
+                assign(ki + 1, new_loads, cost + arc_cost[ki][fi], chosen + [flow])
+
+    assign(0, {}, ZERO, [])
+    return best
+
+
 def reference_validate_cuts(cuts, instance, ybound):
     """``engine.validate_cuts`` as it was before certificates were kept: one
     float routing LP for the open cuts at every grid point, each answer
     certified afresh (the Farkas vector's metric inequality, then each
     cut's safe dual bound, then exact pricing), and routability decided
     anew at every maximal pure-capacity pattern."""
-    from netdes_cuts.engine import _best_unsplittable, _unsplittable_routings, default_y_bounds
+    from netdes_cuts.engine import _unsplittable_routings, default_y_bounds
     from netdes_cuts.core import FractionalPoint
     from netdes_cuts.lp import (
         cheapest_routing, check_feasible_routing, flow_columns, proves_unroutable,
@@ -1052,7 +1099,7 @@ def reference_validate_cuts(cuts, instance, ybound):
                 if routings is None:
                     feasible = check_feasible_routing(instance, caps)[0]
                 else:
-                    feasible = _best_unsplittable(instance, routings, caps, {}) is not None
+                    feasible = reference_best_unsplittable(instance, routings, caps, {}) is not None
                 return FractionalPoint(x={}, y=dict(current)) if feasible else None
             key, units = keys[idx], 0
             while lhs + cut.cap[key] * units < cut.rhs:
@@ -1092,10 +1139,10 @@ def reference_validate_cuts(cuts, instance, ybound):
         caps = [arc_capacity(instance, ai, y) for ai in range(len(instance.arcs))]
         order = sorted(open_idx)
         if routings is not None:
-            if _best_unsplittable(instance, routings, caps, {}) is None:
+            if reference_best_unsplittable(instance, routings, caps, {}) is None:
                 continue
             for idx in order:
-                lhs_min, x = _best_unsplittable(instance, priced, caps, cuts[idx].flow)
+                lhs_min, x = reference_best_unsplittable(instance, priced, caps, cuts[idx].flow)
                 if ypart(cuts[idx], y) + lhs_min < cuts[idx].rhs:
                     verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(y)))
                     open_idx.discard(idx)

@@ -14,6 +14,7 @@ from netdes_cuts.core import (
     FractionalPoint,
     Instance,
     LinearCut,
+    scaled_ints,
     validate_instance,
 )
 from netdes_cuts.engine import (
@@ -33,6 +34,7 @@ from helpers import (
     in_cutset_mixed_integer_set,
     lhs_value,
     pure_capacity_counterexamples,
+    reference_best_unsplittable,
     reference_separate_all,
     reference_validate_cuts,
     select_total_capacity_cut,
@@ -1075,10 +1077,60 @@ def test_best_unsplittable_matches_exhaustive_search_with_negative_costs():
                 if all(load <= cap for load, cap in zip(loads, caps)):
                     costs.append(sum((objective[(ai, ki)] * demands[ki]
                                       for ki, flow in enumerate(choice) for ai in flow), F(0)))
-            best = engine._best_unsplittable(inst, routings, caps, objective)
-            assert (best and best[0]) == (min(costs) if costs else None)
+            routing = engine._Routing(inst, [objective])
+            best = routing.minima(scaled_ints(caps, routing.scale), [0], lambda i: None)
+            assert (best and best[0][0]) == (min(costs) if costs else None)
             checked += bool(costs)
     assert checked >= 10
+
+
+def test_integer_unsplittable_search_matches_the_fraction_reference():
+    """``_Routing`` decides unsplittable routability and prices each
+    objective on ints: loads scaled by the lcm of the capacity scale and
+    every demand's denominator, costs over one denominator.  On random
+    instances, capacity vectors and objectives (empty, nonnegative, with
+    negative costs and so priced over cycles, with fractional coefficients)
+    its answers, the value, the flow ``x`` in its key order, or ``None``,
+    equal those of the ``Fraction`` search ``reference_best_unsplittable``,
+    also on instances whose demands are not integral at ``_capacity_scale``."""
+    rng = random.Random(29)
+    specs = [dict(seed=7, nodes=4, density=0.6), dict(seed=2004, nodes=3, density=0.9)]
+    specs += [dict(seed=seed, nodes=rng.choice((3, 4)), density=rng.choice((0.5, 0.6))) for seed in range(3000, 3012)]
+    compared = fractional = priced_cycles = unroutable = 0
+    for spec in specs:
+        inst = generate_instance(facilities=(1,), mode="disaggregated", unsplittable=True, **spec)
+        scale = engine._capacity_scale(inst)
+        fractional += any((com.total_supply * scale).denominator > 1 for com in inst.commodities)
+        pairs = [(ai, ki) for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))]
+        objectives = [
+            {},
+            {key: F(rng.randint(0, 3)) for key in pairs},
+            {key: F(rng.randint(-2, 2), rng.choice((1, 2, 3))) for key in pairs},
+            {key: F(rng.randint(0, 4), rng.choice((1, 2, 3))) for key in pairs if rng.random() < 0.5},
+        ]
+        objectives[2][pairs[0]] = F(-1)
+        routing = engine._Routing(inst, objectives)
+        paths = engine._unsplittable_routings(inst, cycles=False)
+        priced = engine._unsplittable_routings(inst)
+        priced_cycles += priced != paths
+        for _ in range(8):
+            scaled = [rng.randint(scale // 2, 3 * scale) for _ in inst.arcs]
+            caps = [F(c, scale) for c in scaled]
+            fits = reference_best_unsplittable(inst, paths, caps, {})
+            assert routing.routable(scaled) == (fits is not None)
+            answers = routing.minima(scaled, range(len(objectives)), lambda i: None)
+            if fits is None:
+                assert answers is None
+                compared += len(objectives)
+                unroutable += 1
+                continue
+            for i, objective in enumerate(objectives):
+                value, x = reference_best_unsplittable(inst, priced, caps, objective)
+                assert answers[i][0] == value
+                assert list(answers[i][1].items()) == list(x.items())
+                compared += 1
+    assert compared >= 200 and 0 < unroutable < len(specs) * 8
+    assert fractional >= 2 and priced_cycles > 0
 
 
 def test_brute_force_answers_five_node_unsplittable():
