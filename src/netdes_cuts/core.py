@@ -171,6 +171,12 @@ class Instance:
     Flow variables are implicitly bounded above by their commodity's total
     supply; the oracles and the LP relaxation both enforce that, which is
     what makes single-arc relaxation cuts valid in the presence of cycles.
+
+    ``scale`` is the instance's integer scale S: the lcm of the
+    denominators of every facility size, existing capacity and demand
+    amount.  At S every net demand, supply and sum of demands is an int
+    too; every stage that works on ints (cut-set separation, the node-pair
+    table, the oracle) reads it.
     """
 
     def __init__(
@@ -215,6 +221,11 @@ class Instance:
             raise InstanceError(f"unknown commodity mode {mode!r}")
 
         self.flow_costs = self._expand_flow_costs(flow_costs)
+        self.scale = math.lcm(
+            *(f.capacity.denominator for f in self.facilities),
+            *(a.existing_capacity.denominator for a in self.arcs),
+            *(t.denominator for t in demand._t.values()),
+        )
 
     @staticmethod
     def _merge_parallel(arcs: Iterable[Arc]) -> list[Arc]:
@@ -488,6 +499,9 @@ def instance_to_dict(instance: Instance) -> dict:
 
 def instance_from_dict(data: Mapping) -> Instance:
     """The instance a JSON document describes; malformed data raises ``InstanceError``."""
+    unsplittable = data.get("unsplittable", False)
+    if not isinstance(unsplittable, bool):
+        raise InstanceError(f"field 'unsplittable' must be true or false, not {unsplittable!r}")
     try:
         arcs = [
             Arc(a["tail"], a["head"], frac(a.get("existing_capacity", 0))) for a in data["arcs"]
@@ -505,7 +519,7 @@ def instance_from_dict(data: Mapping) -> Instance:
             demand=demand,
             flow_costs=data.get("flow_costs", ZERO),
             mode=data.get("commodity_mode", AGGREGATED),
-            unsplittable=data.get("unsplittable", False),
+            unsplittable=unsplittable,
             name=data.get("name", ""),
         )
     except KeyError as exc:

@@ -12,7 +12,8 @@ selection.
 
 Separation scores on integers.  ``scaled_point(instance, point)``
 multiplies the facility sizes, the demands, the existing capacities and
-the point's coordinates by one common denominator D, once per point, and
+the point's coordinates by one common denominator D, a multiple of the
+instance's scale, once per point, and
 each relaxation's ``CutSetRelaxation.view(point)`` takes its crossing
 slice from that one scaling.  The view is kept on the relaxation until a
 different point object asks, and it does each piece of work once: per
@@ -97,11 +98,11 @@ class CutSetRelaxation:
 class ScaledPoint:
     """An instance's data and one point's coordinates times D, on integers.
 
-    D is the lcm of the denominators of the facility sizes, of every
-    commodity's net demands, of every existing capacity and of the point's
-    ``x`` and ``y``.  ``caps[m]``, ``cbar[a]``, ``x[a][k]`` and ``y[a][m]``
-    hold the scaled values, indexed by facility, arc and commodity.  D
-    also clears every value derived from the demands, such as a
+    D is the lcm of the instance's scale (``Instance.scale``) and the
+    denominators of the point's ``x`` and ``y``.  ``caps[m]``, ``cbar[a]``,
+    ``x[a][k]`` and ``y[a][m]`` hold the scaled values, indexed by
+    facility, arc and commodity.  Since D is a multiple of the instance's
+    scale, it also clears every value derived from the demands, such as a
     relaxation's ``b_k``.
     """
 
@@ -109,16 +110,11 @@ class ScaledPoint:
         arcs = range(len(instance.arcs))
         commodities = range(len(instance.commodities))
         facilities = range(len(instance.facilities))
-        caps = instance.facility_capacities()
-        cbar = [arc.existing_capacity for arc in instance.arcs]
-        dens = {v.denominator for v in caps}
-        dens.update(v.denominator for com in instance.commodities for v in com.net_demand.values())
-        dens.update(v.denominator for v in cbar)
-        dens.update(v.denominator for v in point.x.values())
+        dens = {v.denominator for v in point.x.values()}
         dens.update(v.denominator for v in point.y.values())
-        self.D = D = math.lcm(*dens)
-        self.caps = scaled_ints(caps, D)
-        self.cbar = scaled_ints(cbar, D)
+        self.D = D = math.lcm(instance.scale, *dens)
+        self.caps = scaled_ints(instance.facility_capacities(), D)
+        self.cbar = scaled_ints([arc.existing_capacity for arc in instance.arcs], D)
         self.x = [scaled_ints([point.x.get((a, k), ZERO) for k in commodities], D) for a in arcs]
         self.y = [scaled_ints([point.y.get((a, m), ZERO) for m in facilities], D) for a in arcs]
 

@@ -581,14 +581,14 @@ def default_y_bounds(instance: Instance, ybound: int | None = None) -> dict[tupl
     return bounds
 
 
-def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, ybound: int | None, scale: int):
+def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, ybound: int | None):
     """The installation grid an oracle walks, as ``(keys, points)``.
 
     ``keys`` is ``sorted(y_bounds)``, or the keys of ``default_y_bounds(instance,
     ybound)`` when ``y_bounds`` is None.  Each point is ``(t, scaled_caps)``:
     the installation counts over ``keys``, and each arc's capacity at ``t``
-    times ``scale``, in ints.  A key that names no (arc, facility) pair, or
-    a negative bound, raises ``ValueError``; a grid of more than
+    times ``instance.scale``, in ints.  A key that names no (arc, facility)
+    pair, or a negative bound, raises ``ValueError``; a grid of more than
     ``GRID_BUDGET`` points raises ``BudgetExceededError``.
     """
     if y_bounds is None:
@@ -602,8 +602,8 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, yb
         size *= bound + 1
         if size > GRID_BUDGET:
             raise BudgetExceededError(f"y-grid has more than {GRID_BUDGET} points")
-    base = scaled_ints([arc.existing_capacity for arc in instance.arcs], scale)
-    units = scaled_ints([instance.facilities[mi].capacity for _, mi in keys], scale)
+    base = scaled_ints([arc.existing_capacity for arc in instance.arcs], instance.scale)
+    units = scaled_ints([instance.facilities[mi].capacity for _, mi in keys], instance.scale)
     terms: list[list[tuple[int, int]]] = [[] for _ in instance.arcs]
     for i, ((ai, _), unit) in enumerate(zip(keys, units)):
         terms[ai].append((i, unit))
@@ -611,17 +611,9 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, yb
     return keys, ((t, [b + sum(c * t[i] for i, c in arc) for b, arc in zip(base, terms)]) for t in points)
 
 
-def _capacity_scale(instance: Instance) -> int:
-    """Least ``S`` with ``S * cap`` integral for every capacity the oracles
-    build: existing capacity plus whole facilities, or the total demand
-    (the ample capacity of ``_validate_pure_capacity``)."""
-    values = [arc.existing_capacity for arc in instance.arcs] + [fac.capacity for fac in instance.facilities]
-    return math.lcm(instance.demand.total().denominator, *(v.denominator for v in values))
-
-
 class _Routing:
     """Every routing decision of one oracle call, at capacity vectors given
-    as ints ``scale * cap``.
+    as ints ``scale * cap``, ``scale`` the instance's (``Instance.scale``).
 
     Holds two kinds of ``CapacityBounds``: ``refuted``, the metric
     certificates proved on the instance, and ``bounds``, safe dual bounds,
@@ -629,8 +621,8 @@ class _Routing:
     keyed ``(arc, commodity)``); and what each decision needs: the routing
     LP's balance rows, flow bounds and each objective's columns or, with
     unsplittable routing, the enumerated flows, each commodity's demand as
-    the int ``load_scale * demand`` and a cost table per distinct flow part,
-    for a search on ints (``_cheapest``).  The certificates it keeps are
+    the int ``scale * demand`` and a cost table per distinct flow part, for
+    a search on ints (``_cheapest``).  The certificates it keeps are
     tried at later capacity vectors before any LP.
     Unsplittable routability is decided on paths; an objective is priced
     over paths plus disjoint cycles only when some objective has a negative
@@ -640,7 +632,7 @@ class _Routing:
     def __init__(self, instance: Instance, flows: Sequence[Mapping[tuple[int, int], Fraction]]):
         self.instance = instance
         self.flows = flows
-        self.scale = _capacity_scale(instance)
+        self.scale = instance.scale
         self.refuted = CapacityBounds()
         self.parts = [frozenset(flow.items()) for flow in flows]
         shared: dict = {}  # a dual bound bounds the flow part alone
@@ -651,9 +643,7 @@ class _Routing:
             if any(v < 0 for flow in flows for v in flow.values()):
                 self.priced = _unsplittable_routings(instance)
             self.supplies = [com.total_supply for com in instance.commodities]
-            # demands need not be integral at scale: loads and room are ints load_scale * value
-            self.load_scale = math.lcm(self.scale, *(s.denominator for s in self.supplies))
-            self.loads = scaled_ints(self.supplies, self.load_scale)
+            self.loads = scaled_ints(self.supplies, self.scale)
             self.tables: dict = {}  # the cost table (_costs) of each distinct flow part
             self.zero = [[0] * len(flows) for flows in self.paths], 1, [True] * (len(self.paths) + 1)
         else:
@@ -749,7 +739,7 @@ class _Routing:
             prunable = [True] * (len(costs) + 1)
             for ki in reversed(range(len(costs))):
                 prunable[ki] = prunable[ki + 1] and min(costs[ki], default=0) >= 0
-            table = self.tables[self.parts[i]] = (costs, den * self.load_scale, prunable)
+            table = self.tables[self.parts[i]] = (costs, den * self.scale, prunable)
         return table
 
     def _cheapest(self, routings, table, scaled_caps: Sequence[int]):
@@ -761,8 +751,7 @@ class _Routing:
         beat it is cut where no later cost is negative, so at zero cost the
         first fit is the answer."""
         costs, _, prunable = table
-        factor = self.load_scale // self.scale
-        room = [c * factor for c in scaled_caps]
+        room = list(scaled_caps)
         loads, last = self.loads, len(routings)
         chosen: list = [None] * last
         best = None
@@ -810,7 +799,7 @@ def brute_force_ip(
     """
     flow_cost = {(ai, ki): c for ai, row in enumerate(instance.flow_costs) for ki, c in enumerate(row)}
     routing = _Routing(instance, [flow_cost])
-    keys, points = _grid(instance, y_bounds, ybound, routing.scale)
+    keys, points = _grid(instance, y_bounds, ybound)
     unit_cost = [instance.facilities[mi].costs[ai] for ai, mi in keys]
     best = install = None
 
@@ -875,7 +864,7 @@ def validate_cuts(
     if not grid_idx:
         return verdicts
 
-    keys, points = _grid(instance, y_bounds, ybound, routing.scale)
+    keys, points = _grid(instance, y_bounds, ybound)
     shortfalls = {idx: _shortfall(cuts[idx], keys) for idx in grid_idx}
     open_idx = set(grid_idx)
     for t, scaled_caps in points:
@@ -911,14 +900,14 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routin
     raising any key would reach the rhs: routability only grows with
     capacity, so a routable pattern below the rhs exists iff a maximal one
     does.  The walk runs on ints: the cut's own, and each arc's capacity
-    times ``routing.scale``.
+    times ``instance.scale``.
     """
     rhs, coef_of = cut.rhs_num, cut.cap_num
     keys = sorted(coef_of)
     least = min(coef_of.values())
-    ample, *units_of = scaled_ints([instance.demand.total(), *instance.facility_capacities()], routing.scale)
+    ample, *units_of = scaled_ints([instance.demand.total(), *instance.facility_capacities()], instance.scale)
     # scaled capacity of each arc with every keyed variable at zero; the walk adds its units
-    caps = scaled_ints([arc.existing_capacity for arc in instance.arcs], routing.scale)
+    caps = scaled_ints([arc.existing_capacity for arc in instance.arcs], instance.scale)
     for ai, mi in product(range(len(instance.arcs)), range(len(instance.facilities))):
         if (ai, mi) not in coef_of:
             caps[ai] += ample

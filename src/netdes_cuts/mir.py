@@ -7,30 +7,15 @@ knapsack cover set runs on ints: its capacities are ints and its
 right-hand side a ratio ``p/q``, and after each rounding step the
 inequality is cleared to coprime integers, so a step divides by a capacity
 ``c`` exactly with ``//`` and ``%`` over the common denominator ``q*c``.
-A ``BaseInequality`` is built only for each distinct result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from .core import ZERO, frac
-
-
-@dataclass
-class BaseInequality:
-    """``sum c_j y_j >= b`` with integer y >= 0."""
-
-    integ: dict[int, Fraction] = field(default_factory=dict)
-    rhs: Fraction = ZERO
-
-    def __post_init__(self):
-        self.integ = {j: frac(v) for j, v in self.integ.items()}
-        self.rhs = frac(self.rhs)
-        if not self.integ:
-            raise ValueError("base inequality needs at least one integer variable")
+from .core import frac
 
 
 @dataclass(frozen=True)
@@ -81,9 +66,10 @@ def all_subsequences(n_facilities: int):
         yield from combinations(range(n_facilities), size)
 
 
-def hull_inequalities(cover: KnapsackCoverSet) -> list[BaseInequality]:
+def hull_inequalities(cover: KnapsackCoverSet) -> list[tuple[tuple[int, ...], int]]:
     """Iterated-MIR cuts for every subsequence, deduplicated, in order of
-    first occurrence, each with coprime integer coefficients.
+    first occurrence, each ``sum coefs[m] z_m >= rhs`` as the coprime ints
+    ``(coefs, rhs)``, ``coefs`` indexed like ``cover.capacities``.
 
     A subsequence holds increasing indices into ``cover.capacities``; its
     cut divides by each chosen capacity in turn and rounds (``_rounded``),
@@ -105,7 +91,7 @@ def hull_inequalities(cover: KnapsackCoverSet) -> list[BaseInequality]:
         coefs, p = _rounded(coefs, p, q, caps[sub[-1]])
         reached[sub] = (coefs, p, 1)
         distinct[coefs, p] = None
-    return [BaseInequality(dict(enumerate(coefs)), p) for coefs, p in distinct]
+    return list(distinct)
 
 
 # -- closed-form subadditive coefficient functions ----------------------------

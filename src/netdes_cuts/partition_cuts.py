@@ -15,7 +15,6 @@ arcs (``lift_cut``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -67,25 +66,22 @@ class NodePairTable:
     """An instance's demands and existing capacities per ordered node pair,
     as ints, made once and read by every shrink of the instance.
 
-    ``scale`` is the lcm of the denominators of the demand amounts and the
-    existing capacities.  ``rows`` holds ``(i, j, demand, capacity, arc)``
-    per ordered node pair with an arc or a demand: the pair's demand and
-    existing capacity times ``scale`` and its arc index (parallel arcs are
-    merged, so a pair has at most one arc), or None.  Rows with an arc
-    come first, in arc index order, so a scan of the rows meets the
-    crossing arcs of a partition in index order.
+    ``scale`` is the instance's scale (``Instance.scale``), which clears
+    every demand amount and existing capacity.  ``rows`` holds ``(i, j,
+    demand, capacity, arc)`` per ordered node pair with an arc or a
+    demand: the pair's demand and existing capacity times ``scale`` and its
+    arc index (parallel arcs are merged, so a pair has at most one arc), or
+    None.  Rows with an arc come first, in arc index order, so a scan of
+    the rows meets the crossing arcs of a partition in index order.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         amounts = {(i, j): t for i, j, t in instance.demand.pairs()}
-        cbar = [arc.existing_capacity for arc in instance.arcs]
-        self.scale = scale = math.lcm(*(t.denominator for t in amounts.values()), *(c.denominator for c in cbar))
+        self.scale = scale = instance.scale
         on_arcs = scaled_ints([amounts.pop(arc.pair, ZERO) for arc in instance.arcs], scale)
-        self.rows = [
-            (arc.tail, arc.head, t, c, ai)
-            for ai, (arc, t, c) in enumerate(zip(instance.arcs, on_arcs, scaled_ints(cbar, scale)))
-        ]
+        cbar = scaled_ints([arc.existing_capacity for arc in instance.arcs], scale)
+        self.rows = [(arc.tail, arc.head, t, c, ai) for ai, (arc, t, c) in enumerate(zip(instance.arcs, on_arcs, cbar))]
         self.rows += [(i, j, t, 0, None) for (i, j), t in zip(amounts, scaled_ints(amounts.values(), scale))]
 
     def shrink(self, partition: NodePartition) -> "ShrunkInstance":
@@ -273,18 +269,17 @@ def separate_metric(instance: Instance, capacities: Sequence):
 # -- partition inequalities --------------------------------------------------------
 
 
-def expand_knapsack_cut(ineq, arcs: Sequence[int], params: dict) -> LinearCut | None:
-    """Map a cover-set inequality ``sum alpha_m z_m >= beta`` with integer
-    coefficients, as ``hull_inequalities`` gives them, onto ``arcs``, with
-    ``z_m`` the installations of facility m summed over them: a
+def expand_knapsack_cut(ineq: tuple[Sequence[int], int], arcs: Sequence[int], params: dict) -> LinearCut | None:
+    """Map a cover-set inequality ``sum alpha_m z_m >= beta``, the ints
+    ``(alpha, beta)`` as ``hull_inequalities`` gives them, onto ``arcs``,
+    with ``z_m`` the installations of facility m summed over them: a
     ``partition`` cut with ``params``, its ``cap`` keyed facility by
     facility, arc by arc.  None when no coefficient lands on an arc."""
-    if any(v.denominator != 1 for v in (ineq.rhs, *ineq.integ.values())):
-        raise ValueError("expected a cover-set inequality with integer coefficients")
-    cap = {(ai, mi): coef.numerator for mi, coef in ineq.integ.items() if coef for ai in arcs}
+    coefs, rhs = ineq
+    cap = {(ai, mi): coef for mi, coef in enumerate(coefs) if coef for ai in arcs}
     if not cap:
         return None
-    return LinearCut({}, cap, ineq.rhs.numerator, "partition", params, den=1)
+    return LinearCut({}, cap, rhs, "partition", params, den=1)
 
 
 # -- three-partition total-capacity cuts -----------------------------------------

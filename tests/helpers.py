@@ -159,9 +159,9 @@ def k_split_facet_check(rel, S, k):
 @dataclass
 class MixedBase:
     """``sum a_j x_j + sum c_j y_j >= b`` with continuous x >= 0 and integer
-    y >= 0: the base inequality of one rounding step (``mir_cut``), with
-    the continuous part that the package's ``mir.BaseInequality``, integer
-    only, does not carry."""
+    y >= 0: the base inequality of one rounding step (``mir_cut``); with
+    no continuous part, also the ``Fraction`` form of a cover-set
+    inequality of the iterated-MIR reference (``reference_iterative_mir``)."""
 
     cont: dict = field(default_factory=dict)
     integ: dict = field(default_factory=dict)
@@ -176,9 +176,12 @@ class MixedBase:
 
 
 def integer_normal_form(base):
-    """A ``MixedBase``'s or a ``mir.BaseInequality``'s coefficients cleared
-    to coprime integers, for comparisons."""
-    cont = getattr(base, "cont", {})
+    """A ``MixedBase``'s or a ``mir.hull_inequalities`` ``(coefs, rhs)``'s
+    coefficients cleared to coprime integers, for comparisons."""
+    if isinstance(base, tuple):
+        coefs, rhs = base
+        base = MixedBase({}, dict(enumerate(coefs)), rhs)
+    cont = base.cont
     scale = integral_scale([*cont.values(), *base.integ.values(), base.rhs])
     return (
         tuple(sorted((j, v * scale) for j, v in cont.items())),
@@ -668,13 +671,13 @@ def reference_separate_all(instance, point, config):
             fed = knapsack_from_total_capacity(winner, instance)
             if fed is not None:
                 cover, support = fed
-                for ineq in engine.hull_inequalities(cover):
+                for coefs, rhs in engine.hull_inequalities(cover):
                     cap = {}
-                    for mi, coef in ineq.integ.items():
+                    for mi, coef in enumerate(coefs):
                         for ai in support.get(mi, ()):
                             cap[(ai, mi)] = coef
                     if cap:
-                        admit(LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"}))
+                        admit(LinearCut({}, cap, rhs, "partition", {"from": "total-capacity"}))
     return found
 
 
@@ -855,28 +858,34 @@ def reference_iterative_mir(cover, subsequence):
     """The former ``Fraction`` iterated MIR: each round scales the
     inequality by the reciprocal of the next capacity, applies
     ``mir_cut`` and clears the result to coprime integers with
-    ``integer_normal_form``."""
-    from netdes_cuts.mir import BaseInequality
-
-    ineq = BaseInequality({m: F(c) for m, c in enumerate(cover.capacities)}, cover.rhs)
+    ``integer_normal_form``, a ``MixedBase`` without continuous part."""
+    ineq = MixedBase({}, dict(enumerate(cover.capacities)), cover.rhs)
     for i in subsequence:
         factor = F(1, cover.capacities[i])
         scaled = MixedBase({}, {j: v * factor for j, v in ineq.integ.items()}, ineq.rhs * factor)
         _, integ, rhs = integer_normal_form(mir_cut(scaled))
-        ineq = BaseInequality(dict(integ), rhs)
+        ineq = MixedBase({}, dict(integ), rhs)
     return ineq
 
 
 def reference_hull_inequalities(cover):
     """The former ``Fraction`` ``hull_inequalities``: ``reference_iterative_mir``
-    for every subsequence, the first of each ``integer_normal_form``."""
+    for every subsequence, the first of each ``integer_normal_form``, in
+    the form ``hull_inequalities`` gives: the ints ``(coefs, rhs)``, coefs
+    indexed like ``cover.capacities``."""
     from netdes_cuts.mir import all_subsequences
 
+    def integer(v):
+        if v.denominator != 1:
+            raise ValueError(f"reference hull coefficient {v} is not an integer")
+        return v.numerator
+
+    n = len(cover.capacities)
     seen = {}
-    for sub in all_subsequences(len(cover.capacities)):
+    for sub in all_subsequences(n):
         ineq = reference_iterative_mir(cover, sub)
         seen.setdefault(integer_normal_form(ineq), ineq)
-    return list(seen.values())
+    return [(tuple(integer(ineq.integ.get(m, ZERO)) for m in range(n)), integer(ineq.rhs)) for ineq in seen.values()]
 
 
 def reference_partition_candidates(instance):
@@ -915,10 +924,10 @@ def reference_partition_candidates(instance):
         fed = knapsack_from_total_capacity(winner, instance)
         if fed is not None:
             cover, support = fed
-            for ineq in hull_inequalities(cover):
-                cap = {(ai, mi): coef for mi, coef in ineq.integ.items() for ai in support.get(mi, ())}
+            for coefs, rhs in hull_inequalities(cover):
+                cap = {(ai, mi): coef for mi, coef in enumerate(coefs) for ai in support.get(mi, ())}
                 if cap:
-                    yield LinearCut({}, cap, ineq.rhs, "partition", {"from": "total-capacity"})
+                    yield LinearCut({}, cap, rhs, "partition", {"from": "total-capacity"})
 
 
 def _reference_rc_arc(instance, ai, point):

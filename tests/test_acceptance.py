@@ -278,7 +278,7 @@ def test_criterion_08_divisible_hulls():
         for b in (F(1, 2), F(5, 3), F(5), F(7), F(23, 3)):
             X = KnapsackCoverSet(caps, b)
             cuts = hull_inequalities(X)
-            rows = [(dict(c.integ), GE, c.rhs) for c in cuts]
+            rows = [(dict(enumerate(coefs)), GE, rhs) for coefs, rhs in cuts]
             for _ in range(100):
                 obj = [F(rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in caps]
                 res = solve_lp(

@@ -169,10 +169,13 @@ def test_unsplittable_gen_flag(tmp_path):
     ["run", "--instance", "{float_cost}"],
     ["run", "--instance", "{duplicate_node}"],
     ["oracle", "--instance", "{duplicate_node}", "--ybound", "1"],
+    ["run", "--instance", "{unsplittable_string}", "--rounds", "1"],
+    ["oracle", "--instance", "{unsplittable_string}", "--ybound", "1"],
 ], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
         "ybound", "facilities", "density-inf", "facilities-decreasing", "facilities-equal",
         "report-unwritable", "dump-lp-unwritable", "instance-empty", "instance-unknown-node",
-        "instance-float-cost", "run-duplicate-node", "oracle-duplicate-node"])
+        "instance-float-cost", "run-duplicate-node", "oracle-duplicate-node", "run-unsplittable-string",
+        "oracle-unsplittable-string"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--nodes", "3", "--out", str(inst)])
@@ -184,7 +187,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     malformed = {"empty": {}, "unknown_node": {**good, "arcs": [{"tail": 1, "head": 3}]},
                  "float_cost": {**good, "flow_costs": [1.5]},
                  "duplicate_node": {**good, "nodes": [1, 2, 2],
-                                    "arcs": [{"tail": 1, "head": 2}, {"tail": 2, "head": 1}]}}
+                                    "arcs": [{"tail": 1, "head": 2}, {"tail": 2, "head": 1}]},
+                 # a string is not a boolean: "false" must not read as true
+                 "unsplittable_string": {**good, "commodity_mode": "disaggregated", "unsplittable": "false"}}
     for name, data in malformed.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))

@@ -211,6 +211,58 @@ def test_instance_roundtrip_json():
     assert back.demand == inst.demand
 
 
+def test_instance_scale_is_the_least_int_that_clears_the_data():
+    """``Instance.scale`` is the least positive S with ``S * v`` an int for
+    every facility size, existing capacity, demand amount, net demand and
+    supply, in both commodity modes, with fractional facility sizes and
+    with amounts whose total is integral (seed 5); and the int stages read
+    it: the node-pair table, a point's scaling and the oracle's routing."""
+    from netdes_cuts import engine
+    from netdes_cuts.cutset_cuts import scaled_point
+    from netdes_cuts.partition_cuts import NodePairTable
+
+    fractional = Instance(
+        nodes=[1, 2, 3],
+        arcs=[Arc(1, 2, "5/4"), Arc(2, 3), Arc(3, 1, "1/2")],
+        facilities=[Facility("7/5", ("1", "1", "1")), Facility("10/3", ("2", "2", "2"))],
+        demand=DemandMatrix({(1, 3): F(1, 6), (2, 1): F(5, 6)}),
+    )
+    seed5 = engine.generate_instance(seed=5, nodes=3, density=0.9, facilities=(1, 2))
+    instances = [
+        fractional,
+        seed5,
+        engine.generate_instance(seed=5, nodes=3, density=0.9, facilities=(1, 2), mode="disaggregated"),
+        engine.generate_instance(seed=35, nodes=3, density=0.9, facilities=(1, 2)),
+        engine.generate_instance(seed=7, nodes=4, density=0.6, facilities=(1,), mode="disaggregated",
+                                 unsplittable=True),
+    ]
+    assert fractional.scale == 60 and seed5.scale == 2 and seed5.demand.total() == 3
+    rng = random.Random(30)
+    for inst in instances:
+        S = inst.scale
+        values = [f.capacity for f in inst.facilities] + [a.existing_capacity for a in inst.arcs]
+        values += [t for _, _, t in inst.demand.pairs()]
+        values += [w for com in inst.commodities for w in com.net_demand.values()]
+        values += [com.total_supply for com in inst.commodities]
+        assert S >= 1 and all((S * v).denominator == 1 for v in values)
+        for d in range(1, S):
+            if S % d == 0:
+                assert any((d * v).denominator != 1 for v in values), (inst.name, S, d)
+
+        assert NodePairTable(inst).scale == S
+        routing = engine._Routing(inst, [{}])
+        assert routing.scale == S
+        if inst.unsplittable:
+            assert routing.loads == [S * com.total_supply for com in inst.commodities]
+        arcs, commodities = range(len(inst.arcs)), range(len(inst.commodities))
+        point = FractionalPoint(
+            x={(ai, ki): F(rng.randint(0, 5), rng.choice((1, 2, 5))) for ai in arcs for ki in commodities},
+            y={(ai, mi): F(rng.randint(0, 3), rng.choice((1, 7))) for ai in arcs for mi in range(len(inst.facilities))},
+        )
+        dens = [v.denominator for v in (*point.x.values(), *point.y.values())]
+        assert scaled_point(inst, point).D == math.lcm(S, *dens)
+
+
 def test_linear_cut_normalization_and_violation():
     cut = LinearCut({(0, 0): F(2)}, {(0, 0): F(4)}, F(6), "test")
     key = cut.normalized_key()

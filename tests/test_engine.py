@@ -791,7 +791,7 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
     carried_refutations = tight_carried_bounds = 0
     for seed in seeds:
         inst = generate_instance(seed=seed, nodes=nodes, density=0.7, facilities=(1, 2))
-        scale = engine._capacity_scale(inst)
+        scale = inst.scale
         flow = {
             (ai, ki): F(rng.randint(-1, 3), rng.choice((1, 2)))
             for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))
@@ -1086,21 +1086,22 @@ def test_best_unsplittable_matches_exhaustive_search_with_negative_costs():
 
 def test_integer_unsplittable_search_matches_the_fraction_reference():
     """``_Routing`` decides unsplittable routability and prices each
-    objective on ints: loads scaled by the lcm of the capacity scale and
-    every demand's denominator, costs over one denominator.  On random
-    instances, capacity vectors and objectives (empty, nonnegative, with
-    negative costs and so priced over cycles, with fractional coefficients)
-    its answers, the value, the flow ``x`` in its key order, or ``None``,
-    equal those of the ``Fraction`` search ``reference_best_unsplittable``,
-    also on instances whose demands are not integral at ``_capacity_scale``."""
+    objective on ints: loads at the instance's scale, costs over one
+    denominator.  On random instances, capacity vectors and objectives
+    (empty, nonnegative, with negative costs and so priced over cycles,
+    with fractional coefficients) its answers, the value, the flow ``x`` in
+    its key order, or ``None``, equal those of the ``Fraction`` search
+    ``reference_best_unsplittable``, also on instances whose total demand
+    has a smaller denominator than some demand (seed 7: 1/3, 2/3 and 3/4,
+    in total 7/4)."""
     rng = random.Random(29)
     specs = [dict(seed=7, nodes=4, density=0.6), dict(seed=2004, nodes=3, density=0.9)]
     specs += [dict(seed=seed, nodes=rng.choice((3, 4)), density=rng.choice((0.5, 0.6))) for seed in range(3000, 3012)]
-    compared = fractional = priced_cycles = unroutable = 0
+    compared = priced_cycles = unroutable = 0
     for spec in specs:
         inst = generate_instance(facilities=(1,), mode="disaggregated", unsplittable=True, **spec)
-        scale = engine._capacity_scale(inst)
-        fractional += any((com.total_supply * scale).denominator > 1 for com in inst.commodities)
+        scale = inst.scale
+        assert all((com.total_supply * scale).denominator == 1 for com in inst.commodities)
         pairs = [(ai, ki) for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))]
         objectives = [
             {},
@@ -1130,7 +1131,7 @@ def test_integer_unsplittable_search_matches_the_fraction_reference():
                 assert list(answers[i][1].items()) == list(x.items())
                 compared += 1
     assert compared >= 200 and 0 < unroutable < len(specs) * 8
-    assert fractional >= 2 and priced_cycles > 0
+    assert priced_cycles > 0
 
 
 def test_brute_force_answers_five_node_unsplittable():

@@ -124,10 +124,10 @@ def test_iterative_mir_single_divisor_examples():
 
 def test_iterative_mir_validity_by_enumeration():
     X = KnapsackCoverSet((1, 3), F(5))
-    for cut in hull_inequalities(X):
+    for coefs, rhs in hull_inequalities(X):
         for z in product(range(7), range(4)):
             if z[0] + 3 * z[1] >= 5:
-                assert sum(cut.integ[i] * z[i] for i in range(2)) >= cut.rhs
+                assert sum(coefs[i] * z[i] for i in range(2)) >= rhs
 
 
 def test_iterative_mir_always_valid_non_divisible():
@@ -135,12 +135,12 @@ def test_iterative_mir_always_valid_non_divisible():
     for _ in range(40):
         caps = sorted(rng.sample(range(1, 12), rng.randint(1, 3)))
         X = KnapsackCoverSet(tuple(caps), F(rng.randint(1, 30), rng.choice((1, 2, 3))))
-        for cut in hull_inequalities(X):
+        for coefs, rhs in hull_inequalities(X):
             zmax = [int(X.rhs // c) + 1 for c in caps]
             for z in product(*(range(b + 1) for b in zmax)):
                 if sum(c * zi for c, zi in zip(caps, z)) >= X.rhs:
-                    lhs = sum(cut.integ.get(i, F(0)) * z[i] for i in range(len(caps)))
-                    assert lhs >= cut.rhs, (caps, X.rhs, cut, z)
+                    lhs = sum(coefs[i] * z[i] for i in range(len(caps)))
+                    assert lhs >= rhs, (caps, X.rhs, coefs, rhs, z)
 
 
 def test_hull_inequalities_describe_divisible_hulls():
@@ -152,7 +152,7 @@ def test_hull_inequalities_describe_divisible_hulls():
         cuts = hull_inequalities(X)
         for _ in range(30):
             obj = [F(rng.randint(0, 9), rng.choice((1, 2))) for _ in caps]
-            rows = [(dict(c.integ), GE, c.rhs) for c in cuts]
+            rows = [(dict(enumerate(coefs)), GE, rhs) for coefs, rhs in cuts]
             res = solve_lp(len(caps), rows, {i: v for i, v in enumerate(obj)}, exact=True)
             assert res.status == "optimal"
             assert res.objective == knapsack_min(caps, b, obj)
@@ -165,7 +165,7 @@ DIVISIBLE_CASES = [
 
 def _assert_integer_mir_matches_the_reference(X):
     got, want = hull_inequalities(X), reference_hull_inequalities(X)
-    # same cuts in the same order, with Fraction values in the same dict order
+    # same cuts in the same order, as the same ints
     assert repr(got) == repr(want)
     assert [integer_normal_form(c) for c in got] == [integer_normal_form(c) for c in want]
 

@@ -463,12 +463,12 @@ def test_total_capacity_feeds_iterated_mir():
     assert X.capacities == (1, 3)
     assert set(support) == {0, 1}
     derived = []
-    for ineq in hull_inequalities(X):
+    for coefs, rhs in hull_inequalities(X):
         cap = {}
-        for mi, coef in ineq.integ.items():
+        for mi, coef in enumerate(coefs):
             for ai in support[mi]:
                 cap[(ai, mi)] = coef
-        derived.append(LinearCut({}, cap, ineq.rhs, "partition"))
+        derived.append(LinearCut({}, cap, rhs, "partition"))
     verdicts = validate_cuts(derived, inst, ybound=2)
     assert all(ok for ok, _ in verdicts)
 
