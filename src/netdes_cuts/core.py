@@ -28,11 +28,12 @@ DISAGGREGATED = "disaggregated"
 
 
 def frac(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"`` and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/4"`` and Fractions to Fraction; a
+    float or a bool (``True`` is an int equal to 1) is refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError(f"refusing to coerce float {value!r}; pass a string or Fraction")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing to coerce {type(value).__name__} {value!r}; pass a string or Fraction")
     return Fraction(value)
 
 
@@ -381,8 +382,8 @@ class LinearCut:
     denominator passes them with ``den=``, and they are reduced.  ``flow``,
     ``cap`` and ``rhs`` are read-only ``Fraction`` views, made on first
     read; the ints are not changed after construction.  A builder that
-    knows the cut's exact violation at a point may store
-    ``(point, violation)`` in ``_violation``.
+    knows the cut's exact violation at a point may store ``(point,
+    violation)`` in ``_violation``, the point as ``violation`` is given it.
     """
 
     flow_num: dict[tuple[int, int], int]
@@ -439,12 +440,21 @@ class LinearCut:
             lhs += n * point.y.get(key, ZERO)
         return lhs
 
-    def violation(self, point: FractionalPoint) -> Fraction:
-        """Positive iff the point violates the cut; a point must not be
-        changed in place once a violation at it has been recorded."""
+    def violation(self, point) -> Fraction:
+        """Positive iff the point violates the cut, exactly.  ``point`` is a
+        ``FractionalPoint`` or a ``cutset_cuts.ScaledPoint`` of one, whose
+        ``x[a][k]`` and ``y[a][m]`` are the coordinates times its D, and
+        then the left-hand side is summed on ints (the loop passes the one
+        scaling its separators share).  A point must not be changed in
+        place once a violation at it has been recorded."""
         if self._violation[0] is point:
             return self._violation[1]
-        return (self.rhs_num - self._lhs_num(point)) / self.den
+        if isinstance(point, FractionalPoint):
+            return (self.rhs_num - self._lhs_num(point)) / self.den
+        D, X, Y = point.D, point.x, point.y
+        lhs = sum(n * X[a][k] for (a, k), n in self.flow_num.items())
+        lhs += sum(n * Y[a][m] for (a, m), n in self.cap_num.items())
+        return Fraction(self.rhs_num * D - lhs, self.den * D)
 
     def normalized_key(self):
         """Canonical hashable form, shared exactly by positive multiples:
@@ -509,9 +519,13 @@ def instance_from_dict(data: Mapping) -> Instance:
         facilities = [
             Facility(frac(f["capacity"]), tuple(frac(c) for c in f["cost"])) for f in data["facilities"]
         ]
-        demand = DemandMatrix()
+        demand, listed = DemandMatrix(), set()
         for d in data.get("demands", []):
-            demand.set(d["from"], d["to"], frac(d["amount"]))
+            pair = (d["from"], d["to"])
+            if pair in listed:
+                raise InstanceError(f"demand ({pair[0]},{pair[1]}) is listed more than once")
+            listed.add(pair)
+            demand.set(*pair, frac(d["amount"]))
         return Instance(
             nodes=data["nodes"],
             arcs=arcs,

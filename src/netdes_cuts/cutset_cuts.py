@@ -75,7 +75,7 @@ class CutSetRelaxation:
     V: tuple[int, ...]
     A_plus: tuple[int, ...]   # arc indices U -> V
     A_minus: tuple[int, ...]  # arc indices V -> U
-    b: tuple[Fraction, ...]   # per-commodity net demand that must cross
+    b_num: tuple[int, ...]    # per-commodity net demand that must cross, times instance.scale
     _view: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def view(self, point: FractionalPoint) -> IntegerView:
@@ -85,14 +85,8 @@ class CutSetRelaxation:
             self._view = (point, IntegerView(self, scaled_point(self.instance, point)))
         return self._view[1]
 
-    def b_sum(self, Q: Iterable[int]) -> Fraction:
-        return sum((self.b[k] for k in Q), ZERO)
-
-    def cbar(self, arcs: Iterable[int]) -> Fraction:
-        return sum((self.instance.arcs[a].existing_capacity for a in arcs), ZERO)
-
     def positive_commodities(self) -> tuple[int, ...]:
-        return tuple(k for k, v in enumerate(self.b) if v > 0)
+        return tuple(k for k, v in enumerate(self.b_num) if v > 0)
 
 
 class ScaledPoint:
@@ -131,9 +125,10 @@ def scaled_point(instance: Instance, point: FractionalPoint) -> ScaledPoint:
 class IntegerView:
     """A relaxation's data and one point's crossing coordinates on integers.
 
-    The values are a ``ScaledPoint``'s, all times its D: ``caps``,
-    ``cbar[a]`` and ``y[a][m]`` are the scaling's own lists, ``x[a]`` its
-    rows of the crossing arcs, and ``b`` the relaxation's demands scaled.
+    The values are those of a ``ScaledPoint``, ``scaled``, all times its
+    D: ``caps``, ``cbar[a]`` and ``y[a][m]`` are the scaling's own lists,
+    ``x[a]`` its rows of the crossing arcs, and ``b`` the relaxation's
+    demands, ``b_num`` raised from the instance's scale to D.
     Remainders and phi values are then D-scaled and flow terms, capacity
     terms and violations D^2-scaled; the phi functions are homogeneous, so
     every comparison is the one the exact rationals make.  Per commodity
@@ -158,7 +153,9 @@ class IntegerView:
         self.A_plus, self.A_minus = rel.A_plus, rel.A_minus
         self.D = scaled.D
         self.caps, self.cbar, self.y = scaled.caps, scaled.cbar, scaled.y
-        self.b = scaled_ints(rel.b, scaled.D)
+        self.scaled = scaled
+        up = scaled.D // rel.instance.scale
+        self.b = [b * up for b in rel.b_num]
         self.x = {a: scaled.x[a] for a in rel.A_plus + rel.A_minus}
         self.mixed_integer = self._in_mixed_integer_set()
         self.cbar_plus = self.cbar_sum(rel.A_plus)
@@ -258,7 +255,8 @@ class FlowCutSelection:
 
 
 def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None = None) -> CutSetRelaxation:
-    """Aggregate the design constraints across a node two-partition."""
+    """Aggregate the design constraints across a node two-partition, each
+    commodity's crossing demand summed on ints at the instance's scale."""
     U = tuple(dict.fromkeys(U))
     if V is None:
         V = tuple(n for n in instance.nodes if n not in set(U))
@@ -273,8 +271,10 @@ def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None =
             a_plus.append(ai)
         elif arc.tail not in uset and arc.head in uset:
             a_minus.append(ai)
-    b = tuple(
-        sum((com.w(n) for n in V), ZERO) for com in instance.commodities
+    S = instance.scale
+    b_num = tuple(
+        sum(w.numerator * (S // w.denominator) for n, w in com.net_demand.items() if n not in uset)
+        for com in instance.commodities
     )
     return CutSetRelaxation(
         instance=instance,
@@ -282,16 +282,18 @@ def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None =
         V=V,
         A_plus=tuple(a_plus),
         A_minus=tuple(a_minus),
-        b=b,
+        b_num=b_num,
     )
 
 
 def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
     """Rounded capacity requirement ``y(A+) >= ceil((b_K - cbar(A+)) / c)``
-    on facility 0, the one facility of the instances the family applies to."""
-    c = rel.instance.facilities[0].capacity
-    b_K = rel.b_sum(range(len(rel.b)))
-    rhs = math.ceil((b_K - rel.cbar(rel.A_plus)) / c)
+    on facility 0, the one facility of the instances the family applies to,
+    on ints at the instance's scale S: ``ceil((S*b_K - S*cbar(A+)) / (S*c))``."""
+    inst = rel.instance
+    S, c = inst.scale, inst.facilities[0].capacity
+    need = sum(rel.b_num) - sum(scaled_ints((inst.arcs[a].existing_capacity for a in rel.A_plus), S))
+    rhs = -(-need // (c.numerator * (S // c.denominator)))
     if rhs <= 0 or not rel.A_plus:
         return None
     return LinearCut({}, {(a, 0): 1 for a in rel.A_plus}, rhs, "cutset", {"U": rel.U, "rhs": rhs}, den=1)
@@ -347,11 +349,12 @@ def _cut(
     return cut
 
 
-def _scored(cut: LinearCut | None, view: IntegerView, point: FractionalPoint, score: int) -> LinearCut | None:
-    """``cut`` with its exact violation at ``point``, the D^2-scaled
-    ``score`` of ``view``, recorded."""
+def _scored(cut: LinearCut | None, view: IntegerView, score: int) -> LinearCut | None:
+    """``cut`` with its exact violation at the point of ``view``, the
+    D^2-scaled ``score`` of ``view``, recorded for that point's
+    ``ScaledPoint``."""
     if cut is not None:
-        cut._violation = (point, Fraction(score, view.D * view.D))
+        cut._violation = (view.scaled, Fraction(score, view.D * view.D))
     return cut
 
 
@@ -468,7 +471,7 @@ def separate_flow_cutset(
         return None
     S_plus, S_minus, score = found
     cut = _cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, facility), (facility,), "flowcutset", skip)
-    return _scored(cut, view, point, score)
+    return _scored(cut, view, score)
 
 
 def separate_commodity_subset(
@@ -497,7 +500,7 @@ def separate_commodity_subset(
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
     if not (set(S_plus) <= set(rel.A_plus) and set(S_minus) <= set(rel.A_minus)):
         raise ValueError("S+ and S- must be subsets of the crossing arcs A+ and A-")
-    n = len(rel.b)
+    n = len(rel.b_num)
     if n > SUBSET_ENUMERATION_CAP:
         raise ValueError("exact commodity-subset search is capped")
     view = rel.view(point)
@@ -552,7 +555,7 @@ def separate_multifacility(
     times facilities.  See ``_greedy_selection``.  A winner whose
     ``normalized_key()`` is in ``skip`` is not returned: None.
     """
-    Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
+    Q = tuple(Q) if Q is not None else tuple(range(len(rel.b_num)))
     facilities = tuple(range(len(rel.instance.facilities)))
     view = rel.view(point)
     found = _greedy_selection(view, Q, s, facilities, _prefer_capacity)
@@ -560,7 +563,7 @@ def separate_multifacility(
         return None
     S_plus, S_minus, score = found
     cut = _cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, s), facilities, "mf", skip)
-    return _scored(cut, view, point, score)
+    return _scored(cut, view, score)
 
 
 def two_partitions(nodes: Sequence[int]):

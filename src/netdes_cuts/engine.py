@@ -147,6 +147,7 @@ def _cutset_greedy(greedy: Callable[..., LinearCut | None]):
 
     def separate(sep: Separation, point: FractionalPoint):
         found: set = set()
+        scaled = cutset_cuts.scaled_point(sep.instance, point)
         for rel in sep.relaxations:
             if not rel.A_plus or rel.view(point).mixed_integer:
                 continue
@@ -154,7 +155,7 @@ def _cutset_greedy(greedy: Callable[..., LinearCut | None]):
             for s in range(len(sep.instance.facilities)):
                 for Q in subsets:
                     cut = greedy(rel, s, Q, point, found)
-                    if cut is not None and cut.violation(point) > sep.eps:
+                    if cut is not None and cut.violation(scaled) > sep.eps:
                         found.add(cut.normalized_key())
                         yield cut
 
@@ -171,9 +172,10 @@ def _partition(sep: Separation):
     """Two-partition hull cuts, then per three-partition the stronger
     total-capacity cut followed by the hull cuts it feeds.  Every
     partition's block-pair sums come from one ``NodePairTable`` of the
-    instance, as ints times its ``scale``.  Many partitions share a cover
-    set, keyed by its right-hand side times that scale, and each distinct
-    cover's hull is computed once."""
+    instance, as ints times its ``scale``: a two-partition's from its rows
+    (``crossing``), a three-partition's from its shrink.  Many partitions
+    share a cover set, keyed by its right-hand side times that scale, and
+    each distinct cover's hull is computed once."""
     instance = sep.instance
     table = partition_cuts.NodePairTable(instance)
     capacities = tuple(int(f.capacity) for f in instance.facilities)
@@ -185,12 +187,10 @@ def _partition(sep: Separation):
         return hulls[b]
 
     for U, V in sep.partitions:
-        shrunk = table.shrink(partition_cuts.NodePartition.of(U, V))
-        b = shrunk.net((0, 1))
+        b, crossing = table.crossing(set(U))
         if b > 0:
-            crossing = shrunk.groups.get((0, 1), ())
             for ineq in hull(b):
-                yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"blocks": shrunk.partition.blocks})
+                yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"blocks": (U, V)})
     for part in _three_partitions(instance):
         shrunk = table.shrink(part)
         winner = partition_cuts.total_capacity_cut(shrunk)
@@ -368,7 +368,7 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
                 exact_fallback=sol.exact_fallback,
                 lp_start=sol.start,
                 rationalization_error=point.rationalization_error,
-                lp_rows=len(model.rows),
+                lp_rows=len(model.float_rows),
                 lp_iterations=sol.iterations,
                 lp_seconds=lp_seconds,
                 families=families,
@@ -464,21 +464,23 @@ def _admitted(cuts: Iterable[LinearCut], scaled: cutset_cuts.ScaledPoint, eps: F
 def separate_all(sep: Separation, point: FractionalPoint):
     """One round: every family of ``sep`` in table order; returns (cut,
     exact violation) pairs for the candidates violated by more than eps
-    and records each family's time and counts in ``sep.last_round``.  The
-    built-once candidates are admitted on their ints, at the point's one
-    scaling, which the cut-set relaxations share; the cut-set
-    family that runs (``flowcutset`` or ``mf``) offers each key once, and
-    its cuts carry the exact violation their separator scored."""
+    and records each family's time and counts in ``sep.last_round``.  Every
+    violation is taken on ints, at the point's one scaling, which the
+    cut-set relaxations share: the built-once candidates are admitted on
+    their ints there, the cut-set family that runs (``flowcutset`` or
+    ``mf``) offers each key once, and its cuts carry the exact violation
+    their separator scored."""
     found: list[tuple[LinearCut, Fraction]] = []
     sep.last_round = {}
+    scaled = cutset_cuts.scaled_point(sep.instance, point)
     for fam in sep.families:
         t0, before = time.perf_counter(), len(found)
         if fam.build:
-            found.extend(_admitted(sep.fixed[fam.name], cutset_cuts.scaled_point(sep.instance, point), sep.eps))
+            found.extend(_admitted(sep.fixed[fam.name], scaled, sep.eps))
         else:
             for cut in fam.separate(sep, point):
                 if cut is not None:
-                    violation = cut.violation(point)
+                    violation = cut.violation(scaled)
                     if violation > sep.eps:
                         found.append((cut, violation))
         sep.last_round[fam.name] = {
@@ -542,7 +544,7 @@ def _commodity_subsets(rel, point: FractionalPoint):
     greedy arc sets.  The exact subset search keeps up to 2^n - 1 keys, so
     it is capped at ``cutset_cuts.SUBSET_ENUMERATION_CAP`` commodities and
     the alternation stops there."""
-    n = len(rel.b)
+    n = len(rel.b_num)
     if n <= Q_SUBSET_LIMIT:
         for size in range(1, n + 1):
             yield from combinations(range(n), size)

@@ -8,7 +8,9 @@ arc.  The relaxation is the routing LP at existing capacity with the
 installed capacity ``c_m·y`` on each capacity row, plus one ``>=`` row per
 pooled cut; flow variables carry their commodity supply as an upper bound
 (vital: single-arc relaxation cuts are only valid when flows cannot exceed
-their commodity's total supply on any arc).
+their commodity's total supply on any arc).  The loop solves a relaxation
+on float rows written from its cuts' ints; its exact rows are built only
+for an exact consumer.
 
 Every exact LP answer (``check_feasible_routing``, ``cheapest_routing``,
 ``exact_objective``) comes from ``solve_certified``: one float solve that
@@ -22,10 +24,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import (
     MAX_DENOMINATOR,
@@ -41,15 +45,49 @@ from .core import (
 from .simplex import EQ, GE, LE, LPResult, solve_lp, solve_lp_many  # noqa: F401 (the oracles solve by lp.solve_lp_many)
 
 
+class ExactRows(Sequence):
+    """``LPModel.rows``: ``fixed``, the balance and capacity rows, then one
+    ``(coefs, GE, rhs)`` row per cut of ``cuts``, in ``Fraction``s.  Its
+    length is known at once; the cut rows are built on the first other
+    read, so a model that no exact consumer reads never builds them."""
+
+    def __init__(self, instance: Instance, fixed: list, cuts: list):
+        self.instance, self.fixed, self.cuts = instance, fixed, cuts
+        self._rows = None
+
+    def __len__(self) -> int:
+        return len(self.fixed) + len(self.cuts)
+
+    def _built(self) -> list:
+        if self._rows is None:
+            self._rows = self.fixed + cut_rows(self.instance, self.cuts, Fraction)
+        return self._rows
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 @dataclass
 class LPModel:
-    """The relaxation as ``solve_lp`` takes it: ``rows`` are ``(coefs, sense,
-    rhs)`` over the columns of ``column_keys``; balance rows, capacity rows,
-    then one row per cut of ``cuts``."""
+    """The relaxation as ``solve_lp`` takes it, over the columns of
+    ``column_keys``: balance rows, capacity rows, then one ``>=`` row per
+    cut of ``cuts``.  ``float_rows`` are those rows in floats, each
+    ``(coefs, sense, rhs)`` the ``float()`` of its exact row with the same
+    columns in the same order, and are what ``solve`` solves; ``rows``
+    (``ExactRows``) are the exact rows, built for an exact consumer
+    (``exact_objective``, the stall fallback of ``solve``,
+    ``to_lp_format``)."""
 
     instance: Instance
     cuts: list
-    rows: list
+    rows: ExactRows
+    float_rows: list
     objective: dict
     upper: dict
 
@@ -124,8 +162,9 @@ def build_relaxation(
     less the installed capacity ``c_m·y``, plus one ``>=`` row per pooled cut.
 
     ``base`` is a relaxation of ``instance`` whose cuts are a prefix of
-    ``cuts`` (the previous round's): the new model shares its rows,
-    objective and bounds and builds only the rows of the later cuts.
+    ``cuts`` (the previous round's): the new model shares its balance and
+    capacity rows, objective and bounds, copies its float rows and builds
+    only the float rows of the later cuts.
     ``base`` is not modified.  A base of another instance, or whose cuts
     are not a prefix of ``cuts``, raises ``ValueError``.
     """
@@ -135,7 +174,8 @@ def build_relaxation(
         for ai, (coefs, _, _) in enumerate(capacity):
             for mi, fac in enumerate(instance.facilities):
                 coefs[design_var(instance, ai, mi)] = -fac.capacity
-        rows = routing_balance_rows(instance) + capacity
+        fixed = routing_balance_rows(instance) + capacity
+        float_rows = [({j: float(v) for j, v in coefs.items()}, sense, float(rhs)) for coefs, sense, rhs in fixed]
         objective = {
             j: instance.flow_costs[ai][other] if kind == "x" else instance.facilities[other].costs[ai]
             for j, (kind, ai, other) in enumerate(column_keys(instance))
@@ -146,23 +186,23 @@ def build_relaxation(
     elif len(base.cuts) > len(cuts) or any(a is not b and a != b for a, b in zip(base.cuts, cuts)):
         raise ValueError("the base relaxation's cuts are not a prefix of the cuts")
     else:
-        rows, objective, upper, built = list(base.rows), base.objective, base.upper, len(base.cuts)
-    for cut in cuts[built:]:
-        coefs = flow_columns(instance, cut.flow)
-        coefs.update((design_var(instance, ai, mi), v) for (ai, mi), v in cut.cap.items())
-        rows.append((coefs, GE, cut.rhs))
-    return LPModel(instance, cuts, rows, objective, upper)
+        fixed, float_rows = base.rows.fixed, list(base.float_rows)
+        objective, upper, built = base.objective, base.upper, len(base.cuts)
+    # numerator / denominator by int true division is the correctly
+    # rounded quotient, as float() of the exact value is
+    float_rows += cut_rows(instance, cuts[built:], operator.truediv)
+    return LPModel(instance, cuts, ExactRows(instance, fixed, cuts), float_rows, objective, upper)
 
 
 def solve(model: LPModel, *, start: LPSolution | None = None) -> LPSolution:
-    """Float optimum of ``model``.
+    """Float optimum of ``model``, solved on its ``float_rows``.
 
-    ``start`` is the optimum of a model whose rows ``model.rows`` extend
-    (same instance, more cuts): when it holds a float tableau the re-solve
+    ``start`` is the optimum of a model whose float rows ``model.float_rows``
+    extend (same instance, more cuts): when it holds a float tableau the re-solve
     begins there, and a stalled warm re-solve is redone cold.  A stalled
     cold solve is redone exactly and flagged.
     """
-    problem = (model.n_vars, model.rows, model.objective, model.upper)
+    problem = (model.n_vars, model.float_rows, model.objective, model.upper)
     how = "cold"
     if start is not None and start.tableau is not None:
         res = solve_lp(*problem, exact=False, start=start)
@@ -172,7 +212,7 @@ def solve(model: LPModel, *, start: LPSolution | None = None) -> LPSolution:
     stalled = res.status == "stalled"
     if stalled:
         # numerically hard model: exact arithmetic is slower but immune
-        res = solve_lp(*problem, exact=True)
+        res = solve_lp(model.n_vars, model.rows, model.objective, model.upper, exact=True)
     return LPSolution(**vars(res), exact_fallback=stalled, start=how, instance=model.instance)
 
 
@@ -300,6 +340,24 @@ def routing_capacity_rows(instance: Instance, capacities) -> list:
     for ai in range(len(instance.arcs)):
         coefs = {routing_var(instance, ai, ki): Fraction(1) for ki in range(len(instance.commodities))}
         rows.append((coefs, LE, capacities[ai]))
+    return rows
+
+
+def cut_rows(instance: Instance, cuts: Sequence[LinearCut], divide) -> list:
+    """One ``(coefs, GE, rhs)`` row per cut of ``cuts``: its flow columns
+    (``routing_var``), then its capacity columns (``design_var``), each
+    value ``divide(numerator, cut.den)`` of the cut's ints, so
+    ``operator.truediv`` gives the float rows and ``Fraction`` the exact
+    ones, in the same columns and order."""
+    # one commodity's, or one facility's, columns are consecutive in arc order
+    flow_at = [routing_var(instance, 0, ki) for ki in range(len(instance.commodities))]
+    cap_at = [design_var(instance, 0, mi) for mi in range(len(instance.facilities))]
+    rows = []
+    for cut in cuts:
+        den = cut.den
+        coefs = {flow_at[ki] + ai: divide(n, den) for (ai, ki), n in cut.flow_num.items()}
+        coefs.update({cap_at[mi] + ai: divide(n, den) for (ai, mi), n in cut.cap_num.items()})
+        rows.append((coefs, GE, divide(cut.rhs_num, den)))
     return rows
 
 

@@ -6,11 +6,12 @@ sums are all the cut builders read: two-block sums yield integer knapsack
 cover sets (iterated MIR turns them into partition inequalities), and
 three-block sums the total-capacity family, either by summing the six
 directed cut-set inequalities or by pairing rounded metric inequalities.
-The sums are ints over one ``NodePairTable`` of the instance, and a
-``Fraction`` is made only for a cut that is built.  The shrunk network as
-an ``Instance`` is built only on request (``ShrunkInstance.instance``);
-its valid inequalities lift back by copying coefficients onto crossing
-arcs (``lift_cut``).
+The sums are ints over one ``NodePairTable`` of the instance, a
+two-partition's read straight from its rows (``NodePairTable.crossing``),
+and a ``Fraction`` is made only for a cut that is built.  The shrunk
+network as an ``Instance`` is built only on request
+(``ShrunkInstance.instance``); its valid inequalities lift back by copying
+coefficients onto crossing arcs (``lift_cut``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .core import (
     ZERO,
@@ -83,6 +84,18 @@ class NodePairTable:
         cbar = scaled_ints([arc.existing_capacity for arc in instance.arcs], scale)
         self.rows = [(arc.tail, arc.head, t, c, ai) for ai, (arc, t, c) in enumerate(zip(instance.arcs, on_arcs, cbar))]
         self.rows += [(i, j, t, 0, None) for (i, j), t in zip(amounts, scaled_ints(amounts.values(), scale))]
+
+    def crossing(self, U: Container[int]) -> tuple[int, list[int]]:
+        """The sums of a two-partition without a shrink: demand minus
+        existing capacity from the nodes of ``U`` to the other nodes, times
+        ``scale``, and the arcs from ``U`` to them in index order."""
+        net, arcs = 0, []
+        for i, j, t, cbar, ai in self.rows:
+            if i in U and j not in U:
+                net += t - cbar
+                if ai is not None:
+                    arcs.append(ai)
+        return net, arcs
 
     def shrink(self, partition: NodePartition) -> "ShrunkInstance":
         """The block-pair sums of ``partition``, which is not validated."""

@@ -38,12 +38,13 @@ its tableau.
 
 ``solve_lp(..., start=)`` re-solves in floats from the kept tableau of an
 earlier optimum whose rows the new LP extends, and pays only for the new
-rows: each is converted alone (``_tableau_row``), all are placed in one
+rows: all are converted in one pass (``_tableau_rows``) and placed in one
 scatter, each with its slack basic (its marker), which keeps the basis dual
 feasible, and one product eliminates the old basis from them.  A bounded
 dual simplex (``_dual_loop``) restores primal feasibility before the primal
 pivot loop and the same result reader finish, with no phase 1.  Phase 1
-places its rows in one scatter too; the reader takes values and duals with
+converts its rows the same way and places them, their slacks and their
+artificials in one scatter each; the reader takes values and duals with
 vector operations.
 """
 
@@ -116,7 +117,7 @@ class _Layout:
         self.n_vars = n_vars
         # (coefs, sense, rhs, negated): the model's coefs and rhs and the
         # tableau row's sense; a negated row enters the tableau as -coefs
-        # and -rhs (``_tableau_row``), and its dual changes sign
+        # and -rhs (``_tableau_rows``), and its dual changes sign
         self.rows = [
             (coefs, _FLIP[sense], rhs, True) if rhs < 0 else (coefs, sense, rhs, False)
             for coefs, sense, rhs in rows
@@ -269,41 +270,47 @@ class _State:
         )
 
 
-def _tableau_row(coefs, rhs, negated: bool, arith: _Arithmetic):
-    """Row ``coefs``/``rhs``, negated when ``negated``, in tableau numbers:
-    ``(vals, rhs, scale)``, ``vals`` in the order of ``coefs``.
-
-    Float rows are equilibrated to unit max coefficient: wide magnitude
-    ranges (scaled cut rows) otherwise invite tiny-pivot blowups.  Exact
-    rows are not scaled.  A row is negated after conversion, which is
-    sign-symmetric, as ``zero - v`` so that a zero stays +0.0.
-    """
-    vals, rhs = [arith.num(v) for v in coefs.values()], arith.num(rhs)
-    if negated:
-        vals, rhs = [arith.zero - v for v in vals], arith.zero - rhs
-    if arith.exact:
-        return vals, rhs, arith.one
-    biggest = max(map(abs, vals), default=0.0)
-    scale = 1.0 / biggest if biggest > 0 else 1.0
-    return [v * scale for v in vals], rhs * scale, scale
-
-
 def _tableau_rows(rows, arith: _Arithmetic):
-    """``_tableau_row`` of each of ``rows`` (``_Layout.rows`` entries),
-    flattened for one scatter: ``(at, cols, vals, rhs, scale)``, where
-    coefficient ``k`` sits in row ``at[k]`` (an index into ``rows``, in
-    ascending order) and column ``cols[k]``, and ``rhs`` and ``scale`` are
-    lists with one entry per row."""
-    cols, vals, rhs, scale, sizes = [], [], [], [], []
-    for coefs, _, b, negated in rows:
-        row_vals, row_rhs, row_scale = _tableau_row(coefs, b, negated, arith)
+    """``rows`` (``_Layout.rows`` entries) in tableau numbers, flattened for
+    one scatter: ``(at, cols, vals, rhs, scale)``, where coefficient ``k``
+    sits in row ``at[k]`` (an index into ``rows``, in ascending order) and
+    column ``cols[k]``, each row's coefficients in the order of its
+    ``coefs``, and ``rhs`` and ``scale`` hold one entry per row.
+
+    Every value is converted in one pass (``arith.num``; a float passes as
+    it is).  A negated row's values are negated after conversion, which is
+    sign-symmetric, as ``zero - v`` so that a zero stays +0.0.  Float rows
+    are then equilibrated to unit max coefficient: wide magnitude ranges
+    (scaled cut rows) otherwise invite tiny-pivot blowups.  Exact rows are
+    not scaled.
+    """
+    cols, vals, rhs, sizes, negated = [], [], [], [], []
+    for coefs, _, b, neg in rows:
         cols += coefs
-        vals += row_vals
-        rhs.append(row_rhs)
-        scale.append(row_scale)
-        sizes.append(len(row_vals))
+        vals += coefs.values()
+        rhs.append(b)
+        sizes.append(len(coefs))
+        negated.append(neg)
     at = np.repeat(np.arange(len(rows)), sizes)
-    return at, np.array(cols, dtype=np.int64), np.array(vals, dtype=arith.dtype), rhs, scale
+    if arith.exact:
+        vals, rhs = [Fraction(v) for v in vals], [Fraction(v) for v in rhs]
+    else:  # lp.LPModel.float_rows hold floats
+        vals = [v if type(v) is float else _to_float(v) for v in vals]
+        rhs = [v if type(v) is float else _to_float(v) for v in rhs]
+    vals, rhs = np.array(vals, dtype=arith.dtype), np.array(rhs, dtype=arith.dtype)
+    negated = np.array(negated, dtype=bool)
+    flip = np.flatnonzero(negated[at])
+    vals[flip] = arith.zero - vals[flip]
+    rhs[negated] = arith.zero - rhs[negated]
+    scale = np.full(len(rows), arith.one, dtype=arith.dtype)
+    if not arith.exact and vals.size:
+        biggest = np.zeros(len(rows))
+        filled = np.flatnonzero(sizes)
+        biggest[filled] = np.maximum.reduceat(np.abs(vals), np.searchsorted(at, filled))
+        np.divide(1.0, biggest, out=scale, where=biggest > 0)
+        vals *= scale[at]
+        rhs *= scale
+    return at, np.array(cols, dtype=np.int64), vals, rhs, scale
 
 
 def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State | LPResult:
@@ -320,22 +327,20 @@ def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State 
     allow = np.ones(N, dtype=np.uint8)
     allow[upper <= arith.tol] = 0  # fixed variables never enter
 
-    at, cols, vals, rhs, scale = _tableau_rows(layout.rows, arith)
-    # one scatter: a write per row or per entry costs a numpy call each
+    at, cols, vals, rhs, row_scale = _tableau_rows(layout.rows, arith)
+    # one scatter each for the rows, the slacks and the artificials: a
+    # write per row or per entry costs a numpy call each
     T[at, cols] = vals
     T[:m, N] = rhs
-    row_scale = np.array(scale, dtype=arith.dtype)
-    for i, (_, sense, _, _) in enumerate(layout.rows):
-        if sense == LE:
-            T[i, layout.slack_col[i]] = one
-        elif sense == GE:
-            T[i, layout.slack_col[i]] = -one
-        if layout.art_col[i] >= 0:
-            T[i, layout.art_col[i]] = one
-            basis[i] = layout.art_col[i]
-        else:
-            basis[i] = layout.slack_col[i]
-        is_basic[basis[i]] = 1
+    slack, art = np.array(layout.slack_col, dtype=np.int64), np.array(layout.art_col, dtype=np.int64)
+    le = np.array([sense == LE for _, sense, _, _ in layout.rows], dtype=bool)
+    ge = np.array([sense == GE for _, sense, _, _ in layout.rows], dtype=bool)
+    T[le.nonzero()[0], slack[le]] = one
+    T[ge.nonzero()[0], slack[ge]] = -one
+    has_art = art >= 0
+    T[has_art.nonzero()[0], art[has_art]] = one
+    basis[:] = np.where(has_art, art, slack)
+    is_basic[basis] = 1
 
     # phase 1: minimize the artificial total
     for i in range(m):
@@ -434,7 +439,7 @@ def _resolve(start: LPResult, rows: Sequence[tuple], max_iter) -> LPResult:
     upper = np.concatenate([old_state.upper, slack_upper])
     flipped = np.concatenate([old_state.flipped, np.zeros(m - m0, dtype=np.uint8)])
     at, cols, vals, rhs, scale = _tableau_rows(layout.rows[m0:], _FLOAT)
-    row_scale = np.concatenate([old_state.row_scale, np.array(scale, dtype=np.float64)])
+    row_scale = np.concatenate([old_state.row_scale, scale])
     # complemented columns hold u_j - x_j: a row holding one drops its part
     # from its rhs by one dot over that row's terms in order, the sum a row
     # appended alone gets (the order of a float sum changes its bits)

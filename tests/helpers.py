@@ -421,9 +421,19 @@ def multifacility_best_violation(rel, point, s, Q):
     return best, best_sel
 
 
+def relaxation_b(rel):
+    """The cut-set relaxation's per-commodity crossing demands in
+    Fractions: ``b_num`` over the instance's scale."""
+    return tuple(F(n, rel.instance.scale) for n in rel.b_num)
+
+
+def _cbar(rel, arcs):
+    return sum((rel.instance.arcs[a].existing_capacity for a in arcs), ZERO)
+
+
 def _rounding_data(rel, Q, S_plus, S_minus, c):
     """Remainder r and eta of rounding ``b'_Q / c``."""
-    b_prime = rel.b_sum(Q) - rel.cbar(S_plus) + rel.cbar(S_minus)
+    b_prime = sum((relaxation_b(rel)[k] for k in Q), ZERO) - _cbar(rel, S_plus) + _cbar(rel, S_minus)
     return b_prime - (b_prime // c) * c, -(-b_prime // c)
 
 
@@ -456,7 +466,7 @@ def _phi_cut(rel, sel, sizes, family):
     return LinearCut(
         flow=flow,
         cap=cap,
-        rhs=r * eta - rel.cbar(sel.S_minus),
+        rhs=r * eta - _cbar(rel, sel.S_minus),
         family=family,
         params={"U": rel.U, "Q": tuple(sel.Q), "S+": tuple(sel.S_plus), "S-": tuple(sel.S_minus), "r": r, "eta": eta},
     )
@@ -476,7 +486,7 @@ def reference_multifacility_cutset_cut(rel, sel):
         "s_plus_proper": bool(sel.S_plus) and set(sel.S_plus) != set(rel.A_plus),
         "s_minus_proper": bool(sel.S_minus) and set(sel.S_minus) != set(rel.A_minus),
         "remainder_positive": cut.params["r"] > 0,
-        "all_demands_positive": all(rel.b[k] > 0 for k in sel.Q),
+        "all_demands_positive": all(rel.b_num[k] > 0 for k in sel.Q),
     }
     return cut
 
@@ -538,7 +548,7 @@ def reference_flow_cutset(rel, Q, point, facility=0, max_rounds=5, passes=None):
 
 def reference_multifacility(rel, s, point, Q=None, max_rounds=5, passes=None):
     """Fraction reference for ``cutset_cuts.separate_multifacility``."""
-    Q = tuple(Q) if Q is not None else tuple(range(len(rel.b)))
+    Q = tuple(Q) if Q is not None else tuple(range(len(rel.b_num)))
     return _greedy_fraction(
         rel, Q, point, s, range(len(rel.instance.facilities)),
         lambda cap, flow: cap < flow or (cap == 0 and flow == 0),
@@ -552,7 +562,7 @@ def in_cutset_mixed_integer_set(rel, point):
     ``x`` non-negative, each crossing arc's flow within its capacity and
     each commodity's net crossing flow at least ``b_k``, in Fractions."""
     caps = rel.instance.facility_capacities()
-    commodities = range(len(rel.b))
+    commodities = range(len(rel.b_num))
     for a in rel.A_plus + rel.A_minus:
         ys = [point.y.get((a, m), ZERO) for m in range(len(caps))]
         xs = [point.x.get((a, k), ZERO) for k in commodities]
@@ -562,7 +572,7 @@ def in_cutset_mixed_integer_set(rel, point):
             return False
     return all(
         sum((_point_flow(point, a, (k,)) for a in rel.A_plus), ZERO)
-        - sum((_point_flow(point, a, (k,)) for a in rel.A_minus), ZERO) >= rel.b[k]
+        - sum((_point_flow(point, a, (k,)) for a in rel.A_minus), ZERO) >= relaxation_b(rel)[k]
         for k in commodities
     )
 
@@ -576,9 +586,9 @@ def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0):
 
     c = rel.instance.facilities[facility].capacity
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
-    ks = range(len(rel.b))
+    ks = range(len(rel.b_num))
     best, best_v = None, ZERO
-    for size in range(1, len(rel.b) + 1):
+    for size in range(1, len(rel.b_num) + 1):
         for Q in combinations(ks, size):
             r, _ = _rounding_data(rel, Q, S_plus, S_minus, c)
             if r == 0:
@@ -1403,6 +1413,21 @@ def _reference_flip(T, flipped, upper, j):
     flipped[j] ^= 1
 
 
+def reference_tableau_row(coefs, rhs, negated, arith):
+    """Reference for ``simplex._tableau_rows``: the former conversion of one
+    row, ``(vals, rhs, scale)``, ``vals`` in the order of ``coefs``; a
+    negated row is negated after conversion, as ``zero - v``, and a float
+    row is equilibrated to unit max coefficient."""
+    vals, rhs = [arith.num(v) for v in coefs.values()], arith.num(rhs)
+    if negated:
+        vals, rhs = [arith.zero - v for v in vals], arith.zero - rhs
+    if arith.exact:
+        return vals, rhs, arith.one
+    biggest = max(map(abs, vals), default=0.0)
+    scale = 1.0 / biggest if biggest > 0 else 1.0
+    return [v * scale for v in vals], rhs * scale, scale
+
+
 def reference_resolve(start, rows, max_iter=None):
     """Reference for ``simplex._resolve``: the former warm start, which
     appends the new rows one at a time and reads values and duals one
@@ -1412,7 +1437,7 @@ def reference_resolve(start, rows, max_iter=None):
 
     from netdes_cuts.simplex import (
         _FLOAT, _INF, EQ, ITER_LIMIT, OPTIMAL, UNBOUNDED, LPResult, _default_max_iter, _dual_loop,
-        _pivot_loop, _State, _tableau_row,
+        _pivot_loop, _State,
     )
 
     old_state, old = start.tableau
@@ -1428,7 +1453,7 @@ def reference_resolve(start, rows, max_iter=None):
     row_scale = np.concatenate([old_state.row_scale, np.ones(m - m0)])
     for i in range(m0, m):
         coefs, _, rhs, negated = layout.rows[i]
-        vals, T[i, N], row_scale[i] = _tableau_row(coefs, rhs, negated, _FLOAT)
+        vals, T[i, N], row_scale[i] = reference_tableau_row(coefs, rhs, negated, _FLOAT)
         cols, vals = np.fromiter(coefs, np.int64, len(coefs)), np.array(vals)
         comp = flipped[cols] != 0
         T[i, N] -= vals[comp] @ upper[cols[comp]]

@@ -171,11 +171,21 @@ def test_unsplittable_gen_flag(tmp_path):
     ["oracle", "--instance", "{duplicate_node}", "--ybound", "1"],
     ["run", "--instance", "{unsplittable_string}", "--rounds", "1"],
     ["oracle", "--instance", "{unsplittable_string}", "--ybound", "1"],
+    ["run", "--instance", "{bool_capacity}", "--rounds", "1"],
+    ["oracle", "--instance", "{bool_capacity}", "--ybound", "1"],
+    ["run", "--instance", "{bool_amount}", "--rounds", "1"],
+    ["oracle", "--instance", "{bool_cost}", "--ybound", "1"],
+    ["run", "--instance", "{bool_existing_capacity}", "--rounds", "1"],
+    ["oracle", "--instance", "{bool_flow_costs}", "--ybound", "1"],
+    ["run", "--instance", "{repeated_demand}", "--rounds", "1"],
+    ["oracle", "--instance", "{repeated_demand}", "--ybound", "1"],
 ], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
         "ybound", "facilities", "density-inf", "facilities-decreasing", "facilities-equal",
         "report-unwritable", "dump-lp-unwritable", "instance-empty", "instance-unknown-node",
         "instance-float-cost", "run-duplicate-node", "oracle-duplicate-node", "run-unsplittable-string",
-        "oracle-unsplittable-string"])
+        "oracle-unsplittable-string", "run-bool-capacity", "oracle-bool-capacity", "run-bool-amount",
+        "oracle-bool-cost", "run-bool-existing-capacity", "oracle-bool-flow-costs", "run-repeated-demand",
+        "oracle-repeated-demand"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--nodes", "3", "--out", str(inst)])
@@ -189,7 +199,16 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
                  "duplicate_node": {**good, "nodes": [1, 2, 2],
                                     "arcs": [{"tail": 1, "head": 2}, {"tail": 2, "head": 1}]},
                  # a string is not a boolean: "false" must not read as true
-                 "unsplittable_string": {**good, "commodity_mode": "disaggregated", "unsplittable": "false"}}
+                 "unsplittable_string": {**good, "commodity_mode": "disaggregated", "unsplittable": "false"},
+                 # nor is a boolean a number: true must not read as 1
+                 "bool_capacity": {**good, "facilities": [{"capacity": True, "cost": ["1"]}]},
+                 "bool_amount": {**good, "demands": [{"from": 1, "to": 2, "amount": True}]},
+                 "bool_cost": {**good, "facilities": [{"capacity": "1", "cost": [True]}]},
+                 "bool_existing_capacity": {**good, "arcs": [{"tail": 1, "head": 2, "existing_capacity": True}]},
+                 "bool_flow_costs": {**good, "flow_costs": [True]},
+                 # a pair listed twice has no one demand: the second amount must not replace the first
+                 "repeated_demand": {**good, "demands": [{"from": 1, "to": 2, "amount": "1"},
+                                                         {"from": 1, "to": 2, "amount": "2"}]}}
     for name, data in malformed.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))

@@ -312,8 +312,8 @@ _THREE_ARCS = Instance(
 
 
 def _float_row(row, negated):
-    vals, rhs, scale = simplex._tableau_row(row[0], row[2], negated, simplex._FLOAT)
-    return [v.hex() for v in vals], rhs.hex(), scale.hex()
+    _, _, vals, rhs, scale = simplex._tableau_rows([(row[0], row[1], row[2], negated)], simplex._FLOAT)
+    return [float(v).hex() for v in vals], float(rhs[0]).hex(), float(scale[0]).hex()
 
 
 @given(_entries, _entries, _coefficient, st.integers(1, 6), _entries, _entries)

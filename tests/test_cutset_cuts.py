@@ -36,6 +36,7 @@ from helpers import (
     reference_flow_cutset_cut,
     reference_multifacility,
     reference_multifacility_cutset_cut,
+    relaxation_b,
 )
 
 
@@ -49,20 +50,29 @@ def two_node_instance(demand=F(1), caps=(1,), cbar=F(0)):
     )
 
 
+def recorded_violation(cut, rel, pt):
+    """The violation a greedy separator recorded for ``cut`` at ``pt``, read
+    as the engine reads it: at the instance's one ``ScaledPoint`` of
+    ``pt``, under which it must be stored."""
+    scaled = cutset_cuts.scaled_point(rel.instance, pt)
+    assert cut._violation[0] is scaled
+    return cut.violation(scaled)
+
+
 # -- relaxation construction ---------------------------------------------------------
 
 
 def test_build_cutset_two_nodes():
     rel = build_cutset(two_node_instance(), U=[1])
     assert rel.A_plus == (0,) and rel.A_minus == (1,)
-    assert rel.b == (F(1),)
+    assert relaxation_b(rel) == (F(1),)
 
 
 def test_build_cutset_star(star_instance):
     rel = build_cutset(star_instance, U=[1])
     assert rel.A_plus == (0, 1)
     assert rel.A_minus == (2,)
-    assert rel.b == (F(1, 2),)
+    assert relaxation_b(rel) == (F(1, 2),)
 
 
 def test_build_cutset_matches_demand_sum():
@@ -70,7 +80,7 @@ def test_build_cutset_matches_demand_sum():
     for U, V in two_partitions(inst.nodes):
         rel = build_cutset(inst, U)
         for ki, com in enumerate(inst.commodities):
-            assert rel.b[ki] == sum((com.w(n) for n in V), F(0))
+            assert relaxation_b(rel)[ki] == sum((com.w(n) for n in V), F(0))
 
 
 # -- cut-set inequality ----------------------------------------------------------------
@@ -188,7 +198,7 @@ def test_separation_agrees_with_enumeration_zero_cbar():
         if got is None:
             assert best <= 0
         else:
-            assert got.violation(pt) == best
+            assert recorded_violation(got, rel, pt) == best
 
 
 def test_commodity_subset_single_commodity(star_instance):
@@ -251,7 +261,7 @@ def test_commodity_subset_breaks_ties_as_the_scan():
         demand=DemandMatrix({(1, 3): F(1, 2), (2, 3): F(1, 2)}),
     )
     rel = build_cutset(inst, U=[1, 2])
-    assert rel.b == (F(1, 2), F(1, 2))
+    assert relaxation_b(rel) == (F(1, 2), F(1, 2))
     rng = random.Random(21)
     firsts = 0
     for _ in range(60):
@@ -279,7 +289,7 @@ def test_commodity_subset_takes_a_commodity_of_negative_demand():
     inst = generate_instance(seed=3, nodes=8, density=0.5, facilities=(1, 3))
     pt = solve(build_relaxation(inst)).point(MAX_DENOMINATOR)
     rel = build_cutset(inst, U=(3,))
-    assert rel.b == (F(-1), 0, F(9, 4), 0, 0, 0, 0)
+    assert relaxation_b(rel) == (F(-1), 0, F(9, 4), 0, 0, 0, 0)
     S_plus, S_minus = (10, 11), (19, 24)
     Q = separate_commodity_subset(rel, S_plus, S_minus, pt)
     assert Q == (0, 2, 4) == reference_commodity_subset(rel, S_plus, S_minus, pt)
@@ -407,7 +417,7 @@ def test_separate_multifacility_matches_enumeration():
             if got is None:
                 assert best <= 0
             else:
-                assert got.violation(pt) == best
+                assert recorded_violation(got, rel, pt) == best
 
 
 def test_multifacility_most_violated_across_base_choice():
@@ -417,12 +427,12 @@ def test_multifacility_most_violated_across_base_choice():
     best = None
     for s in (0, 1):
         cut = separate_multifacility(rel, s, pt)
-        if cut is not None and (best is None or cut.violation(pt) > best.violation(pt)):
+        if cut is not None and (best is None or recorded_violation(cut, rel, pt) > recorded_violation(best, rel, pt)):
             best = cut
     assert best is not None
     for s in (0, 1):
         v, _ = multifacility_best_violation(rel, pt, s, (0,))
-        assert best.violation(pt) >= v
+        assert recorded_violation(best, rel, pt) >= v
 
 
 # -- integer kernel against the Fraction reference ------------------------------------------
@@ -458,7 +468,7 @@ def _random_separations():
 
 
 def _sampled_subsets(rel, rng, count=3):
-    subsets = [Q for n in range(1, len(rel.b) + 1) for Q in combinations(range(len(rel.b)), n)]
+    subsets = [Q for n in range(1, len(rel.b_num) + 1) for Q in combinations(range(len(rel.b_num)), n)]
     return rng.sample(subsets, min(count, len(subsets)))
 
 
@@ -520,7 +530,7 @@ def test_separators_match_fraction_reference():
                         assert got.normalized_key() == want.normalized_key()
                         assert got.params == want.params
                         assert got.family == want.family
-                        assert got.violation(pt) == want.violation(pt)
+                        assert recorded_violation(got, rel, pt) == want.violation(pt)
                 for passes in (passes_mf, passes_fcs):
                     distinct3 += len(set(passes)) >= 3
                     capped += len(set(passes)) == GREEDY_ROUNDS
@@ -567,7 +577,7 @@ def test_integer_cut_matches_fraction_reference():
                     if got is not None:
                         compared += 1
                         _assert_identical_cut(got, want)
-                        assert got.violation(pt) == got.rhs - lhs_value(got, pt) == want.violation(pt)
+                        assert recorded_violation(got, rel, pt) == got.rhs - lhs_value(got, pt) == want.violation(pt)
                 sel = FlowCutSelection(
                     Q, tuple(a for a in rel.A_plus if pick.random() < 0.5),
                     tuple(a for a in rel.A_minus if pick.random() < 0.5), facility=m,
@@ -835,8 +845,8 @@ def test_commodity_subset_matches_fraction_reference():
             else:
                 share = len(rel.A_plus)
                 pt = FractionalPoint(
-                    x={(a, k): rel.b[k] * F(rng.randint(0, 4), 4 * share)
-                       for a in rel.A_plus for k in range(n) if rel.b[k] > 0},
+                    x={(a, k): relaxation_b(rel)[k] * F(rng.randint(0, 4), 4 * share)
+                       for a in rel.A_plus for k in range(n) if rel.b_num[k] > 0},
                     y={(a, 0): F(rng.randint(0, 8), rng.choice((1, 2, 3))) for a in S_plus},
                 )
             if n > 12:
@@ -886,7 +896,7 @@ def _null_commodity_separations():
         arcs, facilities = range(len(inst.arcs)), range(len(inst.facilities))
         for U, V in rng.sample(list(two_partitions(inst.nodes)), 3):
             rel = build_cutset(inst, U, V)
-            null = [k for k, b_k in enumerate(rel.b) if b_k == 0]
+            null = [k for k, b_k in enumerate(rel.b_num) if b_k == 0]
             if not rel.A_plus or not null:
                 continue
             crossing = set(rel.A_plus + rel.A_minus)
@@ -918,7 +928,7 @@ def test_a_null_commodity_changes_no_selection_and_needs_no_scan(monkeypatch):
     monkeypatch.setattr(cutset_cuts, "_greedy_scan", lambda *args: scans.append(args[1]) or scan(*args))
     compared = named = 0
     for rel, pt, rng, null in _null_commodity_separations():
-        others = [k for k in range(len(rel.b)) if k not in null]
+        others = [k for k in range(len(rel.b_num)) if k not in null]
         for Q in [Q for n in range(1, len(others) + 1) for Q in combinations(others, n)][:4]:
             k = rng.choice(null)
             with_k = tuple(sorted(Q + (k,)))
@@ -934,7 +944,7 @@ def test_a_null_commodity_changes_no_selection_and_needs_no_scan(monkeypatch):
                         continue
                     compared += 1
                     assert (first.params["S+"], first.params["S-"]) == (second.params["S+"], second.params["S-"])
-                    assert first.violation(pt) == second.violation(pt)
+                    assert recorded_violation(first, rel, pt) == recorded_violation(second, rel, pt)
                     assert second.params["Q"] == with_k
                     if first.flow:
                         named += 1
@@ -961,7 +971,7 @@ def _full_sums(rel, pt, view, Q):
     """``b_Q`` and the per-arc flows of Q, summed in Fractions and scaled."""
     D = view.D
     flows = {a: D * D * sum((pt.x.get((a, k), F(0)) for k in Q), F(0)) for a in rel.A_plus + rel.A_minus}
-    return D * rel.b_sum(Q), flows
+    return D * sum((relaxation_b(rel)[k] for k in Q), F(0)), flows
 
 
 def test_subset_flows_from_their_prefix_are_the_full_sums():
@@ -986,7 +996,7 @@ def test_subset_flows_from_their_prefix_are_the_full_sums():
     checked = alternations = derived = summed = 0
     for rel, pt in cases:
         subsets = list(_commodity_subsets(rel, pt))
-        n = len(rel.b)
+        n = len(rel.b_num)
         alternations += n > Q_SUBSET_LIMIT and len(subsets) > len({tuple(range(n)), rel.positive_commodities()}) + n
         shuffled = rng.sample(subsets, len(subsets))
         for order in (subsets, shuffled):

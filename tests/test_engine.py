@@ -457,11 +457,12 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
 
 
 def test_three_partition_shrunk_once(monkeypatch):
-    """A ``Separation`` makes one node-pair table of the instance, sums each
-    partition's block pairs once from it, and derives each three-partition's
-    ``s``, ``t`` and ``d`` once for both total-capacity cuts; the cut it
-    keeps is the one ``select_total_capacity_cut`` (``helpers``) picks from
-    the public builders' pair."""
+    """A ``Separation`` makes one node-pair table of the instance, reads
+    each two-partition's sums from its rows with no shrink, shrinks each
+    three-partition once and derives its ``s``, ``t`` and ``d`` once for
+    both total-capacity cuts; the cut it keeps is the one
+    ``select_total_capacity_cut`` (``helpers``) picks from the public
+    builders' pair."""
     from netdes_cuts import engine, partition_cuts
 
     calls = {"NodePairTable": 0, "shrink": 0, "_three_partition_sums": 0}
@@ -487,8 +488,7 @@ def test_three_partition_shrunk_once(monkeypatch):
     monkeypatch.setattr(partition_cuts, "_three_partition_sums",
                         counted("_three_partition_sums", partition_cuts._three_partition_sums))
     engine.Separation(inst, Config(families=("partition",)))
-    n_two = len(list(engine._two_partitions(inst)))
-    assert calls == {"NodePairTable": 1, "shrink": n_two + len(parts), "_three_partition_sums": len(parts)}
+    assert calls == {"NodePairTable": 1, "shrink": len(parts), "_three_partition_sums": len(parts)}
 
 
 def test_point_independent_candidates_built_once_per_loop(monkeypatch):

@@ -263,6 +263,52 @@ def test_relaxation_matches_reference():
     assert len(families) >= 4
 
 
+def test_float_rows_are_the_exact_rows_in_floats(monkeypatch):
+    """Every round LP of the golden 4-node loops and of the 5-node seed-7
+    loop: each float row ``lp.solve`` passes to the simplex has the columns
+    of its exact row (``model.rows``) in the same order and the same sense,
+    and its entries and rhs are ``float()`` of the exact ones to the bit;
+    each round reports its relaxation's rows, which it never builds."""
+    real_solve, real_solve_lp = engine.solve, lp.solve_lp
+    solved = []  # (model, the rows of each float solve_lp call)
+
+    def solve_recording(model, **kwargs):
+        solved.append((model, []))
+        return real_solve(model, **kwargs)
+
+    def solve_lp_recording(n_vars, rows, objective, upper=None, exact=False, **kwargs):
+        if not exact:
+            solved[-1][1].append(rows)
+        return real_solve_lp(n_vars, rows, objective, upper, exact=exact, **kwargs)
+
+    gens = [dict(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s % 2 else (1,)) for s in sorted(GOLDEN_4_NODE)]
+    gens.append(dict(seed=7, nodes=5, density=0.5, facilities=(1, 3)))
+    reported = []
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "solve", solve_recording)
+        patched.setattr(lp, "solve_lp", solve_lp_recording)
+        for gen in gens:
+            first = len(solved)
+            res = cutting_plane_loop(generate_instance(**gen), Config(max_rounds=10))
+            rounds = [model for model, _ in solved[first:first + len(res.reports)]]
+            assert all(model.rows._rows is None for model in rounds)  # no exact row was built
+            reported += [(rep.lp_rows, model) for rep, model in zip(res.reports, rounds)]
+    assert len(solved) == 22
+    values = 0
+    for model, passed in solved:
+        assert passed
+        want = [({j: float(v) for j, v in coefs.items()}, sense, float(rhs)) for coefs, sense, rhs in model.rows]
+        for rows in passed:
+            assert len(rows) == len(want)
+            for (coefs, sense, rhs), (want_coefs, want_sense, want_rhs) in zip(rows, want):
+                assert list(coefs) == list(want_coefs) and sense == want_sense
+                assert [v.hex() for v in coefs.values()] == [v.hex() for v in want_coefs.values()]
+                assert rhs.hex() == want_rhs.hex()
+                values += len(coefs)
+    assert values > 10000
+    assert all(lp_rows == len(model.rows) for lp_rows, model in reported)
+
+
 def test_stalled_status_on_tiny_iteration_cap():
     from netdes_cuts.simplex import solve_lp, GE
 

@@ -7,9 +7,9 @@ import pytest
 from netdes_cuts import lp
 from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance
 from netdes_cuts.lp import flow_columns, routing_rows, routing_upper, safe_lower_bound
-from netdes_cuts.simplex import _FLOAT, EQ, GE, LE, _tableau_row, solve_lp, solve_lp_many
+from netdes_cuts.simplex import _FLOAT, EQ, GE, LE, solve_lp, solve_lp_many
 
-from helpers import GOLDEN_4_NODE, reference_resolve, reference_solve_lp_many
+from helpers import GOLDEN_4_NODE, reference_resolve, reference_solve_lp_many, reference_tableau_row
 
 
 def test_min_with_lower_bound_row():
@@ -250,6 +250,49 @@ def _routing_lps(count):
     return lps
 
 
+def _layout_rows(rng, count, floats):
+    """``_Layout.rows`` entries: Fraction, int or float values, empty rows
+    and negated rows among them."""
+    rows = []
+    for _ in range(count):
+        n = rng.choice((0, 1, 3, 6))
+        coefs = {j: F(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 7))) for j in rng.sample(range(12), n)}
+        rhs = F(rng.randint(-5, 5), rng.choice((1, 3)))
+        if floats:
+            coefs, rhs = {j: float(v) for j, v in coefs.items()}, float(rhs)
+        elif rng.random() < 0.3:
+            coefs = {j: int(v) for j, v in coefs.items() if int(v)}
+        rows.append((coefs, rng.choice([LE, GE, EQ]), rhs, rng.random() < 0.4))
+    return rows
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_row_intake_matches_the_former_row_by_row_conversion(exact):
+    """``_tableau_rows`` converts a batch in one pass as the former
+    conversion did row by row: the same coefficients in the same rows and
+    columns, rhs and row scales, bit for bit in floats and of the same
+    type in Fractions, on rows of every kind and on no row at all."""
+    from netdes_cuts.simplex import _EXACT, _tableau_rows
+
+    arith = _EXACT if exact else _FLOAT
+    rng = random.Random(53)
+    batches = [[]] + [_layout_rows(rng, rng.randint(1, 9), floats=False) for _ in range(150)]
+    if not exact:
+        batches += [_layout_rows(rng, rng.randint(1, 9), floats=True) for _ in range(150)]
+    for rows in batches:
+        at, cols, vals, rhs, scale = _tableau_rows(rows, arith)
+        want = [reference_tableau_row(coefs, b, negated, arith) for coefs, _, b, negated in rows]
+        assert at.tolist() == [i for i, (coefs, _, _, _) in enumerate(rows) for _ in coefs]
+        assert cols.tolist() == [j for coefs, _, _, _ in rows for j in coefs]
+        got = (list(vals), list(rhs), list(scale))
+        expected = ([v for row_vals, _, _ in want for v in row_vals], [b for _, b, _ in want], [c for _, _, c in want])
+        if exact:
+            assert got == expected
+            assert all(type(v) is F for part in got for v in part)
+        else:
+            assert [[float(v).hex() for v in part] for part in got] == [[float(v).hex() for v in part] for part in expected]
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_kernel_matches_reference(monkeypatch, exact):
     """The kernel takes the same pivots as the former one, which updated the
@@ -361,7 +404,7 @@ def _complemented_row_lp():
     coefs = {j: F(rng.choice((-1, 1)) * 10 ** rng.randint(0, 15), 3) for j in range(n)}
     # with rhs 0 the row's tableau rhs is its shift, to the last bit
     rows.append((coefs, GE, F(0)))
-    vals, _, _ = _tableau_row(coefs, F(0), True, _FLOAT)
+    vals, _, _ = reference_tableau_row(coefs, F(0), True, _FLOAT)
     terms = [v * float(upper[j]) for j, v in zip(coefs, vals)]
     assert sum(terms) != sum(reversed(terms))
     return n, rows, objective, upper, first
