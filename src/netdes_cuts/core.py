@@ -1,8 +1,10 @@
 """Instance model, commodity construction and the shared cut representation.
 
-All instance data and all cut coefficients are exact rationals
-(``fractions.Fraction``).  LP solves elsewhere may run in floating point,
-but anything that ends up in a cut is re-derived or re-checked exactly:
+All instance data are exact rationals (``fractions.Fraction``), and each
+instance also holds them as ints at one integer scale (``Instance.scale``),
+made once.  A cut holds integer numerators over one positive denominator
+(``LinearCut``).  LP solves elsewhere may run in floating point, but
+anything that ends up in a cut is re-derived or re-checked exactly:
 rounding steps (floors/ceilings of right-hand sides) are discontinuous,
 so float-derived cuts can silently be invalid.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -176,8 +179,12 @@ class Instance:
     ``scale`` is the instance's integer scale S: the lcm of the
     denominators of every facility size, existing capacity and demand
     amount.  At S every net demand, supply and sum of demands is an int
-    too; every stage that works on ints (cut-set separation, the node-pair
-    table, the oracle) reads it.
+    too.  The int table holds that data times S, made once: ``sizes_num[m]``
+    per facility, ``cbar_num[a]`` per arc (after parallel arcs are merged),
+    ``demand_num[(i, j)]`` per ordered pair with a demand, in sorted order,
+    and ``net_num[k][node]`` per commodity, keyed as its ``net_demand``.
+    Every stage that works on ints (cut-set separation, the node-pair
+    table, the oracle) reads that table.
     """
 
     def __init__(
@@ -198,8 +205,6 @@ class Instance:
         self.mode = mode
         self.unsplittable = unsplittable
         self.name = name
-        # the last point scaled by cutset_cuts.scaled_point, and its scaling
-        self._scaled = (None, None)
 
         self.node_index = {}
         for i, v in enumerate(self.nodes):
@@ -222,11 +227,16 @@ class Instance:
             raise InstanceError(f"unknown commodity mode {mode!r}")
 
         self.flow_costs = self._expand_flow_costs(flow_costs)
-        self.scale = math.lcm(
+        self.scale = S = math.lcm(
             *(f.capacity.denominator for f in self.facilities),
             *(a.existing_capacity.denominator for a in self.arcs),
             *(t.denominator for t in demand._t.values()),
         )
+        self.sizes_num = tuple(scaled_ints(self.facility_capacities(), S))
+        self.cbar_num = tuple(scaled_ints((a.existing_capacity for a in self.arcs), S))
+        pairs = demand.pairs()
+        self.demand_num = dict(zip(((i, j) for i, j, _ in pairs), scaled_ints((t for _, _, t in pairs), S)))
+        self.net_num = tuple(dict(zip(c.net_demand, scaled_ints(c.net_demand.values(), S))) for c in self.commodities)
 
     @staticmethod
     def _merge_parallel(arcs: Iterable[Arc]) -> list[Arc]:
@@ -382,8 +392,9 @@ class LinearCut:
     denominator passes them with ``den=``, and they are reduced.  ``flow``,
     ``cap`` and ``rhs`` are read-only ``Fraction`` views, made on first
     read; the ints are not changed after construction.  A builder that
-    knows the cut's exact violation at a point may store ``(point,
-    violation)`` in ``_violation``, the point as ``violation`` is given it.
+    knows the cut's exact violation at a ``cutset_cuts.ScaledPoint`` may
+    store ``(weakref.ref(scaled), violation)`` in ``_violation``: a pooled
+    cut does not keep its round's scaling, and the views it holds, alive.
     """
 
     flow_num: dict[tuple[int, int], int]
@@ -445,10 +456,11 @@ class LinearCut:
         ``FractionalPoint`` or a ``cutset_cuts.ScaledPoint`` of one, whose
         ``x[a][k]`` and ``y[a][m]`` are the coordinates times its D, and
         then the left-hand side is summed on ints (the loop passes the one
-        scaling its separators share).  A point must not be changed in
-        place once a violation at it has been recorded."""
-        if self._violation[0] is point:
-            return self._violation[1]
+        scaling its separators share, which also answers a recorded
+        violation)."""
+        scaled, recorded = self._violation
+        if scaled is not None and scaled() is point:
+            return recorded
         if isinstance(point, FractionalPoint):
             return (self.rhs_num - self._lhs_num(point)) / self.den
         D, X, Y = point.D, point.x, point.y
@@ -512,13 +524,18 @@ def instance_from_dict(data: Mapping) -> Instance:
     unsplittable = data.get("unsplittable", False)
     if not isinstance(unsplittable, bool):
         raise InstanceError(f"field 'unsplittable' must be true or false, not {unsplittable!r}")
+    flow_costs = data.get("flow_costs", ZERO)
+    if isinstance(flow_costs, Mapping):  # a JSON object would be read by its keys
+        raise InstanceError(f"field 'flow_costs' must be a scalar or a list, not {flow_costs!r}")
     try:
         arcs = [
             Arc(a["tail"], a["head"], frac(a.get("existing_capacity", 0))) for a in data["arcs"]
         ]
-        facilities = [
-            Facility(frac(f["capacity"]), tuple(frac(c) for c in f["cost"])) for f in data["facilities"]
-        ]
+        facilities = []
+        for f in data["facilities"]:
+            if not isinstance(f["cost"], list):  # a string or an object would be read by its characters or keys
+                raise InstanceError(f"field 'cost' must be a list, not {f['cost']!r}")
+            facilities.append(Facility(frac(f["capacity"]), tuple(frac(c) for c in f["cost"])))
         demand, listed = DemandMatrix(), set()
         for d in data.get("demands", []):
             pair = (d["from"], d["to"])
@@ -531,7 +548,7 @@ def instance_from_dict(data: Mapping) -> Instance:
             arcs=arcs,
             facilities=facilities,
             demand=demand,
-            flow_costs=data.get("flow_costs", ZERO),
+            flow_costs=flow_costs,
             mode=data.get("commodity_mode", AGGREGATED),
             unsplittable=unsplittable,
             name=data.get("name", ""),

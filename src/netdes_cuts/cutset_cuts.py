@@ -10,13 +10,13 @@ a short fixed-point loop (a single pass is exact when crossing arcs have
 no existing capacity), one pass over the crossing arcs per distinct
 selection.
 
-Separation scores on integers.  ``scaled_point(instance, point)``
-multiplies the facility sizes, the demands, the existing capacities and
-the point's coordinates by one common denominator D, a multiple of the
-instance's scale, once per point, and
-each relaxation's ``CutSetRelaxation.view(point)`` takes its crossing
-slice from that one scaling.  The view is kept on the relaxation until a
-different point object asks, and it does each piece of work once: per
+Separation scores on integers.  A ``ScaledPoint``, made once per LP
+point, raises the instance's int table (``Instance.sizes_num``,
+``cbar_num``) from its scale to one common denominator D of the point's
+coordinates and multiplies those by D.  Each relaxation's ``IntegerView``
+takes its crossing slice from that one scaling, made on first request
+(``ScaledPoint.view``) and kept as long as the scaled point.  A view does
+each piece of work once: per
 commodity subset Q the flow sums and ``b_Q``, from those of ``Q[:-1]``
 plus one commodity when that prefix is memoized; per remainder the phi
 values and capacity terms, which read no eta; and per distinct subset one
@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable, Sequence
 
@@ -66,9 +67,10 @@ SUBSET_ENUMERATION_CAP = 12   # commodities of the subset search: at most 2^12 -
 PARTITION_LIMIT = 8           # nodes of an exhaustive two-partition enumeration
 
 
-@dataclass
+@dataclass(eq=False)
 class CutSetRelaxation:
-    """Crossing structure of a two-partition (U, V)."""
+    """Crossing structure of a two-partition (U, V); compared and hashed by
+    identity, as a ``ScaledPoint`` keys its views by the relaxation."""
 
     instance: Instance
     U: tuple[int, ...]
@@ -76,14 +78,6 @@ class CutSetRelaxation:
     A_plus: tuple[int, ...]   # arc indices U -> V
     A_minus: tuple[int, ...]  # arc indices V -> U
     b_num: tuple[int, ...]    # per-commodity net demand that must cross, times instance.scale
-    _view: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-
-    def view(self, point: FractionalPoint) -> IntegerView:
-        """The integer view of ``point``, kept until another point object
-        asks; a point must not be changed in place between separations."""
-        if self._view[0] is not point:
-            self._view = (point, IntegerView(self, scaled_point(self.instance, point)))
-        return self._view[1]
 
     def positive_commodities(self) -> tuple[int, ...]:
         return tuple(k for k, v in enumerate(self.b_num) if v > 0)
@@ -93,33 +87,37 @@ class ScaledPoint:
     """An instance's data and one point's coordinates times D, on integers.
 
     D is the lcm of the instance's scale (``Instance.scale``) and the
-    denominators of the point's ``x`` and ``y``.  ``caps[m]``, ``cbar[a]``,
-    ``x[a][k]`` and ``y[a][m]`` hold the scaled values, indexed by
-    facility, arc and commodity.  Since D is a multiple of the instance's
-    scale, it also clears every value derived from the demands, such as a
-    relaxation's ``b_k``.
+    denominators of the point's ``x`` and ``y``, read when the scaled
+    point is made.  ``caps[m]``, ``cbar[a]``, ``x[a][k]`` and ``y[a][m]``
+    hold the scaled values, indexed by facility, arc and commodity; the
+    first two are the instance's ``sizes_num`` and ``cbar_num`` times ``up``,
+    D over the scale.  Since D is a multiple of the instance's scale, it
+    also clears every value derived from the demands, such as a
+    relaxation's ``b_k``.  ``point`` is the ``FractionalPoint`` itself.
     """
 
     def __init__(self, instance: Instance, point: FractionalPoint):
         arcs = range(len(instance.arcs))
         commodities = range(len(instance.commodities))
         facilities = range(len(instance.facilities))
+        self.point = point
         dens = {v.denominator for v in point.x.values()}
         dens.update(v.denominator for v in point.y.values())
         self.D = D = math.lcm(instance.scale, *dens)
-        self.caps = scaled_ints(instance.facility_capacities(), D)
-        self.cbar = scaled_ints([arc.existing_capacity for arc in instance.arcs], D)
+        self.up = up = D // instance.scale
+        self.caps = [c * up for c in instance.sizes_num]
+        self.cbar = [c * up for c in instance.cbar_num]
         self.x = [scaled_ints([point.x.get((a, k), ZERO) for k in commodities], D) for a in arcs]
         self.y = [scaled_ints([point.y.get((a, m), ZERO) for m in facilities], D) for a in arcs]
+        self._views: dict[CutSetRelaxation, IntegerView] = {}
 
-
-def scaled_point(instance: Instance, point: FractionalPoint) -> ScaledPoint:
-    """The one ``ScaledPoint`` of ``point`` on ``instance``, shared by every
-    relaxation of the instance and by the engine's admission of built-once
-    cuts; the instance keeps it until another point object asks."""
-    if instance._scaled[0] is not point:
-        instance._scaled = (point, ScaledPoint(instance, point))
-    return instance._scaled[1]
+    def view(self, rel: CutSetRelaxation) -> IntegerView:
+        """The integer view of ``rel`` at this point, made on first request
+        and kept as long as this scaled point."""
+        view = self._views.get(rel)
+        if view is None:
+            view = self._views[rel] = IntegerView(rel, self)
+        return view
 
 
 class IntegerView:
@@ -153,9 +151,7 @@ class IntegerView:
         self.A_plus, self.A_minus = rel.A_plus, rel.A_minus
         self.D = scaled.D
         self.caps, self.cbar, self.y = scaled.caps, scaled.cbar, scaled.y
-        self.scaled = scaled
-        up = scaled.D // rel.instance.scale
-        self.b = [b * up for b in rel.b_num]
+        self.b = [b * scaled.up for b in rel.b_num]
         self.x = {a: scaled.x[a] for a in rel.A_plus + rel.A_minus}
         self.mixed_integer = self._in_mixed_integer_set()
         self.cbar_plus = self.cbar_sum(rel.A_plus)
@@ -271,11 +267,7 @@ def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None =
             a_plus.append(ai)
         elif arc.tail not in uset and arc.head in uset:
             a_minus.append(ai)
-    S = instance.scale
-    b_num = tuple(
-        sum(w.numerator * (S // w.denominator) for n, w in com.net_demand.items() if n not in uset)
-        for com in instance.commodities
-    )
+    b_num = tuple(sum(w for n, w in net.items() if n not in uset) for net in instance.net_num)
     return CutSetRelaxation(
         instance=instance,
         U=U,
@@ -291,9 +283,8 @@ def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
     on facility 0, the one facility of the instances the family applies to,
     on ints at the instance's scale S: ``ceil((S*b_K - S*cbar(A+)) / (S*c))``."""
     inst = rel.instance
-    S, c = inst.scale, inst.facilities[0].capacity
-    need = sum(rel.b_num) - sum(scaled_ints((inst.arcs[a].existing_capacity for a in rel.A_plus), S))
-    rhs = -(-need // (c.numerator * (S // c.denominator)))
+    need = sum(rel.b_num) - sum(inst.cbar_num[a] for a in rel.A_plus)
+    rhs = -(-need // inst.sizes_num[0])
     if rhs <= 0 or not rel.A_plus:
         return None
     return LinearCut({}, {(a, 0): 1 for a in rel.A_plus}, rhs, "cutset", {"U": rel.U, "rhs": rhs}, den=1)
@@ -349,12 +340,12 @@ def _cut(
     return cut
 
 
-def _scored(cut: LinearCut | None, view: IntegerView, score: int) -> LinearCut | None:
-    """``cut`` with its exact violation at the point of ``view``, the
-    D^2-scaled ``score`` of ``view``, recorded for that point's
-    ``ScaledPoint``."""
+def _scored(cut: LinearCut | None, scaled: ScaledPoint, score: int) -> LinearCut | None:
+    """``cut`` with its exact violation at the point of ``scaled``, the
+    D^2-scaled ``score`` of a view of it, recorded for ``scaled`` (by weak
+    reference, see ``LinearCut``)."""
     if cut is not None:
-        cut._violation = (view.scaled, Fraction(score, view.D * view.D))
+        cut._violation = (weakref.ref(scaled), Fraction(score, scaled.D * scaled.D))
     return cut
 
 
@@ -454,38 +445,39 @@ def _greedy_scan(view, Q, s, facilities, prefer_plus):
 def separate_flow_cutset(
     rel: CutSetRelaxation,
     Q: Sequence[int],
-    point: FractionalPoint,
+    scaled: ScaledPoint,
     facility: int = 0,
     skip: Container = (),
 ) -> LinearCut | None:
-    """Greedy arc selection for fixed commodities, iterated on the remainder.
+    """Greedy arc selection for fixed commodities, iterated on the remainder,
+    at the point of ``scaled``.
 
     Capacity terms ``r*y`` on S+ and ``(c-r)*y`` on S- of the one facility
     compete strictly with the flow terms; see ``_greedy_selection``.  A
     winner whose ``normalized_key()`` is in ``skip`` is not returned: None.
     """
     Q = tuple(Q)
-    view = rel.view(point)
+    view = scaled.view(rel)
     found = _greedy_selection(view, Q, facility, (facility,), operator.lt)
     if found is None:
         return None
     S_plus, S_minus, score = found
     cut = _cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, facility), (facility,), "flowcutset", skip)
-    return _scored(cut, view, score)
+    return _scored(cut, scaled, score)
 
 
 def separate_commodity_subset(
     rel: CutSetRelaxation,
     S_plus: Sequence[int],
     S_minus: Sequence[int],
-    point: FractionalPoint,
-    facility: int = 0,
+    scaled: ScaledPoint,
 ) -> tuple[int, ...] | None:
-    """Most violated nonempty commodity subset for fixed arc sets (single
-    facility), the smallest and then the lexicographically first of ties,
-    as a scan in ``combinations`` order finds it; None when none violates.
+    """Most violated nonempty commodity subset for fixed arc sets, rounded
+    on facility 0 alone, at the point of ``scaled``: the smallest and then
+    the lexicographically first of ties, as a scan in ``combinations``
+    order finds it; None when none violates.
 
-    Subsets are scored on the integers of ``rel.view(point)``.  A score
+    Subsets are scored on the integers of ``scaled.view(rel)``.  A score
     reads Q only through ``b_Q`` and the flow part ``net_Q``, the sum of
     ``x_k(A+ \\ S+) - x_k(S-)`` over Q: the remainder and the capacity part
     ``phi+ y(S+) + phi- y(S-)`` (``y(S+)`` and ``y(S-)`` summed once)
@@ -503,13 +495,13 @@ def separate_commodity_subset(
     n = len(rel.b_num)
     if n > SUBSET_ENUMERATION_CAP:
         raise ValueError("exact commodity-subset search is capped")
-    view = rel.view(point)
+    view = scaled.view(rel)
     D = view.D
     bypass_arcs = [a for a in rel.A_plus if a not in S_plus]
     cbar_minus = view.cbar_sum(S_minus)
     b_shift = cbar_minus - view.cbar_sum(S_plus)  # b'_Q - b_Q
-    Y_plus = sum(view.y[a][facility] for a in S_plus)
-    Y_minus = sum(view.y[a][facility] for a in S_minus)
+    Y_plus = sum(view.y[a][0] for a in S_plus)
+    Y_minus = sum(view.y[a][0] for a in S_minus)
 
     # per b_Q, the least (net_Q, |Q|, -mask) over the nonempty subsets seen
     least: dict[int, tuple[int, int, int]] = {}
@@ -525,10 +517,10 @@ def separate_commodity_subset(
 
     best = None  # (score, -|Q|, mask) of the winner
     for b_Q, (net_Q, size, neg_mask) in least.items():
-        r, eta = view.rounding(b_Q + b_shift, facility)
+        r, eta = view.rounding(b_Q + b_shift, 0)
         if r == 0:
             continue
-        ((_, phi_p),), ((_, phi_m),) = view.phis(facility, (facility,), r)
+        ((_, phi_p),), ((_, phi_m),) = view.phis(0, (0,), r)
         score = view.score(r, eta, cbar_minus, phi_p * Y_plus + phi_m * Y_minus, net_Q)
         if score > 0 and (best is None or (score, -size, -neg_mask) > best):
             best = (score, -size, -neg_mask)
@@ -543,11 +535,12 @@ def separate_commodity_subset(
 def separate_multifacility(
     rel: CutSetRelaxation,
     s: int,
-    point: FractionalPoint,
+    scaled: ScaledPoint,
     Q: Sequence[int] | None = None,
     skip: Container = (),
 ) -> LinearCut | None:
-    """Greedy arc selection with per-facility coefficient evaluation.
+    """Greedy arc selection with per-facility coefficient evaluation, at
+    the point of ``scaled``.
 
     An arc joins S+ (resp. S-) when its phi-weighted capacity falls below
     its flow, which minimizes the left-hand side arc by arc; phi is
@@ -557,13 +550,13 @@ def separate_multifacility(
     """
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b_num)))
     facilities = tuple(range(len(rel.instance.facilities)))
-    view = rel.view(point)
+    view = scaled.view(rel)
     found = _greedy_selection(view, Q, s, facilities, _prefer_capacity)
     if found is None:
         return None
     S_plus, S_minus, score = found
     cut = _cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, s), facilities, "mf", skip)
-    return _scored(cut, view, score)
+    return _scored(cut, scaled, score)
 
 
 def two_partitions(nodes: Sequence[int]):

@@ -37,6 +37,7 @@ from .core import (
     frac,
     scaled_ints,
 )
+from .cutset_cuts import ScaledPoint
 from .lp import (
     CapacityBounds,
     LPModel,
@@ -63,9 +64,7 @@ from .mir import KnapsackCoverSet, hull_inequalities
 from .simplex import solve_lp  # noqa: F401
 
 K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
-PARTITION_LIMIT = cutset_cuts.PARTITION_LIMIT  # exhaustive two-partitions up to this many nodes
-THREE_PARTITION_LIMIT = 6    # exhaustive three-partitions up to this many nodes
-N_RANDOM_PARTITIONS = 20     # sampled partitions above those limits
+N_RANDOM_PARTITIONS = 20     # sampled partitions above the exhaustive enumerations' node limits
 Q_SUBSET_LIMIT = 6           # exhaustive commodity subsets up to this size
 GRID_BUDGET = 10**6          # installation grid points an oracle enumerates
 PATH_CAP = 400               # simple paths per node pair in the unsplittable oracles
@@ -90,22 +89,24 @@ class RelaxationError(RuntimeError):
 class Family:
     """A separation family: ``applies(instance)``, and either ``build(sep)``,
     its candidates made once per loop from the instance alone, or
-    ``separate(sep, point)``, its candidates at each round's LP point (a
-    family that never applies has neither).  ``skipped(sep, point)``
-    counts the relaxations a separating family passed over at the point."""
+    ``separate(sep, scaled)``, its candidates at each round's LP point,
+    given as the round's one ``cutset_cuts.ScaledPoint`` (a family that
+    never applies has neither).  ``skipped(sep, scaled)`` counts the
+    relaxations a separating family passed over at the point."""
 
     name: str
     applies: Callable[[Instance], bool]
     build: Callable[[Separation], Iterable[LinearCut | None]] | None = None
-    separate: Callable[[Separation, FractionalPoint], Iterable[LinearCut | None]] | None = None
-    skipped: Callable[[Separation, FractionalPoint], int] | None = None
+    separate: Callable[[Separation, ScaledPoint], Iterable[LinearCut | None]] | None = None
+    skipped: Callable[[Separation, ScaledPoint], int] | None = None
 
 
 def _single_facility(instance: Instance) -> bool:
     return len(instance.facilities) == 1
 
 
-def _rc(sep: Separation, point: FractionalPoint):
+def _rc(sep: Separation, scaled: ScaledPoint):
+    point = scaled.point
     for ai, rel in enumerate(sep.capacity_rows(arc_cuts.SPLITTABLE)):
         ybar = max(point.y.get((ai, 0), ZERO), ZERO)
         ineq = arc_cuts.separate_residual_capacity(rel, _fractional_loads(rel, ai, point), ybar)
@@ -113,7 +114,8 @@ def _rc(sep: Separation, point: FractionalPoint):
             yield arc_cuts.to_instance_cut(rel, ineq, "rc")
 
 
-def _cstrong(sep: Separation, point: FractionalPoint):
+def _cstrong(sep: Separation, scaled: ScaledPoint):
+    point = scaled.point
     for ai, rel in enumerate(sep.capacity_rows(arc_cuts.UNSPLITTABLE)):
         reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
         xhat = _fractional_loads(rel, ai, point)
@@ -138,23 +140,22 @@ def _cstrong(sep: Separation, point: FractionalPoint):
 
 def _cutset_greedy(greedy: Callable[..., LinearCut | None]):
     """The ``separate`` of a cut-set family whose separator is ``greedy(rel,
-    s, Q, point, skip)``: per relaxation with an arc U -> V whose crossing
+    s, Q, scaled, skip)``: per relaxation with an arc U -> V whose crossing
     point is off its mixed-integer set (where no cut-set cut is violated),
     its commodity subsets made once, then each base facility ``s`` and each
     ``Q``.  A key is offered once per call: it enters ``skip`` only with a
     cut violated by more than eps, as a positive multiple of a cut can be
     violated where the cut is not."""
 
-    def separate(sep: Separation, point: FractionalPoint):
+    def separate(sep: Separation, scaled: ScaledPoint):
         found: set = set()
-        scaled = cutset_cuts.scaled_point(sep.instance, point)
         for rel in sep.relaxations:
-            if not rel.A_plus or rel.view(point).mixed_integer:
+            if not rel.A_plus or scaled.view(rel).mixed_integer:
                 continue
-            subsets = list(_commodity_subsets(rel, point))
+            subsets = list(_commodity_subsets(rel, scaled))
             for s in range(len(sep.instance.facilities)):
                 for Q in subsets:
-                    cut = greedy(rel, s, Q, point, found)
+                    cut = greedy(rel, s, Q, scaled, found)
                     if cut is not None and cut.violation(scaled) > sep.eps:
                         found.add(cut.normalized_key())
                         yield cut
@@ -162,10 +163,10 @@ def _cutset_greedy(greedy: Callable[..., LinearCut | None]):
     return separate
 
 
-def _mixed_integer_relaxations(sep: Separation, point: FractionalPoint) -> int:
-    """How many cut-set relaxations the cut-set separators skipped at
-    ``point``, whose crossing point lies in their mixed-integer set."""
-    return sum(rel.view(point).mixed_integer for rel in sep.relaxations)
+def _mixed_integer_relaxations(sep: Separation, scaled: ScaledPoint) -> int:
+    """How many cut-set relaxations the cut-set separators skipped at the
+    point of ``scaled``, whose crossing point lies in their mixed-integer set."""
+    return sum(scaled.view(rel).mixed_integer for rel in sep.relaxations)
 
 
 def _partition(sep: Separation):
@@ -217,9 +218,9 @@ SEPARATORS = (
     Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, separate=_cstrong),
     Family("cutset", _single_facility, build=lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
     Family("flowcutset", _single_facility, skipped=_mixed_integer_relaxations, separate=_cutset_greedy(
-        lambda rel, s, Q, point, skip: cutset_cuts.separate_flow_cutset(rel, Q, point, s, skip))),
+        lambda rel, s, Q, scaled, skip: cutset_cuts.separate_flow_cutset(rel, Q, scaled, s, skip))),
     Family("mf", lambda inst: not _single_facility(inst), skipped=_mixed_integer_relaxations, separate=_cutset_greedy(
-        lambda rel, s, Q, point, skip: cutset_cuts.separate_multifacility(rel, s, point, Q, skip))),
+        lambda rel, s, Q, scaled, skip: cutset_cuts.separate_multifacility(rel, s, scaled, Q, skip))),
     Family("metric", lambda inst: False),
     Family("partition", Instance.integral_capacities, build=_partition),
 )
@@ -446,7 +447,7 @@ def _distinct_capacity_cuts(cuts: Iterable[LinearCut | None]) -> list[LinearCut]
     return list(first.values())
 
 
-def _admitted(cuts: Iterable[LinearCut], scaled: cutset_cuts.ScaledPoint, eps: Fraction):
+def _admitted(cuts: Iterable[LinearCut], scaled: ScaledPoint, eps: Fraction):
     """(cut, exact violation) for each pure capacity cut violated by more
     than eps at the point ``scaled``, whose ``y`` is D times the point's.
     The cut holds ``den`` times itself, ``sum C*y >= R``, in ints, so its
@@ -464,21 +465,22 @@ def _admitted(cuts: Iterable[LinearCut], scaled: cutset_cuts.ScaledPoint, eps: F
 def separate_all(sep: Separation, point: FractionalPoint):
     """One round: every family of ``sep`` in table order; returns (cut,
     exact violation) pairs for the candidates violated by more than eps
-    and records each family's time and counts in ``sep.last_round``.  Every
-    violation is taken on ints, at the point's one scaling, which the
-    cut-set relaxations share: the built-once candidates are admitted on
-    their ints there, the cut-set family that runs (``flowcutset`` or
-    ``mf``) offers each key once, and its cuts carry the exact violation
-    their separator scored."""
+    and records each family's time and counts in ``sep.last_round``.  The
+    call makes one ``ScaledPoint`` of ``point`` and gives it to every
+    family; every violation is taken on its ints, and the cut-set
+    relaxations share it, each with its view made at most once: the
+    built-once candidates are admitted on their ints there, the cut-set
+    family that runs (``flowcutset`` or ``mf``) offers each key once, and
+    its cuts carry the exact violation their separator scored."""
     found: list[tuple[LinearCut, Fraction]] = []
     sep.last_round = {}
-    scaled = cutset_cuts.scaled_point(sep.instance, point)
+    scaled = ScaledPoint(sep.instance, point)
     for fam in sep.families:
         t0, before = time.perf_counter(), len(found)
         if fam.build:
             found.extend(_admitted(sep.fixed[fam.name], scaled, sep.eps))
         else:
-            for cut in fam.separate(sep, point):
+            for cut in fam.separate(sep, scaled):
                 if cut is not None:
                     violation = cut.violation(scaled)
                     if violation > sep.eps:
@@ -486,7 +488,7 @@ def separate_all(sep: Separation, point: FractionalPoint):
         sep.last_round[fam.name] = {
             "seconds": time.perf_counter() - t0,
             "candidates": len(found) - before,
-            "skipped": fam.skipped(sep, point) if fam.skipped else 0,
+            "skipped": fam.skipped(sep, scaled) if fam.skipped else 0,
         }
     return found
 
@@ -502,7 +504,7 @@ def _fractional_loads(rel, ai: int, point: FractionalPoint) -> dict[int, Fractio
 
 def _two_partitions(instance: Instance):
     nodes = list(instance.nodes)
-    if len(nodes) <= PARTITION_LIMIT:
+    if len(nodes) <= cutset_cuts.PARTITION_LIMIT:
         yield from cutset_cuts.two_partitions(nodes)
         return
     rng = random.Random(0)
@@ -524,7 +526,7 @@ def _three_partitions(instance: Instance):
     nodes = list(instance.nodes)
     if len(nodes) < 3:
         return
-    if len(nodes) <= THREE_PARTITION_LIMIT:
+    if len(nodes) <= partition_cuts.THREE_PARTITION_LIMIT:
         yield from partition_cuts.all_three_partitions(nodes)
         return
     rng = random.Random(1)
@@ -537,7 +539,7 @@ def _three_partitions(instance: Instance):
             yield partition_cuts.NodePartition.of(*blocks)
 
 
-def _commodity_subsets(rel, point: FractionalPoint):
+def _commodity_subsets(rel, scaled: ScaledPoint):
     """Every nonempty commodity subset up to ``Q_SUBSET_LIMIT``
     commodities; above it the full set, the positive-demand set, the
     singletons and one alternation: the best subset for the full set's
@@ -557,11 +559,9 @@ def _commodity_subsets(rel, point: FractionalPoint):
     if n > cutset_cuts.SUBSET_ENUMERATION_CAP:
         return
     # alternate: best arc subsets for the full set, then re-chosen commodities
-    best = cutset_cuts.separate_flow_cutset(rel, tuple(range(n)), point)
+    best = cutset_cuts.separate_flow_cutset(rel, tuple(range(n)), scaled)
     if best is not None:
-        Q = cutset_cuts.separate_commodity_subset(
-            rel, best.params["S+"], best.params["S-"], point
-        )
+        Q = cutset_cuts.separate_commodity_subset(rel, best.params["S+"], best.params["S-"], scaled)
         if Q and Q not in yielded:
             yield Q
 
@@ -570,17 +570,13 @@ def _commodity_subsets(rel, point: FractionalPoint):
 
 
 def default_y_bounds(instance: Instance, ybound: int | None = None) -> dict[tuple[int, int], int]:
-    """Per-variable grid bounds: enough units of each size to ship everything."""
-    bounds = {}
-    total = instance.demand.total()
-    for ai in range(len(instance.arcs)):
-        for mi, fac in enumerate(instance.facilities):
-            if ybound is not None:
-                bounds[(ai, mi)] = ybound
-            else:
-                need = (total - instance.arcs[ai].existing_capacity) / fac.capacity
-                bounds[(ai, mi)] = max(0, -(-need.numerator // need.denominator))
-    return bounds
+    """Per-variable grid bounds: enough units of each size to ship
+    everything, on the instance's ints."""
+    total = sum(instance.demand_num.values())
+    return {
+        (ai, mi): ybound if ybound is not None else max(0, -((cbar - total) // size))
+        for ai, cbar in enumerate(instance.cbar_num) for mi, size in enumerate(instance.sizes_num)
+    }
 
 
 def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, ybound: int | None):
@@ -604,13 +600,11 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, yb
         size *= bound + 1
         if size > GRID_BUDGET:
             raise BudgetExceededError(f"y-grid has more than {GRID_BUDGET} points")
-    base = scaled_ints([arc.existing_capacity for arc in instance.arcs], instance.scale)
-    units = scaled_ints([instance.facilities[mi].capacity for _, mi in keys], instance.scale)
     terms: list[list[tuple[int, int]]] = [[] for _ in instance.arcs]
-    for i, ((ai, _), unit) in enumerate(zip(keys, units)):
-        terms[ai].append((i, unit))
+    for i, (ai, mi) in enumerate(keys):
+        terms[ai].append((i, instance.sizes_num[mi]))
     points = product(*(range(y_bounds[k] + 1) for k in keys))
-    return keys, ((t, [b + sum(c * t[i] for i, c in arc) for b, arc in zip(base, terms)]) for t in points)
+    return keys, ((t, [b + sum(c * t[i] for i, c in arc) for b, arc in zip(instance.cbar_num, terms)]) for t in points)
 
 
 class _Routing:
@@ -645,7 +639,7 @@ class _Routing:
             if any(v < 0 for flow in flows for v in flow.values()):
                 self.priced = _unsplittable_routings(instance)
             self.supplies = [com.total_supply for com in instance.commodities]
-            self.loads = scaled_ints(self.supplies, self.scale)
+            self.loads = [-net[com.source] for net, com in zip(instance.net_num, instance.commodities)]
             self.tables: dict = {}  # the cost table (_costs) of each distinct flow part
             self.zero = [[0] * len(flows) for flows in self.paths], 1, [True] * (len(self.paths) + 1)
         else:
@@ -901,15 +895,15 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routin
     routability exactly (``routing.routable``) at the maximal ones, where
     raising any key would reach the rhs: routability only grows with
     capacity, so a routable pattern below the rhs exists iff a maximal one
-    does.  The walk runs on ints: the cut's own, and each arc's capacity
-    times ``instance.scale``.
+    does.  The walk runs on ints: the cut's own, and the instance's int
+    table (``Instance.cbar_num``, copied, and ``sizes_num``).
     """
     rhs, coef_of = cut.rhs_num, cut.cap_num
     keys = sorted(coef_of)
     least = min(coef_of.values())
-    ample, *units_of = scaled_ints([instance.demand.total(), *instance.facility_capacities()], instance.scale)
+    ample, units_of = sum(instance.demand_num.values()), instance.sizes_num
     # scaled capacity of each arc with every keyed variable at zero; the walk adds its units
-    caps = scaled_ints([arc.existing_capacity for arc in instance.arcs], instance.scale)
+    caps = list(instance.cbar_num)
     for ai, mi in product(range(len(instance.arcs)), range(len(instance.facilities))):
         if (ai, mi) not in coef_of:
             caps[ai] += ample

@@ -21,16 +21,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, Sequence
 
-from .core import (
-    ZERO,
-    Arc,
-    DemandMatrix,
-    Facility,
-    Instance,
-    LinearCut,
-    scaled_ints,
-)
+from .core import ZERO, Arc, DemandMatrix, Facility, Instance, LinearCut
 from .lp import RoutingCertificate, check_feasible_routing
+
+THREE_PARTITION_LIMIT = 6  # nodes of an exhaustive three-partition enumeration
 
 # arc weights + node potentials certifying routing infeasibility; also the
 # generator data of a metric inequality
@@ -67,23 +61,23 @@ class NodePairTable:
     """An instance's demands and existing capacities per ordered node pair,
     as ints, made once and read by every shrink of the instance.
 
-    ``scale`` is the instance's scale (``Instance.scale``), which clears
-    every demand amount and existing capacity.  ``rows`` holds ``(i, j,
-    demand, capacity, arc)`` per ordered node pair with an arc or a
-    demand: the pair's demand and existing capacity times ``scale`` and its
-    arc index (parallel arcs are merged, so a pair has at most one arc), or
-    None.  Rows with an arc come first, in arc index order, so a scan of
-    the rows meets the crossing arcs of a partition in index order.
+    ``scale`` is the instance's scale (``Instance.scale``), at which its
+    int table (``demand_num``, ``cbar_num``) holds every demand amount and
+    existing capacity.  ``rows`` holds ``(i, j, demand, capacity, arc)``
+    per ordered node pair with an arc or a demand: the pair's demand and
+    existing capacity times ``scale`` and its arc index (parallel arcs are
+    merged, so a pair has at most one arc), or None.  Rows with an arc
+    come first, in arc index order, so a scan of the rows meets the
+    crossing arcs of a partition in index order.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        amounts = {(i, j): t for i, j, t in instance.demand.pairs()}
-        self.scale = scale = instance.scale
-        on_arcs = scaled_ints([amounts.pop(arc.pair, ZERO) for arc in instance.arcs], scale)
-        cbar = scaled_ints([arc.existing_capacity for arc in instance.arcs], scale)
-        self.rows = [(arc.tail, arc.head, t, c, ai) for ai, (arc, t, c) in enumerate(zip(instance.arcs, on_arcs, cbar))]
-        self.rows += [(i, j, t, 0, None) for (i, j), t in zip(amounts, scaled_ints(amounts.values(), scale))]
+        amounts = dict(instance.demand_num)
+        self.scale = instance.scale
+        self.rows = [(arc.tail, arc.head, amounts.pop(arc.pair, 0), c, ai)
+                     for ai, (arc, c) in enumerate(zip(instance.arcs, instance.cbar_num))]
+        self.rows += [(i, j, t, 0, None) for (i, j), t in amounts.items()]
 
     def crossing(self, U: Container[int]) -> tuple[int, list[int]]:
         """The sums of a two-partition without a shrink: demand minus
@@ -401,8 +395,9 @@ class _TotalCapacity:
 # -- partition generators ---------------------------------------------------------
 
 
-def all_three_partitions(nodes: Sequence[int], cap: int = 7):
-    """Every unordered partition into three nonempty blocks (small n only).
+def all_three_partitions(nodes: Sequence[int]):
+    """Every unordered partition into three nonempty blocks of at most
+    ``THREE_PARTITION_LIMIT`` nodes.
 
     A partition is labeled as the least base-3 number, node i's block
     label as digit i, that gives it: the last node has label 0, and labels
@@ -412,7 +407,7 @@ def all_three_partitions(nodes: Sequence[int], cap: int = 7):
     """
     nodes = list(nodes)
     n = len(nodes)
-    if n > cap:
+    if n > THREE_PARTITION_LIMIT:
         raise ValueError("exhaustive three-partition enumeration is capped")
     if n < 3:
         return

@@ -248,9 +248,9 @@ def integral_metric_cut(vector, instance):
 
 def _zero_point_cut(rel, sel, facilities, family):
     from netdes_cuts.core import FractionalPoint
-    from netdes_cuts.cutset_cuts import IntegerView, ScaledPoint, _cut
+    from netdes_cuts.cutset_cuts import ScaledPoint, _cut
 
-    return _cut(rel, IntegerView(rel, ScaledPoint(rel.instance, FractionalPoint())), sel, facilities, family)
+    return _cut(rel, ScaledPoint(rel.instance, FractionalPoint()).view(rel), sel, facilities, family)
 
 
 def flow_cutset_cut(rel, sel):
@@ -577,14 +577,14 @@ def in_cutset_mixed_integer_set(rel, point):
     )
 
 
-def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0):
+def reference_commodity_subset(rel, S_plus, S_minus, point):
     """Fraction reference for ``cutset_cuts.separate_commodity_subset``: an
     exhaustive scan that builds and scores a cut per nonempty subset, by
     size and then in lexicographic order, and keeps the first of the most
-    violated."""
+    violated, rounded on facility 0."""
     from netdes_cuts.cutset_cuts import FlowCutSelection
 
-    c = rel.instance.facilities[facility].capacity
+    c = rel.instance.facilities[0].capacity
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
     ks = range(len(rel.b_num))
     best, best_v = None, ZERO
@@ -593,7 +593,7 @@ def reference_commodity_subset(rel, S_plus, S_minus, point, facility=0):
             r, _ = _rounding_data(rel, Q, S_plus, S_minus, c)
             if r == 0:
                 continue
-            v = reference_flow_cutset_cut(rel, FlowCutSelection(Q, S_plus, S_minus, facility)).violation(point)
+            v = reference_flow_cutset_cut(rel, FlowCutSelection(Q, S_plus, S_minus)).violation(point)
             if v > best_v:
                 best, best_v = Q, v
     return best
@@ -646,16 +646,17 @@ def reference_separate_all(instance, point, config):
     flowcutset = "flowcutset" in config.families and single_facility
     mf = "mf" in config.families and not single_facility
     if flowcutset or mf:
-        subsets = [list(engine._commodity_subsets(rel, point)) for rel in relaxations]
+        scaled = cutset_cuts.ScaledPoint(instance, point)
+        subsets = [list(engine._commodity_subsets(rel, scaled)) for rel in relaxations]
     if flowcutset:
         for rel, rel_subsets in zip(relaxations, subsets):
             for Q in rel_subsets:
-                admit(cutset_cuts.separate_flow_cutset(rel, Q, point))
+                admit(cutset_cuts.separate_flow_cutset(rel, Q, scaled))
     if mf:
         for rel, rel_subsets in zip(relaxations, subsets):
             for s in range(len(instance.facilities)):
                 for Q in rel_subsets:
-                    admit(cutset_cuts.separate_multifacility(rel, s, point, Q=Q))
+                    admit(cutset_cuts.separate_multifacility(rel, s, scaled, Q=Q))
     if "partition" in config.families and instance.integral_capacities():
         for U, V in partitions:
             shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))

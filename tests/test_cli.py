@@ -179,13 +179,16 @@ def test_unsplittable_gen_flag(tmp_path):
     ["oracle", "--instance", "{bool_flow_costs}", "--ybound", "1"],
     ["run", "--instance", "{repeated_demand}", "--rounds", "1"],
     ["oracle", "--instance", "{repeated_demand}", "--ybound", "1"],
+    ["oracle", "--instance", "{string_cost}", "--ybound", "1"],
+    ["oracle", "--instance", "{object_cost}", "--ybound", "1"],
+    ["oracle", "--instance", "{object_flow_costs}", "--ybound", "1"],
 ], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
         "ybound", "facilities", "density-inf", "facilities-decreasing", "facilities-equal",
         "report-unwritable", "dump-lp-unwritable", "instance-empty", "instance-unknown-node",
         "instance-float-cost", "run-duplicate-node", "oracle-duplicate-node", "run-unsplittable-string",
         "oracle-unsplittable-string", "run-bool-capacity", "oracle-bool-capacity", "run-bool-amount",
         "oracle-bool-cost", "run-bool-existing-capacity", "oracle-bool-flow-costs", "run-repeated-demand",
-        "oracle-repeated-demand"])
+        "oracle-repeated-demand", "oracle-string-cost", "oracle-object-cost", "oracle-object-flow-costs"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--nodes", "3", "--out", str(inst)])
@@ -206,6 +209,13 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
                  "bool_cost": {**good, "facilities": [{"capacity": "1", "cost": [True]}]},
                  "bool_existing_capacity": {**good, "arcs": [{"tail": 1, "head": 2, "existing_capacity": True}]},
                  "bool_flow_costs": {**good, "flow_costs": [True]},
+                 # a JSON string or object must not be read by its characters or its keys
+                 "string_cost": {**good, "arcs": [{"tail": 1, "head": 2}, {"tail": 2, "head": 1}],
+                                 "facilities": [{"capacity": "1", "cost": "34"}]},
+                 "object_cost": {**good, "arcs": [{"tail": 1, "head": 2}, {"tail": 2, "head": 1}],
+                                 "facilities": [{"capacity": "1", "cost": {"2": "9", "3": "9"}}]},
+                 "object_flow_costs": {**good, "arcs": [{"tail": 1, "head": 2}, {"tail": 2, "head": 1}],
+                                       "flow_costs": {"5": "0", "7": "0"}},
                  # a pair listed twice has no one demand: the second amount must not replace the first
                  "repeated_demand": {**good, "demands": [{"from": 1, "to": 2, "amount": "1"},
                                                          {"from": 1, "to": 2, "amount": "2"}]}}

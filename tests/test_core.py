@@ -214,11 +214,13 @@ def test_instance_roundtrip_json():
 def test_instance_scale_is_the_least_int_that_clears_the_data():
     """``Instance.scale`` is the least positive S with ``S * v`` an int for
     every facility size, existing capacity, demand amount, net demand and
-    supply, in both commodity modes, with fractional facility sizes and
-    with amounts whose total is integral (seed 5); and the int stages read
-    it: the node-pair table, a point's scaling and the oracle's routing."""
+    supply, in both commodity modes, with fractional facility sizes, with
+    merged parallel arcs and with amounts whose total is integral (seed
+    5); every entry of the instance's int table is S times its value, an
+    int; and the int stages read it: the node-pair table, a point's
+    scaling and the oracle's routing."""
     from netdes_cuts import engine
-    from netdes_cuts.cutset_cuts import scaled_point
+    from netdes_cuts.cutset_cuts import ScaledPoint
     from netdes_cuts.partition_cuts import NodePairTable
 
     fractional = Instance(
@@ -227,9 +229,17 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
         facilities=[Facility("7/5", ("1", "1", "1")), Facility("10/3", ("2", "2", "2"))],
         demand=DemandMatrix({(1, 3): F(1, 6), (2, 1): F(5, 6)}),
     )
+    parallel = Instance(
+        nodes=[1, 2, 3],
+        arcs=[Arc(1, 2, "1/4"), Arc(2, 3), Arc(1, 2, "1/3"), Arc(3, 1)],
+        facilities=[Facility("3/2", ("1", "1", "1"))],
+        demand=DemandMatrix({(1, 3): F(1, 2), (3, 2): F(2, 5), (1, 2): F(1)}),
+        mode="disaggregated",
+    )
     seed5 = engine.generate_instance(seed=5, nodes=3, density=0.9, facilities=(1, 2))
     instances = [
         fractional,
+        parallel,
         seed5,
         engine.generate_instance(seed=5, nodes=3, density=0.9, facilities=(1, 2), mode="disaggregated"),
         engine.generate_instance(seed=35, nodes=3, density=0.9, facilities=(1, 2)),
@@ -237,6 +247,7 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
                                  unsplittable=True),
     ]
     assert fractional.scale == 60 and seed5.scale == 2 and seed5.demand.total() == 3
+    assert len(parallel.arcs) == 3 and parallel.scale == 60 and parallel.cbar_num[0] == 35
     rng = random.Random(30)
     for inst in instances:
         S = inst.scale
@@ -249,6 +260,15 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
             if S % d == 0:
                 assert any((d * v).denominator != 1 for v in values), (inst.name, S, d)
 
+        assert inst.sizes_num == tuple(S * f.capacity for f in inst.facilities)
+        assert inst.cbar_num == tuple(S * a.existing_capacity for a in inst.arcs)
+        assert list(inst.demand_num.items()) == [((i, j), S * t) for i, j, t in inst.demand.pairs()]
+        assert inst.net_num == tuple({n: S * w for n, w in com.net_demand.items()} for com in inst.commodities)
+        assert [list(net) for net in inst.net_num] == [list(com.net_demand) for com in inst.commodities]
+        table = (*inst.sizes_num, *inst.cbar_num, *inst.demand_num.values(),
+                 *(w for net in inst.net_num for w in net.values()))
+        assert all(type(v) is int for v in table)
+
         assert NodePairTable(inst).scale == S
         routing = engine._Routing(inst, [{}])
         assert routing.scale == S
@@ -260,7 +280,10 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
             y={(ai, mi): F(rng.randint(0, 3), rng.choice((1, 7))) for ai in arcs for mi in range(len(inst.facilities))},
         )
         dens = [v.denominator for v in (*point.x.values(), *point.y.values())]
-        assert scaled_point(inst, point).D == math.lcm(S, *dens)
+        scaled = ScaledPoint(inst, point)
+        assert scaled.D == math.lcm(S, *dens) and scaled.point is point
+        assert scaled.caps == [scaled.D * f.capacity for f in inst.facilities]
+        assert scaled.cbar == [scaled.D * a.existing_capacity for a in inst.arcs]
 
 
 def test_linear_cut_normalization_and_violation():

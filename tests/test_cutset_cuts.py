@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 from itertools import chain, combinations
@@ -16,6 +17,7 @@ from netdes_cuts.core import (
 from netdes_cuts.cutset_cuts import (
     GREEDY_ROUNDS,
     FlowCutSelection,
+    ScaledPoint,
     build_cutset,
     cutset_cut,
     separate_commodity_subset,
@@ -50,12 +52,11 @@ def two_node_instance(demand=F(1), caps=(1,), cbar=F(0)):
     )
 
 
-def recorded_violation(cut, rel, pt):
-    """The violation a greedy separator recorded for ``cut`` at ``pt``, read
-    as the engine reads it: at the instance's one ``ScaledPoint`` of
-    ``pt``, under which it must be stored."""
-    scaled = cutset_cuts.scaled_point(rel.instance, pt)
-    assert cut._violation[0] is scaled
+def recorded_violation(cut, scaled):
+    """The violation a greedy separator recorded for ``cut`` at the point of
+    ``scaled``, read as the engine reads it: at the one ``ScaledPoint`` the
+    separator was given, under which it must be stored."""
+    assert cut._violation[0]() is scaled
     return cut.violation(scaled)
 
 
@@ -161,14 +162,14 @@ def test_flow_cutset_sequence_reaches_integrality(star_instance):
 def test_separation_none_at_integral_feasible(star_instance):
     rel = build_cutset(star_instance, U=[1])
     pt = FractionalPoint(x={(0, 0): F(1, 2)}, y={(0, 0): F(1)})
-    got = separate_flow_cutset(rel, (0,), pt)
+    got = separate_flow_cutset(rel, (0,), ScaledPoint(star_instance, pt))
     assert got is None or got.violation(pt) <= 0
 
 
 def test_separation_worked_point(star_instance):
     rel = build_cutset(star_instance, U=[1])
     pt = FractionalPoint(x={(0, 0): F(1), (2, 0): F(1, 2)}, y={(0, 0): F(1), (2, 0): F(1, 2)})
-    cut = separate_flow_cutset(rel, (0,), pt)
+    cut = separate_flow_cutset(rel, (0,), ScaledPoint(star_instance, pt))
     assert cut is not None
     assert cut.params["S+"] == (0,)
     assert cut.params["S-"] == (2,)
@@ -193,23 +194,25 @@ def test_separation_agrees_with_enumeration_zero_cbar():
             x={(ai, ki): F(rng.randint(0, 4), 4) for ai in range(len(inst.arcs)) for ki in Q},
             y={(ai, 0): F(rng.randint(0, 6), 4) for ai in range(len(inst.arcs))},
         )
-        got = separate_flow_cutset(rel, Q, pt)
+        scaled = ScaledPoint(inst, pt)
+        got = separate_flow_cutset(rel, Q, scaled)
         best, _ = flow_cutset_best_violation(rel, pt, Q)
         if got is None:
             assert best <= 0
         else:
-            assert recorded_violation(got, rel, pt) == best
+            assert recorded_violation(got, scaled) == best
 
 
 def test_commodity_subset_single_commodity(star_instance):
     rel = build_cutset(star_instance, U=[1])
     pt = FractionalPoint(x={(0, 0): F(1), (2, 0): F(1, 2)}, y={(0, 0): F(1), (2, 0): F(1, 2)})
-    Q = separate_commodity_subset(rel, (0,), (2,), pt)
+    scaled = ScaledPoint(star_instance, pt)
+    Q = separate_commodity_subset(rel, (0,), (2,), scaled)
     assert Q == (0,)
     pt_ok = FractionalPoint(x={(0, 0): F(1, 2)}, y={(0, 0): F(1)})
-    assert separate_commodity_subset(rel, (0, 1), (), pt_ok) is None
+    assert separate_commodity_subset(rel, (0, 1), (), ScaledPoint(star_instance, pt_ok)) is None
     with pytest.raises(ValueError):
-        separate_commodity_subset(rel, (2,), (), pt)  # arc 2 crosses V -> U
+        separate_commodity_subset(rel, (2,), (), scaled)  # arc 2 crosses V -> U
 
 
 def two_commodity_instance():
@@ -230,8 +233,9 @@ def test_commodity_subset_matches_exhaustive():
             x={(ai, ki): F(rng.randint(0, 3), 6) for ai in range(3) for ki in range(2)},
             y={(ai, 0): F(rng.randint(0, 5), 4) for ai in range(3)},
         )
+        scaled = ScaledPoint(inst, pt)
         for S_plus in [(0,), (1,), (0, 1)]:
-            got = separate_commodity_subset(rel, S_plus, (2,), pt)
+            got = separate_commodity_subset(rel, S_plus, (2,), scaled)
             best = F(0)
             best_Q = None
             for size in (1, 2):
@@ -270,8 +274,9 @@ def test_commodity_subset_breaks_ties_as_the_scan():
             x={(ai, ki): flow[ai] for ai in range(3) for ki in range(2)},
             y={(ai, 0): F(rng.randint(0, 5), 4) for ai in range(3)},
         )
+        scaled = ScaledPoint(inst, pt)
         for S_plus in [(0,), (1,), (0, 1)]:
-            got = separate_commodity_subset(rel, S_plus, (2,), pt)
+            got = separate_commodity_subset(rel, S_plus, (2,), scaled)
             assert got == reference_commodity_subset(rel, S_plus, (2,), pt)
             assert got != (1,)
             firsts += got == (0,)
@@ -291,7 +296,7 @@ def test_commodity_subset_takes_a_commodity_of_negative_demand():
     rel = build_cutset(inst, U=(3,))
     assert relaxation_b(rel) == (F(-1), 0, F(9, 4), 0, 0, 0, 0)
     S_plus, S_minus = (10, 11), (19, 24)
-    Q = separate_commodity_subset(rel, S_plus, S_minus, pt)
+    Q = separate_commodity_subset(rel, S_plus, S_minus, ScaledPoint(inst, pt))
     assert Q == (0, 2, 4) == reference_commodity_subset(rel, S_plus, S_minus, pt)
     assert flow_cutset_cut(rel, FlowCutSelection(Q, S_plus, S_minus)).violation(pt) == F(5, 8)
     assert flow_cutset_cut(rel, FlowCutSelection((2,), S_plus, S_minus)).violation(pt) <= 0
@@ -306,7 +311,7 @@ def test_commodity_subset_beats_singletons():
             x={(ai, ki): F(rng.randint(0, 3), 6) for ai in range(3) for ki in range(2)},
             y={(ai, 0): F(rng.randint(0, 5), 4) for ai in range(3)},
         )
-        got = separate_commodity_subset(rel, (0, 1), (), pt)
+        got = separate_commodity_subset(rel, (0, 1), (), ScaledPoint(inst, pt))
         if got is None:
             continue
         got_cut = flow_cutset_cut(rel, FlowCutSelection(got, (0, 1), ()))
@@ -391,7 +396,7 @@ def test_separate_multifacility_zero_point():
     inst = two_node_instance(demand=F(3, 2), caps=(1, 3))
     rel = build_cutset(inst, U=[1])
     pt = FractionalPoint()
-    cut = separate_multifacility(rel, 0, pt)
+    cut = separate_multifacility(rel, 0, ScaledPoint(inst, pt))
     assert cut is not None
     assert set(cut.params["S+"]) == set(rel.A_plus)
     assert cut.violation(pt) > 0
@@ -411,28 +416,30 @@ def test_separate_multifacility_matches_enumeration():
             x={(ai, ki): F(rng.randint(0, 3), 4) for ai in range(3) for ki in range(2)},
             y={(ai, mi): F(rng.randint(0, 3), 4) for ai in range(3) for mi in range(2)},
         )
+        scaled = ScaledPoint(inst, pt)
         for s in (0, 1):
-            got = separate_multifacility(rel, s, pt)
+            got = separate_multifacility(rel, s, scaled)
             best, _ = multifacility_best_violation(rel, pt, s, (0, 1))
             if got is None:
                 assert best <= 0
             else:
-                assert recorded_violation(got, rel, pt) == best
+                assert recorded_violation(got, scaled) == best
 
 
 def test_multifacility_most_violated_across_base_choice():
     inst = two_node_instance(demand=F(7, 3), caps=(1, 3))
     rel = build_cutset(inst, U=[1])
     pt = FractionalPoint(y={(0, 0): F(1, 3), (0, 1): F(1, 2)})
+    scaled = ScaledPoint(inst, pt)
     best = None
     for s in (0, 1):
-        cut = separate_multifacility(rel, s, pt)
-        if cut is not None and (best is None or recorded_violation(cut, rel, pt) > recorded_violation(best, rel, pt)):
+        cut = separate_multifacility(rel, s, scaled)
+        if cut is not None and (best is None or recorded_violation(cut, scaled) > recorded_violation(best, scaled)):
             best = cut
     assert best is not None
     for s in (0, 1):
         v, _ = multifacility_best_violation(rel, pt, s, (0,))
-        assert recorded_violation(best, rel, pt) >= v
+        assert recorded_violation(best, scaled) >= v
 
 
 # -- integer kernel against the Fraction reference ------------------------------------------
@@ -514,13 +521,14 @@ def test_separators_match_fraction_reference():
     least three distinct selections and often runs to ``GREEDY_ROUNDS``."""
     compared = distinct3 = capped = 0
     for rel, pt, rng in chain(_random_separations(), _shifting_separations()):
+        scaled = ScaledPoint(rel.instance, pt)
         for Q in _sampled_subsets(rel, rng):
             for m in range(len(rel.instance.facilities)):
                 passes_mf, passes_fcs = [], []
                 pairs = [
-                    (separate_multifacility(rel, m, pt, Q=Q),
+                    (separate_multifacility(rel, m, scaled, Q=Q),
                      reference_multifacility(rel, m, pt, Q=Q, passes=passes_mf)),
-                    (separate_flow_cutset(rel, Q, pt, facility=m),
+                    (separate_flow_cutset(rel, Q, scaled, facility=m),
                      reference_flow_cutset(rel, Q, pt, facility=m, passes=passes_fcs)),
                 ]
                 for got, want in pairs:
@@ -530,7 +538,7 @@ def test_separators_match_fraction_reference():
                         assert got.normalized_key() == want.normalized_key()
                         assert got.params == want.params
                         assert got.family == want.family
-                        assert recorded_violation(got, rel, pt) == want.violation(pt)
+                        assert recorded_violation(got, scaled) == want.violation(pt)
                 for passes in (passes_mf, passes_fcs):
                     distinct3 += len(set(passes)) >= 3
                     capped += len(set(passes)) == GREEDY_ROUNDS
@@ -566,18 +574,19 @@ def test_integer_cut_matches_fraction_reference():
     compared = built = 0
     pick = random.Random(12)  # the selections; the pairs' own generator stays untouched
     for rel, pt, rng in _random_separations():
+        scaled = ScaledPoint(rel.instance, pt)
         for Q in _sampled_subsets(rel, rng):
             for m in range(len(rel.instance.facilities)):
                 pairs = [
-                    (separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
-                    (separate_flow_cutset(rel, Q, pt, facility=m), reference_flow_cutset(rel, Q, pt, facility=m)),
+                    (separate_multifacility(rel, m, scaled, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
+                    (separate_flow_cutset(rel, Q, scaled, facility=m), reference_flow_cutset(rel, Q, pt, facility=m)),
                 ]
                 for got, want in pairs:
                     assert (got is None) == (want is None)
                     if got is not None:
                         compared += 1
                         _assert_identical_cut(got, want)
-                        assert recorded_violation(got, rel, pt) == got.rhs - lhs_value(got, pt) == want.violation(pt)
+                        assert recorded_violation(got, scaled) == got.rhs - lhs_value(got, pt) == want.violation(pt)
                 sel = FlowCutSelection(
                     Q, tuple(a for a in rel.A_plus if pick.random() < 0.5),
                     tuple(a for a in rel.A_minus if pick.random() < 0.5), facility=m,
@@ -605,11 +614,12 @@ def test_separators_skip_found_keys():
     and returns None; given other keys it returns the same cut."""
     skipped = 0
     for rel, pt, rng in _random_separations():
+        scaled = ScaledPoint(rel.instance, pt)
         for Q in _sampled_subsets(rel, rng):
             for m in range(len(rel.instance.facilities)):
                 for separate in (
-                    lambda skip: separate_multifacility(rel, m, pt, Q=Q, skip=skip),
-                    lambda skip: separate_flow_cutset(rel, Q, pt, facility=m, skip=skip),
+                    lambda skip: separate_multifacility(rel, m, scaled, Q=Q, skip=skip),
+                    lambda skip: separate_flow_cutset(rel, Q, scaled, facility=m, skip=skip),
                 ):
                     cut = separate(())
                     if cut is None:
@@ -629,12 +639,37 @@ def _assert_same_cut(got, want):
         assert got.family == want.family
 
 
+def test_a_point_changed_in_place_is_separated_as_a_fresh_copy():
+    """The round-0 point of the seed-3 4-node (1,) instance, separated on U
+    = {1, 2, 3}, then changed in place: ``y`` raised to 100 on every
+    crossing arc.  A ``ScaledPoint`` made after the change reads the new
+    coordinates, so both separators find what they find at a deep copy of
+    the changed point, nothing, and the cut found before is violated by
+    -99 there."""
+    from netdes_cuts.lp import build_relaxation, solve
+
+    inst = generate_instance(seed=3, nodes=4, facilities=(1,))
+    pt = solve(build_relaxation(inst)).point(MAX_DENOMINATOR)
+    rel = build_cutset(inst, (1, 2, 3), (4,))
+    Q = tuple(range(len(inst.commodities)))
+    before = separate_flow_cutset(rel, Q, ScaledPoint(inst, pt))
+    assert before is not None and before.violation(pt) == F(1, 4)
+    for a in rel.A_plus + rel.A_minus:
+        pt.y[(a, 0)] = F(100)
+    for point in (pt, copy.deepcopy(pt)):
+        scaled = ScaledPoint(inst, point)
+        assert separate_flow_cutset(rel, Q, scaled) is None
+        assert separate_multifacility(rel, 0, scaled, Q=Q) is None
+        assert before.violation(scaled) == before.violation(point) == -99
+
+
 def test_integer_view_follows_the_point():
     """Two relaxations of one instance separate at point A, then at point
-    B, then at A again: for every Q and base facility both separators
-    return the Fraction reference's cut, so the integer view each
-    relaxation keeps is always the current point's, and the one scaling of
-    the point that the two views share, whichever made it, serves both."""
+    B, then at A again, each point scaled once: for every Q and base
+    facility both separators return the Fraction reference's cut, so the
+    view a scaled point keeps of each relaxation is that point's, also
+    when A's views are met again, and the two views of one scaled point
+    share its one scaling."""
     rng = random.Random(1111)
     shapes = [(1,), (1, 3), (1, F(3, 2)), (F(3, 2), 4)]
     compared = 0
@@ -652,21 +687,22 @@ def test_integer_view_follows_the_point():
             )
 
         A, B = random_point(), random_point()
+        scaled_A, scaled_B = ScaledPoint(inst, A), ScaledPoint(inst, B)
         rels = [build_cutset(inst, U, V) for U, V in rng.sample(list(two_partitions(inst.nodes)), 2)]
         commodities = range(len(inst.commodities))
         subsets = [Q for n in range(1, len(commodities) + 1) for Q in combinations(commodities, n)]
-        for turn, pt in enumerate((A, B, A)):
+        for turn, (pt, scaled) in enumerate(((A, scaled_A), (B, scaled_B), (A, scaled_A))):
             for rel in rels[::-1] if turn % 2 else rels:
                 for Q in subsets:
                     for m in facilities:
                         want = reference_multifacility(rel, m, pt, Q=Q)
-                        _assert_same_cut(separate_multifacility(rel, m, pt, Q=Q), want)
+                        _assert_same_cut(separate_multifacility(rel, m, scaled, Q=Q), want)
                         compared += want is not None
                         want = reference_flow_cutset(rel, Q, pt, facility=m)
-                        _assert_same_cut(separate_flow_cutset(rel, Q, pt, facility=m), want)
+                        _assert_same_cut(separate_flow_cutset(rel, Q, scaled, facility=m), want)
                         compared += want is not None
-            first, second = (rel.view(pt) for rel in rels)
-            assert first.D == second.D and first.y is second.y
+            first, second = (scaled.view(rel) for rel in rels)
+            assert first.D == second.D == scaled.D and first.y is second.y is scaled.y
     assert compared > 600
 
 
@@ -725,17 +761,18 @@ def _sampled_relaxations(inst, rng):
     return [build_cutset(inst, U, V) for U, V in rng.sample(list(two_partitions(inst.nodes)), 4)]
 
 
-def _separations_against_references(rel, pt, rng):
+def _separations_against_references(rel, pt, scaled, rng):
     """(separator's cut, reference's cut, skip possible) for each base
-    facility and up to four commodity subsets Q of ``rel``; the
+    facility and up to four commodity subsets Q of ``rel``, the separators
+    given ``scaled``, the ``ScaledPoint`` of ``pt``; the
     flow-cut-set cut on one facility of several leaves the others'
     capacity out, so it is not valid for the mixed-integer set and cannot
     be skipped."""
     n_facilities = len(rel.instance.facilities)
     for Q in _sampled_subsets(rel, rng, 4):
         for m in range(n_facilities):
-            yield separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q), True
-            yield (separate_flow_cutset(rel, Q, pt, facility=m), reference_flow_cutset(rel, Q, pt, facility=m),
+            yield separate_multifacility(rel, m, scaled, Q=Q), reference_multifacility(rel, m, pt, Q=Q), True
+            yield (separate_flow_cutset(rel, Q, scaled, facility=m), reference_flow_cutset(rel, Q, pt, facility=m),
                    n_facilities == 1)
 
 
@@ -747,10 +784,11 @@ def test_mixed_integer_points_are_skipped_and_violate_nothing():
     find."""
     relaxations = separations = unskippable = 0
     for inst, pt, rng in _mixed_integer_points():
+        scaled = ScaledPoint(inst, pt)
         for rel in _sampled_relaxations(inst, rng):
-            assert in_cutset_mixed_integer_set(rel, pt) and rel.view(pt).mixed_integer
+            assert in_cutset_mixed_integer_set(rel, pt) and scaled.view(rel).mixed_integer
             relaxations += 1
-            for got, want, skippable in _separations_against_references(rel, pt, rng):
+            for got, want, skippable in _separations_against_references(rel, pt, scaled, rng):
                 if skippable:
                     assert want is None and got is None
                     separations += 1
@@ -788,11 +826,12 @@ def test_points_one_step_off_the_mixed_integer_set_are_not_skipped():
             moved = FractionalPoint(x=dict(pt.x), y=dict(pt.y))
             coordinates = getattr(moved, coords)
             coordinates[key] = coordinates.get(key, F(0)) + delta
+            scaled = ScaledPoint(inst, moved)
             for rel in _sampled_relaxations(inst, rng):
-                view = rel.view(moved)
+                view = scaled.view(rel)
                 assert view.mixed_integer == in_cutset_mixed_integer_set(rel, moved)
                 steps[step] += not view.mixed_integer
-                for got, want, skippable in _separations_against_references(rel, moved, rng):
+                for got, want, skippable in _separations_against_references(rel, moved, scaled, rng):
                     _assert_same_cut(got, want)
                     # cuts an over-eager skip would lose
                     violated += want is not None and skippable and not view.mixed_integer
@@ -849,11 +888,12 @@ def test_commodity_subset_matches_fraction_reference():
                        for a in rel.A_plus for k in range(n) if rel.b_num[k] > 0},
                     y={(a, 0): F(rng.randint(0, 8), rng.choice((1, 2, 3))) for a in S_plus},
                 )
+            scaled = ScaledPoint(inst, pt)
             if n > 12:
                 with pytest.raises(ValueError):
-                    separate_commodity_subset(rel, S_plus, S_minus, pt)
+                    separate_commodity_subset(rel, S_plus, S_minus, scaled)
                 continue
-            got = separate_commodity_subset(rel, S_plus, S_minus, pt)
+            got = separate_commodity_subset(rel, S_plus, S_minus, scaled)
             assert got == reference_commodity_subset(rel, S_plus, S_minus, pt)
             found += got is not None
     assert found >= 10
@@ -871,7 +911,7 @@ def test_commodity_subset_matches_fraction_reference():
                 x={(a, k): _random_coordinate(rng) for a in range(len(inst.arcs)) for k in range(n)},
                 y={(a, 0): F(rng.randint(1, 6), rng.choice((1, 2, 3))) for a in range(len(inst.arcs))},
             )
-            got = separate_commodity_subset(rel, S_plus, rel.A_minus, pt)
+            got = separate_commodity_subset(rel, S_plus, rel.A_minus, ScaledPoint(inst, pt))
             assert got == reference_commodity_subset(rel, S_plus, rel.A_minus, pt)
             carried += got is not None
     assert carried >= 10, carried
@@ -908,11 +948,12 @@ def _null_commodity_separations():
             yield rel, pt, rng, null
 
 
-def _separators(rel, pt, m):
-    """Both greedy separators on base facility m, with their references."""
+def _separators(rel, pt, scaled, m):
+    """Both greedy separators on base facility m, given ``scaled``, the
+    ``ScaledPoint`` of ``pt``, with their references."""
     return [
-        (lambda Q: separate_multifacility(rel, m, pt, Q=Q), lambda Q: reference_multifacility(rel, m, pt, Q=Q)),
-        (lambda Q: separate_flow_cutset(rel, Q, pt, facility=m),
+        (lambda Q: separate_multifacility(rel, m, scaled, Q=Q), lambda Q: reference_multifacility(rel, m, pt, Q=Q)),
+        (lambda Q: separate_flow_cutset(rel, Q, scaled, facility=m),
          lambda Q: reference_flow_cutset(rel, Q, pt, facility=m)),
     ]
 
@@ -928,12 +969,13 @@ def test_a_null_commodity_changes_no_selection_and_needs_no_scan(monkeypatch):
     monkeypatch.setattr(cutset_cuts, "_greedy_scan", lambda *args: scans.append(args[1]) or scan(*args))
     compared = named = 0
     for rel, pt, rng, null in _null_commodity_separations():
+        scaled = ScaledPoint(rel.instance, pt)
         others = [k for k in range(len(rel.b_num)) if k not in null]
         for Q in [Q for n in range(1, len(others) + 1) for Q in combinations(others, n)][:4]:
             k = rng.choice(null)
             with_k = tuple(sorted(Q + (k,)))
             for m in range(len(rel.instance.facilities)):
-                for separate, reference in _separators(rel, pt, m):
+                for separate, reference in _separators(rel, pt, scaled, m):
                     first = separate(Q)
                     done = len(scans)
                     second = separate(with_k)
@@ -944,7 +986,7 @@ def test_a_null_commodity_changes_no_selection_and_needs_no_scan(monkeypatch):
                         continue
                     compared += 1
                     assert (first.params["S+"], first.params["S-"]) == (second.params["S+"], second.params["S-"])
-                    assert recorded_violation(first, rel, pt) == recorded_violation(second, rel, pt)
+                    assert recorded_violation(first, scaled) == recorded_violation(second, scaled)
                     assert second.params["Q"] == with_k
                     if first.flow:
                         named += 1
@@ -958,9 +1000,10 @@ def test_a_subset_of_null_commodities_alone_is_still_separated():
     separators return the Fraction reference's cut there."""
     violated = 0
     for rel, pt, rng, null in _null_commodity_separations():
+        scaled = ScaledPoint(rel.instance, pt)
         for Q in (tuple(null[:1]), tuple(null)):
             for m in range(len(rel.instance.facilities)):
-                for separate, reference in _separators(rel, pt, m):
+                for separate, reference in _separators(rel, pt, scaled, m):
                     want = reference(Q)
                     _assert_same_cut(separate(Q), want)
                     violated += want is not None
@@ -995,13 +1038,13 @@ def test_subset_flows_from_their_prefix_are_the_full_sums():
             cases.append((rel, pt))
     checked = alternations = derived = summed = 0
     for rel, pt in cases:
-        subsets = list(_commodity_subsets(rel, pt))
+        subsets = list(_commodity_subsets(rel, ScaledPoint(rel.instance, pt)))
         n = len(rel.b_num)
         alternations += n > Q_SUBSET_LIMIT and len(subsets) > len({tuple(range(n)), rel.positive_commodities()}) + n
         shuffled = rng.sample(subsets, len(subsets))
         for order in (subsets, shuffled):
-            point = FractionalPoint(x=dict(pt.x), y=dict(pt.y))  # a fresh view with an empty memo
-            view = rel.view(point)
+            point = FractionalPoint(x=dict(pt.x), y=dict(pt.y))
+            view = ScaledPoint(rel.instance, point).view(rel)  # a fresh view with an empty memo
             for Q in order:
                 prefixed = Q[:-1] in view._by_Q
                 if order is subsets and n <= Q_SUBSET_LIMIT:
@@ -1031,13 +1074,14 @@ def test_facet_report_matches_the_fraction_reference():
             x={(a, k): _random_coordinate(rng) for a in arcs for k in range(len(inst.commodities))},
             y={(a, m): _random_coordinate(rng) for a in arcs for m in facilities},
         )
+        scaled = ScaledPoint(inst, pt)
         for U, V in rng.sample(list(two_partitions(inst.nodes)), 3):
             rel = build_cutset(inst, U, V)
             for Q in _sampled_subsets(rel, rng, 4):
                 for m in facilities:
                     sel = FlowCutSelection(Q, tuple(a for a in rel.A_plus if rng.random() < 0.5),
                                            tuple(a for a in rel.A_minus if rng.random() < 0.5), facility=m)
-                    pairs = [(separate_multifacility(rel, m, pt, Q=Q), reference_multifacility(rel, m, pt, Q=Q))]
+                    pairs = [(separate_multifacility(rel, m, scaled, Q=Q), reference_multifacility(rel, m, pt, Q=Q))]
                     try:
                         pairs.append((multifacility_cutset_cut(rel, sel), reference_multifacility_cutset_cut(rel, sel)))
                     except ValueError:

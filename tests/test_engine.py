@@ -300,7 +300,7 @@ def _scalings(inst, point):
     own = SimpleNamespace(D=D, y=[
         [int(point.y.get((a, m), 0) * D) for m in range(len(inst.facilities))] for a in range(len(inst.arcs))
     ])
-    return cutset_cuts.scaled_point(inst, point), own
+    return cutset_cuts.ScaledPoint(inst, point), own
 
 
 def _assert_same_admission(sep, point):
@@ -421,6 +421,40 @@ def test_mf_on_one_facility_adds_no_bound(monkeypatch):
     assert smaller > 0
 
 
+def test_one_separate_all_call_views_each_relaxation_once(monkeypatch):
+    """``separate_all`` makes one ``ScaledPoint`` and gives it to every
+    family, so within one call each cut-set relaxation's ``IntegerView``
+    is built exactly once, though the greedy separators, the skipped count
+    and, on the 6-node instance of 10 commodities, the alternation's
+    subset search all read it."""
+    from collections import Counter
+
+    built, per_call, subset_searches = [], [], []
+    view, search, separate_all = cutset_cuts.IntegerView, cutset_cuts.separate_commodity_subset, engine.separate_all
+
+    class CountedView(view):
+        def __init__(self, rel, scaled):
+            built.append(rel)
+            super().__init__(rel, scaled)
+
+    def recording(sep, point):
+        del built[:]
+        found = separate_all(sep, point)
+        per_call.append((sep, Counter(built)))
+        return found
+
+    monkeypatch.setattr(cutset_cuts, "IntegerView", CountedView)
+    monkeypatch.setattr(cutset_cuts, "separate_commodity_subset",
+                        lambda *args: subset_searches.append(1) or search(*args))
+    monkeypatch.setattr(engine, "separate_all", recording)
+    for gen in (dict(nodes=4, facilities=(1,)), dict(nodes=4, facilities=(1, 3)),
+                dict(nodes=6, facilities=(1,), mode="disaggregated")):
+        cutting_plane_loop(generate_instance(seed=3, **gen), Config(max_rounds=3))
+    assert len(per_call) >= 6 and subset_searches
+    for sep, views in per_call:
+        assert set(views) == set(sep.relaxations) and set(views.values()) == {1}
+
+
 def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
     """At the golden round points, ``flowcutset`` and ``mf`` call their
     separators on no relaxation without an arc U -> V and on none whose
@@ -432,7 +466,7 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
         real = getattr(cutset_cuts, name)
 
         def counted(rel, *args, **kwargs):
-            calls.append((rel, args[1]))  # args[1] is the point for both separators
+            calls.append((rel, args[1].point))  # args[1] is the ScaledPoint for both separators
             return real(rel, *args, **kwargs)
 
         monkeypatch.setattr(cutset_cuts, name, counted)

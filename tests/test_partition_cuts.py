@@ -12,6 +12,7 @@ from netdes_cuts.mir import KnapsackCoverSet, hull_inequalities
 from netdes_cuts.partition_cuts import (
     MetricVector,
     NodePartition,
+    THREE_PARTITION_LIMIT,
     _three_partition_sums,
     all_three_partitions,
     expand_knapsack_cut,
@@ -496,10 +497,11 @@ def test_all_three_partitions_in_the_former_order():
                 seen.add(key)
                 yield NodePartition.of(*blocks)
 
-    for n in range(8):
+    for n in range(THREE_PARTITION_LIMIT + 1):
         nodes = [10 * k + 3 for k in range(n)]
         assert list(all_three_partitions(nodes)) == list(former(nodes))
-    # Stirling numbers S(n, 3)
-    assert [len(list(all_three_partitions(range(n)))) for n in range(3, 8)] == [1, 6, 25, 90, 301]
+    # Stirling numbers S(n, 3), up to the one limit the engine also reads
+    assert THREE_PARTITION_LIMIT == 6
+    assert [len(list(all_three_partitions(range(n)))) for n in range(3, 7)] == [1, 6, 25, 90]
     with pytest.raises(ValueError):
-        next(all_three_partitions(range(8)))
+        next(all_three_partitions(range(7)))
