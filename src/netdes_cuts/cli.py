@@ -155,14 +155,16 @@ def _cmd_run(args, instance) -> int:
             best = brute_force_ip(instance, ybound=args.oracle_ybound)
         except BudgetExceededError as exc:
             print(f"oracle skipped: {exc}", file=sys.stderr)
-            best = None
-        if best is not None:
-            opt = float(best[0])
-            report["oracle_optimum"] = opt
-            lp0 = rounds[0]["bound"] if rounds else result.final_bound
-            gap = opt - lp0
-            report["gap_closed"] = (result.final_bound - lp0) / gap if gap > 1e-12 else 1.0
-            print(f"oracle optimum {format_rational(best[0])}, gap closed {report['gap_closed']}")
+        else:
+            if best is None:
+                print("no feasible installation within the grid", file=sys.stderr)
+            else:
+                opt = float(best[0])
+                report["oracle_optimum"] = opt
+                lp0 = rounds[0]["bound"] if rounds else result.final_bound
+                gap = opt - lp0
+                report["gap_closed"] = (result.final_bound - lp0) / gap if gap > 1e-12 else 1.0
+                print(f"oracle optimum {format_rational(best[0])}, gap closed {report['gap_closed']}")
     print(f"final bound {result.final_bound:.6g} with {len(result.pool)} pooled cuts")
     if args.report:
         with open(args.report, "w") as fh:

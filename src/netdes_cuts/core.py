@@ -521,6 +521,8 @@ def instance_to_dict(instance: Instance) -> dict:
 
 def instance_from_dict(data: Mapping) -> Instance:
     """The instance a JSON document describes; malformed data raises ``InstanceError``."""
+    if not isinstance(data, Mapping):
+        raise InstanceError(f"an instance document is a JSON object, not a {type(data).__name__}")
     unsplittable = data.get("unsplittable", False)
     if not isinstance(unsplittable, bool):
         raise InstanceError(f"field 'unsplittable' must be true or false, not {unsplittable!r}")

@@ -48,6 +48,7 @@ from .lp import (
     dual_bound,
     exact_objective,
     metric_bound,
+    metric_certificate,
     proves_unroutable,
     routing_balance_rows,
     routing_capacity_rows,
@@ -614,12 +615,14 @@ class _Routing:
     Holds two kinds of ``CapacityBounds``: ``refuted``, the metric
     certificates proved on the instance, and ``bounds``, safe dual bounds,
     one store per distinct flow part of ``flows`` (the flow objectives,
-    keyed ``(arc, commodity)``); and what each decision needs: the routing
-    LP's balance rows, flow bounds and each objective's columns or, with
+    keyed ``(arc, commodity)``); and what each decision needs: with
+    splittable routing the node cuts (``_node_cuts``), the routing LP's
+    balance rows, flow bounds and each objective's columns or, with
     unsplittable routing, the enumerated flows, each commodity's demand as
     the int ``scale * demand`` and a cost table per distinct flow part, for
-    a search on ints (``_cheapest``).  The certificates it keeps are
-    tried at later capacity vectors before any LP.
+    a search on ints (``_cheapest``).  The certificates it keeps are tried
+    at later capacity vectors first, then the node cuts, and only then a
+    routing LP, with one objective per distinct flow part.
     Unsplittable routability is decided on paths; an objective is priced
     over paths plus disjoint cycles only when some objective has a negative
     coefficient, since a cycle only adds load and a nonnegative cost.
@@ -643,18 +646,21 @@ class _Routing:
             self.tables: dict = {}  # the cost table (_costs) of each distinct flow part
             self.zero = [[0] * len(flows) for flows in self.paths], 1, [True] * (len(self.paths) + 1)
         else:
+            self.node_cuts = _node_cuts(instance)
             self.n_vars = len(instance.arcs) * len(instance.commodities)
             self.balance, self.upper = routing_balance_rows(instance), routing_upper(instance)
             self.objectives = [flow_columns(instance, flow) for flow in flows]
 
     def routable(self, scaled_caps: Sequence[int]) -> bool:
-        """Does a routing fit?  Decided exactly (``check_feasible_routing``)
-        unless a kept metric certificate refutes the capacities; each new
-        refutation is kept."""
+        """Does a routing fit?  Refuted by a kept metric certificate, else
+        by a node cut (``_refuted_by_node_cut``), else decided exactly
+        (``check_feasible_routing``); each new refutation is kept."""
         if self.refuted.reaches(scaled_caps, 0, 1):
             return False
         if self.paths is not None:
             return self._cheapest(self.paths, self.zero, scaled_caps) is not None
+        if self._refuted_by_node_cut(scaled_caps):
+            return False
         caps = [Fraction(c, self.scale) for c in scaled_caps]
         feasible, cert = check_feasible_routing(self.instance, caps)
         if not feasible:
@@ -669,54 +675,79 @@ class _Routing:
         ``i`` must stay below to count, or ``None`` when any value counts.
         The answer is ``None`` when a safe bound on the minimum reaches
         ``num / den``, else the exact ``(value, x)``, the flow ``x`` keyed
-        ``(arc, commodity)``.  Kept certificates answer without an LP;
-        otherwise one float routing LP is solved for the open objectives,
-        and it counts only through certificates: its Farkas vector's metric
-        inequality (``lp.proves_unroutable``), each objective's safe dual
-        bound (``lp.safe_lower_bound``, every one kept), and the price
-        ``lp.cheapest_routing`` certifies.
+        ``(arc, commodity)``.  Kept certificates answer without an LP, and
+        so does a node cut that refutes the capacities
+        (``_refuted_by_node_cut``).  Otherwise the open objectives are
+        grouped by flow part and one float routing LP is solved with one
+        objective per part; it counts only through certificates: its Farkas
+        vector's metric inequality (``lp.proves_unroutable``), each part's
+        safe dual bound (``lp.safe_lower_bound``, every one kept), and the
+        price ``lp.cheapest_routing`` certifies, at most one per part.  Each
+        objective of a part is answered against its own shortfall.
         """
         if self.refuted.reaches(scaled_caps, 0, 1):
             return None
-        answers, open_ = dict.fromkeys(which), []
+        answers, open_ = dict.fromkeys(which), {}
         for i in which:
             target = shortfall(i) if self.bounds[i].certificates else None
             if target is None or not self.bounds[i].reaches(scaled_caps, *target):
-                open_.append(i)
+                open_.setdefault(self.parts[i], []).append(i)
         if not open_:
             return answers
+        groups = list(open_.values())
         if self.paths is not None:
             if self._cheapest(self.paths, self.zero, scaled_caps) is None:
                 return None
-            for i in open_:
-                table = self._costs(i)
+            for group in groups:
+                table = self._costs(group[0])
                 cost, chosen = self._cheapest(self.priced, table, scaled_caps)
                 x = {(ai, ki): self.supplies[ki] for ki, arcs in enumerate(chosen) for ai in arcs}
-                answers[i] = (Fraction(cost, table[1]), x)
+                answers.update(dict.fromkeys(group, (Fraction(cost, table[1]), x)))
             return answers
+        if self._refuted_by_node_cut(scaled_caps):
+            return None
         caps = [Fraction(c, self.scale) for c in scaled_caps]
         # the balance rows are built once: only the capacity rows read the capacities
         rows = self.balance + routing_capacity_rows(self.instance, caps)
-        results = lp.solve_lp_many(self.n_vars, rows, [self.objectives[i] for i in open_], self.upper)
+        results = lp.solve_lp_many(self.n_vars, rows, [self.objectives[group[0]] for group in groups], self.upper)
         if results[0].status == "infeasible":
             cert = proves_unroutable(self.instance, caps, results[0].farkas)
             if cert:
                 self.refuted.add(metric_bound(self.instance, self.scale, cert))
                 return None
-        for i, res in zip(open_, results):
+        for group, res in zip(groups, results):
+            first, bound, routed = group[0], None, None
             if res.status == "optimal":
                 duals = signed_duals(rows, res.duals)  # rationalized once, for the bound and its form
-                bound = safe_lower_bound(rows, self.objectives[i], self.upper, duals)
+                bound = safe_lower_bound(rows, self.objectives[first], self.upper, duals)
                 if bound is not None:
-                    self.bounds[i].add(dual_bound(self.scale, scaled_caps, bound, duals))
-                    target = shortfall(i)
-                    if target is not None and bound * target[1] >= target[0]:
-                        continue
-            value, x = cheapest_routing(self.instance, caps, self.flows[i], first=res)
-            if value is None:
-                return None
-            answers[i] = (value, x)
+                    self.bounds[first].add(dual_bound(self.scale, scaled_caps, bound, duals))
+            for i in group:
+                target = None if bound is None else shortfall(i)
+                if target is not None and bound * target[1] >= target[0]:
+                    continue
+                if routed is None:
+                    routed = cheapest_routing(self.instance, caps, self.flows[first], first=res)
+                    if routed[0] is None:
+                        return None
+                answers[i] = routed
         return answers
+
+    def _refuted_by_node_cut(self, scaled_caps: Sequence[int]) -> bool:
+        """Does a node cut refute ``scaled_caps``?  The first whose leaving
+        capacity is below its leaving demand, on ints, gives arc weight 1
+        on its leaving arcs; that certificate is checked exactly
+        (``lp.metric_certificate``) and kept in ``refuted``.  A check that
+        fails decides nothing, and the caller solves its LP."""
+        for arcs, demand in self.node_cuts:
+            if sum(scaled_caps[ai] for ai in arcs) < demand:
+                caps = [Fraction(c, self.scale) for c in scaled_caps]
+                cert = metric_certificate(self.instance, caps, dict.fromkeys(arcs, Fraction(1)))
+                if cert is None:
+                    return False
+                self.refuted.add(metric_bound(self.instance, self.scale, cert))
+                return True
+        return False
 
     def _costs(self, i: int):
         """The cost table of objective ``i`` over ``priced``: ``(costs, den,
@@ -774,6 +805,24 @@ class _Routing:
 
         assign(0, 0)
         return best
+
+
+def _node_cuts(instance: Instance) -> list[tuple[tuple[int, ...], int]]:
+    """``(arcs, demand)`` per node cut: a node set ``S`` of one or two
+    nodes, or of all but one or two, with positive demand leaving it.
+    ``arcs`` are the arcs leaving ``S`` and ``demand`` the demand from ``S``
+    to the other nodes, an int at ``Instance.scale``.  Every proper subset
+    of up to 5 nodes is one; beyond, there are O(n^2) of them.  A routing
+    fits only where each cut's leaving capacity reaches its demand."""
+    nodes = instance.nodes
+    small = [frozenset(c) for size in (1, 2) for c in combinations(nodes, size)]
+    cuts = []
+    for S in dict.fromkeys(small + [frozenset(nodes) - s for s in small]):
+        demand = sum(d for (i, j), d in instance.demand_num.items() if i in S and j not in S)
+        if demand > 0:
+            arcs = tuple(ai for ai, a in enumerate(instance.arcs) if a.tail in S and a.head not in S)
+            cuts.append((arcs, demand))
+    return cuts
 
 
 def brute_force_ip(

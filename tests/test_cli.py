@@ -120,6 +120,20 @@ def test_run_report_rounds_read_as_asdict_gives_them(tmp_path, monkeypatch):
     assert text == json.dumps(expected, indent=2) + "\n"
 
 
+def test_run_says_when_the_oracle_grid_routes_nothing(tmp_path, capsys):
+    """``run --oracle-ybound`` on a grid where no installation routes the
+    demand says so in the ``oracle`` command's line on stderr, exits 0 and
+    reports no optimum and no gap closed."""
+    inst, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", "--seed", "4", "--nodes", "3", "--density", "0.9", "--facilities", "1,2",
+                 "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--instance", str(inst), "--oracle-ybound", "0", "--report", str(report_path)]) == 0
+    assert capsys.readouterr().err == "no feasible installation within the grid\n"
+    report = json.loads(report_path.read_text())
+    assert report["oracle_optimum"] is None and report["gap_closed"] is None
+
+
 def test_gen_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for p in (a, b):
@@ -182,13 +196,18 @@ def test_unsplittable_gen_flag(tmp_path):
     ["oracle", "--instance", "{string_cost}", "--ybound", "1"],
     ["oracle", "--instance", "{object_cost}", "--ybound", "1"],
     ["oracle", "--instance", "{object_flow_costs}", "--ybound", "1"],
+    ["run", "--instance", "{list_document}", "--rounds", "1"],
+    ["oracle", "--instance", "{list_document}", "--ybound", "1"],
+    ["run", "--instance", "{string_document}", "--rounds", "1"],
+    ["oracle", "--instance", "{string_document}", "--ybound", "1"],
 ], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
         "ybound", "facilities", "density-inf", "facilities-decreasing", "facilities-equal",
         "report-unwritable", "dump-lp-unwritable", "instance-empty", "instance-unknown-node",
         "instance-float-cost", "run-duplicate-node", "oracle-duplicate-node", "run-unsplittable-string",
         "oracle-unsplittable-string", "run-bool-capacity", "oracle-bool-capacity", "run-bool-amount",
         "oracle-bool-cost", "run-bool-existing-capacity", "oracle-bool-flow-costs", "run-repeated-demand",
-        "oracle-repeated-demand", "oracle-string-cost", "oracle-object-cost", "oracle-object-flow-costs"])
+        "oracle-repeated-demand", "oracle-string-cost", "oracle-object-cost", "oracle-object-flow-costs",
+        "run-list-document", "oracle-list-document", "run-string-document", "oracle-string-document"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--nodes", "3", "--out", str(inst)])
@@ -218,7 +237,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
                                        "flow_costs": {"5": "0", "7": "0"}},
                  # a pair listed twice has no one demand: the second amount must not replace the first
                  "repeated_demand": {**good, "demands": [{"from": 1, "to": 2, "amount": "1"},
-                                                         {"from": 1, "to": 2, "amount": "2"}]}}
+                                                         {"from": 1, "to": 2, "amount": "2"}]},
+                 # a document that is not a JSON object has no fields to read
+                 "list_document": [1, 2], "string_document": "abc"}
     for name, data in malformed.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))

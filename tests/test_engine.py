@@ -31,6 +31,7 @@ from netdes_cuts.engine import (
 from helpers import (
     GOLDEN_4_NODE,
     arc_capacity,
+    cone_violations,
     in_cutset_mixed_integer_set,
     lhs_value,
     pure_capacity_counterexamples,
@@ -649,7 +650,8 @@ def test_brute_force_answers_are_exact_without_exact_solves(monkeypatch, seed):
     modes = count_solves(monkeypatch)
     best = brute_force_ip(inst, ybound=1)
     # float solves only, and none where the unsplittable enumeration decides
-    assert bool(modes) != inst.unsplittable and not any(modes)
+    # or where node cuts refute every grid point (no installation routes the demand)
+    assert bool(modes) == (not inst.unsplittable and EXACT_ORACLE[seed] is not None) and not any(modes)
     expected = EXACT_ORACLE[seed]
     if expected is None:
         assert best is None
@@ -814,6 +816,44 @@ def test_kept_certificates_leave_verdicts_and_counterexamples_unchanged(
     assert grid_failures > 0
 
 
+def test_node_cuts_and_per_part_pricing_change_no_oracle_answer(monkeypatch):
+    """On the loop cuts of criterion 11's batch shapes (their first 6
+    seeds), with raised-rhs copies that share each cut's flow part, and on
+    ``brute_force_ip`` at every ``EXACT_ORACLE`` seed, the oracles answer as
+    they do with the node cuts emptied: the same verdicts, counterexample
+    points and optima.  Every node cut that fires yields a certificate in
+    the metric cone that is violated at the capacities it was taken at."""
+    taken = []
+
+    def recording(instance, capacities, v):
+        cert = lp.metric_certificate(instance, capacities, v)
+        taken.append((instance, capacities, cert))
+        return cert
+
+    def answers():
+        out = []
+        for first, nodes, density, facilities, families, unsplittable in CRITERION_11_SHAPES:
+            for seed in range(first, first + 6):
+                inst = criterion_11_instance(seed)
+                cuts = cutting_plane_loop(inst, Config(families=families, max_rounds=4)).pool.cuts()
+                cuts += [LinearCut(dict(c.flow), dict(c.cap), c.rhs + r, c.family) for c in cuts for r in (F(1, 2), F(1))]
+                out.append(validate_cuts(cuts, inst, ybound=1))
+        for seed in sorted(EXACT_ORACLE):
+            out.append(brute_force_ip(criterion_11_instance(seed), ybound=1))
+        return out
+
+    monkeypatch.setattr(engine, "metric_certificate", recording)
+    shipped = answers()
+    assert taken
+    for inst, caps, cert in taken:
+        assert cert is not None and cone_violations(cert, inst) == []
+        assert cert.capacity_side(inst, caps) < cert.demand_side(inst)
+    assert sum(not ok for verdicts in shipped[:24] for ok, _ in verdicts) > 0
+    monkeypatch.setattr(engine, "_node_cuts", lambda instance: [])
+    taken.clear()
+    assert answers() == shipped and not taken
+
+
 @pytest.mark.parametrize("nodes, seeds", [(3, range(1, 7)), (4, range(1, 4))])
 def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
     """A metric certificate taken at one capacity vector refutes only
@@ -870,7 +910,8 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
 def test_stubbed_certificates_leave_the_caches_empty(monkeypatch):
     """Certificates that prove nothing (a falsy refutation, no dual bound)
     are never kept; with ``lp.certify``'s dual bound stubbed too, the grid
-    points are then priced by exact solves."""
+    points are then priced by exact solves.  Node cuts, whose certificates
+    are checked exactly and kept, are emptied."""
     sweep = []
     for seed in (1001, 1002, 1004):
         inst = generate_instance(seed=seed, nodes=3, density=0.9, facilities=(1,), flow_cost_prob=0.4)
@@ -887,6 +928,7 @@ def test_stubbed_certificates_leave_the_caches_empty(monkeypatch):
         return make
 
     monkeypatch.setattr(engine, "CapacityBounds", recorded(engine.CapacityBounds))
+    monkeypatch.setattr(engine, "_node_cuts", lambda inst: [])
     monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
     monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
     monkeypatch.setattr(lp, "safe_lower_bound", lambda *args: None)
@@ -924,7 +966,8 @@ def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
     monkeypatch.setattr(lp, "solve_lp_many", float_stalls(lp.solve_lp_many, True))
     best = brute_force_ip(inst, ybound=2)
     assert best is not None and best[0] == F(3)
-    assert modes == [False, True] * 3
+    # y = 0 leaves capacity 0 below demand 1 out of node 1: a node cut refutes it, no LP
+    assert modes == [False, True] * 2
 
 
 # -- unsplittable oracles ------------------------------------------------------------
