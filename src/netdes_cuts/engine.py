@@ -7,10 +7,10 @@ positive in exact arithmetic.  Oracles enumerate integer installation
 grids and validate cuts or compute optima against them; they are bounded
 searches with an explicit budget, independent of the separation code.
 Exact values (oracle optima, ``LoopResult.exact_bound``) are certified
-from float solves by ``lp.solve_certified``.  The oracles keep the
-certificates they prove, metric refutations and safe dual bounds, as
-integer capacity bounds (``lp.CapacityBounds``) and try them at later grid
-points before solving any LP.
+from float solves by ``lp.solve_certified``.  The oracles keep the node
+cuts and the certificates they prove, metric refutations and safe dual
+bounds, as integer capacity bounds (``lp.CapacityBounds``) and try them at
+every grid point before solving any LP.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ from .lp import (
     LPSolution,
     build_relaxation,
     cheapest_routing,
-    check_feasible_routing,
     dual_bound,
     exact_objective,
     metric_bound,
-    metric_certificate,
     proves_unroutable,
     routing_balance_rows,
     routing_capacity_rows,
@@ -60,8 +58,10 @@ from .lp import (
 )
 from .mir import KnapsackCoverSet, hull_inequalities
 
-# solve_lp is not called by this name; the benchmark's tracer (perfbench/spans.py) wraps
-# engine.solve_lp.  The oracles solve through lp's globals, where the tracer and the tests patch them
+# solve_lp and check_feasible_routing are not called by these names; the benchmark's tracer
+# (perfbench/spans.py) wraps engine.solve_lp and engine.check_feasible_routing.  The oracles
+# solve through lp's globals, where the tracer and the tests patch them
+from .lp import check_feasible_routing  # noqa: F401
 from .simplex import solve_lp  # noqa: F401
 
 K_SPLIT = (2, 3)             # k of the k-split c-strong cuts
@@ -612,20 +612,20 @@ class _Routing:
     """Every routing decision of one oracle call, at capacity vectors given
     as ints ``scale * cap``, ``scale`` the instance's (``Instance.scale``).
 
-    Holds two kinds of ``CapacityBounds``: ``refuted``, the metric
-    certificates proved on the instance, and ``bounds``, safe dual bounds,
+    Holds two kinds of ``CapacityBounds``: ``refuted``, the refutations,
+    seeded with the node cuts (``_node_cuts``) and then every metric
+    certificate proved on the instance, and ``bounds``, safe dual bounds,
     one store per distinct flow part of ``flows`` (the flow objectives,
     keyed ``(arc, commodity)``); and what each decision needs: with
-    splittable routing the node cuts (``_node_cuts``), the routing LP's
-    balance rows, flow bounds and each objective's columns or, with
-    unsplittable routing, the enumerated flows, each commodity's demand as
-    the int ``scale * demand`` and a cost table per distinct flow part, for
-    a search on ints (``_cheapest``).  The certificates it keeps are tried
-    at later capacity vectors first, then the node cuts, and only then a
-    routing LP, with one objective per distinct flow part.
-    Unsplittable routability is decided on paths; an objective is priced
-    over paths plus disjoint cycles only when some objective has a negative
-    coefficient, since a cycle only adds load and a nonnegative cost.
+    splittable routing the routing LP's balance rows, flow bounds and each
+    objective's columns or, with unsplittable routing, the enumerated
+    flows, each commodity's demand as the int ``scale * demand`` and a cost
+    table per distinct flow part, for a search on ints (``_cheapest``).
+    The kept forms are tried first, and only then a routing LP, with one
+    objective per distinct flow part.  Routability is the minimum of an
+    empty flow part.  Unsplittable flows are paths, plus disjoint cycles
+    only when some objective has a negative coefficient, since a cycle only
+    adds load and a nonnegative cost.
     """
 
     def __init__(self, instance: Instance, flows: Sequence[Mapping[tuple[int, int], Fraction]]):
@@ -633,39 +633,19 @@ class _Routing:
         self.flows = flows
         self.scale = instance.scale
         self.refuted = CapacityBounds()
+        self.refuted.certificates = _node_cuts(instance)
         self.parts = [frozenset(flow.items()) for flow in flows]
         shared: dict = {}  # a dual bound bounds the flow part alone
         self.bounds = [shared.setdefault(part, CapacityBounds()) for part in self.parts]
-        self.paths = self.priced = None
         if instance.unsplittable:
-            self.paths = self.priced = _unsplittable_routings(instance, cycles=False)
-            if any(v < 0 for flow in flows for v in flow.values()):
-                self.priced = _unsplittable_routings(instance)
+            self.priced = _unsplittable_routings(instance, cycles=any(v < 0 for flow in flows for v in flow.values()))
             self.supplies = [com.total_supply for com in instance.commodities]
             self.loads = [-net[com.source] for net, com in zip(instance.net_num, instance.commodities)]
             self.tables: dict = {}  # the cost table (_costs) of each distinct flow part
-            self.zero = [[0] * len(flows) for flows in self.paths], 1, [True] * (len(self.paths) + 1)
         else:
-            self.node_cuts = _node_cuts(instance)
             self.n_vars = len(instance.arcs) * len(instance.commodities)
             self.balance, self.upper = routing_balance_rows(instance), routing_upper(instance)
             self.objectives = [flow_columns(instance, flow) for flow in flows]
-
-    def routable(self, scaled_caps: Sequence[int]) -> bool:
-        """Does a routing fit?  Refuted by a kept metric certificate, else
-        by a node cut (``_refuted_by_node_cut``), else decided exactly
-        (``check_feasible_routing``); each new refutation is kept."""
-        if self.refuted.reaches(scaled_caps, 0, 1):
-            return False
-        if self.paths is not None:
-            return self._cheapest(self.paths, self.zero, scaled_caps) is not None
-        if self._refuted_by_node_cut(scaled_caps):
-            return False
-        caps = [Fraction(c, self.scale) for c in scaled_caps]
-        feasible, cert = check_feasible_routing(self.instance, caps)
-        if not feasible:
-            self.refuted.add(metric_bound(self.instance, self.scale, cert))
-        return feasible
 
     def minima(self, scaled_caps: Sequence[int], which: Sequence[int], shortfall: Callable):
         """``{i: answer}`` for the objectives ``which`` (indices into
@@ -675,14 +655,13 @@ class _Routing:
         ``i`` must stay below to count, or ``None`` when any value counts.
         The answer is ``None`` when a safe bound on the minimum reaches
         ``num / den``, else the exact ``(value, x)``, the flow ``x`` keyed
-        ``(arc, commodity)``.  Kept certificates answer without an LP, and
-        so does a node cut that refutes the capacities
-        (``_refuted_by_node_cut``).  Otherwise the open objectives are
-        grouped by flow part and one float routing LP is solved with one
-        objective per part; it counts only through certificates: its Farkas
-        vector's metric inequality (``lp.proves_unroutable``), each part's
-        safe dual bound (``lp.safe_lower_bound``, every one kept), and the
-        price ``lp.cheapest_routing`` certifies, at most one per part.  Each
+        ``(arc, commodity)``.  Kept refutations and bounds answer without
+        an LP.  Otherwise the open objectives are grouped by flow part and
+        one float routing LP is solved with one objective per part; it
+        counts only through certificates: its Farkas vector's metric
+        inequality (``lp.proves_unroutable``), each part's safe dual bound
+        (``lp.safe_lower_bound``, every one kept), and the price
+        ``lp.cheapest_routing`` certifies, at most one per part.  Each
         objective of a part is answered against its own shortfall.
         """
         if self.refuted.reaches(scaled_caps, 0, 1):
@@ -695,17 +674,16 @@ class _Routing:
         if not open_:
             return answers
         groups = list(open_.values())
-        if self.paths is not None:
-            if self._cheapest(self.paths, self.zero, scaled_caps) is None:
-                return None
+        if self.instance.unsplittable:
             for group in groups:
                 table = self._costs(group[0])
-                cost, chosen = self._cheapest(self.priced, table, scaled_caps)
+                best = self._cheapest(table, scaled_caps)
+                if best is None:  # every group searches the same flows
+                    return None
+                cost, chosen = best
                 x = {(ai, ki): self.supplies[ki] for ki, arcs in enumerate(chosen) for ai in arcs}
                 answers.update(dict.fromkeys(group, (Fraction(cost, table[1]), x)))
             return answers
-        if self._refuted_by_node_cut(scaled_caps):
-            return None
         caps = [Fraction(c, self.scale) for c in scaled_caps]
         # the balance rows are built once: only the capacity rows read the capacities
         rows = self.balance + routing_capacity_rows(self.instance, caps)
@@ -733,22 +711,6 @@ class _Routing:
                 answers[i] = routed
         return answers
 
-    def _refuted_by_node_cut(self, scaled_caps: Sequence[int]) -> bool:
-        """Does a node cut refute ``scaled_caps``?  The first whose leaving
-        capacity is below its leaving demand, on ints, gives arc weight 1
-        on its leaving arcs; that certificate is checked exactly
-        (``lp.metric_certificate``) and kept in ``refuted``.  A check that
-        fails decides nothing, and the caller solves its LP."""
-        for arcs, demand in self.node_cuts:
-            if sum(scaled_caps[ai] for ai in arcs) < demand:
-                caps = [Fraction(c, self.scale) for c in scaled_caps]
-                cert = metric_certificate(self.instance, caps, dict.fromkeys(arcs, Fraction(1)))
-                if cert is None:
-                    return False
-                self.refuted.add(metric_bound(self.instance, self.scale, cert))
-                return True
-        return False
-
     def _costs(self, i: int):
         """The cost table of objective ``i`` over ``priced``: ``(costs, den,
         prunable)``, each flow's cost as the int ``den * cost`` per commodity,
@@ -769,9 +731,9 @@ class _Routing:
             table = self.tables[self.parts[i]] = (costs, den * self.scale, prunable)
         return table
 
-    def _cheapest(self, routings, table, scaled_caps: Sequence[int]):
+    def _cheapest(self, table, scaled_caps: Sequence[int]):
         """The cheapest joint unsplittable routing at ``scaled_caps``, ``(cost,
-        chosen)`` with ``chosen`` each commodity's flow from ``routings`` and
+        chosen)`` with ``chosen`` each commodity's flow from ``priced`` and
         ``cost`` in the units of ``table`` (``_costs``), or ``None`` when none
         fits.  Depth first over the commodities, in flow order: only a
         strictly cheaper routing replaces the best, and a branch that cannot
@@ -779,7 +741,7 @@ class _Routing:
         first fit is the answer."""
         costs, _, prunable = table
         room = list(scaled_caps)
-        loads, last = self.loads, len(routings)
+        routings, loads, last = self.priced, self.loads, len(self.priced)
         chosen: list = [None] * last
         best = None
 
@@ -807,21 +769,24 @@ class _Routing:
         return best
 
 
-def _node_cuts(instance: Instance) -> list[tuple[tuple[int, ...], int]]:
-    """``(arcs, demand)`` per node cut: a node set ``S`` of one or two
-    nodes, or of all but one or two, with positive demand leaving it.
-    ``arcs`` are the arcs leaving ``S`` and ``demand`` the demand from ``S``
-    to the other nodes, an int at ``Instance.scale``.  Every proper subset
-    of up to 5 nodes is one; beyond, there are O(n^2) of them.  A routing
-    fits only where each cut's leaving capacity reaches its demand."""
+def _node_cuts(instance: Instance) -> list[tuple[int, int, dict[int, int]]]:
+    """The node cuts as ``CapacityBounds`` forms: a node set ``S`` of one or
+    two nodes, or of all but one or two, with positive demand leaving it.
+    Every proper subset of up to 5 nodes is one; beyond, there are O(n^2)
+    of them.  A routing fits only where each cut's leaving capacity reaches
+    the demand from ``S`` to the other nodes; both are ints at
+    ``Instance.scale``, so the cut's form ``(1, demand - 1, -1 on each
+    leaving arc)`` reaches 0 exactly where the capacity falls short.  This
+    cut-set inequality is the metric inequality of the cut metric of
+    ``S``."""
     nodes = instance.nodes
     small = [frozenset(c) for size in (1, 2) for c in combinations(nodes, size)]
     cuts = []
     for S in dict.fromkeys(small + [frozenset(nodes) - s for s in small]):
         demand = sum(d for (i, j), d in instance.demand_num.items() if i in S and j not in S)
         if demand > 0:
-            arcs = tuple(ai for ai, a in enumerate(instance.arcs) if a.tail in S and a.head not in S)
-            cuts.append((arcs, demand))
+            arcs = [ai for ai, a in enumerate(instance.arcs) if a.tail in S and a.head not in S]
+            cuts.append((1, demand - 1, dict.fromkeys(arcs, -1)))
     return cuts
 
 
@@ -903,7 +868,7 @@ def validate_cuts(
     grid_idx = []
     for idx, cut in enumerate(cuts):
         if not cut.flow_num and all(v >= 0 for v in cut.cap_num.values()):
-            verdicts[idx] = _validate_pure_capacity(cut, instance, routing)
+            verdicts[idx] = _validate_pure_capacity(cut, instance, routing, idx)
         else:
             grid_idx.append(idx)
     if not grid_idx:
@@ -935,17 +900,20 @@ def _shortfall(cut: LinearCut, keys) -> Callable[[tuple], tuple[int, int]]:
     return lambda t: (rhs - sum(c * t[i] for i, c in terms), den)
 
 
-def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routing):
-    """Complete validity check for a nonnegative pure-capacity cut.
+def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routing, idx: int):
+    """Complete validity check for a nonnegative pure-capacity cut, the
+    objective ``idx`` of ``routing``.
 
     Any violating installation keeps the keyed variables below the cut's
     rhs; unkeyed variables can only help feasibility, so they are granted
     ample capacity.  Enumerate the finitely many keyed patterns and decide
-    routability exactly (``routing.routable``) at the maximal ones, where
-    raising any key would reach the rhs: routability only grows with
-    capacity, so a routable pattern below the rhs exists iff a maximal one
-    does.  The walk runs on ints: the cut's own, and the instance's int
-    table (``Instance.cbar_num``, copied, and ``sizes_num``).
+    routability exactly at the maximal ones, where raising any key would
+    reach the rhs: routability only grows with capacity, so a routable
+    pattern below the rhs exists iff a maximal one does.  A pattern is
+    routable where ``routing.minima`` of the cut's empty flow part answers.
+    The walk runs on ints: the cut's own, and the instance's int table
+    (``Instance.cbar_num``, copied, and ``sizes_num``).  More than
+    ``GRID_BUDGET`` patterns raise ``BudgetExceededError``.
     """
     rhs, coef_of = cut.rhs_num, cut.cap_num
     keys = sorted(coef_of)
@@ -958,23 +926,27 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routin
             caps[ai] += ample
 
     counter = None
+    walked = 0
 
-    def rec(idx, lhs, current):
-        nonlocal counter
+    def rec(i, lhs, current):
+        nonlocal counter, walked
         if counter is not None:
             return
-        if idx == len(keys):
-            if lhs + least >= rhs and routing.routable(caps):
+        if i == len(keys):
+            walked += 1
+            if walked > GRID_BUDGET:
+                raise BudgetExceededError(f"pure-capacity check walks more than {GRID_BUDGET} patterns")
+            if lhs + least >= rhs and routing.minima(caps, [idx], lambda _: None) is not None:
                 counter = FractionalPoint(x={}, y={key: Fraction(units) for key, units in current.items()})
             return
-        key = keys[idx]
+        key = keys[i]
         ai, unit = key[0], units_of[key[1]]
         coef, base = coef_of[key], caps[ai]
         units = 0
         while lhs + coef * units < rhs:
             current[key] = units
             caps[ai] = base + unit * units
-            rec(idx + 1, lhs + coef * units, current)
+            rec(i + 1, lhs + coef * units, current)
             units += 1
         caps[ai] = base
         current.pop(key, None)

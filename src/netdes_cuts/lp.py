@@ -397,9 +397,13 @@ def proves_unroutable(
 
     ``farkas`` comes from an infeasible ``routing_rows`` LP (float or exact).
     Its capacity-row multipliers, rounded to rationals and clamped to
-    ``v >= 0``, are the arc weights ``metric_certificate`` checks.  Returns
-    the certificate, or ``None`` when it proves nothing; an exact Farkas
-    vector always yields one.
+    ``v >= 0``, are the arc weights.  With shortest-path potentials ``u``
+    under ``v`` the pair lies in the metric cone, so ``demand_side >
+    capacity_side`` proves that no routing fits ``capacities``.  A
+    positive-demand node that no path reaches gets the certificate ``v = 0``
+    with potential 1 on the nodes its source cannot reach.  Returns the
+    certificate, or ``None`` when it proves nothing; an exact Farkas vector
+    always yields one.
     """
     n_arcs = len(instance.arcs)
     v = {}
@@ -408,21 +412,6 @@ def proves_unroutable(
         weight = -rationalize(lam)
         if weight > 0:
             v[ai] = weight
-    return metric_certificate(instance, capacities, v)
-
-
-def metric_certificate(
-    instance: Instance, capacities: Sequence[Fraction], v: Mapping[int, Fraction]
-) -> RoutingCertificate | None:
-    """The metric certificate of arc weights ``v >= 0`` at ``capacities``, or
-    ``None`` when it proves nothing.
-
-    With shortest-path potentials ``u`` under ``v`` the pair lies in the
-    metric cone, so ``demand_side > capacity_side`` proves that no routing
-    fits ``capacities``.  A positive-demand node that no path reaches gets
-    the certificate ``v = 0`` with potential 1 on the nodes its source
-    cannot reach.
-    """
     try:
         cert = RoutingCertificate(v=v, u=shortest_path_potentials(instance, v))
     except ValueError:  # no capacity routes this demand

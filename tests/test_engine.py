@@ -31,7 +31,6 @@ from netdes_cuts.engine import (
 from helpers import (
     GOLDEN_4_NODE,
     arc_capacity,
-    cone_violations,
     in_cutset_mixed_integer_set,
     lhs_value,
     pure_capacity_counterexamples,
@@ -740,6 +739,27 @@ def test_pure_capacity_verdicts_match_full_enumeration():
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
+def test_pure_capacity_check_has_a_work_budget(monkeypatch):
+    """The pure-capacity check walks every keyed pattern below the rhs and
+    raises ``BudgetExceededError`` past ``GRID_BUDGET`` patterns instead of
+    running on.  Two of the widest cut-set cuts of a 6-node instance with
+    demand scaled by 20 have 9 keys: rhs 12 walks more than 1,000 patterns
+    and fewer than ``GRID_BUDGET``; rhs 34 walks more."""
+    inst = generate_instance(seed=3, nodes=6, density=0.9, facilities=(1,), demand_scale=20)
+    relaxations = [cutset_cuts.build_cutset(inst, U, V) for U, V in engine._two_partitions(inst)]
+    cuts = [cut for cut in map(cutset_cuts.cutset_cut, relaxations) if cut is not None]
+    small = next(cut for cut in cuts if (len(cut.cap_num), cut.rhs_num) == (9, 12))
+    wide = max(cuts, key=lambda cut: (len(cut.cap_num), cut.rhs_num))
+    assert (len(wide.cap_num), wide.rhs_num) == (9, 34)
+    assert validate_cut(small, inst) == (True, None)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "GRID_BUDGET", 1000)
+        with pytest.raises(BudgetExceededError, match="1000 patterns"):
+            validate_cut(small, inst)
+    with pytest.raises(BudgetExceededError, match="patterns"):
+        validate_cut(wide, inst)
+
+
 def test_validate_cut_flow_counterexample(star_instance):
     # flow-cut-set form with an inflated rhs has a violating routing
     good = LinearCut(
@@ -821,14 +841,21 @@ def test_node_cuts_and_per_part_pricing_change_no_oracle_answer(monkeypatch):
     seeds), with raised-rhs copies that share each cut's flow part, and on
     ``brute_force_ip`` at every ``EXACT_ORACLE`` seed, the oracles answer as
     they do with the node cuts emptied: the same verdicts, counterexample
-    points and optima.  Every node cut that fires yields a certificate in
-    the metric cone that is violated at the capacities it was taken at."""
-    taken = []
+    points and optima.  Node-cut forms refute some capacity vectors, and
+    only vectors that ``check_feasible_routing`` finds unroutable."""
+    made, fired = {}, {}
 
-    def recording(instance, capacities, v):
-        cert = lp.metric_certificate(instance, capacities, v)
-        taken.append((instance, capacities, cert))
-        return cert
+    def recording(instance):
+        forms = real_node_cuts(instance)
+        made.update((id(form), (instance, form)) for form in forms)  # the form kept alive keeps its id
+        return forms
+
+    def reaches(self, scaled_caps, num, den):
+        hit = real_reaches(self, scaled_caps, num, den)
+        if hit and id(self.certificates[0]) in made:  # the form that reached moved to the front
+            instance = made[id(self.certificates[0])][0]
+            fired[(id(instance), tuple(scaled_caps))] = instance, list(scaled_caps)
+        return hit
 
     def answers():
         out = []
@@ -842,30 +869,37 @@ def test_node_cuts_and_per_part_pricing_change_no_oracle_answer(monkeypatch):
             out.append(brute_force_ip(criterion_11_instance(seed), ybound=1))
         return out
 
-    monkeypatch.setattr(engine, "metric_certificate", recording)
+    real_node_cuts, real_reaches = engine._node_cuts, lp.CapacityBounds.reaches
+    monkeypatch.setattr(engine, "_node_cuts", recording)
+    monkeypatch.setattr(lp.CapacityBounds, "reaches", reaches)
     shipped = answers()
-    assert taken
-    for inst, caps, cert in taken:
-        assert cert is not None and cone_violations(cert, inst) == []
-        assert cert.capacity_side(inst, caps) < cert.demand_side(inst)
+    assert fired
+    for inst, scaled in fired.values():
+        assert not lp.check_feasible_routing(inst, [F(c, inst.scale) for c in scaled])[0]
     assert sum(not ok for verdicts in shipped[:24] for ok, _ in verdicts) > 0
     monkeypatch.setattr(engine, "_node_cuts", lambda instance: [])
-    taken.clear()
-    assert answers() == shipped and not taken
+    assert answers() == shipped
 
 
 @pytest.mark.parametrize("nodes, seeds", [(3, range(1, 7)), (4, range(1, 4))])
 def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
     """A metric certificate taken at one capacity vector refutes only
-    vectors that ``check_feasible_routing`` finds unroutable, and a dual
+    vectors that ``check_feasible_routing`` finds unroutable, and so does
+    each node-cut form (``engine._node_cuts``), taken at no vector; a dual
     bound taken at one vector (from the float duals, or from perturbed
     ones) is the safe bound of the same duals at another, never above
-    ``cheapest_routing``'s exact minimum there."""
+    ``cheapest_routing``'s exact minimum there.  On one arc of capacity 1
+    carrying a demand of 1 the node cut is tight: it refutes capacity 0
+    and not capacity 1."""
     rng = random.Random(nodes)
-    carried_refutations = tight_carried_bounds = 0
+    carried_refutations = tight_carried_bounds = node_cut_refutations = 0
     for seed in seeds:
         inst = generate_instance(seed=seed, nodes=nodes, density=0.7, facilities=(1, 2))
         scale = inst.scale
+        node_cuts = []
+        for form in engine._node_cuts(inst):
+            node_cuts.append((None, lp.CapacityBounds()))
+            node_cuts[-1][1].add(form)
         flow = {
             (ai, ki): F(rng.randint(-1, 3), rng.choice((1, 2)))
             for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))
@@ -892,10 +926,11 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
             kept.add(lp.dual_bound(scale, scaled, lp.safe_lower_bound(rows, columns, upper, duals), duals))
             bounds.append((i, duals, kept))
         for j, (scaled, rows, value) in enumerate(answers):
-            for i, refuted in refutations:
+            for i, refuted in refutations + node_cuts:
                 if refuted.reaches(scaled, 0, 1):
                     assert value is False
-                    carried_refutations += i != j
+                    carried_refutations += i is not None and i != j
+                    node_cut_refutations += i is None
             for i, duals, kept in bounds:
                 (mult, c0, w), = kept.certificates
                 bound = F(c0 + sum(c * scaled[ai] for ai, c in w.items()), mult)
@@ -904,7 +939,18 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
                     assert bound <= value
                     assert kept.reaches(scaled, bound.numerator, bound.denominator)
                     tight_carried_bounds += i != j and bound == value
-    assert carried_refutations > 0 and tight_carried_bounds > 0
+    assert carried_refutations > 0 and tight_carried_bounds > 0 and node_cut_refutations > 0
+
+    tight = Instance(
+        nodes=[1, 2], arcs=[Arc(1, 2)], facilities=[Facility(1, (F(1),))], demand=DemandMatrix({(1, 2): F(1)}),
+    )
+    (form,) = engine._node_cuts(tight)
+    kept = lp.CapacityBounds()
+    kept.add(form)
+    for cap in range(3):
+        routable = lp.check_feasible_routing(tight, [F(cap)])[0]
+        assert routable == (cap >= 1)
+        assert kept.reaches([cap * tight.scale], 0, 1) == (not routable)
 
 
 def test_stubbed_certificates_leave_the_caches_empty(monkeypatch):
@@ -1162,9 +1208,9 @@ def test_best_unsplittable_matches_exhaustive_search_with_negative_costs():
 
 
 def test_integer_unsplittable_search_matches_the_fraction_reference():
-    """``_Routing`` decides unsplittable routability and prices each
-    objective on ints: loads at the instance's scale, costs over one
-    denominator.  On random instances, capacity vectors and objectives
+    """``_Routing`` prices each unsplittable objective on ints, and answers
+    ``None`` where no routing fits: loads at the instance's scale, costs
+    over one denominator.  On random instances, capacity vectors and objectives
     (empty, nonnegative, with negative costs and so priced over cycles,
     with fractional coefficients) its answers, the value, the flow ``x`` in
     its key order, or ``None``, equal those of the ``Fraction`` search
@@ -1195,7 +1241,6 @@ def test_integer_unsplittable_search_matches_the_fraction_reference():
             scaled = [rng.randint(scale // 2, 3 * scale) for _ in inst.arcs]
             caps = [F(c, scale) for c in scaled]
             fits = reference_best_unsplittable(inst, paths, caps, {})
-            assert routing.routable(scaled) == (fits is not None)
             answers = routing.minima(scaled, range(len(objectives)), lambda i: None)
             if fits is None:
                 assert answers is None
