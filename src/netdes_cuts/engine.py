@@ -7,7 +7,8 @@ positive in exact arithmetic.  Oracles enumerate integer installation
 grids and validate cuts or compute optima against them; they are bounded
 searches with an explicit budget, independent of the separation code.
 Exact values (oracle optima, ``LoopResult.exact_bound``) are certified
-from float solves by ``lp.solve_certified``.  The oracles keep the node
+from float solves by ``lp.solve_certified``, the oracle's on the one
+routing LP (``lp.RoutingLP``) of its call.  The oracles keep the node
 cuts and the certificates they prove, metric refutations and safe dual
 bounds, as integer capacity bounds (``lp.CapacityBounds``) and try them at
 every grid point before solving any LP.
@@ -42,16 +43,12 @@ from .lp import (
     CapacityBounds,
     LPModel,
     LPSolution,
+    RoutingLP,
     build_relaxation,
-    cheapest_routing,
     dual_bound,
     exact_objective,
     metric_bound,
     proves_unroutable,
-    routing_balance_rows,
-    routing_capacity_rows,
-    flow_columns,
-    routing_upper,
     safe_lower_bound,
     signed_duals,
     solve,
@@ -341,7 +338,10 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
     sep = Separation(instance, config)
     reports: list[RoundReport] = []
     model = sol = None
-    for rnd in range(config.max_rounds):
+    stop = "round-cap"
+    # one more solve than rounds: at the round cap, with cuts still
+    # arriving, it gives the bound of the resulting relaxation
+    for rnd in range(config.max_rounds + 1):
         t0 = time.perf_counter()
         model = build_relaxation(instance, pool.cuts(), base=model)
         t_lp = time.perf_counter()
@@ -349,6 +349,8 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         lp_seconds = time.perf_counter() - t_lp
         if sol.status != "optimal":
             raise RelaxationError(f"relaxation solve ended with status {sol.status}")
+        if rnd == config.max_rounds:
+            break
         point = sol.point(MAX_DENOMINATOR)
         found = iter(separate_all(sep, point))
         families = {name: dict(counts, admitted=0) for name, counts in sep.last_round.items()}
@@ -379,11 +381,6 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         if not added:
             stop = "no-cuts"
             break
-    else:
-        # round cap hit with cuts still arriving: record the resulting bound
-        stop = "round-cap"
-        model = build_relaxation(instance, pool.cuts(), base=model)
-        sol = solve(model, start=sol)
 
     return LoopResult(
         reports=reports,
@@ -617,7 +614,7 @@ class _Routing:
     certificate proved on the instance, and ``bounds``, safe dual bounds,
     one store per distinct flow part of ``flows`` (the flow objectives,
     keyed ``(arc, commodity)``); and what each decision needs: with
-    splittable routing the routing LP's balance rows, flow bounds and each
+    splittable routing the routing LP (``lp.RoutingLP``) and each
     objective's columns or, with unsplittable routing, the enumerated
     flows, each commodity's demand as the int ``scale * demand`` and a cost
     table per distinct flow part, for a search on ints (``_cheapest``).
@@ -643,9 +640,8 @@ class _Routing:
             self.loads = [-net[com.source] for net, com in zip(instance.net_num, instance.commodities)]
             self.tables: dict = {}  # the cost table (_costs) of each distinct flow part
         else:
-            self.n_vars = len(instance.arcs) * len(instance.commodities)
-            self.balance, self.upper = routing_balance_rows(instance), routing_upper(instance)
-            self.objectives = [flow_columns(instance, flow) for flow in flows]
+            self.routing = RoutingLP(instance)
+            self.objectives = [self.routing.columns(flow) for flow in flows]
 
     def minima(self, scaled_caps: Sequence[int], which: Sequence[int], shortfall: Callable):
         """``{i: answer}`` for the objectives ``which`` (indices into
@@ -661,8 +657,9 @@ class _Routing:
         counts only through certificates: its Farkas vector's metric
         inequality (``lp.proves_unroutable``), each part's safe dual bound
         (``lp.safe_lower_bound``, every one kept), and the price
-        ``lp.cheapest_routing`` certifies, at most one per part.  Each
-        objective of a part is answered against its own shortfall.
+        ``RoutingLP.minimum`` certifies on the rows solved, against that
+        bound, at most one per part.  Each objective of a part is answered
+        against its own shortfall.
         """
         if self.refuted.reaches(scaled_caps, 0, 1):
             return None
@@ -684,12 +681,12 @@ class _Routing:
                 x = {(ai, ki): self.supplies[ki] for ki, arcs in enumerate(chosen) for ai in arcs}
                 answers.update(dict.fromkeys(group, (Fraction(cost, table[1]), x)))
             return answers
+        routing = self.routing
         caps = [Fraction(c, self.scale) for c in scaled_caps]
-        # the balance rows are built once: only the capacity rows read the capacities
-        rows = self.balance + routing_capacity_rows(self.instance, caps)
-        results = lp.solve_lp_many(self.n_vars, rows, [self.objectives[group[0]] for group in groups], self.upper)
+        rows = routing.rows(caps)
+        results = lp.solve_lp_many(routing.n_vars, rows, [self.objectives[group[0]] for group in groups], routing.upper)
         if results[0].status == "infeasible":
-            cert = proves_unroutable(self.instance, caps, results[0].farkas)
+            cert = proves_unroutable(self.instance, caps, routing.capacity_part(results[0].farkas))
             if cert:
                 self.refuted.add(metric_bound(self.instance, self.scale, cert))
                 return None
@@ -697,15 +694,15 @@ class _Routing:
             first, bound, routed = group[0], None, None
             if res.status == "optimal":
                 duals = signed_duals(rows, res.duals)  # rationalized once, for the bound and its form
-                bound = safe_lower_bound(rows, self.objectives[first], self.upper, duals)
+                bound = safe_lower_bound(rows, self.objectives[first], routing.upper, duals)
                 if bound is not None:
-                    self.bounds[first].add(dual_bound(self.scale, scaled_caps, bound, duals))
+                    self.bounds[first].add(dual_bound(self.scale, scaled_caps, bound, routing.capacity_part(duals)))
             for i in group:
                 target = None if bound is None else shortfall(i)
                 if target is not None and bound * target[1] >= target[0]:
                     continue
                 if routed is None:
-                    routed = cheapest_routing(self.instance, caps, self.flows[first], first=res)
+                    routed = routing.minimum(rows, self.objectives[first], res, bound)
                     if routed[0] is None:
                         return None
                 answers[i] = routed

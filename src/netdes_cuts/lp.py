@@ -2,22 +2,23 @@
 
 Every LP here shares one column layout: commodity ``ki``'s flow on arc
 ``ai`` at ``routing_var``, then facility ``mi``'s installation on arc ``ai``
-at ``design_var`` (``column_keys`` lists it).  The routing LP has the flow
-columns, one balance row per (commodity, node) and one capacity row per
-arc.  The relaxation is the routing LP at existing capacity with the
-installed capacity ``c_m·y`` on each capacity row, plus one ``>=`` row per
-pooled cut; flow variables carry their commodity supply as an upper bound
-(vital: single-arc relaxation cuts are only valid when flows cannot exceed
-their commodity's total supply on any arc).  The loop solves a relaxation
+at ``design_var`` (``column_keys`` lists it).  The routing LP
+(``RoutingLP``) has the flow columns, one balance row per (commodity,
+node) and one capacity row per arc.  The relaxation is the routing LP at
+existing capacity with the installed capacity ``c_m·y`` on each capacity
+row, plus one ``>=`` row per pooled cut; flow variables carry their
+commodity supply as an upper bound (vital: single-arc relaxation cuts are
+only valid when flows cannot exceed their commodity's total supply on any
+arc).  The loop solves a relaxation
 on float rows written from its cuts' ints; its exact rows are built only
 for an exact consumer.
 
-Every exact LP answer (``check_feasible_routing``, ``cheapest_routing``,
-``exact_objective``) comes from ``solve_certified``: one float solve that
-counts only with a certificate checked in ``Fraction``s, and the exact
-simplex when the certificate fails or the solve stalls.  An optimum is
-certified by ``certify``, routing infeasibility by a metric inequality
-(``proves_unroutable``).
+Every exact LP answer (``RoutingLP.minimum`` for routability and oracle
+prices, ``exact_objective``) comes from ``solve_certified``: one float
+solve that counts only with a certificate checked in ``Fraction``s, and
+the exact simplex when the certificate fails or the solve stalls.  An
+optimum is certified by ``certify``, routing infeasibility by a metric
+inequality (``proves_unroutable``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Mapping
 
 from .core import (
@@ -102,9 +102,7 @@ class LPModel:
         names = [
             f"{kind}_a{ai}_{'k' if kind == 'x' else 'm'}{other}" for kind, ai, other in column_keys(inst)
         ]
-        labels = [f"bal_k{ki}_n{node}" for ki in range(len(inst.commodities)) for node in inst.nodes]
-        labels += [f"cap_a{ai}" for ai in range(len(inst.arcs))]
-        labels += [f"cut{ci}_{cut.family}" for ci, cut in enumerate(self.cuts)]
+        labels = RoutingLP(inst).labels() + [f"cut{ci}_{cut.family}" for ci, cut in enumerate(self.cuts)]
 
         def expr(coefs):
             parts = []
@@ -170,17 +168,17 @@ def build_relaxation(
     """
     cuts = list(cuts)
     if base is None:
-        capacity = routing_capacity_rows(instance, [arc.existing_capacity for arc in instance.arcs])
-        for ai, (coefs, _, _) in enumerate(capacity):
+        routing = RoutingLP(instance)
+        fixed = routing.rows([arc.existing_capacity for arc in instance.arcs])
+        for ai, (coefs, _, _) in enumerate(routing.capacity_part(fixed)):
             for mi, fac in enumerate(instance.facilities):
                 coefs[design_var(instance, ai, mi)] = -fac.capacity
-        fixed = routing_balance_rows(instance) + capacity
         float_rows = [({j: float(v) for j, v in coefs.items()}, sense, float(rhs)) for coefs, sense, rhs in fixed]
         objective = {
             j: instance.flow_costs[ai][other] if kind == "x" else instance.facilities[other].costs[ai]
             for j, (kind, ai, other) in enumerate(column_keys(instance))
         }
-        upper, built = routing_upper(instance), 0
+        upper, built = routing.upper, 0
     elif base.instance is not instance:
         raise ValueError("the base relaxation is of another instance")
     elif len(base.cuts) > len(cuts) or any(a is not b and a != b for a, b in zip(base.cuts, cuts)):
@@ -219,40 +217,48 @@ def solve(model: LPModel, *, start: LPSolution | None = None) -> LPSolution:
 def exact_objective(model: LPModel, sol: LPSolution) -> Fraction:
     """Exact optimum of ``model`` from its float optimum ``sol``: no solve
     when ``certify`` proves it, else the exact simplex's."""
-    return solve_certified(model.n_vars, model.rows, model.objective, model.upper, first=sol)[0]
+    bound = safe_lower_bound(model.rows, model.objective, model.upper, sol.duals)
+    return solve_certified(model.n_vars, model.rows, model.objective, model.upper, first=sol, bound=bound)[0]
 
 
-def solve_certified(n_vars: int, rows, objective, upper=None, refute=None, first: LPResult | None = None):
+def solve_certified(n_vars: int, rows, objective, upper, refute=None, first: LPResult | None = None, bound=None):
     """Exact ``min objective`` over ``rows`` and ``0 <= x <= upper``.
 
     Returns ``(value, x)`` in ``Fraction``s, or ``(None, proof)`` when
-    ``refute(farkas)`` proves the rows infeasible.  The float solve
-    (``first``, if already at hand) answers only through ``certify`` or
-    ``refute``; when both fail or it stalls, the exact simplex decides.
+    ``refute(farkas)`` proves the rows infeasible.  The float solve answers
+    only through ``certify`` against its ``safe_lower_bound`` ``bound``, or
+    through ``refute``; when both fail or it stalls, the exact simplex
+    decides.  A float solve already at hand comes as ``first`` with its
+    ``bound`` (``None`` when there is none) and, when infeasible, its Farkas
+    vector already refuted in vain: it is not tried again.
     """
-    upper = upper or {}
-    for exact in (False, True):
-        res = solve_lp(n_vars, rows, objective, upper, exact=exact) if exact or first is None else first
-        if res.status == "optimal":
-            answer = (res.objective, res.x) if exact else certify(rows, objective, upper, res)
-            if answer is not None:
-                return answer
-        elif res.status == "infeasible" and refute is not None:
-            proof = refute(res.farkas)
-            if proof is not None:
-                return None, proof
-    raise RuntimeError(f"exact LP solve ended with {res.status}")
+    if first is None:
+        first = solve_lp(n_vars, rows, objective, upper, exact=False)
+        bound = safe_lower_bound(rows, objective, upper, first.duals) if first.status == "optimal" else None
+        proof = refute(first.farkas) if first.status == "infeasible" and refute else None
+        if proof is not None:
+            return None, proof
+    answer = None if bound is None else certify(rows, objective, upper, first, bound)
+    if answer is not None:
+        return answer
+    res = solve_lp(n_vars, rows, objective, upper, exact=True)
+    if res.status == "optimal":
+        return res.objective, res.x
+    proof = refute(res.farkas) if res.status == "infeasible" and refute else None
+    if proof is None:
+        raise RuntimeError(f"exact LP solve ended with {res.status}")
+    return None, proof
 
 
-def certify(rows, objective: Mapping[int, Fraction], upper: Mapping[int, Fraction], res: LPResult):
+def certify(rows, objective: Mapping[int, Fraction], upper: Mapping[int, Fraction], res: LPResult, bound: Fraction):
     """Exact ``(value, x)`` from the float optimum ``res``, or ``None``: the
     rationalized primal meets every row and bound, and its objective equals
-    ``safe_lower_bound`` of the float duals, so weak duality proves it."""
+    ``bound``, a ``safe_lower_bound`` of the rows, so weak duality proves it."""
     x = [rationalize(v) for v in res.x]
     if not _fits(rows, upper, x):
         return None
     value = sum((frac(c) * x[j] for j, c in objective.items()), ZERO)
-    return (value, x) if safe_lower_bound(rows, objective, upper, res.duals) == value else None
+    return (value, x) if bound == value else None
 
 
 # -- routing feasibility and metric certificates ------------------------------
@@ -295,54 +301,6 @@ def column_keys(instance: Instance) -> list:
     return flows + [("y", ai, mi) for mi in range(len(instance.facilities)) for ai in arcs]
 
 
-def routing_rows(instance: Instance, capacities):
-    """Balance and capacity rows of the routing LP under per-arc ``capacities``.
-
-    Returns ``(n_vars, rows)``; columns are numbered by ``routing_var``.
-    """
-    rows = routing_balance_rows(instance) + routing_capacity_rows(instance, capacities)
-    return len(instance.arcs) * len(instance.commodities), rows
-
-
-def routing_balance_rows(instance: Instance) -> list:
-    """The routing LP's balance rows, one per (commodity, node); no capacity enters them."""
-    rows = []
-    for ki, com in enumerate(instance.commodities):
-        for node in instance.nodes:
-            coefs = {}
-            for ai in instance.in_arcs[node]:
-                j = routing_var(instance, ai, ki)
-                coefs[j] = coefs.get(j, ZERO) + 1
-            for ai in instance.out_arcs[node]:
-                j = routing_var(instance, ai, ki)
-                coefs[j] = coefs.get(j, ZERO) - 1
-            rows.append((coefs, EQ, com.w(node)))
-    return rows
-
-
-def routing_upper(instance: Instance) -> dict:
-    """Flow upper bounds of the priced routing LP: each commodity's total supply."""
-    return {
-        routing_var(instance, ai, ki): com.total_supply
-        for ki, com in enumerate(instance.commodities)
-        for ai in range(len(instance.arcs))
-    }
-
-
-def flow_columns(instance: Instance, flow: Mapping[tuple[int, int], Fraction]) -> dict:
-    """Flow coefficients keyed ``(arc, commodity)``, keyed by column instead."""
-    return {routing_var(instance, ai, ki): v for (ai, ki), v in flow.items()}
-
-
-def routing_capacity_rows(instance: Instance, capacities) -> list:
-    """The routing LP's capacity rows, one per arc, after the balance rows."""
-    rows = []
-    for ai in range(len(instance.arcs)):
-        coefs = {routing_var(instance, ai, ki): Fraction(1) for ki in range(len(instance.commodities))}
-        rows.append((coefs, LE, capacities[ai]))
-    return rows
-
-
 def cut_rows(instance: Instance, cuts: Sequence[LinearCut], divide) -> list:
     """One ``(coefs, GE, rhs)`` row per cut of ``cuts``: its flow columns
     (``routing_var``), then its capacity columns (``design_var``), each
@@ -361,53 +319,94 @@ def cut_rows(instance: Instance, cuts: Sequence[LinearCut], divide) -> list:
     return rows
 
 
-def check_feasible_routing(instance: Instance, capacities: Sequence):
-    """Exact routability of all commodities under per-arc ``capacities``.
+class RoutingLP:
+    """The routing LP of ``instance``, made once per oracle call, routability
+    check or relaxation build: ``n_vars`` flow columns (``routing_var``),
+    each bounded by its commodity's total supply (``upper``), under the
+    ``balance`` rows, one per (commodity, node) and built once, then one
+    capacity row per arc.  No code outside this class knows that order."""
 
-    Returns ``(True, None)`` or ``(False, RoutingCertificate)``;
-    ``cheapest_routing`` decides with a zero objective.
-    """
-    value, proof = cheapest_routing(instance, capacities, {})
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.n_vars = len(instance.arcs) * len(instance.commodities)
+        self.balance = []
+        for ki, com in enumerate(instance.commodities):
+            for node in instance.nodes:
+                coefs = {}
+                for arcs, sign in ((instance.in_arcs[node], 1), (instance.out_arcs[node], -1)):
+                    for ai in arcs:
+                        j = routing_var(instance, ai, ki)
+                        coefs[j] = coefs.get(j, ZERO) + sign
+                self.balance.append((coefs, EQ, com.w(node)))
+        supplies = [(ki, com.total_supply) for ki, com in enumerate(instance.commodities)]
+        self.upper = {routing_var(instance, ai, ki): u for ki, u in supplies for ai in range(len(instance.arcs))}
+
+    def rows(self, capacities: Sequence[Fraction]) -> list:
+        """The balance rows, then a new ``<=`` row per arc ``ai`` with rhs ``capacities[ai]``."""
+        commodities = range(len(self.instance.commodities))
+        return self.balance + [
+            ({routing_var(self.instance, ai, ki): Fraction(1) for ki in commodities}, LE, capacities[ai])
+            for ai in range(len(self.instance.arcs))
+        ]
+
+    def labels(self) -> list[str]:
+        """The name of each row of ``rows``, in order."""
+        inst = self.instance
+        labels = [f"bal_k{ki}_n{node}" for ki in range(len(inst.commodities)) for node in inst.nodes]
+        return labels + [f"cap_a{ai}" for ai in range(len(inst.arcs))]
+
+    def capacity_part(self, vector: Sequence) -> Sequence:
+        """The capacity rows' entries, in arc order, of ``vector``, indexed
+        like ``rows``: the rows themselves, a Farkas vector or duals."""
+        start = len(self.balance)
+        return vector[start : start + len(self.instance.arcs)]
+
+    def columns(self, flow: Mapping[tuple[int, int], Fraction]) -> dict:
+        """Flow coefficients keyed ``(arc, commodity)``, keyed by column instead."""
+        return {routing_var(self.instance, ai, ki): v for (ai, ki), v in flow.items()}
+
+    def minimum(self, rows: list, objective: Mapping[int, Fraction], first=None, bound=None):
+        """Exact minimum of ``objective`` (``columns``) over the routings
+        that fit ``rows`` (``rows``), by ``solve_certified`` with ``first``
+        and ``bound`` as it takes them: ``(value, flow)`` with the nonzero
+        flows keyed ``(arc, commodity)``, or ``(None, RoutingCertificate)``."""
+        capacities = [rhs for _, _, rhs in self.capacity_part(rows)]
+
+        def refute(farkas):
+            return proves_unroutable(self.instance, capacities, self.capacity_part(farkas))
+
+        value, answer = solve_certified(self.n_vars, rows, objective, self.upper, refute, first, bound)
+        if value is None:
+            return None, answer  # the refusal certificate
+        return value, {(ai, ki): v for (_, ai, ki), v in zip(column_keys(self.instance), answer) if v}
+
+
+def check_feasible_routing(instance: Instance, capacities: Sequence):
+    """Exact routability of all commodities under per-arc ``capacities``:
+    ``(True, None)`` or ``(False, RoutingCertificate)``, the minimum of a
+    zero objective (``RoutingLP.minimum``)."""
+    routing = RoutingLP(instance)
+    value, proof = routing.minimum(routing.rows([frac(c) for c in capacities]), {})
     return (True, None) if value is not None else (False, proof)
 
 
-def cheapest_routing(instance: Instance, capacities: Sequence, objective, first: LPResult | None = None):
-    """Exact minimum of a flow ``objective`` over routings under ``capacities``.
-
-    ``objective`` maps ``(arc, commodity)`` to a cost; each commodity's
-    flow on an arc is bounded by its total supply.  Returns ``(value,
-    flow)`` with the nonzero flows keyed ``(arc, commodity)``, or ``(None,
-    RoutingCertificate)`` when no routing fits.  ``first`` is a float solve
-    of this LP already at hand.
-    """
-    capacities = [frac(c) for c in capacities]
-    n_vars, rows = routing_rows(instance, capacities)
-    refute = partial(proves_unroutable, instance, capacities)
-    objective = flow_columns(instance, objective)
-    value, answer = solve_certified(n_vars, rows, objective, routing_upper(instance), refute, first)
-    if value is None:
-        return None, answer  # the refusal certificate
-    return value, {(ai, ki): v for (_, ai, ki), v in zip(column_keys(instance), answer) if v}
-
-
 def proves_unroutable(
-    instance: Instance, capacities: Sequence[Fraction], farkas: Sequence
+    instance: Instance, capacities: Sequence[Fraction], multipliers: Sequence
 ) -> RoutingCertificate | None:
     """Exact metric-inequality certificate seeded by a routing LP's Farkas vector.
 
-    ``farkas`` comes from an infeasible ``routing_rows`` LP (float or exact).
-    Its capacity-row multipliers, rounded to rationals and clamped to
-    ``v >= 0``, are the arc weights.  With shortest-path potentials ``u``
-    under ``v`` the pair lies in the metric cone, so ``demand_side >
-    capacity_side`` proves that no routing fits ``capacities``.  A
-    positive-demand node that no path reaches gets the certificate ``v = 0``
-    with potential 1 on the nodes its source cannot reach.  Returns the
-    certificate, or ``None`` when it proves nothing; an exact Farkas vector
-    always yields one.
+    ``multipliers``, its capacity rows' entries (``RoutingLP.capacity_part``)
+    from an infeasible LP (float or exact), rounded to rationals and
+    clamped to ``v >= 0``, are the arc weights.  With shortest-path
+    potentials ``u`` under ``v`` the pair lies in the metric cone, so
+    ``demand_side > capacity_side`` proves that no routing fits
+    ``capacities``.  A positive-demand node that no path reaches gets the
+    certificate ``v = 0`` with potential 1 on the nodes its source cannot
+    reach.  Returns the certificate, or ``None`` when it proves nothing; an
+    exact Farkas vector always yields one.
     """
-    n_arcs = len(instance.arcs)
     v = {}
-    for ai, lam in enumerate(farkas[len(farkas) - n_arcs :]):
+    for ai, lam in enumerate(multipliers):
         # capacity rows are <=, so their multipliers are nonpositive; negate
         weight = -rationalize(lam)
         if weight > 0:
@@ -482,14 +481,14 @@ def safe_lower_bound(
 def dual_bound(
     scale: int, scaled_caps: Sequence[int], bound: Fraction, duals: Sequence
 ) -> tuple[int, int, dict[int, int]]:
-    """``bound``, the ``safe_lower_bound`` of ``duals`` at ``scaled_caps``
-    (ints ``scale * cap``) on a routing LP whose last rows are the capacity
-    rows, as a ``CapacityBounds`` form exact at every capacity vector: the
-    reduced costs do not read the rhs, so the bound is ``const + sum(pi_a *
-    cap_a)`` with ``pi_a <= 0`` the signed capacity-row duals.  ``duals``
-    are floats or the rationals of ``signed_duals``."""
+    """``bound``, the ``safe_lower_bound`` of a routing LP's duals at
+    ``scaled_caps`` (ints ``scale * cap``), as a ``CapacityBounds`` form
+    exact at every capacity vector: the reduced costs do not read the rhs,
+    so the bound is ``const + sum(pi_a * cap_a)`` with ``pi_a <= 0`` the
+    signed capacity-row ``duals`` (``RoutingLP.capacity_part``), floats or
+    the rationals of ``signed_duals``."""
     per_unit = {}
-    for ai, dual in enumerate(duals[len(duals) - len(scaled_caps) :]):
+    for ai, dual in enumerate(duals):
         pi = _signed_dual(LE, dual)
         if pi:
             per_unit[ai] = pi / scale

@@ -987,10 +987,10 @@ def _reference_unsplittable_arc(instance, ai, point):
 
 def routable(instance, capacities):
     """Do ``capacities`` admit a routing?  The routing LP, solved in Fractions."""
-    from netdes_cuts.lp import routing_rows
+    from netdes_cuts.lp import RoutingLP
 
-    n_vars, rows = routing_rows(instance, capacities)
-    return solve_lp(n_vars, rows, {}, exact=True).status == "optimal"
+    routing = RoutingLP(instance)
+    return solve_lp(routing.n_vars, routing.rows(capacities), {}, exact=True).status == "optimal"
 
 
 def criterion_10_sample():
@@ -1090,10 +1090,7 @@ def reference_validate_cuts(cuts, instance, ybound):
     anew at every maximal pure-capacity pattern."""
     from netdes_cuts.engine import _unsplittable_routings, default_y_bounds
     from netdes_cuts.core import FractionalPoint
-    from netdes_cuts.lp import (
-        cheapest_routing, check_feasible_routing, flow_columns, proves_unroutable,
-        routing_balance_rows, routing_capacity_rows, routing_upper, safe_lower_bound,
-    )
+    from netdes_cuts.lp import RoutingLP, check_feasible_routing, proves_unroutable, safe_lower_bound
     from netdes_cuts.simplex import solve_lp_many
 
     def ypart(cut, y):
@@ -1147,10 +1144,8 @@ def reference_validate_cuts(cuts, instance, ybound):
             grid_idx.append(idx)
     y_bounds = default_y_bounds(instance, ybound)
     keys = sorted(y_bounds)
-    upper = routing_upper(instance)
-    n_vars = len(instance.arcs) * len(instance.commodities)
-    balance = routing_balance_rows(instance)
-    objectives = {idx: flow_columns(instance, cuts[idx].flow) for idx in grid_idx}
+    routing = RoutingLP(instance)
+    objectives = {idx: routing.columns(cuts[idx].flow) for idx in grid_idx}
     open_idx = set(grid_idx)
     for values in product(*(range(y_bounds[k] + 1) for k in keys)):
         if not open_idx:
@@ -1167,17 +1162,18 @@ def reference_validate_cuts(cuts, instance, ybound):
                     verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(y)))
                     open_idx.discard(idx)
             continue
-        rows = balance + routing_capacity_rows(instance, caps)
-        results = solve_lp_many(n_vars, rows, [objectives[idx] for idx in order], upper)
-        if results[0].status == "infeasible" and proves_unroutable(instance, caps, results[0].farkas):
+        rows = routing.rows(caps)
+        results = solve_lp_many(routing.n_vars, rows, [objectives[idx] for idx in order], routing.upper)
+        farkas = results[0].farkas
+        if results[0].status == "infeasible" and proves_unroutable(instance, caps, routing.capacity_part(farkas)):
             continue
         for idx, res in zip(order, results):
-            cut = cuts[idx]
+            cut, bound = cuts[idx], None
             if res.status == "optimal":
-                bound = safe_lower_bound(rows, objectives[idx], upper, res.duals)
+                bound = safe_lower_bound(rows, objectives[idx], routing.upper, res.duals)
                 if bound is not None and ypart(cut, y) + bound >= cut.rhs:
                     continue
-            value, x = cheapest_routing(instance, caps, cut.flow, first=res)
+            value, x = routing.minimum(rows, objectives[idx], res, bound)
             if value is not None and ypart(cut, y) + value < cut.rhs:
                 verdicts[idx] = (False, FractionalPoint(x=x, y=dict(y)))
                 open_idx.discard(idx)

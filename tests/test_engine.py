@@ -134,6 +134,26 @@ def test_loop_reports_stop_reason_and_family_counters(monkeypatch):
     assert any(rep.families["mf"]["skipped"] for rep in done.reports)
 
 
+def test_round_cap_solve_is_checked_like_every_round(monkeypatch):
+    """The solve after the last allowed round, which gives the round-cap
+    bound, meets the status check of every round's: a stalled answer
+    raises ``RelaxationError``, not a ``TypeError`` on its missing
+    objective."""
+    solves = []
+    real_solve = engine.solve
+
+    def stalls_second(model, *, start=None):
+        solves.append(model)
+        if len(solves) == 2:
+            return lp.LPSolution("stalled", [], None, instance=model.instance)
+        return real_solve(model, start=start)
+
+    monkeypatch.setattr(engine, "solve", stalls_second)
+    with pytest.raises(engine.RelaxationError, match="ended with status stalled"):
+        cutting_plane_loop(generate_instance(seed=3, nodes=4, density=0.6), Config(max_rounds=1))
+    assert len(solves) == 2
+
+
 def test_loop_star_reaches_oracle(star_instance):
     cfg = Config(families=("cutset", "flowcutset"))
     res = cutting_plane_loop(star_instance, cfg)
@@ -776,8 +796,6 @@ def test_validate_cut_flow_counterexample(star_instance):
 
 
 def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_instance):
-    from netdes_cuts import engine, lp
-
     families = ("rc", "cutset", "flowcutset", "metric", "partition")
     sweep = []
     for seed in (1001, 1002, 1004):
@@ -789,11 +807,10 @@ def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_i
     )
     certified = validate_cut(bad, star_instance, ybound=2)
 
-    # the batch's own certificates, then the optimum certificate that
-    # lp.cheapest_routing checks (lp.certify looks its dual bound up in lp)
+    # the batch's own certificates: with no safe bound, RoutingLP.minimum
+    # certifies no price from the batch's solve and goes to the exact simplex
     monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
     monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
-    monkeypatch.setattr(lp, "safe_lower_bound", lambda *args: None)
     exact_solves = count_solves(monkeypatch)
     for inst, cuts, verdicts in sweep:
         assert validate_cuts(cuts, inst, ybound=1) == verdicts
@@ -888,7 +905,7 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
     each node-cut form (``engine._node_cuts``), taken at no vector; a dual
     bound taken at one vector (from the float duals, or from perturbed
     ones) is the safe bound of the same duals at another, never above
-    ``cheapest_routing``'s exact minimum there.  On one arc of capacity 1
+    the exact minimum there (``lp.RoutingLP.minimum``).  On one arc of capacity 1
     carrying a demand of 1 the node cut is tight: it refutes capacity 0
     and not capacity 1."""
     rng = random.Random(nodes)
@@ -904,7 +921,8 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
             (ai, ki): F(rng.randint(-1, 3), rng.choice((1, 2)))
             for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))
         }
-        columns, upper = lp.flow_columns(inst, flow), lp.routing_upper(inst)
+        routing = lp.RoutingLP(inst)
+        columns, upper = routing.columns(flow), routing.upper
         vectors = [
             [F(0) if rng.random() < 0.3 else F(rng.randint(1, 3 * scale), scale) for _ in inst.arcs]
             for _ in range(10)
@@ -912,18 +930,19 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
         refutations, bounds, answers = [], [], []
         for i, caps in enumerate(vectors):
             scaled = [c.numerator * (scale // c.denominator) for c in caps]
-            n_vars, rows = lp.routing_rows(inst, caps)
+            rows = routing.rows(caps)
             ok, cert = lp.check_feasible_routing(inst, caps)
-            answers.append((scaled, rows, ok and lp.cheapest_routing(inst, caps, flow)[0]))
+            answers.append((scaled, rows, ok and routing.minimum(rows, columns)[0]))
             if not ok:
                 refutations.append((i, lp.CapacityBounds()))
                 refutations[-1][1].add(lp.metric_bound(inst, scale, cert))
                 continue
-            duals = lp.solve_lp(n_vars, rows, columns, upper).duals
+            duals = lp.solve_lp(routing.n_vars, rows, columns, upper).duals
             if i % 2:  # any duals give a safe bound; wrong-signed ones are dropped
                 duals = [d + rng.uniform(-0.5, 0.5) for d in duals]
             kept = lp.CapacityBounds()
-            kept.add(lp.dual_bound(scale, scaled, lp.safe_lower_bound(rows, columns, upper, duals), duals))
+            bound = lp.safe_lower_bound(rows, columns, upper, duals)
+            kept.add(lp.dual_bound(scale, scaled, bound, routing.capacity_part(duals)))
             bounds.append((i, duals, kept))
         for j, (scaled, rows, value) in enumerate(answers):
             for i, refuted in refutations + node_cuts:
@@ -955,9 +974,9 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
 
 def test_stubbed_certificates_leave_the_caches_empty(monkeypatch):
     """Certificates that prove nothing (a falsy refutation, no dual bound)
-    are never kept; with ``lp.certify``'s dual bound stubbed too, the grid
-    points are then priced by exact solves.  Node cuts, whose certificates
-    are checked exactly and kept, are emptied."""
+    are never kept; with no dual bound no price is certified either, so the
+    grid points are then priced by exact solves.  Node cuts, whose
+    certificates are checked exactly and kept, are emptied."""
     sweep = []
     for seed in (1001, 1002, 1004):
         inst = generate_instance(seed=seed, nodes=3, density=0.9, facilities=(1,), flow_cost_prob=0.4)
@@ -977,7 +996,6 @@ def test_stubbed_certificates_leave_the_caches_empty(monkeypatch):
     monkeypatch.setattr(engine, "_node_cuts", lambda inst: [])
     monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
     monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
-    monkeypatch.setattr(lp, "safe_lower_bound", lambda *args: None)
     exact_solves = count_solves(monkeypatch)
     for inst, cuts, verdicts in sweep:
         assert validate_cuts(cuts, inst, ybound=1) == verdicts
@@ -1014,6 +1032,28 @@ def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
     assert best is not None and best[0] == F(3)
     # y = 0 leaves capacity 0 below demand 1 out of node 1: a node cut refutes it, no LP
     assert modes == [False, True] * 2
+
+
+def test_brute_force_prices_each_part_on_the_rows_it_solved(monkeypatch):
+    """``brute_force_ip`` builds the routing LP's balance rows once per
+    call (``lp.RoutingLP``) and takes one safe dual bound per priced part:
+    the price is certified against the bound the oracle took from the same
+    solve, on the same rows."""
+    counts = dict.fromkeys(("routing", "bound", "priced"), 0)
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(lp.RoutingLP, "__init__", counted("routing", lp.RoutingLP.__init__))
+    monkeypatch.setattr(engine, "safe_lower_bound", counted("bound", engine.safe_lower_bound))
+    monkeypatch.setattr(lp, "safe_lower_bound", counted("bound", lp.safe_lower_bound))
+    monkeypatch.setattr(lp, "certify", counted("priced", lp.certify))
+    inst = generate_instance(seed=4, nodes=3, density=0.9, facilities=(1, 2))
+    assert brute_force_ip(inst, ybound=1)[0] == F(25, 6)
+    assert counts == {"routing": 1, "bound": 4, "priced": 4}
 
 
 # -- unsplittable oracles ------------------------------------------------------------

@@ -9,12 +9,12 @@ from netdes_cuts import engine, lp, simplex
 from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut
 from netdes_cuts.engine import Config, brute_force_ip, cutting_plane_loop, generate_instance
 from netdes_cuts.lp import (
+    RoutingLP,
     build_relaxation,
     check_feasible_routing,
     column_keys,
     design_var,
     proves_unroutable,
-    routing_rows,
     routing_var,
     shortest_path_potentials,
     solve,
@@ -161,16 +161,18 @@ def test_proves_unroutable_only_when_exactly_unroutable():
         inst = generate_instance(seed=trial + 200, nodes=rng.randint(3, 5), density=0.6)
         caps = [F(rng.choice((0, 0, 1, 2, 3)), rng.choice((1, 2))) for _ in inst.arcs]
         feasible = routable(inst, caps)
-        n_vars, rows = routing_rows(inst, caps)
-        res = solve_lp(n_vars, rows, {})
+        routing = RoutingLP(inst)
+        rows = routing.rows(caps)
+        res = solve_lp(routing.n_vars, rows, {})
         candidates = [[rng.uniform(-2, 1) for _ in rows]]
         if res.status == "infeasible":
             candidates.append(res.farkas)
         for farkas in candidates:
-            if proves_unroutable(inst, caps, farkas):
+            if proves_unroutable(inst, caps, routing.capacity_part(farkas)):
                 assert not feasible
                 proved += 1
-        if not feasible and res.status == "infeasible" and not proves_unroutable(inst, caps, res.farkas):
+        refuted = res.status == "infeasible" and proves_unroutable(inst, caps, routing.capacity_part(res.farkas))
+        if not feasible and res.status == "infeasible" and not refuted:
             unproved_infeasible += 1
     assert proved >= 10
     assert unproved_infeasible == 0
@@ -261,6 +263,31 @@ def test_relaxation_matches_reference():
         assert model.to_lp_format() == ref.to_lp_format() == final_model.to_lp_format()
         families.update(cut.family for cut in cuts)
     assert len(families) >= 4
+
+
+@pytest.mark.parametrize("facilities, mode", [
+    ((1,), "aggregated"), ((1, 3), "aggregated"), ((1, 2), "disaggregated"),
+])
+def test_relaxation_fixed_rows_are_the_routing_rows_at_existing_capacity(facilities, mode):
+    """The relaxation's balance and capacity rows are ``RoutingLP.rows`` at
+    the existing capacities with ``-c_m`` on each capacity row's design
+    columns after its flow columns: the same rows in the same order, each
+    row's columns in the same order, so its float rows are the routing LP's
+    in floats."""
+    for seed in range(1, 7):
+        inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=facilities, mode=mode)
+        routing = RoutingLP(inst)
+        want = [(list(c.items()), sense, rhs) for c, sense, rhs in routing.rows([a.existing_capacity for a in inst.arcs])]
+        n_balance = len(inst.commodities) * len(inst.nodes)
+        assert len(want) == n_balance + len(inst.arcs)
+        for ai in range(len(inst.arcs)):
+            want[n_balance + ai][0].extend((design_var(inst, ai, mi), -f.capacity) for mi, f in enumerate(inst.facilities))
+        model = build_relaxation(inst)
+        assert [(list(c.items()), sense, rhs) for c, sense, rhs in model.rows.fixed] == want
+        assert [(list(c.items()), sense, rhs) for c, sense, rhs in model.float_rows] == [
+            ([(j, float(v)) for j, v in coefs], sense, float(rhs)) for coefs, sense, rhs in want
+        ]
+        assert model.upper == routing.upper
 
 
 def test_float_rows_are_the_exact_rows_in_floats(monkeypatch):
@@ -424,18 +451,20 @@ def test_certify_refuses_a_negative_flow():
     # commodity 1 "ships" 2 -> 1 as a negative flow on arc 1 -> 2: balanced,
     # zero load, objective equal to the dual bound, yet not a routing
     inst = two_way_instance()
-    n_vars, rows = routing_rows(inst, [F(1), F(1)])
+    routing = RoutingLP(inst)
+    rows, n_vars = routing.rows([F(1), F(1)]), routing.n_vars
     negative = [0.0] * n_vars
     negative[routing_var(inst, 0, 0)], negative[routing_var(inst, 0, 1)] = 1.0, -1.0
     for coefs, sense, rhs in rows:
         lhs = sum(a * F(negative[j]) for j, a in coefs.items())
         assert lhs <= rhs if sense == simplex.LE else lhs == rhs
     duals = [0.0] * len(rows)
-    assert lp.certify(rows, {}, {}, LPResult("optimal", negative, 0.0, duals)) is None
+    bound = lp.safe_lower_bound(rows, {}, {}, duals)
+    assert lp.certify(rows, {}, {}, LPResult("optimal", negative, 0.0, duals), bound) is None
     # the routing each commodity's own arc gives is certified
     routed = [0.0] * n_vars
     routed[routing_var(inst, 0, 0)] = routed[routing_var(inst, 1, 1)] = 1.0
-    assert lp.certify(rows, {}, {}, LPResult("optimal", routed, 0.0, duals)) == (0, [F(v) for v in routed])
+    assert lp.certify(rows, {}, {}, LPResult("optimal", routed, 0.0, duals), bound) == (0, [F(v) for v in routed])
 
 
 @pytest.mark.parametrize("spoil", [corrupt_float_answers, stall_float_answers])

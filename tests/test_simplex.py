@@ -6,7 +6,7 @@ import pytest
 
 from netdes_cuts import lp
 from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance
-from netdes_cuts.lp import flow_columns, routing_rows, routing_upper, safe_lower_bound
+from netdes_cuts.lp import RoutingLP, safe_lower_bound
 from netdes_cuts.simplex import _FLOAT, EQ, GE, LE, solve_lp, solve_lp_many
 
 from helpers import GOLDEN_4_NODE, reference_resolve, reference_solve_lp_many, reference_tableau_row
@@ -240,13 +240,13 @@ def _routing_lps(count):
     for seed in range(count):
         inst = generate_instance(seed=500 + seed, nodes=rng.randint(3, 4), density=0.7, facilities=(1, 2))
         caps = [F(0) if rng.random() < 0.3 else F(rng.randint(1, 4), rng.choice((1, 2))) for _ in inst.arcs]
-        n_vars, rows = routing_rows(inst, caps)
+        routing = RoutingLP(inst)
         flows = [
             {(ai, ki): F(rng.randint(-2, 3)) for ai in range(len(inst.arcs)) for ki in range(len(inst.commodities))}
             for _ in range(3)
         ]
-        objectives = [flow_columns(inst, flow) for flow in flows] + [{}]
-        lps.append((n_vars, rows, objectives, routing_upper(inst)))
+        objectives = [routing.columns(flow) for flow in flows] + [{}]
+        lps.append((routing.n_vars, routing.rows(caps), objectives, routing.upper))
     return lps
 
 
@@ -338,6 +338,11 @@ def _split_lps(count):
     return lps
 
 
+def _certified(rows, objective, upper, res):
+    """``lp.certify`` of ``res`` against the safe bound of its own duals."""
+    return lp.certify(rows, objective, upper, res, safe_lower_bound(rows, objective, upper, res.duals))
+
+
 def _warm_matches_cold(n, rows, objective, upper, first):
     cold = solve_lp(n, rows, objective, upper)
     warm = solve_lp(n, rows, objective, upper, start=first)
@@ -347,10 +352,10 @@ def _warm_matches_cold(n, rows, objective, upper, first):
         return cold.status
     assert warm.status == "optimal" and warm.tableau is not None
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-    proved = lp.certify(rows, objective, upper, cold)
+    proved = _certified(rows, objective, upper, cold)
     if proved is not None:
         # the optimum may sit at another vertex, but it is the same exact value
-        again = lp.certify(rows, objective, upper, warm)
+        again = _certified(rows, objective, upper, warm)
         assert again is not None and again[0] == proved[0]
     return cold.status
 
@@ -444,7 +449,7 @@ def test_warm_start_leaves_at_upper_bound():
     warm = solve_lp(2, rows, {0: 1, 1: 10}, upper, start=first)
     assert warm.status == "optimal" and warm.iterations == 2
     assert warm.x == pytest.approx([1, 2]) and warm.objective == pytest.approx(21)
-    assert lp.certify(rows, {0: 1, 1: 10}, upper, warm) == (F(21), [F(1), F(2)])
+    assert _certified(rows, {0: 1, 1: 10}, upper, warm) == (F(21), [F(1), F(2)])
     # with x0 at its bound, x0 + x1 = 1 forces x1 = 0 against x0 + x1 >= 3
     infeasible = rows[:1] + [({0: F(1), 1: F(1)}, EQ, F(1)), rows[1]]
     assert solve_lp(2, infeasible, {0: 1, 1: 10}, upper, start=first).status == "stalled"
