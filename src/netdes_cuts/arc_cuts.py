@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .core import ZERO, Instance, LinearCut, frac
+from .core import ZERO, Instance, LinearCut, frac, scaled_ints
 
 SPLITTABLE = "splittable"
 UNSPLITTABLE = "unsplittable"
@@ -155,29 +155,36 @@ def residual_capacity_cut(rel: ArcSetRelaxation, S: Iterable[int]) -> ArcInequal
 def separate_residual_capacity(
     rel: ArcSetRelaxation, xbar: Mapping[int, Fraction] | Sequence, ybar
 ) -> ArcInequality | None:
-    """Exact linear-time separation over all residual capacity cuts.
+    """Exact linear-time separation over all residual capacity cuts, at a
+    point satisfying the box bounds and the capacity row: the decision of
+    ``residual_capacity_set`` on the relaxation's and the point's ints."""
+    xbar, ybar = _as_xmap(rel, xbar), frac(ybar)
+    x = [xbar.get(i, ZERO) for i in range(rel.n)]
+    A, D = math.lcm(*(v.denominator for v in (rel.a0, *rel.a))), math.lcm(*(v.denominator for v in (ybar, *x)))
+    a0_num, *a_num = scaled_ints([rel.a0, *rel.a], A)
+    T = residual_capacity_set(a_num, a0_num, A, [(v.numerator, v.denominator) for v in x], *scaled_ints([ybar], D), D)
+    return None if T is None else residual_capacity_cut(rel, T)
 
-    Expects a point satisfying the box bounds and the capacity row.  The
-    candidate set collects commodities whose flow exceeds the fractional
-    part of the capacity variable; two closed-form checks then decide
-    whether its cut is violated, and if they fail no cut in the family is.
-    """
-    xbar = _as_xmap(rel, xbar)
-    ybar = frac(ybar)
-    fy = ybar - math.floor(ybar)
-    T = [i for i in range(rel.n) if xbar.get(i, ZERO) > fy]
-    if not T:
+
+def residual_capacity_set(
+    a_num: Sequence[int], a0_num: int, A: int, x: Sequence[tuple[int, int]], Y: int, D: int
+) -> list[int] | None:
+    """The subset T whose residual capacity cut is violated, or None, on
+    ints: ``a_num[i]`` and ``a0_num`` are ``a_i`` and ``a_0`` times A,
+    ``x[i]`` is ``x_i`` as ``(num, den)``, ``Y`` is ``D * ybar``, and D
+    clears every ``A * a_i * x_i``.  T holds the commodities whose ``x_i``
+    exceeds the fractional part of ``ybar``; its cut is violated when
+    ``a_0 + floor(ybar) < a(T) < a_0 + ceil(ybar)`` and the slack ``sum_T
+    a_i (1 - x_i - g) + g (a_0 + floor(ybar))``, g = ``ceil(ybar) - ybar``,
+    is negative, and if either fails no cut in the family is."""
+    floor_y, frac_y = divmod(Y, D)
+    T = [i for i, (num, den) in enumerate(x) if num * D > frac_y * den]
+    lo = a0_num + floor_y * A
+    if not (frac_y and T and lo < sum(a_num[i] for i in T) < lo + A):
         return None
-    aT = rel.a_sum(T)
-    lo = rel.a0 + math.floor(ybar)
-    hi = rel.a0 + math.ceil(ybar)
-    if not (lo < aT < hi):
-        return None
-    gap = math.ceil(ybar) - ybar
-    slack = sum((rel.a[i] * (1 - xbar.get(i, ZERO) - gap) for i in T), ZERO) + gap * lo
-    if slack >= 0:
-        return None
-    return residual_capacity_cut(rel, T)
+    # A * D times the slack, g * D being D - frac_y
+    slack = sum(a_num[i] * frac_y - D * a_num[i] * x[i][0] // x[i][1] for i in T) + (D - frac_y) * lo
+    return T if slack < 0 else None
 
 
 def _as_xmap(rel: ArcSetRelaxation, xbar) -> dict[int, Fraction]:

@@ -182,7 +182,8 @@ class Instance:
     too.  The int table holds that data times S, made once: ``sizes_num[m]``
     per facility, ``cbar_num[a]`` per arc (after parallel arcs are merged),
     ``demand_num[(i, j)]`` per ordered pair with a demand, in sorted order,
-    and ``net_num[k][node]`` per commodity, keyed as its ``net_demand``.
+    ``net_num[k][node]`` per commodity, keyed as its ``net_demand``, and
+    ``supply_num[k]``, its total supply.
     Every stage that works on ints (cut-set separation, the node-pair
     table, the oracle) reads that table.
     """
@@ -237,6 +238,7 @@ class Instance:
         pairs = demand.pairs()
         self.demand_num = dict(zip(((i, j) for i, j, _ in pairs), scaled_ints((t for _, _, t in pairs), S)))
         self.net_num = tuple(dict(zip(c.net_demand, scaled_ints(c.net_demand.values(), S))) for c in self.commodities)
+        self.supply_num = tuple(-net[c.source] for net, c in zip(self.net_num, self.commodities))
 
     @staticmethod
     def _merge_parallel(arcs: Iterable[Arc]) -> list[Arc]:

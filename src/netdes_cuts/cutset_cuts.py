@@ -13,29 +13,26 @@ selection.
 Separation scores on integers.  A ``ScaledPoint``, made once per LP
 point, raises the instance's int table (``Instance.sizes_num``,
 ``cbar_num``) from its scale to one common denominator D of the point's
-coordinates and multiplies those by D.  Each relaxation's ``IntegerView``
-takes its crossing slice from that one scaling, made on first request
-(``ScaledPoint.view``) and kept as long as the scaled point.  A view does
-each piece of work once: per
-commodity subset Q the flow sums and ``b_Q``, from those of ``Q[:-1]``
-plus one commodity when that prefix is memoized; per remainder the phi
-values and capacity terms, which read no eta; and per distinct subset one
-greedy scan, a subset counted without its null commodities (zero ``b_k``
-and no crossing flow).  One scoring function on it serves the greedy arc
-selection of ``separate_flow_cutset`` and
-``separate_multifacility`` and the subset search of
-``separate_commodity_subset``, which scores from ``y(S+)`` and ``y(S-)``,
-summed once.  The subset search is exact: a dynamic program over the
-commodities keeps, per distinct ``b_Q``, the subset of least flow part,
-since for a fixed ``b_Q`` a subset's score falls as its flow part grows;
-it is capped at ``SUBSET_ENUMERATION_CAP`` commodities.  The winner is
-built from the same integers: its phi coefficients and right-hand side
-are the view's values, passed to ``LinearCut`` over D, its
-``normalized_key()`` is their coprime form, and its exact violation is the
-greedy's score over D^2, recorded on the cut.  A separator given the keys
-already found in a round (``skip``) returns no cut with one of them.  The phi
-functions are homogeneous, and every score, key and coefficient is
-homogeneous in D, so the scaling changes no comparison and no result.
+coordinates and multiplies those by D.  It also holds what relaxations
+share: phi values per base facility and remainder, and per arc whether
+the point meets the arc's mixed-integer conditions.  Each relaxation's
+``IntegerView``, made on first request (``ScaledPoint.view``), takes its
+crossing slice from that scaling and memoizes per commodity subset Q the
+flow sums and ``b_Q``, from those of ``Q[:-1]`` when memoized, and per
+distinct subset without its null commodities one greedy scan.
+
+``separate_relaxation`` is the one separator of both greedy families: one
+pass over a relaxation's base facilities and commodity subsets, each scan
+computing its capacity terms from the phi values at its remainder.  It
+admits a winner on ints, D^2 times its violation against eps, before any
+cut is built, and builds each admitted cut once, from the flow
+coefficients D, the phi values and the right-hand side over D; the cut
+records its exact violation, the score over D^2.  A pass skips the keys already found in a round (``skip``).
+``separate_flow_cutset`` and ``separate_multifacility`` are its
+single-subset calls; the exact subset search ``separate_commodity_subset``
+scores on the same view.  The phi functions are homogeneous, and every
+score, key and coefficient is homogeneous in D, so the scaling changes no
+comparison and no result.
 
 The flow-cut-set and multi-facility cut-set inequalities are MIR cuts of
 the relaxation's mixed-integer set: non-negative integer ``y`` and
@@ -44,19 +41,21 @@ its capacity, and each commodity's net crossing flow at least ``b_k``
 (Raack, Koster, Orlowski & Wessäly, Networks 2011; Achterberg & Raack,
 Math. Prog. Comp. 2010).  Being valid for that set, none cuts off a point
 in it.  Each view tests exactly, on its integers, whether its crossing
-point lies in the set (``IntegerView.mixed_integer``); where it does, the
-greedy finds nothing for any Q or base facility and returns at once.  A
-cut whose capacity terms leave a facility out (a flow-cut-set cut on one
-facility of several) is not valid for the set and is never skipped.
+point lies in the set (``IntegerView.mixed_integer``), from the per-arc
+checks of the scaled point; where it does, a pass finds nothing for any Q
+or base facility and returns at once.  A cut whose capacity terms leave a
+facility out (a flow-cut-set cut on one facility of several) is not valid
+for the set and is never skipped.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Container, Iterable, Sequence
 
 from .core import ZERO, FractionalPoint, Instance, LinearCut, scaled_ints
@@ -110,6 +109,7 @@ class ScaledPoint:
         self.x = [scaled_ints([point.x.get((a, k), ZERO) for k in commodities], D) for a in arcs]
         self.y = [scaled_ints([point.y.get((a, m), ZERO) for m in facilities], D) for a in arcs]
         self._views: dict[CutSetRelaxation, IntegerView] = {}
+        self._phis: dict = {}
 
     def view(self, rel: CutSetRelaxation) -> IntegerView:
         """The integer view of ``rel`` at this point, made on first request
@@ -119,11 +119,32 @@ class ScaledPoint:
             view = self._views[rel] = IntegerView(rel, self)
         return view
 
+    def phis(self, s: int, r: int) -> tuple[list[int], list[int]]:
+        """``phi+(c_m)`` and ``phi-(c_m)`` of every facility m, D-scaled,
+        rounded on facility ``s`` with remainder r (phi reads no eta)."""
+        got = self._phis.get((s, r))
+        if got is None:
+            p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=0)
+            got = self._phis[(s, r)] = ([phi_plus(p, c) for c in self.caps], [phi_minus(p, c) for c in self.caps])
+        return got
+
+    @cached_property
+    def fits(self) -> list[bool]:
+        """Per arc: every ``y`` a non-negative integer, every ``x``
+        non-negative and the flow ``sum_k x_k`` within ``cbar + sum_m c_m
+        y_m``; the arc conditions of every relaxation's mixed-integer set."""
+        D, caps = self.D, self.caps
+        return [
+            all(v >= 0 and not v % D for v in ya) and all(v >= 0 for v in xa)
+            and sum(xa) <= cbar + sum(c * (v // D) for c, v in zip(caps, ya))
+            for xa, ya, cbar in zip(self.x, self.y, self.cbar)
+        ]
+
 
 class IntegerView:
     """A relaxation's data and one point's crossing coordinates on integers.
 
-    The values are those of a ``ScaledPoint``, ``scaled``, all times its
+    The values are those of a ``ScaledPoint``, all times its
     D: ``caps``, ``cbar[a]`` and ``y[a][m]`` are the scaling's own lists,
     ``x[a]`` its rows of the crossing arcs, and ``b`` the relaxation's
     demands, ``b_num`` raised from the instance's scale to D.
@@ -132,49 +153,34 @@ class IntegerView:
     every comparison is the one the exact rationals make.  Per commodity
     subset Q the view memoizes ``b_Q`` and the per-arc flow sums, each
     from the memoized ``Q[:-1]`` plus commodity ``Q[-1]`` when that prefix
-    is there; per ``(s, facilities, r)`` the phi values and the per-arc
-    capacity terms, which do not depend on eta; and per distinct input
-    the greedy's ``(S+, S-, score)`` (see ``_greedy_selection``).
-    ``cbar_plus`` is ``cbar(A+)`` and ``null`` holds the null commodities:
-    zero ``b_k`` and zero flow on every crossing arc.
+    is there, and per distinct scan the greedy's winner (see
+    ``_greedy_scan``).  ``cbar_plus`` is ``cbar(A+)`` and ``null`` holds
+    the null commodities: zero ``b_k`` and zero flow on every crossing arc.
 
     ``mixed_integer`` says whether the crossing point lies in the
-    relaxation's mixed-integer set: every crossing ``y`` a non-negative
-    integer, every crossing ``x`` non-negative, each crossing arc's flow
-    ``sum_k x_k(a)`` within ``cbar_a + sum_m c_m y_am``, and each
-    commodity's net crossing flow ``x_k(A+) - x_k(A-)`` at least ``b_k``.
-    Every cut of the relaxation whose capacity terms count every facility
-    is valid for that set, so none is violated there.
+    relaxation's mixed-integer set: each crossing arc meets its conditions
+    (``ScaledPoint.fits``) and each commodity's net crossing flow ``x_k(A+)
+    - x_k(A-)`` is at least ``b_k``.  Every cut of the relaxation whose
+    capacity terms count every facility is valid for that set, so none is
+    violated there.
     """
 
     def __init__(self, rel: CutSetRelaxation, scaled: ScaledPoint):
-        self.A_plus, self.A_minus = rel.A_plus, rel.A_minus
+        self.A_plus, self.A_minus = A_plus, A_minus = rel.A_plus, rel.A_minus
         self.D = scaled.D
         self.caps, self.cbar, self.y = scaled.caps, scaled.cbar, scaled.y
         self.b = [b * scaled.up for b in rel.b_num]
-        self.x = {a: scaled.x[a] for a in rel.A_plus + rel.A_minus}
-        self.mixed_integer = self._in_mixed_integer_set()
-        self.cbar_plus = self.cbar_sum(rel.A_plus)
+        self.x = x = {a: scaled.x[a] for a in A_plus + A_minus}
+        fits = scaled.fits
+        self.mixed_integer = all(fits[a] for a in x) and all(
+            sum(x[a][k] for a in A_plus) - sum(x[a][k] for a in A_minus) >= b_k for k, b_k in enumerate(self.b)
+        )
+        self.cbar_plus = self.cbar_sum(A_plus)
         self.null = frozenset(
-            k for k, b_k in enumerate(self.b) if b_k == 0 and all(xa[k] == 0 for xa in self.x.values())
+            k for k, b_k in enumerate(self.b) if b_k == 0 and all(xa[k] == 0 for xa in x.values())
         )
         self._by_Q: dict = {}
-        self._phis: dict = {}
-        self._terms: dict = {}
         self._greedy: dict = {}
-
-    def _in_mixed_integer_set(self) -> bool:
-        D, caps, cbar, x, y = self.D, self.caps, self.cbar, self.x, self.y
-        for a, xa in x.items():
-            ya = y[a]
-            if any(v < 0 or v % D for v in ya) or any(v < 0 for v in xa):
-                return False
-            if sum(xa) > cbar[a] + sum(c * (v // D) for c, v in zip(caps, ya)):
-                return False
-        return all(
-            sum(x[a][k] for a in self.A_plus) - sum(x[a][k] for a in self.A_minus) >= b_k
-            for k, b_k in enumerate(self.b)
-        )
 
     def cbar_sum(self, arcs: Iterable[int]) -> int:
         return sum(self.cbar[a] for a in arcs)
@@ -200,54 +206,6 @@ class IntegerView:
         """Remainder r and eta of rounding ``b'_Q / c_s``."""
         c_s = self.caps[s]
         return b_prime % c_s, -(-b_prime // c_s)
-
-    def phis(self, s: int, facilities: tuple[int, ...], r: int) -> tuple[list, list]:
-        """``(m, phi+(c_m))`` and ``(m, phi-(c_m))`` for each facility m of
-        ``facilities``, D-scaled, rounded on ``s`` with remainder r (phi
-        reads no eta)."""
-        key = (s, facilities, r)
-        got = self._phis.get(key)
-        if got is None:
-            p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=0)
-            got = self._phis[key] = (
-                [(m, phi_plus(p, self.caps[m])) for m in facilities],
-                [(m, phi_minus(p, self.caps[m])) for m in facilities],
-            )
-        return got
-
-    def terms(self, s: int, facilities: tuple[int, ...], r: int) -> dict[int, int]:
-        """Per crossing arc, its capacity term: phi+ on A+ and phi- on A-
-        of each facility of ``facilities``, times that facility's ``y``."""
-        key = (s, facilities, r)
-        term = self._terms.get(key)
-        if term is None:
-            plus, minus = self.phis(s, facilities, r)
-            y = self.y
-            if len(facilities) == 1:
-                ((m, f_plus),), ((_, f_minus),) = plus, minus
-                term = {a: f_plus * y[a][m] for a in self.A_plus}
-                term.update((a, f_minus * y[a][m]) for a in self.A_minus)
-            else:
-                term = {a: sum(f * y[a][m] for m, f in plus) for a in self.A_plus}
-                term.update((a, sum(f * y[a][m] for m, f in minus)) for a in self.A_minus)
-            self._terms[key] = term
-        return term
-
-    def score(self, r: int, eta: int, cbar_minus: int, cap_lhs: int, flow_lhs: int) -> int:
-        """D^2 times the violation of the cut-set cut with remainder r,
-        given the D-scaled ``cbar(S-)`` and the D^2-scaled capacity part
-        and flow part ``x_Q(A+ \\ S+) - x_Q(S-)``."""
-        return self.D * (r * eta - cbar_minus) - cap_lhs - flow_lhs
-
-
-@dataclass(frozen=True)
-class FlowCutSelection:
-    """Arc/commodity subsets entering a flow-cut-set inequality."""
-
-    Q: tuple[int, ...]
-    S_plus: tuple[int, ...]
-    S_minus: tuple[int, ...]
-    facility: int = 0
 
 
 def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None = None) -> CutSetRelaxation:
@@ -291,14 +249,14 @@ def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
 
 
 def _cut(
-    rel: CutSetRelaxation, view: IntegerView, sel: FlowCutSelection, facilities: tuple[int, ...],
-    family: str, skip: Container = (),
-) -> LinearCut | None:
+    rel: CutSetRelaxation, scaled: ScaledPoint, Q: tuple[int, ...], S_plus: tuple[int, ...],
+    S_minus: tuple[int, ...], s: int, family: str,
+) -> LinearCut:
     """Cut-set cut with flow on ``A+ \\ S+`` and ``S-``, capacity
     coefficients ``phi+(c_m)`` on S+ and ``phi-(c_m)`` on S- for each
-    facility m of ``facilities``, rounded on the base facility
-    ``sel.facility``, built from the integers of ``view`` over its D; None
-    when its ``normalized_key()`` is in ``skip``.  On one facility it reads
+    facility m (``"mf"``) or for the base facility s alone
+    (``"flowcutset"``), rounded on s, built from the integers of
+    ``scaled.view(rel)`` over its D.  On one facility it reads
     ``r*y(S+) + x_Q(A+ \\ S+) + (c-r)*y(S-) - x_Q(S-) >= r*eta - cbar(S-)``,
     as ``phi+(c) = r`` and ``phi-(c) = c - r``.  The existing-capacity
     constant of the inflow bracket ``cbar(S-) + c*y(S-) - x_Q(S-) >= 0``
@@ -309,13 +267,14 @@ def _cut(
     params also name the base facility ``s`` and a ``facet_report`` on the
     proper arc subsets, the remainder and the demands of Q, read from the
     view's integers."""
-    Q, S_plus, S_minus = tuple(sel.Q), tuple(sel.S_plus), tuple(sel.S_minus)
+    view = scaled.view(rel)
     D = view.D
     b_prime = sum(view.b[k] for k in Q) - view.cbar_sum(S_plus) + view.cbar_sum(S_minus)
-    r, eta = view.rounding(b_prime, sel.facility)
+    r, eta = view.rounding(b_prime, s)
     if r == 0:
         raise ValueError("degenerate remainder; cut is vacuous")
-    plus, minus = view.phis(sel.facility, facilities, r)
+    plus, minus = scaled.phis(s, r)
+    facilities = range(len(plus)) if family == "mf" else (s,)
     bypass = [a for a in view.A_plus if a not in S_plus]
     # D times the cut: flow coefficients +-D, the phi values and the rhs
     flow = {}
@@ -324,97 +283,61 @@ def _cut(
             flow[(a, k)] = D
         for a in S_minus:
             flow[(a, k)] = -D
-    cap = {(a, m): f for arcs, phis in ((S_plus, plus), (S_minus, minus)) for a in arcs for m, f in phis}
-    cut = LinearCut(flow, cap, r * eta - view.cbar_sum(S_minus), family, den=D)
-    if cut.normalized_key() in skip:
-        return None
-    cut.params = params = {"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta}
+    cap = {(a, m): plus[m] for a in S_plus for m in facilities}
+    cap.update(((a, m), minus[m]) for a in S_minus for m in facilities)
+    params = {"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta}
     if family == "mf":
-        params["s"] = sel.facility
+        params["s"] = s
         params["facet_report"] = {
             "s_plus_proper": bool(S_plus) and set(S_plus) != set(rel.A_plus),
             "s_minus_proper": bool(S_minus) and set(S_minus) != set(rel.A_minus),
             "remainder_positive": r > 0,
             "all_demands_positive": all(view.b[k] > 0 for k in Q),
         }
-    return cut
+    return LinearCut(flow, cap, r * eta - view.cbar_sum(S_minus), family, params, den=D)
 
 
-def _scored(cut: LinearCut | None, scaled: ScaledPoint, score: int) -> LinearCut | None:
-    """``cut`` with its exact violation at the point of ``scaled``, the
-    D^2-scaled ``score`` of a view of it, recorded for ``scaled`` (by weak
-    reference, see ``LinearCut``)."""
-    if cut is not None:
-        cut._violation = (weakref.ref(scaled), Fraction(score, scaled.D * scaled.D))
-    return cut
-
-
-def _prefer_capacity(cap_term, flow_term) -> bool:
-    """Tie policy for the multi-facility scan: dead arcs (both terms zero)
-    join the capacity side, so a zero point yields the pure capacity cut.
-    The left-hand side is unaffected either way."""
-    return cap_term < flow_term or (cap_term == 0 and flow_term == 0)
-
-
-def _greedy_selection(view, Q, s, facilities, prefer_plus):
-    """Most violated ``(S+, S-, score)`` of the greedy cut-set scan, with
-    its D^2-scaled violation ``score``, or None.
+def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
+    """Most violated ``(S+, S-, score)`` of the greedy cut-set scan on base
+    facility s, with its D^2-scaled violation ``score``, or None.
 
     For a given remainder the least left-hand side takes an arc into S+
     (resp. S-) exactly when its capacity term is smaller than its flow
-    term (``prefer_plus`` decides S+ and its ties); with existing capacity
-    on crossing arcs the remainder moves with the selection, so the pass
-    repeats until it stabilizes, at most ``GREEDY_ROUNDS`` times.  Base
-    facility ``s`` fixes the rounding and ``facilities`` lists those whose
-    capacity terms count.  Everything runs on the integers of ``view``, one
-    pass over the arcs per distinct selection: a score depends on the
+    term.  With ``mf`` the capacity terms count every facility and a dead
+    arc (both terms zero) joins S+, so a zero point yields the pure capacity
+    cut; otherwise they count facility s alone.  Each term is computed from
+    the phi values at the scan's remainder, read from ``phis`` (the view's
+    ``ScaledPoint.phis``).  With
+    existing capacity on crossing arcs the remainder moves with the
+    selection, so the pass repeats until it stabilizes, at most
+    ``GREEDY_ROUNDS`` times.  Everything runs on the integers of ``view``,
+    one pass over the arcs per distinct selection: a score depends on the
     selection alone, so the scan stops before a repeat and right after a
-    selection whose remainder its terms came from.  A point in the
-    relaxation's mixed-integer set violates no cut whose capacity terms
-    count every facility, so there the scan is skipped.
-
-    A null commodity of the view (``b_k = 0`` and no flow on any crossing
-    arc) changes neither ``b_Q`` nor any flow, so the view keeps one scan
-    per ``Q`` without its null commodities, base facility, facilities and
-    tie policy; a subset of null commodities alone is scanned too, as
-    capacity terms alone can be violated.
+    selection whose remainder its terms came from.
     """
-    if not view.A_plus or (view.mixed_integer and len(facilities) == len(view.caps)):
-        return None
-    null = view.null
-    if null:
-        Q = tuple(k for k in Q if k not in null)
-    key = (Q, s, facilities, prefer_plus)
-    memo = view._greedy
-    if key not in memo:
-        memo[key] = _greedy_scan(view, Q, s, facilities, prefer_plus)
-    return memo[key]
-
-
-def _greedy_scan(view, Q, s, facilities, prefer_plus):
-    """The scan of ``_greedy_selection`` for one subset Q."""
-    A_plus, A_minus, cbar, D = view.A_plus, view.A_minus, view.cbar, view.D
+    A_plus, A_minus, cbar, D, y = view.A_plus, view.A_minus, view.cbar, view.D, view.y
     b_Q, flow = view.commodities(Q)
     c_s = view.caps[s]
     r = (b_Q - view.cbar_plus) % c_s
     if r == 0:
         return None
-    term = view.terms(s, facilities, r)
     best, best_viol = None, 0
     scored = ()  # the selections scored on a moved remainder
     for _ in range(GREEDY_ROUNDS):
+        plus, minus = phis(s, r)
+        f_plus, f_minus = plus[s], minus[s]
         s_plus, s_minus = [], []
         cbar_plus = cbar_minus = cap_lhs = flow_lhs = 0
         for a in A_plus:
-            t, f = term[a], flow[a]
-            if prefer_plus(t, f):
+            t, f = sum(map(mul, plus, y[a])) if mf else f_plus * y[a][s], flow[a]
+            if t < f or (mf and t == 0 == f):
                 s_plus.append(a)
                 cbar_plus += cbar[a]
                 cap_lhs += t
             else:
                 flow_lhs += f
         for a in A_minus:
-            t, f = term[a], flow[a]
+            t, f = sum(map(mul, minus, y[a])) if mf else f_minus * y[a][s], flow[a]
             if t < f:
                 s_minus.append(a)
                 cbar_minus += cbar[a]
@@ -429,8 +352,12 @@ def _greedy_scan(view, Q, s, facilities, prefer_plus):
             break
         moved = r_sel != r
         if moved:
-            term = view.terms(s, facilities, r_sel)
-            cap_lhs = sum(term[a] for a in s_plus) + sum(term[a] for a in s_minus)
+            plus, minus = phis(s, r_sel)
+            if mf:
+                cap_lhs = sum(sum(map(mul, plus, y[a])) for a in s_plus)
+                cap_lhs += sum(sum(map(mul, minus, y[a])) for a in s_minus)
+            else:
+                cap_lhs = plus[s] * sum(y[a][s] for a in s_plus) + minus[s] * sum(y[a][s] for a in s_minus)
         # D^2 times the violation: D * (r * eta - cbar(S-)) less both parts
         v = D * (r_sel * -(-b_prime // c_s) - cbar_minus) - cap_lhs - flow_lhs
         if v > best_viol:
@@ -442,6 +369,54 @@ def _greedy_scan(view, Q, s, facilities, prefer_plus):
     return best
 
 
+def separate_relaxation(
+    rel: CutSetRelaxation,
+    scaled: ScaledPoint,
+    subsets: Sequence[tuple[int, ...]],
+    family: str,
+    eps: Fraction = ZERO,
+    skip: Container = (),
+    bases: Iterable[int] | None = None,
+):
+    """The ``family`` cuts (``"flowcutset"`` or ``"mf"``) of ``rel`` violated
+    by more than eps at the point of ``scaled``, in one pass: per base
+    facility s of ``bases`` (every facility by default) and per commodity
+    subset Q of ``subsets``, in that order, the winner of the greedy scan
+    (``_greedy_scan``) unless its ``normalized_key()`` is in ``skip``.
+
+    A winner is admitted on its ints, ``score * eps.denominator >
+    eps.numerator * D^2``, before its cut is built (``_cut``), and the cut
+    records its exact violation, the score over D^2 (by weak reference to
+    ``scaled``, see ``LinearCut``).  A point in the relaxation's
+    mixed-integer set violates no cut whose capacity terms count every
+    facility, so there the pass yields nothing.  A null commodity of the
+    view (``b_k = 0`` and no flow on any crossing arc) changes neither
+    ``b_Q`` nor any flow, so the view keeps one scan per Q without its null
+    commodities, base facility and family; a subset of null commodities
+    alone is scanned too, as capacity terms alone can be violated.
+    """
+    view = scaled.view(rel)
+    mf = family == "mf"
+    if not rel.A_plus or (view.mixed_integer and (mf or len(view.caps) == 1)):
+        return
+    D, null, memo = view.D, view.null, view._greedy
+    bar, eps_den = eps.numerator * D * D, eps.denominator
+    for s in range(len(view.caps)) if bases is None else bases:
+        for Q in subsets:
+            key = (tuple(k for k in Q if k not in null) if null else Q, s, mf)
+            if key in memo:
+                found = memo[key]
+            else:
+                found = memo[key] = _greedy_scan(view, scaled.phis, key[0], s, mf)
+            if found is None or found[2] * eps_den <= bar:
+                continue
+            S_plus, S_minus, score = found
+            cut = _cut(rel, scaled, Q, S_plus, S_minus, s, family)
+            if cut.normalized_key() not in skip:
+                cut._violation = (weakref.ref(scaled), Fraction(score, D * D))
+                yield cut
+
+
 def separate_flow_cutset(
     rel: CutSetRelaxation,
     Q: Sequence[int],
@@ -450,20 +425,14 @@ def separate_flow_cutset(
     skip: Container = (),
 ) -> LinearCut | None:
     """Greedy arc selection for fixed commodities, iterated on the remainder,
-    at the point of ``scaled``.
+    at the point of ``scaled``: the ``separate_relaxation`` pass of
+    ``"flowcutset"`` on one subset Q and one base facility.
 
     Capacity terms ``r*y`` on S+ and ``(c-r)*y`` on S- of the one facility
-    compete strictly with the flow terms; see ``_greedy_selection``.  A
-    winner whose ``normalized_key()`` is in ``skip`` is not returned: None.
+    compete strictly with the flow terms; see ``_greedy_scan``.  A winner
+    whose ``normalized_key()`` is in ``skip`` is not returned: None.
     """
-    Q = tuple(Q)
-    view = scaled.view(rel)
-    found = _greedy_selection(view, Q, facility, (facility,), operator.lt)
-    if found is None:
-        return None
-    S_plus, S_minus, score = found
-    cut = _cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, facility), (facility,), "flowcutset", skip)
-    return _scored(cut, scaled, score)
+    return next(separate_relaxation(rel, scaled, [tuple(Q)], "flowcutset", skip=skip, bases=(facility,)), None)
 
 
 def separate_commodity_subset(
@@ -520,8 +489,9 @@ def separate_commodity_subset(
         r, eta = view.rounding(b_Q + b_shift, 0)
         if r == 0:
             continue
-        ((_, phi_p),), ((_, phi_m),) = view.phis(0, (0,), r)
-        score = view.score(r, eta, cbar_minus, phi_p * Y_plus + phi_m * Y_minus, net_Q)
+        plus, minus = scaled.phis(0, r)
+        # D^2 times the violation: D * (r * eta - cbar(S-)) less the capacity and flow parts
+        score = D * (r * eta - cbar_minus) - plus[0] * Y_plus - minus[0] * Y_minus - net_Q
         if score > 0 and (best is None or (score, -size, -neg_mask) > best):
             best = (score, -size, -neg_mask)
     if best is None:
@@ -540,23 +510,17 @@ def separate_multifacility(
     skip: Container = (),
 ) -> LinearCut | None:
     """Greedy arc selection with per-facility coefficient evaluation, at
-    the point of ``scaled``.
+    the point of ``scaled``: the ``separate_relaxation`` pass of ``"mf"``
+    on one subset Q (every commodity by default) and base facility s.
 
     An arc joins S+ (resp. S-) when its phi-weighted capacity falls below
     its flow, which minimizes the left-hand side arc by arc; phi is
-    evaluated once per facility and round, so the scan is linear in arcs
-    times facilities.  See ``_greedy_selection``.  A winner whose
+    evaluated once per facility and remainder, so the scan is linear in
+    arcs times facilities.  See ``_greedy_scan``.  A winner whose
     ``normalized_key()`` is in ``skip`` is not returned: None.
     """
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b_num)))
-    facilities = tuple(range(len(rel.instance.facilities)))
-    view = scaled.view(rel)
-    found = _greedy_selection(view, Q, s, facilities, _prefer_capacity)
-    if found is None:
-        return None
-    S_plus, S_minus, score = found
-    cut = _cut(rel, view, FlowCutSelection(Q, S_plus, S_minus, s), facilities, "mf", skip)
-    return _scored(cut, scaled, score)
+    return next(separate_relaxation(rel, scaled, [Q], "mf", skip=skip, bases=(s,)), None)
 
 
 def two_partitions(nodes: Sequence[int]):

@@ -104,12 +104,19 @@ def _single_facility(instance: Instance) -> bool:
 
 
 def _rc(sep: Separation, scaled: ScaledPoint):
-    point = scaled.point
-    for ai, rel in enumerate(sep.capacity_rows(arc_cuts.SPLITTABLE)):
-        ybar = max(point.y.get((ai, 0), ZERO), ZERO)
-        ineq = arc_cuts.separate_residual_capacity(rel, _fractional_loads(rel, ai, point), ybar)
-        if ineq is not None:
-            yield arc_cuts.to_instance_cut(rel, ineq, "rc")
+    """Each arc's residual capacity cut, decided on ints by
+    ``arc_cuts.residual_capacity_set``: the coefficients ``d_k / c`` and
+    ``cbar / c`` times ``S*c`` (S the instance's scale), and each load
+    ``x_k / d_k``, clamped into the unit box, as ``(S*X_k, D*S*d_k)`` with
+    ``X = D*x`` of ``scaled``; ``Fraction``s are made only for a cut."""
+    inst, D = sep.instance, scaled.D
+    S, supplies = inst.scale, inst.supply_num
+    for ai, (X, Y, cbar) in enumerate(zip(scaled.x, scaled.y, inst.cbar_num)):
+        loads = [(min(max(S * v, 0), D * d), D * d) for v, d in zip(X, supplies)]
+        T = arc_cuts.residual_capacity_set(supplies, cbar, inst.sizes_num[0], loads, max(Y[0], 0), D)
+        if T is not None:
+            rel = sep.capacity_rows(arc_cuts.SPLITTABLE)[ai]
+            yield arc_cuts.to_instance_cut(rel, arc_cuts.residual_capacity_cut(rel, T), "rc")
 
 
 def _cstrong(sep: Separation, scaled: ScaledPoint):
@@ -136,27 +143,23 @@ def _cstrong(sep: Separation, scaled: ScaledPoint):
                 pass
 
 
-def _cutset_greedy(greedy: Callable[..., LinearCut | None]):
-    """The ``separate`` of a cut-set family whose separator is ``greedy(rel,
-    s, Q, scaled, skip)``: per relaxation with an arc U -> V whose crossing
-    point is off its mixed-integer set (where no cut-set cut is violated),
-    its commodity subsets made once, then each base facility ``s`` and each
-    ``Q``.  A key is offered once per call: it enters ``skip`` only with a
-    cut violated by more than eps, as a positive multiple of a cut can be
-    violated where the cut is not."""
+def _cutset_pass(family: str):
+    """The ``separate`` of a cut-set family: per relaxation with an arc
+    U -> V whose crossing point is off its mixed-integer set (where no
+    cut-set cut is violated), its commodity subsets made once, then one
+    ``cutset_cuts.separate_relaxation`` pass over the base facilities and
+    subsets.  A key is offered once per call: it enters the pass's skip set
+    only with a cut violated by more than eps, as a positive multiple of a
+    cut can be violated where the cut is not."""
 
     def separate(sep: Separation, scaled: ScaledPoint):
         found: set = set()
         for rel in sep.relaxations:
-            if not rel.A_plus or scaled.view(rel).mixed_integer:
-                continue
-            subsets = list(_commodity_subsets(rel, scaled))
-            for s in range(len(sep.instance.facilities)):
-                for Q in subsets:
-                    cut = greedy(rel, s, Q, scaled, found)
-                    if cut is not None and cut.violation(scaled) > sep.eps:
-                        found.add(cut.normalized_key())
-                        yield cut
+            if rel.A_plus and not scaled.view(rel).mixed_integer:
+                subsets = list(_commodity_subsets(rel, scaled))
+                for cut in cutset_cuts.separate_relaxation(rel, scaled, subsets, family, sep.eps, found):
+                    found.add(cut.normalized_key())
+                    yield cut
 
     return separate
 
@@ -203,11 +206,11 @@ def _partition(sep: Separation):
                 yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"from": "total-capacity"})
 
 
-# table order is admission order.  One cut-set greedy runs per instance:
+# table order is admission order.  One cut-set pass runs per instance:
 # ``flowcutset`` on one facility, where the multi-facility cut-set inequality
-# is the flow-cut-set inequality, and ``mf`` on several.  Each looks its
-# separator up in ``cutset_cuts`` at every call, where a wrapper (the
-# benchmark's tracer) may replace it.  ``metric`` never applies: every LP
+# is the flow-cut-set inequality, and ``mf`` on several; each is one
+# ``cutset_cuts.separate_relaxation`` pass per relaxation, and ``rc`` decides
+# each arc on ints.  ``metric`` never applies: every LP
 # point carries its own flow, routable under the point's capacities, so no
 # metric inequality is violated there; ``partition_cuts.separate_metric``
 # separates capacity vectors from outside the loop.
@@ -215,10 +218,9 @@ SEPARATORS = (
     Family("rc", _single_facility, separate=_rc),
     Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, separate=_cstrong),
     Family("cutset", _single_facility, build=lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
-    Family("flowcutset", _single_facility, skipped=_mixed_integer_relaxations, separate=_cutset_greedy(
-        lambda rel, s, Q, scaled, skip: cutset_cuts.separate_flow_cutset(rel, Q, scaled, s, skip))),
-    Family("mf", lambda inst: not _single_facility(inst), skipped=_mixed_integer_relaxations, separate=_cutset_greedy(
-        lambda rel, s, Q, scaled, skip: cutset_cuts.separate_multifacility(rel, s, scaled, Q, skip))),
+    Family("flowcutset", _single_facility, skipped=_mixed_integer_relaxations, separate=_cutset_pass("flowcutset")),
+    Family("mf", lambda inst: not _single_facility(inst), skipped=_mixed_integer_relaxations,
+           separate=_cutset_pass("mf")),
     Family("metric", lambda inst: False),
     Family("partition", Instance.integral_capacities, build=_partition),
 )
@@ -273,7 +275,9 @@ class RoundReport:
     ``admitted``.  ``rationalization_error`` is the largest ``|x_float -
     x_rational|`` of the round's LP point.  ``lp_start`` says which solve
     answered the round's LP (``LPSolution.start``: ``"cold"``, ``"warm"``
-    from the previous round's tableau, or ``"cold-after-warm"``)."""
+    from the previous round's tableau, or ``"cold-after-warm"``).
+    ``build_seconds`` times the round's ``build_relaxation`` and
+    ``point_seconds`` the rationalization of its LP point."""
 
     round: int
     bound: float
@@ -286,6 +290,8 @@ class RoundReport:
     lp_rows: int = 0
     lp_iterations: int = 0
     lp_seconds: float = 0.0
+    build_seconds: float = 0.0
+    point_seconds: float = 0.0
     families: dict[str, dict] = field(default_factory=dict)
 
 
@@ -351,7 +357,9 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
             raise RelaxationError(f"relaxation solve ended with status {sol.status}")
         if rnd == config.max_rounds:
             break
+        t_point = time.perf_counter()
         point = sol.point(MAX_DENOMINATOR)
+        point_seconds = time.perf_counter() - t_point
         found = iter(separate_all(sep, point))
         families = {name: dict(counts, admitted=0) for name, counts in sep.last_round.items()}
         added: dict[str, int] = {}
@@ -375,6 +383,8 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
                 lp_rows=len(model.float_rows),
                 lp_iterations=sol.iterations,
                 lp_seconds=lp_seconds,
+                build_seconds=t_lp - t0,
+                point_seconds=point_seconds,
                 families=families,
             )
         )
@@ -609,39 +619,47 @@ class _Routing:
     """Every routing decision of one oracle call, at capacity vectors given
     as ints ``scale * cap``, ``scale`` the instance's (``Instance.scale``).
 
-    Holds two kinds of ``CapacityBounds``: ``refuted``, the refutations,
-    seeded with the node cuts (``_node_cuts``) and then every metric
-    certificate proved on the instance, and ``bounds``, safe dual bounds,
-    one store per distinct flow part of ``flows`` (the flow objectives,
-    keyed ``(arc, commodity)``); and what each decision needs: with
-    splittable routing the routing LP (``lp.RoutingLP``) and each
-    objective's columns or, with unsplittable routing, the enumerated
-    flows, each commodity's demand as the int ``scale * demand`` and a cost
-    table per distinct flow part, for a search on ints (``_cheapest``).
-    The kept forms are tried first, and only then a routing LP, with one
-    objective per distinct flow part.  Routability is the minimum of an
-    empty flow part.  Unsplittable flows are paths, plus disjoint cycles
-    only when some objective has a negative coefficient, since a cycle only
-    adds load and a nonnegative cost.
+    The objectives ``flows`` are int forms ``(nums, den)`` keyed ``(arc,
+    commodity)``, as a cut holds its flow part, each keyed by its ints over
+    their gcd with ``den`` (``parts``).  Holds two kinds of
+    ``CapacityBounds``: ``refuted``, the refutations, seeded with the node
+    cuts (``_node_cuts``) and then every metric certificate proved on the
+    instance, and ``bounds``, safe dual bounds, one store per distinct
+    part; and what each decision needs, made once per distinct part: with
+    splittable routing the routing LP (``lp.RoutingLP``) and the part's
+    columns or, with unsplittable routing, the enumerated flows, each
+    commodity's demand as the int ``scale * demand`` and a cost table, for
+    a search on ints (``_cheapest``).  The kept forms are tried first, and
+    only then a routing LP, with one objective per distinct part.
+    Routability is the minimum of an empty flow part.  Unsplittable flows
+    are paths, plus disjoint cycles only when some objective has a negative
+    coefficient, since a cycle only adds load and a nonnegative cost.
     """
 
-    def __init__(self, instance: Instance, flows: Sequence[Mapping[tuple[int, int], Fraction]]):
+    def __init__(self, instance: Instance, flows: Sequence[tuple[Mapping[tuple[int, int], int], int]]):
         self.instance = instance
-        self.flows = flows
         self.scale = instance.scale
         self.refuted = CapacityBounds()
         self.refuted.certificates = _node_cuts(instance)
-        self.parts = [frozenset(flow.items()) for flow in flows]
-        shared: dict = {}  # a dual bound bounds the flow part alone
-        self.bounds = [shared.setdefault(part, CapacityBounds()) for part in self.parts]
+        reduced: dict = {}  # each distinct part's ints, in the order of its first objective
+        self.parts = []
+        for nums, den in flows:
+            g = math.gcd(den, *nums.values())
+            ints = {key: n // g for key, n in nums.items()}
+            self.parts.append((den // g, frozenset(ints.items())))
+            reduced.setdefault(self.parts[-1], ints)
+        stores = {part: CapacityBounds() for part in reduced}  # a dual bound bounds the flow part alone
+        self.bounds = [stores[part] for part in self.parts]
         if instance.unsplittable:
-            self.priced = _unsplittable_routings(instance, cycles=any(v < 0 for flow in flows for v in flow.values()))
+            self.priced = _unsplittable_routings(instance, cycles=any(n < 0 for _, part in reduced for _, n in part))
             self.supplies = [com.total_supply for com in instance.commodities]
-            self.loads = [-net[com.source] for net, com in zip(instance.net_num, instance.commodities)]
-            self.tables: dict = {}  # the cost table (_costs) of each distinct flow part
+            self.loads = instance.supply_num
+            self.tables: dict = {}  # the cost table (_costs) of each distinct part
         else:
             self.routing = RoutingLP(instance)
-            self.objectives = [self.routing.columns(flow) for flow in flows]
+            columns = {part: self.routing.columns({key: Fraction(n, part[0]) for key, n in nums.items()})
+                       for part, nums in reduced.items()}
+            self.objectives = [columns[part] for part in self.parts]
 
     def minima(self, scaled_caps: Sequence[int], which: Sequence[int], shortfall: Callable):
         """``{i: answer}`` for the objectives ``which`` (indices into
@@ -673,7 +691,7 @@ class _Routing:
         groups = list(open_.values())
         if self.instance.unsplittable:
             for group in groups:
-                table = self._costs(group[0])
+                table = self._costs(self.parts[group[0]])
                 best = self._cheapest(table, scaled_caps)
                 if best is None:  # every group searches the same flows
                     return None
@@ -708,16 +726,14 @@ class _Routing:
                 answers[i] = routed
         return answers
 
-    def _costs(self, i: int):
-        """The cost table of objective ``i`` over ``priced``: ``(costs, den,
-        prunable)``, each flow's cost as the int ``den * cost`` per commodity,
-        and ``prunable[k]``, no flow of commodity ``k`` or later costs less
-        than 0.  Made once per distinct flow part."""
-        table = self.tables.get(self.parts[i])
+    def _costs(self, part):
+        """The cost table of the flow part ``part`` over ``priced``: ``(costs,
+        den, prunable)``, each flow's cost as the int ``den * cost`` per
+        commodity, and ``prunable[k]``, no flow of commodity ``k`` or later
+        costs less than 0.  Made once per distinct part."""
+        table = self.tables.get(part)
         if table is None:
-            flow = self.flows[i]
-            den = math.lcm(*(v.denominator for v in flow.values()))
-            weight = dict(zip(flow, scaled_ints(flow.values(), den)))
+            weight = dict(part[1])
             costs = [
                 [load * sum(weight.get((ai, ki), 0) for ai in arcs) for arcs in flows]
                 for ki, (load, flows) in enumerate(zip(self.loads, self.priced))
@@ -725,7 +741,7 @@ class _Routing:
             prunable = [True] * (len(costs) + 1)
             for ki in reversed(range(len(costs))):
                 prunable[ki] = prunable[ki + 1] and min(costs[ki], default=0) >= 0
-            table = self.tables[self.parts[i]] = (costs, den * self.scale, prunable)
+            table = self.tables[part] = (costs, part[0] * self.scale, prunable)
         return table
 
     def _cheapest(self, table, scaled_caps: Sequence[int]):
@@ -805,7 +821,8 @@ def brute_force_ip(
     larger than its budget.
     """
     flow_cost = {(ai, ki): c for ai, row in enumerate(instance.flow_costs) for ki, c in enumerate(row)}
-    routing = _Routing(instance, [flow_cost])
+    den = math.lcm(*(c.denominator for c in flow_cost.values()))
+    routing = _Routing(instance, [(dict(zip(flow_cost, scaled_ints(flow_cost.values(), den))), den)])
     keys, points = _grid(instance, y_bounds, ybound)
     unit_cost = [instance.facilities[mi].costs[ai] for ai, mi in keys]
     best = install = None
@@ -861,7 +878,7 @@ def validate_cuts(
     serves every later one; every verdict and counterexample is exact.
     """
     verdicts: list = [(True, None) for _ in cuts]
-    routing = _Routing(instance, [cut.flow for cut in cuts])
+    routing = _Routing(instance, [(cut.flow_num, cut.den) for cut in cuts])
     grid_idx = []
     for idx, cut in enumerate(cuts):
         if not cut.flow_num and all(v >= 0 for v in cut.cap_num.values()):

@@ -51,6 +51,13 @@ def integral_scale(values):
     return F(lcm, math.gcd(*(v.numerator * (lcm // v.denominator) for v in values)) or 1)
 
 
+def int_form(flow):
+    """``(nums, den)`` of a map of rationals: each value times ``den``, the
+    lcm of their denominators, in ints (an objective of ``engine._Routing``)."""
+    den = math.lcm(*(F(v).denominator for v in flow.values()))
+    return {key: int(F(v) * den) for key, v in flow.items()}, den
+
+
 def installation_cost(z, c1, c2, d1, d2):
     """Least cost of covering ``z`` units with two facility sizes.
 
@@ -246,23 +253,34 @@ def integral_metric_cut(vector, instance):
     return LinearCut({}, cut.cap, ceil(cut.rhs), "metric-integral", cut.params)
 
 
-def _zero_point_cut(rel, sel, facilities, family):
+@dataclass(frozen=True)
+class FlowCutSelection:
+    """Arc/commodity subsets entering a flow-cut-set inequality."""
+
+    Q: tuple[int, ...]
+    S_plus: tuple[int, ...]
+    S_minus: tuple[int, ...]
+    facility: int = 0
+
+
+def _zero_point_cut(rel, sel, family):
     from netdes_cuts.core import FractionalPoint
     from netdes_cuts.cutset_cuts import ScaledPoint, _cut
 
-    return _cut(rel, ScaledPoint(rel.instance, FractionalPoint()).view(rel), sel, facilities, family)
+    scaled = ScaledPoint(rel.instance, FractionalPoint())
+    return _cut(rel, scaled, tuple(sel.Q), tuple(sel.S_plus), tuple(sel.S_minus), sel.facility, family)
 
 
 def flow_cutset_cut(rel, sel):
     """Mixed rounding cut over capacity on (S+, S-) and flow elsewhere, on
     the base facility ``sel.facility`` alone (see ``cutset_cuts._cut``)."""
-    return _zero_point_cut(rel, sel, (sel.facility,), "flowcutset")
+    return _zero_point_cut(rel, sel, "flowcutset")
 
 
 def multifacility_cutset_cut(rel, sel):
     """Flow-cut-set cut with subadditive coefficients for every facility,
     rounded on the base facility ``sel.facility`` (see ``cutset_cuts._cut``)."""
-    return _zero_point_cut(rel, sel, tuple(range(len(rel.instance.facilities))), "mf")
+    return _zero_point_cut(rel, sel, "mf")
 
 
 # -- arc sets -------------------------------------------------------------------
@@ -347,6 +365,27 @@ def rc_best_violation(rel, xbar, ybar):
     return best, best_S
 
 
+def reference_residual_capacity(rel, xbar, ybar):
+    """Fraction reference for ``arc_cuts.separate_residual_capacity`` (the
+    library's former implementation): the set T of loads above the
+    fractional part of ``ybar``, the test ``a_0 + floor(ybar) < a(T) <
+    a_0 + ceil(ybar)`` and the slack sign, in ``Fraction``s."""
+    from netdes_cuts.arc_cuts import residual_capacity_cut
+
+    xbar = {i: F(v) for i, v in (xbar.items() if isinstance(xbar, dict) else enumerate(xbar))}
+    ybar = F(ybar)
+    fy = ybar - math.floor(ybar)
+    T = [i for i in range(rel.n) if xbar.get(i, ZERO) > fy]
+    if not T:
+        return None
+    lo, hi = rel.a0 + math.floor(ybar), rel.a0 + math.ceil(ybar)
+    if not lo < rel.a_sum(T) < hi:
+        return None
+    gap = math.ceil(ybar) - ybar
+    slack = sum((rel.a[i] * (1 - xbar.get(i, ZERO) - gap) for i in T), ZERO) + gap * lo
+    return residual_capacity_cut(rel, T) if slack < 0 else None
+
+
 def cstrong_best_violation(rel, xbar, ybar):
     from netdes_cuts.arc_cuts import c_strong_value
 
@@ -384,8 +423,6 @@ def knapsack_min(capacities, rhs, obj):
 
 def flow_cutset_best_violation(rel, point, Q):
     """Exhaustive most-violated flow-cut-set inequality over arc subsets."""
-    from netdes_cuts.cutset_cuts import FlowCutSelection
-
     best, best_sel = ZERO, None
     for sp_size in range(len(rel.A_plus) + 1):
         for S_plus in combinations(rel.A_plus, sp_size):
@@ -403,8 +440,6 @@ def flow_cutset_best_violation(rel, point, Q):
 
 
 def multifacility_best_violation(rel, point, s, Q):
-    from netdes_cuts.cutset_cuts import FlowCutSelection
-
     best, best_sel = ZERO, None
     for sp_size in range(len(rel.A_plus) + 1):
         for S_plus in combinations(rel.A_plus, sp_size):
@@ -499,7 +534,6 @@ def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_round
     """The greedy cut-set scan on Fractions, building and scoring every
     selection as a Fraction cut (the library's former implementation).
     Each pass's ``(S+, S-)`` is appended to the list ``passes`` when given."""
-    from netdes_cuts.cutset_cuts import FlowCutSelection
     from netdes_cuts.mir import PhiParams, phi_minus, phi_plus
 
     if not rel.A_plus:
@@ -582,8 +616,6 @@ def reference_commodity_subset(rel, S_plus, S_minus, point):
     exhaustive scan that builds and scores a cut per nonempty subset, by
     size and then in lexicographic order, and keeps the first of the most
     violated, rounded on facility 0."""
-    from netdes_cuts.cutset_cuts import FlowCutSelection
-
     c = rel.instance.facilities[0].capacity
     S_plus, S_minus = tuple(S_plus), tuple(S_minus)
     ks = range(len(rel.b_num))
@@ -631,7 +663,7 @@ def reference_separate_all(instance, point, config):
 
     if "rc" in config.families and single_facility:
         for ai in range(len(instance.arcs)):
-            admit(_reference_rc_arc(instance, ai, point))
+            admit(reference_rc_arc(instance, ai, point))
     if "cstrong" in config.families and single_facility and instance.unsplittable:
         for ai in range(len(instance.arcs)):
             for cut in _reference_unsplittable_arc(instance, ai, point):
@@ -941,13 +973,13 @@ def reference_partition_candidates(instance):
                     yield LinearCut({}, cap, rhs, "partition", {"from": "total-capacity"})
 
 
-def _reference_rc_arc(instance, ai, point):
+def reference_rc_arc(instance, ai, point):
     from netdes_cuts import arc_cuts, engine
 
     rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.SPLITTABLE)
     xhat = engine._fractional_loads(rel, ai, point)
     ybar = max(point.y.get((ai, 0), ZERO), ZERO)
-    ineq = arc_cuts.separate_residual_capacity(rel, xhat, ybar)
+    ineq = reference_residual_capacity(rel, xhat, ybar)
     if ineq is None:
         return None
     return arc_cuts.to_instance_cut(rel, ineq, "rc")

@@ -23,7 +23,7 @@ from netdes_cuts.arc_cuts import (
     separate_residual_capacity,
 )
 from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut
-from netdes_cuts.cutset_cuts import FlowCutSelection, build_cutset
+from netdes_cuts.cutset_cuts import build_cutset
 from netdes_cuts.engine import (
     Config,
     brute_force_ip,
@@ -43,6 +43,7 @@ from netdes_cuts.simplex import GE, LE, solve_lp
 
 from conftest import make_triangle
 from helpers import (
+    FlowCutSelection,
     arc_violation,
     cone_violations,
     criterion_10_sample,

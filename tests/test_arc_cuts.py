@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -36,6 +36,7 @@ from helpers import (
     min_over_fs,
     normalized,
     rc_best_violation,
+    reference_residual_capacity,
 )
 
 
@@ -208,6 +209,43 @@ def test_separation_exact_on_random_arc_sets():
         got = separate_residual_capacity(rel, x, ybar)
         best, _ = rc_best_violation(rel, {i: v for i, v in enumerate(x)}, ybar)
         assert (got is None) == (best == 0)
+
+
+def test_integer_decision_matches_the_fraction_reference():
+    """``separate_residual_capacity`` decides on ints
+    (``residual_capacity_set``) what the ``Fraction`` reference decides:
+    the same cut or None, on random arc sets with zero coefficients, loads
+    outside the unit box or missing, and negative, integral and fractional
+    ``ybar`` over large denominators, where both outcomes occur often, and
+    on a grid in quarters, where the slack is often exactly zero."""
+    rng = random.Random(37)
+    cuts = nones = 0
+    for trial in range(1500):
+        n = rng.randint(1, 6)
+        den = rng.choice((1, 2, 3, 12, 10**6))
+        rel = ArcSetRelaxation(
+            a=tuple(F(rng.randint(0, 2 * den), den) if rng.random() < 0.9 else F(0) for _ in range(n)),
+            a0=F(rng.randint(0, den), den),
+            mode=SPLITTABLE,
+        )
+        xden = rng.choice((1, 2, 4, 7, 1000003))
+        x = {i: F(rng.randint(-xden // 4, 5 * xden // 4), xden) for i in range(n) if rng.random() < 0.9}
+        yden = rng.choice((1, 3, 8, 999983))
+        if trial % 2:
+            ybar = F(rng.randint(-2 * yden, 4 * yden), yden)
+        else:  # near the load, where cuts are violated
+            ybar = sum((a * x.get(i, 0) for i, a in enumerate(rel.a)), F(0)) - rel.a0 + F(rng.randint(-yden, yden), 4 * yden)
+        got = separate_residual_capacity(rel, x, ybar)
+        assert got == reference_residual_capacity(rel, x, ybar)
+        cuts += got is not None
+        nones += got is None
+    assert cuts > 150 and nones > 500, (cuts, nones)
+    # at a zero slack no cut is violated
+    quarters = [F(i, 4) for i in range(5)]
+    for a1, a2, a0 in product(quarters[1:], quarters[1:], quarters[:3]):
+        rel = ArcSetRelaxation(a=(a1, a2), a0=a0, mode=SPLITTABLE)
+        for x, y in product(product(quarters, quarters), range(-2, 9)):
+            assert separate_residual_capacity(rel, x, F(y, 4)) == reference_residual_capacity(rel, x, F(y, 4))
 
 
 # -- c-strong --------------------------------------------------------------------------

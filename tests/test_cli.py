@@ -37,6 +37,7 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
         assert list(entry) == [f.name for f in dataclasses.fields(RoundReport)]
         assert entry["lp_start"] == ("cold" if entry["round"] == 0 else "warm")
         assert entry["lp_rows"] > 0 and entry["lp_iterations"] > 0 and entry["lp_seconds"] > 0
+        assert entry["build_seconds"] >= 0 and entry["point_seconds"] >= 0
         assert math.isfinite(entry["rationalization_error"]) and entry["rationalization_error"] >= 0
     if report["oracle_optimum"] is not None:
         assert report["final_bound"] <= report["oracle_optimum"] + 1e-6

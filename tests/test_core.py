@@ -270,10 +270,10 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
         assert all(type(v) is int for v in table)
 
         assert NodePairTable(inst).scale == S
-        routing = engine._Routing(inst, [{}])
+        routing = engine._Routing(inst, [({}, 1)])
         assert routing.scale == S
         if inst.unsplittable:
-            assert routing.loads == [S * com.total_supply for com in inst.commodities]
+            assert routing.loads == tuple(S * com.total_supply for com in inst.commodities)
         arcs, commodities = range(len(inst.arcs)), range(len(inst.commodities))
         point = FractionalPoint(
             x={(ai, ki): F(rng.randint(0, 5), rng.choice((1, 2, 5))) for ai in arcs for ki in commodities},

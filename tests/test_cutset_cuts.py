@@ -16,7 +16,6 @@ from netdes_cuts.core import (
 )
 from netdes_cuts.cutset_cuts import (
     GREEDY_ROUNDS,
-    FlowCutSelection,
     ScaledPoint,
     build_cutset,
     cutset_cut,
@@ -27,6 +26,7 @@ from netdes_cuts.cutset_cuts import (
 )
 from netdes_cuts.engine import MAX_DENOMINATOR, Q_SUBSET_LIMIT, _commodity_subsets, generate_instance, validate_cut
 from helpers import (
+    FlowCutSelection,
     flow_cutset_best_violation,
     flow_cutset_cut,
     in_cutset_mixed_integer_set,
@@ -966,7 +966,7 @@ def test_a_null_commodity_changes_no_selection_and_needs_no_scan(monkeypatch):
     its flow terms whenever it has some."""
     scans = []
     scan = cutset_cuts._greedy_scan
-    monkeypatch.setattr(cutset_cuts, "_greedy_scan", lambda *args: scans.append(args[1]) or scan(*args))
+    monkeypatch.setattr(cutset_cuts, "_greedy_scan", lambda *args: scans.append(args[2]) or scan(*args))
     compared = named = 0
     for rel, pt, rng, null in _null_commodity_separations():
         scaled = ScaledPoint(rel.instance, pt)
@@ -1094,3 +1094,77 @@ def test_facet_report_matches_the_fraction_reference():
     assert all(report["remainder_positive"] for report in reports)
     assert {report["all_demands_positive"] for report in reports} == {True, False}
     assert len(reports) > 500, len(reports)
+
+
+def _reference_winners(rel, pt, subsets, family):
+    """The per-subset ``Fraction`` references' winners, per base facility
+    and subset, in that order, as one ``separate_relaxation`` pass meets
+    them (None where a scan finds nothing)."""
+    facilities = range(len(rel.instance.facilities))
+    if family == "mf":
+        return [reference_multifacility(rel, s, pt, Q=Q) for s in facilities for Q in subsets]
+    return [reference_flow_cutset(rel, Q, pt, facility=s) for s in facilities for Q in subsets]
+
+
+def test_one_pass_per_relaxation_matches_the_per_subset_references():
+    """One ``separate_relaxation`` pass per relaxation, family and eps,
+    its skip set taking each yielded key as the engine's does and shared
+    by every pass on a point, yields the per-subset references' cuts
+    violated by more than eps whose keys it has not taken, in order, with
+    their keys, params and families, and records each one's exact
+    violation; on random points, on points whose remainder moves at every
+    scan (existing capacity on crossing arcs) and on relaxations with null
+    commodities, at an eps that refuses many winners and at one that
+    admits most."""
+    cases = [(rel, pt) for rel, pt, _ in _random_separations()][:50]
+    cases += [(rel, pt) for rel, pt, _ in _shifting_separations()][:20]
+    cases += [(rel, pt) for rel, pt, _, _ in _null_commodity_separations()][:40]
+    yielded = refused = skipped = 0
+    for rel, pt in cases:
+        scaled = ScaledPoint(rel.instance, pt)
+        subsets = list(_commodity_subsets(rel, scaled))
+        winners = {family: _reference_winners(rel, pt, subsets, family) for family in ("flowcutset", "mf")}
+        found, want_found = set(), set()
+        for eps in (F(1), F(1, 10**6)):
+            for family, cuts in winners.items():
+                want = []
+                for cut in cuts:
+                    if cut is None:
+                        continue
+                    refused += cut.violation(pt) <= eps
+                    if cut.violation(pt) > eps:
+                        skipped += cut.normalized_key() in want_found
+                        if cut.normalized_key() not in want_found:
+                            want_found.add(cut.normalized_key())
+                            want.append(cut)
+                got = []
+                for cut in cutset_cuts.separate_relaxation(rel, scaled, subsets, family, eps, found):
+                    found.add(cut.normalized_key())
+                    got.append(cut)
+                assert [(c.normalized_key(), c.params, c.family) for c in got] == [
+                    (c.normalized_key(), c.params, c.family) for c in want]
+                assert [recorded_violation(c, scaled) for c in got] == [c.violation(pt) for c in want]
+                yielded += len(got)
+        assert found == want_found
+    assert yielded > 1000 and refused > 200 and skipped > 1000, (yielded, refused, skipped)
+
+
+def test_a_winner_violated_by_exactly_eps_is_not_admitted():
+    """A pass admits a winner on ints only when its violation exceeds eps:
+    at eps equal to a single-subset winner's exact violation it yields
+    nothing, and 1/10**12 below it yields that cut, for both families."""
+    checked = 0
+    for rel, pt, rng in list(_random_separations())[:60]:
+        scaled = ScaledPoint(rel.instance, pt)
+        for Q in _sampled_subsets(rel, rng):
+            for family, separate in (("flowcutset", lambda: separate_flow_cutset(rel, Q, scaled)),
+                                     ("mf", lambda: separate_multifacility(rel, 0, scaled, Q=Q))):
+                cut = separate()
+                if cut is None:
+                    continue
+                violation = cut.violation(scaled)
+                for eps, admitted in ((violation, False), (violation - F(1, 10**12), True)):
+                    got = list(cutset_cuts.separate_relaxation(rel, scaled, [Q], family, eps, bases=(0,)))
+                    assert [c.normalized_key() for c in got] == ([cut.normalized_key()] if admitted else [])
+                checked += 1
+    assert checked > 100, checked

@@ -32,9 +32,11 @@ from helpers import (
     GOLDEN_4_NODE,
     arc_capacity,
     in_cutset_mixed_integer_set,
+    int_form,
     lhs_value,
     pure_capacity_counterexamples,
     reference_best_unsplittable,
+    reference_rc_arc,
     reference_separate_all,
     reference_validate_cuts,
     select_total_capacity_cut,
@@ -132,6 +134,17 @@ def test_loop_reports_stop_reason_and_family_counters(monkeypatch):
         assert rep.families["partition"]["skipped"] == 0
     assert done.reports[0].families["mf"]["admitted"] > 0
     assert any(rep.families["mf"]["skipped"] for rep in done.reports)
+
+
+def test_rounds_report_build_and_point_seconds():
+    """Each round reports the seconds of its ``build_relaxation`` and of
+    rationalizing its LP point: nonnegative floats that, with the LP solve's
+    seconds, time disjoint parts of the round."""
+    res = cutting_plane_loop(generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3)), Config(max_rounds=3))
+    for rep in res.reports:
+        assert type(rep.build_seconds) is float and type(rep.point_seconds) is float
+        assert rep.build_seconds >= 0 and rep.point_seconds >= 0
+        assert rep.build_seconds + rep.lp_seconds + rep.point_seconds <= rep.wall_time
 
 
 def test_round_cap_solve_is_checked_like_every_round(monkeypatch):
@@ -334,6 +347,38 @@ def _assert_same_admission(sep, point):
             assert [(v, type(v)) for _, v in got] == [(v, type(v)) for _, v in want]
 
 
+def test_rc_decides_each_arc_on_ints_as_the_fraction_reference(monkeypatch):
+    """The loop's ``rc`` separator decides each arc on the round's scaled
+    point, ``Fraction``s made only for a cut, and yields per arc, in order,
+    the cut of the ``Fraction`` reference (the former separator on clamped
+    loads): at every round point of the golden one-facility loops, and at
+    random points with loads outside the unit box, negative ``y`` and
+    integral ``y``; both outcomes occur on many arcs."""
+    rng = random.Random(41)
+    cuts = no_cuts = 0
+    for seed in sorted(GOLDEN_4_NODE):
+        if seed % 2:
+            continue
+        inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1,))
+        points = [point for _, point, _ in _separation_rounds(monkeypatch, inst, Config(max_rounds=10))]
+        arcs, commodities = range(len(inst.arcs)), range(len(inst.commodities))
+        for trial in range(60):
+            x = {(a, k): F(rng.randint(-2, 12), rng.choice((1, 3, 4, 997))) for a in arcs for k in commodities}
+            y = {(a, 0): F(rng.randint(-3, 12), rng.choice((1, 1, 2, 5, 1009))) for a in arcs}
+            if trial % 2:  # y near the load, where cuts are violated
+                y = {(a, 0): sum((x[(a, k)] for k in commodities), F(0)) + F(rng.randint(-4, 4), 7) for a in arcs}
+            points.append(FractionalPoint(x=x, y=y))
+        sep = engine.Separation(inst, Config(families=("rc",)))
+        for point in points:
+            got = list(engine._rc(sep, cutset_cuts.ScaledPoint(inst, point)))
+            want = [reference_rc_arc(inst, ai, point) for ai in arcs]
+            assert [(c.normalized_key(), c.params) for c in got] == [
+                (c.normalized_key(), c.params) for c in want if c is not None]
+            cuts += len(got)
+            no_cuts += len(want) - len(got)
+    assert cuts > 100 and no_cuts > 1000, (cuts, no_cuts)
+
+
 def test_integer_admission_matches_fraction_violation(monkeypatch):
     """Built-once candidates admitted on their ints, at the point's
     shared scaling and at one by its ``y`` alone, are exactly those whose
@@ -476,23 +521,18 @@ def test_one_separate_all_call_views_each_relaxation_once(monkeypatch):
 
 
 def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
-    """At the golden round points, ``flowcutset`` and ``mf`` call their
-    separators on no relaxation without an arc U -> V and on none whose
-    crossing point lies in its mixed-integer set, and ``separate_all``
-    still gives the reference's candidates."""
+    """At the golden round points, ``flowcutset`` and ``mf`` run their
+    pass (``separate_relaxation``) on every relaxation with an arc U -> V
+    whose crossing point lies off its mixed-integer set and on no other,
+    and ``separate_all`` still gives the reference's candidates."""
     calls = []
+    real = cutset_cuts.separate_relaxation
 
-    def counting(name):
-        real = getattr(cutset_cuts, name)
+    def counted(rel, scaled, *args, **kwargs):
+        calls.append((rel, scaled.point))
+        return real(rel, scaled, *args, **kwargs)
 
-        def counted(rel, *args, **kwargs):
-            calls.append((rel, args[1].point))  # args[1] is the ScaledPoint for both separators
-            return real(rel, *args, **kwargs)
-
-        monkeypatch.setattr(cutset_cuts, name, counted)
-
-    counting("separate_flow_cutset")
-    counting("separate_multifacility")
+    monkeypatch.setattr(cutset_cuts, "separate_relaxation", counted)
     mixed_integer = separated = 0
     for seed in sorted(GOLDEN_4_NODE):
         inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
@@ -501,7 +541,7 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
         for (sep, point, found), searched in zip(rounds, per_round):
             for rel in sep.relaxations:
                 skip = not rel.A_plus or in_cutset_mixed_integer_set(rel, point)
-                assert not (skip and id(rel) in searched)
+                assert skip != (id(rel) in searched)
                 mixed_integer += bool(rel.A_plus) and skip
                 separated += not skip
             reference = _first_of_each_key(reference_separate_all(inst, point, Config(max_rounds=10)))
@@ -1240,11 +1280,39 @@ def test_best_unsplittable_matches_exhaustive_search_with_negative_costs():
                 if all(load <= cap for load, cap in zip(loads, caps)):
                     costs.append(sum((objective[(ai, ki)] * demands[ki]
                                       for ki, flow in enumerate(choice) for ai in flow), F(0)))
-            routing = engine._Routing(inst, [objective])
+            routing = engine._Routing(inst, [int_form(objective)])
             best = routing.minima(scaled_ints(caps, routing.scale), [0], lambda i: None)
             assert (best and best[0][0]) == (min(costs) if costs else None)
             checked += bool(costs)
     assert checked >= 10
+
+
+def test_cuts_with_one_flow_part_share_one_part_objective_and_bound_store():
+    """``_Routing`` keys each objective by its flow part on ints, a cut's
+    ``flow_num`` over its gcd with ``den``: two cuts with equal flow parts
+    but different right-hand sides, so different stored ints, share one
+    part, one objective (columns made once) and one bound store, and on an
+    unsplittable instance one cost table; a cut with another flow part has
+    its own."""
+    flow = {(0, 0): F(1), (1, 0): F(-1, 2)}
+    a = LinearCut(flow, {(0, 0): F(1)}, F(1, 3), "flowcutset")
+    b = LinearCut(flow, {(1, 0): F(2)}, F(5), "flowcutset")
+    c = LinearCut({(0, 0): F(2), (1, 0): F(-1, 2)}, {}, F(1), "flowcutset")
+    assert (a.flow_num, a.den) != (b.flow_num, b.den) and a.flow == b.flow
+    splittable = generate_instance(seed=1103, nodes=4, density=0.5, facilities=(1,))
+    unsplittable = generate_instance(seed=7, nodes=4, density=0.6, facilities=(1,), mode="disaggregated",
+                                     unsplittable=True)
+    for inst in (splittable, unsplittable):
+        routing = engine._Routing(inst, [(cut.flow_num, cut.den) for cut in (a, b, c)])
+        assert routing.parts[0] == routing.parts[1] != routing.parts[2]
+        assert routing.bounds[0] is routing.bounds[1] and routing.bounds[0] is not routing.bounds[2]
+        if inst.unsplittable:
+            tables = [routing._costs(part) for part in routing.parts]
+            assert tables[0] is tables[1] and tables[0] is not tables[2]
+        else:
+            assert routing.objectives[0] is routing.objectives[1]
+            assert routing.objectives[0] is not routing.objectives[2]
+            assert routing.objectives[0] == routing.routing.columns(a.flow)
 
 
 def test_integer_unsplittable_search_matches_the_fraction_reference():
@@ -1273,7 +1341,7 @@ def test_integer_unsplittable_search_matches_the_fraction_reference():
             {key: F(rng.randint(0, 4), rng.choice((1, 2, 3))) for key in pairs if rng.random() < 0.5},
         ]
         objectives[2][pairs[0]] = F(-1)
-        routing = engine._Routing(inst, objectives)
+        routing = engine._Routing(inst, [int_form(objective) for objective in objectives])
         paths = engine._unsplittable_routings(inst, cycles=False)
         priced = engine._unsplittable_routings(inst)
         priced_cycles += priced != paths

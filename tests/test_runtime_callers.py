@@ -28,6 +28,8 @@ KEPT = {
     "partition_cuts.three_partition_cut": "perfbench/spans.py wraps it",
     "partition_cuts.three_partition_metric_cut": "perfbench/spans.py wraps it",
     "partition_cuts.separate_metric": "perfbench/spans.py wraps it",
+    "cutset_cuts.separate_multifacility": "perfbench/spans.py wraps it; the single-subset call of separate_relaxation",
+    "arc_cuts.separate_residual_capacity": "perfbench/spans.py wraps it; the Fraction call of residual_capacity_set",
     "partition_cuts.lift_cut": "ROADMAP item 7 shrinks by the LP point and lifts with it",
     "engine.LoopResult.exact_bound": "API: the certified bound of cutting_plane_loop's result",
     "cli.main": "the console script's entry point",
