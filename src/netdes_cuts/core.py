@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -393,10 +392,8 @@ class LinearCut:
     them once.  A builder that holds the cut's ints over a common positive
     denominator passes them with ``den=``, and they are reduced.  ``flow``,
     ``cap`` and ``rhs`` are read-only ``Fraction`` views, made on first
-    read; the ints are not changed after construction.  A builder that
-    knows the cut's exact violation at a ``cutset_cuts.ScaledPoint`` may
-    store ``(weakref.ref(scaled), violation)`` in ``_violation``: a pooled
-    cut does not keep its round's scaling, and the views it holds, alive.
+    read; the ints are not changed after construction.  A cut holds no
+    state of the point it was separated at: ``violation`` evaluates it.
     """
 
     flow_num: dict[tuple[int, int], int]
@@ -424,7 +421,6 @@ class LinearCut:
         self.family = family
         self.params = {} if params is None else params
         self._flow = self._cap = self._rhs = self._key = None
-        self._violation = (None, None)
 
     @property
     def flow(self) -> dict[tuple[int, int], Fraction]:
@@ -458,11 +454,7 @@ class LinearCut:
         ``FractionalPoint`` or a ``cutset_cuts.ScaledPoint`` of one, whose
         ``x[a][k]`` and ``y[a][m]`` are the coordinates times its D, and
         then the left-hand side is summed on ints (the loop passes the one
-        scaling its separators share, which also answers a recorded
-        violation)."""
-        scaled, recorded = self._violation
-        if scaled is not None and scaled() is point:
-            return recorded
+        scaling its separators share)."""
         if isinstance(point, FractionalPoint):
             return (self.rhs_num - self._lhs_num(point)) / self.den
         D, X, Y = point.D, point.x, point.y

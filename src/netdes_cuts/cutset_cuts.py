@@ -26,8 +26,9 @@ pass over a relaxation's base facilities and commodity subsets, each scan
 computing its capacity terms from the phi values at its remainder.  It
 admits a winner on ints, D^2 times its violation against eps, before any
 cut is built, and builds each admitted cut once, from the flow
-coefficients D, the phi values and the right-hand side over D; the cut
-records its exact violation, the score over D^2.  A pass skips the keys already found in a round (``skip``).
+coefficients D, the phi values and the right-hand side over D, and
+yields it with its exact violation, the score over D^2.  A pass skips the
+keys already found in a round (``skip``).
 ``separate_flow_cutset`` and ``separate_multifacility`` are its
 single-subset calls; the exact subset search ``separate_commodity_subset``
 scores on the same view.  The phi functions are homogeneous, and every
@@ -51,7 +52,6 @@ for the set and is never skipped.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -378,16 +378,16 @@ def separate_relaxation(
     skip: Container = (),
     bases: Iterable[int] | None = None,
 ):
-    """The ``family`` cuts (``"flowcutset"`` or ``"mf"``) of ``rel`` violated
-    by more than eps at the point of ``scaled``, in one pass: per base
+    """``(cut, exact violation)`` for the ``family`` cuts (``"flowcutset"`` or
+    ``"mf"``) of ``rel`` violated by more than eps at the point of
+    ``scaled``, in one pass: per base
     facility s of ``bases`` (every facility by default) and per commodity
     subset Q of ``subsets``, in that order, the winner of the greedy scan
     (``_greedy_scan``) unless its ``normalized_key()`` is in ``skip``.
 
     A winner is admitted on its ints, ``score * eps.denominator >
-    eps.numerator * D^2``, before its cut is built (``_cut``), and the cut
-    records its exact violation, the score over D^2 (by weak reference to
-    ``scaled``, see ``LinearCut``).  A point in the relaxation's
+    eps.numerator * D^2``, before its cut is built (``_cut``), and its
+    violation is the score over D^2.  A point in the relaxation's
     mixed-integer set violates no cut whose capacity terms count every
     facility, so there the pass yields nothing.  A null commodity of the
     view (``b_k = 0`` and no flow on any crossing arc) changes neither
@@ -413,8 +413,7 @@ def separate_relaxation(
             S_plus, S_minus, score = found
             cut = _cut(rel, scaled, Q, S_plus, S_minus, s, family)
             if cut.normalized_key() not in skip:
-                cut._violation = (weakref.ref(scaled), Fraction(score, D * D))
-                yield cut
+                yield cut, Fraction(score, D * D)
 
 
 def separate_flow_cutset(
@@ -432,7 +431,8 @@ def separate_flow_cutset(
     compete strictly with the flow terms; see ``_greedy_scan``.  A winner
     whose ``normalized_key()`` is in ``skip`` is not returned: None.
     """
-    return next(separate_relaxation(rel, scaled, [tuple(Q)], "flowcutset", skip=skip, bases=(facility,)), None)
+    found = separate_relaxation(rel, scaled, [tuple(Q)], "flowcutset", skip=skip, bases=(facility,))
+    return next((cut for cut, _ in found), None)
 
 
 def separate_commodity_subset(
@@ -520,7 +520,7 @@ def separate_multifacility(
     ``normalized_key()`` is in ``skip`` is not returned: None.
     """
     Q = tuple(Q) if Q is not None else tuple(range(len(rel.b_num)))
-    return next(separate_relaxation(rel, scaled, [Q], "mf", skip=skip, bases=(s,)), None)
+    return next((cut for cut, _ in separate_relaxation(rel, scaled, [Q], "mf", skip=skip, bases=(s,))), None)
 
 
 def two_partitions(nodes: Sequence[int]):

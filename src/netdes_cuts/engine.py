@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import arc_cuts, cutset_cuts, lp, partition_cuts
@@ -85,18 +85,38 @@ class RelaxationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Family:
-    """A separation family: ``applies(instance)``, and either ``build(sep)``,
-    its candidates made once per loop from the instance alone, or
-    ``separate(sep, scaled)``, its candidates at each round's LP point,
-    given as the round's one ``cutset_cuts.ScaledPoint`` (a family that
-    never applies has neither).  ``skipped(sep, scaled)`` counts the
-    relaxations a separating family passed over at the point."""
+    """A separation family: ``applies(instance)`` and ``separate(sep,
+    scaled)``, which yields ``(cut, exact violation)`` for its candidates
+    violated by more than ``sep.eps`` at the round's one
+    ``cutset_cuts.ScaledPoint``.  A built-once family's candidates are
+    ``build(sep)``, made once per loop into ``sep.fixed``.  ``skipped(sep,
+    scaled)`` counts the relaxations a family passed over at the point."""
 
     name: str
     applies: Callable[[Instance], bool]
+    separate: Callable[[Separation, ScaledPoint], Iterable[tuple[LinearCut, Fraction]]] | None = None
     build: Callable[[Separation], Iterable[LinearCut | None]] | None = None
-    separate: Callable[[Separation, ScaledPoint], Iterable[LinearCut | None]] | None = None
     skipped: Callable[[Separation, ScaledPoint], int] | None = None
+
+
+def _checked(candidates: Callable[[Separation, ScaledPoint], Iterable[LinearCut | None]]):
+    """The ``separate`` of a family whose ``candidates(sep, scaled)`` are
+    cuts, or None: (cut, exact violation) for each cut violated by more
+    than eps, by ``LinearCut.violation`` on the ints of ``scaled``."""
+
+    def separate(sep: Separation, scaled: ScaledPoint):
+        for cut in candidates(sep, scaled):
+            if cut is not None:
+                violation = cut.violation(scaled)
+                if violation > sep.eps:
+                    yield cut, violation
+
+    return separate
+
+
+def _built_once(name: str, applies, build) -> Family:
+    """A family whose candidates ``build(sep)`` makes once per loop into ``sep.fixed[name]``."""
+    return Family(name, applies, _checked(lambda sep, scaled: sep.fixed[name]), build=build)
 
 
 def _single_facility(instance: Instance) -> bool:
@@ -157,9 +177,9 @@ def _cutset_pass(family: str):
         for rel in sep.relaxations:
             if rel.A_plus and not scaled.view(rel).mixed_integer:
                 subsets = list(_commodity_subsets(rel, scaled))
-                for cut in cutset_cuts.separate_relaxation(rel, scaled, subsets, family, sep.eps, found):
+                for cut, violation in cutset_cuts.separate_relaxation(rel, scaled, subsets, family, sep.eps, found):
                     found.add(cut.normalized_key())
-                    yield cut
+                    yield cut, violation
 
     return separate
 
@@ -209,20 +229,19 @@ def _partition(sep: Separation):
 # table order is admission order.  One cut-set pass runs per instance:
 # ``flowcutset`` on one facility, where the multi-facility cut-set inequality
 # is the flow-cut-set inequality, and ``mf`` on several; each is one
-# ``cutset_cuts.separate_relaxation`` pass per relaxation, and ``rc`` decides
-# each arc on ints.  ``metric`` never applies: every LP
+# ``cutset_cuts.separate_relaxation`` pass per relaxation, which yields the
+# violation it scored, and ``rc`` decides each arc on ints.  ``metric`` never applies: every LP
 # point carries its own flow, routable under the point's capacities, so no
 # metric inequality is violated there; ``partition_cuts.separate_metric``
 # separates capacity vectors from outside the loop.
 SEPARATORS = (
-    Family("rc", _single_facility, separate=_rc),
-    Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, separate=_cstrong),
-    Family("cutset", _single_facility, build=lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
-    Family("flowcutset", _single_facility, skipped=_mixed_integer_relaxations, separate=_cutset_pass("flowcutset")),
-    Family("mf", lambda inst: not _single_facility(inst), skipped=_mixed_integer_relaxations,
-           separate=_cutset_pass("mf")),
+    Family("rc", _single_facility, _checked(_rc)),
+    Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, _checked(_cstrong)),
+    _built_once("cutset", _single_facility, lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
+    Family("flowcutset", _single_facility, _cutset_pass("flowcutset"), skipped=_mixed_integer_relaxations),
+    Family("mf", lambda inst: not _single_facility(inst), _cutset_pass("mf"), skipped=_mixed_integer_relaxations),
     Family("metric", lambda inst: False),
-    Family("partition", Instance.integral_capacities, build=_partition),
+    _built_once("partition", Instance.integral_capacities, _partition),
 )
 FAMILIES = tuple(f.name for f in SEPARATORS)
 
@@ -360,16 +379,18 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         t_point = time.perf_counter()
         point = sol.point(MAX_DENOMINATOR)
         point_seconds = time.perf_counter() - t_point
-        found = iter(separate_all(sep, point))
-        families = {name: dict(counts, admitted=0) for name, counts in sep.last_round.items()}
+        found = separate_all(sep, point)
+        families = {name: {"seconds": seconds, "candidates": 0, "skipped": skipped, "admitted": 0}
+                    for name, (seconds, skipped) in found.families.items()}
         added: dict[str, int] = {}
         max_violation = ZERO
-        for counts in families.values():
-            for cut, violation in islice(found, counts["candidates"]):
-                if pool.add(cut):
-                    counts["admitted"] += 1
-                    added[cut.family] = added.get(cut.family, 0) + 1
-                    max_violation = max(max_violation, violation)
+        for family, cut, violation in found.candidates:
+            counts = families[family]
+            counts["candidates"] += 1
+            if pool.add(cut):
+                counts["admitted"] += 1
+                added[cut.family] = added.get(cut.family, 0) + 1
+                max_violation = max(max_violation, violation)
         reports.append(
             RoundReport(
                 round=rnd,
@@ -407,15 +428,13 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
 
 
 class Separation:
-    """Separation state of one loop: the enabled families that apply to the
-    instance, in table order, the enabled ones that do not
-    (``inapplicable``, their names), and the candidates of each built-once
-    family (``fixed``), pure capacity cuts admitted on their ints
-    (``_admitted``).  Partitions, relaxations and arc rows are made on
-    first use, so nothing is built for a family that does not run.
-    ``last_round`` holds, per family of the last ``separate_all`` call,
-    its ``seconds``, its violated ``candidates``, in the order their cuts
-    were returned, and its ``skipped`` relaxations."""
+    """Separation state of one loop, made from the instance alone: the
+    enabled families that apply to the instance, in table order, the
+    enabled ones that do not (``inapplicable``, their names), and the
+    candidates of each built-once family (``fixed``), pure capacity cuts.
+    Partitions, relaxations and arc rows are made on first use, so
+    nothing is built for a family that does not run.  It keeps nothing of
+    a round: ``separate_all`` returns what a round found."""
 
     def __init__(self, instance: Instance, config: Config):
         self.instance = instance
@@ -423,9 +442,8 @@ class Separation:
         enabled = [f for f in SEPARATORS if f.name in config.families]
         self.families = [f for f in enabled if f.applies(instance)]
         self.inapplicable = [f.name for f in enabled if not f.applies(instance)]
-        self.fixed = {f.name: _distinct_capacity_cuts(f.build(self)) for f in self.families if f.build}
+        self.fixed = {f.name: _distinct_cuts(f.build(self)) for f in self.families if f.build}
         self._rows: dict = {}
-        self.last_round: dict[str, dict] = {}
 
     @cached_property
     def partitions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -443,61 +461,44 @@ class Separation:
         return self._rows[mode]
 
 
-def _distinct_capacity_cuts(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
-    """The cuts, pure capacity cuts, each ``normalized_key()`` once at its
-    first occurrence."""
+def _distinct_cuts(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
+    """The cuts, each ``normalized_key()`` once at its first occurrence."""
     first: dict = {}
     for cut in cuts:
         if cut is not None:
-            if cut.flow_num:
-                raise ValueError(f"{cut.family} cut has flow terms")
             first.setdefault(cut.normalized_key(), cut)
     return list(first.values())
 
 
-def _admitted(cuts: Iterable[LinearCut], scaled: ScaledPoint, eps: Fraction):
-    """(cut, exact violation) for each pure capacity cut violated by more
-    than eps at the point ``scaled``, whose ``y`` is D times the point's.
-    The cut holds ``den`` times itself, ``sum C*y >= R``, in ints, so its
-    violation is ``(R*D - sum C*Y) / (den*D)``: the test runs on ints and
-    a ``Fraction`` is built only for an admitted cut."""
-    D, Y = scaled.D, scaled.y
-    eps_num, eps_den = eps.numerator, eps.denominator
-    for cut in cuts:
-        den = cut.den
-        slack = cut.rhs_num * D - sum(coef * Y[a][m] for (a, m), coef in cut.cap_num.items())
-        if slack * eps_den > eps_num * den * D:
-            yield cut, Fraction(slack, den * D)
+@dataclass
+class SeparationRound:
+    """One ``separate_all`` call: its ``candidates``, ``(family, cut, exact
+    violation)`` in the order the families in table order yielded them
+    (``cut.family`` may name a variant, such as ``ksplit`` of ``cstrong``),
+    and per family that ran, ``(seconds, skipped)``, its time and skipped
+    cut-set relaxations.  Its length is the number of candidates."""
+
+    candidates: list[tuple[str, LinearCut, Fraction]]
+    families: dict[str, tuple[float, int]]
+
+    def __len__(self):
+        return len(self.candidates)
 
 
-def separate_all(sep: Separation, point: FractionalPoint):
-    """One round: every family of ``sep`` in table order; returns (cut,
-    exact violation) pairs for the candidates violated by more than eps
-    and records each family's time and counts in ``sep.last_round``.  The
-    call makes one ``ScaledPoint`` of ``point`` and gives it to every
-    family; every violation is taken on its ints, and the cut-set
-    relaxations share it, each with its view made at most once: the
-    built-once candidates are admitted on their ints there, the cut-set
-    family that runs (``flowcutset`` or ``mf``) offers each key once, and
-    its cuts carry the exact violation their separator scored."""
-    found: list[tuple[LinearCut, Fraction]] = []
-    sep.last_round = {}
+def separate_all(sep: Separation, point: FractionalPoint) -> SeparationRound:
+    """One round: every family of ``sep`` in table order, each yielding
+    ``(cut, exact violation)`` for its candidates violated by more than
+    eps.  The call makes one ``ScaledPoint`` of ``point`` and gives it to
+    every family; the cut-set relaxations share it, each with its view
+    made at most once, and the cut-set family that runs (``flowcutset``
+    or ``mf``) offers each key once."""
     scaled = ScaledPoint(sep.instance, point)
+    found = SeparationRound([], {})
     for fam in sep.families:
-        t0, before = time.perf_counter(), len(found)
-        if fam.build:
-            found.extend(_admitted(sep.fixed[fam.name], scaled, sep.eps))
-        else:
-            for cut in fam.separate(sep, scaled):
-                if cut is not None:
-                    violation = cut.violation(scaled)
-                    if violation > sep.eps:
-                        found.append((cut, violation))
-        sep.last_round[fam.name] = {
-            "seconds": time.perf_counter() - t0,
-            "candidates": len(found) - before,
-            "skipped": fam.skipped(sep, scaled) if fam.skipped else 0,
-        }
+        t0 = time.perf_counter()
+        found.candidates.extend((fam.name, cut, v) for cut, v in fam.separate(sep, scaled))
+        seconds = time.perf_counter() - t0
+        found.families[fam.name] = (seconds, fam.skipped(sep, scaled) if fam.skipped else 0)
     return found
 
 

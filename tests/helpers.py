@@ -644,37 +644,38 @@ def distinct_cuts(cuts):
 
 
 def reference_separate_all(instance, point, config):
-    """Reference for ``engine.separate_all``: the former if-chain, which
-    rebuilds every candidate each round (same families, same order) and
-    evaluates each violation from the cut's coefficients.  ``metric`` never
-    runs in the loop, so it has no branch here."""
+    """Reference for ``engine.separate_all``'s candidates, ``(family, cut,
+    violation)``: the former if-chain, which rebuilds every candidate each
+    round (same families, same order) and evaluates each violation from the
+    cut's coefficients.  ``metric`` never runs in the loop, so it has no
+    branch here."""
     from netdes_cuts import cutset_cuts, engine, partition_cuts
     from netdes_cuts.core import LinearCut
 
     found = []
     single_facility = len(instance.facilities) == 1
 
-    def admit(cut):
+    def admit(cut, family):
         if cut is None:
             return
         violation = cut.rhs - lhs_value(cut, point)
         if violation > config.eps:
-            found.append((cut, violation))
+            found.append((family, cut, violation))
 
     if "rc" in config.families and single_facility:
         for ai in range(len(instance.arcs)):
-            admit(reference_rc_arc(instance, ai, point))
+            admit(reference_rc_arc(instance, ai, point), "rc")
     if "cstrong" in config.families and single_facility and instance.unsplittable:
         for ai in range(len(instance.arcs)):
             for cut in _reference_unsplittable_arc(instance, ai, point):
-                admit(cut)
+                admit(cut, "cstrong")
 
     partitions = list(engine._two_partitions(instance))
     relaxations = [cutset_cuts.build_cutset(instance, U, V) for U, V in partitions]
 
     if "cutset" in config.families and single_facility:
         for rel in relaxations:
-            admit(cutset_cuts.cutset_cut(rel))
+            admit(cutset_cuts.cutset_cut(rel), "cutset")
     flowcutset = "flowcutset" in config.families and single_facility
     mf = "mf" in config.families and not single_facility
     if flowcutset or mf:
@@ -683,12 +684,12 @@ def reference_separate_all(instance, point, config):
     if flowcutset:
         for rel, rel_subsets in zip(relaxations, subsets):
             for Q in rel_subsets:
-                admit(cutset_cuts.separate_flow_cutset(rel, Q, scaled))
+                admit(cutset_cuts.separate_flow_cutset(rel, Q, scaled), "flowcutset")
     if mf:
         for rel, rel_subsets in zip(relaxations, subsets):
             for s in range(len(instance.facilities)):
                 for Q in rel_subsets:
-                    admit(cutset_cuts.separate_multifacility(rel, s, scaled, Q=Q))
+                    admit(cutset_cuts.separate_multifacility(rel, s, scaled, Q=Q), "mf")
     if "partition" in config.families and instance.integral_capacities():
         for U, V in partitions:
             shrunk = partition_cuts.shrink(instance, partition_cuts.NodePartition.of(U, V))
@@ -697,7 +698,8 @@ def reference_separate_all(instance, point, config):
                 continue
             crossing = shrunk.groups.get((0, 1), ())
             for ineq in engine.hull_inequalities(cover):
-                admit(partition_cuts.expand_knapsack_cut(ineq, crossing, {"blocks": shrunk.partition.blocks}))
+                blocks = {"blocks": shrunk.partition.blocks}
+                admit(partition_cuts.expand_knapsack_cut(ineq, crossing, blocks), "partition")
         for part in engine._three_partitions(instance):
             candidates = [
                 cut
@@ -710,7 +712,7 @@ def reference_separate_all(instance, point, config):
             if not candidates:
                 continue
             winner = select_total_capacity_cut(candidates)
-            admit(winner)
+            admit(winner, "partition")
             fed = knapsack_from_total_capacity(winner, instance)
             if fed is not None:
                 cover, support = fed
@@ -720,7 +722,7 @@ def reference_separate_all(instance, point, config):
                         for ai in support.get(mi, ()):
                             cap[(ai, mi)] = coef
                     if cap:
-                        admit(LinearCut({}, cap, rhs, "partition", {"from": "total-capacity"}))
+                        admit(LinearCut({}, cap, rhs, "partition", {"from": "total-capacity"}), "partition")
     return found
 
 

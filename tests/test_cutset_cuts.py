@@ -52,12 +52,13 @@ def two_node_instance(demand=F(1), caps=(1,), cbar=F(0)):
     )
 
 
-def recorded_violation(cut, scaled):
-    """The violation a greedy separator recorded for ``cut`` at the point of
-    ``scaled``, read as the engine reads it: at the one ``ScaledPoint`` the
-    separator was given, under which it must be stored."""
-    assert cut._violation[0]() is scaled
-    return cut.violation(scaled)
+def scored_violation(got, rel, scaled, Q, family, s=0):
+    """The violation the single-subset ``separate_relaxation`` pass of
+    ``family`` on Q and base facility s yields with its cut, which is
+    ``got``: the score it admitted the cut on, as the engine reads it."""
+    cut, violation = next(cutset_cuts.separate_relaxation(rel, scaled, [tuple(Q)], family, bases=(s,)))
+    assert cut == got
+    return violation
 
 
 # -- relaxation construction ---------------------------------------------------------
@@ -200,7 +201,7 @@ def test_separation_agrees_with_enumeration_zero_cbar():
         if got is None:
             assert best <= 0
         else:
-            assert recorded_violation(got, scaled) == best
+            assert scored_violation(got, rel, scaled, Q, "flowcutset") == best
 
 
 def test_commodity_subset_single_commodity(star_instance):
@@ -423,7 +424,7 @@ def test_separate_multifacility_matches_enumeration():
             if got is None:
                 assert best <= 0
             else:
-                assert recorded_violation(got, scaled) == best
+                assert scored_violation(got, rel, scaled, (0, 1), "mf", s) == best
 
 
 def test_multifacility_most_violated_across_base_choice():
@@ -431,15 +432,12 @@ def test_multifacility_most_violated_across_base_choice():
     rel = build_cutset(inst, U=[1])
     pt = FractionalPoint(y={(0, 0): F(1, 3), (0, 1): F(1, 2)})
     scaled = ScaledPoint(inst, pt)
-    best = None
-    for s in (0, 1):
-        cut = separate_multifacility(rel, s, scaled)
-        if cut is not None and (best is None or recorded_violation(cut, scaled) > recorded_violation(best, scaled)):
-            best = cut
-    assert best is not None
+    found = [pair for s in (0, 1) for pair in cutset_cuts.separate_relaxation(rel, scaled, [(0,)], "mf", bases=(s,))]
+    assert found
+    best = max(violation for _, violation in found)
     for s in (0, 1):
         v, _ = multifacility_best_violation(rel, pt, s, (0,))
-        assert recorded_violation(best, scaled) >= v
+        assert best >= v
 
 
 # -- integer kernel against the Fraction reference ------------------------------------------
@@ -515,8 +513,8 @@ def _shifting_separations():
 
 
 def test_separators_match_fraction_reference():
-    """Both separators return the reference greedy's cut, with its exact
-    violation recorded, on 240 random (instance, point) pairs and on the
+    """Both separators return the reference greedy's cut, and their pass
+    yields its exact violation, on 240 random (instance, point) pairs and on the
     60 whose remainder shifts at every pass, where the scan scores at
     least three distinct selections and often runs to ``GREEDY_ROUNDS``."""
     compared = distinct3 = capped = 0
@@ -526,19 +524,19 @@ def test_separators_match_fraction_reference():
             for m in range(len(rel.instance.facilities)):
                 passes_mf, passes_fcs = [], []
                 pairs = [
-                    (separate_multifacility(rel, m, scaled, Q=Q),
+                    ("mf", separate_multifacility(rel, m, scaled, Q=Q),
                      reference_multifacility(rel, m, pt, Q=Q, passes=passes_mf)),
-                    (separate_flow_cutset(rel, Q, scaled, facility=m),
+                    ("flowcutset", separate_flow_cutset(rel, Q, scaled, facility=m),
                      reference_flow_cutset(rel, Q, pt, facility=m, passes=passes_fcs)),
                 ]
-                for got, want in pairs:
+                for family, got, want in pairs:
                     compared += want is not None
                     assert (got is None) == (want is None)
                     if got is not None:
                         assert got.normalized_key() == want.normalized_key()
                         assert got.params == want.params
                         assert got.family == want.family
-                        assert recorded_violation(got, scaled) == want.violation(pt)
+                        assert scored_violation(got, rel, scaled, Q, family, m) == want.violation(pt)
                 for passes in (passes_mf, passes_fcs):
                     distinct3 += len(set(passes)) >= 3
                     capped += len(set(passes)) == GREEDY_ROUNDS
@@ -567,7 +565,7 @@ def _resized(rel, m, size):
 def test_integer_cut_matches_fraction_reference():
     """On the 240 pairs, the cut each separator builds on integers equals
     the Fraction reference builder's in flow, cap, rhs, family and params,
-    and the violation it records is the exact one; the cut-set builders
+    and the violation its pass yields is the exact one; the cut-set builders
     agree with the reference on random selections, also on a copy of the
     instance with another size of the base facility, which the reference
     takes as ``capacity=``."""
@@ -578,15 +576,17 @@ def test_integer_cut_matches_fraction_reference():
         for Q in _sampled_subsets(rel, rng):
             for m in range(len(rel.instance.facilities)):
                 pairs = [
-                    (separate_multifacility(rel, m, scaled, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
-                    (separate_flow_cutset(rel, Q, scaled, facility=m), reference_flow_cutset(rel, Q, pt, facility=m)),
+                    ("mf", separate_multifacility(rel, m, scaled, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
+                    ("flowcutset", separate_flow_cutset(rel, Q, scaled, facility=m),
+                     reference_flow_cutset(rel, Q, pt, facility=m)),
                 ]
-                for got, want in pairs:
+                for family, got, want in pairs:
                     assert (got is None) == (want is None)
                     if got is not None:
                         compared += 1
                         _assert_identical_cut(got, want)
-                        assert recorded_violation(got, scaled) == got.rhs - lhs_value(got, pt) == want.violation(pt)
+                        violation = scored_violation(got, rel, scaled, Q, family, m)
+                        assert violation == got.rhs - lhs_value(got, pt) == want.violation(pt)
                 sel = FlowCutSelection(
                     Q, tuple(a for a in rel.A_plus if pick.random() < 0.5),
                     tuple(a for a in rel.A_minus if pick.random() < 0.5), facility=m,
@@ -950,10 +950,11 @@ def _null_commodity_separations():
 
 def _separators(rel, pt, scaled, m):
     """Both greedy separators on base facility m, given ``scaled``, the
-    ``ScaledPoint`` of ``pt``, with their references."""
+    ``ScaledPoint`` of ``pt``, with their families and references."""
     return [
-        (lambda Q: separate_multifacility(rel, m, scaled, Q=Q), lambda Q: reference_multifacility(rel, m, pt, Q=Q)),
-        (lambda Q: separate_flow_cutset(rel, Q, scaled, facility=m),
+        ("mf", lambda Q: separate_multifacility(rel, m, scaled, Q=Q),
+         lambda Q: reference_multifacility(rel, m, pt, Q=Q)),
+        ("flowcutset", lambda Q: separate_flow_cutset(rel, Q, scaled, facility=m),
          lambda Q: reference_flow_cutset(rel, Q, pt, facility=m)),
     ]
 
@@ -975,7 +976,7 @@ def test_a_null_commodity_changes_no_selection_and_needs_no_scan(monkeypatch):
             k = rng.choice(null)
             with_k = tuple(sorted(Q + (k,)))
             for m in range(len(rel.instance.facilities)):
-                for separate, reference in _separators(rel, pt, scaled, m):
+                for family, separate, reference in _separators(rel, pt, scaled, m):
                     first = separate(Q)
                     done = len(scans)
                     second = separate(with_k)
@@ -986,7 +987,8 @@ def test_a_null_commodity_changes_no_selection_and_needs_no_scan(monkeypatch):
                         continue
                     compared += 1
                     assert (first.params["S+"], first.params["S-"]) == (second.params["S+"], second.params["S-"])
-                    assert recorded_violation(first, scaled) == recorded_violation(second, scaled)
+                    assert (scored_violation(first, rel, scaled, Q, family, m)
+                            == scored_violation(second, rel, scaled, with_k, family, m))
                     assert second.params["Q"] == with_k
                     if first.flow:
                         named += 1
@@ -1003,7 +1005,7 @@ def test_a_subset_of_null_commodities_alone_is_still_separated():
         scaled = ScaledPoint(rel.instance, pt)
         for Q in (tuple(null[:1]), tuple(null)):
             for m in range(len(rel.instance.facilities)):
-                for separate, reference in _separators(rel, pt, scaled, m):
+                for _, separate, reference in _separators(rel, pt, scaled, m):
                     want = reference(Q)
                     _assert_same_cut(separate(Q), want)
                     violated += want is not None
@@ -1111,8 +1113,8 @@ def test_one_pass_per_relaxation_matches_the_per_subset_references():
     its skip set taking each yielded key as the engine's does and shared
     by every pass on a point, yields the per-subset references' cuts
     violated by more than eps whose keys it has not taken, in order, with
-    their keys, params and families, and records each one's exact
-    violation; on random points, on points whose remainder moves at every
+    their keys, params and families, each with its exact violation; on
+    random points, on points whose remainder moves at every
     scan (existing capacity on crossing arcs) and on relaxations with null
     commodities, at an eps that refuses many winners and at one that
     admits most."""
@@ -1138,12 +1140,12 @@ def test_one_pass_per_relaxation_matches_the_per_subset_references():
                             want_found.add(cut.normalized_key())
                             want.append(cut)
                 got = []
-                for cut in cutset_cuts.separate_relaxation(rel, scaled, subsets, family, eps, found):
+                for cut, violation in cutset_cuts.separate_relaxation(rel, scaled, subsets, family, eps, found):
                     found.add(cut.normalized_key())
-                    got.append(cut)
-                assert [(c.normalized_key(), c.params, c.family) for c in got] == [
+                    got.append((cut, violation))
+                assert [(c.normalized_key(), c.params, c.family) for c, _ in got] == [
                     (c.normalized_key(), c.params, c.family) for c in want]
-                assert [recorded_violation(c, scaled) for c in got] == [c.violation(pt) for c in want]
+                assert [violation for _, violation in got] == [c.violation(pt) for c in want]
                 yielded += len(got)
         assert found == want_found
     assert yielded > 1000 and refused > 200 and skipped > 1000, (yielded, refused, skipped)
@@ -1165,6 +1167,6 @@ def test_a_winner_violated_by_exactly_eps_is_not_admitted():
                 violation = cut.violation(scaled)
                 for eps, admitted in ((violation, False), (violation - F(1, 10**12), True)):
                     got = list(cutset_cuts.separate_relaxation(rel, scaled, [Q], family, eps, bases=(0,)))
-                    assert [c.normalized_key() for c in got] == ([cut.normalized_key()] if admitted else [])
+                    assert [c.normalized_key() for c, _ in got] == ([cut.normalized_key()] if admitted else [])
                 checked += 1
     assert checked > 100, checked

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -259,27 +262,25 @@ def test_round_points_violate_no_metric_inequality(monkeypatch, seed):
         assert partition_cuts.separate_metric(inst, caps) is None
 
 
-def _listing(found):
-    return [(cut.normalized_key(), cut.family, violation) for cut, violation in found]
+def _listing(candidates):
+    return [(family, cut.normalized_key(), cut.family, violation) for family, cut, violation in candidates]
 
 
-# families that offer each key once per round, by the cuts' labels: each
-# built-once family, and the one cut-set greedy family that runs
-KEYED_ONCE = {"cutset": "cutset", "partition": "partition", "threepartition": "partition",
-              "threepartition-metric": "partition", "flowcutset": "flowcutset", "mf": "mf"}
+# the families that offer each key once per round: each built-once family,
+# and the one cut-set greedy family that runs
+KEYED_ONCE = {"cutset", "partition", "flowcutset", "mf"}
 
 
-def _first_of_each_key(found):
-    """``found`` without repeats of a key within one group of ``KEYED_ONCE`` (first kept)."""
+def _first_of_each_key(candidates):
+    """``candidates`` without repeats of a key within one family of ``KEYED_ONCE`` (first kept)."""
     seen = set()
     kept = []
-    for cut, violation in found:
-        family = KEYED_ONCE.get(cut.family)
-        if family is not None:
+    for family, cut, violation in candidates:
+        if family in KEYED_ONCE:
             if (family, cut.normalized_key()) in seen:
                 continue
             seen.add((family, cut.normalized_key()))
-        kept.append((cut, violation))
+        kept.append((family, cut, violation))
     return kept
 
 
@@ -317,31 +318,37 @@ def test_separation_table_matches_reference(monkeypatch, gen, config, fired):
     assert len(rounds) >= 2 and len({id(sep) for sep, _, _ in rounds}) == 1
     for sep, point, found in rounds:
         reference = _first_of_each_key(reference_separate_all(inst, point, config))
-        assert _listing(found) == _listing(reference)
-    assert fired <= {cut.family for _, _, found in rounds for cut, _ in found}
+        assert _listing(found.candidates) == _listing(reference)
+    assert fired <= {cut.family for _, _, found in rounds for _, cut, _ in found.candidates}
 
 
 def _fraction_admitted(sep, name, point):
     return [(cut, cut.violation(point)) for cut in sep.fixed[name] if cut.violation(point) > sep.eps]
 
 
+def _separated(sep, name, scaled):
+    """What family ``name`` of ``sep`` yields at ``scaled``."""
+    return list(next(f for f in sep.families if f.name == name).separate(sep, scaled))
+
+
 def _scalings(inst, point):
     """The point's shared scaling, whose D also clears the instance's data
     and the point's flows, and one by the lcm of the denominators of its
-    ``y`` alone."""
+    ``y`` alone (no flows: a built-once cut has none)."""
     D = math.lcm(*(v.denominator for v in point.y.values()))
-    own = SimpleNamespace(D=D, y=[
+    own = SimpleNamespace(D=D, x=None, y=[
         [int(point.y.get((a, m), 0) * D) for m in range(len(inst.facilities))] for a in range(len(inst.arcs))
     ])
     return cutset_cuts.ScaledPoint(inst, point), own
 
 
 def _assert_same_admission(sep, point):
-    """The integer check admits what ``cut.violation(point) > eps`` admits,
-    in order, each with that violation, at either scaling of the point."""
+    """Each built-once family yields what ``cut.violation(point) > eps``
+    admits, in order, each with that violation, at either scaling of the
+    point."""
     for scaled in _scalings(sep.instance, point):
         for name in sep.fixed:
-            got = list(engine._admitted(sep.fixed[name], scaled, sep.eps))
+            got = _separated(sep, name, scaled)
             want = _fraction_admitted(sep, name, point)
             assert [id(cut) for cut, _ in got] == [id(cut) for cut, _ in want]
             assert [(v, type(v)) for _, v in got] == [(v, type(v)) for _, v in want]
@@ -380,7 +387,7 @@ def test_rc_decides_each_arc_on_ints_as_the_fraction_reference(monkeypatch):
 
 
 def test_integer_admission_matches_fraction_violation(monkeypatch):
-    """Built-once candidates admitted on their ints, at the point's
+    """Built-once candidates yielded on their ints, at the point's
     shared scaling and at one by its ``y`` alone, are exactly those whose
     ``Fraction`` violation exceeds eps: at every golden round
     point, at random points with denominators up to MAX_DENOMINATOR, and
@@ -411,8 +418,7 @@ def test_integer_admission_matches_fraction_violation(monkeypatch):
                 assert cut.violation(point) == violation
                 _assert_same_admission(sep, point)
                 for scaled in _scalings(inst, point):
-                    got = engine._admitted(sep.fixed[name], scaled, sep.eps)
-                    assert any(c is cut for c, _ in got) == admitted
+                    assert any(c is cut for c, _ in _separated(sep, name, scaled)) == admitted
 
 
 def test_built_once_keys_are_those_of_the_cut_coefficients():
@@ -438,14 +444,73 @@ def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
         inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
         rounds = _separation_rounds(monkeypatch, inst, Config(max_rounds=10))
         for sep, point, found in rounds:
-            keys = [cut.normalized_key() for cut, _ in found if cut.family in ("flowcutset", "mf")]
+            keys = [cut.normalized_key() for _, cut, _ in found.candidates if cut.family in ("flowcutset", "mf")]
             assert len(keys) == len(set(keys))
-            assert all(violation == cut.rhs - lhs_value(cut, point) for cut, violation in found)
+            assert all(violation == cut.rhs - lhs_value(cut, point) for _, cut, violation in found.candidates)
             # the former separators offered repeats at these points
             reference = reference_separate_all(inst, point, Config(max_rounds=10))
-            keys = [cut.normalized_key() for cut, _ in reference if cut.family in ("flowcutset", "mf")]
+            keys = [cut.normalized_key() for _, cut, _ in reference if cut.family in ("flowcutset", "mf")]
             repeats_offered += len(keys) - len(set(keys))
     assert repeats_offered > 0
+
+
+# random 3-5-node instances of every facility shape the table tells apart
+CONTRACT_SHAPES = [dict(facilities=(1,)), dict(facilities=(1, 3)), dict(facilities=(1, 2)),
+                   dict(facilities=(1,), mode="disaggregated", unsplittable=True)]
+
+
+def test_every_family_yields_its_violated_candidates_with_exact_violations(monkeypatch):
+    """At the round points of random 3-5-node loops, every family of
+    ``SEPARATORS`` yields ``(cut, violation)`` pairs whose violation is
+    ``cut.violation`` at the ``FractionalPoint`` and exceeds eps.  Rerun
+    with eps at the least and at the greatest yielded violation, a family
+    drops that candidate and still yields each candidate violated by more."""
+    rng = random.Random(38)
+    yielded, reruns = dict.fromkeys(engine.FAMILIES, 0), 0
+    for shape in CONTRACT_SHAPES:
+        for _ in range(3):
+            inst = generate_instance(seed=rng.randrange(10**6), nodes=rng.randint(3, 5), density=0.7, **shape)
+            for sep, point, _ in _separation_rounds(monkeypatch, inst, Config(max_rounds=4)):
+                scaled = cutset_cuts.ScaledPoint(inst, point)
+                for fam in sep.families:
+                    pairs = list(fam.separate(sep, scaled))
+                    assert all(v == cut.violation(point) and v > sep.eps for cut, v in pairs)
+                    yielded[fam.name] += len(pairs)
+                    for cut, v in sorted(pairs, key=lambda pair: pair[1])[::max(1, len(pairs) - 1)]:
+                        strict = copy.copy(sep)
+                        strict.eps = v
+                        again = list(fam.separate(strict, scaled))
+                        assert all(u > v for _, u in again) and not any(c == cut for c, _ in again)
+                        kept = {(c.normalized_key(), u) for c, u in pairs if u > v}
+                        assert kept <= {(c.normalized_key(), u) for c, u in again}
+                        reruns += 1
+    assert yielded.pop("metric") == 0 and all(yielded.values()) and reruns > 60, (yielded, reruns)
+
+
+def test_a_finished_loop_keeps_no_round_scaling_alive(monkeypatch):
+    """Once ``cutting_plane_loop`` has returned and the collector has run,
+    no pooled cut, report or other part of its result keeps a round's
+    ``ScaledPoint`` or one of its ``IntegerView``s alive."""
+    points, views = [], []
+
+    class TrackedPoint(cutset_cuts.ScaledPoint):
+        def __init__(self, *args):
+            super().__init__(*args)
+            points.append(weakref.ref(self))
+
+    class TrackedView(cutset_cuts.IntegerView):
+        def __init__(self, *args):
+            super().__init__(*args)
+            views.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "ScaledPoint", TrackedPoint)
+    monkeypatch.setattr(cutset_cuts, "IntegerView", TrackedView)
+    for facilities in ((1,), (1, 3)):
+        del points[:], views[:]
+        res = cutting_plane_loop(generate_instance(seed=3, nodes=4, facilities=facilities), Config(max_rounds=10))
+        gc.collect()
+        assert len(res.pool) > 0 and len(points) == len(res.reports) and views
+        assert all(ref() is None for ref in points + views)
 
 
 def test_one_cutset_greedy_family_per_instance():
@@ -545,7 +610,7 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
                 mixed_integer += bool(rel.A_plus) and skip
                 separated += not skip
             reference = _first_of_each_key(reference_separate_all(inst, point, Config(max_rounds=10)))
-            assert _listing(found) == _listing(reference)
+            assert _listing(found.candidates) == _listing(reference)
         del calls[:]
     assert mixed_integer > 100 and separated > 50, (mixed_integer, separated)
 
