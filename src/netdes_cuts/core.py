@@ -52,6 +52,9 @@ def rationalize(x: float, max_denominator: int = MAX_DENOMINATOR) -> Fraction:
         return x
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot rationalize {x}")
+    n = int(x)
+    if n == x:  # most duals and many LP values: its own nearest rational
+        return Fraction(n)
     return Fraction(x).limit_denominator(max_denominator)
 
 

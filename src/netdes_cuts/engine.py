@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import arc_cuts, cutset_cuts, lp, partition_cuts
@@ -593,10 +594,12 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, yb
 
     ``keys`` is ``sorted(y_bounds)``, or the keys of ``default_y_bounds(instance,
     ybound)`` when ``y_bounds`` is None.  Each point is ``(t, scaled_caps)``:
-    the installation counts over ``keys``, and each arc's capacity at ``t``
-    times ``instance.scale``, in ints.  A key that names no (arc, facility)
-    pair, or a negative bound, raises ``ValueError``; a grid of more than
-    ``GRID_BUDGET`` points raises ``BudgetExceededError``.
+    the installation counts over ``keys``, in ``itertools.product`` order,
+    and each arc's capacity at ``t`` times ``instance.scale``, in ints.
+    ``scaled_caps`` is one list per walk, updated in place from point to
+    point, so a caller copies what it keeps.  A key that names no (arc,
+    facility) pair, or a negative bound, raises ``ValueError``; a grid of
+    more than ``GRID_BUDGET`` points raises ``BudgetExceededError``.
     """
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
@@ -609,11 +612,26 @@ def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, yb
         size *= bound + 1
         if size > GRID_BUDGET:
             raise BudgetExceededError(f"y-grid has more than {GRID_BUDGET} points")
-    terms: list[list[tuple[int, int]]] = [[] for _ in instance.arcs]
-    for i, (ai, mi) in enumerate(keys):
-        terms[ai].append((i, instance.sizes_num[mi]))
-    points = product(*(range(y_bounds[k] + 1) for k in keys))
-    return keys, ((t, [b + sum(c * t[i] for i, c in arc) for b, arc in zip(instance.cbar_num, terms)]) for t in points)
+    return keys, _walk(instance, keys, [y_bounds[key] for key in keys])
+
+
+def _walk(instance: Instance, keys, bounds):
+    """``_grid``'s points: an odometer over ``keys`` whose last key turns
+    fastest; each step changes one or more counts and the scaled capacity
+    of their arcs by their units."""
+    arcs, units = [ai for ai, _ in keys], [instance.sizes_num[mi] for _, mi in keys]
+    t, caps = [0] * len(keys), list(instance.cbar_num)
+    while True:
+        yield tuple(t), caps
+        i = len(keys) - 1
+        while i >= 0 and t[i] == bounds[i]:  # roll the counts at their bound back to 0
+            caps[arcs[i]] -= units[i] * t[i]
+            t[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        t[i] += 1
+        caps[arcs[i]] += units[i]
 
 
 class _Routing:
@@ -626,12 +644,13 @@ class _Routing:
     ``CapacityBounds``: ``refuted``, the refutations, seeded with the node
     cuts (``_node_cuts``) and then every metric certificate proved on the
     instance, and ``bounds``, safe dual bounds, one store per distinct
-    part; and what each decision needs, made once per distinct part: with
-    splittable routing the routing LP (``lp.RoutingLP``) and the part's
-    columns or, with unsplittable routing, the enumerated flows, each
-    commodity's demand as the int ``scale * demand`` and a cost table, for
-    a search on ints (``_cheapest``).  The kept forms are tried first, and
-    only then a routing LP, with one objective per distinct part.
+    part; and what each decision needs, made when a search first needs it:
+    with splittable routing the routing LP (``routing``) and, once per
+    distinct part, its columns (``objective``) or, with unsplittable
+    routing, the enumerated flows (``priced``), each commodity's demand as
+    the int ``scale * demand`` and, once per distinct part, a cost table,
+    for a search on ints (``_cheapest``).  The kept forms are tried first,
+    and only then a routing LP, with one objective per distinct part.
     Routability is the minimum of an empty flow part.  Unsplittable flows
     are paths, plus disjoint cycles only when some objective has a negative
     coefficient, since a cycle only adds load and a nonnegative cost.
@@ -642,25 +661,42 @@ class _Routing:
         self.scale = instance.scale
         self.refuted = CapacityBounds()
         self.refuted.certificates = _node_cuts(instance)
-        reduced: dict = {}  # each distinct part's ints, in the order of its first objective
+        self.reduced: dict = {}  # each distinct part's ints, in the order of its first objective
         self.parts = []
         for nums, den in flows:
             g = math.gcd(den, *nums.values())
             ints = {key: n // g for key, n in nums.items()}
             self.parts.append((den // g, frozenset(ints.items())))
-            reduced.setdefault(self.parts[-1], ints)
-        stores = {part: CapacityBounds() for part in reduced}  # a dual bound bounds the flow part alone
+            self.reduced.setdefault(self.parts[-1], ints)
+        stores = {part: CapacityBounds() for part in self.reduced}  # a dual bound bounds the flow part alone
         self.bounds = [stores[part] for part in self.parts]
+        self.made: dict = {}  # each priced part's columns (objective) or cost table (_costs)
         if instance.unsplittable:
-            self.priced = _unsplittable_routings(instance, cycles=any(n < 0 for _, part in reduced for _, n in part))
             self.supplies = [com.total_supply for com in instance.commodities]
             self.loads = instance.supply_num
-            self.tables: dict = {}  # the cost table (_costs) of each distinct part
-        else:
-            self.routing = RoutingLP(instance)
-            columns = {part: self.routing.columns({key: Fraction(n, part[0]) for key, n in nums.items()})
-                       for part, nums in reduced.items()}
-            self.objectives = [columns[part] for part in self.parts]
+
+    @cached_property
+    def routing(self) -> RoutingLP:
+        """The instance's routing LP, made when a first LP is solved."""
+        return RoutingLP(self.instance)
+
+    @cached_property
+    def priced(self) -> list[list[tuple[int, ...]]]:
+        """Each commodity's unsplittable flows (``_unsplittable_routings``),
+        enumerated when a search first needs them, so that kept forms decide
+        without them."""
+        cycles = any(n < 0 for ints in self.reduced.values() for n in ints.values())
+        return _unsplittable_routings(self.instance, cycles=cycles)
+
+    def objective(self, part) -> dict:
+        """The routing LP's objective of the flow part ``part``: its columns
+        (``RoutingLP.columns``), made when an LP first prices the part."""
+        columns = self.made.get(part)
+        if columns is None:
+            den = part[0]
+            flow = {key: Fraction(n, den) for key, n in self.reduced[part].items()}
+            columns = self.made[part] = self.routing.columns(flow)
+        return columns
 
     def minima(self, scaled_caps: Sequence[int], which: Sequence[int], shortfall: Callable):
         """``{i: answer}`` for the objectives ``which`` (indices into
@@ -703,17 +739,18 @@ class _Routing:
         routing = self.routing
         caps = [Fraction(c, self.scale) for c in scaled_caps]
         rows = routing.rows(caps)
-        results = lp.solve_lp_many(routing.n_vars, rows, [self.objectives[group[0]] for group in groups], routing.upper)
+        objectives = [self.objective(self.parts[group[0]]) for group in groups]
+        results = lp.solve_lp_many(routing.n_vars, rows, objectives, routing.upper)
         if results[0].status == "infeasible":
             cert = proves_unroutable(self.instance, caps, routing.capacity_part(results[0].farkas))
             if cert:
                 self.refuted.add(metric_bound(self.instance, self.scale, cert))
                 return None
-        for group, res in zip(groups, results):
+        for group, objective, res in zip(groups, objectives, results):
             first, bound, routed = group[0], None, None
             if res.status == "optimal":
                 duals = signed_duals(rows, res.duals)  # rationalized once, for the bound and its form
-                bound = safe_lower_bound(rows, self.objectives[first], routing.upper, duals)
+                bound = safe_lower_bound(rows, objective, routing.upper, duals)
                 if bound is not None:
                     self.bounds[first].add(dual_bound(self.scale, scaled_caps, bound, routing.capacity_part(duals)))
             for i in group:
@@ -721,7 +758,7 @@ class _Routing:
                 if target is not None and bound * target[1] >= target[0]:
                     continue
                 if routed is None:
-                    routed = routing.minimum(rows, self.objectives[first], res, bound)
+                    routed = routing.minimum(rows, objective, res, bound)
                     if routed[0] is None:
                         return None
                 answers[i] = routed
@@ -732,7 +769,7 @@ class _Routing:
         den, prunable)``, each flow's cost as the int ``den * cost`` per
         commodity, and ``prunable[k]``, no flow of commodity ``k`` or later
         costs less than 0.  Made once per distinct part."""
-        table = self.tables.get(part)
+        table = self.made.get(part)
         if table is None:
             weight = dict(part[1])
             costs = [
@@ -742,7 +779,7 @@ class _Routing:
             prunable = [True] * (len(costs) + 1)
             for ki in reversed(range(len(costs))):
                 prunable[ki] = prunable[ki + 1] and min(costs[ki], default=0) >= 0
-            table = self.tables[part] = (costs, part[0] * self.scale, prunable)
+            table = self.made[part] = (costs, part[0] * self.scale, prunable)
         return table
 
     def _cheapest(self, table, scaled_caps: Sequence[int]):
@@ -891,18 +928,20 @@ def validate_cuts(
 
     keys, points = _grid(instance, y_bounds, ybound)
     shortfalls = {idx: _shortfall(cuts[idx], keys) for idx in grid_idx}
-    open_idx = set(grid_idx)
+    order = grid_idx  # the open cuts, ascending
     for t, scaled_caps in points:
-        if not open_idx:
+        if not order:
             break
-        order = sorted(open_idx)
+        failed = set()
         for idx, answer in (routing.minima(scaled_caps, order, lambda i: shortfalls[i](t)) or {}).items():
             if answer is None:
                 continue
             (value, x), (num, den) = answer, shortfalls[idx](t)
             if value * den < num:
                 verdicts[idx] = (False, FractionalPoint(x=dict(x), y=dict(zip(keys, map(Fraction, t)))))
-                open_idx.discard(idx)
+                failed.add(idx)
+        if failed:
+            order = [idx for idx in order if idx not in failed]
     return verdicts
 
 
@@ -910,9 +949,10 @@ def _shortfall(cut: LinearCut, keys) -> Callable[[tuple], tuple[int, int]]:
     """``t -> (num, den)`` with ``num / den = rhs - y part`` of ``cut`` at the
     grid point ``t`` (counts over ``keys``), in ints."""
     position = {key: i for i, key in enumerate(keys)}
-    terms = [(position[key], coef) for key, coef in cut.cap_num.items() if key in position]
+    at = [position[key] for key in cut.cap_num if key in position]
+    coefs = [cut.cap_num[keys[i]] for i in at]
     rhs, den = cut.rhs_num, cut.den
-    return lambda t: (rhs - sum(c * t[i] for i, c in terms), den)
+    return lambda t: (rhs - sum(map(mul, coefs, map(t.__getitem__, at))), den)
 
 
 def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routing, idx: int):

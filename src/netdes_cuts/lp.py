@@ -332,12 +332,12 @@ class RoutingLP:
         self.balance = []
         for ki, com in enumerate(instance.commodities):
             for node in instance.nodes:
-                coefs = {}
+                coefs = {}  # summed on ints, then made Fractions
                 for arcs, sign in ((instance.in_arcs[node], 1), (instance.out_arcs[node], -1)):
                     for ai in arcs:
                         j = routing_var(instance, ai, ki)
-                        coefs[j] = coefs.get(j, ZERO) + sign
-                self.balance.append((coefs, EQ, com.w(node)))
+                        coefs[j] = coefs.get(j, 0) + sign
+                self.balance.append(({j: Fraction(v) for j, v in coefs.items()}, EQ, com.w(node)))
         supplies = [(ki, com.total_supply) for ki, com in enumerate(instance.commodities)]
         self.upper = {routing_var(instance, ai, ki): u for ki, u in supplies for ai in range(len(instance.arcs))}
 
@@ -436,7 +436,8 @@ def _signed_dual(sense: str, dual) -> Fraction:
     """``dual`` as a rational, 0 if of the wrong sign: ``<=`` rows take ``pi <= 0``, ``>=`` rows ``pi >= 0``.
     A signed rational is returned as it is."""
     pi = rationalize(dual)
-    return ZERO if (sense == LE and pi > 0) or (sense == GE and pi < 0) else pi
+    sign = pi.numerator  # an int test: comparing a Fraction with 0 costs more than the rest
+    return ZERO if (sense == LE and sign > 0) or (sense == GE and sign < 0) else pi
 
 
 def signed_duals(rows: Sequence[tuple], duals: Sequence) -> list[Fraction]:
@@ -465,7 +466,7 @@ def safe_lower_bound(
     rc = {j: frac(c) for j, c in objective.items()}
     for (coefs, sense, rhs), dual in zip(rows, duals):
         pi = _signed_dual(sense, dual)
-        if pi == 0:
+        if not pi:
             continue
         bound += pi * rhs
         for j, a in coefs.items():
@@ -509,9 +510,9 @@ class CapacityBounds:
     def reaches(self, scaled_caps: Sequence[int], num: int, den: int) -> bool:
         """Does a kept form reach ``num / den`` (``den > 0``) at
         ``scaled_caps``?  The one that does moves to the front."""
-        certs = self.certificates
+        certs, cap, mul = self.certificates, scaled_caps.__getitem__, operator.mul
         for i, (mult, c0, w) in enumerate(certs):
-            if (c0 + sum(c * scaled_caps[ai] for ai, c in w.items())) * den >= num * mult:
+            if (c0 + sum(map(mul, w.values(), map(cap, w)))) * den >= num * mult:
                 certs.insert(0, certs.pop(i))
                 return True
         return False

@@ -22,8 +22,10 @@ differs only in
 
 Pricing keeps a mask of the columns that may enter and takes the first
 with a negative reduced cost in one masked ``argmax``; the ratio test reads
-the pivot column, the basic values and their bounds once per pivot as
-plain Python numbers and applies Bland's tie rule to them row by row.
+the pivot column and the basic values once per pivot as plain Python
+numbers, keeps the basis and its bounds as plain numbers from pivot to
+pivot, and applies Bland's tie rule to them row by row.  The dual loop
+keeps its mask and its rows' basic bounds the same way.
 
 Row duals are read off the final objective row under each row's marker
 column (its slack, or its artificial for ``>=``/``=`` rows).  When phase 1
@@ -139,6 +141,9 @@ class _Layout:
                 self.art_col[i] = ncols
                 ncols += 1
         self.ncols = ncols
+        art = np.array(self.art_col, dtype=np.int64)
+        self.markers = np.where(art >= 0, art, np.array(self.slack_col, dtype=np.int64))
+        self.negated = np.array([row[3] for row in self.rows], dtype=bool)
 
     def appended(self, rows: Sequence[tuple]) -> "_Layout":
         """This layout with ``rows`` after its own, each with a new slack
@@ -152,10 +157,13 @@ class _Layout:
         new.slack_col = self.slack_col + list(range(self.ncols, self.ncols + len(rows)))
         new.art_col = self.art_col + [-1] * len(rows)
         new.ncols = self.ncols + len(rows)
+        new.markers = np.concatenate([self.markers, np.arange(self.ncols, new.ncols)])
+        new.negated = np.concatenate([self.negated, np.array([sense == GE for _, sense, _ in rows], dtype=bool)])
         return new
 
     def marker(self, i: int) -> tuple[int, bool]:
-        """Column whose reduced cost encodes row i's dual (col, is_artificial)."""
+        """Column whose reduced cost encodes row i's dual (col, is_artificial);
+        ``markers`` holds every row's column."""
         if self.art_col[i] >= 0:
             return self.art_col[i], True
         return self.slack_col[i], False
@@ -343,12 +351,9 @@ def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State 
     is_basic[basis] = 1
 
     # phase 1: minimize the artificial total
-    for i in range(m):
-        if layout.art_col[i] >= 0:
-            T[m] -= T[i]
-    for i in range(m):
-        if layout.art_col[i] >= 0:
-            T[m, layout.art_col[i]] += one
+    for i in np.flatnonzero(has_art).tolist():
+        T[m] -= T[i]
+    T[m, art[has_art]] += one
 
     status, it1 = _pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter)
     if status == ITER_LIMIT:
@@ -382,10 +387,9 @@ def _phase2(layout: _Layout, state: _State, obj, arith: _Arithmetic, max_iter) -
         else:
             eff[j] = v
     T[m, :N] = eff
-    for i in range(m):
-        cb = eff[basis[i]]
-        if cb != 0:
-            T[m] -= cb * T[i]
+    cb = eff[basis]
+    for i in np.flatnonzero(cb).tolist():
+        T[m] -= cb[i] * T[i]
     T[m, N] -= const
     return _optimize(layout, state, arith, max_iter)
 
@@ -406,11 +410,10 @@ def _optimize(layout: _Layout, state: _State, arith: _Arithmetic, max_iter) -> L
     values[basis] = T[:m, N]
     at_upper = flipped != 0
     values[at_upper] = upper[at_upper] - values[at_upper]
-    art = np.array(layout.art_col, dtype=np.int64)
-    markers = np.where(art >= 0, art, np.array(layout.slack_col, dtype=np.int64))
+    markers = layout.markers
     pi = -T[m, markers] * state.row_scale
     # a complemented marker (an appended "=" row's slack) shows -d_j
-    negate = np.array([row[3] for row in layout.rows], dtype=bool) != at_upper[markers]
+    negate = layout.negated != at_upper[markers]
     duals = list(np.where(negate, -pi, pi))
     # the objective is -T[m, N], taken as ``zero - v`` so that a zero optimum is +0.0
     objective = arith.zero - T[m, N]
@@ -434,7 +437,8 @@ def _resolve(start: LPResult, rows: Sequence[tuple], max_iter) -> LPResult:
     if max_iter is None:
         max_iter = _default_max_iter(layout)
     T = np.zeros((m + 1, N + 1))
-    T[np.ix_([*range(m0), m], [*range(N0), N])] = old_state.T
+    T[:m0, :N0], T[:m0, N] = old_state.T[:m0, :N0], old_state.T[:m0, N0]
+    T[m, :N0], T[m, N] = old_state.T[m0, :N0], old_state.T[m0, N0]
     slack_upper = np.array([0.0 if sense == EQ else _INF for _, sense, _, _ in layout.rows[m0:]])
     upper = np.concatenate([old_state.upper, slack_upper])
     flipped = np.concatenate([old_state.flipped, np.zeros(m - m0, dtype=np.uint8)])
@@ -492,11 +496,13 @@ def _dual_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
     m = T.shape[0] - 1
     n = T.shape[1] - 1
     tol = arith.tol
+    enterable = (allow != 0) & (is_basic == 0)
+    ceiling = upper[basis] + tol  # each row's basic bound, plus the tolerance
     iters = 0
     while True:
         values = T[:m, n]
-        above = values > upper[basis] + tol
-        rows = np.flatnonzero((values < -tol) | above)
+        above = values > ceiling
+        rows = ((values < -tol) | above).nonzero()[0]
         if not rows.size:
             return OPTIMAL, iters
         if iters >= max_iter:
@@ -504,28 +510,27 @@ def _dual_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
         r = int(rows[basis[rows].argmin()])
         entries = T[r, :n]
         right_sign = entries > tol if above[r] else entries < -tol
-        cols = np.flatnonzero(right_sign & (allow != 0) & (is_basic == 0))
+        cols = (right_sign & enterable).nonzero()[0]
         if not cols.size:
             return UNBOUNDED, iters
         ratios = np.maximum(T[m, cols], 0) / np.abs(entries[cols])
         enter = int(cols[ratios.argmin()])
         lv = _pivot(T, basis, is_basic, r, enter, arith)
         iters += 1
+        enterable[enter] = False
+        enterable[lv] = allow[lv] != 0
+        ceiling[r] = upper[enter] + tol
         if above[r]:
             _flip(T, flipped, upper, lv)
 
 
 def _drive_out_artificials(T, basis, is_basic, layout, arith):
     """Degenerate pivots removing artificials from the basis where possible."""
-    m = T.shape[0] - 1
-    for i in range(m):
-        if basis[i] < layout.first_art:
-            continue
-        for j in range(layout.first_art):
-            if not is_basic[j] and abs(T[i, j]) > arith.feas_tol:
-                _pivot(T, basis, is_basic, i, j, arith)
-                break
-        # no eligible column: the row is redundant, artificial stays at zero
+    first = layout.first_art
+    for i in np.flatnonzero(basis >= first).tolist():
+        eligible = np.flatnonzero((is_basic[:first] == 0) & (np.abs(T[i, :first]) > arith.feas_tol))
+        if eligible.size:  # else the row is redundant, artificial stays at zero
+            _pivot(T, basis, is_basic, i, int(eligible[0]), arith)
 
 
 def _pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
@@ -546,6 +551,11 @@ def _pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
     obj = T[m, :n]
     tol, zero = arith.tol, arith.zero
     enterable = (allow != 0) & (is_basic == 0)
+    # the basis and its bounds as plain numbers, kept up to date per pivot:
+    # numpy scalars cost more than the arithmetic of the ratio test
+    upper_of = upper.tolist()
+    basic = basis.tolist()
+    bounds = [upper_of[j] for j in basic]
     iters = 0
     while True:
         if iters >= max_iter:
@@ -555,13 +565,10 @@ def _pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
         enter = int(priced.argmax())
         if not priced[enter]:
             return OPTIMAL, iters
-        # ratio test against basic bounds plus the entering bound flip, on
-        # plain numbers: numpy scalars cost more than the arithmetic
+        # ratio test against basic bounds plus the entering bound flip
         column = T[:m, enter].tolist()
         values = T[:m, n].tolist()
-        bounds = upper[basis].tolist()
-        basic = basis.tolist()
-        best_t = upper[enter]
+        best_t = upper_of[enter]
         leave_row = -1
         leave_at_upper = False
         for i, d in enumerate(column):
@@ -591,6 +598,7 @@ def _pivot_loop(T, basis, is_basic, flipped, upper, allow, arith, max_iter):
             _flip(T, flipped, upper, enter)
             continue
         lv = _pivot(T, basis, is_basic, leave_row, enter, arith)
+        basic[leave_row], bounds[leave_row] = enter, upper_of[enter]
         enterable[enter] = False
         enterable[lv] = allow[lv] != 0
         if leave_at_upper:
@@ -607,7 +615,7 @@ def _pivot(T, basis, is_basic, row, col, arith) -> int:
     column = T[:, col].copy()
     column[row] = arith.zero
     # columns where the pivot row is zero would only subtract zero
-    cols = np.flatnonzero(pivot_row)
+    cols = pivot_row.nonzero()[0]
     if arith.exact:
         # Fraction arithmetic dominates: touch only the rows where the
         # pivot column is nonzero too
@@ -616,7 +624,7 @@ def _pivot(T, basis, is_basic, row, col, arith) -> int:
             T[i, cols] -= column[i] * entries
     else:
         block = T.take(cols, axis=1)
-        block -= np.outer(column, pivot_row[cols])
+        block -= column[:, None] * block[row]
         T[:, cols] = block
     T[:, col] = arith.zero
     T[row, col] = arith.one

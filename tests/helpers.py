@@ -1214,6 +1214,19 @@ def reference_validate_cuts(cuts, instance, ybound):
     return verdicts
 
 
+def reference_grid(instance, y_bounds):
+    """``engine._grid``'s points as it formed them before its walk updated
+    one list in place: ``(keys, [(t, scaled_caps), ...])`` in
+    ``itertools.product`` order, each point's capacities summed afresh from
+    the instance's ints."""
+    keys = sorted(y_bounds)
+    terms = [[] for _ in instance.arcs]
+    for i, (ai, mi) in enumerate(keys):
+        terms[ai].append((i, instance.sizes_num[mi]))
+    points = product(*(range(y_bounds[k] + 1) for k in keys))
+    return keys, [(t, [b + sum(c * t[i] for i, c in arc) for b, arc in zip(instance.cbar_num, terms)]) for t in points]
+
+
 def random_rational(rng, lo=0, hi=2, denoms=(1, 2, 3, 4, 6)):
     d = rng.choice(denoms)
     return F(rng.randint(int(lo * d), int(hi * d)), d)

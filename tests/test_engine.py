@@ -39,6 +39,7 @@ from helpers import (
     lhs_value,
     pure_capacity_counterexamples,
     reference_best_unsplittable,
+    reference_grid,
     reference_rc_arc,
     reference_separate_all,
     reference_validate_cuts,
@@ -823,6 +824,36 @@ def test_brute_force_budget():
         brute_force_ip(inst, ybound=9)
 
 
+@pytest.mark.parametrize("gen, y_bounds", [
+    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), None),
+    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), {(0, 0): 2, (1, 0): 0, (3, 0): 1, (4, 0): 3}),
+    (dict(seed=2, nodes=3, density=0.9, facilities=(1, 3)), None),
+], ids=["default", "explicit-with-zero", "two-facilities"])
+def test_grid_walk_matches_the_reference_formula(gen, y_bounds):
+    """``_grid`` steps one count at a time and updates the arcs' scaled
+    capacities in one list, in place; copied at each step, its points are
+    those of summing every point afresh (``reference_grid``), in
+    ``itertools.product`` order: default bounds, explicit ones with a zero
+    bound and an unkeyed arc, and two facility sizes."""
+    inst = generate_instance(**gen)
+    keys, points = engine._grid(inst, y_bounds, None)
+    walked = [(t, list(caps)) for t, caps in points]
+    want_keys, want = reference_grid(inst, y_bounds or default_y_bounds(inst))
+    assert keys == want_keys and walked == want
+    assert len(walked) == math.prod(1 + b for b in (y_bounds or default_y_bounds(inst)).values())
+
+
+def test_grid_refuses_bad_keys_and_budget_before_walking(monkeypatch):
+    """``_grid`` checks every key and the grid size when called, before any
+    point is walked."""
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    with pytest.raises(ValueError, match="want a bound >= 0 on an"):
+        engine._grid(inst, {(0, 0): 1, (9, 0): 1}, None)
+    monkeypatch.setattr(engine, "GRID_BUDGET", 383)  # the default grid has 384 points
+    with pytest.raises(BudgetExceededError, match="more than 383 points"):
+        engine._grid(inst, None, None)
+
+
 def test_default_y_bounds_cover_demand(star_instance):
     bounds = default_y_bounds(star_instance)
     assert all(b >= 1 for b in bounds.values())
@@ -1238,7 +1269,8 @@ def test_unsplittable_loop_families():
 def test_unsplittable_enumeration_caps_raise():
     """A truncated path, cycle or flow enumeration would make the oracle's
     answer wrong, so outgrowing a cap raises instead.  Only the pricing of
-    a cut's flow part in ``validate_cuts`` enumerates cycles."""
+    a cut's flow part in ``validate_cuts`` enumerates cycles, at the first
+    grid point that the kept forms do not decide."""
     from netdes_cuts.engine import _simple_paths, _unsplittable_routings
 
     # complete digraph on 8 nodes: only 1 -> 7 -> 8 has capacity, and it
@@ -1259,11 +1291,13 @@ def test_unsplittable_enumeration_caps_raise():
         brute_force_ip(inst, y_bounds={(ai, 0): 0 for ai in range(len(arcs))})
     with pytest.raises(BudgetExceededError, match="more than 400 simple paths from 1 to 8"):
         _simple_paths(inst, 1, 8)
-    # 84 cycles and 16 paths per pair, but more than 400 flows for a commodity
+    # 84 cycles and 16 paths per pair, but more than 400 flows for a commodity;
+    # the node cuts refute the grid of ybound 0, so the cut holds without them
     dense = generate_instance(seed=0, nodes=5, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True)
     flow_cut = LinearCut({(0, 0): F(-1)}, {(0, 0): F(1)}, F(1), "other")
+    assert validate_cut(flow_cut, dense, ybound=0) == (True, None)
     with pytest.raises(BudgetExceededError, match="more than 400 unsplittable flows of commodity 1->5"):
-        validate_cut(flow_cut, dense, ybound=0)
+        validate_cut(flow_cut, dense, ybound=1)
 
 
 def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
@@ -1356,9 +1390,9 @@ def test_cuts_with_one_flow_part_share_one_part_objective_and_bound_store():
     """``_Routing`` keys each objective by its flow part on ints, a cut's
     ``flow_num`` over its gcd with ``den``: two cuts with equal flow parts
     but different right-hand sides, so different stored ints, share one
-    part, one objective (columns made once) and one bound store, and on an
-    unsplittable instance one cost table; a cut with another flow part has
-    its own."""
+    part, one objective (columns made once, by ``_Routing.objective``) and
+    one bound store, and on an unsplittable instance one cost table; a cut
+    with another flow part has its own."""
     flow = {(0, 0): F(1), (1, 0): F(-1, 2)}
     a = LinearCut(flow, {(0, 0): F(1)}, F(1, 3), "flowcutset")
     b = LinearCut(flow, {(1, 0): F(2)}, F(5), "flowcutset")
@@ -1375,9 +1409,42 @@ def test_cuts_with_one_flow_part_share_one_part_objective_and_bound_store():
             tables = [routing._costs(part) for part in routing.parts]
             assert tables[0] is tables[1] and tables[0] is not tables[2]
         else:
-            assert routing.objectives[0] is routing.objectives[1]
-            assert routing.objectives[0] is not routing.objectives[2]
-            assert routing.objectives[0] == routing.routing.columns(a.flow)
+            objectives = [routing.objective(part) for part in routing.parts]
+            assert objectives[0] is objectives[1]
+            assert objectives[0] is not objectives[2]
+            assert objectives[0] == routing.routing.columns(a.flow)
+
+
+def test_a_batch_decided_by_kept_forms_builds_no_objective_columns(monkeypatch):
+    """``_Routing`` makes its routing LP when it first solves one and a
+    flow part's objective columns when an LP first prices the part: on
+    seed 1101's 4-node grid no point routes and the node cuts refute every
+    point, so two flow cuts are decided with neither made."""
+    solves = []
+    monkeypatch.setattr(lp, "solve_lp_many", lambda *args, **kwargs: solves.append(args))
+    inst = generate_instance(seed=1101, nodes=4, density=0.5, facilities=(1,))
+    cuts = [LinearCut({(ai, 0): F(1)}, {(ai, 0): F(1)}, F(1), "other") for ai in range(2)]
+    routing = engine._Routing(inst, [(cut.flow_num, cut.den) for cut in cuts])
+    _, points = engine._grid(inst, None, 1)
+    assert all(routing.minima(caps, [0, 1], lambda i: None) is None for _, caps in points)
+    assert routing.made == {} and "routing" not in vars(routing) and solves == []
+    assert validate_cuts(cuts, inst, ybound=1) == [(True, None)] * 2
+    assert solves == []
+
+
+def test_unsplittable_flows_are_enumerated_only_for_a_search():
+    """The unsplittable oracle enumerates flows at its first search, so a
+    cut the node cuts decide is proved valid on an instance whose
+    enumeration outgrows its cap: the 8-node complete instance has more
+    than ``PATH_CAP`` paths between two nodes, and the cut-set cut of
+    ``{4}`` (rhs 1 on the 7 arcs leaving node 4) has one pattern below its
+    rhs, which the node cut of ``{4}`` refutes."""
+    inst = generate_instance(seed=5, nodes=8, density=1.0, facilities=(1,), mode="disaggregated", unsplittable=True)
+    cut = cutset_cuts.cutset_cut(cutset_cuts.build_cutset(inst, [4]))
+    assert cut.rhs == 1 and sorted(cut.cap.values()) == [1] * 7 and not cut.flow
+    with pytest.raises(BudgetExceededError, match="more than 400 simple paths"):
+        engine._unsplittable_routings(inst, cycles=False)
+    assert validate_cuts([cut], inst) == [(True, None)]
 
 
 def test_integer_unsplittable_search_matches_the_fraction_reference():
