@@ -410,24 +410,12 @@ def lifted_cover_cut(
 
 
 def _knapsack_max(rel: ArcSetRelaxation, items, cap: Fraction) -> Fraction:
-    """Exact 0/1 knapsack maximum; enumeration for small item counts,
-    dynamic programming over the common-denominator grid otherwise."""
-    live = [(i, p) for i, p in items if p > 0]
+    """Exact 0/1 knapsack maximum of the ``(item, profit)`` pairs ``items``
+    under ``cap``, by dynamic programming over the weights'
+    common-denominator grid."""
     if cap < 0:
         return ZERO
-    if len(live) <= 16:
-        best = ZERO
-        n = len(live)
-        for mask in range(1 << n):
-            w = ZERO
-            p = ZERO
-            for t in range(n):
-                if mask >> t & 1:
-                    w += rel.a[live[t][0]]
-                    p += live[t][1]
-            if w <= cap and p > best:
-                best = p
-        return best
+    live = [(i, p) for i, p in items if p > 0]
     denom = math.lcm(*(rel.a[i].denominator for i, _ in live), cap.denominator)
     W = int(cap * denom)
     dp = [ZERO] * (W + 1)

@@ -28,6 +28,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -45,51 +46,28 @@ from .core import (
 from .simplex import EQ, GE, LE, LPResult, solve_lp, solve_lp_many  # noqa: F401 (the oracles solve by lp.solve_lp_many)
 
 
-class ExactRows(Sequence):
-    """``LPModel.rows``: ``fixed``, the balance and capacity rows, then one
-    ``(coefs, GE, rhs)`` row per cut of ``cuts``, in ``Fraction``s.  Its
-    length is known at once; the cut rows are built on the first other
-    read, so a model that no exact consumer reads never builds them."""
-
-    def __init__(self, instance: Instance, fixed: list, cuts: list):
-        self.instance, self.fixed, self.cuts = instance, fixed, cuts
-        self._rows = None
-
-    def __len__(self) -> int:
-        return len(self.fixed) + len(self.cuts)
-
-    def _built(self) -> list:
-        if self._rows is None:
-            self._rows = self.fixed + cut_rows(self.instance, self.cuts, Fraction)
-        return self._rows
-
-    def __getitem__(self, i):
-        return self._built()[i]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-
 @dataclass
 class LPModel:
     """The relaxation as ``solve_lp`` takes it, over the columns of
     ``column_keys``: balance rows, capacity rows, then one ``>=`` row per
     cut of ``cuts``.  ``float_rows`` are those rows in floats, each
     ``(coefs, sense, rhs)`` the ``float()`` of its exact row with the same
-    columns in the same order, and are what ``solve`` solves; ``rows``
-    (``ExactRows``) are the exact rows, built for an exact consumer
+    columns in the same order, and are what ``solve`` solves.  ``fixed``
+    are the exact balance and capacity rows; ``rows``, ``fixed`` then the
+    exact cut rows, are built on first read, for an exact consumer
     (``exact_objective``, the stall fallback of ``solve``,
     ``to_lp_format``)."""
 
     instance: Instance
     cuts: list
-    rows: ExactRows
+    fixed: list
     float_rows: list
     objective: dict
     upper: dict
+
+    @cached_property
+    def rows(self) -> list:
+        return self.fixed + cut_rows(self.instance, self.cuts, Fraction)
 
     @property
     def n_vars(self) -> int:
@@ -169,10 +147,7 @@ def build_relaxation(
     cuts = list(cuts)
     if base is None:
         routing = RoutingLP(instance)
-        fixed = routing.rows([arc.existing_capacity for arc in instance.arcs])
-        for ai, (coefs, _, _) in enumerate(routing.capacity_part(fixed)):
-            for mi, fac in enumerate(instance.facilities):
-                coefs[design_var(instance, ai, mi)] = -fac.capacity
+        fixed = routing.rows([arc.existing_capacity for arc in instance.arcs], installed=True)
         float_rows = [({j: float(v) for j, v in coefs.items()}, sense, float(rhs)) for coefs, sense, rhs in fixed]
         objective = {
             j: instance.flow_costs[ai][other] if kind == "x" else instance.facilities[other].costs[ai]
@@ -184,12 +159,12 @@ def build_relaxation(
     elif len(base.cuts) > len(cuts) or any(a is not b and a != b for a, b in zip(base.cuts, cuts)):
         raise ValueError("the base relaxation's cuts are not a prefix of the cuts")
     else:
-        fixed, float_rows = base.rows.fixed, list(base.float_rows)
+        fixed, float_rows = base.fixed, list(base.float_rows)
         objective, upper, built = base.objective, base.upper, len(base.cuts)
     # numerator / denominator by int true division is the correctly
     # rounded quotient, as float() of the exact value is
     float_rows += cut_rows(instance, cuts[built:], operator.truediv)
-    return LPModel(instance, cuts, ExactRows(instance, fixed, cuts), float_rows, objective, upper)
+    return LPModel(instance, cuts, fixed, float_rows, objective, upper)
 
 
 def solve(model: LPModel, *, start: LPSolution | None = None) -> LPSolution:
@@ -322,9 +297,11 @@ def cut_rows(instance: Instance, cuts: Sequence[LinearCut], divide) -> list:
 class RoutingLP:
     """The routing LP of ``instance``, made once per oracle call, routability
     check or relaxation build: ``n_vars`` flow columns (``routing_var``),
-    each bounded by its commodity's total supply (``upper``), under the
-    ``balance`` rows, one per (commodity, node) and built once, then one
-    capacity row per arc.  No code outside this class knows that order."""
+    each bounded by its commodity's total supply (``upper``), under one
+    balance row per (commodity, node), then one capacity row per arc.  Each
+    row's coefficients (ints) are made once and shared by every ``rows``
+    call, and no code edits them; no code outside this class knows the
+    row order."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -332,22 +309,30 @@ class RoutingLP:
         self.balance = []
         for ki, com in enumerate(instance.commodities):
             for node in instance.nodes:
-                coefs = {}  # summed on ints, then made Fractions
+                coefs = {}
                 for arcs, sign in ((instance.in_arcs[node], 1), (instance.out_arcs[node], -1)):
                     for ai in arcs:
                         j = routing_var(instance, ai, ki)
                         coefs[j] = coefs.get(j, 0) + sign
-                self.balance.append(({j: Fraction(v) for j, v in coefs.items()}, EQ, com.w(node)))
+                self.balance.append((coefs, EQ, com.w(node)))
+        commodities = range(len(instance.commodities))
+        self.capacity = [{routing_var(instance, ai, ki): 1 for ki in commodities} for ai in range(len(instance.arcs))]
         supplies = [(ki, com.total_supply) for ki, com in enumerate(instance.commodities)]
         self.upper = {routing_var(instance, ai, ki): u for ki, u in supplies for ai in range(len(instance.arcs))}
 
-    def rows(self, capacities: Sequence[Fraction]) -> list:
-        """The balance rows, then a new ``<=`` row per arc ``ai`` with rhs ``capacities[ai]``."""
-        commodities = range(len(self.instance.commodities))
-        return self.balance + [
-            ({routing_var(self.instance, ai, ki): Fraction(1) for ki in commodities}, LE, capacities[ai])
-            for ai in range(len(self.instance.arcs))
-        ]
+    def rows(self, capacities: Sequence[Fraction], installed: bool = False) -> list:
+        """The balance rows, then a ``<=`` row per arc ``ai`` with rhs
+        ``capacities[ai]``.  With ``installed`` each capacity row also
+        holds ``-c_m`` at its arc's design columns (``design_var``), the
+        relaxation's installed capacity, in a new dict."""
+        capacity = self.capacity
+        if installed:
+            inst = self.instance
+            capacity = [
+                {**coefs, **{design_var(inst, ai, mi): -fac.capacity for mi, fac in enumerate(inst.facilities)}}
+                for ai, coefs in enumerate(capacity)
+            ]
+        return self.balance + [(coefs, LE, cap) for coefs, cap in zip(capacity, capacities)]
 
     def labels(self) -> list[str]:
         """The name of each row of ``rows``, in order."""

@@ -10,8 +10,8 @@ The sums are ints over one ``NodePairTable`` of the instance, a
 two-partition's read straight from its rows (``NodePairTable.crossing``),
 and a ``Fraction`` is made only for a cut that is built.  The shrunk
 network as an ``Instance`` is built only on request
-(``ShrunkInstance.instance``); its valid inequalities lift back by copying
-coefficients onto crossing arcs (``lift_cut``).
+(``ShrunkInstance.instance``); its valid capacity inequalities lift back by
+copying coefficients onto crossing arcs (``lift_cut``).
 """
 
 from __future__ import annotations
@@ -174,32 +174,21 @@ def shrink(instance: Instance, partition: NodePartition) -> ShrunkInstance:
 
 
 def lift_cut(cut: LinearCut, shrunk: ShrunkInstance) -> LinearCut:
-    """Copy a shrunk-space cut onto the original network.
-
-    Capacity coefficients replicate over every original arc in the
-    crossing group; flow coefficients replicate additionally over every
-    original commodity whose source lies in the shrunk commodity's block.
-    The attached report states the conditions under which facets survive
-    the lift: pure capacity form, positive rhs, connected blocks.
+    """Copy a shrunk-space capacity cut onto the original network: each
+    capacity coefficient replicates over every original arc in its crossing
+    group.  A cut with flow terms raises ``ValueError``: on a crossing group
+    the summed original flows can exceed the shrunk commodity's supply,
+    which a flow cut (``rc``) may rely on.  The attached report states the
+    conditions under which facets survive the lift: positive rhs,
+    connected blocks.
     """
-    arc_groups = shrunk.arc_groups
-    flow = {}
-    for (s_arc, s_k), coef in cut.flow.items():
-        src_block = shrunk.instance.commodities[s_k].source
-        originals = [
-            ki
-            for ki, com in enumerate(shrunk.base.commodities)
-            if shrunk.block_of[com.source] == src_block
-        ]
-        for ai in arc_groups[s_arc]:
-            for ki in originals:
-                flow[(ai, ki)] = flow.get((ai, ki), ZERO) + coef
+    if cut.flow:
+        raise ValueError("only a pure-capacity cut lifts: a shrunk flow cut may not hold on the original network")
     cap = {}
     for (s_arc, mi), coef in cut.cap.items():
-        for ai in arc_groups[s_arc]:
+        for ai in shrunk.arc_groups[s_arc]:
             cap[(ai, mi)] = cap.get((ai, mi), ZERO) + coef
     report = {
-        "alpha_zero": not cut.flow,
         "rhs_positive": cut.rhs > 0,
         "blocks_connected": all(
             _weakly_connected(shrunk.base, block) for block in shrunk.partition.blocks
@@ -208,7 +197,7 @@ def lift_cut(cut: LinearCut, shrunk: ShrunkInstance) -> LinearCut:
     params = dict(cut.params)
     params["lift_report"] = report
     params["blocks"] = shrunk.partition.blocks
-    return LinearCut(flow=flow, cap=cap, rhs=cut.rhs, family=cut.family, params=params)
+    return LinearCut(flow={}, cap=cap, rhs=cut.rhs, family=cut.family, params=params)
 
 
 def _weakly_connected(instance: Instance, nodes: Sequence[int]) -> bool:

@@ -161,13 +161,6 @@ class _Layout:
         new.negated = np.concatenate([self.negated, np.array([sense == GE for _, sense, _ in rows], dtype=bool)])
         return new
 
-    def marker(self, i: int) -> tuple[int, bool]:
-        """Column whose reduced cost encodes row i's dual (col, is_artificial);
-        ``markers`` holds every row's column."""
-        if self.art_col[i] >= 0:
-            return self.art_col[i], True
-        return self.slack_col[i], False
-
 
 def solve_lp(
     n_vars: int,
@@ -359,12 +352,9 @@ def _phase1(layout: _Layout, upper_map, arith: _Arithmetic, max_iter) -> _State 
     if status == ITER_LIMIT:
         return LPResult("stalled", [], None, iterations=it1)
     if -T[m, N] > arith.feas_tol:
-        lam = []
-        for i in range(m):
-            col, is_art = layout.marker(i)
-            pi = ((one if is_art else zero) - T[m, col]) * row_scale[i]
-            lam.append(-pi if layout.rows[i][3] else pi)
-        return LPResult("infeasible", [], None, farkas=lam, iterations=it1)
+        # each row's entry read at its marker, as ``_optimize`` reads duals
+        pi = (np.where(has_art, one, zero) - T[m, layout.markers]) * row_scale
+        return LPResult("infeasible", [], None, farkas=list(np.where(layout.negated, -pi, pi)), iterations=it1)
 
     _drive_out_artificials(T, basis, is_basic, layout, arith)
     allow[layout.first_art :] = 0

@@ -1227,12 +1227,15 @@ def reference_grid(instance, y_bounds):
     return keys, [(t, [b + sum(c * t[i] for i, c in arc) for b, arc in zip(instance.cbar_num, terms)]) for t in points]
 
 
-def random_rational(rng, lo=0, hi=2, denoms=(1, 2, 3, 4, 6)):
-    d = rng.choice(denoms)
-    return F(rng.randint(int(lo * d), int(hi * d)), d)
-
-
 # -- the simplex kernel --------------------------------------------------------------
+
+
+def _marker(layout, i):
+    """Column whose reduced cost encodes row ``i``'s dual in ``layout`` (a
+    ``simplex._Layout``), and whether it is an artificial."""
+    if layout.art_col[i] >= 0:
+        return layout.art_col[i], True
+    return layout.slack_col[i], False
 
 
 def reference_solve_lp_many(n_vars, rows, objectives, upper=None, exact=False, max_iter=None):
@@ -1313,7 +1316,7 @@ def _reference_phase1(layout, upper_map, arith, max_iter):
     if -T[m, N] > arith.feas_tol:
         lam = []
         for i in range(m):
-            col, is_art = layout.marker(i)
+            col, is_art = _marker(layout, i)
             pi = ((one if is_art else zero) - T[m, col]) * row_scale[i]
             lam.append(-pi if layout.rows[i][3] else pi)
         return LPResult("infeasible", [], None, farkas=lam, iterations=it1)
@@ -1362,7 +1365,7 @@ def _reference_phase2(layout, state, obj, arith, max_iter):
             values[j] = upper[j] - values[j]
     duals = []
     for i in range(m):
-        col, _ = layout.marker(i)
+        col, _ = _marker(layout, i)
         pi = -T[m, col] * state.row_scale[i]
         duals.append(-pi if layout.rows[i][3] else pi)
     return LPResult("optimal", list(values[: layout.n_vars]), -T[m, N], duals=duals, iterations=iters)
@@ -1535,7 +1538,7 @@ def reference_resolve(start, rows, max_iter=None):
             values[j] = upper[j] - values[j]
     duals = []
     for i in range(m):
-        col, _ = layout.marker(i)
+        col, _ = _marker(layout, i)
         pi = -T[m, col] * row_scale[i]
         duals.append(-pi if layout.rows[i][3] != bool(flipped[col]) else pi)
     res = LPResult("optimal", list(values[: layout.n_vars]), -T[m, N], duals=duals, iterations=iters)

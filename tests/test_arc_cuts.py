@@ -10,6 +10,7 @@ from netdes_cuts.arc_cuts import (
     ArcInequality,
     ArcSetRelaxation,
     CoverSpec,
+    _knapsack_max,
     back_map_cut,
     c_strong_cut,
     c_strong_value,
@@ -441,6 +442,24 @@ def test_lifted_covers_subsume_c_strong(fu_example):
                 implied = True
                 break
         assert implied, S
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_knapsack_max_matches_brute_force(n):
+    """The lifting's knapsack DP against every subset, on both sides of
+    the 16 items up to which it once enumerated instead; a negative or
+    zero profit never helps, and a negative capacity fits nothing."""
+    rng = random.Random(n)
+    for _ in range(3):
+        a = [F(rng.randint(1, d - 1), d) for d in (rng.choice((4, 6, 8, 12)) for _ in range(n))]
+        rel = ArcSetRelaxation(a=a, a0=F(0), mode=SPLITTABLE)
+        items = [(i, F(rng.randint(-1, 6), rng.choice((1, 2, 3)))) for i in range(n)]
+        cap = F(rng.randint(0, 4 * n), 8)
+        subsets = [(0, 0)]  # (24 * weight, 6 * profit) of every subset, in ints
+        for wi, pi in ((int(24 * a[i]), int(6 * p)) for i, p in items):
+            subsets += [(w + wi, q + pi) for w, q in subsets]
+        assert _knapsack_max(rel, items, cap) == F(max(q for w, q in subsets if w <= 24 * cap), 6)
+        assert _knapsack_max(rel, items, F(-1, 2)) == 0
 
 
 def test_to_instance_cut_scaling():

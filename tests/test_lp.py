@@ -283,11 +283,28 @@ def test_relaxation_fixed_rows_are_the_routing_rows_at_existing_capacity(facilit
         for ai in range(len(inst.arcs)):
             want[n_balance + ai][0].extend((design_var(inst, ai, mi), -f.capacity) for mi, f in enumerate(inst.facilities))
         model = build_relaxation(inst)
-        assert [(list(c.items()), sense, rhs) for c, sense, rhs in model.rows.fixed] == want
+        assert [(list(c.items()), sense, rhs) for c, sense, rhs in model.fixed] == want
         assert [(list(c.items()), sense, rhs) for c, sense, rhs in model.float_rows] == [
             ([(j, float(v)) for j, v in coefs], sense, float(rhs)) for coefs, sense, rhs in want
         ]
         assert model.upper == routing.upper
+
+
+def test_routing_rows_share_their_coefficients_across_capacity_vectors():
+    """Two ``RoutingLP.rows`` calls on one object pair the same coefficient
+    dicts with their own right-hand sides; the relaxation's capacity rows
+    are new dicts, and making them leaves the routing LP's rows as they were."""
+    inst = generate_instance(seed=3, nodes=4, density=0.6, facilities=(1, 3))
+    routing = RoutingLP(inst)
+    low, high = routing.rows([F(0)] * len(inst.arcs)), routing.rows([F(2)] * len(inst.arcs))
+    assert all(a is b for (a, _, _), (b, _, _) in zip(low, high))
+    assert [rhs for _, _, rhs in routing.capacity_part(high)] == [F(2)] * len(inst.arcs)
+    before = [dict(coefs) for coefs, _, _ in low]
+    relaxed = routing.rows([a.existing_capacity for a in inst.arcs], installed=True)
+    assert all(a is b for (a, _, _), (b, _, _) in zip(routing.balance, relaxed))
+    assert not any(a is b for (a, _, _), (b, _, _) in zip(routing.capacity_part(low), routing.capacity_part(relaxed)))
+    assert [coefs for coefs, _, _ in low] == before
+    assert build_relaxation(inst).fixed == relaxed
 
 
 def test_float_rows_are_the_exact_rows_in_floats(monkeypatch):
@@ -318,7 +335,7 @@ def test_float_rows_are_the_exact_rows_in_floats(monkeypatch):
             first = len(solved)
             res = cutting_plane_loop(generate_instance(**gen), Config(max_rounds=10))
             rounds = [model for model, _ in solved[first:first + len(res.reports)]]
-            assert all(model.rows._rows is None for model in rounds)  # no exact row was built
+            assert all("rows" not in vars(model) for model in rounds)  # no exact row was built
             reported += [(rep.lp_rows, model) for rep, model in zip(res.reports, rounds)]
     assert len(solved) == 22
     values = 0

@@ -6,7 +6,7 @@ import pytest
 
 from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut
 from netdes_cuts.cutset_cuts import build_cutset, cutset_cut
-from netdes_cuts.engine import generate_instance, validate_cut, validate_cuts
+from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance, validate_cut, validate_cuts
 from netdes_cuts.lp import check_feasible_routing
 from netdes_cuts.mir import KnapsackCoverSet, hull_inequalities
 from netdes_cuts.partition_cuts import (
@@ -188,7 +188,7 @@ def test_lift_two_partition_matches_direct_cutset(star_instance):
     direct = cutset_cut(build_cutset(star_instance, [1]))
     assert lifted.cap == direct.cap and lifted.rhs == direct.rhs
     report = lifted.params["lift_report"]
-    assert report["alpha_zero"] and report["rhs_positive"]
+    assert report["rhs_positive"]
     # nodes 2 and 3 share no arc in the star, and the report says so
     assert not report["blocks_connected"]
 
@@ -230,6 +230,45 @@ def test_lifted_cuts_valid_on_original():
         lifted = lift_cut(cut, sh)
         ok, counter = validate_cut(lifted, inst, ybound=2)
         assert ok, counter
+
+
+_SHRINKS = (([1, 2], [3], [4]), ([1], [2, 3], [4]), ([1, 3], [2, 4]))
+
+
+def _shrunk_pools(seeds):
+    """``(instance, shrunk, pooled cuts)`` of four-round loops on the
+    shrunk 4-node instances of ``seeds`` under each of ``_SHRINKS``."""
+    for seed in seeds:
+        inst = generate_instance(seed, nodes=4, density=0.6, facilities=(1,))
+        for blocks in _SHRINKS:
+            sh = shrink(inst, NodePartition.of(*blocks))
+            yield inst, sh, list(cutting_plane_loop(sh.instance, Config(max_rounds=4)).pool.cuts())
+
+
+def test_lift_refuses_a_flow_cut():
+    """A shrunk ``rc`` cut leans on the shrunk commodity's supply bound,
+    which the summed original flows of a crossing group can exceed: lifted,
+    seed 3's ``-x[4,0] + 1/3 y[4,0] >= 0`` has a counterexample, so a cut
+    with flow terms does not lift."""
+    _, sh, cuts = next(_shrunk_pools([3]))  # shrunk to {1, 2} | {3} | {4}
+    rc = [cut for cut in cuts if cut.family == "rc"]
+    assert rc
+    for cut in rc:
+        with pytest.raises(ValueError, match="pure-capacity"):
+            lift_cut(cut, sh)
+
+
+def test_lifted_capacity_cuts_of_shrunk_loops_are_valid():
+    """Every pure-capacity cut pooled on a shrunk 4-node instance, the
+    partition family's among them, lifts to a valid cut of the original."""
+    families, lifted = set(), 0
+    for inst, sh, cuts in _shrunk_pools(range(1, 40)):
+        capacity = [cut for cut in cuts if not cut.flow]
+        families.update(cut.family for cut in capacity)
+        verdicts = validate_cuts([lift_cut(cut, sh) for cut in capacity], inst, ybound=1)
+        assert [counter for ok, counter in verdicts if not ok] == []
+        lifted += len(capacity)
+    assert lifted == 163 and {"partition", "threepartition", "cutset"} <= families
 
 
 # -- metric separation ------------------------------------------------------------------

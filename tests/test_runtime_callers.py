@@ -10,17 +10,20 @@ so a method call ``obj.f`` does not count for a module function ``f``.
 
 The benchmark's tracer (``perfbench/spans.py``) replaces definitions by
 name for a traced run, so every name it wraps must exist where it looks.
+And each helper of ``tests/helpers.py`` has a caller in the tests.
 """
 
 import ast
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import netdes_cuts
 
 PACKAGE = Path(netdes_cuts.__file__).resolve().parent
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+TESTS = Path(__file__).resolve().parent
+SPANS = TESTS.parent / "perfbench" / "spans.py"
 
 # definitions kept without a caller in the package, each for a caller outside it
 KEPT = {
@@ -151,3 +154,20 @@ def test_every_name_the_benchmark_wraps_exists_where_it_looks():
     assert [_qualified(owner, attr) for owner, attr, *_ in targets if attr not in owner.__dict__] == []
     wrapped = {_qualified(owner, attr) for owner, attr, *_ in targets}
     assert sorted(name for name, why in KEPT.items() if "perfbench" in why and name not in wrapped) == []
+
+
+def test_every_helper_has_a_caller_in_the_tests():
+    """Each top-level function or class of ``tests/helpers.py`` is referred
+    to by name or as an attribute in some test file, ``helpers.py`` itself
+    outside the definition among them."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))}
+    names = Counter()
+    for tree in trees.values():
+        names.update(name for refs in _references(tree, set()) for name in refs)
+    uncalled = []
+    for node in trees["helpers.py"].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = [name for refs in _references(node, set()) for name in refs]  # a recursive call is not a caller
+            if names[node.name] == own.count(node.name):
+                uncalled.append(node.name)
+    assert uncalled == []
