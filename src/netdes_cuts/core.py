@@ -479,10 +479,28 @@ class LinearCut:
             )
         return self._key
 
+    def check_keys(self, instance: Instance) -> None:
+        """``check_key`` on each key of the cut: its flow keys of ``x``, then its capacity keys of ``y``."""
+        for kind, nums in (("x", self.flow_num), ("y", self.cap_num)):
+            for key in nums:
+                check_key(instance, key, kind)
+
     def __str__(self):
         terms = [f"{format_rational(c)}*x[{a},{k}]" for (a, k), c in sorted(self.flow.items())]
         terms += [f"{format_rational(c)}*y[{a},{m}]" for (a, m), c in sorted(self.cap.items())]
         return " + ".join(terms) + f" >= {format_rational(self.rhs)}"
+
+
+def check_key(instance: Instance, key, kind: str, bound: int | None = None) -> None:
+    """Raise ``ValueError`` naming ``key`` unless it names a variable of
+    ``instance``: an (arc, facility) pair of ``y`` (``kind`` ``"y"``) or an
+    (arc, commodity) pair of ``x`` (``"x"``), and ``bound``, an oracle
+    grid's bound on the key when given, is >= 0."""
+    ai, other = key
+    name, count = ("facility", len(instance.facilities)) if kind == "y" else ("commodity", len(instance.commodities))
+    if not (0 <= ai < len(instance.arcs) and 0 <= other < count) or (bound is not None and bound < 0):
+        what = f"{kind} key {key}: want a key" if bound is None else f"{kind} bound {bound} of {key}: want a bound >= 0"
+        raise ValueError(f"{what} on an (arc, {name}) pair")
 
 
 # -- instance file format ----------------------------------------------------

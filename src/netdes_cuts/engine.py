@@ -36,6 +36,7 @@ from .core import (
     FractionalPoint,
     Instance,
     LinearCut,
+    check_key,
     frac,
     scaled_ints,
 )
@@ -136,13 +137,13 @@ def _rc(sep: Separation, scaled: ScaledPoint):
         loads = [(min(max(S * v, 0), D * d), D * d) for v, d in zip(X, supplies)]
         T = arc_cuts.residual_capacity_set(supplies, cbar, inst.sizes_num[0], loads, max(Y[0], 0), D)
         if T is not None:
-            rel = sep.capacity_rows(arc_cuts.SPLITTABLE)[ai]
+            rel = sep.capacity_rows[ai]
             yield arc_cuts.to_instance_cut(rel, arc_cuts.residual_capacity_cut(rel, T), "rc")
 
 
 def _cstrong(sep: Separation, scaled: ScaledPoint):
     point = scaled.point
-    for ai, rel in enumerate(sep.capacity_rows(arc_cuts.UNSPLITTABLE)):
+    for ai, rel in enumerate(sep.capacity_rows):
         reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
         xhat = _fractional_loads(rel, ai, point)
         ybar = max(point.y.get((ai, 0), ZERO), ZERO)
@@ -444,7 +445,6 @@ class Separation:
         self.families = [f for f in enabled if f.applies(instance)]
         self.inapplicable = [f.name for f in enabled if not f.applies(instance)]
         self.fixed = {f.name: _distinct_cuts(f.build(self)) for f in self.families if f.build}
-        self._rows: dict = {}
 
     @cached_property
     def partitions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -454,12 +454,10 @@ class Separation:
     def relaxations(self) -> list[cutset_cuts.CutSetRelaxation]:
         return [cutset_cuts.build_cutset(self.instance, U, V) for U, V in self.partitions]
 
-    def capacity_rows(self, mode: str) -> list[arc_cuts.ArcSetRelaxation]:
-        """Each arc's capacity row as an arc-set relaxation in ``mode``, made once."""
-        if mode not in self._rows:
-            arcs = range(len(self.instance.arcs))
-            self._rows[mode] = [arc_cuts.from_capacity_row(self.instance, ai, mode) for ai in arcs]
-        return self._rows[mode]
+    @cached_property
+    def capacity_rows(self) -> list[arc_cuts.ArcSetRelaxation]:
+        """Each arc's capacity row as an arc-set relaxation in the instance's mode."""
+        return [arc_cuts.from_capacity_row(self.instance, ai) for ai in range(len(self.instance.arcs))]
 
 
 def _distinct_cuts(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
@@ -590,48 +588,50 @@ def default_y_bounds(instance: Instance, ybound: int | None = None) -> dict[tupl
 
 
 def _grid(instance: Instance, y_bounds: Mapping[tuple[int, int], int] | None, ybound: int | None):
-    """The installation grid an oracle walks, as ``(keys, points)``.
+    """The installation grid an oracle walks (``_walk``), as ``(keys, bounds)``.
 
     ``keys`` is ``sorted(y_bounds)``, or the keys of ``default_y_bounds(instance,
-    ybound)`` when ``y_bounds`` is None.  Each point is ``(t, scaled_caps)``:
-    the installation counts over ``keys``, in ``itertools.product`` order,
-    and each arc's capacity at ``t`` times ``instance.scale``, in ints.
-    ``scaled_caps`` is one list per walk, updated in place from point to
-    point, so a caller copies what it keeps.  A key that names no (arc,
-    facility) pair, or a negative bound, raises ``ValueError``; a grid of
-    more than ``GRID_BUDGET`` points raises ``BudgetExceededError``.
+    ybound)`` when ``y_bounds`` is None, and ``bounds`` their bounds, in
+    order.  A key that names no (arc, facility) pair, or a negative bound,
+    raises ``ValueError`` (``core.check_key``); a grid of more than
+    ``GRID_BUDGET`` points raises ``BudgetExceededError``.
     """
     if y_bounds is None:
         y_bounds = default_y_bounds(instance, ybound)
     keys = sorted(y_bounds)
     size = 1
     for key in keys:
-        (ai, mi), bound = key, y_bounds[key]
-        if not (0 <= ai < len(instance.arcs) and 0 <= mi < len(instance.facilities) and bound >= 0):
-            raise ValueError(f"y bound {bound} of {key}: want a bound >= 0 on an (arc, facility) pair")
-        size *= bound + 1
+        check_key(instance, key, "y", y_bounds[key])
+        size *= y_bounds[key] + 1
         if size > GRID_BUDGET:
             raise BudgetExceededError(f"y-grid has more than {GRID_BUDGET} points")
-    return keys, _walk(instance, keys, [y_bounds[key] for key in keys])
+    return keys, [y_bounds[key] for key in keys]
 
 
-def _walk(instance: Instance, keys, bounds):
-    """``_grid``'s points: an odometer over ``keys`` whose last key turns
-    fastest; each step changes one or more counts and the scaled capacity
-    of their arcs by their units."""
+def _walk(instance: Instance, keys, bounds, base: Sequence[int], coefs=None, rhs: int = 1):
+    """The capacity vectors an oracle decides, as ``(t, caps, lhs)``: an
+    odometer over ``keys`` in ``itertools.product`` order, the last key
+    turning fastest.  ``t`` holds the counts, each at most its bound;
+    ``caps``, each arc's capacity times ``instance.scale``, is ``base`` plus
+    the counts' units, in ints, in one list updated in place, so a caller
+    copies what it keeps; ``lhs`` sums the int ``coefs`` (0 when None) times
+    the counts, and a count turns only while it stays below ``rhs``."""
     arcs, units = [ai for ai, _ in keys], [instance.sizes_num[mi] for _, mi in keys]
-    t, caps = [0] * len(keys), list(instance.cbar_num)
-    while True:
-        yield tuple(t), caps
+    caps, coefs = list(base), coefs or [0] * len(keys)
+    t, lhs = [0] * len(keys), 0
+    while lhs < rhs:  # false only at the origin, when rhs <= 0; a step keeps lhs below rhs
+        yield tuple(t), caps, lhs
         i = len(keys) - 1
-        while i >= 0 and t[i] == bounds[i]:  # roll the counts at their bound back to 0
+        while i >= 0 and (t[i] == bounds[i] or lhs + coefs[i] >= rhs):  # roll these counts back to 0
             caps[arcs[i]] -= units[i] * t[i]
+            lhs -= coefs[i] * t[i]
             t[i] = 0
             i -= 1
         if i < 0:
             return
         t[i] += 1
         caps[arcs[i]] += units[i]
+        lhs += coefs[i]
 
 
 class _Routing:
@@ -861,7 +861,7 @@ def brute_force_ip(
     flow_cost = {(ai, ki): c for ai, row in enumerate(instance.flow_costs) for ki, c in enumerate(row)}
     den = math.lcm(*(c.denominator for c in flow_cost.values()))
     routing = _Routing(instance, [(dict(zip(flow_cost, scaled_ints(flow_cost.values(), den))), den)])
-    keys, points = _grid(instance, y_bounds, ybound)
+    keys, bounds = _grid(instance, y_bounds, ybound)
     unit_cost = [instance.facilities[mi].costs[ai] for ai, mi in keys]
     best = install = None
 
@@ -871,7 +871,7 @@ def brute_force_ip(
         gap = best[0] - install
         return gap.numerator, gap.denominator
 
-    for t, scaled_caps in points:
+    for t, scaled_caps, _ in _walk(instance, keys, bounds, instance.cbar_num):
         install = sum((c * v for c, v in zip(unit_cost, t) if v), ZERO)
         minima = routing.minima(scaled_caps, [0], shortfall)
         if minima is None or minima[0] is None:
@@ -913,8 +913,11 @@ def validate_cuts(
     part, or proves that it reaches the cut's shortfall there, and a cut
     fails at the first point whose minimum falls short.  Every decision
     shares one ``_Routing``, so a certificate proved for one cut or point
-    serves every later one; every verdict and counterexample is exact.
+    serves every later one; every verdict and counterexample is exact.  A
+    cut key that names no variable raises ``ValueError``.
     """
+    for cut in cuts:
+        cut.check_keys(instance)
     verdicts: list = [(True, None) for _ in cuts]
     routing = _Routing(instance, [(cut.flow_num, cut.den) for cut in cuts])
     grid_idx = []
@@ -926,10 +929,10 @@ def validate_cuts(
     if not grid_idx:
         return verdicts
 
-    keys, points = _grid(instance, y_bounds, ybound)
+    keys, bounds = _grid(instance, y_bounds, ybound)
     shortfalls = {idx: _shortfall(cuts[idx], keys) for idx in grid_idx}
     order = grid_idx  # the open cuts, ascending
-    for t, scaled_caps in points:
+    for t, scaled_caps, _ in _walk(instance, keys, bounds, instance.cbar_num):
         if not order:
             break
         failed = set()
@@ -961,55 +964,30 @@ def _validate_pure_capacity(cut: LinearCut, instance: Instance, routing: _Routin
 
     Any violating installation keeps the keyed variables below the cut's
     rhs; unkeyed variables can only help feasibility, so they are granted
-    ample capacity.  Enumerate the finitely many keyed patterns and decide
-    routability exactly at the maximal ones, where raising any key would
-    reach the rhs: routability only grows with capacity, so a routable
-    pattern below the rhs exists iff a maximal one does.  A pattern is
-    routable where ``routing.minima`` of the cut's empty flow part answers.
-    The walk runs on ints: the cut's own, and the instance's int table
-    (``Instance.cbar_num``, copied, and ``sizes_num``).  More than
-    ``GRID_BUDGET`` patterns raise ``BudgetExceededError``.
+    ample capacity.  ``_walk`` enumerates the keyed patterns below the rhs,
+    on ints, and routability is decided exactly at the maximal ones, where
+    raising any key would reach the rhs: routability only grows with
+    capacity, so a routable pattern below the rhs exists iff a maximal one
+    does, and one is routable where ``routing.minima`` of the cut's empty
+    flow part answers.  More than ``GRID_BUDGET`` patterns raise
+    ``BudgetExceededError``.
     """
-    rhs, coef_of = cut.rhs_num, cut.cap_num
-    keys = sorted(coef_of)
-    least = min(coef_of.values())
-    ample, units_of = sum(instance.demand_num.values()), instance.sizes_num
+    keys = sorted(cut.cap_num)
+    coefs = [cut.cap_num[key] for key in keys]
+    rhs, least = cut.rhs_num, min(coefs)
+    ample = sum(instance.demand_num.values())
     # scaled capacity of each arc with every keyed variable at zero; the walk adds its units
-    caps = list(instance.cbar_num)
+    base = list(instance.cbar_num)
     for ai, mi in product(range(len(instance.arcs)), range(len(instance.facilities))):
-        if (ai, mi) not in coef_of:
-            caps[ai] += ample
-
-    counter = None
-    walked = 0
-
-    def rec(i, lhs, current):
-        nonlocal counter, walked
-        if counter is not None:
-            return
-        if i == len(keys):
-            walked += 1
-            if walked > GRID_BUDGET:
-                raise BudgetExceededError(f"pure-capacity check walks more than {GRID_BUDGET} patterns")
-            if lhs + least >= rhs and routing.minima(caps, [idx], lambda _: None) is not None:
-                counter = FractionalPoint(x={}, y={key: Fraction(units) for key, units in current.items()})
-            return
-        key = keys[i]
-        ai, unit = key[0], units_of[key[1]]
-        coef, base = coef_of[key], caps[ai]
-        units = 0
-        while lhs + coef * units < rhs:
-            current[key] = units
-            caps[ai] = base + unit * units
-            rec(i + 1, lhs + coef * units, current)
-            units += 1
-        caps[ai] = base
-        current.pop(key, None)
-
-    rec(0, 0, {})
-    if counter is None:
-        return True, None
-    return False, counter
+        if (ai, mi) not in cut.cap_num:
+            base[ai] += ample
+    bounds = [(rhs - 1) // coef for coef in coefs]  # the most units of one key alone below the rhs
+    for walked, (t, caps, lhs) in enumerate(_walk(instance, keys, bounds, base, coefs, rhs), 1):
+        if walked > GRID_BUDGET:
+            raise BudgetExceededError(f"pure-capacity check walks more than {GRID_BUDGET} patterns")
+        if lhs + least >= rhs and routing.minima(caps, [idx], lambda _: None) is not None:
+            return False, FractionalPoint(x={}, y=dict(zip(keys, map(Fraction, t))))
+    return True, None
 
 
 # -- unsplittable routing enumeration --------------------------------------------

@@ -142,7 +142,8 @@ def build_relaxation(
     capacity rows, objective and bounds, copies its float rows and builds
     only the float rows of the later cuts.
     ``base`` is not modified.  A base of another instance, or whose cuts
-    are not a prefix of ``cuts``, raises ``ValueError``.
+    are not a prefix of ``cuts``, raises ``ValueError``, as does a key of a
+    later cut that names no variable (``LinearCut.check_keys``).
     """
     cuts = list(cuts)
     if base is None:
@@ -161,6 +162,8 @@ def build_relaxation(
     else:
         fixed, float_rows = base.fixed, list(base.float_rows)
         objective, upper, built = base.objective, base.upper, len(base.cuts)
+    for cut in cuts[built:]:
+        cut.check_keys(instance)
     # numerator / denominator by int true division is the correctly
     # rounded quotient, as float() of the exact value is
     float_rows += cut_rows(instance, cuts[built:], operator.truediv)

@@ -694,7 +694,7 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     covers = {b for b in covers if b > 0}
     assert first["hull_inequalities"] == len(covers) > 1
     assert unused == {}
-    # rc and cstrong read each arc's capacity row, made once per loop as well
+    # rc and cstrong read each arc's capacity row, made once per loop in the instance's mode
     counting(arc_cuts, "from_capacity_row")
     inst = generate_instance(seed=20, nodes=3, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True)
     counts = []
@@ -704,7 +704,7 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
         counts.append((len(res.reports), dict(calls)))
     (one, first), (many, loop) = counts
     assert one == 1 and many >= 2
-    assert first == loop == {"from_capacity_row": 2 * len(inst.arcs)}
+    assert first == loop == {"from_capacity_row": len(inst.arcs)}
 
 
 def test_loop_cuts_all_validate():
@@ -818,29 +818,81 @@ def test_oracles_refuse_bad_grid_bounds(bounds, message):
         brute_force_ip(inst, **bounds)
 
 
+@pytest.mark.parametrize("flow, cap, message", [
+    ({(5, 0): -1}, {}, r"x key \(5, 0\): want a key on an \(arc, commodity\) pair"),
+    ({(0, 2): 1}, {(0, 0): 1}, r"x key \(0, 2\): want a key on an \(arc, commodity\) pair"),
+    ({}, {(-1, 0): 1}, r"y key \(-1, 0\): want a key on an \(arc, facility\) pair"),
+    ({}, {(99, 0): 1}, r"y key \(99, 0\): want a key on an \(arc, facility\) pair"),
+    ({(0, 0): 1}, {(0, 1): 1}, r"y key \(0, 1\): want a key on an \(arc, facility\) pair"),
+], ids=["arc-past-the-end", "commodity-past-the-end", "negative-arc", "arc-99", "facility-past-the-end"])
+def test_cut_keys_that_name_no_variable_are_refused(flow, cap, message):
+    """A cut key outside the instance would alias another column (arc 5 of
+    commodity 0 is column 5, commodity 1's flow on arc 0), index from the
+    end or fall off a list; ``validate_cuts`` and ``build_relaxation``, with
+    or without a base, refuse it, naming the key."""
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    assert (len(inst.arcs), len(inst.commodities), len(inst.facilities)) == (5, 2, 1)
+    good, bad = LinearCut({(4, 1): 1}, {(4, 0): 1}, 1, "x"), LinearCut(flow, cap, 1, "x")
+    with pytest.raises(ValueError, match=message):
+        validate_cuts([good, bad], inst, ybound=1)
+    with pytest.raises(ValueError, match=message):
+        lp.build_relaxation(inst, [good, bad])
+    with pytest.raises(ValueError, match=message):
+        lp.build_relaxation(inst, [good, bad], base=lp.build_relaxation(inst, [good]))
+
+
+@pytest.mark.parametrize("rhs", [0, -1])
+def test_a_pure_capacity_cut_with_rhs_at_most_0_holds_without_a_routing_decision(monkeypatch, rhs):
+    """A nonnegative pure-capacity cut with rhs <= 0 holds everywhere: no
+    pattern lies below its rhs, not even the origin, so nothing is decided.
+    At rhs 1 the origin is the one pattern, and it is decided."""
+    calls, minima = [], engine._Routing.minima
+    monkeypatch.setattr(engine._Routing, "minima", lambda self, *args: calls.append(args) or minima(self, *args))
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    assert validate_cut(LinearCut({}, {(0, 0): 1}, rhs, "x"), inst) == (True, None)
+    assert calls == []
+    validate_cut(LinearCut({}, {(0, 0): 1}, 1, "x"), inst)
+    assert len(calls) == 1
+
+
 def test_brute_force_budget():
     inst = generate_instance(seed=1, nodes=5, density=1.0, facilities=(1, 2, 3))
     with pytest.raises(BudgetExceededError):
         brute_force_ip(inst, ybound=9)
 
 
-@pytest.mark.parametrize("gen, y_bounds", [
-    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), None),
-    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), {(0, 0): 2, (1, 0): 0, (3, 0): 1, (4, 0): 3}),
-    (dict(seed=2, nodes=3, density=0.9, facilities=(1, 3)), None),
-], ids=["default", "explicit-with-zero", "two-facilities"])
-def test_grid_walk_matches_the_reference_formula(gen, y_bounds):
-    """``_grid`` steps one count at a time and updates the arcs' scaled
-    capacities in one list, in place; copied at each step, its points are
-    those of summing every point afresh (``reference_grid``), in
+@pytest.mark.parametrize("gen, y_bounds, rhs", [
+    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), None, None),
+    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), {(0, 0): 2, (1, 0): 0, (3, 0): 1, (4, 0): 3}, None),
+    (dict(seed=2, nodes=3, density=0.9, facilities=(1, 3)), None, None),
+    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), None, 4),
+    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), {(0, 0): 2, (1, 0): 0, (3, 0): 1, (4, 0): 3}, 6),
+    (dict(seed=2, nodes=3, density=0.9, facilities=(1, 3)), None, 5),
+    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), None, 0),
+    (dict(seed=1, nodes=3, density=0.9, facilities=(1,)), None, -1),
+], ids=["default", "explicit-with-zero", "two-facilities", "default-under-rhs", "explicit-under-rhs",
+        "two-facilities-under-rhs", "rhs-0", "rhs-negative"])
+def test_grid_walk_matches_the_reference_formula(gen, y_bounds, rhs):
+    """``_walk`` steps one count at a time and updates the arcs' scaled
+    capacities in one list, in place; copied at each step, its vectors are
+    the points of summing every point afresh (``reference_grid``), in
     ``itertools.product`` order: default bounds, explicit ones with a zero
-    bound and an unkeyed arc, and two facility sizes."""
+    bound and an unkeyed arc, and two facility sizes.  Given positive
+    coefficients and an rhs, it walks those points whose keyed sum, its
+    ``lhs``, stays below the rhs, in the same order, and none for an rhs
+    <= 0."""
     inst = generate_instance(**gen)
-    keys, points = engine._grid(inst, y_bounds, None)
-    walked = [(t, list(caps)) for t, caps in points]
-    want_keys, want = reference_grid(inst, y_bounds or default_y_bounds(inst))
+    keys, bounds = engine._grid(inst, y_bounds, None)
+    limit = () if rhs is None else ([1 + i % 3 for i in range(len(keys))], rhs)
+    walked = [(t, list(caps), lhs) for t, caps, lhs in engine._walk(inst, keys, bounds, inst.cbar_num, *limit)]
+    want_keys, points = reference_grid(inst, y_bounds or default_y_bounds(inst))
+    sums = [sum(c * n for c, n in zip(limit[0], t)) if limit else 0 for t, _ in points]
+    want = [(t, caps, lhs) for (t, caps), lhs in zip(points, sums) if rhs is None or lhs < rhs]
     assert keys == want_keys and walked == want
-    assert len(walked) == math.prod(1 + b for b in (y_bounds or default_y_bounds(inst)).values())
+    assert len(points) == math.prod(1 + b for b in (y_bounds or default_y_bounds(inst)).values())
+    if rhs is not None:  # both limits bind: the rhs leaves points out, and some walked count reaches its bound
+        assert (0 < len(walked) < len(points)) == (rhs > 0)
+        assert any(n == b for t, _, _ in walked for n, b in zip(t, bounds) if b) == (rhs > 0)
 
 
 def test_grid_refuses_bad_keys_and_budget_before_walking(monkeypatch):
@@ -1425,8 +1477,9 @@ def test_a_batch_decided_by_kept_forms_builds_no_objective_columns(monkeypatch):
     inst = generate_instance(seed=1101, nodes=4, density=0.5, facilities=(1,))
     cuts = [LinearCut({(ai, 0): F(1)}, {(ai, 0): F(1)}, F(1), "other") for ai in range(2)]
     routing = engine._Routing(inst, [(cut.flow_num, cut.den) for cut in cuts])
-    _, points = engine._grid(inst, None, 1)
-    assert all(routing.minima(caps, [0, 1], lambda i: None) is None for _, caps in points)
+    keys, bounds = engine._grid(inst, None, 1)
+    points = engine._walk(inst, keys, bounds, inst.cbar_num)
+    assert all(routing.minima(caps, [0, 1], lambda i: None) is None for _, caps, _ in points)
     assert routing.made == {} and "routing" not in vars(routing) and solves == []
     assert validate_cuts(cuts, inst, ybound=1) == [(True, None)] * 2
     assert solves == []
