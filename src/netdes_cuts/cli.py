@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,7 +72,10 @@ _CUTS = _checked(_family_list, lambda fams: set(fams) <= set(FAMILIES), "familie
 _CAPACITIES = _checked(_int_list, lambda caps: all(c > 0 for c in caps), "positive integers such as 1,3")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line's parser, built once per process: ``parse_args``
+    keeps no state between calls."""
     parser = _Parser(prog="netdes-cuts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -101,7 +105,11 @@ def main(argv=None) -> int:
     gen.add_argument("--mode", choices=("aggregated", "disaggregated"), default="aggregated")
     gen.add_argument("--unsplittable", action="store_true")
     gen.add_argument("--out", required=True)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "gen":
         try:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 # Exact scalar type used throughout the package.  Fraction already keeps
 # itself reduced with a positive denominator, which is all we need.
@@ -544,22 +544,47 @@ def instance_from_dict(data: Mapping) -> Instance:
     flow_costs = data.get("flow_costs", ZERO)
     if isinstance(flow_costs, Mapping):  # a JSON object would be read by its keys
         raise InstanceError(f"field 'flow_costs' must be a scalar or a list, not {flow_costs!r}")
+    # a document repeats few distinct rationals: each string is parsed once
+    rationals = {}
+
+    def num(value) -> Fraction:
+        if not isinstance(value, str):
+            return frac(value)
+        q = rationals.get(value)
+        if q is None:
+            q = rationals[value] = Fraction(value)
+        return q
+
+    def parsed(value):
+        """A string that parses, as its Fraction; any other value as it is,
+        so that ``Instance`` reads or refuses it in its own order."""
+        if isinstance(value, str):
+            try:
+                return num(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        return value
+
+    if isinstance(flow_costs, list):
+        flow_costs = [list(map(parsed, e)) if isinstance(e, list) else parsed(e) for e in flow_costs]
+    else:
+        flow_costs = parsed(flow_costs)
     try:
         arcs = [
-            Arc(a["tail"], a["head"], frac(a.get("existing_capacity", 0))) for a in data["arcs"]
+            Arc(a["tail"], a["head"], num(a.get("existing_capacity", 0))) for a in data["arcs"]
         ]
         facilities = []
         for f in data["facilities"]:
             if not isinstance(f["cost"], list):  # a string or an object would be read by its characters or keys
                 raise InstanceError(f"field 'cost' must be a list, not {f['cost']!r}")
-            facilities.append(Facility(frac(f["capacity"]), tuple(frac(c) for c in f["cost"])))
+            facilities.append(Facility(num(f["capacity"]), tuple(map(num, f["cost"]))))
         demand, listed = DemandMatrix(), set()
         for d in data.get("demands", []):
             pair = (d["from"], d["to"])
             if pair in listed:
                 raise InstanceError(f"demand ({pair[0]},{pair[1]}) is listed more than once")
             listed.add(pair)
-            demand.set(*pair, frac(d["amount"]))
+            demand.set(*pair, num(d["amount"]))
         return Instance(
             nodes=data["nodes"],
             arcs=arcs,

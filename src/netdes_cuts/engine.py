@@ -1085,6 +1085,8 @@ def generate_instance(
         raise ValueError("need nodes >= 2, a finite density > 0 and demand_scale >= 1")
     if any(a >= b for a, b in zip(facilities, facilities[1:])):
         raise ValueError(f"facility capacities must be strictly increasing, got {tuple(facilities)}")
+    if unsplittable and mode != "disaggregated":
+        raise ValueError(f"unsplittable routing requires mode 'disaggregated', got {mode!r}")
     rng = random.Random(seed)
     ids = list(range(1, nodes + 1))
     pairs = [(i, j) for i in ids for j in ids if i != j]

@@ -156,6 +156,65 @@ def test_run_rejects_invalid_instance(tmp_path, capsys):
         assert "invalid instance" in capsys.readouterr().err
 
 
+def _untimed(report_path):
+    """A run report without its timing fields."""
+    report = json.loads(report_path.read_text())
+    for entry in report["rounds"]:
+        for key in ("wall_time", "lp_seconds", "build_seconds", "point_seconds"):
+            del entry[key]
+        for counts in entry["families"].values():
+            del counts["seconds"]
+    return report
+
+
+def test_a_second_call_builds_no_parser(tmp_path, monkeypatch):
+    """``main`` builds its parsers (the command's and one per subcommand)
+    on its first call in a process, and a later call only parses."""
+    from netdes_cuts import cli
+
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli._parser.cache_clear()
+    inst = tmp_path / "inst.json"
+    counts = []
+    for argv in (["gen", "--seed", "1", "--nodes", "3", "--out", str(inst)],
+                 ["run", "--instance", str(inst), "--rounds", "1"]):
+        built.clear()
+        assert main(argv) == 0
+        counts.append(len(built))
+    assert counts == [4, 0]
+
+
+def test_one_process_answers_good_bad_good_alike(tmp_path, capsys):
+    """A refused call leaves no state behind: good, bad and good argument
+    lists in one process exit 0, 2 and 0, and both good calls print the
+    same lines and write the same report, timings aside."""
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "3", "--nodes", "4", "--density", "0.6", "--facilities", "1,3",
+                 "--out", str(inst)]) == 0
+    capsys.readouterr()
+    reports = [tmp_path / "first.json", tmp_path / "second.json"]
+    calls = [["run", "--instance", str(inst), "--rounds", "10", "--report", str(reports[0])],
+             ["run", "--instance", str(inst), "--rounds", "10", "--eps", "0"],
+             ["run", "--instance", str(inst), "--rounds", "10", "--report", str(reports[1])]]
+    codes, outs = [], []
+    for argv in calls:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        outs.append(capsys.readouterr().out)
+    assert codes == [0, 2, 0]
+    assert outs[0] == outs[2] and "final bound" in outs[0]
+    assert _untimed(reports[0]) == _untimed(reports[1])
+
+
 def test_unsplittable_gen_flag(tmp_path):
     path = tmp_path / "u.json"
     main(["gen", "--seed", "2", "--nodes", "3", "--mode", "disaggregated",
@@ -177,6 +236,7 @@ def test_unsplittable_gen_flag(tmp_path):
     ["gen", "--seed", "1", "--nodes", "3", "--density", "inf", "--out", "{out}"],
     ["gen", "--seed", "1", "--nodes", "3", "--facilities", "3,1", "--out", "{out}"],
     ["gen", "--seed", "1", "--nodes", "3", "--facilities", "1,1", "--out", "{out}"],
+    ["gen", "--seed", "1", "--nodes", "3", "--unsplittable", "--out", "{out}"],
     ["run", "--instance", "{inst}", "--report", "{unwritable}"],
     ["run", "--instance", "{inst}", "--dump-lp", "{unwritable}"],
     ["run", "--instance", "{empty}"],
@@ -202,7 +262,7 @@ def test_unsplittable_gen_flag(tmp_path):
     ["run", "--instance", "{string_document}", "--rounds", "1"],
     ["oracle", "--instance", "{string_document}", "--ybound", "1"],
 ], ids=["eps-abc", "eps-0", "cuts", "rounds-0", "oracle-ybound", "run-missing", "oracle-missing",
-        "ybound", "facilities", "density-inf", "facilities-decreasing", "facilities-equal",
+        "ybound", "facilities", "density-inf", "facilities-decreasing", "facilities-equal", "gen-unsplittable-aggregated",
         "report-unwritable", "dump-lp-unwritable", "instance-empty", "instance-unknown-node",
         "instance-float-cost", "run-duplicate-node", "oracle-duplicate-node", "run-unsplittable-string",
         "oracle-unsplittable-string", "run-bool-capacity", "oracle-bool-capacity", "run-bool-amount",

@@ -211,6 +211,59 @@ def test_instance_roundtrip_json():
     assert back.demand == inst.demand
 
 
+# loop-4n's 40 instances, then criterion 11's four batch shapes (the first seed of each)
+LOADED_INSTANCES = [
+    *(dict(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s % 2 else (1,)) for s in range(1, 41)),
+    dict(seed=1001, nodes=3, density=0.9, facilities=(1,), flow_cost_prob=0.4),
+    dict(seed=1101, nodes=4, density=0.5, facilities=(1,), flow_cost_prob=0.4),
+    dict(seed=1141, nodes=3, density=0.7, facilities=(1, 2), flow_cost_prob=0.4),
+    dict(seed=1176, nodes=3, density=0.9, facilities=(1,), mode="disaggregated", unsplittable=True,
+         flow_cost_prob=0.4),
+]
+
+
+def test_a_loaded_instance_is_the_one_written():
+    """``instance_from_dict(instance_to_dict(inst))`` is ``inst`` field by
+    field, its int table included, and holds its rationals as Fractions."""
+    from netdes_cuts.engine import generate_instance
+
+    for gen in LOADED_INSTANCES:
+        inst = generate_instance(**gen)
+        back = instance_from_dict(instance_to_dict(inst))
+        assert back.nodes == inst.nodes and back.arcs == inst.arcs, gen
+        assert [(f.capacity, f.costs) for f in back.facilities] == [(f.capacity, f.costs) for f in inst.facilities]
+        assert back.demand == inst.demand, gen
+        for name in ("flow_costs", "mode", "unsplittable", "scale", "sizes_num", "cbar_num", "demand_num",
+                     "net_num", "supply_num"):
+            assert getattr(back, name) == getattr(inst, name), (gen, name)
+        rationals = [a.existing_capacity for a in back.arcs] + [t for _, _, t in back.demand.pairs()]
+        rationals += [v for f in back.facilities for v in (f.capacity, *f.costs)]
+        rationals += [v for row in back.flow_costs for v in row]
+        assert all(type(v) is F for v in rationals), gen
+
+
+def test_equal_rational_strings_of_one_document_share_one_fraction():
+    """Each distinct rational string of a document is parsed once, into
+    one Fraction that every field holding that string shares; a second
+    document parses its own."""
+    doc = {
+        "nodes": [1, 2, 3],
+        "arcs": [{"tail": 1, "head": 2, "existing_capacity": "1/2"},
+                 {"tail": 2, "head": 3, "existing_capacity": "1/2"}, {"tail": 3, "head": 1}],
+        "facilities": [{"capacity": "1/2", "cost": ["3", "3", "1/2"]}],
+        "demands": [{"from": 1, "to": 3, "amount": "3"}, {"from": 2, "to": 1, "amount": "1/2"}],
+        "flow_costs": ["1/2", ["3", "1/2"], "0"],
+    }
+    inst = instance_from_dict(doc)
+    row0, row1 = inst.flow_costs[:2]  # per commodity: sources 1 and 2
+    halves = [inst.arcs[0].existing_capacity, inst.arcs[1].existing_capacity, inst.facilities[0].capacity,
+              inst.facilities[0].costs[2], inst.demand.t(2, 1), *row0, row1[1]]
+    threes = [*inst.facilities[0].costs[:2], inst.demand.t(1, 3), row1[0]]
+    assert halves[0] == F(1, 2) and all(v is halves[0] for v in halves)
+    assert threes[0] == 3 and all(v is threes[0] for v in threes)
+    assert instance_from_dict(doc).arcs[0].existing_capacity is not halves[0]
+
+
 def test_instance_scale_is_the_least_int_that_clears_the_data():
     """``Instance.scale`` is the least positive S with ``S * v`` an int for
     every facility size, existing capacity, demand amount, net demand and

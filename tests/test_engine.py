@@ -1259,6 +1259,16 @@ def unsplittable_instance():
     )
 
 
+def test_generate_instance_refuses_unsplittable_aggregated_commodities():
+    """Unsplittable routing is defined on pair commodities only, so a
+    generated instance that no oracle or loop would accept is refused."""
+    for mode in ({}, {"mode": "aggregated"}):
+        with pytest.raises(ValueError, match="unsplittable routing requires mode 'disaggregated'"):
+            generate_instance(seed=1, nodes=3, unsplittable=True, **mode)
+    inst = generate_instance(seed=1, nodes=3, mode="disaggregated", unsplittable=True)
+    assert inst.unsplittable and validate_instance(inst) == []
+
+
 def test_unsplittable_oracle_picks_single_path():
     inst = unsplittable_instance()
     best = brute_force_ip(inst, ybound=2)
