@@ -47,15 +47,29 @@ def format_rational(value: Fraction) -> str:
 
 
 def rationalize(x: float, max_denominator: int = MAX_DENOMINATOR) -> Fraction:
-    """Nearest rational with bounded denominator (continued fractions)."""
+    """Nearest rational with bounded denominator: ``Fraction(x).limit_denominator(max_denominator)``,
+    its continued-fraction steps run on the ints of ``x.as_integer_ratio()``."""
     if isinstance(x, Fraction):
         return x
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot rationalize {x}")
     n = int(x)
     if n == x:  # most duals and many LP values: its own nearest rational
         return Fraction(n)
-    return Fraction(x).limit_denominator(max_denominator)
+    n, d = x.as_integer_ratio()
+    if d <= max_denominator:
+        return Fraction(n, d)
+    p0, q0, p1, q1, num, den = 0, 1, 1, 0, n, d
+    while q0 + (a := num // den) * q1 <= max_denominator:
+        p0, q0, p1, q1, num, den = p1, q1, p0 + a * p1, q0 + a * q1, den, num - a * den
+    k = (max_denominator - q0) // q1
+    # p1/q1 lies den/(q1*d) from x and (p0+k*p1)/(q0+k*q1) lies 1/(q1*(q0+k*q1)) from p1/q1,
+    # on the other side of x; a tie goes to p1/q1
+    if 2 * den * (q0 + k * q1) <= d:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 class InstanceError(ValueError):
@@ -443,47 +457,49 @@ class LinearCut:
             self._rhs = Fraction(self.rhs_num, self.den)
         return self._rhs
 
-    def _lhs_num(self, point: FractionalPoint) -> Fraction:
-        """``den`` times the left-hand side at ``point``."""
-        lhs = ZERO
-        for key, n in self.flow_num.items():
-            lhs += n * point.x.get(key, ZERO)
-        for key, n in self.cap_num.items():
-            lhs += n * point.y.get(key, ZERO)
-        return lhs
-
-    def violation(self, point) -> Fraction:
-        """Positive iff the point violates the cut, exactly.  ``point`` is a
+    def violation(self, point, eps: Fraction | None = None) -> Fraction | None:
+        """Positive iff the point violates the cut, exactly, or None when
+        ``eps`` is given and the violation is at most eps.  ``point`` is a
         ``FractionalPoint`` or a ``cutset_cuts.ScaledPoint`` of one, whose
-        ``x[a][k]`` and ``y[a][m]`` are the coordinates times its D, and
-        then the left-hand side is summed on ints (the loop passes the one
-        scaling its separators share)."""
+        ``x[a][k]`` and ``y[a][m]`` are its coordinates times its D (the
+        loop passes the one scaling its separators share): there the
+        violation is ``rhs * D - lhs`` over ``den * D``, summed and compared
+        with eps on ints, and a ``Fraction`` is made only for a result."""
+        X, Y = point.x, point.y
         if isinstance(point, FractionalPoint):
-            return (self.rhs_num - self._lhs_num(point)) / self.den
-        D, X, Y = point.D, point.x, point.y
+            lhs = sum(n * X.get(key, ZERO) for key, n in self.flow_num.items())
+            violation = (self.rhs_num - lhs - sum(n * Y.get(key, ZERO) for key, n in self.cap_num.items())) / self.den
+            return violation if eps is None or violation > eps else None
         lhs = sum(n * X[a][k] for (a, k), n in self.flow_num.items())
-        lhs += sum(n * Y[a][m] for (a, m), n in self.cap_num.items())
-        return Fraction(self.rhs_num * D - lhs, self.den * D)
+        slack = self.rhs_num * point.D - lhs - sum(n * Y[a][m] for (a, m), n in self.cap_num.items())
+        den = self.den * point.D
+        if eps is not None and slack * eps.denominator <= eps.numerator * den:
+            return None
+        return Fraction(slack, den)
 
     def normalized_key(self):
         """Canonical hashable form, shared exactly by positive multiples:
         the sorted ``flow`` and ``cap`` items and the rhs as coprime
         integers, the stored ints over their gcd."""
         if self._key is None:
-            flow, cap = self.flow_num, self.cap_num
-            g = math.gcd(self.rhs_num, *flow.values(), *cap.values())
-            self._key = (
-                tuple((k, flow[k] // g) for k in sorted(flow)),
-                tuple((k, cap[k] // g) for k in sorted(cap)),
-                self.rhs_num // g,
-            )
+            g = math.gcd(self.rhs_num, *self.flow_num.values(), *self.cap_num.values())
+            flow, cap = self.flow_num.items(), self.cap_num.items()
+            if g > 1:
+                flow, cap = [(k, n // g) for k, n in flow], [(k, n // g) for k, n in cap]
+            self._key = (tuple(sorted(flow)), tuple(sorted(cap)), self.rhs_num // g)
         return self._key
 
     def check_keys(self, instance: Instance) -> None:
-        """``check_key`` on each key of the cut: its flow keys of ``x``, then its capacity keys of ``y``."""
-        for kind, nums in (("x", self.flow_num), ("y", self.cap_num)):
+        """Each key of the cut, its flow keys of ``x`` and then its capacity
+        keys of ``y``, is a pair of ints in range; ``check_key`` raises on
+        the first that is not."""
+        arcs = len(instance.arcs)
+        for kind, nums, count in (("x", self.flow_num, len(instance.commodities)),
+                                  ("y", self.cap_num, len(instance.facilities))):
             for key in nums:
-                check_key(instance, key, kind)
+                if not (type(key) is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is int
+                        and 0 <= key[0] < arcs and 0 <= key[1] < count):
+                    check_key(instance, key, kind)
 
     def __str__(self):
         terms = [f"{format_rational(c)}*x[{a},{k}]" for (a, k), c in sorted(self.flow.items())]
@@ -493,11 +509,14 @@ class LinearCut:
 
 def check_key(instance: Instance, key, kind: str, bound: int | None = None) -> None:
     """Raise ``ValueError`` naming ``key`` unless it names a variable of
-    ``instance``: an (arc, facility) pair of ``y`` (``kind`` ``"y"``) or an
-    (arc, commodity) pair of ``x`` (``"x"``), and ``bound``, an oracle
-    grid's bound on the key when given, is >= 0."""
-    ai, other = key
+    ``instance``: a pair of ints (a bool is refused), an (arc, facility)
+    pair of ``y`` (``kind`` ``"y"``) or an (arc, commodity) pair of ``x``
+    (``"x"``), and ``bound``, an oracle grid's bound on the key when given,
+    is >= 0."""
     name, count = ("facility", len(instance.facilities)) if kind == "y" else ("commodity", len(instance.commodities))
+    if not (isinstance(key, tuple) and len(key) == 2 and all(type(v) is int for v in key)):
+        raise ValueError(f"{kind} key {key!r}: want a pair of ints, an (arc, {name}) pair")
+    ai, other = key
     if not (0 <= ai < len(instance.arcs) and 0 <= other < count) or (bound is not None and bound < 0):
         what = f"{kind} key {key}: want a key" if bound is None else f"{kind} bound {bound} of {key}: want a bound >= 0"
         raise ValueError(f"{what} on an (arc, {name}) pair")

@@ -18,8 +18,8 @@ share: phi values per base facility and remainder, and per arc whether
 the point meets the arc's mixed-integer conditions.  Each relaxation's
 ``IntegerView``, made on first request (``ScaledPoint.view``), takes its
 crossing slice from that scaling and memoizes per commodity subset Q the
-flow sums and ``b_Q``, from those of ``Q[:-1]`` when memoized, and per
-distinct subset without its null commodities one greedy scan.
+flow sums and ``b_Q``, from those of ``Q[:-1]``, and per distinct subset
+without its null commodities one greedy scan.
 
 ``separate_relaxation`` is the one separator of both greedy families: one
 pass over a relaxation's base facilities and commodity subsets, each scan
@@ -54,8 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from operator import add, le, mul
 from typing import Container, Iterable, Sequence
 
 from .core import ZERO, FractionalPoint, Instance, LinearCut, scaled_ints
@@ -93,6 +92,10 @@ class ScaledPoint:
     D over the scale.  Since D is a multiple of the instance's scale, it
     also clears every value derived from the demands, such as a
     relaxation's ``b_k``.  ``point`` is the ``FractionalPoint`` itself.
+    ``fits[a]`` says whether arc a meets the arc conditions of every
+    relaxation's mixed-integer set: every ``y`` a non-negative integer,
+    every ``x`` non-negative and the flow ``sum_k x_k`` within ``cbar +
+    sum_m c_m y_m``.  Every field is set when the scaled point is made.
     """
 
     def __init__(self, instance: Instance, point: FractionalPoint):
@@ -108,6 +111,11 @@ class ScaledPoint:
         self.cbar = [c * up for c in instance.cbar_num]
         self.x = [scaled_ints([point.x.get((a, k), ZERO) for k in commodities], D) for a in arcs]
         self.y = [scaled_ints([point.y.get((a, m), ZERO) for m in facilities], D) for a in arcs]
+        self.fits = [
+            all(v >= 0 and not v % D for v in ya) and all(v >= 0 for v in xa)
+            and sum(xa) <= cbar + sum(c * (v // D) for c, v in zip(self.caps, ya))
+            for xa, ya, cbar in zip(self.x, self.y, self.cbar)
+        ]
         self._views: dict[CutSetRelaxation, IntegerView] = {}
         self._phis: dict = {}
 
@@ -128,18 +136,6 @@ class ScaledPoint:
             got = self._phis[(s, r)] = ([phi_plus(p, c) for c in self.caps], [phi_minus(p, c) for c in self.caps])
         return got
 
-    @cached_property
-    def fits(self) -> list[bool]:
-        """Per arc: every ``y`` a non-negative integer, every ``x``
-        non-negative and the flow ``sum_k x_k`` within ``cbar + sum_m c_m
-        y_m``; the arc conditions of every relaxation's mixed-integer set."""
-        D, caps = self.D, self.caps
-        return [
-            all(v >= 0 and not v % D for v in ya) and all(v >= 0 for v in xa)
-            and sum(xa) <= cbar + sum(c * (v // D) for c, v in zip(caps, ya))
-            for xa, ya, cbar in zip(self.x, self.y, self.cbar)
-        ]
-
 
 class IntegerView:
     """A relaxation's data and one point's crossing coordinates on integers.
@@ -152,15 +148,15 @@ class IntegerView:
     terms and violations D^2-scaled; the phi functions are homogeneous, so
     every comparison is the one the exact rationals make.  Per commodity
     subset Q the view memoizes ``b_Q`` and the per-arc flow sums, each
-    from the memoized ``Q[:-1]`` plus commodity ``Q[-1]`` when that prefix
-    is there, and per distinct scan the greedy's winner (see
-    ``_greedy_scan``).  ``cbar_plus`` is ``cbar(A+)`` and ``null`` holds
-    the null commodities: zero ``b_k`` and zero flow on every crossing arc.
+    from those of ``Q[:-1]`` plus commodity ``Q[-1]``, and per base
+    facility, family and distinct scan the greedy's winner (see
+    ``_greedy_scan``).  ``cbar_plus`` is ``cbar(A+)``.
 
     ``mixed_integer`` says whether the crossing point lies in the
     relaxation's mixed-integer set: each crossing arc meets its conditions
     (``ScaledPoint.fits``) and each commodity's net crossing flow ``x_k(A+)
-    - x_k(A-)`` is at least ``b_k``.  Every cut of the relaxation whose
+    - x_k(A-)`` is at least ``b_k``, read from per-commodity sums over the
+    crossing rows.  Every cut of the relaxation whose
     capacity terms count every facility is valid for that set, so none is
     violated there.
     """
@@ -169,16 +165,14 @@ class IntegerView:
         self.A_plus, self.A_minus = A_plus, A_minus = rel.A_plus, rel.A_minus
         self.D = scaled.D
         self.caps, self.cbar, self.y = scaled.caps, scaled.cbar, scaled.y
-        self.b = [b * scaled.up for b in rel.b_num]
-        self.x = x = {a: scaled.x[a] for a in A_plus + A_minus}
-        fits = scaled.fits
-        self.mixed_integer = all(fits[a] for a in x) and all(
-            sum(x[a][k] for a in A_plus) - sum(x[a][k] for a in A_minus) >= b_k for k, b_k in enumerate(self.b)
-        )
+        self.b = b = [b * scaled.up for b in rel.b_num]
+        X, fits = scaled.x, scaled.fits
+        self.x = x = {a: X[a] for a in A_plus + A_minus}
+        zero = [0] * len(b)  # the column sums x_k(A+) and x_k(A-) of the crossing rows
+        inflow = map(sum, zip(zero, *(X[a] for a in A_plus)))
+        outflow = map(sum, zip(zero, *(X[a] for a in A_minus)))
+        self.mixed_integer = all(fits[a] for a in x) and all(map(le, map(add, b, outflow), inflow))
         self.cbar_plus = self.cbar_sum(A_plus)
-        self.null = frozenset(
-            k for k, b_k in enumerate(self.b) if b_k == 0 and all(xa[k] == 0 for xa in x.values())
-        )
         self._by_Q: dict = {}
         self._greedy: dict = {}
 
@@ -186,26 +180,19 @@ class IntegerView:
         return sum(self.cbar[a] for a in arcs)
 
     def commodities(self, Q: tuple[int, ...]) -> tuple[int, dict[int, int]]:
-        """``b_Q`` and, per crossing arc, the D^2-scaled flow ``x_Q(a)``;
-        from the memoized ``Q[:-1]`` plus commodity ``Q[-1]`` when that
-        prefix is there, as ``combinations`` order makes it."""
+        """``b_Q`` and, per crossing arc, the D^2-scaled flow ``x_Q(a)``:
+        those of the prefix ``Q[:-1]``, memoized or made so, plus commodity
+        ``Q[-1]``'s."""
         got = self._by_Q.get(Q)
         if got is None:
-            D, x = self.D, self.x
-            prefix = self._by_Q.get(Q[:-1]) if Q else None
-            if prefix is not None:
-                k = Q[-1]
-                b_prefix, flow = prefix
+            if Q:
+                k, D, x = Q[-1], self.D, self.x
+                b_prefix, flow = self.commodities(Q[:-1])
                 got = (b_prefix + self.b[k], {a: f + D * x[a][k] for a, f in flow.items()})
             else:
-                got = (sum(self.b[k] for k in Q), {a: D * sum(xa[k] for k in Q) for a, xa in x.items()})
+                got = (0, dict.fromkeys(self.x, 0))
             self._by_Q[Q] = got
         return got
-
-    def rounding(self, b_prime: int, s: int) -> tuple[int, int]:
-        """Remainder r and eta of rounding ``b'_Q / c_s``."""
-        c_s = self.caps[s]
-        return b_prime % c_s, -(-b_prime // c_s)
 
 
 def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None = None) -> CutSetRelaxation:
@@ -249,57 +236,52 @@ def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
 
 
 def _cut(
-    rel: CutSetRelaxation, scaled: ScaledPoint, Q: tuple[int, ...], S_plus: tuple[int, ...],
-    S_minus: tuple[int, ...], s: int, family: str,
+    rel: CutSetRelaxation, scaled: ScaledPoint, Q: tuple[int, ...], winner: tuple, s: int, family: str,
 ) -> LinearCut:
-    """Cut-set cut with flow on ``A+ \\ S+`` and ``S-``, capacity
-    coefficients ``phi+(c_m)`` on S+ and ``phi-(c_m)`` on S- for each
-    facility m (``"mf"``) or for the base facility s alone
-    (``"flowcutset"``), rounded on s, built from the integers of
-    ``scaled.view(rel)`` over its D.  On one facility it reads
+    """Cut-set cut of the selection ``winner``, a ``_greedy_scan`` winner
+    ``(S+, S-, score, r, eta, cbar(S-))``: flow on ``A+ \\ S+`` and ``S-``,
+    capacity coefficients ``phi+(c_m)`` on S+ and ``phi-(c_m)`` on S- for
+    each facility m (``"mf"``) or for the base facility s alone
+    (``"flowcutset"``), rounded on s with the winner's remainder ``r > 0``
+    and ``eta``, built from the integers of ``scaled.view(rel)`` over its
+    D.  On one facility it reads
     ``r*y(S+) + x_Q(A+ \\ S+) + (c-r)*y(S-) - x_Q(S-) >= r*eta - cbar(S-)``,
     as ``phi+(c) = r`` and ``phi-(c) = c - r``.  The existing-capacity
     constant of the inflow bracket ``cbar(S-) + c*y(S-) - x_Q(S-) >= 0``
     lands on the right-hand side; dropping it (as a naive reading of the
     aggregated form suggests) is refuted by brute-force counterexamples
-    whenever S- carries existing capacity.  Degenerate remainders (r = 0)
-    are rejected: the cut would be implied.  An ``mf`` cut's
+    whenever S- carries existing capacity.  An ``mf`` cut's
     params also name the base facility ``s`` and a ``facet_report`` on the
-    proper arc subsets, the remainder and the demands of Q, read from the
-    view's integers."""
+    proper arc subsets (S+ and S- are subsequences of A+ and A-, so
+    proper by their lengths), the remainder and the demands of Q, read
+    from the view's integers."""
+    S_plus, S_minus, _, r, eta, cbar_minus = winner
     view = scaled.view(rel)
     D = view.D
-    b_prime = sum(view.b[k] for k in Q) - view.cbar_sum(S_plus) + view.cbar_sum(S_minus)
-    r, eta = view.rounding(b_prime, s)
-    if r == 0:
-        raise ValueError("degenerate remainder; cut is vacuous")
     plus, minus = scaled.phis(s, r)
     facilities = range(len(plus)) if family == "mf" else (s,)
-    bypass = [a for a in view.A_plus if a not in S_plus]
     # D times the cut: flow coefficients +-D, the phi values and the rhs
-    flow = {}
-    for k in Q:
-        for a in bypass:
-            flow[(a, k)] = D
-        for a in S_minus:
-            flow[(a, k)] = -D
+    terms = [(a, D) for a in view.A_plus if a not in S_plus] + [(a, -D) for a in S_minus]
+    flow = {(a, k): v for k in Q for a, v in terms}
     cap = {(a, m): plus[m] for a in S_plus for m in facilities}
     cap.update(((a, m), minus[m]) for a in S_minus for m in facilities)
     params = {"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta}
     if family == "mf":
         params["s"] = s
         params["facet_report"] = {
-            "s_plus_proper": bool(S_plus) and set(S_plus) != set(rel.A_plus),
-            "s_minus_proper": bool(S_minus) and set(S_minus) != set(rel.A_minus),
+            "s_plus_proper": 0 < len(S_plus) < len(rel.A_plus),
+            "s_minus_proper": 0 < len(S_minus) < len(rel.A_minus),
             "remainder_positive": r > 0,
             "all_demands_positive": all(view.b[k] > 0 for k in Q),
         }
-    return LinearCut(flow, cap, r * eta - view.cbar_sum(S_minus), family, params, den=D)
+    return LinearCut(flow, cap, r * eta - cbar_minus, family, params, den=D)
 
 
 def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
-    """Most violated ``(S+, S-, score)`` of the greedy cut-set scan on base
-    facility s, with its D^2-scaled violation ``score``, or None.
+    """Most violated ``(S+, S-, score, r, eta, cbar(S-))`` of the greedy
+    cut-set scan on base facility s, with its D^2-scaled violation
+    ``score`` and the remainder ``r > 0`` and ``eta`` of rounding its
+    ``b'_Q`` on s, or None.
 
     For a given remainder the least left-hand side takes an arc into S+
     (resp. S-) exactly when its capacity term is smaller than its flow
@@ -359,9 +341,10 @@ def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
             else:
                 cap_lhs = plus[s] * sum(y[a][s] for a in s_plus) + minus[s] * sum(y[a][s] for a in s_minus)
         # D^2 times the violation: D * (r * eta - cbar(S-)) less both parts
-        v = D * (r_sel * -(-b_prime // c_s) - cbar_minus) - cap_lhs - flow_lhs
+        eta = -(-b_prime // c_s)
+        v = D * (r_sel * eta - cbar_minus) - cap_lhs - flow_lhs
         if v > best_viol:
-            best, best_viol = (*sel, v), v
+            best, best_viol = (*sel, v, r_sel, eta, cbar_minus), v
         if not moved:
             break
         scored += (sel,)
@@ -392,28 +375,30 @@ def separate_relaxation(
     facility, so there the pass yields nothing.  A null commodity of the
     view (``b_k = 0`` and no flow on any crossing arc) changes neither
     ``b_Q`` nor any flow, so the view keeps one scan per Q without its null
-    commodities, base facility and family; a subset of null commodities
-    alone is scanned too, as capacity terms alone can be violated.
+    commodities (those keys made once per call), base facility and family;
+    a subset of null commodities alone is scanned too, as capacity terms
+    alone can be violated.
     """
     view = scaled.view(rel)
     mf = family == "mf"
     if not rel.A_plus or (view.mixed_integer and (mf or len(view.caps) == 1)):
         return
-    D, null, memo = view.D, view.null, view._greedy
+    D, b, x = view.D, view.b, view.x.values()
     bar, eps_den = eps.numerator * D * D, eps.denominator
+    null = {k for k, b_k in enumerate(b) if b_k == 0 and all(xa[k] == 0 for xa in x)}
+    reduced = [tuple(k for k in Q if k not in null) for Q in subsets] if null else subsets
     for s in range(len(view.caps)) if bases is None else bases:
-        for Q in subsets:
-            key = (tuple(k for k in Q if k not in null) if null else Q, s, mf)
+        memo = view._greedy.setdefault((s, mf), {})
+        for Q, key in zip(subsets, reduced):
             if key in memo:
                 found = memo[key]
             else:
-                found = memo[key] = _greedy_scan(view, scaled.phis, key[0], s, mf)
+                found = memo[key] = _greedy_scan(view, scaled.phis, key, s, mf)
             if found is None or found[2] * eps_den <= bar:
                 continue
-            S_plus, S_minus, score = found
-            cut = _cut(rel, scaled, Q, S_plus, S_minus, s, family)
+            cut = _cut(rel, scaled, Q, found, s, family)
             if cut.normalized_key() not in skip:
-                yield cut, Fraction(score, D * D)
+                yield cut, Fraction(found[2], D * D)
 
 
 def separate_flow_cutset(
@@ -465,7 +450,7 @@ def separate_commodity_subset(
     if n > SUBSET_ENUMERATION_CAP:
         raise ValueError("exact commodity-subset search is capped")
     view = scaled.view(rel)
-    D = view.D
+    D, c = view.D, view.caps[0]
     bypass_arcs = [a for a in rel.A_plus if a not in S_plus]
     cbar_minus = view.cbar_sum(S_minus)
     b_shift = cbar_minus - view.cbar_sum(S_plus)  # b'_Q - b_Q
@@ -486,7 +471,7 @@ def separate_commodity_subset(
 
     best = None  # (score, -|Q|, mask) of the winner
     for b_Q, (net_Q, size, neg_mask) in least.items():
-        r, eta = view.rounding(b_Q + b_shift, 0)
+        r, eta = (b_Q + b_shift) % c, -(-(b_Q + b_shift) // c)
         if r == 0:
             continue
         plus, minus = scaled.phis(0, r)

@@ -104,14 +104,13 @@ class Family:
 def _checked(candidates: Callable[[Separation, ScaledPoint], Iterable[LinearCut | None]]):
     """The ``separate`` of a family whose ``candidates(sep, scaled)`` are
     cuts, or None: (cut, exact violation) for each cut violated by more
-    than eps, by ``LinearCut.violation`` on the ints of ``scaled``."""
+    than eps, by ``LinearCut.violation`` with eps, which admits on the
+    ints of ``scaled`` and makes a ``Fraction`` only for an admitted cut."""
 
     def separate(sep: Separation, scaled: ScaledPoint):
         for cut in candidates(sep, scaled):
-            if cut is not None:
-                violation = cut.violation(scaled)
-                if violation > sep.eps:
-                    yield cut, violation
+            if cut is not None and (violation := cut.violation(scaled, sep.eps)) is not None:
+                yield cut, violation
 
     return separate
 
@@ -168,7 +167,8 @@ def _cstrong(sep: Separation, scaled: ScaledPoint):
 def _cutset_pass(family: str):
     """The ``separate`` of a cut-set family: per relaxation with an arc
     U -> V whose crossing point is off its mixed-integer set (where no
-    cut-set cut is violated), its commodity subsets made once, then one
+    cut-set cut is violated), its commodity subsets (``Separation.subsets``,
+    made once per loop, or per point above ``Q_SUBSET_LIMIT``), then one
     ``cutset_cuts.separate_relaxation`` pass over the base facilities and
     subsets.  A key is offered once per call: it enters the pass's skip set
     only with a cut violated by more than eps, as a positive multiple of a
@@ -178,7 +178,7 @@ def _cutset_pass(family: str):
         found: set = set()
         for rel in sep.relaxations:
             if rel.A_plus and not scaled.view(rel).mixed_integer:
-                subsets = list(_commodity_subsets(rel, scaled))
+                subsets = sep.subsets if sep.subsets is not None else list(_commodity_subsets(rel, scaled))
                 for cut, violation in cutset_cuts.separate_relaxation(rel, scaled, subsets, family, sep.eps, found):
                     found.add(cut.normalized_key())
                     yield cut, violation
@@ -434,7 +434,7 @@ class Separation:
     enabled families that apply to the instance, in table order, the
     enabled ones that do not (``inapplicable``, their names), and the
     candidates of each built-once family (``fixed``), pure capacity cuts.
-    Partitions, relaxations and arc rows are made on first use, so
+    Partitions, relaxations, commodity subsets and arc rows are made on first use, so
     nothing is built for a family that does not run.  It keeps nothing of
     a round: ``separate_all`` returns what a round found."""
 
@@ -453,6 +453,14 @@ class Separation:
     @cached_property
     def relaxations(self) -> list[cutset_cuts.CutSetRelaxation]:
         return [cutset_cuts.build_cutset(self.instance, U, V) for U, V in self.partitions]
+
+    @cached_property
+    def subsets(self) -> list[tuple[int, ...]] | None:
+        """Every nonempty commodity subset, made once when there are at most
+        ``Q_SUBSET_LIMIT`` commodities, where ``_commodity_subsets`` reads no
+        point; else None."""
+        n = len(self.instance.commodities)
+        return _all_subsets(n) if n <= Q_SUBSET_LIMIT else None
 
     @cached_property
     def capacity_rows(self) -> list[arc_cuts.ArcSetRelaxation]:
@@ -547,6 +555,11 @@ def _three_partitions(instance: Instance):
             yield partition_cuts.NodePartition.of(*blocks)
 
 
+def _all_subsets(n: int) -> list[tuple[int, ...]]:
+    """Every nonempty subset of ``range(n)``, by size, each in ``combinations`` order."""
+    return [Q for size in range(1, n + 1) for Q in combinations(range(n), size)]
+
+
 def _commodity_subsets(rel, scaled: ScaledPoint):
     """Every nonempty commodity subset up to ``Q_SUBSET_LIMIT``
     commodities; above it the full set, the positive-demand set, the
@@ -556,8 +569,7 @@ def _commodity_subsets(rel, scaled: ScaledPoint):
     the alternation stops there."""
     n = len(rel.b_num)
     if n <= Q_SUBSET_LIMIT:
-        for size in range(1, n + 1):
-            yield from combinations(range(n), size)
+        yield from _all_subsets(n)
         return
     yielded = set()
     for Q in [tuple(range(n)), rel.positive_commodities()] + [(k,) for k in range(n)]:

@@ -95,8 +95,9 @@ def arc_capacity(instance, ai, y):
 
 
 def lhs_value(cut, point):
-    """A ``LinearCut``'s left-hand side at ``point``."""
-    return cut._lhs_num(point) / cut.den
+    """A ``LinearCut``'s left-hand side at ``point``, from its ``Fraction`` views."""
+    lhs = sum((c * point.x.get(key, ZERO) for key, c in cut.flow.items()), ZERO)
+    return lhs + sum((c * point.y.get(key, ZERO) for key, c in cut.cap.items()), ZERO)
 
 
 def arc_violation(ineq, xbar, ybar):
@@ -268,7 +269,14 @@ def _zero_point_cut(rel, sel, family):
     from netdes_cuts.cutset_cuts import ScaledPoint, _cut
 
     scaled = ScaledPoint(rel.instance, FractionalPoint())
-    return _cut(rel, scaled, tuple(sel.Q), tuple(sel.S_plus), tuple(sel.S_minus), sel.facility, family)
+    view = scaled.view(rel)
+    Q, S_plus, S_minus = tuple(sel.Q), tuple(sel.S_plus), tuple(sel.S_minus)
+    cbar_minus, c_s = view.cbar_sum(S_minus), view.caps[sel.facility]
+    b_prime = sum(view.b[k] for k in Q) - view.cbar_sum(S_plus) + cbar_minus
+    r, eta = b_prime % c_s, -(-b_prime // c_s)
+    if r == 0:
+        raise ValueError("degenerate remainder; cut is vacuous")
+    return _cut(rel, scaled, Q, (S_plus, S_minus, None, r, eta, cbar_minus), sel.facility, family)
 
 
 def flow_cutset_cut(rel, sel):

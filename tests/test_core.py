@@ -1,9 +1,11 @@
 import math
 import random
+import struct
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from netdes_cuts import simplex
@@ -19,6 +21,7 @@ from netdes_cuts.core import (
     build_disaggregated_commodities,
     instance_from_dict,
     instance_to_dict,
+    rationalize,
     validate_instance,
 )
 from netdes_cuts.lp import build_relaxation
@@ -56,6 +59,45 @@ def test_rational_exactness_bulk():
 
 
 # -- commodities ------------------------------------------------------------------
+
+
+_TINY = 2.2250738585072014e-308  # the least positive normal float; below it lie the subnormals
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=-_TINY, max_value=_TINY),
+    st.floats(min_value=1e299, max_value=1e301) | st.floats(min_value=-1e301, max_value=-1e299),
+    st.floats(min_value=1e-301, max_value=1e-299) | st.floats(min_value=-1e-299, max_value=-1e-301),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    .filter(math.isfinite),
+)
+
+
+@given(_finite_floats, st.sampled_from([1, 2, 7, 10**6, 10**12]))
+@example(5e-324, 10**12)
+@example(-0.1, 7)
+@example(1 / 3, 10**6)
+@example(0.5, 1)  # a tie between the two candidates goes to the convergent, 0
+@example(-2.5, 1)
+@example(1e300, 1)
+def test_rationalize_is_limit_denominator(x, max_denominator):
+    """The continued fraction on the ints of ``x.as_integer_ratio()`` is
+    ``Fraction.limit_denominator``'s, for a float and for a numpy float64:
+    negative, subnormal, near 1e+-300 or any finite bit pattern."""
+    want = F(x).limit_denominator(max_denominator)
+    for value in (x, np.float64(x)):
+        got = rationalize(value, max_denominator)
+        assert (got, type(got)) == (want, F)
+
+
+@pytest.mark.parametrize("x", [0.5, 3.0, -2.25, np.float64(0.1), np.float64(2.0)])
+@pytest.mark.parametrize("max_denominator", [0, -1])
+def test_rationalize_refuses_a_bound_below_1_as_limit_denominator_does(x, max_denominator):
+    with pytest.raises(ValueError) as want:
+        F(x).limit_denominator(max_denominator)
+    with pytest.raises(ValueError) as got:
+        rationalize(x, max_denominator)
+    assert str(got.value) == str(want.value)
 
 
 def test_single_pair_commodity():

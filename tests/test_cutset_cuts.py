@@ -1023,9 +1023,10 @@ def test_subset_flows_from_their_prefix_are_the_full_sums():
     """``IntegerView.commodities`` gives each subset's ``b_Q`` and flows as
     the full sums do, both in ``_commodity_subsets`` order, where every
     subset of two or more commodities up to ``Q_SUBSET_LIMIT`` finds its
-    prefix, and shuffled, where some prefixes are missing; on
-    random relaxations of 1-4 commodities and of 7-12, where the subsets
-    above ``Q_SUBSET_LIMIT`` end with the alternation's."""
+    prefix memoized, and shuffled, where a missing prefix is made on the
+    way, so that after each call every prefix of the subset is memoized;
+    on random relaxations of 1-4 commodities and of 7-12, where the
+    subsets above ``Q_SUBSET_LIMIT`` end with the alternation's."""
     rng = random.Random(3131)
     cases = [(rel, pt) for rel, pt, _ in _random_separations()][:60]
     for n in range(Q_SUBSET_LIMIT + 1, 13):
@@ -1038,7 +1039,7 @@ def test_subset_flows_from_their_prefix_are_the_full_sums():
                 y={(a, 0): _random_coordinate(rng) for a in range(len(inst.arcs))},
             )
             cases.append((rel, pt))
-    checked = alternations = derived = summed = 0
+    checked = alternations = derived = made = 0  # made: a subset of 2 or more whose prefix was made on the way
     for rel, pt in cases:
         subsets = list(_commodity_subsets(rel, ScaledPoint(rel.instance, pt)))
         n = len(rel.b_num)
@@ -1049,15 +1050,16 @@ def test_subset_flows_from_their_prefix_are_the_full_sums():
             view = ScaledPoint(rel.instance, point).view(rel)  # a fresh view with an empty memo
             for Q in order:
                 prefixed = Q[:-1] in view._by_Q
-                if order is subsets and n <= Q_SUBSET_LIMIT:
-                    assert prefixed == (len(Q) > 1)
+                if order is subsets and n <= Q_SUBSET_LIMIT and len(Q) > 1:
+                    assert prefixed
                 b_Q, flow = view.commodities(Q)
                 assert (b_Q, flow) == _full_sums(rel, point, view, Q)
+                assert all(Q[:i] in view._by_Q for i in range(len(Q) + 1))
                 derived += prefixed
-                summed += not prefixed
+                made += len(Q) > 1 and not prefixed
                 checked += 1
-    assert checked > 1000 and alternations > 5 and derived > 200 and summed > 500, (
-        checked, alternations, derived, summed)
+    assert checked > 1000 and alternations > 5 and derived > 200 and made > 50, (
+        checked, alternations, derived, made)
 
 
 def test_facet_report_matches_the_fraction_reference():

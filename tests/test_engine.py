@@ -422,6 +422,44 @@ def test_integer_admission_matches_fraction_violation(monkeypatch):
                     assert any(c is cut for c, _ in _separated(sep, name, scaled)) == admitted
 
 
+def test_int_admission_refuses_a_violation_of_exactly_eps_and_admits_one_just_above(monkeypatch):
+    """``rc`` and the built-once ``cutset`` and ``partition`` admit on the
+    ints of the round's scaled point (``LinearCut.violation`` with eps): on
+    one-facility instances of the ``loop-4n`` ladder, each candidate they
+    yield at a round point is refused with eps at its exact violation and
+    yielded, with the ``Fraction`` that ``LinearCut.violation`` gives, with
+    eps 1/10**12 below it, at the scaled point as at the ``FractionalPoint``;
+    and ``separate_all`` yields the reference's ``(family, cut,
+    violation)`` triples, params included."""
+    checked = dict.fromkeys(("rc", "cutset", "partition"), 0)
+    for seed in (6, 36):
+        inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1,))
+        config = Config(max_rounds=10)
+        for sep, point, found in _separation_rounds(monkeypatch, inst, config):
+            reference = _first_of_each_key(reference_separate_all(inst, point, config))
+            assert [(family, cut.params, violation) for family, cut, violation in found.candidates] == [
+                (family, cut.params, violation) for family, cut, violation in reference]
+            assert _listing(found.candidates) == _listing(reference)
+            scaled = cutset_cuts.ScaledPoint(inst, point)
+            for fam in sep.families:
+                if fam.name not in checked:
+                    continue
+                for cut, violation in fam.separate(sep, scaled):
+                    key = cut.normalized_key()
+                    for eps, admitted in ((violation, False), (violation - F(1, 10**12), True)):
+                        at = copy.copy(sep)
+                        at.eps = eps
+                        got = {c.normalized_key(): v for c, v in fam.separate(at, scaled)}
+                        assert (key in got) == admitted
+                        want = violation if admitted else None
+                        assert cut.violation(scaled, eps) == cut.violation(point, eps) == want
+                        if admitted:
+                            assert (got[key], type(got[key])) == (cut.violation(scaled), F)
+                            assert got[key] == cut.violation(point) == eps + F(1, 10**12)
+                    checked[fam.name] += 1
+    assert all(n >= 4 for n in checked.values()), checked
+
+
 def test_built_once_keys_are_those_of_the_cut_coefficients():
     """Each built-once candidate's key, read from the ints it was built
     from, is the ``normalized_key()`` a fresh copy of the cut computes
@@ -839,6 +877,28 @@ def test_cut_keys_that_name_no_variable_are_refused(flow, cap, message):
         lp.build_relaxation(inst, [good, bad])
     with pytest.raises(ValueError, match=message):
         lp.build_relaxation(inst, [good, bad], base=lp.build_relaxation(inst, [good]))
+
+
+@pytest.mark.parametrize("key, message", [
+    ((1, 0.0), r"y key \(1, 0\.0\): want a pair of ints, an \(arc, facility\) pair"),
+    (("1", 0), r"y key \('1', 0\): want a pair of ints"),
+    ((1,), r"y key \(1,\): want a pair of ints"),
+    ((1, 0, 0), r"y key \(1, 0, 0\): want a pair of ints"),
+    (None, r"y key None: want a pair of ints"),
+    ((1.0, 0), r"y key \(1\.0, 0\): want a pair of ints"),
+    ((True, 0), r"y key \(True, 0\): want a pair of ints"),
+], ids=["float-facility", "string-arc", "one-int", "three-ints", "none", "float-arc", "bool-arc"])
+def test_cut_keys_that_are_no_pair_of_ints_are_refused(key, message):
+    """A key of the wrong type would fail deep inside a row build (a float
+    index), fail to compare (a string), fail to unpack (one or three
+    entries, None) or pass as the arc it equals (1.0 and True as arc 1);
+    ``validate_cuts`` and ``build_relaxation`` refuse each, naming the key."""
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    bad = LinearCut({}, {key: 1}, 1, "x")
+    with pytest.raises(ValueError, match=message):
+        validate_cuts([bad], inst, ybound=1)
+    with pytest.raises(ValueError, match=message):
+        lp.build_relaxation(inst, [bad])
 
 
 @pytest.mark.parametrize("rhs", [0, -1])
