@@ -16,6 +16,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 
 # Exact scalar type used throughout the package.  Fraction already keeps
 # itself reduced with a positive denominator, which is all we need.
@@ -507,18 +508,24 @@ class LinearCut:
         return " + ".join(terms) + f" >= {format_rational(self.rhs)}"
 
 
-def check_key(instance: Instance, key, kind: str, bound: int | None = None) -> None:
+_KEY_ONLY = object()  # check_key's bound when only the key is checked
+
+
+def check_key(instance: Instance, key, kind: str, bound=_KEY_ONLY) -> None:
     """Raise ``ValueError`` naming ``key`` unless it names a variable of
     ``instance``: a pair of ints (a bool is refused), an (arc, facility)
     pair of ``y`` (``kind`` ``"y"``) or an (arc, commodity) pair of ``x``
     (``"x"``), and ``bound``, an oracle grid's bound on the key when given,
-    is >= 0."""
+    is an integer >= 0 (a bool or None is refused, a numpy integer passes)."""
     name, count = ("facility", len(instance.facilities)) if kind == "y" else ("commodity", len(instance.commodities))
     if not (isinstance(key, tuple) and len(key) == 2 and all(type(v) is int for v in key)):
         raise ValueError(f"{kind} key {key!r}: want a pair of ints, an (arc, {name}) pair")
+    bounded = bound is not _KEY_ONLY
+    if bounded and (isinstance(bound, bool) or not isinstance(bound, Integral)):
+        raise ValueError(f"{kind} bound {bound!r} of {key}: want an integer bound")
     ai, other = key
-    if not (0 <= ai < len(instance.arcs) and 0 <= other < count) or (bound is not None and bound < 0):
-        what = f"{kind} key {key}: want a key" if bound is None else f"{kind} bound {bound} of {key}: want a bound >= 0"
+    if not (0 <= ai < len(instance.arcs) and 0 <= other < count) or (bounded and bound < 0):
+        what = f"{kind} bound {bound} of {key}: want a bound >= 0" if bounded else f"{kind} key {key}: want a key"
         raise ValueError(f"{what} on an (arc, {name}) pair")
 
 

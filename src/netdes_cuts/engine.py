@@ -194,27 +194,27 @@ def _mixed_integer_relaxations(sep: Separation, scaled: ScaledPoint) -> int:
 
 def _partition(sep: Separation):
     """Two-partition hull cuts, then per three-partition the stronger
-    total-capacity cut followed by the hull cuts it feeds.  Every
-    partition's block-pair sums come from one ``NodePairTable`` of the
-    instance, as ints times its ``scale``: a two-partition's from its rows
-    (``crossing``), a three-partition's from its shrink.  Many partitions
-    share a cover set, keyed by its right-hand side times that scale, and
-    each distinct cover's hull is computed once."""
+    total-capacity cut followed by the hull cuts it feeds.  A two-partition's
+    cover rhs, demand(U->V) - cbar(A+) times the instance's scale, is read
+    off its cut-set relaxation (a positive ``b_k`` is commodity k's demand
+    into V), a three-partition's sums off a shrink of one ``NodePairTable``.
+    Many partitions share a cover set, keyed by its rhs times that scale,
+    and each distinct cover's hull is computed once."""
     instance = sep.instance
-    table = partition_cuts.NodePairTable(instance)
     capacities = tuple(int(f.capacity) for f in instance.facilities)
     hulls: dict[int, list] = {}
 
     def hull(b: int) -> list:
         if b not in hulls:
-            hulls[b] = hull_inequalities(KnapsackCoverSet(capacities, Fraction(b, table.scale)))
+            hulls[b] = hull_inequalities(KnapsackCoverSet(capacities, Fraction(b, instance.scale)))
         return hulls[b]
 
-    for U, V in sep.partitions:
-        b, crossing = table.crossing(set(U))
+    for rel in sep.relaxations:
+        b = sum(v for v in rel.b_num if v > 0) - sum(instance.cbar_num[ai] for ai in rel.A_plus)
         if b > 0:
             for ineq in hull(b):
-                yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"blocks": (U, V)})
+                yield partition_cuts.expand_knapsack_cut(ineq, rel.A_plus, {"blocks": (rel.U, rel.V)})
+    table = partition_cuts.NodePairTable(instance)
     for part in _three_partitions(instance):
         shrunk = table.shrink(part)
         winner = partition_cuts.total_capacity_cut(shrunk)
@@ -224,7 +224,7 @@ def _partition(sep: Separation):
         if winner.rhs_num > 0:
             # the cover over per-facility totals that the winner implies
             crossing = [ai for group in shrunk.groups.values() for ai in group]
-            for ineq in hull(winner.rhs_num * table.scale):
+            for ineq in hull(winner.rhs_num * instance.scale):
                 yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"from": "total-capacity"})
 
 
@@ -434,9 +434,12 @@ class Separation:
     enabled families that apply to the instance, in table order, the
     enabled ones that do not (``inapplicable``, their names), and the
     candidates of each built-once family (``fixed``), pure capacity cuts.
-    Partitions, relaxations, commodity subsets and arc rows are made on first use, so
-    nothing is built for a family that does not run.  It keeps nothing of
-    a round: ``separate_all`` returns what a round found."""
+    The cut-set relaxations, one per two-partition and read by the cut-set
+    and ``partition`` families, commodity subsets and arc rows are made on
+    first use (the relaxations in ``__init__`` when ``cutset`` or
+    ``partition`` builds its candidates), so nothing is built for a family
+    that does not run.  It keeps nothing of a round: ``separate_all``
+    returns what a round found."""
 
     def __init__(self, instance: Instance, config: Config):
         self.instance = instance
@@ -447,12 +450,8 @@ class Separation:
         self.fixed = {f.name: _distinct_cuts(f.build(self)) for f in self.families if f.build}
 
     @cached_property
-    def partitions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return list(_two_partitions(self.instance))
-
-    @cached_property
     def relaxations(self) -> list[cutset_cuts.CutSetRelaxation]:
-        return [cutset_cuts.build_cutset(self.instance, U, V) for U, V in self.partitions]
+        return [cutset_cuts.build_cutset(self.instance, U, V) for U, V in _two_partitions(self.instance)]
 
     @cached_property
     def subsets(self) -> list[tuple[int, ...]] | None:

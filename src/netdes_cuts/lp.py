@@ -327,8 +327,11 @@ class RoutingLP:
         """The balance rows, then a ``<=`` row per arc ``ai`` with rhs
         ``capacities[ai]``.  With ``installed`` each capacity row also
         holds ``-c_m`` at its arc's design columns (``design_var``), the
-        relaxation's installed capacity, in a new dict."""
+        relaxation's installed capacity, in a new dict.  ``capacities``
+        holds one capacity per arc, or ``ValueError`` is raised."""
         capacity = self.capacity
+        if len(capacities) != len(capacity):
+            raise ValueError(f"{len(capacities)} capacities for {len(capacity)} arcs: want one per arc")
         if installed:
             inst = self.instance
             capacity = [

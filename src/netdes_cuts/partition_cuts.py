@@ -3,13 +3,14 @@
 Shrinking a node partition sums, per ordered pair of blocks, the crossing
 arcs, their existing capacity and the demand between the blocks.  Those
 sums are all the cut builders read: two-block sums yield integer knapsack
-cover sets (iterated MIR turns them into partition inequalities), and
-three-block sums the total-capacity family, either by summing the six
-directed cut-set inequalities or by pairing rounded metric inequalities.
-The sums are ints over one ``NodePairTable`` of the instance, a
-two-partition's read straight from its rows (``NodePairTable.crossing``),
-and a ``Fraction`` is made only for a cut that is built.  The shrunk
-network as an ``Instance`` is built only on request
+cover sets (iterated MIR turns them into partition inequalities; the loop
+reads a two-partition's sums off its cut-set relaxation, which is that
+shrink summed over commodities), and three-block sums the total-capacity
+family, either by summing the six directed cut-set inequalities or by
+pairing rounded metric inequalities, both right-hand sides computed by
+one function.  The sums are ints over one ``NodePairTable`` of the
+instance, and a ``Fraction`` is made only for a cut that is built.  The
+shrunk network as an ``Instance`` is built only on request
 (``ShrunkInstance.instance``); its valid capacity inequalities lift back by
 copying coefficients onto crossing arcs (``lift_cut``).
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import ZERO, Arc, DemandMatrix, Facility, Instance, LinearCut
 from .lp import RoutingCertificate, check_feasible_routing
@@ -78,18 +79,6 @@ class NodePairTable:
         self.rows = [(arc.tail, arc.head, amounts.pop(arc.pair, 0), c, ai)
                      for ai, (arc, c) in enumerate(zip(instance.arcs, instance.cbar_num))]
         self.rows += [(i, j, t, 0, None) for (i, j), t in amounts.items()]
-
-    def crossing(self, U: Container[int]) -> tuple[int, list[int]]:
-        """The sums of a two-partition without a shrink: demand minus
-        existing capacity from the nodes of ``U`` to the other nodes, times
-        ``scale``, and the arcs from ``U`` to them in index order."""
-        net, arcs = 0, []
-        for i, j, t, cbar, ai in self.rows:
-            if i in U and j not in U:
-                net += t - cbar
-                if ai is not None:
-                    arcs.append(ai)
-        return net, arcs
 
     def shrink(self, partition: NodePartition) -> "ShrunkInstance":
         """The block-pair sums of ``partition``, which is not validated."""
@@ -302,14 +291,10 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _total_capacity_lhs(shrunk: ShrunkInstance) -> dict[tuple[int, int], int]:
-    """``c_m`` on every crossing ``y``, for integer facility sizes."""
-    cap = {}
-    for group in shrunk.groups.values():
-        for mi, f in enumerate(shrunk.base.facilities):
-            for ai in group:
-                cap[(ai, mi)] = int(f.capacity)
-    return cap
+def _integral_shrink(instance: Instance, partition: NodePartition) -> ShrunkInstance:
+    if not instance.integral_capacities():
+        raise ValueError("total-capacity cuts need integer facility sizes")
+    return shrink(instance, partition)
 
 
 def three_partition_cut(instance: Instance, partition: NodePartition) -> LinearCut | None:
@@ -320,9 +305,7 @@ def three_partition_cut(instance: Instance, partition: NodePartition) -> LinearC
     ``2 sum c_m y``; an odd right-hand side strengthens under division by
     two.  Emitted in the divided normal form either way.
     """
-    if not instance.integral_capacities():
-        raise ValueError("total-capacity cuts need integer facility sizes")
-    return _TotalCapacity(shrink(instance, partition)).cut(metric=False)
+    return _total_capacity(_integral_shrink(instance, partition), metric=False)
 
 
 def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> LinearCut | None:
@@ -333,9 +316,7 @@ def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> 
     halving gives a cut with the same left-hand side as the cut-set sum,
     possibly stronger, possibly weaker.
     """
-    if not instance.integral_capacities():
-        raise ValueError("total-capacity cuts need integer facility sizes")
-    return _TotalCapacity(shrink(instance, partition)).cut(metric=True)
+    return _total_capacity(_integral_shrink(instance, partition), metric=True)
 
 
 def total_capacity_cut(shrunk: ShrunkInstance) -> LinearCut | None:
@@ -343,42 +324,35 @@ def total_capacity_cut(shrunk: ShrunkInstance) -> LinearCut | None:
     three-partition of an instance with integer facility sizes, the cut-set
     sum on a tie, with only that one built; None without crossing
     arcs."""
-    candidates = _TotalCapacity(shrunk)
-    return candidates.cut(metric=candidates.metric_rhs > candidates.sum_rhs)
+    return _total_capacity(shrunk, metric=None)
 
 
-class _TotalCapacity:
-    """The right-hand sides of both total-capacity cuts of a shrunk
-    three-partition, computed on ints; ``cut`` builds one of them."""
-
-    def __init__(self, shrunk: ShrunkInstance):
-        self.shrunk = shrunk
-        self.sums = s, t, d = _three_partition_sums(shrunk)
-        L = shrunk.scale
-        self.total = sum(_ceil_div(v, L) for v in (*s, *t))
-        self.sum_rhs = _ceil_div(self.total, 2)
-        pair_sums = [
-            _ceil_div(d[first], L) + _ceil_div(d[second], L)
-            for first, second in (((0, 1), (2, 1)), ((1, 0), (2, 0)), ((0, 2), (1, 2)))
-        ]
-        self.pair_sums = tuple(sorted(pair_sums, reverse=True))
-        self.metric_rhs = max(_ceil_div(self.pair_sums[0] + self.pair_sums[1], 2), 0)
-
-    def cut(self, metric: bool) -> LinearCut | None:
-        shrunk = self.shrunk
-        cap = _total_capacity_lhs(shrunk)
-        if not cap:
-            return None
-        L = shrunk.scale
-        s, t, d = self.sums
-        blocks = shrunk.partition.blocks
-        if metric:
-            d = {pair: Fraction(v, L) for pair, v in d.items()}
-            params = {"blocks": blocks, "pair_sums": self.pair_sums, "d": d}
-            return LinearCut({}, cap, self.metric_rhs, "threepartition-metric", params, den=1)
-        s, t = tuple(Fraction(v, L) for v in s), tuple(Fraction(v, L) for v in t)
-        params = {"blocks": blocks, "s": s, "t": t, "sum": self.total, "rounded": self.total % 2 == 1}
-        return LinearCut({}, cap, self.sum_rhs, "threepartition", params, den=1)
+def _total_capacity(shrunk: ShrunkInstance, metric: bool | None) -> LinearCut | None:
+    """The cut-set-sum (``metric`` False) or metric (True) total-capacity
+    cut of a shrunk three-partition, or with ``metric`` None the stronger,
+    the cut-set sum on a tie: ``c_m`` on every crossing ``y`` (integer
+    facility sizes) and both right-hand sides computed on ints; None
+    without crossing arcs."""
+    s, t, d = _three_partition_sums(shrunk)
+    L = shrunk.scale
+    total = sum(_ceil_div(v, L) for v in (*s, *t))
+    sum_rhs = _ceil_div(total, 2)
+    pair_sums = tuple(sorted((
+        _ceil_div(d[first], L) + _ceil_div(d[second], L)
+        for first, second in (((0, 1), (2, 1)), ((1, 0), (2, 0)), ((0, 2), (1, 2)))
+    ), reverse=True))
+    metric_rhs = max(_ceil_div(pair_sums[0] + pair_sums[1], 2), 0)
+    sizes = [int(f.capacity) for f in shrunk.base.facilities]
+    cap = {(ai, mi): c for group in shrunk.groups.values() for mi, c in enumerate(sizes) for ai in group}
+    if not cap:
+        return None
+    blocks = shrunk.partition.blocks
+    if metric or (metric is None and metric_rhs > sum_rhs):
+        params = {"blocks": blocks, "pair_sums": pair_sums, "d": {pair: Fraction(v, L) for pair, v in d.items()}}
+        return LinearCut({}, cap, metric_rhs, "threepartition-metric", params, den=1)
+    s, t = tuple(Fraction(v, L) for v in s), tuple(Fraction(v, L) for v in t)
+    params = {"blocks": blocks, "s": s, "t": t, "sum": total, "rounded": total % 2 == 1}
+    return LinearCut({}, cap, sum_rhs, "threepartition", params, den=1)
 
 
 # -- partition generators ---------------------------------------------------------

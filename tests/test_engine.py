@@ -1,8 +1,10 @@
+import contextlib
 import copy
 import dataclasses
 import gc
 import math
 import random
+import signal
 import weakref
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -656,9 +658,9 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
 
 def test_three_partition_shrunk_once(monkeypatch):
     """A ``Separation`` makes one node-pair table of the instance, reads
-    each two-partition's sums from its rows with no shrink, shrinks each
-    three-partition once and derives its ``s``, ``t`` and ``d`` once for
-    both total-capacity cuts; the cut it keeps is the one
+    each two-partition's sums off its cut-set relaxation with no shrink,
+    shrinks each three-partition once and derives its ``s``, ``t`` and
+    ``d`` once for both total-capacity cuts; the cut it keeps is the one
     ``select_total_capacity_cut`` (``helpers``) picks from the public
     builders' pair."""
     from netdes_cuts import engine, partition_cuts
@@ -743,6 +745,24 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     (one, first), (many, loop) = counts
     assert one == 1 and many >= 2
     assert first == loop == {"from_capacity_row": len(inst.arcs)}
+
+
+@pytest.mark.parametrize("families", [("flowcutset", "partition"), ("partition",), ("mf", "partition")])
+def test_one_cut_set_relaxation_per_two_partition_per_loop(monkeypatch, families):
+    """The ``partition`` family reads its two-partitions off the cut-set
+    relaxations the cut-set families read: a whole loop builds one per
+    ordered two-partition, with or without a cut-set family running."""
+    built = []
+    build_cutset = cutset_cuts.build_cutset
+    monkeypatch.setattr(cutset_cuts, "build_cutset", lambda *args: built.append(args[1:]) or build_cutset(*args))
+    for facilities in ((1,), (1, 3)):
+        inst = generate_instance(seed=1, nodes=5, density=0.6, facilities=facilities)
+        del built[:]
+        res = cutting_plane_loop(inst, Config(families=families, max_rounds=10))
+        assert len(res.reports) >= 2 and len(res.pool) > 0
+        assert "partition" in res.reports[0].families
+        assert built == list(engine._two_partitions(inst))
+        assert len(built) == 2 ** len(inst.nodes) - 2
 
 
 def test_loop_cuts_all_validate():
@@ -837,23 +857,58 @@ def test_brute_force_answers_are_exact_without_exact_solves(monkeypatch, seed):
     assert install + flow == value
 
 
+class _Hung(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    """Raise ``_Hung`` in the body after ``seconds``, so a walk that never
+    stops fails the test instead of hanging the run."""
+
+    def hung(signum, frame):
+        raise _Hung(f"no answer in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("bounds, message", [
     (dict(ybound=-1), r"y bound -1 of \(0, 0\): want a bound >= 0"),
     (dict(y_bounds={(0, 0): 1, (1, 0): -1}), r"y bound -1 of \(1, 0\): want a bound >= 0"),
     (dict(y_bounds={(0, 5): 1}), r"y bound 1 of \(0, 5\): want a bound >= 0 on an \(arc, facility\) pair"),
     (dict(y_bounds={(-1, 0): 1}), r"y bound 1 of \(-1, 0\): want a bound >= 0 on an \(arc, facility\) pair"),
+    (dict(y_bounds={(0, 0): 1.5}), r"y bound 1.5 of \(0, 0\): want an integer bound"),
+    (dict(y_bounds={(0, 0): 1.0}), r"y bound 1.0 of \(0, 0\): want an integer bound"),
+    (dict(y_bounds={(0, 0): True}), r"y bound True of \(0, 0\): want an integer bound"),
+    (dict(y_bounds={(0, 0): "1"}), r"y bound '1' of \(0, 0\): want an integer bound"),
+    (dict(y_bounds={(0, 0): None}), r"y bound None of \(0, 0\): want an integer bound"),
+    (dict(y_bounds={(0, 0): F(1)}), r"y bound Fraction\(1, 1\) of \(0, 0\): want an integer bound"),
+    (dict(ybound=1.5), r"y bound 1.5 of \(0, 0\): want an integer bound"),
+    (dict(ybound=True), r"y bound True of \(0, 0\): want an integer bound"),
 ])
 def test_oracles_refuse_bad_grid_bounds(bounds, message):
     """A negative bound would leave the grid empty, where every grid cut
     holds and nothing is feasible, and a key naming no (arc, facility) pair
-    installs nothing; both oracles refuse either, naming key and value."""
+    installs nothing; under a bound of 1.5 the odometer never meets its
+    bound and the walk never stops, True would count as 1, and a string or
+    None would fail deep in the walk.  ``_grid`` and both oracles refuse
+    each, naming key and value, before any point is walked."""
     inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
     cut = LinearCut({(0, 0): F(1)}, {(0, 0): F(1)}, F(100), "other")
     assert validate_cut(cut, inst, ybound=1)[0] is False
     with pytest.raises(ValueError, match=message):
-        validate_cut(cut, inst, **bounds)
-    with pytest.raises(ValueError, match=message):
-        brute_force_ip(inst, **bounds)
+        engine._grid(inst, bounds.get("y_bounds"), bounds.get("ybound"))
+    with _alarm(20):
+        with pytest.raises(ValueError, match=message):
+            validate_cut(cut, inst, **bounds)
+        with pytest.raises(ValueError, match=message):
+            brute_force_ip(inst, **bounds)
 
 
 @pytest.mark.parametrize("flow, cap, message", [
@@ -964,6 +1019,15 @@ def test_grid_refuses_bad_keys_and_budget_before_walking(monkeypatch):
     monkeypatch.setattr(engine, "GRID_BUDGET", 383)  # the default grid has 384 points
     with pytest.raises(BudgetExceededError, match="more than 383 points"):
         engine._grid(inst, None, None)
+
+
+def test_numpy_integer_grid_bounds_pass():
+    """A numpy integer is an integer bound, and walks as the int would."""
+    import numpy as np
+
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    assert engine._grid(inst, {(0, 0): np.int64(2)}, None) == ([(0, 0)], [2])
+    assert engine._grid(inst, None, np.int64(1)) == engine._grid(inst, None, 1)
 
 
 def test_default_y_bounds_cover_demand(star_instance):

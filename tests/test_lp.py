@@ -307,6 +307,23 @@ def test_routing_rows_share_their_coefficients_across_capacity_vectors():
     assert build_relaxation(inst).fixed == relaxed
 
 
+@pytest.mark.parametrize("length", [1, 0, 6], ids=["short", "empty", "long"])
+def test_capacity_lists_of_the_wrong_length_are_refused(length):
+    """One capacity per arc: a shorter list would leave arcs without a
+    capacity row, so that no capacity at all reads as routable, and a
+    longer one would be cut short."""
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    assert len(inst.arcs) == 5
+    assert check_feasible_routing(inst, [0] * 5)[0] is False
+    message = rf"{length} capacities for 5 arcs: want one per arc"
+    with pytest.raises(ValueError, match=message):
+        check_feasible_routing(inst, [0] * length)
+    with pytest.raises(ValueError, match=message):
+        separate_metric(inst, [0] * length)
+    with pytest.raises(ValueError, match=message):
+        RoutingLP(inst).rows([F(0)] * length, installed=True)
+
+
 def test_float_rows_are_the_exact_rows_in_floats(monkeypatch):
     """Every round LP of the golden 4-node loops and of the 5-node seed-7
     loop: each float row ``lp.solve`` passes to the simplex has the columns

@@ -81,12 +81,27 @@ def test_shrink_preserves_feasibility():
     assert ok2
 
 
-# instances of every facility set the loop's partition family sees, 3-6 nodes
+# instances of every facility set the loop's partition family sees, 3-6 nodes,
+# aggregated; then disaggregated ones, splittable and unsplittable; then
+# demands scaled by 2 and 3
 LAZY_SHRINK_CASES = [
     dict(seed=seed, nodes=nodes, density=0.6, facilities=facilities, existing_capacity_prob=0.5)
     for nodes in (3, 4, 5, 6)
     for facilities in ((1,), (1, 3), (2, 5), (1, 2, 4))
     for seed in (nodes, nodes + 10)
+] + [
+    dict(seed=seed, nodes=nodes, density=0.6, facilities=facilities, existing_capacity_prob=0.5,
+         mode="disaggregated", unsplittable=unsplittable)
+    for nodes in (3, 4, 5)
+    for facilities in ((1,), (1, 3), (2, 5))
+    for unsplittable in (False, True)
+    for seed in (nodes + 20, nodes + 40)
+] + [
+    dict(seed=seed, nodes=nodes, density=0.6, facilities=facilities, existing_capacity_prob=0.5, demand_scale=scale)
+    for nodes in (4, 5)
+    for facilities in ((1,), (1, 3))
+    for scale in (2, 3)
+    for seed in (nodes + 30,)
 ]
 
 
@@ -95,13 +110,14 @@ def _cut_fields(cut):
 
 
 def test_lazy_shrink_gives_the_former_partition_candidates():
-    """The built-once ``partition`` candidates, read from the lazy shrink's
-    block-pair sums with one hull per distinct cover, are those of the
+    """The built-once ``partition`` candidates, a two-partition's read from
+    its cut-set relaxation and a three-partition's from the lazy shrink's
+    block-pair sums, with one hull per distinct cover, are those of the
     former eager shrink: same cuts in the same order, each with the same
     coefficients in the same order, rhs, family and params."""
     from netdes_cuts.engine import Config, Separation
 
-    assert len(LAZY_SHRINK_CASES) >= 30
+    assert len(LAZY_SHRINK_CASES) >= 70
     built = 0
     for gen in LAZY_SHRINK_CASES:
         inst = generate_instance(**gen)
