@@ -223,13 +223,19 @@ def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None =
     )
 
 
-def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
-    """Rounded capacity requirement ``y(A+) >= ceil((b_K - cbar(A+)) / c)``
-    on facility 0, the one facility of the instances the family applies to,
-    on ints at the instance's scale S: ``ceil((S*b_K - S*cbar(A+)) / (S*c))``."""
+def cutset_rhs(rel: CutSetRelaxation) -> int:
+    """``ceil((b_K - cbar(A+)) / c)`` of facility 0, on ints at the
+    instance's scale S: ``ceil((S*b_K - S*cbar(A+)) / (S*c))``."""
     inst = rel.instance
     need = sum(rel.b_num) - sum(inst.cbar_num[a] for a in rel.A_plus)
-    rhs = -(-need // inst.sizes_num[0])
+    return -(-need // inst.sizes_num[0])
+
+
+def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
+    """Rounded capacity requirement ``y(A+) >= cutset_rhs(rel)`` on
+    facility 0, the one facility of the instances the family applies to;
+    None when the rhs is not positive or no arc leaves U."""
+    rhs = cutset_rhs(rel)
     if rhs <= 0 or not rel.A_plus:
         return None
     return LinearCut({}, {(a, 0): 1 for a in rel.A_plus}, rhs, "cutset", {"U": rel.U, "rhs": rhs}, den=1)

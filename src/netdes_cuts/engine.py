@@ -21,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
@@ -91,13 +91,15 @@ class Family:
     scaled)``, which yields ``(cut, exact violation)`` for its candidates
     violated by more than ``sep.eps`` at the round's one
     ``cutset_cuts.ScaledPoint``.  A built-once family's candidates are
-    ``build(sep)``, made once per loop into ``sep.fixed``.  ``skipped(sep,
-    scaled)`` counts the relaxations a family passed over at the point."""
+    ``build(sep)``, ``CoverForm``s made once per loop into ``sep.fixed``
+    and decided each round on their ints; a candidate's ``LinearCut`` is
+    built the first time a round admits it.  ``skipped(sep, scaled)``
+    counts the relaxations a family passed over at the point."""
 
     name: str
     applies: Callable[[Instance], bool]
     separate: Callable[[Separation, ScaledPoint], Iterable[tuple[LinearCut, Fraction]]] | None = None
-    build: Callable[[Separation], Iterable[LinearCut | None]] | None = None
+    build: Callable[[Separation], Iterable[CoverForm]] | None = None
     skipped: Callable[[Separation, ScaledPoint], int] | None = None
 
 
@@ -115,9 +117,48 @@ def _checked(candidates: Callable[[Separation, ScaledPoint], Iterable[LinearCut 
     return separate
 
 
+class CoverForm:
+    """A built-once candidate as ints at the instance's scale: the pure
+    capacity inequality ``sum_m coefs[m] * y_m(arcs) >= rhs``, ``y_m(arcs)``
+    the installations of facility m summed over the arc group ``arcs`` (a
+    frozenset).  ``cut`` is its ``LinearCut``, which holds the same ints
+    over ``den=1``; ``make()``, the family's builder, makes it on first
+    read."""
+
+    __slots__ = ("arcs", "coefs", "rhs", "make", "_cut")
+
+    def __init__(self, arcs: frozenset[int], coefs: tuple[int, ...], rhs: int, make: Callable[[], LinearCut]):
+        self.arcs, self.coefs, self.rhs, self.make = arcs, coefs, rhs, make
+        self._cut = None
+
+    @property
+    def cut(self) -> LinearCut:
+        if self._cut is None:
+            self._cut = self.make()
+        return self._cut
+
+
 def _built_once(name: str, applies, build) -> Family:
-    """A family whose candidates ``build(sep)`` makes once per loop into ``sep.fixed[name]``."""
-    return Family(name, applies, _checked(lambda sep, scaled: sep.fixed[name]), build=build)
+    """A family whose candidates ``build(sep)`` makes once per loop into
+    ``sep.fixed[name]``.  Each round sums the scaled point's ``y`` once per
+    distinct arc group, ``z_m = sum_{a in arcs} Y[a][m]``, and a form's
+    violation is ``slack / D`` with ``slack = rhs * D - sum_m coefs[m] *
+    z_m``, compared with eps on ints as ``LinearCut.violation`` compares
+    its cut's."""
+
+    def separate(sep: Separation, scaled: ScaledPoint):
+        Y, D = scaled.y, scaled.D
+        den, above = sep.eps.denominator, sep.eps.numerator * D  # admitted iff slack * den > above
+        sums: dict = {}
+        for form in sep.fixed[name]:
+            z = sums.get(form.arcs)
+            if z is None:
+                z = sums[form.arcs] = [sum(col) for col in zip(*(Y[a] for a in form.arcs))]
+            slack = form.rhs * D - sum(map(mul, form.coefs, z))
+            if slack * den > above:
+                yield form.cut, Fraction(slack, D)
+
+    return Family(name, applies, separate, build=build)
 
 
 def _single_facility(instance: Instance) -> bool:
@@ -192,40 +233,59 @@ def _mixed_integer_relaxations(sep: Separation, scaled: ScaledPoint) -> int:
     return sum(scaled.view(rel).mixed_integer for rel in sep.relaxations)
 
 
+def _cutset(sep: Separation):
+    """Per relaxation with an arc U -> V and a positive rounded
+    requirement (``cutset_cuts.cutset_rhs``), the form of its
+    ``cutset_cut``: ``y(A+) >= rhs`` on the one facility."""
+    for rel in sep.relaxations:
+        rhs = cutset_cuts.cutset_rhs(rel)
+        if rhs > 0 and rel.A_plus:
+            yield CoverForm(frozenset(rel.A_plus), (1,), rhs, partial(cutset_cuts.cutset_cut, rel))
+
+
 def _partition(sep: Separation):
-    """Two-partition hull cuts, then per three-partition the stronger
-    total-capacity cut followed by the hull cuts it feeds.  A two-partition's
-    cover rhs, demand(U->V) - cbar(A+) times the instance's scale, is read
-    off its cut-set relaxation (a positive ``b_k`` is commodity k's demand
-    into V), a three-partition's sums off a shrink of one ``NodePairTable``.
-    Many partitions share a cover set, keyed by its rhs times that scale,
-    and each distinct cover's hull is computed once."""
+    """Two-partition hull forms, then per three-partition the form of the
+    stronger total-capacity cut followed by the hull forms it feeds.  A
+    two-partition's cover rhs, demand(U->V) - cbar(A+) times the
+    instance's scale, is read off its cut-set relaxation (a positive
+    ``b_k`` is commodity k's demand into V), a three-partition's crossing
+    arcs and block-pair sums off one ``NodePairTable``.  Many partitions
+    share a cover set, keyed by its rhs times that scale, and each
+    distinct cover's hull is computed once.  A form's cut is built by
+    ``expand_knapsack_cut`` or, for a winner, by ``total_capacity_cut`` of
+    the partition's shrink; a partition without a crossing arc, or a hull
+    inequality without a nonzero coefficient, has no form, as those
+    builders would give None."""
     instance = sep.instance
     capacities = tuple(int(f.capacity) for f in instance.facilities)
     hulls: dict[int, list] = {}
 
-    def hull(b: int) -> list:
+    def hull_forms(b: int, arcs: Sequence[int], group: frozenset[int], params: dict):
         if b not in hulls:
             hulls[b] = hull_inequalities(KnapsackCoverSet(capacities, Fraction(b, instance.scale)))
-        return hulls[b]
+        for ineq in hulls[b]:
+            if any(ineq[0]):
+                yield CoverForm(group, *ineq, partial(partition_cuts.expand_knapsack_cut, ineq, arcs, dict(params)))
 
     for rel in sep.relaxations:
         b = sum(v for v in rel.b_num if v > 0) - sum(instance.cbar_num[ai] for ai in rel.A_plus)
-        if b > 0:
-            for ineq in hull(b):
-                yield partition_cuts.expand_knapsack_cut(ineq, rel.A_plus, {"blocks": (rel.U, rel.V)})
+        if b > 0 and rel.A_plus:
+            yield from hull_forms(b, rel.A_plus, frozenset(rel.A_plus), {"blocks": (rel.U, rel.V)})
     table = partition_cuts.NodePairTable(instance)
+
+    def winner(part: partition_cuts.NodePartition) -> LinearCut:
+        return partition_cuts.total_capacity_cut(table.shrink(part))
+
     for part in _three_partitions(instance):
-        shrunk = table.shrink(part)
-        winner = partition_cuts.total_capacity_cut(shrunk)
-        if winner is None:
+        crossing, net = table.crossing(part)
+        if not crossing:
             continue
-        yield winner
-        if winner.rhs_num > 0:
+        group = frozenset(crossing)
+        rhs = partition_cuts.total_capacity_rhs(net, instance.scale)
+        yield CoverForm(group, capacities, rhs, partial(winner, part))
+        if rhs > 0:
             # the cover over per-facility totals that the winner implies
-            crossing = [ai for group in shrunk.groups.values() for ai in group]
-            for ineq in hull(winner.rhs_num * instance.scale):
-                yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"from": "total-capacity"})
+            yield from hull_forms(rhs * instance.scale, crossing, group, {"from": "total-capacity"})
 
 
 # table order is admission order.  One cut-set pass runs per instance:
@@ -239,7 +299,7 @@ def _partition(sep: Separation):
 SEPARATORS = (
     Family("rc", _single_facility, _checked(_rc)),
     Family("cstrong", lambda inst: _single_facility(inst) and inst.unsplittable, _checked(_cstrong)),
-    _built_once("cutset", _single_facility, lambda sep: map(cutset_cuts.cutset_cut, sep.relaxations)),
+    _built_once("cutset", _single_facility, _cutset),
     Family("flowcutset", _single_facility, _cutset_pass("flowcutset"), skipped=_mixed_integer_relaxations),
     Family("mf", lambda inst: not _single_facility(inst), _cutset_pass("mf"), skipped=_mixed_integer_relaxations),
     Family("metric", lambda inst: False),
@@ -433,7 +493,9 @@ class Separation:
     """Separation state of one loop, made from the instance alone: the
     enabled families that apply to the instance, in table order, the
     enabled ones that do not (``inapplicable``, their names), and the
-    candidates of each built-once family (``fixed``), pure capacity cuts.
+    candidates of each built-once family (``fixed``), pure capacity
+    inequalities kept as int ``CoverForm``s, whose ``LinearCut`` is built
+    the first time a round admits it and then kept on the form.
     The cut-set relaxations, one per two-partition and read by the cut-set
     and ``partition`` families, commodity subsets and arc rows are made on
     first use (the relaxations in ``__init__`` when ``cutset`` or
@@ -447,7 +509,7 @@ class Separation:
         enabled = [f for f in SEPARATORS if f.name in config.families]
         self.families = [f for f in enabled if f.applies(instance)]
         self.inapplicable = [f.name for f in enabled if not f.applies(instance)]
-        self.fixed = {f.name: _distinct_cuts(f.build(self)) for f in self.families if f.build}
+        self.fixed = {f.name: _distinct_forms(f.build(self)) for f in self.families if f.build}
 
     @cached_property
     def relaxations(self) -> list[cutset_cuts.CutSetRelaxation]:
@@ -467,12 +529,15 @@ class Separation:
         return [arc_cuts.from_capacity_row(self.instance, ai) for ai in range(len(self.instance.arcs))]
 
 
-def _distinct_cuts(cuts: Iterable[LinearCut | None]) -> list[LinearCut]:
-    """The cuts, each ``normalized_key()`` once at its first occurrence."""
+def _distinct_forms(forms: Iterable[CoverForm]) -> list[CoverForm]:
+    """The forms, each key ``(arcs, coefs // g, rhs // g)``, ``g`` the gcd
+    of the rhs and coefficients, once at its first occurrence.  A form has
+    an arc and a nonzero coefficient, so two keys are equal exactly when
+    the built cuts' ``normalized_key()``s are."""
     first: dict = {}
-    for cut in cuts:
-        if cut is not None:
-            first.setdefault(cut.normalized_key(), cut)
+    for form in forms:
+        g = math.gcd(form.rhs, *form.coefs)
+        first.setdefault((form.arcs, tuple(c // g for c in form.coefs), form.rhs // g), form)
     return list(first.values())
 
 

@@ -394,8 +394,13 @@ def proves_unroutable(
     ``capacities``.  A positive-demand node that no path reaches gets the
     certificate ``v = 0`` with potential 1 on the nodes its source cannot
     reach.  Returns the certificate, or ``None`` when it proves nothing; an
-    exact Farkas vector always yields one.
+    exact Farkas vector always yields one.  ``capacities`` and
+    ``multipliers`` hold one entry per arc, or ``ValueError`` is raised.
     """
+    arcs = len(instance.arcs)
+    if len(capacities) != arcs or len(multipliers) != arcs:
+        raise ValueError(f"{len(capacities)} capacities and {len(multipliers)} multipliers for {arcs} arcs: "
+                         "want one of each per arc")
     v = {}
     for ai, lam in enumerate(multipliers):
         # capacity rows are <=, so their multipliers are nonpositive; negate

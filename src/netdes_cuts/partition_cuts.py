@@ -105,6 +105,21 @@ class NodePairTable:
             demand=demand,
         )
 
+    def crossing(self, partition: NodePartition) -> tuple[list[int], dict[tuple[int, int], int]]:
+        """The arcs crossing between blocks of ``partition``, group by
+        group as a flattened ``shrink(partition).groups``, and per block
+        pair its ``ShrunkInstance.net``, without a shrink."""
+        block_of = {node: bi for bi, block in enumerate(partition.blocks) for node in block}
+        net: dict[tuple[int, int], int] = {}
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, j, t, cbar, ai in self.rows:
+            pair = (block_of[i], block_of[j])
+            if pair[0] != pair[1]:
+                net[pair] = net.get(pair, 0) + t - cbar
+                if ai is not None:
+                    groups.setdefault(pair, []).append(ai)
+        return [ai for group in groups.values() for ai in group], net
+
 
 @dataclass
 class ShrunkInstance:
@@ -273,17 +288,17 @@ def expand_knapsack_cut(ineq: tuple[Sequence[int], int], arcs: Sequence[int], pa
 _ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
-def _three_partition_sums(shrunk: ShrunkInstance) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
+def _three_partition_sums(nets: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
     """Per block its outgoing (``s``) and incoming (``t``) traffic minus
-    capacity, and the six directed metric right-hand sides ``d``, all
-    times ``shrunk.scale``, as ints, from each block pair's net computed
-    once."""
-    if shrunk.partition.p != 3:
-        raise ValueError("expected a three-block partition")
-    net = {pair: shrunk.net(pair) for pair in _ORDERED_PAIRS}
-    s = tuple(sum(net[(i, j)] for j in range(3) if j != i) for i in range(3))
-    t = tuple(sum(net[(j, i)] for j in range(3) if j != i) for i in range(3))
-    d = {(i, j): net[(i, j)] + net[(i, 3 - i - j)] + net[(j, 3 - i - j)] for i, j in _ORDERED_PAIRS}
+    capacity, and the six directed metric right-hand sides ``d``, as ints
+    at the scale of ``nets``, each block pair's demand minus existing
+    capacity (a missing pair's is 0)."""
+    n01, n02, n10, n12, n20, n21 = (nets.get(pair, 0) for pair in _ORDERED_PAIRS)
+    s = (n01 + n02, n10 + n12, n20 + n21)  # s_i: the nets out of block i
+    t = (n10 + n20, n01 + n21, n02 + n12)  # t_i: the nets into block i
+    # d_ij = net(i, j) + net(i, h) + net(j, h), h the third block, keyed in _ORDERED_PAIRS order
+    d = {(0, 1): n01 + n02 + n12, (0, 2): n02 + n01 + n21, (1, 0): n10 + n12 + n02,
+         (1, 2): n12 + n10 + n20, (2, 0): n20 + n21 + n01, (2, 1): n21 + n20 + n10}
     return s, t, d
 
 
@@ -319,6 +334,25 @@ def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> 
     return _total_capacity(_integral_shrink(instance, partition), metric=True)
 
 
+def _right_hand_sides(s, t, d, L: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """``(sum_rhs, metric_rhs, total, pair_sums)`` of a three-partition's
+    sums (``_three_partition_sums``) at scale ``L``: the cut-set sum's and
+    the paired metric's right-hand sides, the rounded sum of ``s`` and
+    ``t`` and the three rounded pair sums of ``d``, largest first."""
+    total = sum(_ceil_div(v, L) for v in (*s, *t))
+    up = {pair: _ceil_div(v, L) for pair, v in d.items()}
+    pair_sums = tuple(sorted((up[0, 1] + up[2, 1], up[1, 0] + up[2, 0], up[0, 2] + up[1, 2]), reverse=True))
+    return _ceil_div(total, 2), max(_ceil_div(pair_sums[0] + pair_sums[1], 2), 0), total, pair_sums
+
+
+def total_capacity_rhs(nets: dict[tuple[int, int], int], scale: int) -> int:
+    """The right-hand side of ``total_capacity_cut``'s cut of a
+    three-partition whose block pairs have the nets ``nets``
+    (``NodePairTable.crossing``) at ``scale``: the larger of the two."""
+    sum_rhs, metric_rhs, _, _ = _right_hand_sides(*_three_partition_sums(nets), scale)
+    return max(sum_rhs, metric_rhs)
+
+
 def total_capacity_cut(shrunk: ShrunkInstance) -> LinearCut | None:
     """The stronger of the two total-capacity cuts of a shrunk
     three-partition of an instance with integer facility sizes, the cut-set
@@ -333,15 +367,11 @@ def _total_capacity(shrunk: ShrunkInstance, metric: bool | None) -> LinearCut | 
     the cut-set sum on a tie: ``c_m`` on every crossing ``y`` (integer
     facility sizes) and both right-hand sides computed on ints; None
     without crossing arcs."""
-    s, t, d = _three_partition_sums(shrunk)
+    if shrunk.partition.p != 3:
+        raise ValueError("expected a three-block partition")
     L = shrunk.scale
-    total = sum(_ceil_div(v, L) for v in (*s, *t))
-    sum_rhs = _ceil_div(total, 2)
-    pair_sums = tuple(sorted((
-        _ceil_div(d[first], L) + _ceil_div(d[second], L)
-        for first, second in (((0, 1), (2, 1)), ((1, 0), (2, 0)), ((0, 2), (1, 2)))
-    ), reverse=True))
-    metric_rhs = max(_ceil_div(pair_sums[0] + pair_sums[1], 2), 0)
+    s, t, d = _three_partition_sums({pair: shrunk.net(pair) for pair in _ORDERED_PAIRS})
+    sum_rhs, metric_rhs, total, pair_sums = _right_hand_sides(s, t, d, L)
     sizes = [int(f.capacity) for f in shrunk.base.facilities]
     cap = {(ai, mi): c for group in shrunk.groups.values() for mi, c in enumerate(sizes) for ai in group}
     if not cap:

@@ -983,6 +983,27 @@ def reference_partition_candidates(instance):
                     yield LinearCut({}, cap, rhs, "partition", {"from": "total-capacity"})
 
 
+def reference_cutset_candidates(instance):
+    """The built-once ``cutset`` candidates from ``Fraction`` data of an
+    eager shrink per two-partition: ``y(A+) >= ceil((T(U->V) - T(V->U) -
+    cbar(A+)) / c)``, the net demand that must cross, on the one
+    facility, for each two-partition with an arc U -> V and a positive
+    rhs."""
+    from math import ceil
+
+    from netdes_cuts import engine, partition_cuts
+    from netdes_cuts.core import LinearCut
+
+    size = instance.facilities[0].capacity
+    for U, V in engine._two_partitions(instance):
+        shrunk = reference_shrink(instance, partition_cuts.NodePartition.of(U, V))
+        small, crossing = shrunk.instance, shrunk.groups.get((0, 1), ())
+        cbar = small.arcs[small.arc_index[(0, 1)]].existing_capacity if crossing else ZERO
+        rhs = ceil((small.demand.t(0, 1) - small.demand.t(1, 0) - cbar) / size)
+        if rhs > 0 and crossing:
+            yield LinearCut({}, {(ai, 0): 1 for ai in crossing}, rhs, "cutset", {"U": U, "rhs": rhs})
+
+
 def reference_rc_arc(instance, ai, point):
     from netdes_cuts import arc_cuts, engine
 

@@ -36,12 +36,15 @@ from netdes_cuts.engine import (
 from helpers import (
     GOLDEN_4_NODE,
     arc_capacity,
+    distinct_cuts,
     in_cutset_mixed_integer_set,
     int_form,
     lhs_value,
     pure_capacity_counterexamples,
     reference_best_unsplittable,
+    reference_cutset_candidates,
     reference_grid,
+    reference_partition_candidates,
     reference_rc_arc,
     reference_separate_all,
     reference_validate_cuts,
@@ -326,7 +329,8 @@ def test_separation_table_matches_reference(monkeypatch, gen, config, fired):
 
 
 def _fraction_admitted(sep, name, point):
-    return [(cut, cut.violation(point)) for cut in sep.fixed[name] if cut.violation(point) > sep.eps]
+    cuts = [form.cut for form in sep.fixed[name]]
+    return [(cut, cut.violation(point)) for cut in cuts if cut.violation(point) > sep.eps]
 
 
 def _separated(sep, name, scaled):
@@ -413,8 +417,8 @@ def test_integer_admission_matches_fraction_violation(monkeypatch):
                     y[key] = F(rng.randint(0, 3 * den), den)
             _assert_same_admission(sep, FractionalPoint(y=y))
         # one cut at the threshold: its first key carries lhs = rhs - violation
-        for name, cuts in sep.fixed.items():
-            cut = cuts[-1]
+        for name, forms in sep.fixed.items():
+            cut = forms[-1].cut
             key, coef = next(iter(cut.cap.items()))
             for violation, admitted in ((sep.eps, False), (sep.eps + F(1, 10**12), True)):
                 point = FractionalPoint(y={key: (cut.rhs - violation) / coef})
@@ -470,10 +474,128 @@ def test_built_once_keys_are_those_of_the_cut_coefficients():
     for gen in (dict(seed=3, nodes=6, density=0.7, facilities=(1, 3)),
                 dict(seed=3, nodes=10, density=0.4, facilities=(1,))):
         sep = engine.Separation(generate_instance(**gen), Config())
-        for name, cuts in sep.fixed.items():
+        for name, forms in sep.fixed.items():
+            cuts = [form.cut for form in forms]
             keys = [cut.normalized_key() for cut in cuts]
             assert keys == [LinearCut(c.flow, c.cap, c.rhs, c.family).normalized_key() for c in cuts]
             assert len(set(keys)) == len(keys) > 0, name
+
+
+# criterion 11's batch shapes: first seed, nodes, density, facilities, families, unsplittable
+CRITERION_11_SHAPES = [
+    (1001, 3, 0.9, (1,), ("rc", "cutset", "flowcutset", "metric", "partition"), False),
+    (1101, 4, 0.5, (1,), ("rc", "cutset", "flowcutset", "partition"), False),
+    (1141, 3, 0.7, (1, 2), ("mf", "metric", "partition"), False),
+    (1176, 3, 0.9, (1,), ("rc", "cstrong", "cutset", "flowcutset"), True),
+]
+
+# the benchmark's loop ladders (perfbench/bench.py) as (generator arguments,
+# config), run as netdes-cuts run runs them, and criterion 11's 200 instances
+# with their families and four rounds, whose first six of each batch shape are
+# the oracle-sweep ladder
+LOOP_4N = [(dict(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s % 2 else (1,)), Config(max_rounds=10))
+           for s in range(1, 41)]
+LOOP_5N = [(dict(seed=s, nodes=5, density=0.5, facilities=(1, 3) if s % 2 else (1,)), Config(max_rounds=10))
+           for s in range(1, 9)]
+CRITERION_11 = [
+    (dict(seed=s, nodes=nodes, density=density, facilities=facilities, flow_cost_prob=0.4,
+          mode="disaggregated" if unsplittable else "aggregated", unsplittable=unsplittable),
+     Config(families=families, max_rounds=4))
+    for (first, nodes, density, facilities, families, unsplittable), count in zip(CRITERION_11_SHAPES, (100, 40, 35, 25))
+    for s in range(first, first + count)
+]
+
+
+def _loop_rounds(monkeypatch, ladder):
+    """Per instance of ``ladder``, its loop's ``Separation`` and round points."""
+    rounds, separate_all = [], engine.separate_all
+
+    def recording(sep, point):
+        rounds.append((sep, point))
+        return separate_all(sep, point)
+
+    monkeypatch.setattr(engine, "separate_all", recording)
+    for gen, config in ladder:
+        del rounds[:]
+        cutting_plane_loop(generate_instance(**gen), config)
+        yield rounds[0][0], [point for _, point in rounds]
+
+
+def test_built_once_forms_decide_as_their_cuts(monkeypatch):
+    """At every round point of the ``loop-4n`` and ``loop-5n`` ladders and
+    of criterion 11's instances, each built-once family yields, in order,
+    the cut of each form whose cut ``LinearCut.violation(scaled, eps)``
+    admits, with that violation; and each form holds its cut's ints: its
+    coefficients on each arc of its group, its rhs, over ``den=1``."""
+    forms = points = admitted = 0
+    for sep, round_points in _loop_rounds(monkeypatch, LOOP_4N + LOOP_5N + CRITERION_11):
+        for form in (form for fixed in sep.fixed.values() for form in fixed):
+            cut = form.cut
+            assert (cut.flow_num, cut.den, cut.rhs_num) == ({}, 1, form.rhs)
+            assert cut.cap_num == {(ai, mi): c for mi, c in enumerate(form.coefs) if c for ai in form.arcs}
+            forms += 1
+        for point in round_points:
+            scaled = cutset_cuts.ScaledPoint(sep.instance, point)
+            for name, fixed in sep.fixed.items():
+                want = [(form.cut, form.cut.violation(scaled, sep.eps)) for form in fixed]
+                want = [(cut, v) for cut, v in want if v is not None]
+                got = _separated(sep, name, scaled)
+                assert [(id(cut), v, type(v)) for cut, v in got] == [(id(cut), v, type(v)) for cut, v in want]
+                admitted += len(got)
+            points += 1
+    assert (forms, points) == (777 + 475 + 1429, 473) and admitted > 1000, (forms, points, admitted)
+
+
+def test_the_loop_builds_only_the_built_once_cuts_it_yields(monkeypatch):
+    """Over one loop, ``cutset`` and ``partition`` make a ``LinearCut``
+    once for each distinct candidate a round yields and for no other: on
+    the ``loop-4n`` ladder 316 cuts of its 777 candidates."""
+    made, yielded, candidates = [], set(), 0
+    init, separate_all = LinearCut.__init__, engine.separate_all
+
+    def counting(self, flow, cap, rhs, family, *args, **kwargs):
+        made.append(family)
+        init(self, flow, cap, rhs, family, *args, **kwargs)
+
+    def recording(sep, point):
+        found = separate_all(sep, point)
+        yielded.update((name, id(sep), cut.normalized_key()) for name, cut, _ in found.candidates
+                       if name in ("cutset", "partition"))
+        return found
+
+    monkeypatch.setattr(LinearCut, "__init__", counting)
+    monkeypatch.setattr(engine, "separate_all", recording)
+    built = 0
+    for gen, config in LOOP_4N:
+        del made[:]
+        sep = engine.Separation(generate_instance(**gen), config)
+        candidates += sum(map(len, sep.fixed.values()))
+        cutting_plane_loop(generate_instance(**gen), config)
+        built += sum(family in ("cutset", "partition", "threepartition", "threepartition-metric") for family in made)
+    assert (candidates, built, len(yielded)) == (777, 316, 316)
+
+
+def test_built_once_forms_build_the_reference_candidates():
+    """The built-once forms, in order, build the candidates of the
+    ``Fraction`` references (``helpers``) with their first occurrence of
+    each key: same cuts, coefficient order, rhs, family and params; on
+    seven nodes (sampled three-partitions), ten (sampled two-partitions),
+    two, and with a fractional facility size, where ``partition`` does
+    not apply."""
+    cases = [dict(seed=3, nodes=7, density=0.5, facilities=(1, 3)), dict(seed=3, nodes=10, density=0.4, facilities=(1,)),
+             dict(seed=2, nodes=2, density=0.9, facilities=(1,)), dict(seed=3, nodes=4, density=0.6, facilities=(F(3, 2),))]
+    for gen in cases:
+        inst = generate_instance(**gen)
+        want = {}
+        if len(inst.facilities) == 1:
+            want["cutset"] = distinct_cuts(reference_cutset_candidates(inst))
+        if inst.integral_capacities():
+            want["partition"] = distinct_cuts(reference_partition_candidates(inst))
+        fixed = engine.Separation(inst, Config()).fixed
+        assert list(fixed) == list(want) and all(want.values()), gen
+        for name, forms in fixed.items():
+            fields = [(cut.family, list(cut.cap.items()), cut.rhs, cut.params) for cut in want[name]]
+            assert [(c.family, list(c.cap.items()), c.rhs, c.params) for c in (f.cut for f in forms)] == fields
 
 
 def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
@@ -658,11 +780,12 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
 
 def test_three_partition_shrunk_once(monkeypatch):
     """A ``Separation`` makes one node-pair table of the instance, reads
-    each two-partition's sums off its cut-set relaxation with no shrink,
-    shrinks each three-partition once and derives its ``s``, ``t`` and
-    ``d`` once for both total-capacity cuts; the cut it keeps is the one
-    ``select_total_capacity_cut`` (``helpers``) picks from the public
-    builders' pair."""
+    each two-partition's sums off its cut-set relaxation and derives each
+    three-partition's ``s``, ``t`` and ``d`` once for both total-capacity
+    right-hand sides, all with no shrink; a three-partition is shrunk
+    once, when its winner's cut is first read, and its sums derived once
+    more there.  The cut it keeps is the one ``select_total_capacity_cut``
+    (``helpers``) picks from the public builders' pair."""
     from netdes_cuts import engine, partition_cuts
 
     calls = {"NodePairTable": 0, "shrink": 0, "_three_partition_sums": 0}
@@ -687,15 +810,20 @@ def test_three_partition_shrunk_once(monkeypatch):
     monkeypatch.setattr(partition_cuts.NodePairTable, "shrink", counted("shrink", partition_cuts.NodePairTable.shrink))
     monkeypatch.setattr(partition_cuts, "_three_partition_sums",
                         counted("_three_partition_sums", partition_cuts._three_partition_sums))
-    engine.Separation(inst, Config(families=("partition",)))
-    assert calls == {"NodePairTable": 1, "shrink": len(parts), "_three_partition_sums": len(parts)}
+    sep = engine.Separation(inst, Config(families=("partition",)))
+    assert calls == {"NodePairTable": 1, "shrink": 0, "_three_partition_sums": len(parts)}
+    for _ in range(2):
+        winners = [form for form in sep.fixed["partition"] if form.cut.family.startswith("threepartition")]
+        assert calls == {"NodePairTable": 1, "shrink": len(winners), "_three_partition_sums": len(parts) + len(winners)}
+    assert len(winners) == len(parts)
 
 
 def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     """A loop of many rounds makes its node-pair table, sums partitions,
     rounds each distinct cover once and builds relaxations and arc rows
-    exactly as often as a loop of one; families that need none of it build
-    none."""
+    exactly as often as a loop of one; it shrinks a three-partition only to
+    build an admitted winner, at most once; families that need none of it
+    build none."""
     from netdes_cuts import arc_cuts, cutset_cuts, engine, partition_cuts
 
     calls = {}
@@ -710,6 +838,7 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(partition_cuts.NodePairTable, "shrink")
+    counting(partition_cuts.NodePairTable, "crossing")
     counting(partition_cuts, "NodePairTable")
     counting(engine, "hull_inequalities")
     counting(cutset_cuts, "build_cutset")
@@ -721,7 +850,9 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
         counts.append((len(res.reports), dict(calls)))
     (one, first), (many, loop), (_, unused) = counts
     assert one == 1 and many >= 2
-    assert first == loop and first["NodePairTable"] == 1 and first["shrink"] > 0
+    parts = len(list(engine._three_partitions(inst)))
+    assert 0 < first.pop("shrink") <= loop.pop("shrink") <= parts
+    assert first == loop and first["NodePairTable"] == 1 and first["crossing"] == parts
     # one hull per distinct cover: the covers of the two-partitions with a
     # positive requirement and of the winners with a positive rhs
     table = partition_cuts.NodePairTable(inst)
@@ -1131,15 +1262,6 @@ def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_i
     assert not ok and (ok, counter) == certified
     assert bad.violation(counter) > 0
     assert all(isinstance(v, F) for v in counter.x.values())
-
-
-# criterion 11's batch shapes: first seed, nodes, density, facilities, families, unsplittable
-CRITERION_11_SHAPES = [
-    (1001, 3, 0.9, (1,), ("rc", "cutset", "flowcutset", "metric", "partition"), False),
-    (1101, 4, 0.5, (1,), ("rc", "cutset", "flowcutset", "partition"), False),
-    (1141, 3, 0.7, (1, 2), ("mf", "metric", "partition"), False),
-    (1176, 3, 0.9, (1,), ("rc", "cstrong", "cutset", "flowcutset"), True),
-]
 
 
 @pytest.mark.parametrize("first, nodes, density, facilities, families, unsplittable", CRITERION_11_SHAPES)

@@ -324,6 +324,20 @@ def test_capacity_lists_of_the_wrong_length_are_refused(length):
         RoutingLP(inst).rows([F(0)] * length, installed=True)
 
 
+@pytest.mark.parametrize("capacities, multipliers", [(8, 5), (5, 2), (5, 9)],
+                         ids=["long-capacities", "short-multipliers", "long-multipliers"])
+def test_proves_unroutable_refuses_lists_of_the_wrong_length(capacities, multipliers):
+    """One capacity and one multiplier per arc: extra capacities would
+    enter the capacity side, missing multipliers would read as weight 0
+    and extra ones would index past the arcs."""
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    assert len(inst.arcs) == 5
+    assert proves_unroutable(inst, [F(0)] * 5, [-1] * 5) is not None
+    message = rf"{capacities} capacities and {multipliers} multipliers for 5 arcs: want one of each per arc"
+    with pytest.raises(ValueError, match=message):
+        proves_unroutable(inst, [F(0)] * capacities, [-1] * multipliers)
+
+
 def test_float_rows_are_the_exact_rows_in_floats(monkeypatch):
     """Every round LP of the golden 4-node loops and of the 5-node seed-7
     loop: each float row ``lp.solve`` passes to the simplex has the columns

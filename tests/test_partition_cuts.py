@@ -121,7 +121,7 @@ def test_lazy_shrink_gives_the_former_partition_candidates():
     built = 0
     for gen in LAZY_SHRINK_CASES:
         inst = generate_instance(**gen)
-        got = Separation(inst, Config(families=("partition",))).fixed["partition"]
+        got = [form.cut for form in Separation(inst, Config(families=("partition",))).fixed["partition"]]
         want = distinct_cuts(reference_partition_candidates(inst))
         assert [_cut_fields(cut) for cut in got] == [_cut_fields(cut) for cut in want]
         built += len(got)
@@ -148,7 +148,7 @@ def test_partition_candidates_match_the_former_build_on_the_probes(gen):
     from netdes_cuts.engine import Config, Separation
 
     inst = generate_instance(**gen)
-    got = Separation(inst, Config()).fixed["partition"]
+    got = [form.cut for form in Separation(inst, Config()).fixed["partition"]]
     want = distinct_cuts(reference_partition_candidates(inst))
     assert [_cut_fields(cut) for cut in got] == [_cut_fields(cut) for cut in want]
     assert len(got) > 50
@@ -475,16 +475,17 @@ def test_three_partition_cuts_valid(triangle_half, triangle_third):
 
 def test_three_partition_data_matches_the_former_computation():
     """Each block pair's traffic minus capacity is computed once and summed:
-    ``s``, ``t`` and ``d`` of ``_three_partition_sums`` over the shrink's
-    scale are the Fractions, in the same order, of the former computation
-    from the shrunk ``Instance``, on every three-partition of 30 generated
-    instances with 4-6 nodes."""
+    ``s``, ``t`` and ``d`` of ``_three_partition_sums`` of the shrink's
+    block-pair nets, over its scale, are the Fractions, in the same order,
+    of the former computation from the shrunk ``Instance``, on every
+    three-partition of 30 generated instances with 4-6 nodes."""
     checked = 0
     for seed in range(30):
         inst = generate_instance(seed=seed, nodes=4 + seed % 3, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
         for part in all_three_partitions(inst.nodes):
             shrunk = shrink(inst, part)
-            s, t, d = _three_partition_sums(shrunk)
+            nets = {pair: shrunk.net(pair) for pair in shrunk.demand.keys() | shrunk.groups.keys()}
+            s, t, d = _three_partition_sums(nets)
             got = SimpleNamespace(
                 s=tuple(F(v, shrunk.scale) for v in s),
                 t=tuple(F(v, shrunk.scale) for v in t),
