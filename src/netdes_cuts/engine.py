@@ -253,9 +253,9 @@ def _partition(sep: Separation):
     share a cover set, keyed by its rhs times that scale, and each
     distinct cover's hull is computed once.  A form's cut is built by
     ``expand_knapsack_cut`` or, for a winner, by ``total_capacity_cut`` of
-    the partition's shrink; a partition without a crossing arc, or a hull
-    inequality without a nonzero coefficient, has no form, as those
-    builders would give None."""
+    the partition's shrink; a partition without a crossing arc or a
+    facility, or a hull inequality without a nonzero coefficient, has no
+    form, as those builders would give None."""
     instance = sep.instance
     capacities = tuple(int(f.capacity) for f in instance.facilities)
     hulls: dict[int, list] = {}
@@ -278,7 +278,7 @@ def _partition(sep: Separation):
 
     for part in _three_partitions(instance):
         crossing, net = table.crossing(part)
-        if not crossing:
+        if not crossing or not any(capacities):
             continue
         group = frozenset(crossing)
         rhs = partition_cuts.total_capacity_rhs(net, instance.scale)

@@ -12,29 +12,38 @@ The ``reference_*`` functions are former implementations (mostly in
 ``Fraction``s) that the library's integer paths are compared with.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import ceil
+from pathlib import Path
 
 from netdes_cuts.simplex import LE, solve_lp
 
 ZERO = F(0)
 
+# every pinned result, checked by test_golden.py and, for GOLDEN_4_NODE, the loop tests
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text())
+
 # pool size and final bound of the loop (default families, 10 rounds) on
 # generate_instance(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s is
 # odd else (1,)); a speed-up of the loop must reproduce them
-GOLDEN_4_NODE = {
-    1: (42, F(173, 18)),
-    2: (10, F(3)),
-    3: (19, F(17, 4)),
-    4: (25, F(5)),
-    5: (12, F(14)),
-    6: (41, F(11)),
-    7: (31, F(127, 12)),
-    8: (13, F(55, 9)),
-}
+GOLDEN_4_NODE = {int(seed): (pooled, F(bound)) for seed, (pooled, bound) in GOLDEN["loop_4_node"].items()}
+
+
+def untimed_report(path):
+    """A ``netdes-cuts run`` report read from ``path``, without its timing
+    fields: each round's wall_time, lp_seconds, build_seconds and
+    point_seconds and each family's seconds."""
+    report = json.loads(Path(path).read_text())
+    for entry in report["rounds"]:
+        for key in ("wall_time", "lp_seconds", "build_seconds", "point_seconds"):
+            del entry[key]
+        for counts in entry["families"].values():
+            del counts["seconds"]
+    return report
 
 
 # -- the paper's checkers and builders that only the tests call ---------------------

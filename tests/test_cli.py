@@ -8,7 +8,8 @@ import pytest
 
 from netdes_cuts.cli import main
 from netdes_cuts.core import load_instance
-from netdes_cuts.engine import FAMILIES, RoundReport
+from netdes_cuts.engine import FAMILIES, RelaxationError, RoundReport, cutting_plane_loop, generate_instance
+from helpers import untimed_report
 
 
 def test_gen_run_oracle_roundtrip(tmp_path, capsys):
@@ -97,6 +98,24 @@ def test_one_node_instance_runs_and_has_optimum_zero(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "optimum 0"
 
 
+def test_a_three_node_instance_without_a_facility_runs(tmp_path, capsys):
+    """Without a facility no partition has a capacity to cover, and the
+    partition family yields nothing.  Generated seed 1 routes its demand
+    on the existing capacity and stops at no-cuts; seeds 2 and 3 put
+    demand on arcs without capacity, and their relaxation is infeasible;
+    a document without demand runs to bound 0."""
+    res = cutting_plane_loop(generate_instance(seed=1, nodes=3, facilities=()))
+    assert (res.stop, res.final_bound, len(res.pool)) == ("no-cuts", 0.25, 0)
+    for seed in (2, 3):
+        with pytest.raises(RelaxationError, match="ended with status infeasible"):
+            cutting_plane_loop(generate_instance(seed=seed, nodes=3, facilities=()))
+    inst = tmp_path / "bare.json"
+    inst.write_text('{"nodes": [1, 2, 3], "arcs": [{"tail": 1, "head": 2}, {"tail": 2, "head": 3}], '
+                    '"facilities": [], "demands": []}')
+    assert main(["run", "--instance", str(inst), "--rounds", "2"]) == 0
+    assert "final bound 0 with 0 pooled cuts" in capsys.readouterr().out.splitlines()
+
+
 def test_run_report_rounds_read_as_asdict_gives_them(tmp_path, monkeypatch):
     """The report's rounds are copied field by field; the JSON is byte for
     byte the one built with ``dataclasses.asdict``."""
@@ -156,17 +175,6 @@ def test_run_rejects_invalid_instance(tmp_path, capsys):
         assert "invalid instance" in capsys.readouterr().err
 
 
-def _untimed(report_path):
-    """A run report without its timing fields."""
-    report = json.loads(report_path.read_text())
-    for entry in report["rounds"]:
-        for key in ("wall_time", "lp_seconds", "build_seconds", "point_seconds"):
-            del entry[key]
-        for counts in entry["families"].values():
-            del counts["seconds"]
-    return report
-
-
 def test_a_second_call_builds_no_parser(tmp_path, monkeypatch):
     """``main`` builds its parsers (the command's and one per subcommand)
     on its first call in a process, and a later call only parses."""
@@ -212,7 +220,7 @@ def test_one_process_answers_good_bad_good_alike(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert codes == [0, 2, 0]
     assert outs[0] == outs[2] and "final bound" in outs[0]
-    assert _untimed(reports[0]) == _untimed(reports[1])
+    assert untimed_report(reports[0]) == untimed_report(reports[1])
 
 
 def test_unsplittable_gen_flag(tmp_path):

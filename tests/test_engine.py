@@ -559,14 +559,14 @@ def test_the_loop_builds_only_the_built_once_cuts_it_yields(monkeypatch):
 
     def recording(sep, point):
         found = separate_all(sep, point)
-        yielded.update((name, id(sep), cut.normalized_key()) for name, cut, _ in found.candidates
+        yielded.update((name, loop, cut.normalized_key()) for name, cut, _ in found.candidates
                        if name in ("cutset", "partition"))
         return found
 
     monkeypatch.setattr(LinearCut, "__init__", counting)
     monkeypatch.setattr(engine, "separate_all", recording)
     built = 0
-    for gen, config in LOOP_4N:
+    for loop, (gen, config) in enumerate(LOOP_4N):  # not id(sep): a freed Separation's id is reused
         del made[:]
         sep = engine.Separation(generate_instance(**gen), config)
         candidates += sum(map(len, sep.fixed.values()))
