@@ -13,20 +13,13 @@ from .core import (
     build_aggregated_commodities,
     build_disaggregated_commodities,
     frac,
+    generate_instance,
     load_instance,
     save_instance,
     validate_instance,
 )
-from .engine import (
-    Config,
-    CutPool,
-    RoundReport,
-    brute_force_ip,
-    cutting_plane_loop,
-    generate_instance,
-    validate_cut,
-    validate_cuts,
-)
+from .engine import Config, CutPool, RoundReport, cutting_plane_loop
 from .lp import build_relaxation, check_feasible_routing, solve
+from .oracle import brute_force_ip, validate_cut, validate_cuts
 
 __version__ = "0.1.0"

@@ -9,16 +9,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import format_rational, load_instance, save_instance, validate_instance
-from .engine import (
-    FAMILIES,
-    BudgetExceededError,
-    Config,
-    RelaxationError,
-    brute_force_ip,
-    cutting_plane_loop,
-    generate_instance,
-)
+from .core import format_rational, generate_instance, load_instance, save_instance, validate_instance
+from .engine import FAMILIES, Config, RelaxationError, cutting_plane_loop
+from .oracle import BudgetExceededError, brute_force_ip
 
 
 class _Parser(argparse.ArgumentParser):

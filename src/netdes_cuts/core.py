@@ -1,4 +1,5 @@
-"""Instance model, commodity construction and the shared cut representation.
+"""Instance model, commodity construction, the shared cut representation
+and the seeded instance generator (``generate_instance``).
 
 All instance data are exact rationals (``fractions.Fraction``), and each
 instance also holds them as ints at one integer scale (``Instance.scale``),
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -636,3 +638,83 @@ def save_instance(instance: Instance, path) -> None:
     with open(path, "w") as fh:
         json.dump(instance_to_dict(instance), fh, indent=2)
         fh.write("\n")
+
+
+# -- instance generation ----------------------------------------------------------
+
+
+def generate_instance(
+    seed: int,
+    nodes: int,
+    density: float = 0.5,
+    facilities: Sequence[int] = (1, 3),
+    demand_scale: int = 1,
+    mode: str = "aggregated",
+    unsplittable: bool = False,
+    existing_capacity_prob: float = 0.3,
+    flow_cost_prob: float = 0.5,
+) -> Instance:
+    """Deterministic random instance: strongly connected, small rationals.
+    A bad argument raises ``ValueError`` naming it."""
+    for name, value in (("nodes", nodes), ("demand_scale", demand_scale)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("existing_capacity_prob", existing_capacity_prob), ("flow_cost_prob", flow_cost_prob)):
+        if not 0 <= value <= 1:
+            raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+    if nodes < 2 or not 0 < density < float("inf") or demand_scale < 1:
+        raise ValueError("need nodes >= 2, a finite density > 0 and demand_scale >= 1")
+    if any(a >= b for a, b in zip(facilities, facilities[1:])):
+        raise ValueError(f"facility capacities must be strictly increasing, got {tuple(facilities)}")
+    if unsplittable and mode != "disaggregated":
+        raise ValueError(f"unsplittable routing requires mode 'disaggregated', got {mode!r}")
+    rng = random.Random(seed)
+    ids = list(range(1, nodes + 1))
+    pairs = [(i, j) for i in ids for j in ids if i != j]
+    target = max(nodes, round(density * len(pairs)))
+    arc_pairs = [(ids[i], ids[(i + 1) % nodes]) for i in range(nodes)]  # spanning cycle
+    rest = [p for p in pairs if p not in set(arc_pairs)]
+    rng.shuffle(rest)
+    arc_pairs += rest[: max(0, target - len(arc_pairs))]
+    arc_pairs.sort()
+
+    arcs = []
+    for pair in arc_pairs:
+        if rng.random() < existing_capacity_prob:
+            cbar = Fraction(rng.randint(1, 2), rng.choice((1, 2)))
+        else:
+            cbar = ZERO
+        arcs.append(Arc(pair[0], pair[1], cbar))
+
+    facs = []
+    for cm in facilities:
+        costs = tuple(
+            Fraction(rng.randint(1, 3) * int(cm) + rng.randint(0, 2), rng.choice((1, 2)))
+            for _ in arc_pairs
+        )
+        facs.append(Facility(Fraction(cm), costs))
+
+    demand = DemandMatrix()
+    chosen = [p for p in pairs if rng.random() < 0.3]
+    if not chosen:
+        chosen = [rng.choice(pairs)]
+    for i, j in chosen:
+        demand.set(i, j, Fraction(rng.randint(1, 3 * demand_scale), rng.choice((1, 2, 3, 4, 6))))
+
+    flow_costs = []
+    for _ in arc_pairs:
+        if rng.random() < flow_cost_prob:
+            flow_costs.append(Fraction(rng.randint(1, 3), rng.choice((1, 2, 3))))
+        else:
+            flow_costs.append(ZERO)
+
+    return Instance(
+        nodes=ids,
+        arcs=arcs,
+        facilities=facs,
+        demand=demand,
+        flow_costs=flow_costs,
+        mode=mode,
+        unsplittable=unsplittable,
+        name=f"rand-{seed}",
+    )

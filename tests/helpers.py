@@ -62,7 +62,7 @@ def integral_scale(values):
 
 def int_form(flow):
     """``(nums, den)`` of a map of rationals: each value times ``den``, the
-    lcm of their denominators, in ints (an objective of ``engine._Routing``)."""
+    lcm of their denominators, in ints (an objective of ``oracle._Routing``)."""
     den = math.lcm(*(F(v).denominator for v in flow.values()))
     return {key: int(F(v) * den) for key, v in flow.items()}, den
 
@@ -1069,7 +1069,7 @@ def criterion_10_sample():
     """Criterion 10's 50 ``(instance, capacities)`` pairs, starved and ample."""
     import random
 
-    from netdes_cuts.engine import generate_instance
+    from netdes_cuts.core import generate_instance
 
     rng = random.Random(17)
     for seed in range(50):
@@ -1112,7 +1112,7 @@ def reference_best_unsplittable(instance, routings, capacities, objective):
     capacities, over ``routings`` (each commodity's flows as arc sets), as
     ``(value, x)`` or ``None``; with an empty ``objective`` every cost is
     zero, and this is the first joint routing that fits.  The reference
-    for ``engine._Routing``'s search on scaled ints."""
+    for ``oracle._Routing``'s search on scaled ints."""
     demands = [com.total_supply for com in instance.commodities]
     if not objective:
         arc_cost = [[ZERO] * len(flows) for flows in routings]
@@ -1155,12 +1155,12 @@ def reference_best_unsplittable(instance, routings, capacities, objective):
 
 
 def reference_validate_cuts(cuts, instance, ybound):
-    """``engine.validate_cuts`` as it was before certificates were kept: one
+    """``oracle.validate_cuts`` as it was before certificates were kept: one
     float routing LP for the open cuts at every grid point, each answer
     certified afresh (the Farkas vector's metric inequality, then each
     cut's safe dual bound, then exact pricing), and routability decided
     anew at every maximal pure-capacity pattern."""
-    from netdes_cuts.engine import _unsplittable_routings, default_y_bounds
+    from netdes_cuts.oracle import _unsplittable_routings, default_y_bounds
     from netdes_cuts.core import FractionalPoint
     from netdes_cuts.lp import RoutingLP, check_feasible_routing, proves_unroutable, safe_lower_bound
     from netdes_cuts.simplex import solve_lp_many
@@ -1253,7 +1253,7 @@ def reference_validate_cuts(cuts, instance, ybound):
 
 
 def reference_grid(instance, y_bounds):
-    """``engine._grid``'s points as it formed them before its walk updated
+    """``oracle._grid``'s points as it formed them before its walk updated
     one list in place: ``(keys, [(t, scaled_caps), ...])`` in
     ``itertools.product`` order, each point's capacities summed afresh from
     the instance's ints."""

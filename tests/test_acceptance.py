@@ -22,17 +22,11 @@ from netdes_cuts.arc_cuts import (
     residual_capacity_cut,
     separate_residual_capacity,
 )
-from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut
+from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut, generate_instance
 from netdes_cuts.cutset_cuts import build_cutset
-from netdes_cuts.engine import (
-    Config,
-    brute_force_ip,
-    cutting_plane_loop,
-    generate_instance,
-    validate_cut,
-    validate_cuts,
-)
+from netdes_cuts.engine import Config, cutting_plane_loop
 from netdes_cuts.mir import KnapsackCoverSet, hull_inequalities
+from netdes_cuts.oracle import brute_force_ip, validate_cut, validate_cuts
 from netdes_cuts.partition_cuts import (
     NodePartition,
     separate_metric,

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from netdes_cuts.cli import main
-from netdes_cuts.core import load_instance
-from netdes_cuts.engine import FAMILIES, RelaxationError, RoundReport, cutting_plane_loop, generate_instance
+from netdes_cuts.core import generate_instance, load_instance
+from netdes_cuts.engine import FAMILIES, RelaxationError, RoundReport, cutting_plane_loop
 from helpers import untimed_report
 
 

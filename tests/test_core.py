@@ -19,6 +19,7 @@ from netdes_cuts.core import (
     LinearCut,
     build_aggregated_commodities,
     build_disaggregated_commodities,
+    generate_instance,
     instance_from_dict,
     instance_to_dict,
     rationalize,
@@ -253,6 +254,24 @@ def test_instance_roundtrip_json():
     assert back.demand == inst.demand
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(nodes=3.5), "nodes must be an integer, got 3.5"),
+    (dict(nodes=True), "nodes must be an integer, got True"),
+    (dict(demand_scale=1.5), "demand_scale must be an integer, got 1.5"),
+    (dict(demand_scale=True), "demand_scale must be an integer, got True"),
+    (dict(existing_capacity_prob=2), r"existing_capacity_prob must be a probability in \[0, 1\], got 2"),
+    (dict(existing_capacity_prob=float("nan")), r"existing_capacity_prob must be a probability in \[0, 1\], got nan"),
+    (dict(flow_cost_prob=-1), r"flow_cost_prob must be a probability in \[0, 1\], got -1"),
+])
+def test_generate_instance_refuses_bad_arguments_by_name(bad, message):
+    """A float count failed deep in ``random`` (``demand_scale=1.5``: a
+    non-integer stop for ``randrange``) and a probability outside [0, 1]
+    was taken silently; each is refused up front, naming the argument."""
+    with pytest.raises(ValueError, match=message):
+        generate_instance(**{"seed": 1, "nodes": 3, **bad})
+    generate_instance(seed=1, nodes=3, existing_capacity_prob=0, flow_cost_prob=1)  # the ends are probabilities
+
+
 # loop-4n's 40 instances, then criterion 11's four batch shapes (the first seed of each)
 LOADED_INSTANCES = [
     *(dict(seed=s, nodes=4, density=0.6, facilities=(1, 3) if s % 2 else (1,)) for s in range(1, 41)),
@@ -267,8 +286,6 @@ LOADED_INSTANCES = [
 def test_a_loaded_instance_is_the_one_written():
     """``instance_from_dict(instance_to_dict(inst))`` is ``inst`` field by
     field, its int table included, and holds its rationals as Fractions."""
-    from netdes_cuts.engine import generate_instance
-
     for gen in LOADED_INSTANCES:
         inst = generate_instance(**gen)
         back = instance_from_dict(instance_to_dict(inst))
@@ -314,7 +331,7 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
     5); every entry of the instance's int table is S times its value, an
     int; and the int stages read it: the node-pair table, a point's
     scaling and the oracle's routing."""
-    from netdes_cuts import engine
+    from netdes_cuts import oracle
     from netdes_cuts.cutset_cuts import ScaledPoint
     from netdes_cuts.partition_cuts import NodePairTable
 
@@ -331,15 +348,15 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
         demand=DemandMatrix({(1, 3): F(1, 2), (3, 2): F(2, 5), (1, 2): F(1)}),
         mode="disaggregated",
     )
-    seed5 = engine.generate_instance(seed=5, nodes=3, density=0.9, facilities=(1, 2))
+    seed5 = generate_instance(seed=5, nodes=3, density=0.9, facilities=(1, 2))
     instances = [
         fractional,
         parallel,
         seed5,
-        engine.generate_instance(seed=5, nodes=3, density=0.9, facilities=(1, 2), mode="disaggregated"),
-        engine.generate_instance(seed=35, nodes=3, density=0.9, facilities=(1, 2)),
-        engine.generate_instance(seed=7, nodes=4, density=0.6, facilities=(1,), mode="disaggregated",
-                                 unsplittable=True),
+        generate_instance(seed=5, nodes=3, density=0.9, facilities=(1, 2), mode="disaggregated"),
+        generate_instance(seed=35, nodes=3, density=0.9, facilities=(1, 2)),
+        generate_instance(seed=7, nodes=4, density=0.6, facilities=(1,), mode="disaggregated",
+                          unsplittable=True),
     ]
     assert fractional.scale == 60 and seed5.scale == 2 and seed5.demand.total() == 3
     assert len(parallel.arcs) == 3 and parallel.scale == 60 and parallel.cbar_num[0] == 35
@@ -365,7 +382,7 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
         assert all(type(v) is int for v in table)
 
         assert NodePairTable(inst).scale == S
-        routing = engine._Routing(inst, [({}, 1)])
+        routing = oracle._Routing(inst, [({}, 1)])
         assert routing.scale == S
         if inst.unsplittable:
             assert routing.loads == tuple(S * com.total_supply for com in inst.commodities)

@@ -13,6 +13,7 @@ from netdes_cuts.core import (
     FractionalPoint,
     Instance,
     LinearCut,
+    generate_instance,
 )
 from netdes_cuts.cutset_cuts import (
     GREEDY_ROUNDS,
@@ -24,7 +25,8 @@ from netdes_cuts.cutset_cuts import (
     separate_multifacility,
     two_partitions,
 )
-from netdes_cuts.engine import MAX_DENOMINATOR, Q_SUBSET_LIMIT, _commodity_subsets, generate_instance, validate_cut
+from netdes_cuts.engine import MAX_DENOMINATOR, Q_SUBSET_LIMIT, _commodity_subsets
+from netdes_cuts.oracle import validate_cut
 from helpers import (
     FlowCutSelection,
     flow_cutset_best_violation,

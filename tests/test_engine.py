@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from netdes_cuts import cutset_cuts, engine, lp
+from netdes_cuts import cutset_cuts, engine, lp, oracle
 from netdes_cuts.core import (
     Arc,
     DemandMatrix,
@@ -19,20 +19,12 @@ from netdes_cuts.core import (
     FractionalPoint,
     Instance,
     LinearCut,
+    generate_instance,
     scaled_ints,
     validate_instance,
 )
-from netdes_cuts.engine import (
-    BudgetExceededError,
-    Config,
-    CutPool,
-    brute_force_ip,
-    cutting_plane_loop,
-    default_y_bounds,
-    generate_instance,
-    validate_cut,
-    validate_cuts,
-)
+from netdes_cuts.engine import Config, CutPool, cutting_plane_loop
+from netdes_cuts.oracle import BudgetExceededError, brute_force_ip, default_y_bounds, validate_cut, validate_cuts
 from helpers import (
     GOLDEN_4_NODE,
     arc_capacity,
@@ -1034,7 +1026,7 @@ def test_oracles_refuse_bad_grid_bounds(bounds, message):
     cut = LinearCut({(0, 0): F(1)}, {(0, 0): F(1)}, F(100), "other")
     assert validate_cut(cut, inst, ybound=1)[0] is False
     with pytest.raises(ValueError, match=message):
-        engine._grid(inst, bounds.get("y_bounds"), bounds.get("ybound"))
+        oracle._grid(inst, bounds.get("y_bounds"), bounds.get("ybound"))
     with _alarm(20):
         with pytest.raises(ValueError, match=message):
             validate_cut(cut, inst, **bounds)
@@ -1092,8 +1084,8 @@ def test_a_pure_capacity_cut_with_rhs_at_most_0_holds_without_a_routing_decision
     """A nonnegative pure-capacity cut with rhs <= 0 holds everywhere: no
     pattern lies below its rhs, not even the origin, so nothing is decided.
     At rhs 1 the origin is the one pattern, and it is decided."""
-    calls, minima = [], engine._Routing.minima
-    monkeypatch.setattr(engine._Routing, "minima", lambda self, *args: calls.append(args) or minima(self, *args))
+    calls, minima = [], oracle._Routing.minima
+    monkeypatch.setattr(oracle._Routing, "minima", lambda self, *args: calls.append(args) or minima(self, *args))
     inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
     assert validate_cut(LinearCut({}, {(0, 0): 1}, rhs, "x"), inst) == (True, None)
     assert calls == []
@@ -1128,9 +1120,9 @@ def test_grid_walk_matches_the_reference_formula(gen, y_bounds, rhs):
     ``lhs``, stays below the rhs, in the same order, and none for an rhs
     <= 0."""
     inst = generate_instance(**gen)
-    keys, bounds = engine._grid(inst, y_bounds, None)
+    keys, bounds = oracle._grid(inst, y_bounds, None)
     limit = () if rhs is None else ([1 + i % 3 for i in range(len(keys))], rhs)
-    walked = [(t, list(caps), lhs) for t, caps, lhs in engine._walk(inst, keys, bounds, inst.cbar_num, *limit)]
+    walked = [(t, list(caps), lhs) for t, caps, lhs in oracle._walk(inst, keys, bounds, inst.cbar_num, *limit)]
     want_keys, points = reference_grid(inst, y_bounds or default_y_bounds(inst))
     sums = [sum(c * n for c, n in zip(limit[0], t)) if limit else 0 for t, _ in points]
     want = [(t, caps, lhs) for (t, caps), lhs in zip(points, sums) if rhs is None or lhs < rhs]
@@ -1146,10 +1138,10 @@ def test_grid_refuses_bad_keys_and_budget_before_walking(monkeypatch):
     point is walked."""
     inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
     with pytest.raises(ValueError, match="want a bound >= 0 on an"):
-        engine._grid(inst, {(0, 0): 1, (9, 0): 1}, None)
-    monkeypatch.setattr(engine, "GRID_BUDGET", 383)  # the default grid has 384 points
+        oracle._grid(inst, {(0, 0): 1, (9, 0): 1}, None)
+    monkeypatch.setattr(oracle, "GRID_BUDGET", 383)  # the default grid has 384 points
     with pytest.raises(BudgetExceededError, match="more than 383 points"):
-        engine._grid(inst, None, None)
+        oracle._grid(inst, None, None)
 
 
 def test_numpy_integer_grid_bounds_pass():
@@ -1157,8 +1149,28 @@ def test_numpy_integer_grid_bounds_pass():
     import numpy as np
 
     inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
-    assert engine._grid(inst, {(0, 0): np.int64(2)}, None) == ([(0, 0)], [2])
-    assert engine._grid(inst, None, np.int64(1)) == engine._grid(inst, None, 1)
+    assert oracle._grid(inst, {(0, 0): np.int64(2)}, None) == ([(0, 0)], [2])
+    assert oracle._grid(inst, None, np.int64(1)) == oracle._grid(inst, None, 1)
+
+
+@pytest.mark.parametrize("given", ["y_bounds", "ybound"])
+def test_numpy_integer_grid_bounds_near_2_63_exceed_the_budget(given):
+    """The grid's size is counted on Python ints: ``np.int64(2**63 - 1) + 1``
+    would wrap to a negative size below ``GRID_BUDGET``, and the oracles
+    would walk about 9.2e18 points."""
+    import numpy as np
+
+    inst = generate_instance(seed=1, nodes=3, density=0.9, facilities=(1,))
+    huge = np.int64(2**63 - 1)
+    bounds = dict(y_bounds={**default_y_bounds(inst), (0, 0): huge}) if given == "y_bounds" else dict(ybound=huge)
+    cut = LinearCut({(0, 0): F(1)}, {(0, 0): F(1)}, F(100), "other")
+    with _alarm(20):
+        with pytest.raises(BudgetExceededError, match="more than 1000000 points"):
+            oracle._grid(inst, bounds.get("y_bounds"), bounds.get("ybound"))
+        with pytest.raises(BudgetExceededError, match="more than 1000000 points"):
+            validate_cut(cut, inst, **bounds)
+        with pytest.raises(BudgetExceededError, match="more than 1000000 points"):
+            brute_force_ip(inst, **bounds)
 
 
 def test_default_y_bounds_cover_demand(star_instance):
@@ -1216,7 +1228,7 @@ def test_pure_capacity_check_has_a_work_budget(monkeypatch):
     assert (len(wide.cap_num), wide.rhs_num) == (9, 34)
     assert validate_cut(small, inst) == (True, None)
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "GRID_BUDGET", 1000)
+        patch.setattr(oracle, "GRID_BUDGET", 1000)
         with pytest.raises(BudgetExceededError, match="1000 patterns"):
             validate_cut(small, inst)
     with pytest.raises(BudgetExceededError, match="patterns"):
@@ -1252,8 +1264,8 @@ def test_validate_cuts_exact_fallback_when_certificates_fail(monkeypatch, star_i
 
     # the batch's own certificates: with no safe bound, RoutingLP.minimum
     # certifies no price from the batch's solve and goes to the exact simplex
-    monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
-    monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
+    monkeypatch.setattr(oracle, "proves_unroutable", lambda *args: False)
+    monkeypatch.setattr(oracle, "safe_lower_bound", lambda *args: None)
     exact_solves = count_solves(monkeypatch)
     for inst, cuts, verdicts in sweep:
         assert validate_cuts(cuts, inst, ybound=1) == verdicts
@@ -1320,15 +1332,15 @@ def test_node_cuts_and_per_part_pricing_change_no_oracle_answer(monkeypatch):
             out.append(brute_force_ip(criterion_11_instance(seed), ybound=1))
         return out
 
-    real_node_cuts, real_reaches = engine._node_cuts, lp.CapacityBounds.reaches
-    monkeypatch.setattr(engine, "_node_cuts", recording)
+    real_node_cuts, real_reaches = oracle._node_cuts, lp.CapacityBounds.reaches
+    monkeypatch.setattr(oracle, "_node_cuts", recording)
     monkeypatch.setattr(lp.CapacityBounds, "reaches", reaches)
     shipped = answers()
     assert fired
     for inst, scaled in fired.values():
         assert not lp.check_feasible_routing(inst, [F(c, inst.scale) for c in scaled])[0]
     assert sum(not ok for verdicts in shipped[:24] for ok, _ in verdicts) > 0
-    monkeypatch.setattr(engine, "_node_cuts", lambda instance: [])
+    monkeypatch.setattr(oracle, "_node_cuts", lambda instance: [])
     assert answers() == shipped
 
 
@@ -1336,7 +1348,7 @@ def test_node_cuts_and_per_part_pricing_change_no_oracle_answer(monkeypatch):
 def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
     """A metric certificate taken at one capacity vector refutes only
     vectors that ``check_feasible_routing`` finds unroutable, and so does
-    each node-cut form (``engine._node_cuts``), taken at no vector; a dual
+    each node-cut form (``oracle._node_cuts``), taken at no vector; a dual
     bound taken at one vector (from the float duals, or from perturbed
     ones) is the safe bound of the same duals at another, never above
     the exact minimum there (``lp.RoutingLP.minimum``).  On one arc of capacity 1
@@ -1348,7 +1360,7 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
         inst = generate_instance(seed=seed, nodes=nodes, density=0.7, facilities=(1, 2))
         scale = inst.scale
         node_cuts = []
-        for form in engine._node_cuts(inst):
+        for form in oracle._node_cuts(inst):
             node_cuts.append((None, lp.CapacityBounds()))
             node_cuts[-1][1].add(form)
         flow = {
@@ -1397,7 +1409,7 @@ def test_certificates_carry_soundly_to_other_capacity_vectors(nodes, seeds):
     tight = Instance(
         nodes=[1, 2], arcs=[Arc(1, 2)], facilities=[Facility(1, (F(1),))], demand=DemandMatrix({(1, 2): F(1)}),
     )
-    (form,) = engine._node_cuts(tight)
+    (form,) = oracle._node_cuts(tight)
     kept = lp.CapacityBounds()
     kept.add(form)
     for cap in range(3):
@@ -1426,10 +1438,10 @@ def test_stubbed_certificates_leave_the_caches_empty(monkeypatch):
             return made[-1]
         return make
 
-    monkeypatch.setattr(engine, "CapacityBounds", recorded(engine.CapacityBounds))
-    monkeypatch.setattr(engine, "_node_cuts", lambda inst: [])
-    monkeypatch.setattr(engine, "proves_unroutable", lambda *args: False)
-    monkeypatch.setattr(engine, "safe_lower_bound", lambda *args: None)
+    monkeypatch.setattr(oracle, "CapacityBounds", recorded(oracle.CapacityBounds))
+    monkeypatch.setattr(oracle, "_node_cuts", lambda inst: [])
+    monkeypatch.setattr(oracle, "proves_unroutable", lambda *args: False)
+    monkeypatch.setattr(oracle, "safe_lower_bound", lambda *args: None)
     exact_solves = count_solves(monkeypatch)
     for inst, cuts, verdicts in sweep:
         assert validate_cuts(cuts, inst, ybound=1) == verdicts
@@ -1482,7 +1494,7 @@ def test_brute_force_prices_each_part_on_the_rows_it_solved(monkeypatch):
         return call
 
     monkeypatch.setattr(lp.RoutingLP, "__init__", counted("routing", lp.RoutingLP.__init__))
-    monkeypatch.setattr(engine, "safe_lower_bound", counted("bound", engine.safe_lower_bound))
+    monkeypatch.setattr(oracle, "safe_lower_bound", counted("bound", oracle.safe_lower_bound))
     monkeypatch.setattr(lp, "safe_lower_bound", counted("bound", lp.safe_lower_bound))
     monkeypatch.setattr(lp, "certify", counted("priced", lp.certify))
     inst = generate_instance(seed=4, nodes=3, density=0.9, facilities=(1, 2))
@@ -1579,7 +1591,7 @@ def test_unsplittable_enumeration_caps_raise():
     answer wrong, so outgrowing a cap raises instead.  Only the pricing of
     a cut's flow part in ``validate_cuts`` enumerates cycles, at the first
     grid point that the kept forms do not decide."""
-    from netdes_cuts.engine import _simple_paths, _unsplittable_routings
+    from netdes_cuts.oracle import _simple_paths, _unsplittable_routings
 
     # complete digraph on 8 nodes: only 1 -> 7 -> 8 has capacity, and it
     # routes the demand at zero cost, but it is not among the first 400 paths
@@ -1630,7 +1642,7 @@ def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
         # "commodity k never uses arc a", for an arc on none of k's simple
         # paths: only a path plus a cycle through a refutes it
         for ki, com in enumerate(inst.commodities):
-            on_paths = frozenset().union(*engine._simple_paths(inst, com.source, com.sink))
+            on_paths = frozenset().union(*oracle._simple_paths(inst, com.source, com.sink))
             cuts += [LinearCut({(ai, ki): F(-1)}, {}, F(0), "off-path")
                      for ai in range(len(inst.arcs)) if ai not in on_paths]
         batches.append((inst, cuts, nonnegative))
@@ -1654,10 +1666,10 @@ def test_unsplittable_oracles_on_paths_answer_as_with_cycles(monkeypatch):
               for cut, (ok, point) in zip(cuts, verdicts) if not ok]
     assert any(cut.family != "off-path" and cut.flow and point.x for cut, point in failed)
     assert any(cut.family == "off-path" for cut, _ in failed)
-    full = engine._unsplittable_routings
-    monkeypatch.setattr(engine, "_unsplittable_routings", lambda inst, cycles=True: full(inst))
+    full = oracle._unsplittable_routings
+    monkeypatch.setattr(oracle, "_unsplittable_routings", lambda inst, cycles=True: full(inst))
     assert answers() == on_paths
-    monkeypatch.setattr(engine, "_unsplittable_routings", lambda inst, cycles=True: full(inst, cycles=False))
+    monkeypatch.setattr(oracle, "_unsplittable_routings", lambda inst, cycles=True: full(inst, cycles=False))
     assert answers() != on_paths
 
 
@@ -1672,7 +1684,7 @@ def test_best_unsplittable_matches_exhaustive_search_with_negative_costs():
     for seed in range(2000, 2008):
         inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1,), mode="disaggregated",
                                  unsplittable=True)
-        routings = engine._unsplittable_routings(inst)
+        routings = oracle._unsplittable_routings(inst)
         demands = [com.total_supply for com in inst.commodities]
         caps = [F(rng.randint(1, 4)) for _ in inst.arcs]
         for _ in range(3):
@@ -1687,7 +1699,7 @@ def test_best_unsplittable_matches_exhaustive_search_with_negative_costs():
                 if all(load <= cap for load, cap in zip(loads, caps)):
                     costs.append(sum((objective[(ai, ki)] * demands[ki]
                                       for ki, flow in enumerate(choice) for ai in flow), F(0)))
-            routing = engine._Routing(inst, [int_form(objective)])
+            routing = oracle._Routing(inst, [int_form(objective)])
             best = routing.minima(scaled_ints(caps, routing.scale), [0], lambda i: None)
             assert (best and best[0][0]) == (min(costs) if costs else None)
             checked += bool(costs)
@@ -1710,7 +1722,7 @@ def test_cuts_with_one_flow_part_share_one_part_objective_and_bound_store():
     unsplittable = generate_instance(seed=7, nodes=4, density=0.6, facilities=(1,), mode="disaggregated",
                                      unsplittable=True)
     for inst in (splittable, unsplittable):
-        routing = engine._Routing(inst, [(cut.flow_num, cut.den) for cut in (a, b, c)])
+        routing = oracle._Routing(inst, [(cut.flow_num, cut.den) for cut in (a, b, c)])
         assert routing.parts[0] == routing.parts[1] != routing.parts[2]
         assert routing.bounds[0] is routing.bounds[1] and routing.bounds[0] is not routing.bounds[2]
         if inst.unsplittable:
@@ -1732,9 +1744,9 @@ def test_a_batch_decided_by_kept_forms_builds_no_objective_columns(monkeypatch):
     monkeypatch.setattr(lp, "solve_lp_many", lambda *args, **kwargs: solves.append(args))
     inst = generate_instance(seed=1101, nodes=4, density=0.5, facilities=(1,))
     cuts = [LinearCut({(ai, 0): F(1)}, {(ai, 0): F(1)}, F(1), "other") for ai in range(2)]
-    routing = engine._Routing(inst, [(cut.flow_num, cut.den) for cut in cuts])
-    keys, bounds = engine._grid(inst, None, 1)
-    points = engine._walk(inst, keys, bounds, inst.cbar_num)
+    routing = oracle._Routing(inst, [(cut.flow_num, cut.den) for cut in cuts])
+    keys, bounds = oracle._grid(inst, None, 1)
+    points = oracle._walk(inst, keys, bounds, inst.cbar_num)
     assert all(routing.minima(caps, [0, 1], lambda i: None) is None for _, caps, _ in points)
     assert routing.made == {} and "routing" not in vars(routing) and solves == []
     assert validate_cuts(cuts, inst, ybound=1) == [(True, None)] * 2
@@ -1752,7 +1764,7 @@ def test_unsplittable_flows_are_enumerated_only_for_a_search():
     cut = cutset_cuts.cutset_cut(cutset_cuts.build_cutset(inst, [4]))
     assert cut.rhs == 1 and sorted(cut.cap.values()) == [1] * 7 and not cut.flow
     with pytest.raises(BudgetExceededError, match="more than 400 simple paths"):
-        engine._unsplittable_routings(inst, cycles=False)
+        oracle._unsplittable_routings(inst, cycles=False)
     assert validate_cuts([cut], inst) == [(True, None)]
 
 
@@ -1782,9 +1794,9 @@ def test_integer_unsplittable_search_matches_the_fraction_reference():
             {key: F(rng.randint(0, 4), rng.choice((1, 2, 3))) for key in pairs if rng.random() < 0.5},
         ]
         objectives[2][pairs[0]] = F(-1)
-        routing = engine._Routing(inst, [int_form(objective) for objective in objectives])
-        paths = engine._unsplittable_routings(inst, cycles=False)
-        priced = engine._unsplittable_routings(inst)
+        routing = oracle._Routing(inst, [int_form(objective) for objective in objectives])
+        paths = oracle._unsplittable_routings(inst, cycles=False)
+        priced = oracle._unsplittable_routings(inst)
         priced_cycles += priced != paths
         for _ in range(8):
             scaled = [rng.randint(scale // 2, 3 * scale) for _ in inst.arcs]

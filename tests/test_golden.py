@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from netdes_cuts import cli, engine, lp
-from netdes_cuts.core import LinearCut
-from netdes_cuts.engine import Config, Separation, cutting_plane_loop, generate_instance
+from netdes_cuts import cli, engine, lp, oracle
+from netdes_cuts.core import LinearCut, generate_instance
+from netdes_cuts.engine import Config, Separation, cutting_plane_loop
 from helpers import GOLDEN, untimed_report
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench" / "bench.py"
@@ -97,7 +97,7 @@ def ladder_pins(bench, workload, workdir: Path) -> dict:
     capacity vectors it decides."""
     made, results, built_by_loops, verdicts, objectives, decided = [], [], [], [], [], []
     init, loop, validate = LinearCut.__init__, engine.cutting_plane_loop, engine.validate_cuts
-    solve_lp_many, minima = lp.solve_lp_many, engine._Routing.minima
+    solve_lp_many, minima = lp.solve_lp_many, oracle._Routing.minima
 
     def counting(self, flow, cap, rhs, family, *args, **kwargs):
         made.append(family)
@@ -125,7 +125,7 @@ def ladder_pins(bench, workload, workdir: Path) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         for owner, name, wrapper in ((LinearCut, "__init__", counting), (engine, "cutting_plane_loop", looping),
                                      (cli, "cutting_plane_loop", looping), (engine, "validate_cuts", validating),
-                                     (lp, "solve_lp_many", pricing), (engine._Routing, "minima", deciding)):
+                                     (lp, "solve_lp_many", pricing), (oracle._Routing, "minima", deciding)):
             mp.setattr(owner, name, wrapper)
         for spec, path in zip(workload.specs, bench.write_instances(workload, workdir)):
             if workload.kind == "loop":

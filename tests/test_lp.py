@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from netdes_cuts import engine, lp, simplex
-from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut
-from netdes_cuts.engine import Config, brute_force_ip, cutting_plane_loop, generate_instance
+from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut, generate_instance
+from netdes_cuts.engine import Config, cutting_plane_loop
 from netdes_cuts.lp import (
     RoutingLP,
     build_relaxation,
@@ -19,6 +19,7 @@ from netdes_cuts.lp import (
     shortest_path_potentials,
     solve,
 )
+from netdes_cuts.oracle import brute_force_ip
 from netdes_cuts.partition_cuts import separate_metric
 from netdes_cuts.simplex import LPResult, solve_lp
 

@@ -4,11 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut
+from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut, generate_instance
 from netdes_cuts.cutset_cuts import build_cutset, cutset_cut
-from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance, validate_cut, validate_cuts
+from netdes_cuts.engine import Config, cutting_plane_loop
 from netdes_cuts.lp import check_feasible_routing
 from netdes_cuts.mir import KnapsackCoverSet, hull_inequalities
+from netdes_cuts.oracle import validate_cut, validate_cuts
 from netdes_cuts.partition_cuts import (
     MetricVector,
     NodePartition,

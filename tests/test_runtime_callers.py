@@ -11,6 +11,12 @@ so a method call ``obj.f`` does not count for a module function ``f``.
 The benchmark's tracer (``perfbench/spans.py``) replaces definitions by
 name for a traced run, so every name it wraps must exist where it looks.
 And each helper of ``tests/helpers.py`` has a caller in the tests.
+
+Two checks read the package's imports.  Every imported name is used
+where it is imported or read through that module by another, so a patch
+of a module's global reaches the code that calls it.  And the oracles
+(``oracle``), which check the cuts, reach no separation module through
+any chain of imports, so no cut is checked by code that made it.
 """
 
 import ast
@@ -37,6 +43,17 @@ KEPT = {
     "engine.LoopResult.exact_bound": "API: the certified bound of cutting_plane_loop's result",
     "cli.main": "the console script's entry point",
 }
+
+# names a module imports without using them, each for a caller outside the package
+UNUSED_IMPORTS = {
+    "engine.validate_cuts": "perfbench/bench.py calls it and perfbench/spans.py wraps it; ROADMAP step 16b",
+    "engine.generate_instance": "perfbench/bench.py calls it; ROADMAP step 16b",
+    "engine.solve_lp": "perfbench/spans.py wraps it; ROADMAP step 16b",
+    "engine.check_feasible_routing": "perfbench/spans.py wraps it; ROADMAP step 16b",
+}
+
+# the modules that make cuts, which the oracles must not reach
+SEPARATION = {"engine", "cutset_cuts", "arc_cuts", "partition_cuts", "mir"}
 
 
 def _definitions(tree: ast.Module, module: str):
@@ -171,3 +188,93 @@ def test_every_helper_has_a_caller_in_the_tests():
             if names[node.name] == own.count(node.name):
                 uncalled.append(node.name)
     assert uncalled == []
+
+
+def _imports(tree: ast.Module) -> dict[str, str]:
+    """Each name the module binds by an import, outside ``__future__``,
+    with the module it comes from (``.lp`` for ``from .lp import``)."""
+    found = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            found.update((alias.asname or alias.name.partition(".")[0], alias.name) for alias in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            found.update((alias.asname or alias.name, "." * n.level + (n.module or "")) for alias in n.names)
+    return found
+
+
+def _unused_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` for each name a module of ``trees`` imports but
+    neither refers to nor has read as ``module.name`` by another module;
+    ``__init__``'s imports are the package's API."""
+    read = {f"{n.value.id}.{n.attr}" for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in trees}
+    unused = []
+    for module, tree in trees.items():
+        if module != "__init__":
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            unused += [f"{module}.{name}" for name in _imports(tree) if name not in used and f"{module}.{name}" not in read]
+    return unused
+
+
+def test_every_imported_name_is_used():
+    """A stale import would let a test's ``monkeypatch.setattr(module,
+    name, ...)`` patch a global that nothing reads."""
+    assert sorted(set(_unused_imports(_package_trees())) - set(UNUSED_IMPORTS)) == []
+
+
+def test_an_import_read_through_its_module_elsewhere_is_used():
+    trees = {
+        "lp": ast.parse("from .simplex import solve_lp, solve_lp_many, EQ\n\n\ndef f():\n    return solve_lp\n"),
+        "oracle": ast.parse("from . import lp\n\n\ndef g():\n    return lp.solve_lp_many\n"),
+        "__init__": ast.parse("from .lp import f\n"),
+    }
+    assert _unused_imports(trees) == ["lp.EQ"]
+
+
+def test_each_unused_import_is_read_by_the_benchmark_and_is_its_home_object():
+    """The benchmark reads each ``UNUSED_IMPORTS`` name, as ``engine.name``
+    or as a wrap target, and it is the object its home module defines, so
+    a traced span times the real oracle, generator or solver."""
+    reads = {_qualified(owner, attr) for owner, attr, *_ in _wrap_targets()}
+    for path in sorted(SPANS.parent.glob("*.py")):
+        reads |= {f"{n.value.id}.{n.attr}" for n in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+    assert sorted(set(UNUSED_IMPORTS) - reads) == []
+    trees = _package_trees()
+    for qualname in UNUSED_IMPORTS:
+        module, name = qualname.split(".")
+        home = importlib.import_module("netdes_cuts" + _imports(trees[module])[name])
+        obj = getattr(importlib.import_module(f"netdes_cuts.{module}"), name)
+        assert obj is getattr(home, name) and obj.__module__ == home.__name__, qualname
+
+
+def _separators_reached(trees: dict[str, ast.Module], start: str = "oracle") -> list[str]:
+    """The separation modules that ``start`` reaches through ``from . import
+    X`` or ``from .X import ...``, directly or through other modules."""
+    reached, todo = set(), [start]
+    while todo:
+        for n in ast.walk(trees[todo.pop()]):
+            if isinstance(n, ast.ImportFrom) and n.level == 1:
+                for module in [n.module] if n.module else [alias.name for alias in n.names]:
+                    if module in trees and module not in reached:
+                        reached.add(module)
+                        todo.append(module)
+    return sorted(reached & SEPARATION)
+
+
+def test_the_oracles_reach_no_separation_module():
+    """ROADMAP aim 3: the oracles that check the cuts share no code with
+    the separators that make them."""
+    assert _separators_reached(_package_trees()) == []
+
+
+def test_a_separation_module_reached_through_another_module_is_found():
+    trees = {
+        "oracle": ast.parse("from . import lp\n"),
+        "lp": ast.parse("from .core import LinearCut\n\n\ndef f():\n    from .partition_cuts import shrink\n"),
+        "core": ast.parse(""),
+        "partition_cuts": ast.parse("from .core import LinearCut\n"),
+    }
+    assert _separators_reached(trees) == ["partition_cuts"]
+    trees["lp"] = ast.parse("from .core import LinearCut\n")
+    assert _separators_reached(trees) == []

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from netdes_cuts import lp
-from netdes_cuts.engine import Config, cutting_plane_loop, generate_instance
+from netdes_cuts.core import generate_instance
+from netdes_cuts.engine import Config, cutting_plane_loop
 from netdes_cuts.lp import RoutingLP, safe_lower_bound
 from netdes_cuts.simplex import _FLOAT, EQ, GE, LE, solve_lp, solve_lp_many
 
