@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral
@@ -395,7 +395,9 @@ def _over(nums: Mapping[tuple[int, int], int], den: int) -> dict[tuple[int, int]
     return {k: fractions[n] for k, n in nums.items()}
 
 
-@dataclass(init=False)
+_CUT_FIELDS = ("flow_num", "cap_num", "rhs_num", "den", "family", "params")
+
+
 class LinearCut:
     """A sparse valid inequality ``flow·x + cap·y >= rhs`` over raw variables.
 
@@ -410,18 +412,12 @@ class LinearCut:
     ``LinearCut(flow, cap, rhs, family, params)`` takes rationals (ints,
     strings like ``"3/4"`` and Fractions; a float is refused) and clears
     them once.  A builder that holds the cut's ints over a common positive
-    denominator passes them with ``den=``, and they are reduced.  ``flow``,
+    denominator passes them with ``den=``, and they are reduced; one that
+    holds them reduced already calls ``LinearCut.reduced``.  ``flow``,
     ``cap`` and ``rhs`` are read-only ``Fraction`` views, made on first
     read; the ints are not changed after construction.  A cut holds no
     state of the point it was separated at: ``violation`` evaluates it.
     """
-
-    flow_num: dict[tuple[int, int], int]
-    cap_num: dict[tuple[int, int], int]
-    rhs_num: int
-    den: int
-    family: str
-    params: dict
 
     def __init__(self, flow: Mapping, cap: Mapping, rhs, family: str, params: dict | None = None,
                  *, den: int | None = None):
@@ -433,14 +429,51 @@ class LinearCut:
         elif den <= 0:
             raise ValueError(f"cut denominator {den} not positive")
         g = math.gcd(den, rhs, *flow.values(), *cap.values())  # a float raises TypeError here
-        self.flow_num = {k: n // g for k, n in flow.items() if n}
-        self.cap_num = {k: n // g for k, n in cap.items() if n}
-        if not self.flow_num and not self.cap_num:
+        self._set(
+            {k: n // g for k, n in flow.items() if n}, {k: n // g for k, n in cap.items() if n}, rhs // g, den // g,
+            family, {} if params is None else params, None, None,
+        )
+
+    @classmethod
+    def reduced(cls, flow_num: dict, cap_num: dict, rhs_num: int, den: int, family: str,
+                make_params: Callable[[], dict], key) -> LinearCut:
+        """The cut of ints that are already its form: no zero coefficient,
+        and ``den`` and every value without a common factor.  ``key`` is
+        its ``normalized_key()``, and ``make_params()`` makes its
+        ``params`` on first read.  A cut without a nonzero coefficient or
+        with ``den <= 0`` is refused as ``LinearCut(...)`` refuses it."""
+        if den <= 0:
+            raise ValueError(f"cut denominator {den} not positive")
+        cut = cls.__new__(cls)
+        cut._set(flow_num, cap_num, rhs_num, den, family, None, make_params, key)
+        return cut
+
+    def _set(self, flow_num, cap_num, rhs_num, den, family, params, make_params, key) -> None:
+        if not flow_num and not cap_num:
             raise ValueError("cut must have at least one nonzero coefficient")
-        self.rhs_num, self.den = rhs // g, den // g
+        self.flow_num, self.cap_num, self.rhs_num, self.den = flow_num, cap_num, rhs_num, den
         self.family = family
-        self.params = {} if params is None else params
-        self._flow = self._cap = self._rhs = self._key = None
+        self._params, self._make_params, self._key = params, make_params, key
+        self._flow = self._cap = self._rhs = None
+
+    @property
+    def params(self) -> dict:
+        if self._params is None:
+            self._params, self._make_params = self._make_params(), None
+        return self._params
+
+    def _fields(self) -> tuple:
+        return self.flow_num, self.cap_num, self.rhs_num, self.den, self.family, self.params
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(_CUT_FIELDS, self._fields()))})"
 
     @property
     def flow(self) -> dict[tuple[int, int], Fraction]:
@@ -647,7 +680,7 @@ def generate_instance(
     seed: int,
     nodes: int,
     density: float = 0.5,
-    facilities: Sequence[int] = (1, 3),
+    facilities: Sequence[int | Fraction] = (1, 3),
     demand_scale: int = 1,
     mode: str = "aggregated",
     unsplittable: bool = False,
@@ -664,6 +697,9 @@ def generate_instance(
             raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
     if nodes < 2 or not 0 < density < float("inf") or demand_scale < 1:
         raise ValueError("need nodes >= 2, a finite density > 0 and demand_scale >= 1")
+    if any(isinstance(c, bool) or not isinstance(c, (Integral, Fraction)) for c in facilities):
+        # a float size would be read as its binary value, a bool as 0 or 1
+        raise ValueError(f"facilities must be ints or Fractions, got {tuple(facilities)!r}")
     if any(a >= b for a, b in zip(facilities, facilities[1:])):
         raise ValueError(f"facility capacities must be strictly increasing, got {tuple(facilities)}")
     if unsplittable and mode != "disaggregated":

@@ -14,8 +14,9 @@ Separation scores on integers.  A ``ScaledPoint``, made once per LP
 point, raises the instance's int table (``Instance.sizes_num``,
 ``cbar_num``) from its scale to one common denominator D of the point's
 coordinates and multiplies those by D.  It also holds what relaxations
-share: phi values per base facility and remainder, and per arc whether
-the point meets the arc's mixed-integer conditions.  Each relaxation's
+share: phi values and each arc's capacity terms per base facility and
+remainder, and per arc whether the point meets the arc's mixed-integer
+conditions.  Each relaxation's
 ``IntegerView``, made on first request (``ScaledPoint.view``), takes its
 crossing slice from that scaling and memoizes per commodity subset Q the
 flow sums and ``b_Q``, from those of ``Q[:-1]``, and per distinct subset
@@ -23,12 +24,14 @@ without its null commodities one greedy scan.
 
 ``separate_relaxation`` is the one separator of both greedy families: one
 pass over a relaxation's base facilities and commodity subsets, each scan
-computing its capacity terms from the phi values at its remainder.  It
+reading its capacity terms at its remainder from the scaled point.  It
 admits a winner on ints, D^2 times its violation against eps, before any
-cut is built, and builds each admitted cut once, from the flow
-coefficients D, the phi values and the right-hand side over D, and
-yields it with its exact violation, the score over D^2.  A pass skips the
-keys already found in a round (``skip``).
+cut is built, and builds each admitted cut once (``_cut``): the flow
+coefficients D, the phi values and the right-hand side reduced by one
+gcd, its ``normalized_key()`` made from them first, so a key already
+found in the round (``skip``) builds nothing, and its params made on
+first read.  It yields the cut with its exact violation as a pair of
+ints, ``(score, D^2)``.
 ``separate_flow_cutset`` and ``separate_multifacility`` are its
 single-subset calls; the exact subset search ``separate_commodity_subset``
 scores on the same view.  The phi functions are homogeneous, and every
@@ -54,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import add, le, mul
 from typing import Container, Iterable, Sequence
 
@@ -118,6 +122,7 @@ class ScaledPoint:
         ]
         self._views: dict[CutSetRelaxation, IntegerView] = {}
         self._phis: dict = {}
+        self._terms: dict = {}
 
     def view(self, rel: CutSetRelaxation) -> IntegerView:
         """The integer view of ``rel`` at this point, made on first request
@@ -134,6 +139,21 @@ class ScaledPoint:
         if got is None:
             p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=0)
             got = self._phis[(s, r)] = ([phi_plus(p, c) for c in self.caps], [phi_minus(p, c) for c in self.caps])
+        return got
+
+    def terms(self, s: int, r: int, mf: bool) -> tuple[list[int], list[int]]:
+        """Per arc a, the D^2-scaled capacity terms of ``phis(s, r)``:
+        ``sum_m phi+(c_m) * y[a][m]`` and ``sum_m phi-(c_m) * y[a][m]``
+        with ``mf``, else those of facility s alone, made once per base
+        facility, remainder and family for every relaxation."""
+        got = self._terms.get((s, r, mf))
+        if got is None:
+            plus, minus = self.phis(s, r)
+            if mf:
+                got = ([sum(map(mul, plus, ya)) for ya in self.y], [sum(map(mul, minus, ya)) for ya in self.y])
+            else:
+                got = ([plus[s] * ya[s] for ya in self.y], [minus[s] * ya[s] for ya in self.y])
+            self._terms[(s, r, mf)] = got
         return got
 
 
@@ -243,34 +263,63 @@ def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
 
 def _cut(
     rel: CutSetRelaxation, scaled: ScaledPoint, Q: tuple[int, ...], winner: tuple, s: int, family: str,
-) -> LinearCut:
+    skip: Container = (),
+) -> LinearCut | None:
     """Cut-set cut of the selection ``winner``, a ``_greedy_scan`` winner
     ``(S+, S-, score, r, eta, cbar(S-))``: flow on ``A+ \\ S+`` and ``S-``,
     capacity coefficients ``phi+(c_m)`` on S+ and ``phi-(c_m)`` on S- for
     each facility m (``"mf"``) or for the base facility s alone
     (``"flowcutset"``), rounded on s with the winner's remainder ``r > 0``
-    and ``eta``, built from the integers of ``scaled.view(rel)`` over its
-    D.  On one facility it reads
+    and ``eta``, from the integers of ``scaled`` over its D.  On one
+    facility it reads
     ``r*y(S+) + x_Q(A+ \\ S+) + (c-r)*y(S-) - x_Q(S-) >= r*eta - cbar(S-)``,
     as ``phi+(c) = r`` and ``phi-(c) = c - r``.  The existing-capacity
     constant of the inflow bracket ``cbar(S-) + c*y(S-) - x_Q(S-) >= 0``
     lands on the right-hand side; dropping it (as a naive reading of the
     aggregated form suggests) is refuted by brute-force counterexamples
-    whenever S- carries existing capacity.  An ``mf`` cut's
-    params also name the base facility ``s`` and a ``facet_report`` on the
-    proper arc subsets (S+ and S- are subsequences of A+ and A-, so
-    proper by their lengths), the remainder and the demands of Q, read
-    from the view's integers."""
+    whenever S- carries existing capacity.
+
+    The cut's ints are made reduced: one gcd over D, the rhs and the phi
+    values in use divides them all; flow coefficients run over Q, each
+    over ``A+ \\ S+`` then S-, and capacity ones over S+ then S-, each
+    arc's in facility order.  Its ``normalized_key()`` is made from them,
+    and a key in ``skip`` gives None; else the cut is
+    ``LinearCut.reduced``, its params (``_params``) made on first read."""
     S_plus, S_minus, _, r, eta, cbar_minus = winner
-    view = scaled.view(rel)
-    D = view.D
+    D = scaled.D
     plus, minus = scaled.phis(s, r)
-    facilities = range(len(plus)) if family == "mf" else (s,)
-    # D times the cut: flow coefficients +-D, the phi values and the rhs
-    terms = [(a, D) for a in view.A_plus if a not in S_plus] + [(a, -D) for a in S_minus]
+    if family != "mf":  # facility s alone
+        plus, minus = [0] * s + [plus[s]], [0] * s + [minus[s]]
+    rhs = r * eta - cbar_minus
+    g = math.gcd(D, rhs, *(plus if S_plus else ()), *(minus if S_minus else ()))
+    step, rhs = D // g, rhs // g
+    # +-D over the gcd on the arcs of A+ \ S+ and S-
+    terms = [(a, step) for a in rel.A_plus if a not in S_plus] + [(a, -step) for a in S_minus]
     flow = {(a, k): v for k in Q for a, v in terms}
-    cap = {(a, m): plus[m] for a in S_plus for m in facilities}
-    cap.update(((a, m), minus[m]) for a in S_minus for m in facilities)
+    cap = {}
+    if S_plus:
+        plus = [(m, v // g) for m, v in enumerate(plus) if v]
+        cap = {(a, m): v for a in S_plus for m, v in plus}
+    if S_minus:
+        minus = [(m, v // g) for m, v in enumerate(minus) if v]
+        cap.update({(a, m): v for a in S_minus for m, v in minus})
+    if flow:  # a flow coefficient is D over the gcd: the ints share no factor
+        key = (tuple(sorted(flow.items())), tuple(sorted(cap.items())), rhs)
+    else:
+        h = math.gcd(rhs, *cap.values()) or 1  # 0 only for a cut that LinearCut.reduced refuses
+        key = ((), tuple(sorted((k, v // h) for k, v in cap.items())), rhs // h)
+    if key in skip:
+        return None
+    return LinearCut.reduced(flow, cap, rhs, step, family, partial(_params, rel, Q, winner, s, family, D), key)
+
+
+def _params(rel: CutSetRelaxation, Q: tuple[int, ...], winner: tuple, s: int, family: str, D: int) -> dict:
+    """The params of ``_cut``'s cut: the partition's U, Q, S+, S-, the
+    remainder ``r`` over D and ``eta``.  An ``mf`` cut's also name the base
+    facility ``s`` and a ``facet_report`` on the proper arc subsets (S+ and
+    S- are subsequences of A+ and A-, so proper by their lengths), the
+    remainder and the demands of Q."""
+    S_plus, S_minus, _, r, eta, _ = winner
     params = {"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": Fraction(r, D), "eta": eta}
     if family == "mf":
         params["s"] = s
@@ -278,12 +327,12 @@ def _cut(
             "s_plus_proper": 0 < len(S_plus) < len(rel.A_plus),
             "s_minus_proper": 0 < len(S_minus) < len(rel.A_minus),
             "remainder_positive": r > 0,
-            "all_demands_positive": all(view.b[k] > 0 for k in Q),
+            "all_demands_positive": all(rel.b_num[k] > 0 for k in Q),
         }
-    return LinearCut(flow, cap, r * eta - cbar_minus, family, params, den=D)
+    return params
 
 
-def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
+def _greedy_scan(view: IntegerView, scaled: ScaledPoint, Q: tuple[int, ...], s: int, mf: bool):
     """Most violated ``(S+, S-, score, r, eta, cbar(S-))`` of the greedy
     cut-set scan on base facility s, with its D^2-scaled violation
     ``score`` and the remainder ``r > 0`` and ``eta`` of rounding its
@@ -293,9 +342,9 @@ def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
     (resp. S-) exactly when its capacity term is smaller than its flow
     term.  With ``mf`` the capacity terms count every facility and a dead
     arc (both terms zero) joins S+, so a zero point yields the pure capacity
-    cut; otherwise they count facility s alone.  Each term is computed from
-    the phi values at the scan's remainder, read from ``phis`` (the view's
-    ``ScaledPoint.phis``).  With
+    cut; otherwise they count facility s alone.  The terms are those of the
+    phi values at the scan's remainder, read from ``scaled.terms``, made
+    once for every relaxation at the point.  With
     existing capacity on crossing arcs the remainder moves with the
     selection, so the pass repeats until it stabilizes, at most
     ``GREEDY_ROUNDS`` times.  Everything runs on the integers of ``view``,
@@ -303,7 +352,7 @@ def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
     selection alone, so the scan stops before a repeat and right after a
     selection whose remainder its terms came from.
     """
-    A_plus, A_minus, cbar, D, y = view.A_plus, view.A_minus, view.cbar, view.D, view.y
+    A_plus, A_minus, cbar, D, terms = view.A_plus, view.A_minus, view.cbar, view.D, scaled.terms
     b_Q, flow = view.commodities(Q)
     c_s = view.caps[s]
     r = (b_Q - view.cbar_plus) % c_s
@@ -312,12 +361,11 @@ def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
     best, best_viol = None, 0
     scored = ()  # the selections scored on a moved remainder
     for _ in range(GREEDY_ROUNDS):
-        plus, minus = phis(s, r)
-        f_plus, f_minus = plus[s], minus[s]
+        tp, tm = terms(s, r, mf)
         s_plus, s_minus = [], []
         cbar_plus = cbar_minus = cap_lhs = flow_lhs = 0
         for a in A_plus:
-            t, f = sum(map(mul, plus, y[a])) if mf else f_plus * y[a][s], flow[a]
+            t, f = tp[a], flow[a]
             if t < f or (mf and t == 0 == f):
                 s_plus.append(a)
                 cbar_plus += cbar[a]
@@ -325,7 +373,7 @@ def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
             else:
                 flow_lhs += f
         for a in A_minus:
-            t, f = sum(map(mul, minus, y[a])) if mf else f_minus * y[a][s], flow[a]
+            t, f = tm[a], flow[a]
             if t < f:
                 s_minus.append(a)
                 cbar_minus += cbar[a]
@@ -340,12 +388,8 @@ def _greedy_scan(view: IntegerView, phis, Q: tuple[int, ...], s: int, mf: bool):
             break
         moved = r_sel != r
         if moved:
-            plus, minus = phis(s, r_sel)
-            if mf:
-                cap_lhs = sum(sum(map(mul, plus, y[a])) for a in s_plus)
-                cap_lhs += sum(sum(map(mul, minus, y[a])) for a in s_minus)
-            else:
-                cap_lhs = plus[s] * sum(y[a][s] for a in s_plus) + minus[s] * sum(y[a][s] for a in s_minus)
+            tp, tm = terms(s, r_sel, mf)
+            cap_lhs = sum(tp[a] for a in s_plus) + sum(tm[a] for a in s_minus)
         # D^2 times the violation: D * (r * eta - cbar(S-)) less both parts
         eta = -(-b_prime // c_s)
         v = D * (r_sel * eta - cbar_minus) - cap_lhs - flow_lhs
@@ -367,7 +411,7 @@ def separate_relaxation(
     skip: Container = (),
     bases: Iterable[int] | None = None,
 ):
-    """``(cut, exact violation)`` for the ``family`` cuts (``"flowcutset"`` or
+    """``(cut, (num, den))`` for the ``family`` cuts (``"flowcutset"`` or
     ``"mf"``) of ``rel`` violated by more than eps at the point of
     ``scaled``, in one pass: per base
     facility s of ``bases`` (every facility by default) and per commodity
@@ -376,7 +420,8 @@ def separate_relaxation(
 
     A winner is admitted on its ints, ``score * eps.denominator >
     eps.numerator * D^2``, before its cut is built (``_cut``), and its
-    violation is the score over D^2.  A point in the relaxation's
+    exact violation is the score over D^2, yielded as the pair ``(score,
+    D^2)``.  A point in the relaxation's
     mixed-integer set violates no cut whose capacity terms count every
     facility, so there the pass yields nothing.  A null commodity of the
     view (``b_k = 0`` and no flow on any crossing arc) changes neither
@@ -399,12 +444,11 @@ def separate_relaxation(
             if key in memo:
                 found = memo[key]
             else:
-                found = memo[key] = _greedy_scan(view, scaled.phis, key, s, mf)
-            if found is None or found[2] * eps_den <= bar:
-                continue
-            cut = _cut(rel, scaled, Q, found, s, family)
-            if cut.normalized_key() not in skip:
-                yield cut, Fraction(found[2], D * D)
+                found = memo[key] = _greedy_scan(view, scaled, key, s, mf)
+            if found is not None and found[2] * eps_den > bar:
+                cut = _cut(rel, scaled, Q, found, s, family, skip)
+                if cut is not None:
+                    yield cut, (found[2], D * D)
 
 
 def separate_flow_cutset(

@@ -3,9 +3,13 @@
 The loop alternates float LP solves with exact separation: the LP point is
 rationalized (continued fractions) and every candidate cut is built from
 exact instance data, so a cut enters the pool only when its violation is
-positive in exact arithmetic.  ``LoopResult.exact_bound`` is certified
-from float solves by ``lp.solve_certified``.  The brute-force oracles that
-check the cuts live in ``oracle``, apart from this code.
+positive in exact arithmetic.  Candidates stay ints until the pool admits
+them: each family yields its violations as int pairs ``(num, den)``, and
+the loop checks a candidate's ``normalized_key()`` against the pool
+before a built-once form's ``LinearCut`` is built.
+``LoopResult.exact_bound`` is certified from float solves by
+``lp.solve_certified``.  The brute-force oracles that check the cuts live
+in ``oracle``, apart from this code.
 """
 
 from __future__ import annotations
@@ -51,17 +55,20 @@ class RelaxationError(RuntimeError):
 @dataclass(frozen=True)
 class Family:
     """A separation family: ``applies(instance)`` and ``separate(sep,
-    scaled)``, which yields ``(cut, exact violation)`` for its candidates
+    scaled)``, which yields ``(candidate, (num, den))`` for its candidates
     violated by more than ``sep.eps`` at the round's one
-    ``cutset_cuts.ScaledPoint``.  A built-once family's candidates are
-    ``build(sep)``, ``CoverForm``s made once per loop into ``sep.fixed``
-    and decided each round on their ints; a candidate's ``LinearCut`` is
-    built the first time a round admits it.  ``skipped(sep, scaled)``
-    counts the relaxations a family passed over at the point."""
+    ``cutset_cuts.ScaledPoint``, the exact violation ``num / den`` as a
+    pair of ints (``den > 0``).  A candidate is a ``LinearCut`` or, for a
+    built-once family, a ``CoverForm``: its candidates are ``build(sep)``,
+    forms made once per loop into ``sep.fixed`` and decided each round on
+    their ints.  Either has its ``normalized_key()``, and the loop builds a
+    form's ``LinearCut`` only when the pool admits the key.
+    ``skipped(sep, scaled)`` counts the relaxations a family passed over at
+    the point."""
 
     name: str
     applies: Callable[[Instance], bool]
-    separate: Callable[[Separation, ScaledPoint], Iterable[tuple[LinearCut, Fraction]]] | None = None
+    separate: Callable[[Separation, ScaledPoint], Iterable[tuple[LinearCut | CoverForm, tuple[int, int]]]] | None = None
     build: Callable[[Separation], Iterable[CoverForm]] | None = None
     skipped: Callable[[Separation, ScaledPoint], int] | None = None
 
@@ -70,12 +77,13 @@ def _checked(candidates: Callable[[Separation, ScaledPoint], Iterable[LinearCut 
     """The ``separate`` of a family whose ``candidates(sep, scaled)`` are
     cuts, or None: (cut, exact violation) for each cut violated by more
     than eps, by ``LinearCut.violation`` with eps, which admits on the
-    ints of ``scaled`` and makes a ``Fraction`` only for an admitted cut."""
+    ints of ``scaled`` and makes a ``Fraction`` only for an admitted cut,
+    yielded as its numerator and denominator."""
 
     def separate(sep: Separation, scaled: ScaledPoint):
         for cut in candidates(sep, scaled):
             if cut is not None and (violation := cut.violation(scaled, sep.eps)) is not None:
-                yield cut, violation
+                yield cut, (violation.numerator, violation.denominator)
 
     return separate
 
@@ -86,19 +94,27 @@ class CoverForm:
     the installations of facility m summed over the arc group ``arcs`` (a
     frozenset).  ``cut`` is its ``LinearCut``, which holds the same ints
     over ``den=1``; ``make()``, the family's builder, makes it on first
-    read."""
+    read.  ``normalized_key()`` is the cut's, read from the ints without
+    building it: a form has an arc and a nonzero coefficient."""
 
-    __slots__ = ("arcs", "coefs", "rhs", "make", "_cut")
+    __slots__ = ("arcs", "coefs", "rhs", "make", "_cut", "_key")
 
     def __init__(self, arcs: frozenset[int], coefs: tuple[int, ...], rhs: int, make: Callable[[], LinearCut]):
         self.arcs, self.coefs, self.rhs, self.make = arcs, coefs, rhs, make
-        self._cut = None
+        self._cut = self._key = None
 
     @property
     def cut(self) -> LinearCut:
         if self._cut is None:
             self._cut = self.make()
         return self._cut
+
+    def normalized_key(self):
+        if self._key is None:
+            g = math.gcd(self.rhs, *self.coefs)
+            coefs = [(m, c // g) for m, c in enumerate(self.coefs) if c]
+            self._key = ((), tuple(((a, m), c) for a in sorted(self.arcs) for m, c in coefs), self.rhs // g)
+        return self._key
 
 
 def _built_once(name: str, applies, build) -> Family:
@@ -107,7 +123,7 @@ def _built_once(name: str, applies, build) -> Family:
     distinct arc group, ``z_m = sum_{a in arcs} Y[a][m]``, and a form's
     violation is ``slack / D`` with ``slack = rhs * D - sum_m coefs[m] *
     z_m``, compared with eps on ints as ``LinearCut.violation`` compares
-    its cut's."""
+    its cut's; an admitted form is yielded with ``(slack, D)``."""
 
     def separate(sep: Separation, scaled: ScaledPoint):
         Y, D = scaled.y, scaled.D
@@ -119,7 +135,7 @@ def _built_once(name: str, applies, build) -> Family:
                 z = sums[form.arcs] = [sum(col) for col in zip(*(Y[a] for a in form.arcs))]
             slack = form.rhs * D - sum(map(mul, form.coefs, z))
             if slack * den > above:
-                yield form.cut, Fraction(slack, D)
+                yield form, (slack, D)
 
     return Family(name, applies, separate, build=build)
 
@@ -346,11 +362,14 @@ class CutPool:
         self._cuts: dict = {}
 
     def add(self, cut: LinearCut) -> bool:
-        key = cut.normalized_key()
-        if key in self._cuts:
-            return False
-        self._cuts[key] = cut
-        return True
+        """Pool ``cut`` unless a cut of its key is pooled; whether it was."""
+        size = len(self._cuts)
+        self._cuts.setdefault(cut.normalized_key(), cut)  # one hash of the key
+        return len(self._cuts) > size
+
+    def __contains__(self, key) -> bool:
+        """Whether the pool holds a cut of this ``normalized_key()``."""
+        return key in self._cuts
 
     def cuts(self) -> list[LinearCut]:
         return list(self._cuts.values())
@@ -408,20 +427,28 @@ def cutting_plane_loop(instance: Instance, config: Config | None = None) -> Loop
         families = {name: {"seconds": seconds, "candidates": 0, "skipped": skipped, "admitted": 0}
                     for name, (seconds, skipped) in found.families.items()}
         added: dict[str, int] = {}
-        max_violation = ZERO
-        for family, cut, violation in found.candidates:
+        most, most_den = 0, 1  # the largest admitted violation, as a pair of ints
+        for family, candidate, (num, den) in found.candidates:
             counts = families[family]
             counts["candidates"] += 1
+            if type(candidate) is CoverForm:
+                # a form's cut is built only for a key the pool does not hold
+                if candidate.normalized_key() in pool:
+                    continue
+                cut = candidate.cut
+            else:
+                cut = candidate
             if pool.add(cut):
                 counts["admitted"] += 1
                 added[cut.family] = added.get(cut.family, 0) + 1
-                max_violation = max(max_violation, violation)
+                if num * most_den > most * den:
+                    most, most_den = num, den
         reports.append(
             RoundReport(
                 round=rnd,
                 bound=float(sol.objective),
                 cuts=added,
-                max_violation=float(max_violation),
+                max_violation=most / most_den,
                 wall_time=time.perf_counter() - t0,
                 exact_fallback=sol.exact_fallback,
                 lp_start=sol.start,
@@ -458,7 +485,7 @@ class Separation:
     enabled ones that do not (``inapplicable``, their names), and the
     candidates of each built-once family (``fixed``), pure capacity
     inequalities kept as int ``CoverForm``s, whose ``LinearCut`` is built
-    the first time a round admits it and then kept on the form.
+    the first time the pool admits its key and then kept on the form.
     The cut-set relaxations, one per two-partition and read by the cut-set
     and ``partition`` families, commodity subsets and arc rows are made on
     first use (the relaxations in ``__init__`` when ``cutset`` or
@@ -496,7 +523,8 @@ def _distinct_forms(forms: Iterable[CoverForm]) -> list[CoverForm]:
     """The forms, each key ``(arcs, coefs // g, rhs // g)``, ``g`` the gcd
     of the rhs and coefficients, once at its first occurrence.  A form has
     an arc and a nonzero coefficient, so two keys are equal exactly when
-    the built cuts' ``normalized_key()``s are."""
+    the built cuts' ``normalized_key()``s are; this key, unlike theirs,
+    needs no sort of the arcs, and most forms are never yielded."""
     first: dict = {}
     for form in forms:
         g = math.gcd(form.rhs, *form.coefs)
@@ -506,13 +534,14 @@ def _distinct_forms(forms: Iterable[CoverForm]) -> list[CoverForm]:
 
 @dataclass
 class SeparationRound:
-    """One ``separate_all`` call: its ``candidates``, ``(family, cut, exact
-    violation)`` in the order the families in table order yielded them
-    (``cut.family`` may name a variant, such as ``ksplit`` of ``cstrong``),
-    and per family that ran, ``(seconds, skipped)``, its time and skipped
-    cut-set relaxations.  Its length is the number of candidates."""
+    """One ``separate_all`` call: its ``candidates``, ``(family, candidate,
+    (num, den))`` in the order the families in table order yielded them
+    (a ``LinearCut`` or a built-once ``CoverForm``, whose cut's ``family``
+    may name a variant, such as ``ksplit`` of ``cstrong``), and per family
+    that ran, ``(seconds, skipped)``, its time and skipped cut-set
+    relaxations.  Its length is the number of candidates."""
 
-    candidates: list[tuple[str, LinearCut, Fraction]]
+    candidates: list[tuple[str, LinearCut | CoverForm, tuple[int, int]]]
     families: dict[str, tuple[float, int]]
 
     def __len__(self):
@@ -521,7 +550,7 @@ class SeparationRound:
 
 def separate_all(sep: Separation, point: FractionalPoint) -> SeparationRound:
     """One round: every family of ``sep`` in table order, each yielding
-    ``(cut, exact violation)`` for its candidates violated by more than
+    ``(candidate, (num, den))`` for its candidates violated by more than
     eps.  The call makes one ``ScaledPoint`` of ``point`` and gives it to
     every family; the cut-set relaxations share it, each with its view
     made at most once, and the cut-set family that runs (``flowcutset``

@@ -278,12 +278,14 @@ def _tableau_rows(rows, arith: _Arithmetic):
     column ``cols[k]``, each row's coefficients in the order of its
     ``coefs``, and ``rhs`` and ``scale`` hold one entry per row.
 
-    Every value is converted in one pass (``arith.num``; a float passes as
-    it is).  A negated row's values are negated after conversion, which is
-    sign-symmetric, as ``zero - v`` so that a zero stays +0.0.  Float rows
-    are then equilibrated to unit max coefficient: wide magnitude ranges
-    (scaled cut rows) otherwise invite tiny-pivot blowups.  Exact rows are
-    not scaled.
+    Every value is converted in one pass: exact values by ``arith.num``,
+    float ones by one ``np.array`` call, which converts an int or a
+    ``Fraction`` as ``float()`` does, correctly rounded, and keeps a
+    float's bits.  A negated row's values are negated after conversion,
+    which is sign-symmetric, as ``zero - v`` so that a zero stays +0.0.
+    Float rows are then equilibrated to unit max coefficient: wide
+    magnitude ranges (scaled cut rows) otherwise invite tiny-pivot
+    blowups.  Exact rows are not scaled.
     """
     cols, vals, rhs, sizes, negated = [], [], [], [], []
     for coefs, _, b, neg in rows:
@@ -295,9 +297,6 @@ def _tableau_rows(rows, arith: _Arithmetic):
     at = np.repeat(np.arange(len(rows)), sizes)
     if arith.exact:
         vals, rhs = [Fraction(v) for v in vals], [Fraction(v) for v in rhs]
-    else:  # lp.LPModel.float_rows hold floats
-        vals = [v if type(v) is float else _to_float(v) for v in vals]
-        rhs = [v if type(v) is float else _to_float(v) for v in rhs]
     vals, rhs = np.array(vals, dtype=arith.dtype), np.array(rhs, dtype=arith.dtype)
     negated = np.array(negated, dtype=bool)
     flip = np.flatnonzero(negated[at])

@@ -288,6 +288,34 @@ def _zero_point_cut(rel, sel, family):
     return _cut(rel, scaled, Q, (S_plus, S_minus, None, r, eta, cbar_minus), sel.facility, family)
 
 
+def reference_winner_cut(rel, scaled, Q, winner, s, family):
+    """Reference for ``cutset_cuts._cut``: the former eager builder, which
+    passes the D-scaled coefficients of the winner ``(S+, S-, score, r,
+    eta, cbar(S-))`` to ``LinearCut(flow, cap, rhs, family, params,
+    den=D)`` to be reduced, with every param made at once."""
+    from netdes_cuts.core import LinearCut
+
+    S_plus, S_minus, _, r, eta, cbar_minus = winner
+    view = scaled.view(rel)
+    D = view.D
+    plus, minus = scaled.phis(s, r)
+    facilities = range(len(plus)) if family == "mf" else (s,)
+    terms = [(a, D) for a in view.A_plus if a not in S_plus] + [(a, -D) for a in S_minus]
+    flow = {(a, k): v for k in Q for a, v in terms}
+    cap = {(a, m): plus[m] for a in S_plus for m in facilities}
+    cap.update(((a, m), minus[m]) for a in S_minus for m in facilities)
+    params = {"U": rel.U, "Q": Q, "S+": S_plus, "S-": S_minus, "r": F(r, D), "eta": eta}
+    if family == "mf":
+        params["s"] = s
+        params["facet_report"] = {
+            "s_plus_proper": 0 < len(S_plus) < len(rel.A_plus),
+            "s_minus_proper": 0 < len(S_minus) < len(rel.A_minus),
+            "remainder_positive": r > 0,
+            "all_demands_positive": all(view.b[k] > 0 for k in Q),
+        }
+    return LinearCut(flow, cap, r * eta - cbar_minus, family, params, den=D)
+
+
 def flow_cutset_cut(rel, sel):
     """Mixed rounding cut over capacity on (S+, S-) and flow elsewhere, on
     the base facility ``sel.facility`` alone (see ``cutset_cuts._cut``)."""

@@ -262,14 +262,20 @@ def test_instance_roundtrip_json():
     (dict(existing_capacity_prob=2), r"existing_capacity_prob must be a probability in \[0, 1\], got 2"),
     (dict(existing_capacity_prob=float("nan")), r"existing_capacity_prob must be a probability in \[0, 1\], got nan"),
     (dict(flow_cost_prob=-1), r"flow_cost_prob must be a probability in \[0, 1\], got -1"),
+    (dict(facilities=(0.1,)), r"facilities must be ints or Fractions, got \(0\.1,\)"),
+    (dict(facilities=(1.5, 3)), r"facilities must be ints or Fractions, got \(1\.5, 3\)"),
+    (dict(facilities=(True, 2)), r"facilities must be ints or Fractions, got \(True, 2\)"),
 ])
 def test_generate_instance_refuses_bad_arguments_by_name(bad, message):
     """A float count failed deep in ``random`` (``demand_scale=1.5``: a
-    non-integer stop for ``randrange``) and a probability outside [0, 1]
-    was taken silently; each is refused up front, naming the argument."""
+    non-integer stop for ``randrange``), a probability outside [0, 1] was
+    taken silently, and so was a float facility size, as its binary value
+    (``0.1`` gave capacity 3602879701896397/2**55 and scale 2**55), or a
+    bool one, as 0 or 1; each is refused up front, naming the argument."""
     with pytest.raises(ValueError, match=message):
         generate_instance(**{"seed": 1, "nodes": 3, **bad})
     generate_instance(seed=1, nodes=3, existing_capacity_prob=0, flow_cost_prob=1)  # the ends are probabilities
+    generate_instance(seed=1, nodes=3, facilities=(F(3, 2), 2))  # a Fraction size is a size
 
 
 # loop-4n's 40 instances, then criterion 11's four batch shapes (the first seed of each)

@@ -57,10 +57,11 @@ def two_node_instance(demand=F(1), caps=(1,), cbar=F(0)):
 def scored_violation(got, rel, scaled, Q, family, s=0):
     """The violation the single-subset ``separate_relaxation`` pass of
     ``family`` on Q and base facility s yields with its cut, which is
-    ``got``: the score it admitted the cut on, as the engine reads it."""
-    cut, violation = next(cutset_cuts.separate_relaxation(rel, scaled, [tuple(Q)], family, bases=(s,)))
-    assert cut == got
-    return violation
+    ``got``: the score it admitted the cut on, as the engine reads it, a
+    pair of ints ``(num, den)`` read as ``Fraction(num, den)``."""
+    cut, (num, den) = next(cutset_cuts.separate_relaxation(rel, scaled, [tuple(Q)], family, bases=(s,)))
+    assert cut == got and type(num) is type(den) is int and den > 0
+    return F(num, den)
 
 
 # -- relaxation construction ---------------------------------------------------------
@@ -436,7 +437,7 @@ def test_multifacility_most_violated_across_base_choice():
     scaled = ScaledPoint(inst, pt)
     found = [pair for s in (0, 1) for pair in cutset_cuts.separate_relaxation(rel, scaled, [(0,)], "mf", bases=(s,))]
     assert found
-    best = max(violation for _, violation in found)
+    best = max(F(*violation) for _, violation in found)
     for s in (0, 1):
         v, _ = multifacility_best_violation(rel, pt, s, (0,))
         assert best >= v
@@ -1149,7 +1150,7 @@ def test_one_pass_per_relaxation_matches_the_per_subset_references():
                     got.append((cut, violation))
                 assert [(c.normalized_key(), c.params, c.family) for c, _ in got] == [
                     (c.normalized_key(), c.params, c.family) for c in want]
-                assert [violation for _, violation in got] == [c.violation(pt) for c in want]
+                assert [F(*violation) for _, violation in got] == [c.violation(pt) for c in want]
                 yielded += len(got)
         assert found == want_found
     assert yielded > 1000 and refused > 200 and skipped > 1000, (yielded, refused, skipped)

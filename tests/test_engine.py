@@ -40,6 +40,7 @@ from helpers import (
     reference_rc_arc,
     reference_separate_all,
     reference_validate_cuts,
+    reference_winner_cut,
     select_total_capacity_cut,
 )
 
@@ -264,6 +265,24 @@ def _listing(candidates):
     return [(family, cut.normalized_key(), cut.family, violation) for family, cut, violation in candidates]
 
 
+def _cut_of(candidate):
+    """A candidate's ``LinearCut``: a built-once form's cut, or the cut itself."""
+    return candidate.cut if isinstance(candidate, engine.CoverForm) else candidate
+
+
+def _violation(pair):
+    """A yielded violation, a pair of ints ``(num, den)`` with ``den > 0``, as a ``Fraction``."""
+    num, den = pair
+    assert type(num) is type(den) is int and den > 0
+    return F(num, den)
+
+
+def _resolved(candidates):
+    """``separate_all``'s candidates as the reference gives them: ``(family,
+    cut, violation)``, a form's cut and the violation as a ``Fraction``."""
+    return [(family, _cut_of(candidate), _violation(pair)) for family, candidate, pair in candidates]
+
+
 # the families that offer each key once per round: each built-once family,
 # and the one cut-set greedy family that runs
 KEYED_ONCE = {"cutset", "partition", "flowcutset", "mf"}
@@ -316,8 +335,8 @@ def test_separation_table_matches_reference(monkeypatch, gen, config, fired):
     assert len(rounds) >= 2 and len({id(sep) for sep, _, _ in rounds}) == 1
     for sep, point, found in rounds:
         reference = _first_of_each_key(reference_separate_all(inst, point, config))
-        assert _listing(found.candidates) == _listing(reference)
-    assert fired <= {cut.family for _, _, found in rounds for _, cut, _ in found.candidates}
+        assert _listing(_resolved(found.candidates)) == _listing(reference)
+    assert fired <= {cut.family for _, _, found in rounds for _, cut, _ in _resolved(found.candidates)}
 
 
 def _fraction_admitted(sep, name, point):
@@ -342,15 +361,15 @@ def _scalings(inst, point):
 
 
 def _assert_same_admission(sep, point):
-    """Each built-once family yields what ``cut.violation(point) > eps``
-    admits, in order, each with that violation, at either scaling of the
-    point."""
+    """Each built-once family yields the forms whose cuts
+    ``cut.violation(point) > eps`` admits, in order, each with that
+    violation as a pair of ints, at either scaling of the point."""
     for scaled in _scalings(sep.instance, point):
         for name in sep.fixed:
             got = _separated(sep, name, scaled)
             want = _fraction_admitted(sep, name, point)
-            assert [id(cut) for cut, _ in got] == [id(cut) for cut, _ in want]
-            assert [(v, type(v)) for _, v in got] == [(v, type(v)) for _, v in want]
+            assert [id(form.cut) for form, _ in got] == [id(cut) for cut, _ in want]
+            assert [_violation(v) for _, v in got] == [v for _, v in want]
 
 
 def test_rc_decides_each_arc_on_ints_as_the_fraction_reference(monkeypatch):
@@ -417,7 +436,7 @@ def test_integer_admission_matches_fraction_violation(monkeypatch):
                 assert cut.violation(point) == violation
                 _assert_same_admission(sep, point)
                 for scaled in _scalings(inst, point):
-                    assert any(c is cut for c, _ in _separated(sep, name, scaled)) == admitted
+                    assert any(form.cut is cut for form, _ in _separated(sep, name, scaled)) == admitted
 
 
 def test_int_admission_refuses_a_violation_of_exactly_eps_and_admits_one_just_above(monkeypatch):
@@ -428,32 +447,33 @@ def test_int_admission_refuses_a_violation_of_exactly_eps_and_admits_one_just_ab
     yielded, with the ``Fraction`` that ``LinearCut.violation`` gives, with
     eps 1/10**12 below it, at the scaled point as at the ``FractionalPoint``;
     and ``separate_all`` yields the reference's ``(family, cut,
-    violation)`` triples, params included."""
+    violation)`` triples, params included, each violation as a pair of
+    ints."""
     checked = dict.fromkeys(("rc", "cutset", "partition"), 0)
     for seed in (6, 36):
         inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1,))
         config = Config(max_rounds=10)
         for sep, point, found in _separation_rounds(monkeypatch, inst, config):
             reference = _first_of_each_key(reference_separate_all(inst, point, config))
-            assert [(family, cut.params, violation) for family, cut, violation in found.candidates] == [
+            assert [(family, cut.params, violation) for family, cut, violation in _resolved(found.candidates)] == [
                 (family, cut.params, violation) for family, cut, violation in reference]
-            assert _listing(found.candidates) == _listing(reference)
+            assert _listing(_resolved(found.candidates)) == _listing(reference)
             scaled = cutset_cuts.ScaledPoint(inst, point)
             for fam in sep.families:
                 if fam.name not in checked:
                     continue
-                for cut, violation in fam.separate(sep, scaled):
+                for candidate, pair in fam.separate(sep, scaled):
+                    cut, violation = _cut_of(candidate), _violation(pair)
                     key = cut.normalized_key()
                     for eps, admitted in ((violation, False), (violation - F(1, 10**12), True)):
                         at = copy.copy(sep)
                         at.eps = eps
-                        got = {c.normalized_key(): v for c, v in fam.separate(at, scaled)}
+                        got = {c.normalized_key(): _violation(v) for c, v in fam.separate(at, scaled)}
                         assert (key in got) == admitted
                         want = violation if admitted else None
                         assert cut.violation(scaled, eps) == cut.violation(point, eps) == want
                         if admitted:
-                            assert (got[key], type(got[key])) == (cut.violation(scaled), F)
-                            assert got[key] == cut.violation(point) == eps + F(1, 10**12)
+                            assert got[key] == cut.violation(scaled) == cut.violation(point) == eps + F(1, 10**12)
                     checked[fam.name] += 1
     assert all(n >= 4 for n in checked.values()), checked
 
@@ -516,8 +536,8 @@ def _loop_rounds(monkeypatch, ladder):
 def test_built_once_forms_decide_as_their_cuts(monkeypatch):
     """At every round point of the ``loop-4n`` and ``loop-5n`` ladders and
     of criterion 11's instances, each built-once family yields, in order,
-    the cut of each form whose cut ``LinearCut.violation(scaled, eps)``
-    admits, with that violation; and each form holds its cut's ints: its
+    each form whose cut ``LinearCut.violation(scaled, eps)`` admits, with
+    that violation as a pair of ints; and each form holds its cut's ints: its
     coefficients on each arc of its group, its rhs, over ``den=1``."""
     forms = points = admitted = 0
     for sep, round_points in _loop_rounds(monkeypatch, LOOP_4N + LOOP_5N + CRITERION_11):
@@ -532,7 +552,7 @@ def test_built_once_forms_decide_as_their_cuts(monkeypatch):
                 want = [(form.cut, form.cut.violation(scaled, sep.eps)) for form in fixed]
                 want = [(cut, v) for cut, v in want if v is not None]
                 got = _separated(sep, name, scaled)
-                assert [(id(cut), v, type(v)) for cut, v in got] == [(id(cut), v, type(v)) for cut, v in want]
+                assert [(id(form.cut), _violation(v)) for form, v in got] == [(id(cut), v) for cut, v in want]
                 admitted += len(got)
             points += 1
     assert (forms, points) == (777 + 475 + 1429, 473) and admitted > 1000, (forms, points, admitted)
@@ -540,8 +560,9 @@ def test_built_once_forms_decide_as_their_cuts(monkeypatch):
 
 def test_the_loop_builds_only_the_built_once_cuts_it_yields(monkeypatch):
     """Over one loop, ``cutset`` and ``partition`` make a ``LinearCut``
-    once for each distinct candidate a round yields and for no other: on
-    the ``loop-4n`` ladder 316 cuts of its 777 candidates."""
+    once for each distinct candidate the pool admits and for no other: on
+    the ``loop-4n`` ladder 145 cuts of the 316 distinct candidates its
+    rounds yield, of its 777."""
     made, yielded, candidates = [], set(), 0
     init, separate_all = LinearCut.__init__, engine.separate_all
 
@@ -564,7 +585,69 @@ def test_the_loop_builds_only_the_built_once_cuts_it_yields(monkeypatch):
         candidates += sum(map(len, sep.fixed.values()))
         cutting_plane_loop(generate_instance(**gen), config)
         built += sum(family in ("cutset", "partition", "threepartition", "threepartition-metric") for family in made)
-    assert (candidates, built, len(yielded)) == (777, 316, 316)
+    assert (candidates, built, len(yielded)) == (777, 145, 316)
+
+
+def test_no_form_is_built_for_a_key_the_pool_holds(monkeypatch):
+    """Over the ``loop-4n`` ladder, a wrapper on each built-once form's
+    ``make`` sees no call for a key its loop's pool already holds, every
+    call builds the cut of the form's key, and the pool keeps each cut
+    built; 145 forms are built."""
+    pools, made, distinct = [], [], engine._distinct_forms
+    pool_init = CutPool.__init__
+
+    def recording_pool(pool):
+        pool_init(pool)
+        pools.append(pool)
+
+    def watched(forms):
+        forms = distinct(forms)
+        for form in forms:
+            def make(form=form, make=form.make):
+                assert form.normalized_key() not in pools[-1]
+                made.append(form)
+                cut = make()
+                assert cut.normalized_key() == form.normalized_key()
+                return cut
+
+            form.make = make
+        return forms
+
+    monkeypatch.setattr(CutPool, "__init__", recording_pool)
+    monkeypatch.setattr(engine, "_distinct_forms", watched)
+    for gen, config in LOOP_4N:
+        first = len(made)
+        pooled = {id(cut) for cut in cutting_plane_loop(generate_instance(**gen), config).pool.cuts()}
+        assert all(id(form.cut) in pooled for form in made[first:])
+    assert len(made) == 145
+
+
+def test_lazy_cutset_params_are_those_of_the_eager_build(monkeypatch):
+    """Over the ``loop-4n`` ladder, every pooled ``flowcutset`` and ``mf``
+    cut has made no params when its loop returns, and its params, read
+    then, equal those of the former eager build from the same winner
+    (``helpers.reference_winner_cut``), as do its ints, key and repr."""
+    eager, cut_of = {}, cutset_cuts._cut
+
+    def recording(rel, scaled, Q, winner, s, family, skip=()):
+        cut = cut_of(rel, scaled, Q, winner, s, family, skip)
+        if cut is not None:
+            eager[id(cut)] = (cut, reference_winner_cut(rel, scaled, Q, winner, s, family))
+        return cut
+
+    monkeypatch.setattr(cutset_cuts, "_cut", recording)
+    checked = 0
+    for gen, config in LOOP_4N:
+        eager.clear()
+        pool = cutting_plane_loop(generate_instance(**gen), config).pool
+        for cut in pool.cuts():
+            if cut.family in ("flowcutset", "mf"):
+                assert cut._params is None
+                want = eager[id(cut)][1]
+                assert cut.params == want.params and type(cut.params["r"]) is F
+                assert (cut, cut.normalized_key(), repr(cut)) == (want, want.normalized_key(), repr(want))
+                checked += 1
+    assert checked > 1000, checked
 
 
 def test_built_once_forms_build_the_reference_candidates():
@@ -599,9 +682,10 @@ def test_cutset_families_offer_each_key_once_per_round(monkeypatch):
         inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
         rounds = _separation_rounds(monkeypatch, inst, Config(max_rounds=10))
         for sep, point, found in rounds:
-            keys = [cut.normalized_key() for _, cut, _ in found.candidates if cut.family in ("flowcutset", "mf")]
+            candidates = _resolved(found.candidates)
+            keys = [cut.normalized_key() for _, cut, _ in candidates if cut.family in ("flowcutset", "mf")]
             assert len(keys) == len(set(keys))
-            assert all(violation == cut.rhs - lhs_value(cut, point) for _, cut, violation in found.candidates)
+            assert all(violation == cut.rhs - lhs_value(cut, point) for _, cut, violation in candidates)
             # the former separators offered repeats at these points
             reference = reference_separate_all(inst, point, Config(max_rounds=10))
             keys = [cut.normalized_key() for _, cut, _ in reference if cut.family in ("flowcutset", "mf")]
@@ -628,13 +712,13 @@ def test_every_family_yields_its_violated_candidates_with_exact_violations(monke
             for sep, point, _ in _separation_rounds(monkeypatch, inst, Config(max_rounds=4)):
                 scaled = cutset_cuts.ScaledPoint(inst, point)
                 for fam in sep.families:
-                    pairs = list(fam.separate(sep, scaled))
+                    pairs = [(_cut_of(c), _violation(v)) for c, v in fam.separate(sep, scaled)]
                     assert all(v == cut.violation(point) and v > sep.eps for cut, v in pairs)
                     yielded[fam.name] += len(pairs)
                     for cut, v in sorted(pairs, key=lambda pair: pair[1])[::max(1, len(pairs) - 1)]:
                         strict = copy.copy(sep)
                         strict.eps = v
-                        again = list(fam.separate(strict, scaled))
+                        again = [(_cut_of(c), _violation(u)) for c, u in fam.separate(strict, scaled)]
                         assert all(u > v for _, u in again) and not any(c == cut for c, _ in again)
                         kept = {(c.normalized_key(), u) for c, u in pairs if u > v}
                         assert kept <= {(c.normalized_key(), u) for c, u in again}
@@ -765,7 +849,7 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
                 mixed_integer += bool(rel.A_plus) and skip
                 separated += not skip
             reference = _first_of_each_key(reference_separate_all(inst, point, Config(max_rounds=10)))
-            assert _listing(found.candidates) == _listing(reference)
+            assert _listing(_resolved(found.candidates)) == _listing(reference)
         del calls[:]
     assert mixed_integer > 100 and separated > 50, (mixed_integer, separated)
 

@@ -188,7 +188,7 @@ def test_ladder(ladders, ladder):
       admitted and skipped counts with its ``max_violation``.
     - ``built_once`` and its digest cover every built-once candidate, and
       ``built_by_loops`` counts those a loop builds: it builds a
-      candidate's cut only when a round first admits it.
+      candidate's cut only when the pool first admits its key.
     - ``verdicts``: criterion 11's check of every pooled cut with
       ``ybound=1``.  The 2,060 capacity vectors decided are 1,664 grid
       points and 396 maximal pure-capacity patterns, so a walk of the grid
@@ -203,7 +203,8 @@ def test_ladder(ladders, ladder):
     family reading the cut-set relaxations; the verdict digest the oracle
     making its objective columns and unsplittable flows on first use; the
     vectors decided the odometer walk of the pure-capacity check.
-    ``built_by_loops`` was recorded when the candidates became int forms."""
+    ``built_by_loops`` was recorded when the loop began to check a form's
+    key against the pool before building its cut."""
     assert ladders[ladder] == GOLDEN["ladders"][ladder]
 
 

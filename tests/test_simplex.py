@@ -294,6 +294,40 @@ def test_row_intake_matches_the_former_row_by_row_conversion(exact):
             assert [[float(v).hex() for v in part] for part in got] == [[float(v).hex() for v in part] for part in expected]
 
 
+def test_float_row_intake_converts_wide_values_as_to_float():
+    """The float intake converts a batch with one ``np.array`` call, and
+    it gives the bytes of the former per-value ``_to_float`` conversion
+    (``helpers.reference_tableau_row``) for coefficients and rhs, and so
+    for the row scales, on rows that mix floats, -0.0, ints beyond 2**53
+    and 2**64 and ``Fraction``s with 80-bit terms, negated or not."""
+    import numpy as np
+
+    from netdes_cuts.simplex import _tableau_rows
+
+    rng = random.Random(80)
+    makers = [
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: -0.0,
+        lambda: rng.choice((1, -1)) * rng.randrange(2**53, 2**54),
+        lambda: rng.choice((1, -1)) * rng.randrange(2**64, 2**66),
+        lambda: F(rng.randrange(-2**80, 2**80), rng.randrange(2**79, 2**80)),
+        lambda: rng.randint(-3, 3),
+    ]
+    values = 0
+    for _ in range(200):
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            coefs = {j: rng.choice(makers)() for j in rng.sample(range(30), rng.randint(0, 12))}
+            rows.append((coefs, LE, rng.choice(makers)(), rng.random() < 0.5))
+            values += len(coefs) + 1
+        _, _, vals, rhs, scale = _tableau_rows(rows, _FLOAT)
+        want = [reference_tableau_row(coefs, b, negated, _FLOAT) for coefs, _, b, negated in rows]
+        assert vals.tobytes() == np.array([v for row_vals, _, _ in want for v in row_vals], dtype=np.float64).tobytes()
+        assert rhs.tobytes() == np.array([b for _, b, _ in want], dtype=np.float64).tobytes()
+        assert scale.tobytes() == np.array([c for _, _, c in want], dtype=np.float64).tobytes()
+    assert values > 5000, values
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_kernel_matches_reference(monkeypatch, exact):
     """The kernel takes the same pivots as the former one, which updated the
