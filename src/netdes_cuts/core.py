@@ -395,6 +395,17 @@ def _over(nums: Mapping[tuple[int, int], int], den: int) -> dict[tuple[int, int]
     return {k: fractions[n] for k, n in nums.items()}
 
 
+def cut_key(flow_num: Mapping, cap_num: Mapping, rhs_num: int) -> tuple:
+    """The pool key of the cut ``flow·x + cap·y >= rhs`` of these ints, no
+    coefficient zero: the sorted items and the rhs over their gcd, shared
+    exactly by positive multiples.  Every ``normalized_key()`` is one."""
+    g = math.gcd(rhs_num, *flow_num.values(), *cap_num.values())
+    flow, cap = flow_num.items(), cap_num.items()
+    if g > 1:
+        flow, cap, rhs_num = [(k, n // g) for k, n in flow], [(k, n // g) for k, n in cap], rhs_num // g
+    return tuple(sorted(flow)), tuple(sorted(cap)), rhs_num
+
+
 _CUT_FIELDS = ("flow_num", "cap_num", "rhs_num", "den", "family", "params")
 
 
@@ -514,15 +525,9 @@ class LinearCut:
         return Fraction(slack, den)
 
     def normalized_key(self):
-        """Canonical hashable form, shared exactly by positive multiples:
-        the sorted ``flow`` and ``cap`` items and the rhs as coprime
-        integers, the stored ints over their gcd."""
+        """``cut_key`` of the stored ints, made once."""
         if self._key is None:
-            g = math.gcd(self.rhs_num, *self.flow_num.values(), *self.cap_num.values())
-            flow, cap = self.flow_num.items(), self.cap_num.items()
-            if g > 1:
-                flow, cap = [(k, n // g) for k, n in flow], [(k, n // g) for k, n in cap]
-            self._key = (tuple(sorted(flow)), tuple(sorted(cap)), self.rhs_num // g)
+            self._key = cut_key(self.flow_num, self.cap_num, self.rhs_num)
         return self._key
 
     def check_keys(self, instance: Instance) -> None:

@@ -11,12 +11,13 @@ no existing capacity), one pass over the crossing arcs per distinct
 selection.
 
 Separation scores on integers.  A ``ScaledPoint``, made once per LP
-point, raises the instance's int table (``Instance.sizes_num``,
-``cbar_num``) from its scale to one common denominator D of the point's
-coordinates and multiplies those by D.  It also holds what relaxations
-share: phi values and each arc's capacity terms per base facility and
-remainder, and per arc whether the point meets the arc's mixed-integer
-conditions.  Each relaxation's
+point and the only form of it that a separation family reads, raises the
+instance's int table (``Instance.sizes_num``, ``cbar_num``,
+``supply_num``) from its scale to one common denominator D of the
+point's coordinates and multiplies those by D.  It also holds what
+relaxations share: phi values and each arc's capacity terms per base
+facility and remainder, and per arc whether the point meets the arc's
+mixed-integer conditions.  Each relaxation's
 ``IntegerView``, made on first request (``ScaledPoint.view``), takes its
 crossing slice from that scaling and memoizes per commodity subset Q the
 flow sums and ``b_Q``, from those of ``Q[:-1]``, and per distinct subset
@@ -28,7 +29,7 @@ reading its capacity terms at its remainder from the scaled point.  It
 admits a winner on ints, D^2 times its violation against eps, before any
 cut is built, and builds each admitted cut once (``_cut``): the flow
 coefficients D, the phi values and the right-hand side reduced by one
-gcd, its ``normalized_key()`` made from them first, so a key already
+gcd, its key (``core.cut_key``) made from them first, so a key already
 found in the round (``skip``) builds nothing, and its params made on
 first read.  It yields the cut with its exact violation as a pair of
 ints, ``(score, D^2)``.
@@ -61,7 +62,7 @@ from functools import partial
 from operator import add, le, mul
 from typing import Container, Iterable, Sequence
 
-from .core import ZERO, FractionalPoint, Instance, LinearCut, scaled_ints
+from .core import ZERO, FractionalPoint, Instance, LinearCut, cut_key, scaled_ints
 from .mir import PhiParams, phi_minus, phi_plus
 
 GREEDY_ROUNDS = 5             # passes of the greedy arc selection on a moving remainder
@@ -90,12 +91,12 @@ class ScaledPoint:
 
     D is the lcm of the instance's scale (``Instance.scale``) and the
     denominators of the point's ``x`` and ``y``, read when the scaled
-    point is made.  ``caps[m]``, ``cbar[a]``, ``x[a][k]`` and ``y[a][m]``
-    hold the scaled values, indexed by facility, arc and commodity; the
-    first two are the instance's ``sizes_num`` and ``cbar_num`` times ``up``,
-    D over the scale.  Since D is a multiple of the instance's scale, it
-    also clears every value derived from the demands, such as a
-    relaxation's ``b_k``.  ``point`` is the ``FractionalPoint`` itself.
+    point is made.  ``caps[m]``, ``cbar[a]``, ``supplies[k]``, ``x[a][k]``
+    and ``y[a][m]`` hold the scaled values, indexed by facility, arc and
+    commodity; the first three are the instance's ``sizes_num``,
+    ``cbar_num`` and ``supply_num`` times ``up``, D over the scale.  Since
+    D is a multiple of the instance's scale, it also clears every value
+    derived from the demands, such as a relaxation's ``b_k``.
     ``fits[a]`` says whether arc a meets the arc conditions of every
     relaxation's mixed-integer set: every ``y`` a non-negative integer,
     every ``x`` non-negative and the flow ``sum_k x_k`` within ``cbar +
@@ -106,13 +107,13 @@ class ScaledPoint:
         arcs = range(len(instance.arcs))
         commodities = range(len(instance.commodities))
         facilities = range(len(instance.facilities))
-        self.point = point
         dens = {v.denominator for v in point.x.values()}
         dens.update(v.denominator for v in point.y.values())
         self.D = D = math.lcm(instance.scale, *dens)
         self.up = up = D // instance.scale
         self.caps = [c * up for c in instance.sizes_num]
         self.cbar = [c * up for c in instance.cbar_num]
+        self.supplies = [d * up for d in instance.supply_num]
         self.x = [scaled_ints([point.x.get((a, k), ZERO) for k in commodities], D) for a in arcs]
         self.y = [scaled_ints([point.y.get((a, m), ZERO) for m in facilities], D) for a in arcs]
         self.fits = [
@@ -123,6 +124,11 @@ class ScaledPoint:
         self._views: dict[CutSetRelaxation, IntegerView] = {}
         self._phis: dict = {}
         self._terms: dict = {}
+
+    def loads(self, a: int) -> list[tuple[int, int]]:
+        """Each commodity's load ``x_k / d_k`` on arc a, d_k its supply, clamped into the
+        unit box, as ints ``(num, den)``: ``x[a][k]`` clamped to ``[0, supplies[k]]`` over ``supplies[k]``."""
+        return [(min(max(v, 0), d), d) for v, d in zip(self.x[a], self.supplies)]
 
     def view(self, rel: CutSetRelaxation) -> IntegerView:
         """The integer view of ``rel`` at this point, made on first request
@@ -282,8 +288,8 @@ def _cut(
     The cut's ints are made reduced: one gcd over D, the rhs and the phi
     values in use divides them all; flow coefficients run over Q, each
     over ``A+ \\ S+`` then S-, and capacity ones over S+ then S-, each
-    arc's in facility order.  Its ``normalized_key()`` is made from them,
-    and a key in ``skip`` gives None; else the cut is
+    arc's in facility order.  Its key is ``cut_key`` of them, and a key
+    in ``skip`` gives None; else the cut is
     ``LinearCut.reduced``, its params (``_params``) made on first read."""
     S_plus, S_minus, _, r, eta, cbar_minus = winner
     D = scaled.D
@@ -303,11 +309,7 @@ def _cut(
     if S_minus:
         minus = [(m, v // g) for m, v in enumerate(minus) if v]
         cap.update({(a, m): v for a in S_minus for m, v in minus})
-    if flow:  # a flow coefficient is D over the gcd: the ints share no factor
-        key = (tuple(sorted(flow.items())), tuple(sorted(cap.items())), rhs)
-    else:
-        h = math.gcd(rhs, *cap.values()) or 1  # 0 only for a cut that LinearCut.reduced refuses
-        key = ((), tuple(sorted((k, v // h) for k, v in cap.items())), rhs // h)
+    key = cut_key(flow, cap, rhs)
     if key in skip:
         return None
     return LinearCut.reduced(flow, cap, rhs, step, family, partial(_params, rel, Q, winner, s, family, D), key)

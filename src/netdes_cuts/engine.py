@@ -4,9 +4,10 @@ The loop alternates float LP solves with exact separation: the LP point is
 rationalized (continued fractions) and every candidate cut is built from
 exact instance data, so a cut enters the pool only when its violation is
 positive in exact arithmetic.  Candidates stay ints until the pool admits
-them: each family yields its violations as int pairs ``(num, den)``, and
-the loop checks a candidate's ``normalized_key()`` against the pool
-before a built-once form's ``LinearCut`` is built.
+them: each family reads the round's one ``cutset_cuts.ScaledPoint`` and
+yields its violations as int pairs ``(num, den)``, and the loop checks a
+candidate's key (``core.cut_key``) against the pool before a built-once
+form's ``LinearCut`` is built.
 ``LoopResult.exact_bound`` is certified from float solves by
 ``lp.solve_certified``.  The brute-force oracles that check the cuts live
 in ``oracle``, apart from this code.
@@ -25,7 +26,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import arc_cuts, cutset_cuts, partition_cuts
-from .core import MAX_DENOMINATOR, ZERO, FractionalPoint, Instance, LinearCut, frac
+from .core import MAX_DENOMINATOR, ZERO, FractionalPoint, Instance, LinearCut, cut_key, frac
 from .cutset_cuts import ScaledPoint
 from .lp import LPModel, LPSolution, build_relaxation, exact_objective, solve
 from .mir import KnapsackCoverSet, hull_inequalities
@@ -94,8 +95,8 @@ class CoverForm:
     the installations of facility m summed over the arc group ``arcs`` (a
     frozenset).  ``cut`` is its ``LinearCut``, which holds the same ints
     over ``den=1``; ``make()``, the family's builder, makes it on first
-    read.  ``normalized_key()`` is the cut's, read from the ints without
-    building it: a form has an arc and a nonzero coefficient."""
+    read.  ``normalized_key()`` is the cut's, ``core.cut_key`` of the
+    form's ints, made without building the cut."""
 
     __slots__ = ("arcs", "coefs", "rhs", "make", "_cut", "_key")
 
@@ -111,9 +112,7 @@ class CoverForm:
 
     def normalized_key(self):
         if self._key is None:
-            g = math.gcd(self.rhs, *self.coefs)
-            coefs = [(m, c // g) for m, c in enumerate(self.coefs) if c]
-            self._key = ((), tuple(((a, m), c) for a in sorted(self.arcs) for m, c in coefs), self.rhs // g)
+            self._key = cut_key({}, {(a, m): c for a in self.arcs for m, c in enumerate(self.coefs) if c}, self.rhs)
         return self._key
 
 
@@ -147,41 +146,40 @@ def _single_facility(instance: Instance) -> bool:
 def _rc(sep: Separation, scaled: ScaledPoint):
     """Each arc's residual capacity cut, decided on ints by
     ``arc_cuts.residual_capacity_set``: the coefficients ``d_k / c`` and
-    ``cbar / c`` times ``S*c`` (S the instance's scale), and each load
-    ``x_k / d_k``, clamped into the unit box, as ``(S*X_k, D*S*d_k)`` with
-    ``X = D*x`` of ``scaled``; ``Fraction``s are made only for a cut."""
+    ``cbar / c`` times ``S*c`` (S the instance's scale), each load
+    ``x_k / d_k`` as ``ScaledPoint.loads`` gives it and ``ybar`` as
+    ``D*y`` of ``scaled``; ``Fraction``s are made only for a cut."""
     inst, D = sep.instance, scaled.D
-    S, supplies = inst.scale, inst.supply_num
-    for ai, (X, Y, cbar) in enumerate(zip(scaled.x, scaled.y, inst.cbar_num)):
-        loads = [(min(max(S * v, 0), D * d), D * d) for v, d in zip(X, supplies)]
-        T = arc_cuts.residual_capacity_set(supplies, cbar, inst.sizes_num[0], loads, max(Y[0], 0), D)
+    for ai, (Y, cbar) in enumerate(zip(scaled.y, inst.cbar_num)):
+        T = arc_cuts.residual_capacity_set(inst.supply_num, cbar, inst.sizes_num[0], scaled.loads(ai), max(Y[0], 0), D)
         if T is not None:
             rel = sep.capacity_rows[ai]
             yield arc_cuts.to_instance_cut(rel, arc_cuts.residual_capacity_cut(rel, T), "rc")
 
 
 def _cstrong(sep: Separation, scaled: ScaledPoint):
-    point = scaled.point
+    """Each arc's c-strong, k-split and lifted cover cuts, separated in
+    ``Fraction``s made from the ints of ``scaled.loads`` and ``scaled.y``."""
     for ai, rel in enumerate(sep.capacity_rows):
         reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
-        xhat = _fractional_loads(rel, ai, point)
-        ybar = max(point.y.get((ai, 0), ZERO), ZERO)
+        xhat = {i: Fraction(*load) for i, load in enumerate(scaled.loads(ai))}
+        ybar = Fraction(max(scaled.y[ai][0], 0), scaled.D)
         # capacity variable of the reduced set absorbs the dropped integer parts
-        yred = ybar + off0 - sum((offsets[i] * xhat.get(i, ZERO) for i in range(rel.n)), ZERO)
+        yred = ybar + off0 - sum((offsets[i] * xhat[i] for i in range(rel.n)), ZERO)
         best = arc_cuts.separate_c_strong(reduced, xhat, yred)
         if best is not None:
             yield arc_cuts.to_instance_cut(rel, arc_cuts.back_map_cut(best, offsets, off0), "cstrong")
             for k in K_SPLIT:
                 yield arc_cuts.to_instance_cut(rel, arc_cuts.k_split_c_strong_cut(rel, best.params["S"], k), "ksplit")
-        ones = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 1)
-        zeros = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 0)
+        ones = frozenset(i for i in range(rel.n) if xhat[i] == 1)
+        zeros = frozenset(i for i in range(rel.n) if xhat[i] == 0)
         if len(ones) + len(zeros) < rel.n:
             try:
                 spec = arc_cuts.CoverSpec.build(reduced, max(0, int(round(float(yred)))), zeros, ones)
-                lifted = arc_cuts.back_map_cut(arc_cuts.lifted_cover_cut(reduced, spec), offsets, off0)
-                yield arc_cuts.to_instance_cut(rel, lifted, "liftedcover")
-            except ValueError:
-                pass
+            except ValueError:  # the loads pinned to 0 and 1 leave no cover
+                continue
+            lifted = arc_cuts.back_map_cut(arc_cuts.lifted_cover_cut(reduced, spec), offsets, off0)
+            yield arc_cuts.to_instance_cut(rel, lifted, "liftedcover")
 
 
 def _cutset_pass(family: str):
@@ -563,15 +561,6 @@ def separate_all(sep: Separation, point: FractionalPoint) -> SeparationRound:
         seconds = time.perf_counter() - t0
         found.families[fam.name] = (seconds, fam.skipped(sep, scaled) if fam.skipped else 0)
     return found
-
-
-def _fractional_loads(rel, ai: int, point: FractionalPoint) -> dict[int, Fraction]:
-    """Per-commodity loads as supply fractions, clamped into the unit box."""
-    xhat = {}
-    for i, ki in enumerate(rel.commodities):
-        v = point.x.get((ai, ki), ZERO) / rel.demands[i]
-        xhat[i] = min(max(v, ZERO), Fraction(1))
-    return xhat
 
 
 def _two_partitions(instance: Instance):

@@ -1041,11 +1041,21 @@ def reference_cutset_candidates(instance):
             yield LinearCut({}, {(ai, 0): 1 for ai in crossing}, rhs, "cutset", {"U": U, "rhs": rhs})
 
 
+def _reference_loads(rel, ai, point):
+    """Per-commodity loads on arc ``ai`` as supply fractions, clamped into
+    the unit box, in ``Fraction``s of the ``FractionalPoint``."""
+    xhat = {}
+    for i, ki in enumerate(rel.commodities):
+        v = point.x.get((ai, ki), ZERO) / rel.demands[i]
+        xhat[i] = min(max(v, ZERO), F(1))
+    return xhat
+
+
 def reference_rc_arc(instance, ai, point):
-    from netdes_cuts import arc_cuts, engine
+    from netdes_cuts import arc_cuts
 
     rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.SPLITTABLE)
-    xhat = engine._fractional_loads(rel, ai, point)
+    xhat = _reference_loads(rel, ai, point)
     ybar = max(point.y.get((ai, 0), ZERO), ZERO)
     ineq = reference_residual_capacity(rel, xhat, ybar)
     if ineq is None:
@@ -1058,7 +1068,7 @@ def _reference_unsplittable_arc(instance, ai, point):
 
     rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.UNSPLITTABLE)
     reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
-    xhat = engine._fractional_loads(rel, ai, point)
+    xhat = _reference_loads(rel, ai, point)
     ybar = max(point.y.get((ai, 0), ZERO), ZERO)
     yred = ybar + off0 - sum((offsets[i] * xhat.get(i, ZERO) for i in range(rel.n)), ZERO)
     cuts = []
@@ -1074,11 +1084,12 @@ def _reference_unsplittable_arc(instance, ai, point):
     if len(ones) + len(zeros) < rel.n:
         try:
             spec = arc_cuts.CoverSpec.build(reduced, max(0, int(round(float(yred)))), zeros, ones)
-            lifted = arc_cuts.lifted_cover_cut(reduced, spec)
-            mapped = arc_cuts.back_map_cut(lifted, offsets, off0)
-            cuts.append(arc_cuts.to_instance_cut(rel, mapped, "liftedcover"))
-        except ValueError:
-            pass
+        except ValueError as exc:
+            assert str(exc) == "remaining variables do not form a cover"
+            return cuts
+        lifted = arc_cuts.lifted_cover_cut(reduced, spec)
+        mapped = arc_cuts.back_map_cut(lifted, offsets, off0)
+        cuts.append(arc_cuts.to_instance_cut(rel, mapped, "liftedcover"))
     return cuts
 
 

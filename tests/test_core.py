@@ -19,6 +19,7 @@ from netdes_cuts.core import (
     LinearCut,
     build_aggregated_commodities,
     build_disaggregated_commodities,
+    cut_key,
     generate_instance,
     instance_from_dict,
     instance_to_dict,
@@ -399,9 +400,13 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
         )
         dens = [v.denominator for v in (*point.x.values(), *point.y.values())]
         scaled = ScaledPoint(inst, point)
-        assert scaled.D == math.lcm(S, *dens) and scaled.point is point
+        assert scaled.D == math.lcm(S, *dens) and not hasattr(scaled, "point")
         assert scaled.caps == [scaled.D * f.capacity for f in inst.facilities]
         assert scaled.cbar == [scaled.D * a.existing_capacity for a in inst.arcs]
+        assert scaled.supplies == [scaled.D * com.total_supply for com in inst.commodities]
+        for ai in arcs:
+            assert [F(*load) for load in scaled.loads(ai)] == [
+                min(max(point.x[(ai, ki)] / com.total_supply, F(0)), F(1)) for ki, com in enumerate(inst.commodities)]
 
 
 def test_linear_cut_normalization_and_violation():
@@ -428,10 +433,20 @@ def _positive_multiple(a: LinearCut, b: LinearCut) -> bool:
 
 
 @given(_entries, _entries, _coefficient, st.fractions(min_value=-3, max_value=3, max_denominator=5),
-       _entries, _entries, _coefficient)
-def test_normalized_key_shared_exactly_by_positive_multiples(flow, cap, rhs, scale, flow2, cap2, rhs2):
+       _entries, _entries, _coefficient, st.integers(1, 6))
+def test_normalized_key_shared_exactly_by_positive_multiples(flow, cap, rhs, scale, flow2, cap2, rhs2, times):
     """Two cuts share a ``normalized_key()`` iff one is a positive multiple
-    of the other."""
+    of the other.  ``cut_key`` of a cut's ints over any common positive
+    denominator, and of every positive multiple of them, in any item
+    order, is the built cut's ``normalized_key()``; so is that of its
+    capacity part alone, a pure capacity cut."""
+    for flow_part in (flow, {}):
+        if any(flow_part.values()) or any(cap.values()):
+            den = times * math.lcm(rhs.denominator, *(v.denominator for v in (*flow_part.values(), *cap.values())))
+            flow_num, cap_num = ({k: int(v * den) for k, v in part.items() if v} for part in (flow_part, cap))
+            want = LinearCut(flow_part, cap, rhs, "a").normalized_key()
+            assert cut_key(flow_num, cap_num, int(rhs * den)) == want
+            assert cut_key(dict(reversed(flow_num.items())), dict(reversed(cap_num.items())), int(rhs * den)) == want
     if not any(flow.values()) and not any(cap.values()):
         return
     cut = LinearCut(flow, cap, rhs, "a")

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from netdes_cuts import cutset_cuts, engine, lp, oracle
+from netdes_cuts import arc_cuts, cutset_cuts, engine, lp, oracle
 from netdes_cuts.core import (
     Arc,
     DemandMatrix,
@@ -402,6 +402,29 @@ def test_rc_decides_each_arc_on_ints_as_the_fraction_reference(monkeypatch):
             cuts += len(got)
             no_cuts += len(want) - len(got)
     assert cuts > 100 and no_cuts > 1000, (cuts, no_cuts)
+
+
+def test_a_failed_lifted_cover_is_raised_not_dropped(monkeypatch):
+    """``cstrong`` passes over an arc only where ``CoverSpec.build`` finds
+    no cover; a lifting that fails after it raises out of the loop.  The
+    unsplittable 3-node instance reaches the lifted cover in its loop."""
+    inst = generate_instance(seed=2, nodes=3, density=0.6, facilities=(1,), mode="disaggregated", unsplittable=True)
+    lifted, covers = arc_cuts.lifted_cover_cut, []
+
+    def counted(rel, spec, *args):
+        covers.append(spec)
+        return lifted(rel, spec, *args)
+
+    monkeypatch.setattr(arc_cuts, "lifted_cover_cut", counted)
+    cutting_plane_loop(inst, Config(max_rounds=3))
+    assert covers
+
+    def failing(rel, spec, *args):
+        raise ValueError("no valid linear lifting coefficient for the capacity variable")
+
+    monkeypatch.setattr(arc_cuts, "lifted_cover_cut", failing)
+    with pytest.raises(ValueError, match="no valid linear lifting coefficient"):
+        cutting_plane_loop(inst, Config(max_rounds=3))
 
 
 def test_integer_admission_matches_fraction_violation(monkeypatch):
@@ -828,20 +851,29 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
     """At the golden round points, ``flowcutset`` and ``mf`` run their
     pass (``separate_relaxation``) on every relaxation with an arc U -> V
     whose crossing point lies off its mixed-integer set and on no other,
-    and ``separate_all`` still gives the reference's candidates."""
-    calls = []
+    and ``separate_all`` still gives the reference's candidates.  A call
+    is matched to its round by the one ``ScaledPoint`` that round's
+    ``separate_all`` made."""
+    calls, scaled_points = [], []
     real = cutset_cuts.separate_relaxation
 
+    class RecordedPoint(cutset_cuts.ScaledPoint):
+        def __init__(self, *args):
+            super().__init__(*args)
+            scaled_points.append(self)
+
     def counted(rel, scaled, *args, **kwargs):
-        calls.append((rel, scaled.point))
+        calls.append((rel, scaled))
         return real(rel, scaled, *args, **kwargs)
 
     monkeypatch.setattr(cutset_cuts, "separate_relaxation", counted)
+    monkeypatch.setattr(engine, "ScaledPoint", RecordedPoint)
     mixed_integer = separated = 0
     for seed in sorted(GOLDEN_4_NODE):
         inst = generate_instance(seed=seed, nodes=4, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
         rounds = _separation_rounds(monkeypatch, inst, Config(max_rounds=10))
-        per_round = [{id(rel) for rel, at in calls if at is point} for _, point, _ in rounds]
+        assert len(scaled_points) == len(rounds)
+        per_round = [{id(rel) for rel, at in calls if at is scaled} for scaled in scaled_points]
         for (sep, point, found), searched in zip(rounds, per_round):
             for rel in sep.relaxations:
                 skip = not rel.A_plus or in_cutset_mixed_integer_set(rel, point)
@@ -850,7 +882,7 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
                 separated += not skip
             reference = _first_of_each_key(reference_separate_all(inst, point, Config(max_rounds=10)))
             assert _listing(_resolved(found.candidates)) == _listing(reference)
-        del calls[:]
+        del calls[:], scaled_points[:]
     assert mixed_integer > 100 and separated > 50, (mixed_integer, separated)
 
 
