@@ -16,7 +16,6 @@ from .core import (
     generate_instance,
     load_instance,
     save_instance,
-    validate_instance,
 )
 from .engine import Config, CutPool, RoundReport, cutting_plane_loop
 from .lp import build_relaxation, check_feasible_routing, solve

@@ -77,8 +77,6 @@ def from_capacity_row(instance: Instance, arc: int, mode: str | None = None) -> 
     instances, the ones the arc-set families apply to.
     """
     c = instance.facilities[0].capacity
-    if c == 0:
-        raise ValueError("facility capacity must be nonzero")
     if mode is None:
         mode = UNSPLITTABLE if instance.unsplittable else SPLITTABLE
     demands = tuple(com.total_supply for com in instance.commodities)

@@ -9,7 +9,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import format_rational, generate_instance, load_instance, save_instance, validate_instance
+from .core import format_rational, generate_instance, load_instance, save_instance
 from .engine import FAMILIES, Config, RelaxationError, cutting_plane_loop
 from .oracle import BudgetExceededError, brute_force_ip
 
@@ -113,11 +113,6 @@ def main(argv=None) -> int:
         instance = load_instance(args.instance)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load instance {args.instance}: {exc}")
-    problems = validate_instance(instance)
-    if problems:
-        for p in problems:
-            print(f"invalid instance: {p}", file=sys.stderr)
-        return 2
     if args.command == "run":
         return _cmd_run(args, instance)
     return _cmd_oracle(args, instance)

@@ -89,6 +89,8 @@ class Arc:
         object.__setattr__(self, "existing_capacity", frac(self.existing_capacity))
         if self.tail == self.head:
             raise InstanceError(f"self-loop arc ({self.tail},{self.head})")
+        if self.existing_capacity < 0:
+            raise InstanceError(f"arc ({self.tail},{self.head}) has negative existing capacity {self.existing_capacity}")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -107,6 +109,10 @@ class Facility:
         object.__setattr__(self, "costs", tuple(frac(c) for c in self.costs))
         if self.capacity <= 0:
             raise InstanceError(f"facility capacity {self.capacity} not positive")
+        for ai, cost in enumerate(self.costs):
+            if cost < 0:
+                raise InstanceError(f"facility of capacity {self.capacity} has negative installation cost {cost} "
+                                    f"on arc {ai}")
 
 
 class DemandMatrix:
@@ -189,7 +195,15 @@ def build_disaggregated_commodities(demand: DemandMatrix, nodes: Sequence[int]) 
 
 
 class Instance:
-    """A directed network design instance.
+    """A directed network design instance of the paper's model.
+
+    Construction refuses data outside the model with an ``InstanceError``
+    naming the first problem: facility sizes that do not strictly increase,
+    a facility without one cost per arc (after parallel arcs are merged), a
+    demand on an unlisted node or without a directed path, and unsplittable
+    routing of aggregated commodities or at a negative flow cost.  ``Arc``,
+    ``Facility`` and ``DemandMatrix`` refuse negative capacities, costs and
+    demands.  So every instance reaching the loop or an oracle is valid.
 
     Flow variables are implicitly bounded above by their commodity's total
     supply; the oracles and the LP relaxation both enforce that, which is
@@ -238,6 +252,17 @@ class Instance:
                 raise InstanceError(f"arc ({a.tail},{a.head}) references unknown node")
             self.out_arcs[a.tail].append(ai)
             self.in_arcs[a.head].append(ai)
+        sizes = self.facility_capacities()
+        for prev, size in zip(sizes, sizes[1:]):
+            if prev >= size:
+                raise InstanceError(f"facility capacities not strictly increasing: {prev} >= {size}")
+        for mi, f in enumerate(self.facilities):
+            if len(f.costs) != len(self.arcs):
+                raise InstanceError(f"facility {mi} has {len(f.costs)} costs for {len(self.arcs)} arcs")
+        pairs = demand.pairs()
+        for i, j, _ in pairs:
+            if i not in self.node_index or j not in self.node_index:
+                raise InstanceError(f"demand ({i},{j}) references unknown node")
 
         if mode == AGGREGATED:
             self.commodities = tuple(build_aggregated_commodities(demand, self.nodes))
@@ -245,19 +270,40 @@ class Instance:
             self.commodities = tuple(build_disaggregated_commodities(demand, self.nodes))
         else:
             raise InstanceError(f"unknown commodity mode {mode!r}")
+        if unsplittable and mode != DISAGGREGATED:
+            raise InstanceError("unsplittable routing requires disaggregated commodities")
 
         self.flow_costs = self._expand_flow_costs(flow_costs)
+        if unsplittable and any(c < 0 for row in self.flow_costs for c in row):
+            raise InstanceError("unsplittable routing requires nonnegative flow costs")
+        self._check_paths(pairs)
         self.scale = S = math.lcm(
-            *(f.capacity.denominator for f in self.facilities),
+            *(c.denominator for c in sizes),
             *(a.existing_capacity.denominator for a in self.arcs),
-            *(t.denominator for t in demand._t.values()),
+            *(t.denominator for _, _, t in pairs),
         )
-        self.sizes_num = tuple(scaled_ints(self.facility_capacities(), S))
+        self.sizes_num = tuple(scaled_ints(sizes, S))
         self.cbar_num = tuple(scaled_ints((a.existing_capacity for a in self.arcs), S))
-        pairs = demand.pairs()
         self.demand_num = dict(zip(((i, j) for i, j, _ in pairs), scaled_ints((t for _, _, t in pairs), S)))
         self.net_num = tuple(dict(zip(c.net_demand, scaled_ints(c.net_demand.values(), S))) for c in self.commodities)
         self.supply_num = tuple(-net[c.source] for net, c in zip(self.net_num, self.commodities))
+
+    def _check_paths(self, pairs: Sequence[tuple[int, int, Fraction]]) -> None:
+        """Raise naming the first demand, in sorted order, whose sink no
+        directed path reaches from its source: one search per source."""
+        reached: dict = {}
+        for i, j, _ in pairs:
+            if i not in reached:
+                reached[i] = seen = {i}
+                frontier = [i]
+                while frontier:
+                    for ai in self.out_arcs[frontier.pop()]:
+                        head = self.arcs[ai].head
+                        if head not in seen:
+                            seen.add(head)
+                            frontier.append(head)
+            if j not in reached[i]:
+                raise InstanceError(f"demand {i}->{j} has no directed path: unroutable")
 
     @staticmethod
     def _merge_parallel(arcs: Iterable[Arc]) -> list[Arc]:
@@ -312,56 +358,6 @@ class Instance:
 
     def integral_capacities(self) -> bool:
         return all(f.capacity.denominator == 1 for f in self.facilities)
-
-
-def validate_instance(instance: Instance) -> list[str]:
-    """Return an itemized list of invariant violations (empty when ok)."""
-    errors = []
-    seen = set()
-    for a in instance.arcs:
-        if a.existing_capacity < 0:
-            errors.append(f"arc ({a.tail},{a.head}) has negative existing capacity")
-        if a.pair in seen:
-            errors.append(f"duplicate arc ({a.tail},{a.head})")
-        seen.add(a.pair)
-    caps = instance.facility_capacities()
-    for c_prev, c_next in zip(caps, caps[1:]):
-        if c_prev >= c_next:
-            errors.append(f"facility capacities not increasing: {c_prev} >= {c_next}")
-    for mi, f in enumerate(instance.facilities):
-        if len(f.costs) != len(instance.arcs):
-            errors.append(f"facility {mi} has {len(f.costs)} costs for {len(instance.arcs)} arcs")
-        if any(c < 0 for c in f.costs):
-            errors.append(f"facility {mi} has a negative installation cost")
-    for (i, j), v in instance.demand._t.items():
-        if i not in instance.node_index or j not in instance.node_index:
-            errors.append(f"demand ({i},{j}) references unknown node")
-        if v < 0:
-            errors.append(f"negative demand t[{i},{j}]")
-    for c in instance.commodities:
-        if sum(c.net_demand.values(), ZERO) != 0:
-            errors.append(f"commodity {c.source} balance does not sum to zero")
-    if instance.unsplittable:
-        if instance.mode != DISAGGREGATED:
-            errors.append("unsplittable routing requires disaggregated commodities")
-        if any(f < 0 for row in instance.flow_costs for f in row):
-            errors.append("unsplittable routing requires nonnegative flow costs")
-    for com in instance.commodities:
-        reachable = {com.source}
-        frontier = [com.source]
-        while frontier:
-            node = frontier.pop()
-            for ai in instance.out_arcs.get(node, ()):
-                head = instance.arcs[ai].head
-                if head not in reachable:
-                    reachable.add(head)
-                    frontier.append(head)
-        for node, w in com.net_demand.items():
-            if w > 0 and node not in reachable:
-                errors.append(
-                    f"demand {com.source}->{node} has no directed path: unroutable"
-                )
-    return errors
 
 
 @dataclass
@@ -693,7 +689,8 @@ def generate_instance(
     flow_cost_prob: float = 0.5,
 ) -> Instance:
     """Deterministic random instance: strongly connected, small rationals.
-    A bad argument raises ``ValueError`` naming it."""
+    A bad argument raises ``ValueError`` naming it, and sizes or a mode
+    outside the model the ``InstanceError`` of ``Instance``."""
     for name, value in (("nodes", nodes), ("demand_scale", demand_scale)):
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -705,10 +702,6 @@ def generate_instance(
     if any(isinstance(c, bool) or not isinstance(c, (Integral, Fraction)) for c in facilities):
         # a float size would be read as its binary value, a bool as 0 or 1
         raise ValueError(f"facilities must be ints or Fractions, got {tuple(facilities)!r}")
-    if any(a >= b for a, b in zip(facilities, facilities[1:])):
-        raise ValueError(f"facility capacities must be strictly increasing, got {tuple(facilities)}")
-    if unsplittable and mode != "disaggregated":
-        raise ValueError(f"unsplittable routing requires mode 'disaggregated', got {mode!r}")
     rng = random.Random(seed)
     ids = list(range(1, nodes + 1))
     pairs = [(i, j) for i in ids for j in ids if i != j]

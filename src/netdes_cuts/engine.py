@@ -160,8 +160,7 @@ def _rc(sep: Separation, scaled: ScaledPoint):
 def _cstrong(sep: Separation, scaled: ScaledPoint):
     """Each arc's c-strong, k-split and lifted cover cuts, separated in
     ``Fraction``s made from the ints of ``scaled.loads`` and ``scaled.y``."""
-    for ai, rel in enumerate(sep.capacity_rows):
-        reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
+    for ai, (rel, (reduced, offsets, off0)) in enumerate(zip(sep.capacity_rows, sep.reduced_rows)):
         xhat = {i: Fraction(*load) for i, load in enumerate(scaled.loads(ai))}
         ybar = Fraction(max(scaled.y[ai][0], 0), scaled.D)
         # capacity variable of the reduced set absorbs the dropped integer parts
@@ -485,10 +484,10 @@ class Separation:
     inequalities kept as int ``CoverForm``s, whose ``LinearCut`` is built
     the first time the pool admits its key and then kept on the form.
     The cut-set relaxations, one per two-partition and read by the cut-set
-    and ``partition`` families, commodity subsets and arc rows are made on
-    first use (the relaxations in ``__init__`` when ``cutset`` or
-    ``partition`` builds its candidates), so nothing is built for a family
-    that does not run.  It keeps nothing of a round: ``separate_all``
+    and ``partition`` families, commodity subsets and arc rows, plain and
+    reduced, are made on first use (the relaxations in ``__init__`` when
+    ``cutset`` or ``partition`` builds its candidates), so nothing is built
+    for a family that does not run.  It keeps nothing of a round: ``separate_all``
     returns what a round found."""
 
     def __init__(self, instance: Instance, config: Config):
@@ -515,6 +514,12 @@ class Separation:
     def capacity_rows(self) -> list[arc_cuts.ArcSetRelaxation]:
         """Each arc's capacity row as an arc-set relaxation in the instance's mode."""
         return [arc_cuts.from_capacity_row(self.instance, ai) for ai in range(len(self.instance.arcs))]
+
+    @cached_property
+    def reduced_rows(self) -> list[tuple[arc_cuts.ArcSetRelaxation, tuple[int, ...], int]]:
+        """Each arc's unsplittable capacity row reduced to fractional parts
+        (``arc_cuts.normalize_unsplittable``): ``(reduced, offsets, off0)``."""
+        return [arc_cuts.normalize_unsplittable(rel) for rel in self.capacity_rows]
 
 
 def _distinct_forms(forms: Iterable[CoverForm]) -> list[CoverForm]:

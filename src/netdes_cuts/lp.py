@@ -391,10 +391,8 @@ def proves_unroutable(
     clamped to ``v >= 0``, are the arc weights.  With shortest-path
     potentials ``u`` under ``v`` the pair lies in the metric cone, so
     ``demand_side > capacity_side`` proves that no routing fits
-    ``capacities``.  A positive-demand node that no path reaches gets the
-    certificate ``v = 0`` with potential 1 on the nodes its source cannot
-    reach.  Returns the certificate, or ``None`` when it proves nothing; an
-    exact Farkas vector always yields one.  ``capacities`` and
+    ``capacities``.  Returns the certificate, or ``None`` when it proves
+    nothing; an exact Farkas vector always yields one.  ``capacities`` and
     ``multipliers`` hold one entry per arc, or ``ValueError`` is raised.
     """
     arcs = len(instance.arcs)
@@ -407,10 +405,7 @@ def proves_unroutable(
         weight = -rationalize(lam)
         if weight > 0:
             v[ai] = weight
-    try:
-        cert = RoutingCertificate(v=v, u=shortest_path_potentials(instance, v))
-    except ValueError:  # no capacity routes this demand
-        cert = RoutingCertificate(v={}, u=_cut_off_potentials(instance))
+    cert = RoutingCertificate(v=v, u=shortest_path_potentials(instance, v))
     if cert.demand_side(instance) > cert.capacity_side(instance, capacities):
         return cert
     return None
@@ -534,35 +529,14 @@ def shortest_path_potentials(instance: Instance, v: Mapping[int, Fraction]) -> d
     """Exact per-commodity shortest-path distances under arc weights ``v``.
 
     These are the strongest node potentials compatible with given weights:
-    ``u_kj <= u_ki + v_ij`` holds with ``u`` maximal on demand nodes.
-    Raises if a positive-demand node is unreachable from its source.
+    ``u_kj <= u_ki + v_ij`` holds with ``u`` maximal on demand nodes, which
+    ``Instance`` makes reachable; a node the source does not reach gets 0.
     """
     u = {}
     for ki, com in enumerate(instance.commodities):
         dist = _distances(instance, com.source, v)
         for node in instance.nodes:
-            if node in dist:
-                u[(ki, node)] = dist[node]
-            elif com.w(node) > 0:
-                raise ValueError(
-                    f"node {node} with positive demand unreachable from {com.source}"
-                )
-            else:
-                u[(ki, node)] = ZERO
-    return u
-
-
-def _cut_off_potentials(instance: Instance) -> dict:
-    """Potential 1 on each node its commodity's source cannot reach, else 0.
-
-    With zero arc weights these lie in the metric cone (no arc enters the
-    unreachable set from outside it).
-    """
-    u = {}
-    for ki, com in enumerate(instance.commodities):
-        reached = _distances(instance, com.source, {})
-        for node in instance.nodes:
-            u[(ki, node)] = ZERO if node in reached else Fraction(1)
+            u[(ki, node)] = dist.get(node, ZERO)
     return u
 
 

@@ -316,9 +316,9 @@ def brute_force_ip(
     returns ``(value, point)`` with the best total cost, or ``None`` when
     nothing in the grid is feasible.  A point whose flow cost is proved to
     bring its total to the incumbent is not priced: only a strictly lower
-    total replaces the incumbent.  ``validate_instance`` requires
-    nonnegative flow costs of unsplittable instances, so their routings are
-    paths.  Raises ``ValueError`` on bad grid bounds (see ``_grid``) and
+    total replaces the incumbent.  An ``Instance`` refuses negative flow
+    costs of unsplittable routing, so its routings are paths.  Raises
+    ``ValueError`` on bad grid bounds (see ``_grid``) and
     ``BudgetExceededError`` when the grid or an unsplittable enumeration is
     larger than its budget.
     """
@@ -511,8 +511,6 @@ def _unsplittable_routings(instance: Instance, cycles: bool = True) -> list[list
     cycles = _simple_cycles(instance) if cycles else []
     per_commodity = []
     for com in instance.commodities:
-        if com.sink is None:
-            raise ValueError("unsplittable routing needs pair commodities")
         what = f"unsplittable flows of commodity {com.source}->{com.sink} (_unsplittable_routings cap)"
         flows = []
         for path in _simple_paths(instance, com.source, com.sink):

@@ -256,9 +256,8 @@ def separate_metric(instance: Instance, capacities: Sequence):
     feasible, cert = check_feasible_routing(instance, capacities)
     if feasible:
         return None
+    # positive: the certificate's demand side exceeds 0, and its shortest-path potentials are 0 under v = 0
     total = sum(cert.v.values(), ZERO)
-    if total <= 0:
-        raise ValueError("instance cannot route its demands under any capacity")
     vector = MetricVector(
         v={ai: va / total for ai, va in cert.v.items()},
         u={key: uv / total for key, uv in cert.u.items()},

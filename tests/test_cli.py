@@ -171,8 +171,11 @@ def test_run_rejects_invalid_instance(tmp_path, capsys):
         "flow_costs": "0",
     }))
     for command in ("run", "oracle"):
-        assert main([command, "--instance", str(bad)]) == 2
-        assert "invalid instance" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--instance", str(bad)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"netdes-cuts: error: cannot load instance {bad}: arc (1,2) has negative existing capacity -1\n"
 
 
 def test_a_second_call_builds_no_parser(tmp_path, monkeypatch):

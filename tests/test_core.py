@@ -24,7 +24,6 @@ from netdes_cuts.core import (
     instance_from_dict,
     instance_to_dict,
     rationalize,
-    validate_instance,
 )
 from netdes_cuts.lp import build_relaxation
 
@@ -203,30 +202,66 @@ def build_instance(**kwargs):
     return Instance(**defaults)
 
 
-def test_validate_ok():
-    assert validate_instance(build_instance()) == []
+def _refusal_base() -> dict:
+    """The document each refusal row edits: a valid instance."""
+    arcs = [(1, 2), (2, 3), (3, 1), (2, 1)]
+    return {"nodes": [1, 2, 3], "arcs": [{"tail": t, "head": h} for t, h in arcs],
+            "facilities": [{"capacity": "1", "cost": ["1"] * 4}],
+            "demands": [{"from": 1, "to": 2, "amount": "2"}, {"from": 2, "to": 3, "amount": "1"}]}
 
 
-def test_validate_facilities_not_increasing():
-    inst = build_instance(
-        facilities=[Facility(3, (F(1),)), Facility(2, (F(1),))]
+def _built(doc: dict) -> Instance:
+    """``doc`` built by the constructors directly, without ``instance_from_dict``."""
+    return Instance(
+        nodes=doc["nodes"],
+        arcs=[Arc(a["tail"], a["head"], a.get("existing_capacity", 0)) for a in doc["arcs"]],
+        facilities=[Facility(f["capacity"], tuple(f["cost"])) for f in doc["facilities"]],
+        demand=DemandMatrix({(d["from"], d["to"]): d["amount"] for d in doc["demands"]}),
+        flow_costs=doc.get("flow_costs", 0),
+        mode=doc.get("commodity_mode", "aggregated"),
+        unsplittable=doc.get("unsplittable", False),
     )
-    assert any("not increasing" in e for e in validate_instance(inst))
 
 
-def test_validate_negative_capacity():
-    inst = build_instance(arcs=[Arc(1, 2, F(-1))])
-    assert any("negative existing capacity" in e for e in validate_instance(inst))
+def _facilities(*sizes, costs=("1",) * 4):
+    return [{"capacity": size, "cost": list(costs)} for size in sizes]
 
 
-def test_validate_unroutable_demand():
-    inst = build_instance(
-        nodes=[1, 2, 3],
-        arcs=[Arc(1, 2)],
-        facilities=[Facility(1, (F(1),))],
-        demand=DemandMatrix({(1, 3): F(1)}),
-    )
-    assert any("no directed path" in e for e in validate_instance(inst))
+@pytest.mark.parametrize("edit, problem", [
+    (lambda d: {**d, "facilities": _facilities("3", "1")}, "facility capacities not strictly increasing: 3 >= 1"),
+    (lambda d: {**d, "facilities": _facilities("1", "1")}, "facility capacities not strictly increasing: 1 >= 1"),
+    (lambda d: {**d, "facilities": _facilities("1", costs=("1", "1"))}, "facility 0 has 2 costs for 4 arcs"),
+    (lambda d: {**d, "demands": d["demands"] + [{"from": 1, "to": 9, "amount": "1"}]},
+     r"demand \(1,9\) references unknown node"),
+    (lambda d: {**d, "arcs": [{"tail": 1, "head": 2, "existing_capacity": "-1"}, *d["arcs"][1:]]},
+     r"arc \(1,2\) has negative existing capacity -1"),
+    (lambda d: {**d, "facilities": _facilities("1", costs=("1", "1", "-1", "1"))},
+     "facility of capacity 1 has negative installation cost -1 on arc 2"),
+    (lambda d: {**d, "unsplittable": True}, "unsplittable routing requires disaggregated commodities"),
+    (lambda d: {**d, "commodity_mode": "disaggregated", "unsplittable": True, "flow_costs": "-1"},
+     "unsplittable routing requires nonnegative flow costs"),
+    # demand (3,2) with arc (3,1) removed: node 3 has no arc out
+    (lambda d: {**d, "arcs": [a for a in d["arcs"] if (a["tail"], a["head"]) != (3, 1)],
+                "facilities": _facilities("1", costs=("1",) * 3),
+                "demands": d["demands"] + [{"from": 3, "to": 2, "amount": "1"}]},
+     "demand 3->2 has no directed path"),
+    # the source reaches node 3 but not its sink 2
+    (lambda d: {**d, "arcs": [{"tail": 1, "head": 3}, {"tail": 2, "head": 1}],
+                "facilities": _facilities("1", costs=("1",) * 2), "demands": [{"from": 1, "to": 2, "amount": "1"}]},
+     "demand 1->2 has no directed path"),
+], ids=["sizes-decreasing", "sizes-equal", "costs-per-arc", "unknown-demand-node", "negative-existing-capacity",
+        "negative-installation-cost", "unsplittable-aggregated", "unsplittable-negative-flow-cost", "no-path",
+        "unreachable-sink"])
+def test_instance_refuses_data_outside_the_model(edit, problem):
+    """Data outside the paper's model is refused where it is built, by
+    ``Instance(...)`` and by ``instance_from_dict`` alike, with an
+    ``InstanceError`` that names the problem; the base document builds."""
+    base = _refusal_base()
+    assert instance_to_dict(_built(base)) == instance_to_dict(instance_from_dict(base))
+    doc = edit(base)
+    for build in (_built, instance_from_dict):
+        with pytest.raises(InstanceError, match=problem):
+            build(doc)
 
 
 def test_parallel_arcs_merge_capacity():

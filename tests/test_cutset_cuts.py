@@ -556,6 +556,13 @@ def _assert_identical_cut(got, want):
     assert got.normalized_key() == LinearCut(got.flow, got.cap, got.rhs, got.family).normalized_key()
 
 
+def _other_size(inst, m):
+    """A size of facility ``m`` other than its own that keeps the sizes
+    strictly increasing: halfway down to the size below it, or to 0."""
+    sizes = inst.facility_capacities()
+    return (sizes[m] + (sizes[m - 1] if m else 0)) / 2
+
+
 def _resized(rel, m, size):
     """``rel`` built on a copy of its instance whose facility ``m`` has
     ``size``; its A+, A- and b do not read the size."""
@@ -594,11 +601,12 @@ def test_integer_cut_matches_fraction_reference():
                     Q, tuple(a for a in rel.A_plus if pick.random() < 0.5),
                     tuple(a for a in rel.A_minus if pick.random() < 0.5), facility=m,
                 )
+                size = _other_size(rel.instance, m)
                 builders = [
                     (lambda: multifacility_cutset_cut(rel, sel), lambda: reference_multifacility_cutset_cut(rel, sel)),
                     (lambda: flow_cutset_cut(rel, sel), lambda: reference_flow_cutset_cut(rel, sel)),
-                    (lambda: flow_cutset_cut(_resized(rel, m, F(5, 2)), sel),
-                     lambda: reference_flow_cutset_cut(rel, sel, capacity=F(5, 2))),
+                    (lambda: flow_cutset_cut(_resized(rel, m, size), sel),
+                     lambda: reference_flow_cutset_cut(rel, sel, capacity=size)),
                 ]
                 for build, reference in builders:
                     try:

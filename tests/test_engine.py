@@ -18,10 +18,10 @@ from netdes_cuts.core import (
     Facility,
     FractionalPoint,
     Instance,
+    InstanceError,
     LinearCut,
     generate_instance,
     scaled_ints,
-    validate_instance,
 )
 from netdes_cuts.engine import Config, CutPool, cutting_plane_loop
 from netdes_cuts.oracle import BudgetExceededError, brute_force_ip, default_y_bounds, validate_cut, validate_cuts
@@ -986,6 +986,22 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     assert first == loop == {"from_capacity_row": len(inst.arcs)}
 
 
+def test_cstrong_reduces_each_arc_row_once_per_loop(monkeypatch):
+    """``cstrong`` reads each arc's reduced unsplittable row, made once per
+    loop: a loop that separates in two rounds makes one per arc, as a loop
+    of one round does."""
+    calls = []
+    normalize = arc_cuts.normalize_unsplittable
+    monkeypatch.setattr(arc_cuts, "normalize_unsplittable", lambda rel: calls.append(rel.arc) or normalize(rel))
+    inst = generate_instance(seed=0, nodes=4, density=0.6, facilities=(1,), mode="disaggregated", unsplittable=True)
+    rounds = []
+    for max_rounds in (1, 10):
+        calls.clear()
+        rounds.append(len(cutting_plane_loop(inst, Config(families=("cstrong",), max_rounds=max_rounds)).reports))
+        assert sorted(calls) == list(range(len(inst.arcs)))
+    assert rounds == [1, 2]
+
+
 @pytest.mark.parametrize("families", [("flowcutset", "partition"), ("partition",), ("mf", "partition")])
 def test_one_cut_set_relaxation_per_two_partition_per_loop(monkeypatch, families):
     """The ``partition`` family reads its two-partitions off the cut-set
@@ -1637,10 +1653,10 @@ def test_generate_instance_refuses_unsplittable_aggregated_commodities():
     """Unsplittable routing is defined on pair commodities only, so a
     generated instance that no oracle or loop would accept is refused."""
     for mode in ({}, {"mode": "aggregated"}):
-        with pytest.raises(ValueError, match="unsplittable routing requires mode 'disaggregated'"):
+        with pytest.raises(InstanceError, match="unsplittable routing requires disaggregated commodities"):
             generate_instance(seed=1, nodes=3, unsplittable=True, **mode)
     inst = generate_instance(seed=1, nodes=3, mode="disaggregated", unsplittable=True)
-    assert inst.unsplittable and validate_instance(inst) == []
+    assert inst.unsplittable
 
 
 def test_unsplittable_oracle_picks_single_path():
@@ -1987,9 +2003,9 @@ def test_generate_density_one_complete():
 
 
 def test_generated_instances_validate():
+    """``Instance`` refuses data outside the model, so building is the check."""
     for seed in range(25):
-        inst = generate_instance(
+        generate_instance(
             seed=seed, nodes=3 + seed % 4, density=0.3 + (seed % 5) / 10,
             facilities=(1, 3) if seed % 2 else (2,),
         )
-        assert validate_instance(inst) == []

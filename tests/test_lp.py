@@ -533,19 +533,6 @@ def test_failed_float_certificates_fall_back_to_exact(monkeypatch, spoil):
             assert cert.demand_side(inst) > cert.capacity_side(inst, caps)
     assert 10 <= infeasible <= 45
 
-    # a demand node its source cannot reach: refused at any capacity
-    inst = Instance(
-        nodes=[1, 2, 3],
-        arcs=[Arc(1, 3), Arc(2, 1)],
-        facilities=[Facility(1, (F(1), F(1)))],
-        demand=DemandMatrix({(1, 2): F(1)}),
-    )
-    caps = [F(5), F(5)]
-    ok, cert = check_feasible_routing(inst, capacities=caps)
-    assert not ok
-    assert cone_violations(cert, inst) == []
-    assert cert.demand_side(inst) > cert.capacity_side(inst, caps)
-
 
 @pytest.mark.parametrize("spoil", [corrupt_float_answers, stall_float_answers])
 def test_failed_pricing_and_bound_certificates_fall_back_to_exact(monkeypatch, spoil, star_instance):
