@@ -79,7 +79,7 @@ def _parser() -> _Parser:
     )
     run.add_argument("--rounds", type=_ROUNDS, default=50)
     run.add_argument("--eps", type=_EPS, default="1/1000000", help="violation threshold (rational)")
-    run.add_argument("--report", type=_output_path, help="write a JSON report here")
+    run.add_argument("--report", type=_output_path, help="write the JSON report here, on one line")
     run.add_argument("--oracle-ybound", type=_YBOUND, help="also solve the grid oracle with this bound")
     run.add_argument(
         "--dump-lp", type=_output_path, help="write the final relaxation in LP text format"
@@ -164,8 +164,7 @@ def _cmd_run(args, instance) -> int:
     print(f"final bound {result.final_bound:.6g} with {len(result.pool)} pooled cuts")
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report) + "\n")
     if args.dump_lp:
         with open(args.dump_lp, "w") as fh:
             fh.write(result.final_model.to_lp_format())

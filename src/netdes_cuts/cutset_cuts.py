@@ -257,16 +257,6 @@ def cutset_rhs(rel: CutSetRelaxation) -> int:
     return -(-need // inst.sizes_num[0])
 
 
-def cutset_cut(rel: CutSetRelaxation) -> LinearCut | None:
-    """Rounded capacity requirement ``y(A+) >= cutset_rhs(rel)`` on
-    facility 0, the one facility of the instances the family applies to;
-    None when the rhs is not positive or no arc leaves U."""
-    rhs = cutset_rhs(rel)
-    if rhs <= 0 or not rel.A_plus:
-        return None
-    return LinearCut({}, {(a, 0): 1 for a in rel.A_plus}, rhs, "cutset", {"U": rel.U, "rhs": rhs}, den=1)
-
-
 def _cut(
     rel: CutSetRelaxation, scaled: ScaledPoint, Q: tuple[int, ...], winner: tuple, s: int, family: str,
     skip: Container = (),

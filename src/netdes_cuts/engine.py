@@ -20,8 +20,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import combinations
+from functools import cached_property
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +28,7 @@ from . import arc_cuts, cutset_cuts, partition_cuts
 from .core import MAX_DENOMINATOR, ZERO, FractionalPoint, Instance, LinearCut, cut_key, frac
 from .cutset_cuts import ScaledPoint
 from .lp import LPModel, LPSolution, build_relaxation, exact_objective, solve
-from .mir import KnapsackCoverSet, hull_inequalities
+from .mir import KnapsackCoverSet, all_subsequences, hull_inequalities
 
 # Read by the benchmark under these names and not used here: perfbench/bench.py calls
 # engine.validate_cuts and engine.generate_instance, and perfbench/spans.py wraps
@@ -92,27 +91,37 @@ def _checked(candidates: Callable[[Separation, ScaledPoint], Iterable[LinearCut 
 class CoverForm:
     """A built-once candidate as ints at the instance's scale: the pure
     capacity inequality ``sum_m coefs[m] * y_m(arcs) >= rhs``, ``y_m(arcs)``
-    the installations of facility m summed over the arc group ``arcs`` (a
-    frozenset).  ``cut`` is its ``LinearCut``, which holds the same ints
-    over ``den=1``; ``make()``, the family's builder, makes it on first
-    read.  ``normalized_key()`` is the cut's, ``core.cut_key`` of the
-    form's ints, made without building the cut."""
+    the installations of facility m summed over ``arcs``, the frozenset of
+    the ordered arc tuples ``groups``.  ``cut`` is its ``LinearCut`` of
+    ``family``, built on first read from the form's ints over ``den=1``,
+    keyed group by group, facility by facility, arc by arc, with
+    ``params``, a dict (each cut gets its copy) or a function that makes
+    them.  ``normalized_key()`` is the cut's, ``core.cut_key`` of the same
+    ints, made without building the cut."""
 
-    __slots__ = ("arcs", "coefs", "rhs", "make", "_cut", "_key")
+    __slots__ = ("groups", "arcs", "coefs", "rhs", "family", "params", "_items", "_cut", "_key")
 
-    def __init__(self, arcs: frozenset[int], coefs: tuple[int, ...], rhs: int, make: Callable[[], LinearCut]):
-        self.arcs, self.coefs, self.rhs, self.make = arcs, coefs, rhs, make
-        self._cut = self._key = None
+    def __init__(self, groups: Sequence[Sequence[int]], coefs: tuple[int, ...], rhs: int, family: str,
+                 params: dict | Callable[[], dict]):
+        self.groups, self.coefs, self.rhs, self.family, self.params = groups, coefs, rhs, family, params
+        self.arcs = frozenset(a for group in groups for a in group)
+        self._items = self._cut = self._key = None
+
+    def _cap_num(self) -> dict:
+        if self._items is None:
+            self._items = {(a, m): c for group in self.groups for m, c in enumerate(self.coefs) if c for a in group}
+        return self._items
 
     @property
     def cut(self) -> LinearCut:
         if self._cut is None:
-            self._cut = self.make()
+            params = self.params() if callable(self.params) else dict(self.params)
+            self._cut = LinearCut({}, self._cap_num(), self.rhs, self.family, params, den=1)
         return self._cut
 
     def normalized_key(self):
         if self._key is None:
-            self._key = cut_key({}, {(a, m): c for a in self.arcs for m, c in enumerate(self.coefs) if c}, self.rhs)
+            self._key = cut_key({}, self._cap_num(), self.rhs)
         return self._key
 
 
@@ -211,12 +220,12 @@ def _mixed_integer_relaxations(sep: Separation, scaled: ScaledPoint) -> int:
 
 def _cutset(sep: Separation):
     """Per relaxation with an arc U -> V and a positive rounded
-    requirement (``cutset_cuts.cutset_rhs``), the form of its
-    ``cutset_cut``: ``y(A+) >= rhs`` on the one facility."""
+    requirement (``cutset_cuts.cutset_rhs``), the form ``y(A+) >= rhs``
+    on the one facility."""
     for rel in sep.relaxations:
         rhs = cutset_cuts.cutset_rhs(rel)
         if rhs > 0 and rel.A_plus:
-            yield CoverForm(frozenset(rel.A_plus), (1,), rhs, partial(cutset_cuts.cutset_cut, rel))
+            yield CoverForm((rel.A_plus,), (1,), rhs, "cutset", {"U": rel.U, "rhs": rhs})
 
 
 def _partition(sep: Separation):
@@ -225,43 +234,38 @@ def _partition(sep: Separation):
     two-partition's cover rhs, demand(U->V) - cbar(A+) times the
     instance's scale, is read off its cut-set relaxation (a positive
     ``b_k`` is commodity k's demand into V), a three-partition's crossing
-    arcs and block-pair sums off one ``NodePairTable``.  Many partitions
-    share a cover set, keyed by its rhs times that scale, and each
-    distinct cover's hull is computed once.  A form's cut is built by
-    ``expand_knapsack_cut`` or, for a winner, by ``total_capacity_cut`` of
-    the partition's shrink; a partition without a crossing arc or a
-    facility, or a hull inequality without a nonzero coefficient, has no
-    form, as those builders would give None."""
+    groups and block-pair nets off one ``NodePairTable``, and its rhs,
+    family and params from ``partition_cuts.total_capacity`` of the nets.
+    Many partitions share a cover set, keyed by its rhs times that scale,
+    and each distinct cover's hull is computed once.  A partition without
+    a crossing arc or a facility, or a hull inequality without a nonzero
+    coefficient, has no form."""
     instance = sep.instance
     capacities = tuple(int(f.capacity) for f in instance.facilities)
     hulls: dict[int, list] = {}
 
-    def hull_forms(b: int, arcs: Sequence[int], group: frozenset[int], params: dict):
+    def hull_forms(b: int, arcs: Sequence[int], params: dict):
         if b not in hulls:
             hulls[b] = hull_inequalities(KnapsackCoverSet(capacities, Fraction(b, instance.scale)))
-        for ineq in hulls[b]:
-            if any(ineq[0]):
-                yield CoverForm(group, *ineq, partial(partition_cuts.expand_knapsack_cut, ineq, arcs, dict(params)))
+        for coefs, rhs in hulls[b]:
+            if any(coefs):
+                yield CoverForm((arcs,), coefs, rhs, "partition", params)
 
     for rel in sep.relaxations:
         b = sum(v for v in rel.b_num if v > 0) - sum(instance.cbar_num[ai] for ai in rel.A_plus)
         if b > 0 and rel.A_plus:
-            yield from hull_forms(b, rel.A_plus, frozenset(rel.A_plus), {"blocks": (rel.U, rel.V)})
+            yield from hull_forms(b, rel.A_plus, {"blocks": (rel.U, rel.V)})
     table = partition_cuts.NodePairTable(instance)
-
-    def winner(part: partition_cuts.NodePartition) -> LinearCut:
-        return partition_cuts.total_capacity_cut(table.shrink(part))
-
     for part in _three_partitions(instance):
-        crossing, net = table.crossing(part)
-        if not crossing or not any(capacities):
+        groups, nets = table.crossing(part)
+        if not groups or not any(capacities):
             continue
-        group = frozenset(crossing)
-        rhs = partition_cuts.total_capacity_rhs(net, instance.scale)
-        yield CoverForm(group, capacities, rhs, partial(winner, part))
+        rhs, family, params = partition_cuts.total_capacity(nets, instance.scale, part.blocks)
+        yield CoverForm(groups, capacities, rhs, family, params)
         if rhs > 0:
             # the cover over per-facility totals that the winner implies
-            yield from hull_forms(rhs * instance.scale, crossing, group, {"from": "total-capacity"})
+            crossing = tuple(ai for group in groups for ai in group)
+            yield from hull_forms(rhs * instance.scale, crossing, {"from": "total-capacity"})
 
 
 # table order is admission order.  One cut-set pass runs per instance:
@@ -508,7 +512,7 @@ class Separation:
         ``Q_SUBSET_LIMIT`` commodities, where ``_commodity_subsets`` reads no
         point; else None."""
         n = len(self.instance.commodities)
-        return _all_subsets(n) if n <= Q_SUBSET_LIMIT else None
+        return list(all_subsequences(n)) if n <= Q_SUBSET_LIMIT else None
 
     @cached_property
     def capacity_rows(self) -> list[arc_cuts.ArcSetRelaxation]:
@@ -605,11 +609,6 @@ def _three_partitions(instance: Instance):
             yield partition_cuts.NodePartition.of(*blocks)
 
 
-def _all_subsets(n: int) -> list[tuple[int, ...]]:
-    """Every nonempty subset of ``range(n)``, by size, each in ``combinations`` order."""
-    return [Q for size in range(1, n + 1) for Q in combinations(range(n), size)]
-
-
 def _commodity_subsets(rel, scaled: ScaledPoint):
     """Every nonempty commodity subset up to ``Q_SUBSET_LIMIT``
     commodities; above it the full set, the positive-demand set, the
@@ -619,7 +618,7 @@ def _commodity_subsets(rel, scaled: ScaledPoint):
     the alternation stops there."""
     n = len(rel.b_num)
     if n <= Q_SUBSET_LIMIT:
-        yield from _all_subsets(n)
+        yield from all_subsequences(n)
         return
     yielded = set()
     for Q in [tuple(range(n)), rel.positive_commodities()] + [(k,) for k in range(n)]:

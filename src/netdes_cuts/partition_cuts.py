@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import ZERO, Arc, DemandMatrix, Facility, Instance, LinearCut
 from .lp import RoutingCertificate, check_feasible_routing
@@ -105,9 +105,9 @@ class NodePairTable:
             demand=demand,
         )
 
-    def crossing(self, partition: NodePartition) -> tuple[list[int], dict[tuple[int, int], int]]:
-        """The arcs crossing between blocks of ``partition``, group by
-        group as a flattened ``shrink(partition).groups``, and per block
+    def crossing(self, partition: NodePartition) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
+        """The arcs crossing between blocks of ``partition``, one list per
+        block pair in ``shrink(partition).groups`` order, and per block
         pair its ``ShrunkInstance.net``, without a shrink."""
         block_of = {node: bi for bi, block in enumerate(partition.blocks) for node in block}
         net: dict[tuple[int, int], int] = {}
@@ -118,7 +118,7 @@ class NodePairTable:
                 net[pair] = net.get(pair, 0) + t - cbar
                 if ai is not None:
                     groups.setdefault(pair, []).append(ai)
-        return [ai for group in groups.values() for ai in group], net
+        return list(groups.values()), net
 
 
 @dataclass
@@ -265,22 +265,6 @@ def separate_metric(instance: Instance, capacities: Sequence):
     return vector, metric_cut_from_vector(vector, instance)
 
 
-# -- partition inequalities --------------------------------------------------------
-
-
-def expand_knapsack_cut(ineq: tuple[Sequence[int], int], arcs: Sequence[int], params: dict) -> LinearCut | None:
-    """Map a cover-set inequality ``sum alpha_m z_m >= beta``, the ints
-    ``(alpha, beta)`` as ``hull_inequalities`` gives them, onto ``arcs``,
-    with ``z_m`` the installations of facility m summed over them: a
-    ``partition`` cut with ``params``, its ``cap`` keyed facility by
-    facility, arc by arc.  None when no coefficient lands on an arc."""
-    coefs, rhs = ineq
-    cap = {(ai, mi): coef for mi, coef in enumerate(coefs) if coef for ai in arcs}
-    if not cap:
-        return None
-    return LinearCut({}, cap, rhs, "partition", params, den=1)
-
-
 # -- three-partition total-capacity cuts -----------------------------------------
 
 
@@ -333,55 +317,38 @@ def three_partition_metric_cut(instance: Instance, partition: NodePartition) -> 
     return _total_capacity(_integral_shrink(instance, partition), metric=True)
 
 
-def _right_hand_sides(s, t, d, L: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """``(sum_rhs, metric_rhs, total, pair_sums)`` of a three-partition's
-    sums (``_three_partition_sums``) at scale ``L``: the cut-set sum's and
-    the paired metric's right-hand sides, the rounded sum of ``s`` and
-    ``t`` and the three rounded pair sums of ``d``, largest first."""
-    total = sum(_ceil_div(v, L) for v in (*s, *t))
-    up = {pair: _ceil_div(v, L) for pair, v in d.items()}
+def total_capacity(nets: dict[tuple[int, int], int], scale: int, blocks: tuple,
+                   metric: bool | None = None) -> tuple[int, str, Callable[[], dict]]:
+    """``(rhs, family, params)`` of the cut-set-sum (``metric`` False) or
+    metric (True) total-capacity cut of the three-partition ``blocks``
+    whose block pairs have the nets ``nets`` (``NodePairTable.crossing``)
+    at ``scale``, or with ``metric`` None of the stronger, the cut-set sum
+    on a tie; both right-hand sides are computed on ints, and ``params()``
+    makes the cut's params."""
+    s, t, d = _three_partition_sums(nets)
+    total = sum(_ceil_div(v, scale) for v in (*s, *t))
+    up = {pair: _ceil_div(v, scale) for pair, v in d.items()}
     pair_sums = tuple(sorted((up[0, 1] + up[2, 1], up[1, 0] + up[2, 0], up[0, 2] + up[1, 2]), reverse=True))
-    return _ceil_div(total, 2), max(_ceil_div(pair_sums[0] + pair_sums[1], 2), 0), total, pair_sums
-
-
-def total_capacity_rhs(nets: dict[tuple[int, int], int], scale: int) -> int:
-    """The right-hand side of ``total_capacity_cut``'s cut of a
-    three-partition whose block pairs have the nets ``nets``
-    (``NodePairTable.crossing``) at ``scale``: the larger of the two."""
-    sum_rhs, metric_rhs, _, _ = _right_hand_sides(*_three_partition_sums(nets), scale)
-    return max(sum_rhs, metric_rhs)
-
-
-def total_capacity_cut(shrunk: ShrunkInstance) -> LinearCut | None:
-    """The stronger of the two total-capacity cuts of a shrunk
-    three-partition of an instance with integer facility sizes, the cut-set
-    sum on a tie, with only that one built; None without crossing
-    arcs."""
-    return _total_capacity(shrunk, metric=None)
+    sum_rhs, metric_rhs = _ceil_div(total, 2), max(_ceil_div(pair_sums[0] + pair_sums[1], 2), 0)
+    if metric or (metric is None and metric_rhs > sum_rhs):
+        return metric_rhs, "threepartition-metric", lambda: {
+            "blocks": blocks, "pair_sums": pair_sums, "d": {pair: Fraction(v, scale) for pair, v in d.items()}}
+    return sum_rhs, "threepartition", lambda: {
+        "blocks": blocks, "s": tuple(Fraction(v, scale) for v in s), "t": tuple(Fraction(v, scale) for v in t),
+        "sum": total, "rounded": total % 2 == 1}
 
 
 def _total_capacity(shrunk: ShrunkInstance, metric: bool | None) -> LinearCut | None:
-    """The cut-set-sum (``metric`` False) or metric (True) total-capacity
-    cut of a shrunk three-partition, or with ``metric`` None the stronger,
-    the cut-set sum on a tie: ``c_m`` on every crossing ``y`` (integer
-    facility sizes) and both right-hand sides computed on ints; None
-    without crossing arcs."""
+    """The ``total_capacity`` cut of a shrunk three-partition: ``c_m`` on
+    every crossing ``y`` (integer facility sizes); None without crossing
+    arcs."""
     if shrunk.partition.p != 3:
         raise ValueError("expected a three-block partition")
-    L = shrunk.scale
-    s, t, d = _three_partition_sums({pair: shrunk.net(pair) for pair in _ORDERED_PAIRS})
-    sum_rhs, metric_rhs, total, pair_sums = _right_hand_sides(s, t, d, L)
+    nets = {pair: shrunk.net(pair) for pair in _ORDERED_PAIRS}
+    rhs, family, params = total_capacity(nets, shrunk.scale, shrunk.partition.blocks, metric)
     sizes = [int(f.capacity) for f in shrunk.base.facilities]
     cap = {(ai, mi): c for group in shrunk.groups.values() for mi, c in enumerate(sizes) for ai in group}
-    if not cap:
-        return None
-    blocks = shrunk.partition.blocks
-    if metric or (metric is None and metric_rhs > sum_rhs):
-        params = {"blocks": blocks, "pair_sums": pair_sums, "d": {pair: Fraction(v, L) for pair, v in d.items()}}
-        return LinearCut({}, cap, metric_rhs, "threepartition-metric", params, den=1)
-    s, t = tuple(Fraction(v, L) for v in s), tuple(Fraction(v, L) for v in t)
-    params = {"blocks": blocks, "s": s, "t": t, "sum": total, "rounded": total % 2 == 1}
-    return LinearCut({}, cap, sum_rhs, "threepartition", params, den=1)
+    return LinearCut({}, cap, rhs, family, params(), den=1) if cap else None
 
 
 # -- partition generators ---------------------------------------------------------

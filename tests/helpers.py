@@ -6,8 +6,9 @@ decided by enumerating feasible points, optima by scanning integer
 capacities with a plain LP (or by full enumeration), and separation claims
 by exhaustive subset search.  The checkers are the constructions of the
 paper that no run of the library calls: facet and maximality tests, the
-single rounding step, cone membership of a metric vector, and the
-one-facility and multi-facility cut-set cuts for a given arc selection.
+single rounding step, cone membership of a metric vector, the
+one-facility and multi-facility cut-set cuts for a given arc selection,
+and the former builders of the ``cutset`` and ``partition`` cuts.
 The ``reference_*`` functions are former implementations (mostly in
 ``Fraction``s) that the library's integer paths are compared with.
 """
@@ -326,6 +327,49 @@ def multifacility_cutset_cut(rel, sel):
     """Flow-cut-set cut with subadditive coefficients for every facility,
     rounded on the base facility ``sel.facility`` (see ``cutset_cuts._cut``)."""
     return _zero_point_cut(rel, sel, "mf")
+
+
+# -- the former builders of the built-once cuts -------------------------------------
+# The loop builds each ``cutset`` and ``partition`` cut from its ``engine.CoverForm``;
+# these builders, which the package once called, are the references the forms'
+# cuts are checked against.
+
+
+def cutset_cut(rel):
+    """Rounded capacity requirement ``y(A+) >= cutset_rhs(rel)`` on
+    facility 0, the one facility of the instances the family applies to;
+    None when the rhs is not positive or no arc leaves U."""
+    from netdes_cuts.core import LinearCut
+    from netdes_cuts.cutset_cuts import cutset_rhs
+
+    rhs = cutset_rhs(rel)
+    if rhs <= 0 or not rel.A_plus:
+        return None
+    return LinearCut({}, {(a, 0): 1 for a in rel.A_plus}, rhs, "cutset", {"U": rel.U, "rhs": rhs}, den=1)
+
+
+def expand_knapsack_cut(ineq, arcs, params):
+    """Map a cover-set inequality ``sum alpha_m z_m >= beta``, the ints
+    ``(alpha, beta)`` as ``hull_inequalities`` gives them, onto ``arcs``,
+    with ``z_m`` the installations of facility m summed over them: a
+    ``partition`` cut with ``params``, its ``cap`` keyed facility by
+    facility, arc by arc.  None when no coefficient lands on an arc."""
+    from netdes_cuts.core import LinearCut
+
+    coefs, rhs = ineq
+    cap = {(ai, mi): coef for mi, coef in enumerate(coefs) if coef for ai in arcs}
+    if not cap:
+        return None
+    return LinearCut({}, cap, rhs, "partition", params, den=1)
+
+
+def total_capacity_cut(shrunk):
+    """The stronger of the two total-capacity cuts of a shrunk
+    three-partition of an instance with integer facility sizes, the
+    cut-set sum on a tie; None without crossing arcs."""
+    from netdes_cuts import partition_cuts
+
+    return partition_cuts._total_capacity(shrunk, metric=None)
 
 
 # -- arc sets -------------------------------------------------------------------
@@ -720,7 +764,7 @@ def reference_separate_all(instance, point, config):
 
     if "cutset" in config.families and single_facility:
         for rel in relaxations:
-            admit(cutset_cuts.cutset_cut(rel), "cutset")
+            admit(cutset_cut(rel), "cutset")
     flowcutset = "flowcutset" in config.families and single_facility
     mf = "mf" in config.families and not single_facility
     if flowcutset or mf:
@@ -744,7 +788,7 @@ def reference_separate_all(instance, point, config):
             crossing = shrunk.groups.get((0, 1), ())
             for ineq in engine.hull_inequalities(cover):
                 blocks = {"blocks": shrunk.partition.blocks}
-                admit(partition_cuts.expand_knapsack_cut(ineq, crossing, blocks), "partition")
+                admit(expand_knapsack_cut(ineq, crossing, blocks), "partition")
         for part in engine._three_partitions(instance):
             candidates = [
                 cut
@@ -995,7 +1039,7 @@ def reference_partition_candidates(instance):
         if cover is not None:
             crossing = shrunk.groups.get((0, 1), ())
             for ineq in hull_inequalities(cover):
-                yield partition_cuts.expand_knapsack_cut(ineq, crossing, {"blocks": shrunk.partition.blocks})
+                yield expand_knapsack_cut(ineq, crossing, {"blocks": shrunk.partition.blocks})
     for part in engine._three_partitions(instance):
         shrunk = reference_shrink(instance, part)
         data = reference_three_partition_data(shrunk)

@@ -137,7 +137,7 @@ def test_run_report_rounds_read_as_asdict_gives_them(tmp_path, monkeypatch):
     report = json.loads(text)
     assert len(report["rounds"]) == 3 and report["gap_closed"] is not None
     expected = dict(report, rounds=[dataclasses.asdict(rep) for rep in results[0].reports])
-    assert text == json.dumps(expected, indent=2) + "\n"
+    assert text == json.dumps(expected) + "\n"
 
 
 def test_run_says_when_the_oracle_grid_routes_nothing(tmp_path, capsys):

@@ -19,7 +19,6 @@ from netdes_cuts.cutset_cuts import (
     GREEDY_ROUNDS,
     ScaledPoint,
     build_cutset,
-    cutset_cut,
     separate_commodity_subset,
     separate_flow_cutset,
     separate_multifacility,
@@ -29,6 +28,7 @@ from netdes_cuts.engine import MAX_DENOMINATOR, Q_SUBSET_LIMIT, _commodity_subse
 from netdes_cuts.oracle import validate_cut
 from helpers import (
     FlowCutSelection,
+    cutset_cut,
     flow_cutset_best_violation,
     flow_cutset_cut,
     in_cutset_mixed_integer_set,

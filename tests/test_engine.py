@@ -28,6 +28,7 @@ from netdes_cuts.oracle import BudgetExceededError, brute_force_ip, default_y_bo
 from helpers import (
     GOLDEN_4_NODE,
     arc_capacity,
+    cutset_cut,
     distinct_cuts,
     in_cutset_mixed_integer_set,
     int_form,
@@ -42,6 +43,7 @@ from helpers import (
     reference_validate_cuts,
     reference_winner_cut,
     select_total_capacity_cut,
+    total_capacity_cut,
 )
 
 
@@ -561,13 +563,15 @@ def test_built_once_forms_decide_as_their_cuts(monkeypatch):
     of criterion 11's instances, each built-once family yields, in order,
     each form whose cut ``LinearCut.violation(scaled, eps)`` admits, with
     that violation as a pair of ints; and each form holds its cut's ints: its
-    coefficients on each arc of its group, its rhs, over ``den=1``."""
+    family, its coefficients on each arc of its groups, keyed group by
+    group, facility by facility, arc by arc, and its rhs, over ``den=1``."""
     forms = points = admitted = 0
     for sep, round_points in _loop_rounds(monkeypatch, LOOP_4N + LOOP_5N + CRITERION_11):
         for form in (form for fixed in sep.fixed.values() for form in fixed):
             cut = form.cut
-            assert (cut.flow_num, cut.den, cut.rhs_num) == ({}, 1, form.rhs)
-            assert cut.cap_num == {(ai, mi): c for mi, c in enumerate(form.coefs) if c for ai in form.arcs}
+            assert (cut.family, cut.flow_num, cut.den, cut.rhs_num) == (form.family, {}, 1, form.rhs)
+            items = [((ai, mi), c) for group in form.groups for mi, c in enumerate(form.coefs) if c for ai in group]
+            assert list(cut.cap_num.items()) == items and form.arcs == {ai for (ai, _), _ in items}
             forms += 1
         for point in round_points:
             scaled = cutset_cuts.ScaledPoint(sep.instance, point)
@@ -612,32 +616,26 @@ def test_the_loop_builds_only_the_built_once_cuts_it_yields(monkeypatch):
 
 
 def test_no_form_is_built_for_a_key_the_pool_holds(monkeypatch):
-    """Over the ``loop-4n`` ladder, a wrapper on each built-once form's
-    ``make`` sees no call for a key its loop's pool already holds, every
-    call builds the cut of the form's key, and the pool keeps each cut
-    built; 145 forms are built."""
-    pools, made, distinct = [], [], engine._distinct_forms
+    """Over the ``loop-4n`` ladder, a wrapper on ``CoverForm.cut`` sees
+    no form's first read for a key its loop's pool already holds, every
+    first read builds the cut of the form's key, and the pool keeps each
+    cut built; 145 forms are built."""
+    pools, made, read = [], [], engine.CoverForm.cut.fget
     pool_init = CutPool.__init__
 
     def recording_pool(pool):
         pool_init(pool)
         pools.append(pool)
 
-    def watched(forms):
-        forms = distinct(forms)
-        for form in forms:
-            def make(form=form, make=form.make):
-                assert form.normalized_key() not in pools[-1]
-                made.append(form)
-                cut = make()
-                assert cut.normalized_key() == form.normalized_key()
-                return cut
-
-            form.make = make
-        return forms
+    def watched(form):
+        if form not in made:  # CoverForm compares by identity
+            assert form.normalized_key() not in pools[-1]
+            made.append(form)
+            assert read(form).normalized_key() == form.normalized_key()
+        return read(form)
 
     monkeypatch.setattr(CutPool, "__init__", recording_pool)
-    monkeypatch.setattr(engine, "_distinct_forms", watched)
+    monkeypatch.setattr(engine.CoverForm, "cut", property(watched))
     for gen, config in LOOP_4N:
         first = len(made)
         pooled = {id(cut) for cut in cutting_plane_loop(generate_instance(**gen), config).pool.cuts()}
@@ -886,14 +884,15 @@ def test_cutset_separators_skip_relaxations_without_cuts(monkeypatch):
     assert mixed_integer > 100 and separated > 50, (mixed_integer, separated)
 
 
-def test_three_partition_shrunk_once(monkeypatch):
+def test_three_partition_winner_is_built_without_a_shrink(monkeypatch):
     """A ``Separation`` makes one node-pair table of the instance, reads
     each two-partition's sums off its cut-set relaxation and derives each
     three-partition's ``s``, ``t`` and ``d`` once for both total-capacity
-    right-hand sides, all with no shrink; a three-partition is shrunk
-    once, when its winner's cut is first read, and its sums derived once
-    more there.  The cut it keeps is the one ``select_total_capacity_cut``
-    (``helpers``) picks from the public builders' pair."""
+    right-hand sides, all with no shrink; reading the winners' cuts
+    shrinks nothing and derives no sums again.  The cut a winner's form
+    builds is the one ``select_total_capacity_cut`` (``helpers``) picks
+    from the public builders' pair, and the former loop builder's
+    (``helpers.total_capacity_cut`` of the partition's shrink)."""
     from netdes_cuts import engine, partition_cuts
 
     calls = {"NodePairTable": 0, "shrink": 0, "_three_partition_sums": 0}
@@ -908,11 +907,11 @@ def test_three_partition_shrunk_once(monkeypatch):
     inst = generate_instance(seed=1, nodes=4, density=0.6, facilities=(1, 3))
     parts = list(engine._three_partitions(inst))
     table = partition_cuts.NodePairTable(inst)
+    want = []
     for part in parts:
-        got = partition_cuts.total_capacity_cut(table.shrink(part))
         pair = (partition_cuts.three_partition_cut(inst, part), partition_cuts.three_partition_metric_cut(inst, part))
-        want = select_total_capacity_cut([cut for cut in pair if cut is not None])
-        assert (got, got.params) == (want, want.params)
+        want.append(select_total_capacity_cut([cut for cut in pair if cut is not None]))
+        assert total_capacity_cut(table.shrink(part)) == want[-1]
     monkeypatch.setattr(partition_cuts.NodePairTable, "__init__",
                         counted("NodePairTable", partition_cuts.NodePairTable.__init__))
     monkeypatch.setattr(partition_cuts.NodePairTable, "shrink", counted("shrink", partition_cuts.NodePairTable.shrink))
@@ -921,17 +920,16 @@ def test_three_partition_shrunk_once(monkeypatch):
     sep = engine.Separation(inst, Config(families=("partition",)))
     assert calls == {"NodePairTable": 1, "shrink": 0, "_three_partition_sums": len(parts)}
     for _ in range(2):
-        winners = [form for form in sep.fixed["partition"] if form.cut.family.startswith("threepartition")]
-        assert calls == {"NodePairTable": 1, "shrink": len(winners), "_three_partition_sums": len(parts) + len(winners)}
-    assert len(winners) == len(parts)
+        winners = [form.cut for form in sep.fixed["partition"] if form.family.startswith("threepartition")]
+        assert calls == {"NodePairTable": 1, "shrink": 0, "_three_partition_sums": len(parts)}
+    assert [(cut, cut.params) for cut in winners] == [(cut, cut.params) for cut in want]
 
 
 def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     """A loop of many rounds makes its node-pair table, sums partitions,
     rounds each distinct cover once and builds relaxations and arc rows
-    exactly as often as a loop of one; it shrinks a three-partition only to
-    build an admitted winner, at most once; families that need none of it
-    build none."""
+    exactly as often as a loop of one; it shrinks no partition; families
+    that need none of it build none."""
     from netdes_cuts import arc_cuts, cutset_cuts, engine, partition_cuts
 
     calls = {}
@@ -959,15 +957,14 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     (one, first), (many, loop), (_, unused) = counts
     assert one == 1 and many >= 2
     parts = len(list(engine._three_partitions(inst)))
-    assert 0 < first.pop("shrink") <= loop.pop("shrink") <= parts
-    assert first == loop and first["NodePairTable"] == 1 and first["crossing"] == parts
+    assert first == loop and first["NodePairTable"] == 1 and first["crossing"] == parts and "shrink" not in first
     # one hull per distinct cover: the covers of the two-partitions with a
     # positive requirement and of the winners with a positive rhs
     table = partition_cuts.NodePairTable(inst)
     covers = {table.shrink(partition_cuts.NodePartition.of(U, V)).net((0, 1))
               for U, V in engine._two_partitions(inst)}
     for part in engine._three_partitions(inst):
-        winner = partition_cuts.total_capacity_cut(table.shrink(part))
+        winner = total_capacity_cut(table.shrink(part))
         if winner is not None:
             covers.add(winner.rhs * table.scale)
     covers = {b for b in covers if b > 0}
@@ -1354,7 +1351,7 @@ def test_pure_capacity_check_has_a_work_budget(monkeypatch):
     and fewer than ``GRID_BUDGET``; rhs 34 walks more."""
     inst = generate_instance(seed=3, nodes=6, density=0.9, facilities=(1,), demand_scale=20)
     relaxations = [cutset_cuts.build_cutset(inst, U, V) for U, V in engine._two_partitions(inst)]
-    cuts = [cut for cut in map(cutset_cuts.cutset_cut, relaxations) if cut is not None]
+    cuts = [cut for cut in map(cutset_cut, relaxations) if cut is not None]
     small = next(cut for cut in cuts if (len(cut.cap_num), cut.rhs_num) == (9, 12))
     wide = max(cuts, key=lambda cut: (len(cut.cap_num), cut.rhs_num))
     assert (len(wide.cap_num), wide.rhs_num) == (9, 34)
@@ -1893,7 +1890,7 @@ def test_unsplittable_flows_are_enumerated_only_for_a_search():
     ``{4}`` (rhs 1 on the 7 arcs leaving node 4) has one pattern below its
     rhs, which the node cut of ``{4}`` refutes."""
     inst = generate_instance(seed=5, nodes=8, density=1.0, facilities=(1,), mode="disaggregated", unsplittable=True)
-    cut = cutset_cuts.cutset_cut(cutset_cuts.build_cutset(inst, [4]))
+    cut = cutset_cut(cutset_cuts.build_cutset(inst, [4]))
     assert cut.rhs == 1 and sorted(cut.cap.values()) == [1] * 7 and not cut.flow
     with pytest.raises(BudgetExceededError, match="more than 400 simple paths"):
         oracle._unsplittable_routings(inst, cycles=False)

@@ -208,6 +208,25 @@ def test_ladder(ladders, ladder):
     assert ladders[ladder] == GOLDEN["ladders"][ladder]
 
 
+def test_a_ladder_pass_shrinks_no_partition(bench, tmp_path, monkeypatch):
+    """One pass over the ``loop-4n`` and ``oracle-sweep`` ladders as their
+    pins are taken, each instance's loop and a read of every built-once
+    candidate's cut, shrinks no partition: every built-once cut is built
+    from its form's ints, a three-partition winner's too.  The loops still
+    build the pinned ``built_by_loops`` cuts."""
+    from netdes_cuts import partition_cuts
+
+    shrunk, shrink = [], partition_cuts.NodePairTable.shrink
+    monkeypatch.setattr(partition_cuts.NodePairTable, "shrink",
+                        lambda table, partition: shrunk.append(partition) or shrink(table, partition))
+    counts = {}
+    for name in ("loop-4n", "oracle-sweep"):
+        del shrunk[:]
+        built = ladder_pins(bench, bench.WORKLOADS[name], tmp_path / name)["built_by_loops"]
+        counts[name] = (len(shrunk), built)
+    assert counts == {"loop-4n": (0, 145), "oracle-sweep": (0, 29)}
+
+
 def test_a_dropped_cut_fails_the_ladder_and_probe_pins(bench, tmp_path, monkeypatch):
     """One cut that a loop would pool, turned away, changes the pins that
     read the pools: a ladder's pooled keys and its params and round

@@ -131,7 +131,9 @@ def test_cut_never_decreases_bound():
         inst = generate_instance(seed=seed + 20, nodes=4, density=0.6, facilities=(1,))
         base = solve(build_relaxation(inst))
         # a valid cut: aggregate capacity must cover total demand somewhere
-        from netdes_cuts.cutset_cuts import build_cutset, cutset_cut
+        from netdes_cuts.cutset_cuts import build_cutset
+
+        from helpers import cutset_cut
 
         for node in inst.nodes:
             rel = build_cutset(inst, [node])

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut, generate_instance
-from netdes_cuts.cutset_cuts import build_cutset, cutset_cut
+from netdes_cuts.cutset_cuts import build_cutset
 from netdes_cuts.engine import Config, cutting_plane_loop
 from netdes_cuts.lp import check_feasible_routing
 from netdes_cuts.mir import KnapsackCoverSet, hull_inequalities
@@ -16,7 +16,6 @@ from netdes_cuts.partition_cuts import (
     THREE_PARTITION_LIMIT,
     _three_partition_sums,
     all_three_partitions,
-    expand_knapsack_cut,
     lift_cut,
     metric_cut_from_vector,
     separate_metric,
@@ -28,7 +27,9 @@ from netdes_cuts.partition_cuts import (
 from conftest import make_triangle
 from helpers import (
     cone_violations,
+    cutset_cut,
     distinct_cuts,
+    expand_knapsack_cut,
     integral_metric_cut,
     knapsack_from_total_capacity,
     reference_knapsack_cover_from_two_partition,
