@@ -19,6 +19,7 @@ from .core import ZERO, Instance, LinearCut, frac, scaled_ints
 
 SPLITTABLE = "splittable"
 UNSPLITTABLE = "unsplittable"
+C_STRONG_ENUMERATION_CAP = 20  # fractional commodities that separate_c_strong enumerates
 
 
 @dataclass
@@ -69,21 +70,20 @@ class ArcSetRelaxation:
         return all(v < 1 for v in self.a) and self.a0 < 1
 
 
-def from_capacity_row(instance: Instance, arc: int, mode: str | None = None) -> ArcSetRelaxation:
+def from_capacity_row(instance: Instance, arc: int) -> ArcSetRelaxation:
     """Divide an arc's capacity row by the size of facility 0.
 
     Commodity demands become the coefficients ``a_i = d_k / c`` and the
-    existing capacity the offset ``a_0``.  Sound only for single-facility
-    instances, the ones the arc-set families apply to.
+    existing capacity the offset ``a_0``; the mode is the instance's.
+    Sound only for single-facility instances, the ones the arc-set
+    families apply to.
     """
     c = instance.facilities[0].capacity
-    if mode is None:
-        mode = UNSPLITTABLE if instance.unsplittable else SPLITTABLE
     demands = tuple(com.total_supply for com in instance.commodities)
     return ArcSetRelaxation(
         a=tuple(d / c for d in demands),
         a0=instance.arcs[arc].existing_capacity / c,
-        mode=mode,
+        mode=UNSPLITTABLE if instance.unsplittable else SPLITTABLE,
         arc=arc,
         facility=0,
         commodities=tuple(range(len(instance.commodities))),
@@ -212,15 +212,12 @@ def c_strong_cut(rel: ArcSetRelaxation, S: Iterable[int]) -> ArcInequality:
 
 
 def separate_c_strong(
-    rel: ArcSetRelaxation,
-    xbar: Mapping[int, Fraction] | Sequence,
-    ybar,
-    enumeration_cap: int = 20,
+    rel: ArcSetRelaxation, xbar: Mapping[int, Fraction] | Sequence, ybar
 ) -> ArcInequality | None:
     """Most violated rounding cut; exact on the fractional support.
 
     Entries at 0 and 1 can be fixed at their values, so only fractional
-    commodities are enumerated.  Beyond ``enumeration_cap`` of them a
+    commodities are enumerated.  Beyond ``C_STRONG_ENUMERATION_CAP`` of them a
     rounding heuristic (include when >= 1/2) runs instead and the result
     carries ``heuristic: True``.
     """
@@ -233,7 +230,7 @@ def separate_c_strong(
     def viol(S):
         return sum((xbar.get(i, ZERO) for i in S), ZERO) - c_strong_value(rel, S) - ybar
 
-    heuristic = len(fracs) > enumeration_cap
+    heuristic = len(fracs) > C_STRONG_ENUMERATION_CAP
     if heuristic:
         candidates = [ones + [i for i in fracs if xbar[i] >= Fraction(1, 2)]]
     else:
@@ -305,12 +302,7 @@ class CoverSpec:
         return cls(ybar=ybar, K0=K0, K1=K1, cover=C, excess=excess, minimal=minimal)
 
 
-def lifted_cover_cut(
-    rel: ArcSetRelaxation,
-    spec: CoverSpec,
-    order: Sequence[int] | None = None,
-    require_minimal: bool = False,
-) -> ArcInequality:
+def lifted_cover_cut(rel: ArcSetRelaxation, spec: CoverSpec, order: Sequence[int] | None = None) -> ArcInequality:
     """Sequentially lifted cover inequality.
 
     The capacity variable is lifted first, taking the largest coefficient
@@ -318,12 +310,10 @@ def lifted_cover_cut(
     whole construction cubic-time).  Pinned variables then enter one at a
     time, fixed-zero before fixed-one, ascending index unless ``order``
     overrides it; every coefficient is the exact optimum of its lifting
-    problem.  Non-minimal covers lift to valid (weaker) inequalities and
-    are allowed unless ``require_minimal``.
+    problem.  Non-minimal covers lift to valid (weaker) inequalities;
+    ``params["minimal"]`` says which kind the cover was.
     """
     _require_normalized(rel)
-    if require_minimal and not spec.minimal:
-        raise ValueError("cover is not minimal")
     C = list(spec.cover)
     rhs = Fraction(len(C) - 1)
 

@@ -18,7 +18,7 @@ import random
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 # Exact scalar type used throughout the package.  Fraction already keeps
 # itself reduced with a positive denominator, which is all we need.
@@ -141,9 +141,6 @@ class DemandMatrix:
 
     def pairs(self) -> list[tuple[int, int, Fraction]]:
         return [(i, j, v) for (i, j), v in sorted(self._t.items())]
-
-    def total(self) -> Fraction:
-        return sum(self._t.values(), ZERO)
 
     def out_of(self, i: int) -> Fraction:
         return sum((v for (s, _), v in self._t.items() if s == i), ZERO)
@@ -319,10 +316,10 @@ class Instance:
     def _expand_flow_costs(self, spec) -> tuple[tuple[Fraction, ...], ...]:
         """Expand a flow-cost spec to a full (arc, commodity) table.
 
-        Accepts a scalar, a per-arc sequence of scalars, a per-arc
-        sequence of mappings keyed by commodity source node, or a per-arc
+        Accepts a scalar, a per-arc sequence of scalars, or a per-arc
         sequence of per-commodity sequences (commodity order is the
-        instance's, which is determined by the demand matrix).
+        instance's, which is determined by the demand matrix).  A mapping
+        entry is refused, naming its arc.
         """
         n_arcs, n_comm = len(self.arcs), len(self.commodities)
         if isinstance(spec, (int, str, Fraction)):
@@ -332,15 +329,12 @@ class Instance:
         if len(spec) != n_arcs:
             raise InstanceError(f"flow cost list has {len(spec)} entries for {n_arcs} arcs")
         table = []
-        for entry in spec:
+        for arc, entry in zip(self.arcs, spec):
             if isinstance(entry, Mapping):
-                table.append(
-                    tuple(
-                        frac(entry.get(c.source, entry.get(str(c.source), 0)))
-                        for c in self.commodities
-                    )
+                raise InstanceError(
+                    f"flow cost of arc ({arc.tail},{arc.head}) is a mapping; give a scalar or a per-commodity list"
                 )
-            elif isinstance(entry, (list, tuple)):
+            if isinstance(entry, (list, tuple)):
                 if len(entry) != n_comm:
                     raise InstanceError(
                         f"per-commodity cost list has {len(entry)} entries for {n_comm} commodities"
@@ -694,7 +688,11 @@ def generate_instance(
     for name, value in (("nodes", nodes), ("demand_scale", demand_scale)):
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name, value in (("existing_capacity_prob", existing_capacity_prob), ("flow_cost_prob", flow_cost_prob)):
+    probabilities = (("existing_capacity_prob", existing_capacity_prob), ("flow_cost_prob", flow_cost_prob))
+    for name, value in (("density", density), *probabilities):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    for name, value in probabilities:
         if not 0 <= value <= 1:
             raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
     if nodes < 2 or not 0 < density < float("inf") or demand_scale < 1:

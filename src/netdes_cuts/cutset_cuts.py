@@ -221,17 +221,15 @@ class IntegerView:
         return got
 
 
-def build_cutset(instance: Instance, U: Iterable[int], V: Iterable[int] | None = None) -> CutSetRelaxation:
-    """Aggregate the design constraints across a node two-partition, each
-    commodity's crossing demand summed on ints at the instance's scale."""
+def build_cutset(instance: Instance, U: Iterable[int]) -> CutSetRelaxation:
+    """Aggregate the design constraints across the node two-partition of U
+    and V, the other nodes in node order, each commodity's crossing demand
+    summed on ints at the instance's scale."""
     U = tuple(dict.fromkeys(U))
-    if V is None:
-        V = tuple(n for n in instance.nodes if n not in set(U))
-    else:
-        V = tuple(dict.fromkeys(V))
-    if not U or not V or set(U) & set(V) or set(U) | set(V) != set(instance.nodes):
-        raise ValueError("(U, V) must be a two-partition of the nodes")
     uset = set(U)
+    V = tuple(n for n in instance.nodes if n not in uset)
+    if not U or not V or len(U) + len(V) != len(instance.nodes):
+        raise ValueError("U must be a nonempty proper subset of the nodes")
     a_plus, a_minus = [], []
     for ai, arc in enumerate(instance.arcs):
         if arc.tail in uset and arc.head not in uset:
@@ -443,23 +441,15 @@ def separate_relaxation(
                     yield cut, (found[2], D * D)
 
 
-def separate_flow_cutset(
-    rel: CutSetRelaxation,
-    Q: Sequence[int],
-    scaled: ScaledPoint,
-    facility: int = 0,
-    skip: Container = (),
-) -> LinearCut | None:
+def separate_flow_cutset(rel: CutSetRelaxation, Q: Sequence[int], scaled: ScaledPoint) -> LinearCut | None:
     """Greedy arc selection for fixed commodities, iterated on the remainder,
     at the point of ``scaled``: the ``separate_relaxation`` pass of
-    ``"flowcutset"`` on one subset Q and one base facility.
+    ``"flowcutset"`` on one subset Q and base facility 0.
 
     Capacity terms ``r*y`` on S+ and ``(c-r)*y`` on S- of the one facility
-    compete strictly with the flow terms; see ``_greedy_scan``.  A winner
-    whose ``normalized_key()`` is in ``skip`` is not returned: None.
+    compete strictly with the flow terms; see ``_greedy_scan``.
     """
-    found = separate_relaxation(rel, scaled, [tuple(Q)], "flowcutset", skip=skip, bases=(facility,))
-    return next((cut for cut, _ in found), None)
+    return next((cut for cut, _ in separate_relaxation(rel, scaled, [tuple(Q)], "flowcutset", bases=(0,))), None)
 
 
 def separate_commodity_subset(
@@ -551,13 +541,11 @@ def separate_multifacility(
 
 
 def two_partitions(nodes: Sequence[int]):
-    """All ordered two-partitions (U listed first) of at most
-    ``PARTITION_LIMIT`` nodes."""
+    """U of every ordered two-partition (U, V) of at most ``PARTITION_LIMIT``
+    nodes, V being the other nodes."""
     nodes = list(nodes)
     n = len(nodes)
     if n > PARTITION_LIMIT:
         raise ValueError("exhaustive partition enumeration is capped")
     for mask in range(1, (1 << n) - 1):
-        U = tuple(nodes[i] for i in range(n) if mask >> i & 1)
-        V = tuple(nodes[i] for i in range(n) if not mask >> i & 1)
-        yield U, V
+        yield tuple(nodes[i] for i in range(n) if mask >> i & 1)

@@ -504,13 +504,13 @@ class Separation:
 
     @cached_property
     def relaxations(self) -> list[cutset_cuts.CutSetRelaxation]:
-        return [cutset_cuts.build_cutset(self.instance, U, V) for U, V in _two_partitions(self.instance)]
+        return [cutset_cuts.build_cutset(self.instance, U) for U in _two_partitions(self.instance)]
 
     @cached_property
     def subsets(self) -> list[tuple[int, ...]] | None:
         """Every nonempty commodity subset, made once when there are at most
-        ``Q_SUBSET_LIMIT`` commodities, where ``_commodity_subsets`` reads no
-        point; else None."""
+        ``Q_SUBSET_LIMIT`` commodities; else None, and each point's subsets
+        come from ``_commodity_subsets``."""
         n = len(self.instance.commodities)
         return list(all_subsequences(n)) if n <= Q_SUBSET_LIMIT else None
 
@@ -573,6 +573,8 @@ def separate_all(sep: Separation, point: FractionalPoint) -> SeparationRound:
 
 
 def _two_partitions(instance: Instance):
+    """U of each two-partition (U, V) the cut-set families read, V being
+    the other nodes."""
     nodes = list(instance.nodes)
     if len(nodes) <= cutset_cuts.PARTITION_LIMIT:
         yield from cutset_cuts.two_partitions(nodes)
@@ -581,15 +583,15 @@ def _two_partitions(instance: Instance):
     seen = set()
     for node in nodes:
         seen.add(frozenset([node]))
-        yield (node,), tuple(n for n in nodes if n != node)
-        yield tuple(n for n in nodes if n != node), (node,)
+        yield (node,)
+        yield tuple(n for n in nodes if n != node)
     for _ in range(N_RANDOM_PARTITIONS):
         size = rng.randint(2, len(nodes) - 2) if len(nodes) > 3 else 1
         U = frozenset(rng.sample(nodes, size))
         if U in seen:
             continue
         seen.add(U)
-        yield tuple(sorted(U)), tuple(sorted(set(nodes) - U))
+        yield tuple(sorted(U))
 
 
 def _three_partitions(instance: Instance):
@@ -610,16 +612,13 @@ def _three_partitions(instance: Instance):
 
 
 def _commodity_subsets(rel, scaled: ScaledPoint):
-    """Every nonempty commodity subset up to ``Q_SUBSET_LIMIT``
-    commodities; above it the full set, the positive-demand set, the
-    singletons and one alternation: the best subset for the full set's
-    greedy arc sets.  The exact subset search keeps up to 2^n - 1 keys, so
-    it is capped at ``cutset_cuts.SUBSET_ENUMERATION_CAP`` commodities and
-    the alternation stops there."""
+    """The commodity subsets of a point above ``Q_SUBSET_LIMIT``
+    commodities: the full set, the positive-demand set, the singletons and
+    one alternation, the best subset for the full set's greedy arc sets.
+    The exact subset search keeps up to 2^n - 1 keys, so it is capped at
+    ``cutset_cuts.SUBSET_ENUMERATION_CAP`` commodities and the alternation
+    stops there."""
     n = len(rel.b_num)
-    if n <= Q_SUBSET_LIMIT:
-        yield from all_subsequences(n)
-        return
     yielded = set()
     for Q in [tuple(range(n)), rel.positive_commodities()] + [(k,) for k in range(n)]:
         if Q and Q not in yielded:

@@ -203,17 +203,16 @@ def solve_lp_many(
     rows: Sequence[tuple],
     objectives: Sequence[Mapping[int, object] | Sequence],
     upper: Mapping[int, object] | None = None,
-    exact: bool = False,
-    max_iter: int | None = None,
 ) -> list[LPResult]:
-    """``solve_lp`` for several objectives over the same feasible set.
+    """``solve_lp`` in floats for several objectives over the same feasible
+    set.
 
     Phase 1 never reads the objective, so it runs once; phase 2 runs for
     each objective on a copy of the phase-1 tableau.  When phase 1 ends
     infeasible or stalled, every entry is that result.  No result keeps its
     tableau.
     """
-    return _solve(n_vars, rows, objectives, upper, exact, max_iter, keep=False)
+    return _solve(n_vars, rows, objectives, upper, False, None, keep=False)
 
 
 def _solve(n_vars, rows, objectives, upper, exact, max_iter, keep) -> list[LPResult]:

@@ -15,7 +15,7 @@ The ``reference_*`` functions are former implementations (mostly in
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import ceil
@@ -732,6 +732,27 @@ def distinct_cuts(cuts):
 # -- the loop's separation -----------------------------------------------------------
 
 
+def two_partition_pairs(instance):
+    """``(U, V)`` of each two-partition the loop reads: U as
+    ``engine._two_partitions`` yields it, V the other nodes in node order."""
+    from netdes_cuts import engine
+
+    for U in engine._two_partitions(instance):
+        yield U, tuple(n for n in instance.nodes if n not in U)
+
+
+def commodity_subsets(rel, scaled):
+    """The commodity subsets the loop's cut-set pass reads for ``rel`` at the
+    point of ``scaled``: every nonempty one up to ``Q_SUBSET_LIMIT``
+    commodities, as ``Separation.subsets`` makes them, else those of
+    ``engine._commodity_subsets``."""
+    from netdes_cuts import engine
+    from netdes_cuts.mir import all_subsequences
+
+    n = len(rel.b_num)
+    return list(all_subsequences(n)) if n <= engine.Q_SUBSET_LIMIT else list(engine._commodity_subsets(rel, scaled))
+
+
 def reference_separate_all(instance, point, config):
     """Reference for ``engine.separate_all``'s candidates, ``(family, cut,
     violation)``: the former if-chain, which rebuilds every candidate each
@@ -759,8 +780,8 @@ def reference_separate_all(instance, point, config):
             for cut in _reference_unsplittable_arc(instance, ai, point):
                 admit(cut, "cstrong")
 
-    partitions = list(engine._two_partitions(instance))
-    relaxations = [cutset_cuts.build_cutset(instance, U, V) for U, V in partitions]
+    partitions = list(two_partition_pairs(instance))
+    relaxations = [cutset_cuts.build_cutset(instance, U) for U, _ in partitions]
 
     if "cutset" in config.families and single_facility:
         for rel in relaxations:
@@ -769,7 +790,7 @@ def reference_separate_all(instance, point, config):
     mf = "mf" in config.families and not single_facility
     if flowcutset or mf:
         scaled = cutset_cuts.ScaledPoint(instance, point)
-        subsets = [list(engine._commodity_subsets(rel, scaled)) for rel in relaxations]
+        subsets = [commodity_subsets(rel, scaled) for rel in relaxations]
     if flowcutset:
         for rel, rel_subsets in zip(relaxations, subsets):
             for Q in rel_subsets:
@@ -1033,7 +1054,7 @@ def reference_partition_candidates(instance):
 
     hull_inequalities = reference_hull_inequalities
 
-    for U, V in engine._two_partitions(instance):
+    for U, V in two_partition_pairs(instance):
         shrunk = reference_shrink(instance, partition_cuts.NodePartition.of(U, V))
         cover = reference_knapsack_cover_from_two_partition(shrunk)
         if cover is not None:
@@ -1072,11 +1093,11 @@ def reference_cutset_candidates(instance):
     rhs."""
     from math import ceil
 
-    from netdes_cuts import engine, partition_cuts
+    from netdes_cuts import partition_cuts
     from netdes_cuts.core import LinearCut
 
     size = instance.facilities[0].capacity
-    for U, V in engine._two_partitions(instance):
+    for U, V in two_partition_pairs(instance):
         shrunk = reference_shrink(instance, partition_cuts.NodePartition.of(U, V))
         small, crossing = shrunk.instance, shrunk.groups.get((0, 1), ())
         cbar = small.arcs[small.arc_index[(0, 1)]].existing_capacity if crossing else ZERO
@@ -1098,7 +1119,7 @@ def _reference_loads(rel, ai, point):
 def reference_rc_arc(instance, ai, point):
     from netdes_cuts import arc_cuts
 
-    rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.SPLITTABLE)
+    rel = replace(arc_cuts.from_capacity_row(instance, ai), mode=arc_cuts.SPLITTABLE)
     xhat = _reference_loads(rel, ai, point)
     ybar = max(point.y.get((ai, 0), ZERO), ZERO)
     ineq = reference_residual_capacity(rel, xhat, ybar)
@@ -1110,7 +1131,7 @@ def reference_rc_arc(instance, ai, point):
 def _reference_unsplittable_arc(instance, ai, point):
     from netdes_cuts import arc_cuts, engine
 
-    rel = arc_cuts.from_capacity_row(instance, ai, mode=arc_cuts.UNSPLITTABLE)
+    rel = arc_cuts.from_capacity_row(instance, ai)  # called on unsplittable instances
     reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
     xhat = _reference_loads(rel, ai, point)
     ybar = max(point.y.get((ai, 0), ZERO), ZERO)
@@ -1138,6 +1159,11 @@ def _reference_unsplittable_arc(instance, ai, point):
 
 
 # -- routing and pure-capacity cuts ----------------------------------------------------
+
+
+def demand_total(instance):
+    """The instance's total demand, the sum of every pair's amount."""
+    return sum((amount for _, _, amount in instance.demand.pairs()), ZERO)
 
 
 def routable(instance, capacities):
@@ -1170,7 +1196,7 @@ def pure_capacity_counterexamples(cut, instance):
     routes, with ample capacity on unkeyed variables (full enumeration,
     each pattern decided by the exact routing LP)."""
     keys = sorted(cut.cap)
-    ample = instance.demand.total()
+    ample = demand_total(instance)
     bounds = [ceil(cut.rhs / cut.cap[k]) for k in keys]
     found = []
     for units in product(*(range(b) for b in bounds)):
@@ -1254,7 +1280,7 @@ def reference_validate_cuts(cuts, instance, ybound):
     def pure_capacity(cut, routings):
         keys = sorted(cut.cap)
         least = min(cut.cap.values())
-        ample = instance.demand.total()
+        ample = demand_total(instance)
 
         def rec(idx, lhs, current):
             if idx == len(keys):

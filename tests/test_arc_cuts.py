@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from netdes_cuts import arc_cuts
 from netdes_cuts.arc_cuts import (
     SPLITTABLE,
     UNSPLITTABLE,
@@ -55,9 +56,10 @@ def test_from_capacity_row_three_commodities():
         facilities=[Facility(3, (F(1),) * 3)],
         demand=DemandMatrix({(1, 4): F(1), (2, 4): F(2), (3, 4): F(2)}),
     )
-    rel = from_capacity_row(inst, 0, mode=SPLITTABLE)
+    rel = from_capacity_row(inst, 0)
     assert rel.a == (F(1, 3), F(2, 3), F(2, 3))
     assert rel.a0 == 0
+    assert rel.mode == SPLITTABLE  # the instance's mode
 
 
 def test_from_capacity_row_existing_capacity_offset():
@@ -78,9 +80,12 @@ def test_from_capacity_row_five_commodities():
         demand=DemandMatrix(
             {(1, 6): F(1), (2, 6): F(1), (3, 6): F(1), (4, 6): F(3, 2), (5, 6): F(2)}
         ),
+        mode="disaggregated",
+        unsplittable=True,
     )
-    rel = from_capacity_row(inst, 0, mode=UNSPLITTABLE)
+    rel = from_capacity_row(inst, 0)
     assert rel.a == (F(1, 3), F(1, 3), F(1, 3), F(1, 2), F(2, 3))
+    assert rel.mode == UNSPLITTABLE
 
 
 def test_normalize_unsplittable():
@@ -315,9 +320,10 @@ def test_separate_c_strong_matches_exhaustive(fu_example):
             assert got.params["violation"] == best
 
 
-def test_separate_c_strong_heuristic_flag(fu_example):
+def test_separate_c_strong_heuristic_flag(monkeypatch, fu_example):
+    monkeypatch.setattr(arc_cuts, "C_STRONG_ENUMERATION_CAP", 2)
     x = [F(1, 2)] * 5
-    cut = separate_c_strong(fu_example, x, F(0), enumeration_cap=2)
+    cut = separate_c_strong(fu_example, x, F(0))
     assert cut is not None and cut.params["heuristic"]
 
 
@@ -398,11 +404,10 @@ def test_lifted_cover_rejects_non_cover(fu_example):
 def test_lifted_cover_minimality_enforcement(fu_example):
     spec = CoverSpec.build(fu_example, 1, K0={1, 2}, K1=set())
     assert not spec.minimal
-    with pytest.raises(ValueError):
-        lifted_cover_cut(fu_example, spec, require_minimal=True)
+    assert lifted_cover_cut(fu_example, spec).params["minimal"] is False
     minimal = CoverSpec.build(fu_example, 1, K0={0, 4}, K1=set())
     assert minimal.minimal
-    lifted_cover_cut(fu_example, minimal, require_minimal=True)
+    assert lifted_cover_cut(fu_example, minimal).params["minimal"] is True
 
 
 def test_lifted_covers_subsume_c_strong(fu_example):
@@ -469,7 +474,7 @@ def test_to_instance_cut_scaling():
         facilities=[Facility(3, (F(1), F(1)))],
         demand=DemandMatrix({(1, 3): F(2), (2, 3): F(1)}),
     )
-    rel = from_capacity_row(inst, 0, mode=SPLITTABLE)
+    rel = from_capacity_row(inst, 0)
     ineq = residual_capacity_cut(rel, (0,))
     cut = to_instance_cut(rel, ineq, "rc")
     # relaxation x is a supply fraction: raw coefficient divides by demand

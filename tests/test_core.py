@@ -27,7 +27,7 @@ from netdes_cuts.core import (
 )
 from netdes_cuts.lp import build_relaxation
 
-from helpers import installation_cost
+from helpers import demand_total, installation_cost
 
 
 rationals = st.fractions(
@@ -249,9 +249,11 @@ def _facilities(*sizes, costs=("1",) * 4):
     (lambda d: {**d, "arcs": [{"tail": 1, "head": 3}, {"tail": 2, "head": 1}],
                 "facilities": _facilities("1", costs=("1",) * 2), "demands": [{"from": 1, "to": 2, "amount": "1"}]},
      "demand 1->2 has no directed path"),
+    # a mapping was read by commodity source, one cost for every pair from that source
+    (lambda d: {**d, "flow_costs": ["1", {"2": "1"}, "1", "1"]}, r"flow cost of arc \(2,3\) is a mapping"),
 ], ids=["sizes-decreasing", "sizes-equal", "costs-per-arc", "unknown-demand-node", "negative-existing-capacity",
         "negative-installation-cost", "unsplittable-aggregated", "unsplittable-negative-flow-cost", "no-path",
-        "unreachable-sink"])
+        "unreachable-sink", "flow-cost-mapping"])
 def test_instance_refuses_data_outside_the_model(edit, problem):
     """Data outside the paper's model is refused where it is built, by
     ``Instance(...)`` and by ``instance_from_dict`` alike, with an
@@ -279,7 +281,7 @@ def test_instance_roundtrip_json():
     inst = build_instance(
         arcs=[Arc(1, 2, F(1, 2))],
         facilities=[Facility(1, (F(2, 3),)), Facility(3, (F(5),))],
-        flow_costs=[{1: "1/4"}],
+        flow_costs=[["1/4"]],
     )
     data = instance_to_dict(inst)
     back = instance_from_dict(data)
@@ -301,13 +303,20 @@ def test_instance_roundtrip_json():
     (dict(facilities=(0.1,)), r"facilities must be ints or Fractions, got \(0\.1,\)"),
     (dict(facilities=(1.5, 3)), r"facilities must be ints or Fractions, got \(1\.5, 3\)"),
     (dict(facilities=(True, 2)), r"facilities must be ints or Fractions, got \(True, 2\)"),
+    (dict(density=True), "density must be a real number, got True"),
+    (dict(density="0.5"), "density must be a real number, got '0.5'"),
+    (dict(existing_capacity_prob=True), "existing_capacity_prob must be a real number, got True"),
+    (dict(existing_capacity_prob=None), "existing_capacity_prob must be a real number, got None"),
+    (dict(flow_cost_prob=False), "flow_cost_prob must be a real number, got False"),
 ])
 def test_generate_instance_refuses_bad_arguments_by_name(bad, message):
     """A float count failed deep in ``random`` (``demand_scale=1.5``: a
     non-integer stop for ``randrange``), a probability outside [0, 1] was
     taken silently, and so was a float facility size, as its binary value
     (``0.1`` gave capacity 3602879701896397/2**55 and scale 2**55), or a
-    bool one, as 0 or 1; each is refused up front, naming the argument."""
+    bool one, as 0 or 1; a bool density or probability was read as 1.0
+    (existing capacity on every arc), a string or None failed in a bare
+    comparison; each is refused up front, naming the argument."""
     with pytest.raises(ValueError, match=message):
         generate_instance(**{"seed": 1, "nodes": 3, **bad})
     generate_instance(seed=1, nodes=3, existing_capacity_prob=0, flow_cost_prob=1)  # the ends are probabilities
@@ -400,7 +409,7 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
         generate_instance(seed=7, nodes=4, density=0.6, facilities=(1,), mode="disaggregated",
                           unsplittable=True),
     ]
-    assert fractional.scale == 60 and seed5.scale == 2 and seed5.demand.total() == 3
+    assert fractional.scale == 60 and seed5.scale == 2 and demand_total(seed5) == 3
     assert len(parallel.arcs) == 3 and parallel.scale == 60 and parallel.cbar_num[0] == 35
     rng = random.Random(30)
     for inst in instances:

@@ -24,10 +24,11 @@ from netdes_cuts.cutset_cuts import (
     separate_multifacility,
     two_partitions,
 )
-from netdes_cuts.engine import MAX_DENOMINATOR, Q_SUBSET_LIMIT, _commodity_subsets
+from netdes_cuts.engine import MAX_DENOMINATOR, Q_SUBSET_LIMIT
 from netdes_cuts.oracle import validate_cut
 from helpers import (
     FlowCutSelection,
+    commodity_subsets,
     cutset_cut,
     flow_cutset_best_violation,
     flow_cutset_cut,
@@ -52,6 +53,14 @@ def two_node_instance(demand=F(1), caps=(1,), cbar=F(0)):
         facilities=[Facility(c, (F(1), F(1))) for c in caps],
         demand=DemandMatrix({(1, 2): demand}),
     )
+
+
+def _flow_cutset(rel, Q, scaled, m, skip=()):
+    """The flow-cut-set cut of Q on base facility m, or None: the
+    single-subset ``separate_relaxation`` pass that ``separate_flow_cutset``
+    runs on facility 0."""
+    found = cutset_cuts.separate_relaxation(rel, scaled, [tuple(Q)], "flowcutset", skip=skip, bases=(m,))
+    return next((cut for cut, _ in found), None)
 
 
 def scored_violation(got, rel, scaled, Q, family, s=0):
@@ -82,8 +91,9 @@ def test_build_cutset_star(star_instance):
 
 def test_build_cutset_matches_demand_sum():
     inst = generate_instance(seed=11, nodes=4, density=0.7)
-    for U, V in two_partitions(inst.nodes):
+    for U in two_partitions(inst.nodes):
         rel = build_cutset(inst, U)
+        V = [n for n in inst.nodes if n not in U]
         for ki, com in enumerate(inst.commodities):
             assert relaxation_b(rel)[ki] == sum((com.w(n) for n in V), F(0))
 
@@ -471,8 +481,7 @@ def _random_separations():
             x={(a, k): _random_coordinate(rng) for a in arcs for k in range(len(inst.commodities))},
             y={(a, m): _random_coordinate(rng) for a in arcs for m in range(len(inst.facilities))},
         )
-        U, V = rng.choice(list(two_partitions(inst.nodes)))
-        yield build_cutset(inst, U, V), pt, rng
+        yield build_cutset(inst, rng.choice(list(two_partitions(inst.nodes)))), pt, rng
 
 
 def _sampled_subsets(rel, rng, count=3):
@@ -529,7 +538,7 @@ def test_separators_match_fraction_reference():
                 pairs = [
                     ("mf", separate_multifacility(rel, m, scaled, Q=Q),
                      reference_multifacility(rel, m, pt, Q=Q, passes=passes_mf)),
-                    ("flowcutset", separate_flow_cutset(rel, Q, scaled, facility=m),
+                    ("flowcutset", _flow_cutset(rel, Q, scaled, m),
                      reference_flow_cutset(rel, Q, pt, facility=m, passes=passes_fcs)),
                 ]
                 for family, got, want in pairs:
@@ -569,7 +578,7 @@ def _resized(rel, m, size):
     inst = rel.instance
     facilities = [Facility(size, f.costs) if mi == m else f for mi, f in enumerate(inst.facilities)]
     copy = Instance(inst.nodes, inst.arcs, facilities, inst.demand, inst.flow_costs, inst.mode, inst.unsplittable, inst.name)
-    return build_cutset(copy, rel.U, rel.V)
+    return build_cutset(copy, rel.U)
 
 
 def test_integer_cut_matches_fraction_reference():
@@ -587,7 +596,7 @@ def test_integer_cut_matches_fraction_reference():
             for m in range(len(rel.instance.facilities)):
                 pairs = [
                     ("mf", separate_multifacility(rel, m, scaled, Q=Q), reference_multifacility(rel, m, pt, Q=Q)),
-                    ("flowcutset", separate_flow_cutset(rel, Q, scaled, facility=m),
+                    ("flowcutset", _flow_cutset(rel, Q, scaled, m),
                      reference_flow_cutset(rel, Q, pt, facility=m)),
                 ]
                 for family, got, want in pairs:
@@ -630,7 +639,7 @@ def test_separators_skip_found_keys():
             for m in range(len(rel.instance.facilities)):
                 for separate in (
                     lambda skip: separate_multifacility(rel, m, scaled, Q=Q, skip=skip),
-                    lambda skip: separate_flow_cutset(rel, Q, scaled, facility=m, skip=skip),
+                    lambda skip: _flow_cutset(rel, Q, scaled, m, skip),
                 ):
                     cut = separate(())
                     if cut is None:
@@ -661,7 +670,7 @@ def test_a_point_changed_in_place_is_separated_as_a_fresh_copy():
 
     inst = generate_instance(seed=3, nodes=4, facilities=(1,))
     pt = solve(build_relaxation(inst)).point(MAX_DENOMINATOR)
-    rel = build_cutset(inst, (1, 2, 3), (4,))
+    rel = build_cutset(inst, (1, 2, 3))
     Q = tuple(range(len(inst.commodities)))
     before = separate_flow_cutset(rel, Q, ScaledPoint(inst, pt))
     assert before is not None and before.violation(pt) == F(1, 4)
@@ -699,7 +708,7 @@ def test_integer_view_follows_the_point():
 
         A, B = random_point(), random_point()
         scaled_A, scaled_B = ScaledPoint(inst, A), ScaledPoint(inst, B)
-        rels = [build_cutset(inst, U, V) for U, V in rng.sample(list(two_partitions(inst.nodes)), 2)]
+        rels = [build_cutset(inst, U) for U in rng.sample(list(two_partitions(inst.nodes)), 2)]
         commodities = range(len(inst.commodities))
         subsets = [Q for n in range(1, len(commodities) + 1) for Q in combinations(commodities, n)]
         for turn, (pt, scaled) in enumerate(((A, scaled_A), (B, scaled_B), (A, scaled_A))):
@@ -710,7 +719,7 @@ def test_integer_view_follows_the_point():
                         _assert_same_cut(separate_multifacility(rel, m, scaled, Q=Q), want)
                         compared += want is not None
                         want = reference_flow_cutset(rel, Q, pt, facility=m)
-                        _assert_same_cut(separate_flow_cutset(rel, Q, scaled, facility=m), want)
+                        _assert_same_cut(_flow_cutset(rel, Q, scaled, m), want)
                         compared += want is not None
             first, second = (scaled.view(rel) for rel in rels)
             assert first.D == second.D == scaled.D and first.y is second.y is scaled.y
@@ -769,7 +778,7 @@ def _mixed_integer_points():
 
 
 def _sampled_relaxations(inst, rng):
-    return [build_cutset(inst, U, V) for U, V in rng.sample(list(two_partitions(inst.nodes)), 4)]
+    return [build_cutset(inst, U) for U in rng.sample(list(two_partitions(inst.nodes)), 4)]
 
 
 def _separations_against_references(rel, pt, scaled, rng):
@@ -783,7 +792,7 @@ def _separations_against_references(rel, pt, scaled, rng):
     for Q in _sampled_subsets(rel, rng, 4):
         for m in range(n_facilities):
             yield separate_multifacility(rel, m, scaled, Q=Q), reference_multifacility(rel, m, pt, Q=Q), True
-            yield (separate_flow_cutset(rel, Q, scaled, facility=m), reference_flow_cutset(rel, Q, pt, facility=m),
+            yield (_flow_cutset(rel, Q, scaled, m), reference_flow_cutset(rel, Q, pt, facility=m),
                    n_facilities == 1)
 
 
@@ -882,8 +891,8 @@ def test_commodity_subset_matches_fraction_reference():
     for n in range(1, 14):
         for trial in range(2 if 9 <= n <= 12 else 6):
             inst = _pair_commodity_instance(rng, n, existing_capacity_prob=0.4 if trial % 2 else 0)
-            U, V = rng.choice([(U, V) for U, V in two_partitions(inst.nodes) if build_cutset(inst, U, V).A_plus])
-            rel = build_cutset(inst, U, V)
+            rel = rng.choice([rel for rel in (build_cutset(inst, U) for U in two_partitions(inst.nodes))
+                              if rel.A_plus])
             S_plus = tuple(a for a in rel.A_plus if rng.random() < 0.6)
             S_minus = tuple(a for a in rel.A_minus if rng.random() < 0.4)
             if trial % 3 == 2:
@@ -915,7 +924,7 @@ def test_commodity_subset_matches_fraction_reference():
     for n in range(2, 9):
         for _ in range(4):
             inst = _pair_commodity_instance(rng, n, existing_capacity_prob=1)
-            rel = rng.choice([rel for rel in (build_cutset(inst, U, V) for U, V in two_partitions(inst.nodes))
+            rel = rng.choice([rel for rel in (build_cutset(inst, U) for U in two_partitions(inst.nodes))
                               if rel.A_plus and rel.A_minus])
             S_plus = tuple(a for a in rel.A_plus if rng.random() < 0.6)
             pt = FractionalPoint(
@@ -945,8 +954,8 @@ def _null_commodity_separations():
             mode="disaggregated", existing_capacity_prob=0.6,
         )
         arcs, facilities = range(len(inst.arcs)), range(len(inst.facilities))
-        for U, V in rng.sample(list(two_partitions(inst.nodes)), 3):
-            rel = build_cutset(inst, U, V)
+        for U in rng.sample(list(two_partitions(inst.nodes)), 3):
+            rel = build_cutset(inst, U)
             null = [k for k, b_k in enumerate(rel.b_num) if b_k == 0]
             if not rel.A_plus or not null:
                 continue
@@ -965,7 +974,7 @@ def _separators(rel, pt, scaled, m):
     return [
         ("mf", lambda Q: separate_multifacility(rel, m, scaled, Q=Q),
          lambda Q: reference_multifacility(rel, m, pt, Q=Q)),
-        ("flowcutset", lambda Q: separate_flow_cutset(rel, Q, scaled, facility=m),
+        ("flowcutset", lambda Q: _flow_cutset(rel, Q, scaled, m),
          lambda Q: reference_flow_cutset(rel, Q, pt, facility=m)),
     ]
 
@@ -1032,7 +1041,7 @@ def _full_sums(rel, pt, view, Q):
 
 def test_subset_flows_from_their_prefix_are_the_full_sums():
     """``IntegerView.commodities`` gives each subset's ``b_Q`` and flows as
-    the full sums do, both in ``_commodity_subsets`` order, where every
+    the full sums do, both in ``commodity_subsets`` order, where every
     subset of two or more commodities up to ``Q_SUBSET_LIMIT`` finds its
     prefix memoized, and shuffled, where a missing prefix is made on the
     way, so that after each call every prefix of the subset is memoized;
@@ -1043,7 +1052,7 @@ def test_subset_flows_from_their_prefix_are_the_full_sums():
     for n in range(Q_SUBSET_LIMIT + 1, 13):
         for _ in range(4):
             inst = _pair_commodity_instance(rng, n, existing_capacity_prob=0.4)
-            rel = rng.choice([rel for rel in (build_cutset(inst, U, V) for U, V in two_partitions(inst.nodes))
+            rel = rng.choice([rel for rel in (build_cutset(inst, U) for U in two_partitions(inst.nodes))
                               if rel.A_plus])
             pt = FractionalPoint(
                 x={(a, k): _random_coordinate(rng) for a in range(len(inst.arcs)) for k in range(n)},
@@ -1052,7 +1061,7 @@ def test_subset_flows_from_their_prefix_are_the_full_sums():
             cases.append((rel, pt))
     checked = alternations = derived = made = 0  # made: a subset of 2 or more whose prefix was made on the way
     for rel, pt in cases:
-        subsets = list(_commodity_subsets(rel, ScaledPoint(rel.instance, pt)))
+        subsets = commodity_subsets(rel, ScaledPoint(rel.instance, pt))
         n = len(rel.b_num)
         alternations += n > Q_SUBSET_LIMIT and len(subsets) > len({tuple(range(n)), rel.positive_commodities()}) + n
         shuffled = rng.sample(subsets, len(subsets))
@@ -1090,8 +1099,8 @@ def test_facet_report_matches_the_fraction_reference():
             y={(a, m): _random_coordinate(rng) for a in arcs for m in facilities},
         )
         scaled = ScaledPoint(inst, pt)
-        for U, V in rng.sample(list(two_partitions(inst.nodes)), 3):
-            rel = build_cutset(inst, U, V)
+        for U in rng.sample(list(two_partitions(inst.nodes)), 3):
+            rel = build_cutset(inst, U)
             for Q in _sampled_subsets(rel, rng, 4):
                 for m in facilities:
                     sel = FlowCutSelection(Q, tuple(a for a in rel.A_plus if rng.random() < 0.5),
@@ -1137,7 +1146,7 @@ def test_one_pass_per_relaxation_matches_the_per_subset_references():
     yielded = refused = skipped = 0
     for rel, pt in cases:
         scaled = ScaledPoint(rel.instance, pt)
-        subsets = list(_commodity_subsets(rel, scaled))
+        subsets = commodity_subsets(rel, scaled)
         winners = {family: _reference_winners(rel, pt, subsets, family) for family in ("flowcutset", "mf")}
         found, want_found = set(), set()
         for eps in (F(1), F(1, 10**6)):

@@ -44,6 +44,7 @@ from helpers import (
     reference_winner_cut,
     select_total_capacity_cut,
     total_capacity_cut,
+    two_partition_pairs,
 )
 
 
@@ -206,9 +207,9 @@ def count_solves(monkeypatch):
     modes = []
 
     def counting(real):
-        def solve(*args, exact=False, **kwargs):
-            modes.append(exact)
-            return real(*args, exact=exact, **kwargs)
+        def solve(*args, **kwargs):
+            modes.append(kwargs.get("exact", False))
+            return real(*args, **kwargs)
 
         return solve
 
@@ -962,7 +963,7 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     # positive requirement and of the winners with a positive rhs
     table = partition_cuts.NodePairTable(inst)
     covers = {table.shrink(partition_cuts.NodePartition.of(U, V)).net((0, 1))
-              for U, V in engine._two_partitions(inst)}
+              for U, V in two_partition_pairs(inst)}
     for part in engine._three_partitions(inst):
         winner = total_capacity_cut(table.shrink(part))
         if winner is not None:
@@ -1006,7 +1007,7 @@ def test_one_cut_set_relaxation_per_two_partition_per_loop(monkeypatch, families
     ordered two-partition, with or without a cut-set family running."""
     built = []
     build_cutset = cutset_cuts.build_cutset
-    monkeypatch.setattr(cutset_cuts, "build_cutset", lambda *args: built.append(args[1:]) or build_cutset(*args))
+    monkeypatch.setattr(cutset_cuts, "build_cutset", lambda *args: built.append(args[1]) or build_cutset(*args))
     for facilities in ((1,), (1, 3)):
         inst = generate_instance(seed=1, nodes=5, density=0.6, facilities=facilities)
         del built[:]
@@ -1350,7 +1351,7 @@ def test_pure_capacity_check_has_a_work_budget(monkeypatch):
     demand scaled by 20 have 9 keys: rhs 12 walks more than 1,000 patterns
     and fewer than ``GRID_BUDGET``; rhs 34 walks more."""
     inst = generate_instance(seed=3, nodes=6, density=0.9, facilities=(1,), demand_scale=20)
-    relaxations = [cutset_cuts.build_cutset(inst, U, V) for U, V in engine._two_partitions(inst)]
+    relaxations = [cutset_cuts.build_cutset(inst, U) for U in engine._two_partitions(inst)]
     cuts = [cut for cut in map(cutset_cut, relaxations) if cut is not None]
     small = next(cut for cut in cuts if (len(cut.cap_num), cut.rhs_num) == (9, 12))
     wide = max(cuts, key=lambda cut: (len(cut.cap_num), cut.rhs_num))
@@ -1592,12 +1593,13 @@ def test_brute_force_redoes_a_stalled_float_point_exactly(monkeypatch):
     modes = []
 
     def float_stalls(real, many):
-        def solve(*args, exact=False, **kwargs):
+        def solve(*args, **kwargs):
+            exact = kwargs.get("exact", False)
             modes.append(exact)
             if not exact:
                 stalled = LPResult("stalled", [], None)
                 return [stalled] * len(args[2]) if many else stalled
-            return real(*args, exact=exact, **kwargs)
+            return real(*args, **kwargs)
 
         return solve
 

@@ -27,6 +27,7 @@ from helpers import (
     GOLDEN_4_NODE,
     cone_violations,
     criterion_10_sample,
+    demand_total,
     reference_build_relaxation,
     reference_point,
     routable,
@@ -400,12 +401,13 @@ def stall_float_answers(monkeypatch):
     modes = []
 
     def stalling(real, many):
-        def stalled(*args, exact=False, **kwargs):
+        def stalled(*args, **kwargs):
+            exact = kwargs.get("exact", False)
             modes.append(exact)
             if not exact:
                 res = LPResult("stalled", [], None)
                 return [res] * len(args[2]) if many else res
-            return real(*args, exact=exact, **kwargs)
+            return real(*args, **kwargs)
 
         return stalled
 
@@ -422,9 +424,10 @@ def corrupt_float_answers(monkeypatch):
     modes = []
 
     def corrupting(real, many):
-        def corrupted(*args, exact=False, **kwargs):
+        def corrupted(*args, **kwargs):
+            exact = kwargs.get("exact", False)
             modes.append(exact)
-            answer = real(*args, exact=exact, **kwargs)
+            answer = real(*args, **kwargs)
             if not exact:
                 for res in answer if many else [answer]:
                     res.x = [0.0] * len(res.x)
@@ -449,7 +452,7 @@ def test_stalled_float_solve_falls_back_to_exact_and_says_so(monkeypatch, star_i
 def test_stalled_float_routing_solve_falls_back_to_exact(monkeypatch):
     modes = stall_float_answers(monkeypatch)
     inst = generate_instance(seed=3, nodes=4, density=0.6)
-    ample = [inst.demand.total()] * len(inst.arcs)
+    ample = [demand_total(inst)] * len(inst.arcs)
     assert check_feasible_routing(inst, capacities=ample) == (True, None)
     ok, cert = check_feasible_routing(inst, capacities=[F(0)] * len(inst.arcs))
     assert not ok and cert.demand_side(inst) > cert.capacity_side(inst, [F(0)] * len(inst.arcs))

@@ -28,6 +28,7 @@ from conftest import make_triangle
 from helpers import (
     cone_violations,
     cutset_cut,
+    demand_total,
     distinct_cuts,
     expand_knapsack_cut,
     integral_metric_cut,
@@ -38,6 +39,7 @@ from helpers import (
     reference_three_partition_data,
     routable,
     select_total_capacity_cut,
+    two_partition_pairs,
 )
 
 
@@ -50,7 +52,7 @@ def test_shrink_singletons_isomorphic():
     sh = shrink(inst, part)
     assert len(sh.instance.nodes) == 4
     assert len(sh.instance.arcs) == len(inst.arcs)
-    assert sh.instance.demand.total() == inst.demand.total()
+    assert demand_total(sh.instance) == demand_total(inst)
     for ai, arc in enumerate(inst.arcs):
         bi, bj = sh.block_of[arc.tail], sh.block_of[arc.head]
         assert sh.instance.arcs[sh.instance.arc_index[(bi, bj)]].existing_capacity == arc.existing_capacity
@@ -73,7 +75,7 @@ def test_shrink_preserves_feasibility():
     part = NodePartition.of(inst.nodes[:2], inst.nodes[2:])
     sh = shrink(inst, part)
     # route everything feasibly in the original, then aggregate
-    caps = [inst.demand.total() for _ in inst.arcs]
+    caps = [demand_total(inst) for _ in inst.arcs]
     ok, _ = check_feasible_routing(inst, capacities=caps)
     assert ok
     agg = [
@@ -166,11 +168,11 @@ def _assert_same_instance(got, want):
 def test_lazy_shrunk_instance_equals_the_eager_build():
     """``ShrunkInstance.instance``, built on first use, equals the former
     eager build field by field, and so do the crossing groups."""
-    from netdes_cuts.engine import _three_partitions, _two_partitions
+    from netdes_cuts.engine import _three_partitions
 
     for gen in LAZY_SHRINK_CASES:
         inst = generate_instance(**gen)
-        parts = [NodePartition.of(U, V) for U, V in _two_partitions(inst)] + list(_three_partitions(inst))
+        parts = [NodePartition.of(U, V) for U, V in two_partition_pairs(inst)] + list(_three_partitions(inst))
         for part in parts:
             lazy, eager = shrink(inst, part), reference_shrink(inst, part)
             assert "instance" not in vars(lazy)  # nothing built until asked

@@ -1,12 +1,20 @@
-"""Every definition in the package has a caller in the package.
+"""Every definition in the package has a caller in the package, and
+every option a caller that sets it.
 
 A function, method or class that only the tests call belongs in
 ``tests/helpers.py``: the package keeps one implementation of each
 construction.  The check is by name.  A method passes when some other
-code of ``src/netdes_cuts`` refers to its name as a ``Name`` or an
-``Attribute``.  Any other function or class passes only on a ``Name``
-or on an ``Attribute`` of a package module's name (``lp.solve_lp_many``),
-so a method call ``obj.f`` does not count for a module function ``f``.
+code of ``src/netdes_cuts`` refers to its name as an ``Attribute``, so
+a local variable of the same name does not count.  Any other function
+or class passes only on a ``Name`` or on an ``Attribute`` of a package
+module's name (``lp.solve_lp_many``), so a method call ``obj.f`` does
+not count for a module function ``f``.
+
+A parameter default that only the tests override is an option no run
+sets: the package uses a constant or works the value out from its
+inputs.  So every default of a ``def`` must be passed by some call in
+the package, matched by name as above, by keyword, by position or
+through ``*args`` or ``**kwargs``.
 
 The benchmark's tracer (``perfbench/spans.py``) replaces definitions by
 name for a traced run, so every name it wraps must exist where it looks.
@@ -42,6 +50,11 @@ KEPT = {
     "partition_cuts.lift_cut": "ROADMAP item 7 shrinks by the LP point and lifts with it",
     "engine.LoopResult.exact_bound": "API: the certified bound of cutting_plane_loop's result",
     "cli.main": "the console script's entry point",
+}
+
+# options kept without a package call that sets them, each for a caller outside it
+KEPT_OPTIONS = {
+    "arc_cuts.lifted_cover_cut.order": "criterion 5 lifts the paper's table row in the sequence [2, 1]",
 }
 
 # names a module imports without using them, each for a caller outside the package
@@ -96,14 +109,11 @@ def _uncalled(trees: dict[str, ast.Module]) -> list[str]:
     parsed source, ``__init__`` among them) that no other code of
     ``trees`` refers to, by the rule of this module's docstring."""
     modules = set(trees)
-    direct: dict[str, int] = {}
-    loose: dict[str, int] = {}
+    direct, attribute = Counter(), Counter()
     for tree in trees.values():
         by_name, by_attribute = _references(tree, modules)
-        for name in by_name:
-            direct[name] = direct.get(name, 0) + 1
-        for name in by_name + by_attribute:
-            loose[name] = loose.get(name, 0) + 1
+        direct.update(by_name)
+        attribute.update(by_attribute)
     exported = _exported(trees["__init__"])
     uncalled = []
     for module, tree in trees.items():
@@ -113,7 +123,7 @@ def _uncalled(trees: dict[str, ast.Module]) -> list[str]:
                 continue
             by_name, by_attribute = _references(node, modules)  # a recursive call is not a caller
             if is_method:
-                callers = loose.get(name, 0) - (by_name + by_attribute).count(name)
+                callers = attribute.get(name, 0) - by_attribute.count(name)
             else:
                 callers = direct.get(name, 0) - by_name.count(name)
             if callers == 0:
@@ -146,6 +156,106 @@ def test_a_module_function_reached_only_as_an_object_attribute_has_no_caller():
     assert _uncalled(trees) == ["a.f"]
     trees["b"] = ast.parse(through_module)
     assert _uncalled(trees) == ["a.Box"]  # the method matches any attribute ``f``
+
+
+def test_a_method_named_only_by_a_local_variable_has_no_caller():
+    """A local ``total`` is not a call of the method ``total``: a method
+    counts as called only through an attribute."""
+    a = "class Box:\n    def total(self):\n        return 1\n\n\ndef f(items):\n    total = sum(items)\n    return total\n"
+    trees = {"a": ast.parse(a), "__init__": ast.parse("from .a import Box, f\n")}
+    assert _uncalled(trees) == ["a.Box.total"]
+    trees["b"] = ast.parse("from .a import Box\n\n\ndef g():\n    return Box().total()\n")
+    assert _uncalled(trees) == ["b.g"]
+
+
+def _options(node: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:
+    """``(name, position)`` of each parameter of ``node`` with a default,
+    the position among the arguments a call passes (after ``self`` or
+    ``cls`` of a method), None for a keyword-only one."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    shift = 1 if is_method and not static else 0
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position``: by
+    keyword, by position, or through ``*args`` or ``**kwargs``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unset_options(trees: dict[str, ast.Module]) -> list[str]:
+    """``definition.parameter`` for each parameter with a default that no
+    call in ``trees`` passes, calls matched by name as ``_uncalled`` matches
+    references: a method's through an attribute, a class's ``__init__``
+    and any other function's by name or on a package module's name.  The
+    names ``__init__`` exports and their methods are the package's API and
+    are not checked, nor are the other dunder methods."""
+    modules = set(trees)
+    by_name, by_attribute = {}, {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                if isinstance(func, ast.Name):
+                    by_name.setdefault(func.id, []).append(call)
+                elif isinstance(func, ast.Attribute):
+                    by_attribute.setdefault(func.attr, []).append(call)
+                    if isinstance(func.value, ast.Name) and func.value.id in modules:
+                        by_name.setdefault(func.attr, []).append(call)
+    exported = _exported(trees["__init__"])
+    unset = []
+    for module, tree in trees.items():
+        for qualname, node, is_method in _definitions(tree, module):
+            if isinstance(node, ast.ClassDef) or qualname.split(".")[1] in exported:
+                continue
+            if node.name == "__init__" and is_method:
+                calls = by_name.get(qualname.split(".")[-2], [])
+            elif node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            else:
+                calls = (by_attribute if is_method else by_name).get(node.name, [])
+            unset += [f"{qualname}.{name}" for name, position in _options(node, is_method)
+                      if not any(_sets(call, name, position) for call in calls)]
+    return unset
+
+
+def test_every_option_in_the_package_is_set_by_a_call_in_it():
+    """A default that only the tests override is an option no run sets:
+    the package uses a constant or works the value out from its inputs.
+    The exceptions are ``KEPT_OPTIONS``, the options of ``KEPT``
+    definitions and the exported API.  Dataclass fields are not
+    parameters of a ``def`` and are outside this check."""
+    unset = [option for option in _unset_options(_package_trees()) if option.rpartition(".")[0] not in KEPT]
+    assert sorted(unset) == sorted(KEPT_OPTIONS)
+
+
+def test_an_option_only_the_tests_set_is_unset():
+    """A default passed by keyword, by position or through ``*args`` or
+    ``**kwargs`` is set; one that no package call passes is not."""
+    a = ("def f(x, cap=20, *, mode=None):\n    return x\n\n\n"
+         "class Box:\n    def __init__(self, size=1):\n        self.size = size\n\n"
+         "    def grow(self, by=1):\n        return by\n")
+    calls = {
+        "none": "f(1)\nBox().grow()\n",
+        "keyword": "f(1, cap=2, mode='x')\nBox(size=2).grow(by=2)\n",
+        "position": "f(1, 2, mode='x')\nBox(2).grow(2)\n",
+        "args": "f(*args)\nBox(*args).grow(*args)\n",
+        "kwargs": "f(1, **kwargs)\nBox(**kwargs).grow(**kwargs)\n",
+    }
+    unset = {}
+    for how, body in calls.items():
+        b = "from . import a\nfrom .a import Box, f\n\n\ndef g(args, kwargs):\n" + "".join(f"    {line}\n" for line in body.splitlines())
+        trees = {"a": ast.parse(a), "b": ast.parse(b), "__init__": ast.parse("from .b import g\n")}
+        unset[how] = _unset_options(trees)
+    assert unset["none"] == ["a.f.cap", "a.f.mode", "a.Box.__init__.size", "a.Box.grow.by"]
+    assert unset["keyword"] == unset["position"] == unset["kwargs"] == []
+    assert unset["args"] == ["a.f.mode"]  # a keyword-only option is set by keyword or **kwargs alone
 
 
 def _wrap_targets():

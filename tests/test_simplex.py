@@ -4,13 +4,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from netdes_cuts import lp
+from netdes_cuts import lp, simplex
 from netdes_cuts.core import generate_instance
 from netdes_cuts.engine import Config, cutting_plane_loop
 from netdes_cuts.lp import RoutingLP, safe_lower_bound
 from netdes_cuts.simplex import _FLOAT, EQ, GE, LE, solve_lp, solve_lp_many
 
 from helpers import GOLDEN_4_NODE, reference_resolve, reference_solve_lp_many, reference_tableau_row
+
+
+def solve_many(n_vars, rows, objectives, upper=None, exact=False):
+    """The answers ``solve_lp_many`` gives in floats; exact ones from
+    ``solve_lp``, once per objective."""
+    if exact:
+        return [solve_lp(n_vars, rows, objective, upper, exact=True) for objective in objectives]
+    return solve_lp_many(n_vars, rows, objectives, upper)
 
 
 def test_min_with_lower_bound_row():
@@ -146,6 +154,9 @@ def test_exact_and_float_agree():
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_solve_lp_many_matches_separate_solves(exact):
+    """One shared phase 1 gives each objective the answer of its own
+    solve; the package solves batches in floats only, so the exact batch
+    is the former kernel's (``reference_solve_lp_many``)."""
     rng = random.Random(5)
     statuses = set()
     for trial in range(30):
@@ -156,7 +167,10 @@ def test_solve_lp_many_matches_separate_solves(exact):
             rows.append((coefs, rng.choice([LE, GE, EQ]), F(rng.randint(0, 6))))
         upper = {j: F(rng.randint(1, 5)) for j in range(n) if rng.random() < 0.7}
         objectives = [{j: F(rng.randint(-2, 4)) for j in range(n)} for _ in range(3)] + [{}]
-        batch = solve_lp_many(n, rows, objectives, upper=upper, exact=exact)
+        if exact:
+            batch = reference_solve_lp_many(n, rows, objectives, upper, exact=True)
+        else:
+            batch = solve_lp_many(n, rows, objectives, upper)
         assert len(batch) == len(objectives)
         for objective, many in zip(objectives, batch):
             one = solve_lp(n, rows, objective, upper=upper, exact=exact)
@@ -177,13 +191,13 @@ def test_negative_or_nan_upper_bound_refused(exact, upper):
     with pytest.raises(ValueError):
         solve_lp(1, [({0: 1}, LE, 5)], {0: 1}, {0: upper}, exact=exact)
     with pytest.raises(ValueError):
-        solve_lp_many(1, [({0: 1}, LE, 5)], [{0: 1}, {}], {0: upper}, exact=exact)
+        solve_many(1, [({0: 1}, LE, 5)], [{0: 1}, {}], {0: upper}, exact)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_an_lp_without_columns_is_optimal_at_zero(exact):
     """No variable and no row: nothing can enter, and the optimum is 0."""
-    for res in (solve_lp(0, [], {}, exact=exact), *solve_lp_many(0, [], [{}, {}], exact=exact)):
+    for res in (solve_lp(0, [], {}, exact=exact), *solve_many(0, [], [{}, {}], exact=exact)):
         assert (res.status, res.x, res.objective, res.duals, res.iterations) == ("optimal", [], 0, [], 0)
         if exact:
             assert type(res.objective) is F
@@ -341,7 +355,10 @@ def test_kernel_matches_reference(monkeypatch, exact):
     statuses = set()
     for n_vars, rows, objectives, upper in lps:
         for max_iter in (None, 1):
-            new = solve_lp_many(n_vars, rows, objectives, upper, exact=exact, max_iter=max_iter)
+            with monkeypatch.context() as patch:
+                if max_iter is not None:
+                    patch.setattr(simplex, "_default_max_iter", lambda layout: max_iter)
+                new = solve_many(n_vars, rows, objectives, upper, exact)
             ref = reference_solve_lp_many(n_vars, rows, objectives, upper, exact=exact, max_iter=max_iter)
             assert len(new) == len(ref) == len(objectives)
             for a, b in zip(new, ref):
