@@ -3,8 +3,8 @@
 A relaxation here is ``sum a_i x_i <= a_0 + y`` with ``x`` either boxed in
 [0,1] (splittable) or binary (unsplittable) and ``y`` integer.  Cuts are
 kept in the natural display form ``sum coef_i x_i <= const + y_coef * y``
-(``ArcInequality``) and mapped back onto raw instance variables by the
-engine using the relaxation's provenance.
+(``ArcInequality``) and mapped back onto raw instance variables of an
+arc by ``to_instance_cut``.
 """
 
 from __future__ import annotations
@@ -39,17 +39,12 @@ class ArcInequality:
 
 @dataclass(frozen=True)
 class ArcSetRelaxation:
-    """Single-arc capacity relaxation over a commodity list."""
+    """Single-arc capacity relaxation ``sum a_i x_i <= a0 + y``, one
+    ``x_i`` per commodity, in ``mode``."""
 
     a: tuple[Fraction, ...]
     a0: Fraction
     mode: str
-    # provenance for mapping cuts back to instance variables
-    arc: int | None = None
-    facility: int | None = None
-    commodities: tuple[int, ...] | None = None
-    demands: tuple[Fraction, ...] | None = None
-    capacity: Fraction | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(frac(v) for v in self.a))
@@ -79,16 +74,10 @@ def from_capacity_row(instance: Instance, arc: int) -> ArcSetRelaxation:
     families apply to.
     """
     c = instance.facilities[0].capacity
-    demands = tuple(com.total_supply for com in instance.commodities)
     return ArcSetRelaxation(
-        a=tuple(d / c for d in demands),
+        a=tuple(com.total_supply / c for com in instance.commodities),
         a0=instance.arcs[arc].existing_capacity / c,
         mode=UNSPLITTABLE if instance.unsplittable else SPLITTABLE,
-        arc=arc,
-        facility=0,
-        commodities=tuple(range(len(instance.commodities))),
-        demands=demands,
-        capacity=c,
     )
 
 
@@ -107,11 +96,6 @@ def normalize_unsplittable(rel: ArcSetRelaxation):
         a=tuple(v - off for v, off in zip(rel.a, offsets)),
         a0=rel.a0 - off0,
         mode=UNSPLITTABLE,
-        arc=rel.arc,
-        facility=rel.facility,
-        commodities=rel.commodities,
-        demands=rel.demands,
-        capacity=rel.capacity,
     )
     return reduced, offsets, off0
 
@@ -286,7 +270,6 @@ class CoverSpec:
     K0: frozenset[int]
     K1: frozenset[int]
     cover: tuple[int, ...]
-    excess: Fraction
     minimal: bool
 
     @classmethod
@@ -299,7 +282,7 @@ class CoverSpec:
         if not C or excess <= 0:
             raise ValueError("remaining variables do not form a cover")
         minimal = all(rel.a[i] >= excess for i in C)
-        return cls(ybar=ybar, K0=K0, K1=K1, cover=C, excess=excess, minimal=minimal)
+        return cls(ybar=ybar, K0=K0, K1=K1, cover=C, minimal=minimal)
 
 
 def lifted_cover_cut(rel: ArcSetRelaxation, spec: CoverSpec, order: Sequence[int] | None = None) -> ArcInequality:
@@ -419,20 +402,17 @@ def _knapsack_max(rel: ArcSetRelaxation, items, cap: Fraction) -> Fraction:
 # -- mapping back to instance variables ----------------------------------------
 
 
-def to_instance_cut(rel: ArcSetRelaxation, ineq: ArcInequality, family: str) -> LinearCut:
-    """Express a relaxation cut over raw flow/installation variables.
+def to_instance_cut(instance: Instance, arc: int, ineq: ArcInequality, family: str) -> LinearCut:
+    """Express a cut of ``arc``'s relaxation (``from_capacity_row``) over
+    raw flow/installation variables.
 
     Relaxation flows are fractions of each commodity's supply, so raw
-    coefficients are scaled by ``1/d_k``; the inequality flips to the
-    ``>=`` orientation used by the pool.
+    coefficients are scaled by ``1/d_k``; the capacity variable is the
+    arc's facility 0, the one facility of the instances the arc-set
+    families apply to; the inequality flips to the ``>=`` orientation used
+    by the pool.
     """
-    if rel.arc is None or rel.demands is None:
-        raise ValueError("relaxation lacks provenance; build it from a capacity row")
-    flow = {}
-    for i, coef in ineq.coefs.items():
-        ki = rel.commodities[i]
-        flow[(rel.arc, ki)] = -coef / rel.demands[i]
-    cap = {(rel.arc, rel.facility): ineq.y_coef}
+    flow = {(arc, k): -coef / instance.commodities[k].total_supply for k, coef in ineq.coefs.items()}
     params = dict(ineq.params)
-    params["arc"] = rel.arc
-    return LinearCut(flow=flow, cap=cap, rhs=-ineq.const, family=family, params=params)
+    params["arc"] = arc
+    return LinearCut(flow=flow, cap={(arc, 0): ineq.y_coef}, rhs=-ineq.const, family=family, params=params)

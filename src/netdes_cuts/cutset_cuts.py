@@ -140,10 +140,10 @@ class ScaledPoint:
 
     def phis(self, s: int, r: int) -> tuple[list[int], list[int]]:
         """``phi+(c_m)`` and ``phi-(c_m)`` of every facility m, D-scaled,
-        rounded on facility ``s`` with remainder r (phi reads no eta)."""
+        rounded on facility ``s`` with remainder r."""
         got = self._phis.get((s, r))
         if got is None:
-            p = PhiParams(s=s, c_s=self.caps[s], r=r, eta=0)
+            p = PhiParams(c_s=self.caps[s], r=r)
             got = self._phis[(s, r)] = ([phi_plus(p, c) for c in self.caps], [phi_minus(p, c) for c in self.caps])
         return got
 

@@ -162,13 +162,13 @@ def _rc(sep: Separation, scaled: ScaledPoint):
     for ai, (Y, cbar) in enumerate(zip(scaled.y, inst.cbar_num)):
         T = arc_cuts.residual_capacity_set(inst.supply_num, cbar, inst.sizes_num[0], scaled.loads(ai), max(Y[0], 0), D)
         if T is not None:
-            rel = sep.capacity_rows[ai]
-            yield arc_cuts.to_instance_cut(rel, arc_cuts.residual_capacity_cut(rel, T), "rc")
+            yield arc_cuts.to_instance_cut(inst, ai, arc_cuts.residual_capacity_cut(sep.capacity_rows[ai], T), "rc")
 
 
 def _cstrong(sep: Separation, scaled: ScaledPoint):
     """Each arc's c-strong, k-split and lifted cover cuts, separated in
     ``Fraction``s made from the ints of ``scaled.loads`` and ``scaled.y``."""
+    inst = sep.instance
     for ai, (rel, (reduced, offsets, off0)) in enumerate(zip(sep.capacity_rows, sep.reduced_rows)):
         xhat = {i: Fraction(*load) for i, load in enumerate(scaled.loads(ai))}
         ybar = Fraction(max(scaled.y[ai][0], 0), scaled.D)
@@ -176,9 +176,9 @@ def _cstrong(sep: Separation, scaled: ScaledPoint):
         yred = ybar + off0 - sum((offsets[i] * xhat[i] for i in range(rel.n)), ZERO)
         best = arc_cuts.separate_c_strong(reduced, xhat, yred)
         if best is not None:
-            yield arc_cuts.to_instance_cut(rel, arc_cuts.back_map_cut(best, offsets, off0), "cstrong")
+            yield arc_cuts.to_instance_cut(inst, ai, arc_cuts.back_map_cut(best, offsets, off0), "cstrong")
             for k in K_SPLIT:
-                yield arc_cuts.to_instance_cut(rel, arc_cuts.k_split_c_strong_cut(rel, best.params["S"], k), "ksplit")
+                yield arc_cuts.to_instance_cut(inst, ai, arc_cuts.k_split_c_strong_cut(rel, best.params["S"], k), "ksplit")
         ones = frozenset(i for i in range(rel.n) if xhat[i] == 1)
         zeros = frozenset(i for i in range(rel.n) if xhat[i] == 0)
         if len(ones) + len(zeros) < rel.n:
@@ -187,7 +187,7 @@ def _cstrong(sep: Separation, scaled: ScaledPoint):
             except ValueError:  # the loads pinned to 0 and 1 leave no cover
                 continue
             lifted = arc_cuts.back_map_cut(arc_cuts.lifted_cover_cut(reduced, spec), offsets, off0)
-            yield arc_cuts.to_instance_cut(rel, lifted, "liftedcover")
+            yield arc_cuts.to_instance_cut(inst, ai, lifted, "liftedcover")
 
 
 def _cutset_pass(family: str):
@@ -586,7 +586,7 @@ def _two_partitions(instance: Instance):
         yield (node,)
         yield tuple(n for n in nodes if n != node)
     for _ in range(N_RANDOM_PARTITIONS):
-        size = rng.randint(2, len(nodes) - 2) if len(nodes) > 3 else 1
+        size = rng.randint(2, len(nodes) - 2)
         U = frozenset(rng.sample(nodes, size))
         if U in seen:
             continue
@@ -596,8 +596,6 @@ def _two_partitions(instance: Instance):
 
 def _three_partitions(instance: Instance):
     nodes = list(instance.nodes)
-    if len(nodes) < 3:
-        return
     if len(nodes) <= partition_cuts.THREE_PARTITION_LIMIT:
         yield from partition_cuts.all_three_partitions(nodes)
         return

@@ -99,18 +99,14 @@ def hull_inequalities(cover: KnapsackCoverSet) -> list[tuple[tuple[int, ...], in
 
 @dataclass(frozen=True)
 class PhiParams:
-    """Rounding data of a base facility: divisor c_s, remainder and eta.
+    """Rounding data of a base facility: divisor c_s and remainder r.
 
     ``c_s`` and ``r`` may be Fractions or, scaled by a common denominator,
-    ints: the phi functions are homogeneous in ``(c, c_s, r)``.  The phi
-    functions read only ``c_s`` and ``r``; ``eta`` is carried for the
-    cut's ``params``, so phi values may be memoized per remainder.
+    ints: the phi functions are homogeneous in ``(c, c_s, r)``.
     """
 
-    s: int
     c_s: Fraction | int
     r: Fraction | int
-    eta: int
 
     def __post_init__(self):
         if not 0 <= self.r < self.c_s:

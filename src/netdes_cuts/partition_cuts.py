@@ -27,10 +27,6 @@ from .lp import RoutingCertificate, check_feasible_routing
 
 THREE_PARTITION_LIMIT = 6  # nodes of an exhaustive three-partition enumeration
 
-# arc weights + node potentials certifying routing infeasibility; also the
-# generator data of a metric inequality
-MetricVector = RoutingCertificate
-
 
 @dataclass(frozen=True)
 class NodePartition:
@@ -62,12 +58,11 @@ class NodePairTable:
     """An instance's demands and existing capacities per ordered node pair,
     as ints, made once and read by every shrink of the instance.
 
-    ``scale`` is the instance's scale (``Instance.scale``), at which its
-    int table (``demand_num``, ``cbar_num``) holds every demand amount and
-    existing capacity.  ``rows`` holds ``(i, j, demand, capacity, arc)``
-    per ordered node pair with an arc or a demand: the pair's demand and
-    existing capacity times ``scale`` and its arc index (parallel arcs are
-    merged, so a pair has at most one arc), or None.  Rows with an arc
+    ``rows`` holds ``(i, j, demand, capacity, arc)`` per ordered node pair
+    with an arc or a demand: the pair's demand and existing capacity times
+    the instance's scale (``Instance.scale``), as its ``demand_num`` and
+    ``cbar_num`` hold them, and its arc index (parallel arcs are merged,
+    so a pair has at most one arc), or None.  Rows with an arc
     come first, in arc index order, so a scan of the rows meets the
     crossing arcs of a partition in index order.
     """
@@ -75,7 +70,6 @@ class NodePairTable:
     def __init__(self, instance: Instance):
         self.instance = instance
         amounts = dict(instance.demand_num)
-        self.scale = instance.scale
         self.rows = [(arc.tail, arc.head, amounts.pop(arc.pair, 0), c, ai)
                      for ai, (arc, c) in enumerate(zip(instance.arcs, instance.cbar_num))]
         self.rows += [(i, j, t, 0, None) for (i, j), t in amounts.items()]
@@ -98,9 +92,7 @@ class NodePairTable:
         return ShrunkInstance(
             base=self.instance,
             partition=partition,
-            block_of=block_of,
             groups={pair: tuple(idxs) for pair, idxs in groups.items()},
-            scale=self.scale,
             capacity=capacity,
             demand=demand,
         )
@@ -129,21 +121,19 @@ class ShrunkInstance:
     ``(bi, bj)``: the original arcs crossing from block bi to block bj (in
     order of their first crossing arc), their summed existing capacity,
     and the summed demand between the two blocks, both sums as ints times
-    ``scale`` (``NodePairTable.scale``).  The cut builders read these
-    sums; ``instance``, the shrunk network as an ``Instance`` with one arc
-    per crossing pair in sorted order, is built on first use.
+    the scale of ``base`` (``Instance.scale``).  The cut builders read
+    these sums; ``instance``, the shrunk network as an ``Instance`` with
+    one arc per crossing pair in sorted order, is built on first use.
     """
 
     base: Instance
     partition: NodePartition
-    block_of: dict[int, int]
     groups: dict[tuple[int, int], tuple[int, ...]]
-    scale: int
     capacity: dict[tuple[int, int], int]
     demand: dict[tuple[int, int], int]
 
     def net(self, pair: tuple[int, int]) -> int:
-        """Demand minus existing capacity from block to block, times ``scale``."""
+        """Demand minus existing capacity from block to block, times the scale of ``base``."""
         return self.demand.get(pair, 0) - self.capacity.get(pair, 0)
 
     @cached_property
@@ -162,9 +152,9 @@ class ShrunkInstance:
         ]
         return Instance(
             nodes=list(range(self.partition.p)),
-            arcs=[Arc(i, j, Fraction(self.capacity[(i, j)], self.scale)) for i, j in pairs],
+            arcs=[Arc(i, j, Fraction(self.capacity[(i, j)], base.scale)) for i, j in pairs],
             facilities=facilities,
-            demand=DemandMatrix({pair: Fraction(t, self.scale) for pair, t in self.demand.items()}),
+            demand=DemandMatrix({pair: Fraction(t, base.scale) for pair, t in self.demand.items()}),
             flow_costs=ZERO,
             mode="aggregated",
             name=f"{base.name}/shrunk{self.partition.p}",
@@ -226,7 +216,7 @@ def _weakly_connected(instance: Instance, nodes: Sequence[int]) -> bool:
 # -- metric inequalities --------------------------------------------------------
 
 
-def metric_cut_from_vector(vector: MetricVector, instance: Instance) -> LinearCut:
+def metric_cut_from_vector(vector: RoutingCertificate, instance: Instance) -> LinearCut:
     """Capacity inequality generated by (v, u)."""
     rhs = vector.demand_side(instance) - sum(
         (instance.arcs[ai].existing_capacity * va for ai, va in vector.v.items()), ZERO
@@ -258,7 +248,7 @@ def separate_metric(instance: Instance, capacities: Sequence):
         return None
     # positive: the certificate's demand side exceeds 0, and its shortest-path potentials are 0 under v = 0
     total = sum(cert.v.values(), ZERO)
-    vector = MetricVector(
+    vector = RoutingCertificate(
         v={ai: va / total for ai, va in cert.v.items()},
         u={key: uv / total for key, uv in cert.u.items()},
     )
@@ -345,7 +335,7 @@ def _total_capacity(shrunk: ShrunkInstance, metric: bool | None) -> LinearCut | 
     if shrunk.partition.p != 3:
         raise ValueError("expected a three-block partition")
     nets = {pair: shrunk.net(pair) for pair in _ORDERED_PAIRS}
-    rhs, family, params = total_capacity(nets, shrunk.scale, shrunk.partition.blocks, metric)
+    rhs, family, params = total_capacity(nets, shrunk.base.scale, shrunk.partition.blocks, metric)
     sizes = [int(f.capacity) for f in shrunk.base.facilities]
     cap = {(ai, mi): c for group in shrunk.groups.values() for mi, c in enumerate(sizes) for ai in group}
     return LinearCut({}, cap, rhs, family, params(), den=1) if cap else None

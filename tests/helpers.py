@@ -573,7 +573,7 @@ def _phi_cut(rel, sel, sizes, family):
     r, eta = _rounding_data(rel, sel.Q, sel.S_plus, sel.S_minus, c_s)
     if r == 0:
         raise ValueError("degenerate remainder; cut is vacuous")
-    p = PhiParams(s=sel.facility, c_s=c_s, r=r, eta=eta)
+    p = PhiParams(c_s=c_s, r=r)
     flow = {}
     for k in sel.Q:
         for a in rel.A_plus:
@@ -632,10 +632,10 @@ def _greedy_fraction(rel, Q, point, s, facilities, prefer_plus, build, max_round
     best, best_viol = None, ZERO
     seen = set()
     for _ in range(max_rounds):
-        r, eta = _rounding_data(rel, Q, s_plus, s_minus, caps[s])
+        r, _ = _rounding_data(rel, Q, s_plus, s_minus, caps[s])
         if r == 0:
             break
-        p = PhiParams(s=s, c_s=caps[s], r=r, eta=eta)
+        p = PhiParams(c_s=caps[s], r=r)
 
         def cap_term(a, phi):
             return sum((phi(p, caps[m]) * point.y.get((a, m), ZERO) for m in facilities), ZERO)
@@ -919,7 +919,6 @@ def reference_shrink(instance, partition):
         base=instance,
         partition=partition,
         instance=small,
-        block_of=block_of,
         arc_groups=arc_groups,
         groups={small.arcs[s_arc].pair: group for s_arc, group in arc_groups.items()},
     )
@@ -1106,13 +1105,13 @@ def reference_cutset_candidates(instance):
             yield LinearCut({}, {(ai, 0): 1 for ai in crossing}, rhs, "cutset", {"U": U, "rhs": rhs})
 
 
-def _reference_loads(rel, ai, point):
+def _reference_loads(instance, ai, point):
     """Per-commodity loads on arc ``ai`` as supply fractions, clamped into
     the unit box, in ``Fraction``s of the ``FractionalPoint``."""
     xhat = {}
-    for i, ki in enumerate(rel.commodities):
-        v = point.x.get((ai, ki), ZERO) / rel.demands[i]
-        xhat[i] = min(max(v, ZERO), F(1))
+    for k, com in enumerate(instance.commodities):
+        v = point.x.get((ai, k), ZERO) / com.total_supply
+        xhat[k] = min(max(v, ZERO), F(1))
     return xhat
 
 
@@ -1120,12 +1119,12 @@ def reference_rc_arc(instance, ai, point):
     from netdes_cuts import arc_cuts
 
     rel = replace(arc_cuts.from_capacity_row(instance, ai), mode=arc_cuts.SPLITTABLE)
-    xhat = _reference_loads(rel, ai, point)
+    xhat = _reference_loads(instance, ai, point)
     ybar = max(point.y.get((ai, 0), ZERO), ZERO)
     ineq = reference_residual_capacity(rel, xhat, ybar)
     if ineq is None:
         return None
-    return arc_cuts.to_instance_cut(rel, ineq, "rc")
+    return arc_cuts.to_instance_cut(instance, ai, ineq, "rc")
 
 
 def _reference_unsplittable_arc(instance, ai, point):
@@ -1133,17 +1132,17 @@ def _reference_unsplittable_arc(instance, ai, point):
 
     rel = arc_cuts.from_capacity_row(instance, ai)  # called on unsplittable instances
     reduced, offsets, off0 = arc_cuts.normalize_unsplittable(rel)
-    xhat = _reference_loads(rel, ai, point)
+    xhat = _reference_loads(instance, ai, point)
     ybar = max(point.y.get((ai, 0), ZERO), ZERO)
     yred = ybar + off0 - sum((offsets[i] * xhat.get(i, ZERO) for i in range(rel.n)), ZERO)
     cuts = []
     best = arc_cuts.separate_c_strong(reduced, xhat, yred)
     if best is not None:
         mapped = arc_cuts.back_map_cut(best, offsets, off0)
-        cuts.append(arc_cuts.to_instance_cut(rel, mapped, "cstrong"))
+        cuts.append(arc_cuts.to_instance_cut(instance, ai, mapped, "cstrong"))
         S = best.params["S"]
         for k in engine.K_SPLIT:
-            cuts.append(arc_cuts.to_instance_cut(rel, arc_cuts.k_split_c_strong_cut(rel, S, k), "ksplit"))
+            cuts.append(arc_cuts.to_instance_cut(instance, ai, arc_cuts.k_split_c_strong_cut(rel, S, k), "ksplit"))
     ones = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 1)
     zeros = frozenset(i for i in range(rel.n) if xhat.get(i, ZERO) == 0)
     if len(ones) + len(zeros) < rel.n:
@@ -1154,7 +1153,7 @@ def _reference_unsplittable_arc(instance, ai, point):
             return cuts
         lifted = arc_cuts.lifted_cover_cut(reduced, spec)
         mapped = arc_cuts.back_map_cut(lifted, offsets, off0)
-        cuts.append(arc_cuts.to_instance_cut(rel, mapped, "liftedcover"))
+        cuts.append(arc_cuts.to_instance_cut(instance, ai, mapped, "liftedcover"))
     return cuts
 
 

@@ -241,7 +241,7 @@ def test_criterion_07_phi_identities():
     for lam in (2, 3):
         for b in (F(5, 2), F(7, 3), F(13, 4)):
             r = b - int(b)
-            p = PhiParams(s=0, c_s=F(1), r=r, eta=int(b) + 1)
+            p = PhiParams(c_s=F(1), r=r)
             ok = ok and phi_plus(p, 1) == r and phi_plus(p, lam) == lam * r
             ok = ok and phi_minus(p, 1) == 1 - r and phi_minus(p, lam) == lam * (1 - r)
     # fractional size: the naive pattern admits a counterexample, the

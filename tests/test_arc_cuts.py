@@ -476,7 +476,7 @@ def test_to_instance_cut_scaling():
     )
     rel = from_capacity_row(inst, 0)
     ineq = residual_capacity_cut(rel, (0,))
-    cut = to_instance_cut(rel, ineq, "rc")
+    cut = to_instance_cut(inst, 0, ineq, "rc")
     # relaxation x is a supply fraction: raw coefficient divides by demand
     assert cut.flow[(0, 0)] == -ineq.coefs[0] / F(2)
     assert (0, 1) not in cut.flow

@@ -9,6 +9,7 @@ import pytest
 from netdes_cuts.cli import main
 from netdes_cuts.core import generate_instance, load_instance
 from netdes_cuts.engine import FAMILIES, RelaxationError, RoundReport, cutting_plane_loop
+from netdes_cuts.oracle import GRID_BUDGET
 from helpers import untimed_report
 
 
@@ -150,6 +151,23 @@ def test_run_says_when_the_oracle_grid_routes_nothing(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--instance", str(inst), "--oracle-ybound", "0", "--report", str(report_path)]) == 0
     assert capsys.readouterr().err == "no feasible installation within the grid\n"
+    report = json.loads(report_path.read_text())
+    assert report["oracle_optimum"] is None and report["gap_closed"] is None
+
+
+def test_the_oracle_refuses_a_grid_over_its_budget(tmp_path, capsys):
+    """A y-grid of more than ``GRID_BUDGET`` points is refused: ``oracle``
+    exits 1 with the reason on stderr, and ``run --oracle-ybound`` says the
+    oracle was skipped, exits 0 and reports no optimum and no gap closed."""
+    inst, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["gen", "--seed", "1", "--nodes", "4", "--density", "0.6", "--facilities", "1,3",
+                 "--out", str(inst)]) == 0
+    capsys.readouterr()
+    refusal = f"y-grid has more than {GRID_BUDGET} points"
+    assert main(["oracle", "--instance", str(inst), "--ybound", "2"]) == 1
+    assert capsys.readouterr() == ("", refusal + "\n")
+    assert main(["run", "--instance", str(inst), "--oracle-ybound", "2", "--report", str(report_path)]) == 0
+    assert capsys.readouterr().err == f"oracle skipped: {refusal}\n"
     report = json.loads(report_path.read_text())
     assert report["oracle_optimum"] is None and report["gap_closed"] is None
 

@@ -101,6 +101,13 @@ def test_rationalize_refuses_a_bound_below_1_as_limit_denominator_does(x, max_de
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float64("inf")])
+def test_rationalize_refuses_nan_and_infinity(x):
+    """An LP value that is not a finite number has no nearest rational."""
+    with pytest.raises(ValueError, match=f"cannot rationalize {x}"):
+        rationalize(x)
+
+
 def test_single_pair_commodity():
     demand = DemandMatrix({(1, 2): F(1)})
     coms = build_aggregated_commodities(demand, [1, 2])
@@ -251,9 +258,20 @@ def _facilities(*sizes, costs=("1",) * 4):
      "demand 1->2 has no directed path"),
     # a mapping was read by commodity source, one cost for every pair from that source
     (lambda d: {**d, "flow_costs": ["1", {"2": "1"}, "1", "1"]}, r"flow cost of arc \(2,3\) is a mapping"),
+    (lambda d: {**d, "demands": d["demands"] + [{"from": 1, "to": 3, "amount": "-1"}]},
+     r"negative demand t\[1,3\] = -1"),
+    (lambda d: {**d, "demands": d["demands"] + [{"from": 1, "to": 1, "amount": "1"}]},
+     r"diagonal demand t\[1,1\] must be zero"),
+    (lambda d: {**d, "commodity_mode": "pairs"}, "unknown commodity mode 'pairs'"),
+    (lambda d: {**d, "flow_costs": ["1", "1"]}, "flow cost list has 2 entries for 4 arcs"),
+    # the two commodities are the aggregated ones of sources 1 and 2
+    (lambda d: {**d, "flow_costs": [["1", "1", "1"], "1", "1", "1"]},
+     "per-commodity cost list has 3 entries for 2 commodities"),
+    (lambda d: {**d, "facilities": _facilities("0")}, "facility capacity 0 not positive"),
 ], ids=["sizes-decreasing", "sizes-equal", "costs-per-arc", "unknown-demand-node", "negative-existing-capacity",
         "negative-installation-cost", "unsplittable-aggregated", "unsplittable-negative-flow-cost", "no-path",
-        "unreachable-sink", "flow-cost-mapping"])
+        "unreachable-sink", "flow-cost-mapping", "negative-demand", "diagonal-demand", "unknown-commodity-mode",
+        "flow-cost-list-length", "per-commodity-cost-list-length", "zero-facility-capacity"])
 def test_instance_refuses_data_outside_the_model(edit, problem):
     """Data outside the paper's model is refused where it is built, by
     ``Instance(...)`` and by ``instance_from_dict`` alike, with an
@@ -432,7 +450,9 @@ def test_instance_scale_is_the_least_int_that_clears_the_data():
                  *(w for net in inst.net_num for w in net.values()))
         assert all(type(v) is int for v in table)
 
-        assert NodePairTable(inst).scale == S
+        # the shrink table holds each pair's demand and existing capacity at the instance's scale
+        assert all(t == S * inst.demand.t(i, j) and c == (0 if ai is None else S * inst.arcs[ai].existing_capacity)
+                   for i, j, t, c, ai in NodePairTable(inst).rows)
         routing = oracle._Routing(inst, [({}, 1)])
         assert routing.scale == S
         if inst.unsplittable:

@@ -967,7 +967,7 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
     for part in engine._three_partitions(inst):
         winner = total_capacity_cut(table.shrink(part))
         if winner is not None:
-            covers.add(winner.rhs * table.scale)
+            covers.add(winner.rhs * inst.scale)
     covers = {b for b in covers if b > 0}
     assert first["hull_inequalities"] == len(covers) > 1
     assert unused == {}
@@ -986,17 +986,18 @@ def test_point_independent_candidates_built_once_per_loop(monkeypatch):
 
 def test_cstrong_reduces_each_arc_row_once_per_loop(monkeypatch):
     """``cstrong`` reads each arc's reduced unsplittable row, made once per
-    loop: a loop that separates in two rounds makes one per arc, as a loop
-    of one round does."""
+    loop: a loop that separates in two rounds reduces each arc's capacity
+    row once, in arc order, as a loop of one round does."""
     calls = []
     normalize = arc_cuts.normalize_unsplittable
-    monkeypatch.setattr(arc_cuts, "normalize_unsplittable", lambda rel: calls.append(rel.arc) or normalize(rel))
+    monkeypatch.setattr(arc_cuts, "normalize_unsplittable", lambda rel: calls.append(rel) or normalize(rel))
     inst = generate_instance(seed=0, nodes=4, density=0.6, facilities=(1,), mode="disaggregated", unsplittable=True)
+    rows = [arc_cuts.from_capacity_row(inst, ai) for ai in range(len(inst.arcs))]
     rounds = []
     for max_rounds in (1, 10):
         calls.clear()
         rounds.append(len(cutting_plane_loop(inst, Config(families=("cstrong",), max_rounds=max_rounds)).reports))
-        assert sorted(calls) == list(range(len(inst.arcs)))
+        assert calls == rows
     assert rounds == [1, 2]
 
 

@@ -209,13 +209,13 @@ def test_integer_iterated_mir_matches_the_reference_on_divisible_hulls(monkeypat
 
 
 def test_phi_zero():
-    p = PhiParams(s=0, c_s=F(3), r=F(2), eta=2)
+    p = PhiParams(c_s=F(3), r=F(2))
     assert phi_plus(p, 0) == 0
     assert phi_minus(p, 0) == 0
 
 
 def test_phi_rejects_degenerate_remainder():
-    p = PhiParams(s=0, c_s=F(3), r=F(0), eta=2)
+    p = PhiParams(c_s=F(3), r=F(0))
     with pytest.raises(ValueError):
         phi_plus(p, 1)
     with pytest.raises(ValueError):
@@ -223,7 +223,7 @@ def test_phi_rejects_degenerate_remainder():
 
 
 def test_phi_two_facility_values():
-    p = PhiParams(s=0, c_s=F(1), r=F(1, 2), eta=1)
+    p = PhiParams(c_s=F(1), r=F(1, 2))
     lam = 2
     assert phi_plus(p, 1) == F(1, 2)
     assert phi_plus(p, lam) == lam * F(1, 2)
@@ -232,7 +232,7 @@ def test_phi_two_facility_values():
 
 
 def test_phi_subadditive_and_monotone_on_grid():
-    p = PhiParams(s=0, c_s=F(3), r=F(2), eta=1)
+    p = PhiParams(c_s=F(3), r=F(2))
     for phi in (phi_plus, phi_minus):
         grid = [F(i, 2) for i in range(0, 25)]
         vals = {g: phi(p, g) for g in grid}
@@ -246,7 +246,7 @@ def test_phi_subadditive_and_monotone_on_grid():
 
 def test_phi_at_base_capacity_equals_remainder():
     for c_s, r in [(F(1), F(1, 2)), (F(3), F(2)), (F(5, 2), F(1, 3))]:
-        p = PhiParams(s=0, c_s=c_s, r=r, eta=1)
+        p = PhiParams(c_s=c_s, r=r)
         assert phi_plus(p, c_s) == r
 
 
@@ -257,8 +257,8 @@ def test_phi_at_base_capacity_equals_remainder():
     lam=st.fractions(min_value=F(1, 12), max_value=40, max_denominator=12),
 )
 def test_phi_homogeneous_fractions(c, c_s, share, lam):
-    p = PhiParams(s=0, c_s=c_s, r=share * c_s, eta=1)
-    scaled = PhiParams(s=0, c_s=lam * c_s, r=lam * share * c_s, eta=1)
+    p = PhiParams(c_s=c_s, r=share * c_s)
+    scaled = PhiParams(c_s=lam * c_s, r=lam * share * c_s)
     for phi in (phi_plus, phi_minus):
         assert phi(scaled, lam * c) == lam * phi(p, c)
 
@@ -271,27 +271,11 @@ def test_phi_homogeneous_fractions(c, c_s, share, lam):
 )
 def test_phi_homogeneous_ints(c, c_s, r, lam):
     r = min(r, c_s - 1)
-    p = PhiParams(s=0, c_s=c_s, r=r, eta=1)
-    scaled = PhiParams(s=0, c_s=lam * c_s, r=lam * r, eta=1)
-    exact = PhiParams(s=0, c_s=F(c_s), r=F(r), eta=1)
+    p = PhiParams(c_s=c_s, r=r)
+    scaled = PhiParams(c_s=lam * c_s, r=lam * r)
+    exact = PhiParams(c_s=F(c_s), r=F(r))
     for phi in (phi_plus, phi_minus):
         value = phi(p, c)
         assert type(value) is int
         assert phi(scaled, lam * c) == lam * value
         assert phi(exact, F(c)) == value
-
-
-@given(
-    c=small_fraction,
-    c_s=st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6),
-    share=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: 0 < t < 1),
-    eta=st.integers(min_value=-50, max_value=50),
-    other=st.integers(min_value=-50, max_value=50),
-)
-def test_phi_reads_no_eta(c, c_s, share, eta, other):
-    """phi depends on c_s and r alone, so a memo keyed on the remainder
-    serves every eta of that remainder."""
-    p = PhiParams(s=0, c_s=c_s, r=share * c_s, eta=eta)
-    q = PhiParams(s=0, c_s=c_s, r=share * c_s, eta=other)
-    for phi in (phi_plus, phi_minus):
-        assert phi(p, c) == phi(q, c)

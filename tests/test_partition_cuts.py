@@ -7,11 +7,10 @@ import pytest
 from netdes_cuts.core import Arc, DemandMatrix, Facility, Instance, LinearCut, generate_instance
 from netdes_cuts.cutset_cuts import build_cutset
 from netdes_cuts.engine import Config, cutting_plane_loop
-from netdes_cuts.lp import check_feasible_routing
+from netdes_cuts.lp import RoutingCertificate, check_feasible_routing
 from netdes_cuts.mir import KnapsackCoverSet, hull_inequalities
 from netdes_cuts.oracle import validate_cut, validate_cuts
 from netdes_cuts.partition_cuts import (
-    MetricVector,
     NodePartition,
     THREE_PARTITION_LIMIT,
     _three_partition_sums,
@@ -53,8 +52,9 @@ def test_shrink_singletons_isomorphic():
     assert len(sh.instance.nodes) == 4
     assert len(sh.instance.arcs) == len(inst.arcs)
     assert demand_total(sh.instance) == demand_total(inst)
+    block_of = {node: bi for bi, (node,) in enumerate(part.blocks)}
     for ai, arc in enumerate(inst.arcs):
-        bi, bj = sh.block_of[arc.tail], sh.block_of[arc.head]
+        bi, bj = block_of[arc.tail], block_of[arc.head]
         assert sh.instance.arcs[sh.instance.arc_index[(bi, bj)]].existing_capacity == arc.existing_capacity
 
 
@@ -179,7 +179,6 @@ def test_lazy_shrunk_instance_equals_the_eager_build():
             _assert_same_instance(lazy.instance, eager.instance)
             assert list(lazy.arc_groups.items()) == list(eager.arc_groups.items())
             assert list(lazy.groups.items()) == list(eager.groups.items())
-            assert lazy.block_of == eager.block_of
 
 
 # -- lifting --------------------------------------------------------------------------
@@ -320,7 +319,7 @@ def test_metric_separation_triangle_directed_vector(triangle_half):
     from netdes_cuts.lp import shortest_path_potentials
 
     u = shortest_path_potentials(triangle_half, v)
-    vec = MetricVector(v=v, u=u)
+    vec = RoutingCertificate(v=v, u=u)
     cut = metric_cut_from_vector(vec, triangle_half)
     assert cut.rhs == F(3, 2)
     rounded = integral_metric_cut(vec, triangle_half)
@@ -334,7 +333,7 @@ def test_metric_cut_cutset_special_case(star_instance):
     from netdes_cuts.lp import shortest_path_potentials
 
     u = shortest_path_potentials(star_instance, v)
-    vec = MetricVector(v=v, u=u)
+    vec = RoutingCertificate(v=v, u=u)
     rounded = integral_metric_cut(vec, star_instance)
     direct = cutset_cut(build_cutset(star_instance, [1]))
     assert rounded.cap == direct.cap and rounded.rhs == direct.rhs
@@ -343,7 +342,7 @@ def test_metric_cut_cutset_special_case(star_instance):
 def test_integral_metric_rejects_fractional():
     inst = make_triangle(F(1, 2))
     pairs = {a.pair: ai for ai, a in enumerate(inst.arcs)}
-    vec = MetricVector(v={pairs[(1, 2)]: F(1, 2)}, u={})
+    vec = RoutingCertificate(v={pairs[(1, 2)]: F(1, 2)}, u={})
     with pytest.raises(ValueError):
         integral_metric_cut(vec, inst)
 
@@ -354,7 +353,7 @@ def test_integral_rounding_identity_when_integral(triangle_half):
     from netdes_cuts.lp import shortest_path_potentials
 
     u = shortest_path_potentials(triangle_half, v)
-    vec = MetricVector(v=v, u={k: F(int(val)) for k, val in u.items()})
+    vec = RoutingCertificate(v=v, u={k: F(int(val)) for k, val in u.items()})
     plain = metric_cut_from_vector(vec, triangle_half)
     rounded = integral_metric_cut(vec, triangle_half)
     assert plain.rhs == rounded.rhs  # already integral
@@ -480,9 +479,9 @@ def test_three_partition_cuts_valid(triangle_half, triangle_third):
 def test_three_partition_data_matches_the_former_computation():
     """Each block pair's traffic minus capacity is computed once and summed:
     ``s``, ``t`` and ``d`` of ``_three_partition_sums`` of the shrink's
-    block-pair nets, over its scale, are the Fractions, in the same order,
-    of the former computation from the shrunk ``Instance``, on every
-    three-partition of 30 generated instances with 4-6 nodes."""
+    block-pair nets, over the instance's scale, are the Fractions, in the
+    same order, of the former computation from the shrunk ``Instance``, on
+    every three-partition of 30 generated instances with 4-6 nodes."""
     checked = 0
     for seed in range(30):
         inst = generate_instance(seed=seed, nodes=4 + seed % 3, density=0.6, facilities=(1, 3) if seed % 2 else (1,))
@@ -491,9 +490,9 @@ def test_three_partition_data_matches_the_former_computation():
             nets = {pair: shrunk.net(pair) for pair in shrunk.demand.keys() | shrunk.groups.keys()}
             s, t, d = _three_partition_sums(nets)
             got = SimpleNamespace(
-                s=tuple(F(v, shrunk.scale) for v in s),
-                t=tuple(F(v, shrunk.scale) for v in t),
-                d={pair: F(v, shrunk.scale) for pair, v in d.items()},
+                s=tuple(F(v, inst.scale) for v in s),
+                t=tuple(F(v, inst.scale) for v in t),
+                d={pair: F(v, inst.scale) for pair, v in d.items()},
             )
             want = reference_three_partition_data(shrunk)
             assert got.s == want.s and got.t == want.t

@@ -1,5 +1,5 @@
-"""Every definition in the package has a caller in the package, and
-every option a caller that sets it.
+"""Every definition in the package has a caller in the package, every
+option a caller that sets it, and every stored field a reader.
 
 A function, method or class that only the tests call belongs in
 ``tests/helpers.py``: the package keeps one implementation of each
@@ -14,7 +14,18 @@ A parameter default that only the tests override is an option no run
 sets: the package uses a constant or works the value out from its
 inputs.  So every default of a ``def`` must be passed by some call in
 the package, matched by name as above, by keyword, by position or
-through ``*args`` or ``**kwargs``.
+through ``*args`` or ``**kwargs``.  A ``*args`` whose name the calling
+function binds once, to a tuple display, passes as many positions as
+the display has items; any other ``*args`` may pass them all.
+
+A value that a class stores and no code reads is dead weight on every
+object.  So each name a class stores, as an annotated class field, by
+``self.name = ...`` or by ``object.__setattr__(self, "name", ...)``,
+must be read as an ``Attribute`` somewhere in the package.  The match is
+by name, so a field that shares its name with a field that is read
+passes (an arc-set relaxation's ``capacity`` did, as
+``Facility.capacity`` is read); nor can the check see a field that holds
+one value or copies one the instance holds.  Those are found by reading.
 
 The benchmark's tracer (``perfbench/spans.py``) replaces definitions by
 name for a traced run, so every name it wraps must exist where it looks.
@@ -55,6 +66,7 @@ KEPT = {
 # options kept without a package call that sets them, each for a caller outside it
 KEPT_OPTIONS = {
     "arc_cuts.lifted_cover_cut.order": "criterion 5 lifts the paper's table row in the sequence [2, 1]",
+    "simplex.solve_lp.max_iter": "ROADMAP item 22: a pivot budget for exact_bound",
 }
 
 # names a module imports without using them, each for a caller outside the package
@@ -181,12 +193,50 @@ def _options(node: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | No
     return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
 
 
-def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+def _tuple_displays(scope) -> dict[str, int]:
+    """Each name that the function or module ``scope`` binds once, to a
+    tuple display without a starred item, with the display's length."""
+    bound = Counter(n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    if not isinstance(scope, ast.Module):
+        bound.update(a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg))
+    return {target.id: len(n.value.elts) for n in ast.walk(scope) if isinstance(n, ast.Assign)
+            for target in n.targets if isinstance(target, ast.Name) and bound[target.id] == 1
+            and isinstance(n.value, ast.Tuple) and not any(isinstance(e, ast.Starred) for e in n.value.elts)}
+
+
+def _calls(tree: ast.Module) -> list[tuple[ast.Call, dict[str, int]]]:
+    """Each call in ``tree`` with the ``_tuple_displays`` of the innermost
+    function around it, or of the module."""
+    found = []
+
+    def visit(node, displays):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, _tuple_displays(child))
+            else:
+                if isinstance(child, ast.Call):
+                    found.append((child, displays))
+                visit(child, displays)
+
+    visit(tree, _tuple_displays(tree))
+    return found
+
+
+def _sets(call: ast.Call, displays: dict[str, int], name: str, position: int | None) -> bool:
     """Whether ``call`` passes the parameter ``name`` at ``position``: by
-    keyword, by position, or through ``*args`` or ``**kwargs``."""
+    keyword, by position, or through ``*args`` or ``**kwargs``.  A
+    ``*args`` named in ``displays`` passes that many positions."""
     if any(k.arg in (name, None) for k in call.keywords):
         return True
-    return position is not None and (len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+    passed = 0
+    for arg in call.args:
+        if not isinstance(arg, ast.Starred):
+            passed += 1
+        elif isinstance(arg.value, ast.Name) and arg.value.id in displays:
+            passed += displays[arg.value.id]
+        else:
+            return position is not None
+    return position is not None and passed > position
 
 
 def _unset_options(trees: dict[str, ast.Module]) -> list[str]:
@@ -199,15 +249,14 @@ def _unset_options(trees: dict[str, ast.Module]) -> list[str]:
     modules = set(trees)
     by_name, by_attribute = {}, {}
     for tree in trees.values():
-        for call in ast.walk(tree):
-            if isinstance(call, ast.Call):
-                func = call.func
-                if isinstance(func, ast.Name):
-                    by_name.setdefault(func.id, []).append(call)
-                elif isinstance(func, ast.Attribute):
-                    by_attribute.setdefault(func.attr, []).append(call)
-                    if isinstance(func.value, ast.Name) and func.value.id in modules:
-                        by_name.setdefault(func.attr, []).append(call)
+        for call, displays in _calls(tree):
+            func = call.func
+            if isinstance(func, ast.Name):
+                by_name.setdefault(func.id, []).append((call, displays))
+            elif isinstance(func, ast.Attribute):
+                by_attribute.setdefault(func.attr, []).append((call, displays))
+                if isinstance(func.value, ast.Name) and func.value.id in modules:
+                    by_name.setdefault(func.attr, []).append((call, displays))
     exported = _exported(trees["__init__"])
     unset = []
     for module, tree in trees.items():
@@ -221,7 +270,7 @@ def _unset_options(trees: dict[str, ast.Module]) -> list[str]:
             else:
                 calls = (by_attribute if is_method else by_name).get(node.name, [])
             unset += [f"{qualname}.{name}" for name, position in _options(node, is_method)
-                      if not any(_sets(call, name, position) for call in calls)]
+                      if not any(_sets(call, displays, name, position) for call, displays in calls)]
     return unset
 
 
@@ -230,7 +279,7 @@ def test_every_option_in_the_package_is_set_by_a_call_in_it():
     the package uses a constant or works the value out from its inputs.
     The exceptions are ``KEPT_OPTIONS``, the options of ``KEPT``
     definitions and the exported API.  Dataclass fields are not
-    parameters of a ``def`` and are outside this check."""
+    parameters of a ``def``: the stored-fields check covers them."""
     unset = [option for option in _unset_options(_package_trees()) if option.rpartition(".")[0] not in KEPT]
     assert sorted(unset) == sorted(KEPT_OPTIONS)
 
@@ -256,6 +305,73 @@ def test_an_option_only_the_tests_set_is_unset():
     assert unset["none"] == ["a.f.cap", "a.f.mode", "a.Box.__init__.size", "a.Box.grow.by"]
     assert unset["keyword"] == unset["position"] == unset["kwargs"] == []
     assert unset["args"] == ["a.f.mode"]  # a keyword-only option is set by keyword or **kwargs alone
+
+
+def test_a_starred_tuple_display_sets_only_its_positions():
+    """``f(*args)`` with ``args`` bound once to a tuple display passes as
+    many positions as the display has items; bound twice, it may pass any
+    number."""
+    trees = {"a": ast.parse("def f(x, y=1, z=2):\n    return x\n"), "__init__": ast.parse("from .b import g\n")}
+    trees["b"] = ast.parse("from .a import f\n\n\ndef g():\n    args = (1, 2)\n    return f(*args)\n")
+    assert _unset_options(trees) == ["a.f.z"]
+    trees["b"] = ast.parse("from .a import f\n\n\ndef g(args):\n    args = (1, 2)\n    return f(*args)\n")
+    assert _unset_options(trees) == []
+
+
+def _stored(cls: ast.ClassDef) -> list[str]:
+    """The names ``cls`` stores: its annotated class fields and each
+    ``self.name = ...`` or ``object.__setattr__(self, "name", ...)``."""
+    names = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    for n in ast.walk(cls):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            target, name = n.value, n.attr
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "__setattr__" \
+                and isinstance(n.func.value, ast.Name) and n.func.value.id == "object" and len(n.args) == 3 \
+                and isinstance(n.args[1], ast.Constant):
+            target, name = n.args[0], n.args[1].value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "self":
+            names.append(name)
+    return list(dict.fromkeys(names))
+
+
+def _unread_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """``Class.name`` for each name a class of ``trees`` stores that no
+    code of ``trees`` reads as an ``Attribute``; the classes ``__init__``
+    exports, and the classes in them, are the package's API and are not
+    checked."""
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)}
+    exported = _exported(trees["__init__"])
+    return [f"{qualname}.{name}" for module, tree in trees.items()
+            for qualname, node, _ in _definitions(tree, module)
+            if isinstance(node, ast.ClassDef) and qualname.split(".")[1] not in exported
+            for name in _stored(node) if name not in read]
+
+
+def test_every_stored_field_in_the_package_is_read_in_it():
+    """A value that no code reads is not stored; the exported API's fields
+    (``Instance.arc_index``, the ``RoundReport`` fields the command line
+    writes through ``vars()``) are exempt."""
+    assert _unread_fields(_package_trees()) == []
+
+
+def test_a_stored_field_no_code_reads_is_unread():
+    """A name stored by a field, ``self.name =`` or ``object.__setattr__``
+    is read only through an attribute: storing it, or a local of the same
+    name, does not count."""
+    a = ("from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Box:\n    size: int\n    tag: str\n\n"
+         "    def __post_init__(self):\n        object.__setattr__(self, 'half', self.size // 2)\n\n\n"
+         "class Bag:\n    def __init__(self, items):\n        self.items = items\n        self.count = len(items)\n"
+         "        self.count += 1\n\n\ndef f(box, bag):\n    tag = half = count = 0\n    return box.size + len(bag.items)\n")
+    trees = {"a": ast.parse(a), "__init__": ast.parse("from .a import f\n")}
+    assert _unread_fields(trees) == ["a.Box.tag", "a.Box.half", "a.Bag.count"]
+    trees["b"] = ast.parse("def g(box, bag):\n    return box.tag, box.half, bag.count\n")
+    assert _unread_fields(trees) == []
+    trees["__init__"] = ast.parse("from .a import Box, Bag, f\n")
+    del trees["b"]
+    assert _unread_fields(trees) == []
 
 
 def _wrap_targets():
